@@ -59,7 +59,7 @@ use phylo_models::{DiscreteGamma, Gtr, GtrParams, ProbMatrix};
 use phylo_tree::build::{default_names, random_tree};
 use plf_core::cla::Cla;
 use plf_core::layout::{EigenBasis, FusedPmat, Lut16x16};
-use plf_core::repeats::{ClassSource, RepeatTable};
+use plf_core::repeats::{ClassSource, RepeatIndex, RepeatTable};
 use plf_core::scaling::LN_SCALE;
 use plf_core::{
     AlignedVec, Blocking, EngineConfig, KernelKind, KernelOp, LikelihoodEngine, SiteRepeats,
@@ -392,8 +392,12 @@ fn repeat_fixture(patterns: usize) -> RepeatFixture {
     let codes_b: Vec<u8> = (0..patterns)
         .map(|i| ((i / 16) % (REPEAT_PROTOS / 16)) as u8)
         .collect();
-    let child = RepeatTable::build(ClassSource::Tip(&codes_a), ClassSource::Tip(&codes_b));
-    let table = RepeatTable::build(ClassSource::Inner(&child), ClassSource::Inner(&child));
+    // `patterns` as the limit: the fixture wants the full class maps.
+    let mut index = RepeatIndex::default();
+    let (a, b) = (ClassSource::Tip(&codes_a), ClassSource::Tip(&codes_b));
+    let child = RepeatTable::build(a, b, patterns, &mut index);
+    let inner = ClassSource::Inner(&child);
+    let table = RepeatTable::build(inner, inner, patterns, &mut index);
     assert_eq!(table.num_classes(), REPEAT_PROTOS, "fixture class count");
 
     let mut pi_w = [0.0; SITE_STRIDE];

@@ -19,7 +19,8 @@ use crate::instrument::KernelStats;
 use crate::kernels::{positive, KernelKind, Kernels};
 use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
 use crate::repeats::{
-    ClassSource, RepeatKey, RepeatScratch, RepeatStats, RepeatTable, SiteRepeats,
+    ClassSource, RepeatBuildStats, RepeatIndex, RepeatKey, RepeatScratch, RepeatStats, RepeatTable,
+    SiteRepeats,
 };
 use crate::scaling::LN_SCALE;
 use crate::{AlignedVec, NUM_RATES, SITE_STRIDE};
@@ -102,15 +103,8 @@ struct RootFoldKey {
     stamps: [u64; 2],
     /// Tip-binding epoch the table was built under.
     tip_epoch: u64,
-}
-
-/// Folded `derivativeSum` state left by `prepare_branch` for
-/// `branch_derivatives`: the class count and a *clone* of the fold's
-/// site→class map (cloned because the cached root table may be rebuilt
-/// for another edge between preparation and the Newton iterations).
-struct SumFold {
-    classes: usize,
-    site2class: Vec<u32>,
+    /// Class limit the table was built under.
+    limit: usize,
 }
 
 /// A PLF evaluator bound to one alignment slice and one model.
@@ -147,6 +141,9 @@ pub struct LikelihoodEngine {
     stats: KernelStats,
     /// Effective site-repeat compression mode (env override applied).
     repeats_mode: SiteRepeats,
+    /// Working state of every repeat-table build; owns no memory until
+    /// the first one.
+    repeat_index: RepeatIndex,
     /// Per-inner-node repeat tables (None until first built).
     repeat_tables: Vec<Option<RepeatTable>>,
     /// The state each table was built in (topology + tip binding only;
@@ -170,8 +167,16 @@ pub struct LikelihoodEngine {
     /// Scratch for per-class root results (site likelihoods /
     /// derivative triplets), grown lazily.
     fold_vals: Vec<f64>,
-    /// Set when the last `prepare_branch` filled the sumtable folded.
-    sum_fold: Option<SumFold>,
+    /// Class count of the folded sumtable, set when the last
+    /// `prepare_branch` filled it folded.
+    sum_fold: Option<usize>,
+    /// The fold's site→class map as of that `prepare_branch` — a copy,
+    /// because the cached root table may be rebuilt for another edge
+    /// between preparation and the Newton iterations.
+    sum_fold_classes: Vec<u32>,
+    /// Per-node time accumulator of a blocked batch, reused by every
+    /// flush.
+    batch_ns: Vec<u64>,
 }
 
 impl LikelihoodEngine {
@@ -247,6 +252,7 @@ impl LikelihoodEngine {
             sum_edge: None,
             stats: KernelStats::new(),
             repeats_mode: config.site_repeats.effective(),
+            repeat_index: RepeatIndex::default(),
             repeat_tables: vec![None; tree.num_inner()],
             repeat_valid: vec![None; tree.num_inner()],
             repeat_stamps: vec![0; tree.num_inner()],
@@ -258,6 +264,8 @@ impl LikelihoodEngine {
             root_fold: None,
             fold_vals: Vec::new(),
             sum_fold: None,
+            sum_fold_classes: Vec::new(),
+            batch_ns: Vec::new(),
         };
         engine.rebuild_model_tables();
         engine
@@ -360,6 +368,12 @@ impl LikelihoodEngine {
         self.repeat_stats
     }
 
+    /// Cumulative cost of this engine's repeat-table builds (node
+    /// tables and root-fold tables).
+    pub fn repeat_build_stats(&self) -> RepeatBuildStats {
+        self.repeat_index.stats()
+    }
+
     /// Per-pattern scaling counters of inner node `inner` (0-based
     /// inner-node index). Diagnostic/test accessor: the cross-backend
     /// and compression equivalence suites compare these arrays
@@ -450,6 +464,7 @@ impl LikelihoodEngine {
         debug_assert_eq!(tree.num_inner(), self.clas.len(), "tree shape changed");
         self.ensure_tip_binding(tree);
         let block = self.block_sites;
+        let limit = self.repeats_mode.class_limit(self.num_patterns);
         let mut batch: Vec<PlannedNewview> = Vec::new();
         for d in full_schedule(tree, root_edge) {
             let ch = children(tree, d.node, d.toward_edge);
@@ -462,8 +477,8 @@ impl LikelihoodEngine {
             // Repeat tables are ensured for every scheduled node, even
             // when its CLA is cache-valid: parents build their classes
             // from the children's tables.
-            if self.repeats_mode.enabled() {
-                self.ensure_repeat_table(tree, d.node, d.toward_edge, ch);
+            if let Some(limit) = limit {
+                self.ensure_repeat_table(tree, d.node, d.toward_edge, ch, limit);
             }
             let key = CacheKey {
                 toward_edge: d.toward_edge,
@@ -479,7 +494,7 @@ impl LikelihoodEngine {
             }
             // The compress decision is made exactly once per executed
             // node (it feeds the profitability metrics).
-            let compress = self.repeats_mode.enabled()
+            let compress = limit.is_some()
                 && self.repeat_tables[idx]
                     .as_ref()
                     .is_some_and(|t| t.compresses_counted(self.repeats_mode));
@@ -567,7 +582,9 @@ impl LikelihoodEngine {
             return;
         }
         let n = self.num_patterns;
-        let mut ns = vec![0u64; batch.len()];
+        let mut ns = std::mem::take(&mut self.batch_ns);
+        ns.clear();
+        ns.resize(batch.len(), 0);
         {
             let _span = crate::span::enter("newview");
             let mut b0 = 0;
@@ -584,6 +601,7 @@ impl LikelihoodEngine {
         for (slot, planned) in batch.iter().enumerate() {
             self.stats.record_op_timed(planned.op, n, ns[slot]);
         }
+        self.batch_ns = ns;
         batch.clear();
     }
 
@@ -679,6 +697,7 @@ impl LikelihoodEngine {
         node: NodeId,
         toward_edge: EdgeId,
         ch: [(EdgeId, NodeId); 2],
+        limit: usize,
     ) {
         let idx = self.inner_idx(node);
         let key = RepeatKey {
@@ -689,10 +708,13 @@ impl LikelihoodEngine {
                 self.repeat_stamp_of(tree, ch[1].1),
             ],
             tip_epoch: self.tip_epoch,
+            limit,
         };
         if self.repeat_valid[idx].as_ref() == Some(&key) {
             return;
         }
+        let _span = crate::span::enter("repeat_table");
+        let mut index = std::mem::take(&mut self.repeat_index);
         let source = |n: NodeId| -> ClassSource<'_> {
             if tree.is_tip(n) {
                 ClassSource::Tip(self.tip(n))
@@ -704,7 +726,8 @@ impl LikelihoodEngine {
                 )
             }
         };
-        let table = RepeatTable::build(source(ch[0].1), source(ch[1].1));
+        let table = RepeatTable::build(source(ch[0].1), source(ch[1].1), limit, &mut index);
+        self.repeat_index = index;
         self.repeat_tables[idx] = Some(table);
         self.repeat_valid[idx] = Some(key);
         self.repeat_stamps[idx] = self.next_repeat_stamp;
@@ -889,7 +912,10 @@ impl LikelihoodEngine {
     /// `r` is a tip (the two-taxon corner), or when the compression
     /// does not pay under the engine's mode.
     fn ensure_root_fold(&mut self, tree: &Tree, q: NodeId, r: NodeId) -> bool {
-        if !self.repeats_mode.enabled() || tree.is_tip(r) {
+        let Some(limit) = self.repeats_mode.class_limit(self.num_patterns) else {
+            return false;
+        };
+        if tree.is_tip(r) {
             return false;
         }
         let r_idx = self.inner_idx(r);
@@ -909,15 +935,19 @@ impl LikelihoodEngine {
             nodes: [q, r],
             stamps: [q_stamp, self.repeat_stamps[r_idx]],
             tip_epoch: self.tip_epoch,
+            limit,
         };
         if !self.root_fold.as_ref().is_some_and(|f| f.key == key) {
+            let _span = crate::span::enter("repeat_table");
+            let mut index = std::mem::take(&mut self.repeat_index);
             let left = if tree.is_tip(q) {
                 ClassSource::Tip(self.tip(q))
             } else {
                 ClassSource::Inner(self.repeat_tables[self.inner_idx(q)].as_ref().unwrap())
             };
             let right = ClassSource::Inner(self.repeat_tables[r_idx].as_ref().unwrap());
-            let table = RepeatTable::build(left, right);
+            let table = RepeatTable::build(left, right, limit, &mut index);
+            self.repeat_index = index;
             self.root_fold = Some(RootFold { key, table });
         }
         self.root_fold
@@ -945,15 +975,18 @@ impl LikelihoodEngine {
             return 0.0;
         }
         self.update_partials(tree, root_edge);
+        let (a, b) = tree.endpoints(root_edge);
+        // Canonicalize: tip on the q (left) side.
+        let (q, r) = if tree.is_tip(a) { (a, b) } else { (b, a) };
+        // The fold decision (and any table build behind it) comes
+        // before the op timer: it is traversal overhead, not kernel
+        // time.
+        let folded = self.ensure_root_fold(tree, q, r);
         let _span = crate::span::enter("evaluate");
         patterns_evaluated().add(self.num_patterns as u64);
         let t0 = std::time::Instant::now();
-        let (a, b) = tree.endpoints(root_edge);
         let t = tree.length(root_edge);
         let p = self.fused_pmat(t);
-        // Canonicalize: tip on the q (left) side.
-        let (q, r) = if tree.is_tip(a) { (a, b) } else { (b, a) };
-        let folded = self.ensure_root_fold(tree, q, r);
         let (ll, op, folded_classes) = if folded {
             let mut vals = std::mem::take(&mut self.fold_vals);
             let table = &self.root_fold.as_ref().expect("fold table cached").table;
@@ -1053,11 +1086,12 @@ impl LikelihoodEngine {
             return;
         }
         self.update_partials(tree, edge);
-        let _span = crate::span::enter("derivativeSum");
-        let t0 = std::time::Instant::now();
         let (a, b) = tree.endpoints(edge);
         let (q, r) = if tree.is_tip(a) { (a, b) } else { (b, a) };
+        // As in `log_likelihood`: decided outside the op timer.
         let folded = self.ensure_root_fold(tree, q, r);
+        let _span = crate::span::enter("derivativeSum");
+        let t0 = std::time::Instant::now();
         // Re-borrow pieces to satisfy the borrow checker: the sumtable
         // is disjoint from the CLAs.
         let mut sumtable = std::mem::replace(&mut self.sumtable, AlignedVec::zeroed(0));
@@ -1098,10 +1132,9 @@ impl LikelihoodEngine {
                 );
                 KernelOp::DerivativeSumIi
             };
-            self.sum_fold = Some(SumFold {
-                classes: nc,
-                site2class: table.site2class().to_vec(),
-            });
+            self.sum_fold = Some(nc);
+            self.sum_fold_classes.clear();
+            self.sum_fold_classes.extend_from_slice(table.site2class());
             self.repeat_scratch = Some(scratch);
             let inner_children = if tree.is_tip(q) { 1 } else { 2 };
             (op, Some((nc as u64, inner_children)))
@@ -1159,12 +1192,8 @@ impl LikelihoodEngine {
         }
         let _span = crate::span::enter("derivativeCore");
         let t0 = std::time::Instant::now();
-        // Taken (and restored below) so Newton can call this
-        // repeatedly after one preparation.
-        let fold = self.sum_fold.take();
-        let (out, folded_classes) = match &fold {
-            Some(f) => {
-                let nc = f.classes;
+        let (out, folded_classes) = match self.sum_fold {
+            Some(nc) => {
                 let mut vals = std::mem::take(&mut self.fold_vals);
                 if vals.len() < 3 * nc {
                     vals.resize(3 * nc, 0.0);
@@ -1190,7 +1219,7 @@ impl LikelihoodEngine {
                 // kernel, hence bit-identical derivatives.
                 let mut dlnl = 0.0;
                 let mut d2lnl = 0.0;
-                for (i, &c) in f.site2class.iter().enumerate() {
+                for (i, &c) in self.sum_fold_classes.iter().enumerate() {
                     let w = self.weights[i] as f64;
                     let c = c as usize;
                     dlnl += w * vals[3 * c];
@@ -1209,7 +1238,6 @@ impl LikelihoodEngine {
                 None,
             ),
         };
-        self.sum_fold = fold;
         match folded_classes {
             Some(nc) => {
                 let cost = crate::cost::folded_root(
@@ -1619,49 +1647,157 @@ mod tests {
                     },
                 )
             };
-            let mut off = mk(SiteRepeats::Off);
-            let mut on = mk(SiteRepeats::On);
-            for e in tree.edge_ids() {
-                assert_eq!(
-                    off.log_likelihood(&tree, e).to_bits(),
-                    on.log_likelihood(&tree, e).to_bits(),
-                    "{kernel:?} edge {e}: folded evaluate drifted"
-                );
-                off.prepare_branch(&tree, e);
-                on.prepare_branch(&tree, e);
-                for t in [tree.length(e), 0.5 * tree.length(e) + 0.01] {
-                    let (d1o, d2o) = off.branch_derivatives(t);
-                    let (d1f, d2f) = on.branch_derivatives(t);
+            for mode in [SiteRepeats::On, SiteRepeats::Auto] {
+                let mut off = mk(SiteRepeats::Off);
+                let mut on = mk(mode);
+                for e in tree.edge_ids() {
                     assert_eq!(
-                        d1o.to_bits(),
-                        d1f.to_bits(),
-                        "{kernel:?} edge {e} t={t}: d1"
+                        off.log_likelihood(&tree, e).to_bits(),
+                        on.log_likelihood(&tree, e).to_bits(),
+                        "{kernel:?} {mode} edge {e}: folded evaluate drifted"
                     );
-                    assert_eq!(
-                        d2o.to_bits(),
-                        d2f.to_bits(),
-                        "{kernel:?} edge {e} t={t}: d2"
-                    );
+                    for i in 0..off.num_inner() {
+                        assert_eq!(
+                            off.cla_scale(i),
+                            on.cla_scale(i),
+                            "{kernel:?} {mode} edge {e} inner {i}: scale arrays differ"
+                        );
+                    }
+                    off.prepare_branch(&tree, e);
+                    on.prepare_branch(&tree, e);
+                    for t in [tree.length(e), 0.5 * tree.length(e) + 0.01] {
+                        let (d1o, d2o) = off.branch_derivatives(t);
+                        let (d1f, d2f) = on.branch_derivatives(t);
+                        assert_eq!(
+                            d1o.to_bits(),
+                            d1f.to_bits(),
+                            "{kernel:?} {mode} edge {e} t={t}: d1"
+                        );
+                        assert_eq!(
+                            d2o.to_bits(),
+                            d2f.to_bits(),
+                            "{kernel:?} {mode} edge {e} t={t}: d2"
+                        );
+                    }
                 }
-            }
-            // Folding must actually have engaged: the modeled evaluate
-            // traffic shrinks to class width (+ the fold tail), so the
-            // op aggregates cannot match the uncompressed engine's.
-            // (Skipped under an env override, which forces both engines
-            // into the same mode.)
-            if SiteRepeats::env_override().is_none() {
+                // (The rest is skipped under an env override, which
+                // forces both engines into the same mode.)
+                if SiteRepeats::env_override().is_some() {
+                    continue;
+                }
+                // Folding must actually have engaged: the modeled
+                // evaluate traffic shrinks to class width (+ the fold
+                // tail), so the op aggregates cannot match the
+                // uncompressed engine's.
                 assert_ne!(
                     off.stats().op(KernelOp::EvaluateIi).bytes_read,
                     on.stats().op(KernelOp::EvaluateIi).bytes_read,
-                    "{kernel:?}: folded evaluate never engaged"
+                    "{kernel:?} {mode}: folded evaluate never engaged"
                 );
                 assert_ne!(
                     off.stats().op(KernelOp::DerivativeCore).bytes_read,
                     on.stats().op(KernelOp::DerivativeCore).bytes_read,
-                    "{kernel:?}: folded derivative never engaged"
+                    "{kernel:?} {mode}: folded derivative never engaged"
                 );
+                // 16 sites in 4 classes at every node and orientation:
+                // no table is bounded and every call compresses, under
+                // either mode's limit.
+                let stats = on.repeat_stats();
+                assert_eq!(off.repeat_stats().newview_calls, stats.newview_calls);
+                assert_eq!(
+                    stats,
+                    RepeatStats {
+                        newview_calls: stats.newview_calls,
+                        compressed_calls: stats.newview_calls,
+                        sites: 16 * stats.newview_calls,
+                        classes: 4 * stats.newview_calls,
+                    },
+                    "{kernel:?} {mode}"
+                );
+                let builds = on.repeat_build_stats();
+                assert_eq!(builds.bounded_by_child + builds.bounded_by_limit, 0);
+                assert_eq!(builds.sites_indexed, 16 * builds.builds);
             }
         }
+    }
+
+    /// The cost this engine no longer pays where `Auto` declines every
+    /// node: 15 sites whose rows are each a permutation of the 15
+    /// non-gap codes, so already a cherry has 15 classes — over
+    /// `Auto`'s limit of 12.
+    #[test]
+    fn repeat_free_alignment_indexes_only_the_cherries() {
+        if SiteRepeats::env_override().is_some() || crate::cost::repeat_overhead_ratio().is_some() {
+            return; // pins Auto under the uncalibrated 20% rule
+        }
+        let names = phylo_tree::build::default_names(9);
+        let tree = phylo_tree::build::balanced(&names, 0.1).unwrap();
+        let n = 15usize;
+        let rows: Vec<Vec<phylo_bio::DnaCode>> = [1, 2, 4, 7, 8, 11, 13, 14, 1]
+            .iter()
+            .enumerate()
+            .map(|(taxon, step)| {
+                (0..n)
+                    .map(|i| phylo_bio::DnaCode::from_bits(((i * step + taxon) % n + 1) as u8))
+                    .collect::<Result<_, _>>()
+                    .unwrap()
+            })
+            .collect();
+        let aln = CompressedAlignment::from_parts(names, rows, vec![1; n]).unwrap();
+        let mk = |site_repeats| {
+            LikelihoodEngine::new(
+                &tree,
+                &aln,
+                EngineConfig {
+                    site_repeats,
+                    ..EngineConfig::default()
+                },
+            )
+        };
+        let (mut off, mut auto) = (mk(SiteRepeats::Off), mk(SiteRepeats::Auto));
+        let limit = SiteRepeats::Auto.class_limit(n).unwrap();
+        assert_eq!(limit, 12);
+        for e in tree.edge_ids() {
+            // Node kinds under this orientation, from the schedule the
+            // engine walks.
+            let (mut cherries, mut tip_inner) = (0u64, 0u64);
+            for d in full_schedule(&tree, e) {
+                let tips = children(&tree, d.node, d.toward_edge)
+                    .iter()
+                    .filter(|(_, c)| tree.is_tip(*c))
+                    .count();
+                cherries += u64::from(tips == 2);
+                tip_inner += u64::from(tips == 1);
+            }
+            let before = auto.repeat_build_stats();
+            assert_eq!(
+                off.log_likelihood(&tree, e).to_bits(),
+                auto.log_likelihood(&tree, e).to_bits()
+            );
+            let after = auto.repeat_build_stats();
+            let built = after.builds - before.builds;
+            let by_limit = after.bounded_by_limit - before.bounded_by_limit;
+            let by_child = after.bounded_by_child - before.bounded_by_child;
+            let indexed = after.sites_indexed - before.sites_indexed;
+            // Only cherries are ever passed over, each cut at class
+            // 13; every other node, and the root fold, is bounded by
+            // its child without looking at a site.
+            assert!(by_limit <= cherries, "edge {e}");
+            assert_eq!(
+                built,
+                by_limit + by_child,
+                "edge {e}: a table was built in full"
+            );
+            assert_eq!(indexed, by_limit * (limit as u64 + 1), "edge {e}");
+            assert!(indexed <= (cherries + tip_inner) * n as u64, "edge {e}");
+            if before.builds == 0 {
+                // The first traversal builds every node's table and
+                // the root fold's.
+                assert_eq!(built, tree.num_inner() as u64 + 1);
+                assert_eq!(by_limit, cherries);
+            }
+        }
+        assert_eq!(auto.repeat_stats().compressed_calls, 0);
     }
 
     #[test]

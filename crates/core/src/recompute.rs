@@ -23,7 +23,7 @@ use crate::instrument::{KernelId, KernelStats};
 use crate::kernels::Kernels;
 use crate::layout::{FusedPmat, Lut16x16};
 use crate::repeats::{
-    ClassSource, RepeatKey, RepeatScratch, RepeatStats, RepeatTable, SiteRepeats,
+    ClassSource, RepeatIndex, RepeatKey, RepeatScratch, RepeatStats, RepeatTable, SiteRepeats,
 };
 use crate::SITE_STRIDE;
 use phylo_bio::CompressedAlignment;
@@ -97,8 +97,10 @@ pub struct RecomputingEngine {
     stats: KernelStats,
     /// Site-repeat compression mode (resolved at construction).
     repeats_mode: SiteRepeats,
+    repeat_index: RepeatIndex,
     /// Per-inner-node repeat tables. Unlike CLAs these are *not*
-    /// pooled: a table costs ~12 bytes/site versus a CLA's 128, and
+    /// pooled: a table costs at most ~12 bytes/site versus a CLA's 128
+    /// (nothing for a node with too many classes to compress), and
     /// keeping them resident is what lets evicted CLAs be recomputed
     /// over classes instead of sites.
     repeat_tables: Vec<Option<RepeatTable>>,
@@ -178,6 +180,7 @@ impl RecomputingEngine {
             version: 1,
             stats: KernelStats::new(),
             repeats_mode: config.site_repeats.effective(),
+            repeat_index: RepeatIndex::default(),
             repeat_tables: vec![None; tree.num_inner()],
             repeat_valid: vec![None; tree.num_inner()],
             repeat_stamps: vec![0; tree.num_inner()],
@@ -227,6 +230,16 @@ impl RecomputingEngine {
         &self.repeat_stats
     }
 
+    /// Heap bytes of the resident repeat tables (the memory the pool
+    /// does not cap).
+    pub fn repeat_table_bytes(&self) -> usize {
+        self.repeat_tables
+            .iter()
+            .flatten()
+            .map(RepeatTable::heap_bytes)
+            .sum()
+    }
+
     fn inner_idx(&self, node: NodeId) -> usize {
         node - self.num_taxa
     }
@@ -274,6 +287,7 @@ impl RecomputingEngine {
         let mut pinned = vec![false; tree.num_inner()];
         let (ra, rb) = tree.endpoints(root_edge);
         let block = self.block_sites;
+        let limit = self.repeats_mode.class_limit(self.num_patterns);
         let mut batch: Vec<RecPlanned> = Vec::new();
 
         for d in &schedule {
@@ -288,13 +302,13 @@ impl RecomputingEngine {
             }
             // Tables are ensured even for resident-and-valid nodes:
             // parents build their classes from the children's tables.
-            if self.repeats_mode.enabled() {
-                self.ensure_repeat_table(tree, d.node, d.toward_edge, ch);
+            if let Some(limit) = limit {
+                self.ensure_repeat_table(tree, d.node, d.toward_edge, ch, limit);
             }
             let valid = self.resident[idx] != FREE
                 && self.orientation[idx] == (d.toward_edge, self.version);
             if !valid {
-                let compress = self.repeats_mode.enabled()
+                let compress = limit.is_some()
                     && self.repeat_tables[idx]
                         .as_ref()
                         .is_some_and(|t| t.compresses_counted(self.repeats_mode));
@@ -482,6 +496,7 @@ impl RecomputingEngine {
         node: NodeId,
         toward_edge: EdgeId,
         ch: [(EdgeId, NodeId); 2],
+        limit: usize,
     ) {
         let idx = self.inner_idx(node);
         let key = RepeatKey {
@@ -492,10 +507,12 @@ impl RecomputingEngine {
                 self.repeat_stamp_of(tree, ch[1].1),
             ],
             tip_epoch: 0,
+            limit,
         };
         if self.repeat_valid[idx].as_ref() == Some(&key) {
             return;
         }
+        let mut index = std::mem::take(&mut self.repeat_index);
         let source = |n: NodeId| -> ClassSource<'_> {
             if tree.is_tip(n) {
                 ClassSource::Tip(&self.tips[n])
@@ -507,7 +524,8 @@ impl RecomputingEngine {
                 )
             }
         };
-        let table = RepeatTable::build(source(ch[0].1), source(ch[1].1));
+        let table = RepeatTable::build(source(ch[0].1), source(ch[1].1), limit, &mut index);
+        self.repeat_index = index;
         self.repeat_tables[idx] = Some(table);
         self.repeat_valid[idx] = Some(key);
         self.repeat_stamps[idx] = self.next_repeat_stamp;
@@ -780,6 +798,45 @@ mod tests {
         let rec = RecomputingEngine::new(&tree, &aln, cfg, 4);
         assert_eq!(rec.pool_slots(), 4);
         assert!(rec.cla_bytes() < full_bytes / 4);
+    }
+
+    #[test]
+    fn bounded_nodes_hold_no_table_memory() {
+        // 120 random columns: a subtree of five or more tips has more
+        // classes than `Auto` compresses, so most of a 20-taxon tree's
+        // nodes keep only the bounded marker.
+        let (tree, aln) = dataset(20, 6);
+        let cfg_of = |site_repeats| EngineConfig {
+            site_repeats,
+            ..EngineConfig::default()
+        };
+        let pool = min_pool_slots(&tree, 0);
+        let mut on = RecomputingEngine::new(&tree, &aln, cfg_of(SiteRepeats::On), pool);
+        let mut auto = RecomputingEngine::new(&tree, &aln, cfg_of(SiteRepeats::Auto), pool);
+        assert_eq!(
+            on.log_likelihood(&tree, 0).to_bits(),
+            auto.log_likelihood(&tree, 0).to_bits()
+        );
+        if SiteRepeats::env_override().is_some() {
+            return; // both engines run the same mode
+        }
+        // Under `On` only a node with no repeat at all is bounded;
+        // every other one holds at least its site→class map.
+        let site_map = 4 * aln.num_patterns();
+        let bounded = |e: &RecomputingEngine| {
+            e.repeat_tables
+                .iter()
+                .flatten()
+                .filter(|t| t.is_bounded())
+                .count()
+        };
+        assert!(bounded(&auto) > bounded(&on));
+        assert!(on.repeat_table_bytes() >= (tree.num_inner() - bounded(&on)) * site_map);
+        assert!(
+            auto.repeat_table_bytes() + (bounded(&auto) - bounded(&on)) * site_map
+                <= on.repeat_table_bytes()
+        );
+        assert!(auto.repeat_stats().compressed_calls > 0);
     }
 
     #[test]

@@ -12,9 +12,28 @@
 //! detection cheap: a site's class at a node is determined entirely by
 //! the pair of its children's class ids — a tip child contributes its
 //! 4-bit character code, an inner child the site's class id in that
-//! child's own [`RepeatTable`]. One hash pass per node over `(left
-//! class, right class)` pairs assigns dense ids in first-occurrence
-//! order.
+//! child's own [`RepeatTable`]. One pass per node over `(left class,
+//! right class)` pairs assigns dense ids in first-occurrence order.
+//!
+//! # Bounded tables
+//!
+//! An engine only ever asks one question of a table: does it have at
+//! most `limit` classes, where `limit` is what its mode implies for `n`
+//! sites ([`SiteRepeats::class_limit`]: `On` compresses below `n`
+//! classes, `Auto` up to the largest count [`RepeatTable::profitable`]
+//! accepts). A table with more classes is never compressed, so
+//! [`RepeatTable::build`] does not construct it: it returns a *bounded*
+//! marker that holds no per-site data, either the moment class
+//! `limit + 1` appears in its pass or — in O(1) — when an inner child
+//! is itself bounded (a parent's partition refines both children's, so
+//! `classes(parent) ≥ classes(child) > limit`). Whenever a table *is*
+//! built its contents are exactly what an unbounded pass would produce,
+//! so every compress decision is the same as without the bound.
+//!
+//! The pass runs over a [`RepeatIndex`]: an engine-owned
+//! open-addressing table keyed by the packed class pair, allocated on
+//! first use and reused by every later build (slots are stamped with a
+//! build epoch, so nothing is cleared between builds).
 //!
 //! # Bit-identity contract
 //!
@@ -44,7 +63,6 @@ use crate::kernels::Kernels;
 use crate::layout::{site_range, EigenBasis, FusedPmat, Lut16x16};
 use crate::{AlignedVec, SITE_STRIDE};
 use phylo_tree::{EdgeId, NodeId};
-use std::collections::HashMap;
 
 /// Whether engines compress repeated sites, gated per
 /// [`crate::EngineConfig`] and overridable process-wide through the
@@ -97,6 +115,38 @@ impl SiteRepeats {
     pub fn enabled(self) -> bool {
         self != SiteRepeats::Off
     }
+
+    /// The largest class count a node covering `sites` sites may have
+    /// and still run compressed under this mode — the `limit` engines
+    /// pass to [`RepeatTable::build`]. `None` for `Off`, which builds no
+    /// tables.
+    pub fn class_limit(self, sites: usize) -> Option<usize> {
+        match self {
+            SiteRepeats::Off => None,
+            SiteRepeats::On => Some(sites.saturating_sub(1)),
+            SiteRepeats::Auto => Some(profitable_limit(sites)),
+        }
+    }
+}
+
+/// The largest class count [`RepeatTable::profitable`] accepts for
+/// `sites` sites.
+///
+/// On a calibrated host ([`crate::cost::set_calibration`], from the
+/// cached `HOST_ROOFLINE.json` probes) the rule is the measured cost
+/// model: compress iff `classes ≤ sites · (1 − r)` where `r` is the
+/// expansion-copy : kernel-work time ratio
+/// ([`crate::cost::repeat_overhead_ratio`]) — each skipped class must
+/// save at least the per-site expansion copy it costs. Uncalibrated
+/// hosts keep the historical fixed rule: at least a 20% site reduction
+/// (`classes ≤ 0.8 · sites`), which is the measured rule evaluated at
+/// r = 0.2.
+fn profitable_limit(sites: usize) -> usize {
+    match crate::cost::repeat_overhead_ratio() {
+        // Truncation is the floor: the product is non-negative.
+        Some(r) => (sites as f64 * (1.0 - r)) as usize,
+        None => sites * 4 / 5,
+    }
 }
 
 /// An unrecognized site-repeats mode.
@@ -145,32 +195,38 @@ pub enum ClassSource<'a> {
     /// Tip child: 4-bit ambiguity codes, one per site.
     Tip(&'a [u8]),
     /// Inner child: the child's repeat table (must cover the same
-    /// sites).
+    /// sites, and have been built with the same limit).
     Inner(&'a RepeatTable),
 }
 
 impl ClassSource<'_> {
-    #[inline]
-    fn class(&self, site: usize) -> u32 {
-        match self {
-            ClassSource::Tip(codes) => codes[site] as u32,
-            ClassSource::Inner(table) => table.site2class[site],
-        }
-    }
-
     fn len(&self) -> usize {
         match self {
             ClassSource::Tip(codes) => codes.len(),
             ClassSource::Inner(table) => table.num_sites(),
         }
     }
+
+    /// The limit a bounded inner child exceeded.
+    fn exceeded(&self) -> Option<usize> {
+        match self {
+            ClassSource::Tip(_) => None,
+            ClassSource::Inner(table) => table.exceeded,
+        }
+    }
 }
 
 /// Per-node repeat index table: the partition of this engine slice's
 /// sites into classes with identical induced subtree patterns at one
-/// inner node (for its current orientation).
+/// inner node (for its current orientation) — or, when that partition
+/// has more classes than the limit it was built under, a *bounded*
+/// marker that records only that fact (see the module docs).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RepeatTable {
+    num_sites: usize,
+    /// `Some(limit)` marks a bounded table: more than `limit` classes,
+    /// and the three vectors below are empty.
+    exceeded: Option<usize>,
     /// Dense class id per site, ids assigned in first-occurrence order.
     site2class: Vec<u32>,
     /// Representative (first-occurrence) site per class.
@@ -181,43 +237,74 @@ pub struct RepeatTable {
 
 impl RepeatTable {
     /// Builds the table for a node from its two children's class
-    /// sources, in one hash pass over the `(left, right)` class pairs.
-    pub fn build(left: ClassSource<'_>, right: ClassSource<'_>) -> Self {
+    /// sources, in one pass over the `(left, right)` class pairs
+    /// through `index` — unless the node has more than `limit` classes,
+    /// in which case the result is the bounded marker: at once when an
+    /// inner child is bounded, otherwise as soon as class `limit + 1`
+    /// appears. All tables of one tree must share one `limit` (the
+    /// upward propagation relies on it).
+    pub fn build(
+        left: ClassSource<'_>,
+        right: ClassSource<'_>,
+        limit: usize,
+        index: &mut RepeatIndex,
+    ) -> Self {
         let n = left.len();
         debug_assert_eq!(n, right.len(), "children cover different site ranges");
-        let mut site2class = Vec::with_capacity(n);
-        let mut repr = Vec::new();
-        let mut mult: Vec<u32> = Vec::new();
-        let mut ids: HashMap<u64, u32> = HashMap::with_capacity(n.min(1 << 16));
-        for i in 0..n {
-            let key = (u64::from(left.class(i)) << 32) | u64::from(right.class(i));
-            let next = repr.len() as u32;
-            let id = *ids.entry(key).or_insert(next);
-            if id == next {
-                repr.push(i as u32);
-                mult.push(0);
+        let complete = match left.exceeded().or(right.exceeded()) {
+            Some(child_limit) => {
+                debug_assert!(child_limit >= limit, "child bounded under a smaller limit");
+                index.note_build(0, Some(BoundedBy::Child));
+                false
             }
-            mult[id as usize] += 1;
-            site2class.push(id);
-        }
-        RepeatTable {
-            site2class,
-            repr,
-            mult,
+            // The `ClassSource` match is hoisted out of the per-site
+            // loop: one monomorphized pass per pairing.
+            None => match (left, right) {
+                (ClassSource::Tip(l), ClassSource::Tip(r)) => index.pass(l, r, limit),
+                (ClassSource::Tip(l), ClassSource::Inner(r)) => index.pass(l, &r.site2class, limit),
+                (ClassSource::Inner(l), ClassSource::Tip(r)) => index.pass(&l.site2class, r, limit),
+                (ClassSource::Inner(l), ClassSource::Inner(r)) => {
+                    index.pass(&l.site2class, &r.site2class, limit)
+                }
+            },
+        };
+        if complete {
+            RepeatTable {
+                num_sites: n,
+                exceeded: None,
+                site2class: index.site2class.clone(),
+                repr: index.repr.clone(),
+                mult: index.mult.clone(),
+            }
+        } else {
+            RepeatTable {
+                num_sites: n,
+                exceeded: Some(limit),
+                site2class: Vec::new(),
+                repr: Vec::new(),
+                mult: Vec::new(),
+            }
         }
     }
 
     /// Number of sites covered.
     pub fn num_sites(&self) -> usize {
-        self.site2class.len()
+        self.num_sites
     }
 
-    /// Number of distinct repeat classes.
+    /// Whether this is the bounded marker: the node has more classes
+    /// than the limit it was built under, and no class map is held.
+    pub fn is_bounded(&self) -> bool {
+        self.exceeded.is_some()
+    }
+
+    /// Number of distinct repeat classes (0 for a bounded table, whose
+    /// count is only known to exceed its limit).
     pub fn num_classes(&self) -> usize {
         self.repr.len()
     }
 
-    /// Dense class id per site.
+    /// Dense class id per site (empty for a bounded table).
     pub fn site2class(&self) -> &[u32] {
         &self.site2class
     }
@@ -232,39 +319,23 @@ impl RepeatTable {
         &self.mult
     }
 
-    /// `classes / sites`: 1.0 means no repeats, small means highly
-    /// compressible.
-    pub fn ratio(&self) -> f64 {
-        if self.num_sites() == 0 {
-            1.0
-        } else {
-            self.num_classes() as f64 / self.num_sites() as f64
-        }
+    /// Heap bytes held by the class map (0 for a bounded table).
+    pub fn heap_bytes(&self) -> usize {
+        4 * (self.site2class.capacity() + self.repr.capacity() + self.mult.capacity())
     }
 
-    /// Whether compressing this node pays for the gather/expand copies.
-    ///
-    /// On a calibrated host ([`crate::cost::set_calibration`], from the
-    /// cached `HOST_ROOFLINE.json` probes) the rule is the measured
-    /// cost model: compress iff `classes ≤ sites · (1 − r)` where `r`
-    /// is the expansion-copy : kernel-work time ratio
-    /// ([`crate::cost::repeat_overhead_ratio`]) — each skipped class
-    /// must save at least the per-site expansion copy it costs.
-    /// Uncalibrated hosts keep the historical fixed rule: at least a
-    /// 20% site reduction (`classes ≤ 0.8 · sites`), which is the
-    /// measured rule evaluated at r = 0.2.
+    /// Whether compressing this node pays for the gather/expand copies
+    /// (see [`SiteRepeats::class_limit`] for the rule). Never for a
+    /// bounded table.
     pub fn profitable(&self) -> bool {
-        match crate::cost::repeat_overhead_ratio() {
-            Some(r) => (self.num_classes() as f64) <= (self.num_sites() as f64) * (1.0 - r),
-            None => self.num_classes() * 5 <= self.num_sites() * 4,
-        }
+        !self.is_bounded() && self.num_classes() <= profitable_limit(self.num_sites)
     }
 
     /// Whether a node with this table runs compressed under `mode`.
     pub fn compresses(&self, mode: SiteRepeats) -> bool {
         match mode {
             SiteRepeats::Off => false,
-            SiteRepeats::On => self.num_classes() < self.num_sites(),
+            SiteRepeats::On => !self.is_bounded() && self.num_classes() < self.num_sites,
             SiteRepeats::Auto => self.profitable(),
         }
     }
@@ -344,6 +415,179 @@ impl RepeatTable {
     }
 }
 
+/// Why a build returned the bounded marker.
+#[derive(Clone, Copy)]
+enum BoundedBy {
+    /// An inner child was already bounded: no site was looked at.
+    Child,
+    /// Class `limit + 1` appeared during the pass.
+    Limit,
+}
+
+/// What the builds through one [`RepeatIndex`] cost: the per-engine
+/// view of the `core.repeats.table_*` / `core.repeats.sites_indexed`
+/// registry counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RepeatBuildStats {
+    /// Calls to [`RepeatTable::build`].
+    pub builds: u64,
+    /// Builds answered in O(1) because an inner child was bounded.
+    pub bounded_by_child: u64,
+    /// Builds cut short when class `limit + 1` appeared.
+    pub bounded_by_limit: u64,
+    /// Sites run through the index, over all builds.
+    pub sites_indexed: u64,
+}
+
+/// One slot of the open-addressing index. A slot is occupied for the
+/// current build iff its `epoch` equals the index's.
+#[derive(Clone, Copy)]
+struct Slot {
+    key: u64,
+    id: u32,
+    epoch: u32,
+}
+
+const VACANT: Slot = Slot {
+    key: 0,
+    id: 0,
+    epoch: 0,
+};
+
+/// Smallest slot array the index allocates.
+const MIN_SLOTS: usize = 16;
+
+/// 2⁶⁴ / φ: the multiplier of Fibonacci hashing, which spreads the
+/// dense, low-entropy class-id pairs over the high bits the slot index
+/// is taken from.
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The reusable working state of [`RepeatTable::build`]: an
+/// open-addressing (linear probing, load ≤ ½) map from the packed
+/// `(left, right)` class pair to the dense class id, plus staging for
+/// the table under construction. One per engine; empty until the first
+/// build, then reused by every later one without clearing — each build
+/// takes a fresh epoch, which vacates every slot at once — and without
+/// allocating, unless a build needs more slots than any before it.
+#[derive(Default)]
+pub struct RepeatIndex {
+    slots: Vec<Slot>,
+    /// `64 − log2(slots.len())`: the hash keeps its top bits.
+    shift: u32,
+    epoch: u32,
+    site2class: Vec<u32>,
+    repr: Vec<u32>,
+    mult: Vec<u32>,
+    stats: RepeatBuildStats,
+}
+
+impl RepeatIndex {
+    /// Cumulative cost of the builds that went through this index.
+    pub fn stats(&self) -> RepeatBuildStats {
+        self.stats
+    }
+
+    /// Vacates the index for a build that inserts at most `classes`
+    /// keys, growing the slot array first if that would load it past ½.
+    fn begin(&mut self, classes: usize) {
+        let want = (2 * classes).next_power_of_two().max(MIN_SLOTS);
+        if self.slots.len() < want {
+            self.slots = vec![VACANT; want];
+            self.shift = 64 - want.trailing_zeros();
+            self.epoch = 0;
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // The stamp wrapped: slots written 2³² builds ago would
+            // read as occupied, so this one build clears them.
+            self.slots.fill(VACANT);
+            self.epoch = 1;
+        }
+    }
+
+    /// The per-site pass: stages `site2class`/`repr`/`mult` for the
+    /// pairing of `left` and `right`, ids in first-occurrence order.
+    /// Returns `false`, with the staging abandoned, as soon as class
+    /// `limit + 1` appears.
+    fn pass<L, R>(&mut self, left: &[L], right: &[R], limit: usize) -> bool
+    where
+        L: Copy + Into<u32>,
+        R: Copy + Into<u32>,
+    {
+        let n = left.len();
+        self.begin(limit.min(n));
+        self.site2class.clear();
+        self.site2class.resize(n, 0);
+        self.repr.clear();
+        self.mult.clear();
+        let (epoch, shift) = (self.epoch, self.shift);
+        let RepeatIndex {
+            slots,
+            site2class,
+            repr,
+            mult,
+            ..
+        } = self;
+        let mask = slots.len() - 1;
+        let cut_at = 'sites: {
+            for (i, ((&l, &r), out)) in left.iter().zip(right).zip(site2class).enumerate() {
+                let key = (u64::from(l.into()) << 32) | u64::from(r.into());
+                let mut h = (key.wrapping_mul(HASH_MUL) >> shift) as usize;
+                let id = loop {
+                    let slot = &mut slots[h & mask];
+                    if slot.epoch != epoch {
+                        let id = repr.len();
+                        if id == limit {
+                            break 'sites Some(i + 1);
+                        }
+                        *slot = Slot {
+                            key,
+                            id: id as u32,
+                            epoch,
+                        };
+                        repr.push(i as u32);
+                        mult.push(0);
+                        break id;
+                    }
+                    if slot.key == key {
+                        break slot.id as usize;
+                    }
+                    h += 1;
+                };
+                mult[id] += 1;
+                *out = id as u32;
+            }
+            None
+        };
+        match cut_at {
+            Some(sites) => self.note_build(sites, Some(BoundedBy::Limit)),
+            None => self.note_build(n, None),
+        }
+        cut_at.is_none()
+    }
+
+    /// Books one build in this index's stats and the registry counters.
+    fn note_build(&mut self, sites_indexed: usize, bounded: Option<BoundedBy>) {
+        let c = build_counters();
+        self.stats.builds += 1;
+        c.builds.add(1);
+        self.stats.sites_indexed += sites_indexed as u64;
+        c.sites_indexed.add(sites_indexed as u64);
+        match bounded {
+            Some(BoundedBy::Child) => {
+                self.stats.bounded_by_child += 1;
+                c.bounded.add(1);
+                c.bounded_by_child.add(1);
+            }
+            Some(BoundedBy::Limit) => {
+                self.stats.bounded_by_limit += 1;
+                c.bounded.add(1);
+            }
+            None => {}
+        }
+    }
+}
+
 /// Cache key describing the state a node's repeat table was built in.
 /// Deliberately smaller than the CLA cache key: tables depend only on
 /// topology and tip bindings — never on branch lengths or the model —
@@ -361,6 +605,10 @@ pub(crate) struct RepeatKey {
     /// Tip-binding epoch: re-binding alignment rows to tree tips
     /// invalidates every table.
     pub tip_epoch: u64,
+    /// The class limit the table was built under: a host calibration
+    /// installed mid-run changes `Auto`'s limit, and a bounded table
+    /// only speaks for the limit it exceeded.
+    pub limit: usize,
 }
 
 /// Reusable class-indexed staging buffers for compressed `newview`
@@ -575,6 +823,25 @@ pub(crate) fn profitable_skips() -> &'static crate::metrics::Counter {
     C.get_or_init(|| crate::metrics::counter("core.repeats.profitable_skips"))
 }
 
+/// Registry counters for table construction (see
+/// [`RepeatBuildStats`]; `table_bounded` counts both causes).
+struct BuildCounters {
+    builds: crate::metrics::Counter,
+    bounded: crate::metrics::Counter,
+    bounded_by_child: crate::metrics::Counter,
+    sites_indexed: crate::metrics::Counter,
+}
+
+fn build_counters() -> &'static BuildCounters {
+    static C: std::sync::OnceLock<BuildCounters> = std::sync::OnceLock::new();
+    C.get_or_init(|| BuildCounters {
+        builds: crate::metrics::counter("core.repeats.table_builds"),
+        bounded: crate::metrics::counter("core.repeats.table_bounded"),
+        bounded_by_child: crate::metrics::counter("core.repeats.table_bounded_by_child"),
+        sites_indexed: crate::metrics::counter("core.repeats.sites_indexed"),
+    })
+}
+
 /// Cumulative per-engine compression effectiveness, surfaced through
 /// trace metadata and the CLI summary.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -602,6 +869,11 @@ impl RepeatStats {
 mod tests {
     use super::*;
 
+    /// The full class map, whatever its size.
+    fn build(left: ClassSource<'_>, right: ClassSource<'_>) -> RepeatTable {
+        RepeatTable::build(left, right, usize::MAX, &mut RepeatIndex::default())
+    }
+
     #[test]
     fn mode_display_parse_round_trips_all_variants() {
         for mode in SiteRepeats::ALL {
@@ -624,7 +896,7 @@ mod tests {
     fn tip_tip_classes_follow_code_pairs() {
         let l = [1u8, 2, 1, 1, 2];
         let r = [4u8, 8, 4, 8, 8];
-        let t = RepeatTable::build(ClassSource::Tip(&l), ClassSource::Tip(&r));
+        let t = build(ClassSource::Tip(&l), ClassSource::Tip(&r));
         // Pairs: (1,4) (2,8) (1,4) (1,8) (2,8) → classes 0 1 0 2 1.
         assert_eq!(t.site2class(), &[0, 1, 0, 2, 1]);
         assert_eq!(t.repr_sites(), &[0, 1, 3]);
@@ -636,18 +908,17 @@ mod tests {
     fn all_distinct_sites_yield_no_compression() {
         let l: Vec<u8> = (0..8).map(|i| 1 << (i % 4)).collect();
         let r: Vec<u8> = (0..8).map(|i| 1 << ((i / 4) % 4)).collect();
-        let t = RepeatTable::build(ClassSource::Tip(&l), ClassSource::Tip(&r));
+        let t = build(ClassSource::Tip(&l), ClassSource::Tip(&r));
         // (l, r) pairs cycle with period 8 here, all distinct.
         assert_eq!(t.num_classes(), 8);
         assert!(!t.compresses(SiteRepeats::On));
         assert!(!t.compresses(SiteRepeats::Auto));
-        assert_eq!(t.ratio(), 1.0);
     }
 
     #[test]
     fn fully_repeated_sites_collapse_to_one_class() {
         let codes = [5u8; 32];
-        let t = RepeatTable::build(ClassSource::Tip(&codes), ClassSource::Tip(&codes));
+        let t = build(ClassSource::Tip(&codes), ClassSource::Tip(&codes));
         assert_eq!(t.num_classes(), 1);
         assert_eq!(t.multiplicities(), &[32]);
         assert!(t.compresses(SiteRepeats::On));
@@ -662,10 +933,10 @@ mod tests {
         // class but differs at c.
         let a = [1u8, 2, 1, 1];
         let b = [4u8, 4, 4, 4];
-        let cherry = RepeatTable::build(ClassSource::Tip(&a), ClassSource::Tip(&b));
+        let cherry = build(ClassSource::Tip(&a), ClassSource::Tip(&b));
         assert_eq!(cherry.site2class(), &[0, 1, 0, 0]);
         let c = [8u8, 8, 2, 8];
-        let parent = RepeatTable::build(ClassSource::Tip(&c), ClassSource::Inner(&cherry));
+        let parent = build(ClassSource::Tip(&c), ClassSource::Inner(&cherry));
         assert_eq!(parent.site2class(), &[0, 1, 2, 0]);
         assert_eq!(parent.multiplicities(), &[2, 1, 1]);
     }
@@ -674,7 +945,7 @@ mod tests {
     fn gather_and_expand_round_trip_bit_identically() {
         let l = [1u8, 2, 1, 2, 1];
         let r = [4u8, 4, 4, 4, 4];
-        let t = RepeatTable::build(ClassSource::Tip(&l), ClassSource::Tip(&r));
+        let t = build(ClassSource::Tip(&l), ClassSource::Tip(&r));
         assert_eq!(t.num_classes(), 2);
         let n = t.num_sites();
         // A fake per-class kernel result.
@@ -705,7 +976,7 @@ mod tests {
     fn extra_scaling_events_weights_own_bumps_by_multiplicity() {
         let l = [1u8, 1, 2, 1, 2, 2];
         let r = [4u8; 6];
-        let t = RepeatTable::build(ClassSource::Tip(&l), ClassSource::Tip(&r));
+        let t = build(ClassSource::Tip(&l), ClassSource::Tip(&r));
         assert_eq!(t.multiplicities(), &[3, 3]);
         // Class 0: inherited 2, bumped (3 = 2 + 1). Class 1: inherited
         // 5, no bump.
@@ -721,11 +992,11 @@ mod tests {
         let hits0 = profitable_hits().get();
         let skips0 = profitable_skips().get();
         let codes = [5u8; 32];
-        let hit = RepeatTable::build(ClassSource::Tip(&codes), ClassSource::Tip(&codes));
+        let hit = build(ClassSource::Tip(&codes), ClassSource::Tip(&codes));
         assert!(hit.compresses_counted(SiteRepeats::Auto));
         let l: Vec<u8> = (0..8).map(|i| 1 << (i % 4)).collect();
         let r: Vec<u8> = (0..8).map(|i| 1 << ((i / 4) % 4)).collect();
-        let skip = RepeatTable::build(ClassSource::Tip(&l), ClassSource::Tip(&r));
+        let skip = build(ClassSource::Tip(&l), ClassSource::Tip(&r));
         assert!(!skip.compresses_counted(SiteRepeats::Auto));
         // On/Off never consult the cost model, so they must not count.
         assert!(hit.compresses_counted(SiteRepeats::On));
@@ -739,9 +1010,251 @@ mod tests {
         // 10 sites / 8 classes: exactly at the threshold.
         let l: Vec<u8> = (0..10).map(|i| 1 << (i.min(7) % 4)).collect();
         let r: Vec<u8> = (0..10).map(|i| 1 << ((i.min(7) / 4) % 4)).collect();
-        let t = RepeatTable::build(ClassSource::Tip(&l), ClassSource::Tip(&r));
+        let t = build(ClassSource::Tip(&l), ClassSource::Tip(&r));
         assert_eq!(t.num_classes(), 8);
         assert!(t.profitable());
         assert!(t.compresses(SiteRepeats::Auto));
+    }
+
+    #[test]
+    fn build_stops_at_class_limit_plus_one() {
+        // Pairs: (1,4) (2,8) (1,4) (1,8) (2,8) — the third class first
+        // appears at site 3.
+        let l = [1u8, 2, 1, 1, 2];
+        let r = [4u8, 8, 4, 8, 8];
+        let (l, r) = (ClassSource::Tip(&l), ClassSource::Tip(&r));
+        let mut index = RepeatIndex::default();
+        let full = RepeatTable::build(l, r, 3, &mut index);
+        assert!(!full.is_bounded());
+        assert_eq!(full, build(l, r), "a limit that is not hit changes nothing");
+        let cut = RepeatTable::build(l, r, 2, &mut index);
+        assert!(cut.is_bounded());
+        assert_eq!(cut.num_sites(), 5);
+        assert!(cut.site2class().is_empty() && cut.repr_sites().is_empty());
+        assert_eq!(cut.heap_bytes(), 0);
+        for mode in SiteRepeats::ALL {
+            assert!(
+                !cut.compresses(mode),
+                "{mode}: a bounded table never compresses"
+            );
+        }
+        assert_eq!(
+            index.stats(),
+            RepeatBuildStats {
+                builds: 2,
+                bounded_by_child: 0,
+                bounded_by_limit: 1,
+                // 5 for the full pass, 4 up to and including site 3.
+                sites_indexed: 9,
+            }
+        );
+    }
+
+    #[test]
+    fn bounded_child_bounds_the_parent_without_a_pass() {
+        let a = [1u8, 2, 4, 8];
+        let b = [1u8; 4];
+        let mut index = RepeatIndex::default();
+        let child = RepeatTable::build(ClassSource::Tip(&a), ClassSource::Tip(&b), 3, &mut index);
+        assert!(child.is_bounded());
+        let before = index.stats();
+        for parent in [
+            RepeatTable::build(
+                ClassSource::Tip(&b),
+                ClassSource::Inner(&child),
+                3,
+                &mut index,
+            ),
+            RepeatTable::build(
+                ClassSource::Inner(&child),
+                ClassSource::Tip(&b),
+                3,
+                &mut index,
+            ),
+        ] {
+            assert!(parent.is_bounded());
+            assert_eq!(parent.num_sites(), 4);
+        }
+        let after = index.stats();
+        assert_eq!(after.bounded_by_child, before.bounded_by_child + 2);
+        assert_eq!(after.sites_indexed, before.sites_indexed);
+    }
+
+    #[test]
+    fn class_limit_is_the_largest_count_each_mode_compresses() {
+        if crate::cost::repeat_overhead_ratio().is_some() {
+            return; // pins the uncalibrated 20% rule
+        }
+        assert_eq!(SiteRepeats::Off.class_limit(10), None);
+        assert_eq!(SiteRepeats::On.class_limit(10), Some(9));
+        assert_eq!(SiteRepeats::On.class_limit(0), Some(0));
+        assert_eq!(SiteRepeats::Auto.class_limit(10), Some(8));
+        assert_eq!(SiteRepeats::Auto.class_limit(1), Some(0));
+        // At the limit a table compresses; one class more and it is
+        // bounded under that same limit.
+        let l: Vec<u8> = (0..10).map(|i| 1 << (i.min(8) % 4)).collect();
+        let r: Vec<u8> = (0..10).map(|i| 1 << ((i.min(8) / 4) % 4)).collect();
+        let (l, r) = (ClassSource::Tip(&l), ClassSource::Tip(&r));
+        assert_eq!(build(l, r).num_classes(), 9);
+        for mode in [SiteRepeats::On, SiteRepeats::Auto] {
+            let limit = mode.class_limit(10).unwrap();
+            let t = RepeatTable::build(l, r, limit, &mut RepeatIndex::default());
+            assert_eq!(t.is_bounded(), limit < 9, "{mode}");
+            assert_eq!(t.compresses(mode), build(l, r).compresses(mode), "{mode}");
+        }
+    }
+
+    #[test]
+    fn index_survives_epoch_wraparound() {
+        let l = [1u8, 2, 1, 1, 2];
+        let r = [4u8, 8, 4, 8, 8];
+        let (l, r) = (ClassSource::Tip(&l), ClassSource::Tip(&r));
+        let expect = build(l, r);
+        let mut index = RepeatIndex::default();
+        assert_eq!(RepeatTable::build(l, r, 5, &mut index), expect);
+        // Slots now carry stamp 1; put the counter just short of
+        // wrapping so the coming builds pass through stamp 0.
+        index.epoch = u32::MAX - 1;
+        for _ in 0..4 {
+            assert_eq!(RepeatTable::build(l, r, 5, &mut index), expect);
+        }
+        assert!(index.epoch >= 1 && index.epoch < 4);
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashMap;
+
+        /// The builder this module replaced: one `HashMap` pass, no
+        /// limit.
+        fn reference(left: &[u32], right: &[u32]) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+            let (mut site2class, mut repr, mut mult) = (Vec::new(), Vec::new(), Vec::<u32>::new());
+            let mut ids: HashMap<u64, u32> = HashMap::new();
+            for (i, (&l, &r)) in left.iter().zip(right).enumerate() {
+                let next = repr.len() as u32;
+                let id = *ids
+                    .entry((u64::from(l) << 32) | u64::from(r))
+                    .or_insert(next);
+                if id == next {
+                    repr.push(i as u32);
+                    mult.push(0);
+                }
+                mult[id as usize] += 1;
+                site2class.push(id);
+            }
+            (site2class, repr, mult)
+        }
+
+        /// A random child over `n` sites drawing from about `k`
+        /// classes: tip codes, or a (valid, dense) inner table.
+        enum Child {
+            Tip(Vec<u8>),
+            Inner(RepeatTable),
+        }
+
+        impl Child {
+            fn random(inner: bool, n: usize, k: usize, rng: &mut SmallRng) -> Child {
+                if inner {
+                    let labels: Vec<u32> = (0..n).map(|_| rng.random_range(0..k as u32)).collect();
+                    let (site2class, repr, mult) = reference(&labels, &vec![0; n]);
+                    Child::Inner(RepeatTable {
+                        num_sites: n,
+                        exceeded: None,
+                        site2class,
+                        repr,
+                        mult,
+                    })
+                } else {
+                    let k = k.min(15) as u8;
+                    Child::Tip((0..n).map(|_| 1 + rng.random_range(0..k)).collect())
+                }
+            }
+
+            fn source(&self) -> ClassSource<'_> {
+                match self {
+                    Child::Tip(codes) => ClassSource::Tip(codes),
+                    Child::Inner(table) => ClassSource::Inner(table),
+                }
+            }
+
+            fn ids(&self) -> Vec<u32> {
+                match self {
+                    Child::Tip(codes) => codes.iter().map(|&c| u32::from(c)).collect(),
+                    Child::Inner(table) => table.site2class.clone(),
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn builder_matches_the_hashmap_reference_up_to_the_limit(
+                seed in 0u64..1 << 32,
+                size in 0usize..4,
+                inner in (0u8..2, 0u8..2),
+                spread in (0.0f64..1.0, 0.0f64..1.0),
+                limit_frac in 0.0f64..1.2,
+            ) {
+                let n = [1usize, 7, 390, 5000][size];
+                let mut rng = SmallRng::seed_from_u64(seed);
+                // 1…n classes per child, skewed toward few.
+                let k = |s: f64| 1 + ((n - 1) as f64 * s * s) as usize;
+                let limit = (n as f64 * limit_frac) as usize;
+                // One index serves every build of the case, each at
+                // its own size, so stale slots from earlier epochs are
+                // always present.
+                let mut index = RepeatIndex::default();
+                for round in 0..3 {
+                    let m = if round == 1 { n.div_ceil(3) } else { n };
+                    let left = Child::random(inner.0 == 1, m, k(spread.0).min(m), &mut rng);
+                    let right = Child::random(inner.1 == 1, m, k(spread.1).min(m), &mut rng);
+                    let (site2class, repr, mult) = reference(&left.ids(), &right.ids());
+                    let before = index.stats();
+                    let table = RepeatTable::build(left.source(), right.source(), limit, &mut index);
+                    let after = index.stats();
+                    prop_assert_eq!(after.builds, before.builds + 1);
+                    prop_assert_eq!(table.num_sites(), m);
+                    prop_assert_eq!(table.is_bounded(), repr.len() > limit);
+                    if table.is_bounded() {
+                        prop_assert!(table.site2class().is_empty());
+                        prop_assert!(table.repr_sites().is_empty());
+                        prop_assert!(table.multiplicities().is_empty());
+                        prop_assert!(!table.compresses(SiteRepeats::On));
+                        prop_assert!(!table.compresses(SiteRepeats::Auto));
+                        prop_assert_eq!(after.bounded_by_limit, before.bounded_by_limit + 1);
+                        // Cut at the first occurrence of class limit + 1.
+                        prop_assert_eq!(
+                            after.sites_indexed - before.sites_indexed,
+                            u64::from(repr[limit]) + 1
+                        );
+                    } else {
+                        prop_assert_eq!(table.site2class(), &site2class[..]);
+                        prop_assert_eq!(table.repr_sites(), &repr[..]);
+                        prop_assert_eq!(table.multiplicities(), &mult[..]);
+                        prop_assert_eq!(after.sites_indexed - before.sites_indexed, m as u64);
+                    }
+                    // Upward: a bounded child bounds its parent in
+                    // O(1); an unbounded one is an ordinary source.
+                    let parent =
+                        RepeatTable::build(right.source(), ClassSource::Inner(&table), limit, &mut index);
+                    if table.is_bounded() {
+                        prop_assert!(parent.is_bounded());
+                        prop_assert_eq!(index.stats().bounded_by_child, after.bounded_by_child + 1);
+                        prop_assert_eq!(index.stats().sites_indexed, after.sites_indexed);
+                    } else {
+                        let (s2c, _, _) = reference(&right.ids(), &site2class);
+                        let classes = s2c.iter().max().map_or(0, |&c| c as usize + 1);
+                        prop_assert_eq!(parent.is_bounded(), classes > limit);
+                        if !parent.is_bounded() {
+                            prop_assert_eq!(parent.site2class(), &s2c[..]);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,21 +1,17 @@
 //! End-to-end tests of the `phylomic` command-line binary.
 
-use std::path::PathBuf;
+mod common;
+
+use common::TestDir;
 use std::process::Command;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_phylomic"))
 }
 
-fn tmpdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("phylomic-cli-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[test]
 fn simulate_evaluate_search_roundtrip() {
-    let dir = tmpdir();
+    let dir = TestDir::new("cli-roundtrip");
     let phy = dir.join("sim.phy");
 
     // simulate
@@ -120,14 +116,11 @@ fn simulate_evaluate_search_roundtrip() {
         resumed >= first - 1e-6,
         "resume regressed: {resumed} < {first}"
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn traced_search_trace_report_and_chrome_export() {
-    let dir = tmpdir().join("trace");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("cli-trace");
     let phy = dir.join("t.phy");
     let out = bin()
         .args([
@@ -223,7 +216,6 @@ fn traced_search_trace_report_and_chrome_export() {
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
-
     // Garbage input fails cleanly.
     let bad = dir.join("bad.jsonl");
     std::fs::write(&bad, "not json\n").unwrap();
@@ -233,13 +225,36 @@ fn traced_search_trace_report_and_chrome_export() {
         .unwrap();
     assert!(!out.status.success());
 
-    std::fs::remove_dir_all(&dir).ok();
+    // Repeat-table construction has its own span row and its own
+    // counters (unless a forced `off` builds no tables at all).
+    if std::env::var("PHYLOMIC_SITE_REPEATS").is_ok_and(|v| v.trim() == "off") {
+        return;
+    }
+    for needle in [
+        "repeat_table ",
+        "core.repeats.table_builds",
+        "core.repeats.table_bounded ",
+        "core.repeats.table_bounded_by_child",
+        "core.repeats.sites_indexed",
+    ] {
+        assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+    }
+    let out = bin()
+        .args(["trace-report", "--trace", trace.to_str().unwrap()])
+        .args(["--format", "json"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let json = String::from_utf8_lossy(&out.stdout);
+    for name in ["table_builds", "table_bounded", "sites_indexed"] {
+        let needle = format!(r#""core.repeats.{name}""#);
+        assert!(json.contains(&needle), "missing {needle} in:\n{json}");
+    }
 }
 
 #[test]
 fn replicated_search_checkpoints_and_resumes() {
-    let dir = tmpdir().join("repl");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("cli-repl");
     let phy = dir.join("r.phy");
     let out = bin()
         .args([
@@ -323,13 +338,11 @@ fn replicated_search_checkpoints_and_resumes() {
         resumed >= first - 1e-6,
         "resume regressed: {resumed} < {first}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn injected_rank_death_fails_structured_and_degrade_survives() {
-    let dir = tmpdir().join("inject");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("cli-inject");
     let phy = dir.join("i.phy");
     let out = bin()
         .args([
@@ -441,7 +454,6 @@ fn injected_rank_death_fails_structured_and_degrade_survives() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--scheme"));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -477,7 +489,7 @@ fn bad_usage_fails_cleanly() {
 
 #[test]
 fn bootstrap_produces_annotated_tree() {
-    let dir = tmpdir();
+    let dir = TestDir::new("cli-bootstrap");
     let phy = dir.join("bs.phy");
     bin()
         .args([
@@ -516,13 +528,11 @@ fn bootstrap_produces_annotated_tree() {
     let annotated = std::fs::read_to_string(&out_file).unwrap();
     let tree = phylomic::tree::newick::parse(annotated.trim()).unwrap();
     assert_eq!(tree.num_taxa(), 6);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn site_repeats_flag_parses_and_matches_off() {
-    let dir = tmpdir().join("site-repeats");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("cli-site-repeats");
     let phy = dir.join("sr.phy");
     let out = bin()
         .args([
@@ -599,14 +609,13 @@ fn site_repeats_flag_parses_and_matches_off() {
         first_line.contains(r#""site_repeats":"on""#),
         "{first_line}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn bench_trend_gate_honors_waivers_relative_to_dir() {
     // A regressed cell that is waived must pass the gate even when the
     // process cwd is NOT the repo: waivers resolve against --dir.
-    let dir = tmpdir().join("trend-dir");
+    let dir = TestDir::new("cli-trend-dir");
     std::fs::create_dir_all(dir.join("crates/xtask")).unwrap();
     let bench = |ns: f64| {
         format!(
@@ -648,5 +657,4 @@ fn bench_trend_gate_honors_waivers_relative_to_dir() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("WAIVED newview_ii"), "{stdout}");
-    std::fs::remove_dir_all(&dir).ok();
 }

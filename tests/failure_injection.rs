@@ -2,6 +2,9 @@
 //! pathological data must fail loudly or degrade gracefully — never
 //! return silently wrong likelihoods.
 
+mod common;
+
+use common::TestDir;
 use phylomic::bio::{fasta, phylip, Alignment, CompressedAlignment, Sequence};
 use phylomic::models::{DiscreteGamma, Gtr, GtrParams};
 use phylomic::parallel::{run_replicated_ft, CommError, FaultPlan, FtConfig, ReplicatedError};
@@ -255,8 +258,7 @@ fn rank_death_at_collective_sites_fails_structured_within_bounded_time() {
 
 #[test]
 fn transient_checkpoint_io_errors_are_retried_through() {
-    let dir = std::env::temp_dir().join(format!("phylomic-fi-retry-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("fi-retry");
     let path = dir.join("retry.ckp");
     let _ = std::fs::remove_file(&path);
 
@@ -271,13 +273,11 @@ fn transient_checkpoint_io_errors_are_retried_through() {
         .expect("transient I/O errors within the retry budget must not kill the run");
     let cp = Checkpoint::load(&path).expect("checkpoint must be parseable after retries");
     assert!((cp.log_likelihood - out.result.log_likelihood).abs() <= 1e-9);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn persistent_checkpoint_io_errors_preserve_the_previous_snapshot() {
-    let dir = std::env::temp_dir().join(format!("phylomic-fi-keep-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("fi-keep");
     let path = dir.join("keep.ckp");
     let _ = std::fs::remove_file(&path);
     let (tree, aln) = search_dataset();
@@ -310,13 +310,11 @@ fn persistent_checkpoint_io_errors_preserve_the_previous_snapshot() {
         "failed writes must not corrupt the previous snapshot"
     );
     Checkpoint::load(&path).expect("snapshot must still parse");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn degrade_and_resume_matches_uninterrupted_lower_rank_run() {
-    let dir = std::env::temp_dir().join(format!("phylomic-fi-degrade-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TestDir::new("fi-degrade");
     let (tree, aln) = search_dataset();
     let cfg = EngineConfig::default();
 
@@ -364,7 +362,6 @@ fn degrade_and_resume_matches_uninterrupted_lower_rank_run() {
         clean.result.log_likelihood
     );
     assert_eq!(err_then_degrade.result.newick, clean.result.newick);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

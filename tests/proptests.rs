@@ -358,7 +358,9 @@ proptest! {
 // alignment, any backend, any repeat density.
 // ---------------------------------------------------------------------------
 
-use phylomic::plf::{Blocking, SiteRepeats};
+use phylomic::plf::{Blocking, RepeatStats, SiteRepeats};
+use phylomic::tree::traverse::{children, full_schedule};
+use phylomic::tree::{EdgeId, NodeId};
 
 /// Backend axis of the on/off matrix: every concrete backend plus the
 /// `Auto` dispatcher (whose width-dependent routing must not change
@@ -389,10 +391,64 @@ fn proto_alignment(tree: &Tree, protos: usize, width: usize, seed: u64) -> Compr
     CompressedAlignment::from_parts(tree.tip_names().to_vec(), rows, vec![1; width]).unwrap()
 }
 
+/// The tips below `node` when the tree hangs from `toward_edge`.
+fn tips_below(tree: &Tree, node: NodeId, toward_edge: EdgeId, out: &mut Vec<NodeId>) {
+    if tree.is_tip(node) {
+        out.push(node);
+    } else {
+        for (edge, child) in children(tree, node, toward_edge) {
+            tips_below(tree, child, edge, out);
+        }
+    }
+}
+
+/// What `repeat_stats()` of a fresh engine must read after one full
+/// traversal toward `root`, worked out from the definition rather than
+/// from any table: two sites are in one class at a node iff their
+/// columns agree on every tip below it, and a node runs compressed iff
+/// its class count passes the mode's rule. The engine builds bounded
+/// tables, stops passes early and propagates markers upward; none of
+/// that may change a single one of these decisions.
+fn expected_repeat_stats(
+    tree: &Tree,
+    aln: &CompressedAlignment,
+    root: EdgeId,
+    mode: SiteRepeats,
+) -> RepeatStats {
+    let n = aln.num_patterns();
+    let row_of = |tip: NodeId| aln.row(aln.taxon_index(tree.tip_name(tip)).unwrap());
+    let mut stats = RepeatStats::default();
+    for d in full_schedule(tree, root) {
+        stats.newview_calls += 1;
+        let mut tips = Vec::new();
+        tips_below(tree, d.node, d.toward_edge, &mut tips);
+        let rows: Vec<_> = tips.iter().map(|&t| row_of(t)).collect();
+        let classes = (0..n)
+            .map(|site| rows.iter().map(|r| r[site].bits()).collect::<Vec<u8>>())
+            .collect::<std::collections::BTreeSet<_>>()
+            .len();
+        let compresses = match mode {
+            SiteRepeats::Off => false,
+            SiteRepeats::On => classes < n,
+            SiteRepeats::Auto => match phylomic::plf::cost::repeat_overhead_ratio() {
+                Some(r) => classes as f64 <= n as f64 * (1.0 - r),
+                None => classes * 5 <= n * 4,
+            },
+        };
+        if compresses {
+            stats.compressed_calls += 1;
+            stats.sites += n as u64;
+            stats.classes += classes as u64;
+        }
+    }
+    stats
+}
+
 /// Builds one engine per (site-repeats, blocking) cell — the baseline
 /// is both off — and checks log-likelihood bits, branch-derivative
 /// bits, and every inner node's per-site scale array are identical at
-/// each of the given virtual roots.
+/// each of the given virtual roots; and that each cell's compress
+/// decisions are the ones the definition of a repeat class implies.
 fn assert_on_off_identical(
     tree: &Tree,
     aln: &CompressedAlignment,
@@ -416,6 +472,8 @@ fn assert_on_off_identical(
         (SiteRepeats::On, Blocking::Off),
         (SiteRepeats::Off, Blocking::On),
         (SiteRepeats::On, Blocking::On),
+        (SiteRepeats::Auto, Blocking::Off),
+        (SiteRepeats::Auto, Blocking::On),
     ];
     let mut base = mk(SiteRepeats::Off, Blocking::Off);
     let mut others: Vec<_> = variants.iter().map(|&(sr, bl)| mk(sr, bl)).collect();
@@ -463,6 +521,26 @@ fn assert_on_off_identical(
                 bd1,
                 bd2
             );
+            let mut fresh = mk(sr, bl);
+            fresh.log_likelihood(tree, root);
+            prop_assert_eq!(
+                fresh.repeat_stats(),
+                expected_repeat_stats(tree, aln, root, fresh.site_repeats()),
+                "{:?} repeats={:?} blocking={:?} root {}: compress decisions",
+                kernel,
+                sr,
+                bl,
+                root
+            );
+        }
+    }
+    // Blocking re-orders kernel work only: over the whole sequence of
+    // roots, engines of one mode made the same decisions.
+    for (i, (&(sr, _), e)) in variants.iter().zip(&others).enumerate() {
+        for (&(sr2, _), e2) in variants[..i].iter().zip(&others) {
+            if sr == sr2 {
+                prop_assert_eq!(e.repeat_stats(), e2.repeat_stats(), "repeats={:?}", sr);
+            }
         }
     }
 }

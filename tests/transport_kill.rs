@@ -10,6 +10,9 @@
 //! raw EOF a scheduler OOM-kill would produce.
 #![cfg(unix)]
 
+mod common;
+
+use common::TestDir;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::mpsc;
@@ -26,12 +29,6 @@ fn bin() -> Command {
     c.env("PHYLOMIC_WIRE_TIMEOUT_MS", "30000");
     c.env("PHYLOMIC_TRANSPORT_VERBOSE", "1");
     c
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("phylomic-kill-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// Runs `f` on a helper thread and panics if it exceeds `secs`: a
@@ -146,14 +143,14 @@ fn rank_process_alive(pid: u32) -> bool {
 
 #[test]
 fn sigkill_matrix_degrades_to_the_clean_lower_rank_result() {
-    let dir = tmpdir("matrix");
+    let dir = TestDir::new("kill-matrix");
     let phy = simulate(&dir);
 
     // Clean baselines at every degraded rank count the matrix lands on.
     let mut baselines = std::collections::HashMap::new();
     for survivors in [1usize, 2, 3] {
         let phy = phy.clone();
-        let dir = dir.clone();
+        let dir = dir.to_path_buf();
         let r = within_deadline(240, move || {
             search_uds(&dir, &phy, survivors, None, &format!("clean{survivors}"))
         });
@@ -165,7 +162,7 @@ fn sigkill_matrix_degrades_to_the_clean_lower_rank_result() {
         let spec = format!("rank={victim},kill9={allreduce}");
         let tag = format!("kill-r{ranks}-v{victim}-a{allreduce}");
         let killed = {
-            let (phy, dir, spec, tag) = (phy.clone(), dir.clone(), spec.clone(), tag.clone());
+            let (phy, dir, spec, tag) = (phy.clone(), dir.to_path_buf(), spec.clone(), tag.clone());
             within_deadline(240, move || {
                 search_uds(&dir, &phy, ranks, Some(&spec), &tag)
             })
@@ -197,13 +194,11 @@ fn sigkill_matrix_degrades_to_the_clean_lower_rank_result() {
             "rank process {pid} survived its supervisor"
         );
     }
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn sigkill_without_degrade_fails_structured_not_hanging() {
-    let dir = tmpdir("nodegrade");
+    let dir = TestDir::new("kill-nodegrade");
     let phy = simulate(&dir);
     let tree_out = dir.join("t.nwk");
 
@@ -241,6 +236,4 @@ fn sigkill_without_degrade_fails_structured_not_hanging() {
         stderr.contains("rank 1"),
         "error must name the dead rank: {stderr}"
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
