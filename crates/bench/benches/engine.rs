@@ -4,13 +4,13 @@
 //!   re-evaluation after one branch change, with the lazy cache vs a
 //!   cold cache. This quantifies why §V-C's "thousands of kernel
 //!   invocations per second" are affordable at all.
-//! * **Memory-saving recomputation** ([23], §V-A): the bounded-pool
-//!   engine at minimal vs full pool size — the time cost of the memory
-//!   cap.
+//! * **Memory-saving recomputation** ([23], §V-A): the engine with
+//!   its CLA pool capped at the minimum vs all-resident — the time
+//!   cost of the memory cap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use phylo_bench::paper_dataset;
-use plf_core::recompute::{min_pool_slots_any_root, RecomputingEngine};
+use plf_core::engine::min_pool_slots_any_root;
 use plf_core::{EngineConfig, LikelihoodEngine};
 
 const PATTERNS: usize = 20_000;
@@ -50,7 +50,7 @@ fn bench_engine(c: &mut Criterion) {
     let min_pool = min_pool_slots_any_root(&tree);
     for (label, pool) in [("full_pool", tree.num_inner()), ("minimal_pool", min_pool)] {
         g.bench_with_input(BenchmarkId::from_parameter(label), &pool, |b, &pool| {
-            let mut engine = RecomputingEngine::new(&tree, &aln, cfg, pool);
+            let mut engine = LikelihoodEngine::with_pool(&tree, &aln, cfg, pool);
             // Alternate between two distant roots: the minimal pool
             // must recompute evicted CLAs every time.
             let roots = [0usize, tree.num_edges() - 1];

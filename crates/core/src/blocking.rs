@@ -26,6 +26,7 @@
 //! engine's pattern slice actually exceeds one block, so small
 //! workloads keep the straight-line traversal.
 
+use crate::cost::KernelOp;
 use crate::layout::{FusedPmat, Lut16x16};
 use crate::{SITE_BLOCK, SITE_STRIDE};
 
@@ -157,15 +158,14 @@ pub fn block_sites() -> usize {
     (sites / SITE_BLOCK * SITE_BLOCK).max(MIN_BLOCK_SITES)
 }
 
-/// One deferred `newview` of a blocked batch: everything that is
-/// constant across the site blocks (per-branch tables, child
-/// addressing), precomputed at plan time exactly like the unblocked
-/// path computes it once per call. `child_*` indices are
-/// engine-specific (inner-node index for the full engine, pool slot
-/// for the recomputing engine); `tip_*` are tree tip ids.
+/// The kernel inputs of one planned `newview`: everything that is
+/// constant across the site range (per-branch tables, child
+/// addressing), computed once at plan time whether the node then runs
+/// whole-range, block by block or over its repeat classes. `child_*`
+/// are CLA pool slots; `tip_*` are tree tip ids.
 // Tt carries two inline 2 KiB LUTs while Ii carries only indices;
-// boxing them would add a pointer chase per flushed block for a
-// O(inner nodes)-sized plan Vec that lives one likelihood call.
+// boxing them would add a pointer chase per executed block for an
+// O(inner nodes)-sized batch.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum BlockJob {
     /// Two tip children.
@@ -187,20 +187,31 @@ pub(crate) enum BlockJob {
         tip_l: usize,
         /// Right child's fused P matrix.
         p_r: FusedPmat,
-        /// Right child's CLA index (engine-specific).
+        /// Right child's CLA slot.
         child_r: usize,
     },
     /// Two inner children.
     Ii {
         /// Left child's fused P matrix.
         p_l: FusedPmat,
-        /// Left child's CLA index (engine-specific).
+        /// Left child's CLA slot.
         child_l: usize,
         /// Right child's fused P matrix.
         p_r: FusedPmat,
-        /// Right child's CLA index (engine-specific).
+        /// Right child's CLA slot.
         child_r: usize,
     },
+}
+
+impl BlockJob {
+    /// The kernel op this job runs.
+    pub(crate) fn op(&self) -> KernelOp {
+        match self {
+            BlockJob::Tt { .. } => KernelOp::NewviewTt,
+            BlockJob::Ti { .. } => KernelOp::NewviewTi,
+            BlockJob::Ii { .. } => KernelOp::NewviewIi,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,29 @@
 //! The likelihood engine: kernels wired to a tree.
 //!
-//! [`LikelihoodEngine`] owns one CLA per inner node and re-computes
-//! CLAs lazily, RAxML-traversal-descriptor style: before evaluating at
-//! a virtual root, it walks the directed post-order and re-runs
-//! `newview` only for nodes whose cached orientation, child identity,
-//! child branch lengths, child CLA stamps, or model version changed.
-//! This is what makes thousands of `evaluate`/`newview` calls per
-//! second affordable during tree search (§V-C).
+//! [`LikelihoodEngine`] re-computes CLAs lazily,
+//! RAxML-traversal-descriptor style: before evaluating at a virtual
+//! root, it walks the directed post-order and re-runs `newview` only
+//! for nodes whose cached orientation, child identity, child branch
+//! lengths, child CLA stamps, or model version changed. This is what
+//! makes thousands of `evaluate`/`newview` calls per second affordable
+//! during tree search (§V-C).
+//!
+//! Every stale node takes one path: it is *planned* (slot, stamp,
+//! cache key, counters, per-branch tables — in schedule order) and
+//! the plan is *executed* over a site range: the whole range on the
+//! straight-line traversal, one cache-sized block at a time on the
+//! blocked one ([`crate::blocking`]), the class representatives on a
+//! compressed node ([`crate::repeats`]).
+//!
+//! The CLAs live in a pool of slots. [`LikelihoodEngine::new`] sizes
+//! the pool at one slot per inner node, and nothing is ever evicted.
+//! [`LikelihoodEngine::with_pool`] caps it — the memory-saving
+//! recomputation §V-A lists as unsupported in the paper's MIC port,
+//! whose 8 GB card is the binding constraint at 4000K sites
+//! (§VI-B2): a CLA is pinned from its computation until its parent
+//! has consumed it, unpinned residents are evicted on demand, and an
+//! evicted node is recomputed the next time a traversal schedules
+//! it, trading `newview` calls for memory.
 //!
 //! An engine may cover a sub-range of the alignment's patterns; worker
 //! threads in `phylo-parallel` each own an engine over their slice and
@@ -77,14 +94,48 @@ struct CacheKey {
     model_version: u64,
 }
 
-/// One stale `newview` deferred into a cache-blocked batch: all
-/// bookkeeping (stamps, cache key, repeat counters) is done at plan
-/// time in schedule order, so only the kernel work itself is
-/// re-ordered into site blocks.
+/// One stale `newview`, planned: all bookkeeping (slot, stamp, cache
+/// key, repeat counters) is done at plan time in schedule order, so
+/// only the kernel work itself may be deferred and re-ordered into
+/// site blocks.
 struct PlannedNewview {
+    /// Inner-node index (names the repeat table of a compressed node).
     idx: usize,
-    op: KernelOp,
+    /// Pool slot the CLA is written to.
+    slot: usize,
     job: BlockJob,
+    /// Class count when the node runs compressed.
+    classes: Option<u64>,
+}
+
+/// Marks a free pool slot / a non-resident inner node.
+const FREE: usize = usize::MAX;
+
+/// The smallest CLA pool that can evaluate `tree` at `root_edge`: the
+/// maximum number of simultaneously pinned CLAs in the post-order
+/// traversal (computed-but-unconsumed nodes, the two root-adjacent
+/// ones to the end). Bounded by the tree height plus a constant.
+pub fn min_pool_slots(tree: &Tree, root_edge: EdgeId) -> usize {
+    let mut live = 0usize;
+    let mut peak = 0usize;
+    for d in full_schedule(tree, root_edge) {
+        live += 1;
+        peak = peak.max(live);
+        live -= children(tree, d.node, d.toward_edge)
+            .iter()
+            .filter(|&&(_, c)| !tree.is_tip(c))
+            .count();
+    }
+    peak.max(3)
+}
+
+/// The smallest pool that works for *any* virtual-root placement on
+/// this tree.
+pub fn min_pool_slots_any_root(tree: &Tree) -> usize {
+    tree.edge_ids()
+        .map(|e| min_pool_slots(tree, e))
+        .max()
+        .unwrap_or(3)
 }
 
 /// Cache record for the joint root repeat table driving the
@@ -131,7 +182,21 @@ pub struct LikelihoodEngine {
     weights: Vec<u32>,
     num_patterns: usize,
     num_taxa: usize,
-    clas: Vec<Cla>,
+    /// The CLA pool: one slot per inner node unless capped by
+    /// [`LikelihoodEngine::with_pool`].
+    slots: Vec<Cla>,
+    /// Inner-node index occupying each slot ([`FREE`] = none yet).
+    slot_owner: Vec<usize>,
+    /// Inner-node index → slot ([`FREE`] = never computed or evicted).
+    resident: Vec<usize>,
+    /// Pin state of the traversal in progress: a node is pinned from
+    /// its visit until its parent has consumed it, the root-adjacent
+    /// nodes to the end.
+    pinned: Vec<bool>,
+    /// The state each CLA was last computed in. An evicted node keeps
+    /// its key and stamp: recomputed under an equal key it holds the
+    /// same bytes (the kernels are deterministic), so its resident
+    /// ancestors stay valid.
     valid: Vec<Option<CacheKey>>,
     stamps: Vec<u64>,
     next_stamp: u64,
@@ -174,8 +239,10 @@ pub struct LikelihoodEngine {
     /// because the cached root table may be rebuilt for another edge
     /// between preparation and the Newton iterations.
     sum_fold_classes: Vec<u32>,
-    /// Per-node time accumulator of a blocked batch, reused by every
-    /// flush.
+    /// Planned `newview`s awaiting their blocked execution, reused by
+    /// every traversal.
+    batch: Vec<PlannedNewview>,
+    /// Per-node time accumulator of a batch, reused by every execution.
     batch_ns: Vec<u64>,
 }
 
@@ -193,6 +260,41 @@ impl LikelihoodEngine {
         aln: &CompressedAlignment,
         config: EngineConfig,
         range: std::ops::Range<usize>,
+    ) -> Self {
+        Self::build(tree, aln, config, range, tree.num_inner())
+    }
+
+    /// Builds an engine over the full pattern range whose CLA memory
+    /// is capped at `pool_slots` arrays ([`LikelihoodEngine::new`]
+    /// holds `tree.num_inner()`). Evicted CLAs are recomputed on
+    /// demand; results are those of the uncapped engine. Repeat tables
+    /// are *not* pooled: a table costs at most ~12 bytes/site versus a
+    /// CLA's 128 (nothing for a node with too many classes to
+    /// compress), and keeping them is what lets an evicted CLA be
+    /// recomputed over classes instead of sites.
+    ///
+    /// # Panics
+    /// Panics when `pool_slots < 3` — a post-order step needs two
+    /// resident children plus the node being computed — and, during a
+    /// traversal, when the pool is smaller than [`min_pool_slots`] of
+    /// the tree and root edge at hand.
+    pub fn with_pool(
+        tree: &Tree,
+        aln: &CompressedAlignment,
+        config: EngineConfig,
+        pool_slots: usize,
+    ) -> Self {
+        assert!(pool_slots >= 3, "pool needs at least 3 slots");
+        let pool = pool_slots.min(tree.num_inner());
+        Self::build(tree, aln, config, 0..aln.num_patterns(), pool)
+    }
+
+    fn build(
+        tree: &Tree,
+        aln: &CompressedAlignment,
+        config: EngineConfig,
+        range: std::ops::Range<usize>,
+        pool: usize,
     ) -> Self {
         assert!(range.end <= aln.num_patterns(), "range outside alignment");
         assert_eq!(
@@ -241,9 +343,10 @@ impl LikelihoodEngine {
             weights,
             num_patterns,
             num_taxa,
-            clas: (0..tree.num_inner())
-                .map(|_| Cla::new(num_patterns))
-                .collect(),
+            slots: (0..pool).map(|_| Cla::new(num_patterns)).collect(),
+            slot_owner: vec![FREE; pool],
+            resident: vec![FREE; tree.num_inner()],
+            pinned: vec![false; tree.num_inner()],
             valid: vec![None; tree.num_inner()],
             stamps: vec![0; tree.num_inner()],
             next_stamp: 1,
@@ -265,6 +368,7 @@ impl LikelihoodEngine {
             fold_vals: Vec::new(),
             sum_fold: None,
             sum_fold_classes: Vec::new(),
+            batch: Vec::new(),
             batch_ns: Vec::new(),
         };
         engine.rebuild_model_tables();
@@ -375,17 +479,37 @@ impl LikelihoodEngine {
     }
 
     /// Per-pattern scaling counters of inner node `inner` (0-based
-    /// inner-node index). Diagnostic/test accessor: the cross-backend
-    /// and compression equivalence suites compare these arrays
-    /// bit-for-bit.
+    /// inner-node index); `None` while its CLA is not resident.
+    /// Diagnostic/test accessor: the cross-backend and compression
+    /// equivalence suites compare these arrays bit-for-bit.
     #[doc(hidden)]
-    pub fn cla_scale(&self, inner: usize) -> &[u32] {
-        self.clas[inner].scale()
+    pub fn cla_scale(&self, inner: usize) -> Option<&[u32]> {
+        self.slots.get(self.resident[inner]).map(Cla::scale)
     }
 
-    /// Number of inner nodes (CLAs) this engine owns.
+    /// Number of inner nodes of the tree shape this engine serves.
     pub fn num_inner(&self) -> usize {
-        self.clas.len()
+        self.resident.len()
+    }
+
+    /// Number of CLA slots (the memory bound).
+    pub fn pool_slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// CLA value memory in bytes (the quantity the pool caps).
+    pub fn cla_bytes(&self) -> usize {
+        self.slots.len() * self.num_patterns * SITE_STRIDE * 8
+    }
+
+    /// Heap bytes of the resident repeat tables (the memory the pool
+    /// does not cap).
+    pub fn repeat_table_bytes(&self) -> usize {
+        self.repeat_tables
+            .iter()
+            .flatten()
+            .map(RepeatTable::heap_bytes)
+            .sum()
     }
 
     /// Work counters accumulated so far.
@@ -399,7 +523,9 @@ impl LikelihoodEngine {
     }
 
     /// Drops all cached CLAs (mainly for tests and benchmarks; normal
-    /// invalidation is automatic via cache keys).
+    /// invalidation is automatic via cache keys). Repeat tables stay:
+    /// their validity is tracked separately, against topology and tip
+    /// binding only.
     pub fn invalidate_all(&mut self) {
         self.valid.iter_mut().for_each(|v| *v = None);
         self.sum_edge = None;
@@ -449,27 +575,63 @@ impl LikelihoodEngine {
         FusedPmat::from_prob(&ProbMatrix::new(&self.eigen, self.gamma.rates(), t))
     }
 
-    /// Ensures every CLA needed to evaluate at `root_edge` is valid,
-    /// running `newview` for stale nodes only.
+    /// The CLA of inner node `node`, which the traversal just run left
+    /// resident (pinned until consumed).
+    #[inline]
+    fn cla(&self, node: NodeId) -> &Cla {
+        let slot = self.resident[self.inner_idx(node)];
+        debug_assert_ne!(slot, FREE, "CLA of node {node} is not resident");
+        &self.slots[slot]
+    }
+
+    /// Finds a slot for inner node `idx`: a free one, else that of the
+    /// first unpinned resident, which is evicted (and keeps its cache
+    /// key and stamp).
+    fn acquire_slot(&mut self, idx: usize) -> usize {
+        let slot = self
+            .slot_owner
+            .iter()
+            .position(|&o| o == FREE)
+            .or_else(|| self.slot_owner.iter().position(|&o| !self.pinned[o]))
+            .unwrap_or_else(|| {
+                panic!(
+                    "CLA pool of {} slots too small for this traversal",
+                    self.slots.len()
+                )
+            });
+        let victim = std::mem::replace(&mut self.slot_owner[slot], idx);
+        if victim != FREE {
+            self.resident[victim] = FREE;
+        }
+        self.resident[idx] = slot;
+        slot
+    }
+
+    /// Ensures every CLA needed to evaluate at `root_edge` is resident
+    /// and valid, running `newview` for stale or evicted nodes only.
+    /// Returns with the root-adjacent inner CLAs resident.
     ///
-    /// When traversal blocking is on ([`crate::blocking`]), runs of
-    /// consecutive stale uncompressed nodes are batched and executed
-    /// per site block, so a child's freshly written CLA columns are
-    /// still cache-resident when its parent reads them. All cache
-    /// bookkeeping happens at plan time in schedule order, making the
-    /// stamps, keys and call counts identical to the straight-line
-    /// walk; compressed nodes act as batch barriers and keep their
-    /// whole-range gather/expand path.
+    /// Each such node is planned in schedule order — all cache
+    /// bookkeeping happens then, so stamps, keys and call counts do
+    /// not depend on how the plan is executed — and runs at once over
+    /// the whole site range, unless traversal blocking is on
+    /// ([`crate::blocking`]): then consecutive uncompressed nodes are
+    /// queued and executed per site block, so a child's freshly
+    /// written CLA columns are still cache-resident when its parent
+    /// reads them. A compressed node reads its children whole-range,
+    /// and an eviction reassigns a slot that queued jobs may address:
+    /// the queue is run before either.
     pub fn update_partials(&mut self, tree: &Tree, root_edge: EdgeId) {
-        debug_assert_eq!(tree.num_inner(), self.clas.len(), "tree shape changed");
+        debug_assert_eq!(tree.num_inner(), self.num_inner(), "tree shape changed");
         self.ensure_tip_binding(tree);
+        let n = self.num_patterns;
         let block = self.block_sites;
-        let limit = self.repeats_mode.class_limit(self.num_patterns);
-        let mut batch: Vec<PlannedNewview> = Vec::new();
+        let limit = self.repeats_mode.class_limit(n);
+        self.pinned.fill(false);
+        let mut batch = std::mem::take(&mut self.batch);
         for d in full_schedule(tree, root_edge) {
-            let ch = children(tree, d.node, d.toward_edge);
             // Canonical child order: tip first, then by node id.
-            let mut ch = ch;
+            let mut ch = children(tree, d.node, d.toward_edge);
             let tipness = |n: NodeId| usize::from(!tree.is_tip(n));
             if (tipness(ch[0].1), ch[0].1) > (tipness(ch[1].1), ch[1].1) {
                 ch.swap(0, 1);
@@ -489,95 +651,128 @@ impl LikelihoodEngine {
                 model_version: self.model_version,
             };
             let idx = self.inner_idx(d.node);
-            if self.valid[idx].as_ref() == Some(&key) {
-                continue;
+            let evicted = self.resident[idx] == FREE;
+            let changed = self.valid[idx].as_ref() != Some(&key);
+            if evicted || changed {
+                // The compress decision is made exactly once per
+                // executed node (it feeds the profitability metrics).
+                let compress = limit.is_some()
+                    && self.repeat_tables[idx]
+                        .as_ref()
+                        .is_some_and(|t| t.compresses_counted(self.repeats_mode));
+                let alone = compress || block.is_none();
+                if alone || (evicted && !self.slot_owner.contains(&FREE)) {
+                    self.execute(&batch, block.unwrap_or(n));
+                    batch.clear();
+                }
+                let planned = self.plan_newview(tree, d.node, ch, changed.then_some(key), compress);
+                if alone {
+                    self.execute(std::slice::from_ref(&planned), n);
+                } else {
+                    batch.push(planned);
+                }
             }
-            // The compress decision is made exactly once per executed
-            // node (it feeds the profitability metrics).
-            let compress = limit.is_some()
-                && self.repeat_tables[idx]
-                    .as_ref()
-                    .is_some_and(|t| t.compresses_counted(self.repeats_mode));
-            match block {
-                None => self.run_newview(tree, d.node, ch, &key, compress),
-                Some(bs) => {
-                    if compress {
-                        // Compressed nodes run whole-range through the
-                        // gather/expand path; flushing first guarantees
-                        // their children's full CLAs are materialized.
-                        self.flush_batch(&mut batch, bs);
-                        self.run_newview(tree, d.node, ch, &key, compress);
-                    } else {
-                        let planned = self.plan_newview(tree, d.node, ch, &key);
-                        batch.push(planned);
-                    }
+            // This node is live until its parent consumes it, as its
+            // children were until now. (Unpinning them while their
+            // consumer is still queued is safe: the queue is run
+            // before any eviction.)
+            self.pinned[idx] = true;
+            for (_, c) in ch {
+                if !tree.is_tip(c) {
+                    let child = self.inner_idx(c);
+                    self.pinned[child] = false;
                 }
             }
         }
-        if let Some(bs) = block {
-            self.flush_batch(&mut batch, bs);
-        }
+        self.execute(&batch, block.unwrap_or(n));
+        batch.clear();
+        self.batch = batch;
     }
 
-    /// Defers one stale `newview` into the current blocked batch,
-    /// performing all of the sequential path's bookkeeping (stamp,
-    /// cache key, call counters) and precomputing the per-branch
-    /// tables exactly as the unblocked call would, once per node.
+    /// Plans one `newview`: takes the node's slot and does all of its
+    /// bookkeeping (stamp and cache key when `new_key` says the inputs
+    /// changed, call and compression counters), and precomputes the
+    /// per-branch tables, once per node whatever the execution.
     fn plan_newview(
         &mut self,
         tree: &Tree,
         node: NodeId,
         ch: [(EdgeId, NodeId); 2],
-        key: &CacheKey,
+        new_key: Option<CacheKey>,
+        compress: bool,
     ) -> PlannedNewview {
         let idx = self.inner_idx(node);
-        self.stamps[idx] = self.next_stamp;
-        self.next_stamp += 1;
-        self.valid[idx] = Some(key.clone());
-        self.repeat_stats.newview_calls += 1;
-        let [(e_l, n_l), (e_r, n_r)] = ch;
-        let t_l = tree.length(e_l);
-        let t_r = tree.length(e_r);
-        let (op, job) = match (tree.is_tip(n_l), tree.is_tip(n_r)) {
-            (true, true) => (
-                KernelOp::NewviewTt,
-                BlockJob::Tt {
-                    lut_l: Lut16x16::tip_prob(&self.fused_pmat(t_l)),
-                    lut_r: Lut16x16::tip_prob(&self.fused_pmat(t_r)),
-                    tip_l: n_l,
-                    tip_r: n_r,
-                },
-            ),
-            (true, false) => (
-                KernelOp::NewviewTi,
-                BlockJob::Ti {
-                    lut_l: Lut16x16::tip_prob(&self.fused_pmat(t_l)),
-                    tip_l: n_l,
-                    p_r: self.fused_pmat(t_r),
-                    child_r: self.inner_idx(n_r),
-                },
-            ),
-            (false, false) => (
-                KernelOp::NewviewIi,
-                BlockJob::Ii {
-                    p_l: self.fused_pmat(t_l),
-                    child_l: self.inner_idx(n_l),
-                    p_r: self.fused_pmat(t_r),
-                    child_r: self.inner_idx(n_r),
-                },
-            ),
-            (false, true) => unreachable!("children are canonicalized tip-first"),
+        let slot = match self.resident[idx] {
+            FREE => self.acquire_slot(idx),
+            slot => slot,
         };
-        PlannedNewview { idx, op, job }
+        if new_key.is_some() {
+            self.stamps[idx] = self.next_stamp;
+            self.next_stamp += 1;
+            self.valid[idx] = new_key;
+        }
+        self.repeat_stats.newview_calls += 1;
+        let classes = compress.then(|| {
+            let table = self.repeat_tables[idx]
+                .as_ref()
+                .expect("repeat table built");
+            let (sites, classes) = (table.num_sites() as u64, table.num_classes() as u64);
+            self.repeat_stats.compressed_calls += 1;
+            self.repeat_stats.sites += sites;
+            self.repeat_stats.classes += classes;
+            repeat_sites_counter().add(sites);
+            repeat_classes_counter().add(classes);
+            classes
+        });
+        PlannedNewview {
+            idx,
+            slot,
+            classes,
+            job: self.newview_job(tree, ch),
+        }
     }
 
-    /// Executes a planned batch cache-blocked: the outer loop walks
-    /// site blocks, the inner loop the batch in post-order, so each
-    /// block of a child's output is consumed by its dependents while
-    /// still cache-resident. Wall time accumulates per node across
-    /// blocks — exactly one op record per node, as in the unblocked
-    /// path.
-    fn flush_batch(&mut self, batch: &mut Vec<PlannedNewview>, block_sites: usize) {
+    /// The kernel inputs of a `newview` over the (canonicalized)
+    /// children `ch`: the one place the Tt/Ti/Ii child pattern is
+    /// matched at plan time. Not inlined, so that the job (up to two
+    /// 2 KiB LUTs) is built in the caller's slot instead of being
+    /// copied there.
+    #[inline(never)]
+    fn newview_job(&self, tree: &Tree, ch: [(EdgeId, NodeId); 2]) -> BlockJob {
+        let [(e_l, n_l), (e_r, n_r)] = ch;
+        let (t_l, t_r) = (tree.length(e_l), tree.length(e_r));
+        let slot_of = |n: NodeId| self.resident[self.inner_idx(n)];
+        match (tree.is_tip(n_l), tree.is_tip(n_r)) {
+            (true, true) => BlockJob::Tt {
+                lut_l: Lut16x16::tip_prob(&self.fused_pmat(t_l)),
+                lut_r: Lut16x16::tip_prob(&self.fused_pmat(t_r)),
+                tip_l: n_l,
+                tip_r: n_r,
+            },
+            (true, false) => BlockJob::Ti {
+                lut_l: Lut16x16::tip_prob(&self.fused_pmat(t_l)),
+                tip_l: n_l,
+                p_r: self.fused_pmat(t_r),
+                child_r: slot_of(n_r),
+            },
+            (false, false) => BlockJob::Ii {
+                p_l: self.fused_pmat(t_l),
+                child_l: slot_of(n_l),
+                p_r: self.fused_pmat(t_r),
+                child_r: slot_of(n_r),
+            },
+            (false, true) => unreachable!("children are canonicalized tip-first"),
+        }
+    }
+
+    /// Executes planned `newview`s: the outer loop walks the site
+    /// range in steps of `step` sites — the whole range for a node
+    /// planned alone, a cache-sized block for a queued batch — the
+    /// inner loop the batch in post-order, so each block of a child's
+    /// output is consumed by its dependents while still
+    /// cache-resident. Wall time accumulates per node across blocks:
+    /// exactly one op record per node.
+    fn execute(&mut self, batch: &[PlannedNewview], step: usize) {
         if batch.is_empty() {
             return;
         }
@@ -589,48 +784,71 @@ impl LikelihoodEngine {
             let _span = crate::span::enter("newview");
             let mut b0 = 0;
             while b0 < n {
-                let b1 = (b0 + block_sites).min(n);
-                for (slot, planned) in batch.iter().enumerate() {
+                let b1 = (b0 + step).min(n);
+                for (planned, ns) in batch.iter().zip(&mut ns) {
                     let t0 = std::time::Instant::now();
-                    self.run_block_job(&planned.job, planned.idx, b0, b1);
-                    ns[slot] = ns[slot].saturating_add(elapsed_ns(t0));
+                    self.run_job(planned, b0, b1);
+                    *ns = ns.saturating_add(elapsed_ns(t0));
                 }
                 b0 = b1;
             }
         }
-        for (slot, planned) in batch.iter().enumerate() {
-            self.stats.record_op_timed(planned.op, n, ns[slot]);
+        for (planned, &ns) in batch.iter().zip(&ns) {
+            let op = planned.job.op();
+            match planned.classes {
+                Some(classes) => {
+                    let cost = crate::cost::newview_compressed(op, n as u64, classes);
+                    self.stats.record_op_cost(op, n, ns, cost);
+                }
+                None => self.stats.record_op_timed(op, n, ns),
+            }
         }
         self.batch_ns = ns;
-        batch.clear();
     }
 
-    /// One `newview` restricted to the site block `[b0, b1)`. The CLA
-    /// layout keeps blocks self-contained: every kernel is a per-site
-    /// function of per-site inputs, the 128-byte site stride keeps any
-    /// block base 64-byte aligned (the explicit-SIMD buffer contract),
-    /// and the underflow-scaling rule is per-site — so the block
-    /// writes exactly the bytes the full-range call would write there.
-    fn run_block_job(&mut self, job: &BlockJob, idx: usize, b0: usize, b1: usize) {
-        let mut out = std::mem::replace(&mut self.clas[idx], Cla::new(0));
+    /// One planned `newview` restricted to the sites `[b0, b1)`. The
+    /// CLA layout keeps site ranges self-contained: every kernel is a
+    /// per-site function of per-site inputs, the 128-byte site stride
+    /// keeps any range base 64-byte aligned (the explicit-SIMD buffer
+    /// contract), and the underflow-scaling rule is per-site — so the
+    /// call writes exactly the bytes the full-range call would write
+    /// there.
+    ///
+    /// A compressed node gets the whole range and hands it to the
+    /// repeat scratch: gather the children's buffers at the class
+    /// representatives, run the kernel over `num_classes` "sites",
+    /// expand back to the full per-site CLA. Bit-identical to the
+    /// uncompressed call (see [`crate::repeats`]).
+    fn run_job(&mut self, planned: &PlannedNewview, b0: usize, b1: usize) {
+        let mut out = std::mem::replace(&mut self.slots[planned.slot], Cla::new(0));
         let (out_v, out_s) = out.buffers_mut();
-        let out_v = &mut out_v[b0 * SITE_STRIDE..b1 * SITE_STRIDE];
-        let out_s = &mut out_s[b0..b1];
-        match job {
+        let mut scratch = planned.classes.map(|_| {
+            self.repeat_scratch
+                .take()
+                .unwrap_or_else(|| Box::new(RepeatScratch::new(self.num_patterns)))
+        });
+        let classes = scratch
+            .as_deref_mut()
+            .zip(self.repeat_tables[planned.idx].as_ref());
+        let (vals, sites) = (b0 * SITE_STRIDE..b1 * SITE_STRIDE, b0..b1);
+        match &planned.job {
             BlockJob::Tt {
                 lut_l,
                 lut_r,
                 tip_l,
                 tip_r,
             } => {
-                self.kernel.newview_tt(
-                    lut_l,
-                    lut_r,
-                    &self.tip(*tip_l)[b0..b1],
-                    &self.tip(*tip_r)[b0..b1],
-                    out_v,
-                    out_s,
-                );
+                let c_l = &self.tip(*tip_l)[sites.clone()];
+                let c_r = &self.tip(*tip_r)[sites.clone()];
+                match classes {
+                    None => {
+                        let (out_v, out_s) = (&mut out_v[vals], &mut out_s[sites]);
+                        self.kernel.newview_tt(lut_l, lut_r, c_l, c_r, out_v, out_s);
+                    }
+                    Some((scratch, table)) => {
+                        scratch.newview_tt(self.kernel, table, lut_l, lut_r, c_l, c_r, out_v, out_s)
+                    }
+                }
             }
             BlockJob::Ti {
                 lut_l,
@@ -638,16 +856,27 @@ impl LikelihoodEngine {
                 p_r,
                 child_r,
             } => {
-                let cla_r = &self.clas[*child_r];
-                self.kernel.newview_ti(
-                    lut_l,
-                    &self.tip(*tip_l)[b0..b1],
-                    p_r,
-                    &cla_r.values()[b0 * SITE_STRIDE..b1 * SITE_STRIDE],
-                    &cla_r.scale()[b0..b1],
-                    out_v,
-                    out_s,
-                );
+                let c_l = &self.tip(*tip_l)[sites.clone()];
+                let cla_r = &self.slots[*child_r];
+                let (v_r, s_r) = (&cla_r.values()[vals.clone()], &cla_r.scale()[sites.clone()]);
+                match classes {
+                    None => {
+                        let (out_v, out_s) = (&mut out_v[vals], &mut out_s[sites]);
+                        self.kernel
+                            .newview_ti(lut_l, c_l, p_r, v_r, s_r, out_v, out_s);
+                    }
+                    Some((scratch, table)) => scratch.newview_ti(
+                        self.kernel,
+                        table,
+                        lut_l,
+                        c_l,
+                        p_r,
+                        v_r,
+                        s_r,
+                        out_v,
+                        out_s,
+                    ),
+                }
             }
             BlockJob::Ii {
                 p_l,
@@ -655,21 +884,35 @@ impl LikelihoodEngine {
                 p_r,
                 child_r,
             } => {
-                let cla_l = &self.clas[*child_l];
-                let cla_r = &self.clas[*child_r];
-                self.kernel.newview_ii(
-                    p_l,
-                    &cla_l.values()[b0 * SITE_STRIDE..b1 * SITE_STRIDE],
-                    &cla_l.scale()[b0..b1],
-                    p_r,
-                    &cla_r.values()[b0 * SITE_STRIDE..b1 * SITE_STRIDE],
-                    &cla_r.scale()[b0..b1],
-                    out_v,
-                    out_s,
-                );
+                let cla_l = &self.slots[*child_l];
+                let cla_r = &self.slots[*child_r];
+                let (v_l, s_l) = (&cla_l.values()[vals.clone()], &cla_l.scale()[sites.clone()]);
+                let (v_r, s_r) = (&cla_r.values()[vals.clone()], &cla_r.scale()[sites.clone()]);
+                match classes {
+                    None => {
+                        let (out_v, out_s) = (&mut out_v[vals], &mut out_s[sites]);
+                        self.kernel
+                            .newview_ii(p_l, v_l, s_l, p_r, v_r, s_r, out_v, out_s);
+                    }
+                    Some((scratch, table)) => scratch.newview_ii(
+                        self.kernel,
+                        table,
+                        p_l,
+                        v_l,
+                        s_l,
+                        p_r,
+                        v_r,
+                        s_r,
+                        out_v,
+                        out_s,
+                    ),
+                }
             }
         }
-        self.clas[idx] = out;
+        if scratch.is_some() {
+            self.repeat_scratch = scratch;
+        }
+        self.slots[planned.slot] = out;
     }
 
     fn stamp_of(&self, tree: &Tree, node: NodeId) -> u64 {
@@ -732,172 +975,6 @@ impl LikelihoodEngine {
         self.repeat_valid[idx] = Some(key);
         self.repeat_stamps[idx] = self.next_repeat_stamp;
         self.next_repeat_stamp += 1;
-    }
-
-    fn run_newview(
-        &mut self,
-        tree: &Tree,
-        node: NodeId,
-        ch: [(EdgeId, NodeId); 2],
-        key: &CacheKey,
-        compress: bool,
-    ) {
-        let _span = crate::span::enter("newview");
-        let t0 = std::time::Instant::now();
-        let idx = self.inner_idx(node);
-        let mut out = std::mem::replace(&mut self.clas[idx], Cla::new(0));
-        let (out_v, out_s) = out.buffers_mut();
-        self.repeat_stats.newview_calls += 1;
-        if compress {
-            let (op, classes) = self.run_newview_compressed(tree, ch, idx, out_v, out_s);
-            self.clas[idx] = out;
-            self.stamps[idx] = self.next_stamp;
-            self.next_stamp += 1;
-            self.valid[idx] = Some(key.clone());
-            let cost = crate::cost::newview_compressed(op, self.num_patterns as u64, classes);
-            self.stats
-                .record_op_cost(op, self.num_patterns, elapsed_ns(t0), cost);
-            return;
-        }
-        let [(e_l, n_l), (e_r, n_r)] = ch;
-        let t_l = tree.length(e_l);
-        let t_r = tree.length(e_r);
-        let op = match (tree.is_tip(n_l), tree.is_tip(n_r)) {
-            (true, true) => {
-                let lut_l = Lut16x16::tip_prob(&self.fused_pmat(t_l));
-                let lut_r = Lut16x16::tip_prob(&self.fused_pmat(t_r));
-                self.kernel
-                    .newview_tt(&lut_l, &lut_r, self.tip(n_l), self.tip(n_r), out_v, out_s);
-                KernelOp::NewviewTt
-            }
-            (true, false) => {
-                let lut_l = Lut16x16::tip_prob(&self.fused_pmat(t_l));
-                let p_r = self.fused_pmat(t_r);
-                let cla_r = &self.clas[self.inner_idx(n_r)];
-                self.kernel.newview_ti(
-                    &lut_l,
-                    self.tip(n_l),
-                    &p_r,
-                    cla_r.values(),
-                    cla_r.scale(),
-                    out_v,
-                    out_s,
-                );
-                KernelOp::NewviewTi
-            }
-            (false, false) => {
-                let p_l = self.fused_pmat(t_l);
-                let p_r = self.fused_pmat(t_r);
-                let cla_l = &self.clas[self.inner_idx(n_l)];
-                let cla_r = &self.clas[self.inner_idx(n_r)];
-                self.kernel.newview_ii(
-                    &p_l,
-                    cla_l.values(),
-                    cla_l.scale(),
-                    &p_r,
-                    cla_r.values(),
-                    cla_r.scale(),
-                    out_v,
-                    out_s,
-                );
-                KernelOp::NewviewIi
-            }
-            (false, true) => unreachable!("children are canonicalized tip-first"),
-        };
-        self.clas[idx] = out;
-        self.stamps[idx] = self.next_stamp;
-        self.next_stamp += 1;
-        self.valid[idx] = Some(key.clone());
-        self.stats
-            .record_op_timed(op, self.num_patterns, elapsed_ns(t0));
-    }
-
-    /// The compressed `newview` path: gather the children's buffers at
-    /// the class representatives, run the kernel over `num_classes`
-    /// "sites", expand back to the full per-site CLA. Bit-identical to
-    /// the uncompressed path (see [`crate::repeats`]).
-    fn run_newview_compressed(
-        &mut self,
-        tree: &Tree,
-        ch: [(EdgeId, NodeId); 2],
-        idx: usize,
-        out_v: &mut [f64],
-        out_s: &mut [u32],
-    ) -> (KernelOp, u64) {
-        let mut scratch = self
-            .repeat_scratch
-            .take()
-            .unwrap_or_else(|| Box::new(RepeatScratch::new(self.num_patterns)));
-        let (op, sites, classes) = {
-            let table = self.repeat_tables[idx]
-                .as_ref()
-                .expect("repeat table built");
-            let [(e_l, n_l), (e_r, n_r)] = ch;
-            let t_l = tree.length(e_l);
-            let t_r = tree.length(e_r);
-            let op = match (tree.is_tip(n_l), tree.is_tip(n_r)) {
-                (true, true) => {
-                    let lut_l = Lut16x16::tip_prob(&self.fused_pmat(t_l));
-                    let lut_r = Lut16x16::tip_prob(&self.fused_pmat(t_r));
-                    scratch.newview_tt(
-                        self.kernel,
-                        table,
-                        &lut_l,
-                        &lut_r,
-                        self.tip(n_l),
-                        self.tip(n_r),
-                        out_v,
-                        out_s,
-                    );
-                    KernelOp::NewviewTt
-                }
-                (true, false) => {
-                    let lut_l = Lut16x16::tip_prob(&self.fused_pmat(t_l));
-                    let p_r = self.fused_pmat(t_r);
-                    let cla_r = &self.clas[self.inner_idx(n_r)];
-                    scratch.newview_ti(
-                        self.kernel,
-                        table,
-                        &lut_l,
-                        self.tip(n_l),
-                        &p_r,
-                        cla_r.values(),
-                        cla_r.scale(),
-                        out_v,
-                        out_s,
-                    );
-                    KernelOp::NewviewTi
-                }
-                (false, false) => {
-                    let p_l = self.fused_pmat(t_l);
-                    let p_r = self.fused_pmat(t_r);
-                    let cla_l = &self.clas[self.inner_idx(n_l)];
-                    let cla_r = &self.clas[self.inner_idx(n_r)];
-                    scratch.newview_ii(
-                        self.kernel,
-                        table,
-                        &p_l,
-                        cla_l.values(),
-                        cla_l.scale(),
-                        &p_r,
-                        cla_r.values(),
-                        cla_r.scale(),
-                        out_v,
-                        out_s,
-                    );
-                    KernelOp::NewviewIi
-                }
-                (false, true) => unreachable!("children are canonicalized tip-first"),
-            };
-            (op, table.num_sites() as u64, table.num_classes() as u64)
-        };
-        self.repeat_scratch = Some(scratch);
-        self.repeat_stats.compressed_calls += 1;
-        self.repeat_stats.sites += sites;
-        self.repeat_stats.classes += classes;
-        repeat_sites_counter().add(sites);
-        repeat_classes_counter().add(classes);
-        (op, classes)
     }
 
     /// Builds (or revalidates) the joint repeat table for the root
@@ -996,7 +1073,7 @@ impl LikelihoodEngine {
             }
             let reprs = table.repr_sites();
             let op = if tree.is_tip(q) {
-                let cla_r = &self.clas[self.inner_idx(r)];
+                let cla_r = self.cla(r);
                 self.kernel.evaluate_classes_ti(
                     &self.tip_pi,
                     self.tip(q),
@@ -1013,8 +1090,8 @@ impl LikelihoodEngine {
                 }
                 KernelOp::EvaluateTi
             } else {
-                let cla_q = &self.clas[self.inner_idx(q)];
-                let cla_r = &self.clas[self.inner_idx(r)];
+                let cla_q = self.cla(q);
+                let cla_r = self.cla(r);
                 self.kernel.evaluate_classes_ii(
                     &self.pi_w,
                     cla_q.values(),
@@ -1038,7 +1115,7 @@ impl LikelihoodEngine {
             self.fold_vals = vals;
             (ll, op, Some(nc as u64))
         } else if tree.is_tip(q) {
-            let cla_r = &self.clas[self.inner_idx(r)];
+            let cla_r = self.cla(r);
             let ll = self.kernel.evaluate_ti(
                 &self.tip_pi,
                 self.tip(q),
@@ -1049,8 +1126,8 @@ impl LikelihoodEngine {
             );
             (ll, KernelOp::EvaluateTi, None)
         } else {
-            let cla_q = &self.clas[self.inner_idx(q)];
-            let cla_r = &self.clas[self.inner_idx(r)];
+            let cla_q = self.cla(q);
+            let cla_r = self.cla(r);
             let ll = self.kernel.evaluate_ii(
                 &self.pi_w,
                 cla_q.values(),
@@ -1106,7 +1183,7 @@ impl LikelihoodEngine {
             let table = &self.root_fold.as_ref().expect("fold table cached").table;
             let nc = table.num_classes();
             let op = if tree.is_tip(q) {
-                let cla_r = &self.clas[self.inner_idx(r)];
+                let cla_r = self.cla(r);
                 scratch.derivative_sum_ti_folded(
                     self.kernel,
                     table,
@@ -1118,8 +1195,8 @@ impl LikelihoodEngine {
                 );
                 KernelOp::DerivativeSumTi
             } else {
-                let cla_q = &self.clas[self.inner_idx(q)];
-                let cla_r = &self.clas[self.inner_idx(r)];
+                let cla_q = self.cla(q);
+                let cla_r = self.cla(r);
                 scratch.derivative_sum_ii_folded(
                     self.kernel,
                     table,
@@ -1141,7 +1218,7 @@ impl LikelihoodEngine {
         } else {
             self.sum_fold = None;
             let op = if tree.is_tip(q) {
-                let cla_r = &self.clas[self.inner_idx(r)];
+                let cla_r = self.cla(r);
                 self.kernel.derivative_sum_ti(
                     &self.basis,
                     self.tip(q),
@@ -1150,8 +1227,8 @@ impl LikelihoodEngine {
                 );
                 KernelOp::DerivativeSumTi
             } else {
-                let cla_q = &self.clas[self.inner_idx(q)];
-                let cla_r = &self.clas[self.inner_idx(r)];
+                let cla_q = self.cla(q);
+                let cla_r = self.cla(r);
                 self.kernel.derivative_sum_ii(
                     &self.basis,
                     cla_q.values(),
@@ -1834,5 +1911,326 @@ mod tests {
         let ll = engine.log_likelihood(&tree, 0);
         assert!(ll.is_finite(), "logL = {ll}");
         assert!(ll < 0.0);
+    }
+
+    // ---- The bounded CLA pool (`with_pool`) ----
+
+    use phylo_tree::build::{balanced, caterpillar, default_names, random_tree};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `patterns` columns of random unambiguous codes, unit weights (no
+    /// pattern dedup, so the count is exact).
+    fn random_columns(tree: &Tree, patterns: usize, rng: &mut SmallRng) -> CompressedAlignment {
+        let rows = (0..tree.num_taxa())
+            .map(|_| {
+                (0..patterns)
+                    .map(|_| phylo_bio::DnaCode::from_state(rng.random_range(0..4)))
+                    .collect()
+            })
+            .collect();
+        CompressedAlignment::from_parts(tree.tip_names().to_vec(), rows, vec![1; patterns]).unwrap()
+    }
+
+    fn pool_dataset(taxa: usize, seed: u64) -> (Tree, CompressedAlignment) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let tree = random_tree(&default_names(taxa), 0.15, &mut rng).unwrap();
+        let aln = random_columns(&tree, 120, &mut rng);
+        (tree, aln)
+    }
+
+    #[test]
+    fn pool_matches_all_resident_at_every_viable_size() {
+        let (tree, aln) = pool_dataset(12, 5);
+        let cfg = EngineConfig::default();
+        let mut full = LikelihoodEngine::new(&tree, &aln, cfg);
+        assert_eq!(full.pool_slots(), tree.num_inner());
+        for root in [0usize, 5, 11] {
+            let expect = full.log_likelihood(&tree, root);
+            let min = min_pool_slots(&tree, root);
+            assert!(min < tree.num_inner(), "memory saving must be possible");
+            for pool in min..=tree.num_inner() {
+                let mut capped = LikelihoodEngine::with_pool(&tree, &aln, cfg, pool);
+                let got = capped.log_likelihood(&tree, root);
+                assert_eq!(
+                    got.to_bits(),
+                    expect.to_bits(),
+                    "pool {pool} root {root}: {got} vs {expect}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pool_bounds_cla_memory() {
+        let (tree, aln) = pool_dataset(20, 6);
+        let cfg = EngineConfig::default();
+        let full = LikelihoodEngine::new(&tree, &aln, cfg);
+        assert_eq!(
+            full.cla_bytes(),
+            tree.num_inner() * aln.num_patterns() * SITE_STRIDE * 8
+        );
+        let capped = LikelihoodEngine::with_pool(&tree, &aln, cfg, 4);
+        assert_eq!(capped.pool_slots(), 4);
+        assert!(capped.cla_bytes() < full.cla_bytes() / 4);
+        // A pool larger than the tree is clamped to all-resident.
+        let wide = LikelihoodEngine::with_pool(&tree, &aln, cfg, 1000);
+        assert_eq!(wide.pool_slots(), tree.num_inner());
+    }
+
+    #[test]
+    fn bounded_nodes_hold_no_table_memory() {
+        // 120 random columns: a subtree of five or more tips has more
+        // classes than `Auto` compresses, so most of a 20-taxon tree's
+        // nodes keep only the bounded marker.
+        let (tree, aln) = pool_dataset(20, 6);
+        let cfg_of = |site_repeats| EngineConfig {
+            site_repeats,
+            ..EngineConfig::default()
+        };
+        let pool = min_pool_slots(&tree, 0);
+        let mut on = LikelihoodEngine::with_pool(&tree, &aln, cfg_of(SiteRepeats::On), pool);
+        let mut auto = LikelihoodEngine::with_pool(&tree, &aln, cfg_of(SiteRepeats::Auto), pool);
+        assert_eq!(
+            on.log_likelihood(&tree, 0).to_bits(),
+            auto.log_likelihood(&tree, 0).to_bits()
+        );
+        if SiteRepeats::env_override().is_some() {
+            return; // both engines run the same mode
+        }
+        // Under `On` only a node with no repeat at all is bounded;
+        // every other one holds at least its site→class map.
+        let site_map = 4 * aln.num_patterns();
+        let bounded = |e: &LikelihoodEngine| {
+            e.repeat_tables
+                .iter()
+                .flatten()
+                .filter(|t| t.is_bounded())
+                .count()
+        };
+        assert!(bounded(&auto) > bounded(&on));
+        assert!(on.repeat_table_bytes() >= (tree.num_inner() - bounded(&on)) * site_map);
+        assert!(
+            auto.repeat_table_bytes() + (bounded(&auto) - bounded(&on)) * site_map
+                <= on.repeat_table_bytes()
+        );
+        assert!(auto.repeat_stats().compressed_calls > 0);
+    }
+
+    #[test]
+    fn small_pool_costs_more_newview_calls() {
+        let (tree, aln) = pool_dataset(14, 7);
+        let cfg = EngineConfig::default();
+        // All-resident: repeated evaluation at alternating roots only
+        // re-orients the path between them.
+        let mut big = LikelihoodEngine::new(&tree, &aln, cfg);
+        let mut small =
+            LikelihoodEngine::with_pool(&tree, &aln, cfg, min_pool_slots_any_root(&tree));
+        for _ in 0..4 {
+            for root in [0usize, 10] {
+                assert_eq!(
+                    big.log_likelihood(&tree, root).to_bits(),
+                    small.log_likelihood(&tree, root).to_bits()
+                );
+            }
+        }
+        let big_calls = big.stats().get(KernelId::Newview).calls;
+        let small_calls = small.stats().get(KernelId::Newview).calls;
+        assert!(
+            small_calls > big_calls,
+            "expected recomputation overhead: {small_calls} vs {big_calls}"
+        );
+    }
+
+    #[test]
+    fn evicted_node_keeps_its_stamp_so_resident_ancestors_stay_valid() {
+        let (tree, aln) = pool_dataset(14, 7);
+        let cfg = EngineConfig::default();
+        // One slot short: the first traversal's last node evicts
+        // another, which the second traversal (same root, nothing
+        // changed) must recompute. Were that node given a fresh stamp,
+        // its ancestors up to the root would go stale with it.
+        let mut capped = LikelihoodEngine::with_pool(&tree, &aln, cfg, tree.num_inner() - 1);
+        let first = capped.log_likelihood(&tree, 0);
+        let cold = capped.stats().get(KernelId::Newview).calls;
+        assert_eq!(cold as usize, tree.num_inner());
+        let stamps = capped.stamps.clone();
+        let again = capped.log_likelihood(&tree, 0);
+        let warm = capped.stats().get(KernelId::Newview).calls - cold;
+        assert_eq!(first.to_bits(), again.to_bits());
+        assert!(warm > 0, "nothing was evicted");
+        assert_eq!(capped.stamps, stamps, "equal keys must reuse their stamps");
+        assert!(warm < cold / 2, "resident ancestors went stale: {warm}");
+    }
+
+    #[test]
+    fn caterpillar_needs_only_constant_pool() {
+        // A pectinate tree is the deep-traversal worst case for naive
+        // strategies, but post-order pinning keeps the live set tiny.
+        let tree = caterpillar(&default_names(24), 0.1).unwrap();
+        let aln = random_columns(&tree, 60, &mut SmallRng::seed_from_u64(9));
+        let cfg = EngineConfig::default();
+        let expect = LikelihoodEngine::new(&tree, &aln, cfg).log_likelihood(&tree, 0);
+        let min = min_pool_slots(&tree, 0);
+        assert!(min <= 5, "caterpillar live set stays small, got {min}");
+        let got = LikelihoodEngine::with_pool(&tree, &aln, cfg, min).log_likelihood(&tree, 0);
+        assert_eq!(got.to_bits(), expect.to_bits(), "{got} vs {expect}");
+    }
+
+    #[test]
+    fn balanced_tree_with_minimal_pool() {
+        let tree = balanced(&default_names(16), 0.1).unwrap();
+        let aln = random_columns(&tree, 40, &mut SmallRng::seed_from_u64(10));
+        let cfg = EngineConfig::default();
+        let expect = LikelihoodEngine::new(&tree, &aln, cfg).log_likelihood(&tree, 0);
+        // Balanced 16-taxon tree: live set grows with depth (~log n).
+        let min = min_pool_slots(&tree, 0);
+        assert!(min <= 8, "balanced live set is logarithmic, got {min}");
+        let got = LikelihoodEngine::with_pool(&tree, &aln, cfg, min).log_likelihood(&tree, 0);
+        assert_eq!(got.to_bits(), expect.to_bits(), "{got} vs {expect}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 3 slots")]
+    fn tiny_pool_rejected() {
+        let (tree, aln) = pool_dataset(8, 11);
+        LikelihoodEngine::with_pool(&tree, &aln, EngineConfig::default(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "too small for this traversal")]
+    fn pool_below_the_live_set_panics_instead_of_corrupting() {
+        let tree = balanced(&default_names(16), 0.1).unwrap();
+        let aln = random_columns(&tree, 8, &mut SmallRng::seed_from_u64(3));
+        let min = min_pool_slots(&tree, 0);
+        assert!(min > 3);
+        LikelihoodEngine::with_pool(&tree, &aln, EngineConfig::default(), min - 1)
+            .log_likelihood(&tree, 0);
+    }
+
+    #[test]
+    fn site_repeats_bit_identical_under_memory_cap() {
+        // Repeat-heavy alignment: 12 prototype columns cycled across 96
+        // patterns, so every inner node sees heavy class collapse.
+        let mut rng = SmallRng::seed_from_u64(21);
+        let tree = random_tree(&default_names(10), 0.12, &mut rng).unwrap();
+        let protos: Vec<Vec<usize>> = (0..12)
+            .map(|_| (0..10).map(|_| rng.random_range(0..4usize)).collect())
+            .collect();
+        let rows: Vec<Vec<phylo_bio::DnaCode>> = (0..10)
+            .map(|taxon| {
+                (0..96)
+                    .map(|p| phylo_bio::DnaCode::from_state(protos[p % 12][taxon]))
+                    .collect()
+            })
+            .collect();
+        let aln =
+            CompressedAlignment::from_parts(tree.tip_names().to_vec(), rows, vec![1; 96]).unwrap();
+        let cfg_of = |site_repeats| EngineConfig {
+            site_repeats,
+            ..EngineConfig::default()
+        };
+        let pool = min_pool_slots_any_root(&tree);
+        for root in [0usize, 4, 9] {
+            let mut off = LikelihoodEngine::with_pool(&tree, &aln, cfg_of(SiteRepeats::Off), pool);
+            let mut on = LikelihoodEngine::with_pool(&tree, &aln, cfg_of(SiteRepeats::On), pool);
+            let a = off.log_likelihood(&tree, root);
+            let b = on.log_likelihood(&tree, root);
+            assert_eq!(a.to_bits(), b.to_bits(), "root {root}: {a} vs {b}");
+            assert!(
+                on.repeat_stats().compressed_calls > 0,
+                "compression engaged nothing at root {root}"
+            );
+        }
+    }
+
+    #[test]
+    fn blocked_traversal_is_bit_identical_under_memory_cap() {
+        // A minimal pool forces the queue to run whenever acquiring a
+        // slot would evict — the interaction this test pins.
+        let mut rng = SmallRng::seed_from_u64(17);
+        let tree = random_tree(&default_names(12), 0.12, &mut rng).unwrap();
+        let sites = (crate::blocking::block_sites() + 40).min(4096);
+        let aln = random_columns(&tree, sites, &mut rng);
+        let cfg_of = |blocking| EngineConfig {
+            blocking,
+            ..EngineConfig::default()
+        };
+        let pool = min_pool_slots_any_root(&tree);
+        let mut off = LikelihoodEngine::with_pool(&tree, &aln, cfg_of(Blocking::Off), pool);
+        let mut on = LikelihoodEngine::with_pool(&tree, &aln, cfg_of(Blocking::On), pool);
+        // The second and third roots evict CLAs the first left behind.
+        for root in [0usize, 7, 0] {
+            let a = off.log_likelihood(&tree, root);
+            let b = on.log_likelihood(&tree, root);
+            assert_eq!(a.to_bits(), b.to_bits(), "root {root}: {a} vs {b}");
+            assert_eq!(
+                off.stats().get(KernelId::Newview).calls,
+                on.stats().get(KernelId::Newview).calls,
+                "root {root}: blocking changed the newview call count"
+            );
+        }
+    }
+
+    #[test]
+    fn repeat_tables_survive_invalidate_all() {
+        let (tree, aln) = pool_dataset(10, 13);
+        let cfg = EngineConfig {
+            site_repeats: SiteRepeats::On,
+            ..EngineConfig::default()
+        };
+        let mut capped =
+            LikelihoodEngine::with_pool(&tree, &aln, cfg, min_pool_slots_any_root(&tree));
+        capped.log_likelihood(&tree, 0);
+        let stamp_before = capped.next_repeat_stamp;
+        // Branch-length-style invalidation recomputes CLAs but must
+        // reuse the class tables (they only depend on tip patterns and
+        // topology).
+        capped.invalidate_all();
+        capped.log_likelihood(&tree, 0);
+        assert_eq!(
+            capped.next_repeat_stamp, stamp_before,
+            "tables were rebuilt"
+        );
+    }
+
+    #[test]
+    fn branch_derivatives_under_minimal_pool_match_all_resident() {
+        let (tree, aln) = pool_dataset(12, 19);
+        let cfg = EngineConfig::default();
+        let mut full = LikelihoodEngine::new(&tree, &aln, cfg);
+        let mut capped =
+            LikelihoodEngine::with_pool(&tree, &aln, cfg, min_pool_slots_any_root(&tree));
+        for edge in tree.edge_ids() {
+            full.prepare_branch(&tree, edge);
+            capped.prepare_branch(&tree, edge);
+            for t in [tree.length(edge), 0.5 * tree.length(edge) + 0.01] {
+                let (d1f, d2f) = full.branch_derivatives(t);
+                let (d1c, d2c) = capped.branch_derivatives(t);
+                assert_eq!(d1f.to_bits(), d1c.to_bits(), "edge {edge} t={t}: d1");
+                assert_eq!(d2f.to_bits(), d2c.to_bits(), "edge {edge} t={t}: d2");
+            }
+        }
+    }
+
+    #[test]
+    fn branch_change_needs_no_invalidate_all_under_minimal_pool() {
+        // Validity is the cache key, pooled or not: a changed length
+        // (and a changed model) is seen without any explicit call.
+        let (mut tree, aln) = pool_dataset(12, 23);
+        let cfg = EngineConfig::default();
+        let mut capped =
+            LikelihoodEngine::with_pool(&tree, &aln, cfg, min_pool_slots_any_root(&tree));
+        let before = capped.log_likelihood(&tree, 3);
+        tree.set_length(8, 0.9).unwrap();
+        capped.set_alpha(0.4);
+        let mut fresh = LikelihoodEngine::new(&tree, &aln, cfg);
+        fresh.set_alpha(0.4);
+        for root in [3usize, 0, 14] {
+            let got = capped.log_likelihood(&tree, root);
+            let expect = fresh.log_likelihood(&tree, root);
+            assert_eq!(got.to_bits(), expect.to_bits(), "root {root}");
+            assert!((got - before).abs() > 1e-6, "the change must move logL");
+        }
     }
 }

@@ -26,8 +26,9 @@
 //! | `derivativeCore` | [`kernels::Kernels::derivative_core`]  |
 //!
 //! [`engine::LikelihoodEngine`] ties the kernels to a tree: it owns the
-//! conditional likelihood arrays (CLAs), tracks which are valid for the
-//! current virtual-root orientation (RAxML's traversal descriptor), and
+//! conditional likelihood arrays (CLAs) — one per inner node, or a
+//! bounded pool of them — tracks which are valid for the current
+//! virtual-root orientation (RAxML's traversal descriptor), and
 //! exposes `log_likelihood` / `branch_derivatives` to the search layer.
 //!
 //! [`naive`] contains an independent brute-force likelihood
@@ -46,7 +47,6 @@ pub mod layout;
 pub mod metrics;
 pub mod naive;
 pub mod nstate;
-pub mod recompute;
 pub mod repeats;
 pub mod scaling;
 pub mod span;

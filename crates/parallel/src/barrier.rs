@@ -37,17 +37,23 @@ const SENSE_FLIP: Ordering = if cfg!(feature = "seed-ordering-bug") {
     Ordering::Release
 };
 
-/// Barrier state-word values: the shared sense in normal operation…
-const SENSE_FALSE: usize = 0;
-/// …its flipped phase…
-const SENSE_TRUE: usize = 1;
-/// …and `POISON_BASE + rank` once participant `rank` has died. Sense
-/// and poison share one word so a blocked waiter watches a *single*
-/// location: eventual visibility of a store to that word (which C11
-/// guarantees in finite time) is then sufficient for the waiter to
-/// observe either release — a two-word design would let the poison
-/// store hide behind an endlessly-fresh sense word.
-const POISON_BASE: usize = 2;
+/// Barrier state word: bit 0 is the shared sense…
+const SENSE_BIT: usize = 1;
+/// …and the bits above it hold `rank + 1` once participant `rank` has
+/// died (0 while healthy). Sense and poison share one word so a
+/// blocked waiter watches a *single* location: eventual visibility of
+/// a store to that word (which C11 guarantees in finite time) is then
+/// sufficient for the waiter to observe either release — a two-word
+/// design would let the poison store hide behind an endlessly-fresh
+/// sense word. Poisoning keeps the sense bit: a waiter of a barrier
+/// that *completed* must still see it complete when the last arrival
+/// dies right after releasing it.
+const POISON_SHIFT: u32 = 1;
+
+/// The poisoner recorded in a state word, if any.
+fn poisoner(state: usize) -> Option<usize> {
+    (state >> POISON_SHIFT).checked_sub(1)
+}
 
 /// Error returned by [`SenseBarrier::wait`] once the group is
 /// poisoned: participant `rank` died and the barrier will never
@@ -75,8 +81,8 @@ impl std::error::Error for Poisoned {}
 pub struct SenseBarrier {
     total: usize,
     arrived: AtomicUsize,
-    /// The single word waiters spin on: [`SENSE_FALSE`]/[`SENSE_TRUE`]
-    /// while healthy, `POISON_BASE + rank` once dead.
+    /// The single word waiters spin on: the sense in [`SENSE_BIT`],
+    /// `rank + 1` above it once dead.
     state: AtomicUsize,
 }
 
@@ -87,7 +93,7 @@ impl SenseBarrier {
         SenseBarrier {
             total: n,
             arrived: AtomicUsize::new(0),
-            state: AtomicUsize::new(SENSE_FALSE),
+            state: AtomicUsize::new(0),
         }
     }
 
@@ -102,12 +108,12 @@ impl SenseBarrier {
     pub fn poison(&self, rank: usize) {
         let mut cur = self.state.load(Ordering::Acquire);
         loop {
-            if cur >= POISON_BASE {
+            if poisoner(cur).is_some() {
                 return; // first poisoner already won
             }
             match self.state.compare_exchange_weak(
                 cur,
-                POISON_BASE + rank,
+                cur | (rank + 1) << POISON_SHIFT,
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
@@ -119,10 +125,7 @@ impl SenseBarrier {
 
     /// The poisoner's rank, if the group is dead.
     pub fn poisoned(&self) -> Option<usize> {
-        match self.state.load(Ordering::Acquire) {
-            s if s >= POISON_BASE => Some(s - POISON_BASE),
-            _ => None,
-        }
+        poisoner(self.state.load(Ordering::Acquire))
     }
 
     /// Blocks until all `n` threads have called `wait`, or until the
@@ -142,8 +145,8 @@ impl SenseBarrier {
             // Last arrival: reset the counter and release everyone by
             // flipping the sense — unless a participant died since the
             // entry check (a poison marker must never be overwritten,
-            // so the flip is a compare-exchange against the old
-            // sense, the only other value the word can hold).
+            // so the flip is a compare-exchange against the healthy
+            // old sense, the only other value the word can hold).
             self.arrived.store(0, Ordering::Release);
             match self.state.compare_exchange(
                 (!my_sense) as usize,
@@ -153,9 +156,9 @@ impl SenseBarrier {
             ) {
                 Ok(_) => Ok(()),
                 Err(seen) => {
-                    debug_assert!(seen >= POISON_BASE, "unexpected barrier state {seen}");
+                    debug_assert!(poisoner(seen).is_some(), "unexpected barrier state {seen}");
                     Err(Poisoned {
-                        rank: seen.saturating_sub(POISON_BASE),
+                        rank: poisoner(seen).unwrap_or(0),
                     })
                 }
             }
@@ -163,13 +166,14 @@ impl SenseBarrier {
             let mut spins = 0u32;
             loop {
                 let s = self.state.load(Ordering::Acquire);
-                if s >= POISON_BASE {
-                    return Err(Poisoned {
-                        rank: s - POISON_BASE,
-                    });
-                }
-                if (s == SENSE_TRUE) == my_sense {
+                // Sense before poison: a barrier that was released
+                // completed, even if its last arrival died right after
+                // (the next `wait`'s entry check reports that).
+                if (s & SENSE_BIT != 0) == my_sense {
                     return Ok(());
+                }
+                if let Some(rank) = poisoner(s) {
+                    return Err(Poisoned { rank });
                 }
                 spins += 1;
                 if spins < 10_000 {
@@ -280,6 +284,19 @@ mod tests {
         for w in waiters {
             assert_eq!(w.join().unwrap(), Err(Poisoned { rank: 2 }));
         }
+    }
+
+    #[test]
+    fn poison_keeps_the_sense_bit() {
+        // A waiter of the completed first barrier spins for sense =
+        // true; the last arrival's death must not take that away (the
+        // interleave model `barrier_death_after_release_...` explores
+        // the race itself).
+        let b = SenseBarrier::new(1);
+        b.wait(&mut BarrierToken::new()).unwrap();
+        b.poison(4);
+        assert_eq!(b.state.load(Ordering::Acquire) & SENSE_BIT, 1);
+        assert_eq!(b.poisoned(), Some(4));
     }
 
     #[test]

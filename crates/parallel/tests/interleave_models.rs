@@ -182,6 +182,36 @@ fn barrier_poison_is_lost_wakeup_free() {
     assert!(report.iterations > 1, "exploration should branch");
 }
 
+/// A completed barrier stays completed: a participant that dies right
+/// after its `wait` returned — the last arrival flips the sense and
+/// poisons at once — must not make the peer still spinning on that
+/// barrier report it as failed. (With sense and poison as exclusive
+/// values of the state word, the schedule where the poison lands
+/// between the flip and the waiter's next load returned `Err`.) The
+/// death is then seen by the next `wait`.
+#[cfg(not(feature = "seed-ordering-bug"))]
+#[test]
+fn barrier_death_after_release_does_not_fail_the_completed_wait() {
+    let report = Checker::new().check(|| {
+        let barrier = Arc::new(SenseBarrier::new(2));
+        let b2 = Arc::clone(&barrier);
+        let dying = interleave::thread::spawn(move || {
+            let mut token = BarrierToken::new();
+            b2.wait(&mut token).unwrap();
+            b2.poison(1);
+        });
+        let mut token = BarrierToken::new();
+        barrier
+            .wait(&mut token)
+            .expect("both participants arrived: the barrier completed");
+        dying.join().unwrap();
+        let err = barrier.wait(&mut token).expect_err("the peer is dead");
+        assert_eq!(err.rank, 1, "wrong poisoner reported");
+    });
+    assert!(!report.truncated, "model must be fully explored");
+    assert!(report.iterations > 1, "exploration should branch");
+}
+
 /// The comm slot exchange: two ranks allreduce one double each; both
 /// must compute the exact rank-ordered sum. Exercises SlotCell's
 /// with/with_mut windows under all bounded interleavings.

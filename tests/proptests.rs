@@ -358,6 +358,7 @@ proptest! {
 // alignment, any backend, any repeat density.
 // ---------------------------------------------------------------------------
 
+use phylomic::plf::engine::min_pool_slots_any_root;
 use phylomic::plf::{Blocking, RepeatStats, SiteRepeats};
 use phylomic::tree::traverse::{children, full_schedule};
 use phylomic::tree::{EdgeId, NodeId};
@@ -456,90 +457,113 @@ fn assert_on_off_identical(
     alpha: f64,
     roots: &[usize],
 ) {
-    let mk = |site_repeats, blocking| {
-        LikelihoodEngine::new(
-            tree,
-            aln,
-            EngineConfig {
-                kernel,
-                alpha,
-                site_repeats,
-                blocking,
-            },
-        )
+    let mk = |site_repeats, blocking, pool| {
+        let config = EngineConfig {
+            kernel,
+            alpha,
+            site_repeats,
+            blocking,
+        };
+        LikelihoodEngine::with_pool(tree, aln, config, pool)
     };
-    let variants = [
+    // Every cell all-resident and under the smallest CLA pool that
+    // serves every root: eviction and recomputation change no bit.
+    let all_resident = tree.num_inner();
+    let pools = [all_resident, min_pool_slots_any_root(tree)];
+    let variants: Vec<_> = [
+        (SiteRepeats::Off, Blocking::Off),
         (SiteRepeats::On, Blocking::Off),
         (SiteRepeats::Off, Blocking::On),
         (SiteRepeats::On, Blocking::On),
         (SiteRepeats::Auto, Blocking::Off),
         (SiteRepeats::Auto, Blocking::On),
-    ];
-    let mut base = mk(SiteRepeats::Off, Blocking::Off);
-    let mut others: Vec<_> = variants.iter().map(|&(sr, bl)| mk(sr, bl)).collect();
+    ]
+    .iter()
+    .flat_map(|&(sr, bl)| pools.map(|pool| (sr, bl, pool)))
+    .skip(1) // the baseline itself
+    .collect();
+    let mut base = mk(SiteRepeats::Off, Blocking::Off, all_resident);
+    let mut others: Vec<_> = variants
+        .iter()
+        .map(|&(sr, bl, pool)| mk(sr, bl, pool))
+        .collect();
     for &root in roots {
         let a = base.log_likelihood(tree, root);
         base.prepare_branch(tree, root);
         let (ad1, ad2) = base.branch_derivatives(0.37);
-        for (&(sr, bl), e) in variants.iter().zip(others.iter_mut()) {
+        for (&(sr, bl, pool), e) in variants.iter().zip(others.iter_mut()) {
             let b = e.log_likelihood(tree, root);
             prop_assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "{:?} repeats={:?} blocking={:?} root {}: logL {} vs {}",
+                "{:?} repeats={:?} blocking={:?} pool {} root {}: logL {} vs {}",
                 kernel,
                 sr,
                 bl,
+                pool,
                 root,
                 a,
                 b
             );
             for inner in 0..base.num_inner() {
-                prop_assert_eq!(
-                    base.cla_scale(inner),
-                    e.cla_scale(inner),
-                    "{:?} repeats={:?} blocking={:?} root {} inner {}: scale arrays differ",
-                    kernel,
-                    sr,
-                    bl,
-                    root,
-                    inner
-                );
+                // A capped pool holds only some of the arrays.
+                let scale = e.cla_scale(inner);
+                if pool == all_resident || scale.is_some() {
+                    prop_assert_eq!(
+                        base.cla_scale(inner),
+                        scale,
+                        "{:?} repeats={:?} blocking={:?} pool {} root {} inner {}: scale arrays differ",
+                        kernel,
+                        sr,
+                        bl,
+                        pool,
+                        root,
+                        inner
+                    );
+                }
             }
             e.prepare_branch(tree, root);
             let (bd1, bd2) = e.branch_derivatives(0.37);
             prop_assert_eq!(
                 (ad1.to_bits(), ad2.to_bits()),
                 (bd1.to_bits(), bd2.to_bits()),
-                "{:?} repeats={:?} blocking={:?} root {}: derivatives ({}, {}) vs ({}, {})",
+                "{:?} repeats={:?} blocking={:?} pool {} root {}: derivatives ({}, {}) vs ({}, {})",
                 kernel,
                 sr,
                 bl,
+                pool,
                 root,
                 ad1,
                 ad2,
                 bd1,
                 bd2
             );
-            let mut fresh = mk(sr, bl);
+            let mut fresh = mk(sr, bl, pool);
             fresh.log_likelihood(tree, root);
             prop_assert_eq!(
                 fresh.repeat_stats(),
                 expected_repeat_stats(tree, aln, root, fresh.site_repeats()),
-                "{:?} repeats={:?} blocking={:?} root {}: compress decisions",
+                "{:?} repeats={:?} blocking={:?} pool {} root {}: compress decisions",
                 kernel,
                 sr,
                 bl,
+                pool,
                 root
             );
         }
     }
     // Blocking re-orders kernel work only: over the whole sequence of
-    // roots, engines of one mode made the same decisions.
-    for (i, (&(sr, _), e)) in variants.iter().zip(&others).enumerate() {
-        for (&(sr2, _), e2) in variants[..i].iter().zip(&others) {
-            if sr == sr2 {
-                prop_assert_eq!(e.repeat_stats(), e2.repeat_stats(), "repeats={:?}", sr);
+    // roots, engines of one mode and pool made the same decisions.
+    for (i, (&(sr, _, pool), e)) in variants.iter().zip(&others).enumerate() {
+        for (&(sr2, _, pool2), e2) in variants[..i].iter().zip(&others) {
+            if (sr, pool) == (sr2, pool2) {
+                prop_assert_eq!(
+                    e.repeat_stats(),
+                    e2.repeat_stats(),
+                    "repeats={:?} pool {}",
+                    sr,
+                    pool
+                );
             }
         }
     }
@@ -613,7 +637,7 @@ fn site_repeats_identical_under_forced_scaling() {
     );
     e.log_likelihood(&tree, 0);
     let scaled: u32 = (0..e.num_inner())
-        .map(|i| e.cla_scale(i).iter().sum::<u32>())
+        .map(|i| e.cla_scale(i).expect("all-resident").iter().sum::<u32>())
         .sum();
     assert!(scaled > 0, "dataset failed to trigger rescaling");
 }
