@@ -460,6 +460,69 @@ mod tests {
         assert!(ids.contains(&"br".to_string()));
     }
 
+    /// Lines (1-based) carrying `ident` as a code token.
+    fn ident_lines(src: &str, ident: &str) -> Vec<u32> {
+        let lexed = lex(src);
+        let on = |t: &&Token| matches!(&t.tok, Tok::Ident(s) if s == ident);
+        lexed.tokens.iter().filter(on).map(|t| t.line).collect()
+    }
+
+    /// Lines whose comment text contains `needle`.
+    fn comment_lines(src: &str, needle: &str) -> Vec<u32> {
+        let lexed = lex(src);
+        let has = |(_, text): &(&u32, &String)| text.contains(needle);
+        lexed.comments.iter().filter(has).map(|(l, _)| *l).collect()
+    }
+
+    // The next four sources come from the PR 3 line scanner's parity
+    // suite; the SAFETY-comment audit depends on exactly these calls.
+
+    #[test]
+    fn byte_raw_strings_hide_their_contents() {
+        let src = "let b = br#\"unsafe { /* SAFETY */ }\"#;\nunsafe { op() } // SAFETY: real\n";
+        // Neither the `unsafe` nor the comment inside the byte raw
+        // string exists; the real ones sit on line 2.
+        assert_eq!(ident_lines(src, "unsafe"), [2]);
+        assert_eq!(comment_lines(src, "SAFETY"), [2]);
+    }
+
+    #[test]
+    fn nested_block_comments_spanning_lines_stay_comments() {
+        let src = "fn a() {}\n/* outer SAFETY\n   /* inner, still comment: unsafe */\n   back at depth one */\nunsafe fn b() {}\n";
+        // The `unsafe` on line 3 is inside a doubly-nested block
+        // comment; only line 5's is code, and each comment line keeps
+        // its own text.
+        assert_eq!(ident_lines(src, "unsafe"), [5]);
+        assert_eq!(comment_lines(src, "SAFETY"), [2]);
+        assert_eq!(comment_lines(src, "unsafe"), [3]);
+        assert_eq!(comment_lines(src, "depth one"), [4]);
+    }
+
+    #[test]
+    fn unbalanced_nesting_does_not_resurface_early() {
+        // Two opens, one close: everything after stays comment.
+        let src = "/* one /* two */ still comment\nunsafe\n";
+        assert_eq!(ident_lines(src, "unsafe"), [0u32; 0]);
+        assert_eq!(comment_lines(src, "unsafe"), [2]);
+    }
+
+    #[test]
+    fn lifetimes_labels_and_char_literals_disambiguate() {
+        let src = "fn f<'a>(x: &'a str) -> char {\n    let q = 'q';\n    let esc = '\\'';\n    'outer: loop { break 'outer; }\n    q\n}\n// SAFETY: none needed\n";
+        // An escaped quote must not end its char literal early, and a
+        // label must not open one that swallows the following lines.
+        assert_eq!(ident_lines(src, "q"), [2, 5]);
+        assert_eq!(ident_lines(src, "loop"), [4]);
+        assert_eq!(comment_lines(src, "SAFETY"), [7]);
+        // A char literal holding a comment opener must not start a
+        // comment; a lifetime must not start a char literal that would
+        // swallow the rest of the line.
+        let tricky = "let c = '/'; let s = '*'; unsafe { op::<'static>() } // SAFETY: here\n";
+        assert_eq!(ident_lines(tricky, "unsafe"), [1]);
+        assert_eq!(ident_lines(tricky, "op"), [1]);
+        assert_eq!(comment_lines(tricky, "SAFETY"), [1]);
+    }
+
     #[test]
     fn unterminated_literal_is_not_an_infinite_loop() {
         let lexed = lex("let s = \"never closed");

@@ -49,8 +49,9 @@ pub fn run(fns: &[FnItem], graph: &CallGraph, allow: &Allowlist) -> Vec<Finding>
                 message: format!(
                     "raw `mul_add` in `{}` outside an FMA gate: contracts on FMA hardware, \
                      falls back to libm otherwise — likelihoods diverge across machines. Gate \
-                     it under #[cfg(target_feature = \"fma\")] or route through the gated \
-                     helper in kernels/vector.rs",
+                     it under #[cfg(target_feature = \"fma\")], keep it inside a \
+                     #[target_feature(enable = \"fma\")] fn as kernels/simd.rs does, or write \
+                     plain `a * b + c` as kernels/scalar.rs does",
                     f.qualified()
                 ),
             });
@@ -105,7 +106,7 @@ mod tests {
     use crate::item::extract;
 
     fn run_on(src: &str, allow: &str) -> Vec<Finding> {
-        let items = extract("crates/core/src/kernels/vector.rs", src, &[]);
+        let items = extract("crates/core/src/kernels/scalar.rs", src, &[]);
         let graph = CallGraph::build(&items.fns);
         run(&items.fns, &graph, &Allowlist::parse(allow))
     }

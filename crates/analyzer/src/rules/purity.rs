@@ -4,11 +4,13 @@
 //!
 //! Two entry tiers:
 //!
-//! * **Kernel tier** — the eleven `Kernels` trait methods
-//!   (`newview_tt/ti/ii`, `evaluate_ti/ii`, `derivative_sum_ti/ii`,
-//!   `derivative_core`, and the weight-folded class variants
-//!   `evaluate_classes_ti/ii`, `derivative_core_classes`) as
-//!   defined/implemented under `src/kernels`.
+//! * **Kernel tier** — the eleven `Kernels` trait methods as
+//!   defined/implemented under `src/kernels`: the eight a backend
+//!   writes (`newview_tt/ti/ii`, `derivative_sum_ti/ii` and the
+//!   phase-1 reductions `evaluate_classes_ti/ii`,
+//!   `derivative_core_classes`) and the three full-width root kernels
+//!   the trait provides on top of them (`evaluate_ti/ii`,
+//!   `derivative_core`, in `kernels.rs`).
 //!   Checked categories: `panic`, `alloc`, `index`.
 //! * **Worker tier** — `worker_loop` in `parallel/src/forkjoin.rs`,
 //!   the fork-join workers' steady-state loop. Checked categories:
@@ -26,7 +28,8 @@ use crate::report::Finding;
 use crate::rules::Allowlist;
 use std::collections::BTreeMap;
 
-/// The eleven PLF kernel entry points (`Kernels` trait methods).
+/// The eleven PLF kernel entry points (`Kernels` trait methods,
+/// required and provided).
 pub const KERNEL_ENTRY_POINTS: &[&str] = &[
     "newview_tt",
     "newview_ti",

@@ -1,4 +1,4 @@
-//! Criterion benches: the four PLF kernels, scalar vs vector variants
+//! Criterion benches: the four PLF kernels, scalar vs explicit-SIMD
 //! (the host-side counterpart of the paper's Figure 2/Figure 3 — the
 //! measurable effect of §V-B's loop fusion, alignment, and site
 //! blocking).
@@ -74,7 +74,7 @@ fn fixture() -> Fixture {
 
 fn bench_kernels(c: &mut Criterion) {
     let mut fx = fixture();
-    let variants = [KernelKind::Scalar, KernelKind::Vector, KernelKind::Simd];
+    let variants = [KernelKind::Scalar, KernelKind::Simd];
 
     let mut g = c.benchmark_group("newview_ii");
     g.throughput(Throughput::Elements(PATTERNS as u64));
@@ -216,7 +216,7 @@ fn bench_kernels(c: &mut Criterion) {
     g.finish();
 
     // Fill the sumtable once so derivative_core sees realistic data.
-    KernelKind::Vector.kernels().derivative_sum_ii(
+    KernelKind::Scalar.kernels().derivative_sum_ii(
         &fx.basis,
         fx.v_l.values(),
         fx.v_r.values(),

@@ -4,10 +4,9 @@
 //! Two layers are reported:
 //!   1. the `micsim` roofline prediction per kernel (the Figure 3
 //!      reproduction proper), and
-//!   2. a real host-side measurement of this crate's `vector` kernels
+//!   2. a real host-side measurement of this crate's `simd` kernels
 //!      against the `scalar` reference — the measurable effect of the
-//!      paper's §V-B loop/layout transformations on the machine the
-//!      harness runs on.
+//!      paper's §V-B vectorization on the machine the harness runs on.
 //!
 //! Run: `cargo run --release -p phylo-bench --bin fig3_kernel_speedups`
 
@@ -28,11 +27,11 @@ fn main() {
     }
 
     println!();
-    println!("Host-side ablation: vector vs scalar kernel implementations");
-    println!("(real wall time on this machine; §V-B layout + fusion + blocking)");
+    println!("Host-side ablation: simd vs scalar kernel implementations");
+    println!("(real wall time on this machine; §V-B explicit vectorization)");
     println!();
     let (tree, aln) = paper_dataset(15, 20_000, 99);
-    for kind in [KernelKind::Scalar, KernelKind::Vector, KernelKind::Simd] {
+    for kind in [KernelKind::Scalar, KernelKind::Simd] {
         let mut engine = LikelihoodEngine::new(
             &tree,
             &aln,

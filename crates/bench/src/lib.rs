@@ -16,7 +16,7 @@ use phylo_models::{DiscreteGamma, Gtr, GtrParams};
 use phylo_search::{MlSearch, SearchConfig};
 use phylo_tree::build::{default_names, random_tree};
 use phylo_tree::Tree;
-use plf_core::{EngineConfig, KernelKind};
+use plf_core::EngineConfig;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -64,7 +64,6 @@ pub fn record_trace(patterns: usize, ranks: usize, seed: u64) -> WorkloadTrace {
     let names = true_tree.tip_names().to_vec();
     let start = random_tree(&names, 0.1, &mut SmallRng::seed_from_u64(seed ^ 0xfeed)).unwrap();
     let config = EngineConfig {
-        kernel: KernelKind::Vector,
         alpha: 0.85,
         ..EngineConfig::default()
     };

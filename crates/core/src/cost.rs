@@ -30,7 +30,7 @@
 //!   the derivative exp tables) are excluded: they stay cache-resident
 //!   across the site loop and contribute no per-site traffic;
 //! * write-allocate traffic on output buffers is not modeled (the
-//!   vector/simd backends stream stores past large outputs anyway).
+//!   simd backend streams stores past large outputs anyway).
 //!
 //! The derived per-site costs are pinned by unit tests against
 //! hand-computed values, so any change to a kernel's loop structure

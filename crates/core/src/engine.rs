@@ -33,13 +33,12 @@ use crate::blocking::{BlockJob, Blocking};
 use crate::cla::Cla;
 use crate::cost::KernelOp;
 use crate::instrument::KernelStats;
-use crate::kernels::{positive, KernelKind, Kernels};
+use crate::kernels::{derivative_ratios, site_log_likelihood, KernelKind, Kernels};
 use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
 use crate::repeats::{
     ClassSource, RepeatBuildStats, RepeatIndex, RepeatKey, RepeatScratch, RepeatStats, RepeatTable,
     SiteRepeats,
 };
-use crate::scaling::LN_SCALE;
 use crate::{AlignedVec, NUM_RATES, SITE_STRIDE};
 use phylo_bio::CompressedAlignment;
 use phylo_models::{DiscreteGamma, Eigensystem, Gtr, GtrParams, ProbMatrix};
@@ -1085,8 +1084,8 @@ impl LikelihoodEngine {
                 // Per-class evaluate tail, exactly as the full-width
                 // kernel computes it at the representative site.
                 let scale_r = cla_r.scale();
-                for (c, &s) in reprs.iter().enumerate() {
-                    vals[c] = positive(vals[c]).ln() - scale_r[s as usize] as f64 * LN_SCALE;
+                for (v, &s) in vals.iter_mut().zip(reprs) {
+                    *v = site_log_likelihood(*v, scale_r[s as usize]);
                 }
                 KernelOp::EvaluateTi
             } else {
@@ -1101,10 +1100,9 @@ impl LikelihoodEngine {
                     &mut vals[..nc],
                 );
                 let (scale_q, scale_r) = (cla_q.scale(), cla_r.scale());
-                for (c, &s) in reprs.iter().enumerate() {
+                for (v, &s) in vals.iter_mut().zip(reprs) {
                     let s = s as usize;
-                    let sc = (scale_q[s] + scale_r[s]) as f64;
-                    vals[c] = positive(vals[c]).ln() - sc * LN_SCALE;
+                    *v = site_log_likelihood(*v, scale_q[s] + scale_r[s]);
                 }
                 KernelOp::EvaluateIi
             };
@@ -1284,12 +1282,8 @@ impl LikelihoodEngine {
                 // Per-class ratio tail, exactly as the full-width
                 // kernel computes it at the representative site;
                 // stored in place as (d1 term, d2 term) pairs.
-                for c in 0..nc {
-                    let l = positive(vals[3 * c]);
-                    let ratio1 = vals[3 * c + 1] / l;
-                    let ratio2 = vals[3 * c + 2] / l - ratio1 * ratio1;
-                    vals[3 * c] = ratio1;
-                    vals[3 * c + 1] = ratio2;
+                for l in vals[..3 * nc].chunks_exact_mut(3) {
+                    (l[0], l[1]) = derivative_ratios(l[0], l[1], l[2]);
                 }
                 // Weighted accumulation in original site order — the
                 // same additions in the same order as the full-width
@@ -1396,8 +1390,8 @@ mod tests {
         (tree, aln)
     }
 
-    fn engines(tree: &Tree, aln: &CompressedAlignment) -> [LikelihoodEngine; 3] {
-        [KernelKind::Scalar, KernelKind::Vector, KernelKind::Simd].map(|kernel| {
+    fn engines(tree: &Tree, aln: &CompressedAlignment) -> [LikelihoodEngine; 2] {
+        [KernelKind::Scalar, KernelKind::Simd].map(|kernel| {
             LikelihoodEngine::new(
                 tree,
                 aln,
@@ -1441,12 +1435,10 @@ mod tests {
     #[test]
     fn all_backends_agree_bitwise_closely() {
         let (tree, aln) = five_taxon();
-        let [mut s, mut v, mut x] = engines(&tree, &aln);
+        let [mut s, mut x] = engines(&tree, &aln);
         for e in tree.edge_ids() {
             let ls = s.log_likelihood(&tree, e);
-            let lv = v.log_likelihood(&tree, e);
             let lx = x.log_likelihood(&tree, e);
-            assert!((ls - lv).abs() < 1e-10, "edge {e}: {ls} vs {lv}");
             assert!((ls - lx).abs() < 1e-10, "edge {e}: {ls} vs simd {lx}");
         }
     }
@@ -1610,7 +1602,7 @@ mod tests {
     #[test]
     fn blocked_traversal_is_bit_identical_with_identical_call_counts() {
         let (tree, aln) = blocking_fixture();
-        for kernel in [KernelKind::Scalar, KernelKind::Vector, KernelKind::Simd] {
+        for kernel in [KernelKind::Scalar, KernelKind::Simd] {
             let mk = |blocking| {
                 LikelihoodEngine::new(
                     &tree,
@@ -1666,7 +1658,7 @@ mod tests {
                 &tree,
                 &aln,
                 EngineConfig {
-                    kernel: KernelKind::Vector,
+                    kernel: KernelKind::Scalar,
                     site_repeats: SiteRepeats::Auto,
                     blocking,
                     ..EngineConfig::default()
@@ -1712,7 +1704,7 @@ mod tests {
     #[test]
     fn folded_root_paths_are_bit_identical() {
         let (tree, aln) = repeat_heavy();
-        for kernel in [KernelKind::Scalar, KernelKind::Vector, KernelKind::Simd] {
+        for kernel in [KernelKind::Scalar, KernelKind::Simd] {
             let mk = |site_repeats| {
                 LikelihoodEngine::new(
                     &tree,

@@ -1,56 +1,54 @@
-//! The four PLF kernels, in scalar and vectorized variants.
+//! The four PLF kernels, as a scalar reference and an explicit-SIMD
+//! backend.
 //!
 //! All kernels operate on pattern-major buffers with
 //! [`crate::SITE_STRIDE`] doubles per pattern. Tip sides are always
 //! canonicalized to the *left* operand by the engine (legal under
 //! time-reversibility, where the likelihood of a branch is symmetric in
 //! its endpoints).
+//!
+//! A backend writes one body per [`crate::KernelOp`]: the three
+//! `newview` shapes, the two `derivativeSum` shapes, and the §V-B4
+//! phase-1 reductions of `evaluate` and `derivativeCore`
+//! (`evaluate_classes_ti/ii`, `derivative_core_classes`). The scalar
+//! phase-2 tails — `ln` minus the scaling correction, the `ℓ'/ℓ`
+//! ratios, the weighted sum in site order — are written once, here,
+//! and shared by the full-width provided methods and the engine's
+//! weight-folded root paths.
 
-pub mod auto;
 pub mod scalar;
 pub mod simd;
-pub mod vector;
 
 use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
-use crate::SITE_STRIDE;
+use crate::scaling::LN_SCALE;
+use crate::{SITE_BLOCK, SITE_STRIDE};
 
 /// Which kernel implementation an engine uses.
 ///
-/// `Scalar`, `Vector` and `Simd` name concrete backends; `Auto` is the
-/// runtime dispatcher (the engine default): on AVX2+FMA hosts it routes
-/// each kernel call to the backend measured fastest for that kernel and
-/// input size ([`auto::AutoKernels`]), and on other hosts it runs the
-/// portable vector backend. All
-/// parsing and rendering of kernel names goes through the single
+/// `Scalar` and `Simd` name concrete backends; `Auto` (the engine
+/// default) is a name for "the fastest backend this host can run",
+/// resolved exactly once, by [`KernelKind::resolve`]. All parsing and
+/// rendering of kernel names goes through the single
 /// [`std::str::FromStr`]/[`std::fmt::Display`] pair below — `match`
 /// sites over user-facing names must not be duplicated elsewhere, so
 /// adding a variant cannot silently miss a site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// Straightforward nested-loop reference implementation.
+    /// Straightforward nested-loop reference implementation; also the
+    /// fallback on hosts without AVX2+FMA.
     Scalar,
-    /// MIC-style fused-loop, site-blocked implementation (§V-B),
-    /// written so LLVM auto-vectorizes.
-    Vector,
     /// Explicit AVX2+FMA intrinsics with streaming stores and
-    /// prefetching (§V-B1–B5 on commodity x86). Resolves to `Vector`
+    /// prefetching (§V-B1–B5 on commodity x86). Resolves to `Scalar`
     /// on hosts without AVX2+FMA (and on non-x86 targets).
     Simd,
-    /// Runtime dispatch: on SIMD-capable hosts, size/kernel-aware
-    /// routing between `Simd` and the portable backends
-    /// ([`auto::AutoKernels`]); else `Vector`.
+    /// `Simd` where the host supports it, else `Scalar`.
     Auto,
 }
 
 impl KernelKind {
     /// Every variant, in parse/display order (for round-trip tests and
     /// CLI help).
-    pub const ALL: [KernelKind; 4] = [
-        KernelKind::Scalar,
-        KernelKind::Vector,
-        KernelKind::Simd,
-        KernelKind::Auto,
-    ];
+    pub const ALL: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Simd, KernelKind::Auto];
 
     /// Whether the explicit-SIMD backend can run on this host (x86-64
     /// with AVX2 and FMA detected at runtime).
@@ -58,21 +56,19 @@ impl KernelKind {
         simd::simd_available()
     }
 
-    /// Resolves runtime dispatch to a concrete backend for *reporting*:
-    /// `Auto` names `Simd` when the host supports it and `Vector`
-    /// otherwise; `Simd` likewise degrades to `Vector` on hosts without
-    /// AVX2+FMA. The resolved kind is what engines record in trace
-    /// metadata. Note that dispatch itself goes through [`Self::kernels`],
-    /// where `Auto` keeps its size/kernel-aware routing
-    /// ([`auto::AutoKernels`]) rather than pinning one backend.
+    /// The one place `Auto` (and a `Simd` request the host cannot
+    /// honour) becomes a concrete backend: `Simd` on AVX2+FMA hosts,
+    /// `Scalar` everywhere else. Engines dispatch through the resolved
+    /// kind and record it in trace metadata, so the backend a trace
+    /// reports is the backend that ran every op.
     pub fn resolve(self) -> KernelKind {
         match self {
-            KernelKind::Scalar | KernelKind::Vector => self,
+            KernelKind::Scalar => self,
             KernelKind::Simd | KernelKind::Auto => {
                 if Self::simd_available() {
                     KernelKind::Simd
                 } else {
-                    KernelKind::Vector
+                    KernelKind::Scalar
                 }
             }
         }
@@ -101,26 +97,20 @@ impl KernelKind {
 
     /// The backend an engine configured with `self` actually runs:
     /// `PHYLOMIC_KERNELS` (when set) overrides the configured kind,
-    /// then runtime dispatch resolves to a concrete backend.
+    /// then [`Self::resolve`] picks the concrete backend.
     pub fn effective(self) -> KernelKind {
         Self::env_override().unwrap_or(self).resolve()
     }
 
-    /// The implementation behind this kind. `Scalar`/`Vector` name
-    /// their backends directly; `Simd` degrades to the portable vector
-    /// backend on hosts without AVX2+FMA; `Auto` dispatches through
-    /// [`auto::AutoKernels`], which routes each call to the backend
-    /// measured fastest for that kernel and input size (falling back to
-    /// `Vector` outright on hosts where SIMD can never win).
+    /// The implementation a kind names — a plain name-to-backend map
+    /// with no host or size test of its own. Engines call it on a
+    /// resolved kind; called on `Auto` (or on `Simd` without AVX2+FMA)
+    /// it yields [`simd::SimdKernels`], whose every method falls back
+    /// to the scalar backend on such hosts.
     pub fn kernels(self) -> &'static dyn Kernels {
         match self {
             KernelKind::Scalar => &scalar::ScalarKernels,
-            KernelKind::Vector => &vector::VectorKernels,
-            KernelKind::Simd | KernelKind::Auto if !Self::simd_available() => {
-                &vector::VectorKernels
-            }
-            KernelKind::Simd => &simd::SimdKernels,
-            KernelKind::Auto => &auto::AutoKernels,
+            KernelKind::Simd | KernelKind::Auto => &simd::SimdKernels,
         }
     }
 }
@@ -133,7 +123,7 @@ impl std::fmt::Display for KernelKindParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unknown kernel backend {:?} (expected scalar, vector, simd or auto)",
+            "unknown kernel backend {:?} (expected one of: scalar, simd, auto)",
             self.0
         )
     }
@@ -146,7 +136,6 @@ impl std::str::FromStr for KernelKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "scalar" => Ok(KernelKind::Scalar),
-            "vector" => Ok(KernelKind::Vector),
             "simd" => Ok(KernelKind::Simd),
             "auto" => Ok(KernelKind::Auto),
             other => Err(KernelKindParseError(other.to_string())),
@@ -158,19 +147,26 @@ impl std::fmt::Display for KernelKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             KernelKind::Scalar => "scalar",
-            KernelKind::Vector => "vector",
             KernelKind::Simd => "simd",
             KernelKind::Auto => "auto",
         })
     }
 }
 
-/// The kernel interface (paper §IV).
+/// The kernel interface (paper §IV): one required body per
+/// [`crate::KernelOp`].
 ///
 /// Buffer conventions: `v_*` are CLA value buffers (`n·16` doubles),
 /// `scale_*` are per-pattern scaling counters (`n` entries), `codes_*`
 /// are 4-bit tip codes (`n` entries), `out` buffers follow the same
 /// shapes, and `weights` are pattern multiplicities.
+///
+/// `evaluate` and `derivativeCore` follow the paper's §V-B4 site
+/// blocking: a backend supplies only the per-site vector reduction
+/// (`evaluate_classes_ti/ii`, `derivative_core_classes`); the scalar
+/// tail "on the whole block" and the weighted sum are the provided
+/// [`Kernels::evaluate_ti`], [`Kernels::evaluate_ii`] and
+/// [`Kernels::derivative_core`], written once for every backend.
 pub trait Kernels: Send + Sync {
     /// `newview`, both children tips.
     fn newview_tt(
@@ -210,31 +206,6 @@ pub trait Kernels: Send + Sync {
         scale_out: &mut [u32],
     );
 
-    /// `evaluate` with a tip at the virtual root's left end. Returns
-    /// the log-likelihood over all patterns.
-    fn evaluate_ti(
-        &self,
-        pi_tip: &Lut16x16,
-        codes_q: &[u8],
-        p: &FusedPmat,
-        v_r: &[f64],
-        scale_r: &[u32],
-        weights: &[u32],
-    ) -> f64;
-
-    /// `evaluate` between two inner nodes. `pi_w[m] = w_k · π_a`.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_ii(
-        &self,
-        pi_w: &[f64; SITE_STRIDE],
-        v_q: &[f64],
-        scale_q: &[u32],
-        p: &FusedPmat,
-        v_r: &[f64],
-        scale_r: &[u32],
-        weights: &[u32],
-    ) -> f64;
-
     /// `derivativeSum` with a tip on the left: writes the
     /// branch-invariant site table `out[i][m] = left̂[m] · right̂[m]`
     /// in eigen coordinates.
@@ -243,26 +214,13 @@ pub trait Kernels: Send + Sync {
     /// `derivativeSum` between two inner nodes.
     fn derivative_sum_ii(&self, basis: &EigenBasis, v_q: &[f64], v_r: &[f64], out: &mut [f64]);
 
-    /// `derivativeCore`: first and second derivative of the
-    /// log-likelihood with respect to the branch length, evaluated at
-    /// `t`, from a `derivativeSum` table.
-    fn derivative_core(
-        &self,
-        sumtable: &[f64],
-        lambda_rate: &[f64; SITE_STRIDE],
-        t: f64,
-        weights: &[u32],
-    ) -> (f64, f64);
-
-    /// Phase 1 of the weight-folded `evaluate` with a tip at the
-    /// virtual root ([`crate::repeats`] active at the root): the raw
-    /// (pre-`ln`) site likelihood at each class-representative site
-    /// `reprs[c]`, written to `out[c]`. Each value must be bitwise
-    /// equal to what `evaluate_ti` computes internally at that site —
-    /// the engine applies the log/scale tail per class and the weight
-    /// accumulation in original site order, so the folded
-    /// log-likelihood matches the expand-then-evaluate path bit for
-    /// bit.
+    /// Phase 1 of `evaluate` with a tip at the virtual root's left
+    /// end: the raw (pre-`ln`) site likelihood at each site `reprs[c]`,
+    /// written to `out[c]`. `reprs` is the identity for the full-width
+    /// [`Kernels::evaluate_ti`] and the class representatives for the
+    /// engine's weight-folded root path ([`crate::repeats`]); the
+    /// value at a site must not depend on which other sites are asked
+    /// for, so both paths see the same bits.
     fn evaluate_classes_ti(
         &self,
         pi_tip: &Lut16x16,
@@ -273,10 +231,10 @@ pub trait Kernels: Send + Sync {
         out: &mut [f64],
     );
 
-    /// Phase 1 of the weight-folded `evaluate` between two inner
-    /// nodes: like [`Kernels::evaluate_classes_ti`], with `codes_q`
-    /// replaced by the full `v_q` CLA. `v_q`/`v_r` are the engine's
-    /// full-width buffers; only the columns at `reprs` are read.
+    /// Phase 1 of `evaluate` between two inner nodes: like
+    /// [`Kernels::evaluate_classes_ti`], with `codes_q` replaced by the
+    /// `v_q` CLA. `pi_w[m] = w_k · π_a`. Only the columns of `v_q`/`v_r`
+    /// at `reprs` are read.
     fn evaluate_classes_ii(
         &self,
         pi_w: &[f64; SITE_STRIDE],
@@ -287,14 +245,10 @@ pub trait Kernels: Send + Sync {
         out: &mut [f64],
     );
 
-    /// Phase 1 of the weight-folded `derivativeCore` over a
-    /// class-indexed sumtable (`out.len()/3` contiguous class
-    /// columns): per class `c` the raw triple `(ℓ, ℓ', ℓ'')` — the
-    /// site likelihood and its first two branch-length derivatives —
-    /// written to `out[3c..3c+3]`, each bitwise equal to the values
-    /// `derivative_core` computes internally. The engine folds the
-    /// per-class ratios into the weighted reduction in original site
-    /// order.
+    /// Phase 1 of `derivativeCore` over `out.len()/3` contiguous
+    /// sumtable columns: per column `c` the raw triple `(ℓ, ℓ', ℓ'')` —
+    /// the site likelihood and its first two branch-length derivatives
+    /// at `t` — written to `out[3c..3c+3]`.
     fn derivative_core_classes(
         &self,
         sumtable: &[f64],
@@ -302,6 +256,146 @@ pub trait Kernels: Send + Sync {
         t: f64,
         out: &mut [f64],
     );
+
+    /// `evaluate` with a tip at the virtual root's left end. Returns
+    /// the log-likelihood over all patterns.
+    fn evaluate_ti(
+        &self,
+        pi_tip: &Lut16x16,
+        codes_q: &[u8],
+        p: &FusedPmat,
+        v_r: &[f64],
+        scale_r: &[u32],
+        weights: &[u32],
+    ) -> f64 {
+        let mut block = [0.0; ROOT_CHUNK];
+        let mut log_l = 0.0;
+        for (i, w) in weights.chunks(ROOT_CHUNK).enumerate() {
+            let at = i * ROOT_CHUNK;
+            let sites = at..at + w.len();
+            self.evaluate_classes_ti(
+                pi_tip,
+                &codes_q[sites.clone()],
+                p,
+                site_columns(v_r, &sites),
+                &IDENTITY[..w.len()],
+                &mut block[..w.len()],
+            );
+            for ((&l, &sc), &w) in block.iter().zip(&scale_r[sites]).zip(w) {
+                log_l += w as f64 * site_log_likelihood(l, sc);
+            }
+        }
+        log_l
+    }
+
+    /// `evaluate` between two inner nodes.
+    #[allow(clippy::too_many_arguments)]
+    fn evaluate_ii(
+        &self,
+        pi_w: &[f64; SITE_STRIDE],
+        v_q: &[f64],
+        scale_q: &[u32],
+        p: &FusedPmat,
+        v_r: &[f64],
+        scale_r: &[u32],
+        weights: &[u32],
+    ) -> f64 {
+        let mut block = [0.0; ROOT_CHUNK];
+        let mut log_l = 0.0;
+        for (i, w) in weights.chunks(ROOT_CHUNK).enumerate() {
+            let at = i * ROOT_CHUNK;
+            let sites = at..at + w.len();
+            self.evaluate_classes_ii(
+                pi_w,
+                site_columns(v_q, &sites),
+                p,
+                site_columns(v_r, &sites),
+                &IDENTITY[..w.len()],
+                &mut block[..w.len()],
+            );
+            let scales = scale_q[sites.clone()].iter().zip(&scale_r[sites]);
+            for ((&l, (&sq, &sr)), &w) in block.iter().zip(scales).zip(w) {
+                log_l += w as f64 * site_log_likelihood(l, sq + sr);
+            }
+        }
+        log_l
+    }
+
+    /// `derivativeCore`: first and second derivative of the
+    /// log-likelihood with respect to the branch length, evaluated at
+    /// `t`, from a `derivativeSum` table.
+    fn derivative_core(
+        &self,
+        sumtable: &[f64],
+        lambda_rate: &[f64; SITE_STRIDE],
+        t: f64,
+        weights: &[u32],
+    ) -> (f64, f64) {
+        debug_assert_eq!(sumtable.len(), weights.len() * SITE_STRIDE);
+        let mut block = [0.0; 3 * ROOT_CHUNK];
+        let (mut dlnl, mut d2lnl) = (0.0, 0.0);
+        for (i, w) in weights.chunks(ROOT_CHUNK).enumerate() {
+            let at = i * ROOT_CHUNK;
+            let block = &mut block[..3 * w.len()];
+            self.derivative_core_classes(
+                site_columns(sumtable, &(at..at + w.len())),
+                lambda_rate,
+                t,
+                block,
+            );
+            for (l, &w) in block.chunks_exact(3).zip(w) {
+                let (ratio1, ratio2) = derivative_ratios(l[0], l[1], l[2]);
+                dlnl += w as f64 * ratio1;
+                d2lnl += w as f64 * ratio2;
+            }
+        }
+        (dlnl, d2lnl)
+    }
+}
+
+/// Sites per phase-1 call of the provided full-width root kernels
+/// (§V-B4 site blocking): the raw per-site values of one chunk live in
+/// a stack buffer between the vector reduction and the scalar tail.
+/// Only speed depends on it — the tail folds sites in site order
+/// whatever the chunking. 512 is where both per-call costs are noise
+/// next to the 390-site calls of a 64-taxon search: zeroing the buffer
+/// (12 KiB for `derivative_core`) and the 16 exponentials
+/// `derivative_core_classes` rebuilds per call.
+const ROOT_CHUNK: usize = 64 * SITE_BLOCK;
+
+/// `0, 1, 2, …`: the `reprs` argument that makes a class primitive
+/// compute every site of a chunk.
+static IDENTITY: [u32; ROOT_CHUNK] = {
+    let mut ids = [0; ROOT_CHUNK];
+    let mut i = 0;
+    while i < ROOT_CHUNK {
+        ids[i] = i as u32;
+        i += 1;
+    }
+    ids
+};
+
+/// The columns of `sites` in a [`SITE_STRIDE`]-wide site buffer.
+#[inline]
+fn site_columns<'a>(buf: &'a [f64], sites: &std::ops::Range<usize>) -> &'a [f64] {
+    &buf[sites.start * SITE_STRIDE..sites.end * SITE_STRIDE]
+}
+
+/// The `evaluate` tail at one site: the log of the raw site likelihood
+/// `l`, corrected for `scale` underflow-scaling events.
+#[inline]
+pub(crate) fn site_log_likelihood(l: f64, scale: u32) -> f64 {
+    positive(l).ln() - scale as f64 * LN_SCALE
+}
+
+/// The `derivativeCore` tail at one site: the site's contributions
+/// `ℓ'/ℓ` and `ℓ''/ℓ − (ℓ'/ℓ)²` to the first and second derivative of
+/// the log-likelihood.
+#[inline]
+pub(crate) fn derivative_ratios(l: f64, l1: f64, l2: f64) -> (f64, f64) {
+    let l = positive(l);
+    let ratio1 = l1 / l;
+    (ratio1, l2 / l - ratio1 * ratio1)
 }
 
 /// Shared helper: the per-branch exponential tables of
@@ -328,7 +422,7 @@ pub(crate) fn derivative_exp_tables(
 /// Guard against a zero site likelihood (possible only when scaling has
 /// been defeated by pathological inputs); keeps `ln` finite.
 #[inline]
-pub(crate) fn positive(l: f64) -> f64 {
+fn positive(l: f64) -> f64 {
     debug_assert!(l >= 0.0, "negative site likelihood {l}");
     l.max(f64::MIN_POSITIVE)
 }
@@ -336,6 +430,7 @@ pub(crate) fn positive(l: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AlignedVec;
 
     #[test]
     fn kernel_kind_display_parse_round_trips_all_variants() {
@@ -348,10 +443,9 @@ mod tests {
 
     #[test]
     fn unknown_names_are_rejected_with_the_full_menu() {
-        let err = "avx512".parse::<KernelKind>().unwrap_err();
-        let msg = err.to_string();
-        for kind in KernelKind::ALL {
-            assert!(msg.contains(&kind.to_string()), "{msg} missing {kind}");
+        for gone in ["avx512", "vector"] {
+            let msg = gone.parse::<KernelKind>().unwrap_err().to_string();
+            assert!(msg.contains("scalar, simd, auto"), "{msg}");
         }
     }
 
@@ -362,9 +456,8 @@ mod tests {
             assert_ne!(r, KernelKind::Auto, "{kind} resolved to Auto");
             assert_eq!(r, r.resolve(), "resolve must be idempotent");
         }
-        // Scalar and Vector are never redirected.
+        // Scalar is never redirected.
         assert_eq!(KernelKind::Scalar.resolve(), KernelKind::Scalar);
-        assert_eq!(KernelKind::Vector.resolve(), KernelKind::Vector);
     }
 
     #[test]
@@ -372,7 +465,7 @@ mod tests {
         let expect = if KernelKind::simd_available() {
             KernelKind::Simd
         } else {
-            KernelKind::Vector
+            KernelKind::Scalar
         };
         assert_eq!(KernelKind::Auto.resolve(), expect);
         assert_eq!(KernelKind::Simd.resolve(), expect);
@@ -386,11 +479,91 @@ mod tests {
             rows: [[0.5; SITE_STRIDE]; 16],
         };
         for kind in KernelKind::ALL {
-            let mut out = crate::AlignedVec::zeroed(SITE_STRIDE);
+            let mut out = AlignedVec::zeroed(SITE_STRIDE);
             let mut scale = [0u32; 1];
             kind.kernels()
                 .newview_tt(&lut, &lut, &[1], &[2], &mut out, &mut scale);
             assert!((out[0] - 0.25).abs() < 1e-15, "{kind}");
+        }
+    }
+
+    /// Deterministic doubles in `(0, 1)` (xorshift64*).
+    fn fill(buf: &mut [f64], seed: u64) {
+        let mut s = seed | 1;
+        for v in buf.iter_mut() {
+            s ^= s >> 12;
+            s ^= s << 25;
+            s ^= s >> 27;
+            *v = ((s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
+        }
+    }
+
+    #[test]
+    fn provided_root_kernels_equal_the_per_site_definition_bit_for_bit() {
+        use phylo_models::{DiscreteGamma, Gtr, GtrParams, ProbMatrix};
+        let gtr = Gtr::new(GtrParams {
+            rates: [1.2, 2.9, 0.8, 1.1, 3.5, 1.0],
+            freqs: [0.28, 0.22, 0.21, 0.29],
+        });
+        let rates = *DiscreteGamma::new(0.7).rates();
+        let p = FusedPmat::from_prob(&ProbMatrix::new(gtr.eigen(), &rates, 0.23));
+        let basis = EigenBasis::new(gtr.eigen(), &rates);
+        let pi_tip = Lut16x16::tip_pi(&gtr.freqs());
+        let mut pi_w = [0.0; SITE_STRIDE];
+        for (m, w) in pi_w.iter_mut().enumerate() {
+            *w = 0.25 * gtr.freqs()[m % 4];
+        }
+        for n in [1, 7, ROOT_CHUNK - 1, ROOT_CHUNK, ROOT_CHUNK + 1, 1000] {
+            let mut v_q = AlignedVec::zeroed(n * SITE_STRIDE);
+            let mut v_r = AlignedVec::zeroed(n * SITE_STRIDE);
+            let mut sumtable = AlignedVec::zeroed(n * SITE_STRIDE);
+            fill(&mut v_q, 17);
+            fill(&mut v_r, 19);
+            fill(&mut sumtable, 23);
+            // Every fifth site looks like one that was rescaled on the
+            // way up: tiny values, nonzero counters.
+            for i in (0..n).step_by(5) {
+                for x in &mut v_r[i * SITE_STRIDE..(i + 1) * SITE_STRIDE] {
+                    *x *= crate::scaling::SCALE_THRESHOLD;
+                }
+            }
+            let codes: Vec<u8> = (0..n).map(|i| 1 + (i % 15) as u8).collect();
+            let scale_q: Vec<u32> = (0..n).map(|i| (i % 3) as u32).collect();
+            let scale_r: Vec<u32> = (0..n).map(|i| (i % 5 == 0) as u32 + (i % 2) as u32).collect();
+            let weights: Vec<u32> = (0..n).map(|i| 1 + (i % 4) as u32).collect();
+            let site = |buf: &[f64], i: usize| -> AlignedVec {
+                let mut one = AlignedVec::zeroed(SITE_STRIDE);
+                one.copy_from_slice(&buf[i * SITE_STRIDE..(i + 1) * SITE_STRIDE]);
+                one
+            };
+            for kind in [KernelKind::Scalar, KernelKind::Simd] {
+                let k = kind.kernels();
+                let (mut ti, mut ii, mut d1, mut d2) = (0.0, 0.0, 0.0, 0.0);
+                for i in 0..n {
+                    let (q, r, s) = (site(&v_q, i), site(&v_r, i), site(&sumtable, i));
+                    let w = weights[i] as f64;
+                    let mut l = [0.0];
+                    k.evaluate_classes_ti(&pi_tip, &codes[i..=i], &p, &r, &[0], &mut l);
+                    ti += w * (l[0].max(f64::MIN_POSITIVE).ln() - scale_r[i] as f64 * LN_SCALE);
+                    k.evaluate_classes_ii(&pi_w, &q, &p, &r, &[0], &mut l);
+                    let sc = (scale_q[i] + scale_r[i]) as f64;
+                    ii += w * (l[0].max(f64::MIN_POSITIVE).ln() - sc * LN_SCALE);
+                    let mut l = [0.0; 3];
+                    k.derivative_core_classes(&s, &basis.lambda_rate, 0.31, &mut l);
+                    let l0 = l[0].max(f64::MIN_POSITIVE);
+                    let ratio1 = l[1] / l0;
+                    d1 += w * ratio1;
+                    d2 += w * (l[2] / l0 - ratio1 * ratio1);
+                }
+                let got_ti = k.evaluate_ti(&pi_tip, &codes, &p, &v_r, &scale_r, &weights);
+                let got_ii = k.evaluate_ii(&pi_w, &v_q, &scale_q, &p, &v_r, &scale_r, &weights);
+                let got_d = k.derivative_core(&sumtable, &basis.lambda_rate, 0.31, &weights);
+                assert!(ti.is_finite() && ii.is_finite() && d1.is_finite() && d2.is_finite());
+                assert_eq!(got_ti.to_bits(), ti.to_bits(), "{kind} n={n} evaluate_ti");
+                assert_eq!(got_ii.to_bits(), ii.to_bits(), "{kind} n={n} evaluate_ii");
+                assert_eq!(got_d.0.to_bits(), d1.to_bits(), "{kind} n={n} dlnl");
+                assert_eq!(got_d.1.to_bits(), d2.to_bits(), "{kind} n={n} d2lnl");
+            }
         }
     }
 }

@@ -3,12 +3,13 @@
 //! Deliberately written the way the pre-port C code computes: nested
 //! loops over rate categories and states, per-(k, a) dot products over
 //! child states, no fused multiply-add, no layout tricks. This is the
-//! baseline the paper's §V optimizations are measured against, and the
-//! oracle the vector variant is tested against.
+//! baseline the paper's §V optimizations are measured against, the
+//! oracle the explicit-SIMD backend is tested against, and the backend
+//! every host without AVX2+FMA runs.
 
-use super::{derivative_exp_tables, positive, Kernels};
+use super::{derivative_exp_tables, Kernels};
 use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
-use crate::scaling::{scale_site, LN_SCALE};
+use crate::scaling::scale_site;
 use crate::{NUM_RATES, NUM_STATES, SITE_STRIDE};
 
 /// Scalar kernel set.
@@ -102,68 +103,6 @@ impl Kernels for ScalarKernels {
         }
     }
 
-    fn evaluate_ti(
-        &self,
-        pi_tip: &Lut16x16,
-        codes_q: &[u8],
-        p: &FusedPmat,
-        v_r: &[f64],
-        scale_r: &[u32],
-        weights: &[u32],
-    ) -> f64 {
-        let n = weights.len();
-        let mut log_l = 0.0;
-        for i in 0..n {
-            let piq = &pi_tip.rows[codes_q[i] as usize];
-            let vr = &v_r[i * SITE_STRIDE..(i + 1) * SITE_STRIDE];
-            let mut site = 0.0;
-            for k in 0..NUM_RATES {
-                for a in 0..NUM_STATES {
-                    let mut x = 0.0;
-                    for b in 0..NUM_STATES {
-                        x += p_entry(p, k, a, b) * vr[4 * k + b];
-                    }
-                    site += piq[4 * k + a] * x;
-                }
-            }
-            let w = weights[i] as f64;
-            log_l += w * (positive(site).ln() - scale_r[i] as f64 * LN_SCALE);
-        }
-        log_l
-    }
-
-    fn evaluate_ii(
-        &self,
-        pi_w: &[f64; SITE_STRIDE],
-        v_q: &[f64],
-        scale_q: &[u32],
-        p: &FusedPmat,
-        v_r: &[f64],
-        scale_r: &[u32],
-        weights: &[u32],
-    ) -> f64 {
-        let n = weights.len();
-        let mut log_l = 0.0;
-        for i in 0..n {
-            let vq = &v_q[i * SITE_STRIDE..(i + 1) * SITE_STRIDE];
-            let vr = &v_r[i * SITE_STRIDE..(i + 1) * SITE_STRIDE];
-            let mut site = 0.0;
-            for k in 0..NUM_RATES {
-                for a in 0..NUM_STATES {
-                    let mut x = 0.0;
-                    for b in 0..NUM_STATES {
-                        x += p_entry(p, k, a, b) * vr[4 * k + b];
-                    }
-                    site += pi_w[4 * k + a] * vq[4 * k + a] * x;
-                }
-            }
-            let w = weights[i] as f64;
-            let sc = (scale_q[i] + scale_r[i]) as f64;
-            log_l += w * (positive(site).ln() - sc * LN_SCALE);
-        }
-        log_l
-    }
-
     fn derivative_sum_ti(&self, basis: &EigenBasis, codes_q: &[u8], v_r: &[f64], out: &mut [f64]) {
         let n = out.len() / SITE_STRIDE;
         for i in 0..n {
@@ -202,37 +141,6 @@ impl Kernels for ScalarKernels {
                 }
             }
         }
-    }
-
-    fn derivative_core(
-        &self,
-        sumtable: &[f64],
-        lambda_rate: &[f64; SITE_STRIDE],
-        t: f64,
-        weights: &[u32],
-    ) -> (f64, f64) {
-        let n = weights.len();
-        debug_assert_eq!(sumtable.len(), n * SITE_STRIDE);
-        let (e, d1, d2) = derivative_exp_tables(lambda_rate, t);
-        let mut dlnl = 0.0;
-        let mut d2lnl = 0.0;
-        for i in 0..n {
-            let s = &sumtable[i * SITE_STRIDE..(i + 1) * SITE_STRIDE];
-            let mut l = 0.0;
-            let mut l1 = 0.0;
-            let mut l2 = 0.0;
-            for m in 0..SITE_STRIDE {
-                l += s[m] * e[m];
-                l1 += s[m] * d1[m];
-                l2 += s[m] * d2[m];
-            }
-            let l = positive(l);
-            let w = weights[i] as f64;
-            let ratio1 = l1 / l;
-            dlnl += w * ratio1;
-            d2lnl += w * (l2 / l - ratio1 * ratio1);
-        }
-        (dlnl, d2lnl)
     }
 
     fn evaluate_classes_ti(
@@ -316,4 +224,23 @@ impl Kernels for ScalarKernels {
             out[3 * c + 2] = l2;
         }
     }
+}
+
+/// CI tripwire, compiled only under the `seed-hotpath-bug` feature
+/// (see Cargo.toml): a deliberately impure kernel entry point the
+/// analyzer must flag. The name matches a PLF entry point so the
+/// purity rule roots reachability here; the raw `mul_add` reproduces
+/// the libm-collapse shape the fpdet rule pins (without hardware FMA
+/// it lowers to a ~10× slower libm call); the `unwrap` and unchecked
+/// indexing seed the panic/index categories. `cargo xtask lint
+/// --cfg-feature seed-hotpath-bug` must fail on this fn — CI asserts
+/// that it does.
+#[cfg(feature = "seed-hotpath-bug")]
+pub fn derivative_core(sumtable: &[f64], lambda: &[f64], t: f64) -> f64 {
+    let scale = lambda.first().copied().unwrap() * t;
+    let mut acc = 0.0;
+    for i in 0..sumtable.len() {
+        acc = sumtable[i].mul_add(scale, acc);
+    }
+    acc
 }

@@ -1,9 +1,9 @@
 //! Explicit-SIMD kernel implementations (AVX2+FMA).
 //!
-//! Where [`super::vector`] renders the paper's §V-B optimizations
-//! portably and hopes LLVM auto-vectorizes, this backend writes them
-//! with `core::arch::x86_64` intrinsics — the commodity-hardware
-//! equivalent of the paper's hand-vectorized MIC kernels:
+//! Where [`super::scalar`] writes the kernels as plain nested loops,
+//! this backend writes the paper's §V-B optimizations with
+//! `core::arch::x86_64` intrinsics — the commodity-hardware equivalent
+//! of the paper's hand-vectorized MIC kernels:
 //!
 //! * §V-B1 *explicit vectorization* — the 16-wide fused loop is split
 //!   across four 4×f64 AVX2 lanes, one per Γ rate category (`m = 4k +
@@ -13,9 +13,10 @@
 //!   64-byte aligned and whole-site padded (debug-asserted at every
 //!   kernel entry; see [`crate::layout`] for the invariant), so every
 //!   site loads full vectors with no scalar remainder;
-//! * §V-B4 *site blocking* — `evaluate`/`derivativeCore` keep the
-//!   vector phase and the scalar log/division tail in separate
-//!   8-site-block passes;
+//! * §V-B4 *site blocking* — `evaluate`/`derivativeCore` are only the
+//!   vector phase here (`evaluate_classes_*`, `derivative_core_classes`);
+//!   the scalar log/division tail runs over whole blocks in the
+//!   provided methods of [`super::Kernels`];
 //! * §V-B5 *streaming stores* — `newview` CLAs and `derivativeSum`
 //!   tables are written exactly once and never read back in-kernel, so
 //!   they leave through non-temporal stores (`_mm256_stream_pd`),
@@ -25,22 +26,28 @@
 //!   few sites ahead into L1, the §V-B MIC prefetch scheme.
 //!
 //! The underflow-scaling decision reuses [`crate::scaling::scale_site`]
-//! on an aligned stack staging buffer, so scaling counters are
-//! bit-identical to the scalar and vector backends (rescaling
-//! multiplies by an exact power of two, so values stay bit-identical
-//! too).
+//! — in place on the freshly written output site, or on an aligned
+//! stack staging buffer when the site leaves through streaming stores —
+//! so scaling counters are bit-identical to the scalar backend
+//! (rescaling multiplies by an exact power of two, so values stay
+//! bit-identical between the two finishes too).
+//!
+//! `newview_tt` is a pure 16-wide LUT product with no matrix work for
+//! the FMA chains to win anything on: it runs the scalar backend's
+//! loop, which LLVM vectorizes as it stands.
 //!
 //! On non-x86-64 targets, and on x86-64 hosts without AVX2+FMA, every
-//! method delegates to the portable [`super::vector::VectorKernels`]
-//! path; [`crate::KernelKind::resolve`] never dispatches here in that
-//! case, so the delegation is defense in depth for direct callers.
+//! method delegates to [`super::scalar::ScalarKernels`];
+//! [`crate::KernelKind::resolve`] never dispatches here in that case,
+//! so the delegation is defense in depth for direct callers.
 
+use super::scalar::ScalarKernels;
 use super::Kernels;
 use crate::aligned::debug_assert_site_buffer as assert_buf;
 use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
 use crate::SITE_STRIDE;
 
-/// Explicit AVX2+FMA kernel set (portable fallback elsewhere).
+/// Explicit AVX2+FMA kernel set (scalar fallback elsewhere).
 pub struct SimdKernels;
 
 /// Whether the explicit-SIMD backend can run on this host: x86-64 with
@@ -68,13 +75,7 @@ impl Kernels for SimdKernels {
         out: &mut [f64],
         scale_out: &mut [u32],
     ) {
-        #[cfg(target_arch = "x86_64")]
-        if simd_available() {
-            assert_buf(out, scale_out.len(), "newview_tt out");
-            // SAFETY: AVX2+FMA presence verified by simd_available().
-            return unsafe { x86::newview_tt(lut_l, lut_r, codes_l, codes_r, out, scale_out) };
-        }
-        super::vector::VectorKernels.newview_tt(lut_l, lut_r, codes_l, codes_r, out, scale_out)
+        ScalarKernels.newview_tt(lut_l, lut_r, codes_l, codes_r, out, scale_out)
     }
 
     fn newview_ti(
@@ -94,7 +95,7 @@ impl Kernels for SimdKernels {
             // SAFETY: AVX2+FMA presence verified by simd_available().
             return unsafe { x86::newview_ti(lut_l, codes_l, p_r, v_r, scale_r, out, scale_out) };
         }
-        super::vector::VectorKernels.newview_ti(lut_l, codes_l, p_r, v_r, scale_r, out, scale_out)
+        ScalarKernels.newview_ti(lut_l, codes_l, p_r, v_r, scale_r, out, scale_out)
     }
 
     fn newview_ii(
@@ -118,46 +119,7 @@ impl Kernels for SimdKernels {
                 x86::newview_ii(p_l, v_l, scale_l, p_r, v_r, scale_r, out, scale_out)
             };
         }
-        super::vector::VectorKernels
-            .newview_ii(p_l, v_l, scale_l, p_r, v_r, scale_r, out, scale_out)
-    }
-
-    fn evaluate_ti(
-        &self,
-        pi_tip: &Lut16x16,
-        codes_q: &[u8],
-        p: &FusedPmat,
-        v_r: &[f64],
-        scale_r: &[u32],
-        weights: &[u32],
-    ) -> f64 {
-        #[cfg(target_arch = "x86_64")]
-        if simd_available() {
-            assert_buf(v_r, weights.len(), "evaluate_ti v_r");
-            // SAFETY: AVX2+FMA presence verified by simd_available().
-            return unsafe { x86::evaluate_ti(pi_tip, codes_q, p, v_r, scale_r, weights) };
-        }
-        super::vector::VectorKernels.evaluate_ti(pi_tip, codes_q, p, v_r, scale_r, weights)
-    }
-
-    fn evaluate_ii(
-        &self,
-        pi_w: &[f64; SITE_STRIDE],
-        v_q: &[f64],
-        scale_q: &[u32],
-        p: &FusedPmat,
-        v_r: &[f64],
-        scale_r: &[u32],
-        weights: &[u32],
-    ) -> f64 {
-        #[cfg(target_arch = "x86_64")]
-        if simd_available() {
-            assert_buf(v_q, weights.len(), "evaluate_ii v_q");
-            assert_buf(v_r, weights.len(), "evaluate_ii v_r");
-            // SAFETY: AVX2+FMA presence verified by simd_available().
-            return unsafe { x86::evaluate_ii(pi_w, v_q, scale_q, p, v_r, scale_r, weights) };
-        }
-        super::vector::VectorKernels.evaluate_ii(pi_w, v_q, scale_q, p, v_r, scale_r, weights)
+        ScalarKernels.newview_ii(p_l, v_l, scale_l, p_r, v_r, scale_r, out, scale_out)
     }
 
     fn derivative_sum_ti(&self, basis: &EigenBasis, codes_q: &[u8], v_r: &[f64], out: &mut [f64]) {
@@ -169,7 +131,7 @@ impl Kernels for SimdKernels {
             // SAFETY: AVX2+FMA presence verified by simd_available().
             return unsafe { x86::derivative_sum_ti(basis, codes_q, v_r, out) };
         }
-        super::vector::VectorKernels.derivative_sum_ti(basis, codes_q, v_r, out)
+        ScalarKernels.derivative_sum_ti(basis, codes_q, v_r, out)
     }
 
     fn derivative_sum_ii(&self, basis: &EigenBasis, v_q: &[f64], v_r: &[f64], out: &mut [f64]) {
@@ -182,23 +144,7 @@ impl Kernels for SimdKernels {
             // SAFETY: AVX2+FMA presence verified by simd_available().
             return unsafe { x86::derivative_sum_ii(basis, v_q, v_r, out) };
         }
-        super::vector::VectorKernels.derivative_sum_ii(basis, v_q, v_r, out)
-    }
-
-    fn derivative_core(
-        &self,
-        sumtable: &[f64],
-        lambda_rate: &[f64; SITE_STRIDE],
-        t: f64,
-        weights: &[u32],
-    ) -> (f64, f64) {
-        #[cfg(target_arch = "x86_64")]
-        if simd_available() {
-            assert_buf(sumtable, weights.len(), "derivative_core sumtable");
-            // SAFETY: AVX2+FMA presence verified by simd_available().
-            return unsafe { x86::derivative_core(sumtable, lambda_rate, t, weights) };
-        }
-        super::vector::VectorKernels.derivative_core(sumtable, lambda_rate, t, weights)
+        ScalarKernels.derivative_sum_ii(basis, v_q, v_r, out)
     }
 
     fn evaluate_classes_ti(
@@ -216,7 +162,7 @@ impl Kernels for SimdKernels {
             // SAFETY: AVX2+FMA presence verified by simd_available().
             return unsafe { x86::evaluate_classes_ti(pi_tip, codes_q, p, v_r, reprs, out) };
         }
-        super::vector::VectorKernels.evaluate_classes_ti(pi_tip, codes_q, p, v_r, reprs, out)
+        ScalarKernels.evaluate_classes_ti(pi_tip, codes_q, p, v_r, reprs, out)
     }
 
     fn evaluate_classes_ii(
@@ -235,7 +181,7 @@ impl Kernels for SimdKernels {
             // SAFETY: AVX2+FMA presence verified by simd_available().
             return unsafe { x86::evaluate_classes_ii(pi_w, v_q, p, v_r, reprs, out) };
         }
-        super::vector::VectorKernels.evaluate_classes_ii(pi_w, v_q, p, v_r, reprs, out)
+        ScalarKernels.evaluate_classes_ii(pi_w, v_q, p, v_r, reprs, out)
     }
 
     fn derivative_core_classes(
@@ -251,7 +197,7 @@ impl Kernels for SimdKernels {
             // SAFETY: AVX2+FMA presence verified by simd_available().
             return unsafe { x86::derivative_core_classes(sumtable, lambda_rate, t, out) };
         }
-        super::vector::VectorKernels.derivative_core_classes(sumtable, lambda_rate, t, out)
+        ScalarKernels.derivative_core_classes(sumtable, lambda_rate, t, out)
     }
 }
 
@@ -262,10 +208,10 @@ mod x86 {
     //! must verify feature presence (see the trait impl above), which
     //! is what makes the `unsafe` call sites sound.
 
-    use super::super::{derivative_exp_tables, positive};
+    use super::super::derivative_exp_tables;
     use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
-    use crate::scaling::{scale_site, LN_SCALE};
-    use crate::{NUM_RATES, NUM_STATES, SITE_BLOCK, SITE_STRIDE};
+    use crate::scaling::scale_site;
+    use crate::{NUM_RATES, NUM_STATES, SITE_STRIDE};
     use core::arch::x86_64::{
         __m256d, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_fmadd_pd, _mm256_loadu_pd,
         _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_stream_pd,
@@ -329,7 +275,7 @@ mod x86 {
     /// scalar at 1k patterns on exactly the streamed kernels. 4096
     /// sites × 128 B = 512 KiB, about where outputs stop fitting in a
     /// per-core L2 and the reader was going to miss anyway.
-    const NT_MIN_SITES: usize = 4096;
+    pub(super) const NT_MIN_SITES: usize = 4096;
 
     /// Whether `out` should take streaming stores: every site offset
     /// must be 32-byte aligned (engine-owned buffers are 64-byte
@@ -371,6 +317,17 @@ mod x86 {
         _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(8) as *const i8);
     }
 
+    /// Prefetches the site `reprs` names [`PREFETCH_SITES`] entries
+    /// past position `c` — the next lines of a full-width sweep, or the
+    /// next scattered class representative.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn prefetch_ahead(buf: &[f64], reprs: &[u32], c: usize) {
+        if let Some(&s) = reprs.get(c + PREFETCH_SITES) {
+            prefetch_site(buf, s as usize);
+        }
+    }
+
     /// Horizontal sum of 4 lanes.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -400,50 +357,31 @@ mod x86 {
         acc
     }
 
-    /// Finishes one `newview` site: stages the 16 accumulated values,
-    /// applies the shared underflow-scaling rule (bit-identical to the
-    /// scalar/vector backends), and writes the site to `out` exactly
-    /// once — streaming when `nt`.
+    /// Finishes one `newview` site: writes the 16 accumulated values
+    /// to `out` exactly once and applies the shared underflow-scaling
+    /// rule (bit-identical to the scalar backend). A cached output is
+    /// written first and scaled where it lies; a streamed one (`nt`)
+    /// cannot be read back, so it is scaled in a stack staging buffer
+    /// and leaves through non-temporal stores.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     fn finish_site(acc: [__m256d; NUM_RATES], out: &mut [f64], at: usize, nt: bool) -> u32 {
+        if !nt {
+            let site = &mut out[at..at + SITE_STRIDE];
+            for (k, &a) in acc.iter().enumerate() {
+                store4(site, 4 * k, a);
+            }
+            return scale_site(site);
+        }
         let mut buf = SiteBuf([0.0; SITE_STRIDE]);
         for (k, &a) in acc.iter().enumerate() {
             store4(&mut buf.0, 4 * k, a);
         }
         let bumps = scale_site(&mut buf.0);
         for k in 0..NUM_RATES {
-            let v = load4(&buf.0, 4 * k);
-            if nt {
-                stream4(out, at + 4 * k, v);
-            } else {
-                store4(out, at + 4 * k, v);
-            }
+            stream4(out, at + 4 * k, load4(&buf.0, 4 * k));
         }
         bumps
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) fn newview_tt(
-        lut_l: &Lut16x16,
-        lut_r: &Lut16x16,
-        codes_l: &[u8],
-        codes_r: &[u8],
-        out: &mut [f64],
-        scale_out: &mut [u32],
-    ) {
-        let n = scale_out.len();
-        let nt = stream_ok(out, n);
-        for i in 0..n {
-            let l = &lut_l.rows[codes_l[i] as usize];
-            let r = &lut_r.rows[codes_r[i] as usize];
-            let mut acc = [_mm256_setzero_pd(); NUM_RATES];
-            for (k, a) in acc.iter_mut().enumerate() {
-                *a = _mm256_mul_pd(load4(l, 4 * k), load4(r, 4 * k));
-            }
-            scale_out[i] = finish_site(acc, out, i * SITE_STRIDE, nt);
-        }
-        drain_streams(nt);
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -501,87 +439,6 @@ mod x86 {
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) fn evaluate_ti(
-        pi_tip: &Lut16x16,
-        codes_q: &[u8],
-        p: &FusedPmat,
-        v_r: &[f64],
-        scale_r: &[u32],
-        weights: &[u32],
-    ) -> f64 {
-        let n = weights.len();
-        let mut log_l = 0.0;
-        let mut block = [0.0f64; SITE_BLOCK];
-        let mut i = 0;
-        while i < n {
-            let len = SITE_BLOCK.min(n - i);
-            // Phase 1 (§V-B4): per-site 16-wide reductions.
-            for (bi, slot) in block[..len].iter_mut().enumerate() {
-                let s = i + bi;
-                prefetch_site(v_r, s + PREFETCH_SITES);
-                let piq = &pi_tip.rows[codes_q[s] as usize];
-                let vr = &v_r[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
-                let x = matvec(&p.cols, vr);
-                let mut acc = _mm256_setzero_pd();
-                for (k, &xk) in x.iter().enumerate() {
-                    acc = _mm256_fmadd_pd(load4(piq, 4 * k), xk, acc);
-                }
-                *slot = hsum(acc);
-            }
-            // Phase 2 (scalar tail on the whole block): logs.
-            for (bi, &site) in block[..len].iter().enumerate() {
-                let s = i + bi;
-                let w = weights[s] as f64;
-                log_l += w * (positive(site).ln() - scale_r[s] as f64 * LN_SCALE);
-            }
-            i += len;
-        }
-        log_l
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) fn evaluate_ii(
-        pi_w: &[f64; SITE_STRIDE],
-        v_q: &[f64],
-        scale_q: &[u32],
-        p: &FusedPmat,
-        v_r: &[f64],
-        scale_r: &[u32],
-        weights: &[u32],
-    ) -> f64 {
-        let n = weights.len();
-        let mut log_l = 0.0;
-        let mut block = [0.0f64; SITE_BLOCK];
-        let mut i = 0;
-        while i < n {
-            let len = SITE_BLOCK.min(n - i);
-            for (bi, slot) in block[..len].iter_mut().enumerate() {
-                let s = i + bi;
-                prefetch_site(v_q, s + PREFETCH_SITES);
-                prefetch_site(v_r, s + PREFETCH_SITES);
-                let vq = &v_q[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
-                let vr = &v_r[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
-                let x = matvec(&p.cols, vr);
-                let mut acc = _mm256_setzero_pd();
-                for (k, &xk) in x.iter().enumerate() {
-                    let pq = _mm256_mul_pd(load4(&pi_w[..], 4 * k), load4(vq, 4 * k));
-                    acc = _mm256_fmadd_pd(pq, xk, acc);
-                }
-                *slot = hsum(acc);
-            }
-            for (bi, &site) in block[..len].iter().enumerate() {
-                let s = i + bi;
-                let w = weights[s] as f64;
-                let sc = (scale_q[s] + scale_r[s]) as f64;
-                log_l += w * (positive(site).ln() - sc * LN_SCALE);
-            }
-            i += len;
-        }
-        log_l
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) fn derivative_sum_ti(
         basis: &EigenBasis,
         codes_q: &[u8],
@@ -632,10 +489,8 @@ mod x86 {
         out: &mut [f64],
     ) {
         debug_assert_eq!(out.len(), reprs.len());
-        // The phase-1 reduction of `evaluate_ti` at the representative
-        // sites only; gathered (non-streaming) access, so no prefetch
-        // lookahead — the representatives are cache-scattered anyway.
-        for (c, &s) in reprs.iter().enumerate() {
+        for (c, (&s, slot)) in reprs.iter().zip(out.iter_mut()).enumerate() {
+            prefetch_ahead(v_r, reprs, c);
             let s = s as usize;
             let piq = &pi_tip.rows[codes_q[s] as usize];
             let vr = &v_r[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
@@ -644,7 +499,7 @@ mod x86 {
             for (k, &xk) in x.iter().enumerate() {
                 acc = _mm256_fmadd_pd(load4(piq, 4 * k), xk, acc);
             }
-            out[c] = hsum(acc);
+            *slot = hsum(acc);
         }
     }
 
@@ -658,7 +513,9 @@ mod x86 {
         out: &mut [f64],
     ) {
         debug_assert_eq!(out.len(), reprs.len());
-        for (c, &s) in reprs.iter().enumerate() {
+        for (c, (&s, slot)) in reprs.iter().zip(out.iter_mut()).enumerate() {
+            prefetch_ahead(v_q, reprs, c);
+            prefetch_ahead(v_r, reprs, c);
             let s = s as usize;
             let vq = &v_q[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
             let vr = &v_r[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
@@ -668,7 +525,7 @@ mod x86 {
                 let pq = _mm256_mul_pd(load4(&pi_w[..], 4 * k), load4(vq, 4 * k));
                 acc = _mm256_fmadd_pd(pq, xk, acc);
             }
-            out[c] = hsum(acc);
+            *slot = hsum(acc);
         }
     }
 
@@ -723,65 +580,6 @@ mod x86 {
             }
         }
     }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) fn derivative_core(
-        sumtable: &[f64],
-        lambda_rate: &[f64; SITE_STRIDE],
-        t: f64,
-        weights: &[u32],
-    ) -> (f64, f64) {
-        let n = weights.len();
-        debug_assert_eq!(sumtable.len(), n * SITE_STRIDE);
-        let (e, d1, d2) = derivative_exp_tables(lambda_rate, t);
-        // The per-branch exponential tables, hoisted into registers
-        // once — they are shared by every site.
-        let mut ev = [_mm256_setzero_pd(); NUM_RATES];
-        let mut d1v = [_mm256_setzero_pd(); NUM_RATES];
-        let mut d2v = [_mm256_setzero_pd(); NUM_RATES];
-        for k in 0..NUM_RATES {
-            ev[k] = load4(&e[..], 4 * k);
-            d1v[k] = load4(&d1[..], 4 * k);
-            d2v[k] = load4(&d2[..], 4 * k);
-        }
-        let mut dlnl = 0.0;
-        let mut d2lnl = 0.0;
-        let mut bl = [0.0f64; SITE_BLOCK];
-        let mut bl1 = [0.0f64; SITE_BLOCK];
-        let mut bl2 = [0.0f64; SITE_BLOCK];
-        let mut i = 0;
-        while i < n {
-            let len = SITE_BLOCK.min(n - i);
-            // Phase 1 (§V-B4): vector reductions per site.
-            for bi in 0..len {
-                let s = i + bi;
-                prefetch_site(sumtable, s + PREFETCH_SITES);
-                let sv = &sumtable[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
-                let mut al = _mm256_setzero_pd();
-                let mut al1 = _mm256_setzero_pd();
-                let mut al2 = _mm256_setzero_pd();
-                for k in 0..NUM_RATES {
-                    let x = load4(sv, 4 * k);
-                    al = _mm256_fmadd_pd(x, ev[k], al);
-                    al1 = _mm256_fmadd_pd(x, d1v[k], al1);
-                    al2 = _mm256_fmadd_pd(x, d2v[k], al2);
-                }
-                bl[bi] = hsum(al);
-                bl1[bi] = hsum(al1);
-                bl2[bi] = hsum(al2);
-            }
-            // Phase 2: the scalar divisions on the whole block.
-            for bi in 0..len {
-                let l = positive(bl[bi]);
-                let w = weights[i + bi] as f64;
-                let r1 = bl1[bi] / l;
-                dlnl += w * r1;
-                d2lnl += w * (bl2[bi] / l - r1 * r1);
-            }
-            i += len;
-        }
-        (dlnl, d2lnl)
-    }
 }
 
 #[cfg(test)]
@@ -814,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn simd_matches_vector_on_newview_ii_including_scaling() {
+    fn simd_matches_scalar_on_newview_ii_including_scaling() {
         // Values spanning down to 1e-50 force some (not all) sites
         // through the underflow-scaling path.
         for n in [1usize, 7, 8, 9, 31] {
@@ -831,7 +629,7 @@ mod tests {
                     .newview_ii(&pl, &vl, &scale, &pr, &vr, &scale, &mut out, &mut sc);
                 (out, sc)
             };
-            let (ov, sv) = run(KernelKind::Vector);
+            let (ov, sv) = run(KernelKind::Scalar);
             let (os, ss) = run(KernelKind::Simd);
             assert_eq!(sv, ss, "n={n}: scaling counters must be bit-identical");
             for (a, b) in ov.iter().zip(os.iter()) {
@@ -863,7 +661,7 @@ mod tests {
         // And the values are the right ones, not just nonzero.
         let mut out_v = AlignedVec::zeroed(n * SITE_STRIDE);
         let mut sc_v = vec![0u32; n];
-        KernelKind::Vector
+        KernelKind::Scalar
             .kernels()
             .newview_ii(&pl, &vl, &scale, &pr, &vr, &scale, &mut out_v, &mut sc_v);
         for (a, b) in out.iter().zip(out_v.iter()) {
@@ -895,7 +693,7 @@ mod tests {
             .newview_ii(&pl, &vl, &scale, &pr, &vr, &scale, out, &mut sc);
         let mut out_v = AlignedVec::zeroed(n * SITE_STRIDE);
         let mut sc_v = vec![0u32; n];
-        KernelKind::Vector
+        KernelKind::Scalar
             .kernels()
             .newview_ii(&pl, &vl, &scale, &pr, &vr, &scale, &mut out_v, &mut sc_v);
         for (a, b) in raw[1..].iter().zip(out_v.iter()) {
@@ -908,7 +706,74 @@ mod tests {
         if simd_available() {
             assert_eq!(KernelKind::Simd.resolve(), KernelKind::Simd);
         } else {
-            assert_eq!(KernelKind::Simd.resolve(), KernelKind::Vector);
+            assert_eq!(KernelKind::Simd.resolve(), KernelKind::Scalar);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn staged_and_in_place_finish_write_identical_bits() {
+        // One aligned call of ≥ NT_MIN_SITES sites streams (finish in
+        // the staging buffer); the same input in shorter slices never
+        // does (finish in place). Every third site is small enough to
+        // go through the rescale on both paths.
+        let n = x86::NT_MIN_SITES + 5;
+        let slice = x86::NT_MIN_SITES - 1;
+        let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
+        let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
+        fill(&mut vl, 21, 1e-3, 1.0);
+        fill(&mut vr, 23, 1e-3, 1.0);
+        for i in (0..n).step_by(3) {
+            for x in &mut vr[i * SITE_STRIDE..(i + 1) * SITE_STRIDE] {
+                *x *= 1e-80;
+            }
+        }
+        let codes: Vec<u8> = (0..n).map(|i| 1 + (i % 15) as u8).collect();
+        let scale: Vec<u32> = (0..n).map(|i| (i % 4) as u32).collect();
+        let (pl, pr) = (pmat(0.23), pmat(0.11));
+        let lut = Lut16x16::tip_prob(&pl);
+        let k = KernelKind::Simd.kernels();
+        // Runs both newview shapes over `sites`-long pieces.
+        let run = |sites: usize| {
+            let mut ti = (AlignedVec::zeroed(n * SITE_STRIDE), vec![0u32; n]);
+            let mut ii = (AlignedVec::zeroed(n * SITE_STRIDE), vec![0u32; n]);
+            for at in (0..n).step_by(sites) {
+                let r = at..(at + sites).min(n);
+                let v = at * SITE_STRIDE..r.end * SITE_STRIDE;
+                k.newview_ti(
+                    &lut,
+                    &codes[r.clone()],
+                    &pr,
+                    &vr[v.clone()],
+                    &scale[r.clone()],
+                    &mut ti.0[v.clone()],
+                    &mut ti.1[r.clone()],
+                );
+                k.newview_ii(
+                    &pl,
+                    &vl[v.clone()],
+                    &scale[r.clone()],
+                    &pr,
+                    &vr[v.clone()],
+                    &scale[r.clone()],
+                    &mut ii.0[v],
+                    &mut ii.1[r],
+                );
+            }
+            (ti, ii)
+        };
+        let (ti_streamed, ii_streamed) = run(n);
+        let (ti_cached, ii_cached) = run(slice);
+        // (name, streamed, cached, input counters summed per site)
+        for (what, a, b, inputs) in [
+            ("newview_ti", &ti_streamed, &ti_cached, 1),
+            ("newview_ii", &ii_streamed, &ii_cached, 2),
+        ] {
+            assert_eq!(a.1, b.1, "{what}: scale counters");
+            let rescaled = a.1.iter().zip(&scale).any(|(o, i)| *o > inputs * i);
+            assert!(rescaled, "{what}: no site was rescaled");
+            let same = a.0.iter().zip(b.0.iter()).all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "{what}: streamed and cached CLAs differ");
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Fused data layouts for the vector kernels (§V-B3 of the paper).
+//! Fused data layouts for the kernels (§V-B3 of the paper).
 //!
 //! Under Γ with four rates, each site carries 16 conditional values
 //! indexed by `m = 4·k + a` (rate category `k`, state `a`). The paper's

@@ -5,16 +5,21 @@
 //!
 //! This crate implements the paper's primary contribution: the four
 //! compute kernels that dominate maximum-likelihood tree inference
-//! (§IV), each in two variants:
+//! (§IV), each in two backends over one data layout (64-byte aligned
+//! buffers, [`aligned`]; 16 doubles per site with P matrices
+//! pre-transposed per input state, [`layout`]):
 //!
 //! * **scalar** — a straightforward reference implementation, the
 //!   moral equivalent of the unvectorized C code a "recompile with
 //!   `-mmic`" port would run (§V-B);
-//! * **vector** — the paper's MIC optimizations expressed portably:
-//!   64-byte aligned buffers ([`aligned`]), the fused 16-wide
-//!   `(rate, state)` loop reorganization (§V-B3, [`layout`]), site
-//!   blocking in groups of 8 (§V-B4), and `mul_add` chains that lower
-//!   to FMA instructions.
+//! * **simd** — the paper's MIC optimizations in explicit AVX2+FMA
+//!   intrinsics: the fused 16-wide `(rate, state)` loop (§V-B3) as
+//!   four FMA chains, prefetching and streaming stores (§V-B5),
+//!   chosen at runtime where the CPU supports it.
+//!
+//! `evaluate` and `derivativeCore` are site-blocked as in §V-B4: a
+//! backend writes the vector reduction per site, and the scalar
+//! log/division tail is written once for both ([`kernels`]).
 //!
 //! The kernels:
 //!
@@ -69,5 +74,6 @@ pub const NUM_STATES: usize = phylo_models::NUM_STATES;
 pub const NUM_RATES: usize = phylo_models::NUM_RATES;
 /// Doubles per site in a CLA (`4 states × 4 rates`; 128 bytes).
 pub const SITE_STRIDE: usize = phylo_models::SITE_STRIDE;
-/// Site-block width used by the vector kernels (§V-B4).
+/// Site-block granule (§V-B4): traversal blocks and the root
+/// kernels' site chunks are multiples of it.
 pub const SITE_BLOCK: usize = 8;

@@ -411,7 +411,7 @@ mod tests {
             &tree,
             &aln,
             EngineConfig {
-                kernel: crate::KernelKind::Vector,
+                kernel: crate::KernelKind::Scalar,
                 alpha,
                 ..EngineConfig::default()
             },

@@ -62,8 +62,9 @@ pub enum TraceEvent {
     Meta {
         /// Schema version the writer produced.
         version: u64,
-        /// The resolved kernel backend the run used (`"scalar"`,
-        /// `"vector"`, `"simd"`); empty when read from a pre-v3 trace.
+        /// The resolved kernel backend the run used (`"scalar"` or
+        /// `"simd"`; older traces may say `"vector"`); empty when read
+        /// from a pre-v3 trace.
         backend: String,
         /// The resolved site-repeat compression mode (`"on"`, `"off"`
         /// or `"auto"`); empty when read from a pre-v4 trace.

@@ -98,7 +98,7 @@ fn calibration_drives_block_size_and_repeat_profitability() {
             &tree,
             &aln,
             EngineConfig {
-                kernel: KernelKind::Vector,
+                kernel: KernelKind::Scalar,
                 site_repeats,
                 blocking,
                 ..EngineConfig::default()

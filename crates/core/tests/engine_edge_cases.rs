@@ -23,7 +23,7 @@ fn aln(rows: &[(&str, &str)]) -> CompressedAlignment {
 fn single_pattern_engine_works() {
     let a = aln(&[("a", "A"), ("b", "C"), ("c", "G")]);
     let tree = newick::parse("(a:0.2,b:0.3,c:0.4);").unwrap();
-    for kernel in [KernelKind::Scalar, KernelKind::Vector, KernelKind::Simd] {
+    for kernel in [KernelKind::Scalar, KernelKind::Simd] {
         let mut e = LikelihoodEngine::new(
             &tree,
             &a,
@@ -40,8 +40,9 @@ fn single_pattern_engine_works() {
 
 #[test]
 fn pattern_count_not_multiple_of_block_is_exact() {
-    // The vector kernels block sites in groups of 8; sizes 1..=17
-    // exercise every remainder. Scalar is the oracle.
+    // The explicit-SIMD kernels prefetch 8 sites ahead and the root
+    // kernels walk sites in blocks; sizes 1..=17 exercise every small
+    // remainder. Scalar is the oracle.
     for width in 1..=17usize {
         let seq = |base: &str| -> String { base.chars().cycle().take(width).collect() };
         let a = aln(&[
@@ -64,7 +65,7 @@ fn pattern_count_not_multiple_of_block_is_exact() {
             &tree,
             &a,
             EngineConfig {
-                kernel: KernelKind::Vector,
+                kernel: KernelKind::Simd,
                 alpha: 0.8,
                 ..EngineConfig::default()
             },
@@ -89,7 +90,7 @@ fn scale_counters_propagate_through_newview_chain() {
     right.values_mut().fill(0.4);
     left.scale_mut().copy_from_slice(&[1, 2, 0, 3, 1]);
     right.scale_mut().copy_from_slice(&[2, 0, 0, 1, 4]);
-    for kind in [KernelKind::Scalar, KernelKind::Vector, KernelKind::Simd] {
+    for kind in [KernelKind::Scalar, KernelKind::Simd] {
         let mut out = Cla::new(n);
         let (v, s) = out.buffers_mut();
         kind.kernels().newview_ii(
@@ -118,7 +119,7 @@ fn underflow_event_increments_counter_and_rescales() {
     // Product ≈ 1e-90 < 2^-256 ≈ 8.6e-78: exactly one rescaling event.
     left.values_mut().fill(1e-50);
     right.values_mut().fill(1e-40);
-    for kind in [KernelKind::Scalar, KernelKind::Vector, KernelKind::Simd] {
+    for kind in [KernelKind::Scalar, KernelKind::Simd] {
         let mut out = Cla::new(n);
         let (v, s) = out.buffers_mut();
         kind.kernels().newview_ii(
@@ -223,7 +224,7 @@ fn luts_row_zero_never_read() {
     let lut = Lut16x16::tip_prob(&p);
     let codes: Vec<u8> = (1..16).collect();
     let n = codes.len();
-    for kind in [KernelKind::Scalar, KernelKind::Vector, KernelKind::Simd] {
+    for kind in [KernelKind::Scalar, KernelKind::Simd] {
         let mut out = Cla::new(n);
         let (v, s) = out.buffers_mut();
         kind.kernels().newview_tt(&lut, &lut, &codes, &codes, v, s);

@@ -38,7 +38,9 @@ fn fill(buf: &mut [f64], seed: u64) {
 
 #[test]
 fn cla_streamed_on_another_thread_is_visible_after_join() {
-    let n = 257; // spans many cache lines, not a block multiple
+    // Past the backend's streaming threshold (4096 sites), and not a
+    // block multiple.
+    let n = 4099;
     let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
     let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
     fill(&mut vl, 41);
@@ -46,10 +48,10 @@ fn cla_streamed_on_another_thread_is_visible_after_join() {
     let scale = vec![0u32; n];
     let (pl, pr) = (pmat(0.31), pmat(0.17));
 
-    // Reference computed on this thread with the portable backend.
+    // Reference computed on this thread with the scalar backend.
     let mut expect = AlignedVec::zeroed(n * SITE_STRIDE);
     let mut expect_sc = vec![0u32; n];
-    KernelKind::Vector.kernels().newview_ii(
+    KernelKind::Scalar.kernels().newview_ii(
         &pl,
         &vl,
         &scale,
@@ -88,7 +90,7 @@ fn evaluate_reads_a_just_streamed_cla_correctly() {
     // SIMD newview just streamed. The kernel-exit fence (plus x86
     // same-address ordering) makes this safe without any fence in
     // evaluate itself — exactly the engine's newview→evaluate pattern.
-    let n = 97;
+    let n = 4099; // past the streaming threshold
     let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
     let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
     fill(&mut vl, 7);
@@ -114,7 +116,7 @@ fn evaluate_reads_a_just_streamed_cla_correctly() {
         k.newview_ii(&pl, &vl, &scale, &pr, &vr, &scale, &mut cla, &mut sc);
         k.evaluate_ii(&pi_w, &cla, &sc, &pr, &vr, &scale, &weights)
     };
-    let expect = run(KernelKind::Vector);
+    let expect = run(KernelKind::Scalar);
     for round in 0..20 {
         let got = run(KernelKind::Simd);
         assert!(

@@ -176,7 +176,7 @@ pub struct TraceReport {
     /// Schema version from the `meta` event, if present.
     pub version: Option<u64>,
     /// Resolved kernel backend from the `meta` event (`"simd"`,
-    /// `"vector"`, …); `None` for pre-v3 traces, which did not record
+    /// `"scalar"`, …); `None` for pre-v3 traces, which did not record
     /// it.
     pub backend: Option<String>,
     /// Resolved site-repeat compression mode from the `meta` event

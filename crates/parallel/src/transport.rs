@@ -4,7 +4,7 @@
 //! [`crate::comm::ThreadComm`] shares memory between threads of one
 //! process; this module adds [`SocketComm`], the same deterministic
 //! collectives over a length-prefixed frame protocol on Unix domain
-//! sockets (TCP loopback behind the `tcp-transport` feature). Rank 0
+//! sockets. Rank 0
 //! lives in the supervisor process and hosts a reduction *hub*; every
 //! rank (including rank 0) connects to the hub, deposits its
 //! contribution, and receives the rank-order sum — bit-identical to
@@ -80,7 +80,7 @@ impl WireStats {
 /// transport uniformly.
 pub trait CommTransport: Comm {
     /// Short transport name recorded in the trace meta event
-    /// (`"self"`, `"threads"`, `"uds"`, `"tcp"`).
+    /// (`"self"`, `"threads"`, `"uds"`).
     fn transport_name(&self) -> &'static str;
     /// Measured wire time of this participant's collectives.
     fn wire_stats(&self) -> WireStats;
@@ -112,9 +112,6 @@ pub enum TransportKind {
     Threads,
     /// One OS process per rank over Unix domain sockets.
     Uds,
-    /// One OS process per rank over TCP loopback.
-    #[cfg(feature = "tcp-transport")]
-    Tcp,
 }
 
 impl TransportKind {
@@ -123,8 +120,6 @@ impl TransportKind {
         match self {
             TransportKind::Threads => "threads",
             TransportKind::Uds => "uds",
-            #[cfg(feature = "tcp-transport")]
-            TransportKind::Tcp => "tcp",
         }
     }
 
@@ -146,12 +141,8 @@ impl std::str::FromStr for TransportKind {
         match s {
             "threads" => Ok(TransportKind::Threads),
             "uds" => Ok(TransportKind::Uds),
-            #[cfg(feature = "tcp-transport")]
-            "tcp" => Ok(TransportKind::Tcp),
-            #[cfg(not(feature = "tcp-transport"))]
-            "tcp" => Err("tcp transport requires the `tcp-transport` cargo feature".into()),
             other => Err(format!(
-                "unknown transport {other:?} (expected threads, uds or tcp)"
+                "unknown transport {other:?} (expected threads or uds)"
             )),
         }
     }
@@ -387,6 +378,7 @@ mod unix_impl {
     use plf_core::{EngineConfig, KernelStats, LikelihoodEngine};
     use std::collections::BTreeMap;
     use std::io;
+    use std::net::Shutdown;
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::path::{Path, PathBuf};
@@ -569,188 +561,66 @@ mod unix_impl {
     }
 
     /// Where the hub listens, in a form that survives `exec` into a
-    /// child process (`uds:/path` or `tcp:127.0.0.1:port`).
+    /// child process (`uds:/path`).
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum Endpoint {
         /// A Unix-domain socket path.
         Uds(PathBuf),
-        /// A TCP loopback address.
-        #[cfg(feature = "tcp-transport")]
-        Tcp(std::net::SocketAddr),
     }
 
     impl std::fmt::Display for Endpoint {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                Endpoint::Uds(p) => write!(f, "uds:{}", p.display()),
-                #[cfg(feature = "tcp-transport")]
-                Endpoint::Tcp(a) => write!(f, "tcp:{a}"),
-            }
+            let Endpoint::Uds(p) = self;
+            write!(f, "uds:{}", p.display())
         }
     }
 
     impl std::str::FromStr for Endpoint {
         type Err = String;
         fn from_str(s: &str) -> Result<Self, Self::Err> {
-            if let Some(p) = s.strip_prefix("uds:") {
-                return Ok(Endpoint::Uds(PathBuf::from(p)));
-            }
-            #[cfg(feature = "tcp-transport")]
-            if let Some(a) = s.strip_prefix("tcp:") {
-                return a
-                    .parse()
-                    .map(Endpoint::Tcp)
-                    .map_err(|e| format!("bad tcp endpoint {a:?}: {e}"));
-            }
-            Err(format!(
-                "bad endpoint {s:?} (expected uds:PATH or tcp:ADDR)"
-            ))
-        }
-    }
-
-    /// A connected stream of either flavor. All frame I/O goes through
-    /// this so the hub and client are transport-agnostic.
-    #[derive(Debug)]
-    pub(crate) enum Stream {
-        Uds(UnixStream),
-        #[cfg(feature = "tcp-transport")]
-        Tcp(std::net::TcpStream),
-    }
-
-    impl Stream {
-        /// Connects to `ep`, retrying while the hub is not yet
-        /// listening, until `deadline` elapses.
-        fn connect(ep: &Endpoint, deadline: Duration) -> io::Result<Stream> {
-            let until = Instant::now() + deadline;
-            loop {
-                let attempt = match ep {
-                    Endpoint::Uds(p) => UnixStream::connect(p).map(Stream::Uds),
-                    #[cfg(feature = "tcp-transport")]
-                    Endpoint::Tcp(a) => std::net::TcpStream::connect(a).map(Stream::Tcp),
-                };
-                match attempt {
-                    Ok(s) => return Ok(s),
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::NotFound | io::ErrorKind::ConnectionRefused
-                        ) && Instant::now() < until =>
-                    {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-
-        fn set_timeouts(&self, read: Option<Duration>, write: Option<Duration>) -> io::Result<()> {
-            match self {
-                Stream::Uds(s) => {
-                    s.set_read_timeout(read)?;
-                    s.set_write_timeout(write)
-                }
-                #[cfg(feature = "tcp-transport")]
-                Stream::Tcp(s) => {
-                    s.set_read_timeout(read)?;
-                    s.set_write_timeout(write)
-                }
-            }
-        }
-
-        fn try_clone(&self) -> io::Result<Stream> {
-            match self {
-                Stream::Uds(s) => s.try_clone().map(Stream::Uds),
-                #[cfg(feature = "tcp-transport")]
-                Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
-            }
-        }
-
-        fn shutdown(&self) -> io::Result<()> {
-            match self {
-                Stream::Uds(s) => s.shutdown(std::net::Shutdown::Both),
-                #[cfg(feature = "tcp-transport")]
-                Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
+            match s.strip_prefix("uds:") {
+                Some(p) => Ok(Endpoint::Uds(PathBuf::from(p))),
+                None => Err(format!(
+                    "bad endpoint {s:?} (expected uds:PATH; the transports are threads and uds)"
+                )),
             }
         }
     }
 
-    impl io::Read for Stream {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            match self {
-                Stream::Uds(s) => io::Read::read(s, buf),
-                #[cfg(feature = "tcp-transport")]
-                Stream::Tcp(s) => io::Read::read(s, buf),
+    /// Connects to `ep`, retrying while the hub is not yet listening,
+    /// until `deadline` elapses.
+    fn connect_stream(ep: &Endpoint, deadline: Duration) -> io::Result<UnixStream> {
+        let Endpoint::Uds(path) = ep;
+        let until = Instant::now() + deadline;
+        loop {
+            match UnixStream::connect(path) {
+                Ok(s) => return Ok(s),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::NotFound | io::ErrorKind::ConnectionRefused
+                    ) && Instant::now() < until =>
+                {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Err(e) => return Err(e),
             }
         }
     }
 
-    impl io::Write for Stream {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            match self {
-                Stream::Uds(s) => io::Write::write(s, buf),
-                #[cfg(feature = "tcp-transport")]
-                Stream::Tcp(s) => io::Write::write(s, buf),
-            }
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            match self {
-                Stream::Uds(s) => io::Write::flush(s),
-                #[cfg(feature = "tcp-transport")]
-                Stream::Tcp(s) => io::Write::flush(s),
-            }
-        }
+    fn set_timeouts(s: &UnixStream, read: Duration, write: Duration) -> io::Result<()> {
+        s.set_read_timeout(Some(read))?;
+        s.set_write_timeout(Some(write))
     }
 
-    /// The hub's listening socket of either flavor.
-    pub(crate) enum Listener {
-        Uds(UnixListener),
-        #[cfg(feature = "tcp-transport")]
-        Tcp(std::net::TcpListener),
-    }
-
-    impl Listener {
-        /// Binds a fresh endpoint for one attempt. UDS sockets get a
-        /// pid- and tag-unique path under `dir` so degraded reruns
-        /// never race a stale socket file.
-        pub(crate) fn bind(
-            kind: TransportKind,
-            dir: &Path,
-            tag: &str,
-        ) -> io::Result<(Listener, Endpoint)> {
-            match kind {
-                TransportKind::Threads => {
-                    Err(io::Error::other("threads transport has no socket endpoint"))
-                }
-                TransportKind::Uds => {
-                    let path = dir.join(format!("phylomic-{}-{tag}.sock", std::process::id()));
-                    let _ = std::fs::remove_file(&path);
-                    let l = UnixListener::bind(&path)?;
-                    Ok((Listener::Uds(l), Endpoint::Uds(path)))
-                }
-                #[cfg(feature = "tcp-transport")]
-                TransportKind::Tcp => {
-                    let l = std::net::TcpListener::bind("127.0.0.1:0")?;
-                    let addr = l.local_addr()?;
-                    Ok((Listener::Tcp(l), Endpoint::Tcp(addr)))
-                }
-            }
-        }
-
-        fn set_nonblocking(&self, v: bool) -> io::Result<()> {
-            match self {
-                Listener::Uds(l) => l.set_nonblocking(v),
-                #[cfg(feature = "tcp-transport")]
-                Listener::Tcp(l) => l.set_nonblocking(v),
-            }
-        }
-
-        fn accept(&self) -> io::Result<Stream> {
-            match self {
-                Listener::Uds(l) => l.accept().map(|(s, _)| Stream::Uds(s)),
-                #[cfg(feature = "tcp-transport")]
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-            }
-        }
+    /// Binds a fresh hub endpoint for one attempt: a pid- and
+    /// tag-unique socket path under `dir`, so degraded reruns never
+    /// race a stale socket file.
+    pub(crate) fn bind_endpoint(dir: &Path, tag: &str) -> io::Result<(UnixListener, Endpoint)> {
+        let path = dir.join(format!("phylomic-{}-{tag}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let l = UnixListener::bind(&path)?;
+        Ok((l, Endpoint::Uds(path)))
     }
 
     /// Kills the calling process with `SIGKILL`: no unwinding, no
@@ -788,7 +658,7 @@ mod unix_impl {
     /// One rank's socket communicator: the [`Comm`] collectives as
     /// frame round-trips through the supervisor's hub.
     pub struct SocketComm {
-        stream: Stream,
+        stream: UnixStream,
         rank: usize,
         size: usize,
         max_len: usize,
@@ -799,7 +669,6 @@ mod unix_impl {
         /// group stays dead exactly like a poisoned barrier.
         dead: Option<CommError>,
         fault_plan: Option<Arc<FaultPlan>>,
-        kind_name: &'static str,
         read_timeout: Duration,
     }
 
@@ -814,8 +683,8 @@ mod unix_impl {
             tcfg: &TransportConfig,
             fault_plan: Option<Arc<FaultPlan>>,
         ) -> io::Result<SocketComm> {
-            let mut stream = Stream::connect(ep, tcfg.accept_deadline)?;
-            stream.set_timeouts(Some(tcfg.read_timeout), Some(tcfg.write_timeout))?;
+            let mut stream = connect_stream(ep, tcfg.accept_deadline)?;
+            set_timeouts(&stream, tcfg.read_timeout, tcfg.write_timeout)?;
             frame::write_frame(&mut stream, &Frame::control(Kind::Hello, rank as u32, 0))?;
             let ack = frame::read_frame(&mut stream)?;
             if ack.kind != Kind::HelloAck || ack.payload.len() != 8 {
@@ -832,11 +701,6 @@ mod unix_impl {
                     format!("hub group size {size} != expected {ranks}"),
                 ));
             }
-            let kind_name = match ep {
-                Endpoint::Uds(_) => "uds",
-                #[cfg(feature = "tcp-transport")]
-                Endpoint::Tcp(_) => "tcp",
-            };
             Ok(SocketComm {
                 stream,
                 rank,
@@ -847,7 +711,6 @@ mod unix_impl {
                 wire: WireStats::default(),
                 dead: None,
                 fault_plan,
-                kind_name,
                 read_timeout: tcfg.read_timeout,
             })
         }
@@ -902,24 +765,21 @@ mod unix_impl {
         /// a `Poison` frame or any stream failure becomes the
         /// appropriate [`CommError`].
         fn roundtrip(&mut self, send: Frame, want: Kind) -> Result<Frame, CommError> {
-            if let Err(e) = frame::write_frame(&mut self.stream, &send) {
-                let ce = self.io_to_comm(&e);
-                return Err(self.fail(ce));
-            }
-            match frame::read_frame(&mut self.stream) {
-                Ok(f) if f.kind == want && f.seq == send.seq => Ok(f),
-                Ok(f) if f.kind == Kind::Poison => {
-                    let ce = PoisonCause::decode(&f.payload)
-                        .map(|c| c.as_peer_error())
-                        .unwrap_or(CommError::PeerFailed { rank: 0 });
-                    Err(self.fail(ce))
-                }
-                Ok(_) => Err(self.fail(CommError::PeerFailed { rank: 0 })),
-                Err(e) => {
-                    let ce = self.io_to_comm(&e);
-                    Err(self.fail(ce))
-                }
-            }
+            let sent = frame::write_frame(&mut self.stream, &send);
+            // Read even after a failed write: a hub that poisons the
+            // group queues a `Poison` frame and closes the connection,
+            // so a rank that was still computing learns of it as a
+            // broken pipe on its next send — and the frame already in
+            // its receive buffer names the true cause.
+            let ce = match (sent, frame::read_frame(&mut self.stream)) {
+                (Ok(()), Ok(f)) if f.kind == want && f.seq == send.seq => return Ok(f),
+                (_, Ok(f)) if f.kind == Kind::Poison => PoisonCause::decode(&f.payload)
+                    .map(|c| c.as_peer_error())
+                    .unwrap_or(CommError::PeerFailed { rank: 0 }),
+                (_, Ok(_)) => CommError::PeerFailed { rank: 0 },
+                (Err(e), Err(_)) | (Ok(()), Err(e)) => self.io_to_comm(&e),
+            };
+            Err(self.fail(ce))
         }
     }
 
@@ -947,7 +807,7 @@ mod unix_impl {
                     // Simulated death (plan portability with the
                     // threads transport): close the connection so the
                     // hub poisons the group, then unwind locally.
-                    let _ = self.stream.shutdown();
+                    let _ = self.stream.shutdown(Shutdown::Both);
                     let rank = self.rank;
                     return Err(self.fail(CommError::PeerFailed { rank }));
                 }
@@ -1007,7 +867,7 @@ mod unix_impl {
 
     impl CommTransport for SocketComm {
         fn transport_name(&self) -> &'static str {
-            self.kind_name
+            "uds"
         }
         fn wire_stats(&self) -> WireStats {
             self.wire
@@ -1016,7 +876,7 @@ mod unix_impl {
 
     /// Detached `Abort`-frame sender (see [`SocketComm::abort_sender`]).
     pub struct AbortSender {
-        stream: Stream,
+        stream: UnixStream,
         rank: u32,
     }
 
@@ -1087,7 +947,7 @@ mod unix_impl {
     /// Per-connection reader: validates frames from one rank and
     /// deposits them into the shared state. Exits on poison, clean
     /// EOF-after-result, or any connection failure (which poisons).
-    fn hub_reader(rank: usize, mut stream: Stream, shared: Arc<HubShared>, max_len: usize) {
+    fn hub_reader(rank: usize, mut stream: UnixStream, shared: Arc<HubShared>, max_len: usize) {
         loop {
             match frame::read_frame(&mut stream) {
                 Ok(f) => {
@@ -1230,7 +1090,7 @@ mod unix_impl {
     /// never hang.
     fn hub_dispatch(
         shared: &HubShared,
-        writers: &mut [Stream],
+        writers: &mut [UnixStream],
         tcfg: &TransportConfig,
     ) -> HubOutcome {
         let ranks = writers.len();
@@ -1313,7 +1173,7 @@ mod unix_impl {
                         // Best-effort: already-dead connections are
                         // exactly the ones that do not need telling.
                         let _ = frame::write_frame(w, &f);
-                        let _ = w.shutdown();
+                        let _ = w.shutdown(Shutdown::Both);
                     }
                     let st = shared.state.lock().unwrap();
                     return HubOutcome {
@@ -1323,7 +1183,7 @@ mod unix_impl {
                 }
                 HubAction::Done => {
                     for w in writers.iter_mut() {
-                        let _ = w.shutdown();
+                        let _ = w.shutdown(Shutdown::Both);
                     }
                     let st = shared.state.lock().unwrap();
                     return HubOutcome {
@@ -1337,7 +1197,7 @@ mod unix_impl {
 
     /// Runs the hub to completion: accepts `ranks` handshakes, spawns
     /// one reader per connection, dispatches replies, joins readers.
-    pub(crate) fn run_hub(listener: Listener, ranks: usize, tcfg: &TransportConfig) -> HubOutcome {
+    pub(crate) fn run_hub(listener: UnixListener, ranks: usize, tcfg: &TransportConfig) -> HubOutcome {
         let empty = |cause: Option<PoisonCause>| HubOutcome {
             results: vec![None; ranks],
             poison: cause,
@@ -1348,14 +1208,12 @@ mod unix_impl {
             return empty(Some(PoisonCause::Peer { rank: 0 }));
         }
         let deadline = Instant::now() + tcfg.accept_deadline;
-        let mut conns: Vec<Option<Stream>> = (0..ranks).map(|_| None).collect();
+        let mut conns: Vec<Option<UnixStream>> = (0..ranks).map(|_| None).collect();
         let mut connected = 0usize;
         while connected < ranks && Instant::now() < deadline {
             match listener.accept() {
-                Ok(mut s) => {
-                    if s.set_timeouts(Some(tcfg.read_timeout), Some(tcfg.write_timeout))
-                        .is_err()
-                    {
+                Ok((mut s, _)) => {
+                    if set_timeouts(&s, tcfg.read_timeout, tcfg.write_timeout).is_err() {
                         continue;
                     }
                     match frame::read_frame(&mut s) {
@@ -1389,7 +1247,7 @@ mod unix_impl {
             f.payload = cause.encode();
             for s in conns.iter_mut().flatten() {
                 let _ = frame::write_frame(s, &f);
-                let _ = s.shutdown();
+                let _ = s.shutdown(Shutdown::Both);
             }
             return empty(Some(cause));
         }
@@ -1421,7 +1279,7 @@ mod unix_impl {
             };
             // Readers poll on a short timeout so they notice poison
             // promptly even when their rank goes silent.
-            let _ = stream.set_timeouts(Some(Duration::from_millis(100)), Some(tcfg.write_timeout));
+            let _ = set_timeouts(&stream, Duration::from_millis(100), tcfg.write_timeout);
             writers.push(writer);
             let shared = Arc::clone(&shared);
             let max_len = tcfg.max_len;
@@ -1549,7 +1407,7 @@ mod unix_impl {
         assert!(ft.num_ranks >= 1);
         if !kind.is_socket() {
             return Err(ReplicatedError::Transport(
-                "run_sharded_ft needs a socket transport (uds/tcp)".into(),
+                "run_sharded_ft needs a socket transport (uds)".into(),
             ));
         }
         let mut ranks = ft.num_ranks;
@@ -1605,7 +1463,7 @@ mod unix_impl {
         spawn_child: &mut dyn FnMut(&RankSpec) -> io::Result<std::process::Child>,
     ) -> Result<ReplicatedOutcome, ReplicatedError> {
         let tag = format!("r{ranks}-a{attempt}");
-        let (listener, endpoint) = Listener::bind(kind, socket_dir, &tag)
+        let (listener, endpoint) = bind_endpoint(socket_dir, &tag)
             .map_err(|e| ReplicatedError::Transport(format!("bind {kind}: {e}")))?;
         let verbose = std::env::var("PHYLOMIC_TRANSPORT_VERBOSE").as_deref() == Ok("1");
         let hub = {
@@ -1651,13 +1509,8 @@ mod unix_impl {
         // already failing on a dead socket; give them a moment to exit
         // voluntarily, then enforce kill-on-drop semantics.
         children.reap(Duration::from_secs(5));
-        match &endpoint {
-            Endpoint::Uds(p) => {
-                let _ = std::fs::remove_file(p);
-            }
-            #[cfg(feature = "tcp-transport")]
-            Endpoint::Tcp(_) => {}
-        }
+        let Endpoint::Uds(socket_path) = &endpoint;
+        let _ = std::fs::remove_file(socket_path);
         classify_sharded(rank0, hub_out, kind)
     }
 
@@ -1960,11 +1813,10 @@ mod tests {
         assert!(!TransportKind::Threads.is_socket());
         assert!(TransportKind::Uds.is_socket());
         assert_eq!(TransportKind::Uds.to_string(), "uds");
-        #[cfg(not(feature = "tcp-transport"))]
-        assert!("tcp"
-            .parse::<TransportKind>()
-            .unwrap_err()
-            .contains("tcp-transport"));
+        // The retired TCP fallback is an unknown name like any other,
+        // answered with the menu of transports that exist.
+        let err = "tcp".parse::<TransportKind>().unwrap_err();
+        assert!(err.contains("threads") && err.contains("uds"), "{err}");
         assert!("mpi".parse::<TransportKind>().is_err());
     }
 
@@ -2119,6 +1971,43 @@ mod tests {
             assert_eq!(s, "uds:/tmp/phylomic-1.sock");
             assert_eq!(s.parse::<Endpoint>(), Ok(ep));
             assert!("bogus:/x".parse::<Endpoint>().is_err());
+            let err = "tcp:127.0.0.1:9".parse::<Endpoint>().unwrap_err();
+            assert!(err.contains("threads") && err.contains("uds"), "{err}");
+        }
+
+        #[test]
+        fn poison_queued_before_a_broken_pipe_still_names_the_dead_rank() {
+            // The hub poisons the group and closes this rank's
+            // connection while the rank is still computing: its next
+            // collective finds a broken pipe, and must report the
+            // queued Poison frame's cause, not "the hub (rank 0) died".
+            let dir = std::env::temp_dir();
+            let (listener, ep) =
+                bind_endpoint(&dir, "poison-then-close").expect("bind");
+            let hub = std::thread::spawn(move || {
+                let (mut s, _) = listener.accept().expect("accept");
+                assert_eq!(frame::read_frame(&mut s).expect("hello").kind, Kind::Hello);
+                let mut ack = Frame::control(Kind::HelloAck, 0, 0);
+                ack.payload.extend_from_slice(&3u32.to_le_bytes());
+                ack.payload.extend_from_slice(&8u32.to_le_bytes());
+                frame::write_frame(&mut s, &ack).expect("ack");
+                let cause = PoisonCause::Peer { rank: 1 };
+                let mut poison = Frame::control(Kind::Poison, 1, 0);
+                poison.payload = cause.encode();
+                frame::write_frame(&mut s, &poison).expect("poison");
+                let _ = s.shutdown(std::net::Shutdown::Both);
+            });
+            let tcfg = TransportConfig {
+                read_timeout: Duration::from_secs(2),
+                write_timeout: Duration::from_secs(2),
+                ..TransportConfig::default()
+            };
+            let mut comm = SocketComm::connect(&ep, 2, 3, &tcfg, None).expect("connect");
+            hub.join().unwrap();
+            let Endpoint::Uds(path) = &ep;
+            let _ = std::fs::remove_file(path);
+            let err = comm.try_allreduce_sum(&mut [1.0]).unwrap_err();
+            assert_eq!(err, CommError::PeerFailed { rank: 1 });
         }
 
         #[test]

@@ -408,7 +408,7 @@ mod tests {
         });
 
         let mut reference: Option<(Tree, f64)> = None;
-        for kernel in [KernelKind::Scalar, KernelKind::Vector, KernelKind::Simd] {
+        for kernel in [KernelKind::Scalar, KernelKind::Simd] {
             let mut tree = start.clone();
             let mut engine = LikelihoodEngine::new(
                 &tree,

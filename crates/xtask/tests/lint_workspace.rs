@@ -65,7 +65,7 @@ fn seeded_feature_surfaces_kernel_violations() {
     );
     for f in &analysis.findings {
         assert!(
-            f.file.contains("kernels/vector.rs"),
+            f.file.contains("kernels/scalar.rs"),
             "seeding must not perturb other files: {f}"
         );
     }

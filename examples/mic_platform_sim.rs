@@ -13,7 +13,7 @@ use phylomic::micsim::systems::{SystemId, TABLE3_SIZES};
 use phylomic::micsim::WorkloadTrace;
 use phylomic::models::{DiscreteGamma, Gtr, GtrParams};
 use phylomic::parallel::run_replicated;
-use phylomic::plf::{EngineConfig, KernelKind};
+use phylomic::plf::EngineConfig;
 use phylomic::search::{MlSearch, SearchConfig};
 use phylomic::seqgen;
 use phylomic::tree::build::{default_names, random_tree};
@@ -39,7 +39,6 @@ fn main() {
         &start,
         &aln,
         EngineConfig {
-            kernel: KernelKind::Vector,
             alpha: 0.9,
             ..EngineConfig::default()
         },

@@ -7,7 +7,7 @@
 
 use phylomic::models::{DiscreteGamma, Gtr, GtrParams};
 use phylomic::parallel::{run_replicated, ForkJoinEvaluator};
-use phylomic::plf::{EngineConfig, KernelKind, LikelihoodEngine};
+use phylomic::plf::{EngineConfig, LikelihoodEngine};
 use phylomic::search::{MlSearch, SearchConfig};
 use phylomic::seqgen;
 use phylomic::tree::build::{default_names, random_tree};
@@ -39,7 +39,6 @@ fn main() {
 
     let start_tree = random_tree(&names, 0.1, &mut SmallRng::seed_from_u64(99)).unwrap();
     let config = EngineConfig {
-        kernel: KernelKind::Vector,
         alpha: 0.7,
         ..EngineConfig::default()
     };

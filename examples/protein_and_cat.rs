@@ -143,7 +143,6 @@ fn cat_demo() {
         &tree,
         &ca,
         phylomic::plf::EngineConfig {
-            kernel: phylomic::plf::KernelKind::Vector,
             alpha: 0.5,
             ..phylomic::plf::EngineConfig::default()
         },

@@ -4,7 +4,7 @@
 //! Run: `cargo run --release --example quickstart`
 
 use phylomic::bio::{fasta, CompressedAlignment};
-use phylomic::plf::{EngineConfig, KernelKind, LikelihoodEngine};
+use phylomic::plf::{EngineConfig, LikelihoodEngine};
 use phylomic::search::branch_opt::smooth_branches;
 use phylomic::tree::newick;
 
@@ -39,12 +39,12 @@ fn main() {
             .expect("valid newick");
 
     // 3. A likelihood engine: GTR with empirical base frequencies,
-    //    Gamma rate heterogeneity (4 categories), vectorized kernels.
+    //    Gamma rate heterogeneity (4 categories), the default kernels
+    //    (explicit SIMD where the CPU has AVX2+FMA).
     let mut engine = LikelihoodEngine::new(
         &tree,
         &compressed,
         EngineConfig {
-            kernel: KernelKind::Vector,
             alpha: 0.8,
             ..EngineConfig::default()
         },

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! phylomic simulate --taxa 15 --sites 10000 --out data.phy [--alpha 0.85] [--seed 42]
-//! phylomic evaluate --alignment data.phy --tree tree.nwk [--alpha 0.85] [--kernel vector]
+//! phylomic evaluate --alignment data.phy --tree tree.nwk [--alpha 0.85] [--kernels simd]
 //! phylomic search   --alignment data.phy [--tree start.nwk] [--scheme serial|forkjoin|replicated]
 //!                   [--threads 4] [--rounds 20] [--checkpoint run.ckp] [--out best.nwk]
 //! ```
@@ -77,7 +77,7 @@ const USAGE: &str = "phylomic — phylogenetic likelihood toolkit (PLF-on-MIC re
 USAGE:
   phylomic simulate --taxa N --sites M --out FILE [--alpha A] [--seed S]
   phylomic evaluate --alignment FILE --tree FILE [--alpha A]
-                    [--kernels scalar|vector|simd|auto]
+                    [--kernels scalar|simd|auto]
                     [--site-repeats on|off|auto] [--blocking on|off|auto]
                     [--trace-out FILE] [--chrome-out FILE]
   phylomic search   --alignment FILE [--tree FILE | --start random|parsimony]
@@ -94,10 +94,9 @@ USAGE:
 
 Alignments: PHYLIP when the path ends in .phy, FASTA otherwise.
 --kernels picks the PLF kernel backend (default auto: explicit AVX2+FMA
-SIMD when the CPU supports it, portable vector code otherwise; --kernel
-is accepted as a synonym). The PHYLOMIC_KERNELS environment variable
-overrides the flag. The resolved backend is recorded in the JSONL trace
-meta event.
+SIMD when the CPU supports it, the scalar reference loops otherwise).
+The PHYLOMIC_KERNELS environment variable overrides the flag. The
+resolved backend is recorded in the JSONL trace meta event.
 --site-repeats controls site-repeat compression in newview: 'on' always
 compresses, 'off' never, 'auto' (default) compresses per node when the
 unique-class count makes it profitable. Likelihoods are bit-identical
@@ -151,10 +150,9 @@ per rank joined over Unix domain sockets (rank 0 runs in the
 supervisor), with identical results — and real process isolation, so
 --degrade recovery works against actual kill -9 process death
 ('rank=R,kill9=N' in --inject-fault SIGKILLs rank R's process at its
-N-th AllReduce). 'tcp' is available when built with the tcp-transport
-feature. The resolved transport and measured per-collective wire time
-are recorded in the trace meta and shown by trace-report next to
-micsim's modeled AllReduce latency.";
+N-th AllReduce). The resolved transport and measured per-collective
+wire time are recorded in the trace meta and shown by trace-report next
+to micsim's modeled AllReduce latency.";
 
 /// Seeds the in-process host calibration from a cached
 /// HOST_ROOFLINE.json, if one exists in the working directory: the
@@ -397,19 +395,19 @@ fn require<'a>(opts: &'a Opts, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("--{key} is required"))
 }
 
-/// Parses `--kernels` (or the older `--kernel` spelling). Defaults to
-/// `auto` — runtime ISA dispatch. All name handling goes through
-/// `KernelKind`'s `FromStr`, the single source of truth for backend
-/// names; the `PHYLOMIC_KERNELS` environment variable still overrides
-/// whatever is chosen here (applied at engine construction).
+/// Parses `--kernels`. Defaults to `auto` — the fastest backend the
+/// host can run. All name handling goes through `KernelKind`'s
+/// `FromStr`, the single source of truth for backend names; the
+/// `PHYLOMIC_KERNELS` environment variable still overrides whatever is
+/// chosen here (applied at engine construction). Options are otherwise
+/// not checked against a list, so the retired `--kernel` spelling is
+/// refused here rather than silently running the default backend.
 fn kernel_of(opts: &Opts) -> Result<KernelKind, String> {
-    let (flag, value) = match (opts.get("kernels"), opts.get("kernel")) {
-        (Some(_), Some(_)) => return Err("pass --kernels or --kernel, not both".into()),
-        (Some(v), None) => ("kernels", v.as_str()),
-        (None, Some(v)) => ("kernel", v.as_str()),
-        (None, None) => return Ok(KernelKind::Auto),
-    };
-    value.parse().map_err(|e| format!("--{flag}: {e}"))
+    if opts.contains_key("kernel") {
+        let menu = KernelKind::ALL.map(|k| k.to_string()).join(", ");
+        return Err(format!("unknown option --kernel (use --kernels: {menu})"));
+    }
+    get(opts, "kernels", KernelKind::Auto)
 }
 
 /// Parses `--site-repeats`. Defaults to `auto` — compress when the
@@ -810,7 +808,6 @@ fn run_sharded(
         "alpha",
         "rounds",
         "kernels",
-        "kernel",
         "site-repeats",
         "blocking",
         "checkpoint",

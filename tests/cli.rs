@@ -612,6 +612,95 @@ fn site_repeats_flag_parses_and_matches_off() {
 }
 
 #[test]
+fn kernels_flag_accepts_every_backend_and_refuses_retired_names() {
+    let dir = TestDir::new("cli-kernels");
+    let phy = dir.join("k.phy");
+    let out = bin()
+        .args(["simulate", "--taxa", "8", "--sites", "600", "--seed", "11"])
+        .args(["--out", phy.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let tree = format!("{}.tree", phy.display());
+
+    // `extra` is appended to a plain `evaluate`; `env` sets (or, when
+    // None, clears — the suite itself may run under an override)
+    // PHYLOMIC_KERNELS for the child.
+    let eval = |extra: &[&str], env: Option<&str>| -> (bool, String, String) {
+        let mut cmd = bin();
+        cmd.args(["evaluate", "--alignment", phy.to_str().unwrap()])
+            .args(["--tree", &tree])
+            .args(extra)
+            .env_remove("PHYLOMIC_KERNELS");
+        if let Some(v) = env {
+            cmd.env("PHYLOMIC_KERNELS", v);
+        }
+        let out = cmd.output().unwrap();
+        (
+            out.status.success(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let logl = |stdout: &str| -> f64 {
+        let mut words = stdout.split_whitespace().skip_while(|w| *w != "logL");
+        words.nth(1).expect("logL value").parse().expect("a number")
+    };
+
+    let (ok, scalar, err) = eval(&["--kernels", "scalar"], None);
+    assert!(ok, "{err}");
+    let (ok, simd, err) = eval(&["--kernels", "simd"], None);
+    assert!(ok, "{err}");
+    let (ok, auto, err) = eval(&["--kernels", "auto"], None);
+    assert!(ok, "{err}");
+    let (a, b) = (logl(&scalar), logl(&simd));
+    assert!((a - b).abs() <= 1e-9 * a.abs(), "scalar {a} vs simd {b}");
+    // `auto` is a name for one backend, not a third code path.
+    assert_eq!(auto, simd, "auto must print what simd prints");
+
+    // The retired backend and the retired flag spelling are usage
+    // errors that say what to type instead.
+    for extra in [["--kernels", "vector"], ["--kernel", "scalar"]] {
+        let (ok, _, err) = eval(&extra, None);
+        assert!(!ok, "{extra:?} was accepted");
+        assert!(err.starts_with("error: "), "{extra:?}: {err}");
+        assert!(err.contains("scalar, simd, auto"), "{extra:?}: {err}");
+    }
+
+    // The environment override fails as loudly as the flag: a
+    // mistyped backend never falls back silently.
+    let (ok, _, err) = eval(&[], Some("vector"));
+    assert!(!ok, "PHYLOMIC_KERNELS=vector was accepted");
+    assert!(err.contains("PHYLOMIC_KERNELS"), "{err}");
+    assert!(err.contains("scalar, simd, auto"), "{err}");
+    // ...and a valid one wins over the flag.
+    let (ok, forced, err) = eval(&["--kernels", "simd"], Some("scalar"));
+    assert!(ok, "{err}");
+    assert_eq!(forced, scalar);
+}
+
+#[test]
+fn retired_tcp_transport_is_a_usage_error() {
+    let dir = TestDir::new("cli-tcp");
+    let phy = dir.join("t.phy");
+    let out = bin()
+        .args(["simulate", "--taxa", "5", "--sites", "60", "--seed", "3"])
+        .args(["--out", phy.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = bin()
+        .args(["search", "--alignment", phy.to_str().unwrap()])
+        .args(["--scheme", "replicated", "--threads", "2", "--transport", "tcp"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("error: --transport:"), "{err}");
+    assert!(err.contains("threads") && err.contains("uds"), "{err}");
+}
+
+#[test]
 fn bench_trend_gate_honors_waivers_relative_to_dir() {
     // A regressed cell that is waived must pass the gate even when the
     // process cwd is NOT the repo: waivers resolve against --dir.

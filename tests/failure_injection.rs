@@ -68,7 +68,7 @@ fn malformed_files_are_rejected_not_mangled() {
 fn branch_length_extremes_keep_likelihood_finite() {
     let aln = toy_aln(64);
     let mut tree = newick::parse("(a:0.1,b:0.1,(c:0.1,d:0.1):0.1);").unwrap();
-    for kernel in [KernelKind::Scalar, KernelKind::Vector] {
+    for kernel in [KernelKind::Scalar, KernelKind::Simd] {
         let mut engine = LikelihoodEngine::new(
             &tree,
             &aln,
@@ -120,7 +120,7 @@ fn extreme_alpha_values_work_at_bounds_and_panic_beyond() {
             &tree,
             &aln,
             EngineConfig {
-                kernel: KernelKind::Vector,
+                kernel: KernelKind::Scalar,
                 alpha,
                 ..EngineConfig::default()
             },
@@ -181,7 +181,7 @@ fn deep_tree_underflow_is_scaled_not_zeroed() {
         })
         .collect();
     let aln = CompressedAlignment::from_alignment(&Alignment::new(seqs).unwrap());
-    for kernel in [KernelKind::Scalar, KernelKind::Vector] {
+    for kernel in [KernelKind::Scalar, KernelKind::Simd] {
         let mut engine = LikelihoodEngine::new(
             &tree,
             &aln,

@@ -68,7 +68,7 @@ fn kernels_and_schemes_agree_end_to_end() {
     });
 
     let mut results = Vec::new();
-    for kernel in [KernelKind::Scalar, KernelKind::Vector] {
+    for kernel in [KernelKind::Scalar, KernelKind::Simd] {
         let cfg = EngineConfig {
             kernel,
             alpha: 1.0,
@@ -145,7 +145,7 @@ fn likelihood_invariant_under_pattern_compression() {
 #[test]
 fn virtual_root_invariance_full_pipeline() {
     let (tree, aln) = simulated(4004, 12, 800);
-    for kernel in [KernelKind::Scalar, KernelKind::Vector] {
+    for kernel in [KernelKind::Scalar, KernelKind::Simd] {
         let mut engine = LikelihoodEngine::new(
             &tree,
             &aln,

@@ -44,10 +44,10 @@ fn aligned(v: &[f64]) -> AlignedVec {
     out
 }
 
-/// Every concrete kernel backend. `Simd` resolves to `Vector` on hosts
-/// without AVX2+FMA, where the comparison degenerates to Vector ==
-/// Vector — still sound, just not informative there.
-const BACKENDS: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Vector, KernelKind::Simd];
+/// Every concrete kernel backend. `Simd` falls back to `Scalar` on
+/// hosts without AVX2+FMA, where the comparison degenerates to Scalar
+/// == Scalar — still sound, just not informative there.
+const BACKENDS: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Simd];
 
 const N: usize = 23; // deliberately not a multiple of the site block
 
@@ -171,7 +171,7 @@ proptest! {
         codes in tip_codes(31),
         (tl, tr) in (0.001f64..3.0, 0.001f64..3.0),
     ) {
-        // The full Simd == Vector == Scalar matrix over pattern counts
+        // The full Simd == Scalar matrix over pattern counts
         // that exercise every remainder-tail shape of the 8-site block
         // loops (n = 1, 7, 8, 9, 31), with the underflow-scaling path
         // forced on a subset of sites and nonzero input counters so the
@@ -342,7 +342,7 @@ proptest! {
         let gtr = Gtr::new(GtrParams::jc69());
         let gamma = DiscreteGamma::new(alpha);
         let aln = phylomic::seqgen::simulate_compressed(&tree, gtr.eigen(), &gamma, 64, &mut rng);
-        let mut engine = LikelihoodEngine::new(&tree, &aln, EngineConfig { kernel: KernelKind::Vector, alpha, ..EngineConfig::default() });
+        let mut engine = LikelihoodEngine::new(&tree, &aln, EngineConfig { kernel: KernelKind::Scalar, alpha, ..EngineConfig::default() });
         let reference = engine.log_likelihood(&tree, 0);
         for e in tree.edge_ids() {
             let ll = engine.log_likelihood(&tree, e);
@@ -364,14 +364,8 @@ use phylomic::tree::traverse::{children, full_schedule};
 use phylomic::tree::{EdgeId, NodeId};
 
 /// Backend axis of the on/off matrix: every concrete backend plus the
-/// `Auto` dispatcher (whose width-dependent routing must not change
-/// the bits either).
-const MATRIX_BACKENDS: [KernelKind; 4] = [
-    KernelKind::Scalar,
-    KernelKind::Vector,
-    KernelKind::Simd,
-    KernelKind::Auto,
-];
+/// `Auto` name (which must resolve to one of them, bits and all).
+const MATRIX_BACKENDS: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Simd, KernelKind::Auto];
 
 /// An alignment whose patterns cycle through `protos` prototype
 /// columns: `protos == 1` is 100% repeats, `protos >= width` is 0%.
@@ -584,7 +578,7 @@ proptest! {
         let names = default_names(8);
         let tree: Tree = random_tree(&names, 0.2, &mut rng).unwrap();
         let aln = proto_alignment(&tree, protos.min(width), width, seed ^ 0xabc);
-        assert_on_off_identical(&tree, &aln, KernelKind::Vector, alpha, &[0, 3]);
+        assert_on_off_identical(&tree, &aln, KernelKind::Scalar, alpha, &[0, 3]);
     }
 }
 
@@ -654,7 +648,7 @@ fn site_repeats_forkjoin_matches_serial() {
     // uneven widths and per-slice repeat tables differ.
     let aln = proto_alignment(&tree, 11, 97, 19);
     let cfg = |site_repeats, blocking| EngineConfig {
-        kernel: KernelKind::Vector,
+        kernel: KernelKind::Scalar,
         alpha: 0.9,
         site_repeats,
         blocking,
