@@ -3,10 +3,10 @@
 //! [`LikelihoodEngine`] re-computes CLAs lazily,
 //! RAxML-traversal-descriptor style: before evaluating at a virtual
 //! root, it walks the directed post-order and re-runs `newview` only
-//! for nodes whose cached orientation, child identity, child branch
-//! lengths, child CLA stamps, or model version changed. This is what
-//! makes thousands of `evaluate`/`newview` calls per second affordable
-//! during tree search (§V-C).
+//! for nodes whose child identity, child branch lengths, child CLA
+//! stamps, or model version changed. This is what makes thousands of
+//! `evaluate`/`newview` calls per second affordable during tree search
+//! (§V-C).
 //!
 //! Every stale node takes one path: it is *planned* (slot, stamp,
 //! cache key, counters, per-branch tables — in schedule order) and
@@ -42,7 +42,7 @@ use crate::repeats::{
 use crate::{AlignedVec, NUM_RATES, SITE_STRIDE};
 use phylo_bio::CompressedAlignment;
 use phylo_models::{DiscreteGamma, Eigensystem, Gtr, GtrParams, ProbMatrix};
-use phylo_tree::traverse::{children, full_schedule};
+use phylo_tree::traverse::{children, full_schedule, ScheduleBuf};
 use phylo_tree::{EdgeId, NodeId, Tree};
 
 /// Engine construction options.
@@ -82,11 +82,14 @@ impl Default for EngineConfig {
     }
 }
 
-/// Cache record describing the state a CLA was computed in.
+/// Cache record describing the state a CLA was computed in: what the
+/// CLA is a function of, and nothing else. The two children (in
+/// canonical order) fix the orientation — the third neighbour is the
+/// root side — and edge ids appear nowhere: an SPR apply/undo pair
+/// hands the halves of a split edge other ids than before, and a node
+/// whose children hold the same content must stay valid across it.
 #[derive(Clone, Debug, PartialEq)]
 struct CacheKey {
-    toward_edge: EdgeId,
-    child_edges: [EdgeId; 2],
     child_nodes: [NodeId; 2],
     child_lengths: [f64; 2],
     child_stamps: [u64; 2],
@@ -243,6 +246,9 @@ pub struct LikelihoodEngine {
     batch: Vec<PlannedNewview>,
     /// Per-node time accumulator of a batch, reused by every execution.
     batch_ns: Vec<u64>,
+    /// The post-order schedule of the traversal in progress, refilled
+    /// by every `update_partials`.
+    schedule: ScheduleBuf,
 }
 
 impl LikelihoodEngine {
@@ -369,6 +375,7 @@ impl LikelihoodEngine {
             sum_fold_classes: Vec::new(),
             batch: Vec::new(),
             batch_ns: Vec::new(),
+            schedule: ScheduleBuf::default(),
         };
         engine.rebuild_model_tables();
         engine
@@ -628,7 +635,8 @@ impl LikelihoodEngine {
         let limit = self.repeats_mode.class_limit(n);
         self.pinned.fill(false);
         let mut batch = std::mem::take(&mut self.batch);
-        for d in full_schedule(tree, root_edge) {
+        let mut schedule = std::mem::take(&mut self.schedule);
+        for &d in schedule.refill(tree, root_edge) {
             // Canonical child order: tip first, then by node id.
             let mut ch = children(tree, d.node, d.toward_edge);
             let tipness = |n: NodeId| usize::from(!tree.is_tip(n));
@@ -639,11 +647,9 @@ impl LikelihoodEngine {
             // when its CLA is cache-valid: parents build their classes
             // from the children's tables.
             if let Some(limit) = limit {
-                self.ensure_repeat_table(tree, d.node, d.toward_edge, ch, limit);
+                self.ensure_repeat_table(tree, d.node, ch, limit);
             }
             let key = CacheKey {
-                toward_edge: d.toward_edge,
-                child_edges: [ch[0].0, ch[1].0],
                 child_nodes: [ch[0].1, ch[1].1],
                 child_lengths: [tree.length(ch[0].0), tree.length(ch[1].0)],
                 child_stamps: [self.stamp_of(tree, ch[0].1), self.stamp_of(tree, ch[1].1)],
@@ -686,6 +692,7 @@ impl LikelihoodEngine {
         self.execute(&batch, block.unwrap_or(n));
         batch.clear();
         self.batch = batch;
+        self.schedule = schedule;
     }
 
     /// Plans one `newview`: takes the node's slot and does all of its
@@ -937,13 +944,11 @@ impl LikelihoodEngine {
         &mut self,
         tree: &Tree,
         node: NodeId,
-        toward_edge: EdgeId,
         ch: [(EdgeId, NodeId); 2],
         limit: usize,
     ) {
         let idx = self.inner_idx(node);
         let key = RepeatKey {
-            toward_edge,
             child_nodes: [ch[0].1, ch[1].1],
             child_table_stamps: [
                 self.repeat_stamp_of(tree, ch[0].1),
@@ -1482,6 +1487,78 @@ mod tests {
         engine.log_likelihood(&tree, root);
         let recomputed = engine.stats().get(KernelId::Newview).calls - before;
         assert_eq!(recomputed, 3, "P_def, center, P_ab — but not P_ef");
+    }
+
+    // ---- Re-rooting cost: what the search's depth-first orders buy ----
+
+    #[test]
+    fn depth_first_smoothing_tour_costs_under_two_newviews_per_branch() {
+        let (mut tree, aln) = pool_dataset(64, 31);
+        let mut engine = LikelihoodEngine::new(&tree, &aln, EngineConfig::default());
+        engine.log_likelihood(&tree, 0);
+        let before = engine.stats().get(KernelId::Newview).calls;
+        // One `optimize_branch` per step, minus the Newton iterations:
+        // root on the branch, then change its length.
+        let tour = phylo_tree::traverse::edges_depth_first(&tree, 0);
+        for &e in &tour {
+            engine.prepare_branch(&tree, e);
+            tree.set_length(e, 0.9 * tree.length(e) + 0.01).unwrap();
+        }
+        let calls = engine.stats().get(KernelId::Newview).calls - before;
+        assert!(
+            calls <= 2 * tour.len() as u64,
+            "{calls} newviews over {} branches",
+            tour.len()
+        );
+    }
+
+    #[test]
+    fn adjacent_regraft_targets_cost_at_most_three_newviews() {
+        use phylo_tree::moves::{spr, spr_undo};
+        let (mut tree, aln) = pool_dataset(64, 37);
+        let cfg = EngineConfig::default();
+        let mut engine = LikelihoodEngine::new(&tree, &aln, cfg);
+        let mut pairs = 0;
+        for prune_edge in tree.edge_ids() {
+            let (subtree_root, p) = tree.endpoints(prune_edge);
+            if tree.is_tip(p) {
+                continue;
+            }
+            // Score the targets as `spr_round` does: apply, evaluate at
+            // the prune edge, undo. Between the two evaluations the
+            // halves of the split edges change ids, which no key holds.
+            let mut last: Option<EdgeId> = None;
+            for target in phylo_tree::traverse::edges_within(&tree, prune_edge, 5) {
+                let adjacent = last.is_some_and(|l| {
+                    let (a, b) = tree.endpoints(l);
+                    let (c, d) = tree.endpoints(target);
+                    a == c || a == d || b == c || b == d
+                });
+                let Ok(undo) = spr(&mut tree, prune_edge, subtree_root, target) else {
+                    continue;
+                };
+                let before = engine.stats().get(KernelId::Newview).calls;
+                let ll = engine.log_likelihood(&tree, prune_edge);
+                let calls = engine.stats().get(KernelId::Newview).calls - before;
+                if adjacent {
+                    pairs += 1;
+                    assert!(
+                        calls <= 3,
+                        "prune {prune_edge}: target {target} after {last:?} cost {calls}"
+                    );
+                    let fresh =
+                        LikelihoodEngine::new(&tree, &aln, cfg).log_likelihood(&tree, prune_edge);
+                    assert_eq!(
+                        ll.to_bits(),
+                        fresh.to_bits(),
+                        "prune {prune_edge} target {target}"
+                    );
+                }
+                spr_undo(&mut tree, undo).unwrap();
+                last = Some(target);
+            }
+        }
+        assert!(pairs > 100, "only {pairs} adjacent target pairs");
     }
 
     #[test]

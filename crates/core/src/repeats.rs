@@ -62,7 +62,7 @@
 use crate::kernels::Kernels;
 use crate::layout::{site_range, EigenBasis, FusedPmat, Lut16x16};
 use crate::{AlignedVec, SITE_STRIDE};
-use phylo_tree::{EdgeId, NodeId};
+use phylo_tree::NodeId;
 
 /// Whether engines compress repeated sites, gated per
 /// [`crate::EngineConfig`] and overridable process-wide through the
@@ -595,9 +595,8 @@ impl RepeatIndex {
 /// every CLA recomputation.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct RepeatKey {
-    /// Orientation the table's children were taken for.
-    pub toward_edge: EdgeId,
-    /// The two children, canonicalized tip-first.
+    /// The two children, canonicalized tip-first (they fix the
+    /// orientation: the third neighbour is the root side).
     pub child_nodes: [NodeId; 2],
     /// Children's own table stamps (0 for tips); a rebuilt child table
     /// cascades invalidation upward.

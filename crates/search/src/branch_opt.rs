@@ -2,6 +2,7 @@
 
 use crate::newton::optimize_branch;
 use crate::Evaluator;
+use phylo_tree::traverse::edges_depth_first;
 use phylo_tree::Tree;
 
 /// Result of a smoothing pass.
@@ -16,6 +17,11 @@ pub struct SmoothResult {
 /// Optimizes every branch length by repeated Newton passes over all
 /// edges until a full pass improves the log-likelihood by less than
 /// `epsilon`, or `max_passes` is reached (RAxML's "smoothTree").
+///
+/// A pass walks the edges depth-first from edge 0, as `smoothTree`
+/// recurses: consecutive branches are adjacent, so re-rooting from one
+/// to the next recomputes the one inner node between them instead of
+/// the path between two edge ids that happen to be consecutive.
 pub fn smooth_branches<E: Evaluator + ?Sized>(
     evaluator: &mut E,
     tree: &mut Tree,
@@ -25,10 +31,11 @@ pub fn smooth_branches<E: Evaluator + ?Sized>(
     let _span = plf_core::span::enter("smooth_branches");
     assert!(epsilon > 0.0 && max_passes > 0);
     let mut current = evaluator.log_likelihood(tree, 0);
+    let tour = edges_depth_first(tree, 0);
     let mut passes = 0;
     for _ in 0..max_passes {
         passes += 1;
-        for edge in 0..tree.num_edges() {
+        for &edge in &tour {
             optimize_branch(evaluator, tree, edge);
         }
         let next = evaluator.log_likelihood(tree, 0);
@@ -38,6 +45,8 @@ pub fn smooth_branches<E: Evaluator + ?Sized>(
             break;
         }
     }
+    plf_core::metrics::counter("smooth.passes").add(passes as u64);
+    plf_core::metrics::counter("smooth.branches").add((passes * tour.len()) as u64);
     SmoothResult {
         log_likelihood: current,
         passes,

@@ -10,9 +10,13 @@
 //! Restarting is deterministic: resuming the same checkpoint twice
 //! yields identical results. It is *trajectory-equivalent* rather than
 //! bit-identical to the uninterrupted run — the Newick round-trip
-//! re-anchors the tree arena, which permutes the (arbitrary but
-//! trajectory-relevant) edge enumeration order, so the hill-climb may
-//! take a different path to an equally good optimum.
+//! re-anchors the tree arena, which renumbers nodes and edges. The
+//! numbering is arbitrary but trajectory-relevant: SPR prune
+//! candidates and NNI edges are tried in edge-id order, and every
+//! smoothing tour and regraft enumeration is a depth-first walk that
+//! starts at a numbered edge and takes siblings in `incident` order.
+//! So the hill-climb may take a different path to an equally good
+//! optimum.
 
 use phylo_models::GtrParams;
 use phylo_tree::{newick, Tree, TreeError};

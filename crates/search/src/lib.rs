@@ -27,6 +27,8 @@ pub mod parsimony;
 pub mod partitioned;
 pub mod search;
 pub mod spr;
+#[cfg(test)]
+mod test_dir;
 
 pub use search::{MlSearch, SearchConfig, SearchResult};
 

@@ -226,6 +226,7 @@ impl MlSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
     use phylo_bio::CompressedAlignment;
     use phylo_models::{DiscreteGamma, Gtr, GtrParams};
     use phylo_tree::build::{default_names, random_tree};
@@ -320,10 +321,8 @@ mod tests {
 
         // Interrupted run: one round, checkpoint, then resume with a
         // completely fresh engine and tree.
-        let dir = std::env::temp_dir().join("phylomic-search-cp");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("cp-{}.ckp", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let dir = TestDir::new("search-cp");
+        let path = dir.join("cp.ckp");
 
         let mut t1 = start.clone();
         let mut e1 = LikelihoodEngine::new(&t1, &ca, cfg);
@@ -345,10 +344,8 @@ mod tests {
             let r2 = MlSearch::new(full_cfg)
                 .run_checkpointed(&mut e2, &mut t2, &scratch)
                 .unwrap();
-            std::fs::remove_file(&scratch).ok();
             resumed.push((r2, t2));
         }
-        std::fs::remove_file(&path).ok();
         assert_eq!(
             resumed[0].0.log_likelihood, resumed[1].0.log_likelihood,
             "resume must be deterministic"
@@ -357,8 +354,10 @@ mod tests {
 
         // Trajectory-equivalence: the resumed run ends at an optimum
         // at least as good as the uninterrupted one (up to round-off;
-        // the Newick round-trip permutes edge enumeration order, so
-        // the path may differ — see checkpoint.rs docs).
+        // the Newick round-trip renumbers nodes and edges, and with
+        // them the order of SPR candidates and the edge every
+        // smoothing tour starts from, so the path may differ — see
+        // checkpoint.rs docs).
         let (r2, t2) = &resumed[0];
         assert!(
             r2.log_likelihood >= r_ref.log_likelihood - 0.1,
@@ -378,10 +377,10 @@ mod tests {
         // The checkpoint "directory" is a plain file, so every write
         // attempt (and every retry) fails with NotADirectory-ish
         // errors. The search must surface that as Err, not unwind.
-        let dir = std::env::temp_dir().join(format!("phylomic-notadir-{}", std::process::id()));
-        let _ = std::fs::remove_file(&dir);
-        std::fs::write(&dir, b"occupied").unwrap();
-        let path = dir.join("run.ckp");
+        let dir = TestDir::new("search-notadir");
+        let occupied = dir.join("occupied");
+        std::fs::write(&occupied, b"occupied").unwrap();
+        let path = occupied.join("run.ckp");
         let search = MlSearch::new(SearchConfig {
             max_rounds: 1,
             ..Default::default()
@@ -393,7 +392,47 @@ mod tests {
             })
             .unwrap_err();
         assert!(err.contains("checkpoint write failed"), "got: {err}");
-        std::fs::remove_file(&dir).ok();
+    }
+
+    #[test]
+    fn depth_first_search_converges_where_the_edge_order_search_did() {
+        // What the search found on this input when smoothing walked
+        // the edges by id and SPR scored its targets breadth-first
+        // (the commit before the depth-first orders): 4 rounds, 46 of
+        // 2882 moves accepted, 21 019 `newview`s. The depth-first
+        // tours change the order of the Newton updates, hence the
+        // trajectory — not where it ends.
+        const EDGE_ORDER_LOGL: f64 = -13067.854441;
+        const EDGE_ORDER_TREE: &str = "((((t17,t13),((t21,t16),((t1,t10),(t23,t5)))),t11),\
+            (((t20,t6),t15),(((t12,((t7,t19),t2)),t4),((((t3,(t14,t8)),t22),t18),t9))),t0);";
+        let (_, ca) = dataset(2024, 24, 800);
+        let mut tree =
+            random_tree(&default_names(24), 0.1, &mut SmallRng::seed_from_u64(24)).unwrap();
+        let mut engine = LikelihoodEngine::new(
+            &tree,
+            &ca,
+            EngineConfig {
+                kernel: KernelKind::Scalar,
+                alpha: 0.8,
+                ..EngineConfig::default()
+            },
+        );
+        let search = MlSearch::new(SearchConfig {
+            optimize_model: false,
+            ..Default::default()
+        });
+        let result = search.run(&mut engine, &mut tree);
+        assert!(result.rounds < search.config.max_rounds, "not converged");
+        assert!(
+            result.log_likelihood >= EDGE_ORDER_LOGL - 0.01,
+            "{} fell below {EDGE_ORDER_LOGL}",
+            result.log_likelihood
+        );
+        let reference = phylo_tree::newick::parse(EDGE_ORDER_TREE).unwrap();
+        assert_eq!(tree.rf_distance(&reference), 0);
+        // The point of the orders: about half the `newview`s.
+        let calls = engine.stats().get(plf_core::KernelId::Newview).calls;
+        assert!(calls < 21_019 * 2 / 3, "{calls} newviews");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::Evaluator;
 use phylo_tree::moves::{spr, spr_undo};
-use phylo_tree::traverse::edges_within;
+use phylo_tree::traverse::edges_within_dist;
 use phylo_tree::{EdgeId, NodeId, Tree};
 
 /// Result of one SPR improvement round.
@@ -52,6 +52,20 @@ pub fn spr_round<E: Evaluator + ?Sized>(
     radius: usize,
     epsilon: f64,
 ) -> SprRoundResult {
+    spr_round_over(evaluator, tree, epsilon, |tree, prune_edge| {
+        edges_within_dist(tree, prune_edge, radius)
+    })
+}
+
+/// [`spr_round`] over the regraft targets `targets(tree, prune_edge)`
+/// lists, each with its distance from the prune edge. The order decides
+/// what scoring costs, never which move is chosen.
+fn spr_round_over<E: Evaluator + ?Sized>(
+    evaluator: &mut E,
+    tree: &mut Tree,
+    epsilon: f64,
+    targets: impl Fn(&Tree, EdgeId) -> Vec<(EdgeId, usize)>,
+) -> SprRoundResult {
     let _span = plf_core::span::enter("spr_round");
     let mut current = evaluator.log_likelihood(tree, 0);
     let mut accepted = 0;
@@ -71,9 +85,12 @@ pub fn spr_round<E: Evaluator + ?Sized>(
                 continue;
             }
         }
-        let targets = edges_within(tree, prune_edge, radius);
-        let mut best: Option<(f64, EdgeId)> = None;
-        for target in targets {
+        // Targets come depth-first, so that consecutive candidates
+        // re-root across one node; among equal scores the one a
+        // breadth-first enumeration meets first wins — the nearer one,
+        // and of two equally near the earlier.
+        let mut best: Option<(f64, usize, EdgeId)> = None;
+        for (target, dist) in targets(tree, prune_edge) {
             let undo = match spr(tree, prune_edge, subtree_root, target) {
                 Ok(u) => u,
                 Err(_) => continue, // invalid placement, skip
@@ -81,15 +98,21 @@ pub fn spr_round<E: Evaluator + ?Sized>(
             let ll = evaluator.log_likelihood(tree, prune_edge);
             evaluated += 1;
             spr_undo(tree, undo).expect("undo of a just-applied SPR");
-            if ll > best.map_or(f64::NEG_INFINITY, |(b, _)| b) {
-                best = Some((ll, target));
+            let (best_ll, best_dist) = best.map_or((f64::NEG_INFINITY, 0), |(l, d, _)| (l, d));
+            let better = match ll.partial_cmp(&best_ll) {
+                Some(std::cmp::Ordering::Greater) => true,
+                Some(std::cmp::Ordering::Equal) => dist < best_dist,
+                _ => false,
+            };
+            if better {
+                best = Some((ll, dist, target));
             }
         }
         // Apply the best lazy candidate, then re-optimize the three
         // branches around the new attachment point (RAxML's local
         // smoothing): the lazy score underestimates good placements
         // because the regraft splits its target edge naively.
-        if let Some((lazy_ll, target)) = best {
+        if let Some((lazy_ll, _, target)) = best {
             if lazy_ll <= current - 2.0 {
                 continue; // hopeless even before local smoothing
             }
@@ -151,6 +174,105 @@ mod tests {
         let internal = t.internal_edges().count();
         let pendant = t.num_edges() - internal;
         assert_eq!(cands.len(), pendant + 2 * internal);
+    }
+
+    /// The breadth-first enumeration `spr_round` scored its targets in
+    /// before it moved to the depth-first one: the same targets sorted
+    /// stably by distance (`traverse.rs` holds that sequence to a
+    /// breadth-first walk). Distances never fall along it, so the
+    /// distance tie-break cannot fire: the first of the best-scoring
+    /// targets wins, as under the old strict `>`.
+    fn bfs_targets(tree: &Tree, start: EdgeId, radius: usize) -> Vec<(EdgeId, usize)> {
+        let mut targets = edges_within_dist(tree, start, radius);
+        targets.sort_by_key(|&(_, dist)| dist);
+        targets
+    }
+
+    #[test]
+    fn depth_first_scoring_chooses_the_breadth_first_moves() {
+        let mut rng = SmallRng::seed_from_u64(99);
+        let names = default_names(16);
+        let true_tree = random_tree(&names, 0.12, &mut rng).unwrap();
+        let g = Gtr::new(GtrParams::jc69());
+        let gamma = DiscreteGamma::new(0.8);
+        let aln = phylo_seqgen::simulate_alignment(&true_tree, g.eigen(), &gamma, 600, &mut rng);
+        let ca = CompressedAlignment::from_alignment(&aln);
+        let start = random_tree(&names, 0.1, &mut SmallRng::seed_from_u64(8)).unwrap();
+        let calls = |e: &LikelihoodEngine| e.stats().get(plf_core::KernelId::Newview).calls;
+
+        let mut t_bfs = start.clone();
+        let mut e_bfs = LikelihoodEngine::new(&t_bfs, &ca, EngineConfig::default());
+        let r_bfs = spr_round_over(&mut e_bfs, &mut t_bfs, 1e-3, |t, e| bfs_targets(t, e, 5));
+        let mut t_dfs = start.clone();
+        let mut e_dfs = LikelihoodEngine::new(&t_dfs, &ca, EngineConfig::default());
+        let r_dfs = spr_round(&mut e_dfs, &mut t_dfs, 5, 1e-3);
+
+        assert!(r_bfs.accepted > 0, "the round must edit the tree");
+        assert_eq!(r_dfs.accepted, r_bfs.accepted);
+        assert_eq!(r_dfs.evaluated, r_bfs.evaluated);
+        assert_eq!(
+            r_dfs.log_likelihood.to_bits(),
+            r_bfs.log_likelihood.to_bits()
+        );
+        assert_eq!(
+            phylo_tree::newick::to_newick(&t_dfs),
+            phylo_tree::newick::to_newick(&t_bfs)
+        );
+        // Same moves for fewer re-rooting steps.
+        assert!(
+            calls(&e_dfs) < calls(&e_bfs),
+            "{} vs {} newviews",
+            calls(&e_dfs),
+            calls(&e_bfs)
+        );
+    }
+
+    /// A score with three values, scattered over the topologies (the
+    /// summed split sizes modulo three): the best score of a candidate
+    /// is shared by targets at several distances, so which one wins is
+    /// pure tie-breaking.
+    struct ThreeValued;
+
+    impl Evaluator for ThreeValued {
+        fn log_likelihood(&mut self, tree: &Tree, _root_edge: EdgeId) -> f64 {
+            -((tree.splits().iter().map(Vec::len).sum::<usize>() % 3) as f64)
+        }
+        fn prepare_branch(&mut self, _tree: &Tree, _edge: EdgeId) {}
+        fn branch_derivatives(&mut self, _t: f64) -> (f64, f64) {
+            (0.0, -1.0) // every length is already optimal
+        }
+        fn set_alpha(&mut self, _alpha: f64) {}
+        fn set_model(&mut self, _params: GtrParams) {}
+        fn alpha(&self) -> f64 {
+            1.0
+        }
+        fn model(&self) -> GtrParams {
+            GtrParams::jc69()
+        }
+    }
+
+    #[test]
+    fn equal_scores_go_to_the_nearer_then_the_earlier_target() {
+        let names = default_names(20);
+        for seed in 0..4 {
+            let start = random_tree(&names, 0.1, &mut SmallRng::seed_from_u64(seed)).unwrap();
+            // A threshold under every score difference: each
+            // candidate's choice is applied, so a different choice
+            // shows in the tree.
+            let mut t_bfs = start.clone();
+            let r_bfs = spr_round_over(&mut ThreeValued, &mut t_bfs, -10.0, |t, e| {
+                bfs_targets(t, e, 5)
+            });
+            let mut t_dfs = start.clone();
+            let r_dfs = spr_round(&mut ThreeValued, &mut t_dfs, 5, -10.0);
+            assert!(r_bfs.accepted > 10, "seed {seed}");
+            assert_eq!(r_dfs, r_bfs, "seed {seed}");
+            assert_eq!(
+                phylo_tree::newick::to_newick(&t_dfs),
+                phylo_tree::newick::to_newick(&t_bfs),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -45,60 +45,127 @@ pub fn children(tree: &Tree, node: NodeId, toward_edge: EdgeId) -> [(EdgeId, Nod
 /// order yields valid CLAs for every listed node. Tips are omitted:
 /// their "CLA" is the encoded sequence data itself.
 pub fn postorder_inner(tree: &Tree, e: EdgeId, side: NodeId) -> Vec<Directed> {
-    let mut order = Vec::new();
-    // Iterative post-order: stack of (node, toward_edge, expanded?).
-    let mut stack = vec![(side, e, false)];
-    while let Some((node, toward, expanded)) = stack.pop() {
-        if tree.is_tip(node) {
-            continue;
-        }
-        if expanded {
-            order.push(Directed {
-                node,
-                toward_edge: toward,
-            });
-        } else {
-            stack.push((node, toward, true));
-            for (ce, child) in children(tree, node, toward) {
-                stack.push((child, ce, false));
-            }
-        }
-    }
-    order
+    let mut buf = ScheduleBuf::default();
+    buf.push_postorder(tree, e, side);
+    buf.order
 }
 
 /// Post-order schedule for evaluating the likelihood at virtual-root
 /// edge `root`: all inner nodes of both sides, children first.
 pub fn full_schedule(tree: &Tree, root: EdgeId) -> Vec<Directed> {
-    let (a, b) = tree.endpoints(root);
-    let mut order = postorder_inner(tree, root, a);
-    order.extend(postorder_inner(tree, root, b));
-    order
+    let mut buf = ScheduleBuf::default();
+    buf.refill(tree, root);
+    buf.order
 }
 
-/// Breadth-first list of edges within `radius` hops of `start`
-/// (excluding `start` itself). Distance counts nodes crossed. Used for
-/// RAxML-style bounded SPR regrafting.
-pub fn edges_within(tree: &Tree, start: EdgeId, radius: usize) -> Vec<EdgeId> {
-    let mut dist = vec![usize::MAX; tree.num_edges()];
-    dist[start] = 0;
-    let mut queue = std::collections::VecDeque::from([start]);
-    let mut result = Vec::new();
-    while let Some(e) = queue.pop_front() {
-        if dist[e] >= radius {
-            continue;
-        }
-        let (a, b) = tree.endpoints(e);
-        for node in [a, b] {
-            for &e2 in tree.incident(node) {
-                if dist[e2] == usize::MAX {
-                    dist[e2] = dist[e] + 1;
-                    result.push(e2);
-                    queue.push_back(e2);
+/// The buffers behind [`full_schedule`], for a caller that asks for a
+/// schedule per likelihood call: refilled in place, they stop
+/// allocating once they have held the tree's inner nodes.
+#[derive(Debug, Default)]
+pub struct ScheduleBuf {
+    order: Vec<Directed>,
+    /// Iterative post-order: (node, toward_edge, expanded?).
+    stack: Vec<(NodeId, EdgeId, bool)>,
+}
+
+impl ScheduleBuf {
+    /// Replaces the contents by [`full_schedule`]`(tree, root)` and
+    /// returns it.
+    pub fn refill(&mut self, tree: &Tree, root: EdgeId) -> &[Directed] {
+        self.order.clear();
+        let (a, b) = tree.endpoints(root);
+        self.push_postorder(tree, root, a);
+        self.push_postorder(tree, root, b);
+        &self.order
+    }
+
+    fn push_postorder(&mut self, tree: &Tree, e: EdgeId, side: NodeId) {
+        self.stack.push((side, e, false));
+        while let Some((node, toward, expanded)) = self.stack.pop() {
+            if tree.is_tip(node) {
+                continue;
+            }
+            if expanded {
+                self.order.push(Directed {
+                    node,
+                    toward_edge: toward,
+                });
+            } else {
+                self.stack.push((node, toward, true));
+                for (ce, child) in children(tree, node, toward) {
+                    self.stack.push((child, ce, false));
                 }
             }
         }
     }
+}
+
+/// Depth-first pre-order walk over the edges other than `start` that
+/// lie within `radius` hops of it (distance counts nodes crossed):
+/// `visit(edge, distance)` for the edges behind `start`'s first
+/// endpoint, then for those behind its second; an edge comes before
+/// the edges behind it, siblings in `incident` order. Iterative, so a
+/// caterpillar costs heap, not call stack.
+fn walk_depth_first(
+    tree: &Tree,
+    start: EdgeId,
+    radius: usize,
+    mut visit: impl FnMut(EdgeId, usize),
+) {
+    if radius == 0 {
+        return;
+    }
+    // (edge, its end away from `start`, distance); pushed in reverse
+    // so that pops come in `incident` order.
+    let mut stack = Vec::new();
+    let behind = |stack: &mut Vec<_>, e: EdgeId, node: NodeId, dist: usize| {
+        for &e2 in tree.incident(node).iter().rev() {
+            if e2 != e {
+                stack.push((e2, tree.other_end(e2, node), dist));
+            }
+        }
+    };
+    let (a, b) = tree.endpoints(start);
+    behind(&mut stack, start, b, 1);
+    behind(&mut stack, start, a, 1);
+    while let Some((e, far, dist)) = stack.pop() {
+        visit(e, dist);
+        if dist < radius {
+            behind(&mut stack, e, far, dist + 1);
+        }
+    }
+}
+
+/// Every edge exactly once, `start` first, each one directly after an
+/// edge it shares a node with or after a finished subtree. This is the
+/// order in which a search should re-root: moving the virtual root to
+/// an adjacent edge crosses one inner node, so with one CLA per node
+/// the step costs about one `newview` instead of the path between two
+/// unrelated edges (RAxML's `smoothTree` recursion).
+pub fn edges_depth_first(tree: &Tree, start: EdgeId) -> Vec<EdgeId> {
+    let mut order = Vec::with_capacity(tree.num_edges());
+    order.push(start);
+    walk_depth_first(tree, start, usize::MAX, |e, _| order.push(e));
+    order
+}
+
+/// The edges within `radius` hops of `start` (excluding `start`
+/// itself) with their distances, in the depth-first order of
+/// [`edges_depth_first`] cut off at `radius`. Distance counts nodes
+/// crossed. Used for RAxML-style bounded SPR regrafting: consecutive
+/// targets are adjacent, or a finished subtree apart. Sorting stably
+/// by distance gives the breadth-first order (edges of one distance
+/// come in the same relative order in both).
+pub fn edges_within_dist(tree: &Tree, start: EdgeId, radius: usize) -> Vec<(EdgeId, usize)> {
+    let mut result = Vec::new();
+    walk_depth_first(tree, start, radius, |e, dist| result.push((e, dist)));
+    result
+}
+
+/// The edges of [`edges_within_dist`] without their distances.
+pub fn edges_within(tree: &Tree, start: EdgeId, radius: usize) -> Vec<EdgeId> {
+    let mut result = Vec::new();
+    walk_depth_first(tree, start, radius, |e, _| result.push(e));
     result
 }
 
@@ -177,5 +244,149 @@ mod tests {
         // Radius large enough reaches all other edges.
         let all = edges_within(&t, e0, 100);
         assert_eq!(all.len(), t.num_edges() - 1);
+    }
+
+    #[test]
+    fn schedule_buffer_refills_to_the_fresh_schedule() {
+        let t = six_taxon();
+        let mut buf = ScheduleBuf::default();
+        for root in t.edge_ids().chain([0]) {
+            assert_eq!(buf.refill(&t, root), full_schedule(&t, root), "root {root}");
+        }
+    }
+
+    /// The breadth-first body `edges_within` had before the search
+    /// moved to depth-first orders, with the distances it assigned.
+    fn edges_within_bfs(tree: &Tree, start: EdgeId, radius: usize) -> Vec<(EdgeId, usize)> {
+        let mut dist = vec![usize::MAX; tree.num_edges()];
+        dist[start] = 0;
+        let mut queue = std::collections::VecDeque::from([start]);
+        let mut result = Vec::new();
+        while let Some(e) = queue.pop_front() {
+            if dist[e] >= radius {
+                continue;
+            }
+            let (a, b) = tree.endpoints(e);
+            for node in [a, b] {
+                for &e2 in tree.incident(node) {
+                    if dist[e2] == usize::MAX {
+                        dist[e2] = dist[e] + 1;
+                        result.push((e2, dist[e2]));
+                        queue.push_back(e2);
+                    }
+                }
+            }
+        }
+        result
+    }
+
+    fn share_a_node(tree: &Tree, e: EdgeId, f: EdgeId) -> bool {
+        let (a, b) = tree.endpoints(e);
+        let (c, d) = tree.endpoints(f);
+        a == c || a == d || b == c || b == d
+    }
+
+    #[test]
+    fn depth_first_orders_finish_on_a_500_taxon_caterpillar() {
+        use crate::build::{caterpillar, default_names};
+        let t = caterpillar(&default_names(500), 0.1).unwrap();
+        for start in [0, t.num_edges() / 2, t.num_edges() - 1] {
+            let order = edges_depth_first(&t, start);
+            assert_eq!(order.len(), t.num_edges());
+            assert_eq!(edges_within(&t, start, usize::MAX).len(), t.num_edges() - 1);
+            let mut near = edges_within(&t, start, 400);
+            let mut bfs: Vec<EdgeId> = edges_within_bfs(&t, start, 400)
+                .into_iter()
+                .map(|(e, _)| e)
+                .collect();
+            near.sort_unstable();
+            bfs.sort_unstable();
+            assert_eq!(near, bfs);
+        }
+    }
+
+    mod random_trees {
+        use super::*;
+        use crate::build::{default_names, random_tree};
+        use proptest::prelude::*;
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn edges_depth_first_is_a_connected_permutation(
+                seed in 0u64..1 << 32,
+                taxa in 4usize..=40,
+                start_frac in 0.0f64..1.0,
+            ) {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let t = random_tree(&default_names(taxa), 0.1, &mut rng).unwrap();
+                let start = (start_frac * t.num_edges() as f64) as usize;
+                let order = edges_depth_first(&t, start);
+                prop_assert_eq!(order[0], start);
+                let mut sorted = order.clone();
+                sorted.sort_unstable();
+                prop_assert_eq!(sorted, t.edge_ids().collect::<Vec<_>>());
+                for (i, &e) in order.iter().enumerate().skip(1) {
+                    prop_assert!(
+                        order[..i].iter().any(|&f| share_a_node(&t, e, f)),
+                        "edge {} at position {} touches no earlier edge", e, i
+                    );
+                }
+                // The re-rooting cost the order is chosen for: a step
+                // either moves to an adjacent edge or leaves a finished
+                // subtree, and at most one step in three does the latter
+                // (every inner node is left at most once).
+                let jumps = order
+                    .windows(2)
+                    .filter(|w| !share_a_node(&t, w[0], w[1]))
+                    .count();
+                prop_assert!(jumps <= t.num_inner(), "{} jumps", jumps);
+            }
+
+            #[test]
+            fn edges_within_is_the_breadth_first_set(
+                seed in 0u64..1 << 32,
+                taxa in 4usize..=40,
+                start_frac in 0.0f64..1.0,
+            ) {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let t = random_tree(&default_names(taxa), 0.1, &mut rng).unwrap();
+                let start = (start_frac * t.num_edges() as f64) as usize;
+                for radius in 0..=6 {
+                    let bfs = edges_within_bfs(&t, start, radius);
+                    let with_dist = edges_within_dist(&t, start, radius);
+                    let plain = edges_within(&t, start, radius);
+                    prop_assert!(!plain.contains(&start));
+                    prop_assert_eq!(
+                        &plain,
+                        &with_dist.iter().map(|&(e, _)| e).collect::<Vec<_>>()
+                    );
+                    // Same set, same distances; and the stable sort by
+                    // distance is the breadth-first sequence itself,
+                    // which is what lets a caller break ties the way
+                    // the breadth-first enumeration did.
+                    let mut by_dist = with_dist.clone();
+                    by_dist.sort_by_key(|&(_, d)| d);
+                    prop_assert_eq!(by_dist, bfs, "radius {}", radius);
+                    // Depth-first: each edge follows the one it hangs
+                    // off, or a finished subtree.
+                    for (i, &(e, d)) in with_dist.iter().enumerate() {
+                        let parent_ok = if d == 1 {
+                            share_a_node(&t, e, start)
+                        } else {
+                            with_dist[..i]
+                                .iter()
+                                .rev()
+                                .find(|&&(_, d2)| d2 < d)
+                                .is_some_and(|&(f, d2)| d2 + 1 == d && share_a_node(&t, e, f))
+                        };
+                        prop_assert!(parent_ok, "edge {} at distance {}", e, d);
+                    }
+                }
+            }
+        }
     }
 }

@@ -108,6 +108,8 @@ fn traced_search_roundtrips_and_reports() {
     assert!(metric("core.patterns.evaluated").unwrap_or(0) > 0);
     assert!(metric("spr.moves.evaluated").unwrap_or(0) > 0);
     assert!(metric("newton.iterations").unwrap_or(0) > 0);
+    assert!(metric("smooth.passes").unwrap_or(0) > 0);
+    assert!(metric("smooth.branches").unwrap_or(0) > 0);
     assert!(metric("barrier.waits").unwrap_or(0) > 0);
     assert_eq!(metric("forkjoin.workers"), Some(WORKERS as u64));
 

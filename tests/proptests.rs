@@ -358,9 +358,10 @@ proptest! {
 // alignment, any backend, any repeat density.
 // ---------------------------------------------------------------------------
 
-use phylomic::plf::engine::min_pool_slots_any_root;
+use phylomic::plf::engine::{min_pool_slots, min_pool_slots_any_root};
 use phylomic::plf::{Blocking, RepeatStats, SiteRepeats};
-use phylomic::tree::traverse::{children, full_schedule};
+use phylomic::tree::moves::{spr, spr_undo, SprUndo};
+use phylomic::tree::traverse::{children, edges_within, full_schedule};
 use phylomic::tree::{EdgeId, NodeId};
 
 /// Backend axis of the on/off matrix: every concrete backend plus the
@@ -439,11 +440,29 @@ fn expected_repeat_stats(
     stats
 }
 
+/// The first applicable SPR move of `tree` in edge order, applied:
+/// `(prune_edge, undo)`.
+fn apply_first_spr(tree: &mut Tree) -> Option<(EdgeId, SprUndo)> {
+    for prune_edge in tree.edge_ids() {
+        let (subtree_root, _) = tree.endpoints(prune_edge);
+        for target in edges_within(tree, prune_edge, 3) {
+            if let Ok(undo) = spr(tree, prune_edge, subtree_root, target) {
+                return Some((prune_edge, undo));
+            }
+        }
+    }
+    None
+}
+
 /// Builds one engine per (site-repeats, blocking) cell — the baseline
 /// is both off — and checks log-likelihood bits, branch-derivative
 /// bits, and every inner node's per-site scale array are identical at
 /// each of the given virtual roots; and that each cell's compress
 /// decisions are the ones the definition of a repeat class implies.
+/// Then every engine follows the tree through an SPR apply/undo pair,
+/// which re-wires nodes and hands the halves of the split edges other
+/// ids: no cached CLA or repeat table may be reused for other content
+/// than it holds, so each engine must still agree with a fresh one.
 fn assert_on_off_identical(
     tree: &Tree,
     aln: &CompressedAlignment,
@@ -463,7 +482,11 @@ fn assert_on_off_identical(
     // Every cell all-resident and under the smallest CLA pool that
     // serves every root: eviction and recomputation change no bit.
     let all_resident = tree.num_inner();
-    let pools = [all_resident, min_pool_slots_any_root(tree)];
+    let mut moved = tree.clone();
+    let spr_move = apply_first_spr(&mut moved);
+    assert!(spr_move.is_some() || tree.num_taxa() < 5, "no SPR move");
+    let min_pool = spr_move.map_or(3, |(prune_edge, _)| min_pool_slots(&moved, prune_edge));
+    let pools = [all_resident, min_pool_slots_any_root(tree).max(min_pool)];
     let variants: Vec<_> = [
         (SiteRepeats::Off, Blocking::Off),
         (SiteRepeats::On, Blocking::Off),
@@ -544,6 +567,41 @@ fn assert_on_off_identical(
                 pool,
                 root
             );
+        }
+    }
+    if let Some((prune_edge, undo)) = spr_move {
+        let names = variants
+            .iter()
+            .map(|v| format!("{v:?}"))
+            .chain(["baseline".to_string()]);
+        let mut engines: Vec<_> = others.iter_mut().chain([&mut base]).zip(names).collect();
+        let fresh = |t: &Tree, root| {
+            mk(SiteRepeats::Off, Blocking::Off, all_resident).log_likelihood(t, root)
+        };
+        // On the moved tree, then — the undo applied — on the tree
+        // the engines first saw.
+        let mut undo = Some(undo);
+        for (what, root) in [
+            ("on the moved tree", prune_edge),
+            ("after the undo", roots[0]),
+        ] {
+            let expect = fresh(&moved, root);
+            for (e, name) in &mut engines {
+                let got = e.log_likelihood(&moved, root);
+                prop_assert_eq!(
+                    got.to_bits(),
+                    expect.to_bits(),
+                    "{:?} {} {}: {} vs fresh {}",
+                    kernel,
+                    name,
+                    what,
+                    got,
+                    expect
+                );
+            }
+            if let Some(undo) = undo.take() {
+                spr_undo(&mut moved, undo).unwrap();
+            }
         }
     }
     // Blocking re-orders kernel work only: over the whole sequence of
