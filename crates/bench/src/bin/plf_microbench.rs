@@ -48,9 +48,24 @@
 //!   6. the blocked traversal within `BLOCKING_MAX_RATIO` of the
 //!      unblocked one on the 0%-repeats alignment.
 //!
+//!   7. with AVX-512F present, the 512-bit `newview_ii` body at least
+//!      `WIDTH_MIN_SPEEDUP` × faster than the 256-bit body of the same
+//!      backend (skipped with a message elsewhere);
+//!   8. `newview_ii` with the underflow threshold tested on the
+//!      accumulators at least `FINISH_MIN_SPEEDUP` × faster than the
+//!      same 256-bit loop finishing every site the old way (store,
+//!      then `scale_site` reads it back lane by lane).
+//!
 //! (Gates 1 and 2 guarded the `vector` backend and the `auto`
 //! dispatcher and went with them; the numbers stay so EXPERIMENTS.md
 //! and DESIGN.md keep pointing at the right gate.)
+//!
+//! Gates 7 and 8 are ratio cells: both arms run in the same process,
+//! interleaved round by round, at the call sizes of the `plf_e2e`
+//! workloads (390 sites = `narrow64`, 3 716 / 7 307 = `wide15` /
+//! `modelopt15`). They are no part of the `BENCH_*.json` schema (a
+//! ratio has no ns/site trend); with an explicit `--out PATH` they are
+//! written to `PATH.widths.json` next to it.
 //!
 //! Run: `cargo run --release -p phylo-bench --bin plf-microbench`
 //! Flags: `--quick` (10 000 patterns only), `--out PATH`
@@ -60,12 +75,13 @@ use phylo_bio::{CompressedAlignment, DnaCode};
 use phylo_models::{DiscreteGamma, Gtr, GtrParams, ProbMatrix};
 use phylo_tree::build::{default_names, random_tree};
 use plf_core::cla::Cla;
+use plf_core::kernels::simd::SimdKernels;
 use plf_core::layout::{EigenBasis, FusedPmat, Lut16x16};
 use plf_core::repeats::{ClassSource, RepeatIndex, RepeatTable};
-use plf_core::scaling::LN_SCALE;
+use plf_core::scaling::{scale_site, LN_SCALE, SCALE_THRESHOLD};
 use plf_core::{
-    AlignedVec, Blocking, EngineConfig, KernelKind, KernelOp, LikelihoodEngine, SiteRepeats,
-    SITE_STRIDE,
+    AlignedVec, Blocking, EngineConfig, KernelKind, KernelOp, Kernels, LikelihoodEngine,
+    SiteRepeats, SITE_STRIDE,
 };
 use plf_prof::{host, roofline, HostRoofline};
 use rand::rngs::SmallRng;
@@ -117,6 +133,12 @@ const FOLDED_MIN_SPEEDUP: f64 = 1.3;
 /// of the unblocked one on a 0%-repeats alignment — blocking must
 /// never hurt the config it cannot help.
 const BLOCKING_MAX_RATIO: f64 = 1.05;
+/// Gate 7: minimum speedup of the 512-bit `newview_ii` body over the
+/// 256-bit one (measured 1.2–1.3× on the development host).
+const WIDTH_MIN_SPEEDUP: f64 = 1.10;
+/// Gate 8: minimum speedup of the in-register threshold test over the
+/// store-then-`scale_site` finish, both 256 bits wide.
+const FINISH_MIN_SPEEDUP: f64 = 1.25;
 /// Repeat-fraction sweep: `(percent duplicated, prototype divisor)` —
 /// with `patterns / divisor` prototype columns, `1 - 1/divisor` of
 /// the sites duplicate an earlier column.
@@ -659,15 +681,252 @@ fn blocking_engine_bench(patterns: usize) -> (usize, f64, f64) {
     (aln.num_taxa(), ns_off, ns_on)
 }
 
+/// One same-run ratio cell: `base` and `new` timed in alternating
+/// rounds on the same inputs.
+struct RatioCell {
+    cell: &'static str,
+    sites: usize,
+    base: &'static str,
+    new: &'static str,
+    /// Median ns/site of each arm.
+    base_ns: f64,
+    new_ns: f64,
+    /// Median over rounds of `base / new` within the round.
+    ratio: f64,
+    gate: f64,
+}
+
+/// Times `base` and `new` in alternating rounds (each round runs an
+/// arm often enough to last ~100 µs) and returns their median ns/site
+/// and the median per-round ratio `base / new`.
+fn interleaved(sites: usize, mut base: impl FnMut(), mut new: impl FnMut()) -> (f64, f64, f64) {
+    let calls = (100_000 / sites).max(1);
+    let round = |arm: &mut dyn FnMut()| {
+        let start = Instant::now();
+        for _ in 0..calls {
+            arm();
+        }
+        start.elapsed().as_secs_f64() * 1e9 / (calls * sites) as f64
+    };
+    for _ in 0..WARMUP {
+        round(&mut base);
+        round(&mut new);
+    }
+    let rounds: Vec<(f64, f64)> = (0..201)
+        .map(|_| (round(&mut base), round(&mut new)))
+        .collect();
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v[v.len() / 2]
+    };
+    (
+        median(rounds.iter().map(|r| r.0).collect()),
+        median(rounds.iter().map(|r| r.1).collect()),
+        median(rounds.iter().map(|r| r.0 / r.1).collect()),
+    )
+}
+
+/// Gate 8's control arm: the 256-bit `newview_ii` loop as it was before
+/// the threshold moved into registers — same prefetch, same FMA chains,
+/// but every site is stored and then scanned lane by lane for its
+/// maximum, as `scale_site` used to begin. Kept here, not in
+/// `plf-core`, because nothing but this measurement runs it.
+#[cfg(target_arch = "x86_64")]
+fn newview_ii_stored_finish(fx: &Fixture, out: &mut Cla) {
+    assert!(KernelKind::simd_available(), "the control needs AVX2+FMA");
+    // SAFETY: AVX2 and FMA were detected just above.
+    unsafe { stored_finish_avx2(fx, out) }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+fn stored_finish_avx2(fx: &Fixture, out: &mut Cla) {
+    use core::arch::x86_64::{
+        _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
+        _mm256_storeu_pd, _mm_prefetch, _MM_HINT_T0,
+    };
+    let (v_l, v_r) = (fx.v_l.values(), fx.v_r.values());
+    let (scale_l, scale_r) = (fx.v_l.scale(), fx.v_r.scale());
+    let (values, scale_out) = out.buffers_mut();
+    for (i, site) in values.chunks_exact_mut(SITE_STRIDE).enumerate() {
+        for v in [v_l, v_r] {
+            let ahead = v.as_ptr().wrapping_add((i + 8) * SITE_STRIDE);
+            _mm_prefetch::<_MM_HINT_T0>(ahead as *const i8);
+            _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(8) as *const i8);
+        }
+        let vl = &v_l[i * SITE_STRIDE..(i + 1) * SITE_STRIDE];
+        let vr = &v_r[i * SITE_STRIDE..(i + 1) * SITE_STRIDE];
+        let mut l = [_mm256_setzero_pd(); 4];
+        let mut r = [_mm256_setzero_pd(); 4];
+        for b in 0..4 {
+            for k in 0..4 {
+                let (cl, cr) = (
+                    &fx.p_l.cols[b][4 * k..4 * k + 4],
+                    &fx.p_r.cols[b][4 * k..4 * k + 4],
+                );
+                // SAFETY: both slices were bounds-checked to 4 doubles.
+                let (cl, cr) =
+                    unsafe { (_mm256_loadu_pd(cl.as_ptr()), _mm256_loadu_pd(cr.as_ptr())) };
+                l[k] = _mm256_fmadd_pd(cl, _mm256_set1_pd(vl[4 * k + b]), l[k]);
+                r[k] = _mm256_fmadd_pd(cr, _mm256_set1_pd(vr[4 * k + b]), r[k]);
+            }
+        }
+        for k in 0..4 {
+            let lanes = &mut site[4 * k..4 * k + 4];
+            // SAFETY: the slice was bounds-checked to 4 doubles.
+            unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), _mm256_mul_pd(l[k], r[k])) };
+        }
+        // The old first step of `scale_site`: a scalar running maximum
+        // over the site just stored.
+        let mut max = 0.0f64;
+        for &v in site.iter() {
+            if v > max {
+                max = v;
+            }
+        }
+        let bump = if max < SCALE_THRESHOLD {
+            scale_site(site)
+        } else {
+            0
+        };
+        scale_out[i] = scale_l[i] + scale_r[i] + bump;
+    }
+}
+
+/// The two ratio cells (gates 7 and 8) at each of `sites`; an arm this
+/// host cannot run leaves its cell out, with a message.
+fn width_cells(sites: &[usize]) -> Vec<RatioCell> {
+    let mut cells = Vec::new();
+    let (Some(w256), w512) = (SimdKernels::at_width(256), SimdKernels::at_width(512)) else {
+        println!("width cells skipped: no AVX2+FMA on this host");
+        return cells;
+    };
+    if w512.is_none() {
+        println!("gate 7 skipped: no AVX-512F on this host, only the 256-bit bodies run");
+    }
+    for &n in sites {
+        let mut fx = fixture(n);
+        let (mut out_a, mut out_b) = (Cla::new(n), Cla::new(n));
+        let run = |k: &dyn Kernels, fx: &Fixture, out: &mut Cla| {
+            let (v, s) = out.buffers_mut();
+            let (l, r) = (&fx.v_l, &fx.v_r);
+            k.newview_ii(
+                &fx.p_l,
+                l.values(),
+                l.scale(),
+                &fx.p_r,
+                r.values(),
+                r.scale(),
+                v,
+                s,
+            );
+        };
+        if let Some(w512) = w512 {
+            let (base_ns, new_ns, ratio) = interleaved(
+                n,
+                || run(w256, &fx, &mut out_a),
+                || run(w512, &fx, &mut out_b),
+            );
+            assert!(
+                out_a.values() == out_b.values(),
+                "the two widths wrote different CLAs"
+            );
+            cells.push(RatioCell {
+                cell: "width",
+                sites: n,
+                base: "newview_ii, 256-bit body",
+                new: "newview_ii, 512-bit body",
+                base_ns,
+                new_ns,
+                ratio,
+                gate: WIDTH_MIN_SPEEDUP,
+            });
+        }
+        #[cfg(target_arch = "x86_64")]
+        if n < 4096 {
+            // Below the streaming size only: the control does not stream.
+            let (base_ns, new_ns, ratio) = interleaved(
+                n,
+                || newview_ii_stored_finish(&fx, &mut out_a),
+                || run(w256, &fx, &mut out_b),
+            );
+            assert!(
+                out_a.values() == out_b.values(),
+                "the control wrote a different CLA"
+            );
+            assert!(
+                out_a.scale() == out_b.scale(),
+                "the control counted other rescales"
+            );
+            cells.push(RatioCell {
+                cell: "finish",
+                sites: n,
+                base: "newview_ii at 256 bits, stored then scanned",
+                new: "newview_ii at 256 bits, threshold tested in registers",
+                base_ns,
+                new_ns,
+                ratio,
+                gate: FINISH_MIN_SPEEDUP,
+            });
+        }
+        // One site in a hundred below the threshold, as in a search:
+        // the arms must still agree bit for bit when the cold path runs.
+        for i in (0..n).step_by(100) {
+            for v in &mut fx.v_r.values_mut()[i * SITE_STRIDE..(i + 1) * SITE_STRIDE] {
+                *v *= 1e-80;
+            }
+        }
+        run(w256, &fx, &mut out_a);
+        if let Some(w512) = w512 {
+            run(w512, &fx, &mut out_b);
+            assert!(out_a.values() == out_b.values() && out_a.scale() == out_b.scale());
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            newview_ii_stored_finish(&fx, &mut out_b);
+            assert!(out_a.values() == out_b.values() && out_a.scale() == out_b.scale());
+            assert!(out_a.scale().iter().any(|&s| s > 0), "no site was rescaled");
+        }
+    }
+    cells
+}
+
+fn render_ratio_cells(cells: &[RatioCell]) -> String {
+    let mut s = String::from("{\"cells\":[\n");
+    for (i, c) in cells.iter().enumerate() {
+        let _ = writeln!(
+            s,
+            "{{\"cell\":\"{}\",\"sites\":{},\"base\":\"{}\",\"new\":\"{}\",\
+             \"base_ns_per_site\":{:.3},\"new_ns_per_site\":{:.3},\"ratio\":{:.3},\
+             \"gate\":{:.2}}}{}",
+            c.cell,
+            c.sites,
+            c.base,
+            c.new,
+            c.base_ns,
+            c.new_ns,
+            c.ratio,
+            c.gate,
+            if i + 1 < cells.len() { "," } else { "" }
+        );
+    }
+    s.push_str("]}\n");
+    s
+}
+
 fn main() {
     let mut quick = false;
     let mut out_path = String::from("BENCH_10.json");
+    let mut explicit_out = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--out" => match args.next() {
-                Some(p) => out_path = p,
+                Some(p) => {
+                    out_path = p;
+                    explicit_out = true;
+                }
                 None => {
                     eprintln!("--out requires a path");
                     std::process::exit(2);
@@ -684,12 +943,14 @@ fn main() {
 
     println!("plf-microbench: per-kernel ns/site, {BACKENDS:?}");
     println!(
-        "host SIMD (avx2+fma): {}  |  sizes: {sizes:?}  |  reps: >= {MIN_REPS} (trimmed)",
+        "host SIMD (avx2+fma): {}, simd_width_bits {}  |  sizes: {sizes:?}  |  \
+         reps: >= {MIN_REPS} (trimmed)",
         if simd {
             "available"
         } else {
             "UNAVAILABLE (simd falls back to scalar)"
-        }
+        },
+        KernelKind::Simd.simd_width_bits(),
     );
     println!(
         "host: {} ({} cores, simd {}), git {}",
@@ -829,6 +1090,24 @@ fn main() {
     );
     println!();
 
+    // Width section: the two same-run ratio cells.
+    let ratio_cells = width_cells(&[390, 3_716, 7_307]);
+    for c in &ratio_cells {
+        println!(
+            "{:<6} {:>5} sites: {} {:.2} ns/site, {} {:.2} ns/site ({:.2}x)",
+            c.cell, c.sites, c.base, c.base_ns, c.new, c.new_ns, c.ratio
+        );
+    }
+    println!();
+    if explicit_out {
+        let path = format!("{out_path}.widths.json");
+        std::fs::write(&path, render_ratio_cells(&ratio_cells)).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(2);
+        });
+        println!("wrote {path}");
+    }
+
     let json = render_json(
         &cells,
         simd,
@@ -900,6 +1179,18 @@ fn main() {
         ));
     } else {
         println!("gate: blocked traversal {blocking_ratio:.3}x of unblocked on 0%-repeats — ok");
+    }
+
+    // Gates 7 and 8: every ratio cell this host could run.
+    for c in &ratio_cells {
+        if c.ratio < c.gate {
+            failures.push(format!(
+                "{} cell at {} sites: {} only {:.2}x over {} (< {}x)",
+                c.cell, c.sites, c.new, c.ratio, c.base, c.gate
+            ));
+        } else {
+            println!("gate: {} at {} sites {:.2}x — ok", c.cell, c.sites, c.ratio);
+        }
     }
 
     if !failures.is_empty() {

@@ -37,9 +37,11 @@ pub enum KernelKind {
     /// Straightforward nested-loop reference implementation; also the
     /// fallback on hosts without AVX2+FMA.
     Scalar,
-    /// Explicit AVX2+FMA intrinsics with streaming stores and
-    /// prefetching (§V-B1–B5 on commodity x86). Resolves to `Scalar`
-    /// on hosts without AVX2+FMA (and on non-x86 targets).
+    /// Explicit x86 intrinsics with streaming stores and prefetching
+    /// (§V-B1–B5 on commodity x86): 512 bits wide where the host has
+    /// AVX-512F, 256 with AVX2+FMA alone — one backend, the width is
+    /// [`KernelKind::simd_width_bits`]. Resolves to `Scalar` on hosts
+    /// without AVX2+FMA (and on non-x86 targets).
     Simd,
     /// `Simd` where the host supports it, else `Scalar`.
     Auto,
@@ -102,15 +104,27 @@ impl KernelKind {
         Self::env_override().unwrap_or(self).resolve()
     }
 
+    /// The vector width, in bits, that [`Self::kernels`] of this kind
+    /// runs its matrix kernels with on this host: 512 or 256 for
+    /// `Simd`/`Auto` (0 without AVX2+FMA), 0 for `Scalar`. Reported
+    /// next to the resolved backend so a run says which bodies it
+    /// measured.
+    pub fn simd_width_bits(self) -> u32 {
+        match self {
+            KernelKind::Scalar => 0,
+            KernelKind::Simd | KernelKind::Auto => simd::simd_width_bits(),
+        }
+    }
+
     /// The implementation a kind names — a plain name-to-backend map
-    /// with no host or size test of its own. Engines call it on a
-    /// resolved kind; called on `Auto` (or on `Simd` without AVX2+FMA)
-    /// it yields [`simd::SimdKernels`], whose every method falls back
-    /// to the scalar backend on such hosts.
+    /// with no size test of its own. Engines call it on a resolved
+    /// kind; `Simd` (and `Auto`) name the widest [`simd::SimdKernels`]
+    /// set of this host, which without AVX2+FMA is the one whose every
+    /// method falls back to the scalar backend.
     pub fn kernels(self) -> &'static dyn Kernels {
         match self {
             KernelKind::Scalar => &scalar::ScalarKernels,
-            KernelKind::Simd | KernelKind::Auto => &simd::SimdKernels,
+            KernelKind::Simd | KernelKind::Auto => simd::SimdKernels::for_host(),
         }
     }
 }
@@ -529,15 +543,24 @@ mod tests {
             }
             let codes: Vec<u8> = (0..n).map(|i| 1 + (i % 15) as u8).collect();
             let scale_q: Vec<u32> = (0..n).map(|i| (i % 3) as u32).collect();
-            let scale_r: Vec<u32> = (0..n).map(|i| (i % 5 == 0) as u32 + (i % 2) as u32).collect();
+            let scale_r: Vec<u32> = (0..n)
+                .map(|i| (i % 5 == 0) as u32 + (i % 2) as u32)
+                .collect();
             let weights: Vec<u32> = (0..n).map(|i| 1 + (i % 4) as u32).collect();
             let site = |buf: &[f64], i: usize| -> AlignedVec {
                 let mut one = AlignedVec::zeroed(SITE_STRIDE);
                 one.copy_from_slice(&buf[i * SITE_STRIDE..(i + 1) * SITE_STRIDE]);
                 one
             };
-            for kind in [KernelKind::Scalar, KernelKind::Simd] {
-                let k = kind.kernels();
+            // The scalar loops and every explicit-SIMD width this host
+            // runs (the π-weighted tail and `derivative_core_classes`
+            // are shared by the widths; the matrix phase is not).
+            let mut sets: Vec<(String, &dyn Kernels)> =
+                vec![("scalar".into(), KernelKind::Scalar.kernels())];
+            for set in simd::tests::widths_under_test() {
+                sets.push((format!("simd at {} bits", set.width_bits()), set));
+            }
+            for (kind, k) in sets {
                 let (mut ti, mut ii, mut d1, mut d2) = (0.0, 0.0, 0.0, 0.0);
                 for i in 0..n {
                     let (q, r, s) = (site(&v_q, i), site(&v_r, i), site(&sumtable, i));

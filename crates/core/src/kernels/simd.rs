@@ -1,14 +1,21 @@
-//! Explicit-SIMD kernel implementations (AVX2+FMA).
+//! Explicit-SIMD kernel implementations: one backend, two vector
+//! widths, chosen once per host.
 //!
 //! Where [`super::scalar`] writes the kernels as plain nested loops,
 //! this backend writes the paper's §V-B optimizations with
 //! `core::arch::x86_64` intrinsics — the commodity-hardware equivalent
 //! of the paper's hand-vectorized MIC kernels:
 //!
-//! * §V-B1 *explicit vectorization* — the 16-wide fused loop is split
-//!   across four 4×f64 AVX2 lanes, one per Γ rate category (`m = 4k +
-//!   a` maps lane block `k` to category `k`), giving four independent
-//!   FMA accumulator chains per site;
+//! * §V-B1 *explicit vectorization* — the 16-wide fused loop
+//!   (`m = 4k + a`: Γ rate category `k`, state `a`) runs as independent
+//!   FMA accumulator chains, one rate category per 4×f64 block. With
+//!   AVX2+FMA a site is four 256-bit vectors; with AVX-512F it is two
+//!   512-bit vectors (rates `k, k+1` share a register — the paper's
+//!   two 8-double vectors per site), the matrix stays in the register
+//!   file for the whole call, and a site's own vector is permuted
+//!   in-register instead of re-read as scalar broadcasts. Every lane
+//!   runs the same chain at either width (`b = 0..3` from a zero
+//!   accumulator), so the two widths write identical bits;
 //! * §V-B2 *memory alignment* — CLA and sumtable buffers must be
 //!   64-byte aligned and whole-site padded (debug-asserted at every
 //!   kernel entry; see [`crate::layout`] for the invariant), so every
@@ -19,22 +26,30 @@
 //!   provided methods of [`super::Kernels`];
 //! * §V-B5 *streaming stores* — `newview` CLAs and `derivativeSum`
 //!   tables are written exactly once and never read back in-kernel, so
-//!   they leave through non-temporal stores (`_mm256_stream_pd`),
-//!   followed by one `sfence` at kernel exit that makes the
-//!   weakly-ordered writes globally visible before any reader runs;
+//!   large ones leave through non-temporal stores, followed by one
+//!   `sfence` at kernel exit that makes the weakly-ordered writes
+//!   globally visible before any reader runs;
 //! * prefetching — each site iteration prefetches the input CLA(s) a
 //!   few sites ahead into L1, the §V-B MIC prefetch scheme.
 //!
-//! The underflow-scaling decision reuses [`crate::scaling::scale_site`]
-//! — in place on the freshly written output site, or on an aligned
-//! stack staging buffer when the site leaves through streaming stores —
-//! so scaling counters are bit-identical to the scalar backend
-//! (rescaling multiplies by an exact power of two, so values stay
-//! bit-identical between the two finishes too).
+//! The underflow-scaling decision is taken on the accumulators, before
+//! anything is stored: one ordered `>= 2⁻²⁵⁶` compare per vector, OR-ed
+//! over the site. Any lane set (99 sites in 100) means
+//! [`crate::scaling::scale_site`] would leave the site alone, so it is
+//! written as it is. Only otherwise is the site staged on the stack and
+//! handed to `scale_site` — the one cold path, shared by both widths
+//! and the scalar backend, with its corruption asserts, all-zero rule
+//! and `core.scaling.events` counter — so counters and values are
+//! bit-identical across backends and widths (rescaling multiplies by an
+//! exact power of two).
 //!
-//! `newview_tt` is a pure 16-wide LUT product with no matrix work for
-//! the FMA chains to win anything on: it runs the scalar backend's
-//! loop, which LLVM vectorizes as it stands.
+//! Three ops have one body whatever the host: `newview_tt` is a pure
+//! 16-wide LUT product with no matrix work for the FMA chains to win
+//! anything on and runs the scalar backend's loop, which LLVM
+//! vectorizes as it stands; `derivative_core_classes` and the
+//! π-weighted tail of `evaluate_classes_*` sum over `k` *inside* a
+//! lane, so putting two rate categories side by side would change the
+//! order of that sum — they stay 256 bits wide.
 //!
 //! On non-x86-64 targets, and on x86-64 hosts without AVX2+FMA, every
 //! method delegates to [`super::scalar::ScalarKernels`];
@@ -47,12 +62,26 @@ use crate::aligned::debug_assert_site_buffer as assert_buf;
 use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
 use crate::SITE_STRIDE;
 
-/// Explicit AVX2+FMA kernel set (scalar fallback elsewhere).
-pub struct SimdKernels;
+/// Explicit-SIMD kernel set at one vector width. The width is fixed
+/// when the set is handed out ([`SimdKernels::for_host`]), against the
+/// host's features, and every op of the set runs the bodies of that
+/// width — so the width a run reports is the width that ran.
+pub struct SimdKernels {
+    /// 512, 256, or 0 (every method falls back to the scalar loops).
+    /// Private: a nonzero value is the proof the `unsafe` calls below
+    /// rely on, and only [`SimdKernels::at_width`] hands one out.
+    width_bits: u32,
+}
+
+static SETS: [SimdKernels; 3] = [
+    SimdKernels { width_bits: 512 },
+    SimdKernels { width_bits: 256 },
+    SimdKernels { width_bits: 0 },
+];
 
 /// Whether the explicit-SIMD backend can run on this host: x86-64 with
 /// AVX2 and FMA detected at runtime. Detection results are cached by
-/// `std`, so this is cheap enough to gate every kernel entry.
+/// `std`.
 #[inline]
 pub fn simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -62,6 +91,45 @@ pub fn simd_available() -> bool {
     #[cfg(not(target_arch = "x86_64"))]
     {
         false
+    }
+}
+
+/// Width, in bits, of the widest vectors this backend can run with on
+/// this host: 512 with AVX-512F on top of AVX2+FMA, 256 with AVX2+FMA
+/// alone, 0 where only the scalar loops run.
+pub fn simd_width_bits() -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if simd_available() {
+        return if std::arch::is_x86_feature_detected!("avx512f") {
+            512
+        } else {
+            256
+        };
+    }
+    0
+}
+
+impl SimdKernels {
+    /// The kernel set engines run: the widest one this host supports.
+    pub fn for_host() -> &'static SimdKernels {
+        Self::at_width(simd_width_bits()).expect("simd_width_bits() names a supported width")
+    }
+
+    /// The set at exactly `bits` (512, 256 or 0), or `None` when this
+    /// host cannot run it. For tests and benches that hold the widths
+    /// against each other; engines take [`SimdKernels::for_host`].
+    #[doc(hidden)]
+    pub fn at_width(bits: u32) -> Option<&'static SimdKernels> {
+        SETS.iter()
+            .find(|set| set.width_bits == bits && bits <= simd_width_bits())
+    }
+
+    /// The width of this set's vectors in bits (0: scalar fallback).
+    /// `newview_tt`, `derivative_core_classes` and the π-weighted tail
+    /// of `evaluate_classes_*` have one body at every width (see the
+    /// module doc); all matrix work runs this wide.
+    pub fn width_bits(&self) -> u32 {
+        self.width_bits
     }
 }
 
@@ -89,11 +157,18 @@ impl Kernels for SimdKernels {
         scale_out: &mut [u32],
     ) {
         #[cfg(target_arch = "x86_64")]
-        if simd_available() {
+        if self.width_bits != 0 {
             assert_buf(v_r, scale_out.len(), "newview_ti v_r");
             assert_buf(out, scale_out.len(), "newview_ti out");
-            // SAFETY: AVX2+FMA presence verified by simd_available().
-            return unsafe { x86::newview_ti(lut_l, codes_l, p_r, v_r, scale_r, out, scale_out) };
+            // SAFETY: `at_width` hands out a nonzero width only with
+            // AVX2+FMA detected, and 512 only with AVX-512F on top.
+            return unsafe {
+                if self.width_bits == 512 {
+                    x86::w512::newview_ti(lut_l, codes_l, p_r, v_r, scale_r, out, scale_out)
+                } else {
+                    x86::newview_ti(lut_l, codes_l, p_r, v_r, scale_r, out, scale_out)
+                }
+            };
         }
         ScalarKernels.newview_ti(lut_l, codes_l, p_r, v_r, scale_r, out, scale_out)
     }
@@ -110,13 +185,18 @@ impl Kernels for SimdKernels {
         scale_out: &mut [u32],
     ) {
         #[cfg(target_arch = "x86_64")]
-        if simd_available() {
+        if self.width_bits != 0 {
             assert_buf(v_l, scale_out.len(), "newview_ii v_l");
             assert_buf(v_r, scale_out.len(), "newview_ii v_r");
             assert_buf(out, scale_out.len(), "newview_ii out");
-            // SAFETY: AVX2+FMA presence verified by simd_available().
+            // SAFETY: `at_width` hands out a nonzero width only with
+            // AVX2+FMA detected, and 512 only with AVX-512F on top.
             return unsafe {
-                x86::newview_ii(p_l, v_l, scale_l, p_r, v_r, scale_r, out, scale_out)
+                if self.width_bits == 512 {
+                    x86::w512::newview_ii(p_l, v_l, scale_l, p_r, v_r, scale_r, out, scale_out)
+                } else {
+                    x86::newview_ii(p_l, v_l, scale_l, p_r, v_r, scale_r, out, scale_out)
+                }
             };
         }
         ScalarKernels.newview_ii(p_l, v_l, scale_l, p_r, v_r, scale_r, out, scale_out)
@@ -124,25 +204,39 @@ impl Kernels for SimdKernels {
 
     fn derivative_sum_ti(&self, basis: &EigenBasis, codes_q: &[u8], v_r: &[f64], out: &mut [f64]) {
         #[cfg(target_arch = "x86_64")]
-        if simd_available() {
+        if self.width_bits != 0 {
             let n = out.len() / SITE_STRIDE;
             assert_buf(v_r, n, "derivative_sum_ti v_r");
             assert_buf(out, n, "derivative_sum_ti out");
-            // SAFETY: AVX2+FMA presence verified by simd_available().
-            return unsafe { x86::derivative_sum_ti(basis, codes_q, v_r, out) };
+            // SAFETY: `at_width` hands out a nonzero width only with
+            // AVX2+FMA detected, and 512 only with AVX-512F on top.
+            return unsafe {
+                if self.width_bits == 512 {
+                    x86::w512::derivative_sum_ti(basis, codes_q, v_r, out)
+                } else {
+                    x86::derivative_sum_ti(basis, codes_q, v_r, out)
+                }
+            };
         }
         ScalarKernels.derivative_sum_ti(basis, codes_q, v_r, out)
     }
 
     fn derivative_sum_ii(&self, basis: &EigenBasis, v_q: &[f64], v_r: &[f64], out: &mut [f64]) {
         #[cfg(target_arch = "x86_64")]
-        if simd_available() {
+        if self.width_bits != 0 {
             let n = out.len() / SITE_STRIDE;
             assert_buf(v_q, n, "derivative_sum_ii v_q");
             assert_buf(v_r, n, "derivative_sum_ii v_r");
             assert_buf(out, n, "derivative_sum_ii out");
-            // SAFETY: AVX2+FMA presence verified by simd_available().
-            return unsafe { x86::derivative_sum_ii(basis, v_q, v_r, out) };
+            // SAFETY: `at_width` hands out a nonzero width only with
+            // AVX2+FMA detected, and 512 only with AVX-512F on top.
+            return unsafe {
+                if self.width_bits == 512 {
+                    x86::w512::derivative_sum_ii(basis, v_q, v_r, out)
+                } else {
+                    x86::derivative_sum_ii(basis, v_q, v_r, out)
+                }
+            };
         }
         ScalarKernels.derivative_sum_ii(basis, v_q, v_r, out)
     }
@@ -157,10 +251,17 @@ impl Kernels for SimdKernels {
         out: &mut [f64],
     ) {
         #[cfg(target_arch = "x86_64")]
-        if simd_available() {
+        if self.width_bits != 0 {
             assert_buf(v_r, v_r.len() / SITE_STRIDE, "evaluate_classes_ti v_r");
-            // SAFETY: AVX2+FMA presence verified by simd_available().
-            return unsafe { x86::evaluate_classes_ti(pi_tip, codes_q, p, v_r, reprs, out) };
+            // SAFETY: `at_width` hands out a nonzero width only with
+            // AVX2+FMA detected, and 512 only with AVX-512F on top.
+            return unsafe {
+                if self.width_bits == 512 {
+                    x86::w512::evaluate_classes_ti(pi_tip, codes_q, p, v_r, reprs, out)
+                } else {
+                    x86::evaluate_classes_ti(pi_tip, codes_q, p, v_r, reprs, out)
+                }
+            };
         }
         ScalarKernels.evaluate_classes_ti(pi_tip, codes_q, p, v_r, reprs, out)
     }
@@ -175,11 +276,18 @@ impl Kernels for SimdKernels {
         out: &mut [f64],
     ) {
         #[cfg(target_arch = "x86_64")]
-        if simd_available() {
+        if self.width_bits != 0 {
             assert_buf(v_q, v_q.len() / SITE_STRIDE, "evaluate_classes_ii v_q");
             assert_buf(v_r, v_r.len() / SITE_STRIDE, "evaluate_classes_ii v_r");
-            // SAFETY: AVX2+FMA presence verified by simd_available().
-            return unsafe { x86::evaluate_classes_ii(pi_w, v_q, p, v_r, reprs, out) };
+            // SAFETY: `at_width` hands out a nonzero width only with
+            // AVX2+FMA detected, and 512 only with AVX-512F on top.
+            return unsafe {
+                if self.width_bits == 512 {
+                    x86::w512::evaluate_classes_ii(pi_w, v_q, p, v_r, reprs, out)
+                } else {
+                    x86::evaluate_classes_ii(pi_w, v_q, p, v_r, reprs, out)
+                }
+            };
         }
         ScalarKernels.evaluate_classes_ii(pi_w, v_q, p, v_r, reprs, out)
     }
@@ -192,9 +300,10 @@ impl Kernels for SimdKernels {
         out: &mut [f64],
     ) {
         #[cfg(target_arch = "x86_64")]
-        if simd_available() {
+        if self.width_bits != 0 {
             assert_buf(sumtable, out.len() / 3, "derivative_core_classes sumtable");
-            // SAFETY: AVX2+FMA presence verified by simd_available().
+            // SAFETY: `at_width` hands out a nonzero width only with
+            // AVX2+FMA detected.
             return unsafe { x86::derivative_core_classes(sumtable, lambda_rate, t, out) };
         }
         ScalarKernels.derivative_core_classes(sumtable, lambda_rate, t, out)
@@ -203,20 +312,21 @@ impl Kernels for SimdKernels {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The AVX2+FMA kernel cores. Every function here carries
-    //! `#[target_feature(enable = "avx2", enable = "fma")]`; callers
-    //! must verify feature presence (see the trait impl above), which
-    //! is what makes the `unsafe` call sites sound.
+    //! The kernel cores: what both widths share, the 256-bit bodies
+    //! (`#[target_feature(enable = "avx2", enable = "fma")]`), and in
+    //! [`w512`] the 512-bit bodies of the ops built on `matvec`.
+    //! Callers must verify feature presence (see the trait impl
+    //! above), which is what makes the `unsafe` call sites sound.
 
     use super::super::derivative_exp_tables;
     use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
-    use crate::scaling::scale_site;
+    use crate::scaling::{scale_site, SCALE_THRESHOLD};
     use crate::{NUM_RATES, NUM_STATES, SITE_STRIDE};
     use core::arch::x86_64::{
-        __m256d, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_fmadd_pd, _mm256_loadu_pd,
-        _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_stream_pd,
-        _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_prefetch, _mm_sfence, _mm_unpackhi_pd,
-        _MM_HINT_T0,
+        __m256d, _mm256_castpd256_pd128, _mm256_cmp_pd, _mm256_extractf128_pd, _mm256_fmadd_pd,
+        _mm256_loadu_pd, _mm256_movemask_pd, _mm256_mul_pd, _mm256_or_pd, _mm256_set1_pd,
+        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_stream_pd, _mm_add_pd, _mm_add_sd,
+        _mm_cvtsd_f64, _mm_prefetch, _mm_sfence, _mm_unpackhi_pd, _CMP_GE_OQ, _MM_HINT_T0,
     };
 
     /// How many sites ahead the input CLA prefetches run. One site is
@@ -225,9 +335,9 @@ mod x86 {
     /// bandwidth without thrashing L1.
     const PREFETCH_SITES: usize = 8;
 
-    /// One site's 16 doubles on the stack. 64-byte aligned so the
-    /// staging round-trip between compute, the scaling rule, and the
-    /// streaming store uses fully aligned vector moves.
+    /// One site's 16 doubles on the stack: where a site below the
+    /// underflow threshold waits for the scaling rule. 64-byte aligned
+    /// so the round-trip uses fully aligned vector moves.
     #[repr(align(64))]
     struct SiteBuf([f64; SITE_STRIDE]);
 
@@ -253,7 +363,7 @@ mod x86 {
     /// bypasses the cache since output CLAs are never read back by the
     /// writing kernel. Callers must only pass `at` offsets that keep
     /// the destination 32-byte aligned (guaranteed by the
-    /// `stream_ok` gate: 32-byte-aligned base + 128-byte site stride).
+    /// `stream_ok` gate: aligned base + 128-byte site stride).
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     fn stream4(row: &mut [f64], at: usize, v: __m256d) {
@@ -277,14 +387,15 @@ mod x86 {
     /// per-core L2 and the reader was going to miss anyway.
     pub(super) const NT_MIN_SITES: usize = 4096;
 
-    /// Whether `out` should take streaming stores: every site offset
-    /// must be 32-byte aligned (engine-owned buffers are 64-byte
-    /// aligned and always qualify; the 128-byte site stride preserves
-    /// alignment), and the output must be large enough
-    /// ([`NT_MIN_SITES`]) that bypassing the cache wins.
+    /// Whether `out` should take streaming stores of `vector_bytes`
+    /// each: every site offset must be aligned to the vector
+    /// (engine-owned buffers are 64-byte aligned and always qualify;
+    /// the 128-byte site stride preserves alignment), and the output
+    /// must be large enough ([`NT_MIN_SITES`]) that bypassing the
+    /// cache wins.
     #[inline]
-    fn stream_ok(out: &[f64], n_sites: usize) -> bool {
-        (out.as_ptr() as usize).is_multiple_of(32) && n_sites >= NT_MIN_SITES
+    fn stream_ok(out: &[f64], n_sites: usize, vector_bytes: usize) -> bool {
+        (out.as_ptr() as usize).is_multiple_of(vector_bytes) && n_sites >= NT_MIN_SITES
     }
 
     /// §V-B5 epilogue: `sfence` after non-temporal stores. NT stores
@@ -338,12 +449,21 @@ mod x86 {
         _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
     }
 
+    /// One site row as its four rate-category blocks.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn load_site(row: &[f64]) -> [__m256d; NUM_RATES] {
+        [load4(row, 0), load4(row, 4), load4(row, 8), load4(row, 12)]
+    }
+
     /// The paper's fused 16-wide matrix application (§V-B3) on 4×f64
     /// lanes: lane block `k` is rate category `k`, and
     /// `acc[k] = Σ_b cols[b][4k..4k+4] · v[4k + b]` runs as four
     /// independent FMA accumulator chains — the 16-wide MIC loop split
     /// across four AVX2 registers. Also serves the eigen-basis
     /// projections, whose tables share the `[input][m]` fused layout.
+    /// Sixteen `ymm` registers cannot hold a matrix, so its columns
+    /// and the broadcasts of `v` are re-read from L1 at every site.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     fn matvec(cols: &[[f64; SITE_STRIDE]; NUM_STATES], v: &[f64]) -> [__m256d; NUM_RATES] {
@@ -357,31 +477,83 @@ mod x86 {
         acc
     }
 
-    /// Finishes one `newview` site: writes the 16 accumulated values
-    /// to `out` exactly once and applies the shared underflow-scaling
-    /// rule (bit-identical to the scalar backend). A cached output is
-    /// written first and scaled where it lies; a streamed one (`nt`)
-    /// cannot be read back, so it is scaled in a stack staging buffer
-    /// and leaves through non-temporal stores.
+    /// Writes one site's four blocks to `site`, through non-temporal
+    /// stores when `nt`.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    fn finish_site(acc: [__m256d; NUM_RATES], out: &mut [f64], at: usize, nt: bool) -> u32 {
-        if !nt {
-            let site = &mut out[at..at + SITE_STRIDE];
-            for (k, &a) in acc.iter().enumerate() {
+    fn write_site(acc: [__m256d; NUM_RATES], site: &mut [f64], nt: bool) {
+        for (k, &a) in acc.iter().enumerate() {
+            if nt {
+                stream4(site, 4 * k, a);
+            } else {
                 store4(site, 4 * k, a);
             }
-            return scale_site(site);
         }
-        let mut buf = SiteBuf([0.0; SITE_STRIDE]);
+    }
+
+    /// Finishes one `newview` site: writes the 16 accumulated values
+    /// to `out` exactly once and returns the site's scaling bump. The
+    /// question [`scale_site`] asks first — is any entry at or above
+    /// 2⁻²⁵⁶ — is answered on the accumulators (an ordered compare: a
+    /// NaN lane is not "above"), and a yes writes the site untouched.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn finish_site(acc: [__m256d; NUM_RATES], out: &mut [f64], nt: bool) -> u32 {
+        let threshold = _mm256_set1_pd(SCALE_THRESHOLD);
+        let mut above = _mm256_cmp_pd::<_CMP_GE_OQ>(acc[0], threshold);
+        for &a in &acc[1..] {
+            above = _mm256_or_pd(above, _mm256_cmp_pd::<_CMP_GE_OQ>(a, threshold));
+        }
+        if _mm256_movemask_pd(above) != 0 {
+            write_site(acc, out, nt);
+            return 0;
+        }
+        let mut site = SiteBuf([0.0; SITE_STRIDE]);
         for (k, &a) in acc.iter().enumerate() {
-            store4(&mut buf.0, 4 * k, a);
+            store4(&mut site.0, 4 * k, a);
         }
-        let bumps = scale_site(&mut buf.0);
-        for k in 0..NUM_RATES {
-            stream4(out, at + 4 * k, load4(&buf.0, 4 * k));
-        }
+        rescale_site(&mut site, out, nt)
+    }
+
+    /// The cold finish of both widths: a site with no entry at or
+    /// above the threshold goes through the shared scaling rule —
+    /// which rescales it, leaves an all-zero site alone, or refuses
+    /// corrupted data — on the stack, and is then written like any
+    /// other (a streamed output cannot be scaled where it lies).
+    #[cold]
+    #[inline(never)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn rescale_site(site: &mut SiteBuf, out: &mut [f64], nt: bool) -> u32 {
+        let bumps = scale_site(&mut site.0);
+        write_site(load_site(&site.0), out, nt);
         bumps
+    }
+
+    /// The π-weighted tail of `evaluate` at one site: `Σ_m w[m]·x[m]`
+    /// summed over `k` inside each lane, then across the four lanes.
+    /// That order is why the tail is 256 bits wide at either width.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn weighted_sum(w: [__m256d; NUM_RATES], x: [__m256d; NUM_RATES]) -> f64 {
+        let mut acc = _mm256_setzero_pd();
+        for (&wk, &xk) in w.iter().zip(&x) {
+            acc = _mm256_fmadd_pd(wk, xk, acc);
+        }
+        hsum(acc)
+    }
+
+    /// `pi_w[m] · v_q[m]`: the weights of [`weighted_sum`] when the
+    /// virtual root's left end is an inner node.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn root_weights(pi_w: &[f64; SITE_STRIDE], vq: &[f64]) -> [__m256d; NUM_RATES] {
+        let ([p0, p1, p2, p3], [q0, q1, q2, q3]) = (load_site(pi_w), load_site(vq));
+        [
+            _mm256_mul_pd(p0, q0),
+            _mm256_mul_pd(p1, q1),
+            _mm256_mul_pd(p2, q2),
+            _mm256_mul_pd(p3, q3),
+        ]
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -394,17 +566,18 @@ mod x86 {
         out: &mut [f64],
         scale_out: &mut [u32],
     ) {
-        let n = scale_out.len();
-        let nt = stream_ok(out, n);
-        for i in 0..n {
+        let nt = stream_ok(out, scale_out.len(), 32);
+        let sites = out
+            .chunks_exact_mut(SITE_STRIDE)
+            .zip(v_r.chunks_exact(SITE_STRIDE));
+        for (i, (site, vr)) in sites.enumerate() {
             prefetch_site(v_r, i + PREFETCH_SITES);
             let l = &lut_l.rows[codes_l[i] as usize];
-            let vr = &v_r[i * SITE_STRIDE..(i + 1) * SITE_STRIDE];
             let mut acc = matvec(&p_r.cols, vr);
             for (k, a) in acc.iter_mut().enumerate() {
                 *a = _mm256_mul_pd(load4(l, 4 * k), *a);
             }
-            scale_out[i] = scale_r[i] + finish_site(acc, out, i * SITE_STRIDE, nt);
+            scale_out[i] = scale_r[i] + finish_site(acc, site, nt);
         }
         drain_streams(nt);
     }
@@ -421,19 +594,19 @@ mod x86 {
         out: &mut [f64],
         scale_out: &mut [u32],
     ) {
-        let n = scale_out.len();
-        let nt = stream_ok(out, n);
-        for i in 0..n {
+        let nt = stream_ok(out, scale_out.len(), 32);
+        let inputs = v_l
+            .chunks_exact(SITE_STRIDE)
+            .zip(v_r.chunks_exact(SITE_STRIDE));
+        for (i, (site, (vl, vr))) in out.chunks_exact_mut(SITE_STRIDE).zip(inputs).enumerate() {
             prefetch_site(v_l, i + PREFETCH_SITES);
             prefetch_site(v_r, i + PREFETCH_SITES);
-            let vl = &v_l[i * SITE_STRIDE..(i + 1) * SITE_STRIDE];
-            let vr = &v_r[i * SITE_STRIDE..(i + 1) * SITE_STRIDE];
             let l = matvec(&p_l.cols, vl);
             let mut acc = matvec(&p_r.cols, vr);
             for (k, a) in acc.iter_mut().enumerate() {
                 *a = _mm256_mul_pd(l[k], *a);
             }
-            scale_out[i] = scale_l[i] + scale_r[i] + finish_site(acc, out, i * SITE_STRIDE, nt);
+            scale_out[i] = scale_l[i] + scale_r[i] + finish_site(acc, site, nt);
         }
         drain_streams(nt);
     }
@@ -445,36 +618,39 @@ mod x86 {
         v_r: &[f64],
         out: &mut [f64],
     ) {
-        let n = out.len() / SITE_STRIDE;
-        let nt = stream_ok(out, n);
-        for i in 0..n {
+        let nt = stream_ok(out, out.len() / SITE_STRIDE, 32);
+        let sites = out
+            .chunks_exact_mut(SITE_STRIDE)
+            .zip(v_r.chunks_exact(SITE_STRIDE));
+        for (i, (site, vr)) in sites.enumerate() {
             prefetch_site(v_r, i + PREFETCH_SITES);
             let le = &basis.tip_left.rows[codes_q[i] as usize];
-            let vr = &v_r[i * SITE_STRIDE..(i + 1) * SITE_STRIDE];
             let mut acc = matvec(&basis.uinv, vr);
             for (k, a) in acc.iter_mut().enumerate() {
                 *a = _mm256_mul_pd(load4(le, 4 * k), *a);
             }
-            write_sum_site(acc, out, i * SITE_STRIDE, nt);
+            // No scaling rule here: sumtables are branch-invariant
+            // intermediates, not CLAs.
+            write_site(acc, site, nt);
         }
         drain_streams(nt);
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) fn derivative_sum_ii(basis: &EigenBasis, v_q: &[f64], v_r: &[f64], out: &mut [f64]) {
-        let n = out.len() / SITE_STRIDE;
-        let nt = stream_ok(out, n);
-        for i in 0..n {
+        let nt = stream_ok(out, out.len() / SITE_STRIDE, 32);
+        let inputs = v_q
+            .chunks_exact(SITE_STRIDE)
+            .zip(v_r.chunks_exact(SITE_STRIDE));
+        for (i, (site, (vq, vr))) in out.chunks_exact_mut(SITE_STRIDE).zip(inputs).enumerate() {
             prefetch_site(v_q, i + PREFETCH_SITES);
             prefetch_site(v_r, i + PREFETCH_SITES);
-            let vq = &v_q[i * SITE_STRIDE..(i + 1) * SITE_STRIDE];
-            let vr = &v_r[i * SITE_STRIDE..(i + 1) * SITE_STRIDE];
             let le = matvec(&basis.piu, vq);
             let mut acc = matvec(&basis.uinv, vr);
             for (k, a) in acc.iter_mut().enumerate() {
                 *a = _mm256_mul_pd(le[k], *a);
             }
-            write_sum_site(acc, out, i * SITE_STRIDE, nt);
+            write_site(acc, site, nt);
         }
         drain_streams(nt);
     }
@@ -494,12 +670,7 @@ mod x86 {
             let s = s as usize;
             let piq = &pi_tip.rows[codes_q[s] as usize];
             let vr = &v_r[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
-            let x = matvec(&p.cols, vr);
-            let mut acc = _mm256_setzero_pd();
-            for (k, &xk) in x.iter().enumerate() {
-                acc = _mm256_fmadd_pd(load4(piq, 4 * k), xk, acc);
-            }
-            *slot = hsum(acc);
+            *slot = weighted_sum(load_site(piq), matvec(&p.cols, vr));
         }
     }
 
@@ -519,13 +690,7 @@ mod x86 {
             let s = s as usize;
             let vq = &v_q[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
             let vr = &v_r[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
-            let x = matvec(&p.cols, vr);
-            let mut acc = _mm256_setzero_pd();
-            for (k, &xk) in x.iter().enumerate() {
-                let pq = _mm256_mul_pd(load4(&pi_w[..], 4 * k), load4(vq, 4 * k));
-                acc = _mm256_fmadd_pd(pq, xk, acc);
-            }
-            *slot = hsum(acc);
+            *slot = weighted_sum(root_weights(pi_w, vq), matvec(&p.cols, vr));
         }
     }
 
@@ -539,14 +704,7 @@ mod x86 {
         let n = out.len() / 3;
         debug_assert_eq!(sumtable.len(), n * SITE_STRIDE);
         let (e, d1, d2) = derivative_exp_tables(lambda_rate, t);
-        let mut ev = [_mm256_setzero_pd(); NUM_RATES];
-        let mut d1v = [_mm256_setzero_pd(); NUM_RATES];
-        let mut d2v = [_mm256_setzero_pd(); NUM_RATES];
-        for k in 0..NUM_RATES {
-            ev[k] = load4(&e[..], 4 * k);
-            d1v[k] = load4(&d1[..], 4 * k);
-            d2v[k] = load4(&d2[..], 4 * k);
-        }
+        let (ev, d1v, d2v) = (load_site(&e[..]), load_site(&d1[..]), load_site(&d2[..]));
         // Phase 1 of `derivative_core` over contiguous class columns;
         // the engine folds the ratio/weight tail in site order.
         for c in 0..n {
@@ -567,26 +725,287 @@ mod x86 {
         }
     }
 
-    /// Writes one sumtable site (no scaling rule here — sumtables are
-    /// branch-invariant intermediates, not CLAs).
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn write_sum_site(acc: [__m256d; NUM_RATES], out: &mut [f64], at: usize, nt: bool) {
-        for (k, &a) in acc.iter().enumerate() {
-            if nt {
-                stream4(out, at + 4 * k, a);
-            } else {
-                store4(out, at + 4 * k, a);
+    pub(super) mod w512 {
+        //! The 512-bit bodies (AVX-512F) of the ops built on `matvec`.
+        //! A site is two vectors — half `h` holds rate categories
+        //! `2h, 2h+1`, lane `j` of it is `m = 8h + j` — and a matrix
+        //! is eight registers, loaded once per call.
+
+        use super::{
+            drain_streams, prefetch_ahead, prefetch_site, rescale_site, root_weights, stream_ok,
+            weighted_sum, SiteBuf, PREFETCH_SITES,
+        };
+        use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
+        use crate::scaling::SCALE_THRESHOLD;
+        use crate::{NUM_RATES, NUM_STATES, SITE_STRIDE};
+        use core::arch::x86_64::{
+            __m256d, __m512d, _mm512_castpd512_pd256, _mm512_cmp_pd_mask, _mm512_extractf64x4_pd,
+            _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_permutex_pd, _mm512_set1_pd,
+            _mm512_setzero_pd, _mm512_storeu_pd, _mm512_stream_pd, _CMP_GE_OQ,
+        };
+
+        /// One site: `[rates 0-1, rates 2-3]`.
+        type Site = [__m512d; 2];
+
+        /// One fused 16×4 matrix in registers: `[input state b][half]`.
+        type Matrix = [Site; NUM_STATES];
+
+        /// Loads lanes `[at, at + 8)` of a site row.
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn load8(row: &[f64], at: usize) -> __m512d {
+            let s = &row[at..at + 8];
+            // SAFETY: the slice bounds-check above proves 8 readable f64s.
+            unsafe { _mm512_loadu_pd(s.as_ptr()) }
+        }
+
+        /// Stores `v` to lanes `[at, at + 8)` of a site row.
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn store8(row: &mut [f64], at: usize, v: __m512d) {
+            let s = &mut row[at..at + 8];
+            // SAFETY: the slice bounds-check above proves 8 writable f64s.
+            unsafe { _mm512_storeu_pd(s.as_mut_ptr(), v) }
+        }
+
+        /// Non-temporal store of `v` to lanes `[at, at + 8)`; `at` must
+        /// keep the destination 64-byte aligned (the `stream_ok(…, 64)`
+        /// gate: aligned base + 128-byte site stride).
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn stream8(row: &mut [f64], at: usize, v: __m512d) {
+            let s = &mut row[at..at + 8];
+            debug_assert_eq!(s.as_ptr() as usize % 64, 0, "streaming store misaligned");
+            // SAFETY: the slice bounds-check proves 8 writable f64s; the
+            // 64-byte alignment `_mm512_stream_pd` requires holds because
+            // the caller's `stream_ok` gate checked the buffer base and
+            // every half-site offset is a multiple of 64 bytes
+            // (debug-asserted above).
+            unsafe { _mm512_stream_pd(s.as_mut_ptr(), v) }
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn load_site(row: &[f64]) -> Site {
+            [load8(row, 0), load8(row, 8)]
+        }
+
+        /// Lifts a matrix into registers: 8 of the 32 `zmm`, so two of
+        /// them (`newview_ii`) still leave room for a site's inputs and
+        /// accumulators.
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn load_matrix([c0, c1, c2, c3]: &[[f64; SITE_STRIDE]; NUM_STATES]) -> Matrix {
+            [load_site(c0), load_site(c1), load_site(c2), load_site(c3)]
+        }
+
+        /// [`super::matvec`] at 512 bits. `permutex::<b·0x55>` copies
+        /// element `b` of each 256-bit half across that half, i.e.
+        /// `v[4k + b]` across rate category `k` — the broadcast the
+        /// 256-bit body loads from memory. Lane for lane the same FMA
+        /// chain (`b = 0..3` from zero), hence the same bits.
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn matvec(m: &Matrix, v: Site) -> Site {
+            let mut acc = [_mm512_setzero_pd(); 2];
+            for (h, a) in acc.iter_mut().enumerate() {
+                *a = _mm512_fmadd_pd(m[0][h], _mm512_permutex_pd::<0x00>(v[h]), *a);
+                *a = _mm512_fmadd_pd(m[1][h], _mm512_permutex_pd::<0x55>(v[h]), *a);
+                *a = _mm512_fmadd_pd(m[2][h], _mm512_permutex_pd::<0xAA>(v[h]), *a);
+                *a = _mm512_fmadd_pd(m[3][h], _mm512_permutex_pd::<0xFF>(v[h]), *a);
+            }
+            acc
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn mul([a0, a1]: Site, [b0, b1]: Site) -> Site {
+            [_mm512_mul_pd(a0, b0), _mm512_mul_pd(a1, b1)]
+        }
+
+        /// The four rate-category blocks of a site, for the 256-bit
+        /// tail of `evaluate`.
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn blocks([lo, hi]: Site) -> [__m256d; NUM_RATES] {
+            [
+                _mm512_castpd512_pd256(lo),
+                _mm512_extractf64x4_pd::<1>(lo),
+                _mm512_castpd512_pd256(hi),
+                _mm512_extractf64x4_pd::<1>(hi),
+            ]
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn write_site(acc: Site, site: &mut [f64], nt: bool) {
+            for (h, &a) in acc.iter().enumerate() {
+                if nt {
+                    stream8(site, 8 * h, a);
+                } else {
+                    store8(site, 8 * h, a);
+                }
+            }
+        }
+
+        /// [`super::finish_site`] at 512 bits: the threshold test is
+        /// two mask compares, the cold path is the shared one.
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn finish_site(acc: Site, out: &mut [f64], nt: bool) -> u32 {
+            let threshold = _mm512_set1_pd(SCALE_THRESHOLD);
+            let above = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(acc[0], threshold)
+                | _mm512_cmp_pd_mask::<_CMP_GE_OQ>(acc[1], threshold);
+            if above != 0 {
+                write_site(acc, out, nt);
+                return 0;
+            }
+            let mut site = SiteBuf([0.0; SITE_STRIDE]);
+            store8(&mut site.0, 0, acc[0]);
+            store8(&mut site.0, 8, acc[1]);
+            rescale_site(&mut site, out, nt)
+        }
+
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        pub(in super::super) fn newview_ti(
+            lut_l: &Lut16x16,
+            codes_l: &[u8],
+            p_r: &FusedPmat,
+            v_r: &[f64],
+            scale_r: &[u32],
+            out: &mut [f64],
+            scale_out: &mut [u32],
+        ) {
+            let nt = stream_ok(out, scale_out.len(), 64);
+            let p_r = load_matrix(&p_r.cols);
+            let sites = out
+                .chunks_exact_mut(SITE_STRIDE)
+                .zip(v_r.chunks_exact(SITE_STRIDE));
+            for (i, (site, vr)) in sites.enumerate() {
+                prefetch_site(v_r, i + PREFETCH_SITES);
+                let l = load_site(&lut_l.rows[codes_l[i] as usize]);
+                let acc = mul(l, matvec(&p_r, load_site(vr)));
+                scale_out[i] = scale_r[i] + finish_site(acc, site, nt);
+            }
+            drain_streams(nt);
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        pub(in super::super) fn newview_ii(
+            p_l: &FusedPmat,
+            v_l: &[f64],
+            scale_l: &[u32],
+            p_r: &FusedPmat,
+            v_r: &[f64],
+            scale_r: &[u32],
+            out: &mut [f64],
+            scale_out: &mut [u32],
+        ) {
+            let nt = stream_ok(out, scale_out.len(), 64);
+            let (p_l, p_r) = (load_matrix(&p_l.cols), load_matrix(&p_r.cols));
+            let inputs = v_l
+                .chunks_exact(SITE_STRIDE)
+                .zip(v_r.chunks_exact(SITE_STRIDE));
+            for (i, (site, (vl, vr))) in out.chunks_exact_mut(SITE_STRIDE).zip(inputs).enumerate() {
+                prefetch_site(v_l, i + PREFETCH_SITES);
+                prefetch_site(v_r, i + PREFETCH_SITES);
+                let acc = mul(matvec(&p_l, load_site(vl)), matvec(&p_r, load_site(vr)));
+                scale_out[i] = scale_l[i] + scale_r[i] + finish_site(acc, site, nt);
+            }
+            drain_streams(nt);
+        }
+
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        pub(in super::super) fn derivative_sum_ti(
+            basis: &EigenBasis,
+            codes_q: &[u8],
+            v_r: &[f64],
+            out: &mut [f64],
+        ) {
+            let nt = stream_ok(out, out.len() / SITE_STRIDE, 64);
+            let uinv = load_matrix(&basis.uinv);
+            let sites = out
+                .chunks_exact_mut(SITE_STRIDE)
+                .zip(v_r.chunks_exact(SITE_STRIDE));
+            for (i, (site, vr)) in sites.enumerate() {
+                prefetch_site(v_r, i + PREFETCH_SITES);
+                let le = load_site(&basis.tip_left.rows[codes_q[i] as usize]);
+                write_site(mul(le, matvec(&uinv, load_site(vr))), site, nt);
+            }
+            drain_streams(nt);
+        }
+
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        pub(in super::super) fn derivative_sum_ii(
+            basis: &EigenBasis,
+            v_q: &[f64],
+            v_r: &[f64],
+            out: &mut [f64],
+        ) {
+            let nt = stream_ok(out, out.len() / SITE_STRIDE, 64);
+            let (piu, uinv) = (load_matrix(&basis.piu), load_matrix(&basis.uinv));
+            let inputs = v_q
+                .chunks_exact(SITE_STRIDE)
+                .zip(v_r.chunks_exact(SITE_STRIDE));
+            for (i, (site, (vq, vr))) in out.chunks_exact_mut(SITE_STRIDE).zip(inputs).enumerate() {
+                prefetch_site(v_q, i + PREFETCH_SITES);
+                prefetch_site(v_r, i + PREFETCH_SITES);
+                let acc = mul(matvec(&piu, load_site(vq)), matvec(&uinv, load_site(vr)));
+                write_site(acc, site, nt);
+            }
+            drain_streams(nt);
+        }
+
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        pub(in super::super) fn evaluate_classes_ti(
+            pi_tip: &Lut16x16,
+            codes_q: &[u8],
+            p: &FusedPmat,
+            v_r: &[f64],
+            reprs: &[u32],
+            out: &mut [f64],
+        ) {
+            debug_assert_eq!(out.len(), reprs.len());
+            let p = load_matrix(&p.cols);
+            for (c, (&s, slot)) in reprs.iter().zip(out.iter_mut()).enumerate() {
+                prefetch_ahead(v_r, reprs, c);
+                let s = s as usize;
+                let piq = super::load_site(&pi_tip.rows[codes_q[s] as usize]);
+                let vr = &v_r[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
+                *slot = weighted_sum(piq, blocks(matvec(&p, load_site(vr))));
+            }
+        }
+
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        pub(in super::super) fn evaluate_classes_ii(
+            pi_w: &[f64; SITE_STRIDE],
+            v_q: &[f64],
+            p: &FusedPmat,
+            v_r: &[f64],
+            reprs: &[u32],
+            out: &mut [f64],
+        ) {
+            debug_assert_eq!(out.len(), reprs.len());
+            let p = load_matrix(&p.cols);
+            for (c, (&s, slot)) in reprs.iter().zip(out.iter_mut()).enumerate() {
+                prefetch_ahead(v_q, reprs, c);
+                prefetch_ahead(v_r, reprs, c);
+                let s = s as usize;
+                let vq = &v_q[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
+                let vr = &v_r[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
+                *slot = weighted_sum(root_weights(pi_w, vq), blocks(matvec(&p, load_site(vr))));
             }
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::super::KernelKind;
     use super::*;
-    use crate::AlignedVec;
+    use crate::scaling::{SCALE_FACTOR, SCALE_THRESHOLD};
+    use crate::{AlignedVec, NUM_STATES};
 
     /// Deterministic pseudo-random doubles in `(lo, hi)` (xorshift64*;
     /// no external RNG needed for unit smoke tests).
@@ -601,14 +1020,33 @@ mod tests {
         }
     }
 
-    fn pmat(t: f64) -> FusedPmat {
-        use phylo_models::{DiscreteGamma, Gtr, GtrParams, ProbMatrix};
+    fn model() -> (phylo_models::Gtr, [f64; 4]) {
+        use phylo_models::{DiscreteGamma, Gtr, GtrParams};
         let g = Gtr::new(GtrParams {
             rates: [1.2, 2.9, 0.8, 1.1, 3.5, 1.0],
             freqs: [0.28, 0.22, 0.21, 0.29],
         });
-        let rates = *DiscreteGamma::new(0.7).rates();
-        FusedPmat::from_prob(&ProbMatrix::new(g.eigen(), &rates, t))
+        (g, *DiscreteGamma::new(0.7).rates())
+    }
+
+    fn pmat(t: f64) -> FusedPmat {
+        let (g, rates) = model();
+        FusedPmat::from_prob(&phylo_models::ProbMatrix::new(g.eigen(), &rates, t))
+    }
+
+    /// The explicit-SIMD sets this host can run, widest first, after
+    /// printing which widths the test has to skip.
+    pub(crate) fn widths_under_test() -> Vec<&'static SimdKernels> {
+        [512, 256]
+            .into_iter()
+            .filter_map(|bits| {
+                let set = SimdKernels::at_width(bits);
+                if set.is_none() {
+                    println!("skipping the {bits}-bit bodies: this host cannot run them");
+                }
+                set
+            })
+            .collect()
     }
 
     #[test]
@@ -638,6 +1076,122 @@ mod tests {
                     "n={n}: {a} vs {b}"
                 );
             }
+        }
+    }
+
+    /// What the six ops with a body per width write for one input.
+    struct Outputs {
+        newview_ti: (AlignedVec, Vec<u32>),
+        newview_ii: (AlignedVec, Vec<u32>),
+        sum_ti: AlignedVec,
+        sum_ii: AlignedVec,
+        eval_ti: Vec<f64>,
+        eval_ii: Vec<f64>,
+    }
+
+    impl Outputs {
+        /// `(op, values, scaling counters)` for comparisons.
+        fn parts(&self) -> [(&'static str, &[f64], &[u32]); 6] {
+            [
+                ("newview_ti", &self.newview_ti.0, &self.newview_ti.1),
+                ("newview_ii", &self.newview_ii.0, &self.newview_ii.1),
+                ("derivative_sum_ti", &self.sum_ti, &[]),
+                ("derivative_sum_ii", &self.sum_ii, &[]),
+                ("evaluate_classes_ti", &self.eval_ti, &[]),
+                ("evaluate_classes_ii", &self.eval_ii, &[]),
+            ]
+        }
+    }
+
+    /// Runs the six ops over `n` sites of a fixed pseudo-random input
+    /// in which every third site sits below the scaling threshold.
+    fn run_ops(k: &dyn Kernels, n: usize) -> Outputs {
+        let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
+        let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
+        fill(&mut vl, 21, 1e-3, 1.0);
+        fill(&mut vr, 23, 1e-3, 1.0);
+        for i in (0..n).step_by(3) {
+            for x in &mut vr[i * SITE_STRIDE..(i + 1) * SITE_STRIDE] {
+                *x *= 1e-80;
+            }
+        }
+        let codes: Vec<u8> = (0..n).map(|i| 1 + (i % 15) as u8).collect();
+        let scale: Vec<u32> = (0..n).map(|i| (i % 4) as u32).collect();
+        let reprs: Vec<u32> = (0..n as u32).collect();
+        let (pl, pr) = (pmat(0.23), pmat(0.11));
+        let lut = Lut16x16::tip_prob(&pl);
+        let (g, rates) = model();
+        let basis = EigenBasis::new(g.eigen(), &rates);
+        let pi_tip = Lut16x16::tip_pi(&g.freqs());
+        let mut pi_w = [0.0; SITE_STRIDE];
+        for (m, w) in pi_w.iter_mut().enumerate() {
+            *w = 0.25 * g.freqs()[m % NUM_STATES];
+        }
+        let site_buf = || AlignedVec::zeroed(n * SITE_STRIDE);
+        let mut o = Outputs {
+            newview_ti: (site_buf(), vec![0; n]),
+            newview_ii: (site_buf(), vec![0; n]),
+            sum_ti: site_buf(),
+            sum_ii: site_buf(),
+            eval_ti: vec![0.0; n],
+            eval_ii: vec![0.0; n],
+        };
+        let (out, sc) = &mut o.newview_ti;
+        k.newview_ti(&lut, &codes, &pr, &vr, &scale, out, sc);
+        let (out, sc) = &mut o.newview_ii;
+        k.newview_ii(&pl, &vl, &scale, &pr, &vr, &scale, out, sc);
+        k.derivative_sum_ti(&basis, &codes, &vr, &mut o.sum_ti);
+        k.derivative_sum_ii(&basis, &vl, &vr, &mut o.sum_ii);
+        k.evaluate_classes_ti(&pi_tip, &codes, &pr, &vr, &reprs, &mut o.eval_ti);
+        k.evaluate_classes_ii(&pi_w, &vl, &pr, &vr, &reprs, &mut o.eval_ii);
+        o
+    }
+
+    #[test]
+    fn both_widths_write_the_same_bits_and_agree_with_scalar() {
+        let widths = widths_under_test();
+        // 511/512/513 straddle the root chunk, 4099 streams.
+        for n in [1usize, 7, 511, 512, 513, 1000, x86_nt_min_sites() + 3] {
+            let scalar = run_ops(KernelKind::Scalar.kernels(), n);
+            let outs: Vec<Outputs> = widths.iter().map(|&k| run_ops(k, n)).collect();
+            for (set, o) in widths.iter().zip(&outs) {
+                let bits = set.width_bits();
+                for ((op, got, got_sc), (_, want, want_sc)) in o.parts().iter().zip(scalar.parts())
+                {
+                    assert_eq!(*got_sc, want_sc, "{op} at {bits} bits, n={n}: counters");
+                    for (a, b) in want.iter().zip(got.iter()) {
+                        assert!(
+                            (a - b).abs() <= 1e-12 * (1.0 + a.abs()),
+                            "{op} at {bits} bits, n={n}: scalar {a} vs {b}"
+                        );
+                    }
+                }
+                for ((op, a, a_sc), (_, b, b_sc)) in o.parts().iter().zip(outs[0].parts()) {
+                    assert_eq!(*a_sc, b_sc, "{op} n={n}: counters differ between widths");
+                    let same = a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+                    assert!(same, "{op} n={n}: {bits}-bit body differs from the widest");
+                }
+            }
+            if n >= 3 {
+                let rescaled = scalar.newview_ii.1.iter().enumerate();
+                assert!(
+                    rescaled.clone().any(|(i, &s)| s > 2 * (i % 4) as u32),
+                    "n={n}: no site was rescaled"
+                );
+            }
+        }
+    }
+
+    /// `NT_MIN_SITES` where the explicit bodies exist, a stand-in
+    /// elsewhere (no width is under test there).
+    fn x86_nt_min_sites() -> usize {
+        #[cfg(target_arch = "x86_64")]
+        {
+            x86::NT_MIN_SITES
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            4096
         }
     }
 
@@ -674,30 +1228,34 @@ mod tests {
         // A deliberately 8-byte-misaligned output view must still be
         // written correctly (release builds take the storeu path; this
         // guards the `stream_ok` gate).
-        if !simd_available() || cfg!(debug_assertions) {
+        if cfg!(debug_assertions) {
             // Debug builds assert the alignment contract instead.
             return;
         }
-        let n = 4;
+        let n = x86_nt_min_sites() + 1;
         let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
         let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
         fill(&mut vl, 7, 1e-3, 1.0);
         fill(&mut vr, 9, 1e-3, 1.0);
         let scale = vec![0u32; n];
         let (pl, pr) = (pmat(0.2), pmat(0.3));
-        let mut raw = AlignedVec::zeroed(n * SITE_STRIDE + 1);
-        let mut sc = vec![0u32; n];
-        let out = &mut raw[1..];
-        KernelKind::Simd
-            .kernels()
-            .newview_ii(&pl, &vl, &scale, &pr, &vr, &scale, out, &mut sc);
         let mut out_v = AlignedVec::zeroed(n * SITE_STRIDE);
         let mut sc_v = vec![0u32; n];
         KernelKind::Scalar
             .kernels()
             .newview_ii(&pl, &vl, &scale, &pr, &vr, &scale, &mut out_v, &mut sc_v);
-        for (a, b) in raw[1..].iter().zip(out_v.iter()) {
-            assert!((a - b).abs() <= 1e-12 * (1.0 + a.abs()));
+        // Off by one double: aligned for nothing. Off by four: enough
+        // for 256-bit streams, not for 512-bit ones.
+        for set in widths_under_test() {
+            for skew in [1, 4] {
+                let mut raw = AlignedVec::zeroed(n * SITE_STRIDE + skew);
+                let mut sc = vec![0u32; n];
+                let out = &mut raw[skew..];
+                set.newview_ii(&pl, &vl, &scale, &pr, &vr, &scale, out, &mut sc);
+                for (a, b) in raw[skew..].iter().zip(out_v.iter()) {
+                    assert!((a - b).abs() <= 1e-12 * (1.0 + a.abs()));
+                }
+            }
         }
     }
 
@@ -705,20 +1263,30 @@ mod tests {
     fn availability_is_consistent_with_dispatch() {
         if simd_available() {
             assert_eq!(KernelKind::Simd.resolve(), KernelKind::Simd);
+            assert!(matches!(simd_width_bits(), 256 | 512));
         } else {
             assert_eq!(KernelKind::Simd.resolve(), KernelKind::Scalar);
+            assert_eq!(simd_width_bits(), 0);
         }
+        // The host's set is its widest, every narrower one exists, no
+        // wider one does.
+        let host = SimdKernels::for_host().width_bits();
+        assert_eq!(host, simd_width_bits());
+        for bits in [0, 256, 512] {
+            let set = SimdKernels::at_width(bits);
+            assert_eq!(set.is_some(), bits <= host, "{bits} on a {host}-bit host");
+            assert!(set.is_none_or(|s| s.width_bits() == bits));
+        }
+        assert!(SimdKernels::at_width(128).is_none());
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn staged_and_in_place_finish_write_identical_bits() {
-        // One aligned call of ≥ NT_MIN_SITES sites streams (finish in
-        // the staging buffer); the same input in shorter slices never
-        // does (finish in place). Every third site is small enough to
-        // go through the rescale on both paths.
-        let n = x86::NT_MIN_SITES + 5;
-        let slice = x86::NT_MIN_SITES - 1;
+        // One aligned call of ≥ NT_MIN_SITES sites streams; the same
+        // input in shorter slices never does. Every third site is small
+        // enough to go through the rescale on both paths.
+        let n = x86_nt_min_sites() + 5;
+        let slice = x86_nt_min_sites() - 1;
         let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
         let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
         fill(&mut vl, 21, 1e-3, 1.0);
@@ -732,48 +1300,193 @@ mod tests {
         let scale: Vec<u32> = (0..n).map(|i| (i % 4) as u32).collect();
         let (pl, pr) = (pmat(0.23), pmat(0.11));
         let lut = Lut16x16::tip_prob(&pl);
-        let k = KernelKind::Simd.kernels();
-        // Runs both newview shapes over `sites`-long pieces.
-        let run = |sites: usize| {
-            let mut ti = (AlignedVec::zeroed(n * SITE_STRIDE), vec![0u32; n]);
-            let mut ii = (AlignedVec::zeroed(n * SITE_STRIDE), vec![0u32; n]);
-            for at in (0..n).step_by(sites) {
-                let r = at..(at + sites).min(n);
-                let v = at * SITE_STRIDE..r.end * SITE_STRIDE;
-                k.newview_ti(
-                    &lut,
-                    &codes[r.clone()],
-                    &pr,
-                    &vr[v.clone()],
-                    &scale[r.clone()],
-                    &mut ti.0[v.clone()],
-                    &mut ti.1[r.clone()],
-                );
-                k.newview_ii(
-                    &pl,
-                    &vl[v.clone()],
-                    &scale[r.clone()],
-                    &pr,
-                    &vr[v.clone()],
-                    &scale[r.clone()],
-                    &mut ii.0[v],
-                    &mut ii.1[r],
+        for k in widths_under_test() {
+            let bits = k.width_bits();
+            // Runs both newview shapes over `sites`-long pieces.
+            let run = |sites: usize| {
+                let mut ti = (AlignedVec::zeroed(n * SITE_STRIDE), vec![0u32; n]);
+                let mut ii = (AlignedVec::zeroed(n * SITE_STRIDE), vec![0u32; n]);
+                for at in (0..n).step_by(sites) {
+                    let r = at..(at + sites).min(n);
+                    let v = at * SITE_STRIDE..r.end * SITE_STRIDE;
+                    k.newview_ti(
+                        &lut,
+                        &codes[r.clone()],
+                        &pr,
+                        &vr[v.clone()],
+                        &scale[r.clone()],
+                        &mut ti.0[v.clone()],
+                        &mut ti.1[r.clone()],
+                    );
+                    k.newview_ii(
+                        &pl,
+                        &vl[v.clone()],
+                        &scale[r.clone()],
+                        &pr,
+                        &vr[v.clone()],
+                        &scale[r.clone()],
+                        &mut ii.0[v],
+                        &mut ii.1[r],
+                    );
+                }
+                (ti, ii)
+            };
+            let (ti_streamed, ii_streamed) = run(n);
+            let (ti_cached, ii_cached) = run(slice);
+            // (name, streamed, cached, input counters summed per site)
+            for (what, a, b, inputs) in [
+                ("newview_ti", &ti_streamed, &ti_cached, 1),
+                ("newview_ii", &ii_streamed, &ii_cached, 2),
+            ] {
+                assert_eq!(a.1, b.1, "{what} at {bits} bits: scale counters");
+                let rescaled = a.1.iter().zip(&scale).any(|(o, i)| *o > inputs * i);
+                assert!(rescaled, "{what} at {bits} bits: no site was rescaled");
+                let same =
+                    a.0.iter()
+                        .zip(b.0.iter())
+                        .all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(
+                    same,
+                    "{what} at {bits} bits: streamed and cached CLAs differ"
                 );
             }
-            (ti, ii)
-        };
-        let (ti_streamed, ii_streamed) = run(n);
-        let (ti_cached, ii_cached) = run(slice);
-        // (name, streamed, cached, input counters summed per site)
-        for (what, a, b, inputs) in [
-            ("newview_ti", &ti_streamed, &ti_cached, 1),
-            ("newview_ii", &ii_streamed, &ii_cached, 2),
-        ] {
-            assert_eq!(a.1, b.1, "{what}: scale counters");
-            let rescaled = a.1.iter().zip(&scale).any(|(o, i)| *o > inputs * i);
-            assert!(rescaled, "{what}: no site was rescaled");
-            let same = a.0.iter().zip(b.0.iter()).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "{what}: streamed and cached CLAs differ");
+        }
+    }
+
+    /// A matrix whose product is the identity on every rate category,
+    /// except that lane `m` of the result is scaled by `diag[m]`.
+    fn diagonal(diag: [f64; SITE_STRIDE]) -> FusedPmat {
+        let mut cols = [[0.0; SITE_STRIDE]; NUM_STATES];
+        for (m, d) in diag.into_iter().enumerate() {
+            cols[m % NUM_STATES][m] = d;
+        }
+        FusedPmat { cols }
+    }
+
+    /// Drives one crafted site through `finish_site` of both `newview`
+    /// shapes — cached (the site alone) and streamed (the site in the
+    /// middle of `NT_MIN_SITES` ordinary ones) — and returns what was
+    /// written for it with its scaling bump. Lane `m` of the site is
+    /// `factor[m] · value[m]`, exactly: the factors ride in the tip row
+    /// (`ti`) or on the diagonal of the left matrix (`ii`), where a NaN
+    /// or an infinity stays in its own lane.
+    fn finish(
+        k: &SimdKernels,
+        value: [f64; SITE_STRIDE],
+        factor: [f64; SITE_STRIDE],
+    ) -> Vec<([f64; SITE_STRIDE], u32)> {
+        let mut written = Vec::new();
+        for n in [1, x86_nt_min_sites()] {
+            let at = n / 2;
+            let mut v = AlignedVec::zeroed(n * SITE_STRIDE);
+            fill(&mut v, 31, 0.1, 1.0);
+            v[at * SITE_STRIDE..(at + 1) * SITE_STRIDE].copy_from_slice(&value);
+            let mut ones = AlignedVec::zeroed(n * SITE_STRIDE);
+            ones.fill(1.0);
+            // Tip code 1 carries the factors at the crafted site; the
+            // other sites use code 2, a row of ones.
+            let mut lut = Lut16x16 {
+                rows: [[1.0; SITE_STRIDE]; 16],
+            };
+            lut.rows[1] = factor;
+            let mut codes = vec![2u8; n];
+            codes[at] = 1;
+            let zeros = vec![0u32; n];
+            let identity = diagonal([1.0; SITE_STRIDE]);
+            let mut out = AlignedVec::zeroed(n * SITE_STRIDE);
+            let mut sc = vec![0u32; n];
+            let mut take = |out: &AlignedVec, sc: &[u32]| {
+                let mut site = [0.0; SITE_STRIDE];
+                site.copy_from_slice(&out[at * SITE_STRIDE..(at + 1) * SITE_STRIDE]);
+                written.push((site, sc[at]));
+            };
+            k.newview_ti(&lut, &codes, &identity, &v, &zeros, &mut out, &mut sc);
+            take(&out, &sc);
+            if n == 1 {
+                // The factors apply to every site of an `ii` call, so
+                // only the lone site can take them.
+                let scaled = diagonal(factor);
+                k.newview_ii(
+                    &scaled, &ones, &zeros, &identity, &v, &zeros, &mut out, &mut sc,
+                );
+                take(&out, &sc);
+            }
+        }
+        written
+    }
+
+    fn bits(site: &[f64; SITE_STRIDE]) -> [u64; SITE_STRIDE] {
+        site.map(f64::to_bits)
+    }
+
+    #[test]
+    fn finish_leaves_sites_at_or_above_the_threshold_alone() {
+        let ones = [1.0; SITE_STRIDE];
+        let below = f64::from_bits(SCALE_THRESHOLD.to_bits() - 1);
+        for k in widths_under_test() {
+            let w = k.width_bits();
+            for lane in 0..SITE_STRIDE {
+                // One lane exactly at the threshold is enough, whichever
+                // vector and position it lands in.
+                let mut site = [1e-300; SITE_STRIDE];
+                site[lane] = SCALE_THRESHOLD;
+                for (got, bumps) in finish(k, site, ones) {
+                    assert_eq!(bumps, 0, "{w} bits, lane {lane}");
+                    assert_eq!(bits(&got), bits(&site), "{w} bits, lane {lane}");
+                }
+                // One ulp less and the site is rescaled, by exactly 2²⁵⁶.
+                site[lane] = below;
+                for (got, bumps) in finish(k, site, ones) {
+                    assert_eq!(bumps, 1, "{w} bits, lane {lane}");
+                    assert_eq!(bits(&got), bits(&site.map(|v| v * SCALE_FACTOR)));
+                }
+            }
+            // A NaN lane next to a healthy one is not scaling's problem:
+            // the site is written as computed and `evaluate` surfaces it.
+            let mut factor = ones;
+            factor[5] = f64::NAN;
+            let mut site = [1e-300; SITE_STRIDE];
+            site[14] = 0.5;
+            for (got, bumps) in finish(k, site, factor) {
+                assert_eq!(bumps, 0, "{w} bits");
+                assert!(got[5].is_nan(), "{w} bits: {got:?}");
+                for m in (0..SITE_STRIDE).filter(|&m| m != 5) {
+                    assert_eq!(got[m].to_bits(), site[m].to_bits(), "{w} bits, lane {m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn finish_leaves_an_all_zero_site_alone() {
+        for k in widths_under_test() {
+            for (got, bumps) in finish(k, [0.0; SITE_STRIDE], [1.0; SITE_STRIDE]) {
+                assert_eq!(bumps, 0, "{} bits", k.width_bits());
+                assert_eq!(bits(&got), [0; SITE_STRIDE], "{} bits", k.width_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn finish_refuses_to_rescale_corrupted_sites() {
+        // The in-register test sends every site without a lane at or
+        // above the threshold to `scale_site`, whose asserts must still
+        // see a lone NaN, negative or −∞ lane.
+        for k in widths_under_test() {
+            for bad in [f64::NAN, -1.0, f64::NEG_INFINITY] {
+                for lane in [0, 7, 8, 15] {
+                    let mut factor = [1.0; SITE_STRIDE];
+                    factor[lane] = bad;
+                    let run = || finish(k, [1e-100; SITE_STRIDE], factor);
+                    let panic = std::panic::catch_unwind(run).expect_err("site was accepted");
+                    let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+                    assert!(
+                        msg.contains("refusing to rescale corrupted data"),
+                        "{} bits, {bad} in lane {lane}: {msg}",
+                        k.width_bits()
+                    );
+                }
+            }
         }
     }
 }

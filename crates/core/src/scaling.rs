@@ -28,42 +28,46 @@ pub const LN_SCALE: f64 = 177.445_678_223_346;
 /// power of two — NaN, ±∞ and negatives can only come from a model or
 /// kernel defect, and multiplying such a site by 2²⁵⁶ would launder
 /// the corruption into finite-looking downstream likelihoods (the
-/// all-NaN site leaves `max == 0.0` because every NaN comparison is
-/// false). The failure-injection contract demands a loud error
+/// all-NaN site is "below the threshold" because every NaN comparison
+/// is false). The failure-injection contract demands a loud error
 /// instead.
 #[inline]
 pub fn scale_site(site: &mut [f64]) -> u32 {
     debug_assert_eq!(site.len(), crate::SITE_STRIDE);
-    let mut max = 0.0f64;
+    // Hot path (~99 sites in 100): some entry is at or above the
+    // threshold — what a running maximum (from 0.0, moving on
+    // `v > max`) reaching the threshold says, since a NaN entry neither
+    // moves that maximum nor compares true here. The kernels with
+    // accumulators in registers ask the same question before they
+    // store (`kernels::simd`). The fold has no early exit on purpose:
+    // sixteen ordered compares OR-ed together vectorise, a loop that
+    // breaks does not.
+    if site
+        .iter()
+        .fold(false, |any, &v| any | (v >= SCALE_THRESHOLD))
+    {
+        return 0;
+    }
+    // Cold path: validate before touching anything. A corrupted
+    // entry must never be rescaled into a plausible value.
     for &v in site.iter() {
-        if v > max {
-            max = v;
-        }
+        assert!(
+            v.is_finite() && v >= 0.0,
+            "non-finite or negative conditional likelihood {v} in site {site:?}; \
+             refusing to rescale corrupted data"
+        );
     }
-    if max < SCALE_THRESHOLD {
-        // Cold path: validate before touching anything. A corrupted
-        // entry must never be rescaled into a plausible value.
-        for &v in site.iter() {
-            assert!(
-                v.is_finite() && v >= 0.0,
-                "non-finite or negative conditional likelihood {v} in site {site:?}; \
-                 refusing to rescale corrupted data"
-            );
-        }
-        if max == 0.0 {
-            // A genuinely all-zero site: scaling cannot resurrect it,
-            // and 0 · 2²⁵⁶ = 0 would just burn a scaling counter.
-            // Leave it; `evaluate` turns it into -inf, which is loud.
-            return 0;
-        }
-        for v in site.iter_mut() {
-            *v *= SCALE_FACTOR;
-        }
-        scaling_events().inc();
-        1
-    } else {
-        0
+    if site.iter().all(|&v| v == 0.0) {
+        // A genuinely all-zero site: scaling cannot resurrect it,
+        // and 0 · 2²⁵⁶ = 0 would just burn a scaling counter.
+        // Leave it; `evaluate` turns it into -inf, which is loud.
+        return 0;
     }
+    for v in site.iter_mut() {
+        *v *= SCALE_FACTOR;
+    }
+    scaling_events().inc();
+    1
 }
 
 /// Adds `n` synthetic events to the `core.scaling.events` counter.
@@ -155,6 +159,38 @@ mod tests {
     }
 
     #[test]
+    fn one_corrupted_entry_in_a_tiny_site_errors() {
+        // The early exit only passes sites with an entry at or above
+        // the threshold; a lone bad entry among tiny ones still meets
+        // the asserts, wherever it sits.
+        for bad in [f64::NAN, -1e-100, -1.0, f64::NEG_INFINITY] {
+            for at in [0, 9, 15] {
+                let mut site = vec![1e-100; 16];
+                site[at] = bad;
+                let err = std::panic::catch_unwind(move || scale_site(&mut site))
+                    .expect_err("corrupted site was rescaled");
+                let msg = err.downcast_ref::<String>().expect("a formatted panic");
+                assert!(msg.contains("refusing to rescale corrupted data"), "{msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_itself_is_not_rescaled() {
+        let mut site = vec![1e-300; 16];
+        site[11] = SCALE_THRESHOLD;
+        let orig = site.clone();
+        assert_eq!(scale_site(&mut site), 0);
+        assert_eq!(site, orig);
+        site[11] = f64::from_bits(SCALE_THRESHOLD.to_bits() - 1);
+        assert_eq!(scale_site(&mut site), 1);
+        assert_eq!(
+            site[11],
+            f64::from_bits(SCALE_THRESHOLD.to_bits() - 1) * SCALE_FACTOR
+        );
+    }
+
+    #[test]
     fn all_zero_site_left_untouched() {
         let mut site = vec![0.0; 16];
         assert_eq!(scale_site(&mut site), 0);
@@ -166,8 +202,12 @@ mod tests {
         // A NaN next to a healthy entry above the threshold never
         // reaches the rescale path; the evaluate kernel surfaces it as
         // a NaN log-likelihood instead.
-        let mut site = vec![0.5; 16];
+        let mut site = vec![1e-300; 16];
         site[2] = f64::NAN;
+        site[13] = 0.5;
+        let orig: Vec<u64> = site.iter().map(|v| v.to_bits()).collect();
         assert_eq!(scale_site(&mut site), 0);
+        let now: Vec<u64> = site.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(now, orig, "the site must be left exactly as it was");
     }
 }

@@ -52,8 +52,9 @@ use std::fmt::Write as _;
 /// latency next to micsim's modeled interconnect cost; 7 = meta
 /// carries the resolved traversal cache-blocking mode (`blocking`), so
 /// reports attribute `newview` timings to the blocked or straight-line
-/// walk.
-pub const TRACE_VERSION: u64 = 7;
+/// walk; 8 = meta carries the vector width of the resolved backend
+/// (`simd_width_bits`), so per-op timings name the bodies that ran.
+pub const TRACE_VERSION: u64 = 8;
 
 /// One line of a trace file.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,6 +67,10 @@ pub enum TraceEvent {
         /// `"simd"`; older traces may say `"vector"`); empty when read
         /// from a pre-v3 trace.
         backend: String,
+        /// Vector width in bits the backend ran its matrix kernels with
+        /// ([`crate::KernelKind::simd_width_bits`]: 512, 256, or 0 for
+        /// the scalar loops); 0 when read from a pre-v8 trace.
+        simd_width_bits: u64,
         /// The resolved site-repeat compression mode (`"on"`, `"off"`
         /// or `"auto"`); empty when read from a pre-v4 trace.
         site_repeats: String,
@@ -216,6 +221,7 @@ impl TraceEvent {
             TraceEvent::Meta {
                 version,
                 backend,
+                simd_width_bits,
                 site_repeats,
                 blocking,
                 spans_dropped,
@@ -227,7 +233,7 @@ impl TraceEvent {
             } => {
                 let _ = write!(
                     s,
-                    r#"{{"type":"meta","version":{version},"backend":"{}","site_repeats":"{}","blocking":"{}","spans_dropped":{spans_dropped},"roofline_mflops":{roofline_mflops},"roofline_mbps":{roofline_mbps},"transport":"{}","wire_ops":{wire_ops},"wire_ns":{wire_ns}}}"#,
+                    r#"{{"type":"meta","version":{version},"backend":"{}","simd_width_bits":{simd_width_bits},"site_repeats":"{}","blocking":"{}","spans_dropped":{spans_dropped},"roofline_mflops":{roofline_mflops},"roofline_mbps":{roofline_mbps},"transport":"{}","wire_ops":{wire_ops},"wire_ns":{wire_ns}}}"#,
                     escape(backend),
                     escape(site_repeats),
                     escape(blocking),
@@ -417,6 +423,8 @@ impl TraceEvent {
             "meta" => Ok(TraceEvent::Meta {
                 version: get_u64("version")?,
                 backend: get_str_or_empty("backend")?,
+                // Pre-v8: no width field.
+                simd_width_bits: get_u64_or_0("simd_width_bits")?,
                 site_repeats: get_str_or_empty("site_repeats")?,
                 // Pre-v7: no blocking field.
                 blocking: get_str_or_empty("blocking")?,
@@ -819,6 +827,7 @@ mod tests {
             TraceEvent::Meta {
                 version: TRACE_VERSION,
                 backend: "simd".into(),
+                simd_width_bits: 512,
                 site_repeats: "on".into(),
                 blocking: "on".into(),
                 spans_dropped: 3,
@@ -988,6 +997,7 @@ mod tests {
             TraceEvent::Meta {
                 version: 99,
                 backend: String::new(),
+                simd_width_bits: 0,
                 site_repeats: String::new(),
                 blocking: String::new(),
                 spans_dropped: 0,
@@ -1049,6 +1059,7 @@ mod tests {
             TraceEvent::Meta {
                 version: 4,
                 backend: "vector".into(),
+                simd_width_bits: 0,
                 site_repeats: "off".into(),
                 blocking: String::new(),
                 spans_dropped: 0,

@@ -179,6 +179,10 @@ pub struct TraceReport {
     /// `"scalar"`, …); `None` for pre-v3 traces, which did not record
     /// it.
     pub backend: Option<String>,
+    /// Vector width in bits the backend ran its matrix kernels with
+    /// (512 / 256, 0 for the scalar loops), from the v8 `meta` event;
+    /// `None` for older traces, which did not record it.
+    pub simd_width_bits: Option<u64>,
     /// Resolved site-repeat compression mode from the `meta` event
     /// (`"on"` / `"off"`); `None` for pre-v4 traces.
     pub site_repeats: Option<String>,
@@ -227,6 +231,7 @@ impl TraceReport {
     pub fn from_events(events: &[TraceEvent]) -> TraceReport {
         let mut version = None;
         let mut backend = None;
+        let mut simd_width_bits = None;
         let mut site_repeats = None;
         let mut blocking = None;
         let mut spans_dropped = 0u64;
@@ -250,6 +255,7 @@ impl TraceReport {
                 TraceEvent::Meta {
                     version: v,
                     backend: b,
+                    simd_width_bits: width,
                     site_repeats: sr,
                     blocking: bl,
                     spans_dropped: sd,
@@ -262,6 +268,9 @@ impl TraceReport {
                     version = Some(*v);
                     if !b.is_empty() {
                         backend = Some(b.clone());
+                    }
+                    if *v >= 8 {
+                        simd_width_bits = Some(*width);
                     }
                     if !sr.is_empty() {
                         site_repeats = Some(sr.clone());
@@ -446,6 +455,7 @@ impl TraceReport {
         TraceReport {
             version,
             backend,
+            simd_width_bits,
             site_repeats,
             blocking,
             spans_dropped,
@@ -479,6 +489,9 @@ impl TraceReport {
         }
         if let Some(b) = &self.backend {
             let _ = writeln!(s, "kernel backend: {b}");
+        }
+        if let Some(w) = self.simd_width_bits {
+            let _ = writeln!(s, "simd_width_bits: {w}");
         }
         if let Some(sr) = &self.site_repeats {
             let _ = writeln!(s, "site repeats: {sr}");
@@ -696,6 +709,12 @@ impl TraceReport {
             self.version.map_or("null".into(), |v| v.to_string())
         );
         let _ = write!(s, "\"backend\":{},", opt_str(&self.backend));
+        let _ = write!(
+            s,
+            "\"simd_width_bits\":{},",
+            self.simd_width_bits
+                .map_or("null".into(), |w| w.to_string())
+        );
         let _ = write!(s, "\"site_repeats\":{},", opt_str(&self.site_repeats));
         let _ = write!(s, "\"blocking\":{},", opt_str(&self.blocking));
         let _ = write!(s, "\"transport\":{},", opt_str(&self.transport));
@@ -845,8 +864,9 @@ mod tests {
     fn forkjoin_events() -> Vec<TraceEvent> {
         vec![
             TraceEvent::Meta {
-                version: 7,
+                version: 8,
                 backend: "simd".into(),
+                simd_width_bits: 512,
                 site_repeats: "on".into(),
                 blocking: "on".into(),
                 spans_dropped: 2,
@@ -907,8 +927,9 @@ mod tests {
     #[test]
     fn report_computes_shares_imbalance_and_overhead() {
         let r = TraceReport::from_events(&forkjoin_events());
-        assert_eq!(r.version, Some(7));
+        assert_eq!(r.version, Some(8));
         assert_eq!(r.backend.as_deref(), Some("simd"));
+        assert_eq!(r.simd_width_bits, Some(512));
         assert_eq!(r.site_repeats.as_deref(), Some("on"));
         assert_eq!(r.blocking.as_deref(), Some("on"));
         assert_eq!(r.total_kernel_ns, 10_500_000);
@@ -986,8 +1007,9 @@ mod tests {
         let json = r.render_json();
         // Structural smoke checks: scraping tools key on these fields.
         for needle in [
-            r#""version":7"#,
+            r#""version":8"#,
             r#""backend":"simd""#,
+            r#""simd_width_bits":512"#,
             r#""blocking":"on""#,
             r#""spans_dropped":2"#,
             r#""peak_mflops":10000"#,

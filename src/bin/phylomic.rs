@@ -93,10 +93,13 @@ USAGE:
   phylomic bench-trend [--dir DIR] [--gate]
 
 Alignments: PHYLIP when the path ends in .phy, FASTA otherwise.
---kernels picks the PLF kernel backend (default auto: explicit AVX2+FMA
-SIMD when the CPU supports it, the scalar reference loops otherwise).
-The PHYLOMIC_KERNELS environment variable overrides the flag. The
-resolved backend is recorded in the JSONL trace meta event.
+--kernels picks the PLF kernel backend (default auto: explicit SIMD when
+the CPU supports it — 512-bit vectors with AVX-512F, 256-bit with
+AVX2+FMA alone, same results bit for bit — and the scalar reference
+loops otherwise). The PHYLOMIC_KERNELS environment variable overrides
+the flag. evaluate and search print the resolved backend and its vector
+width (`kernel backend: simd  simd_width_bits 512`; 0 = scalar loops),
+and both are recorded in the JSONL trace meta event.
 --site-repeats controls site-repeat compression in newview: 'on' always
 compresses, 'off' never, 'auto' (default) compresses per node when the
 unique-class count makes it profitable. Likelihoods are bit-identical
@@ -222,9 +225,11 @@ fn full_trace(
     } else {
         Blocking::Off
     };
+    let backend = config.kernel.effective();
     let mut out = vec![TraceEvent::Meta {
         version: TRACE_VERSION,
-        backend: config.kernel.effective().to_string(),
+        backend: backend.to_string(),
+        simd_width_bits: backend.simd_width_bits().into(),
         site_repeats: config.site_repeats.effective().to_string(),
         blocking: blocking.to_string(),
         spans_dropped: tracks.iter().map(|t| t.dropped).sum(),
@@ -238,6 +243,16 @@ fn full_trace(
     out.extend(events_from_spans(&tracks));
     out.extend(events_from_metrics("process", &metrics::snapshot()));
     out
+}
+
+/// Says which kernel bodies a run measures: the resolved backend and
+/// the vector width it runs on this host (0 = the scalar loops).
+fn print_backend(config: EngineConfig) {
+    let backend = config.kernel.effective();
+    println!(
+        "kernel backend: {backend}  simd_width_bits {}",
+        backend.simd_width_bits()
+    );
 }
 
 /// Writes the span timeline as Chrome trace-event JSON (atomically).
@@ -503,6 +518,7 @@ fn cmd_evaluate(opts: &Opts) -> Result<(), String> {
         compressed.num_patterns(),
         aln.num_sites()
     );
+    print_backend(config);
     if let Some(path) = opts.get("trace-out") {
         write_trace(
             path,
@@ -756,6 +772,7 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
         "logL {:.6}  rounds {}  moves {}/{}  time {elapsed:.2}s",
         result.log_likelihood, result.rounds, result.spr_accepted, result.spr_evaluated
     );
+    print_backend(config);
     // The tree is the expensive artifact: persist it before the trace so
     // a bad --trace-out path cannot discard a long search's result.
     match opts.get("out") {

@@ -658,6 +658,34 @@ fn kernels_flag_accepts_every_backend_and_refuses_retired_names() {
     // `auto` is a name for one backend, not a third code path.
     assert_eq!(auto, simd, "auto must print what simd prints");
 
+    // Every run says which bodies it measured: the resolved backend and
+    // its vector width, on stdout, in the trace meta and in the report.
+    let resolved = phylomic::plf::KernelKind::Simd.resolve();
+    let width = resolved.simd_width_bits();
+    assert!(
+        scalar.contains("kernel backend: scalar  simd_width_bits 0\n"),
+        "{scalar}"
+    );
+    let line = format!("kernel backend: {resolved}  simd_width_bits {width}\n");
+    assert!(simd.contains(&line), "{simd}");
+    let trace = dir.join("k.jsonl");
+    let (ok, _, err) = eval(
+        &["--kernels", "simd", "--trace-out", trace.to_str().unwrap()],
+        None,
+    );
+    assert!(ok, "{err}");
+    let meta = std::fs::read_to_string(&trace).unwrap();
+    let meta = meta.lines().next().unwrap();
+    let field = format!(r#""backend":"{resolved}","simd_width_bits":{width},"#);
+    assert!(meta.contains(&field), "{meta}");
+    let out = bin()
+        .args(["trace-report", "--trace", trace.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let report = String::from_utf8_lossy(&out.stdout);
+    let lines = format!("kernel backend: {resolved}\nsimd_width_bits: {width}\n");
+    assert!(report.contains(&lines), "{report}");
+
     // The retired backend and the retired flag spelling are usage
     // errors that say what to type instead.
     for extra in [["--kernels", "vector"], ["--kernel", "scalar"]] {
@@ -691,7 +719,14 @@ fn retired_tcp_transport_is_a_usage_error() {
     assert!(out.status.success());
     let out = bin()
         .args(["search", "--alignment", phy.to_str().unwrap()])
-        .args(["--scheme", "replicated", "--threads", "2", "--transport", "tcp"])
+        .args([
+            "--scheme",
+            "replicated",
+            "--threads",
+            "2",
+            "--transport",
+            "tcp",
+        ])
         .output()
         .unwrap();
     assert!(!out.status.success());
