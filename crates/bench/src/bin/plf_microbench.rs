@@ -67,6 +67,31 @@
 //! ratio has no ns/site trend); with an explicit `--out PATH` they are
 //! written to `PATH.widths.json` next to it.
 //!
+//! A fourth section holds the non-kernel cells — same-run, interleaved,
+//! written to `PATH.nonkernel.json` with an explicit `--out PATH`:
+//!   9. the four per-site costs that decide whether a repeat table
+//!      pays (plain `newview_ii` per backend and width, table build,
+//!      expand, gather) at 390 / 1 120 / 3 716 sites, and the
+//!      break-even class count they imply — compress iff
+//!      `k·(n − c) ≥ (b + x)·n + g·c`. `SiteRepeats::Auto` builds no
+//!      table on the strength of this cell and the e2e runs behind it
+//!      (EXPERIMENTS.md, "Non-kernel time"); the gate is that the
+//!      verdict still holds where it is the default: on every `simd`
+//!      width this host runs the break-even must stay below
+//!      `BREAK_EVEN_MAX` classes per site (measured ≈ −0.3 at 512 bits
+//!      and ≈ 0 at 256; `scalar` is reported, not gated: its model
+//!      break-even is ≈ 0.5 n, and end to end it does not pay either);
+//!  10. `update_partials` on a 64-taxon tree, pruned walk against the
+//!      never-pruning path (`with_pool` at one slot per inner node):
+//!      with nothing stale — the walk alone, which is what the pruning
+//!      changes — at least `WALK_MIN_SPEEDUP` ×, and after a re-root to
+//!      an adjacent edge — the same walk plus the one `newview` (two
+//!      P matrices, a 16-site kernel call) both arms then run — at
+//!      least `REROOT_MIN_SPEEDUP` ×;
+//!  11. `Tree::clone` at 64 taxa against a bench-local control laid out
+//!      like the tree it replaced (a `Vec` per node, a `String` per
+//!      tip), at least `CLONE_MIN_SPEEDUP` ×.
+//!
 //! Run: `cargo run --release -p phylo-bench --bin plf-microbench`
 //! Flags: `--quick` (10 000 patterns only), `--out PATH`
 //! (default `BENCH_10.json`).
@@ -139,6 +164,21 @@ const WIDTH_MIN_SPEEDUP: f64 = 1.10;
 /// Gate 8: minimum speedup of the in-register threshold test over the
 /// store-then-`scale_site` finish, both 256 bits wide.
 const FINISH_MIN_SPEEDUP: f64 = 1.25;
+/// Gate 9: the largest repeat-table break-even, in classes per site,
+/// a `simd` width may measure while `SiteRepeats::Auto` builds no
+/// table: below it only a node that collapses twentyfold would pay,
+/// and the first such node is a cherry, whose `newview_tt` is far
+/// cheaper than the `newview_ii` the break-even prices.
+const BREAK_EVEN_MAX: f64 = 0.05;
+/// Gate 10: minimum speedup of the pruned walk over the full one on a
+/// 64-taxon tree with nothing stale.
+const WALK_MIN_SPEEDUP: f64 = 5.0;
+/// Gate 10, in context: the same after a re-root across one node,
+/// where both arms also plan and run that node's `newview`.
+const REROOT_MIN_SPEEDUP: f64 = 2.0;
+/// Gate 11: minimum speedup of `Tree::clone` over the per-node-`Vec`,
+/// per-tip-`String` control.
+const CLONE_MIN_SPEEDUP: f64 = 10.0;
 /// Repeat-fraction sweep: `(percent duplicated, prototype divisor)` —
 /// with `patterns / divisor` prototype columns, `1 - 1/divisor` of
 /// the sites duplicate an earlier column.
@@ -696,10 +736,15 @@ struct RatioCell {
     gate: f64,
 }
 
-/// Times `base` and `new` in alternating rounds (each round runs an
-/// arm often enough to last ~100 µs) and returns their median ns/site
-/// and the median per-round ratio `base / new`.
-fn interleaved(sites: usize, mut base: impl FnMut(), mut new: impl FnMut()) -> (f64, f64, f64) {
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    v[v.len() / 2]
+}
+
+/// Times the `arms` in rotation, round by round (each round runs an arm
+/// often enough to last ~100 µs at `sites` units of work per call), and
+/// returns every round's ns per unit, one row per arm.
+fn interleaved_rounds(sites: usize, arms: &mut [&mut dyn FnMut()]) -> Vec<Vec<f64>> {
     let calls = (100_000 / sites).max(1);
     let round = |arm: &mut dyn FnMut()| {
         let start = Instant::now();
@@ -709,20 +754,28 @@ fn interleaved(sites: usize, mut base: impl FnMut(), mut new: impl FnMut()) -> (
         start.elapsed().as_secs_f64() * 1e9 / (calls * sites) as f64
     };
     for _ in 0..WARMUP {
-        round(&mut base);
-        round(&mut new);
+        for arm in arms.iter_mut() {
+            round(arm);
+        }
     }
-    let rounds: Vec<(f64, f64)> = (0..201)
-        .map(|_| (round(&mut base), round(&mut new)))
-        .collect();
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v[v.len() / 2]
-    };
+    let mut rounds = vec![Vec::with_capacity(201); arms.len()];
+    for _ in 0..201 {
+        for (arm, rounds) in arms.iter_mut().zip(&mut rounds) {
+            rounds.push(round(arm));
+        }
+    }
+    rounds
+}
+
+/// Times `base` and `new` in alternating rounds and returns their
+/// median ns/site and the median per-round ratio `base / new`.
+fn interleaved(sites: usize, mut base: impl FnMut(), mut new: impl FnMut()) -> (f64, f64, f64) {
+    let rounds = interleaved_rounds(sites, &mut [&mut base, &mut new]);
+    let ratios = rounds[0].iter().zip(&rounds[1]).map(|(b, n)| b / n);
     (
-        median(rounds.iter().map(|r| r.0).collect()),
-        median(rounds.iter().map(|r| r.1).collect()),
-        median(rounds.iter().map(|r| r.0 / r.1).collect()),
+        median(rounds[0].clone()),
+        median(rounds[1].clone()),
+        median(ratios.collect()),
     )
 }
 
@@ -891,8 +944,296 @@ fn width_cells(sites: &[usize]) -> Vec<RatioCell> {
     cells
 }
 
+/// One measured row of what running a node compressed costs next to
+/// the plain kernel it replaces (gate 9), in ns.
+struct CostRow {
+    backend: &'static str,
+    sites: usize,
+    /// Class count of the table the build arm constructs and the other
+    /// arms use.
+    classes: usize,
+    /// `k`: plain `newview_ii`, per site computed.
+    kernel: f64,
+    /// `b`: building the node's repeat table, per site indexed. A
+    /// search builds one per `newview`.
+    build: f64,
+    /// `x`: expanding the class results to the full CLA, per site.
+    expand: f64,
+    /// `g`: gathering both children's columns, per class.
+    gather: f64,
+}
+
+impl CostRow {
+    /// The largest class count, as a fraction of the sites, at which
+    /// the compressed node is no slower than the plain kernel:
+    /// `k·(n − c) ≥ (b + x)·n + g·c`. Negative: never.
+    fn break_even(&self) -> f64 {
+        (self.kernel - self.build - self.expand) / (self.kernel + self.gather)
+    }
+}
+
+/// The four per-site costs of running a node compressed, timed in one
+/// rotation per size: plain `newview_ii` under every kernel set this
+/// host runs, the build of the node's repeat table from two inner
+/// children (about half as many classes as sites — where a break-even
+/// would sit if there were one), the expansion of the class results,
+/// and the gather of both children. Build, expand and gather are the
+/// same code on every backend; only `k` differs per row.
+fn repeat_cost_rows(sites: &[usize]) -> Vec<CostRow> {
+    let kernel_sets: Vec<(&'static str, &'static dyn Kernels)> = [
+        Some(("scalar", KernelKind::Scalar.kernels())),
+        SimdKernels::at_width(256).map(|k| ("simd 256", k as &'static dyn Kernels)),
+        SimdKernels::at_width(512).map(|k| ("simd 512", k as &'static dyn Kernels)),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    let mut rows = Vec::new();
+    for &n in sites {
+        let fx = fixture(n);
+        let mut rng = SmallRng::seed_from_u64(29);
+        // Two inner children per node: `n` draws from `n/2` labels on
+        // the left (≈ 0.43 n classes), a coarsening of them on the
+        // right, so the node's own partition is the left child's. The
+        // build arm rotates through `NODES` such pairs: replaying one
+        // pass would let the branch predictor learn its hit/insert
+        // sequence, which no search ever repeats.
+        const NODES: usize = 64;
+        let mut index = RepeatIndex::default();
+        let children: Vec<[RepeatTable; 2]> = (0..NODES)
+            .map(|_| {
+                let labels: Vec<usize> = (0..n).map(|_| rng.random_range(0..n / 2)).collect();
+                [1, 3].map(|coarsen| {
+                    let lo: Vec<u8> = labels.iter().map(|&v| (v / coarsen % 256) as u8).collect();
+                    let hi: Vec<u8> = labels.iter().map(|&v| (v / coarsen / 256) as u8).collect();
+                    RepeatTable::build(ClassSource::Tip(&lo), ClassSource::Tip(&hi), n, &mut index)
+                })
+            })
+            .collect();
+        let node = |i: usize, index: &mut RepeatIndex| {
+            let [l, r] = &children[i % NODES];
+            RepeatTable::build(ClassSource::Inner(l), ClassSource::Inner(r), n, index)
+        };
+        let table = node(0, &mut index);
+        let classes = table.num_classes();
+        let mut outs: Vec<Cla> = kernel_sets.iter().map(|_| Cla::new(n)).collect();
+        let mut expanded = Cla::new(n);
+        let mut g_l = AlignedVec::zeroed(n * SITE_STRIDE);
+        let mut g_r = AlignedVec::zeroed(n * SITE_STRIDE);
+        let (mut gs_l, mut gs_r) = (vec![0u32; n], vec![0u32; n]);
+        let mut kernel_arms: Vec<Box<dyn FnMut() + '_>> = kernel_sets
+            .iter()
+            .zip(&mut outs)
+            .map(|(&(_, k), out)| {
+                let fx = &fx;
+                Box::new(move || {
+                    let (v, s) = out.buffers_mut();
+                    let (l, r) = (&fx.v_l, &fx.v_r);
+                    k.newview_ii(
+                        &fx.p_l,
+                        l.values(),
+                        l.scale(),
+                        &fx.p_r,
+                        r.values(),
+                        r.scale(),
+                        v,
+                        s,
+                    );
+                }) as Box<dyn FnMut() + '_>
+            })
+            .collect();
+        let mut next = 0;
+        let mut build = || {
+            next += 1;
+            black_box(node(next, &mut index));
+        };
+        let mut expand = || {
+            let (v, s) = expanded.buffers_mut();
+            table.expand(fx.v_l.values(), fx.v_l.scale(), v, s);
+        };
+        let mut gather = || {
+            table.gather_sites(fx.v_l.values(), fx.v_l.scale(), &mut g_l, &mut gs_l);
+            table.gather_sites(fx.v_r.values(), fx.v_r.scale(), &mut g_r, &mut gs_r);
+        };
+        let mut arms: Vec<&mut dyn FnMut()> = kernel_arms
+            .iter_mut()
+            .map(|arm| arm.as_mut() as &mut dyn FnMut())
+            .collect();
+        arms.extend([&mut build as &mut dyn FnMut(), &mut expand, &mut gather]);
+        let ns: Vec<f64> = interleaved_rounds(n, &mut arms)
+            .into_iter()
+            .map(median)
+            .collect();
+        let [build, expand, gather] = [0, 1, 2].map(|i| ns[kernel_sets.len() + i]);
+        for (&(backend, _), &kernel) in kernel_sets.iter().zip(&ns) {
+            rows.push(CostRow {
+                backend,
+                sites: n,
+                classes,
+                kernel,
+                build,
+                expand,
+                // Timed per site of the node, counted per class.
+                gather: gather * n as f64 / classes as f64,
+            });
+        }
+    }
+    rows
+}
+
+/// Gate 10: `update_partials` on an engine that prunes its walk and on
+/// one that never does — at an unchanged root, and when the virtual
+/// root moves to an adjacent edge and back (both then run the same one
+/// `newview` per call, on 16 patterns so that the walk shows); per-call
+/// ns.
+fn pruned_walk_cells() -> [RatioCell; 2] {
+    const TAXA: usize = 64;
+    let mut rng = SmallRng::seed_from_u64(31);
+    let tree = random_tree(&default_names(TAXA), 0.1, &mut rng).unwrap();
+    let rows: Vec<Vec<DnaCode>> = (0..TAXA)
+        .map(|_| {
+            (0..16)
+                .map(|_| DnaCode::from_state(rng.random_range(0..4)))
+                .collect()
+        })
+        .collect();
+    let aln =
+        CompressedAlignment::from_parts(tree.tip_names().to_vec(), rows, vec![1; 16]).unwrap();
+    let cfg = EngineConfig {
+        site_repeats: SiteRepeats::Off,
+        ..EngineConfig::default()
+    };
+    let mut pruning = LikelihoodEngine::new(&tree, &aln, cfg);
+    let mut full = LikelihoodEngine::with_pool(&tree, &aln, cfg, tree.num_inner());
+    // An internal edge and one next to it: each call crosses one node.
+    let e0 = tree.internal_edges().next().expect("internal edge");
+    let (a, _) = tree.endpoints(e0);
+    let e1 = *tree.incident(a).iter().find(|&&e| e != e0).unwrap();
+    let arm = |engine: &mut LikelihoodEngine, flip: &mut bool| {
+        *flip = !*flip;
+        engine.update_partials(&tree, if *flip { e1 } else { e0 });
+    };
+    let (mut f0, mut f1) = (false, false);
+    for engine in [&mut pruning, &mut full] {
+        engine.update_partials(&tree, e0);
+    }
+    let (still_base, still_new, still_ratio) = interleaved(
+        1,
+        || full.update_partials(&tree, e0),
+        || pruning.update_partials(&tree, e0),
+    );
+    let (base_ns, new_ns, ratio) =
+        interleaved(1, || arm(&mut full, &mut f0), || arm(&mut pruning, &mut f1));
+    let calls = |e: &LikelihoodEngine| e.repeat_stats().newview_calls;
+    assert_eq!(
+        calls(&full),
+        calls(&pruning),
+        "the walks ran different newviews"
+    );
+    assert_eq!(
+        pruning.log_likelihood(&tree, e0).to_bits(),
+        full.log_likelihood(&tree, e0).to_bits()
+    );
+    [
+        RatioCell {
+            cell: "walk",
+            sites: 1,
+            base: "update_partials, nothing stale, full walk (64 taxa)",
+            new: "update_partials, nothing stale, pruned walk",
+            base_ns: still_base,
+            new_ns: still_new,
+            ratio: still_ratio,
+            gate: WALK_MIN_SPEEDUP,
+        },
+        RatioCell {
+            cell: "reroot",
+            sites: 1,
+            base: "update_partials across one node, full walk (64 taxa)",
+            new: "update_partials across one node, pruned walk",
+            base_ns,
+            new_ns,
+            ratio,
+            gate: REROOT_MIN_SPEEDUP,
+        },
+    ]
+}
+
+/// Gate 11's control: a tree laid out as `phylo_tree::Tree` was before
+/// its incident lists went inline and its names behind an `Arc` — one
+/// heap `Vec` per node, one `String` per tip. Kept here because nothing
+/// but this measurement needs it.
+#[derive(Clone)]
+struct PerNodeVecTree {
+    _names: Vec<String>,
+    _adj: Vec<Vec<usize>>,
+    _edges: Vec<(usize, usize, f64)>,
+}
+
+/// Gate 11: what a fork-join region pays to snapshot the tree; per-call
+/// ns.
+fn tree_clone_cell() -> RatioCell {
+    const TAXA: usize = 64;
+    let tree = random_tree(&default_names(TAXA), 0.1, &mut SmallRng::seed_from_u64(37)).unwrap();
+    let control = PerNodeVecTree {
+        _names: tree.tip_names().to_vec(),
+        _adj: (0..tree.num_nodes())
+            .map(|n| tree.incident(n).to_vec())
+            .collect(),
+        _edges: tree
+            .edge_ids()
+            .map(|e| {
+                let (a, b) = tree.endpoints(e);
+                (a, b, tree.length(e))
+            })
+            .collect(),
+    };
+    let (base_ns, new_ns, ratio) = interleaved(
+        1,
+        || drop(black_box(black_box(&control).clone())),
+        || drop(black_box(black_box(&tree).clone())),
+    );
+    RatioCell {
+        cell: "clone",
+        sites: 1,
+        base: "clone of a Vec-per-node, String-per-tip tree (64 taxa)",
+        new: "Tree::clone",
+        base_ns,
+        new_ns,
+        ratio,
+        gate: CLONE_MIN_SPEEDUP,
+    }
+}
+
+fn render_nonkernel(rows: &[CostRow], cells: &[RatioCell]) -> String {
+    let mut s = String::from("{\"repeat_costs\":[\n");
+    for (i, r) in rows.iter().enumerate() {
+        let _ = writeln!(
+            s,
+            "{{\"backend\":\"{}\",\"sites\":{},\"classes\":{},\"kernel_ns_per_site\":{:.3},\
+             \"build_ns_per_site\":{:.3},\"expand_ns_per_site\":{:.3},\
+             \"gather_ns_per_class\":{:.3},\"break_even_classes_per_site\":{:.4}}}{}",
+            r.backend,
+            r.sites,
+            r.classes,
+            r.kernel,
+            r.build,
+            r.expand,
+            r.gather,
+            r.break_even(),
+            if i + 1 < rows.len() { "," } else { "" }
+        );
+    }
+    let _ = write!(s, "],\n{}}}\n", cells_member(cells));
+    s
+}
+
 fn render_ratio_cells(cells: &[RatioCell]) -> String {
-    let mut s = String::from("{\"cells\":[\n");
+    format!("{{{}}}\n", cells_member(cells))
+}
+
+/// The `"cells":[…]` member both ratio-cell files carry.
+fn cells_member(cells: &[RatioCell]) -> String {
+    let mut s = String::from("\"cells\":[\n");
     for (i, c) in cells.iter().enumerate() {
         let _ = writeln!(
             s,
@@ -910,7 +1251,7 @@ fn render_ratio_cells(cells: &[RatioCell]) -> String {
             if i + 1 < cells.len() { "," } else { "" }
         );
     }
-    s.push_str("]}\n");
+    s.push(']');
     s
 }
 
@@ -1108,6 +1449,40 @@ fn main() {
         println!("wrote {path}");
     }
 
+    // Non-kernel section: the break-even's inputs, the walk, the clone.
+    let cost_rows = repeat_cost_rows(&[390, 1_120, 3_716]);
+    for r in &cost_rows {
+        println!(
+            "repeat costs {:<8} {:>5} sites / {:>4} classes: k {:.2}, build {:.2}, expand {:.2} \
+             ns/site, gather {:.2} ns/class: break-even at {:+.3} classes/site",
+            r.backend,
+            r.sites,
+            r.classes,
+            r.kernel,
+            r.build,
+            r.expand,
+            r.gather,
+            r.break_even()
+        );
+    }
+    let [walk, reroot] = pruned_walk_cells();
+    let nonkernel_cells = [walk, reroot, tree_clone_cell()];
+    for c in &nonkernel_cells {
+        println!(
+            "{:<6} {} {:.0} ns, {} {:.0} ns ({:.1}x)",
+            c.cell, c.base, c.base_ns, c.new, c.new_ns, c.ratio
+        );
+    }
+    println!();
+    if explicit_out {
+        let path = format!("{out_path}.nonkernel.json");
+        std::fs::write(&path, render_nonkernel(&cost_rows, &nonkernel_cells)).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(2);
+        });
+        println!("wrote {path}");
+    }
+
     let json = render_json(
         &cells,
         simd,
@@ -1181,8 +1556,33 @@ fn main() {
         println!("gate: blocked traversal {blocking_ratio:.3}x of unblocked on 0%-repeats — ok");
     }
 
-    // Gates 7 and 8: every ratio cell this host could run.
-    for c in &ratio_cells {
+    // Gate 9: `Auto` builds no repeat table; on the backends it is
+    // the default for, that must still be what the costs say.
+    for r in cost_rows.iter().filter(|r| r.backend != "scalar") {
+        if r.break_even() >= BREAK_EVEN_MAX {
+            failures.push(format!(
+                "repeat costs, {} at {} sites: a table pays up to {:.3} classes/site \
+                 (k {:.2}, build {:.2}, expand {:.2}, gather {:.2}) — `auto → no tables` \
+                 no longer holds",
+                r.backend,
+                r.sites,
+                r.break_even(),
+                r.kernel,
+                r.build,
+                r.expand,
+                r.gather
+            ));
+        }
+    }
+    if !failures.iter().any(|f| f.starts_with("repeat costs")) {
+        println!(
+            "gate: repeat-table break-even below {BREAK_EVEN_MAX} classes/site on every simd \
+             width — ok"
+        );
+    }
+
+    // Gates 7, 8, 10 and 11: every ratio cell this host could run.
+    for c in ratio_cells.iter().chain(&nonkernel_cells) {
         if c.ratio < c.gate {
             failures.push(format!(
                 "{} cell at {} sites: {} only {:.2}x over {} (< {}x)",

@@ -301,18 +301,19 @@ pub fn derivative_sum_folded(op: KernelOp, classes: u64, inner_children: u64) ->
     }
 }
 
-/// Host throughputs measured once per machine (the `phylomic
-/// calibrate` probes, cached alongside `HOST_ROOFLINE.json`) that the
-/// heuristics in this crate share: site-repeat profitability
-/// ([`crate::repeats::RepeatTable::profitable`]) and the traversal
-/// block size ([`crate::blocking::block_sites`]) both decide from the
-/// same data the roofline reporting uses.
+/// Host measurements taken once per machine (the `phylomic calibrate`
+/// probes, cached alongside `HOST_ROOFLINE.json`). Of the three, only
+/// `cache_bytes` steers a decision — the traversal block size
+/// ([`crate::blocking::block_sites`]); the two throughputs are what the
+/// roofline reporting is drawn against. (They used to price the
+/// site-repeat expansion copy against the kernel; that rule left out
+/// the table build, and with it counted no `Auto` table pays — see
+/// [`crate::SiteRepeats::Auto`].)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProfitCalibration {
     /// Streaming kernel throughput in MB/s (the STREAM-triad peak).
     pub kernel_mbps: u64,
-    /// Gather/expand copy throughput in MB/s (`memcpy`-style probe);
-    /// 0 = unmeasured.
+    /// Copy throughput in MB/s (`memcpy`-style probe); 0 = unmeasured.
     pub copy_mbps: u64,
     /// Effective per-core cache in bytes for traversal blocking;
     /// 0 = unmeasured.
@@ -332,29 +333,6 @@ pub fn set_calibration(cal: ProfitCalibration) -> bool {
 /// The installed host calibration, if any.
 pub fn calibration() -> Option<&'static ProfitCalibration> {
     CALIBRATION.get()
-}
-
-/// Per-site overhead bytes of the compressed-`newview` expansion
-/// relative to the kernel's own streaming: the class-index read plus
-/// the full-width output copy ([`newview_compressed`]).
-const EXPAND_BYTES_PER_SITE: u64 = 4 + 8 * (NUM_STATES * NUM_RATES) as u64 + 4;
-
-/// Measured expansion-overhead : kernel-work cost ratio `r`, when both
-/// throughput probes have run: compressing is modeled as profitable
-/// iff `classes <= sites * (1 - r)`, i.e. the per-class kernel saving
-/// must at least pay for the per-site expansion copy. `None` when the
-/// host is uncalibrated (callers fall back to the fixed 20% rule).
-pub fn repeat_overhead_ratio() -> Option<f64> {
-    let cal = calibration()?;
-    if cal.copy_mbps == 0 || cal.kernel_mbps == 0 {
-        return None;
-    }
-    // Time per site of the expansion copy vs time per site of the
-    // dominant newview_ii kernel, each as bytes / throughput.
-    let kernel_bytes = KernelOp::NewviewIi.cost(1).bytes();
-    let cx = EXPAND_BYTES_PER_SITE as f64 / cal.copy_mbps as f64;
-    let ck = kernel_bytes as f64 / cal.kernel_mbps as f64;
-    Some((cx / ck).clamp(0.01, 0.95))
 }
 
 /// Process-wide roofline accumulators in the metrics registry

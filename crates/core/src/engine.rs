@@ -8,6 +8,14 @@
 //! `evaluate`/`newview` calls per second affordable during tree search
 //! (§V-C).
 //!
+//! The walk itself is pruned to what can be stale: the engine keeps
+//! the edge records of the tree it last traversed and the neighbour
+//! each CLA is oriented toward, and a subtree with no changed edge
+//! that still hangs off the same parent is left out of the schedule
+//! (see [`LikelihoodEngine::update_partials`]) — a master handing its
+//! workers a partial traversal descriptor, computed on the receiving
+//! side.
+//!
 //! Every stale node takes one path: it is *planned* (slot, stamp,
 //! cache key, counters, per-branch tables — in schedule order) and
 //! the plan is *executed* over a site range: the whole range on the
@@ -42,8 +50,9 @@ use crate::repeats::{
 use crate::{AlignedVec, NUM_RATES, SITE_STRIDE};
 use phylo_bio::CompressedAlignment;
 use phylo_models::{DiscreteGamma, Eigensystem, Gtr, GtrParams, ProbMatrix};
-use phylo_tree::traverse::{children, full_schedule, ScheduleBuf};
+use phylo_tree::traverse::{children, full_schedule, Directed, ScheduleBuf};
 use phylo_tree::{EdgeId, NodeId, Tree};
+use std::sync::Arc;
 
 /// Engine construction options.
 #[derive(Clone, Copy, Debug)]
@@ -113,6 +122,29 @@ struct PlannedNewview {
 /// Marks a free pool slot / a non-resident inner node.
 const FREE: usize = usize::MAX;
 
+/// One edge as the pruned walk remembers it: endpoints and the bits of
+/// its length.
+type EdgeRecord = (NodeId, NodeId, u64);
+
+/// What the last traversal left behind, for the next one to prune its
+/// walk against. Invariant while `trusted`: every inner node's CLA is
+/// resident and valid for the tree in `edges`, oriented toward
+/// `toward[node]` — its parent under the rooting of that traversal.
+#[derive(Default)]
+struct LastWalk {
+    /// `false` until a traversal has completed on an all-resident
+    /// pool, and again after anything that invalidates CLAs behind the
+    /// tree's back (`invalidate_all`, a model change, a tip
+    /// re-binding): the next walk is then the full one.
+    trusted: bool,
+    /// The edge records of the tree last traversed, by edge id.
+    edges: Vec<EdgeRecord>,
+    /// Per inner node, the neighbour its CLA was last oriented toward.
+    toward: Vec<NodeId>,
+    /// Per inner node, scratch of the walk in progress: may be stale.
+    marked: Vec<bool>,
+}
+
 /// The smallest CLA pool that can evaluate `tree` at `root_edge`: the
 /// maximum number of simultaneously pinned CLAs in the post-order
 /// traversal (computed-but-unconsumed nodes, the two root-adjacent
@@ -156,8 +188,6 @@ struct RootFoldKey {
     stamps: [u64; 2],
     /// Tip-binding epoch the table was built under.
     tip_epoch: u64,
-    /// Class limit the table was built under.
-    limit: usize,
 }
 
 /// A PLF evaluator bound to one alignment slice and one model.
@@ -179,8 +209,11 @@ pub struct LikelihoodEngine {
     /// different tip naming is supplied (e.g. after a checkpoint
     /// restore re-parsed the topology).
     tip_row: Vec<usize>,
-    /// The tip naming the current `tip_row` was built for.
-    bound_names: Vec<String>,
+    /// The tip naming the current `tip_row` was built for: the
+    /// allocation the tree (and every clone of it) shares, held so that
+    /// pointer equality means "same names" for as long as it is
+    /// compared against.
+    bound_names: Arc<[String]>,
     weights: Vec<u32>,
     num_patterns: usize,
     num_taxa: usize,
@@ -208,6 +241,10 @@ pub struct LikelihoodEngine {
     stats: KernelStats,
     /// Effective site-repeat compression mode (env override applied).
     repeats_mode: SiteRepeats,
+    /// What that mode means for this engine's pattern count, decided
+    /// once: the class count up to which a node runs compressed, or
+    /// `None` for no tables at all.
+    class_limit: Option<usize>,
     /// Working state of every repeat-table build; owns no memory until
     /// the first one.
     repeat_index: RepeatIndex,
@@ -249,6 +286,11 @@ pub struct LikelihoodEngine {
     /// The post-order schedule of the traversal in progress, refilled
     /// by every `update_partials`.
     schedule: ScheduleBuf,
+    /// Whether the pool was capped by [`LikelihoodEngine::with_pool`]:
+    /// such an engine always walks the full schedule (evictions make
+    /// any node stale, and the full walk's eviction order is pinned).
+    capped: bool,
+    last_walk: LastWalk,
 }
 
 impl LikelihoodEngine {
@@ -266,7 +308,7 @@ impl LikelihoodEngine {
         config: EngineConfig,
         range: std::ops::Range<usize>,
     ) -> Self {
-        Self::build(tree, aln, config, range, tree.num_inner())
+        Self::build(tree, aln, config, range, None)
     }
 
     /// Builds an engine over the full pattern range whose CLA memory
@@ -277,6 +319,11 @@ impl LikelihoodEngine {
     /// CLA's 128 (nothing for a node with too many classes to
     /// compress), and keeping them is what lets an evicted CLA be
     /// recomputed over classes instead of sites.
+    ///
+    /// An engine built here never prunes its walk, whatever
+    /// `pool_slots` is: at `tree.num_inner()` slots it is the
+    /// all-resident engine minus the pruning, which is what the tests
+    /// of the pruning compare against.
     ///
     /// # Panics
     /// Panics when `pool_slots < 3` — a post-order step needs two
@@ -290,8 +337,7 @@ impl LikelihoodEngine {
         pool_slots: usize,
     ) -> Self {
         assert!(pool_slots >= 3, "pool needs at least 3 slots");
-        let pool = pool_slots.min(tree.num_inner());
-        Self::build(tree, aln, config, 0..aln.num_patterns(), pool)
+        Self::build(tree, aln, config, 0..aln.num_patterns(), Some(pool_slots))
     }
 
     fn build(
@@ -299,8 +345,9 @@ impl LikelihoodEngine {
         aln: &CompressedAlignment,
         config: EngineConfig,
         range: std::ops::Range<usize>,
-        pool: usize,
+        pool_cap: Option<usize>,
     ) -> Self {
+        let pool = pool_cap.map_or(tree.num_inner(), |cap| cap.min(tree.num_inner()));
         assert!(range.end <= aln.num_patterns(), "range outside alignment");
         assert_eq!(
             tree.num_taxa(),
@@ -329,6 +376,7 @@ impl LikelihoodEngine {
             freqs: aln.empirical_frequencies(),
         };
         let kind = config.kernel.effective();
+        let repeats_mode = config.site_repeats.effective();
         let mut engine = LikelihoodEngine {
             kind,
             kernel: kind.kernels(),
@@ -344,7 +392,7 @@ impl LikelihoodEngine {
             tips,
             row_names,
             tip_row,
-            bound_names: tree.tip_names().to_vec(),
+            bound_names: Arc::clone(tree.shared_tip_names()),
             weights,
             num_patterns,
             num_taxa,
@@ -359,7 +407,8 @@ impl LikelihoodEngine {
             sumtable: AlignedVec::zeroed(num_patterns * SITE_STRIDE),
             sum_edge: None,
             stats: KernelStats::new(),
-            repeats_mode: config.site_repeats.effective(),
+            repeats_mode,
+            class_limit: repeats_mode.class_limit(num_patterns),
             repeat_index: RepeatIndex::default(),
             repeat_tables: vec![None; tree.num_inner()],
             repeat_valid: vec![None; tree.num_inner()],
@@ -376,6 +425,8 @@ impl LikelihoodEngine {
             batch: Vec::new(),
             batch_ns: Vec::new(),
             schedule: ScheduleBuf::default(),
+            capped: pool_cap.is_some(),
+            last_walk: LastWalk::default(),
         };
         engine.rebuild_model_tables();
         engine
@@ -394,6 +445,7 @@ impl LikelihoodEngine {
         }
         self.model_version += 1;
         self.sum_edge = None;
+        self.last_walk.trusted = false;
     }
 
     /// Replaces the substitution model parameters (invalidates CLAs).
@@ -493,6 +545,14 @@ impl LikelihoodEngine {
         self.slots.get(self.resident[inner]).map(Cla::scale)
     }
 
+    /// Content stamp of inner node `inner`'s CLA (0 = never computed).
+    /// Test accessor: an engine that prunes its walk must hand out the
+    /// stamps of one that does not.
+    #[doc(hidden)]
+    pub fn cla_stamp(&self, inner: usize) -> u64 {
+        self.stamps[inner]
+    }
+
     /// Number of inner nodes of the tree shape this engine serves.
     pub fn num_inner(&self) -> usize {
         self.resident.len()
@@ -535,6 +595,7 @@ impl LikelihoodEngine {
     pub fn invalidate_all(&mut self) {
         self.valid.iter_mut().for_each(|v| *v = None);
         self.sum_edge = None;
+        self.last_walk.trusted = false;
     }
 
     #[inline]
@@ -563,11 +624,19 @@ impl LikelihoodEngine {
 
     /// Re-binds tip rows when the supplied tree's tip naming differs
     /// from the one the cache was built for (e.g. a checkpoint-restored
-    /// topology), invalidating all CLAs.
+    /// topology), invalidating all CLAs. A clone of the tree last seen
+    /// shares its names and is recognised by address; equal names in
+    /// another allocation (the same Newick parsed again) cost one
+    /// comparison and are then adopted as the allocation to expect.
     fn ensure_tip_binding(&mut self, tree: &Tree) {
-        if tree.tip_names() != self.bound_names.as_slice() {
+        let names = tree.shared_tip_names();
+        if Arc::ptr_eq(names, &self.bound_names) {
+            return;
+        }
+        let same = **names == *self.bound_names;
+        self.bound_names = Arc::clone(names);
+        if !same {
             self.tip_row = Self::bind_tips(tree, &self.row_names);
-            self.bound_names = tree.tip_names().to_vec();
             self.invalidate_all();
             // Node-id meanings changed wholesale: cached keys must not
             // survive even by coincidence.
@@ -627,44 +696,63 @@ impl LikelihoodEngine {
     /// reads them. A compressed node reads its children whole-range,
     /// and an eviction reassigns a slot that queued jobs may address:
     /// the queue is run before either.
+    ///
+    /// # The pruned walk
+    ///
+    /// Validity stays keyed by content ([`CacheKey`]); what is pruned
+    /// is the walk that checks it. The engine diffs the tree's edge
+    /// records against those of the tree it last traversed, marks the
+    /// inner endpoints (old and new) of every changed edge and all
+    /// their ancestors *in the old rooting* as possibly stale, and
+    /// leaves out of the schedule a node — with everything below it —
+    /// that is unmarked and whose old parent is its parent now. An
+    /// unmarked node has no changed edge in its old subtree (marks are
+    /// closed upward), so that subtree stands unchanged in the new
+    /// tree, below the same parent, every CLA in it valid and so
+    /// oriented since the last traversal: the full walk would build
+    /// the keys it already holds and move on. Every marked node is
+    /// reached, and the nodes visited come in the full schedule's
+    /// relative order, so stamps, keys, counts and blocked batches are
+    /// the full walk's. Debug builds check exactly that after every
+    /// pruned walk. Nothing is pruned on an engine's first traversal,
+    /// after `invalidate_all` / `set_model` / `set_alpha` / a tip
+    /// re-binding, or under a capped pool — the same loop, over the
+    /// full schedule.
     pub fn update_partials(&mut self, tree: &Tree, root_edge: EdgeId) {
         debug_assert_eq!(tree.num_inner(), self.num_inner(), "tree shape changed");
         self.ensure_tip_binding(tree);
         let n = self.num_patterns;
         let block = self.block_sites;
-        let limit = self.repeats_mode.class_limit(n);
+        let limit = self.class_limit;
         self.pinned.fill(false);
         let mut batch = std::mem::take(&mut self.batch);
         let mut schedule = std::mem::take(&mut self.schedule);
-        for &d in schedule.refill(tree, root_edge) {
-            // Canonical child order: tip first, then by node id.
-            let mut ch = children(tree, d.node, d.toward_edge);
-            let tipness = |n: NodeId| usize::from(!tree.is_tip(n));
-            if (tipness(ch[0].1), ch[0].1) > (tipness(ch[1].1), ch[1].1) {
-                ch.swap(0, 1);
-            }
+        // Taken, so that a traversal cut short by a panic leaves an
+        // untrusted record behind.
+        let mut walk = std::mem::take(&mut self.last_walk);
+        let pruned = walk.observe(tree);
+        let order = schedule.refill(tree, root_edge, |d| pruned && walk.untouched(tree, d));
+        let counters = traversal_counters();
+        counters.nodes_visited.add(order.len() as u64);
+        counters.nodes_in_schedule.add(tree.num_inner() as u64);
+        for &d in order {
+            let ch = canonical_children(tree, d);
             // Repeat tables are ensured for every scheduled node, even
             // when its CLA is cache-valid: parents build their classes
             // from the children's tables.
             if let Some(limit) = limit {
                 self.ensure_repeat_table(tree, d.node, ch, limit);
             }
-            let key = CacheKey {
-                child_nodes: [ch[0].1, ch[1].1],
-                child_lengths: [tree.length(ch[0].0), tree.length(ch[1].0)],
-                child_stamps: [self.stamp_of(tree, ch[0].1), self.stamp_of(tree, ch[1].1)],
-                model_version: self.model_version,
-            };
+            let key = self.cache_key(tree, ch);
             let idx = self.inner_idx(d.node);
+            walk.toward[idx] = tree.other_end(d.toward_edge, d.node);
             let evicted = self.resident[idx] == FREE;
             let changed = self.valid[idx].as_ref() != Some(&key);
             if evicted || changed {
-                // The compress decision is made exactly once per
-                // executed node (it feeds the profitability metrics).
                 let compress = limit.is_some()
                     && self.repeat_tables[idx]
                         .as_ref()
-                        .is_some_and(|t| t.compresses_counted(self.repeats_mode));
+                        .is_some_and(RepeatTable::compresses);
                 let alone = compress || block.is_none();
                 if alone || (evicted && !self.slot_owner.contains(&FREE)) {
                     self.execute(&batch, block.unwrap_or(n));
@@ -691,8 +779,68 @@ impl LikelihoodEngine {
         }
         self.execute(&batch, block.unwrap_or(n));
         batch.clear();
+        #[cfg(debug_assertions)]
+        if pruned {
+            self.assert_left_out_nodes_are_valid(tree, root_edge, order);
+        }
+        walk.trusted = !self.capped;
+        self.last_walk = walk;
         self.batch = batch;
         self.schedule = schedule;
+    }
+
+    /// The state the CLA of a node with (canonicalized) children `ch`
+    /// is a function of, as of now.
+    fn cache_key(&self, tree: &Tree, ch: [(EdgeId, NodeId); 2]) -> CacheKey {
+        CacheKey {
+            child_nodes: [ch[0].1, ch[1].1],
+            child_lengths: [tree.length(ch[0].0), tree.length(ch[1].0)],
+            child_stamps: [self.stamp_of(tree, ch[0].1), self.stamp_of(tree, ch[1].1)],
+            model_version: self.model_version,
+        }
+    }
+
+    /// The oracle of the pruned walk: sweeps the full schedule and
+    /// holds every node the walk left out to what the full walk would
+    /// have checked — resident, and its fresh keys equal to the stored
+    /// ones.
+    #[cfg(debug_assertions)]
+    fn assert_left_out_nodes_are_valid(
+        &self,
+        tree: &Tree,
+        root_edge: EdgeId,
+        visited: &[Directed],
+    ) {
+        let mut seen = vec![false; self.num_inner()];
+        for d in visited {
+            seen[self.inner_idx(d.node)] = true;
+        }
+        for d in full_schedule(tree, root_edge) {
+            let idx = self.inner_idx(d.node);
+            if seen[idx] {
+                continue;
+            }
+            let ch = canonical_children(tree, d);
+            assert_ne!(
+                self.resident[idx], FREE,
+                "pruned node {} is not resident",
+                d.node
+            );
+            assert_eq!(
+                self.valid[idx].as_ref(),
+                Some(&self.cache_key(tree, ch)),
+                "pruned node {} is stale",
+                d.node
+            );
+            if self.class_limit.is_some() {
+                assert_eq!(
+                    self.repeat_valid[idx].as_ref(),
+                    Some(&self.repeat_key(tree, ch)),
+                    "pruned node {} has a stale repeat table",
+                    d.node
+                );
+            }
+        }
     }
 
     /// Plans one `newview`: takes the node's slot and does all of its
@@ -937,6 +1085,19 @@ impl LikelihoodEngine {
         }
     }
 
+    /// The state the repeat table of a node with (canonicalized)
+    /// children `ch` is a function of, as of now.
+    fn repeat_key(&self, tree: &Tree, ch: [(EdgeId, NodeId); 2]) -> RepeatKey {
+        RepeatKey {
+            child_nodes: [ch[0].1, ch[1].1],
+            child_table_stamps: [
+                self.repeat_stamp_of(tree, ch[0].1),
+                self.repeat_stamp_of(tree, ch[1].1),
+            ],
+            tip_epoch: self.tip_epoch,
+        }
+    }
+
     /// Builds (or revalidates) `node`'s repeat table bottom-up from its
     /// children's class sources. Children's tables are guaranteed built
     /// because `update_partials` walks the post-order schedule.
@@ -948,15 +1109,7 @@ impl LikelihoodEngine {
         limit: usize,
     ) {
         let idx = self.inner_idx(node);
-        let key = RepeatKey {
-            child_nodes: [ch[0].1, ch[1].1],
-            child_table_stamps: [
-                self.repeat_stamp_of(tree, ch[0].1),
-                self.repeat_stamp_of(tree, ch[1].1),
-            ],
-            tip_epoch: self.tip_epoch,
-            limit,
-        };
+        let key = self.repeat_key(tree, ch);
         if self.repeat_valid[idx].as_ref() == Some(&key) {
             return;
         }
@@ -993,7 +1146,7 @@ impl LikelihoodEngine {
     /// `r` is a tip (the two-taxon corner), or when the compression
     /// does not pay under the engine's mode.
     fn ensure_root_fold(&mut self, tree: &Tree, q: NodeId, r: NodeId) -> bool {
-        let Some(limit) = self.repeats_mode.class_limit(self.num_patterns) else {
+        let Some(limit) = self.class_limit else {
             return false;
         };
         if tree.is_tip(r) {
@@ -1016,7 +1169,6 @@ impl LikelihoodEngine {
             nodes: [q, r],
             stamps: [q_stamp, self.repeat_stamps[r_idx]],
             tip_epoch: self.tip_epoch,
-            limit,
         };
         if !self.root_fold.as_ref().is_some_and(|f| f.key == key) {
             let _span = crate::span::enter("repeat_table");
@@ -1035,7 +1187,7 @@ impl LikelihoodEngine {
             .as_ref()
             .expect("fold table cached")
             .table
-            .compresses_counted(self.repeats_mode)
+            .compresses()
     }
 
     /// Log-likelihood (partial, over this engine's pattern slice) with
@@ -1338,6 +1490,75 @@ impl LikelihoodEngine {
     }
 }
 
+/// The children of a scheduled node in canonical order: tip first,
+/// then by node id.
+fn canonical_children(tree: &Tree, d: Directed) -> [(EdgeId, NodeId); 2] {
+    let mut ch = children(tree, d.node, d.toward_edge);
+    let tipness = |n: NodeId| usize::from(!tree.is_tip(n));
+    if (tipness(ch[0].1), ch[0].1) > (tipness(ch[1].1), ch[1].1) {
+        ch.swap(0, 1);
+    }
+    ch
+}
+
+impl LastWalk {
+    /// Brings the edge records up to `tree` and says whether the walk
+    /// about to start may be pruned — then with every inner endpoint,
+    /// old and new, of every changed edge marked, and all their
+    /// ancestors in the old rooting.
+    fn observe(&mut self, tree: &Tree) -> bool {
+        let records = tree
+            .edge_records()
+            .map(|(a, b, length)| (a, b, length.to_bits()));
+        let pruned = self.trusted && self.edges.len() == tree.num_edges();
+        let mut changed = tree.num_edges();
+        if pruned {
+            self.marked.clear();
+            self.marked.resize(tree.num_inner(), false);
+            changed = 0;
+            for (e, new) in records.enumerate() {
+                let old = self.edges[e];
+                if old != new {
+                    self.edges[e] = new;
+                    changed += 1;
+                    for node in [old.0, old.1, new.0, new.1] {
+                        self.mark_upward(node, tree.num_taxa());
+                    }
+                }
+            }
+        } else {
+            self.edges.clear();
+            self.edges.extend(records);
+            self.toward.resize(tree.num_inner(), usize::MAX);
+        }
+        traversal_counters().edges_changed.add(changed as u64);
+        pruned
+    }
+
+    /// Marks `node` and its ancestors under the rooting of the last
+    /// traversal, up to the first one already marked or the old root
+    /// edge.
+    fn mark_upward(&mut self, mut node: NodeId, num_taxa: usize) {
+        while node >= num_taxa && !std::mem::replace(&mut self.marked[node - num_taxa], true) {
+            let parent = self.toward[node - num_taxa];
+            if parent >= num_taxa && self.toward[parent - num_taxa] == node {
+                // The two ends of the old root edge face each other:
+                // neither is above the other.
+                break;
+            }
+            node = parent;
+        }
+    }
+
+    /// Whether the walk may leave `d.node` and everything below it
+    /// out: nothing changed in its old subtree, and that subtree hangs
+    /// off the parent it hung off at the last traversal.
+    fn untouched(&self, tree: &Tree, d: Directed) -> bool {
+        let idx = d.node - tree.num_taxa();
+        !self.marked[idx] && self.toward[idx] == tree.other_end(d.toward_edge, d.node)
+    }
+}
+
 /// Nanoseconds elapsed since `t0`, saturated into `u64`.
 #[inline]
 fn elapsed_ns(t0: std::time::Instant) -> u64 {
@@ -1349,6 +1570,29 @@ fn elapsed_ns(t0: std::time::Instant) -> u64 {
 fn patterns_evaluated() -> &'static crate::metrics::Counter {
     static C: std::sync::OnceLock<crate::metrics::Counter> = std::sync::OnceLock::new();
     C.get_or_init(|| crate::metrics::counter("core.patterns.evaluated"))
+}
+
+/// Registry counters of the pruned walk, over all engines of the
+/// process: `nodes_visited / nodes_in_schedule` is the share of a full
+/// walk still done, `nodes_visited` per `newview` how many looks it
+/// takes to find a stale CLA.
+struct TraversalCounters {
+    /// Inner nodes the walks visited.
+    nodes_visited: crate::metrics::Counter,
+    /// Inner nodes full walks would have visited.
+    nodes_in_schedule: crate::metrics::Counter,
+    /// Edge records that differed from the tree last traversed (all of
+    /// them where there was none to compare with).
+    edges_changed: crate::metrics::Counter,
+}
+
+fn traversal_counters() -> &'static TraversalCounters {
+    static C: std::sync::OnceLock<TraversalCounters> = std::sync::OnceLock::new();
+    C.get_or_init(|| TraversalCounters {
+        nodes_visited: crate::metrics::counter("core.traversal.nodes_visited"),
+        nodes_in_schedule: crate::metrics::counter("core.traversal.nodes_in_schedule"),
+        edges_changed: crate::metrics::counter("core.traversal.edges_changed"),
+    })
 }
 
 /// Cached handle for `core.repeats.sites`: logical sites covered by
@@ -1487,6 +1731,67 @@ mod tests {
         engine.log_likelihood(&tree, root);
         let recomputed = engine.stats().get(KernelId::Newview).calls - before;
         assert_eq!(recomputed, 3, "P_def, center, P_ab — but not P_ef");
+    }
+
+    // ---- Tip binding: by allocation first, by content otherwise ----
+
+    #[test]
+    fn equal_names_in_another_allocation_keep_the_clas() {
+        let (tree, aln) = five_taxon();
+        let mut engine = LikelihoodEngine::new(&tree, &aln, EngineConfig::default());
+        let ll = engine.log_likelihood(&tree, 0);
+        let calls = engine.stats().get(KernelId::Newview).calls;
+        // A clone shares the names; the same text parsed again holds
+        // equal names (and ids) elsewhere. Neither is a new binding.
+        let reparsed =
+            newick::parse("((a:0.11,b:0.23):0.31,c:0.08,(d:0.19,e:0.27):0.14);").unwrap();
+        assert_eq!(reparsed.tip_names(), tree.tip_names());
+        assert!(!Arc::ptr_eq(
+            reparsed.shared_tip_names(),
+            tree.shared_tip_names()
+        ));
+        for other in [tree.clone(), reparsed.clone(), tree.clone(), reparsed] {
+            assert_eq!(engine.log_likelihood(&other, 0).to_bits(), ll.to_bits());
+            // The allocation last seen is the one expected next.
+            assert!(Arc::ptr_eq(&engine.bound_names, other.shared_tip_names()));
+        }
+        assert_eq!(engine.stats().get(KernelId::Newview).calls, calls);
+        assert_eq!(engine.tip_epoch, 1);
+    }
+
+    #[test]
+    fn permuted_names_rebind_and_invalidate() {
+        let (tree, aln) = five_taxon();
+        let cfg = EngineConfig {
+            site_repeats: SiteRepeats::On,
+            ..EngineConfig::default()
+        };
+        let mut engine = LikelihoodEngine::new(&tree, &aln, cfg);
+        let ll = engine.log_likelihood(&tree, 0);
+        let calls = engine.stats().get(KernelId::Newview).calls;
+        // The same tree written from another tip: other tip ids.
+        let permuted =
+            newick::parse("((e:0.27,d:0.19):0.14,c:0.08,(b:0.23,a:0.11):0.31);").unwrap();
+        assert_ne!(permuted.tip_names(), tree.tip_names());
+        let root = permuted.incident(permuted.tip_by_name("a").unwrap())[0];
+        let got = engine.log_likelihood(&permuted, root);
+        let fresh = LikelihoodEngine::new(&permuted, &aln, cfg).log_likelihood(&permuted, root);
+        assert_eq!(got.to_bits(), fresh.to_bits());
+        assert!(
+            (got - ll).abs() < 1e-9,
+            "same tree, same likelihood: {got} vs {ll}"
+        );
+        // Every CLA and every repeat table was rebuilt under the new
+        // binding, and the walk that did it was the full one.
+        assert_eq!(
+            engine.stats().get(KernelId::Newview).calls - calls,
+            tree.num_inner() as u64
+        );
+        assert_eq!(engine.tip_epoch, 2);
+        // (Unless an env override keeps this engine from building any.)
+        if SiteRepeats::env_override().is_none() {
+            assert!(engine.repeat_build_stats().builds >= 2 * tree.num_inner() as u64);
+        }
     }
 
     // ---- Re-rooting cost: what the search's depth-first orders buy ----
@@ -1745,7 +2050,7 @@ mod tests {
                 &aln,
                 EngineConfig {
                     kernel: KernelKind::Scalar,
-                    site_repeats: SiteRepeats::Auto,
+                    site_repeats: SiteRepeats::On,
                     blocking,
                     ..EngineConfig::default()
                 },
@@ -1802,7 +2107,8 @@ mod tests {
                     },
                 )
             };
-            for mode in [SiteRepeats::On, SiteRepeats::Auto] {
+            {
+                let mode = SiteRepeats::On;
                 let mut off = mk(SiteRepeats::Off);
                 let mut on = mk(mode);
                 for e in tree.edge_ids() {
@@ -1838,7 +2144,7 @@ mod tests {
                 // (The rest is skipped under an env override, which
                 // forces both engines into the same mode.)
                 if SiteRepeats::env_override().is_some() {
-                    continue;
+                    return;
                 }
                 // Folding must actually have engaged: the modeled
                 // evaluate traffic shrinks to class width (+ the fold
@@ -1855,8 +2161,7 @@ mod tests {
                     "{kernel:?} {mode}: folded derivative never engaged"
                 );
                 // 16 sites in 4 classes at every node and orientation:
-                // no table is bounded and every call compresses, under
-                // either mode's limit.
+                // no table is bounded and every call compresses.
                 let stats = on.repeat_stats();
                 assert_eq!(off.repeat_stats().newview_calls, stats.newview_calls);
                 assert_eq!(
@@ -1876,14 +2181,73 @@ mod tests {
         }
     }
 
-    /// The cost this engine no longer pays where `Auto` declines every
+    /// The default engine over an alignment that compresses fourfold
+    /// at every node: no table, no index, no scratch, no fold — the
+    /// path `Off` takes — and the bits of `On` and `Off`.
+    #[test]
+    fn default_engine_builds_no_repeat_table() {
+        if SiteRepeats::env_override().is_some() {
+            return; // the override replaces the default this test pins
+        }
+        let (tree, aln) = repeat_heavy();
+        for kernel in [KernelKind::Scalar, KernelKind::Simd] {
+            let mk = |site_repeats| {
+                LikelihoodEngine::new(
+                    &tree,
+                    &aln,
+                    EngineConfig {
+                        kernel,
+                        site_repeats,
+                        ..EngineConfig::default()
+                    },
+                )
+            };
+            let mut auto = mk(EngineConfig::default().site_repeats);
+            assert_eq!(auto.site_repeats(), SiteRepeats::Auto);
+            let (mut on, mut off) = (mk(SiteRepeats::On), mk(SiteRepeats::Off));
+            for e in tree.edge_ids() {
+                let ll = auto.log_likelihood(&tree, e);
+                assert_eq!(
+                    ll.to_bits(),
+                    on.log_likelihood(&tree, e).to_bits(),
+                    "edge {e}"
+                );
+                assert_eq!(
+                    ll.to_bits(),
+                    off.log_likelihood(&tree, e).to_bits(),
+                    "edge {e}"
+                );
+                for engine in [&mut auto, &mut on, &mut off] {
+                    engine.prepare_branch(&tree, e);
+                }
+                let d = auto.branch_derivatives(0.2);
+                assert_eq!(d, on.branch_derivatives(0.2), "edge {e}");
+                assert_eq!(d, off.branch_derivatives(0.2), "edge {e}");
+            }
+            assert!(on.repeat_table_bytes() > 0 && on.repeat_build_stats().builds > 0);
+            assert!(on.repeat_scratch.is_some() && on.root_fold.is_some());
+            for engine in [&auto, &off] {
+                assert_eq!(engine.repeat_table_bytes(), 0, "{kernel:?}");
+                assert_eq!(engine.repeat_build_stats(), RepeatBuildStats::default());
+                assert!(engine.repeat_scratch.is_none() && engine.root_fold.is_none());
+                assert!(engine.repeat_tables.iter().all(Option::is_none));
+                assert_eq!(engine.repeat_stats().compressed_calls, 0);
+                assert_eq!(
+                    engine.repeat_stats().newview_calls,
+                    on.repeat_stats().newview_calls
+                );
+            }
+        }
+    }
+
+    /// The cost an engine does not pay where its limit declines every
     /// node: 15 sites whose rows are each a permutation of the 15
-    /// non-gap codes, so already a cherry has 15 classes — over
-    /// `Auto`'s limit of 12.
+    /// non-gap codes, so already a cherry has 15 classes — one over
+    /// `On`'s limit of 14.
     #[test]
     fn repeat_free_alignment_indexes_only_the_cherries() {
-        if SiteRepeats::env_override().is_some() || crate::cost::repeat_overhead_ratio().is_some() {
-            return; // pins Auto under the uncalibrated 20% rule
+        if SiteRepeats::env_override().is_some() {
+            return; // both engines would run the override's mode
         }
         let names = phylo_tree::build::default_names(9);
         let tree = phylo_tree::build::balanced(&names, 0.1).unwrap();
@@ -1909,9 +2273,9 @@ mod tests {
                 },
             )
         };
-        let (mut off, mut auto) = (mk(SiteRepeats::Off), mk(SiteRepeats::Auto));
-        let limit = SiteRepeats::Auto.class_limit(n).unwrap();
-        assert_eq!(limit, 12);
+        let (mut off, mut auto) = (mk(SiteRepeats::Off), mk(SiteRepeats::On));
+        let limit = auto.class_limit.unwrap();
+        assert_eq!(limit, 14);
         for e in tree.edge_ids() {
             // Node kinds under this orientation, from the schedule the
             // engine walks.
@@ -1935,7 +2299,7 @@ mod tests {
             let by_child = after.bounded_by_child - before.bounded_by_child;
             let indexed = after.sites_indexed - before.sites_indexed;
             // Only cherries are ever passed over, each cut at class
-            // 13; every other node, and the root fold, is bounded by
+            // 15; every other node, and the root fold, is bounded by
             // its child without looking at a site.
             assert!(by_limit <= cherries, "edge {e}");
             assert_eq!(
@@ -2058,9 +2422,9 @@ mod tests {
 
     #[test]
     fn bounded_nodes_hold_no_table_memory() {
-        // 120 random columns: a subtree of five or more tips has more
-        // classes than `Auto` compresses, so most of a 20-taxon tree's
-        // nodes keep only the bounded marker.
+        // 120 random columns: a large enough subtree has no repeated
+        // site left, so some of a 20-taxon tree's nodes keep only the
+        // bounded marker even under `On`.
         let (tree, aln) = pool_dataset(20, 6);
         let cfg_of = |site_repeats| EngineConfig {
             site_repeats,
@@ -2079,20 +2443,22 @@ mod tests {
         // Under `On` only a node with no repeat at all is bounded;
         // every other one holds at least its site→class map.
         let site_map = 4 * aln.num_patterns();
-        let bounded = |e: &LikelihoodEngine| {
-            e.repeat_tables
-                .iter()
-                .flatten()
-                .filter(|t| t.is_bounded())
-                .count()
-        };
-        assert!(bounded(&auto) > bounded(&on));
-        assert!(on.repeat_table_bytes() >= (tree.num_inner() - bounded(&on)) * site_map);
+        let tables: Vec<&RepeatTable> = on.repeat_tables.iter().flatten().collect();
+        assert_eq!(tables.len(), tree.num_inner());
+        let bounded = tables.iter().filter(|t| t.is_bounded()).count();
         assert!(
-            auto.repeat_table_bytes() + (bounded(&auto) - bounded(&on)) * site_map
-                <= on.repeat_table_bytes()
+            bounded > 0 && bounded < tree.num_inner(),
+            "{bounded} bounded"
         );
-        assert!(auto.repeat_stats().compressed_calls > 0);
+        assert!(tables
+            .iter()
+            .all(|t| !t.is_bounded() || t.heap_bytes() == 0));
+        let held = on.repeat_table_bytes();
+        assert!(held >= (tree.num_inner() - bounded) * site_map);
+        assert!(held < (tree.num_inner() - bounded) * 3 * site_map + 1);
+        assert!(on.repeat_stats().compressed_calls > 0);
+        // `Auto` declines the tables altogether.
+        assert_eq!(auto.repeat_table_bytes(), 0);
     }
 
     #[test]
@@ -2215,8 +2581,9 @@ mod tests {
             let a = off.log_likelihood(&tree, root);
             let b = on.log_likelihood(&tree, root);
             assert_eq!(a.to_bits(), b.to_bits(), "root {root}: {a} vs {b}");
+            // (An env override forces both engines into one mode.)
             assert!(
-                on.repeat_stats().compressed_calls > 0,
+                SiteRepeats::env_override().is_some() || on.repeat_stats().compressed_calls > 0,
                 "compression engaged nothing at root {root}"
             );
         }

@@ -20,8 +20,8 @@
 //! An engine only ever asks one question of a table: does it have at
 //! most `limit` classes, where `limit` is what its mode implies for `n`
 //! sites ([`SiteRepeats::class_limit`]: `On` compresses below `n`
-//! classes, `Auto` up to the largest count [`RepeatTable::profitable`]
-//! accepts). A table with more classes is never compressed, so
+//! classes; `Off` and `Auto` build no table at all). A table with more
+//! classes is never compressed, so
 //! [`RepeatTable::build`] does not construct it: it returns a *bounded*
 //! marker that holds no per-site data, either the moment class
 //! `limit + 1` appears in its pass or — in O(1) — when an inner child
@@ -74,8 +74,18 @@ pub enum SiteRepeats {
     Off,
     /// Compress whenever a node has any repeated site at all.
     On,
-    /// Compress only where profitable: the kernel saving must clear the
-    /// gather/expand overhead (see [`RepeatTable::profitable`]).
+    /// Compress only where it pays — which, measured end to end, is
+    /// nowhere: a search builds one table per `newview` (every re-root
+    /// flips an orientation, and a rebuilt table invalidates its
+    /// ancestors'), and per site that build alone costs what a 512-bit
+    /// `newview_ti` does. Counting it, the break-even class count
+    /// `n·(k − b − x)/(k + g)` (`k` plain `newview_ii`, `b` build, `x`
+    /// expand, `g` gather; `plf-microbench`'s `repeat costs` cell) is
+    /// below one class at both `simd` widths, and where the model still
+    /// finds one (`scalar`, 0.45 n) the searches of `plf_e2e` run no
+    /// faster with tables than without (EXPERIMENTS.md, "Non-kernel
+    /// time"). So `Auto` resolves to no tables, on every backend; `On`
+    /// is the forced path.
     Auto,
 }
 
@@ -111,41 +121,27 @@ impl SiteRepeats {
         Self::env_override().unwrap_or(self)
     }
 
-    /// Whether this mode builds repeat tables at all.
-    pub fn enabled(self) -> bool {
-        self != SiteRepeats::Off
-    }
-
     /// The largest class count a node covering `sites` sites may have
     /// and still run compressed under this mode — the `limit` engines
-    /// pass to [`RepeatTable::build`]. `None` for `Off`, which builds no
-    /// tables.
+    /// pass to [`RepeatTable::build`]. `None` means no tables, no
+    /// index, no scratch, no fold: `Off`, and `Auto` (see there).
     pub fn class_limit(self, sites: usize) -> Option<usize> {
         match self {
-            SiteRepeats::Off => None,
+            SiteRepeats::Off | SiteRepeats::Auto => None,
             SiteRepeats::On => Some(sites.saturating_sub(1)),
-            SiteRepeats::Auto => Some(profitable_limit(sites)),
         }
     }
-}
 
-/// The largest class count [`RepeatTable::profitable`] accepts for
-/// `sites` sites.
-///
-/// On a calibrated host ([`crate::cost::set_calibration`], from the
-/// cached `HOST_ROOFLINE.json` probes) the rule is the measured cost
-/// model: compress iff `classes ≤ sites · (1 − r)` where `r` is the
-/// expansion-copy : kernel-work time ratio
-/// ([`crate::cost::repeat_overhead_ratio`]) — each skipped class must
-/// save at least the per-site expansion copy it costs. Uncalibrated
-/// hosts keep the historical fixed rule: at least a 20% site reduction
-/// (`classes ≤ 0.8 · sites`), which is the measured rule evaluated at
-/// r = 0.2.
-fn profitable_limit(sites: usize) -> usize {
-    match crate::cost::repeat_overhead_ratio() {
-        // Truncation is the floor: the product is non-negative.
-        Some(r) => (sites as f64 * (1.0 - r)) as usize,
-        None => sites * 4 / 5,
+    /// What the mode comes to, as runs and trace reports print it
+    /// after the mode's name.
+    pub fn verdict(self) -> &'static str {
+        match self {
+            SiteRepeats::Off => "no tables",
+            SiteRepeats::On => "tables, compress wherever a site repeats",
+            SiteRepeats::Auto => {
+                "no tables (one build per newview costs more than compression saves)"
+            }
+        }
     }
 }
 
@@ -324,41 +320,11 @@ impl RepeatTable {
         4 * (self.site2class.capacity() + self.repr.capacity() + self.mult.capacity())
     }
 
-    /// Whether compressing this node pays for the gather/expand copies
-    /// (see [`SiteRepeats::class_limit`] for the rule). Never for a
-    /// bounded table.
-    pub fn profitable(&self) -> bool {
-        !self.is_bounded() && self.num_classes() <= profitable_limit(self.num_sites)
-    }
-
-    /// Whether a node with this table runs compressed under `mode`.
-    pub fn compresses(&self, mode: SiteRepeats) -> bool {
-        match mode {
-            SiteRepeats::Off => false,
-            SiteRepeats::On => !self.is_bounded() && self.num_classes() < self.num_sites,
-            SiteRepeats::Auto => self.profitable(),
-        }
-    }
-
-    /// [`RepeatTable::compresses`] for an engine decision site: when
-    /// the mode actually consults [`RepeatTable::profitable`] (`Auto`),
-    /// the outcome is counted in the
-    /// `core.repeats.profitable_{hits,skips}` metrics, so traces show
-    /// how often the cost model accepts vs rejects compression — the
-    /// old global ratio could not distinguish "no repeats" from
-    /// "repeats judged unprofitable".
-    pub(crate) fn compresses_counted(&self, mode: SiteRepeats) -> bool {
-        if mode == SiteRepeats::Auto {
-            if self.profitable() {
-                profitable_hits().add(1);
-                true
-            } else {
-                profitable_skips().add(1);
-                false
-            }
-        } else {
-            self.compresses(mode)
-        }
+    /// Whether a node with this table runs compressed: the table was
+    /// completed — it has no more classes than the limit its mode set
+    /// ([`SiteRepeats::class_limit`]) — and at least one site repeats.
+    pub fn compresses(&self) -> bool {
+        !self.is_bounded() && self.num_classes() < self.num_sites
     }
 
     /// Gathers tip codes at the class representatives into `out`
@@ -604,10 +570,6 @@ pub(crate) struct RepeatKey {
     /// Tip-binding epoch: re-binding alignment rows to tree tips
     /// invalidates every table.
     pub tip_epoch: u64,
-    /// The class limit the table was built under: a host calibration
-    /// installed mid-run changes `Auto`'s limit, and a bounded table
-    /// only speaks for the limit it exceeded.
-    pub limit: usize,
 }
 
 /// Reusable class-indexed staging buffers for compressed `newview`
@@ -808,20 +770,6 @@ impl RepeatScratch {
     }
 }
 
-/// Times the `Auto` cost model accepted compression at a decision
-/// site.
-pub(crate) fn profitable_hits() -> &'static crate::metrics::Counter {
-    static C: std::sync::OnceLock<crate::metrics::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| crate::metrics::counter("core.repeats.profitable_hits"))
-}
-
-/// Times the `Auto` cost model rejected compression at a decision
-/// site.
-pub(crate) fn profitable_skips() -> &'static crate::metrics::Counter {
-    static C: std::sync::OnceLock<crate::metrics::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| crate::metrics::counter("core.repeats.profitable_skips"))
-}
-
 /// Registry counters for table construction (see
 /// [`RepeatBuildStats`]; `table_bounded` counts both causes).
 struct BuildCounters {
@@ -910,8 +858,7 @@ mod tests {
         let t = build(ClassSource::Tip(&l), ClassSource::Tip(&r));
         // (l, r) pairs cycle with period 8 here, all distinct.
         assert_eq!(t.num_classes(), 8);
-        assert!(!t.compresses(SiteRepeats::On));
-        assert!(!t.compresses(SiteRepeats::Auto));
+        assert!(!t.compresses());
     }
 
     #[test]
@@ -920,8 +867,7 @@ mod tests {
         let t = build(ClassSource::Tip(&codes), ClassSource::Tip(&codes));
         assert_eq!(t.num_classes(), 1);
         assert_eq!(t.multiplicities(), &[32]);
-        assert!(t.compresses(SiteRepeats::On));
-        assert!(t.compresses(SiteRepeats::Auto));
+        assert!(t.compresses());
     }
 
     #[test]
@@ -987,35 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_decisions_bump_the_profitability_counters() {
-        let hits0 = profitable_hits().get();
-        let skips0 = profitable_skips().get();
-        let codes = [5u8; 32];
-        let hit = build(ClassSource::Tip(&codes), ClassSource::Tip(&codes));
-        assert!(hit.compresses_counted(SiteRepeats::Auto));
-        let l: Vec<u8> = (0..8).map(|i| 1 << (i % 4)).collect();
-        let r: Vec<u8> = (0..8).map(|i| 1 << ((i / 4) % 4)).collect();
-        let skip = build(ClassSource::Tip(&l), ClassSource::Tip(&r));
-        assert!(!skip.compresses_counted(SiteRepeats::Auto));
-        // On/Off never consult the cost model, so they must not count.
-        assert!(hit.compresses_counted(SiteRepeats::On));
-        assert!(!hit.compresses_counted(SiteRepeats::Off));
-        assert!(profitable_hits().get() > hits0);
-        assert!(profitable_skips().get() > skips0);
-    }
-
-    #[test]
-    fn profitability_threshold_sits_at_twenty_percent() {
-        // 10 sites / 8 classes: exactly at the threshold.
-        let l: Vec<u8> = (0..10).map(|i| 1 << (i.min(7) % 4)).collect();
-        let r: Vec<u8> = (0..10).map(|i| 1 << ((i.min(7) / 4) % 4)).collect();
-        let t = build(ClassSource::Tip(&l), ClassSource::Tip(&r));
-        assert_eq!(t.num_classes(), 8);
-        assert!(t.profitable());
-        assert!(t.compresses(SiteRepeats::Auto));
-    }
-
-    #[test]
     fn build_stops_at_class_limit_plus_one() {
         // Pairs: (1,4) (2,8) (1,4) (1,8) (2,8) — the third class first
         // appears at site 3.
@@ -1031,12 +948,7 @@ mod tests {
         assert_eq!(cut.num_sites(), 5);
         assert!(cut.site2class().is_empty() && cut.repr_sites().is_empty());
         assert_eq!(cut.heap_bytes(), 0);
-        for mode in SiteRepeats::ALL {
-            assert!(
-                !cut.compresses(mode),
-                "{mode}: a bounded table never compresses"
-            );
-        }
+        assert!(!cut.compresses(), "a bounded table never compresses");
         assert_eq!(
             index.stats(),
             RepeatBuildStats {
@@ -1081,25 +993,33 @@ mod tests {
 
     #[test]
     fn class_limit_is_the_largest_count_each_mode_compresses() {
-        if crate::cost::repeat_overhead_ratio().is_some() {
-            return; // pins the uncalibrated 20% rule
-        }
-        assert_eq!(SiteRepeats::Off.class_limit(10), None);
         assert_eq!(SiteRepeats::On.class_limit(10), Some(9));
         assert_eq!(SiteRepeats::On.class_limit(0), Some(0));
-        assert_eq!(SiteRepeats::Auto.class_limit(10), Some(8));
-        assert_eq!(SiteRepeats::Auto.class_limit(1), Some(0));
-        // At the limit a table compresses; one class more and it is
-        // bounded under that same limit.
-        let l: Vec<u8> = (0..10).map(|i| 1 << (i.min(8) % 4)).collect();
-        let r: Vec<u8> = (0..10).map(|i| 1 << ((i.min(8) / 4) % 4)).collect();
-        let (l, r) = (ClassSource::Tip(&l), ClassSource::Tip(&r));
-        assert_eq!(build(l, r).num_classes(), 9);
-        for mode in [SiteRepeats::On, SiteRepeats::Auto] {
-            let limit = mode.class_limit(10).unwrap();
+        // No table under `Off`, and none under `Auto` either: at one
+        // build per `newview` no class count pays for its table.
+        for n in [0usize, 1, 10, 390, 3716, 1 << 20] {
+            assert_eq!(SiteRepeats::Off.class_limit(n), None);
+            assert_eq!(SiteRepeats::Auto.class_limit(n), None, "{n} sites");
+        }
+        for mode in SiteRepeats::ALL {
+            let tables = mode.class_limit(390).is_some();
+            assert_eq!(mode.verdict().starts_with("tables"), tables, "{mode}");
+            assert_eq!(mode.verdict().starts_with("no tables"), !tables, "{mode}");
+        }
+        // At `On`'s limit a table compresses; one class more — no site
+        // repeats — and it is bounded under that same limit.
+        for distinct in [9usize, 10] {
+            let l: Vec<u8> = (0..10).map(|i| 1 << (i.min(distinct - 1) % 4)).collect();
+            let r: Vec<u8> = (0..10)
+                .map(|i| 1 << ((i.min(distinct - 1) / 4) % 4))
+                .collect();
+            let (l, r) = (ClassSource::Tip(&l), ClassSource::Tip(&r));
+            assert_eq!(build(l, r).num_classes(), distinct);
+            let limit = SiteRepeats::On.class_limit(10).unwrap();
             let t = RepeatTable::build(l, r, limit, &mut RepeatIndex::default());
-            assert_eq!(t.is_bounded(), limit < 9, "{mode}");
-            assert_eq!(t.compresses(mode), build(l, r).compresses(mode), "{mode}");
+            assert_eq!(t.is_bounded(), distinct == 10);
+            assert_eq!(t.compresses(), distinct == 9);
+            assert_eq!(t.compresses(), build(l, r).compresses());
         }
     }
 
@@ -1222,8 +1142,7 @@ mod tests {
                         prop_assert!(table.site2class().is_empty());
                         prop_assert!(table.repr_sites().is_empty());
                         prop_assert!(table.multiplicities().is_empty());
-                        prop_assert!(!table.compresses(SiteRepeats::On));
-                        prop_assert!(!table.compresses(SiteRepeats::Auto));
+                        prop_assert!(!table.compresses());
                         prop_assert_eq!(after.bounded_by_limit, before.bounded_by_limit + 1);
                         // Cut at the first occurrence of class limit + 1.
                         prop_assert_eq!(

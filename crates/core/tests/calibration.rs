@@ -1,22 +1,17 @@
-//! Measured-profitability integration test.
+//! Host-calibration integration test.
 //!
 //! `cost::set_calibration` installs a process-global `OnceLock`
 //! (first caller wins), so these assertions live in their own test
 //! binary: the plf-core unit tests all run *uncalibrated* and pin the
-//! fallback heuristics, while this binary pins the calibrated path —
-//! both the derived numbers and the end-to-end engine behavior.
+//! fallback block size, while this binary pins the calibrated path —
+//! the derived block size, that the site-repeat verdict does not
+//! read the probes, and the end-to-end engine behavior.
 
 use phylo_bio::{CompressedAlignment, DnaCode};
 use phylo_tree::newick;
 use plf_core::blocking::block_sites;
 use plf_core::cost::{self, ProfitCalibration};
-use plf_core::{Blocking, EngineConfig, KernelKind, KernelOp, LikelihoodEngine, SiteRepeats};
-
-/// Per-site overhead bytes of the compressed-newview expansion: the
-/// class-index read (4) + the full-width CLA copy (128) + the scale
-/// copy (4). Mirrors `cost::EXPAND_BYTES_PER_SITE`; a change there
-/// must update this pin.
-const EXPAND_BYTES_PER_SITE: f64 = 4.0 + 128.0 + 4.0;
+use plf_core::{Blocking, EngineConfig, KernelKind, LikelihoodEngine, SiteRepeats};
 
 /// A five-taxon alignment of `protos` prototype columns cycled over
 /// `width` sites, built through `from_parts` (no pattern dedup) so the
@@ -37,13 +32,9 @@ fn repeat_heavy(protos: usize, width: usize) -> CompressedAlignment {
 }
 
 #[test]
-fn calibration_drives_block_size_and_repeat_profitability() {
+fn calibration_drives_block_size_and_not_repeat_profitability() {
     // --- Uncalibrated fallbacks -------------------------------------
     assert!(cost::calibration().is_none());
-    assert!(
-        cost::repeat_overhead_ratio().is_none(),
-        "uncalibrated hosts must fall back to the fixed 20% rule"
-    );
     // 1 MiB assumed cache / (128 B * 4 working columns) = 2048 sites.
     assert_eq!(block_sites(), 2048);
 
@@ -78,19 +69,14 @@ fn calibration_drives_block_size_and_repeat_profitability() {
         assert_eq!(Blocking::Off.resolve(usize::MAX), None);
     }
 
-    // --- Derived expansion-overhead ratio ---------------------------
-    let kernel_bytes = KernelOp::NewviewIi.cost(1).bytes() as f64;
-    let expected = ((EXPAND_BYTES_PER_SITE / cal.copy_mbps as f64)
-        / (kernel_bytes / cal.kernel_mbps as f64))
-        .clamp(0.01, 0.95);
-    let r = cost::repeat_overhead_ratio().expect("both probes present");
-    assert!((r - expected).abs() < 1e-12, "{r} vs {expected}");
-    assert!((0.01..=0.95).contains(&r));
+    // --- The repeat verdict does not read the probes ------------------
+    // They price a DRAM triad and a memcpy; what decides is the table
+    // build, which neither measures.
+    assert_eq!(SiteRepeats::Auto.class_limit(1100), None);
 
-    // --- End-to-end under the measured rule -------------------------
-    // The calibrated threshold replaces the fixed 20% rule inside
-    // RepeatTable::profitable; Auto engines must still bit-match Off
-    // on both the repeat decision and the blocked traversal.
+    // --- End-to-end -------------------------------------------------
+    // Auto engines must bit-match Off on both the repeat decision and
+    // the blocked traversal.
     let tree = newick::parse("((a:0.1,b:0.12):0.1,c:0.15,(d:0.1,e:0.11):0.13);").unwrap();
     let aln = repeat_heavy(4, 1100); // > one 1024-site block
     let mk = |site_repeats, blocking| {
@@ -107,15 +93,23 @@ fn calibration_drives_block_size_and_repeat_profitability() {
     };
     let mut base = mk(SiteRepeats::Off, Blocking::Off);
     let mut auto = mk(SiteRepeats::Auto, Blocking::Auto);
+    let mut on = mk(SiteRepeats::On, Blocking::Auto);
     for edge in [0usize, 3] {
         let a = base.log_likelihood(&tree, edge);
-        let b = auto.log_likelihood(&tree, edge);
-        assert_eq!(a.to_bits(), b.to_bits(), "edge {edge}: {a} vs {b}");
+        for (name, engine) in [("auto", &mut auto), ("on", &mut on)] {
+            let b = engine.log_likelihood(&tree, edge);
+            assert_eq!(a.to_bits(), b.to_bits(), "{name} edge {edge}: {a} vs {b}");
+        }
     }
     if SiteRepeats::env_override().is_none() && Blocking::env_override().is_none() {
-        // 4 classes on 1100 sites clears any clamped threshold, so the
-        // Auto engine must actually have engaged the compressed path
-        // under the measured rule (not just matched bits).
-        assert!(auto.repeat_stats().compressed_calls > 0);
+        // 4 classes on 1100 sites: the forced path really compressed
+        // (not just matched bits), the default built nothing.
+        assert!(on.repeat_stats().compressed_calls > 0);
+        assert_eq!(auto.repeat_table_bytes(), 0);
+        assert_eq!(
+            auto.blocking(),
+            Blocking::On,
+            "1100 sites > one 1024-site block"
+        );
     }
 }

@@ -494,7 +494,16 @@ impl TraceReport {
             let _ = writeln!(s, "simd_width_bits: {w}");
         }
         if let Some(sr) = &self.site_repeats {
-            let _ = writeln!(s, "site repeats: {sr}");
+            // The mode, then what it came to (a mode this reader does
+            // not know stands alone).
+            match sr.parse::<plf_core::SiteRepeats>() {
+                Ok(mode) => {
+                    let _ = writeln!(s, "site repeats: {sr} → {}", mode.verdict());
+                }
+                Err(_) => {
+                    let _ = writeln!(s, "site repeats: {sr}");
+                }
+            }
         }
         if let Some(bl) = &self.blocking {
             let _ = writeln!(s, "cache blocking: {bl}");
@@ -621,6 +630,43 @@ impl TraceReport {
             }
             if let Some(i) = self.imbalance {
                 let _ = writeln!(s, "imbalance (slowest/mean) {i:.3}");
+            }
+        }
+
+        // The pruned walk, from its three registry counters: how much
+        // of the full walks was still walked, and how many looks it
+        // took to find a stale CLA.
+        let metric = |name: &str| {
+            self.metrics
+                .iter()
+                .find(|(n, _, _)| n == name)
+                .map(|&(_, _, value)| value)
+        };
+        if let (Some(visited), Some(in_schedule)) = (
+            metric("core.traversal.nodes_visited"),
+            metric("core.traversal.nodes_in_schedule"),
+        ) {
+            let _ = writeln!(s, "\n== traversal ==");
+            let _ = writeln!(
+                s,
+                "nodes visited {visited} of {in_schedule} in the full schedules ({:.1}%), \
+                 edge records changed {}",
+                100.0 * visited as f64 / in_schedule.max(1) as f64,
+                metric("core.traversal.edges_changed").unwrap_or(0)
+            );
+            let newviews: u64 = self
+                .kernels
+                .iter()
+                .filter(|k| k.kernel == KernelId::Newview)
+                .map(|k| k.calls)
+                .sum();
+            if newviews > 0 {
+                let _ = writeln!(
+                    s,
+                    "visits per newview {:.2} (a full walk: {:.2})",
+                    visited as f64 / newviews as f64,
+                    in_schedule as f64 / newviews as f64
+                );
             }
         }
 

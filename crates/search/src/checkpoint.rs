@@ -561,6 +561,20 @@ mod tests {
     }
 
     #[test]
+    fn polytomy_in_a_checkpoint_is_an_error_not_a_panic() {
+        let polytomy = "((a:0.1,b:0.2,c:0.05):0.3,d:0.21,e:0.07);";
+        let text = sample().to_text().replace(&sample().newick, polytomy);
+        assert!(text.contains(polytomy));
+        let err = Checkpoint::from_text(&text).unwrap_err();
+        assert!(err.contains("not binary"), "{err}");
+        let cp = Checkpoint {
+            newick: polytomy.into(),
+            ..sample()
+        };
+        assert_eq!(cp.tree().unwrap_err(), TreeError::NotBinary);
+    }
+
+    #[test]
     fn tree_restores_topology_and_lengths() {
         let cp = sample();
         let t = cp.tree().unwrap();

@@ -301,6 +301,22 @@ mod tests {
         // The cap is paid in recomputation, not in results.
         let calls = |e: &LikelihoodEngine| e.stats().get(plf_core::KernelId::Newview).calls;
         assert!(calls(&e_pool) > calls(&e_full));
+        // At one slot per inner node nothing is ever evicted: what is
+        // left of the pooled path is that it never prunes its walk.
+        // The search cannot tell — same tree, same `newview`s, same
+        // stamp on every CLA, model optimisation included.
+        let mut t_walk = start.clone();
+        let mut e_walk = LikelihoodEngine::with_pool(&t_walk, &ca, cfg, start.num_inner());
+        let r_walk = search.run(&mut e_walk, &mut t_walk);
+        assert_eq!(r_walk.newick, r_full.newick);
+        assert_eq!(
+            r_walk.log_likelihood.to_bits(),
+            r_full.log_likelihood.to_bits()
+        );
+        assert_eq!(calls(&e_walk), calls(&e_full));
+        for inner in 0..start.num_inner() {
+            assert_eq!(e_walk.cla_stamp(inner), e_full.cla_stamp(inner), "{inner}");
+        }
     }
 
     #[test]

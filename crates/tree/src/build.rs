@@ -217,6 +217,26 @@ mod tests {
     }
 
     #[test]
+    fn builder_never_gives_a_node_a_fourth_edge() {
+        // Every insertion point of every partial tree: each step splits
+        // an edge at a fresh inner node, so no node passes degree 3.
+        let names = default_names(7);
+        let mut b = StepwiseBuilder::new(&names, 0.1).unwrap();
+        for step in 0..4 {
+            let edges = b.current_edges();
+            b.attach_next(edges[(step * 5) % edges.len()], 0.1).unwrap();
+            let t = b.peek();
+            for node in 0..t.num_nodes() {
+                assert!(t.incident(node).len() <= 3, "node {node}");
+            }
+        }
+        // Re-using an attached inner node is refused, not squeezed in.
+        let mut t = b.peek().clone();
+        assert!(t.split_edge_attach(0, names.len(), 3, 0.1).is_err());
+        b.finish().unwrap();
+    }
+
+    #[test]
     fn builder_rejects_future_edge() {
         let names = default_names(5);
         let mut b = StepwiseBuilder::new(&names, 0.1).unwrap();

@@ -81,8 +81,13 @@ pub fn nni_swap(tree: &mut Tree, e: EdgeId, x: EdgeId, y: EdgeId) -> Result<(), 
     };
     match (side_of(x), side_of(y)) {
         (Some(su), Some(sv)) if su != sv => {
-            tree.reattach_edge(x, su, sv);
-            tree.reattach_edge(y, sv, su);
+            // `x` leaves `su` and takes `y`'s place at `sv`; `y` is
+            // appended at `su`. Neither node ever holds four edges.
+            tree.detach_edge(x, su);
+            tree.replace_incident(sv, y, x);
+            tree.set_endpoint(x, su, sv);
+            tree.attach_incident(su, y)?;
+            tree.set_endpoint(y, sv, su);
             debug_assert!(tree.validate().is_ok());
             Ok(())
         }
@@ -173,10 +178,12 @@ pub fn spr(
     let drop_far = tree.other_end(drop, p);
     let (lk, ld) = (tree.length(keep), tree.length(drop));
 
-    // Dissolve p: extend `keep` to reach drop_far, unhook `drop`.
-    tree.reattach_edge(keep, p, drop_far);
+    // Dissolve p: extend `keep` to reach drop_far, where it takes the
+    // place of `drop`, which is unhooked from both its ends.
+    tree.detach_edge(keep, p);
+    tree.replace_incident(drop_far, drop, keep);
+    tree.set_endpoint(keep, p, drop_far);
     tree.set_length(keep, lk + ld)?;
-    tree.detach_edge(drop, drop_far);
     tree.detach_edge(drop, p);
 
     // Split the regraft edge around p, re-using `drop` as the second
@@ -184,7 +191,7 @@ pub fn spr(
     let (_s, t) = tree.endpoints(regraft_edge);
     let lre = tree.length(regraft_edge);
     let half = (lre / 2.0).max(crate::tree::BL_MIN);
-    tree.reattach_edge(regraft_edge, t, p);
+    tree.reattach_edge(regraft_edge, t, p)?;
     tree.set_length(regraft_edge, half)?;
     tree.attach_edge(drop, p, t, half)?;
 
@@ -210,11 +217,11 @@ pub fn spr_undo(tree: &mut Tree, undo: SprUndo) -> Result<(), TreeError> {
     let t = undo.regraft_moved_end;
     tree.detach_edge(undo.reused_edge, t);
     tree.detach_edge(undo.reused_edge, p);
-    tree.reattach_edge(undo.regraft_edge, p, t);
+    tree.reattach_edge(undo.regraft_edge, p, t)?;
     tree.set_length(undo.regraft_edge, undo.regraft_length)?;
     // Re-insert p into the merged edge.
     let far = tree.other_end(undo.merged_edge, undo.merged_far);
-    tree.reattach_edge(undo.merged_edge, far, p);
+    tree.reattach_edge(undo.merged_edge, far, p)?;
     tree.set_length(undo.merged_edge, undo.merged_lengths.0)?;
     tree.attach_edge(undo.reused_edge, p, far, undo.merged_lengths.1)?;
     let _ = undo.prune_edge;

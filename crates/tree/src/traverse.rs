@@ -46,7 +46,7 @@ pub fn children(tree: &Tree, node: NodeId, toward_edge: EdgeId) -> [(EdgeId, Nod
 /// their "CLA" is the encoded sequence data itself.
 pub fn postorder_inner(tree: &Tree, e: EdgeId, side: NodeId) -> Vec<Directed> {
     let mut buf = ScheduleBuf::default();
-    buf.push_postorder(tree, e, side);
+    buf.push_postorder(tree, e, side, &|_| false);
     buf.order
 }
 
@@ -54,7 +54,7 @@ pub fn postorder_inner(tree: &Tree, e: EdgeId, side: NodeId) -> Vec<Directed> {
 /// edge `root`: all inner nodes of both sides, children first.
 pub fn full_schedule(tree: &Tree, root: EdgeId) -> Vec<Directed> {
     let mut buf = ScheduleBuf::default();
-    buf.refill(tree, root);
+    buf.refill(tree, root, |_| false);
     buf.order
 }
 
@@ -69,17 +69,31 @@ pub struct ScheduleBuf {
 }
 
 impl ScheduleBuf {
-    /// Replaces the contents by [`full_schedule`]`(tree, root)` and
-    /// returns it.
-    pub fn refill(&mut self, tree: &Tree, root: EdgeId) -> &[Directed] {
+    /// Replaces the contents by [`full_schedule`]`(tree, root)` minus
+    /// every subtree whose top node `skip` names, and returns it: a
+    /// skipped node is left out together with everything below it, the
+    /// rest keeps the order it has in the full schedule. `skip` is
+    /// asked once per inner node reached, top down.
+    pub fn refill(
+        &mut self,
+        tree: &Tree,
+        root: EdgeId,
+        skip: impl Fn(Directed) -> bool,
+    ) -> &[Directed] {
         self.order.clear();
         let (a, b) = tree.endpoints(root);
-        self.push_postorder(tree, root, a);
-        self.push_postorder(tree, root, b);
+        self.push_postorder(tree, root, a, &skip);
+        self.push_postorder(tree, root, b, &skip);
         &self.order
     }
 
-    fn push_postorder(&mut self, tree: &Tree, e: EdgeId, side: NodeId) {
+    fn push_postorder(
+        &mut self,
+        tree: &Tree,
+        e: EdgeId,
+        side: NodeId,
+        skip: &impl Fn(Directed) -> bool,
+    ) {
         self.stack.push((side, e, false));
         while let Some((node, toward, expanded)) = self.stack.pop() {
             if tree.is_tip(node) {
@@ -90,7 +104,10 @@ impl ScheduleBuf {
                     node,
                     toward_edge: toward,
                 });
-            } else {
+            } else if !skip(Directed {
+                node,
+                toward_edge: toward,
+            }) {
                 self.stack.push((node, toward, true));
                 for (ce, child) in children(tree, node, toward) {
                     self.stack.push((child, ce, false));
@@ -251,8 +268,34 @@ mod tests {
         let t = six_taxon();
         let mut buf = ScheduleBuf::default();
         for root in t.edge_ids().chain([0]) {
-            assert_eq!(buf.refill(&t, root), full_schedule(&t, root), "root {root}");
+            assert_eq!(
+                buf.refill(&t, root, |_| false),
+                full_schedule(&t, root),
+                "root {root}"
+            );
         }
+    }
+
+    #[test]
+    fn a_skipped_node_takes_its_subtree_out_of_the_schedule() {
+        let t = six_taxon();
+        let a = t.tip_by_name("a").unwrap();
+        let root = t.incident(a)[0];
+        let full = full_schedule(&t, root);
+        let mut buf = ScheduleBuf::default();
+        for top in &full {
+            let below: Vec<NodeId> = postorder_inner(&t, top.toward_edge, top.node)
+                .iter()
+                .map(|d| d.node)
+                .collect();
+            let expect: Vec<Directed> = full
+                .iter()
+                .copied()
+                .filter(|d| !below.contains(&d.node))
+                .collect();
+            assert_eq!(buf.refill(&t, root, |d| d == *top), expect, "top {top:?}");
+        }
+        assert!(buf.refill(&t, root, |_| true).is_empty());
     }
 
     /// The breadth-first body `edges_within` had before the search

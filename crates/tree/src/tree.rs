@@ -1,6 +1,7 @@
 //! The unrooted binary tree arena.
 
 use crate::error::TreeError;
+use std::sync::Arc;
 
 /// Node identifier. Tips are `0..num_taxa`, inner nodes follow.
 pub type NodeId = usize;
@@ -22,18 +23,70 @@ pub(crate) struct Edge {
     pub length: f64,
 }
 
+/// The edges at one node, held inline: a binary tree's nodes have at
+/// most three, so the list is a fixed array and a [`Tree`]'s whole
+/// adjacency is one allocation. Order is insertion order, removal is
+/// `swap_remove` — what the `Vec` this replaces did, so every traversal
+/// order is unchanged.
+///
+/// Three slots are enough for every move, transient states included:
+/// where SPR's dissolve step and NNI's swap used to push a fourth edge
+/// onto a node before removing another, they now put the incoming edge
+/// in the outgoing one's place ([`Tree::replace_incident`]), which is
+/// what push-then-`swap_remove` amounts to. A push onto a full node is
+/// a [`TreeError`], never a panic and never a dropped edge.
+#[derive(Clone, Copy, Debug, Default)]
+struct Incident {
+    edges: [EdgeId; Incident::CAPACITY],
+    len: u8,
+}
+
+impl Incident {
+    const CAPACITY: usize = 3;
+
+    fn as_slice(&self) -> &[EdgeId] {
+        &self.edges[..usize::from(self.len)]
+    }
+
+    /// Appends `e`; `false` (and no change) when the node is full.
+    #[must_use]
+    fn push(&mut self, e: EdgeId) -> bool {
+        if usize::from(self.len) == Self::CAPACITY {
+            return false;
+        }
+        self.edges[usize::from(self.len)] = e;
+        self.len += 1;
+        true
+    }
+
+    fn position(&self, e: EdgeId) -> Option<usize> {
+        self.as_slice().iter().position(|&x| x == e)
+    }
+
+    fn swap_remove(&mut self, pos: usize) {
+        debug_assert!(pos < usize::from(self.len));
+        self.len -= 1;
+        self.edges[pos] = self.edges[usize::from(self.len)];
+    }
+}
+
 /// An unrooted binary tree over `n ≥ 3` named tips.
 ///
 /// Invariants (checked by [`Tree::validate`] and preserved by all
 /// public operations): tips have degree 1, inner nodes degree 3, the
 /// graph is connected with `2n − 2` nodes and `2n − 3` edges, and all
 /// branch lengths lie in `[BL_MIN, BL_MAX]`.
+///
+/// A clone copies two flat arrays (adjacency, edges) and bumps the
+/// reference count of the shared tip names: cheap enough to snapshot
+/// per fork-join region.
 #[derive(Clone, Debug)]
 pub struct Tree {
     num_taxa: usize,
-    names: Vec<String>,
+    /// Shared by every clone; a tree's names never change.
+    names: Arc<[String]>,
     /// `adj[node]` = edge ids incident to `node`.
-    adj: Vec<Vec<EdgeId>>,
+    adj: Vec<Incident>,
     edges: Vec<Edge>,
 }
 
@@ -44,7 +97,7 @@ impl Tree {
         let mut t = Tree {
             num_taxa: 3,
             names: names.iter().map(|s| s.to_string()).collect(),
-            adj: vec![Vec::new(); 4],
+            adj: vec![Incident::default(); 4],
             edges: Vec::with_capacity(3),
         };
         for (tip, &length) in lengths.iter().enumerate() {
@@ -62,10 +115,30 @@ impl Tree {
     ) -> Result<EdgeId, TreeError> {
         let length = Self::check_length(length)?;
         let id = self.edges.len();
+        self.attach_both(id, a, b)?;
         self.edges.push(Edge { a, b, length });
-        self.adj[a].push(id);
-        self.adj[b].push(id);
         Ok(id)
+    }
+
+    /// Appends `e` to `node`'s incident list (the edge record is the
+    /// caller's to set). A full node is an error and stays as it was.
+    pub(crate) fn attach_incident(&mut self, node: NodeId, e: EdgeId) -> Result<(), TreeError> {
+        if self.adj[node].push(e) {
+            Ok(())
+        } else {
+            Err(TreeError::BadId(format!(
+                "node {node} already has {} edges, cannot attach edge {e}",
+                Incident::CAPACITY
+            )))
+        }
+    }
+
+    /// Appends `e` to the incident lists of both its endpoints, or to
+    /// neither.
+    fn attach_both(&mut self, e: EdgeId, a: NodeId, b: NodeId) -> Result<(), TreeError> {
+        self.attach_incident(a, e)?;
+        self.attach_incident(b, e)
+            .inspect_err(|_| self.adj[a].len -= 1)
     }
 
     pub(crate) fn check_length(length: f64) -> Result<f64, TreeError> {
@@ -90,8 +163,8 @@ impl Tree {
         }
         let mut t = Tree {
             num_taxa: n,
-            names,
-            adj: vec![Vec::new(); 2 * n - 2],
+            names: names.into(),
+            adj: vec![Incident::default(); 2 * n - 2],
             edges: Vec::with_capacity(2 * n - 3),
         };
         for tip in 0..3 {
@@ -116,35 +189,41 @@ impl Tree {
                 "split ids out of range: inner={inner}, tip={tip}"
             )));
         }
-        if !self.adj[inner].is_empty() || !self.adj[tip].is_empty() {
+        if self.adj[inner].len != 0 || self.adj[tip].len != 0 {
             return Err(TreeError::BadId(format!(
                 "split targets already attached: inner={inner}, tip={tip}"
             )));
         }
-        let (a, b) = self.endpoints(edge);
+        let (_, b) = self.endpoints(edge);
         let half = Self::check_length(self.edges[edge].length / 2.0)?;
         // Re-point the kept edge's `b` endpoint at the new inner node.
-        self.reattach_edge(edge, b, inner);
+        self.reattach_edge(edge, b, inner)?;
         self.edges[edge].length = half;
-        let _ = a;
         self.push_edge(inner, b, half)?;
         self.push_edge(inner, tip, pendant_length)?;
         Ok(())
     }
 
     /// Builds a tree from raw parts (used by the Newick parser and the
-    /// constructors in [`crate::build`]); validates all invariants.
+    /// constructors in [`crate::build`]); validates all invariants. The
+    /// adjacency arrives as growable lists and is packed here, where a
+    /// node of more than three edges is refused.
     pub(crate) fn from_parts(
         names: Vec<String>,
         adj: Vec<Vec<EdgeId>>,
         edges: Vec<Edge>,
     ) -> Result<Self, TreeError> {
-        let t = Tree {
+        let mut t = Tree {
             num_taxa: names.len(),
-            names,
-            adj,
+            names: names.into(),
+            adj: vec![Incident::default(); adj.len()],
             edges,
         };
+        for (node, inc) in adj.iter().enumerate() {
+            for &e in inc {
+                t.attach_incident(node, e)?;
+            }
+        }
         t.validate()?;
         Ok(t)
     }
@@ -188,6 +267,13 @@ impl Tree {
         &self.names
     }
 
+    /// The allocation behind [`Tree::tip_names`], shared by every clone
+    /// of this tree: a holder of a clone of the `Arc` can tell "same
+    /// names" by `Arc::ptr_eq` without comparing strings.
+    pub fn shared_tip_names(&self) -> &Arc<[String]> {
+        &self.names
+    }
+
     /// Id of the tip with the given name.
     pub fn tip_by_name(&self, name: &str) -> Option<NodeId> {
         self.names.iter().position(|n| n == name)
@@ -226,12 +312,12 @@ impl Tree {
 
     /// Edges incident to `node` (1 for tips, 3 for inner nodes).
     pub fn incident(&self, node: NodeId) -> &[EdgeId] {
-        &self.adj[node]
+        self.adj[node].as_slice()
     }
 
     /// Neighbor nodes of `node` with the connecting edge.
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> + '_ {
-        self.adj[node]
+        self.incident(node)
             .iter()
             .map(move |&e| (e, self.other_end(e, node)))
     }
@@ -239,6 +325,13 @@ impl Tree {
     /// All edge ids.
     pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> {
         0..self.edges.len()
+    }
+
+    /// Every edge in id order as `(endpoint, endpoint, length)`: what
+    /// [`Tree::endpoints`] and [`Tree::length`] return edge by edge,
+    /// in one pass over the arena.
+    pub fn edge_records(&self) -> impl ExactSizeIterator<Item = (NodeId, NodeId, f64)> + '_ {
+        self.edges.iter().map(|e| (e.a, e.b, e.length))
     }
 
     /// All internal edges (both endpoints inner nodes).
@@ -251,7 +344,7 @@ impl Tree {
 
     /// The edge connecting `a` and `b`, if any.
     pub fn edge_between(&self, a: NodeId, b: NodeId) -> Option<EdgeId> {
-        self.adj[a]
+        self.incident(a)
             .iter()
             .copied()
             .find(|&e| self.other_end(e, a) == b)
@@ -284,6 +377,7 @@ impl Tree {
             )));
         }
         for (node, inc) in self.adj.iter().enumerate() {
+            let inc = inc.as_slice();
             let want = if node < n { 1 } else { 3 };
             if inc.len() != want {
                 return Err(TreeError::BadId(format!(
@@ -316,7 +410,7 @@ impl Tree {
         seen[0] = true;
         let mut count = 1;
         while let Some(v) = stack.pop() {
-            for &e in &self.adj[v] {
+            for &e in self.incident(v) {
                 let w = self.other_end(e, v);
                 if !seen[w] {
                     seen[w] = true;
@@ -335,7 +429,22 @@ impl Tree {
     }
 
     /// Replaces one endpoint of an edge; internal helper for moves.
-    pub(crate) fn reattach_edge(&mut self, e: EdgeId, from: NodeId, to: NodeId) {
+    /// Fails, changing nothing, when `to` already has three edges.
+    pub(crate) fn reattach_edge(
+        &mut self,
+        e: EdgeId,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<(), TreeError> {
+        self.attach_incident(to, e)?;
+        self.detach_edge(e, from);
+        self.set_endpoint(e, from, to);
+        Ok(())
+    }
+
+    /// Re-points the record of edge `e` from `from` to `to`; the
+    /// incident lists are the caller's to update.
+    pub(crate) fn set_endpoint(&mut self, e: EdgeId, from: NodeId, to: NodeId) {
         let edge = &mut self.edges[e];
         if edge.a == from {
             edge.a = to;
@@ -343,12 +452,6 @@ impl Tree {
             debug_assert_eq!(edge.b, from);
             edge.b = to;
         }
-        let pos = self.adj[from]
-            .iter()
-            .position(|&x| x == e)
-            .expect("edge not in adjacency of endpoint");
-        self.adj[from].swap_remove(pos);
-        self.adj[to].push(e);
     }
 
     /// Removes edge `e` from `node`'s adjacency list only; the edge
@@ -356,10 +459,20 @@ impl Tree {
     /// [`Tree::attach_edge`]. Internal helper for SPR.
     pub(crate) fn detach_edge(&mut self, e: EdgeId, node: NodeId) {
         let pos = self.adj[node]
-            .iter()
-            .position(|&x| x == e)
+            .position(e)
             .expect("edge not attached to node");
         self.adj[node].swap_remove(pos);
+    }
+
+    /// Puts edge `new` where edge `old` is in `node`'s adjacency list
+    /// — the list a push of `new` followed by a detach of `old` would
+    /// leave, without the node ever holding both. Adjacency only, like
+    /// [`Tree::detach_edge`].
+    pub(crate) fn replace_incident(&mut self, node: NodeId, old: EdgeId, new: EdgeId) {
+        let pos = self.adj[node]
+            .position(old)
+            .expect("edge not attached to node");
+        self.adj[node].edges[pos] = new;
     }
 
     /// Re-purposes a detached edge record to connect `a` and `b`.
@@ -371,9 +484,8 @@ impl Tree {
         length: f64,
     ) -> Result<(), TreeError> {
         let length = Self::check_length(length)?;
+        self.attach_both(e, a, b)?;
         self.edges[e] = Edge { a, b, length };
-        self.adj[a].push(e);
-        self.adj[b].push(e);
         Ok(())
     }
 
@@ -418,7 +530,7 @@ impl Tree {
             if self.is_tip(v) {
                 tips.push(v);
             }
-            for &e2 in &self.adj[v] {
+            for &e2 in self.incident(v) {
                 if e2 == e {
                     continue;
                 }
@@ -486,6 +598,59 @@ mod tests {
         let t = Tree::triplet(["a", "b", "c"], [0.1, 0.1, 0.1]).unwrap();
         assert!(t.edge_between(0, 3).is_some());
         assert!(t.edge_between(0, 1).is_none());
+    }
+
+    #[test]
+    fn clones_share_the_tip_names() {
+        let t = crate::newick::parse("((a:0.1,b:0.2):0.3,c:0.4,(d:0.5,e:0.6):0.7);").unwrap();
+        let c = t.clone();
+        assert!(Arc::ptr_eq(t.shared_tip_names(), c.shared_tip_names()));
+        assert_eq!(c.tip_names(), t.tip_names());
+        // The same text parsed again is the same content elsewhere.
+        let again = crate::newick::parse(&crate::newick::to_newick(&t)).unwrap();
+        assert!(!Arc::ptr_eq(t.shared_tip_names(), again.shared_tip_names()));
+        assert_eq!(again.tip_names(), t.tip_names());
+    }
+
+    #[test]
+    fn from_parts_refuses_a_fourth_edge_at_a_node() {
+        // Four tips on one inner node.
+        let names = ["a", "b", "c", "d"].map(String::from).to_vec();
+        let adj = vec![vec![0], vec![1], vec![2], vec![3], vec![0, 1, 2, 3]];
+        let edges = (0..4)
+            .map(|tip| Edge {
+                a: tip,
+                b: 4,
+                length: 0.1,
+            })
+            .collect();
+        let err = Tree::from_parts(names, adj, edges).unwrap_err();
+        assert!(
+            matches!(&err, TreeError::BadId(m) if m.contains("node 4")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn reattaching_onto_a_full_node_fails_and_changes_nothing() {
+        let mut t = crate::newick::parse("((a:0.1,b:0.2):0.3,c:0.4,(d:0.5,e:0.6):0.7);").unwrap();
+        let a = t.tip_by_name("a").unwrap();
+        let pendant = t.incident(a)[0];
+        let from = t.other_end(pendant, a);
+        // Any other inner node already has its three edges.
+        let to = (t.num_taxa()..t.num_nodes()).find(|&n| n != from).unwrap();
+        let lists = |t: &Tree| -> Vec<Vec<EdgeId>> {
+            (0..t.num_nodes()).map(|n| t.incident(n).to_vec()).collect()
+        };
+        let (before, ends) = (lists(&t), t.endpoints(pendant));
+        assert!(matches!(
+            t.reattach_edge(pendant, from, to),
+            Err(TreeError::BadId(_))
+        ));
+        assert!(t.attach_edge(pendant, from, to, 0.1).is_err());
+        assert_eq!(lists(&t), before);
+        assert_eq!(t.endpoints(pendant), ends);
+        t.validate().unwrap();
     }
 
     #[test]

@@ -100,11 +100,14 @@ loops otherwise). The PHYLOMIC_KERNELS environment variable overrides
 the flag. evaluate and search print the resolved backend and its vector
 width (`kernel backend: simd  simd_width_bits 512`; 0 = scalar loops),
 and both are recorded in the JSONL trace meta event.
---site-repeats controls site-repeat compression in newview: 'on' always
-compresses, 'off' never, 'auto' (default) compresses per node when the
-unique-class count makes it profitable. Likelihoods are bit-identical
-either way. The PHYLOMIC_SITE_REPEATS environment variable overrides
-the flag; the resolved mode is recorded in the trace meta event.
+--site-repeats controls site-repeat compression in newview: 'on' builds
+a repeat table per node and compresses wherever a site repeats, 'off'
+builds none, 'auto' (default) builds them only where they pay — which,
+at one table build per newview, is nowhere measured so far, so it runs
+the 'off' path. Likelihoods are bit-identical either way. The
+PHYLOMIC_SITE_REPEATS environment variable overrides the flag; the
+resolved mode is recorded in the trace meta event, and evaluate and
+search print what it came to (`site repeats: auto → no tables (…)`).
 --blocking controls traversal-level cache blocking: 'on' walks the
 stale part of every traversal in cache-sized site blocks (children's
 freshly written columns stay cache-resident for their parents), 'off'
@@ -130,9 +133,8 @@ FLOP/s (FMA chains), streamed copy throughput and the per-core cache
 size, and caches them with host provenance in HOST_ROOFLINE.json
 (--out overrides, --force re-measures); once the cache exists,
 evaluate/search stamp the peaks into the trace meta so trace-report
-can compute % of roofline, the measured copy/kernel throughput ratio
-replaces the fixed 20% site-repeat profitability rule, and the cache
-size sets the traversal block size.
+can compute % of roofline, and the cache size sets the traversal block
+size.
 bench-trend aggregates the committed BENCH_*.json microbench artifacts
 into a per-cell history table; --gate fails when the newest file is
 >10% slower than the best prior PR on any unwaived cell (waivers:
@@ -159,10 +161,9 @@ to micsim's modeled AllReduce latency.";
 
 /// Seeds the in-process host calibration from a cached
 /// HOST_ROOFLINE.json, if one exists in the working directory: the
-/// triad and copy throughputs drive the measured site-repeat
-/// profitability model, and the per-core cache size drives traversal
-/// block sizing. First-wins; a missing or pre-copy-probe cache leaves
-/// the built-in defaults (fixed 20% rule, 1 MiB block budget) active.
+/// per-core cache size drives traversal block sizing. First-wins; a
+/// missing or pre-cache-probe file leaves the built-in default (1 MiB
+/// block budget) active.
 fn seed_calibration() {
     if let Some(r) =
         plf_prof::roofline::load_cached(std::path::Path::new(plf_prof::roofline::CACHE_FILE))
@@ -245,14 +246,17 @@ fn full_trace(
     out
 }
 
-/// Says which kernel bodies a run measures: the resolved backend and
-/// the vector width it runs on this host (0 = the scalar loops).
+/// Says which kernel bodies a run measures — the resolved backend and
+/// the vector width it runs on this host (0 = the scalar loops) — and
+/// what the site-repeat mode came to.
 fn print_backend(config: EngineConfig) {
     let backend = config.kernel.effective();
     println!(
         "kernel backend: {backend}  simd_width_bits {}",
         backend.simd_width_bits()
     );
+    let repeats = config.site_repeats.effective();
+    println!("site repeats: {repeats} → {}", repeats.verdict());
 }
 
 /// Writes the span timeline as Chrome trace-event JSON (atomically).

@@ -9,6 +9,21 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_phylomic"))
 }
 
+/// The binary for a test of what a flag (or its default) does: the
+/// suite itself may run under `PHYLOMIC_*` overrides, which a child
+/// would inherit and which beat every flag.
+fn bin_without_overrides() -> Command {
+    let mut cmd = bin();
+    for var in [
+        "PHYLOMIC_KERNELS",
+        "PHYLOMIC_SITE_REPEATS",
+        "PHYLOMIC_BLOCKING",
+    ] {
+        cmd.env_remove(var);
+    }
+    cmd
+}
+
 #[test]
 fn simulate_evaluate_search_roundtrip() {
     let dir = TestDir::new("cli-roundtrip");
@@ -138,10 +153,11 @@ fn traced_search_trace_report_and_chrome_export() {
         .unwrap();
     assert!(out.status.success());
 
-    // Traced fork-join search writing JSONL + Chrome exports.
+    // Traced fork-join search writing JSONL + Chrome exports, in the
+    // default configuration (its repeat verdict is pinned below).
     let trace = dir.join("run.jsonl");
     let chrome = dir.join("run.chrome.json");
-    let out = bin()
+    let out = bin_without_overrides()
         .args([
             "search",
             "--alignment",
@@ -225,12 +241,74 @@ fn traced_search_trace_report_and_chrome_export() {
         .unwrap();
     assert!(!out.status.success());
 
-    // Repeat-table construction has its own span row and its own
-    // counters (unless a forced `off` builds no tables at all).
-    if std::env::var("PHYLOMIC_SITE_REPEATS").is_ok_and(|v| v.trim() == "off") {
-        return;
-    }
+    // The pruned walk reports itself: its counters, and the section
+    // derived from them.
     for needle in [
+        "== traversal ==",
+        "visits per newview",
+        "core.traversal.nodes_visited",
+        "core.traversal.nodes_in_schedule",
+        "core.traversal.edges_changed",
+    ] {
+        assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+    }
+    let metric = |name: &str| -> u64 {
+        let line = text.lines().find(|l| l.starts_with(name)).expect(name);
+        line.split_whitespace().last().unwrap().parse().unwrap()
+    };
+    let visited = metric("core.traversal.nodes_visited");
+    assert!(visited > 0 && visited < metric("core.traversal.nodes_in_schedule") / 2);
+    // A stale CLA is found in at most two looks, not in a walk over
+    // the tree.
+    let per_newview: f64 = {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("visits per newview"))
+            .unwrap();
+        line.split_whitespace().nth(3).unwrap().parse().unwrap()
+    };
+    assert!(per_newview <= 2.0, "{per_newview} visits per newview");
+
+    // A default run builds no repeat table: no span row, no counter,
+    // and the verdict says so wherever the mode is printed.
+    let search_stdout = {
+        let out = bin_without_overrides()
+            .args(["search", "--alignment", phy.to_str().unwrap()])
+            .args(["--rounds", "0", "--no-model-opt"])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    assert!(
+        search_stdout.contains("\nsite repeats: auto → no tables ("),
+        "{search_stdout}"
+    );
+    assert!(!text.contains("repeat_table"), "{text}");
+    assert!(!text.contains("core.repeats.table_builds"), "{text}");
+
+    // Forced on, table construction has its own span row and its own
+    // counters.
+    let forced = dir.join("forced.jsonl");
+    let out = bin_without_overrides()
+        .args(["search", "--alignment", phy.to_str().unwrap()])
+        .args(["--rounds", "0", "--no-model-opt", "--site-repeats", "on"])
+        .args(["--trace-out", forced.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let report = |format: &str| {
+        let out = bin()
+            .args(["trace-report", "--trace", forced.to_str().unwrap()])
+            .args(["--format", format])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let text = report("text");
+    for needle in [
+        "site repeats: on → tables, compress wherever a site repeats",
         "repeat_table ",
         "core.repeats.table_builds",
         "core.repeats.table_bounded ",
@@ -239,13 +317,7 @@ fn traced_search_trace_report_and_chrome_export() {
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
-    let out = bin()
-        .args(["trace-report", "--trace", trace.to_str().unwrap()])
-        .args(["--format", "json"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let json = String::from_utf8_lossy(&out.stdout);
+    let json = report("json");
     for name in ["table_builds", "table_bounded", "sites_indexed"] {
         let needle = format!(r#""core.repeats.{name}""#);
         assert!(json.contains(&needle), "missing {needle} in:\n{json}");
@@ -552,7 +624,7 @@ fn site_repeats_flag_parses_and_matches_off() {
     let tree = format!("{}.tree", phy.display());
 
     let eval = |mode: &str| -> (bool, String, String) {
-        let out = bin()
+        let out = bin_without_overrides()
             .args([
                 "evaluate",
                 "--alignment",
@@ -574,8 +646,30 @@ fn site_repeats_flag_parses_and_matches_off() {
     assert!(ok_on, "{err_on}");
     let (ok_off, out_off, _) = eval("off");
     assert!(ok_off);
-    // Same logL line either way: compression is bit-identical.
-    assert_eq!(out_on, out_off, "on vs off output differs");
+    let (ok_auto, out_auto, _) = eval("auto");
+    assert!(ok_auto);
+    // Same output in every mode — compression is bit-identical — but
+    // for the line that says what the mode came to.
+    let split = |out: &str| -> (String, String) {
+        let (verdict, rest): (Vec<&str>, Vec<&str>) =
+            out.lines().partition(|l| l.starts_with("site repeats: "));
+        assert_eq!(verdict.len(), 1, "{out}");
+        (rest.join("\n"), verdict[0].to_string())
+    };
+    let (rest_on, verdict_on) = split(&out_on);
+    assert!(rest_on.contains("logL"), "{out_on}");
+    for (mode, out, verdict) in [
+        ("off", &out_off, "site repeats: off → no tables"),
+        ("auto", &out_auto, "site repeats: auto → no tables ("),
+    ] {
+        let (rest, line) = split(out);
+        assert_eq!(rest, rest_on, "on vs {mode} output differs");
+        assert!(line.starts_with(verdict), "{line}");
+    }
+    assert_eq!(
+        verdict_on,
+        "site repeats: on → tables, compress wherever a site repeats"
+    );
 
     // An unknown mode is a structured CLI error, not a panic.
     let (ok_bad, _, err_bad) = eval("sometimes");
@@ -584,7 +678,7 @@ fn site_repeats_flag_parses_and_matches_off() {
 
     // The resolved mode lands in the trace meta event.
     let trace = dir.join("sr.jsonl");
-    let out = bin()
+    let out = bin_without_overrides()
         .args([
             "evaluate",
             "--alignment",

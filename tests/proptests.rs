@@ -402,9 +402,10 @@ fn tips_below(tree: &Tree, node: NodeId, toward_edge: EdgeId, out: &mut Vec<Node
 /// traversal toward `root`, worked out from the definition rather than
 /// from any table: two sites are in one class at a node iff their
 /// columns agree on every tip below it, and a node runs compressed iff
-/// its class count passes the mode's rule. The engine builds bounded
-/// tables, stops passes early and propagates markers upward; none of
-/// that may change a single one of these decisions.
+/// its mode builds tables at all and at least one site repeats there.
+/// The engine builds bounded tables, stops passes early and propagates
+/// markers upward; none of that may change a single one of these
+/// decisions.
 fn expected_repeat_stats(
     tree: &Tree,
     aln: &CompressedAlignment,
@@ -424,12 +425,8 @@ fn expected_repeat_stats(
             .collect::<std::collections::BTreeSet<_>>()
             .len();
         let compresses = match mode {
-            SiteRepeats::Off => false,
+            SiteRepeats::Off | SiteRepeats::Auto => false,
             SiteRepeats::On => classes < n,
-            SiteRepeats::Auto => match phylomic::plf::cost::repeat_overhead_ratio() {
-                Some(r) => classes as f64 <= n as f64 * (1.0 - r),
-                None => classes * 5 <= n * 4,
-            },
         };
         if compresses {
             stats.compressed_calls += 1;
@@ -477,7 +474,13 @@ fn assert_on_off_identical(
             site_repeats,
             blocking,
         };
-        LikelihoodEngine::with_pool(tree, aln, config, pool)
+        // The all-resident cells through `new`: that engine prunes its
+        // walk, a pooled one never does.
+        if pool == tree.num_inner() {
+            LikelihoodEngine::new(tree, aln, config)
+        } else {
+            LikelihoodEngine::with_pool(tree, aln, config, pool)
+        }
     };
     // Every cell all-resident and under the smallest CLA pool that
     // serves every root: eviction and recomputation change no bit.
@@ -637,6 +640,137 @@ proptest! {
         let tree: Tree = random_tree(&names, 0.2, &mut rng).unwrap();
         let aln = proto_alignment(&tree, protos.min(width), width, seed ^ 0xabc);
         assert_on_off_identical(&tree, &aln, KernelKind::Scalar, alpha, &[0, 3]);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The pruned walk: an engine that leaves unchanged subtrees out of its
+// schedule must do exactly what the full walk does — same likelihood
+// bits as a fresh engine, same `newview`s, same stamps on every node —
+// whatever happens to the tree between two traversals. (In this debug
+// build every pruned walk additionally sweeps the full schedule and
+// holds each node it left out to its stored keys.)
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn pruned_walk_is_the_full_walk(
+        seed in 0u64..1 << 32,
+        taxa in 5usize..=20,
+        steps in 8usize..40,
+        forced in (0u8..2, 0u8..2),
+    ) {
+        use phylomic::tree::moves::{nni, NniVariant};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let mut tree: Tree = random_tree(&default_names(taxa), 0.2, &mut rng).unwrap();
+        let aln = proto_alignment(&tree, 9, 24, seed ^ 0x5eed);
+        let mut alpha = 0.7;
+        let config = |alpha| EngineConfig {
+            kernel: KernelKind::Scalar,
+            alpha,
+            site_repeats: if forced.0 == 1 { SiteRepeats::On } else { SiteRepeats::Auto },
+            blocking: if forced.1 == 1 { Blocking::On } else { Blocking::Auto },
+        };
+        let mut pruning = LikelihoodEngine::new(&tree, &aln, config(alpha));
+        // `with_pool` never prunes, at any size: at one slot per inner
+        // node it is the same engine minus the pruning.
+        let mut full = LikelihoodEngine::with_pool(&tree, &aln, config(alpha), tree.num_inner());
+        let mut root = 0;
+        let mut pending_undo: Option<SprUndo> = None;
+        for step in 0..steps {
+            let op = rng.random_range(0..8u8);
+            let what = match op {
+                0 => {
+                    for _ in 0..rng.random_range(1..=5usize) {
+                        let e = rng.random_range(0..tree.num_edges());
+                        tree.set_length(e, 0.01 + rng.random::<f64>()).unwrap();
+                    }
+                    pending_undo = None;
+                    "set_length"
+                }
+                1 => {
+                    // Some applicable move near a random edge.
+                    let applied = (0..32).find_map(|_| {
+                        let prune = rng.random_range(0..tree.num_edges());
+                        let (a, b) = tree.endpoints(prune);
+                        let subtree_root = if rng.random::<bool>() { a } else { b };
+                        let targets = edges_within(&tree, prune, 4);
+                        let target = *targets.get(rng.random_range(0..targets.len().max(1)))?;
+                        spr(&mut tree, prune, subtree_root, target).ok()
+                    });
+                    pending_undo = applied;
+                    "spr"
+                }
+                2 => match pending_undo.take() {
+                    Some(undo) => {
+                        spr_undo(&mut tree, undo).unwrap();
+                        "spr_undo"
+                    }
+                    None => "nothing to undo",
+                },
+                3 => {
+                    let internal: Vec<EdgeId> = tree.internal_edges().collect();
+                    let e = internal[rng.random_range(0..internal.len())];
+                    let variant = if rng.random::<bool>() { NniVariant::First } else { NniVariant::Second };
+                    nni(&mut tree, e, variant).unwrap();
+                    pending_undo = None;
+                    "nni"
+                }
+                4 => {
+                    root = rng.random_range(0..tree.num_edges());
+                    "re-root"
+                }
+                5 => {
+                    alpha = 0.3 + rng.random::<f64>();
+                    pruning.set_alpha(alpha);
+                    full.set_alpha(alpha);
+                    "set_alpha"
+                }
+                6 => {
+                    tree = tree.clone();
+                    "clone"
+                }
+                _ => {
+                    // Same topology and lengths, other tip, node and
+                    // edge ids, and the names in another allocation.
+                    tree = phylomic::tree::newick::parse(&phylomic::tree::newick::to_newick(&tree)).unwrap();
+                    pending_undo = None;
+                    "re-parse"
+                }
+            };
+            root = root.min(tree.num_edges() - 1);
+            let (got, expect) = if step % 3 == 2 {
+                pruning.prepare_branch(&tree, root);
+                full.prepare_branch(&tree, root);
+                (pruning.branch_derivatives(0.3).0, full.branch_derivatives(0.3).0)
+            } else {
+                (pruning.log_likelihood(&tree, root), full.log_likelihood(&tree, root))
+            };
+            prop_assert_eq!(got.to_bits(), expect.to_bits(), "step {} ({}): {} vs {}", step, what, got, expect);
+            let fresh = LikelihoodEngine::new(&tree, &aln, config(alpha)).log_likelihood(&tree, root);
+            prop_assert_eq!(
+                pruning.log_likelihood(&tree, root).to_bits(),
+                fresh.to_bits(),
+                "step {} ({}): not the fresh engine's logL", step, what
+            );
+            full.log_likelihood(&tree, root);
+            prop_assert_eq!(
+                pruning.repeat_stats(),
+                full.repeat_stats(),
+                "step {} ({}): newview calls", step, what
+            );
+            for inner in 0..tree.num_inner() {
+                prop_assert_eq!(
+                    pruning.cla_stamp(inner),
+                    full.cla_stamp(inner),
+                    "step {} ({}): stamp of inner node {}", step, what, inner
+                );
+                prop_assert_eq!(pruning.cla_scale(inner), full.cla_scale(inner));
+            }
+        }
     }
 }
 
