@@ -29,12 +29,14 @@ fn bench_schemes(c: &mut Criterion) {
         })
     });
 
-    for workers in [2usize, 4] {
+    // Labelled by computing threads: the master owns slice 0, so a
+    // team of N spawns N - 1 workers.
+    for threads in [2usize, 4] {
         g.bench_with_input(
-            BenchmarkId::new("forkjoin", workers),
-            &workers,
-            |b, &workers| {
-                let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, workers);
+            BenchmarkId::new("forkjoin", threads),
+            &threads,
+            |b, &threads| {
+                let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, threads - 1);
                 // Force full recomputation per iteration by toggling a
                 // branch length between two values.
                 let mut t = tree.clone();

@@ -1,14 +1,15 @@
 //! Parallel-region overhead ablation: measures the real fork/join
 //! barrier cost of the PThreads-style scheme on this host, across
-//! worker counts and alignment sizes, and fits the measured per-kernel
-//! cost model the `micsim` calibration consumes.
+//! team sizes, and fits the measured per-kernel cost model the
+//! `micsim` calibration consumes.
 //!
 //! This is the measured counterpart of the §V-D synchronization
 //! analysis ("master and worker processes have to communicate at least
 //! twice per parallel region/kernel"): per region we time the fork
-//! barrier (master releasing the workers) and the join barrier (master
-//! waiting for the slowest partial result), then show how the per-site
-//! compute share shrinks relative to that fixed cost as workers grow —
+//! barrier (master releasing the workers) and the join barrier (master,
+//! done with its own slice, waiting for the slowest partial result),
+//! then show how the per-site compute share shrinks relative to that
+//! fixed cost as the team grows —
 //! the same granularity effect that buries the 236-thread MIC on small
 //! alignments (§VI-B2).
 //!
@@ -33,43 +34,45 @@ fn main() {
     println!();
     println!(
         "{:>8} {:>12} {:>12} {:>14} {:>14}",
-        "workers", "fork ns", "join ns", "eval ns/call", "sites/worker"
+        "threads", "fork ns", "join ns", "eval ns/call", "sites/thread"
     );
 
     let mut all_events = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, workers);
+    // Team sizes: the master computes slice 0, so a row spawns one
+    // worker fewer than it has threads (the first row spawns none).
+    for threads in [1usize, 2, 4, 8] {
+        let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, threads - 1);
         for r in 0..ROUNDS {
             let edge = r % tree.num_edges();
             fj.log_likelihood(&tree, edge);
         }
-        let per_worker = fj.take_stats_per_worker();
+        let per_slice = fj.take_stats_per_worker();
         let master = fj.master_stats().clone();
 
-        for (i, stats) in per_worker.iter().enumerate() {
-            all_events.extend(events_from_stats(&format!("w{workers}.{i}"), stats));
+        for (i, stats) in per_slice.iter().enumerate() {
+            all_events.extend(events_from_stats(&format!("t{threads}.{i}"), stats));
         }
-        all_events.extend(events_from_stats(&format!("master{workers}"), &master));
+        all_events.extend(events_from_stats(&format!("master{threads}"), &master));
 
         let r = master.regions();
-        let eval_ns: f64 = per_worker
+        let eval_ns: f64 = per_slice
             .iter()
             .map(|s| s.timing(KernelId::Evaluate).mean_ns())
             .sum::<f64>()
-            / workers as f64;
+            / threads as f64;
         println!(
             "{:>8} {:>12.0} {:>12.0} {:>14.0} {:>14}",
-            workers,
+            threads,
             r.fork.mean_ns(),
             r.join.mean_ns(),
             eval_ns,
-            aln.num_patterns() / workers
+            aln.num_patterns() / threads
         );
     }
 
     println!();
     println!("Measured per-kernel cost fit (total_ns = per_call*calls + per_site*sites),");
-    println!("from the per-worker trace events above:");
+    println!("from the per-slice trace events above:");
     println!();
     let doc = write_jsonl(&all_events);
     match MeasuredHostCosts::from_jsonl(&doc) {
@@ -102,7 +105,8 @@ fn main() {
         Err(e) => eprintln!("calibration fit failed: {e}"),
     }
     println!();
-    println!("The join barrier, not the fork, carries the load imbalance: it absorbs the");
-    println!("slowest worker's tail. As workers grow, per-worker sites shrink while the");
-    println!("barrier cost does not — the paper's small-alignment granularity wall.");
+    println!("Both waits are pure: the master computes slice 0 between them. The join");
+    println!("barrier, not the fork, carries the load imbalance: it absorbs the slowest");
+    println!("thread's tail. As threads grow, per-thread sites shrink while the barrier");
+    println!("cost does not — the paper's small-alignment granularity wall.");
 }

@@ -90,7 +90,15 @@
 //!      least `REROOT_MIN_SPEEDUP` ×;
 //!  11. `Tree::clone` at 64 taxa against a bench-local control laid out
 //!      like the tree it replaced (a `Vec` per node, a `String` per
-//!      tip), at least `CLONE_MIN_SPEEDUP` ×.
+//!      tip), at least `CLONE_MIN_SPEEDUP` ×;
+//!  12. one fork-join region round trip with a no-op job — master plus
+//!      one worker on the production `RegionProtocol`, a 64-taxon tree
+//!      published per region — the way `ForkJoinEvaluator` runs it
+//!      (snapshot refreshed in place, replies taken out of their
+//!      slots) against a bench-local control that allocates per region
+//!      (a fresh `Arc<Tree>` snapshot, the replies collected into a
+//!      `Vec`), at least `REGION_MIN_SPEEDUP` × in the median of nine
+//!      series, each on a fresh protocol and worker.
 //!
 //! Run: `cargo run --release -p phylo-bench --bin plf-microbench`
 //! Flags: `--quick` (10 000 patterns only), `--out PATH`
@@ -98,7 +106,10 @@
 
 use phylo_bio::{CompressedAlignment, DnaCode};
 use phylo_models::{DiscreteGamma, Gtr, GtrParams, ProbMatrix};
+use phylo_parallel::barrier::BarrierToken;
+use phylo_parallel::RegionProtocol;
 use phylo_tree::build::{default_names, random_tree};
+use phylo_tree::Tree;
 use plf_core::cla::Cla;
 use plf_core::kernels::simd::SimdKernels;
 use plf_core::layout::{EigenBasis, FusedPmat, Lut16x16};
@@ -113,6 +124,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Table III varies alignment width over roughly three decades; these
@@ -179,6 +191,13 @@ const REROOT_MIN_SPEEDUP: f64 = 2.0;
 /// Gate 11: minimum speedup of `Tree::clone` over the per-node-`Vec`,
 /// per-tip-`String` control.
 const CLONE_MIN_SPEEDUP: f64 = 10.0;
+/// Gate 12: minimum speedup of the allocation-free region round trip
+/// over the control that allocates a snapshot and a reply `Vec` per
+/// region. The cell reads 1.30–1.59 (median 1.42) while the
+/// development host is in its fast state and 1.20–1.25 in its slow
+/// one — the in-place arm loses 80 ns there, the control nothing — and
+/// 1.0 once a region allocates again, which is what the gate is for.
+const REGION_MIN_SPEEDUP: f64 = 1.15;
 /// Repeat-fraction sweep: `(percent duplicated, prototype divisor)` —
 /// with `patterns / divisor` prototype columns, `1 - 1/divisor` of
 /// the sites duplicate an earlier column.
@@ -1204,6 +1223,108 @@ fn tree_clone_cell() -> RatioCell {
     }
 }
 
+/// Gate 12's job slot: what the control publishes (a fresh snapshot
+/// behind an `Arc`, as `ForkJoinEvaluator` did while its workers
+/// received the tree by shared pointer) next to what the region path
+/// publishes now (a buffer refreshed in place).
+struct RegionJob {
+    snapshot: Option<Arc<Tree>>,
+    buffer: Tree,
+    shutdown: bool,
+}
+
+/// One series of gate 12 on a fresh protocol and worker: median ns per
+/// region of the control and of the region path, and the median
+/// per-round ratio. One worker serves both arms, so the arm at rest
+/// leaves no second thread spinning on this host's two cores.
+fn region_round_trip_series(tree: &Tree) -> (f64, f64, f64) {
+    // A region is about a thousand sites' worth of time, which is what
+    // sizes a round to its ~100 µs.
+    const SITE_EQUIVALENTS: usize = 1000;
+    let proto = Arc::new(RegionProtocol::<RegionJob, u64>::new(
+        1,
+        RegionJob {
+            snapshot: None,
+            buffer: tree.clone(),
+            shutdown: false,
+        },
+    ));
+    let worker = {
+        let proto = Arc::clone(&proto);
+        std::thread::spawn(move || {
+            let mut token = BarrierToken::new();
+            loop {
+                proto.fork(&mut token).expect("nobody poisons this pool");
+                // The no-op job: look at what was published, reply.
+                if proto.read_job(|job| black_box(job).shutdown) {
+                    return;
+                }
+                proto.write_reply(1, 1);
+                proto.join(&mut token).expect("nobody poisons this pool");
+            }
+        })
+    };
+    let token = std::cell::RefCell::new(BarrierToken::new());
+    // Fork, the master's own no-op share, join: common to both arms.
+    let round_trip = || {
+        let mut token = token.borrow_mut();
+        proto.fork(&mut token).expect("nobody poisons this pool");
+        proto.read_job(|job| {
+            black_box(job);
+        });
+        proto.write_reply(0, 1);
+        proto.join(&mut token).expect("nobody poisons this pool");
+    };
+    let (base_ns, new_ns, ratio) = interleaved(
+        SITE_EQUIVALENTS,
+        || {
+            proto.publish_job(|job| job.snapshot = Some(Arc::new(black_box(tree).clone())));
+            round_trip();
+            let replies: Vec<u64> = (0..proto.slices()).map(|s| proto.take_reply(s)).collect();
+            assert_eq!(black_box(replies).len(), 2);
+        },
+        || {
+            proto.publish_job(|job| job.buffer.clone_from(black_box(tree)));
+            round_trip();
+            let replies = (0..proto.slices()).fold(0, |sum, s| sum + proto.take_reply(s));
+            assert_eq!(black_box(replies), 2);
+        },
+    );
+    proto.publish_job(|job| job.shutdown = true);
+    proto
+        .fork(&mut token.borrow_mut())
+        .expect("nobody poisons this pool");
+    worker.join().expect("the worker only runs the loop above");
+    let per_region = SITE_EQUIVALENTS as f64;
+    (base_ns * per_region, new_ns * per_region, ratio)
+}
+
+/// Gate 12: what a region costs around the kernels — publish, fork,
+/// join, collect — with and without its two per-region allocations;
+/// per-region ns. A series lasts 35 ms and its ratio depends on where
+/// its protocol, snapshot buffer and worker landed, so nine are run,
+/// each on a fresh protocol, and the median one is reported.
+fn region_round_trip_cell() -> RatioCell {
+    const TAXA: usize = 64;
+    const SERIES: usize = 9;
+    let tree = random_tree(&default_names(TAXA), 0.1, &mut SmallRng::seed_from_u64(41)).unwrap();
+    let mut series: Vec<_> = (0..SERIES)
+        .map(|_| region_round_trip_series(&tree))
+        .collect();
+    series.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("ratios are finite"));
+    let (base_ns, new_ns, ratio) = series[SERIES / 2];
+    RatioCell {
+        cell: "region",
+        sites: 1,
+        base: "region round trip, Arc<Tree> snapshot + reply Vec per region (1 worker, 64 taxa)",
+        new: "region round trip, snapshot refreshed in place, replies taken in place",
+        base_ns,
+        new_ns,
+        ratio,
+        gate: REGION_MIN_SPEEDUP,
+    }
+}
+
 fn render_nonkernel(rows: &[CostRow], cells: &[RatioCell]) -> String {
     let mut s = String::from("{\"repeat_costs\":[\n");
     for (i, r) in rows.iter().enumerate() {
@@ -1466,7 +1587,7 @@ fn main() {
         );
     }
     let [walk, reroot] = pruned_walk_cells();
-    let nonkernel_cells = [walk, reroot, tree_clone_cell()];
+    let nonkernel_cells = [walk, reroot, tree_clone_cell(), region_round_trip_cell()];
     for c in &nonkernel_cells {
         println!(
             "{:<6} {} {:.0} ns, {} {:.0} ns ({:.1}x)",

@@ -140,9 +140,16 @@ impl KernelCostFit {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct MeasuredHostCosts {
     fits: [KernelCostFit; 4],
-    /// Mean fork-barrier latency per parallel region, nanoseconds.
+    /// Mean fork-barrier wait of the master per parallel region,
+    /// nanoseconds.
     pub region_fork_ns: f64,
-    /// Mean join-barrier latency per parallel region, nanoseconds.
+    /// Mean join-barrier wait of the master per parallel region,
+    /// nanoseconds: barrier latency plus load imbalance (how much
+    /// later than the master the slowest worker finishes) and no
+    /// kernel time — the master runs its own slice between the two
+    /// barriers and times that with its kernels, so what
+    /// [`Self::predict_run_s`] adds on top of the kernel fits is
+    /// synchronization alone.
     pub region_join_ns: f64,
 }
 
@@ -242,8 +249,8 @@ impl MeasuredHostCosts {
     }
 
     /// Mean fork+join synchronization cost per parallel region,
-    /// seconds — the measured counterpart of the
-    /// [`OMP_REGION_OVERHEAD_PER_THREAD_S`]-based charge.
+    /// seconds (two pure barrier waits) — the measured counterpart of
+    /// the [`OMP_REGION_OVERHEAD_PER_THREAD_S`]-based charge.
     pub fn region_overhead_s(&self) -> f64 {
         (self.region_fork_ns + self.region_join_ns) * 1e-9
     }

@@ -4,7 +4,8 @@
 //! summaries the paper's evaluation reasons about: per-kernel time
 //! shares (the Table III decomposition), fork/join synchronization
 //! overhead per parallel region (§VI-B2's small-alignment effect),
-//! per-worker load imbalance (the Fig. 4 efficiency ceiling), and the
+//! per-slice load imbalance over the computing master and its workers
+//! (the Fig. 4 efficiency ceiling), and the
 //! measured per-call/per-site kernel cost table that feeds
 //! [`crate::calibration::MeasuredHostCosts`].
 
@@ -135,23 +136,26 @@ impl Roofline {
 pub struct RegionSummary {
     /// Parallel regions executed.
     pub count: u64,
-    /// Summed fork-barrier latency, ns.
+    /// Summed fork-barrier wait of the master, ns.
     pub fork_total_ns: u64,
-    /// Summed join-barrier latency, ns.
+    /// Summed join-barrier wait of the master, ns: a pure wait — the
+    /// master computes its own slice between the two barriers and
+    /// that time is not in here.
     pub join_total_ns: u64,
-    /// Estimated wall time spent inside regions (the master blocks
-    /// through fork and join, so this is their sum), ns.
+    /// Estimated wall time spent inside regions, ns: the master's two
+    /// waits plus the kernel time of its own slice, which it runs
+    /// between them.
     pub wall_ns: u64,
     /// Fraction of region wall time not covered by the busiest
-    /// worker's kernel time: `(wall − max_busy) / wall`, clamped to
+    /// slice's kernel time: `(wall − max_busy) / wall`, clamped to
     /// `[0, 1]`. Pure synchronization + scheduling overhead.
     pub overhead_fraction: f64,
 }
 
-/// One worker's busy time, as seen through its kernel events.
+/// One team member's busy time, as seen through its kernel events.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkerRow {
-    /// Source label (e.g. `"worker2"`).
+    /// Source label: `"master"` (slice 0) or e.g. `"worker2"`.
     pub source: String,
     /// Summed kernel wall time, ns.
     pub busy_ns: u64,
@@ -213,10 +217,12 @@ pub struct TraceReport {
     pub total_kernel_ns: u64,
     /// Fork/join summary; `None` for serial traces.
     pub regions: Option<RegionSummary>,
-    /// Per-worker busy time, sorted by source label; empty for serial.
+    /// Per-slice busy time of a fork-join team, sorted by source label
+    /// (the computing master first, then the workers); empty for
+    /// serial.
     pub workers: Vec<WorkerRow>,
-    /// `max(busy) / mean(busy)` over workers (1.0 = perfect balance);
-    /// `None` with fewer than two workers.
+    /// `max(busy) / mean(busy)` over the team (1.0 = perfect balance);
+    /// `None` with fewer than two members.
     pub imbalance: Option<f64>,
     /// Span aggregates, descending by total time.
     pub spans: Vec<SpanRow>,
@@ -337,7 +343,7 @@ impl TraceReport {
                     entry.2[0] += *calls as u128 * *p50_ns as u128;
                     entry.2[1] += *calls as u128 * *p95_ns as u128;
                     entry.2[2] += *calls as u128 * *p99_ns as u128;
-                    if source.starts_with("worker") {
+                    if source == "master" || source.starts_with("worker") {
                         let w = per_worker.entry(source.clone()).or_insert((0, 0));
                         w.0 += total_ns;
                         w.1 += sites;
@@ -424,7 +430,11 @@ impl TraceReport {
         };
 
         let regions = (region_count > 0).then(|| {
-            let wall_ns = fork_total + join_total;
+            let master_busy = workers
+                .iter()
+                .find(|w| w.source == "master")
+                .map_or(0, |w| w.busy_ns);
+            let wall_ns = fork_total + join_total + master_busy;
             let max_busy = workers.iter().map(|w| w.busy_ns).max().unwrap_or(0);
             RegionSummary {
                 count: region_count,
@@ -612,13 +622,13 @@ impl TraceReport {
             );
             let _ = writeln!(
                 s,
-                "overhead fraction {:.1}% (region wall not covered by busiest worker)",
+                "overhead fraction {:.1}% (region wall — the master's waits and its own slice — not covered by the busiest slice)",
                 r.overhead_fraction * 100.0
             );
         }
 
         if !self.workers.is_empty() {
-            let _ = writeln!(s, "\n== per-worker load ==");
+            let _ = writeln!(s, "\n== per-worker load (master = slice 0) ==");
             for w in &self.workers {
                 let _ = writeln!(
                     s,
@@ -922,12 +932,12 @@ mod tests {
                 wire_ops: 40,
                 wire_ns: 400_000,
             },
-            kernel_event("worker0", KernelId::Newview, 10, 1000, 6_000_000),
-            kernel_event("worker1", KernelId::Newview, 10, 500, 3_000_000),
-            kernel_event("worker0", KernelId::Evaluate, 5, 500, 1_000_000),
-            kernel_event("worker1", KernelId::Evaluate, 5, 250, 500_000),
+            kernel_event("master", KernelId::Newview, 10, 1000, 6_000_000),
+            kernel_event("worker0", KernelId::Newview, 10, 500, 3_000_000),
+            kernel_event("master", KernelId::Evaluate, 5, 500, 1_000_000),
+            kernel_event("worker0", KernelId::Evaluate, 5, 250, 500_000),
             TraceEvent::Op {
-                source: "worker0".into(),
+                source: "master".into(),
                 op: KernelOp::NewviewIi,
                 calls: 10,
                 sites: 1000,
@@ -937,7 +947,7 @@ mod tests {
                 bytes_written: 132_000,
             },
             TraceEvent::Op {
-                source: "worker1".into(),
+                source: "worker0".into(),
                 op: KernelOp::NewviewIi,
                 calls: 10,
                 sites: 500,
@@ -950,7 +960,7 @@ mod tests {
                 source: "master".into(),
                 count: 15,
                 fork_total_ns: 1_000_000,
-                join_total_ns: 9_000_000,
+                join_total_ns: 2_000_000,
                 fork_max_ns: 200_000,
                 join_max_ns: 1_000_000,
             },
@@ -982,13 +992,16 @@ mod tests {
         // newview dominates and sorts first.
         assert_eq!(r.kernels[0].kernel, KernelId::Newview);
         assert!((r.kernels[0].share - 9.0 / 10.5).abs() < 1e-9);
-        // worker0 busy 7ms, worker1 busy 3.5ms → imbalance 7/5.25.
+        // master busy 7ms, worker0 busy 3.5ms → imbalance 7/5.25.
         assert_eq!(r.workers.len(), 2);
+        assert_eq!(r.workers[0].source, "master");
         let imb = r.imbalance.unwrap();
         assert!((imb - 7.0 / 5.25).abs() < 1e-9, "{imb}");
-        // wall 10ms, max busy 7ms → overhead 30%.
+        // Waits 1ms + 2ms around the master's 7ms → wall 10ms, max
+        // busy 7ms → overhead 30%.
         let reg = r.regions.unwrap();
         assert_eq!(reg.count, 15);
+        assert_eq!(reg.wall_ns, 10_000_000);
         assert!((reg.overhead_fraction - 0.3).abs() < 1e-9);
         assert!(r.costs.is_some());
         assert_eq!(r.spans[0].name, "search");

@@ -28,13 +28,14 @@ pub enum FaultKind {
         /// Its fatal AllReduce ordinal, 1-based.
         allreduce: u64,
     },
-    /// Fork-join worker `worker` panics inside the job of its
-    /// `region`-th parallel region (1-based). The panic is caught by
-    /// the worker loop and surfaced to the master as a structured
-    /// error — the pool must not deadlock.
+    /// The fork-join team member that owns pattern slice `slice` —
+    /// the master for slice 0, worker `slice − 1` otherwise — panics
+    /// inside the job of its `region`-th parallel region (1-based).
+    /// The panic is caught where the job runs and surfaced by the
+    /// master as a structured error — the pool must not deadlock.
     JobPanic {
-        /// The worker index that panics.
-        worker: usize,
+        /// The slice whose job panics (0 = the master's).
+        slice: usize,
         /// Its fatal region ordinal, 1-based.
         region: u64,
     },
@@ -107,9 +108,10 @@ impl FaultPlan {
         Self::new().with(FaultKind::RankDeath { rank, allreduce })
     }
 
-    /// Convenience: worker `worker` panics in its `region`-th job.
-    pub fn job_panic(worker: usize, region: u64) -> Self {
-        Self::new().with(FaultKind::JobPanic { worker, region })
+    /// Convenience: the job panics on slice `slice` (0 = the
+    /// master's) in its `region`-th region.
+    pub fn job_panic(slice: usize, region: u64) -> Self {
+        Self::new().with(FaultKind::JobPanic { slice, region })
     }
 
     /// Convenience: `count` consecutive checkpoint write attempts
@@ -140,8 +142,9 @@ impl FaultPlan {
     /// * `rank=R,allreduce=N` — rank `R` dies at its `N`-th AllReduce.
     /// * `rank=R,kill9=N` — rank `R`'s process is SIGKILLed at its
     ///   `N`-th AllReduce (simulated death under `--transport threads`).
-    /// * `rank=R,region=N` — fork-join worker `R` panics in its `N`-th
-    ///   region's job.
+    /// * `rank=R,region=N` — the fork-join job panics on slice `R` in
+    ///   its `N`-th region (slice 0 is the master's own, slice `R ≥ 1`
+    ///   worker `R − 1`'s).
     /// * `ckpt-write=N[,count=K]` — checkpoint write attempts
     ///   `N..N+K` fail (default `K = 1`).
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
@@ -183,7 +186,7 @@ impl FaultPlan {
                 ) {
                     (Some(n), None, None) if n > 0 => FaultKind::RankDeath { rank, allreduce: n },
                     (None, Some(n), None) if n > 0 => FaultKind::JobPanic {
-                        worker: rank,
+                        slice: rank,
                         region: n,
                     },
                     (None, None, Some(n)) if n > 0 => FaultKind::RankKill9 { rank, allreduce: n },
@@ -233,12 +236,12 @@ impl FaultPlan {
         })
     }
 
-    /// Injection hook for the fork-join worker loop: does `worker`'s
-    /// job panic in its `n`-th region? Fires at most once per
-    /// scripted fault.
-    pub fn job_panics(&self, worker: usize, n: u64) -> bool {
+    /// Injection hook for the fork-join job body: does the job panic
+    /// on slice `slice` (0 = the master's) in its `n`-th region?
+    /// Fires at most once per scripted fault.
+    pub fn job_panics(&self, slice: usize, n: u64) -> bool {
         self.faults.iter().any(|f| {
-            matches!(f.kind, FaultKind::JobPanic { worker: w, region } if w == worker && region == n)
+            matches!(f.kind, FaultKind::JobPanic { slice: s, region } if s == slice && region == n)
                 && f.fire_once()
         })
     }

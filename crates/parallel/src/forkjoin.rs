@@ -1,26 +1,34 @@
 //! The fork-join (RAxML-Light PThreads) scheme.
 //!
-//! A single master runs the search; persistent worker threads each own
-//! a [`LikelihoodEngine`] over one contiguous slice of the alignment
-//! patterns. Every likelihood operation becomes a parallel region:
-//! the master publishes one job in a shared slot, releases the workers
-//! through the sense-reversing [`SenseBarrier`] (*fork*), each worker
-//! writes its partial result into its own slot of a shared reply
-//! array, and a second barrier pass (*join*) hands the array back to
-//! the master, which reduces it in place — "master and worker
-//! processes have to communicate at least twice per parallel
-//! region/kernel" (§V-D), which is exactly the synchronization cost
-//! `micsim` charges this scheme.
+//! A single master runs the search; the alignment patterns are split
+//! into one contiguous slice per team member — the master's slice 0
+//! plus one per persistent worker thread — and each member owns a
+//! [`LikelihoodEngine`] over its slice. Every likelihood operation
+//! becomes a parallel region: the master publishes one job in a shared
+//! slot, releases the workers through the sense-reversing
+//! [`SenseBarrier`](crate::SenseBarrier) (*fork*), runs the job on its
+//! own slice like every worker ([`run_job`]), each member writes its
+//! partial result into its own slot of a shared reply array, and a
+//! second barrier pass (*join*) hands the array back to the master,
+//! which reduces it in slice order — "master and worker processes
+//! have to communicate at least twice per parallel region/kernel"
+//! (§V-D), which is exactly the synchronization cost `micsim` charges
+//! this scheme. The master computes because RAxML-Light's thread 0
+//! and an OpenMP master do: a core that only spins at the join barrier
+//! is a core the paper's many-core argument cannot afford.
 //!
-//! There are no channels and no locks on the fast path: the barrier's
-//! acquire/release pairs are the only synchronization, and the job and
-//! reply slots are plain memory whose ownership alternates between
-//! master and workers in barrier-separated windows — the
-//! [`RegionProtocol`] extracted into [`crate::slot`], where the
-//! interleave model tests exercise it directly. The master also
-//! times both barrier waits of every region, so the per-region
-//! fork/join latency distribution lands in [`KernelStats`] next to the
-//! kernel timings.
+//! There are no channels, no locks and no allocations on the fast
+//! path: the barrier's acquire/release pairs are the only
+//! synchronization, and the job and reply slots are plain memory whose
+//! ownership alternates between master and workers in
+//! barrier-separated windows — the [`RegionProtocol`] extracted into
+//! [`crate::slot`], where the interleave model tests exercise it
+//! directly. The tree a job refers to is a buffer inside the job slot
+//! that the master refreshes in place; replies are reduced straight
+//! out of their slots. The master also times both barrier waits of
+//! every region — the waits alone, its own share of the job excluded —
+//! so the per-region fork/join latency distribution lands in
+//! [`KernelStats`] next to the kernel timings.
 
 use crate::barrier::BarrierToken;
 use crate::fault::FaultPlan;
@@ -30,30 +38,28 @@ use phylo_bio::CompressedAlignment;
 use phylo_models::GtrParams;
 use phylo_search::Evaluator;
 use phylo_tree::{EdgeId, Tree};
+use plf_core::trace::{events_from_stats, TraceEvent};
 use plf_core::{EngineConfig, KernelStats, LikelihoodEngine};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Splits `n` items into `k` contiguous, balanced ranges. When
-/// `k > n`, the trailing ranges are empty — workers holding them
+/// `k > n`, some ranges are empty — team members holding them
 /// contribute identity partials (0 log-likelihood, 0 derivatives).
 pub fn split_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
     assert!(k >= 1);
     (0..k).map(|i| (i * n / k)..((i + 1) * n / k)).collect()
 }
 
-/// One broadcast work item. The master writes it into the shared slot
-/// before the fork barrier; every worker reads it (by reference — the
-/// tree snapshot is shared through the `Arc`, not cloned per worker)
-/// between fork and join.
-#[derive(Default)]
-enum Job {
+/// What one region asks of every team member.
+#[derive(Clone, Copy, Default)]
+enum Op {
     /// Initial state before the first region.
     #[default]
     Idle,
-    Eval(Arc<Tree>, EdgeId),
-    Prepare(Arc<Tree>, EdgeId),
+    Eval(EdgeId),
+    Prepare(EdgeId),
     Derivatives(f64),
     SetAlpha(f64),
     SetModel(GtrParams),
@@ -61,22 +67,34 @@ enum Job {
     Shutdown,
 }
 
-impl Job {
-    /// Span name a worker records while executing this job.
-    fn span_name(&self) -> &'static str {
+impl Op {
+    /// Span name a team member records while executing this job.
+    fn span_name(self) -> &'static str {
         match self {
-            Job::Eval(..) => "job.eval",
-            Job::Prepare(..) => "job.prepare",
-            Job::Derivatives(_) => "job.derivatives",
-            Job::SetAlpha(_) => "job.set_alpha",
-            Job::SetModel(_) => "job.set_model",
-            Job::TakeStats => "job.take_stats",
-            Job::Idle | Job::Shutdown => "job.control",
+            Op::Eval(_) => "job.eval",
+            Op::Prepare(_) => "job.prepare",
+            Op::Derivatives(_) => "job.derivatives",
+            Op::SetAlpha(_) => "job.set_alpha",
+            Op::SetModel(_) => "job.set_model",
+            Op::TakeStats => "job.take_stats",
+            Op::Idle | Op::Shutdown => "job.control",
         }
     }
 }
 
-/// One worker's partial result, written into its private slot of the
+/// The broadcast work item. The master edits it in place before the
+/// fork barrier; every team member reads it by reference between fork
+/// and join.
+struct Job {
+    op: Op,
+    /// The tree `Eval` / `Prepare` refer to: a snapshot of the
+    /// search's tree that only the master writes (`clone_from`, into
+    /// the arrays it already has) and only while the workers wait at
+    /// the fork barrier.
+    tree: Tree,
+}
+
+/// One slice's partial result, written into its private slot of the
 /// shared reply array between fork and join.
 #[derive(Default)]
 enum Reply {
@@ -87,7 +105,7 @@ enum Reply {
     Pair(f64, f64),
     Stats(Box<KernelStats>),
     Done,
-    /// The worker's job panicked; the message is surfaced to the
+    /// The job panicked on this slice; the message is surfaced to the
     /// master, which re-panics instead of hanging or silently
     /// mis-reducing.
     Panicked(String),
@@ -99,19 +117,25 @@ pub struct ForkJoinEvaluator {
     shared: Arc<RegionProtocol<Job, Reply>>,
     handles: Vec<JoinHandle<()>>,
     token: BarrierToken,
+    /// The master's own team membership: the engine over slice 0.
+    engine: LikelihoodEngine,
+    fault_plan: Option<Arc<FaultPlan>>,
     /// Master-side stats: fork/join latency of every parallel region.
     local: KernelStats,
-    alpha: f64,
-    params: GtrParams,
     /// Parallel regions dispatched (each costs one fork + one join
     /// synchronization).
     regions: u64,
 }
 
 impl ForkJoinEvaluator {
-    /// Spawns `num_workers` workers over balanced pattern slices.
-    /// Worker counts beyond the pattern count are fine: the surplus
-    /// workers own empty slices and return identity partials.
+    /// Splits the patterns into `num_workers + 1` balanced slices and
+    /// spawns `num_workers` workers over slices `1..`; the calling
+    /// thread keeps slice 0 and computes it inside every region, so
+    /// `num_workers + 1` threads compute and none only waits. Zero
+    /// workers is legal: every barrier pass returns at once and the
+    /// evaluator is the serial engine behind the region protocol.
+    /// More slices than patterns are fine too: the surplus members
+    /// own empty slices and return identity partials.
     pub fn new(
         tree: &Tree,
         aln: &CompressedAlignment,
@@ -122,8 +146,9 @@ impl ForkJoinEvaluator {
     }
 
     /// Like [`Self::new`], but with a scripted [`FaultPlan`] whose
-    /// job-panic faults fire inside the matching worker's job (caught
-    /// and surfaced like any other job panic — never a hang).
+    /// job-panic faults fire inside the matching slice's job — slice
+    /// 0 is the master's, slice `i + 1` worker `i`'s — caught and
+    /// surfaced like any other job panic, never a hang.
     pub fn with_fault_plan(
         tree: &Tree,
         aln: &CompressedAlignment,
@@ -131,17 +156,25 @@ impl ForkJoinEvaluator {
         num_workers: usize,
         fault_plan: Option<Arc<FaultPlan>>,
     ) -> Self {
-        assert!(num_workers >= 1);
-        let shared = Arc::new(RegionProtocol::new(num_workers, Job::Idle));
+        let shared = Arc::new(RegionProtocol::new(
+            num_workers,
+            Job {
+                op: Op::Idle,
+                tree: tree.clone(),
+            },
+        ));
         plf_core::span::set_thread_label("master");
         plf_core::metrics::gauge("forkjoin.workers").set(num_workers as u64);
-        let handles = split_ranges(aln.num_patterns(), num_workers)
-            .into_iter()
+        let mut slices = split_ranges(aln.num_patterns(), num_workers + 1).into_iter();
+        // Expose the static pattern partition: the spread of these
+        // gauges is the load-imbalance bound the paper's Fig. 4
+        // efficiency discussion starts from.
+        let own = slices.next().expect("split_ranges returns k >= 1 ranges");
+        plf_core::metrics::gauge("forkjoin.master.sites").set(own.len() as u64);
+        let engine = LikelihoodEngine::with_range(tree, aln, config, own);
+        let handles = slices
             .enumerate()
             .map(|(idx, range)| {
-                // Expose the static pattern partition: the spread of
-                // these gauges is the load-imbalance bound the paper's
-                // Fig. 4 efficiency discussion starts from.
                 plf_core::metrics::gauge(&format!("forkjoin.worker.{idx}.sites"))
                     .set(range.len() as u64);
                 let engine = LikelihoodEngine::with_range(tree, aln, config, range);
@@ -164,17 +197,15 @@ impl ForkJoinEvaluator {
             shared,
             handles,
             token: BarrierToken::new(),
+            engine,
+            fault_plan,
             local: KernelStats::new(),
-            alpha: config.alpha,
-            params: GtrParams {
-                rates: [1.0; 6],
-                freqs: aln.empirical_frequencies(),
-            },
             regions: 0,
         }
     }
 
-    /// Number of worker threads.
+    /// Number of spawned worker threads; the team is one larger (the
+    /// master computes slice 0).
     pub fn num_workers(&self) -> usize {
         self.handles.len()
     }
@@ -185,27 +216,37 @@ impl ForkJoinEvaluator {
     }
 
     /// Master-side statistics: the fork/join latency histogram of
-    /// every parallel region (the kernel counters live in the
-    /// workers; see [`Self::take_stats`]).
+    /// every parallel region — pure barrier waits, the master's own
+    /// share of each job not included (the kernel counters live with
+    /// the slices; see [`Self::take_stats_per_worker`]).
     pub fn master_stats(&self) -> &KernelStats {
         &self.local
     }
 
-    /// Runs one parallel region: publish `job`, fork, join, collect
-    /// the reply array. Both barrier waits are timed into the
-    /// region-latency stats.
+    /// Runs one parallel region: publish `op` (and refresh the job's
+    /// tree from `tree` when the op reads one), fork, run the job on
+    /// the master's slice, join, and hand every slice's reply to
+    /// `fold` in slice order. Both barrier waits are timed into the
+    /// region-latency stats. Nothing here allocates.
     ///
     /// # Panics
-    /// Re-panics with the worker's message if any worker's job
-    /// panicked, after the region completes — the pool itself stays
-    /// joinable, so `Drop` still shuts the workers down cleanly. A
-    /// worker that *died* (unwound outside the caught job region)
-    /// poisons the protocol; the master then panics with a
-    /// rank-naming message instead of hanging at the barrier.
-    fn region(&mut self, job: Job) -> Vec<Reply> {
+    /// Re-panics with the job's message if the job panicked on any
+    /// slice — the master's included: its panic is caught like a
+    /// worker's, so the master still reaches the join barrier — after
+    /// the region completes. The pool itself stays joinable, so
+    /// `Drop` still shuts the workers down cleanly. A worker that
+    /// *died* (unwound outside the caught job region) poisons the
+    /// protocol; the master then panics with a rank-naming message
+    /// instead of hanging at the barrier.
+    fn region(&mut self, op: Op, tree: Option<&Tree>, mut fold: impl FnMut(Reply)) {
         self.regions += 1;
         regions_counter().inc();
-        self.shared.publish_job(job);
+        self.shared.publish_job(|job| {
+            job.op = op;
+            if let Some(tree) = tree {
+                job.tree.clone_from(tree);
+            }
+        });
         let t0 = Instant::now();
         {
             let _fork = plf_core::span::enter("fork.wait");
@@ -214,24 +255,41 @@ impl ForkJoinEvaluator {
             }
         }
         let t1 = Instant::now();
+        let reply = self.shared.read_job(|job| {
+            run_job(
+                &mut self.engine,
+                job,
+                0,
+                self.regions,
+                self.fault_plan.as_deref(),
+            )
+        });
+        self.shared.write_reply(0, reply);
+        let t2 = Instant::now();
         {
             let _join = plf_core::span::enter("join.wait");
             if let Err(p) = self.shared.join(&mut self.token) {
                 panic!("fork-join worker {} died; pool is poisoned", p.rank);
             }
         }
-        let t2 = Instant::now();
+        let t3 = Instant::now();
         self.local
-            .record_region(saturating_ns(t1 - t0), saturating_ns(t2 - t1));
-        let replies = self.shared.drain_replies();
-        if let Some(Reply::Panicked(msg)) = replies.iter().find(|r| matches!(r, Reply::Panicked(_)))
-        {
+            .record_region(saturating_ns(t1 - t0), saturating_ns(t3 - t2));
+        let mut panicked = None;
+        for slice in 0..self.shared.slices() {
+            match self.shared.take_reply(slice) {
+                Reply::Panicked(msg) => {
+                    panicked.get_or_insert(msg);
+                }
+                reply => fold(reply),
+            }
+        }
+        if let Some(msg) = panicked {
             panic!("fork-join worker panicked: {msg}");
         }
-        replies
     }
 
-    /// Collects and resets per-worker kernel statistics, merged
+    /// Collects and resets every slice's kernel statistics, merged
     /// together with the master's region-latency stats.
     pub fn take_stats(&mut self) -> KernelStats {
         let mut total = KernelStats::new();
@@ -243,18 +301,34 @@ impl ForkJoinEvaluator {
         total
     }
 
-    /// Collects and resets per-worker kernel statistics, one entry
-    /// per worker in worker order. Master-side region latencies stay
-    /// in [`Self::master_stats`] (use [`Self::take_stats`] for the
-    /// merged view).
+    /// Collects and resets the kernel statistics of every team
+    /// member, one entry per slice in slice order: the master's
+    /// slice 0 first, then the workers in index order. Master-side
+    /// region latencies stay in [`Self::master_stats`] (use
+    /// [`Self::take_stats`] for the merged view).
     pub fn take_stats_per_worker(&mut self) -> Vec<KernelStats> {
-        self.region(Job::TakeStats)
-            .into_iter()
-            .map(|r| match r {
-                Reply::Stats(s) => *s,
-                _ => unreachable!("stats job returns stats"),
-            })
-            .collect()
+        let mut per_slice = Vec::with_capacity(self.shared.slices());
+        self.region(Op::TakeStats, None, |r| match r {
+            Reply::Stats(s) => per_slice.push(*s),
+            _ => unreachable!("stats job returns stats"),
+        });
+        per_slice
+    }
+
+    /// Collects and resets all statistics as trace events, one source
+    /// per team member: `master` (its slice's kernels plus the region
+    /// fork/join latencies) and `worker{i}`. The differing slice
+    /// widths feed the calibration fit.
+    pub fn take_trace_events(&mut self) -> Vec<TraceEvent> {
+        let mut slices = self.take_stats_per_worker().into_iter();
+        let mut master = slices.next().expect("slice 0 is the master's");
+        master.merge(&self.local);
+        self.local.reset();
+        let mut events = events_from_stats("master", &master);
+        for (i, stats) in slices.enumerate() {
+            events.extend(events_from_stats(&format!("worker{i}"), &stats));
+        }
+        events
     }
 }
 
@@ -295,12 +369,60 @@ impl Drop for PoisonOnUnwind<'_> {
     }
 }
 
+/// Executes the published job against one team member's engine — the
+/// one body the master (slice 0) and every worker run. A panicking
+/// job is caught and reported as [`Reply::Panicked`], so whoever ran
+/// it still reaches the join barrier. `region` is the 1-based ordinal
+/// of the region, which is what a scripted [`FaultPlan`] counts.
+fn run_job(
+    engine: &mut LikelihoodEngine,
+    job: &Job,
+    slice: usize,
+    region: u64,
+    fault_plan: Option<&FaultPlan>,
+) -> Reply {
+    let _job_span = plf_core::span::enter(job.op.span_name());
+    catch_unwind(AssertUnwindSafe(|| {
+        if let Some(plan) = fault_plan {
+            if plan.job_panics(slice, region) {
+                panic!("injected fault: slice {slice} panics in region {region}");
+            }
+        }
+        match job.op {
+            Op::Eval(edge) => Reply::Scalar(engine.log_likelihood(&job.tree, edge)),
+            Op::Prepare(edge) => {
+                engine.prepare_branch(&job.tree, edge);
+                Reply::Done
+            }
+            Op::Derivatives(t) => {
+                let (d1, d2) = engine.branch_derivatives(t);
+                Reply::Pair(d1, d2)
+            }
+            Op::SetAlpha(a) => {
+                engine.set_alpha(a);
+                Reply::Done
+            }
+            Op::SetModel(p) => {
+                engine.set_model(p);
+                Reply::Done
+            }
+            Op::TakeStats => {
+                let s = engine.stats().clone();
+                engine.reset_stats();
+                Reply::Stats(Box::new(s))
+            }
+            Op::Idle | Op::Shutdown => unreachable!("not dispatched as work"),
+        }
+    }))
+    .unwrap_or_else(|p| Reply::Panicked(panic_message(p)))
+}
+
 /// The worker side of the protocol: wait at the fork barrier, run the
-/// broadcast job against the worker's engine slice, publish the
-/// partial result, wait at the join barrier. A panicking job is
-/// caught and reported as [`Reply::Panicked`]; the worker stays in
-/// the loop so neither barrier ever deadlocks. A poisoned barrier
-/// pass (a sibling died) makes the worker exit cleanly.
+/// broadcast job against the worker's engine slice ([`run_job`]),
+/// publish the partial result, wait at the join barrier. A panicking
+/// job leaves the worker in the loop so neither barrier ever
+/// deadlocks. A poisoned barrier pass (a sibling died) makes the
+/// worker exit cleanly.
 fn worker_loop(
     proto: &RegionProtocol<Job, Reply>,
     idx: usize,
@@ -308,6 +430,7 @@ fn worker_loop(
     fault_plan: Option<&FaultPlan>,
 ) {
     plf_core::span::set_thread_label(&format!("worker{idx}"));
+    let slice = idx + 1;
     let mut token = BarrierToken::new();
     let mut region: u64 = 0;
     loop {
@@ -321,104 +444,64 @@ fn worker_loop(
         // `None` means Shutdown: exit before the join barrier (the
         // master skips it too).
         let reply = proto.read_job(|job| {
-            if matches!(job, Job::Shutdown) {
-                return None;
-            }
-            let _job_span = plf_core::span::enter(job.span_name());
-            Some(
-                catch_unwind(AssertUnwindSafe(|| {
-                    if let Some(plan) = fault_plan {
-                        if plan.job_panics(idx, region) {
-                            panic!("injected fault: worker {idx} panics in region {region}");
-                        }
-                    }
-                    match job {
-                        Job::Eval(tree, edge) => Reply::Scalar(engine.log_likelihood(tree, *edge)),
-                        Job::Prepare(tree, edge) => {
-                            engine.prepare_branch(tree, *edge);
-                            Reply::Done
-                        }
-                        Job::Derivatives(t) => {
-                            let (d1, d2) = engine.branch_derivatives(*t);
-                            Reply::Pair(d1, d2)
-                        }
-                        Job::SetAlpha(a) => {
-                            engine.set_alpha(*a);
-                            Reply::Done
-                        }
-                        Job::SetModel(p) => {
-                            engine.set_model(*p);
-                            Reply::Done
-                        }
-                        Job::TakeStats => {
-                            let s = engine.stats().clone();
-                            engine.reset_stats();
-                            Reply::Stats(Box::new(s))
-                        }
-                        Job::Idle | Job::Shutdown => unreachable!("not dispatched as work"),
-                    }
-                }))
-                .unwrap_or_else(|p| Reply::Panicked(panic_message(p))),
-            )
+            (!matches!(job.op, Op::Shutdown))
+                .then(|| run_job(&mut engine, job, slice, region, fault_plan))
         });
         let Some(reply) = reply else {
             return;
         };
-        proto.write_reply(idx, reply);
+        proto.write_reply(slice, reply);
         if proto.join(&mut token).is_err() {
             return;
         }
     }
 }
 
+/// The identity of IEEE addition (`-0.0 + x` is `x` bit for bit, for
+/// every `x`): a reduction that starts here hands a lone slice's
+/// partial back unchanged, so a team of one is the serial engine.
+const SUM_IDENTITY: f64 = -0.0;
+
 impl Evaluator for ForkJoinEvaluator {
     fn log_likelihood(&mut self, tree: &Tree, root_edge: EdgeId) -> f64 {
-        let snapshot = Arc::new(tree.clone());
-        self.region(Job::Eval(snapshot, root_edge))
-            .into_iter()
-            .map(|r| match r {
-                Reply::Scalar(x) => x,
-                _ => unreachable!("eval returns scalar"),
-            })
-            .sum()
+        let mut logl = SUM_IDENTITY;
+        self.region(Op::Eval(root_edge), Some(tree), |r| match r {
+            Reply::Scalar(x) => logl += x,
+            _ => unreachable!("eval returns scalar"),
+        });
+        logl
     }
 
     fn prepare_branch(&mut self, tree: &Tree, edge: EdgeId) {
-        let snapshot = Arc::new(tree.clone());
-        self.region(Job::Prepare(snapshot, edge));
+        self.region(Op::Prepare(edge), Some(tree), |_| {});
     }
 
     fn branch_derivatives(&mut self, t: f64) -> (f64, f64) {
-        let mut d1 = 0.0;
-        let mut d2 = 0.0;
-        for r in self.region(Job::Derivatives(t)) {
-            match r {
-                Reply::Pair(a, b) => {
-                    d1 += a;
-                    d2 += b;
-                }
-                _ => unreachable!("derivatives return a pair"),
+        let (mut d1, mut d2) = (SUM_IDENTITY, SUM_IDENTITY);
+        self.region(Op::Derivatives(t), None, |r| match r {
+            Reply::Pair(a, b) => {
+                d1 += a;
+                d2 += b;
             }
-        }
+            _ => unreachable!("derivatives return a pair"),
+        });
         (d1, d2)
     }
 
     fn set_alpha(&mut self, alpha: f64) {
-        self.alpha = alpha;
-        self.region(Job::SetAlpha(alpha));
+        self.region(Op::SetAlpha(alpha), None, |_| {});
     }
 
     fn set_model(&mut self, params: GtrParams) {
-        self.params = params;
-        self.region(Job::SetModel(params));
+        self.region(Op::SetModel(params), None, |_| {});
     }
 
     fn alpha(&self) -> f64 {
-        self.alpha
+        self.engine.alpha()
     }
 
     fn model(&self) -> GtrParams {
-        self.params
+        *self.engine.model()
     }
 }
 
@@ -426,12 +509,15 @@ impl Drop for ForkJoinEvaluator {
     fn drop(&mut self) {
         // Every worker is blocked at the fork barrier — including
         // workers whose last job panicked (the panic was caught and
-        // the worker kept cycling). Publish Shutdown and release them;
-        // they exit before the join barrier, so the master must not
-        // wait at it either. On a poisoned pool the fork fails
-        // immediately and the workers have already exited through
-        // their own poisoned barrier passes — joining stays safe.
-        self.shared.publish_job(Job::Shutdown);
+        // the worker kept cycling), and after a region whose job
+        // panicked on the master's own slice (caught as well, so the
+        // master passed the join barrier before re-raising). Publish
+        // Shutdown and release them; they exit before the join
+        // barrier, so the master must not wait at it either. On a
+        // poisoned pool the fork fails immediately and the workers
+        // have already exited through their own poisoned barrier
+        // passes — joining stays safe.
+        self.shared.publish_job(|job| job.op = Op::Shutdown);
         let _ = self.shared.fork(&mut self.token);
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -468,6 +554,97 @@ mod tests {
         (tree, CompressedAlignment::from_alignment(&aln))
     }
 
+    /// What `ForkJoinEvaluator::new(.., workers)` must equal bit for
+    /// bit: `workers + 1` bare engines over the same slices, run one
+    /// after the other on this thread and folded in slice order.
+    struct SliceFold(Vec<LikelihoodEngine>);
+
+    impl SliceFold {
+        fn new(tree: &Tree, aln: &CompressedAlignment, cfg: EngineConfig, workers: usize) -> Self {
+            SliceFold(
+                split_ranges(aln.num_patterns(), workers + 1)
+                    .into_iter()
+                    .map(|range| LikelihoodEngine::with_range(tree, aln, cfg, range))
+                    .collect(),
+            )
+        }
+    }
+
+    impl Evaluator for SliceFold {
+        fn log_likelihood(&mut self, tree: &Tree, root_edge: EdgeId) -> f64 {
+            self.0
+                .iter_mut()
+                .map(|e| e.log_likelihood(tree, root_edge))
+                .reduce(|a, b| a + b)
+                .unwrap()
+        }
+        fn prepare_branch(&mut self, tree: &Tree, edge: EdgeId) {
+            self.0.iter_mut().for_each(|e| e.prepare_branch(tree, edge));
+        }
+        fn branch_derivatives(&mut self, t: f64) -> (f64, f64) {
+            self.0
+                .iter_mut()
+                .map(|e| e.branch_derivatives(t))
+                .reduce(|a, b| (a.0 + b.0, a.1 + b.1))
+                .unwrap()
+        }
+        fn set_alpha(&mut self, alpha: f64) {
+            self.0.iter_mut().for_each(|e| e.set_alpha(alpha));
+        }
+        fn set_model(&mut self, params: GtrParams) {
+            self.0.iter_mut().for_each(|e| e.set_model(params));
+        }
+        fn alpha(&self) -> f64 {
+            self.0[0].alpha()
+        }
+        fn model(&self) -> GtrParams {
+            *self.0[0].model()
+        }
+    }
+
+    /// Records the bits of every value an evaluator hands the search.
+    struct Recording<E> {
+        inner: E,
+        log: Vec<u64>,
+    }
+
+    impl<E: Evaluator> Evaluator for Recording<E> {
+        fn log_likelihood(&mut self, tree: &Tree, root_edge: EdgeId) -> f64 {
+            let l = self.inner.log_likelihood(tree, root_edge);
+            self.log.push(l.to_bits());
+            l
+        }
+        fn prepare_branch(&mut self, tree: &Tree, edge: EdgeId) {
+            self.inner.prepare_branch(tree, edge);
+        }
+        fn branch_derivatives(&mut self, t: f64) -> (f64, f64) {
+            let (d1, d2) = self.inner.branch_derivatives(t);
+            self.log.extend([d1.to_bits(), d2.to_bits()]);
+            (d1, d2)
+        }
+        fn set_alpha(&mut self, alpha: f64) {
+            self.inner.set_alpha(alpha);
+        }
+        fn set_model(&mut self, params: GtrParams) {
+            self.inner.set_model(params);
+        }
+        fn alpha(&self) -> f64 {
+            self.inner.alpha()
+        }
+        fn model(&self) -> GtrParams {
+            self.inner.model()
+        }
+    }
+
+    impl<E> Recording<E> {
+        fn new(inner: E) -> Self {
+            Recording {
+                inner,
+                log: Vec::new(),
+            }
+        }
+    }
+
     #[test]
     fn split_ranges_cover_everything() {
         for (n, k) in [(10, 3), (7, 7), (100, 8), (5, 1), (3, 5)] {
@@ -488,6 +665,8 @@ mod tests {
         let ranges = split_ranges(2, 6);
         assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), 2);
         assert!(ranges.iter().any(|r| r.is_empty()));
+        // The master's slice is the first to run empty.
+        assert!(ranges[0].is_empty());
         // Still a valid contiguous partition.
         for w in ranges.windows(2) {
             assert_eq!(w[0].end, w[1].start);
@@ -499,8 +678,9 @@ mod tests {
         let (tree, aln) = dataset();
         let cfg = EngineConfig::default();
         let mut single = LikelihoodEngine::new(&tree, &aln, cfg);
-        for workers in [1, 2, 4] {
+        for workers in [0, 1, 3] {
             let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, workers);
+            assert_eq!(fj.num_workers(), workers);
             for e in [0usize, 3, 7] {
                 let a = single.log_likelihood(&tree, e);
                 let b = fj.log_likelihood(&tree, e);
@@ -508,16 +688,20 @@ mod tests {
                     (a - b).abs() < 1e-9,
                     "workers={workers} edge={e}: {a} vs {b}"
                 );
+                // A team of one is the serial engine, not close to it.
+                if workers == 0 {
+                    assert_eq!(a.to_bits(), b.to_bits(), "edge={e}");
+                }
             }
         }
     }
 
     #[test]
     fn simd_backend_under_forkjoin_matches_scalar_serial() {
-        // Workers stream their newview CLAs with non-temporal stores;
-        // the kernel-exit sfence must publish them before the barrier
-        // hands control back to the master, or this cross-thread
-        // comparison could read stale CLA contents.
+        // Team members stream their newview CLAs with non-temporal
+        // stores; the kernel-exit sfence must publish them before the
+        // barrier hands control back to the master, or this
+        // cross-thread comparison could read stale CLA contents.
         use plf_core::KernelKind;
         let (tree, aln) = dataset();
         let mut scalar = LikelihoodEngine::new(
@@ -532,7 +716,7 @@ mod tests {
             kernel: KernelKind::Simd,
             ..EngineConfig::default()
         };
-        for workers in [2, 4] {
+        for workers in [1, 3] {
             let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, workers);
             for e in [0usize, 2, 5] {
                 let a = scalar.log_likelihood(&tree, e);
@@ -550,7 +734,7 @@ mod tests {
         let (tree, aln) = dataset();
         let cfg = EngineConfig::default();
         let mut single = LikelihoodEngine::new(&tree, &aln, cfg);
-        let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, 3);
+        let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, 2);
         for e in [1usize, 5] {
             Evaluator::prepare_branch(&mut single, &tree, e);
             fj.prepare_branch(&tree, e);
@@ -571,9 +755,10 @@ mod tests {
         let expect = single.log_likelihood(&tree, 0);
         Evaluator::prepare_branch(&mut single, &tree, 1);
         let (e1, e2) = Evaluator::branch_derivatives(&mut single, tree.length(1));
-        // Strictly more workers than patterns: surplus workers own
-        // empty slices and must contribute exact identity partials.
-        for workers in [n + 1, n + 5, 2 * n] {
+        // Strictly more slices than patterns: the surplus members —
+        // the master among them — own empty slices and must
+        // contribute exact identity partials.
+        for workers in [n, n + 4, 2 * n - 1] {
             let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, workers);
             let got = fj.log_likelihood(&tree, 0);
             assert!(got.is_finite(), "workers={workers}: logL {got}");
@@ -593,22 +778,35 @@ mod tests {
     fn model_updates_propagate() {
         let (tree, aln) = dataset();
         let cfg = EngineConfig::default();
-        let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, 2);
+        let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, 1);
+        // Before any update the accessors read what the engines were
+        // built with.
+        assert_eq!(fj.alpha(), cfg.alpha);
+        assert_eq!(fj.model().freqs, aln.empirical_frequencies());
         let l1 = fj.log_likelihood(&tree, 0);
         fj.set_alpha(0.2);
         let l2 = fj.log_likelihood(&tree, 0);
         assert!((l1 - l2).abs() > 1e-6, "alpha change must shift likelihood");
         assert_eq!(fj.alpha(), 0.2);
+        let hky = GtrParams {
+            rates: [1.0, 2.5, 1.0, 1.0, 2.5, 1.0],
+            ..fj.model()
+        };
+        fj.set_model(hky);
+        assert_eq!(fj.model(), hky);
+        let l3 = fj.log_likelihood(&tree, 0);
+        assert!((l2 - l3).abs() > 1e-6, "model change must shift likelihood");
     }
 
     #[test]
     fn stats_account_all_workers() {
         let (tree, aln) = dataset();
-        let mut fj = ForkJoinEvaluator::new(&tree, &aln, EngineConfig::default(), 4);
+        let mut fj = ForkJoinEvaluator::new(&tree, &aln, EngineConfig::default(), 3);
         fj.log_likelihood(&tree, 0);
         let stats = fj.take_stats();
         // All pattern-sites processed exactly once per newview level:
-        // total evaluate sites equals the full pattern count.
+        // total evaluate sites equals the full pattern count, in one
+        // call per slice — the master's and the three workers'.
         assert_eq!(
             stats.get(plf_core::KernelId::Evaluate).sites as usize,
             aln.num_patterns()
@@ -626,29 +824,47 @@ mod tests {
     #[test]
     fn per_worker_stats_sum_to_merged() {
         let (tree, aln) = dataset();
-        let mut fj = ForkJoinEvaluator::new(&tree, &aln, EngineConfig::default(), 3);
+        let mut fj = ForkJoinEvaluator::new(&tree, &aln, EngineConfig::default(), 2);
         fj.log_likelihood(&tree, 0);
         let per = fj.take_stats_per_worker();
-        assert_eq!(per.len(), 3);
-        let sites: u64 = per
-            .iter()
-            .map(|s| s.get(plf_core::KernelId::Evaluate).sites)
-            .sum();
-        assert_eq!(sites as usize, aln.num_patterns());
-        // Each worker timed its own evaluate call.
-        for s in &per {
+        // One entry per slice, the master's first: each evaluated
+        // exactly its own range, once.
+        let slices = split_ranges(aln.num_patterns(), 3);
+        assert_eq!(per.len(), slices.len());
+        for (s, range) in per.iter().zip(&slices) {
+            let eval = s.get(plf_core::KernelId::Evaluate);
+            assert_eq!((eval.calls, eval.sites as usize), (1, range.len()));
             assert_eq!(s.timing(plf_core::KernelId::Evaluate).count(), 1);
+            // Region latencies live master-side, not with a slice.
+            assert_eq!(s.regions().count, 0);
         }
-        // Region latencies live master-side.
         assert_eq!(fj.master_stats().regions().count, 2);
+        // The trace view names the slices by who computed them and
+        // books the region latencies with the master.
+        fj.log_likelihood(&tree, 1);
+        let events = fj.take_trace_events();
+        let mut sources: Vec<&str> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Kernel { source, .. } => Some(source.as_str()),
+                _ => None,
+            })
+            .collect();
+        sources.dedup();
+        assert_eq!(sources, ["master", "worker0", "worker1"]);
+        assert!(events.iter().any(|e| matches!(
+            e,
+            TraceEvent::Region { source, count: 4, .. } if source == "master"
+        )));
+        assert_eq!(fj.master_stats().regions().count, 0);
     }
 
     #[test]
     fn worker_panic_surfaces_as_error_not_hang() {
         let (tree, aln) = dataset();
         let cfg = EngineConfig::default();
-        let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, 3);
-        // An out-of-range edge makes every worker's engine panic
+        let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, 2);
+        // An out-of-range edge makes every team member's engine panic
         // inside the job; the master must observe a panic promptly
         // rather than deadlock on the join barrier, and Drop must
         // still shut the pool down.
@@ -669,6 +885,38 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_on_any_one_slice_is_reraised_and_the_pool_lives_on() {
+        let (tree, aln) = dataset();
+        let cfg = EngineConfig::default();
+        let mut single = LikelihoodEngine::new(&tree, &aln, cfg);
+        let expect = single.log_likelihood(&tree, 0);
+        // Slice 0 is the master's own job: its panic is caught like a
+        // worker's, so the master still arrives at the join barrier
+        // and no worker is left waiting there — with no workers at
+        // all, too.
+        for (workers, slice) in [(2, 0), (2, 1), (2, 2), (0, 0)] {
+            let plan = Arc::new(FaultPlan::job_panic(slice, 2));
+            let mut fj = ForkJoinEvaluator::with_fault_plan(&tree, &aln, cfg, workers, Some(plan));
+            let first = fj.log_likelihood(&tree, 0);
+            assert!((first - expect).abs() < 1e-9);
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| fj.log_likelihood(&tree, 0)))
+                .expect_err("the scripted panic must surface");
+            let msg = panic_message(err);
+            assert!(
+                msg.contains("fork-join worker panicked")
+                    && msg.contains(&format!("slice {slice} panics in region 2")),
+                "workers={workers} slice={slice}: {msg}"
+            );
+            // One-shot: the next region runs on every slice again,
+            // and Drop joins the workers.
+            let again = fj.log_likelihood(&tree, 0);
+            assert_eq!(again.to_bits(), first.to_bits());
+            assert_eq!(fj.regions(), 3);
+            drop(fj);
+        }
+    }
+
+    #[test]
     fn full_search_under_forkjoin_matches_serial() {
         let (tree0, aln) = dataset();
         let names = tree0.tip_names().to_vec();
@@ -685,7 +933,7 @@ mod tests {
         let r_serial = search.run(&mut serial, &mut t_serial);
 
         let mut t_fj = start.clone();
-        let mut fj = ForkJoinEvaluator::new(&t_fj, &aln, cfg, 3);
+        let mut fj = ForkJoinEvaluator::new(&t_fj, &aln, cfg, 2);
         let r_fj = search.run(&mut fj, &mut t_fj);
 
         assert_eq!(t_serial.rf_distance(&t_fj), 0);
@@ -695,13 +943,24 @@ mod tests {
             r_serial.log_likelihood,
             r_fj.log_likelihood
         );
+
+        // With no workers the whole search is the serial one.
+        let mut t_solo = start.clone();
+        let mut solo = ForkJoinEvaluator::new(&t_solo, &aln, cfg, 0);
+        let r_solo = search.run(&mut solo, &mut t_solo);
+        assert_eq!(r_solo.newick, r_serial.newick);
+        assert_eq!(
+            r_solo.log_likelihood.to_bits(),
+            r_serial.log_likelihood.to_bits()
+        );
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(12))]
         /// Fork-join log-likelihood equals the single engine to 1e-9
-        /// for every worker count from 1 to twice the pattern count
+        /// for every team size from 1 to twice the pattern count
         /// (sampled), including the empty-slice regime.
+        #[test]
         fn forkjoin_matches_single_for_any_worker_count(
             seed in 0u64..1_000,
             len in 20usize..120,
@@ -719,13 +978,59 @@ mod tests {
             let expect = single.log_likelihood(&tree, 0);
             use rand::Rng;
             for _ in 0..3 {
-                let workers = rng.random_range(1..=2 * n);
+                let workers = rng.random_range(0..2 * n);
                 let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, workers);
                 let got = fj.log_likelihood(&tree, 0);
                 proptest::prop_assert!(
                     (got - expect).abs() < 1e-9,
                     "workers={} n={}: {} vs {}", workers, n, got, expect
                 );
+            }
+        }
+
+        /// `new(.., W)` is `W + 1` bare engines over the same slices
+        /// folded in slice order, bit for bit: every logL and every
+        /// `(d1, d2)` the search sees along its Newton runs and model
+        /// optimisation, hence the final tree. The alignments of one
+        /// and two columns leave the master's slice (and a worker's)
+        /// empty.
+        #[test]
+        fn forkjoin_is_its_slices_folded_in_order(
+            seed in 0u64..1_000,
+            len in 3usize..60,
+            workers in 0usize..=2,
+            optimize_model in 0u8..2,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let names = default_names(5);
+            let truth = random_tree(&names, 0.2, &mut rng).unwrap();
+            let start = random_tree(&names, 0.1, &mut rng).unwrap();
+            let g = Gtr::new(GtrParams::jc69());
+            let gamma = DiscreteGamma::new(0.8);
+            let cfg = EngineConfig::default();
+            let search = phylo_search::MlSearch::new(phylo_search::SearchConfig {
+                max_rounds: 1,
+                optimize_model: optimize_model == 1,
+                ..Default::default()
+            });
+            for len in [1, 2, len] {
+                let aln = phylo_seqgen::simulate_alignment(&truth, g.eigen(), &gamma, len, &mut rng);
+                let aln = CompressedAlignment::from_alignment(&aln);
+
+                let mut t_ref = start.clone();
+                let mut reference = Recording::new(SliceFold::new(&t_ref, &aln, cfg, workers));
+                let r_ref = search.run(&mut reference, &mut t_ref);
+
+                let mut t_fj = start.clone();
+                let mut fj = Recording::new(ForkJoinEvaluator::new(&t_fj, &aln, cfg, workers));
+                let r_fj = search.run(&mut fj, &mut t_fj);
+
+                proptest::prop_assert!(!reference.log.is_empty());
+                proptest::prop_assert_eq!(&fj.log, &reference.log);
+                proptest::prop_assert_eq!(r_fj.log_likelihood.to_bits(), r_ref.log_likelihood.to_bits());
+                proptest::prop_assert_eq!(r_fj.newick, r_ref.newick);
+                proptest::prop_assert_eq!(fj.alpha().to_bits(), reference.alpha().to_bits());
+                proptest::prop_assert_eq!(fj.model(), reference.model());
             }
         }
     }

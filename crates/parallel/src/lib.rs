@@ -5,9 +5,10 @@
 //! The paper contrasts two schemes (§V-C/§V-D):
 //!
 //! * **fork-join** (RAxML-Light, PThreads): one master runs the tree
-//!   search; persistent workers each own a slice of the alignment and
-//!   execute kernel jobs on demand, with two synchronizations per
-//!   parallel region. Implemented in [`forkjoin`].
+//!   search; the master and the persistent workers each own a slice
+//!   of the alignment and execute every kernel job on it, with two
+//!   synchronizations per parallel region. Implemented in
+//!   [`forkjoin`].
 //! * **replicated search** (ExaML, MPI): every rank runs its own
 //!   consistent copy of the search algorithm over its alignment slice
 //!   and communicates only where information must be exchanged — tiny

@@ -109,11 +109,14 @@ fn barrier_sense_reversal_two_phases() {
     assert!(!report.truncated);
 }
 
-/// The full fork-join region protocol — job broadcast, per-worker
-/// reply deposit, drain — on the production [`RegionProtocol`] with
-/// small payloads: one master, two workers, one work region, then a
-/// shutdown region. Any window violation (torn job read, reply race,
-/// stale drain) fails the model.
+/// The full fork-join region protocol — job broadcast, per-slice
+/// reply deposit, in-place collection — on the production
+/// [`RegionProtocol`] with small payloads: a computing master, two
+/// workers, one work region, then a shutdown region. The master is a
+/// member of the team: between its fork and join passes it reads the
+/// job and writes reply slot 0 while the workers read the same job and
+/// write slots 1 and 2. Any window violation (torn job read, reply
+/// race, stale collection) fails the model.
 #[cfg(not(feature = "seed-ordering-bug"))]
 #[test]
 fn region_protocol_broadcast_and_reply_collection() {
@@ -121,8 +124,8 @@ fn region_protocol_broadcast_and_reply_collection() {
     let report = Checker::new().check(|| {
         const WORKERS: usize = 2;
         let proto = Arc::new(RegionProtocol::<u64, u64>::new(WORKERS, 0));
-        let handles: Vec<_> = (0..WORKERS)
-            .map(|idx| {
+        let handles: Vec<_> = (1..=WORKERS)
+            .map(|slice| {
                 let proto = Arc::clone(&proto);
                 interleave::thread::spawn(move || {
                     let mut token = BarrierToken::new();
@@ -132,25 +135,128 @@ fn region_protocol_broadcast_and_reply_collection() {
                         if job == SHUTDOWN {
                             return;
                         }
-                        proto.write_reply(idx, job * 10 + idx as u64);
+                        proto.write_reply(slice, job * 10 + slice as u64);
                         proto.join(&mut token).unwrap();
                     }
                 })
             })
             .collect();
         let mut token = BarrierToken::new();
-        proto.publish_job(7);
+        proto.publish_job(|j| *j = 7);
         proto.fork(&mut token).unwrap();
+        let job = proto.read_job(|j| *j);
+        proto.write_reply(0, job * 10);
         proto.join(&mut token).unwrap();
-        let replies = proto.drain_replies();
-        assert_eq!(replies, vec![70, 71], "lost or torn reply");
-        proto.publish_job(SHUTDOWN);
+        let replies: Vec<u64> = (0..proto.slices()).map(|s| proto.take_reply(s)).collect();
+        assert_eq!(replies, vec![70, 71, 72], "lost or torn reply");
+        proto.publish_job(|j| *j = SHUTDOWN);
         proto.fork(&mut token).unwrap();
         for h in handles {
             h.join().unwrap();
         }
     });
     assert!(report.iterations > 1, "exploration should branch");
+}
+
+/// Two work regions back to back with one worker: the master's second
+/// in-place job edit (window 1 of region 2) must be ordered after the
+/// worker's read of the first job, and the master's second write of
+/// reply 0 after its own take of the first — the windows hold across
+/// the sense reversal, not only inside one region.
+#[cfg(not(feature = "seed-ordering-bug"))]
+#[test]
+fn region_protocol_master_computes_across_two_regions() {
+    const SHUTDOWN: u64 = u64::MAX;
+    let report = Checker::new().check(|| {
+        let proto = Arc::new(RegionProtocol::<u64, u64>::new(1, 0));
+        let p2 = Arc::clone(&proto);
+        let worker = interleave::thread::spawn(move || {
+            let mut token = BarrierToken::new();
+            loop {
+                p2.fork(&mut token).unwrap();
+                let job = p2.read_job(|j| *j);
+                if job == SHUTDOWN {
+                    return;
+                }
+                p2.write_reply(1, job + 1);
+                p2.join(&mut token).unwrap();
+            }
+        });
+        let mut token = BarrierToken::new();
+        for job in [10u64, 20] {
+            proto.publish_job(|j| *j = job);
+            proto.fork(&mut token).unwrap();
+            let seen = proto.read_job(|j| *j);
+            proto.write_reply(0, seen);
+            proto.join(&mut token).unwrap();
+            assert_eq!(
+                (proto.take_reply(0), proto.take_reply(1)),
+                (job, job + 1),
+                "stale job or reply"
+            );
+        }
+        proto.publish_job(|j| *j = SHUTDOWN);
+        proto.fork(&mut token).unwrap();
+        worker.join().unwrap();
+    });
+    assert!(report.iterations > 1, "exploration should branch");
+}
+
+/// A master that skips the window discipline is caught: writing the
+/// job slot between fork and join races with the worker's read of it.
+/// This is what the `SAFETY` comment in `slot.rs` forbids and what
+/// keeps the computing master honest — it may read the job and write
+/// reply 0 in window 2, nothing else.
+#[cfg(not(feature = "seed-ordering-bug"))]
+#[test]
+fn region_protocol_master_write_in_window_two_is_a_race() {
+    let v = Checker::new()
+        .find_violation(|| {
+            let proto = Arc::new(RegionProtocol::<u64, u64>::new(1, 0));
+            let p2 = Arc::clone(&proto);
+            let worker = interleave::thread::spawn(move || {
+                let mut token = BarrierToken::new();
+                p2.fork(&mut token).unwrap();
+                let job = p2.read_job(|j| *j);
+                p2.write_reply(1, job);
+                p2.join(&mut token).unwrap();
+            });
+            let mut token = BarrierToken::new();
+            proto.publish_job(|j| *j = 7);
+            proto.fork(&mut token).unwrap();
+            proto.publish_job(|j| *j = 8); // window 2: forbidden
+            proto.join(&mut token).unwrap();
+            worker.join().unwrap();
+        })
+        .expect("a job write between fork and join must be reported");
+    assert!(
+        v.message.to_lowercase().contains("race"),
+        "unexpected violation: {v}"
+    );
+}
+
+/// The zero-worker protocol: a barrier of one. Every pass returns at
+/// once on the master's thread, so the three windows are plain program
+/// order — no schedule to explore, no access to report.
+#[cfg(not(feature = "seed-ordering-bug"))]
+#[test]
+fn region_protocol_zero_workers_never_blocks() {
+    let report = Checker::new().check(|| {
+        let proto = RegionProtocol::<u64, u64>::new(0, 0);
+        let mut token = BarrierToken::new();
+        for job in [3u64, 4] {
+            proto.publish_job(|j| *j = job);
+            proto.fork(&mut token).unwrap();
+            let seen = proto.read_job(|j| *j);
+            proto.write_reply(0, seen * 2);
+            proto.join(&mut token).unwrap();
+            assert_eq!(proto.take_reply(0), job * 2);
+        }
+        // The shutdown region has a fork pass and no join.
+        proto.publish_job(|j| *j = u64::MAX);
+        proto.fork(&mut token).unwrap();
+    });
+    assert!(!report.truncated, "model must be fully explored");
 }
 
 /// The poison protocol is lost-wakeup-free: a dying participant

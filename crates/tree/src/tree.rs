@@ -78,9 +78,10 @@ impl Incident {
 /// branch lengths lie in `[BL_MIN, BL_MAX]`.
 ///
 /// A clone copies two flat arrays (adjacency, edges) and bumps the
-/// reference count of the shared tip names: cheap enough to snapshot
-/// per fork-join region.
-#[derive(Clone, Debug)]
+/// reference count of the shared tip names; [`Clone::clone_from`]
+/// copies them into the arrays the target already has, which is how a
+/// fork-join region refreshes its snapshot without allocating.
+#[derive(Debug)]
 pub struct Tree {
     num_taxa: usize,
     /// Shared by every clone; a tree's names never change.
@@ -88,6 +89,26 @@ pub struct Tree {
     /// `adj[node]` = edge ids incident to `node`.
     adj: Vec<Incident>,
     edges: Vec<Edge>,
+}
+
+impl Clone for Tree {
+    fn clone(&self) -> Self {
+        Tree {
+            num_taxa: self.num_taxa,
+            names: Arc::clone(&self.names),
+            adj: self.adj.clone(),
+            edges: self.edges.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.num_taxa = source.num_taxa;
+        if !Arc::ptr_eq(&self.names, &source.names) {
+            self.names = Arc::clone(&source.names);
+        }
+        self.adj.clone_from(&source.adj);
+        self.edges.clone_from(&source.edges);
+    }
 }
 
 impl Tree {
@@ -610,6 +631,35 @@ mod tests {
         let again = crate::newick::parse(&crate::newick::to_newick(&t)).unwrap();
         assert!(!Arc::ptr_eq(t.shared_tip_names(), again.shared_tip_names()));
         assert_eq!(again.tip_names(), t.tip_names());
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_arrays_it_has() {
+        let big = crate::newick::parse("((a:0.1,b:0.2):0.3,c:0.4,(d:0.5,e:0.6):0.7);").unwrap();
+        let mut small = Tree::triplet(["x", "y", "z"], [0.1, 0.2, 0.3]).unwrap();
+        let mut buf = big.clone();
+        let (adj, edges) = (buf.adj.as_ptr(), buf.edges.as_ptr());
+        // A smaller tree, then the first one edited: content follows
+        // the source each time, the allocations stay where they were.
+        buf.clone_from(&small);
+        assert_eq!(
+            crate::newick::to_newick(&buf),
+            crate::newick::to_newick(&small)
+        );
+        assert!(Arc::ptr_eq(
+            buf.shared_tip_names(),
+            small.shared_tip_names()
+        ));
+        small.set_length(1, 0.9).unwrap();
+        buf.clone_from(&small);
+        assert_eq!(buf.length(1), 0.9);
+        buf.clone_from(&big);
+        assert_eq!(
+            crate::newick::to_newick(&buf),
+            crate::newick::to_newick(&big)
+        );
+        buf.validate().unwrap();
+        assert_eq!((buf.adj.as_ptr(), buf.edges.as_ptr()), (adj, edges));
     }
 
     #[test]

@@ -63,11 +63,13 @@ fn main() {
 
     // 2. Fork-join scheme (RAxML-Light style).
     let mut t2 = start_tree.clone();
-    let mut fj = ForkJoinEvaluator::new(&t2, &aln, config, ranks);
+    // As many computing threads as the replicated run has ranks: the
+    // master computes one slice, so it spawns one worker fewer.
+    let mut fj = ForkJoinEvaluator::new(&t2, &aln, config, ranks.max(1) - 1);
     let t = Instant::now();
     let r2 = search.run(&mut fj, &mut t2);
     println!(
-        "fork-join:  logL {:.3}  RF-to-truth {}  ({:.2}s, {} workers, {} regions)",
+        "fork-join:  logL {:.3}  RF-to-truth {}  ({:.2}s, master + {} workers, {} regions)",
         r2.log_likelihood,
         t2.rf_distance(&true_tree),
         t.elapsed().as_secs_f64(),

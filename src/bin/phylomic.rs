@@ -141,11 +141,18 @@ into a per-cell history table; --gate fails when the newest file is
 crates/xtask/trend_waivers.txt).
 --checkpoint works with every scheme; under replicated, rank 0 writes
 and all ranks resume from the same snapshot.
+--threads is the number of threads that compute, under both parallel
+schemes: replicated runs N ranks; forkjoin splits the patterns into N
+slices, the master computes slice 0 inside every region and N - 1
+spawned workers the rest (--threads 1 is the serial engine behind the
+region protocol).
 --inject-fault scripts deterministic failures into a replicated or
 fork-join run, e.g. 'rank=2,allreduce=40' (rank 2 dies at its 40th
-AllReduce), 'rank=1,region=3' (fork-join worker 1 panics in its 3rd
-region) or 'ckpt-write=1,count=2' (first two checkpoint write attempts
-fail); faults are ';'-separated and each fires exactly once.
+AllReduce), 'rank=1,region=3' (the fork-join job panics on pattern
+slice 1 in its 3rd region; slices are numbered like threads, 0 = the
+master's own, R >= 1 = worker R - 1's) or 'ckpt-write=1,count=2' (first
+two checkpoint write attempts fail); faults are ';'-separated and each
+fires exactly once.
 --degrade makes a replicated run survive rank failures: the pattern
 ranges are re-split over the survivors, the last checkpoint is
 reloaded, and the search resumes with fewer ranks.
@@ -668,7 +675,7 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
     } = search_inputs(opts)?;
     let fault_plan = fault_plan_of(opts)?;
     let start = std::time::Instant::now();
-    let mut trace_events: Vec<TraceEvent> = Vec::new();
+    let trace_events: Vec<TraceEvent>;
     let mut trace_transport = String::new();
     let mut trace_wire = phylomic::parallel::WireStats::default();
     let result = match scheme {
@@ -687,16 +694,18 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
             result
         }
         "forkjoin" => {
+            // --threads counts the threads that compute: the master
+            // owns pattern slice 0, so it spawns one worker fewer.
             let mut fj = ForkJoinEvaluator::with_fault_plan(
                 &tree,
                 &compressed,
                 config,
-                threads.max(1),
+                threads.max(1) - 1,
                 fault_plan,
             );
-            // A worker panic (injected via rank=R,region=N or real) is
-            // re-raised by the master; turn it into a structured exit
-            // instead of an abort trace.
+            // A job panic on any slice (injected via rank=R,region=N
+            // or real) is re-raised by the master; turn it into a
+            // structured exit instead of an abort trace.
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 match opts.get("checkpoint") {
                     Some(path) => {
@@ -716,13 +725,7 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
                     return Err(format!("fork-join region failed: {msg}"));
                 }
             };
-            // One kernel-event block per worker (their differing slice
-            // widths feed the calibration fit) plus the master's
-            // region fork/join latencies.
-            for (i, stats) in fj.take_stats_per_worker().iter().enumerate() {
-                trace_events.extend(events_from_stats(&format!("worker{i}"), stats));
-            }
-            trace_events.extend(events_from_stats("master", fj.master_stats()));
+            trace_events = fj.take_trace_events();
             result
         }
         "replicated" => {

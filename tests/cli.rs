@@ -165,7 +165,7 @@ fn traced_search_trace_report_and_chrome_export() {
             "--scheme",
             "forkjoin",
             "--threads",
-            "2",
+            "3",
             "--rounds",
             "1",
             "--no-model-opt",
@@ -203,7 +203,8 @@ fn traced_search_trace_report_and_chrome_export() {
             if name == "forkjoin.regions")
     ));
 
-    // The Chrome export names one track per worker.
+    // The Chrome export names one track per computing thread:
+    // --threads 3 is the master and two spawned workers.
     let chrome_doc = std::fs::read_to_string(&chrome).unwrap();
     assert!(chrome_doc.starts_with(r#"{"traceEvents":["#));
     for label in ["master", "worker0", "worker1"] {
@@ -212,6 +213,7 @@ fn traced_search_trace_report_and_chrome_export() {
             "{label}"
         );
     }
+    assert!(!chrome_doc.contains(r#""name":"worker2""#));
 
     // trace-report digests the file.
     let out = bin()
@@ -486,31 +488,36 @@ fn injected_rank_death_fails_structured_and_degrade_survives() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--inject-fault"));
 
-    // Injection is wired into fork-join too: a scripted worker panic
-    // exits structurally instead of aborting or hanging the pool.
-    let out = bin()
-        .args([
-            "search",
-            "--alignment",
-            phy.to_str().unwrap(),
-            "--scheme",
-            "forkjoin",
-            "--threads",
-            "3",
-            "--rounds",
-            "1",
-            "--no-model-opt",
-            "--inject-fault",
-            "rank=1,region=2",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("fork-join region failed"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    // Injection is wired into fork-join too: a scripted job panic on
+    // any slice — rank 0 is the master's own, ranks 1 and 2 the two
+    // workers' — exits structurally instead of aborting or hanging
+    // the pool.
+    for slice in 0..3 {
+        let out = bin()
+            .args([
+                "search",
+                "--alignment",
+                phy.to_str().unwrap(),
+                "--scheme",
+                "forkjoin",
+                "--threads",
+                "3",
+                "--rounds",
+                "1",
+                "--no-model-opt",
+                "--inject-fault",
+                &format!("rank={slice},region=2"),
+            ])
+            .output()
+            .unwrap();
+        assert!(!out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("fork-join region failed")
+                && err.contains(&format!("slice {slice} panics in region 2")),
+            "{err}"
+        );
+    }
 
     // Under the serial scheme the flag is meaningless — reject it
     // rather than silently ignoring the requested fault.

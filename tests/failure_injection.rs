@@ -257,6 +257,59 @@ fn rank_death_at_collective_sites_fails_structured_within_bounded_time() {
 }
 
 #[test]
+fn forkjoin_job_panic_on_any_slice_surfaces_within_bounded_time() {
+    use phylomic::parallel::ForkJoinEvaluator;
+    // `rank=R,region=N` numbers pattern slices, which are numbered
+    // like the threads that compute them: 0 is the master's own,
+    // R >= 1 is worker R - 1's. A panic in the master's own job must
+    // not leave a worker waiting at the join barrier, the master must
+    // re-raise it through the same path as a worker's, and dropping
+    // the evaluator must still join the pool — early and deep into the
+    // search, on teams of one (no workers), two and three.
+    for (workers, slice, at) in [(0, 0, 1), (1, 0, 40), (1, 1, 3), (2, 0, 7), (2, 2, 7)] {
+        let spec = format!("rank={slice},region={at}");
+        let msg = within_deadline(120, move || {
+            let (tree, aln) = search_dataset();
+            let plan = Arc::new(FaultPlan::parse(&spec).unwrap());
+            let mut t = tree.clone();
+            let mut fj = ForkJoinEvaluator::with_fault_plan(
+                &tree,
+                &aln,
+                EngineConfig::default(),
+                workers,
+                Some(plan),
+            );
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                short_search(3).run(&mut fj, &mut t)
+            }))
+            .expect_err("the scripted panic must end the search");
+            assert_eq!(
+                fj.regions(),
+                at,
+                "the region that failed is the last one run"
+            );
+            drop(fj);
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        });
+        assert!(
+            msg.contains("fork-join worker panicked")
+                && msg.contains(&format!("slice {slice} panics in region {at}")),
+            "workers={workers} slice={slice} at={at}: {msg}"
+        );
+    }
+    // A slice nobody owns never fires: the run is the fault-free one.
+    let (tree, aln) = search_dataset();
+    let plan = Arc::new(FaultPlan::parse("rank=2,region=1").unwrap());
+    let mut t = tree.clone();
+    let mut fj =
+        ForkJoinEvaluator::with_fault_plan(&tree, &aln, EngineConfig::default(), 1, Some(plan));
+    assert!(short_search(1)
+        .run(&mut fj, &mut t)
+        .log_likelihood
+        .is_finite());
+}
+
+#[test]
 fn transient_checkpoint_io_errors_are_retried_through() {
     let dir = TestDir::new("fi-retry");
     let path = dir.join("retry.ckp");

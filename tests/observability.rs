@@ -11,8 +11,7 @@ use phylomic::micsim::TraceReport;
 use phylomic::models::{DiscreteGamma, Gtr, GtrParams};
 use phylomic::parallel::ForkJoinEvaluator;
 use phylomic::plf::trace::{
-    events_from_metrics, events_from_spans, events_from_stats, parse_jsonl, write_jsonl,
-    TraceEvent, TRACE_VERSION,
+    events_from_metrics, events_from_spans, parse_jsonl, write_jsonl, TraceEvent, TRACE_VERSION,
 };
 use phylomic::plf::{metrics, span, EngineConfig, KernelKind};
 use phylomic::search::{MlSearch, SearchConfig};
@@ -20,7 +19,8 @@ use phylomic::tree::build::{default_names, random_tree};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-const WORKERS: usize = 3;
+/// Spawned workers; the team is one larger (the master computes).
+const WORKERS: usize = 2;
 
 /// One small fork-join search, returning the full v2 event stream the
 /// CLI would write with `--trace-out`.
@@ -55,10 +55,7 @@ fn traced_forkjoin_search() -> Vec<TraceEvent> {
         wire_ops: 0,
         wire_ns: 0,
     }];
-    for (i, stats) in fj.take_stats_per_worker().iter().enumerate() {
-        events.extend(events_from_stats(&format!("worker{i}"), stats));
-    }
-    events.extend(events_from_stats("master", fj.master_stats()));
+    events.extend(fj.take_trace_events());
     events.extend(events_from_spans(&span::snapshot_all()));
     events.extend(events_from_metrics("process", &metrics::snapshot()));
     events
@@ -115,13 +112,16 @@ fn traced_search_roundtrips_and_reports() {
     assert_eq!(metric("forkjoin.workers"), Some(WORKERS as u64));
 
     // The report digests the stream: all kernels accounted, shares sum
-    // to 1, one busy row per worker, and a usable cost table.
+    // to 1, one busy row per team member (the computing master's
+    // slice first), and a usable cost table.
     let report = TraceReport::from_events(&events);
     assert_eq!(report.version, Some(TRACE_VERSION));
     assert!(!report.kernels.is_empty());
     let share_sum: f64 = report.kernels.iter().map(|k| k.share).sum();
     assert!((share_sum - 1.0).abs() < 1e-9, "{share_sum}");
-    assert_eq!(report.workers.len(), WORKERS);
+    assert_eq!(report.workers.len(), WORKERS + 1);
+    assert_eq!(report.workers[0].source, "master");
+    assert!(report.workers.iter().all(|w| w.busy_ns > 0 && w.sites > 0));
     assert!(report.imbalance.unwrap() >= 1.0);
     let regions = report.regions.expect("fork-join trace has regions");
     assert!(regions.count > 0);

@@ -81,7 +81,9 @@ fn kernels_and_schemes_agree_end_to_end() {
         results.push((format!("serial/{kernel:?}"), r.log_likelihood, t));
         // Fork-join.
         let mut t = start.clone();
-        let mut fj = ForkJoinEvaluator::new(&t, &aln, cfg, 3);
+        // Three computing threads, like the replicated run below: the
+        // master's slice plus two workers.
+        let mut fj = ForkJoinEvaluator::new(&t, &aln, cfg, 2);
         let r = search.run(&mut fj, &mut t);
         results.push((format!("forkjoin/{kernel:?}"), r.log_likelihood, t));
         // Replicated.
@@ -198,7 +200,7 @@ fn evaluator_trait_is_object_safe_and_uniform() {
     let (tree, aln) = simulated(6006, 6, 300);
     let cfg = EngineConfig::default();
     let mut engine = LikelihoodEngine::new(&tree, &aln, cfg);
-    let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, 2);
+    let mut fj = ForkJoinEvaluator::new(&tree, &aln, cfg, 1);
     let evals: Vec<&mut dyn Evaluator> = vec![&mut engine, &mut fj];
     let mut lls = Vec::new();
     for e in evals {

@@ -836,8 +836,9 @@ fn site_repeats_forkjoin_matches_serial() {
     let mut rng = rand::rngs::SmallRng::seed_from_u64(91);
     let names = default_names(9);
     let tree: Tree = random_tree(&names, 0.18, &mut rng).unwrap();
-    // 97 patterns: indivisible by any worker count, so slices have
-    // uneven widths and per-slice repeat tables differ.
+    // 97 patterns: indivisible by any team size (the master's slice
+    // plus one per worker), so slices have uneven widths and per-slice
+    // repeat tables differ.
     let aln = proto_alignment(&tree, 11, 97, 19);
     let cfg = |site_repeats, blocking| EngineConfig {
         kernel: KernelKind::Scalar,
@@ -846,13 +847,13 @@ fn site_repeats_forkjoin_matches_serial() {
         blocking,
     };
     let mut serial_on = LikelihoodEngine::new(&tree, &aln, cfg(SiteRepeats::On, Blocking::Off));
-    for workers in [2usize, 3, 4] {
+    for workers in [1usize, 2, 3] {
         let mut fj_on =
             ForkJoinEvaluator::new(&tree, &aln, cfg(SiteRepeats::On, Blocking::Off), workers);
         let mut fj_off =
             ForkJoinEvaluator::new(&tree, &aln, cfg(SiteRepeats::Off, Blocking::Off), workers);
-        // Blocking slices each worker's traversal into site-blocks; the
-        // per-slice results must still be bit-identical to unblocked.
+        // Blocking slices each team member's traversal into site-blocks;
+        // the per-slice results must still be bit-identical to unblocked.
         let mut fj_blk =
             ForkJoinEvaluator::new(&tree, &aln, cfg(SiteRepeats::On, Blocking::On), workers);
         for root in [0usize, 4, 8] {
@@ -873,7 +874,7 @@ fn site_repeats_forkjoin_matches_serial() {
                 "workers {workers} root {root}: {a} vs {s}"
             );
             // Derivatives cross the fork-join boundary too: per-slice
-            // partial (d1, d2) pairs reduce in worker order, so the
+            // partial (d1, d2) pairs reduce in slice order, so the
             // blocked pool must produce the same bits as the unblocked
             // one.
             fj_on.prepare_branch(&tree, root);

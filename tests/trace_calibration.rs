@@ -1,13 +1,14 @@
 //! End-to-end measured-timing loop: an instrumented fork-join run →
-//! per-worker kernel/region trace events → JSONL (the `--trace-out`
-//! format) → `micsim` measured-cost calibration fit. This is the full
-//! pipeline the `phylomic search --trace-out` flag enables.
+//! per-slice kernel events and the master's region events → JSONL
+//! (the `--trace-out` format) → `micsim` measured-cost calibration
+//! fit. This is the full pipeline the `phylomic search --trace-out`
+//! flag enables.
 
 use phylomic::micsim::calibration::MeasuredHostCosts;
 use phylomic::micsim::WorkloadTrace;
 use phylomic::models::{DiscreteGamma, Gtr, GtrParams};
 use phylomic::parallel::ForkJoinEvaluator;
-use phylomic::plf::trace::{events_from_stats, parse_jsonl, write_jsonl, TraceEvent};
+use phylomic::plf::trace::{parse_jsonl, write_jsonl, TraceEvent};
 use phylomic::plf::{EngineConfig, KernelId};
 use phylomic::search::Evaluator;
 use phylomic::tree::build::{default_names, random_tree};
@@ -30,7 +31,8 @@ fn dataset() -> (Tree, phylomic::bio::CompressedAlignment) {
 
 /// Runs an instrumented fork-join workload and exports it exactly the
 /// way `phylomic search --trace-out` does: one kernel-event block per
-/// worker plus the master's region block.
+/// team member (the computing master's slice 0 first) plus the
+/// master's region block.
 fn record_forkjoin_trace(workers: usize) -> Vec<TraceEvent> {
     let (tree, aln) = dataset();
     let mut fj = ForkJoinEvaluator::new(&tree, &aln, EngineConfig::default(), workers);
@@ -39,19 +41,15 @@ fn record_forkjoin_trace(workers: usize) -> Vec<TraceEvent> {
     }
     fj.prepare_branch(&tree, 1);
     fj.branch_derivatives(tree.length(1));
-    let mut events = Vec::new();
-    for (i, stats) in fj.take_stats_per_worker().iter().enumerate() {
-        events.extend(events_from_stats(&format!("worker{i}"), stats));
-    }
-    events.extend(events_from_stats("master", fj.master_stats()));
-    events
+    fj.take_trace_events()
 }
 
 #[test]
 fn forkjoin_trace_roundtrips_through_jsonl() {
-    let events = record_forkjoin_trace(3);
-    // Every worker contributed kernel events; the master contributed
-    // a region block with one region per dispatched job.
+    let events = record_forkjoin_trace(2);
+    // Every team member contributed kernel events, the master among
+    // them; the master also contributed a region block with one
+    // region per dispatched job.
     let kernel_sources: std::collections::BTreeSet<_> = events
         .iter()
         .filter_map(|e| match e {
@@ -61,7 +59,7 @@ fn forkjoin_trace_roundtrips_through_jsonl() {
         .collect();
     assert_eq!(
         kernel_sources.into_iter().collect::<Vec<_>>(),
-        vec!["worker0", "worker1", "worker2"]
+        vec!["master", "worker0", "worker1"]
     );
     let regions: Vec<_> = events
         .iter()
@@ -83,11 +81,11 @@ fn forkjoin_trace_roundtrips_through_jsonl() {
 
 #[test]
 fn measured_calibration_fits_real_forkjoin_timings() {
-    // Mix worker counts so the fit sees several distinct
-    // sites-per-call widths per kernel.
-    let mut events = record_forkjoin_trace(1);
-    events.extend(record_forkjoin_trace(2));
-    events.extend(record_forkjoin_trace(5));
+    // Mix team sizes (1, 2 and 5 slices) so the fit sees several
+    // distinct sites-per-call widths per kernel.
+    let mut events = record_forkjoin_trace(0);
+    events.extend(record_forkjoin_trace(1));
+    events.extend(record_forkjoin_trace(4));
     let doc = write_jsonl(&events);
 
     let costs = MeasuredHostCosts::from_jsonl(&doc).expect("trace must calibrate");
@@ -136,4 +134,32 @@ fn measured_calibration_fits_real_forkjoin_timings() {
     let trace = WorkloadTrace::from_trace_events(&events, 0, 1200);
     assert!(trace.stats.total_calls() > 0);
     assert!(costs.predict_run_s(&trace) > 0.0);
+}
+
+#[test]
+fn region_waits_do_not_contain_the_kernels() {
+    // The join wait is a pure wait: the master's own share of the job
+    // runs between the two barrier passes and is timed with its
+    // kernels, not with the barrier — `micsim` charges the region
+    // waits as synchronization *on top of* the kernel fits, so kernel
+    // time booked as "join" would be charged twice. On a team of one
+    // nobody is ever waited for: both waits are a few clock reads
+    // while every region runs kernels over 1200 columns.
+    let events = record_forkjoin_trace(0);
+    let costs = MeasuredHostCosts::from_events(&events).unwrap();
+    let (mut regions, mut kernel_ns) = (0u64, 0u64);
+    for e in &events {
+        match e {
+            TraceEvent::Region { count, .. } => regions += count,
+            TraceEvent::Kernel { total_ns, .. } => kernel_ns += total_ns,
+            _ => {}
+        }
+    }
+    let kernel_per_region = kernel_ns as f64 / regions as f64;
+    assert!(
+        costs.region_fork_ns + costs.region_join_ns < kernel_per_region / 4.0,
+        "fork {} + join {} ns per region against {kernel_per_region} ns of kernels",
+        costs.region_fork_ns,
+        costs.region_join_ns
+    );
 }
