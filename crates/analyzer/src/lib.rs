@@ -4,7 +4,8 @@
 //! (delimiter-grouped token trees, the `proc_macro::TokenStream`
 //! shape) → [`item`] (fns, impls, unsafe sites, attrs — cfg-aware) →
 //! [`graph`] (per-body facts and a name-resolved-enough workspace
-//! call graph) → [`rules`] (purity, fpdet, safety, inventory).
+//! call graph) → [`rules`] (purity, fpdet, safety, inventory; and,
+//! beside the Rust sources, the CI workflow's YAML).
 //!
 //! Deliberately dependency-free: no rustc, no syn — the environment
 //! is offline. The analyzer parses Rust exactly far enough for its
@@ -111,8 +112,8 @@ pub fn load_workspace(cfg: &Config) -> std::io::Result<Workspace> {
 }
 
 /// Runs every rule family over the workspace and returns the
-/// findings (allowlist-suppressed ones removed) plus the unsafe
-/// census.
+/// findings (allowlist-suppressed ones removed, allowlist entries that
+/// suppressed nothing added) plus the unsafe census.
 pub fn analyze_workspace(cfg: &Config) -> std::io::Result<Analysis> {
     let ws = load_workspace(cfg)?;
     let allow = Allowlists::load(&cfg.root);
@@ -121,6 +122,8 @@ pub fn analyze_workspace(cfg: &Config) -> std::io::Result<Analysis> {
     findings.extend(rules::purity::run(&ws.fns, &graph, &allow.purity));
     findings.extend(rules::fpdet::run(&ws.fns, &graph, &allow.fpdet));
     findings.extend(rules::safety::run(&ws.files, &ws.fns, &graph, &allow));
+    findings.extend(allow.stale(&cfg.features));
+    findings.extend(rules::workflow::run(&cfg.root));
     let inventory = rules::inventory::render(&ws.files);
     let stored = std::fs::read_to_string(cfg.root.join("crates/xtask/unsafe_inventory.json")).ok();
     findings.extend(rules::inventory::check(stored.as_deref(), &inventory));

@@ -278,6 +278,44 @@ fn helper(x: &[f64]) -> f64 { x[0] }
     }
 
     #[test]
+    fn allowlist_entry_that_suppresses_nothing_is_reported() {
+        let src = r#"
+fn newview_tt(x: &[f64]) -> f64 { helper(x) }
+fn helper(x: &[f64]) -> f64 { x[0] }
+"#;
+        let items = extract("crates/core/src/kernels/scalar.rs", src, &[]);
+        let graph = CallGraph::build(&items.fns);
+        // Line 3 audits a site that exists; line 4 one that was deleted
+        // with its function; line 5 the right function in a file that
+        // has no such site; line 6 a site behind a cargo feature.
+        let allow = Allowlist::parse(
+            "# audit\n\ncrates/core helper:index\ncrates/core gone_helper:index\n\
+             crates/parallel helper:index\ncrates/core seeded:index feature=seed-hotpath-bug\n",
+        );
+        assert!(allow.stale("audit.txt", &[]).len() == 3, "nothing ran yet");
+        let findings = run(&items.fns, &graph, &allow);
+        assert!(!findings.iter().any(|f| f.key == "helper:index"));
+        // A run that analyzes the feature holds the entry to it; the
+        // plain run does not.
+        let seeded = allow.stale("audit.txt", &["seed-hotpath-bug".to_string()]);
+        assert_eq!(seeded.len(), 3);
+        assert_eq!(seeded[2].line, 6);
+        let stale = allow.stale("crates/xtask/purity_allowlist.txt", &[]);
+        let got: Vec<_> = stale.iter().map(|f| (f.line, f.key.as_str())).collect();
+        assert_eq!(
+            got,
+            [
+                (4, "crates/core gone_helper:index"),
+                (5, "crates/parallel helper:index")
+            ]
+        );
+        assert!(stale.iter().all(|f| f.rule == "allowlist"));
+        assert!(stale
+            .iter()
+            .all(|f| f.file == "crates/xtask/purity_allowlist.txt"));
+    }
+
+    #[test]
     fn unwrap_and_assert_flag_but_debug_assert_does_not() {
         let src = r#"
 fn newview_tt(v: Option<f64>) -> f64 {

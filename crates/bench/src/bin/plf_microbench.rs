@@ -4,7 +4,7 @@
 //! Times all eight PLF kernels under both kernel backends — `scalar`
 //! and `simd` (what `auto` resolves to on an AVX2+FMA host) — across
 //! the alignment widths the paper varies in Table III, and
-//! writes `BENCH_7.json` with ns/site per kernel per backend plus the
+//! writes `BENCH_10.json` with ns/site per kernel per backend plus the
 //! speedup of each backend over the scalar reference, host provenance
 //! (git revision, CPU model, core count, SIMD flags), and — via the
 //! analytical cost model ([`plf_core::cost`]) and the calibrated host
@@ -20,34 +20,17 @@
 //! so all backends do exactly the same scaling work and the comparison
 //! is purely about the arithmetic/memory pipeline.
 //!
-//! A second section measures site-repeat compression: a repeat-heavy
-//! `newview_ii` input (64 prototype site patterns cycled across the
-//! full width) is timed uncompressed vs compressed
-//! (gather representatives → kernel over classes → expand), a
-//! 16-taxon engine-level traversal is timed with `--site-repeats`
-//! on vs off, and a repeat-fraction sweep re-runs the engine
-//! traversal at 0% / 50% / 90% duplicated columns so the trend
-//! history records where compression pays and where it costs.
-//!
-//! A third section covers this PR's root paths: the weight-folded
-//! root evaluation (`evaluate_classes_ii` over class representatives
-//! plus a site-order weight fold) against the expand-then-evaluate
-//! pipeline it replaces, and the cache-blocked traversal against the
-//! unblocked one on a 0%-repeats alignment (the config where blocking
-//! can only add overhead).
+//! A second section times the cache-blocked traversal against the
+//! unblocked one on an alignment of all-distinct columns (the config
+//! where blocking can only add overhead).
 //!
 //! The binary doubles as the CI perf gate (all checked after the JSON
 //! is written, so a failing run still leaves the numbers on disk):
 //!   3. with AVX2+FMA present, `simd` beats scalar on `newview_ii` at
 //!      the largest size (the paper's Fig. 2 comparison: explicit
 //!      intrinsics against loops left to the compiler);
-//!   4. compressed repeat-heavy `newview_ii` at least
-//!      `REPEAT_MIN_SPEEDUP` × faster than uncompressed;
-//!   5. folded root evaluation at least `FOLDED_MIN_SPEEDUP` × faster
-//!      than expand-then-evaluate on the repeat-heavy input;
 //!   6. the blocked traversal within `BLOCKING_MAX_RATIO` of the
-//!      unblocked one on the 0%-repeats alignment.
-//!
+//!      unblocked one on the all-distinct alignment;
 //!   7. with AVX-512F present, the 512-bit `newview_ii` body at least
 //!      `WIDTH_MIN_SPEEDUP` × faster than the 256-bit body of the same
 //!      backend (skipped with a message elsewhere);
@@ -57,8 +40,9 @@
 //!      then `scale_site` reads it back lane by lane).
 //!
 //! (Gates 1 and 2 guarded the `vector` backend and the `auto`
-//! dispatcher and went with them; the numbers stay so EXPERIMENTS.md
-//! and DESIGN.md keep pointing at the right gate.)
+//! dispatcher, gates 4, 5 and 9 site-repeat compression, and went with
+//! them; the numbers stay so EXPERIMENTS.md and DESIGN.md keep pointing
+//! at the right gate.)
 //!
 //! Gates 7 and 8 are ratio cells: both arms run in the same process,
 //! interleaved round by round, at the call sizes of the `plf_e2e`
@@ -67,20 +51,8 @@
 //! ratio has no ns/site trend); with an explicit `--out PATH` they are
 //! written to `PATH.widths.json` next to it.
 //!
-//! A fourth section holds the non-kernel cells — same-run, interleaved,
+//! A third section holds the non-kernel cells — same-run, interleaved,
 //! written to `PATH.nonkernel.json` with an explicit `--out PATH`:
-//!   9. the four per-site costs that decide whether a repeat table
-//!      pays (plain `newview_ii` per backend and width, table build,
-//!      expand, gather) at 390 / 1 120 / 3 716 sites, and the
-//!      break-even class count they imply — compress iff
-//!      `k·(n − c) ≥ (b + x)·n + g·c`. `SiteRepeats::Auto` builds no
-//!      table on the strength of this cell and the e2e runs behind it
-//!      (EXPERIMENTS.md, "Non-kernel time"); the gate is that the
-//!      verdict still holds where it is the default: on every `simd`
-//!      width this host runs the break-even must stay below
-//!      `BREAK_EVEN_MAX` classes per site (measured ≈ −0.3 at 512 bits
-//!      and ≈ 0 at 256; `scalar` is reported, not gated: its model
-//!      break-even is ≈ 0.5 n, and end to end it does not pay either);
 //!  10. `update_partials` on a 64-taxon tree, pruned walk against the
 //!      never-pruning path (`with_pool` at one slot per inner node):
 //!      with nothing stale — the walk alone, which is what the pruning
@@ -113,11 +85,10 @@ use phylo_tree::Tree;
 use plf_core::cla::Cla;
 use plf_core::kernels::simd::SimdKernels;
 use plf_core::layout::{EigenBasis, FusedPmat, Lut16x16};
-use plf_core::repeats::{ClassSource, RepeatIndex, RepeatTable};
-use plf_core::scaling::{scale_site, LN_SCALE, SCALE_THRESHOLD};
+use plf_core::scaling::{scale_site, SCALE_THRESHOLD};
 use plf_core::{
     AlignedVec, Blocking, EngineConfig, KernelKind, KernelOp, Kernels, LikelihoodEngine,
-    SiteRepeats, SITE_STRIDE,
+    SITE_STRIDE,
 };
 use plf_prof::{host, roofline, HostRoofline};
 use rand::rngs::SmallRng;
@@ -156,18 +127,8 @@ fn reps_for(patterns: usize) -> usize {
     MIN_REPS.max(1_200_000 / patterns.max(1))
 }
 
-/// Gate 4: minimum compressed-vs-uncompressed speedup on the
-/// repeat-heavy `newview_ii` input.
-const REPEAT_MIN_SPEEDUP: f64 = 1.5;
-/// Prototype site patterns in the repeat-heavy input: 64 classes over
-/// the full width, the regime §V targets (rRNA-like alignments where
-/// most columns repeat an earlier induced subtree pattern).
-const REPEAT_PROTOS: usize = 64;
-/// Gate 5: minimum speedup of the weight-folded root evaluation over
-/// the expand-then-evaluate pipeline on the repeat-heavy input.
-const FOLDED_MIN_SPEEDUP: f64 = 1.3;
 /// Gate 6: the cache-blocked traversal may cost at most this factor
-/// of the unblocked one on a 0%-repeats alignment — blocking must
+/// of the unblocked one on an all-distinct alignment — blocking must
 /// never hurt the config it cannot help.
 const BLOCKING_MAX_RATIO: f64 = 1.05;
 /// Gate 7: minimum speedup of the 512-bit `newview_ii` body over the
@@ -176,12 +137,6 @@ const WIDTH_MIN_SPEEDUP: f64 = 1.10;
 /// Gate 8: minimum speedup of the in-register threshold test over the
 /// store-then-`scale_site` finish, both 256 bits wide.
 const FINISH_MIN_SPEEDUP: f64 = 1.25;
-/// Gate 9: the largest repeat-table break-even, in classes per site,
-/// a `simd` width may measure while `SiteRepeats::Auto` builds no
-/// table: below it only a node that collapses twentyfold would pay,
-/// and the first such node is a cherry, whose `newview_tt` is far
-/// cheaper than the `newview_ii` the break-even prices.
-const BREAK_EVEN_MAX: f64 = 0.05;
 /// Gate 10: minimum speedup of the pruned walk over the full one on a
 /// 64-taxon tree with nothing stale.
 const WALK_MIN_SPEEDUP: f64 = 5.0;
@@ -198,11 +153,6 @@ const CLONE_MIN_SPEEDUP: f64 = 10.0;
 /// one — the in-place arm loses 80 ns there, the control nothing — and
 /// 1.0 once a region allocates again, which is what the gate is for.
 const REGION_MIN_SPEEDUP: f64 = 1.15;
-/// Repeat-fraction sweep: `(percent duplicated, prototype divisor)` —
-/// with `patterns / divisor` prototype columns, `1 - 1/divisor` of
-/// the sites duplicate an earlier column.
-const REPEAT_FRACTIONS: [(u32, usize); 3] = [(0, 1), (50, 2), (90, 10)];
-
 struct Fixture {
     patterns: usize,
     p_l: FusedPmat,
@@ -416,231 +366,21 @@ impl Cell {
     }
 }
 
-/// Repeat-heavy inner×inner fixture shared by the kernel-compression
-/// and folded-evaluate benches: both children cycle `REPEAT_PROTOS`
-/// prototype site vectors, so the joint table has exactly
-/// `REPEAT_PROTOS` classes and sites in one class carry bit-identical
-/// child columns — the invariant the engine's table construction
-/// guarantees and the correctness proofs need.
-struct RepeatFixture {
-    p_l: FusedPmat,
-    p_r: FusedPmat,
-    pi_w: [f64; SITE_STRIDE],
-    v_l: Cla,
-    v_r: Cla,
-    table: RepeatTable,
-    weights: Vec<u32>,
-}
-
-fn repeat_fixture(patterns: usize) -> RepeatFixture {
-    let gtr = Gtr::new(GtrParams {
-        rates: [1.1, 2.6, 0.8, 1.2, 3.4, 1.0],
-        freqs: [0.29, 0.21, 0.22, 0.28],
-    });
-    let gamma = DiscreteGamma::new(0.85);
-    let rates = *gamma.rates();
-    let p_l = FusedPmat::from_prob(&ProbMatrix::new(gtr.eigen(), &rates, 0.13));
-    let p_r = FusedPmat::from_prob(&ProbMatrix::new(gtr.eigen(), &rates, 0.27));
-    let mut rng = SmallRng::seed_from_u64(11);
-
-    // Prototype child site vectors; every site is a copy of prototype
-    // `site % REPEAT_PROTOS`.
-    let proto: Vec<[f64; 2 * SITE_STRIDE]> = (0..REPEAT_PROTOS)
-        .map(|_| std::array::from_fn(|_| rng.random::<f64>() * 0.5 + 0.25))
-        .collect();
-    let mut v_l = Cla::new(patterns);
-    let mut v_r = Cla::new(patterns);
-    for i in 0..patterns {
-        let p = &proto[i % REPEAT_PROTOS];
-        v_l.values_mut()[SITE_STRIDE * i..SITE_STRIDE * (i + 1)].copy_from_slice(&p[..SITE_STRIDE]);
-        v_r.values_mut()[SITE_STRIDE * i..SITE_STRIDE * (i + 1)].copy_from_slice(&p[SITE_STRIDE..]);
-    }
-
-    // The children's class structure is the same cycle; feeding it
-    // through tip-style sources would cap classes at 16, so build
-    // child tables from synthetic per-site "codes" via a tip pair
-    // whose (l, r) code pairs cycle with period REPEAT_PROTOS.
-    let codes_a: Vec<u8> = (0..patterns).map(|i| (i % 16) as u8).collect();
-    let codes_b: Vec<u8> = (0..patterns)
-        .map(|i| ((i / 16) % (REPEAT_PROTOS / 16)) as u8)
-        .collect();
-    // `patterns` as the limit: the fixture wants the full class maps.
-    let mut index = RepeatIndex::default();
-    let (a, b) = (ClassSource::Tip(&codes_a), ClassSource::Tip(&codes_b));
-    let child = RepeatTable::build(a, b, patterns, &mut index);
-    let inner = ClassSource::Inner(&child);
-    let table = RepeatTable::build(inner, inner, patterns, &mut index);
-    assert_eq!(table.num_classes(), REPEAT_PROTOS, "fixture class count");
-
-    let mut pi_w = [0.0; SITE_STRIDE];
-    for k in 0..4 {
-        for a in 0..4 {
-            pi_w[4 * k + a] = 0.25 * gtr.freqs()[a];
-        }
-    }
-    RepeatFixture {
-        p_l,
-        p_r,
-        pi_w,
-        v_l,
-        v_r,
-        table,
-        weights: vec![1; patterns],
-    }
-}
-
-/// Repeat-heavy `newview_ii`: uncompressed vs compressed
-/// (gather representatives → kernel over classes → expand). Returns
-/// (ns/site uncompressed, ns/site compressed, classes) after
-/// asserting the compressed path is bit-identical.
-fn repeat_kernel_bench(patterns: usize) -> (f64, f64, usize) {
-    let fx = repeat_fixture(patterns);
-    let (p_l, p_r, v_l, v_r, table) = (&fx.p_l, &fx.p_r, &fx.v_l, &fx.v_r, &fx.table);
-    let classes = table.num_classes();
-
-    let k = KernelKind::Auto.effective().kernels();
-    let mut plain = Cla::new(patterns);
-    let mut compressed = Cla::new(patterns);
-
-    // Scratch for the compressed path, mirroring RepeatScratch's
-    // gather → kernel-over-classes → expand pipeline.
-    let mut g_l = AlignedVec::zeroed(classes * SITE_STRIDE);
-    let mut g_r = AlignedVec::zeroed(classes * SITE_STRIDE);
-    let mut gs_l = vec![0u32; classes];
-    let mut gs_r = vec![0u32; classes];
-    let mut c_v = AlignedVec::zeroed(classes * SITE_STRIDE);
-    let mut c_s = vec![0u32; classes];
-
-    let ns_off = timed(reps_for(patterns), || {
-        let (v, s) = plain.buffers_mut();
-        k.newview_ii(
-            p_l,
-            v_l.values(),
-            v_l.scale(),
-            p_r,
-            v_r.values(),
-            v_r.scale(),
-            v,
-            s,
-        );
-    }) * 1e9
-        / patterns as f64;
-
-    let ns_on = timed(reps_for(patterns), || {
-        table.gather_sites(v_l.values(), v_l.scale(), &mut g_l, &mut gs_l);
-        table.gather_sites(v_r.values(), v_r.scale(), &mut g_r, &mut gs_r);
-        k.newview_ii(p_l, &g_l, &gs_l, p_r, &g_r, &gs_r, &mut c_v, &mut c_s);
-        let (v, s) = compressed.buffers_mut();
-        table.expand(&c_v, &c_s, v, s);
-    }) * 1e9
-        / patterns as f64;
-
-    assert_eq!(
-        plain.values(),
-        compressed.values(),
-        "compressed newview_ii output is not bit-identical"
-    );
-    assert_eq!(plain.scale(), compressed.scale());
-    (ns_off, ns_on, classes)
-}
-
-/// Weight-folded root evaluation on the repeat-heavy inner×inner
-/// input. The `off` arm is the expand-then-evaluate pipeline the fold
-/// replaces: the root child's compressed newview result (class
-/// columns) is expanded to full width, then full-width `evaluate_ii`
-/// runs over every site. The `on` arm runs `evaluate_classes_ii` over
-/// the class representatives, applies the ln/scale tail per class,
-/// and folds the weights in original site order — the exact engine
-/// tail, so the two logL values must be bit-identical. Returns
-/// (ns/site off, ns/site on, classes).
-fn folded_evaluate_bench(patterns: usize) -> (f64, f64, usize) {
-    let fx = repeat_fixture(patterns);
-    let (p_r, v_l, v_r, table) = (&fx.p_r, &fx.v_l, &fx.v_r, &fx.table);
-    let classes = table.num_classes();
-    let k = KernelKind::Auto.effective().kernels();
-
-    // The producer's output: the root child compressed to class
-    // columns (computed once — the newview cost is the same for both
-    // arms and is measured by `repeat_kernel_bench`).
-    let mut c_v = AlignedVec::zeroed(classes * SITE_STRIDE);
-    let mut c_s = vec![0u32; classes];
-    table.gather_sites(v_r.values(), v_r.scale(), &mut c_v, &mut c_s);
-
-    let mut expanded = Cla::new(patterns);
-    let mut ll_off = 0.0;
-    let ns_off = timed(reps_for(patterns), || {
-        {
-            let (v, s) = expanded.buffers_mut();
-            table.expand(&c_v, &c_s, v, s);
-        }
-        ll_off = k.evaluate_ii(
-            &fx.pi_w,
-            v_l.values(),
-            v_l.scale(),
-            p_r,
-            expanded.values(),
-            expanded.scale(),
-            &fx.weights,
-        );
-        black_box(ll_off);
-    }) * 1e9
-        / patterns as f64;
-
-    let reprs = table.repr_sites();
-    let class = table.site2class();
-    let mut vals = vec![0.0f64; classes];
-    let mut ll_on = 0.0;
-    let ns_on = timed(reps_for(patterns), || {
-        k.evaluate_classes_ii(&fx.pi_w, v_l.values(), p_r, v_r.values(), reprs, &mut vals);
-        for (c, v) in vals.iter_mut().enumerate() {
-            let s = reprs[c] as usize;
-            let sc = (v_l.scale()[s] + v_r.scale()[s]) as f64;
-            *v = v.max(f64::MIN_POSITIVE).ln() - sc * LN_SCALE;
-        }
-        let mut ll = 0.0;
-        for (i, &w) in fx.weights.iter().enumerate() {
-            ll += w as f64 * vals[class[i] as usize];
-        }
-        ll_on = ll;
-        black_box(ll_on);
-    }) * 1e9
-        / patterns as f64;
-
-    assert_eq!(
-        ll_off.to_bits(),
-        ll_on.to_bits(),
-        "folded evaluate logL is not bit-identical: {ll_off} vs {ll_on}"
-    );
-    (ns_off, ns_on, classes)
-}
-
-struct EngineRepeatBench {
-    taxa: usize,
-    patterns: usize,
-    classes_per_site: f64,
-    ns_off: f64,
-    ns_on: f64,
-}
-
-/// 16-taxon tree + alignment cycling `protos` random prototype
-/// columns across `patterns` sites (via `from_parts`, which keeps
-/// duplicate columns instead of dedup-compressing them).
-fn engine_fixture(
-    patterns: usize,
-    protos: usize,
-    seed: u64,
-) -> (phylo_tree::Tree, CompressedAlignment) {
+/// 16-taxon tree + alignment of `patterns` random columns (via
+/// `from_parts`, which keeps a chance duplicate instead of
+/// dedup-compressing it).
+fn engine_fixture(patterns: usize, seed: u64) -> (phylo_tree::Tree, CompressedAlignment) {
     const TAXA: usize = 16;
     let mut rng = SmallRng::seed_from_u64(seed);
     let names = default_names(TAXA);
     let tree = random_tree(&names, 0.12, &mut rng).unwrap();
-    let cols: Vec<Vec<usize>> = (0..protos)
+    let cols: Vec<Vec<usize>> = (0..patterns)
         .map(|_| (0..TAXA).map(|_| rng.random_range(0..4)).collect())
         .collect();
     let rows: Vec<Vec<DnaCode>> = (0..TAXA)
         .map(|taxon| {
             (0..patterns)
-                .map(|p| DnaCode::from_state(cols[p % protos][taxon]))
+                .map(|p| DnaCode::from_state(cols[p][taxon]))
                 .collect()
         })
         .collect();
@@ -649,70 +389,17 @@ fn engine_fixture(
     (tree, aln)
 }
 
-/// Engine-level repeat benchmark: full cold-cache traversals
-/// (`invalidate_all` + `log_likelihood`) of a 16-taxon alignment
-/// cycling `protos` prototype columns, with site repeats off vs
-/// forced on (blocking pinned off in both so the row isolates the
-/// repeat machinery), after asserting the two engines agree
-/// bit-for-bit.
-fn repeat_engine_bench(patterns: usize, protos: usize) -> EngineRepeatBench {
-    let (tree, aln) = engine_fixture(patterns, protos, 19);
-    let engine_for = |mode: SiteRepeats| {
-        LikelihoodEngine::new(
-            &tree,
-            &aln,
-            EngineConfig {
-                site_repeats: mode,
-                blocking: Blocking::Off,
-                ..EngineConfig::default()
-            },
-        )
-    };
-    let mut off = engine_for(SiteRepeats::Off);
-    let mut on = engine_for(SiteRepeats::On);
-    let l_off = off.log_likelihood(&tree, 0);
-    let l_on = on.log_likelihood(&tree, 0);
-    assert_eq!(
-        l_off.to_bits(),
-        l_on.to_bits(),
-        "engine logL differs with repeats on: {l_off} vs {l_on}"
-    );
-    let stats = on.repeat_stats();
-    let classes_per_site = stats.ratio().unwrap_or(1.0);
-
-    let ns_off = timed(reps_for(patterns), || {
-        off.invalidate_all();
-        black_box(off.log_likelihood(&tree, 0));
-    }) * 1e9
-        / patterns as f64;
-    let ns_on = timed(reps_for(patterns), || {
-        on.invalidate_all();
-        black_box(on.log_likelihood(&tree, 0));
-    }) * 1e9
-        / patterns as f64;
-
-    EngineRepeatBench {
-        taxa: aln.num_taxa(),
-        patterns,
-        classes_per_site,
-        ns_off,
-        ns_on,
-    }
-}
-
-/// Engine-level blocking benchmark on a 0%-repeats alignment (every
-/// column a fresh random draw), site repeats off in both engines:
-/// full cold-cache traversals with the batched block-loop forced on
+/// Engine-level blocking benchmark on an alignment of all-distinct
+/// columns (every one a fresh random draw): full cold-cache traversals with the batched block-loop forced on
 /// vs off, after asserting bit-identical logL. Blocking cannot win on
 /// this fixture's 16-taxon working set; the gate bounds its overhead.
 fn blocking_engine_bench(patterns: usize) -> (usize, f64, f64) {
-    let (tree, aln) = engine_fixture(patterns, patterns, 23);
+    let (tree, aln) = engine_fixture(patterns, 23);
     let engine_for = |blocking: Blocking| {
         LikelihoodEngine::new(
             &tree,
             &aln,
             EngineConfig {
-                site_repeats: SiteRepeats::Off,
                 blocking,
                 ..EngineConfig::default()
             },
@@ -963,143 +650,6 @@ fn width_cells(sites: &[usize]) -> Vec<RatioCell> {
     cells
 }
 
-/// One measured row of what running a node compressed costs next to
-/// the plain kernel it replaces (gate 9), in ns.
-struct CostRow {
-    backend: &'static str,
-    sites: usize,
-    /// Class count of the table the build arm constructs and the other
-    /// arms use.
-    classes: usize,
-    /// `k`: plain `newview_ii`, per site computed.
-    kernel: f64,
-    /// `b`: building the node's repeat table, per site indexed. A
-    /// search builds one per `newview`.
-    build: f64,
-    /// `x`: expanding the class results to the full CLA, per site.
-    expand: f64,
-    /// `g`: gathering both children's columns, per class.
-    gather: f64,
-}
-
-impl CostRow {
-    /// The largest class count, as a fraction of the sites, at which
-    /// the compressed node is no slower than the plain kernel:
-    /// `k·(n − c) ≥ (b + x)·n + g·c`. Negative: never.
-    fn break_even(&self) -> f64 {
-        (self.kernel - self.build - self.expand) / (self.kernel + self.gather)
-    }
-}
-
-/// The four per-site costs of running a node compressed, timed in one
-/// rotation per size: plain `newview_ii` under every kernel set this
-/// host runs, the build of the node's repeat table from two inner
-/// children (about half as many classes as sites — where a break-even
-/// would sit if there were one), the expansion of the class results,
-/// and the gather of both children. Build, expand and gather are the
-/// same code on every backend; only `k` differs per row.
-fn repeat_cost_rows(sites: &[usize]) -> Vec<CostRow> {
-    let kernel_sets: Vec<(&'static str, &'static dyn Kernels)> = [
-        Some(("scalar", KernelKind::Scalar.kernels())),
-        SimdKernels::at_width(256).map(|k| ("simd 256", k as &'static dyn Kernels)),
-        SimdKernels::at_width(512).map(|k| ("simd 512", k as &'static dyn Kernels)),
-    ]
-    .into_iter()
-    .flatten()
-    .collect();
-    let mut rows = Vec::new();
-    for &n in sites {
-        let fx = fixture(n);
-        let mut rng = SmallRng::seed_from_u64(29);
-        // Two inner children per node: `n` draws from `n/2` labels on
-        // the left (≈ 0.43 n classes), a coarsening of them on the
-        // right, so the node's own partition is the left child's. The
-        // build arm rotates through `NODES` such pairs: replaying one
-        // pass would let the branch predictor learn its hit/insert
-        // sequence, which no search ever repeats.
-        const NODES: usize = 64;
-        let mut index = RepeatIndex::default();
-        let children: Vec<[RepeatTable; 2]> = (0..NODES)
-            .map(|_| {
-                let labels: Vec<usize> = (0..n).map(|_| rng.random_range(0..n / 2)).collect();
-                [1, 3].map(|coarsen| {
-                    let lo: Vec<u8> = labels.iter().map(|&v| (v / coarsen % 256) as u8).collect();
-                    let hi: Vec<u8> = labels.iter().map(|&v| (v / coarsen / 256) as u8).collect();
-                    RepeatTable::build(ClassSource::Tip(&lo), ClassSource::Tip(&hi), n, &mut index)
-                })
-            })
-            .collect();
-        let node = |i: usize, index: &mut RepeatIndex| {
-            let [l, r] = &children[i % NODES];
-            RepeatTable::build(ClassSource::Inner(l), ClassSource::Inner(r), n, index)
-        };
-        let table = node(0, &mut index);
-        let classes = table.num_classes();
-        let mut outs: Vec<Cla> = kernel_sets.iter().map(|_| Cla::new(n)).collect();
-        let mut expanded = Cla::new(n);
-        let mut g_l = AlignedVec::zeroed(n * SITE_STRIDE);
-        let mut g_r = AlignedVec::zeroed(n * SITE_STRIDE);
-        let (mut gs_l, mut gs_r) = (vec![0u32; n], vec![0u32; n]);
-        let mut kernel_arms: Vec<Box<dyn FnMut() + '_>> = kernel_sets
-            .iter()
-            .zip(&mut outs)
-            .map(|(&(_, k), out)| {
-                let fx = &fx;
-                Box::new(move || {
-                    let (v, s) = out.buffers_mut();
-                    let (l, r) = (&fx.v_l, &fx.v_r);
-                    k.newview_ii(
-                        &fx.p_l,
-                        l.values(),
-                        l.scale(),
-                        &fx.p_r,
-                        r.values(),
-                        r.scale(),
-                        v,
-                        s,
-                    );
-                }) as Box<dyn FnMut() + '_>
-            })
-            .collect();
-        let mut next = 0;
-        let mut build = || {
-            next += 1;
-            black_box(node(next, &mut index));
-        };
-        let mut expand = || {
-            let (v, s) = expanded.buffers_mut();
-            table.expand(fx.v_l.values(), fx.v_l.scale(), v, s);
-        };
-        let mut gather = || {
-            table.gather_sites(fx.v_l.values(), fx.v_l.scale(), &mut g_l, &mut gs_l);
-            table.gather_sites(fx.v_r.values(), fx.v_r.scale(), &mut g_r, &mut gs_r);
-        };
-        let mut arms: Vec<&mut dyn FnMut()> = kernel_arms
-            .iter_mut()
-            .map(|arm| arm.as_mut() as &mut dyn FnMut())
-            .collect();
-        arms.extend([&mut build as &mut dyn FnMut(), &mut expand, &mut gather]);
-        let ns: Vec<f64> = interleaved_rounds(n, &mut arms)
-            .into_iter()
-            .map(median)
-            .collect();
-        let [build, expand, gather] = [0, 1, 2].map(|i| ns[kernel_sets.len() + i]);
-        for (&(backend, _), &kernel) in kernel_sets.iter().zip(&ns) {
-            rows.push(CostRow {
-                backend,
-                sites: n,
-                classes,
-                kernel,
-                build,
-                expand,
-                // Timed per site of the node, counted per class.
-                gather: gather * n as f64 / classes as f64,
-            });
-        }
-    }
-    rows
-}
-
 /// Gate 10: `update_partials` on an engine that prunes its walk and on
 /// one that never does — at an unchanged root, and when the virtual
 /// root moves to an adjacent edge and back (both then run the same one
@@ -1118,10 +668,7 @@ fn pruned_walk_cells() -> [RatioCell; 2] {
         .collect();
     let aln =
         CompressedAlignment::from_parts(tree.tip_names().to_vec(), rows, vec![1; 16]).unwrap();
-    let cfg = EngineConfig {
-        site_repeats: SiteRepeats::Off,
-        ..EngineConfig::default()
-    };
+    let cfg = EngineConfig::default();
     let mut pruning = LikelihoodEngine::new(&tree, &aln, cfg);
     let mut full = LikelihoodEngine::with_pool(&tree, &aln, cfg, tree.num_inner());
     // An internal edge and one next to it: each call crosses one node.
@@ -1143,7 +690,7 @@ fn pruned_walk_cells() -> [RatioCell; 2] {
     );
     let (base_ns, new_ns, ratio) =
         interleaved(1, || arm(&mut full, &mut f0), || arm(&mut pruning, &mut f1));
-    let calls = |e: &LikelihoodEngine| e.repeat_stats().newview_calls;
+    let calls = |e: &LikelihoodEngine| e.stats().get(plf_core::KernelId::Newview).calls;
     assert_eq!(
         calls(&full),
         calls(&pruning),
@@ -1325,29 +872,6 @@ fn region_round_trip_cell() -> RatioCell {
     }
 }
 
-fn render_nonkernel(rows: &[CostRow], cells: &[RatioCell]) -> String {
-    let mut s = String::from("{\"repeat_costs\":[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "{{\"backend\":\"{}\",\"sites\":{},\"classes\":{},\"kernel_ns_per_site\":{:.3},\
-             \"build_ns_per_site\":{:.3},\"expand_ns_per_site\":{:.3},\
-             \"gather_ns_per_class\":{:.3},\"break_even_classes_per_site\":{:.4}}}{}",
-            r.backend,
-            r.sites,
-            r.classes,
-            r.kernel,
-            r.build,
-            r.expand,
-            r.gather,
-            r.break_even(),
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(s, "],\n{}}}\n", cells_member(cells));
-    s
-}
-
 fn render_ratio_cells(cells: &[RatioCell]) -> String {
     format!("{{{}}}\n", cells_member(cells))
 }
@@ -1497,56 +1021,11 @@ fn main() {
         println!();
     }
 
-    // Site-repeat section: kernel-level and engine-level.
-    let repeat_n = sizes.iter().copied().max().unwrap();
-    let (rk_off, rk_on, rk_classes) = repeat_kernel_bench(repeat_n);
-    println!(
-        "repeat newview_ii   {repeat_n} sites / {rk_classes} classes: \
-         off {rk_off:.2} ns/site, on {rk_on:.2} ns/site ({:.2}x)",
-        rk_off / rk_on
-    );
-    let eng_n = repeat_n.min(50_000);
-    let eng = repeat_engine_bench(eng_n, REPEAT_PROTOS);
-    println!(
-        "repeat engine       {} taxa, {} sites, {:.4} classes/site: \
-         off {:.2} ns/site, on {:.2} ns/site ({:.2}x)",
-        eng.taxa,
-        eng.patterns,
-        eng.classes_per_site,
-        eng.ns_off,
-        eng.ns_on,
-        eng.ns_off / eng.ns_on,
-    );
-
-    // Repeat-fraction sweep: where does forced compression pay?
-    let sweep: Vec<(u32, EngineRepeatBench)> = REPEAT_FRACTIONS
-        .iter()
-        .map(|&(pct, div)| {
-            let b = repeat_engine_bench(eng_n, (eng_n / div).max(1));
-            println!(
-                "repeat sweep {pct:>3}%    {} taxa, {} sites, {:.4} classes/site: \
-                 off {:.2} ns/site, on {:.2} ns/site ({:.2}x)",
-                b.taxa,
-                b.patterns,
-                b.classes_per_site,
-                b.ns_off,
-                b.ns_on,
-                b.ns_off / b.ns_on,
-            );
-            (pct, b)
-        })
-        .collect();
-
-    // Root-path section: folded evaluation and cache blocking.
-    let (fe_off, fe_on, fe_classes) = folded_evaluate_bench(repeat_n);
-    println!(
-        "folded evaluate_ii  {repeat_n} sites / {fe_classes} classes: \
-         expand+evaluate {fe_off:.2} ns/site, folded {fe_on:.2} ns/site ({:.2}x)",
-        fe_off / fe_on
-    );
+    // Blocking section.
+    let eng_n = sizes.iter().copied().max().unwrap().min(50_000);
     let (blk_taxa, blk_off, blk_on) = blocking_engine_bench(eng_n);
     println!(
-        "blocked traversal   {blk_taxa} taxa, {eng_n} sites, 0% repeats: \
+        "blocked traversal   {blk_taxa} taxa, {eng_n} sites, all distinct: \
          off {blk_off:.2} ns/site, on {blk_on:.2} ns/site ({:.3}x cost)",
         blk_on / blk_off
     );
@@ -1570,22 +1049,7 @@ fn main() {
         println!("wrote {path}");
     }
 
-    // Non-kernel section: the break-even's inputs, the walk, the clone.
-    let cost_rows = repeat_cost_rows(&[390, 1_120, 3_716]);
-    for r in &cost_rows {
-        println!(
-            "repeat costs {:<8} {:>5} sites / {:>4} classes: k {:.2}, build {:.2}, expand {:.2} \
-             ns/site, gather {:.2} ns/class: break-even at {:+.3} classes/site",
-            r.backend,
-            r.sites,
-            r.classes,
-            r.kernel,
-            r.build,
-            r.expand,
-            r.gather,
-            r.break_even()
-        );
-    }
+    // Non-kernel section: the walk, the clone, the region round trip.
     let [walk, reroot] = pruned_walk_cells();
     let nonkernel_cells = [walk, reroot, tree_clone_cell(), region_round_trip_cell()];
     for c in &nonkernel_cells {
@@ -1597,23 +1061,14 @@ fn main() {
     println!();
     if explicit_out {
         let path = format!("{out_path}.nonkernel.json");
-        std::fs::write(&path, render_nonkernel(&cost_rows, &nonkernel_cells)).unwrap_or_else(|e| {
+        std::fs::write(&path, render_ratio_cells(&nonkernel_cells)).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
         });
         println!("wrote {path}");
     }
 
-    let json = render_json(
-        &cells,
-        simd,
-        &roof,
-        (repeat_n, rk_classes, rk_off, rk_on),
-        &eng,
-        &sweep,
-        (repeat_n, fe_classes, fe_off, fe_on),
-        (eng_n, blk_off, blk_on),
-    );
+    let json = render_json(&cells, simd, &roof, (eng_n, blk_off, blk_on));
     std::fs::write(&out_path, json).unwrap_or_else(|e| {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(2);
@@ -1643,66 +1098,18 @@ fn main() {
         }
     }
 
-    // Gate 4: repeat-heavy compression pays off on the hot kernel.
-    let repeat_speedup = rk_off / rk_on;
-    if repeat_speedup < REPEAT_MIN_SPEEDUP {
-        failures.push(format!(
-            "repeat-heavy newview_ii compression only {repeat_speedup:.2}x \
-             (< {REPEAT_MIN_SPEEDUP}x) at {repeat_n} sites / {rk_classes} classes"
-        ));
-    } else {
-        println!("gate: repeat-heavy newview_ii {repeat_speedup:.2}x with compression — ok");
-    }
-
-    // Gate 5: the weight-folded root evaluation beats the
-    // expand-then-evaluate pipeline it replaces.
-    let folded_speedup = fe_off / fe_on;
-    if folded_speedup < FOLDED_MIN_SPEEDUP {
-        failures.push(format!(
-            "folded evaluate_ii only {folded_speedup:.2}x vs expand-then-evaluate \
-             (< {FOLDED_MIN_SPEEDUP}x) at {repeat_n} sites / {fe_classes} classes"
-        ));
-    } else {
-        println!("gate: folded evaluate_ii {folded_speedup:.2}x vs expand-then-evaluate — ok");
-    }
-
     // Gate 6: blocking never hurts the config it cannot help.
     let blocking_ratio = blk_on / blk_off;
     if blocking_ratio > BLOCKING_MAX_RATIO {
         failures.push(format!(
-            "blocked traversal {blocking_ratio:.3}x of unblocked on the 0%-repeats \
+            "blocked traversal {blocking_ratio:.3}x of unblocked on the all-distinct \
              alignment (> {BLOCKING_MAX_RATIO}x) at {eng_n} sites"
         ));
     } else {
-        println!("gate: blocked traversal {blocking_ratio:.3}x of unblocked on 0%-repeats — ok");
+        println!("gate: blocked traversal {blocking_ratio:.3}x of unblocked on all-distinct — ok");
     }
 
-    // Gate 9: `Auto` builds no repeat table; on the backends it is
-    // the default for, that must still be what the costs say.
-    for r in cost_rows.iter().filter(|r| r.backend != "scalar") {
-        if r.break_even() >= BREAK_EVEN_MAX {
-            failures.push(format!(
-                "repeat costs, {} at {} sites: a table pays up to {:.3} classes/site \
-                 (k {:.2}, build {:.2}, expand {:.2}, gather {:.2}) — `auto → no tables` \
-                 no longer holds",
-                r.backend,
-                r.sites,
-                r.break_even(),
-                r.kernel,
-                r.build,
-                r.expand,
-                r.gather
-            ));
-        }
-    }
-    if !failures.iter().any(|f| f.starts_with("repeat costs")) {
-        println!(
-            "gate: repeat-table break-even below {BREAK_EVEN_MAX} classes/site on every simd \
-             width — ok"
-        );
-    }
-
-    // Gates 7, 8, 10 and 11: every ratio cell this host could run.
+    // Gates 7, 8, 10, 11 and 12: every ratio cell this host could run.
     for c in ratio_cells.iter().chain(&nonkernel_cells) {
         if c.ratio < c.gate {
             failures.push(format!(
@@ -1726,27 +1133,21 @@ fn main() {
 /// Hand-rolled JSON (the workspace has no serde): one record per
 /// (kernel, size) with ns/site per backend and speedups vs scalar,
 /// modeled GFLOP/s and % of the calibrated roof, plus host
-/// provenance, the roofline, and the site-repeat/root-path sections.
-/// The `results` rows keep the `kernel`/`patterns`/`ns_per_site`
-/// shape of schemas /1 and /2 so `plf-prof`'s trend parser reads all
-/// history; the folded-evaluate, blocking, and repeat-sweep cells are
-/// appended as extra `results` rows (with arm names as the backend
-/// keys) so `cargo xtask bench-trend` gates them like any kernel.
-#[allow(clippy::too_many_arguments)]
+/// provenance and the roofline. The `results` rows keep the
+/// `kernel`/`patterns`/`ns_per_site` shape of schemas /1 and /2 so
+/// `plf-prof`'s trend parser reads all history; the blocking cell is
+/// appended as an extra `results` row (with arm names as the backend
+/// keys) so `cargo xtask bench-trend` gates it like any kernel.
 fn render_json(
     cells: &[Cell],
     simd: bool,
     roof: &Option<HostRoofline>,
-    repeat_kernel: (usize, usize, f64, f64),
-    eng: &EngineRepeatBench,
-    sweep: &[(u32, EngineRepeatBench)],
-    folded: (usize, usize, f64, f64),
     blocking: (usize, f64, f64),
 ) -> String {
     let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"plf-microbench/4\",");
+    let _ = writeln!(s, "  \"schema\": \"plf-microbench/5\",");
     let _ = writeln!(s, "  \"host_simd\": {simd},");
     let _ = writeln!(
         s,
@@ -1808,61 +1209,16 @@ fn render_json(
         s.push('}');
         s.push_str(",\n");
     }
-    // Root-path and sweep cells as trend-gated rows: the arm names
-    // stand in for backend names under ns_per_site.
-    let (fn_, fc, foff, fon) = folded;
-    let _ = writeln!(
-        s,
-        "    {{\"kernel\": \"folded_evaluate_ii\", \"patterns\": {fn_}, \"classes\": {fc}, \
-         \"ns_per_site\": {{\"expand_evaluate\": {foff:.3}, \"folded\": {fon:.3}}}, \
-         \"speedup\": {:.3}}},",
-        foff / fon
-    );
+    // The blocking cell as a trend-gated row: the arm names stand in
+    // for backend names under ns_per_site.
     let (bn, boff, bon) = blocking;
     let _ = writeln!(
         s,
         "    {{\"kernel\": \"blocked_traversal\", \"patterns\": {bn}, \
          \"ns_per_site\": {{\"blocking_off\": {boff:.3}, \"blocking_on\": {bon:.3}}}, \
-         \"cost_ratio\": {:.4}}},",
+         \"cost_ratio\": {:.4}}}",
         bon / boff
     );
-    for (j, (pct, b)) in sweep.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"kernel\": \"engine_traversal_r{pct}\", \"patterns\": {}, \
-             \"classes_per_site\": {:.5}, \
-             \"ns_per_site\": {{\"repeats_off\": {:.3}, \"repeats_on\": {:.3}}}, \
-             \"speedup\": {:.3}}}",
-            b.patterns,
-            b.classes_per_site,
-            b.ns_off,
-            b.ns_on,
-            b.ns_off / b.ns_on,
-        );
-        s.push_str(if j + 1 == sweep.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("  ],\n");
-    let (rn, rc, roff, ron) = repeat_kernel;
-    let _ = writeln!(s, "  \"site_repeats\": {{");
-    let _ = writeln!(
-        s,
-        "    \"kernel_newview_ii\": {{\"sites\": {rn}, \"classes\": {rc}, \
-         \"ns_per_site_off\": {roff:.3}, \"ns_per_site_on\": {ron:.3}, \
-         \"speedup\": {:.3}}},",
-        roff / ron
-    );
-    let _ = writeln!(
-        s,
-        "    \"engine_traversal\": {{\"taxa\": {}, \"sites\": {}, \
-         \"classes_per_site\": {:.5}, \"ns_per_site_off\": {:.3}, \
-         \"ns_per_site_on\": {:.3}, \"speedup\": {:.3}}}",
-        eng.taxa,
-        eng.patterns,
-        eng.classes_per_site,
-        eng.ns_off,
-        eng.ns_on,
-        eng.ns_off / eng.ns_on,
-    );
-    s.push_str("  }\n}\n");
+    s.push_str("  ]\n}\n");
     s
 }

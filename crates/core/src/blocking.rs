@@ -17,12 +17,11 @@
 //! exactly the bytes the full-range call writes there. The 128-byte
 //! site stride keeps every block base 64-byte aligned, preserving the
 //! explicit-SIMD buffer contract, and the underflow-scaling rule is
-//! per-site. The blocking×backend×site-repeats proptest matrix pins
-//! this.
+//! per-site. The blocking×backend×pool proptest matrix pins this.
 //!
 //! The mode is gated per [`crate::EngineConfig`] and overridable
 //! process-wide through `PHYLOMIC_BLOCKING` (mirroring
-//! `PHYLOMIC_SITE_REPEATS`); `auto` engages blocking only when the
+//! `PHYLOMIC_KERNELS`); `auto` engages blocking only when the
 //! engine's pattern slice actually exceeds one block, so small
 //! workloads keep the straight-line traversal.
 
@@ -161,7 +160,7 @@ pub fn block_sites() -> usize {
 /// The kernel inputs of one planned `newview`: everything that is
 /// constant across the site range (per-branch tables, child
 /// addressing), computed once at plan time whether the node then runs
-/// whole-range, block by block or over its repeat classes. `child_*`
+/// whole-range or block by block. `child_*`
 /// are CLA pool slots; `tip_*` are tree tip ids.
 // Tt carries two inline 2 KiB LUTs while Ii carries only indices;
 // boxing them would add a pointer chase per executed block for an

@@ -122,7 +122,7 @@ impl KernelOp {
     }
 
     /// Analytical cost of one invocation over `sites` pattern-sites
-    /// (uncompressed path; DNA states and the default rate count).
+    /// (DNA states and the default rate count).
     pub fn cost(self, sites: u64) -> KernelCost {
         self.per_site_for(NUM_STATES as u64, NUM_RATES as u64)
             .scaled(sites)
@@ -242,73 +242,11 @@ impl KernelCost {
     }
 }
 
-/// Cost of the site-repeat-compressed `newview` path
-/// ([`crate::repeats`]): the kernel runs over `classes`
-/// representatives, then the result is expanded by copy to all
-/// `sites`. The expansion reads the per-site class index (4 B), the
-/// compact class result, and writes the full-width output; its copies
-/// are pure data movement, so flops are unchanged.
-pub fn newview_compressed(op: KernelOp, sites: u64, classes: u64) -> KernelCost {
-    debug_assert!(matches!(
-        op,
-        KernelOp::NewviewTt | KernelOp::NewviewTi | KernelOp::NewviewIi
-    ));
-    let per_site = 8 * (NUM_STATES * NUM_RATES) as u64 + 4; // values + scale
-    let base = op.cost(classes);
-    KernelCost {
-        flops: base.flops,
-        bytes_read: base.bytes_read + 4 * sites + per_site * classes,
-        bytes_written: base.bytes_written + per_site * sites,
-    }
-}
-
-/// Cost of the weight-folded root paths ([`crate::repeats`] active at
-/// the virtual root): the evaluate / `derivativeCore` kernel runs over
-/// `classes` representative columns, then the engine folds the
-/// per-class results back into the site-order reduction — reading the
-/// per-site class index (4 B) and weight (4 B) and doing one
-/// multiply-accumulate per site. No expansion copy is written.
-pub fn folded_root(op: KernelOp, sites: u64, classes: u64) -> KernelCost {
-    debug_assert!(matches!(
-        op,
-        KernelOp::EvaluateTi | KernelOp::EvaluateIi | KernelOp::DerivativeCore
-    ));
-    let base = op.cost(classes);
-    KernelCost {
-        flops: base.flops + 2 * sites,
-        bytes_read: base.bytes_read + 8 * sites,
-        bytes_written: base.bytes_written,
-    }
-}
-
-/// Cost of a `derivativeSum` run over `classes` representative columns
-/// of the folded root path: the kernel's own traffic shrinks to the
-/// class count, but each inner child's representative columns are
-/// first gathered into a class-indexed staging buffer (one extra
-/// 128 B read + write per class per inner child, `inner_children` ∈
-/// {1, 2}).
-pub fn derivative_sum_folded(op: KernelOp, classes: u64, inner_children: u64) -> KernelCost {
-    debug_assert!(matches!(
-        op,
-        KernelOp::DerivativeSumTi | KernelOp::DerivativeSumIi
-    ));
-    let vb = 8 * (NUM_STATES * NUM_RATES) as u64;
-    let base = op.cost(classes);
-    KernelCost {
-        flops: base.flops,
-        bytes_read: base.bytes_read + inner_children * vb * classes,
-        bytes_written: base.bytes_written + inner_children * vb * classes,
-    }
-}
-
 /// Host measurements taken once per machine (the `phylomic calibrate`
 /// probes, cached alongside `HOST_ROOFLINE.json`). Of the three, only
 /// `cache_bytes` steers a decision — the traversal block size
 /// ([`crate::blocking::block_sites`]); the two throughputs are what the
-/// roofline reporting is drawn against. (They used to price the
-/// site-repeat expansion copy against the kernel; that rule left out
-/// the table build, and with it counted no `Auto` table pays — see
-/// [`crate::SiteRepeats::Auto`].)
+/// roofline reporting is drawn against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProfitCalibration {
     /// Streaming kernel throughput in MB/s (the STREAM-triad peak).
@@ -436,55 +374,6 @@ mod tests {
         for (i, op) in KernelOp::ALL.into_iter().enumerate() {
             assert_eq!(op.index(), i);
         }
-    }
-
-    /// Compression never increases flops, and its traffic converges to
-    /// the expansion copies as the class count shrinks.
-    #[test]
-    fn compressed_newview_cost() {
-        let full = KernelOp::NewviewIi.cost(10_000);
-        let comp = newview_compressed(KernelOp::NewviewIi, 10_000, 100);
-        assert_eq!(comp.flops, KernelOp::NewviewIi.cost(100).flops);
-        assert!(comp.flops < full.flops);
-        // Expansion writes the full output width regardless.
-        assert!(comp.bytes_written >= full.bytes_written);
-        // Degenerate: one class per site is never cheaper than the
-        // plain path (gather/expand overhead on top).
-        let degenerate = newview_compressed(KernelOp::NewviewIi, 10_000, 10_000);
-        assert!(degenerate.bytes() > full.bytes());
-        assert_eq!(degenerate.flops, full.flops);
-    }
-
-    /// The folded root path trades the full-width evaluate for a
-    /// class-width one plus an 8 B/site fold tail — a large traffic
-    /// win whenever classes ≪ sites.
-    #[test]
-    fn folded_root_cost() {
-        let full = KernelOp::EvaluateIi.cost(10_000);
-        let folded = folded_root(KernelOp::EvaluateIi, 10_000, 100);
-        assert_eq!(
-            folded.flops,
-            KernelOp::EvaluateIi.cost(100).flops + 2 * 10_000
-        );
-        assert_eq!(
-            folded.bytes_read,
-            KernelOp::EvaluateIi.cost(100).bytes_read + 8 * 10_000
-        );
-        assert!(folded.bytes() < full.bytes());
-        // Degenerate one-class-per-site folding is never cheaper.
-        let degenerate = folded_root(KernelOp::EvaluateIi, 10_000, 10_000);
-        assert!(degenerate.bytes() > full.bytes());
-    }
-
-    /// Folded derivativeSum pays a per-class staging copy per inner
-    /// child on top of the class-width kernel run.
-    #[test]
-    fn derivative_sum_folded_cost() {
-        let base = KernelOp::DerivativeSumIi.cost(100);
-        let folded = derivative_sum_folded(KernelOp::DerivativeSumIi, 100, 2);
-        assert_eq!(folded.flops, base.flops);
-        assert_eq!(folded.bytes_read, base.bytes_read + 2 * 128 * 100);
-        assert_eq!(folded.bytes_written, base.bytes_written + 2 * 128 * 100);
     }
 
     #[test]

@@ -17,11 +17,10 @@
 //! side.
 //!
 //! Every stale node takes one path: it is *planned* (slot, stamp,
-//! cache key, counters, per-branch tables — in schedule order) and
-//! the plan is *executed* over a site range: the whole range on the
-//! straight-line traversal, one cache-sized block at a time on the
-//! blocked one ([`crate::blocking`]), the class representatives on a
-//! compressed node ([`crate::repeats`]).
+//! cache key, per-branch tables — in schedule order) and the plan is
+//! *executed* over a site range: the whole range on the straight-line
+//! traversal, one cache-sized block at a time on the blocked one
+//! ([`crate::blocking`]).
 //!
 //! The CLAs live in a pool of slots. [`LikelihoodEngine::new`] sizes
 //! the pool at one slot per inner node, and nothing is ever evicted.
@@ -40,13 +39,9 @@
 use crate::blocking::{BlockJob, Blocking};
 use crate::cla::Cla;
 use crate::cost::KernelOp;
-use crate::instrument::KernelStats;
-use crate::kernels::{derivative_ratios, site_log_likelihood, KernelKind, Kernels};
+use crate::instrument::{KernelId, KernelStats};
+use crate::kernels::{KernelKind, Kernels};
 use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
-use crate::repeats::{
-    ClassSource, RepeatBuildStats, RepeatIndex, RepeatKey, RepeatScratch, RepeatStats, RepeatTable,
-    SiteRepeats,
-};
 use crate::{AlignedVec, NUM_RATES, SITE_STRIDE};
 use phylo_bio::CompressedAlignment;
 use phylo_models::{DiscreteGamma, Eigensystem, Gtr, GtrParams, ProbMatrix};
@@ -65,11 +60,7 @@ pub struct EngineConfig {
     pub kernel: KernelKind,
     /// Γ shape parameter α.
     pub alpha: f64,
-    /// Site-repeat compression mode. Resolved through
-    /// [`SiteRepeats::effective`] at construction: the
-    /// `PHYLOMIC_SITE_REPEATS` environment variable (when set)
-    /// overrides this field. `Off` is the uncompressed reference path;
-    /// results are bit-identical either way (see [`crate::repeats`]).
+    /// Frozen at its one value (see [`SiteRepeats`]).
     pub site_repeats: SiteRepeats,
     /// Traversal-level cache blocking mode. Resolved through
     /// [`Blocking::effective`] at construction: the
@@ -85,9 +76,52 @@ impl Default for EngineConfig {
         EngineConfig {
             kernel: KernelKind::Auto,
             alpha: 1.0,
-            site_repeats: SiteRepeats::Auto,
+            site_repeats: SiteRepeats::Off,
             blocking: Blocking::Auto,
         }
+    }
+}
+
+// ---- Frozen surface: what `plf_e2e/src/{checks,schemes,layers}.rs` ----
+// compile against and nothing else reads. Site-repeat compression is
+// gone (DESIGN.md §13); the benchmark still names its knob and prints
+// its counters, so the names stay until a benchmark PR drops the four
+// `core.repeats.*` metrics. `crates/core/tests/e2e_surface.rs` holds
+// this to the benchmark's usage.
+
+/// The site-repeat compression knob, with the one value left: engines
+/// run every `newview` over all sites.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum SiteRepeats {
+    /// No compression.
+    #[default]
+    Off,
+}
+
+impl std::fmt::Display for SiteRepeats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("off")
+    }
+}
+
+/// What [`LikelihoodEngine::repeat_stats`] reports: `newview` calls,
+/// and zeros where compressed calls were counted.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct RepeatStats {
+    /// `newview` calls since the last [`LikelihoodEngine::reset_stats`].
+    pub newview_calls: u64,
+    /// Always 0.
+    pub compressed_calls: u64,
+    /// Always 0.
+    pub sites: u64,
+    /// Always 0.
+    pub classes: u64,
+}
+
+impl RepeatStats {
+    /// `classes / sites`; `None`, as there are no compressed calls.
+    pub fn ratio(&self) -> Option<f64> {
+        (self.sites > 0).then(|| self.classes as f64 / self.sites as f64)
     }
 }
 
@@ -106,17 +140,12 @@ struct CacheKey {
 }
 
 /// One stale `newview`, planned: all bookkeeping (slot, stamp, cache
-/// key, repeat counters) is done at plan time in schedule order, so
-/// only the kernel work itself may be deferred and re-ordered into
-/// site blocks.
+/// key) is done at plan time in schedule order, so only the kernel
+/// work itself may be deferred and re-ordered into site blocks.
 struct PlannedNewview {
-    /// Inner-node index (names the repeat table of a compressed node).
-    idx: usize,
     /// Pool slot the CLA is written to.
     slot: usize,
     job: BlockJob,
-    /// Class count when the node runs compressed.
-    classes: Option<u64>,
 }
 
 /// Marks a free pool slot / a non-resident inner node.
@@ -172,24 +201,6 @@ pub fn min_pool_slots_any_root(tree: &Tree) -> usize {
         .unwrap_or(3)
 }
 
-/// Cache record for the joint root repeat table driving the
-/// weight-folded evaluate/derivative paths.
-struct RootFold {
-    key: RootFoldKey,
-    table: RepeatTable,
-}
-
-/// The state a [`RootFold`] table was built in.
-#[derive(Clone, Debug, PartialEq)]
-struct RootFoldKey {
-    /// Root pair, canonicalized tip-first (q, r).
-    nodes: [NodeId; 2],
-    /// Repeat-table build stamps of the endpoints (0 for a tip q).
-    stamps: [u64; 2],
-    /// Tip-binding epoch the table was built under.
-    tip_epoch: u64,
-}
-
 /// A PLF evaluator bound to one alignment slice and one model.
 pub struct LikelihoodEngine {
     kind: KernelKind,
@@ -239,45 +250,9 @@ pub struct LikelihoodEngine {
     sumtable: AlignedVec,
     sum_edge: Option<(EdgeId, u64)>,
     stats: KernelStats,
-    /// Effective site-repeat compression mode (env override applied).
-    repeats_mode: SiteRepeats,
-    /// What that mode means for this engine's pattern count, decided
-    /// once: the class count up to which a node runs compressed, or
-    /// `None` for no tables at all.
-    class_limit: Option<usize>,
-    /// Working state of every repeat-table build; owns no memory until
-    /// the first one.
-    repeat_index: RepeatIndex,
-    /// Per-inner-node repeat tables (None until first built).
-    repeat_tables: Vec<Option<RepeatTable>>,
-    /// The state each table was built in (topology + tip binding only;
-    /// branch-length and model changes keep tables valid).
-    repeat_valid: Vec<Option<RepeatKey>>,
-    /// Monotonic table build stamps, used in children's `RepeatKey`s to
-    /// cascade invalidation upward.
-    repeat_stamps: Vec<u64>,
-    next_repeat_stamp: u64,
-    /// Bumped whenever the alignment-row → tree-tip binding changes.
-    tip_epoch: u64,
-    /// Class-indexed staging buffers, allocated on first compressed
-    /// `newview` (None also flags "taken" during a compressed call).
-    repeat_scratch: Option<Box<RepeatScratch>>,
-    repeat_stats: RepeatStats,
     /// Resolved traversal-blocking block size in sites (`None` = run
     /// the straight-line traversal; see [`crate::blocking`]).
     block_sites: Option<usize>,
-    /// Cached joint root repeat table for the folded root paths.
-    root_fold: Option<RootFold>,
-    /// Scratch for per-class root results (site likelihoods /
-    /// derivative triplets), grown lazily.
-    fold_vals: Vec<f64>,
-    /// Class count of the folded sumtable, set when the last
-    /// `prepare_branch` filled it folded.
-    sum_fold: Option<usize>,
-    /// The fold's site→class map as of that `prepare_branch` — a copy,
-    /// because the cached root table may be rebuilt for another edge
-    /// between preparation and the Newton iterations.
-    sum_fold_classes: Vec<u32>,
     /// Planned `newview`s awaiting their blocked execution, reused by
     /// every traversal.
     batch: Vec<PlannedNewview>,
@@ -314,11 +289,7 @@ impl LikelihoodEngine {
     /// Builds an engine over the full pattern range whose CLA memory
     /// is capped at `pool_slots` arrays ([`LikelihoodEngine::new`]
     /// holds `tree.num_inner()`). Evicted CLAs are recomputed on
-    /// demand; results are those of the uncapped engine. Repeat tables
-    /// are *not* pooled: a table costs at most ~12 bytes/site versus a
-    /// CLA's 128 (nothing for a node with too many classes to
-    /// compress), and keeping them is what lets an evicted CLA be
-    /// recomputed over classes instead of sites.
+    /// demand; results are those of the uncapped engine.
     ///
     /// An engine built here never prunes its walk, whatever
     /// `pool_slots` is: at `tree.num_inner()` slots it is the
@@ -376,7 +347,6 @@ impl LikelihoodEngine {
             freqs: aln.empirical_frequencies(),
         };
         let kind = config.kernel.effective();
-        let repeats_mode = config.site_repeats.effective();
         let mut engine = LikelihoodEngine {
             kind,
             kernel: kind.kernels(),
@@ -407,21 +377,7 @@ impl LikelihoodEngine {
             sumtable: AlignedVec::zeroed(num_patterns * SITE_STRIDE),
             sum_edge: None,
             stats: KernelStats::new(),
-            repeats_mode,
-            class_limit: repeats_mode.class_limit(num_patterns),
-            repeat_index: RepeatIndex::default(),
-            repeat_tables: vec![None; tree.num_inner()],
-            repeat_valid: vec![None; tree.num_inner()],
-            repeat_stamps: vec![0; tree.num_inner()],
-            next_repeat_stamp: 1,
-            tip_epoch: 1,
-            repeat_scratch: None,
-            repeat_stats: RepeatStats::default(),
             block_sites: config.blocking.resolve(num_patterns),
-            root_fold: None,
-            fold_vals: Vec::new(),
-            sum_fold: None,
-            sum_fold_classes: Vec::new(),
             batch: Vec::new(),
             batch_ns: Vec::new(),
             schedule: ScheduleBuf::default(),
@@ -507,10 +463,9 @@ impl LikelihoodEngine {
         self.kind
     }
 
-    /// The effective site-repeat compression mode (env override
-    /// applied at construction).
+    /// Always [`SiteRepeats::Off`] (part of the frozen surface).
     pub fn site_repeats(&self) -> SiteRepeats {
-        self.repeats_mode
+        SiteRepeats::Off
     }
 
     /// The resolved traversal-blocking mode this engine runs: `On`
@@ -525,20 +480,18 @@ impl LikelihoodEngine {
         }
     }
 
-    /// Cumulative site-repeat compression effectiveness.
+    /// `newview` calls, in the shape the benchmark reads them (part of
+    /// the frozen surface; a view of [`LikelihoodEngine::stats`]).
     pub fn repeat_stats(&self) -> RepeatStats {
-        self.repeat_stats
-    }
-
-    /// Cumulative cost of this engine's repeat-table builds (node
-    /// tables and root-fold tables).
-    pub fn repeat_build_stats(&self) -> RepeatBuildStats {
-        self.repeat_index.stats()
+        RepeatStats {
+            newview_calls: self.stats.get(KernelId::Newview).calls,
+            ..RepeatStats::default()
+        }
     }
 
     /// Per-pattern scaling counters of inner node `inner` (0-based
     /// inner-node index); `None` while its CLA is not resident.
-    /// Diagnostic/test accessor: the cross-backend and compression
+    /// Diagnostic/test accessor: the cross-backend and blocking
     /// equivalence suites compare these arrays bit-for-bit.
     #[doc(hidden)]
     pub fn cla_scale(&self, inner: usize) -> Option<&[u32]> {
@@ -568,16 +521,6 @@ impl LikelihoodEngine {
         self.slots.len() * self.num_patterns * SITE_STRIDE * 8
     }
 
-    /// Heap bytes of the resident repeat tables (the memory the pool
-    /// does not cap).
-    pub fn repeat_table_bytes(&self) -> usize {
-        self.repeat_tables
-            .iter()
-            .flatten()
-            .map(RepeatTable::heap_bytes)
-            .sum()
-    }
-
     /// Work counters accumulated so far.
     pub fn stats(&self) -> &KernelStats {
         &self.stats
@@ -589,9 +532,7 @@ impl LikelihoodEngine {
     }
 
     /// Drops all cached CLAs (mainly for tests and benchmarks; normal
-    /// invalidation is automatic via cache keys). Repeat tables stay:
-    /// their validity is tracked separately, against topology and tip
-    /// binding only.
+    /// invalidation is automatic via cache keys).
     pub fn invalidate_all(&mut self) {
         self.valid.iter_mut().for_each(|v| *v = None);
         self.sum_edge = None;
@@ -641,8 +582,6 @@ impl LikelihoodEngine {
             // Node-id meanings changed wholesale: cached keys must not
             // survive even by coincidence.
             self.model_version += 1;
-            // Repeat tables were built over the old tip rows.
-            self.tip_epoch += 1;
         }
     }
 
@@ -690,12 +629,11 @@ impl LikelihoodEngine {
     /// bookkeeping happens then, so stamps, keys and call counts do
     /// not depend on how the plan is executed — and runs at once over
     /// the whole site range, unless traversal blocking is on
-    /// ([`crate::blocking`]): then consecutive uncompressed nodes are
-    /// queued and executed per site block, so a child's freshly
-    /// written CLA columns are still cache-resident when its parent
-    /// reads them. A compressed node reads its children whole-range,
-    /// and an eviction reassigns a slot that queued jobs may address:
-    /// the queue is run before either.
+    /// ([`crate::blocking`]): then consecutive nodes are queued and
+    /// executed per site block, so a child's freshly written CLA
+    /// columns are still cache-resident when its parent reads them. An
+    /// eviction reassigns a slot that queued jobs may address: the
+    /// queue is run before one.
     ///
     /// # The pruned walk
     ///
@@ -723,7 +661,6 @@ impl LikelihoodEngine {
         self.ensure_tip_binding(tree);
         let n = self.num_patterns;
         let block = self.block_sites;
-        let limit = self.class_limit;
         self.pinned.fill(false);
         let mut batch = std::mem::take(&mut self.batch);
         let mut schedule = std::mem::take(&mut self.schedule);
@@ -737,32 +674,21 @@ impl LikelihoodEngine {
         counters.nodes_in_schedule.add(tree.num_inner() as u64);
         for &d in order {
             let ch = canonical_children(tree, d);
-            // Repeat tables are ensured for every scheduled node, even
-            // when its CLA is cache-valid: parents build their classes
-            // from the children's tables.
-            if let Some(limit) = limit {
-                self.ensure_repeat_table(tree, d.node, ch, limit);
-            }
             let key = self.cache_key(tree, ch);
             let idx = self.inner_idx(d.node);
             walk.toward[idx] = tree.other_end(d.toward_edge, d.node);
             let evicted = self.resident[idx] == FREE;
             let changed = self.valid[idx].as_ref() != Some(&key);
             if evicted || changed {
-                let compress = limit.is_some()
-                    && self.repeat_tables[idx]
-                        .as_ref()
-                        .is_some_and(RepeatTable::compresses);
-                let alone = compress || block.is_none();
-                if alone || (evicted && !self.slot_owner.contains(&FREE)) {
+                // Taking a slot may evict one a queued job addresses.
+                if evicted && !batch.is_empty() && !self.slot_owner.contains(&FREE) {
                     self.execute(&batch, block.unwrap_or(n));
                     batch.clear();
                 }
-                let planned = self.plan_newview(tree, d.node, ch, changed.then_some(key), compress);
-                if alone {
-                    self.execute(std::slice::from_ref(&planned), n);
-                } else {
-                    batch.push(planned);
+                let planned = self.plan_newview(tree, d.node, ch, changed.then_some(key));
+                match block {
+                    Some(_) => batch.push(planned),
+                    None => self.execute(std::slice::from_ref(&planned), n),
                 }
             }
             // This node is live until its parent consumes it, as its
@@ -832,28 +758,19 @@ impl LikelihoodEngine {
                 "pruned node {} is stale",
                 d.node
             );
-            if self.class_limit.is_some() {
-                assert_eq!(
-                    self.repeat_valid[idx].as_ref(),
-                    Some(&self.repeat_key(tree, ch)),
-                    "pruned node {} has a stale repeat table",
-                    d.node
-                );
-            }
         }
     }
 
     /// Plans one `newview`: takes the node's slot and does all of its
     /// bookkeeping (stamp and cache key when `new_key` says the inputs
-    /// changed, call and compression counters), and precomputes the
-    /// per-branch tables, once per node whatever the execution.
+    /// changed), and precomputes the per-branch tables, once per node
+    /// whatever the execution.
     fn plan_newview(
         &mut self,
         tree: &Tree,
         node: NodeId,
         ch: [(EdgeId, NodeId); 2],
         new_key: Option<CacheKey>,
-        compress: bool,
     ) -> PlannedNewview {
         let idx = self.inner_idx(node);
         let slot = match self.resident[idx] {
@@ -865,23 +782,8 @@ impl LikelihoodEngine {
             self.next_stamp += 1;
             self.valid[idx] = new_key;
         }
-        self.repeat_stats.newview_calls += 1;
-        let classes = compress.then(|| {
-            let table = self.repeat_tables[idx]
-                .as_ref()
-                .expect("repeat table built");
-            let (sites, classes) = (table.num_sites() as u64, table.num_classes() as u64);
-            self.repeat_stats.compressed_calls += 1;
-            self.repeat_stats.sites += sites;
-            self.repeat_stats.classes += classes;
-            repeat_sites_counter().add(sites);
-            repeat_classes_counter().add(classes);
-            classes
-        });
         PlannedNewview {
-            idx,
             slot,
-            classes,
             job: self.newview_job(tree, ch),
         }
     }
@@ -948,14 +850,7 @@ impl LikelihoodEngine {
             }
         }
         for (planned, &ns) in batch.iter().zip(&ns) {
-            let op = planned.job.op();
-            match planned.classes {
-                Some(classes) => {
-                    let cost = crate::cost::newview_compressed(op, n as u64, classes);
-                    self.stats.record_op_cost(op, n, ns, cost);
-                }
-                None => self.stats.record_op_timed(op, n, ns),
-            }
+            self.stats.record_op_timed(planned.job.op(), n, ns);
         }
         self.batch_ns = ns;
     }
@@ -967,24 +862,11 @@ impl LikelihoodEngine {
     /// contract), and the underflow-scaling rule is per-site — so the
     /// call writes exactly the bytes the full-range call would write
     /// there.
-    ///
-    /// A compressed node gets the whole range and hands it to the
-    /// repeat scratch: gather the children's buffers at the class
-    /// representatives, run the kernel over `num_classes` "sites",
-    /// expand back to the full per-site CLA. Bit-identical to the
-    /// uncompressed call (see [`crate::repeats`]).
     fn run_job(&mut self, planned: &PlannedNewview, b0: usize, b1: usize) {
         let mut out = std::mem::replace(&mut self.slots[planned.slot], Cla::new(0));
         let (out_v, out_s) = out.buffers_mut();
-        let mut scratch = planned.classes.map(|_| {
-            self.repeat_scratch
-                .take()
-                .unwrap_or_else(|| Box::new(RepeatScratch::new(self.num_patterns)))
-        });
-        let classes = scratch
-            .as_deref_mut()
-            .zip(self.repeat_tables[planned.idx].as_ref());
         let (vals, sites) = (b0 * SITE_STRIDE..b1 * SITE_STRIDE, b0..b1);
+        let (out_v, out_s) = (&mut out_v[vals.clone()], &mut out_s[sites.clone()]);
         match &planned.job {
             BlockJob::Tt {
                 lut_l,
@@ -993,16 +875,8 @@ impl LikelihoodEngine {
                 tip_r,
             } => {
                 let c_l = &self.tip(*tip_l)[sites.clone()];
-                let c_r = &self.tip(*tip_r)[sites.clone()];
-                match classes {
-                    None => {
-                        let (out_v, out_s) = (&mut out_v[vals], &mut out_s[sites]);
-                        self.kernel.newview_tt(lut_l, lut_r, c_l, c_r, out_v, out_s);
-                    }
-                    Some((scratch, table)) => {
-                        scratch.newview_tt(self.kernel, table, lut_l, lut_r, c_l, c_r, out_v, out_s)
-                    }
-                }
+                let c_r = &self.tip(*tip_r)[sites];
+                self.kernel.newview_tt(lut_l, lut_r, c_l, c_r, out_v, out_s);
             }
             BlockJob::Ti {
                 lut_l,
@@ -1012,25 +886,9 @@ impl LikelihoodEngine {
             } => {
                 let c_l = &self.tip(*tip_l)[sites.clone()];
                 let cla_r = &self.slots[*child_r];
-                let (v_r, s_r) = (&cla_r.values()[vals.clone()], &cla_r.scale()[sites.clone()]);
-                match classes {
-                    None => {
-                        let (out_v, out_s) = (&mut out_v[vals], &mut out_s[sites]);
-                        self.kernel
-                            .newview_ti(lut_l, c_l, p_r, v_r, s_r, out_v, out_s);
-                    }
-                    Some((scratch, table)) => scratch.newview_ti(
-                        self.kernel,
-                        table,
-                        lut_l,
-                        c_l,
-                        p_r,
-                        v_r,
-                        s_r,
-                        out_v,
-                        out_s,
-                    ),
-                }
+                let (v_r, s_r) = (&cla_r.values()[vals], &cla_r.scale()[sites]);
+                self.kernel
+                    .newview_ti(lut_l, c_l, p_r, v_r, s_r, out_v, out_s);
             }
             BlockJob::Ii {
                 p_l,
@@ -1041,30 +899,10 @@ impl LikelihoodEngine {
                 let cla_l = &self.slots[*child_l];
                 let cla_r = &self.slots[*child_r];
                 let (v_l, s_l) = (&cla_l.values()[vals.clone()], &cla_l.scale()[sites.clone()]);
-                let (v_r, s_r) = (&cla_r.values()[vals.clone()], &cla_r.scale()[sites.clone()]);
-                match classes {
-                    None => {
-                        let (out_v, out_s) = (&mut out_v[vals], &mut out_s[sites]);
-                        self.kernel
-                            .newview_ii(p_l, v_l, s_l, p_r, v_r, s_r, out_v, out_s);
-                    }
-                    Some((scratch, table)) => scratch.newview_ii(
-                        self.kernel,
-                        table,
-                        p_l,
-                        v_l,
-                        s_l,
-                        p_r,
-                        v_r,
-                        s_r,
-                        out_v,
-                        out_s,
-                    ),
-                }
+                let (v_r, s_r) = (&cla_r.values()[vals], &cla_r.scale()[sites]);
+                self.kernel
+                    .newview_ii(p_l, v_l, s_l, p_r, v_r, s_r, out_v, out_s);
             }
-        }
-        if scratch.is_some() {
-            self.repeat_scratch = scratch;
         }
         self.slots[planned.slot] = out;
     }
@@ -1077,130 +915,8 @@ impl LikelihoodEngine {
         }
     }
 
-    fn repeat_stamp_of(&self, tree: &Tree, node: NodeId) -> u64 {
-        if tree.is_tip(node) {
-            0
-        } else {
-            self.repeat_stamps[self.inner_idx(node)]
-        }
-    }
-
-    /// The state the repeat table of a node with (canonicalized)
-    /// children `ch` is a function of, as of now.
-    fn repeat_key(&self, tree: &Tree, ch: [(EdgeId, NodeId); 2]) -> RepeatKey {
-        RepeatKey {
-            child_nodes: [ch[0].1, ch[1].1],
-            child_table_stamps: [
-                self.repeat_stamp_of(tree, ch[0].1),
-                self.repeat_stamp_of(tree, ch[1].1),
-            ],
-            tip_epoch: self.tip_epoch,
-        }
-    }
-
-    /// Builds (or revalidates) `node`'s repeat table bottom-up from its
-    /// children's class sources. Children's tables are guaranteed built
-    /// because `update_partials` walks the post-order schedule.
-    fn ensure_repeat_table(
-        &mut self,
-        tree: &Tree,
-        node: NodeId,
-        ch: [(EdgeId, NodeId); 2],
-        limit: usize,
-    ) {
-        let idx = self.inner_idx(node);
-        let key = self.repeat_key(tree, ch);
-        if self.repeat_valid[idx].as_ref() == Some(&key) {
-            return;
-        }
-        let _span = crate::span::enter("repeat_table");
-        let mut index = std::mem::take(&mut self.repeat_index);
-        let source = |n: NodeId| -> ClassSource<'_> {
-            if tree.is_tip(n) {
-                ClassSource::Tip(self.tip(n))
-            } else {
-                ClassSource::Inner(
-                    self.repeat_tables[self.inner_idx(n)]
-                        .as_ref()
-                        .expect("child repeat table built before parent (post-order)"),
-                )
-            }
-        };
-        let table = RepeatTable::build(source(ch[0].1), source(ch[1].1), limit, &mut index);
-        self.repeat_index = index;
-        self.repeat_tables[idx] = Some(table);
-        self.repeat_valid[idx] = Some(key);
-        self.repeat_stamps[idx] = self.next_repeat_stamp;
-        self.next_repeat_stamp += 1;
-    }
-
-    /// Builds (or revalidates) the joint repeat table for the root
-    /// pair `(q, r)` and decides whether the weight-folded root paths
-    /// run. The joint table refines *both* endpoints' class
-    /// partitions, so all member sites of one class have bit-identical
-    /// CLA columns (and tip codes) at both endpoints — the root
-    /// kernels may run over class representatives only, with the
-    /// engine folding weights back in site order.
-    ///
-    /// Returns `false` (full-width path) when repeats are off, when
-    /// `r` is a tip (the two-taxon corner), or when the compression
-    /// does not pay under the engine's mode.
-    fn ensure_root_fold(&mut self, tree: &Tree, q: NodeId, r: NodeId) -> bool {
-        let Some(limit) = self.class_limit else {
-            return false;
-        };
-        if tree.is_tip(r) {
-            return false;
-        }
-        let r_idx = self.inner_idx(r);
-        if self.repeat_tables[r_idx].is_none() {
-            return false;
-        }
-        let q_stamp = if tree.is_tip(q) {
-            0
-        } else {
-            let q_idx = self.inner_idx(q);
-            if self.repeat_tables[q_idx].is_none() {
-                return false;
-            }
-            self.repeat_stamps[q_idx]
-        };
-        let key = RootFoldKey {
-            nodes: [q, r],
-            stamps: [q_stamp, self.repeat_stamps[r_idx]],
-            tip_epoch: self.tip_epoch,
-        };
-        if !self.root_fold.as_ref().is_some_and(|f| f.key == key) {
-            let _span = crate::span::enter("repeat_table");
-            let mut index = std::mem::take(&mut self.repeat_index);
-            let left = if tree.is_tip(q) {
-                ClassSource::Tip(self.tip(q))
-            } else {
-                ClassSource::Inner(self.repeat_tables[self.inner_idx(q)].as_ref().unwrap())
-            };
-            let right = ClassSource::Inner(self.repeat_tables[r_idx].as_ref().unwrap());
-            let table = RepeatTable::build(left, right, limit, &mut index);
-            self.repeat_index = index;
-            self.root_fold = Some(RootFold { key, table });
-        }
-        self.root_fold
-            .as_ref()
-            .expect("fold table cached")
-            .table
-            .compresses()
-    }
-
     /// Log-likelihood (partial, over this engine's pattern slice) with
     /// the virtual root on `root_edge`.
-    ///
-    /// When site-repeat tables are active and compress at the root,
-    /// this runs the weight-folded path: the evaluate kernel computes
-    /// the raw site likelihood only at the joint table's class
-    /// representatives, the per-class log/scale tail is applied once
-    /// per class, and the weighted sum accumulates in original site
-    /// order — the same additions in the same order as the full-width
-    /// kernel, hence bit-identical, but skipping the last level's
-    /// expand-by-copy entirely.
     pub fn log_likelihood(&mut self, tree: &Tree, root_edge: EdgeId) -> f64 {
         if self.num_patterns == 0 {
             // An empty pattern slice (a fork-join worker whose range is
@@ -1211,65 +927,12 @@ impl LikelihoodEngine {
         let (a, b) = tree.endpoints(root_edge);
         // Canonicalize: tip on the q (left) side.
         let (q, r) = if tree.is_tip(a) { (a, b) } else { (b, a) };
-        // The fold decision (and any table build behind it) comes
-        // before the op timer: it is traversal overhead, not kernel
-        // time.
-        let folded = self.ensure_root_fold(tree, q, r);
         let _span = crate::span::enter("evaluate");
         patterns_evaluated().add(self.num_patterns as u64);
         let t0 = std::time::Instant::now();
         let t = tree.length(root_edge);
         let p = self.fused_pmat(t);
-        let (ll, op, folded_classes) = if folded {
-            let mut vals = std::mem::take(&mut self.fold_vals);
-            let table = &self.root_fold.as_ref().expect("fold table cached").table;
-            let nc = table.num_classes();
-            if vals.len() < nc {
-                vals.resize(nc, 0.0);
-            }
-            let reprs = table.repr_sites();
-            let op = if tree.is_tip(q) {
-                let cla_r = self.cla(r);
-                self.kernel.evaluate_classes_ti(
-                    &self.tip_pi,
-                    self.tip(q),
-                    &p,
-                    cla_r.values(),
-                    reprs,
-                    &mut vals[..nc],
-                );
-                // Per-class evaluate tail, exactly as the full-width
-                // kernel computes it at the representative site.
-                let scale_r = cla_r.scale();
-                for (v, &s) in vals.iter_mut().zip(reprs) {
-                    *v = site_log_likelihood(*v, scale_r[s as usize]);
-                }
-                KernelOp::EvaluateTi
-            } else {
-                let cla_q = self.cla(q);
-                let cla_r = self.cla(r);
-                self.kernel.evaluate_classes_ii(
-                    &self.pi_w,
-                    cla_q.values(),
-                    &p,
-                    cla_r.values(),
-                    reprs,
-                    &mut vals[..nc],
-                );
-                let (scale_q, scale_r) = (cla_q.scale(), cla_r.scale());
-                for (v, &s) in vals.iter_mut().zip(reprs) {
-                    let s = s as usize;
-                    *v = site_log_likelihood(*v, scale_q[s] + scale_r[s]);
-                }
-                KernelOp::EvaluateIi
-            };
-            let mut ll = 0.0;
-            for (i, &c) in table.site2class().iter().enumerate() {
-                ll += self.weights[i] as f64 * vals[c as usize];
-            }
-            self.fold_vals = vals;
-            (ll, op, Some(nc as u64))
-        } else if tree.is_tip(q) {
+        let (ll, op) = if tree.is_tip(q) {
             let cla_r = self.cla(r);
             let ll = self.kernel.evaluate_ti(
                 &self.tip_pi,
@@ -1279,7 +942,7 @@ impl LikelihoodEngine {
                 cla_r.scale(),
                 &self.weights,
             );
-            (ll, KernelOp::EvaluateTi, None)
+            (ll, KernelOp::EvaluateTi)
         } else {
             let cla_q = self.cla(q);
             let cla_r = self.cla(r);
@@ -1292,18 +955,10 @@ impl LikelihoodEngine {
                 cla_r.scale(),
                 &self.weights,
             );
-            (ll, KernelOp::EvaluateIi, None)
+            (ll, KernelOp::EvaluateIi)
         };
-        match folded_classes {
-            Some(nc) => {
-                let cost = crate::cost::folded_root(op, self.num_patterns as u64, nc);
-                self.stats
-                    .record_op_cost(op, self.num_patterns, elapsed_ns(t0), cost);
-            }
-            None => self
-                .stats
-                .record_op_timed(op, self.num_patterns, elapsed_ns(t0)),
-        }
+        self.stats
+            .record_op_timed(op, self.num_patterns, elapsed_ns(t0));
         ll
     }
 
@@ -1320,92 +975,31 @@ impl LikelihoodEngine {
         self.update_partials(tree, edge);
         let (a, b) = tree.endpoints(edge);
         let (q, r) = if tree.is_tip(a) { (a, b) } else { (b, a) };
-        // As in `log_likelihood`: decided outside the op timer.
-        let folded = self.ensure_root_fold(tree, q, r);
         let _span = crate::span::enter("derivativeSum");
         let t0 = std::time::Instant::now();
         // Re-borrow pieces to satisfy the borrow checker: the sumtable
         // is disjoint from the CLAs.
         let mut sumtable = std::mem::replace(&mut self.sumtable, AlignedVec::zeroed(0));
-        let (op, folded_classes) = if folded {
-            // Folded path: fill only the class-representative columns
-            // of the sumtable (gathered via the repeat scratch);
-            // `branch_derivatives` folds weights back in site order.
-            let mut scratch = self
-                .repeat_scratch
-                .take()
-                .unwrap_or_else(|| Box::new(RepeatScratch::new(self.num_patterns)));
-            let table = &self.root_fold.as_ref().expect("fold table cached").table;
-            let nc = table.num_classes();
-            let op = if tree.is_tip(q) {
-                let cla_r = self.cla(r);
-                scratch.derivative_sum_ti_folded(
-                    self.kernel,
-                    table,
-                    &self.basis,
-                    self.tip(q),
-                    cla_r.values(),
-                    cla_r.scale(),
-                    &mut sumtable,
-                );
-                KernelOp::DerivativeSumTi
-            } else {
-                let cla_q = self.cla(q);
-                let cla_r = self.cla(r);
-                scratch.derivative_sum_ii_folded(
-                    self.kernel,
-                    table,
-                    &self.basis,
-                    cla_q.values(),
-                    cla_q.scale(),
-                    cla_r.values(),
-                    cla_r.scale(),
-                    &mut sumtable,
-                );
-                KernelOp::DerivativeSumIi
-            };
-            self.sum_fold = Some(nc);
-            self.sum_fold_classes.clear();
-            self.sum_fold_classes.extend_from_slice(table.site2class());
-            self.repeat_scratch = Some(scratch);
-            let inner_children = if tree.is_tip(q) { 1 } else { 2 };
-            (op, Some((nc as u64, inner_children)))
+        let op = if tree.is_tip(q) {
+            let cla_r = self.cla(r);
+            self.kernel
+                .derivative_sum_ti(&self.basis, self.tip(q), cla_r.values(), &mut sumtable);
+            KernelOp::DerivativeSumTi
         } else {
-            self.sum_fold = None;
-            let op = if tree.is_tip(q) {
-                let cla_r = self.cla(r);
-                self.kernel.derivative_sum_ti(
-                    &self.basis,
-                    self.tip(q),
-                    cla_r.values(),
-                    &mut sumtable,
-                );
-                KernelOp::DerivativeSumTi
-            } else {
-                let cla_q = self.cla(q);
-                let cla_r = self.cla(r);
-                self.kernel.derivative_sum_ii(
-                    &self.basis,
-                    cla_q.values(),
-                    cla_r.values(),
-                    &mut sumtable,
-                );
-                KernelOp::DerivativeSumIi
-            };
-            (op, None)
+            let cla_q = self.cla(q);
+            let cla_r = self.cla(r);
+            self.kernel.derivative_sum_ii(
+                &self.basis,
+                cla_q.values(),
+                cla_r.values(),
+                &mut sumtable,
+            );
+            KernelOp::DerivativeSumIi
         };
         self.sumtable = sumtable;
         self.sum_edge = Some((edge, self.model_version));
-        match folded_classes {
-            Some((nc, inner_children)) => {
-                let cost = crate::cost::derivative_sum_folded(op, nc, inner_children);
-                self.stats
-                    .record_op_cost(op, self.num_patterns, elapsed_ns(t0), cost);
-            }
-            None => self
-                .stats
-                .record_op_timed(op, self.num_patterns, elapsed_ns(t0)),
-        }
+        self.stats
+            .record_op_timed(op, self.num_patterns, elapsed_ns(t0));
     }
 
     /// First and second derivative of the (partial) log-likelihood with
@@ -1424,68 +1018,11 @@ impl LikelihoodEngine {
         }
         let _span = crate::span::enter("derivativeCore");
         let t0 = std::time::Instant::now();
-        let (out, folded_classes) = match self.sum_fold {
-            Some(nc) => {
-                let mut vals = std::mem::take(&mut self.fold_vals);
-                if vals.len() < 3 * nc {
-                    vals.resize(3 * nc, 0.0);
-                }
-                self.kernel.derivative_core_classes(
-                    &self.sumtable[..nc * SITE_STRIDE],
-                    &self.basis.lambda_rate,
-                    t,
-                    &mut vals[..3 * nc],
-                );
-                // Per-class ratio tail, exactly as the full-width
-                // kernel computes it at the representative site;
-                // stored in place as (d1 term, d2 term) pairs.
-                for l in vals[..3 * nc].chunks_exact_mut(3) {
-                    (l[0], l[1]) = derivative_ratios(l[0], l[1], l[2]);
-                }
-                // Weighted accumulation in original site order — the
-                // same additions in the same order as the full-width
-                // kernel, hence bit-identical derivatives.
-                let mut dlnl = 0.0;
-                let mut d2lnl = 0.0;
-                for (i, &c) in self.sum_fold_classes.iter().enumerate() {
-                    let w = self.weights[i] as f64;
-                    let c = c as usize;
-                    dlnl += w * vals[3 * c];
-                    d2lnl += w * vals[3 * c + 1];
-                }
-                self.fold_vals = vals;
-                ((dlnl, d2lnl), Some(nc as u64))
-            }
-            None => (
-                self.kernel.derivative_core(
-                    &self.sumtable,
-                    &self.basis.lambda_rate,
-                    t,
-                    &self.weights,
-                ),
-                None,
-            ),
-        };
-        match folded_classes {
-            Some(nc) => {
-                let cost = crate::cost::folded_root(
-                    KernelOp::DerivativeCore,
-                    self.num_patterns as u64,
-                    nc,
-                );
-                self.stats.record_op_cost(
-                    KernelOp::DerivativeCore,
-                    self.num_patterns,
-                    elapsed_ns(t0),
-                    cost,
-                );
-            }
-            None => self.stats.record_op_timed(
-                KernelOp::DerivativeCore,
-                self.num_patterns,
-                elapsed_ns(t0),
-            ),
-        }
+        let out =
+            self.kernel
+                .derivative_core(&self.sumtable, &self.basis.lambda_rate, t, &self.weights);
+        self.stats
+            .record_op_timed(KernelOp::DerivativeCore, self.num_patterns, elapsed_ns(t0));
         out
     }
 }
@@ -1593,20 +1130,6 @@ fn traversal_counters() -> &'static TraversalCounters {
         nodes_in_schedule: crate::metrics::counter("core.traversal.nodes_in_schedule"),
         edges_changed: crate::metrics::counter("core.traversal.edges_changed"),
     })
-}
-
-/// Cached handle for `core.repeats.sites`: logical sites covered by
-/// compressed `newview` calls.
-fn repeat_sites_counter() -> &'static crate::metrics::Counter {
-    static C: std::sync::OnceLock<crate::metrics::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| crate::metrics::counter("core.repeats.sites"))
-}
-
-/// Cached handle for `core.repeats.classes`: unique repeat classes
-/// actually computed by compressed `newview` calls.
-fn repeat_classes_counter() -> &'static crate::metrics::Counter {
-    static C: std::sync::OnceLock<crate::metrics::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| crate::metrics::counter("core.repeats.classes"))
 }
 
 #[cfg(test)]
@@ -1756,16 +1279,12 @@ mod tests {
             assert!(Arc::ptr_eq(&engine.bound_names, other.shared_tip_names()));
         }
         assert_eq!(engine.stats().get(KernelId::Newview).calls, calls);
-        assert_eq!(engine.tip_epoch, 1);
     }
 
     #[test]
     fn permuted_names_rebind_and_invalidate() {
         let (tree, aln) = five_taxon();
-        let cfg = EngineConfig {
-            site_repeats: SiteRepeats::On,
-            ..EngineConfig::default()
-        };
+        let cfg = EngineConfig::default();
         let mut engine = LikelihoodEngine::new(&tree, &aln, cfg);
         let ll = engine.log_likelihood(&tree, 0);
         let calls = engine.stats().get(KernelId::Newview).calls;
@@ -1781,17 +1300,12 @@ mod tests {
             (got - ll).abs() < 1e-9,
             "same tree, same likelihood: {got} vs {ll}"
         );
-        // Every CLA and every repeat table was rebuilt under the new
-        // binding, and the walk that did it was the full one.
+        // Every CLA was rebuilt under the new binding, and the walk
+        // that did it was the full one.
         assert_eq!(
             engine.stats().get(KernelId::Newview).calls - calls,
             tree.num_inner() as u64
         );
-        assert_eq!(engine.tip_epoch, 2);
-        // (Unless an env override keeps this engine from building any.)
-        if SiteRepeats::env_override().is_none() {
-            assert!(engine.repeat_build_stats().builds >= 2 * tree.num_inner() as u64);
-        }
     }
 
     // ---- Re-rooting cost: what the search's depth-first orders buy ----
@@ -2000,10 +1514,6 @@ mod tests {
                     &aln,
                     EngineConfig {
                         kernel,
-                        // Keep every node uncompressed so the blocked
-                        // batch path (not the compressed barrier) is
-                        // what computes the CLAs.
-                        site_repeats: SiteRepeats::Off,
                         blocking,
                         ..EngineConfig::default()
                     },
@@ -2042,281 +1552,6 @@ mod tests {
             assert_eq!(d1o.to_bits(), d1b.to_bits(), "{kernel:?}: d1 drifted");
             assert_eq!(d2o.to_bits(), d2b.to_bits(), "{kernel:?}: d2 drifted");
         }
-        // Mixed case: compressed nodes act as barriers between batches
-        // and must stay bit-identical too.
-        let mk = |blocking| {
-            LikelihoodEngine::new(
-                &tree,
-                &aln,
-                EngineConfig {
-                    kernel: KernelKind::Scalar,
-                    site_repeats: SiteRepeats::On,
-                    blocking,
-                    ..EngineConfig::default()
-                },
-            )
-        };
-        let (mut off, mut on) = (mk(Blocking::Off), mk(Blocking::On));
-        for e in [0, 3] {
-            assert_eq!(
-                off.log_likelihood(&tree, e).to_bits(),
-                on.log_likelihood(&tree, e).to_bits(),
-                "mixed barriers drifted at edge {e}"
-            );
-        }
-    }
-
-    /// Duplicated full columns via `from_parts` (the global pattern
-    /// dedup of `from_alignment` would fold them into weights), so the
-    /// joint root repeat table genuinely compresses: 16 sites → 4
-    /// classes at every root pair.
-    fn repeat_heavy() -> (Tree, CompressedAlignment) {
-        let tree = newick::parse("((a:0.11,b:0.23):0.31,c:0.08,(d:0.19,e:0.27):0.14);").unwrap();
-        let base = [
-            ("a", "ACGT"),
-            ("b", "ACGA"),
-            ("c", "AAGT"),
-            ("d", "ACTT"),
-            ("e", "GCGT"),
-        ];
-        let names: Vec<String> = base.iter().map(|(n, _)| n.to_string()).collect();
-        let rows: Vec<Vec<phylo_bio::DnaCode>> = base
-            .iter()
-            .map(|(n, s)| {
-                let seq = Sequence::from_str_named(*n, s).unwrap();
-                (0..16).map(|i| seq.get(i % 4)).collect()
-            })
-            .collect();
-        let weights: Vec<u32> = (1..=16).collect();
-        let aln = CompressedAlignment::from_parts(names, rows, weights).unwrap();
-        (tree, aln)
-    }
-
-    #[test]
-    fn folded_root_paths_are_bit_identical() {
-        let (tree, aln) = repeat_heavy();
-        for kernel in [KernelKind::Scalar, KernelKind::Simd] {
-            let mk = |site_repeats| {
-                LikelihoodEngine::new(
-                    &tree,
-                    &aln,
-                    EngineConfig {
-                        kernel,
-                        site_repeats,
-                        ..EngineConfig::default()
-                    },
-                )
-            };
-            {
-                let mode = SiteRepeats::On;
-                let mut off = mk(SiteRepeats::Off);
-                let mut on = mk(mode);
-                for e in tree.edge_ids() {
-                    assert_eq!(
-                        off.log_likelihood(&tree, e).to_bits(),
-                        on.log_likelihood(&tree, e).to_bits(),
-                        "{kernel:?} {mode} edge {e}: folded evaluate drifted"
-                    );
-                    for i in 0..off.num_inner() {
-                        assert_eq!(
-                            off.cla_scale(i),
-                            on.cla_scale(i),
-                            "{kernel:?} {mode} edge {e} inner {i}: scale arrays differ"
-                        );
-                    }
-                    off.prepare_branch(&tree, e);
-                    on.prepare_branch(&tree, e);
-                    for t in [tree.length(e), 0.5 * tree.length(e) + 0.01] {
-                        let (d1o, d2o) = off.branch_derivatives(t);
-                        let (d1f, d2f) = on.branch_derivatives(t);
-                        assert_eq!(
-                            d1o.to_bits(),
-                            d1f.to_bits(),
-                            "{kernel:?} {mode} edge {e} t={t}: d1"
-                        );
-                        assert_eq!(
-                            d2o.to_bits(),
-                            d2f.to_bits(),
-                            "{kernel:?} {mode} edge {e} t={t}: d2"
-                        );
-                    }
-                }
-                // (The rest is skipped under an env override, which
-                // forces both engines into the same mode.)
-                if SiteRepeats::env_override().is_some() {
-                    return;
-                }
-                // Folding must actually have engaged: the modeled
-                // evaluate traffic shrinks to class width (+ the fold
-                // tail), so the op aggregates cannot match the
-                // uncompressed engine's.
-                assert_ne!(
-                    off.stats().op(KernelOp::EvaluateIi).bytes_read,
-                    on.stats().op(KernelOp::EvaluateIi).bytes_read,
-                    "{kernel:?} {mode}: folded evaluate never engaged"
-                );
-                assert_ne!(
-                    off.stats().op(KernelOp::DerivativeCore).bytes_read,
-                    on.stats().op(KernelOp::DerivativeCore).bytes_read,
-                    "{kernel:?} {mode}: folded derivative never engaged"
-                );
-                // 16 sites in 4 classes at every node and orientation:
-                // no table is bounded and every call compresses.
-                let stats = on.repeat_stats();
-                assert_eq!(off.repeat_stats().newview_calls, stats.newview_calls);
-                assert_eq!(
-                    stats,
-                    RepeatStats {
-                        newview_calls: stats.newview_calls,
-                        compressed_calls: stats.newview_calls,
-                        sites: 16 * stats.newview_calls,
-                        classes: 4 * stats.newview_calls,
-                    },
-                    "{kernel:?} {mode}"
-                );
-                let builds = on.repeat_build_stats();
-                assert_eq!(builds.bounded_by_child + builds.bounded_by_limit, 0);
-                assert_eq!(builds.sites_indexed, 16 * builds.builds);
-            }
-        }
-    }
-
-    /// The default engine over an alignment that compresses fourfold
-    /// at every node: no table, no index, no scratch, no fold — the
-    /// path `Off` takes — and the bits of `On` and `Off`.
-    #[test]
-    fn default_engine_builds_no_repeat_table() {
-        if SiteRepeats::env_override().is_some() {
-            return; // the override replaces the default this test pins
-        }
-        let (tree, aln) = repeat_heavy();
-        for kernel in [KernelKind::Scalar, KernelKind::Simd] {
-            let mk = |site_repeats| {
-                LikelihoodEngine::new(
-                    &tree,
-                    &aln,
-                    EngineConfig {
-                        kernel,
-                        site_repeats,
-                        ..EngineConfig::default()
-                    },
-                )
-            };
-            let mut auto = mk(EngineConfig::default().site_repeats);
-            assert_eq!(auto.site_repeats(), SiteRepeats::Auto);
-            let (mut on, mut off) = (mk(SiteRepeats::On), mk(SiteRepeats::Off));
-            for e in tree.edge_ids() {
-                let ll = auto.log_likelihood(&tree, e);
-                assert_eq!(
-                    ll.to_bits(),
-                    on.log_likelihood(&tree, e).to_bits(),
-                    "edge {e}"
-                );
-                assert_eq!(
-                    ll.to_bits(),
-                    off.log_likelihood(&tree, e).to_bits(),
-                    "edge {e}"
-                );
-                for engine in [&mut auto, &mut on, &mut off] {
-                    engine.prepare_branch(&tree, e);
-                }
-                let d = auto.branch_derivatives(0.2);
-                assert_eq!(d, on.branch_derivatives(0.2), "edge {e}");
-                assert_eq!(d, off.branch_derivatives(0.2), "edge {e}");
-            }
-            assert!(on.repeat_table_bytes() > 0 && on.repeat_build_stats().builds > 0);
-            assert!(on.repeat_scratch.is_some() && on.root_fold.is_some());
-            for engine in [&auto, &off] {
-                assert_eq!(engine.repeat_table_bytes(), 0, "{kernel:?}");
-                assert_eq!(engine.repeat_build_stats(), RepeatBuildStats::default());
-                assert!(engine.repeat_scratch.is_none() && engine.root_fold.is_none());
-                assert!(engine.repeat_tables.iter().all(Option::is_none));
-                assert_eq!(engine.repeat_stats().compressed_calls, 0);
-                assert_eq!(
-                    engine.repeat_stats().newview_calls,
-                    on.repeat_stats().newview_calls
-                );
-            }
-        }
-    }
-
-    /// The cost an engine does not pay where its limit declines every
-    /// node: 15 sites whose rows are each a permutation of the 15
-    /// non-gap codes, so already a cherry has 15 classes — one over
-    /// `On`'s limit of 14.
-    #[test]
-    fn repeat_free_alignment_indexes_only_the_cherries() {
-        if SiteRepeats::env_override().is_some() {
-            return; // both engines would run the override's mode
-        }
-        let names = phylo_tree::build::default_names(9);
-        let tree = phylo_tree::build::balanced(&names, 0.1).unwrap();
-        let n = 15usize;
-        let rows: Vec<Vec<phylo_bio::DnaCode>> = [1, 2, 4, 7, 8, 11, 13, 14, 1]
-            .iter()
-            .enumerate()
-            .map(|(taxon, step)| {
-                (0..n)
-                    .map(|i| phylo_bio::DnaCode::from_bits(((i * step + taxon) % n + 1) as u8))
-                    .collect::<Result<_, _>>()
-                    .unwrap()
-            })
-            .collect();
-        let aln = CompressedAlignment::from_parts(names, rows, vec![1; n]).unwrap();
-        let mk = |site_repeats| {
-            LikelihoodEngine::new(
-                &tree,
-                &aln,
-                EngineConfig {
-                    site_repeats,
-                    ..EngineConfig::default()
-                },
-            )
-        };
-        let (mut off, mut auto) = (mk(SiteRepeats::Off), mk(SiteRepeats::On));
-        let limit = auto.class_limit.unwrap();
-        assert_eq!(limit, 14);
-        for e in tree.edge_ids() {
-            // Node kinds under this orientation, from the schedule the
-            // engine walks.
-            let (mut cherries, mut tip_inner) = (0u64, 0u64);
-            for d in full_schedule(&tree, e) {
-                let tips = children(&tree, d.node, d.toward_edge)
-                    .iter()
-                    .filter(|(_, c)| tree.is_tip(*c))
-                    .count();
-                cherries += u64::from(tips == 2);
-                tip_inner += u64::from(tips == 1);
-            }
-            let before = auto.repeat_build_stats();
-            assert_eq!(
-                off.log_likelihood(&tree, e).to_bits(),
-                auto.log_likelihood(&tree, e).to_bits()
-            );
-            let after = auto.repeat_build_stats();
-            let built = after.builds - before.builds;
-            let by_limit = after.bounded_by_limit - before.bounded_by_limit;
-            let by_child = after.bounded_by_child - before.bounded_by_child;
-            let indexed = after.sites_indexed - before.sites_indexed;
-            // Only cherries are ever passed over, each cut at class
-            // 15; every other node, and the root fold, is bounded by
-            // its child without looking at a site.
-            assert!(by_limit <= cherries, "edge {e}");
-            assert_eq!(
-                built,
-                by_limit + by_child,
-                "edge {e}: a table was built in full"
-            );
-            assert_eq!(indexed, by_limit * (limit as u64 + 1), "edge {e}");
-            assert!(indexed <= (cherries + tip_inner) * n as u64, "edge {e}");
-            if before.builds == 0 {
-                // The first traversal builds every node's table and
-                // the root fold's.
-                assert_eq!(built, tree.num_inner() as u64 + 1);
-                assert_eq!(by_limit, cherries);
-            }
-        }
-        assert_eq!(auto.repeat_stats().compressed_calls, 0);
     }
 
     #[test]
@@ -2421,47 +1656,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_nodes_hold_no_table_memory() {
-        // 120 random columns: a large enough subtree has no repeated
-        // site left, so some of a 20-taxon tree's nodes keep only the
-        // bounded marker even under `On`.
-        let (tree, aln) = pool_dataset(20, 6);
-        let cfg_of = |site_repeats| EngineConfig {
-            site_repeats,
-            ..EngineConfig::default()
-        };
-        let pool = min_pool_slots(&tree, 0);
-        let mut on = LikelihoodEngine::with_pool(&tree, &aln, cfg_of(SiteRepeats::On), pool);
-        let mut auto = LikelihoodEngine::with_pool(&tree, &aln, cfg_of(SiteRepeats::Auto), pool);
-        assert_eq!(
-            on.log_likelihood(&tree, 0).to_bits(),
-            auto.log_likelihood(&tree, 0).to_bits()
-        );
-        if SiteRepeats::env_override().is_some() {
-            return; // both engines run the same mode
-        }
-        // Under `On` only a node with no repeat at all is bounded;
-        // every other one holds at least its site→class map.
-        let site_map = 4 * aln.num_patterns();
-        let tables: Vec<&RepeatTable> = on.repeat_tables.iter().flatten().collect();
-        assert_eq!(tables.len(), tree.num_inner());
-        let bounded = tables.iter().filter(|t| t.is_bounded()).count();
-        assert!(
-            bounded > 0 && bounded < tree.num_inner(),
-            "{bounded} bounded"
-        );
-        assert!(tables
-            .iter()
-            .all(|t| !t.is_bounded() || t.heap_bytes() == 0));
-        let held = on.repeat_table_bytes();
-        assert!(held >= (tree.num_inner() - bounded) * site_map);
-        assert!(held < (tree.num_inner() - bounded) * 3 * site_map + 1);
-        assert!(on.repeat_stats().compressed_calls > 0);
-        // `Auto` declines the tables altogether.
-        assert_eq!(auto.repeat_table_bytes(), 0);
-    }
-
-    #[test]
     fn small_pool_costs_more_newview_calls() {
         let (tree, aln) = pool_dataset(14, 7);
         let cfg = EngineConfig::default();
@@ -2553,43 +1747,6 @@ mod tests {
     }
 
     #[test]
-    fn site_repeats_bit_identical_under_memory_cap() {
-        // Repeat-heavy alignment: 12 prototype columns cycled across 96
-        // patterns, so every inner node sees heavy class collapse.
-        let mut rng = SmallRng::seed_from_u64(21);
-        let tree = random_tree(&default_names(10), 0.12, &mut rng).unwrap();
-        let protos: Vec<Vec<usize>> = (0..12)
-            .map(|_| (0..10).map(|_| rng.random_range(0..4usize)).collect())
-            .collect();
-        let rows: Vec<Vec<phylo_bio::DnaCode>> = (0..10)
-            .map(|taxon| {
-                (0..96)
-                    .map(|p| phylo_bio::DnaCode::from_state(protos[p % 12][taxon]))
-                    .collect()
-            })
-            .collect();
-        let aln =
-            CompressedAlignment::from_parts(tree.tip_names().to_vec(), rows, vec![1; 96]).unwrap();
-        let cfg_of = |site_repeats| EngineConfig {
-            site_repeats,
-            ..EngineConfig::default()
-        };
-        let pool = min_pool_slots_any_root(&tree);
-        for root in [0usize, 4, 9] {
-            let mut off = LikelihoodEngine::with_pool(&tree, &aln, cfg_of(SiteRepeats::Off), pool);
-            let mut on = LikelihoodEngine::with_pool(&tree, &aln, cfg_of(SiteRepeats::On), pool);
-            let a = off.log_likelihood(&tree, root);
-            let b = on.log_likelihood(&tree, root);
-            assert_eq!(a.to_bits(), b.to_bits(), "root {root}: {a} vs {b}");
-            // (An env override forces both engines into one mode.)
-            assert!(
-                SiteRepeats::env_override().is_some() || on.repeat_stats().compressed_calls > 0,
-                "compression engaged nothing at root {root}"
-            );
-        }
-    }
-
-    #[test]
     fn blocked_traversal_is_bit_identical_under_memory_cap() {
         // A minimal pool forces the queue to run whenever acquiring a
         // slot would evict — the interaction this test pins.
@@ -2615,28 +1772,6 @@ mod tests {
                 "root {root}: blocking changed the newview call count"
             );
         }
-    }
-
-    #[test]
-    fn repeat_tables_survive_invalidate_all() {
-        let (tree, aln) = pool_dataset(10, 13);
-        let cfg = EngineConfig {
-            site_repeats: SiteRepeats::On,
-            ..EngineConfig::default()
-        };
-        let mut capped =
-            LikelihoodEngine::with_pool(&tree, &aln, cfg, min_pool_slots_any_root(&tree));
-        capped.log_likelihood(&tree, 0);
-        let stamp_before = capped.next_repeat_stamp;
-        // Branch-length-style invalidation recomputes CLAs but must
-        // reuse the class tables (they only depend on tip patterns and
-        // topology).
-        capped.invalidate_all();
-        capped.log_likelihood(&tree, 0);
-        assert_eq!(
-            capped.next_repeat_stamp, stamp_before,
-            "tables were rebuilt"
-        );
     }
 
     #[test]

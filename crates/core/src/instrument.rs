@@ -10,7 +10,7 @@
 //! timings (exported as a JSONL trace by [`crate::trace`]) instead of
 //! operation counts alone.
 
-use crate::cost::{KernelCost, KernelOp};
+use crate::cost::KernelOp;
 
 /// The four PLF kernels of §IV.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -265,8 +265,7 @@ impl RegionStats {
 pub struct OpCost {
     /// Number of invocations.
     pub calls: u64,
-    /// Pattern-sites processed (full width; compression does not
-    /// shrink this — it shrinks the cost fields instead).
+    /// Pattern-sites processed.
     pub sites: u64,
     /// Total wall time across invocations.
     pub total_ns: u64,
@@ -348,14 +347,7 @@ impl KernelStats {
     /// roofline aggregate using the analytical cost model.
     #[inline]
     pub fn record_op_timed(&mut self, op: KernelOp, sites: usize, ns: u64) {
-        self.record_op_cost(op, sites, ns, op.cost(sites as u64));
-    }
-
-    /// Like [`KernelStats::record_op_timed`] but with an explicit cost
-    /// (the site-repeat-compressed paths run the kernel over classes,
-    /// so their cost differs from `op.cost(sites)`).
-    #[inline]
-    pub fn record_op_cost(&mut self, op: KernelOp, sites: usize, ns: u64, cost: KernelCost) {
+        let cost = op.cost(sites as u64);
         self.record_timed(op.kernel_id(), sites, ns);
         let o = &mut self.ops[op.index()];
         o.calls += 1;

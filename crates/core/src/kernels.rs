@@ -13,8 +13,7 @@
 //! (`evaluate_classes_ti/ii`, `derivative_core_classes`). The scalar
 //! phase-2 tails — `ln` minus the scaling correction, the `ℓ'/ℓ`
 //! ratios, the weighted sum in site order — are written once, here,
-//! and shared by the full-width provided methods and the engine's
-//! weight-folded root paths.
+//! in the provided methods.
 
 pub mod scalar;
 pub mod simd;
@@ -229,33 +228,28 @@ pub trait Kernels: Send + Sync {
     fn derivative_sum_ii(&self, basis: &EigenBasis, v_q: &[f64], v_r: &[f64], out: &mut [f64]);
 
     /// Phase 1 of `evaluate` with a tip at the virtual root's left
-    /// end: the raw (pre-`ln`) site likelihood at each site `reprs[c]`,
-    /// written to `out[c]`. `reprs` is the identity for the full-width
-    /// [`Kernels::evaluate_ti`] and the class representatives for the
-    /// engine's weight-folded root path ([`crate::repeats`]); the
-    /// value at a site must not depend on which other sites are asked
-    /// for, so both paths see the same bits.
+    /// end: the raw (pre-`ln`) site likelihood of each of the
+    /// `out.len()` contiguous sites, written to `out[c]`. The value at
+    /// a site must not depend on which other sites share the call, so
+    /// any chunking sees the same bits.
     fn evaluate_classes_ti(
         &self,
         pi_tip: &Lut16x16,
         codes_q: &[u8],
         p: &FusedPmat,
         v_r: &[f64],
-        reprs: &[u32],
         out: &mut [f64],
     );
 
     /// Phase 1 of `evaluate` between two inner nodes: like
     /// [`Kernels::evaluate_classes_ti`], with `codes_q` replaced by the
-    /// `v_q` CLA. `pi_w[m] = w_k · π_a`. Only the columns of `v_q`/`v_r`
-    /// at `reprs` are read.
+    /// `v_q` CLA. `pi_w[m] = w_k · π_a`.
     fn evaluate_classes_ii(
         &self,
         pi_w: &[f64; SITE_STRIDE],
         v_q: &[f64],
         p: &FusedPmat,
         v_r: &[f64],
-        reprs: &[u32],
         out: &mut [f64],
     );
 
@@ -292,7 +286,6 @@ pub trait Kernels: Send + Sync {
                 &codes_q[sites.clone()],
                 p,
                 site_columns(v_r, &sites),
-                &IDENTITY[..w.len()],
                 &mut block[..w.len()],
             );
             for ((&l, &sc), &w) in block.iter().zip(&scale_r[sites]).zip(w) {
@@ -324,7 +317,6 @@ pub trait Kernels: Send + Sync {
                 site_columns(v_q, &sites),
                 p,
                 site_columns(v_r, &sites),
-                &IDENTITY[..w.len()],
                 &mut block[..w.len()],
             );
             let scales = scale_q[sites.clone()].iter().zip(&scale_r[sites]);
@@ -377,18 +369,6 @@ pub trait Kernels: Send + Sync {
 /// `derivative_core_classes` rebuilds per call.
 const ROOT_CHUNK: usize = 64 * SITE_BLOCK;
 
-/// `0, 1, 2, …`: the `reprs` argument that makes a class primitive
-/// compute every site of a chunk.
-static IDENTITY: [u32; ROOT_CHUNK] = {
-    let mut ids = [0; ROOT_CHUNK];
-    let mut i = 0;
-    while i < ROOT_CHUNK {
-        ids[i] = i as u32;
-        i += 1;
-    }
-    ids
-};
-
 /// The columns of `sites` in a [`SITE_STRIDE`]-wide site buffer.
 #[inline]
 fn site_columns<'a>(buf: &'a [f64], sites: &std::ops::Range<usize>) -> &'a [f64] {
@@ -398,7 +378,7 @@ fn site_columns<'a>(buf: &'a [f64], sites: &std::ops::Range<usize>) -> &'a [f64]
 /// The `evaluate` tail at one site: the log of the raw site likelihood
 /// `l`, corrected for `scale` underflow-scaling events.
 #[inline]
-pub(crate) fn site_log_likelihood(l: f64, scale: u32) -> f64 {
+fn site_log_likelihood(l: f64, scale: u32) -> f64 {
     positive(l).ln() - scale as f64 * LN_SCALE
 }
 
@@ -406,7 +386,7 @@ pub(crate) fn site_log_likelihood(l: f64, scale: u32) -> f64 {
 /// `ℓ'/ℓ` and `ℓ''/ℓ − (ℓ'/ℓ)²` to the first and second derivative of
 /// the log-likelihood.
 #[inline]
-pub(crate) fn derivative_ratios(l: f64, l1: f64, l2: f64) -> (f64, f64) {
+fn derivative_ratios(l: f64, l1: f64, l2: f64) -> (f64, f64) {
     let l = positive(l);
     let ratio1 = l1 / l;
     (ratio1, l2 / l - ratio1 * ratio1)
@@ -566,9 +546,9 @@ mod tests {
                     let (q, r, s) = (site(&v_q, i), site(&v_r, i), site(&sumtable, i));
                     let w = weights[i] as f64;
                     let mut l = [0.0];
-                    k.evaluate_classes_ti(&pi_tip, &codes[i..=i], &p, &r, &[0], &mut l);
+                    k.evaluate_classes_ti(&pi_tip, &codes[i..=i], &p, &r, &mut l);
                     ti += w * (l[0].max(f64::MIN_POSITIVE).ln() - scale_r[i] as f64 * LN_SCALE);
-                    k.evaluate_classes_ii(&pi_w, &q, &p, &r, &[0], &mut l);
+                    k.evaluate_classes_ii(&pi_w, &q, &p, &r, &mut l);
                     let sc = (scale_q[i] + scale_r[i]) as f64;
                     ii += w * (l[0].max(f64::MIN_POSITIVE).ln() - sc * LN_SCALE);
                     let mut l = [0.0; 3];

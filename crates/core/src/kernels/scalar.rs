@@ -149,14 +149,12 @@ impl Kernels for ScalarKernels {
         codes_q: &[u8],
         p: &FusedPmat,
         v_r: &[f64],
-        reprs: &[u32],
         out: &mut [f64],
     ) {
-        debug_assert_eq!(out.len(), reprs.len());
-        for (c, &s) in reprs.iter().enumerate() {
-            let s = s as usize;
-            let piq = &pi_tip.rows[codes_q[s] as usize];
-            let vr = &v_r[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
+        debug_assert_eq!(v_r.len(), out.len() * SITE_STRIDE);
+        let inputs = codes_q.iter().zip(v_r.chunks_exact(SITE_STRIDE));
+        for (slot, (&code, vr)) in out.iter_mut().zip(inputs) {
+            let piq = &pi_tip.rows[code as usize];
             let mut site = 0.0;
             for k in 0..NUM_RATES {
                 for a in 0..NUM_STATES {
@@ -167,7 +165,7 @@ impl Kernels for ScalarKernels {
                     site += piq[4 * k + a] * x;
                 }
             }
-            out[c] = site;
+            *slot = site;
         }
     }
 
@@ -177,14 +175,13 @@ impl Kernels for ScalarKernels {
         v_q: &[f64],
         p: &FusedPmat,
         v_r: &[f64],
-        reprs: &[u32],
         out: &mut [f64],
     ) {
-        debug_assert_eq!(out.len(), reprs.len());
-        for (c, &s) in reprs.iter().enumerate() {
-            let s = s as usize;
-            let vq = &v_q[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
-            let vr = &v_r[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
+        debug_assert_eq!(v_r.len(), out.len() * SITE_STRIDE);
+        let inputs = v_q
+            .chunks_exact(SITE_STRIDE)
+            .zip(v_r.chunks_exact(SITE_STRIDE));
+        for (slot, (vq, vr)) in out.iter_mut().zip(inputs) {
             let mut site = 0.0;
             for k in 0..NUM_RATES {
                 for a in 0..NUM_STATES {
@@ -195,7 +192,7 @@ impl Kernels for ScalarKernels {
                     site += pi_w[4 * k + a] * vq[4 * k + a] * x;
                 }
             }
-            out[c] = site;
+            *slot = site;
         }
     }
 

@@ -247,7 +247,6 @@ impl Kernels for SimdKernels {
         codes_q: &[u8],
         p: &FusedPmat,
         v_r: &[f64],
-        reprs: &[u32],
         out: &mut [f64],
     ) {
         #[cfg(target_arch = "x86_64")]
@@ -257,13 +256,13 @@ impl Kernels for SimdKernels {
             // AVX2+FMA detected, and 512 only with AVX-512F on top.
             return unsafe {
                 if self.width_bits == 512 {
-                    x86::w512::evaluate_classes_ti(pi_tip, codes_q, p, v_r, reprs, out)
+                    x86::w512::evaluate_classes_ti(pi_tip, codes_q, p, v_r, out)
                 } else {
-                    x86::evaluate_classes_ti(pi_tip, codes_q, p, v_r, reprs, out)
+                    x86::evaluate_classes_ti(pi_tip, codes_q, p, v_r, out)
                 }
             };
         }
-        ScalarKernels.evaluate_classes_ti(pi_tip, codes_q, p, v_r, reprs, out)
+        ScalarKernels.evaluate_classes_ti(pi_tip, codes_q, p, v_r, out)
     }
 
     fn evaluate_classes_ii(
@@ -272,7 +271,6 @@ impl Kernels for SimdKernels {
         v_q: &[f64],
         p: &FusedPmat,
         v_r: &[f64],
-        reprs: &[u32],
         out: &mut [f64],
     ) {
         #[cfg(target_arch = "x86_64")]
@@ -283,13 +281,13 @@ impl Kernels for SimdKernels {
             // AVX2+FMA detected, and 512 only with AVX-512F on top.
             return unsafe {
                 if self.width_bits == 512 {
-                    x86::w512::evaluate_classes_ii(pi_w, v_q, p, v_r, reprs, out)
+                    x86::w512::evaluate_classes_ii(pi_w, v_q, p, v_r, out)
                 } else {
-                    x86::evaluate_classes_ii(pi_w, v_q, p, v_r, reprs, out)
+                    x86::evaluate_classes_ii(pi_w, v_q, p, v_r, out)
                 }
             };
         }
-        ScalarKernels.evaluate_classes_ii(pi_w, v_q, p, v_r, reprs, out)
+        ScalarKernels.evaluate_classes_ii(pi_w, v_q, p, v_r, out)
     }
 
     fn derivative_core_classes(
@@ -426,17 +424,6 @@ mod x86 {
         let p = buf.as_ptr().wrapping_add(site * SITE_STRIDE);
         _mm_prefetch::<_MM_HINT_T0>(p as *const i8);
         _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(8) as *const i8);
-    }
-
-    /// Prefetches the site `reprs` names [`PREFETCH_SITES`] entries
-    /// past position `c` — the next lines of a full-width sweep, or the
-    /// next scattered class representative.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn prefetch_ahead(buf: &[f64], reprs: &[u32], c: usize) {
-        if let Some(&s) = reprs.get(c + PREFETCH_SITES) {
-            prefetch_site(buf, s as usize);
-        }
     }
 
     /// Horizontal sum of 4 lanes.
@@ -661,15 +648,13 @@ mod x86 {
         codes_q: &[u8],
         p: &FusedPmat,
         v_r: &[f64],
-        reprs: &[u32],
         out: &mut [f64],
     ) {
-        debug_assert_eq!(out.len(), reprs.len());
-        for (c, (&s, slot)) in reprs.iter().zip(out.iter_mut()).enumerate() {
-            prefetch_ahead(v_r, reprs, c);
-            let s = s as usize;
-            let piq = &pi_tip.rows[codes_q[s] as usize];
-            let vr = &v_r[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
+        debug_assert_eq!(v_r.len(), out.len() * SITE_STRIDE);
+        let inputs = codes_q.iter().zip(v_r.chunks_exact(SITE_STRIDE));
+        for (i, (slot, (&code, vr))) in out.iter_mut().zip(inputs).enumerate() {
+            prefetch_site(v_r, i + PREFETCH_SITES);
+            let piq = &pi_tip.rows[code as usize];
             *slot = weighted_sum(load_site(piq), matvec(&p.cols, vr));
         }
     }
@@ -680,16 +665,15 @@ mod x86 {
         v_q: &[f64],
         p: &FusedPmat,
         v_r: &[f64],
-        reprs: &[u32],
         out: &mut [f64],
     ) {
-        debug_assert_eq!(out.len(), reprs.len());
-        for (c, (&s, slot)) in reprs.iter().zip(out.iter_mut()).enumerate() {
-            prefetch_ahead(v_q, reprs, c);
-            prefetch_ahead(v_r, reprs, c);
-            let s = s as usize;
-            let vq = &v_q[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
-            let vr = &v_r[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
+        debug_assert_eq!(v_r.len(), out.len() * SITE_STRIDE);
+        let inputs = v_q
+            .chunks_exact(SITE_STRIDE)
+            .zip(v_r.chunks_exact(SITE_STRIDE));
+        for (i, (slot, (vq, vr))) in out.iter_mut().zip(inputs).enumerate() {
+            prefetch_site(v_q, i + PREFETCH_SITES);
+            prefetch_site(v_r, i + PREFETCH_SITES);
             *slot = weighted_sum(root_weights(pi_w, vq), matvec(&p.cols, vr));
         }
     }
@@ -705,8 +689,8 @@ mod x86 {
         debug_assert_eq!(sumtable.len(), n * SITE_STRIDE);
         let (e, d1, d2) = derivative_exp_tables(lambda_rate, t);
         let (ev, d1v, d2v) = (load_site(&e[..]), load_site(&d1[..]), load_site(&d2[..]));
-        // Phase 1 of `derivative_core` over contiguous class columns;
-        // the engine folds the ratio/weight tail in site order.
+        // Phase 1 of `derivative_core` over contiguous columns; the
+        // provided method folds the ratio/weight tail in site order.
         for c in 0..n {
             prefetch_site(sumtable, c + PREFETCH_SITES);
             let sv = &sumtable[c * SITE_STRIDE..(c + 1) * SITE_STRIDE];
@@ -732,8 +716,8 @@ mod x86 {
         //! is eight registers, loaded once per call.
 
         use super::{
-            drain_streams, prefetch_ahead, prefetch_site, rescale_site, root_weights, stream_ok,
-            weighted_sum, SiteBuf, PREFETCH_SITES,
+            drain_streams, prefetch_site, rescale_site, root_weights, stream_ok, weighted_sum,
+            SiteBuf, PREFETCH_SITES,
         };
         use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
         use crate::scaling::SCALE_THRESHOLD;
@@ -963,16 +947,14 @@ mod x86 {
             codes_q: &[u8],
             p: &FusedPmat,
             v_r: &[f64],
-            reprs: &[u32],
             out: &mut [f64],
         ) {
-            debug_assert_eq!(out.len(), reprs.len());
+            debug_assert_eq!(v_r.len(), out.len() * SITE_STRIDE);
             let p = load_matrix(&p.cols);
-            for (c, (&s, slot)) in reprs.iter().zip(out.iter_mut()).enumerate() {
-                prefetch_ahead(v_r, reprs, c);
-                let s = s as usize;
-                let piq = super::load_site(&pi_tip.rows[codes_q[s] as usize]);
-                let vr = &v_r[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
+            let inputs = codes_q.iter().zip(v_r.chunks_exact(SITE_STRIDE));
+            for (i, (slot, (&code, vr))) in out.iter_mut().zip(inputs).enumerate() {
+                prefetch_site(v_r, i + PREFETCH_SITES);
+                let piq = super::load_site(&pi_tip.rows[code as usize]);
                 *slot = weighted_sum(piq, blocks(matvec(&p, load_site(vr))));
             }
         }
@@ -983,17 +965,16 @@ mod x86 {
             v_q: &[f64],
             p: &FusedPmat,
             v_r: &[f64],
-            reprs: &[u32],
             out: &mut [f64],
         ) {
-            debug_assert_eq!(out.len(), reprs.len());
+            debug_assert_eq!(v_r.len(), out.len() * SITE_STRIDE);
             let p = load_matrix(&p.cols);
-            for (c, (&s, slot)) in reprs.iter().zip(out.iter_mut()).enumerate() {
-                prefetch_ahead(v_q, reprs, c);
-                prefetch_ahead(v_r, reprs, c);
-                let s = s as usize;
-                let vq = &v_q[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
-                let vr = &v_r[s * SITE_STRIDE..(s + 1) * SITE_STRIDE];
+            let inputs = v_q
+                .chunks_exact(SITE_STRIDE)
+                .zip(v_r.chunks_exact(SITE_STRIDE));
+            for (i, (slot, (vq, vr))) in out.iter_mut().zip(inputs).enumerate() {
+                prefetch_site(v_q, i + PREFETCH_SITES);
+                prefetch_site(v_r, i + PREFETCH_SITES);
                 *slot = weighted_sum(root_weights(pi_w, vq), blocks(matvec(&p, load_site(vr))));
             }
         }
@@ -1117,7 +1098,6 @@ pub(crate) mod tests {
         }
         let codes: Vec<u8> = (0..n).map(|i| 1 + (i % 15) as u8).collect();
         let scale: Vec<u32> = (0..n).map(|i| (i % 4) as u32).collect();
-        let reprs: Vec<u32> = (0..n as u32).collect();
         let (pl, pr) = (pmat(0.23), pmat(0.11));
         let lut = Lut16x16::tip_prob(&pl);
         let (g, rates) = model();
@@ -1142,8 +1122,8 @@ pub(crate) mod tests {
         k.newview_ii(&pl, &vl, &scale, &pr, &vr, &scale, out, sc);
         k.derivative_sum_ti(&basis, &codes, &vr, &mut o.sum_ti);
         k.derivative_sum_ii(&basis, &vl, &vr, &mut o.sum_ii);
-        k.evaluate_classes_ti(&pi_tip, &codes, &pr, &vr, &reprs, &mut o.eval_ti);
-        k.evaluate_classes_ii(&pi_w, &vl, &pr, &vr, &reprs, &mut o.eval_ii);
+        k.evaluate_classes_ti(&pi_tip, &codes, &pr, &vr, &mut o.eval_ti);
+        k.evaluate_classes_ii(&pi_w, &vl, &pr, &vr, &mut o.eval_ii);
         o
     }
 

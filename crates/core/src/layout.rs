@@ -30,8 +30,7 @@ use crate::{NUM_RATES, NUM_STATES, SITE_STRIDE};
 use phylo_models::{Eigensystem, ProbMatrix};
 
 /// The index range of pattern `i`'s 16 doubles in a pattern-major
-/// buffer — the one place the `i · SITE_STRIDE` arithmetic for
-/// site-indexed and class-indexed CLA views lives.
+/// buffer.
 #[inline]
 pub fn site_range(i: usize) -> std::ops::Range<usize> {
     i * SITE_STRIDE..(i + 1) * SITE_STRIDE

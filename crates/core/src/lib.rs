@@ -52,7 +52,6 @@ pub mod layout;
 pub mod metrics;
 pub mod naive;
 pub mod nstate;
-pub mod repeats;
 pub mod scaling;
 pub mod span;
 pub(crate) mod sync;
@@ -61,10 +60,9 @@ pub mod trace;
 pub use aligned::AlignedVec;
 pub use blocking::Blocking;
 pub use cost::{KernelCost, KernelOp, ProfitCalibration};
-pub use engine::{EngineConfig, LikelihoodEngine};
+pub use engine::{EngineConfig, LikelihoodEngine, RepeatStats, SiteRepeats};
 pub use instrument::{KernelId, KernelStats, LatencyHistogram, OpCost, RegionStats};
 pub use kernels::{KernelKind, Kernels};
-pub use repeats::{RepeatStats, SiteRepeats};
 pub use span::{SpanGuard, TrackSnapshot};
 pub use trace::{TraceEvent, TRACE_VERSION};
 

@@ -70,15 +70,6 @@ pub fn scale_site(site: &mut [f64]) -> u32 {
     1
 }
 
-/// Adds `n` synthetic events to the `core.scaling.events` counter.
-/// Used by the site-repeat compression layer: the kernel's
-/// [`scale_site`] fires once per repeat *class*, so the engine
-/// re-weights each class's rescale bump by its multiplicity to keep the
-/// process-wide total identical to an uncompressed run.
-pub(crate) fn add_scaling_events(n: u64) {
-    scaling_events().add(n);
-}
-
 /// Cached handle for the `core.scaling.events` counter. Only the cold
 /// rescale branch pays for it (one `OnceLock` load + relaxed add).
 fn scaling_events() -> &'static crate::metrics::Counter {

@@ -43,7 +43,8 @@ use std::fmt::Write as _;
 /// Version history: 1 = kernel + region events; 2 = meta/span/metric
 /// events, kernel quantile fields; 3 = meta carries the resolved kernel
 /// backend so reports attribute timings to an ISA; 4 = meta carries the
-/// resolved site-repeat compression mode; 5 = `op` events with modeled
+/// resolved site-repeat compression mode (a `site_repeats` key, no
+/// longer written and ignored when read); 5 = `op` events with modeled
 /// roofline cost, and meta carries `spans_dropped` plus the host
 /// roofline (`roofline_mflops` / `roofline_mbps`, 0 = uncalibrated);
 /// 6 = meta carries the resolved replicated-search transport and its
@@ -71,9 +72,6 @@ pub enum TraceEvent {
         /// ([`crate::KernelKind::simd_width_bits`]: 512, 256, or 0 for
         /// the scalar loops); 0 when read from a pre-v8 trace.
         simd_width_bits: u64,
-        /// The resolved site-repeat compression mode (`"on"`, `"off"`
-        /// or `"auto"`); empty when read from a pre-v4 trace.
-        site_repeats: String,
         /// The resolved traversal cache-blocking mode (`"on"` or
         /// `"off"` — `auto` resolves against the pattern count before
         /// the meta is written); empty when read from a pre-v7 trace.
@@ -222,7 +220,6 @@ impl TraceEvent {
                 version,
                 backend,
                 simd_width_bits,
-                site_repeats,
                 blocking,
                 spans_dropped,
                 roofline_mflops,
@@ -233,9 +230,8 @@ impl TraceEvent {
             } => {
                 let _ = write!(
                     s,
-                    r#"{{"type":"meta","version":{version},"backend":"{}","simd_width_bits":{simd_width_bits},"site_repeats":"{}","blocking":"{}","spans_dropped":{spans_dropped},"roofline_mflops":{roofline_mflops},"roofline_mbps":{roofline_mbps},"transport":"{}","wire_ops":{wire_ops},"wire_ns":{wire_ns}}}"#,
+                    r#"{{"type":"meta","version":{version},"backend":"{}","simd_width_bits":{simd_width_bits},"blocking":"{}","spans_dropped":{spans_dropped},"roofline_mflops":{roofline_mflops},"roofline_mbps":{roofline_mbps},"transport":"{}","wire_ops":{wire_ops},"wire_ns":{wire_ns}}}"#,
                     escape(backend),
-                    escape(site_repeats),
                     escape(blocking),
                     escape(transport)
                 );
@@ -408,8 +404,7 @@ impl TraceEvent {
             }
         };
         // Absent string fields default to empty so meta events from
-        // older schema versions still parse (backend is pre-v3,
-        // site_repeats pre-v4).
+        // older schema versions still parse (backend is pre-v3).
         let get_str_or_empty = |k: &str| -> Result<String, TraceError> {
             match fields.iter().find(|(key, _)| key == k) {
                 Some((_, JsonValue::Str(s))) => Ok(s.clone()),
@@ -425,7 +420,6 @@ impl TraceEvent {
                 backend: get_str_or_empty("backend")?,
                 // Pre-v8: no width field.
                 simd_width_bits: get_u64_or_0("simd_width_bits")?,
-                site_repeats: get_str_or_empty("site_repeats")?,
                 // Pre-v7: no blocking field.
                 blocking: get_str_or_empty("blocking")?,
                 // Pre-v5 metas carry none of these; default to 0.
@@ -828,7 +822,6 @@ mod tests {
                 version: TRACE_VERSION,
                 backend: "simd".into(),
                 simd_width_bits: 512,
-                site_repeats: "on".into(),
                 blocking: "on".into(),
                 spans_dropped: 3,
                 roofline_mflops: 12_400,
@@ -990,15 +983,13 @@ mod tests {
         // The unknown event type and unknown kernel were dropped; the
         // recognizable events survived, extra key ignored.
         assert_eq!(events.len(), 2);
-        // Pre-v3/v4 meta without a backend or site_repeats parses with
-        // empty strings.
+        // Pre-v3 meta without a backend parses with empty strings.
         assert_eq!(
             events[0],
             TraceEvent::Meta {
                 version: 99,
                 backend: String::new(),
                 simd_width_bits: 0,
-                site_repeats: String::new(),
                 blocking: String::new(),
                 spans_dropped: 0,
                 roofline_mflops: 0,
@@ -1052,7 +1043,9 @@ mod tests {
     #[test]
     fn v4_meta_lines_parse_under_v7_reader() {
         // Exactly what a v4 writer produced: no spans_dropped, no
-        // roofline fields, no transport/wire/blocking fields.
+        // roofline fields, no transport/wire/blocking fields — and
+        // the `site_repeats` key every writer up to PR 19 emitted,
+        // which this reader skips like any key it does not know.
         let line = r#"{"type":"meta","version":4,"backend":"vector","site_repeats":"off"}"#;
         assert_eq!(
             TraceEvent::from_json(line).unwrap(),
@@ -1060,7 +1053,6 @@ mod tests {
                 version: 4,
                 backend: "vector".into(),
                 simd_width_bits: 0,
-                site_repeats: "off".into(),
                 blocking: String::new(),
                 spans_dropped: 0,
                 roofline_mflops: 0,

@@ -4,19 +4,18 @@
 //! (first caller wins), so these assertions live in their own test
 //! binary: the plf-core unit tests all run *uncalibrated* and pin the
 //! fallback block size, while this binary pins the calibrated path —
-//! the derived block size, that the site-repeat verdict does not
-//! read the probes, and the end-to-end engine behavior.
+//! the derived block size and the end-to-end engine behavior.
 
 use phylo_bio::{CompressedAlignment, DnaCode};
 use phylo_tree::newick;
 use plf_core::blocking::block_sites;
 use plf_core::cost::{self, ProfitCalibration};
-use plf_core::{Blocking, EngineConfig, KernelKind, LikelihoodEngine, SiteRepeats};
+use plf_core::{Blocking, EngineConfig, KernelKind, LikelihoodEngine};
 
 /// A five-taxon alignment of `protos` prototype columns cycled over
 /// `width` sites, built through `from_parts` (no pattern dedup) so the
-/// joint root classes genuinely repeat.
-fn repeat_heavy(protos: usize, width: usize) -> CompressedAlignment {
+/// engine really covers `width` patterns.
+fn cycled_columns(protos: usize, width: usize) -> CompressedAlignment {
     let names: Vec<String> = ["a", "b", "c", "d", "e"]
         .iter()
         .map(|s| s.to_string())
@@ -32,7 +31,7 @@ fn repeat_heavy(protos: usize, width: usize) -> CompressedAlignment {
 }
 
 #[test]
-fn calibration_drives_block_size_and_not_repeat_profitability() {
+fn calibration_drives_block_size() {
     // --- Uncalibrated fallbacks -------------------------------------
     assert!(cost::calibration().is_none());
     // 1 MiB assumed cache / (128 B * 4 working columns) = 2048 sites.
@@ -69,43 +68,29 @@ fn calibration_drives_block_size_and_not_repeat_profitability() {
         assert_eq!(Blocking::Off.resolve(usize::MAX), None);
     }
 
-    // --- The repeat verdict does not read the probes ------------------
-    // They price a DRAM triad and a memcpy; what decides is the table
-    // build, which neither measures.
-    assert_eq!(SiteRepeats::Auto.class_limit(1100), None);
-
     // --- End-to-end -------------------------------------------------
-    // Auto engines must bit-match Off on both the repeat decision and
-    // the blocked traversal.
+    // An Auto engine must bit-match Off on the blocked traversal.
     let tree = newick::parse("((a:0.1,b:0.12):0.1,c:0.15,(d:0.1,e:0.11):0.13);").unwrap();
-    let aln = repeat_heavy(4, 1100); // > one 1024-site block
-    let mk = |site_repeats, blocking| {
+    let aln = cycled_columns(4, 1100); // > one 1024-site block
+    let mk = |blocking| {
         LikelihoodEngine::new(
             &tree,
             &aln,
             EngineConfig {
                 kernel: KernelKind::Scalar,
-                site_repeats,
                 blocking,
                 ..EngineConfig::default()
             },
         )
     };
-    let mut base = mk(SiteRepeats::Off, Blocking::Off);
-    let mut auto = mk(SiteRepeats::Auto, Blocking::Auto);
-    let mut on = mk(SiteRepeats::On, Blocking::Auto);
+    let mut base = mk(Blocking::Off);
+    let mut auto = mk(Blocking::Auto);
     for edge in [0usize, 3] {
         let a = base.log_likelihood(&tree, edge);
-        for (name, engine) in [("auto", &mut auto), ("on", &mut on)] {
-            let b = engine.log_likelihood(&tree, edge);
-            assert_eq!(a.to_bits(), b.to_bits(), "{name} edge {edge}: {a} vs {b}");
-        }
+        let b = auto.log_likelihood(&tree, edge);
+        assert_eq!(a.to_bits(), b.to_bits(), "auto edge {edge}: {a} vs {b}");
     }
-    if SiteRepeats::env_override().is_none() && Blocking::env_override().is_none() {
-        // 4 classes on 1100 sites: the forced path really compressed
-        // (not just matched bits), the default built nothing.
-        assert!(on.repeat_stats().compressed_calls > 0);
-        assert_eq!(auto.repeat_table_bytes(), 0);
+    if Blocking::env_override().is_none() {
         assert_eq!(
             auto.blocking(),
             Blocking::On,

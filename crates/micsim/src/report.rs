@@ -187,9 +187,6 @@ pub struct TraceReport {
     /// (512 / 256, 0 for the scalar loops), from the v8 `meta` event;
     /// `None` for older traces, which did not record it.
     pub simd_width_bits: Option<u64>,
-    /// Resolved site-repeat compression mode from the `meta` event
-    /// (`"on"` / `"off"`); `None` for pre-v4 traces.
-    pub site_repeats: Option<String>,
     /// Resolved traversal cache-blocking mode from the `meta` event
     /// (`"on"` / `"off"`); `None` for pre-v7 traces.
     pub blocking: Option<String>,
@@ -238,7 +235,6 @@ impl TraceReport {
         let mut version = None;
         let mut backend = None;
         let mut simd_width_bits = None;
-        let mut site_repeats = None;
         let mut blocking = None;
         let mut spans_dropped = 0u64;
         let mut roofline = Roofline::default();
@@ -262,7 +258,6 @@ impl TraceReport {
                     version: v,
                     backend: b,
                     simd_width_bits: width,
-                    site_repeats: sr,
                     blocking: bl,
                     spans_dropped: sd,
                     roofline_mflops,
@@ -277,9 +272,6 @@ impl TraceReport {
                     }
                     if *v >= 8 {
                         simd_width_bits = Some(*width);
-                    }
-                    if !sr.is_empty() {
-                        site_repeats = Some(sr.clone());
                     }
                     if !bl.is_empty() {
                         blocking = Some(bl.clone());
@@ -466,7 +458,6 @@ impl TraceReport {
             version,
             backend,
             simd_width_bits,
-            site_repeats,
             blocking,
             spans_dropped,
             roofline,
@@ -502,18 +493,6 @@ impl TraceReport {
         }
         if let Some(w) = self.simd_width_bits {
             let _ = writeln!(s, "simd_width_bits: {w}");
-        }
-        if let Some(sr) = &self.site_repeats {
-            // The mode, then what it came to (a mode this reader does
-            // not know stands alone).
-            match sr.parse::<plf_core::SiteRepeats>() {
-                Ok(mode) => {
-                    let _ = writeln!(s, "site repeats: {sr} → {}", mode.verdict());
-                }
-                Err(_) => {
-                    let _ = writeln!(s, "site repeats: {sr}");
-                }
-            }
         }
         if let Some(bl) = &self.blocking {
             let _ = writeln!(s, "cache blocking: {bl}");
@@ -771,7 +750,6 @@ impl TraceReport {
             self.simd_width_bits
                 .map_or("null".into(), |w| w.to_string())
         );
-        let _ = write!(s, "\"site_repeats\":{},", opt_str(&self.site_repeats));
         let _ = write!(s, "\"blocking\":{},", opt_str(&self.blocking));
         let _ = write!(s, "\"transport\":{},", opt_str(&self.transport));
         let _ = write!(
@@ -923,7 +901,6 @@ mod tests {
                 version: 8,
                 backend: "simd".into(),
                 simd_width_bits: 512,
-                site_repeats: "on".into(),
                 blocking: "on".into(),
                 spans_dropped: 2,
                 roofline_mflops: 10_000,
@@ -986,7 +963,6 @@ mod tests {
         assert_eq!(r.version, Some(8));
         assert_eq!(r.backend.as_deref(), Some("simd"));
         assert_eq!(r.simd_width_bits, Some(512));
-        assert_eq!(r.site_repeats.as_deref(), Some("on"));
         assert_eq!(r.blocking.as_deref(), Some("on"));
         assert_eq!(r.total_kernel_ns, 10_500_000);
         // newview dominates and sorts first.

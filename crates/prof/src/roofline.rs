@@ -62,10 +62,9 @@ pub struct HostRoofline {
     pub git_rev: String,
     /// SIMD features available to the measuring binary.
     pub simd: String,
-    /// Streamed copy bandwidth (`a[i] = b[i]`), MB/s — the throughput
-    /// of the site-repeat expand/gather step, which the measured
-    /// profitability model compares against kernel throughput. 0 when
-    /// read from a cache written before this field existed.
+    /// Streamed copy bandwidth (`a[i] = b[i]`), MB/s. Reported next
+    /// to the triad; steers nothing. 0 when read from a cache written
+    /// before this field existed.
     pub copy_mbps: u64,
     /// Per-core data-cache capacity in bytes (largest core-private
     /// level reported by sysfs, normally L2), sizing the traversal
@@ -191,10 +190,7 @@ fn triad_bandwidth(len: usize, rounds: usize) -> f64 {
 
 /// Best-round streamed copy bandwidth (`a[i] = b[i]`), bytes/second,
 /// counted at 16 bytes/element (one read + one write, the same
-/// no-write-allocate convention as the triad). This is the rate of the
-/// site-repeat expand step — a contiguous-destination copy whose
-/// source walks class-representative columns — which the measured
-/// profitability model weighs against kernel throughput.
+/// no-write-allocate convention as the triad).
 fn copy_bandwidth(len: usize, rounds: usize) -> f64 {
     let b = vec![1.000_1f64; len];
     let mut a = vec![0.0f64; len];

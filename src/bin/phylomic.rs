@@ -19,9 +19,7 @@ use phylomic::plf::trace::{
     events_from_metrics, events_from_spans, events_from_stats, write_jsonl, TraceEvent,
     TRACE_VERSION,
 };
-use phylomic::plf::{
-    metrics, span, Blocking, EngineConfig, KernelKind, LikelihoodEngine, SiteRepeats,
-};
+use phylomic::plf::{metrics, span, Blocking, EngineConfig, KernelKind, LikelihoodEngine};
 use phylomic::search::{MlSearch, SearchConfig};
 use phylomic::tree::build::{default_names, random_tree};
 use phylomic::tree::{newick, Tree};
@@ -37,33 +35,22 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_opts(rest) {
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(&(_, accepted, run)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        eprintln!("error: unknown subcommand {cmd:?}");
+        return ExitCode::FAILURE;
+    };
+    let opts = match parse_opts(rest, accepted) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let result = match cmd.as_str() {
-        "simulate" => cmd_simulate(&opts),
-        "evaluate" => cmd_evaluate(&opts),
-        "search" => cmd_search(&opts),
-        "bootstrap" => cmd_bootstrap(&opts),
-        "trace-report" => cmd_trace_report(&opts),
-        "calibrate" => cmd_calibrate(&opts),
-        "bench-trend" => cmd_bench_trend(&opts),
-        // Hidden: the socket transport's child-rank entry. The
-        // supervisor (`search --transport uds`) spawns these; not part
-        // of the user-facing surface.
-        #[cfg(unix)]
-        "_rank" => cmd_rank(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand {other:?}")),
-    };
-    match result {
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -72,17 +59,104 @@ fn main() -> ExitCode {
     }
 }
 
+type Command = fn(&Opts) -> Result<(), String>;
+
+/// What `search` and a `_rank` child it spawns both read — the valued
+/// options of `search_inputs`, which `run_sharded` passes through, and
+/// the three it handles one by one.
+const SEARCH_INPUT_OPTS: &[&str] = &[
+    "alignment",
+    "tree",
+    "start",
+    "seed",
+    "alpha",
+    "rounds",
+    "kernels",
+    "blocking",
+];
+const RANK_OPTS: &[&str] = &["no-model-opt", "checkpoint", "inject-fault"];
+
+/// Every subcommand: its name, the options it reads, in groups (every
+/// `opts.get` / `get(opts, …)` / `require` / `contains_key` key on its
+/// path, and nothing else — `parse_opts` refuses the rest), its body.
+const COMMANDS: &[(&str, &[&[&str]], Command)] = &[
+    (
+        "simulate",
+        &[&["taxa", "sites", "alpha", "seed", "out"]],
+        cmd_simulate,
+    ),
+    (
+        "evaluate",
+        &[&[
+            "alignment",
+            "tree",
+            "alpha",
+            "kernels",
+            "blocking",
+            "trace-out",
+            "chrome-out",
+        ]],
+        cmd_evaluate,
+    ),
+    (
+        "search",
+        &[
+            SEARCH_INPUT_OPTS,
+            RANK_OPTS,
+            &[
+                "scheme",
+                "threads",
+                "transport",
+                "degrade",
+                "out",
+                "trace-out",
+                "chrome-out",
+            ],
+        ],
+        cmd_search,
+    ),
+    (
+        "bootstrap",
+        &[&[
+            "alignment",
+            "seed",
+            "replicates",
+            "rounds",
+            "alpha",
+            "kernels",
+            "blocking",
+            "out",
+        ]],
+        cmd_bootstrap,
+    ),
+    ("trace-report", &[&["trace", "format"]], cmd_trace_report),
+    ("calibrate", &[&["out", "force"]], cmd_calibrate),
+    ("bench-trend", &[&["dir", "gate"]], cmd_bench_trend),
+    // Hidden: the socket transport's child-rank entry. The supervisor
+    // (`search --transport uds`) spawns these; not part of the
+    // user-facing surface.
+    #[cfg(unix)]
+    (
+        "_rank",
+        &[
+            SEARCH_INPUT_OPTS,
+            RANK_OPTS,
+            &["rank-id", "ranks", "endpoint"],
+        ],
+        cmd_rank,
+    ),
+];
+
 const USAGE: &str = "phylomic — phylogenetic likelihood toolkit (PLF-on-MIC reproduction)
 
 USAGE:
   phylomic simulate --taxa N --sites M --out FILE [--alpha A] [--seed S]
   phylomic evaluate --alignment FILE --tree FILE [--alpha A]
-                    [--kernels scalar|simd|auto]
-                    [--site-repeats on|off|auto] [--blocking on|off|auto]
+                    [--kernels scalar|simd|auto] [--blocking on|off|auto]
                     [--trace-out FILE] [--chrome-out FILE]
   phylomic search   --alignment FILE [--tree FILE | --start random|parsimony]
                     [--scheme serial|forkjoin|replicated] [--threads N] [--rounds R]
-                    [--alpha A] [--kernels K] [--site-repeats M] [--blocking B]
+                    [--alpha A] [--kernels K] [--blocking B]
                     [--checkpoint FILE] [--out FILE]
                     [--seed S] [--no-model-opt] [--trace-out FILE] [--chrome-out FILE]
                     [--inject-fault SPEC] [--degrade] [--transport threads|uds]
@@ -100,14 +174,6 @@ loops otherwise). The PHYLOMIC_KERNELS environment variable overrides
 the flag. evaluate and search print the resolved backend and its vector
 width (`kernel backend: simd  simd_width_bits 512`; 0 = scalar loops),
 and both are recorded in the JSONL trace meta event.
---site-repeats controls site-repeat compression in newview: 'on' builds
-a repeat table per node and compresses wherever a site repeats, 'off'
-builds none, 'auto' (default) builds them only where they pay — which,
-at one table build per newview, is nowhere measured so far, so it runs
-the 'off' path. Likelihoods are bit-identical either way. The
-PHYLOMIC_SITE_REPEATS environment variable overrides the flag; the
-resolved mode is recorded in the trace meta event, and evaluate and
-search print what it came to (`site repeats: auto → no tables (…)`).
 --blocking controls traversal-level cache blocking: 'on' walks the
 stale part of every traversal in cache-sized site blocks (children's
 freshly written columns stay cache-resident for their parents), 'off'
@@ -206,9 +272,9 @@ fn write_trace(path: &str, events: &[TraceEvent]) -> Result<(), String> {
 }
 
 /// Wraps per-source kernel/region events into a full trace document:
-/// schema marker (with the resolved kernel backend, site-repeat mode
-/// and — for replicated runs — the transport and its measured wire
-/// time, so `trace-report` attributes timings to a configuration)
+/// schema marker (with the resolved kernel backend, blocking mode and
+/// — for replicated runs — the transport and its measured wire time,
+/// so `trace-report` attributes timings to a configuration)
 /// first, then the kernel aggregates, then every closed span from
 /// every thread track, then a process-wide metrics snapshot.
 fn full_trace(
@@ -238,7 +304,6 @@ fn full_trace(
         version: TRACE_VERSION,
         backend: backend.to_string(),
         simd_width_bits: backend.simd_width_bits().into(),
-        site_repeats: config.site_repeats.effective().to_string(),
         blocking: blocking.to_string(),
         spans_dropped: tracks.iter().map(|t| t.dropped).sum(),
         roofline_mflops,
@@ -253,17 +318,14 @@ fn full_trace(
     out
 }
 
-/// Says which kernel bodies a run measures — the resolved backend and
-/// the vector width it runs on this host (0 = the scalar loops) — and
-/// what the site-repeat mode came to.
+/// Says which kernel bodies a run measures: the resolved backend and
+/// the vector width it runs on this host (0 = the scalar loops).
 fn print_backend(config: EngineConfig) {
     let backend = config.kernel.effective();
     println!(
         "kernel backend: {backend}  simd_width_bits {}",
         backend.simd_width_bits()
     );
-    let repeats = config.site_repeats.effective();
-    println!("site repeats: {repeats} → {}", repeats.verdict());
 }
 
 /// Writes the span timeline as Chrome trace-event JSON (atomically).
@@ -317,7 +379,7 @@ fn cmd_calibrate(opts: &Opts) -> Result<(), String> {
         r.cpu_model, r.cores, r.simd, r.git_rev
     );
     println!(
-        "expand/blocking probes: copy {:.2} GB/s, per-core cache {} KiB{}",
+        "copy/blocking probes: copy {:.2} GB/s, per-core cache {} KiB{}",
         r.copy_mbps as f64 / 1e3,
         r.cache_bytes >> 10,
         if r.copy_mbps == 0 || r.cache_bytes == 0 {
@@ -386,13 +448,22 @@ fn cmd_bench_trend(opts: &Opts) -> Result<(), String> {
 
 type Opts = HashMap<String, String>;
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// Parses `--name value` pairs (and the bare flags), refusing any
+/// name the subcommand does not read: a mistyped option must not run
+/// the default silently.
+fn parse_opts(args: &[String], accepted: &[&[&str]]) -> Result<Opts, String> {
     let mut opts = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected --option, found {key:?}"));
         };
+        if !accepted.iter().any(|group| group.contains(&name)) {
+            return Err(match retired_hint(name) {
+                Some(hint) => format!("unknown option --{name} ({hint})"),
+                None => format!("unknown option --{name}"),
+            });
+        }
         if matches!(name, "no-model-opt" | "degrade" | "force" | "gate") {
             opts.insert(name.to_string(), "true".to_string());
             continue;
@@ -421,31 +492,27 @@ fn require<'a>(opts: &'a Opts, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("--{key} is required"))
 }
 
+/// What to type instead of an option that used to exist.
+fn retired_hint(name: &str) -> Option<String> {
+    match name {
+        "kernel" => {
+            let menu = KernelKind::ALL.map(|k| k.to_string()).join(", ");
+            Some(format!("use --kernels: {menu}"))
+        }
+        "site-repeats" => {
+            Some("removed: the search is bit-identical without it, see DESIGN.md §13".to_string())
+        }
+        _ => None,
+    }
+}
+
 /// Parses `--kernels`. Defaults to `auto` — the fastest backend the
 /// host can run. All name handling goes through `KernelKind`'s
 /// `FromStr`, the single source of truth for backend names; the
 /// `PHYLOMIC_KERNELS` environment variable still overrides whatever is
-/// chosen here (applied at engine construction). Options are otherwise
-/// not checked against a list, so the retired `--kernel` spelling is
-/// refused here rather than silently running the default backend.
+/// chosen here (applied at engine construction).
 fn kernel_of(opts: &Opts) -> Result<KernelKind, String> {
-    if opts.contains_key("kernel") {
-        let menu = KernelKind::ALL.map(|k| k.to_string()).join(", ");
-        return Err(format!("unknown option --kernel (use --kernels: {menu})"));
-    }
     get(opts, "kernels", KernelKind::Auto)
-}
-
-/// Parses `--site-repeats`. Defaults to `auto` — compress when the
-/// class count makes it profitable. All name handling goes through
-/// `SiteRepeats`' `FromStr`; the `PHYLOMIC_SITE_REPEATS` environment
-/// variable still overrides whatever is chosen here (applied at engine
-/// construction).
-fn site_repeats_of(opts: &Opts) -> Result<SiteRepeats, String> {
-    match opts.get("site-repeats") {
-        None => Ok(SiteRepeats::Auto),
-        Some(v) => v.parse().map_err(|e| format!("--site-repeats: {e}")),
-    }
 }
 
 /// Parses `--blocking`. Defaults to `auto` — block the traversal only
@@ -519,8 +586,8 @@ fn cmd_evaluate(opts: &Opts) -> Result<(), String> {
     let config = EngineConfig {
         kernel: kernel_of(opts)?,
         alpha,
-        site_repeats: site_repeats_of(opts)?,
         blocking: blocking_of(opts)?,
+        ..EngineConfig::default()
     };
     let mut engine = LikelihoodEngine::new(&tree, &compressed, config);
     let ll = engine.log_likelihood(&tree, 0);
@@ -590,8 +657,8 @@ fn search_inputs(opts: &Opts) -> Result<SearchInputs, String> {
     let config = EngineConfig {
         kernel: kernel_of(opts)?,
         alpha,
-        site_repeats: site_repeats_of(opts)?,
         blocking: blocking_of(opts)?,
+        ..EngineConfig::default()
     };
     let search = MlSearch::new(SearchConfig {
         max_rounds: rounds,
@@ -823,19 +890,6 @@ fn run_sharded(
 ) -> Result<phylomic::parallel::ReplicatedOutcome, String> {
     use phylomic::parallel::{run_sharded_ft, RankSpec, TransportConfig};
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    // Flags a child needs to rebuild the supervisor's exact inputs.
-    const PASS_THROUGH: &[&str] = &[
-        "alignment",
-        "tree",
-        "start",
-        "seed",
-        "alpha",
-        "rounds",
-        "kernels",
-        "site-repeats",
-        "blocking",
-        "checkpoint",
-    ];
     let mut spawn = |spec: &RankSpec| {
         let mut cmd = std::process::Command::new(&exe);
         cmd.arg("_rank")
@@ -847,7 +901,8 @@ fn run_sharded(
             .arg(spec.endpoint.to_string())
             // The supervisor owns the console; children stay quiet.
             .stdout(std::process::Stdio::null());
-        for key in PASS_THROUGH {
+        // What a child needs to rebuild the supervisor's exact inputs.
+        for key in SEARCH_INPUT_OPTS.iter().chain(&["checkpoint"]) {
             if let Some(v) = opts.get(*key) {
                 cmd.arg(format!("--{key}")).arg(v);
             }
@@ -897,8 +952,8 @@ fn cmd_bootstrap(opts: &Opts) -> Result<(), String> {
     let config = EngineConfig {
         kernel: kernel_of(opts)?,
         alpha: get(opts, "alpha", 1.0)?,
-        site_repeats: site_repeats_of(opts)?,
         blocking: blocking_of(opts)?,
+        ..EngineConfig::default()
     };
     let search = MlSearch::new(SearchConfig {
         max_rounds: rounds.max(3),

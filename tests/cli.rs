@@ -14,11 +14,7 @@ fn bin() -> Command {
 /// would inherit and which beat every flag.
 fn bin_without_overrides() -> Command {
     let mut cmd = bin();
-    for var in [
-        "PHYLOMIC_KERNELS",
-        "PHYLOMIC_SITE_REPEATS",
-        "PHYLOMIC_BLOCKING",
-    ] {
+    for var in ["PHYLOMIC_KERNELS", "PHYLOMIC_BLOCKING"] {
         cmd.env_remove(var);
     }
     cmd
@@ -154,7 +150,7 @@ fn traced_search_trace_report_and_chrome_export() {
     assert!(out.status.success());
 
     // Traced fork-join search writing JSONL + Chrome exports, in the
-    // default configuration (its repeat verdict is pinned below).
+    // default configuration.
     let trace = dir.join("run.jsonl");
     let chrome = dir.join("run.chrome.json");
     let out = bin_without_overrides()
@@ -270,60 +266,6 @@ fn traced_search_trace_report_and_chrome_export() {
         line.split_whitespace().nth(3).unwrap().parse().unwrap()
     };
     assert!(per_newview <= 2.0, "{per_newview} visits per newview");
-
-    // A default run builds no repeat table: no span row, no counter,
-    // and the verdict says so wherever the mode is printed.
-    let search_stdout = {
-        let out = bin_without_overrides()
-            .args(["search", "--alignment", phy.to_str().unwrap()])
-            .args(["--rounds", "0", "--no-model-opt"])
-            .output()
-            .unwrap();
-        assert!(out.status.success());
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    assert!(
-        search_stdout.contains("\nsite repeats: auto → no tables ("),
-        "{search_stdout}"
-    );
-    assert!(!text.contains("repeat_table"), "{text}");
-    assert!(!text.contains("core.repeats.table_builds"), "{text}");
-
-    // Forced on, table construction has its own span row and its own
-    // counters.
-    let forced = dir.join("forced.jsonl");
-    let out = bin_without_overrides()
-        .args(["search", "--alignment", phy.to_str().unwrap()])
-        .args(["--rounds", "0", "--no-model-opt", "--site-repeats", "on"])
-        .args(["--trace-out", forced.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let report = |format: &str| {
-        let out = bin()
-            .args(["trace-report", "--trace", forced.to_str().unwrap()])
-            .args(["--format", format])
-            .output()
-            .unwrap();
-        assert!(out.status.success());
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    let text = report("text");
-    for needle in [
-        "site repeats: on → tables, compress wherever a site repeats",
-        "repeat_table ",
-        "core.repeats.table_builds",
-        "core.repeats.table_bounded ",
-        "core.repeats.table_bounded_by_child",
-        "core.repeats.sites_indexed",
-    ] {
-        assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-    }
-    let json = report("json");
-    for name in ["table_builds", "table_bounded", "sites_indexed"] {
-        let needle = format!(r#""core.repeats.{name}""#);
-        assert!(json.contains(&needle), "missing {needle} in:\n{json}");
-    }
 }
 
 #[test]
@@ -610,106 +552,54 @@ fn bootstrap_produces_annotated_tree() {
 }
 
 #[test]
-fn site_repeats_flag_parses_and_matches_off() {
-    let dir = TestDir::new("cli-site-repeats");
-    let phy = dir.join("sr.phy");
+fn unknown_options_are_refused_per_subcommand() {
+    let dir = TestDir::new("cli-unknown-option");
+    let phy = dir.join("u.phy");
     let out = bin()
-        .args([
-            "simulate",
-            "--taxa",
-            "8",
-            "--sites",
-            "600",
-            "--seed",
-            "9",
-            "--out",
-            phy.to_str().unwrap(),
-        ])
+        .args(["simulate", "--taxa", "6", "--sites", "200", "--seed", "9"])
+        .args(["--out", phy.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(out.status.success());
     let tree = format!("{}.tree", phy.display());
-
-    let eval = |mode: &str| -> (bool, String, String) {
-        let out = bin_without_overrides()
-            .args([
-                "evaluate",
-                "--alignment",
-                phy.to_str().unwrap(),
-                "--tree",
-                &tree,
-                "--site-repeats",
-                mode,
-            ])
+    let run = |cmd: &str, extra: &[&str]| -> (Option<i32>, String) {
+        let out = bin()
+            .args([cmd, "--alignment", phy.to_str().unwrap(), "--tree", &tree])
+            .args(extra)
             .output()
             .unwrap();
         (
-            out.status.success(),
-            String::from_utf8_lossy(&out.stdout).into_owned(),
+            out.status.code(),
             String::from_utf8_lossy(&out.stderr).into_owned(),
         )
     };
-    let (ok_on, out_on, err_on) = eval("on");
-    assert!(ok_on, "{err_on}");
-    let (ok_off, out_off, _) = eval("off");
-    assert!(ok_off);
-    let (ok_auto, out_auto, _) = eval("auto");
-    assert!(ok_auto);
-    // Same output in every mode — compression is bit-identical — but
-    // for the line that says what the mode came to.
-    let split = |out: &str| -> (String, String) {
-        let (verdict, rest): (Vec<&str>, Vec<&str>) =
-            out.lines().partition(|l| l.starts_with("site repeats: "));
-        assert_eq!(verdict.len(), 1, "{out}");
-        (rest.join("\n"), verdict[0].to_string())
-    };
-    let (rest_on, verdict_on) = split(&out_on);
-    assert!(rest_on.contains("logL"), "{out_on}");
-    for (mode, out, verdict) in [
-        ("off", &out_off, "site repeats: off → no tables"),
-        ("auto", &out_auto, "site repeats: auto → no tables ("),
-    ] {
-        let (rest, line) = split(out);
-        assert_eq!(rest, rest_on, "on vs {mode} output differs");
-        assert!(line.starts_with(verdict), "{line}");
-    }
-    assert_eq!(
-        verdict_on,
-        "site repeats: on → tables, compress wherever a site repeats"
-    );
-
-    // An unknown mode is a structured CLI error, not a panic.
-    let (ok_bad, _, err_bad) = eval("sometimes");
-    assert!(!ok_bad);
-    assert!(err_bad.contains("--site-repeats"), "{err_bad}");
-
-    // The resolved mode lands in the trace meta event.
-    let trace = dir.join("sr.jsonl");
-    let out = bin_without_overrides()
-        .args([
-            "evaluate",
-            "--alignment",
-            phy.to_str().unwrap(),
-            "--tree",
-            &tree,
-            "--site-repeats",
-            "on",
-            "--trace-out",
-            trace.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let first_line = std::fs::read_to_string(&trace)
-        .unwrap()
-        .lines()
-        .next()
-        .unwrap()
-        .to_string();
+    // A mistyped option does not run the default search.
+    let (code, err) = run("search", &["--round", "0"]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.starts_with("error: unknown option --round\n"), "{err}");
+    // An option of another subcommand is as unknown as a typo.
+    let (code, err) = run("evaluate", &["--threads", "2"]);
+    assert_eq!(code, Some(1), "{err}");
     assert!(
-        first_line.contains(r#""site_repeats":"on""#),
-        "{first_line}"
+        err.starts_with("error: unknown option --threads\n"),
+        "{err}"
     );
+    // A retired option says where it went.
+    for cmd in ["evaluate", "search"] {
+        let (code, err) = run(cmd, &["--site-repeats", "on"]);
+        assert_eq!(code, Some(1), "{cmd}: {err}");
+        assert!(
+            err.starts_with("error: unknown option --site-repeats (removed: "),
+            "{cmd}: {err}"
+        );
+        assert!(err.contains("DESIGN.md §13"), "{cmd}: {err}");
+    }
+    // Every option a subcommand does read still gets through.
+    let (code, err) = run(
+        "search",
+        &["--rounds", "0", "--no-model-opt", "--blocking", "on"],
+    );
+    assert_eq!(code, Some(0), "{err}");
 }
 
 #[test]

@@ -146,11 +146,7 @@ fn search(w: &Workload, dir: &Path, scheme: &str, threads: usize) -> String {
     // The record was made with the default backend; a `PHYLOMIC_*`
     // override the suite runs under would reach the child.
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_phylomic"));
-    for var in [
-        "PHYLOMIC_KERNELS",
-        "PHYLOMIC_SITE_REPEATS",
-        "PHYLOMIC_BLOCKING",
-    ] {
+    for var in ["PHYLOMIC_KERNELS", "PHYLOMIC_BLOCKING"] {
         cmd.env_remove(var);
     }
     let alpha = if w.model_opt { "1" } else { "0.85" };

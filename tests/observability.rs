@@ -46,7 +46,6 @@ fn traced_forkjoin_search() -> Vec<TraceEvent> {
         version: TRACE_VERSION,
         backend: KernelKind::Auto.effective().to_string(),
         simd_width_bits: KernelKind::Auto.effective().simd_width_bits().into(),
-        site_repeats: phylomic::plf::SiteRepeats::Auto.effective().to_string(),
         blocking: phylomic::plf::Blocking::Auto.effective().to_string(),
         spans_dropped: span::snapshot_all().iter().map(|t| t.dropped).sum(),
         roofline_mflops: 0,

@@ -352,24 +352,26 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Site-repeat compression: the compressed newview path must be
-// bit-identical to the uncompressed one — same log-likelihood bits and
-// same per-site scaling counters at every inner node — for any
-// alignment, any backend, any repeat density.
+// Traversal blocking and the CLA pool re-order and repeat kernel work
+// only: every (blocking, pool) cell must be bit-identical to the
+// unblocked all-resident engine — same log-likelihood bits, same
+// derivative bits, same per-site scaling counters at every inner node
+// — for any alignment and any backend.
 // ---------------------------------------------------------------------------
 
 use phylomic::plf::engine::{min_pool_slots, min_pool_slots_any_root};
-use phylomic::plf::{Blocking, RepeatStats, SiteRepeats};
+use phylomic::plf::{Blocking, KernelId};
 use phylomic::tree::moves::{spr, spr_undo, SprUndo};
-use phylomic::tree::traverse::{children, edges_within, full_schedule};
-use phylomic::tree::{EdgeId, NodeId};
+use phylomic::tree::traverse::edges_within;
+use phylomic::tree::EdgeId;
 
-/// Backend axis of the on/off matrix: every concrete backend plus the
+/// Backend axis of the blocking matrix: every concrete backend plus the
 /// `Auto` name (which must resolve to one of them, bits and all).
 const MATRIX_BACKENDS: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Simd, KernelKind::Auto];
 
 /// An alignment whose patterns cycle through `protos` prototype
-/// columns: `protos == 1` is 100% repeats, `protos >= width` is 0%.
+/// columns: `protos == 1` is one column repeated, `protos >= width`
+/// all-distinct columns.
 fn proto_alignment(tree: &Tree, protos: usize, width: usize, seed: u64) -> CompressedAlignment {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
@@ -387,56 +389,6 @@ fn proto_alignment(tree: &Tree, protos: usize, width: usize, seed: u64) -> Compr
     CompressedAlignment::from_parts(tree.tip_names().to_vec(), rows, vec![1; width]).unwrap()
 }
 
-/// The tips below `node` when the tree hangs from `toward_edge`.
-fn tips_below(tree: &Tree, node: NodeId, toward_edge: EdgeId, out: &mut Vec<NodeId>) {
-    if tree.is_tip(node) {
-        out.push(node);
-    } else {
-        for (edge, child) in children(tree, node, toward_edge) {
-            tips_below(tree, child, edge, out);
-        }
-    }
-}
-
-/// What `repeat_stats()` of a fresh engine must read after one full
-/// traversal toward `root`, worked out from the definition rather than
-/// from any table: two sites are in one class at a node iff their
-/// columns agree on every tip below it, and a node runs compressed iff
-/// its mode builds tables at all and at least one site repeats there.
-/// The engine builds bounded tables, stops passes early and propagates
-/// markers upward; none of that may change a single one of these
-/// decisions.
-fn expected_repeat_stats(
-    tree: &Tree,
-    aln: &CompressedAlignment,
-    root: EdgeId,
-    mode: SiteRepeats,
-) -> RepeatStats {
-    let n = aln.num_patterns();
-    let row_of = |tip: NodeId| aln.row(aln.taxon_index(tree.tip_name(tip)).unwrap());
-    let mut stats = RepeatStats::default();
-    for d in full_schedule(tree, root) {
-        stats.newview_calls += 1;
-        let mut tips = Vec::new();
-        tips_below(tree, d.node, d.toward_edge, &mut tips);
-        let rows: Vec<_> = tips.iter().map(|&t| row_of(t)).collect();
-        let classes = (0..n)
-            .map(|site| rows.iter().map(|r| r[site].bits()).collect::<Vec<u8>>())
-            .collect::<std::collections::BTreeSet<_>>()
-            .len();
-        let compresses = match mode {
-            SiteRepeats::Off | SiteRepeats::Auto => false,
-            SiteRepeats::On => classes < n,
-        };
-        if compresses {
-            stats.compressed_calls += 1;
-            stats.sites += n as u64;
-            stats.classes += classes as u64;
-        }
-    }
-    stats
-}
-
 /// The first applicable SPR move of `tree` in edge order, applied:
 /// `(prune_edge, undo)`.
 fn apply_first_spr(tree: &mut Tree) -> Option<(EdgeId, SprUndo)> {
@@ -451,15 +403,15 @@ fn apply_first_spr(tree: &mut Tree) -> Option<(EdgeId, SprUndo)> {
     None
 }
 
-/// Builds one engine per (site-repeats, blocking) cell — the baseline
-/// is both off — and checks log-likelihood bits, branch-derivative
-/// bits, and every inner node's per-site scale array are identical at
-/// each of the given virtual roots; and that each cell's compress
-/// decisions are the ones the definition of a repeat class implies.
-/// Then every engine follows the tree through an SPR apply/undo pair,
-/// which re-wires nodes and hands the halves of the split edges other
-/// ids: no cached CLA or repeat table may be reused for other content
-/// than it holds, so each engine must still agree with a fresh one.
+/// Builds one engine per (blocking, pool) cell — the baseline is
+/// unblocked and all-resident — and checks log-likelihood bits,
+/// branch-derivative bits, and every inner node's per-site scale array
+/// are identical at each of the given virtual roots; and that a fresh
+/// engine of each cell runs one `newview` per inner node. Then every
+/// engine follows the tree through an SPR apply/undo pair, which
+/// re-wires nodes and hands the halves of the split edges other ids:
+/// no cached CLA may be reused for other content than it holds, so
+/// each engine must still agree with a fresh one.
 fn assert_on_off_identical(
     tree: &Tree,
     aln: &CompressedAlignment,
@@ -467,12 +419,12 @@ fn assert_on_off_identical(
     alpha: f64,
     roots: &[usize],
 ) {
-    let mk = |site_repeats, blocking, pool| {
+    let mk = |blocking, pool| {
         let config = EngineConfig {
             kernel,
             alpha,
-            site_repeats,
             blocking,
+            ..EngineConfig::default()
         };
         // The all-resident cells through `new`: that engine prunes its
         // walk, a pooled one never does.
@@ -490,35 +442,24 @@ fn assert_on_off_identical(
     assert!(spr_move.is_some() || tree.num_taxa() < 5, "no SPR move");
     let min_pool = spr_move.map_or(3, |(prune_edge, _)| min_pool_slots(&moved, prune_edge));
     let pools = [all_resident, min_pool_slots_any_root(tree).max(min_pool)];
-    let variants: Vec<_> = [
-        (SiteRepeats::Off, Blocking::Off),
-        (SiteRepeats::On, Blocking::Off),
-        (SiteRepeats::Off, Blocking::On),
-        (SiteRepeats::On, Blocking::On),
-        (SiteRepeats::Auto, Blocking::Off),
-        (SiteRepeats::Auto, Blocking::On),
-    ]
-    .iter()
-    .flat_map(|&(sr, bl)| pools.map(|pool| (sr, bl, pool)))
-    .skip(1) // the baseline itself
-    .collect();
-    let mut base = mk(SiteRepeats::Off, Blocking::Off, all_resident);
-    let mut others: Vec<_> = variants
+    let variants: Vec<_> = [Blocking::Off, Blocking::On]
         .iter()
-        .map(|&(sr, bl, pool)| mk(sr, bl, pool))
+        .flat_map(|&bl| pools.map(|pool| (bl, pool)))
+        .skip(1) // the baseline itself
         .collect();
+    let mut base = mk(Blocking::Off, all_resident);
+    let mut others: Vec<_> = variants.iter().map(|&(bl, pool)| mk(bl, pool)).collect();
     for &root in roots {
         let a = base.log_likelihood(tree, root);
         base.prepare_branch(tree, root);
         let (ad1, ad2) = base.branch_derivatives(0.37);
-        for (&(sr, bl, pool), e) in variants.iter().zip(others.iter_mut()) {
+        for (&(bl, pool), e) in variants.iter().zip(others.iter_mut()) {
             let b = e.log_likelihood(tree, root);
             prop_assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "{:?} repeats={:?} blocking={:?} pool {} root {}: logL {} vs {}",
+                "{:?} blocking={:?} pool {} root {}: logL {} vs {}",
                 kernel,
-                sr,
                 bl,
                 pool,
                 root,
@@ -532,9 +473,8 @@ fn assert_on_off_identical(
                     prop_assert_eq!(
                         base.cla_scale(inner),
                         scale,
-                        "{:?} repeats={:?} blocking={:?} pool {} root {} inner {}: scale arrays differ",
+                        "{:?} blocking={:?} pool {} root {} inner {}: scale arrays differ",
                         kernel,
-                        sr,
                         bl,
                         pool,
                         root,
@@ -547,9 +487,8 @@ fn assert_on_off_identical(
             prop_assert_eq!(
                 (ad1.to_bits(), ad2.to_bits()),
                 (bd1.to_bits(), bd2.to_bits()),
-                "{:?} repeats={:?} blocking={:?} pool {} root {}: derivatives ({}, {}) vs ({}, {})",
+                "{:?} blocking={:?} pool {} root {}: derivatives ({}, {}) vs ({}, {})",
                 kernel,
-                sr,
                 bl,
                 pool,
                 root,
@@ -558,14 +497,13 @@ fn assert_on_off_identical(
                 bd1,
                 bd2
             );
-            let mut fresh = mk(sr, bl, pool);
+            let mut fresh = mk(bl, pool);
             fresh.log_likelihood(tree, root);
             prop_assert_eq!(
-                fresh.repeat_stats(),
-                expected_repeat_stats(tree, aln, root, fresh.site_repeats()),
-                "{:?} repeats={:?} blocking={:?} pool {} root {}: compress decisions",
+                fresh.stats().get(KernelId::Newview).calls,
+                tree.num_inner() as u64,
+                "{:?} blocking={:?} pool {} root {}: newviews of a first traversal",
                 kernel,
-                sr,
                 bl,
                 pool,
                 root
@@ -578,9 +516,7 @@ fn assert_on_off_identical(
             .map(|v| format!("{v:?}"))
             .chain(["baseline".to_string()]);
         let mut engines: Vec<_> = others.iter_mut().chain([&mut base]).zip(names).collect();
-        let fresh = |t: &Tree, root| {
-            mk(SiteRepeats::Off, Blocking::Off, all_resident).log_likelihood(t, root)
-        };
+        let fresh = |t: &Tree, root| mk(Blocking::Off, all_resident).log_likelihood(t, root);
         // On the moved tree, then — the undo applied — on the tree
         // the engines first saw.
         let mut undo = Some(undo);
@@ -608,19 +544,15 @@ fn assert_on_off_identical(
         }
     }
     // Blocking re-orders kernel work only: over the whole sequence of
-    // roots, engines of one mode and pool made the same decisions.
-    for (i, (&(sr, _, pool), e)) in variants.iter().zip(&others).enumerate() {
-        for (&(sr2, _, pool2), e2) in variants[..i].iter().zip(&others) {
-            if (sr, pool) == (sr2, pool2) {
-                prop_assert_eq!(
-                    e.repeat_stats(),
-                    e2.repeat_stats(),
-                    "repeats={:?} pool {}",
-                    sr,
-                    pool
-                );
-            }
-        }
+    // roots, the engines of one pool size ran the same `newview`s.
+    let calls = |e: &LikelihoodEngine| e.stats().get(KernelId::Newview).calls;
+    for (&(_, pool), e) in variants.iter().zip(&others) {
+        let unblocked = if pool == all_resident {
+            &base
+        } else {
+            &others[0]
+        };
+        prop_assert_eq!(calls(e), calls(unblocked), "pool {}", pool);
     }
 }
 
@@ -628,7 +560,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn site_repeats_on_off_bit_identical(
+    fn blocking_and_pool_cells_bit_identical(
         seed in 0u64..500,
         protos in 1usize..24,
         width in 1usize..48,
@@ -660,7 +592,7 @@ proptest! {
         seed in 0u64..1 << 32,
         taxa in 5usize..=20,
         steps in 8usize..40,
-        forced in (0u8..2, 0u8..2),
+        forced_blocking in 0u8..2,
     ) {
         use phylomic::tree::moves::{nni, NniVariant};
         use rand::{Rng, SeedableRng};
@@ -671,8 +603,8 @@ proptest! {
         let config = |alpha| EngineConfig {
             kernel: KernelKind::Scalar,
             alpha,
-            site_repeats: if forced.0 == 1 { SiteRepeats::On } else { SiteRepeats::Auto },
-            blocking: if forced.1 == 1 { Blocking::On } else { Blocking::Auto },
+            blocking: if forced_blocking == 1 { Blocking::On } else { Blocking::Auto },
+            ..EngineConfig::default()
         };
         let mut pruning = LikelihoodEngine::new(&tree, &aln, config(alpha));
         // `with_pool` never prunes, at any size: at one slot per inner
@@ -758,8 +690,8 @@ proptest! {
             );
             full.log_likelihood(&tree, root);
             prop_assert_eq!(
-                pruning.repeat_stats(),
-                full.repeat_stats(),
+                pruning.stats().get(KernelId::Newview).calls,
+                full.stats().get(KernelId::Newview).calls,
                 "step {} ({}): newview calls", step, what
             );
             for inner in 0..tree.num_inner() {
@@ -775,12 +707,11 @@ proptest! {
 }
 
 #[test]
-fn site_repeats_remainder_tails_every_backend() {
-    // Widths around the 8-site kernel block and single-site edge, at
-    // 100% repeats (1 prototype), mixed density, and 0% repeats
-    // (all-distinct), on every backend including the Auto dispatcher.
-    // Each cell runs the full 2×2 repeats × blocking grid against the
-    // both-off baseline.
+fn remainder_tails_every_backend() {
+    // Widths around the 8-site kernel block and single-site edge, with
+    // one column repeated, mixed columns, and all-distinct ones, on
+    // every backend including the Auto dispatcher. Each cell runs the
+    // blocking × pool grid against the unblocked all-resident baseline.
     use rand::SeedableRng;
     let mut rng = rand::rngs::SmallRng::seed_from_u64(77);
     let names = default_names(6);
@@ -796,16 +727,16 @@ fn site_repeats_remainder_tails_every_backend() {
 }
 
 #[test]
-fn site_repeats_identical_under_forced_scaling() {
+fn blocking_identical_under_forced_scaling() {
     // A deep caterpillar with long branches drives sites below the
-    // rescale threshold; the compressed path must reproduce the exact
-    // per-site scaling counters, not just the final likelihood.
+    // rescale threshold; every cell must reproduce the exact per-site
+    // scaling counters, not just the final likelihood.
     use phylomic::tree::build::caterpillar;
     // Conditional likelihoods decay roughly 4× per caterpillar level;
     // 2⁻²⁵⁶ needs ~130 levels.
     let names = default_names(170);
     let tree = caterpillar(&names, 2.0).unwrap();
-    // Repeat-heavy: 5 prototype columns over 40 patterns.
+    // 5 prototype columns over 40 patterns.
     let aln = proto_alignment(&tree, 5, 40, 13);
     for kernel in MATRIX_BACKENDS {
         assert_on_off_identical(&tree, &aln, kernel, 0.5, &[0]);
@@ -817,8 +748,8 @@ fn site_repeats_identical_under_forced_scaling() {
         EngineConfig {
             kernel: KernelKind::Scalar,
             alpha: 0.5,
-            site_repeats: SiteRepeats::On,
             blocking: Blocking::Off,
+            ..EngineConfig::default()
         },
     );
     e.log_likelihood(&tree, 0);
@@ -829,7 +760,7 @@ fn site_repeats_identical_under_forced_scaling() {
 }
 
 #[test]
-fn site_repeats_forkjoin_matches_serial() {
+fn forkjoin_matches_serial_blocked_or_not() {
     use phylomic::parallel::ForkJoinEvaluator;
     use phylomic::search::Evaluator as _;
     use rand::SeedableRng;
@@ -837,32 +768,24 @@ fn site_repeats_forkjoin_matches_serial() {
     let names = default_names(9);
     let tree: Tree = random_tree(&names, 0.18, &mut rng).unwrap();
     // 97 patterns: indivisible by any team size (the master's slice
-    // plus one per worker), so slices have uneven widths and per-slice
-    // repeat tables differ.
+    // plus one per worker), so slices have uneven widths.
     let aln = proto_alignment(&tree, 11, 97, 19);
-    let cfg = |site_repeats, blocking| EngineConfig {
+    let cfg = |blocking| EngineConfig {
         kernel: KernelKind::Scalar,
         alpha: 0.9,
-        site_repeats,
         blocking,
+        ..EngineConfig::default()
     };
-    let mut serial_on = LikelihoodEngine::new(&tree, &aln, cfg(SiteRepeats::On, Blocking::Off));
+    let mut serial = LikelihoodEngine::new(&tree, &aln, cfg(Blocking::Off));
     for workers in [1usize, 2, 3] {
-        let mut fj_on =
-            ForkJoinEvaluator::new(&tree, &aln, cfg(SiteRepeats::On, Blocking::Off), workers);
-        let mut fj_off =
-            ForkJoinEvaluator::new(&tree, &aln, cfg(SiteRepeats::Off, Blocking::Off), workers);
+        let mut fj_off = ForkJoinEvaluator::new(&tree, &aln, cfg(Blocking::Off), workers);
         // Blocking slices each team member's traversal into site-blocks;
         // the per-slice results must still be bit-identical to unblocked.
-        let mut fj_blk =
-            ForkJoinEvaluator::new(&tree, &aln, cfg(SiteRepeats::On, Blocking::On), workers);
+        let mut fj_blk = ForkJoinEvaluator::new(&tree, &aln, cfg(Blocking::On), workers);
         for root in [0usize, 4, 8] {
-            let s = serial_on.log_likelihood(&tree, root);
-            let a = fj_on.log_likelihood(&tree, root);
-            let b = fj_off.log_likelihood(&tree, root);
+            let s = serial.log_likelihood(&tree, root);
+            let a = fj_off.log_likelihood(&tree, root);
             let c = fj_blk.log_likelihood(&tree, root);
-            // Same partitioning on vs off: bit-identical.
-            assert_eq!(a.to_bits(), b.to_bits(), "workers {workers} root {root}");
             assert_eq!(
                 a.to_bits(),
                 c.to_bits(),
@@ -877,9 +800,9 @@ fn site_repeats_forkjoin_matches_serial() {
             // partial (d1, d2) pairs reduce in slice order, so the
             // blocked pool must produce the same bits as the unblocked
             // one.
-            fj_on.prepare_branch(&tree, root);
+            fj_off.prepare_branch(&tree, root);
             fj_blk.prepare_branch(&tree, root);
-            let (a1, a2) = fj_on.branch_derivatives(0.21);
+            let (a1, a2) = fj_off.branch_derivatives(0.21);
             let (c1, c2) = fj_blk.branch_derivatives(0.21);
             assert_eq!(
                 (a1.to_bits(), a2.to_bits()),
