@@ -3,13 +3,15 @@
 //!
 //! Times all eight PLF kernels under both kernel backends — `scalar`
 //! and `simd` (what `auto` resolves to on an AVX2+FMA host) — across
-//! the alignment widths the paper varies in Table III, and
-//! writes `BENCH_10.json` with ns/site per kernel per backend plus the
-//! speedup of each backend over the scalar reference, host provenance
-//! (git revision, CPU model, core count, SIMD flags), and — via the
-//! analytical cost model ([`plf_core::cost`]) and the calibrated host
-//! roofline ([`plf_prof::roofline`]) — each cell's achieved GFLOP/s
-//! and % of the attainable roof.
+//! the alignment widths the paper varies in Table III, and prints
+//! ns/site per kernel per backend plus the speedup of each backend
+//! over the scalar reference and — via the analytical cost model
+//! ([`plf_core::cost`]) and the calibrated host roofline
+//! ([`plf_prof::roofline`]) — each cell's achieved GFLOP/s and % of the
+//! attainable roof. The ns/site figures are context for the ratios
+//! below, not a ruler: this host reads the same body at 11 or 17
+//! ns/site minutes apart, so nothing compares them across runs, and a
+//! change is judged end to end by `cargo xtask pair`.
 //!
 //! Methodology: per (kernel, backend, size) the kernel runs `WARMUP`
 //! untimed rounds, then `REPS` timed rounds; the minimum and maximum
@@ -24,8 +26,9 @@
 //! unblocked one on an alignment of all-distinct columns (the config
 //! where blocking can only add overhead).
 //!
-//! The binary doubles as the CI perf gate (all checked after the JSON
-//! is written, so a failing run still leaves the numbers on disk):
+//! What the binary gates are ratios of two arms timed in the same run
+//! (all checked after the files of `--out` are written, so a failing
+//! run still leaves its numbers on disk):
 //!   3. with AVX2+FMA present, `simd` beats scalar on `newview_ii` at
 //!      the largest size (the paper's Fig. 2 comparison: explicit
 //!      intrinsics against loops left to the compiler);
@@ -47,12 +50,9 @@
 //! Gates 7 and 8 are ratio cells: both arms run in the same process,
 //! interleaved round by round, at the call sizes of the `plf_e2e`
 //! workloads (390 sites = `narrow64`, 3 716 / 7 307 = `wide15` /
-//! `modelopt15`). They are no part of the `BENCH_*.json` schema (a
-//! ratio has no ns/site trend); with an explicit `--out PATH` they are
-//! written to `PATH.widths.json` next to it.
+//! `modelopt15`).
 //!
-//! A third section holds the non-kernel cells — same-run, interleaved,
-//! written to `PATH.nonkernel.json` with an explicit `--out PATH`:
+//! A third section holds the non-kernel cells — same-run, interleaved:
 //!  10. `update_partials` on a 64-taxon tree, pruned walk against the
 //!      never-pruning path (`with_pool` at one slot per inner node):
 //!      with nothing stale — the walk alone, which is what the pruning
@@ -73,8 +73,11 @@
 //!      series, each on a fresh protocol and worker.
 //!
 //! Run: `cargo run --release -p phylo-bench --bin plf-microbench`
-//! Flags: `--quick` (10 000 patterns only), `--out PATH`
-//! (default `BENCH_10.json`).
+//! Flags: `--quick` (10 000 patterns only); `--out PATH` also writes
+//! the per-kernel table with host provenance (git revision, CPU model,
+//! core count, SIMD flags) to `PATH`, the width cells to
+//! `PATH.widths.json` and the non-kernel cells to
+//! `PATH.nonkernel.json`. Without it nothing is written.
 
 use phylo_bio::{CompressedAlignment, DnaCode};
 use phylo_models::{DiscreteGamma, Gtr, GtrParams, ProbMatrix};
@@ -902,17 +905,13 @@ fn cells_member(cells: &[RatioCell]) -> String {
 
 fn main() {
     let mut quick = false;
-    let mut out_path = String::from("BENCH_10.json");
-    let mut explicit_out = false;
+    let mut out_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--out" => match args.next() {
-                Some(p) => {
-                    out_path = p;
-                    explicit_out = true;
-                }
+                Some(p) => out_path = Some(p),
                 None => {
                     eprintln!("--out requires a path");
                     std::process::exit(2);
@@ -1040,14 +1039,6 @@ fn main() {
         );
     }
     println!();
-    if explicit_out {
-        let path = format!("{out_path}.widths.json");
-        std::fs::write(&path, render_ratio_cells(&ratio_cells)).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {path}");
-    }
 
     // Non-kernel section: the walk, the clone, the region round trip.
     let [walk, reroot] = pruned_walk_cells();
@@ -1059,23 +1050,30 @@ fn main() {
         );
     }
     println!();
-    if explicit_out {
-        let path = format!("{out_path}.nonkernel.json");
-        std::fs::write(&path, render_ratio_cells(&nonkernel_cells)).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("wrote {path}");
+    if let Some(out_path) = &out_path {
+        for (path, json) in [
+            (
+                out_path.clone(),
+                render_json(&cells, simd, &roof, (eng_n, blk_off, blk_on)),
+            ),
+            (
+                format!("{out_path}.widths.json"),
+                render_ratio_cells(&ratio_cells),
+            ),
+            (
+                format!("{out_path}.nonkernel.json"),
+                render_ratio_cells(&nonkernel_cells),
+            ),
+        ] {
+            std::fs::write(&path, json).unwrap_or_else(|e| {
+                eprintln!("cannot write {path}: {e}");
+                std::process::exit(2);
+            });
+            println!("wrote {path}");
+        }
     }
 
-    let json = render_json(&cells, simd, &roof, (eng_n, blk_off, blk_on));
-    std::fs::write(&out_path, json).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(2);
-    });
-    println!("wrote {out_path}");
-
-    // ---- perf gates (after the JSON is on disk) ----
+    // ---- perf gates (after the files of `--out` are on disk) ----
     let mut failures: Vec<String> = Vec::new();
 
     // Gate 3: with AVX2+FMA present, the explicit-SIMD backend must
@@ -1133,11 +1131,8 @@ fn main() {
 /// Hand-rolled JSON (the workspace has no serde): one record per
 /// (kernel, size) with ns/site per backend and speedups vs scalar,
 /// modeled GFLOP/s and % of the calibrated roof, plus host
-/// provenance and the roofline. The `results` rows keep the
-/// `kernel`/`patterns`/`ns_per_site` shape of schemas /1 and /2 so
-/// `plf-prof`'s trend parser reads all history; the blocking cell is
-/// appended as an extra `results` row (with arm names as the backend
-/// keys) so `cargo xtask bench-trend` gates it like any kernel.
+/// provenance and the roofline; the blocking cell is appended as an
+/// extra `results` row (with arm names as the backend keys).
 fn render_json(
     cells: &[Cell],
     simd: bool,
@@ -1209,8 +1204,8 @@ fn render_json(
         s.push('}');
         s.push_str(",\n");
     }
-    // The blocking cell as a trend-gated row: the arm names stand in
-    // for backend names under ns_per_site.
+    // The blocking cell: the arm names stand in for backend names
+    // under ns_per_site.
     let (bn, boff, bon) = blocking;
     let _ = writeln!(
         s,

@@ -1,6 +1,5 @@
 #![warn(missing_docs)]
-//! Shared harness code for the table/figure generator binaries and the
-//! Criterion benches.
+//! Shared harness code for the table/figure generator binaries.
 //!
 //! The central object is [`record_trace`]: it runs a *real*,
 //! instrumented ML tree search (the ExaML-style replicated scheme from

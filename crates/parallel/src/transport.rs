@@ -1197,7 +1197,11 @@ mod unix_impl {
 
     /// Runs the hub to completion: accepts `ranks` handshakes, spawns
     /// one reader per connection, dispatches replies, joins readers.
-    pub(crate) fn run_hub(listener: UnixListener, ranks: usize, tcfg: &TransportConfig) -> HubOutcome {
+    pub(crate) fn run_hub(
+        listener: UnixListener,
+        ranks: usize,
+        tcfg: &TransportConfig,
+    ) -> HubOutcome {
         let empty = |cause: Option<PoisonCause>| HubOutcome {
             results: vec![None; ranks],
             poison: cause,
@@ -1982,8 +1986,7 @@ mod tests {
             // collective finds a broken pipe, and must report the
             // queued Poison frame's cause, not "the hub (rank 0) died".
             let dir = std::env::temp_dir();
-            let (listener, ep) =
-                bind_endpoint(&dir, "poison-then-close").expect("bind");
+            let (listener, ep) = bind_endpoint(&dir, "poison-then-close").expect("bind");
             let hub = std::thread::spawn(move || {
                 let (mut s, _) = listener.accept().expect("accept");
                 assert_eq!(frame::read_frame(&mut s).expect("hello").kind, Kind::Hello);

@@ -1,10 +1,10 @@
 //! Host provenance: who produced a benchmark number.
 //!
-//! Every artifact this workspace commits (`BENCH_*.json`,
-//! `HOST_ROOFLINE.json`) carries enough provenance to judge later
-//! whether two numbers are comparable: CPU model, core count, the git
-//! revision of the tree that produced them, and the SIMD target
-//! features the binary was compiled for.
+//! Every artifact this workspace writes (`HOST_ROOFLINE.json`, a
+//! `plf_e2e` run, a `plf-microbench --out` file) carries enough
+//! provenance to judge later whether two numbers are comparable: CPU
+//! model, core count, the git revision of the tree that produced them,
+//! and the SIMD target features the binary was compiled for.
 
 /// The CPU model string from `/proc/cpuinfo`, or `"unknown"` where
 /// that file is absent (non-Linux hosts).

@@ -1,12 +1,22 @@
 //! A minimal recursive JSON reader.
 //!
 //! The workspace has no serde; the flat-object parser in
-//! `plf_core::trace` deliberately rejects nesting and floats, but the
-//! bench artifacts (`BENCH_*.json`, `HOST_ROOFLINE.json`) are nested
-//! documents with fractional numbers, so trend tracking needs a real —
-//! if small — parser. It accepts exactly the JSON this workspace
-//! writes: objects, arrays, strings with the common escapes, `f64`
-//! numbers, booleans and `null`. Object key order is preserved.
+//! `plf_core::trace` deliberately rejects nesting and floats, but
+//! `HOST_ROOFLINE.json`, `BENCHMARK.json` and the result object a
+//! `plf_e2e` run prints are nested documents with fractional numbers,
+//! so calibration and `cargo xtask pair` need a real — if small —
+//! parser. It accepts exactly the JSON this workspace writes: objects,
+//! arrays, strings with the common escapes, `f64` numbers, booleans
+//! and `null`, nested at most [`MAX_DEPTH`] deep. Object key order is
+//! preserved.
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, and the documents it is handed come
+/// from the working directory and from child processes: without a cap
+/// a file of 200 000 `[` overflows the stack, which aborts instead of
+/// returning an error. Every document this workspace writes nests
+/// fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,6 +42,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -93,6 +104,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -126,8 +139,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -139,6 +152,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object, refusing the one that would be
+    /// level `MAX_DEPTH + 1`.
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -350,6 +378,28 @@ mod tests {
         assert!(Json::parse("{\"a\":1} x").is_err());
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        // Each of these overflowed the stack (an abort) before the cap.
+        for open in ["[", "{\"a\":"] {
+            let err = Json::parse(&open.repeat(200_000)).unwrap_err();
+            assert_eq!(
+                err,
+                format!("nesting deeper than 128 at byte {}", 128 * open.len())
+            );
+        }
+        // Exactly MAX_DEPTH levels still parse, arrays and objects alike.
+        let arrays = format!("{}{}", "[".repeat(128), "]".repeat(128));
+        assert!(Json::parse(&arrays).is_ok());
+        assert!(Json::parse(&format!("[{arrays}]")).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(128), "}".repeat(128));
+        let mut v = &Json::parse(&objects).unwrap();
+        for _ in 0..128 {
+            v = v.get("a").unwrap();
+        }
+        assert_eq!(v.as_u64(), Some(1));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `plf-prof` — host performance profiling support for the PLF
 //! workspace.
 //!
-//! Three concerns live here, all std-only:
+//! Two concerns live here, both std-only:
 //!
 //! * [`roofline`] — machine calibration: a STREAM-triad bandwidth
 //!   probe and an FMA peak-FLOP probe (single core, matching the
@@ -15,18 +15,16 @@
 //!   (cycles, instructions, LLC misses) behind the `perf-counters`
 //!   cargo feature, degrading to `None` wherever the syscall is
 //!   unavailable.
-//! * [`trend`] — cross-PR performance trend tracking: aggregates the
-//!   committed `BENCH_*.json` files into a trend table and gates new
-//!   results against the best prior PR per (kernel, backend, size)
-//!   cell, with an audited waiver list for accepted regressions.
 //!
-//! [`json`] is the minimal recursive JSON reader the other modules
-//! share (the workspace has no serde).
+//! [`json`] is the minimal recursive JSON reader of nested documents
+//! (the workspace has no serde): [`roofline`] reads its cache file
+//! with it, `plf_e2e` and `cargo xtask pair` the benchmark's contract
+//! and result objects. [`host`] is the provenance every such artifact
+//! carries.
 
 pub mod host;
 pub mod json;
 pub mod perf;
 pub mod roofline;
-pub mod trend;
 
 pub use roofline::HostRoofline;

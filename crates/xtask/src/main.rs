@@ -1,6 +1,8 @@
 //! `cargo xtask` — workspace automation entry point.
 #![deny(unsafe_op_in_unsafe_fn)]
 
+mod pair;
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -17,12 +19,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
-        Some("bench-trend") => bench_trend(&args[1..]),
+        Some("pair") => pair::run(&workspace_root(), &args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo xtask lint [--root <workspace>] [--json <path>] \
                  [--update-inventory] [--cfg-feature <name>]...\n       \
-                 cargo xtask bench-trend [--gate] [--write] [--root <workspace>]"
+                 {}",
+                pair::USAGE
             );
             ExitCode::from(2)
         }
@@ -119,89 +122,4 @@ fn lint(args: &[String]) -> ExitCode {
         eprintln!("xtask lint: {} finding(s)", analysis.findings.len());
         ExitCode::FAILURE
     }
-}
-
-/// `cargo xtask bench-trend`: aggregate the committed `BENCH_*.json`
-/// into a trend table. `--write` refreshes `BENCH_TREND.json` and
-/// `BENCH_TREND.md` in the workspace root; `--gate` fails (exit 1)
-/// when the newest file regresses any (kernel, backend, size) cell
-/// more than 10% past the best prior PR, unless the cell is waived in
-/// `crates/xtask/trend_waivers.txt`.
-fn bench_trend(args: &[String]) -> ExitCode {
-    let mut gate = false;
-    let mut write = false;
-    let mut root = workspace_root();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--gate" => gate = true,
-            "--write" => write = true,
-            "--root" => match it.next() {
-                Some(p) => root = PathBuf::from(p),
-                None => {
-                    eprintln!("--root requires a path");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unknown bench-trend option: {other}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let files = match plf_prof::trend::scan_dir(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("bench-trend: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if files.is_empty() {
-        eprintln!("bench-trend: no BENCH_*.json in {}", root.display());
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "bench-trend: {} file(s): {}",
-        files.len(),
-        files
-            .iter()
-            .map(|f| f.name.as_str())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    if write {
-        let json_path = root.join("BENCH_TREND.json");
-        let md_path = root.join("BENCH_TREND.md");
-        for (path, content) in [
-            (&json_path, plf_prof::trend::render_trend_json(&files)),
-            (&md_path, plf_prof::trend::render_trend_markdown(&files)),
-        ] {
-            if let Err(e) = std::fs::write(path, content) {
-                eprintln!("bench-trend: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {}", path.display());
-        }
-    } else {
-        print!("{}", plf_prof::trend::render_trend_markdown(&files));
-    }
-    if gate {
-        let waiver_path = root.join("crates/xtask/trend_waivers.txt");
-        let waivers = match std::fs::read_to_string(&waiver_path) {
-            Ok(text) => match plf_prof::trend::parse_waivers(&text) {
-                Ok(w) => w,
-                Err(e) => {
-                    eprintln!("bench-trend: {}: {e}", waiver_path.display());
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(_) => Vec::new(),
-        };
-        let report = plf_prof::trend::gate(&files, plf_prof::trend::DEFAULT_TOLERANCE, &waivers);
-        print!("{}", report.render());
-        if report.failed() {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
 }

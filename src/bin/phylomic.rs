@@ -79,6 +79,8 @@ const RANK_OPTS: &[&str] = &["no-model-opt", "checkpoint", "inject-fault"];
 /// Every subcommand: its name, the options it reads, in groups (every
 /// `opts.get` / `get(opts, …)` / `require` / `contains_key` key on its
 /// path, and nothing else — `parse_opts` refuses the rest), its body.
+/// `tests/cli.rs::options_listed_are_exactly_the_options_read` holds
+/// the union of the groups to the keys this file reads.
 const COMMANDS: &[(&str, &[&[&str]], Command)] = &[
     (
         "simulate",
@@ -131,7 +133,6 @@ const COMMANDS: &[(&str, &[&[&str]], Command)] = &[
     ),
     ("trace-report", &[&["trace", "format"]], cmd_trace_report),
     ("calibrate", &[&["out", "force"]], cmd_calibrate),
-    ("bench-trend", &[&["dir", "gate"]], cmd_bench_trend),
     // Hidden: the socket transport's child-rank entry. The supervisor
     // (`search --transport uds`) spawns these; not part of the
     // user-facing surface.
@@ -164,7 +165,6 @@ USAGE:
                     [--out FILE]
   phylomic trace-report --trace FILE [--format text|json]
   phylomic calibrate [--out FILE] [--force]
-  phylomic bench-trend [--dir DIR] [--gate]
 
 Alignments: PHYLIP when the path ends in .phy, FASTA otherwise.
 --kernels picks the PLF kernel backend (default auto: explicit SIMD when
@@ -201,10 +201,6 @@ size, and caches them with host provenance in HOST_ROOFLINE.json
 evaluate/search stamp the peaks into the trace meta so trace-report
 can compute % of roofline, and the cache size sets the traversal block
 size.
-bench-trend aggregates the committed BENCH_*.json microbench artifacts
-into a per-cell history table; --gate fails when the newest file is
->10% slower than the best prior PR on any unwaived cell (waivers:
-crates/xtask/trend_waivers.txt).
 --checkpoint works with every scheme; under replicated, rank 0 writes
 and all ranks resume from the same snapshot.
 --threads is the number of threads that compute, under both parallel
@@ -421,31 +417,6 @@ fn cmd_calibrate(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench_trend(opts: &Opts) -> Result<(), String> {
-    let dir = opts.get("dir").map(String::as_str).unwrap_or(".");
-    let files = plf_prof::trend::scan_dir(std::path::Path::new(dir))?;
-    if files.is_empty() {
-        return Err(format!("no BENCH_*.json files in {dir}"));
-    }
-    print!("{}", plf_prof::trend::render_trend_markdown(&files));
-    if opts.contains_key("gate") {
-        // Waivers live next to the BENCH files' repo, not the cwd:
-        // `bench-trend --dir /path/to/repo --gate` from anywhere must
-        // still honor that repo's audited waiver list.
-        let waiver_path = std::path::Path::new(dir).join("crates/xtask/trend_waivers.txt");
-        let waivers = match std::fs::read_to_string(&waiver_path) {
-            Ok(text) => plf_prof::trend::parse_waivers(&text)?,
-            Err(_) => Vec::new(),
-        };
-        let report = plf_prof::trend::gate(&files, plf_prof::trend::DEFAULT_TOLERANCE, &waivers);
-        print!("{}", report.render());
-        if report.failed() {
-            return Err("trend gate failed".into());
-        }
-    }
-    Ok(())
-}
-
 type Opts = HashMap<String, String>;
 
 /// Parses `--name value` pairs (and the bare flags), refusing any
@@ -464,7 +435,7 @@ fn parse_opts(args: &[String], accepted: &[&[&str]]) -> Result<Opts, String> {
                 None => format!("unknown option --{name}"),
             });
         }
-        if matches!(name, "no-model-opt" | "degrade" | "force" | "gate") {
+        if matches!(name, "no-model-opt" | "degrade" | "force") {
             opts.insert(name.to_string(), "true".to_string());
             continue;
         }

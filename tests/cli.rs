@@ -726,50 +726,51 @@ fn retired_tcp_transport_is_a_usage_error() {
     assert!(err.contains("threads") && err.contains("uds"), "{err}");
 }
 
+/// Every `"…"` literal of `text` that follows one of `openers`.
+fn literals_after(text: &str, openers: &[&str]) -> std::collections::BTreeSet<String> {
+    let mut found = std::collections::BTreeSet::new();
+    for opener in openers {
+        for (at, _) in text.match_indices(opener) {
+            let rest = &text[at + opener.len()..];
+            found.insert(rest[..rest.find('"').expect("closing quote")].to_string());
+        }
+    }
+    found
+}
+
 #[test]
-fn bench_trend_gate_honors_waivers_relative_to_dir() {
-    // A regressed cell that is waived must pass the gate even when the
-    // process cwd is NOT the repo: waivers resolve against --dir.
-    let dir = TestDir::new("cli-trend-dir");
-    std::fs::create_dir_all(dir.join("crates/xtask")).unwrap();
-    let bench = |ns: f64| {
-        format!(
-            concat!(
-                "{{\"schema\": \"plf-microbench/1\", \"results\": [\n",
-                "  {{\"kernel\": \"newview_ii\", \"patterns\": 1000, ",
-                "\"ns_per_site\": {{\"scalar\": {ns}}}}}\n",
-                "]}}\n"
-            ),
-            ns = ns
-        )
-    };
-    std::fs::write(dir.join("BENCH_1.json"), bench(10.0)).unwrap();
-    std::fs::write(dir.join("BENCH_2.json"), bench(15.0)).unwrap();
-
-    // Without a waiver file the 1.5x regression fails the gate.
-    let out = bin()
-        .args(["bench-trend", "--dir", dir.to_str().unwrap(), "--gate"])
-        .current_dir(std::env::temp_dir())
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("FAIL newview_ii"));
-
-    std::fs::write(
-        dir.join("crates/xtask/trend_waivers.txt"),
-        "newview_ii scalar 1000 # synthetic fixture\n",
-    )
-    .unwrap();
-    let out = bin()
-        .args(["bench-trend", "--dir", dir.to_str().unwrap(), "--gate"])
-        .current_dir(std::env::temp_dir())
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "stdout: {stdout} stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+fn options_listed_are_exactly_the_options_read() {
+    // `parse_opts` refuses what `COMMANDS` does not list, so a key that
+    // is read but not listed can never be set, and one that is listed
+    // but not read is accepted and ignored: both are silent.
+    let source: String = include_str!("../src/bin/phylomic.rs")
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .flat_map(|l| l.chars().filter(|c| !c.is_whitespace()))
+        .collect();
+    let read = literals_after(
+        &source,
+        &[
+            "opts.get(\"",
+            "opts.contains_key(\"",
+            "get(opts,\"",
+            "require(opts,\"",
+        ],
     );
-    assert!(stdout.contains("WAIVED newview_ii"), "{stdout}");
+    // The option tables: everything from the first group constant up
+    // to the usage text. A literal after `(` is a subcommand's name,
+    // one after `[` or `,` an option.
+    let start = source
+        .find("constSEARCH_INPUT_OPTS")
+        .expect("option groups");
+    let end = source.find("constUSAGE").expect("usage text");
+    let listed = literals_after(&source[start..end], &["[\"", ",\""]);
+    assert!(
+        read.contains("alignment") && read.contains("force"),
+        "{read:?}"
+    );
+    assert_eq!(
+        read, listed,
+        "left: keys the CLI reads; right: keys COMMANDS lists"
+    );
 }
