@@ -22,7 +22,6 @@
 //! the tip-handling fast paths in `plf-core` rely on.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod aa;
 pub mod alignment;
 pub mod alphabet;
 pub mod error;

@@ -37,7 +37,6 @@
 //! must update both in the same commit.
 
 use crate::instrument::KernelId;
-use crate::metrics::{counter, Counter};
 use crate::{NUM_RATES, NUM_STATES};
 use std::sync::OnceLock;
 
@@ -121,33 +120,29 @@ impl KernelOp {
         }
     }
 
-    /// Analytical cost of one invocation over `sites` pattern-sites
-    /// (DNA states and the default rate count).
-    pub fn cost(self, sites: u64) -> KernelCost {
-        self.per_site_for(NUM_STATES as u64, NUM_RATES as u64)
-            .scaled(sites)
-    }
-
-    /// Per-site cost for `states` states and `rates` rate categories.
+    /// Analytical cost of one invocation over `sites` pattern-sites.
     ///
-    /// The site stride is `states * rates` doubles; tip codes stay one
+    /// The site stride is `states * rates` doubles; tip codes are one
     /// byte and scale counters four. Derived symbolically from the
-    /// reference loops so the DNA-4 numbers used everywhere else fall
-    /// out of the same formulas the tests pin.
-    pub fn per_site_for(self, states: u64, rates: u64) -> KernelCost {
+    /// reference loops, so the numbers the tests pin fall out of the
+    /// formulas.
+    pub fn cost(self, sites: u64) -> KernelCost {
+        let states = NUM_STATES as u64;
+        let rates = NUM_RATES as u64;
         let w = states * rates; // doubles per site
         let vb = 8 * w; // CLA value bytes per site
         let sb = 4; // scale-counter bytes per site
         let cb = 1; // tip-code bytes per site
         let wb = 4; // site-weight bytes per site
-                    // Per-(rate, state) inner products over child states: a dot
-                    // product of length `states` is `2*states` flops (mul + add,
-                    // accumulator initialized to zero).
+
+        // Per-(rate, state) inner products over child states: a dot
+        // product of length `states` is `2*states` flops (mul + add,
+        // accumulator initialized to zero).
         let dot = 2 * states;
         // Per-site log-likelihood tail of the evaluate kernels:
         // ln + (scale * LN_SCALE) mul + sub + weight mul + accumulate.
         let eval_tail = 5;
-        match self {
+        let per_site = match self {
             // One mul per entry of the site vector.
             KernelOp::NewviewTt => KernelCost {
                 flops: w,
@@ -192,7 +187,8 @@ impl KernelOp {
                 bytes_read: vb + wb,
                 bytes_written: 0,
             },
-        }
+        };
+        per_site.scaled(sites)
     }
 }
 
@@ -271,33 +267,6 @@ pub fn set_calibration(cal: ProfitCalibration) -> bool {
 /// The installed host calibration, if any.
 pub fn calibration() -> Option<&'static ProfitCalibration> {
     CALIBRATION.get()
-}
-
-/// Process-wide roofline accumulators in the metrics registry
-/// (`plf.cost.*`), bumped once per kernel invocation alongside the
-/// per-engine [`crate::instrument::KernelStats`] aggregation.
-struct CostCounters {
-    flops: Counter,
-    bytes_read: Counter,
-    bytes_written: Counter,
-}
-
-fn cost_counters() -> &'static CostCounters {
-    static COUNTERS: OnceLock<CostCounters> = OnceLock::new();
-    COUNTERS.get_or_init(|| CostCounters {
-        flops: counter("plf.cost.flops"),
-        bytes_read: counter("plf.cost.bytes_read"),
-        bytes_written: counter("plf.cost.bytes_written"),
-    })
-}
-
-/// Accumulates one invocation's cost into the global metrics registry.
-#[inline]
-pub fn record_global(cost: &KernelCost) {
-    let c = cost_counters();
-    c.flops.add(cost.flops);
-    c.bytes_read.add(cost.bytes_read);
-    c.bytes_written.add(cost.bytes_written);
 }
 
 #[cfg(test)]
@@ -385,13 +354,5 @@ mod tests {
         };
         c.accumulate(&KernelOp::NewviewIi.cost(1));
         assert_eq!(c.flops, u64::MAX);
-    }
-
-    #[test]
-    fn global_counters_accumulate() {
-        let before = crate::metrics::counter("plf.cost.flops").get();
-        record_global(&KernelOp::NewviewTt.cost(10));
-        let after = crate::metrics::counter("plf.cost.flops").get();
-        assert!(after >= before + 160);
     }
 }

@@ -146,24 +146,6 @@ impl LatencyHistogram {
         &self.buckets
     }
 
-    /// Reassembles a histogram from raw parts (used by the atomic
-    /// metrics histogram to hand out plain copies).
-    pub(crate) fn from_parts(
-        buckets: [u64; HIST_BUCKETS],
-        count: u64,
-        total_ns: u64,
-        min_ns: u64,
-        max_ns: u64,
-    ) -> Self {
-        LatencyHistogram {
-            buckets,
-            count,
-            total_ns,
-            min_ns: if count == 0 { u64::MAX } else { min_ns },
-            max_ns,
-        }
-    }
-
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) in nanoseconds by
     /// linear interpolation inside the log₂ bucket containing the
     /// target rank. Bucket `i` spans `[2^i, 2^(i+1))` (bucket 0 spans
@@ -356,7 +338,6 @@ impl KernelStats {
         o.flops = o.flops.saturating_add(cost.flops);
         o.bytes_read = o.bytes_read.saturating_add(cost.bytes_read);
         o.bytes_written = o.bytes_written.saturating_add(cost.bytes_written);
-        crate::cost::record_global(&cost);
     }
 
     /// Records one parallel region's fork/join latencies.

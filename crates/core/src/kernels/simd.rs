@@ -1001,18 +1001,22 @@ pub(crate) mod tests {
         }
     }
 
-    fn model() -> (phylo_models::Gtr, [f64; 4]) {
+    fn model(alpha: f64) -> (phylo_models::Gtr, [f64; 4]) {
         use phylo_models::{DiscreteGamma, Gtr, GtrParams};
         let g = Gtr::new(GtrParams {
             rates: [1.2, 2.9, 0.8, 1.1, 3.5, 1.0],
             freqs: [0.28, 0.22, 0.21, 0.29],
         });
-        (g, *DiscreteGamma::new(0.7).rates())
+        (g, *DiscreteGamma::new(alpha).rates())
+    }
+
+    fn pmat_at(alpha: f64, t: f64) -> FusedPmat {
+        let (g, rates) = model(alpha);
+        FusedPmat::from_prob(&phylo_models::ProbMatrix::new(g.eigen(), &rates, t))
     }
 
     fn pmat(t: f64) -> FusedPmat {
-        let (g, rates) = model();
-        FusedPmat::from_prob(&phylo_models::ProbMatrix::new(g.eigen(), &rates, t))
+        pmat_at(0.7, t)
     }
 
     /// The explicit-SIMD sets this host can run, widest first, after
@@ -1085,8 +1089,9 @@ pub(crate) mod tests {
     }
 
     /// Runs the six ops over `n` sites of a fixed pseudo-random input
-    /// in which every third site sits below the scaling threshold.
-    fn run_ops(k: &dyn Kernels, n: usize) -> Outputs {
+    /// in which every third site sits below the scaling threshold, with
+    /// P matrices of branch lengths `tl` and `tr` under Γ shape `alpha`.
+    fn run_ops(k: &dyn Kernels, n: usize, alpha: f64, (tl, tr): (f64, f64)) -> Outputs {
         let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
         let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
         fill(&mut vl, 21, 1e-3, 1.0);
@@ -1098,9 +1103,9 @@ pub(crate) mod tests {
         }
         let codes: Vec<u8> = (0..n).map(|i| 1 + (i % 15) as u8).collect();
         let scale: Vec<u32> = (0..n).map(|i| (i % 4) as u32).collect();
-        let (pl, pr) = (pmat(0.23), pmat(0.11));
+        let (pl, pr) = (pmat_at(alpha, tl), pmat_at(alpha, tr));
         let lut = Lut16x16::tip_prob(&pl);
-        let (g, rates) = model();
+        let (g, rates) = model(alpha);
         let basis = EigenBasis::new(g.eigen(), &rates);
         let pi_tip = Lut16x16::tip_pi(&g.freqs());
         let mut pi_w = [0.0; SITE_STRIDE];
@@ -1129,34 +1134,48 @@ pub(crate) mod tests {
 
     #[test]
     fn both_widths_write_the_same_bits_and_agree_with_scalar() {
+        use phylo_models::DiscreteGamma;
         let widths = widths_under_test();
         // 511/512/513 straddle the root chunk, 4099 streams.
-        for n in [1usize, 7, 511, 512, 513, 1000, x86_nt_min_sites() + 3] {
-            let scalar = run_ops(KernelKind::Scalar.kernels(), n);
-            let outs: Vec<Outputs> = widths.iter().map(|&k| run_ops(k, n)).collect();
+        let sizes = [1usize, 7, 511, 512, 513, 1000, x86_nt_min_sites() + 3];
+        let mut inputs: Vec<_> = sizes.iter().map(|&n| (n, 0.7, (0.23, 0.11))).collect();
+        // The corners of the branch-length × α box an engine accepts
+        // (`Tree`'s `BL_MIN`/`BL_MAX`): P ≈ I and P = the stationary rows.
+        for t in [1e-8, 100.0] {
+            for alpha in [DiscreteGamma::MIN_ALPHA, DiscreteGamma::MAX_ALPHA] {
+                inputs.push((513, alpha, (t, t)));
+            }
+        }
+        for (n, alpha, lengths) in inputs {
+            let at = format!("n={n} alpha={alpha} t={lengths:?}");
+            let scalar = run_ops(KernelKind::Scalar.kernels(), n, alpha, lengths);
+            let outs: Vec<Outputs> = widths
+                .iter()
+                .map(|&k| run_ops(k, n, alpha, lengths))
+                .collect();
             for (set, o) in widths.iter().zip(&outs) {
                 let bits = set.width_bits();
                 for ((op, got, got_sc), (_, want, want_sc)) in o.parts().iter().zip(scalar.parts())
                 {
-                    assert_eq!(*got_sc, want_sc, "{op} at {bits} bits, n={n}: counters");
+                    assert_eq!(*got_sc, want_sc, "{op} at {bits} bits, {at}: counters");
                     for (a, b) in want.iter().zip(got.iter()) {
                         assert!(
                             (a - b).abs() <= 1e-12 * (1.0 + a.abs()),
-                            "{op} at {bits} bits, n={n}: scalar {a} vs {b}"
+                            "{op} at {bits} bits, {at}: scalar {a} vs {b}"
                         );
                     }
                 }
                 for ((op, a, a_sc), (_, b, b_sc)) in o.parts().iter().zip(outs[0].parts()) {
-                    assert_eq!(*a_sc, b_sc, "{op} n={n}: counters differ between widths");
+                    assert_eq!(*a_sc, b_sc, "{op} {at}: counters differ between widths");
                     let same = a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
-                    assert!(same, "{op} n={n}: {bits}-bit body differs from the widest");
+                    assert!(same, "{op} {at}: {bits}-bit body differs from the widest");
                 }
             }
             if n >= 3 {
                 let rescaled = scalar.newview_ii.1.iter().enumerate();
                 assert!(
                     rescaled.clone().any(|(i, &s)| s > 2 * (i % 4) as u32),
-                    "n={n}: no site was rescaled"
+                    "{at}: no site was rescaled"
                 );
             }
         }

@@ -42,7 +42,6 @@
 
 pub mod aligned;
 pub mod blocking;
-pub mod cat;
 pub mod cla;
 pub mod cost;
 pub mod engine;
@@ -51,7 +50,6 @@ pub mod kernels;
 pub mod layout;
 pub mod metrics;
 pub mod naive;
-pub mod nstate;
 pub mod scaling;
 pub mod span;
 pub(crate) mod sync;

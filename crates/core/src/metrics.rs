@@ -1,13 +1,12 @@
-//! Process-wide registry of named counters, gauges, and histograms.
+//! Process-wide registry of named counters and gauges.
 //!
 //! Instrumented code holds a cheap cloneable handle ([`Counter`],
-//! [`Gauge`], [`Histogram`]) and updates it with relaxed atomics — the
-//! registry mutex is touched only on first lookup, never on the hot
-//! path. Metric names are dotted paths namespaced by layer
-//! (`core.scaling.events`, `spr.moves.accepted`,
-//! `forkjoin.worker.3.sites`, `micsim.reports`), which unifies the
-//! counters the paper's evaluation cares about across `core`,
-//! `parallel`, `search`, and `micsim` in one [`snapshot`].
+//! [`Gauge`]) and updates it with relaxed atomics — the registry mutex
+//! is touched only on first lookup, never on the hot path. Metric names
+//! are dotted paths namespaced by layer (`core.scaling.events`,
+//! `spr.moves.accepted`, `forkjoin.worker.3.sites`, `micsim.reports`),
+//! which unifies the counters the paper's evaluation cares about across
+//! `core`, `parallel`, `search`, and `micsim` in one [`snapshot`].
 //!
 //! Unlike spans, metrics are always compiled in: a relaxed
 //! `fetch_add` on an owned cache line is far below measurement noise
@@ -17,8 +16,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-use crate::instrument::{LatencyHistogram, HIST_BUCKETS};
 
 /// Monotonically increasing event count.
 #[derive(Clone)]
@@ -33,11 +30,9 @@ impl Counter {
 
     /// Adds `n`, saturating at `u64::MAX` instead of wrapping.
     ///
-    /// The roofline flop/byte accumulators make overflow reachable in
-    /// principle (a month-long run counts ~10^18 flops); a counter
-    /// that wrapped would silently report nonsense, while a pinned
-    /// `u64::MAX` is unambiguous. The correction is a second relaxed
-    /// store, so a concurrent `add` racing the saturation point may
+    /// A counter that wrapped would silently report nonsense, while a
+    /// pinned `u64::MAX` is unambiguous. The correction is a second
+    /// relaxed store, so a concurrent `add` racing the saturation point may
     /// briefly observe the wrapped value — acceptable for
     /// observability counters, and the counter still settles at MAX.
     #[inline]
@@ -71,74 +66,9 @@ impl Gauge {
     }
 }
 
-/// Lock-free log₂-bucketed latency histogram sharing the bucket layout
-/// (and therefore the quantile math) of
-/// [`LatencyHistogram`](crate::instrument::LatencyHistogram).
-struct AtomicHistogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    total_ns: AtomicU64,
-    min_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl AtomicHistogram {
-    fn new() -> Self {
-        AtomicHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            min_ns: AtomicU64::new(u64::MAX),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-
-    fn record_ns(&self, ns: u64) {
-        let bucket = (63 - (ns | 1).leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.min_ns.fetch_min(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    fn load(&self) -> LatencyHistogram {
-        let count = self.count.load(Ordering::Relaxed);
-        LatencyHistogram::from_parts(
-            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count,
-            self.total_ns.load(Ordering::Relaxed),
-            if count == 0 {
-                0
-            } else {
-                self.min_ns.load(Ordering::Relaxed)
-            },
-            self.max_ns.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// Handle to a registered latency histogram.
-#[derive(Clone)]
-pub struct Histogram(Arc<AtomicHistogram>);
-
-impl Histogram {
-    /// Records one sample.
-    #[inline]
-    pub fn record_ns(&self, ns: u64) {
-        self.0.record_ns(ns);
-    }
-
-    /// Copies the current state into a plain [`LatencyHistogram`].
-    pub fn load(&self) -> LatencyHistogram {
-        self.0.load()
-    }
-}
-
 enum Entry {
     Counter(Counter),
     Gauge(Gauge),
-    Histogram(Histogram),
 }
 
 fn registry() -> std::sync::MutexGuard<'static, BTreeMap<String, Entry>> {
@@ -178,18 +108,6 @@ pub fn gauge(name: &str) -> Gauge {
     }
 }
 
-/// Returns (registering on first use) the histogram named `name`.
-pub fn histogram(name: &str) -> Histogram {
-    let mut reg = registry();
-    match reg
-        .entry(name.to_string())
-        .or_insert_with(|| Entry::Histogram(Histogram(Arc::new(AtomicHistogram::new()))))
-    {
-        Entry::Histogram(h) => h.clone(),
-        _ => panic!("metric {name:?} already registered with a different kind"),
-    }
-}
-
 /// A metric's value at snapshot time.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MetricValue {
@@ -197,8 +115,6 @@ pub enum MetricValue {
     Counter(u64),
     /// Gauge reading.
     Gauge(u64),
-    /// Histogram copy (boxed: a histogram is ~300 bytes of buckets).
-    Histogram(Box<LatencyHistogram>),
 }
 
 /// One named metric captured by [`snapshot`].
@@ -219,7 +135,6 @@ pub fn snapshot() -> Vec<MetricSample> {
             value: match entry {
                 Entry::Counter(c) => MetricValue::Counter(c.get()),
                 Entry::Gauge(g) => MetricValue::Gauge(g.get()),
-                Entry::Histogram(h) => MetricValue::Histogram(Box::new(h.load())),
             },
         })
         .collect()
@@ -242,22 +157,6 @@ mod tests {
         g.set(17);
         g.set(3);
         assert_eq!(gauge("test.metrics.gauge").get(), 3);
-    }
-
-    #[test]
-    fn histogram_matches_plain_latency_histogram() {
-        let h = histogram("test.metrics.hist");
-        let mut reference = LatencyHistogram::default();
-        for ns in [1u64, 7, 100, 100, 5_000, 1 << 20] {
-            h.record_ns(ns);
-            reference.record_ns(ns);
-        }
-        let copy = h.load();
-        assert_eq!(copy.count(), reference.count());
-        assert_eq!(copy.total_ns(), reference.total_ns());
-        assert_eq!(copy.min_ns(), reference.min_ns());
-        assert_eq!(copy.max_ns(), reference.max_ns());
-        assert_eq!(copy.buckets(), reference.buckets());
     }
 
     #[test]
@@ -292,29 +191,5 @@ mod tests {
         let c2 = counter("test.metrics.saturate.exact");
         c2.add(u64::MAX);
         assert_eq!(c2.get(), u64::MAX);
-    }
-
-    #[test]
-    fn registered_histogram_quantiles_on_empty_and_single_sample() {
-        // Empty: every quantile is None, extremes absent.
-        let h = histogram("test.metrics.hist.empty");
-        let copy = h.load();
-        assert_eq!(copy.count(), 0);
-        assert_eq!(copy.quantile_ns(0.5), None);
-        assert_eq!(copy.quantile_ns(0.0), None);
-        assert_eq!(copy.quantile_ns(1.0), None);
-        assert_eq!(copy.min_ns(), None);
-        assert_eq!(copy.max_ns(), None);
-
-        // Single sample: every quantile collapses to the sample.
-        let h = histogram("test.metrics.hist.single");
-        h.record_ns(777);
-        let copy = h.load();
-        assert_eq!(copy.count(), 1);
-        for q in [0.0, 0.25, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(copy.quantile_ns(q), Some(777), "q = {q}");
-        }
-        assert_eq!(copy.min_ns(), Some(777));
-        assert_eq!(copy.max_ns(), Some(777));
     }
 }

@@ -18,8 +18,6 @@
 //!   source track, start, duration and nesting depth.
 //! * `metric` — a counter or gauge reading from the
 //!   [`crate::metrics`] registry.
-//! * `metric_hist` — a histogram metric's summary (count, total,
-//!   min/max and quantile estimates).
 //!
 //! The format is deliberately trivial — flat objects, string and
 //! integer values only — so it round-trips through the hand-rolled
@@ -180,27 +178,6 @@ pub enum TraceEvent {
         /// Value at snapshot time.
         value: u64,
     },
-    /// A histogram metric's summary.
-    MetricHist {
-        /// Where the snapshot was taken (usually `"process"`).
-        source: String,
-        /// Registered dotted metric name.
-        name: String,
-        /// Samples recorded.
-        count: u64,
-        /// Sum of samples, nanoseconds.
-        total_ns: u64,
-        /// Smallest sample, ns.
-        min_ns: u64,
-        /// Largest sample, ns.
-        max_ns: u64,
-        /// Median estimate, ns.
-        p50_ns: u64,
-        /// 95th-percentile estimate, ns.
-        p95_ns: u64,
-        /// 99th-percentile estimate, ns.
-        p99_ns: u64,
-    },
     /// An event this reader does not understand (future schema
     /// version). Preserved by [`TraceEvent::from_json`] so callers can
     /// count them; dropped by [`parse_jsonl`].
@@ -337,31 +314,6 @@ impl TraceEvent {
                     value
                 );
             }
-            TraceEvent::MetricHist {
-                source,
-                name,
-                count,
-                total_ns,
-                min_ns,
-                max_ns,
-                p50_ns,
-                p95_ns,
-                p99_ns,
-            } => {
-                let _ = write!(
-                    s,
-                    r#"{{"type":"metric_hist","source":"{}","name":"{}","count":{},"total_ns":{},"min_ns":{},"max_ns":{},"p50_ns":{},"p95_ns":{},"p99_ns":{}}}"#,
-                    escape(source),
-                    escape(name),
-                    count,
-                    total_ns,
-                    min_ns,
-                    max_ns,
-                    p50_ns,
-                    p95_ns,
-                    p99_ns
-                );
-            }
             TraceEvent::Unknown { event_type } => {
                 let _ = write!(s, r#"{{"type":"{}"}}"#, escape(event_type));
             }
@@ -493,17 +445,6 @@ impl TraceEvent {
                 kind: get_str("kind")?.to_string(),
                 value: get_u64("value")?,
             }),
-            "metric_hist" => Ok(TraceEvent::MetricHist {
-                source: get_str("source")?.to_string(),
-                name: get_str("name")?.to_string(),
-                count: get_u64("count")?,
-                total_ns: get_u64("total_ns")?,
-                min_ns: get_u64_or_0("min_ns")?,
-                max_ns: get_u64_or_0("max_ns")?,
-                p50_ns: get_u64_or_0("p50_ns")?,
-                p95_ns: get_u64_or_0("p95_ns")?,
-                p99_ns: get_u64_or_0("p99_ns")?,
-            }),
             other => Ok(TraceEvent::Unknown {
                 event_type: other.to_string(),
             }),
@@ -599,7 +540,7 @@ pub fn events_from_spans(tracks: &[TrackSnapshot]) -> Vec<TraceEvent> {
 }
 
 /// Converts a metrics snapshot ([`crate::metrics::snapshot`]) into
-/// `metric` / `metric_hist` trace events attributed to `source`.
+/// `metric` trace events attributed to `source`.
 pub fn events_from_metrics(source: &str, samples: &[MetricSample]) -> Vec<TraceEvent> {
     samples
         .iter()
@@ -615,17 +556,6 @@ pub fn events_from_metrics(source: &str, samples: &[MetricSample]) -> Vec<TraceE
                 name: s.name.clone(),
                 kind: "gauge".to_string(),
                 value: *v,
-            },
-            MetricValue::Histogram(h) => TraceEvent::MetricHist {
-                source: source.to_string(),
-                name: s.name.clone(),
-                count: h.count(),
-                total_ns: h.total_ns(),
-                min_ns: h.min_ns().unwrap_or(0),
-                max_ns: h.max_ns().unwrap_or(0),
-                p50_ns: h.p50_ns().unwrap_or(0),
-                p95_ns: h.p95_ns().unwrap_or(0),
-                p99_ns: h.p99_ns().unwrap_or(0),
             },
         })
         .collect()
@@ -843,17 +773,6 @@ mod tests {
                 kind: "counter".into(),
                 value: 17,
             },
-            TraceEvent::MetricHist {
-                source: "process".into(),
-                name: "barrier.wait_ns".into(),
-                count: 12,
-                total_ns: 9_000,
-                min_ns: 100,
-                max_ns: 2_000,
-                p50_ns: 600,
-                p95_ns: 1_900,
-                p99_ns: 2_000,
-            },
         ];
         let doc = write_jsonl(&events);
         assert_eq!(parse_jsonl(&doc).unwrap(), events);
@@ -1010,6 +929,16 @@ mod tests {
                 event_type: "gpu_kernel".into()
             }
         );
+        // So does a type this reader once knew: no writer has emitted
+        // `metric_hist` since the histogram metric kind was removed.
+        let hist = r#"{"type":"metric_hist","source":"process","name":"barrier.wait_ns","count":12,"total_ns":9000}"#;
+        assert_eq!(
+            TraceEvent::from_json(hist).unwrap(),
+            TraceEvent::Unknown {
+                event_type: "metric_hist".into()
+            }
+        );
+        assert_eq!(parse_jsonl(&format!("{hist}\n")).unwrap(), vec![]);
     }
 
     #[test]

@@ -359,16 +359,6 @@ impl TraceReport {
                 TraceEvent::Metric {
                     name, kind, value, ..
                 } => metrics.push((name.clone(), kind.clone(), *value)),
-                TraceEvent::MetricHist {
-                    name,
-                    count,
-                    total_ns,
-                    ..
-                } => metrics.push((
-                    format!("{name} (hist total, n={count})"),
-                    "hist".into(),
-                    *total_ns,
-                )),
                 TraceEvent::Unknown { .. } => {}
             }
         }

@@ -14,22 +14,18 @@
 //!   (Yang 1994), built on from-scratch implementations of `lgamma`,
 //!   the regularized incomplete gamma function and its inverse
 //!   ([`math::gammafn`], [`rates`]),
-//! * the CAT approximation (per-site rate categories) as the paper's
-//!   §VII extension ([`rates::CatRates`]),
 //! * Brent's 1-D minimizer used for model-parameter optimization
 //!   ([`math::brent`]).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod gtr;
 pub mod math;
-pub mod nstate;
 pub mod pmatrix;
 pub mod rates;
 
 pub use gtr::{Gtr, GtrParams};
-pub use nstate::{protein_poisson, NEigensystem, NUM_AA_STATES};
 pub use pmatrix::{Eigensystem, ProbMatrix};
-pub use rates::{CatRates, DiscreteGamma};
+pub use rates::DiscreteGamma;
 
 /// Number of DNA states, re-exported for convenience.
 pub const NUM_STATES: usize = phylo_bio::NUM_STATES;

@@ -7,11 +7,6 @@
 //! intervals at its quantiles, and each category's rate is the
 //! distribution's conditional mean over its interval, so the category
 //! rates always average to 1.
-//!
-//! [`CatRates`] implements the CAT approximation (Stamatakis 2006) the
-//! paper lists as future work: every site is assigned to one of a small
-//! number of per-site rate categories, which changes the memory access
-//! granularity discussed in §V-B2.
 
 use crate::math::gammafn::{inv_reg_gamma_p, reg_gamma_p};
 use crate::NUM_RATES;
@@ -94,93 +89,6 @@ impl DiscreteGamma {
     }
 }
 
-/// Per-site rate categories (the CAT approximation).
-///
-/// Unlike Γ, CAT evaluates each site under a single rate, so the
-/// per-site CLA stride shrinks from 16 to 4 doubles — the alignment
-/// hazard §V-B2 of the paper warns about.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CatRates {
-    rates: Vec<f64>,
-    site_category: Vec<u32>,
-}
-
-impl CatRates {
-    /// Creates a CAT assignment from category rates and a per-site
-    /// category index.
-    ///
-    /// # Panics
-    /// Panics on empty categories, non-positive rates, or out-of-range
-    /// site assignments.
-    pub fn new(rates: Vec<f64>, site_category: Vec<u32>) -> Self {
-        assert!(!rates.is_empty(), "CAT needs at least one category");
-        assert!(
-            rates.iter().all(|&r| r.is_finite() && r > 0.0),
-            "CAT rates must be positive"
-        );
-        assert!(
-            site_category.iter().all(|&c| (c as usize) < rates.len()),
-            "site category out of range"
-        );
-        CatRates {
-            rates,
-            site_category,
-        }
-    }
-
-    /// Uniform single-category assignment (rate 1) over `sites` sites.
-    pub fn homogeneous(sites: usize) -> Self {
-        CatRates {
-            rates: vec![1.0],
-            site_category: vec![0; sites],
-        }
-    }
-
-    /// Number of rate categories.
-    pub fn num_categories(&self) -> usize {
-        self.rates.len()
-    }
-
-    /// Number of sites covered.
-    pub fn num_sites(&self) -> usize {
-        self.site_category.len()
-    }
-
-    /// Category rates.
-    pub fn rates(&self) -> &[f64] {
-        &self.rates
-    }
-
-    /// Rate applied to site `i`.
-    pub fn site_rate(&self, i: usize) -> f64 {
-        self.rates[self.site_category[i] as usize]
-    }
-
-    /// Category index of site `i`.
-    pub fn site_category(&self, i: usize) -> usize {
-        self.site_category[i] as usize
-    }
-
-    /// Rescales the category rates so the weighted mean rate over all
-    /// sites is 1 (the CAT normalization step performed after rate
-    /// re-estimation).
-    pub fn normalize(&mut self, weights: &[u32]) {
-        assert_eq!(weights.len(), self.site_category.len());
-        let mut total_w = 0.0;
-        let mut total_r = 0.0;
-        for (i, &w) in weights.iter().enumerate() {
-            total_w += w as f64;
-            total_r += w as f64 * self.site_rate(i);
-        }
-        if total_r > 0.0 && total_w > 0.0 {
-            let mean = total_r / total_w;
-            for r in self.rates.iter_mut() {
-                *r /= mean;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,49 +161,5 @@ mod tests {
     #[test]
     fn weights_uniform() {
         assert!((DiscreteGamma::new(1.0).weight() - 0.25).abs() < 1e-15);
-    }
-
-    #[test]
-    fn cat_basic() {
-        let c = CatRates::new(vec![0.5, 2.0], vec![0, 1, 1, 0]);
-        assert_eq!(c.num_categories(), 2);
-        assert_eq!(c.num_sites(), 4);
-        assert_eq!(c.site_rate(1), 2.0);
-        assert_eq!(c.site_category(3), 0);
-    }
-
-    #[test]
-    fn cat_homogeneous() {
-        let c = CatRates::homogeneous(10);
-        assert_eq!(c.num_categories(), 1);
-        for i in 0..10 {
-            assert_eq!(c.site_rate(i), 1.0);
-        }
-    }
-
-    #[test]
-    fn cat_normalization() {
-        let mut c = CatRates::new(vec![1.0, 3.0], vec![0, 1]);
-        c.normalize(&[1, 1]);
-        // Mean (1 + 3)/2 = 2 → rates become 0.5 and 1.5.
-        assert!((c.rates()[0] - 0.5).abs() < 1e-12);
-        assert!((c.rates()[1] - 1.5).abs() < 1e-12);
-        // Weighted: weight 3 on site 0.
-        let mut c = CatRates::new(vec![1.0, 3.0], vec![0, 1]);
-        c.normalize(&[3, 1]);
-        let mean = (3.0 * c.rates()[0] + c.rates()[1]) / 4.0;
-        assert!((mean - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn cat_out_of_range_site_panics() {
-        CatRates::new(vec![1.0], vec![0, 1]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn cat_nonpositive_rate_panics() {
-        CatRates::new(vec![0.0], vec![0]);
     }
 }

@@ -17,7 +17,6 @@
 
 pub mod bootstrap;
 pub mod branch_opt;
-pub mod cat_opt;
 pub mod checkpoint;
 pub mod mcmc;
 pub mod model_opt;
