@@ -25,8 +25,10 @@
 
 use crate::barrier::{BarrierToken, Poisoned, SenseBarrier};
 use crate::fault::FaultPlan;
+use crate::replicated::ReplicatedError;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::cell;
+use crate::transport::{CommTransport, WireStats};
 use std::sync::Arc;
 
 /// Communication statistics, the input to `micsim`'s interconnect
@@ -139,82 +141,28 @@ pub trait Comm {
 }
 
 /// Default AllReduce payload contract, in doubles. Every transport
-/// (Self/Thread/Socket) enforces the same bound so the choice of
+/// (Thread/Socket) enforces the same bound so the choice of
 /// `--transport` or rank count can never change error behavior: the
 /// ExaML-style reductions carry 1–2 doubles, so 8 is generous.
 pub const DEFAULT_MAX_LEN: usize = 8;
 
-/// The trivial single-rank communicator.
-///
-/// Enforces the same `max_len` payload contract as the multi-rank
-/// transports: an oversized payload returns
-/// [`CommError::PayloadTooLarge`] and latches the communicator dead
-/// (every later collective fails with [`CommError::PeerFailed`]),
-/// exactly like a poisoned [`ThreadCommGroup`].
-#[derive(Debug)]
-pub struct SelfComm {
-    stats: CommStats,
-    max_len: usize,
-    poisoned: bool,
-}
-
-impl Default for SelfComm {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SelfComm {
-    /// Creates a size-1 communicator with the [`DEFAULT_MAX_LEN`]
-    /// payload contract.
-    pub fn new() -> Self {
-        Self::with_max_len(DEFAULT_MAX_LEN)
-    }
-
-    /// Creates a size-1 communicator with an explicit payload bound
-    /// (the contract-parity tests sweep this).
-    pub fn with_max_len(max_len: usize) -> Self {
-        SelfComm {
-            stats: CommStats::default(),
-            max_len,
-            poisoned: false,
-        }
-    }
-}
-
-impl Comm for SelfComm {
+/// A borrowed communicator is a communicator: the rank body lends its
+/// own to the evaluator, so it still holds it when the search unwinds.
+impl<C: Comm + ?Sized> Comm for &mut C {
     fn rank(&self) -> usize {
-        0
+        (**self).rank()
     }
     fn size(&self) -> usize {
-        1
+        (**self).size()
     }
     fn try_allreduce_sum(&mut self, buf: &mut [f64]) -> Result<(), CommError> {
-        if self.poisoned {
-            return Err(CommError::PeerFailed { rank: 0 });
-        }
-        let len = buf.len();
-        if len > self.max_len {
-            self.poisoned = true;
-            return Err(CommError::PayloadTooLarge {
-                rank: 0,
-                len,
-                max_len: self.max_len,
-            });
-        }
-        self.stats.allreduces += 1;
-        self.stats.bytes += (len * 8) as u64;
-        Ok(())
+        (**self).try_allreduce_sum(buf)
     }
     fn try_barrier(&mut self) -> Result<(), CommError> {
-        if self.poisoned {
-            return Err(CommError::PeerFailed { rank: 0 });
-        }
-        self.stats.barriers += 1;
-        Ok(())
+        (**self).try_barrier()
     }
     fn stats(&self) -> CommStats {
-        self.stats
+        (**self).stats()
     }
 }
 
@@ -290,7 +238,7 @@ impl ThreadCommGroup {
             max_len: self.max_len,
             token: BarrierToken::new(),
             stats: CommStats::default(),
-            wire: crate::transport::WireStats::default(),
+            wire: WireStats::default(),
             fault_plan: self.fault_plan.clone(),
         }
     }
@@ -309,7 +257,7 @@ pub struct ThreadComm {
     max_len: usize,
     token: BarrierToken,
     stats: CommStats,
-    wire: crate::transport::WireStats,
+    wire: WireStats,
     fault_plan: Option<Arc<FaultPlan>>,
 }
 
@@ -328,53 +276,11 @@ impl ThreadComm {
         self.shared.barrier.poisoned()
     }
 
-    /// A detached handle that can [`abort`](AbortHandle::abort) the
-    /// group on behalf of this rank without borrowing the
-    /// communicator — the supervising scope holds it across the
-    /// region where the evaluator owns `self`, so a panic anywhere in
-    /// the rank body can still mark the group dead.
-    pub fn abort_handle(&self) -> AbortHandle {
-        AbortHandle {
-            shared: Arc::clone(&self.shared),
-            rank: self.rank,
-        }
-    }
-
-    /// Per-collective wall-time measured at the call boundary (the
-    /// in-thread analogue of [`SocketComm`]'s wire time, used by the
-    /// EXPERIMENTS.md latency comparison).
-    ///
-    /// [`SocketComm`]: crate::transport::SocketComm
-    pub fn measured_wire(&self) -> crate::transport::WireStats {
-        self.wire
-    }
-
     fn wait(&mut self) -> Result<(), CommError> {
         self.shared
             .barrier
             .wait(&mut self.token)
             .map_err(|Poisoned { rank }| CommError::PeerFailed { rank })
-    }
-}
-
-/// A clonable, communicator-independent poison handle for one rank of
-/// a [`ThreadCommGroup`]. See [`ThreadComm::abort_handle`].
-#[derive(Clone)]
-pub struct AbortHandle {
-    shared: Arc<Shared>,
-    rank: usize,
-}
-
-impl AbortHandle {
-    /// Poisons the group on behalf of the handle's rank (idempotent;
-    /// the first poisoner group-wide wins).
-    pub fn abort(&self) {
-        self.shared.barrier.poison(self.rank);
-    }
-
-    /// The rank that poisoned the group, if any.
-    pub fn poisoned(&self) -> Option<usize> {
-        self.shared.barrier.poisoned()
     }
 }
 
@@ -457,19 +363,27 @@ impl Comm for ThreadComm {
     }
 }
 
+impl CommTransport for ThreadComm {
+    fn transport_name(&self) -> &'static str {
+        "threads"
+    }
+    fn wire_stats(&self) -> WireStats {
+        self.wire
+    }
+    fn poison(&mut self, _cause: &ReplicatedError) {
+        // The cause travels in the rank's return value; the barrier
+        // only needs to know that this rank is gone.
+        self.abort();
+    }
+    fn report(&mut self, _final_ll: f64) -> std::io::Result<()> {
+        // A thread rank returns its result to the scope that joins it.
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn self_comm_is_identity() {
-        let mut c = SelfComm::new();
-        let mut buf = [1.5, -2.0];
-        c.allreduce_sum(&mut buf);
-        assert_eq!(buf, [1.5, -2.0]);
-        assert_eq!(c.stats().allreduces, 1);
-        assert_eq!(c.stats().bytes, 16);
-    }
 
     #[test]
     fn allreduce_sums_across_ranks() {

@@ -343,17 +343,6 @@ fn regions_counter() -> &'static plf_core::metrics::Counter {
     C.get_or_init(|| plf_core::metrics::counter("forkjoin.regions"))
 }
 
-/// Best-effort extraction of a panic payload message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Drop guard a worker arms for its whole run: leaked (`mem::forget`)
 /// on the normal shutdown path, it only ever drops during an unwind —
 /// where it poisons the protocol so the master and siblings fail fast
@@ -414,7 +403,7 @@ fn run_job(
             Op::Idle | Op::Shutdown => unreachable!("not dispatched as work"),
         }
     }))
-    .unwrap_or_else(|p| Reply::Panicked(panic_message(p)))
+    .unwrap_or_else(|p| Reply::Panicked(crate::panic_message(&*p)))
 }
 
 /// The worker side of the protocol: wait at the fork barrier, run the
@@ -872,7 +861,7 @@ mod tests {
         let res =
             std::panic::catch_unwind(AssertUnwindSafe(|| fj.log_likelihood(&tree, bogus_edge)));
         let err = res.expect_err("bogus edge must fail loudly");
-        let msg = panic_message(err);
+        let msg = crate::panic_message(&*err);
         assert!(
             msg.contains("fork-join worker panicked"),
             "unexpected message: {msg}"
@@ -901,7 +890,7 @@ mod tests {
             assert!((first - expect).abs() < 1e-9);
             let err = std::panic::catch_unwind(AssertUnwindSafe(|| fj.log_likelihood(&tree, 0)))
                 .expect_err("the scripted panic must surface");
-            let msg = panic_message(err);
+            let msg = crate::panic_message(&*err);
             assert!(
                 msg.contains("fork-join worker panicked")
                     && msg.contains(&format!("slice {slice} panics in region 2")),

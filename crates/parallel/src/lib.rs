@@ -37,7 +37,7 @@ pub(crate) mod sync;
 pub mod transport;
 
 pub use barrier::{Poisoned, SenseBarrier};
-pub use comm::{AbortHandle, Comm, CommError, CommStats, SelfComm, ThreadCommGroup};
+pub use comm::{Comm, CommError, CommStats, ThreadCommGroup};
 pub use fault::FaultPlan;
 pub use forkjoin::ForkJoinEvaluator;
 pub use replicated::{
@@ -48,3 +48,16 @@ pub use slot::RegionProtocol;
 #[cfg(unix)]
 pub use transport::{run_rank, run_sharded_ft, ChildRankArgs, Endpoint, RankSpec, SocketComm};
 pub use transport::{CommTransport, TransportConfig, TransportKind, WireStats};
+
+/// The message of a caught panic payload, if it was a string — the one
+/// reading of `catch_unwind`'s `Err` side for every supervisor (rank
+/// bodies, fork-join jobs, the CLI).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}

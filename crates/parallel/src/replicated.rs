@@ -11,7 +11,7 @@
 
 use crate::comm::{Comm, CommError, CommStats, ThreadCommGroup, DEFAULT_MAX_LEN};
 use crate::fault::FaultPlan;
-use crate::transport::WireStats;
+use crate::transport::{CommTransport, WireStats};
 use phylo_bio::CompressedAlignment;
 use phylo_models::GtrParams;
 use phylo_search::checkpoint::{Checkpoint, RetryPolicy};
@@ -33,16 +33,6 @@ impl<C: Comm> ReplicatedEvaluator<C> {
     /// Wraps a rank-local engine and its communicator handle.
     pub fn new(engine: LikelihoodEngine, comm: C) -> Self {
         ReplicatedEvaluator { engine, comm }
-    }
-
-    /// The rank-local engine (for stats collection).
-    pub fn engine(&self) -> &LikelihoodEngine {
-        &self.engine
-    }
-
-    /// Communicator statistics of this rank.
-    pub fn comm_stats(&self) -> CommStats {
-        self.comm.stats()
     }
 
     /// Consumes the evaluator, returning its parts.
@@ -206,17 +196,26 @@ impl std::error::Error for ReplicatedError {
 fn classify_panic(rank: usize, payload: Box<dyn std::any::Any + Send>) -> ReplicatedError {
     match payload.downcast::<CommError>() {
         Ok(e) => ReplicatedError::Comm(*e),
-        Err(payload) => {
-            let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            ReplicatedError::RankPanicked { rank, message }
-        }
+        Err(payload) => ReplicatedError::RankPanicked {
+            rank,
+            message: crate::panic_message(&*payload),
+        },
     }
+}
+
+/// The cause among the errors of one attempt, the first of its class:
+/// a checkpoint failure or a panic outside the collectives poisons the
+/// group, the siblings' collective errors are its effect, and transport
+/// plumbing that fell over afterwards explains least.
+pub(crate) fn most_causal(
+    errors: impl IntoIterator<Item = ReplicatedError>,
+) -> Option<ReplicatedError> {
+    errors.into_iter().min_by_key(|e| match e {
+        ReplicatedError::Checkpoint(_) => 0,
+        ReplicatedError::RankPanicked { .. } => 1,
+        ReplicatedError::Comm(_) => 2,
+        ReplicatedError::Transport(_) | ReplicatedError::NoSurvivors => 3,
+    })
 }
 
 /// Runs the full ML search under the replicated scheme with
@@ -236,20 +235,16 @@ pub fn run_replicated(
         .unwrap_or_else(|e| panic!("replicated run failed: {e}"))
 }
 
-/// Fault-tolerant replicated search.
+/// Fault-tolerant replicated search over threads.
 ///
-/// Every rank body runs under `catch_unwind`; any unwinding rank
-/// poisons the communicator group *before* its stack dies, so the
-/// lockstep siblings blocked in a collective return
-/// [`CommError::PeerFailed`] within bounded time instead of spinning
-/// forever. All ranks are then joined and the failure is classified
-/// ([`ReplicatedError`]). With [`FtConfig::degrade`], a rank failure
-/// triggers a restart over one fewer rank: pattern ranges are
-/// re-split, the last checkpoint is reloaded, and — because the
-/// search is deterministic in the rank count only through the
-/// *values* of the reductions, which are sliced-sum invariant — the
-/// degraded run reaches the same final log-likelihood as an
-/// uninterrupted run at that rank count.
+/// Every rank is [`run_rank_body`]; the ranks are joined and the
+/// failure is classified ([`most_causal`]). With [`FtConfig::degrade`],
+/// a rank failure triggers a restart over one fewer rank
+/// ([`run_degrading`]): pattern ranges are re-split, the last
+/// checkpoint is reloaded, and — because the search is deterministic
+/// in the rank count only through the *values* of the reductions,
+/// which are sliced-sum invariant — the degraded run reaches the same
+/// final log-likelihood as an uninterrupted run at that rank count.
 pub fn run_replicated_ft(
     tree: &Tree,
     aln: &CompressedAlignment,
@@ -257,121 +252,160 @@ pub fn run_replicated_ft(
     search: MlSearch,
     ft: &FtConfig,
 ) -> Result<ReplicatedOutcome, ReplicatedError> {
+    let inputs = RankInputs {
+        tree,
+        aln,
+        config,
+        search,
+        ft,
+    };
+    run_degrading(ft, |num_ranks| attempt_replicated(inputs, num_ranks))
+}
+
+/// The one degrade loop, whatever carries the collectives: runs
+/// `attempt(ranks)` from [`FtConfig::num_ranks`] down and, with
+/// [`FtConfig::degrade`], answers a rank failure — a failed collective
+/// or a rank panic, not a checkpoint or transport error — with the next
+/// attempt on one rank fewer, until none is left.
+pub(crate) fn run_degrading(
+    ft: &FtConfig,
+    mut attempt: impl FnMut(usize) -> Result<ReplicatedOutcome, ReplicatedError>,
+) -> Result<ReplicatedOutcome, ReplicatedError> {
     assert!(ft.num_ranks >= 1);
-    let mut ranks = ft.num_ranks;
-    loop {
-        match attempt_replicated(tree, aln, config, search, ranks, ft) {
-            Ok(out) => return Ok(out),
-            Err(e) => {
-                let recoverable = matches!(
-                    e,
-                    ReplicatedError::Comm(_) | ReplicatedError::RankPanicked { .. }
-                );
-                if !(ft.degrade && recoverable) {
-                    return Err(e);
+    for ranks in (1..=ft.num_ranks).rev() {
+        match attempt(ranks) {
+            Err(ReplicatedError::Comm(_) | ReplicatedError::RankPanicked { .. }) if ft.degrade => {
+                if ranks > 1 {
+                    plf_core::metrics::counter("replicated.degrades").inc();
                 }
-                if ranks <= 1 {
-                    return Err(ReplicatedError::NoSurvivors);
-                }
-                ranks -= 1;
-                plf_core::metrics::counter("replicated.degrades").inc();
             }
+            outcome => return outcome,
         }
+    }
+    Err(ReplicatedError::NoSurvivors)
+}
+
+/// What every rank of a replicated run is given — identical on all of
+/// them, which is what keeps the searches in lockstep.
+#[derive(Clone, Copy)]
+pub(crate) struct RankInputs<'a> {
+    pub(crate) tree: &'a Tree,
+    pub(crate) aln: &'a CompressedAlignment,
+    pub(crate) config: EngineConfig,
+    pub(crate) search: MlSearch,
+    pub(crate) ft: &'a FtConfig,
+}
+
+/// What a rank that finished hands to whoever joins it.
+pub(crate) struct RankDone {
+    pub(crate) result: SearchResult,
+    pub(crate) final_ll: f64,
+    pub(crate) kernel_stats: KernelStats,
+    pub(crate) comm_stats: CommStats,
+    pub(crate) wire: WireStats,
+    pub(crate) transport: &'static str,
+}
+
+/// The snapshot an attempt resumes from, if the checkpoint file
+/// exists. Loaded before the attempt's first collective — by the
+/// thread supervisor once for all ranks, by a socket rank after
+/// connecting — and rank 0 can only write a *new* one after a full
+/// round of collectives, so all ranks resume from the same snapshot (a
+/// torn read per rank could de-synchronize the lockstep searches).
+pub(crate) fn load_resume(ft: &FtConfig) -> Result<Option<Checkpoint>, ReplicatedError> {
+    match &ft.checkpoint {
+        Some(p) if p.exists() => Checkpoint::load(p)
+            .map(Some)
+            .map_err(|e| ReplicatedError::Checkpoint(format!("loading {}: {e}", p.display()))),
+        _ => Ok(None),
     }
 }
 
-/// One attempt at `num_ranks`: spawn, supervise, join, classify.
-fn attempt_replicated(
-    tree: &Tree,
-    aln: &CompressedAlignment,
-    config: EngineConfig,
-    search: MlSearch,
-    num_ranks: usize,
-    ft: &FtConfig,
-) -> Result<ReplicatedOutcome, ReplicatedError> {
-    // Load once, before the ranks spawn: all ranks resume from the
-    // *same* snapshot (a torn read per rank could de-synchronize the
-    // lockstep searches).
-    let resume =
-        match &ft.checkpoint {
-            Some(p) if p.exists() => Some(Checkpoint::load(p).map_err(|e| {
-                ReplicatedError::Checkpoint(format!("loading {}: {e}", p.display()))
-            })?),
-            _ => None,
-        };
-    let ranges = crate::forkjoin::split_ranges(aln.num_patterns(), num_ranks);
-    let mut group =
-        ThreadCommGroup::new(num_ranks, DEFAULT_MAX_LEN).with_fault_plan(ft.fault_plan.clone());
-    let resume_ref = resume.as_ref();
-    let ckpt_path = ft.checkpoint.as_deref();
-    let retry = ft.retry;
+/// One rank of the replicated search, whatever carries its
+/// collectives: the deterministic search over this rank's pattern
+/// slice ([`search_slice`]) under `catch_unwind`. A rank that fails for
+/// *any* reason — a panic, a collective error, a checkpoint write that
+/// exhausted its retries — marks the group dead with its cause
+/// ([`CommTransport::poison`]) before its stack dies, so the lockstep
+/// siblings blocked in a collective return [`CommError::PeerFailed`]
+/// within bounded time. The first poisoner wins: re-poisoning after a
+/// collective already did is a no-op.
+pub(crate) fn run_rank_body<C: CommTransport>(
+    mut comm: C,
+    inputs: RankInputs<'_>,
+    resume: Option<&Checkpoint>,
+) -> Result<RankDone, ReplicatedError> {
+    let rank = comm.rank();
+    let outcome = catch_unwind(AssertUnwindSafe(|| search_slice(&mut comm, inputs, resume)))
+        .unwrap_or_else(|payload| Err(classify_panic(rank, payload)));
+    if let Err(cause) = &outcome {
+        comm.poison(cause);
+    }
+    outcome
+}
 
-    type RankOk = (SearchResult, f64, KernelStats, CommStats, WireStats);
-    let rank_results: Vec<Result<RankOk, ReplicatedError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .enumerate()
-            .map(|(rank, range)| {
-                let comm = group.take();
-                let plan = ft.fault_plan.clone();
-                scope.spawn(move || {
-                    let abort = comm.abort_handle();
-                    let saver_abort = abort.clone();
-                    let caught = catch_unwind(AssertUnwindSafe(
-                        move || -> Result<RankOk, ReplicatedError> {
-                            let mut local_tree = tree.clone();
-                            let engine =
-                                LikelihoodEngine::with_range(&local_tree, aln, config, range);
-                            let mut eval = ReplicatedEvaluator::new(engine, comm);
-                            let mut ckpt_attempts: u64 = 0;
-                            let result = search
-                                .run_resumable(&mut eval, &mut local_tree, resume_ref, |cp| {
-                                    if rank != 0 {
-                                        return Ok(());
-                                    }
-                                    let Some(path) = ckpt_path else { return Ok(()) };
-                                    let saved = match &plan {
-                                        Some(plan) => {
-                                            cp.save_with_retry_injected(path, &retry, &mut || {
-                                                ckpt_attempts += 1;
-                                                plan.checkpoint_write_error(ckpt_attempts)
-                                            })
-                                        }
-                                        None => cp.save_with_retry(path, &retry),
-                                    };
-                                    saved.map_err(|e| {
-                                        // The writer abandons the
-                                        // lockstep run, so mark the
-                                        // group before the siblings
-                                        // block at the next collective.
-                                        saver_abort.abort();
-                                        format!(
-                                            "checkpoint write to {} failed: {e}",
-                                            path.display()
-                                        )
-                                    })
-                                })
-                                .map_err(ReplicatedError::Checkpoint)?;
-                            let final_ll = eval.log_likelihood(&local_tree, 0);
-                            let comm_stats = eval.comm_stats();
-                            let (engine, comm) = eval.into_parts();
-                            let wire = comm.measured_wire();
-                            Ok((result, final_ll, engine.stats().clone(), comm_stats, wire))
-                        },
-                    ));
-                    match caught {
-                        Ok(r) => r,
-                        Err(payload) => {
-                            // ANY unwinding rank poisons the group:
-                            // this is what bounds the siblings'
-                            // blocking time (first poisoner wins, so
-                            // re-poisoning after a collective already
-                            // did is a no-op).
-                            abort.abort();
-                            Err(classify_panic(rank, payload))
-                        }
-                    }
-                })
+/// The rank itself; its final log-likelihood is handed over by
+/// [`CommTransport::report`].
+fn search_slice<C: CommTransport>(
+    comm: &mut C,
+    inputs: RankInputs<'_>,
+    resume: Option<&Checkpoint>,
+) -> Result<RankDone, ReplicatedError> {
+    let RankInputs {
+        tree,
+        aln,
+        config,
+        search,
+        ft,
+    } = inputs;
+    let range = crate::forkjoin::split_ranges(aln.num_patterns(), comm.size())[comm.rank()].clone();
+    // Rank 0 is the single checkpoint writer: the ranks run in
+    // lockstep, so one writer needs no extra synchronization.
+    let ckpt_path = ft.checkpoint.as_deref().filter(|_| comm.rank() == 0);
+    let mut local_tree = tree.clone();
+    let engine = LikelihoodEngine::with_range(&local_tree, aln, config, range);
+    let mut eval = ReplicatedEvaluator::new(engine, comm);
+    let mut ckpt_attempts: u64 = 0;
+    let result = search
+        .run_resumable(&mut eval, &mut local_tree, resume, |cp| {
+            let Some(path) = ckpt_path else { return Ok(()) };
+            let saved = match &ft.fault_plan {
+                Some(plan) => cp.save_with_retry_injected(path, &ft.retry, &mut || {
+                    ckpt_attempts += 1;
+                    plan.checkpoint_write_error(ckpt_attempts)
+                }),
+                None => cp.save_with_retry(path, &ft.retry),
+            };
+            saved.map_err(|e| format!("checkpoint write to {} failed: {e}", path.display()))
+        })
+        .map_err(ReplicatedError::Checkpoint)?;
+    let final_ll = eval.log_likelihood(&local_tree, 0);
+    let (engine, comm) = eval.into_parts();
+    comm.report(final_ll)
+        .map_err(|e| ReplicatedError::Transport(format!("rank {} result: {e}", comm.rank())))?;
+    Ok(RankDone {
+        result,
+        final_ll,
+        kernel_stats: engine.stats().clone(),
+        comm_stats: comm.stats(),
+        wire: comm.wire_stats(),
+        transport: comm.transport_name(),
+    })
+}
+
+/// One attempt at `num_ranks` threads: spawn, join, classify.
+fn attempt_replicated(
+    inputs: RankInputs<'_>,
+    num_ranks: usize,
+) -> Result<ReplicatedOutcome, ReplicatedError> {
+    let resume = load_resume(inputs.ft)?;
+    let mut group = ThreadCommGroup::new(num_ranks, DEFAULT_MAX_LEN)
+        .with_fault_plan(inputs.ft.fault_plan.clone());
+    let rank_results: Vec<Result<RankDone, ReplicatedError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..num_ranks)
+            .map(|_| {
+                let (comm, resume) = (group.take(), resume.as_ref());
+                scope.spawn(move || run_rank_body(comm, inputs, resume))
             })
             .collect();
         handles
@@ -379,57 +413,28 @@ fn attempt_replicated(
             .map(|h| h.join().expect("rank panics are caught inside the thread"))
             .collect()
     });
-
-    // Classify: the checkpoint failure that poisoned the group is the
-    // cause; the siblings' PeerFailed errors are its effect. Likewise
-    // a non-collective panic beats the secondary collective errors.
-    let mut oks: Vec<RankOk> = Vec::new();
-    let mut comm_err: Option<CommError> = None;
-    let mut panic_err: Option<ReplicatedError> = None;
-    let mut ckpt_err: Option<ReplicatedError> = None;
-    for r in rank_results {
-        match r {
-            Ok(t) => oks.push(t),
-            Err(ReplicatedError::Comm(e)) => {
-                comm_err.get_or_insert(e);
-            }
-            Err(e @ ReplicatedError::RankPanicked { .. }) => {
-                panic_err.get_or_insert(e);
-            }
-            Err(e @ ReplicatedError::Checkpoint(_)) => {
-                ckpt_err.get_or_insert(e);
-            }
-            Err(ReplicatedError::NoSurvivors | ReplicatedError::Transport(_)) => {
-                unreachable!("ranks never emit NoSurvivors/Transport")
-            }
-        }
-    }
-    if let Some(e) = ckpt_err {
+    let failed = rank_results
+        .iter()
+        .filter_map(|r| r.as_ref().err().cloned());
+    if let Some(e) = most_causal(failed) {
         return Err(e);
     }
-    if let Some(e) = panic_err {
-        return Err(e);
-    }
-    if let Some(e) = comm_err {
-        return Err(ReplicatedError::Comm(e));
-    }
+    let done: Vec<RankDone> = rank_results.into_iter().flatten().collect();
 
     let mut kernel_stats = KernelStats::new();
     let mut wire = WireStats::default();
-    for (_, _, s, _, w) in &oks {
-        kernel_stats.merge(s);
-        wire.merge(w);
+    for d in &done {
+        kernel_stats.merge(&d.kernel_stats);
+        wire.merge(&d.wire);
     }
-    let rank_likelihoods: Vec<f64> = oks.iter().map(|o| o.1).collect();
-    let comm_stats = oks[0].3;
-    let result = oks.into_iter().next().expect("≥1 rank").0;
-
+    let rank_likelihoods = done.iter().map(|d| d.final_ll).collect();
+    let rank0 = done.into_iter().next().expect("≥1 rank");
     Ok(ReplicatedOutcome {
-        result,
+        result: rank0.result,
         rank_likelihoods,
         kernel_stats,
-        comm_stats,
-        transport: "threads".to_string(),
+        comm_stats: rank0.comm_stats,
+        transport: rank0.transport.to_string(),
         wire,
     })
 }
@@ -517,6 +522,36 @@ mod tests {
             err,
             ReplicatedError::Comm(CommError::PeerFailed { rank: 1 })
         );
+    }
+
+    #[test]
+    fn a_genuine_rank_panic_is_structured_and_outranks_its_effects() {
+        // A tree over other taxa: every rank panics building its engine.
+        let (_, aln) = dataset();
+        let tree = random_tree(&default_names(5), 0.1, &mut SmallRng::seed_from_u64(1)).unwrap();
+        let search = MlSearch::new(SearchConfig::default());
+        let err = run_replicated_ft(
+            &tree,
+            &aln,
+            EngineConfig::default(),
+            search,
+            &FtConfig::new(2),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, ReplicatedError::RankPanicked { rank: 0, .. }),
+            "{err}"
+        );
+        // The one cause table: checkpoint > panic > collective >
+        // transport, the first error of the winning class.
+        let comm = |rank| ReplicatedError::Comm(CommError::PeerFailed { rank });
+        let ckpt = ReplicatedError::Checkpoint("disk".into());
+        let transport = ReplicatedError::Transport("bind".into());
+        let by_cause = |errors: &[&ReplicatedError]| most_causal(errors.iter().copied().cloned());
+        assert_eq!(by_cause(&[&transport, &comm(2), &comm(1)]), Some(comm(2)));
+        assert_eq!(by_cause(&[&comm(1), &err, &transport]), Some(err.clone()));
+        assert_eq!(by_cause(&[&comm(1), &err, &ckpt]), Some(ckpt));
+        assert_eq!(by_cause(&[]), None);
     }
 
     #[test]

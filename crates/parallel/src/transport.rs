@@ -23,10 +23,11 @@
 //!   blocked rank fails promptly with [`CommError::PeerFailed`] —
 //!   the socket equivalent of the poisoned
 //!   [`crate::barrier::SenseBarrier`];
-//! * a rank that must abandon the run (panic, checkpoint failure)
-//!   sends an `Abort` frame before dying, so the supervisor can
-//!   classify the cause (checkpoint beats panic beats collective,
-//!   same priority as the in-thread supervisor);
+//! * a rank that abandons the run for any reason sends an `Abort`
+//!   frame before dying ([`CommTransport::poison`]); a panic or a
+//!   checkpoint failure travels in it, so the supervisor can classify
+//!   the cause (checkpoint beats panic beats collective — the one
+//!   order of [`crate::replicated`], shared with the thread ranks);
 //! * child processes are owned by a kill-on-drop [`ChildSet`]: no
 //!   orphan can outlive the supervisor.
 //!
@@ -34,7 +35,8 @@
 //! lockstep violation poisons the group instead of silently summing
 //! mismatched collectives).
 
-use crate::comm::{Comm, SelfComm, ThreadComm};
+use crate::comm::Comm;
+use crate::replicated::ReplicatedError;
 use std::time::Duration;
 
 /// Measured time spent inside collectives ("on the wire"), per rank.
@@ -74,35 +76,26 @@ impl WireStats {
     }
 }
 
-/// A [`Comm`] that knows what transport backs it and how long its
-/// collectives took. Implemented by every communicator in this crate
-/// so callers (the CLI, the trace writer) can report the resolved
-/// transport uniformly.
+/// A [`Comm`] that can carry one rank of the replicated search
+/// ([`crate::replicated`]'s rank body): it knows what transport backs
+/// it and how long its collectives took, and it supplies the two steps
+/// in which the transports differ — how a failing rank marks the group
+/// dead, and how a finished one hands over its result.
 pub trait CommTransport: Comm {
     /// Short transport name recorded in the trace meta event
-    /// (`"self"`, `"threads"`, `"uds"`).
+    /// (`"threads"`, `"uds"`).
     fn transport_name(&self) -> &'static str;
     /// Measured wire time of this participant's collectives.
     fn wire_stats(&self) -> WireStats;
-}
-
-impl CommTransport for SelfComm {
-    fn transport_name(&self) -> &'static str {
-        "self"
-    }
-    fn wire_stats(&self) -> WireStats {
-        // Single-rank collectives never touch a wire.
-        WireStats::default()
-    }
-}
-
-impl CommTransport for ThreadComm {
-    fn transport_name(&self) -> &'static str {
-        "threads"
-    }
-    fn wire_stats(&self) -> WireStats {
-        self.measured_wire()
-    }
+    /// Marks the group dead on behalf of this rank, which is
+    /// abandoning the lockstep search because of `cause`: every peer's
+    /// blocked or future collective fails with
+    /// [`crate::comm::CommError::PeerFailed`] instead of waiting.
+    /// Best-effort and idempotent — the first poisoner group-wide wins.
+    fn poison(&mut self, cause: &ReplicatedError);
+    /// Hands this rank's final reduced log-likelihood to whoever joins
+    /// the ranks; the last thing a rank does with its communicator.
+    fn report(&mut self, final_ll: f64) -> std::io::Result<()>;
 }
 
 /// Which transport backs a replicated run (`--transport`).
@@ -236,9 +229,10 @@ pub mod frame {
         /// Client → hub: the client rejected its own oversized
         /// payload; payload `len:u64` (the oversize length).
         Misuse = 8,
-        /// Client → hub: structured abandonment (panic or checkpoint
-        /// failure); payload is the encoded [`super::PoisonCause`]
-        /// (an `Abort` variant carrying the class and message).
+        /// Client → hub: the rank abandons the run; payload is the
+        /// encoded [`super::PoisonCause`] (an `Abort` variant carrying
+        /// the class and message of a panic or checkpoint failure,
+        /// `Peer` when a failed collective made it give up).
         Abort = 9,
         /// Client → hub: final per-rank report; payload is the encoded
         /// [`super::RankReport`].
@@ -367,27 +361,27 @@ pub use unix_impl::*;
 #[cfg(unix)]
 mod unix_impl {
     use super::frame::{self, Frame, Kind};
-    use super::{CommTransport, TransportConfig, TransportKind, WireStats};
+    use super::{CommTransport, TransportConfig, WireStats};
     use crate::comm::{Comm, CommError, CommStats};
     use crate::fault::FaultPlan;
-    use crate::replicated::{FtConfig, ReplicatedError, ReplicatedEvaluator, ReplicatedOutcome};
+    use crate::replicated::{
+        load_resume, most_causal, run_degrading, run_rank_body, FtConfig, RankDone, RankInputs,
+        ReplicatedError, ReplicatedOutcome,
+    };
     use phylo_bio::CompressedAlignment;
-    use phylo_search::checkpoint::Checkpoint;
-    use phylo_search::{Evaluator, MlSearch};
+    use phylo_search::MlSearch;
     use phylo_tree::Tree;
-    use plf_core::{EngineConfig, KernelStats, LikelihoodEngine};
+    use plf_core::EngineConfig;
     use std::collections::BTreeMap;
     use std::io;
     use std::net::Shutdown;
     use std::os::unix::net::{UnixListener, UnixStream};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::path::{Path, PathBuf};
     use std::sync::{Arc, Condvar, Mutex};
     use std::time::{Duration, Instant};
 
-    /// Why a socket group died. Carried in `Poison` frames and used by
-    /// the supervisor for cause classification (checkpoint > panic >
-    /// collective, mirroring the in-thread supervisor).
+    /// Why a socket group died. Carried in `Poison` and `Abort` frames
+    /// and mapped to the supervisor's error for cause classification.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub enum PoisonCause {
         /// A rank's connection died (EOF, protocol violation, real
@@ -442,6 +436,45 @@ mod unix_impl {
         pub fn as_peer_error(&self) -> CommError {
             CommError::PeerFailed {
                 rank: self.failed_rank(),
+            }
+        }
+
+        /// What the supervisor reports when this cause killed the
+        /// group.
+        pub(crate) fn as_error(&self) -> ReplicatedError {
+            match self.clone() {
+                PoisonCause::Peer { rank } => ReplicatedError::Comm(CommError::PeerFailed { rank }),
+                PoisonCause::Misuse { rank, len, max_len } => {
+                    ReplicatedError::Comm(CommError::PayloadTooLarge { rank, len, max_len })
+                }
+                PoisonCause::Abort {
+                    rank,
+                    class: AbortClass::Panic,
+                    message,
+                } => ReplicatedError::RankPanicked { rank, message },
+                PoisonCause::Abort {
+                    class: AbortClass::Checkpoint,
+                    message,
+                    ..
+                } => ReplicatedError::Checkpoint(message),
+            }
+        }
+
+        /// What `rank` tells the hub when it abandons the run because
+        /// of `error`: a checkpoint failure or a panic is a cause only
+        /// this rank knows; with anything else (a failed collective,
+        /// broken plumbing) the rank is simply gone, as for the
+        /// in-thread barrier.
+        pub(crate) fn of_abandoning(rank: usize, error: &ReplicatedError) -> PoisonCause {
+            let (class, message) = match error {
+                ReplicatedError::Checkpoint(message) => (AbortClass::Checkpoint, message),
+                ReplicatedError::RankPanicked { message, .. } => (AbortClass::Panic, message),
+                _ => return PoisonCause::Peer { rank },
+            };
+            PoisonCause::Abort {
+                rank,
+                class,
+                message: message.clone(),
             }
         }
 
@@ -715,35 +748,6 @@ mod unix_impl {
             })
         }
 
-        /// A detached sender for `Abort` frames, usable while the
-        /// communicator itself is owned by the evaluator (the socket
-        /// analogue of [`crate::comm::AbortHandle`]).
-        pub fn abort_sender(&self) -> io::Result<AbortSender> {
-            Ok(AbortSender {
-                stream: self.stream.try_clone()?,
-                rank: self.rank as u32,
-            })
-        }
-
-        /// Sends this rank's final [`RankReport`]. The hub treats an
-        /// EOF *after* a report as a clean exit, so call this last.
-        pub fn send_result(&mut self, final_ll: f64) -> io::Result<()> {
-            let report = RankReport {
-                final_ll,
-                comm: self.stats,
-                wire: self.wire,
-            };
-            frame::write_frame(
-                &mut self.stream,
-                &Frame {
-                    kind: Kind::Result,
-                    rank: self.rank as u32,
-                    seq: 0,
-                    payload: report.encode(),
-                },
-            )
-        }
-
         fn fail(&mut self, e: CommError) -> CommError {
             self.dead.get_or_insert(e.clone());
             e
@@ -872,26 +876,26 @@ mod unix_impl {
         fn wire_stats(&self) -> WireStats {
             self.wire
         }
-    }
-
-    /// Detached `Abort`-frame sender (see [`SocketComm::abort_sender`]).
-    pub struct AbortSender {
-        stream: UnixStream,
-        rank: u32,
-    }
-
-    impl AbortSender {
-        /// Tells the hub this rank is abandoning the run. Best-effort:
-        /// if the hub is already gone there is nobody left to inform.
-        pub fn abort(&mut self, class: AbortClass, message: &str) {
-            let cause = PoisonCause::Abort {
-                rank: self.rank as usize,
-                class,
-                message: message.to_string(),
-            };
-            let mut f = Frame::control(Kind::Abort, self.rank, 0);
-            f.payload = cause.encode();
+        /// Sends an `Abort` frame naming the cause, so the hub poisons
+        /// the group before it sees this rank's EOF and the supervisor
+        /// can classify. If the hub is already gone there is nobody
+        /// left to inform.
+        fn poison(&mut self, cause: &ReplicatedError) {
+            let mut f = Frame::control(Kind::Abort, self.rank as u32, 0);
+            f.payload = PoisonCause::of_abandoning(self.rank, cause).encode();
             let _ = frame::write_frame(&mut self.stream, &f);
+        }
+        /// Sends this rank's final [`RankReport`]. The hub treats an
+        /// EOF *after* a report as a clean exit.
+        fn report(&mut self, final_ll: f64) -> io::Result<()> {
+            let report = RankReport {
+                final_ll,
+                comm: self.stats,
+                wire: self.wire,
+            };
+            let mut f = Frame::control(Kind::Result, self.rank as u32, 0);
+            f.payload = report.encode();
+            frame::write_frame(&mut self.stream, &f)
         }
     }
 
@@ -1375,136 +1379,77 @@ mod unix_impl {
         pub endpoint: Endpoint,
     }
 
-    type Rank0Ok = (
-        phylo_search::SearchResult,
-        KernelStats,
-        CommStats,
-        WireStats,
-    );
-
     /// Fault-tolerant replicated search over OS processes.
     ///
     /// The process analogue of
-    /// [`crate::replicated::run_replicated_ft`]: rank 0 runs in the
-    /// calling thread of the supervisor process (which also hosts the
-    /// hub); ranks `1..n` are spawned via `spawn_child`, which execs
-    /// the CLI's hidden `_rank` entry so every process rebuilds
-    /// identical, seeded search inputs. With [`FtConfig::degrade`], a
-    /// rank failure re-splits over one fewer rank, reloads the
-    /// checkpoint, and respawns — against *real* process death,
-    /// including `kill -9`.
-    ///
-    /// `TransportKind::Threads` is rejected here — callers route it to
-    /// [`crate::replicated::run_replicated_ft`].
-    #[allow(clippy::too_many_arguments)]
+    /// [`crate::replicated::run_replicated_ft`], with the same rank
+    /// body, degrade loop and cause order: rank 0 runs in the calling
+    /// thread of the supervisor process (which also hosts the hub);
+    /// ranks `1..n` are spawned via `spawn_child`, which execs the
+    /// CLI's hidden `_rank` entry so every process rebuilds identical,
+    /// seeded search inputs. With [`FtConfig::degrade`], a rank
+    /// failure re-splits over one fewer rank, reloads the checkpoint,
+    /// and respawns — against *real* process death, including
+    /// `kill -9`. The hub's socket lives in the system temp directory.
     pub fn run_sharded_ft(
         tree: &Tree,
         aln: &CompressedAlignment,
         config: EngineConfig,
         search: MlSearch,
         ft: &FtConfig,
-        kind: TransportKind,
         tcfg: &TransportConfig,
-        socket_dir: &Path,
         spawn_child: &mut dyn FnMut(&RankSpec) -> io::Result<std::process::Child>,
     ) -> Result<ReplicatedOutcome, ReplicatedError> {
-        assert!(ft.num_ranks >= 1);
-        if !kind.is_socket() {
-            return Err(ReplicatedError::Transport(
-                "run_sharded_ft needs a socket transport (uds)".into(),
-            ));
-        }
-        let mut ranks = ft.num_ranks;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match attempt_sharded(
-                tree,
-                aln,
-                config,
-                search,
-                ranks,
-                attempt,
-                ft,
-                kind,
-                tcfg,
-                socket_dir,
-                spawn_child,
-            ) {
-                Ok(out) => return Ok(out),
-                Err(e) => {
-                    let recoverable = matches!(
-                        e,
-                        ReplicatedError::Comm(_) | ReplicatedError::RankPanicked { .. }
-                    );
-                    if !(ft.degrade && recoverable) {
-                        return Err(e);
-                    }
-                    if ranks <= 1 {
-                        return Err(ReplicatedError::NoSurvivors);
-                    }
-                    ranks -= 1;
-                    plf_core::metrics::counter("replicated.degrades").inc();
-                }
-            }
-        }
+        let inputs = RankInputs {
+            tree,
+            aln,
+            config,
+            search,
+            ft,
+        };
+        run_degrading(ft, |ranks| {
+            attempt_sharded(inputs, ranks, tcfg, spawn_child)
+        })
     }
 
     /// One attempt at `ranks` processes: bind, spawn hub + children,
     /// run rank 0 locally, join, reap, classify.
-    #[allow(clippy::too_many_arguments)]
     fn attempt_sharded(
-        tree: &Tree,
-        aln: &CompressedAlignment,
-        config: EngineConfig,
-        search: MlSearch,
+        inputs: RankInputs<'_>,
         ranks: usize,
-        attempt: u32,
-        ft: &FtConfig,
-        kind: TransportKind,
         tcfg: &TransportConfig,
-        socket_dir: &Path,
         spawn_child: &mut dyn FnMut(&RankSpec) -> io::Result<std::process::Child>,
     ) -> Result<ReplicatedOutcome, ReplicatedError> {
+        // Every attempt runs on one rank fewer than the one before.
+        let attempt = (inputs.ft.num_ranks - ranks + 1) as u32;
         let tag = format!("r{ranks}-a{attempt}");
-        let (listener, endpoint) = bind_endpoint(socket_dir, &tag)
-            .map_err(|e| ReplicatedError::Transport(format!("bind {kind}: {e}")))?;
+        let (listener, endpoint) = bind_endpoint(&std::env::temp_dir(), &tag)
+            .map_err(|e| ReplicatedError::Transport(format!("bind uds: {e}")))?;
         let verbose = std::env::var("PHYLOMIC_TRANSPORT_VERBOSE").as_deref() == Ok("1");
         let hub = {
             let tcfg = tcfg.clone();
             std::thread::spawn(move || run_hub(listener, ranks, &tcfg))
         };
         let mut children = ChildSet::new();
-        let mut spawn_err = None;
-        for rank in 1..ranks {
+        let spawned = (1..ranks).try_for_each(|rank| {
             let spec = RankSpec {
                 rank,
                 ranks,
                 attempt,
                 endpoint: endpoint.clone(),
             };
-            match spawn_child(&spec) {
-                Ok(c) => {
-                    if verbose {
-                        println!("transport: spawned rank {rank} pid {}", c.id());
-                    }
-                    children.push(rank, c);
-                }
-                Err(e) => {
-                    spawn_err = Some(ReplicatedError::Transport(format!(
-                        "spawning rank {rank}: {e}"
-                    )));
-                    break;
-                }
+            let child = spawn_child(&spec)
+                .map_err(|e| ReplicatedError::Transport(format!("spawning rank {rank}: {e}")))?;
+            if verbose {
+                println!("transport: spawned rank {rank} pid {}", child.id());
             }
-        }
-        let rank0 = match spawn_err {
-            // A failed spawn leaves the hub one Hello short; it exits
-            // at its accept deadline and the children are killed on
-            // drop. Rank 0 never starts.
-            Some(e) => Err(e),
-            None => run_rank0(tree, aln, config, search, ranks, &endpoint, ft, tcfg),
-        };
+            children.push(rank, child);
+            Ok(())
+        });
+        // A failed spawn leaves the hub one Hello short; it exits at
+        // its accept deadline and the children are killed on drop.
+        // Rank 0 never starts.
+        let rank0 = spawned.and_then(|()| run_socket_rank(inputs, 0, ranks, &endpoint, tcfg));
         let hub_out = hub.join().unwrap_or(HubOutcome {
             results: vec![None; ranks],
             poison: Some(PoisonCause::Peer { rank: 0 }),
@@ -1515,174 +1460,60 @@ mod unix_impl {
         children.reap(Duration::from_secs(5));
         let Endpoint::Uds(socket_path) = &endpoint;
         let _ = std::fs::remove_file(socket_path);
-        classify_sharded(rank0, hub_out, kind)
+        classify_sharded(rank0, hub_out)
     }
 
-    /// Rank 0's body, run in the supervisor: the same shape as one
-    /// rank of the in-thread supervisor, over a [`SocketComm`].
-    #[allow(clippy::too_many_arguments)]
-    fn run_rank0(
-        tree: &Tree,
-        aln: &CompressedAlignment,
-        config: EngineConfig,
-        search: MlSearch,
+    /// One socket rank — rank 0 in the supervisor, any other in its
+    /// `_rank` child: connect, load the snapshot before the first
+    /// collective, then the shared rank body. `inputs.ft.fault_plan`
+    /// is what *this process* may fire (a respawned child gets none).
+    fn run_socket_rank(
+        inputs: RankInputs<'_>,
+        rank: usize,
         ranks: usize,
         endpoint: &Endpoint,
-        ft: &FtConfig,
         tcfg: &TransportConfig,
-    ) -> Result<Rank0Ok, ReplicatedError> {
-        let comm = SocketComm::connect(endpoint, 0, ranks, tcfg, ft.fault_plan.clone())
-            .map_err(|e| ReplicatedError::Transport(format!("rank 0 connect: {e}")))?;
-        let mut panic_aborter = comm
-            .abort_sender()
-            .map_err(|e| ReplicatedError::Transport(format!("rank 0 abort channel: {e}")))?;
-        let mut saver_aborter = comm
-            .abort_sender()
-            .map_err(|e| ReplicatedError::Transport(format!("rank 0 abort channel: {e}")))?;
-        // Load before any collective: every rank (children included)
-        // loads before its first collective, and rank 0 can only write
-        // a *new* snapshot after a full round of collectives — so all
-        // ranks provably resume from the same snapshot.
-        let resume = match &ft.checkpoint {
-            Some(p) if p.exists() => Some(Checkpoint::load(p).map_err(|e| {
-                ReplicatedError::Checkpoint(format!("loading {}: {e}", p.display()))
-            })?),
-            _ => None,
-        };
-        let range = crate::forkjoin::split_ranges(aln.num_patterns(), ranks)[0].clone();
-        let ckpt_path = ft.checkpoint.as_deref();
-        let retry = ft.retry;
-        let plan = ft.fault_plan.clone();
-        let caught = catch_unwind(AssertUnwindSafe(
-            move || -> Result<Rank0Ok, ReplicatedError> {
-                let mut local_tree = tree.clone();
-                let engine = LikelihoodEngine::with_range(&local_tree, aln, config, range);
-                let mut eval = ReplicatedEvaluator::new(engine, comm);
-                let mut ckpt_attempts: u64 = 0;
-                let result = search
-                    .run_resumable(&mut eval, &mut local_tree, resume.as_ref(), |cp| {
-                        let Some(path) = ckpt_path else { return Ok(()) };
-                        let saved = match &plan {
-                            Some(plan) => cp.save_with_retry_injected(path, &retry, &mut || {
-                                ckpt_attempts += 1;
-                                plan.checkpoint_write_error(ckpt_attempts)
-                            }),
-                            None => cp.save_with_retry(path, &retry),
-                        };
-                        saved.map_err(|e| {
-                            let msg = format!("checkpoint write to {} failed: {e}", path.display());
-                            // Tell the hub first so the children fail
-                            // promptly with the true cause.
-                            saver_aborter.abort(AbortClass::Checkpoint, &msg);
-                            msg
-                        })
-                    })
-                    .map_err(ReplicatedError::Checkpoint)?;
-                let final_ll = eval.log_likelihood(&local_tree, 0);
-                let (engine, mut comm) = eval.into_parts();
-                let wire = comm.wire_stats();
-                let comm_stats = comm.stats();
-                comm.send_result(final_ll)
-                    .map_err(|e| ReplicatedError::Transport(format!("rank 0 result: {e}")))?;
-                Ok((result, engine.stats().clone(), comm_stats, wire))
-            },
-        ));
-        match caught {
-            Ok(r) => r,
-            Err(payload) => {
-                if let Some(ce) = payload.downcast_ref::<CommError>() {
-                    // The hub learned of the failure through the wire
-                    // already (poison or our EOF); no abort needed.
-                    return Err(ReplicatedError::Comm(ce.clone()));
-                }
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
-                panic_aborter.abort(AbortClass::Panic, &message);
-                Err(ReplicatedError::RankPanicked { rank: 0, message })
-            }
-        }
+    ) -> Result<RankDone, ReplicatedError> {
+        let mut comm =
+            SocketComm::connect(endpoint, rank, ranks, tcfg, inputs.ft.fault_plan.clone())
+                .map_err(|e| {
+                    ReplicatedError::Transport(format!("rank {rank} connect to {endpoint}: {e}"))
+                })?;
+        let resume = load_resume(inputs.ft).inspect_err(|e| comm.poison(e))?;
+        run_rank_body(comm, inputs, resume.as_ref())
     }
 
-    /// Merges the supervisor-side result with the hub's observation,
-    /// with the in-thread supervisor's cause priority: checkpoint >
-    /// panic > collective > transport plumbing.
+    /// Merges the supervisor-side result with the hub's observation
+    /// under the one cause order ([`most_causal`]).
     fn classify_sharded(
-        rank0: Result<Rank0Ok, ReplicatedError>,
+        rank0: Result<RankDone, ReplicatedError>,
         hub: HubOutcome,
-        kind: TransportKind,
     ) -> Result<ReplicatedOutcome, ReplicatedError> {
-        let poison_err = hub.poison.as_ref().map(|c| match c {
-            PoisonCause::Peer { rank } => {
-                ReplicatedError::Comm(CommError::PeerFailed { rank: *rank })
+        let poison_err = hub.poison.as_ref().map(PoisonCause::as_error);
+        let rank0 = match (rank0, poison_err) {
+            (Ok(done), None) => done,
+            (rank0, poison_err) => {
+                let errors = rank0.err().into_iter().chain(poison_err);
+                return Err(most_causal(errors).expect("an error on either side"));
             }
-            PoisonCause::Misuse { rank, len, max_len } => {
-                ReplicatedError::Comm(CommError::PayloadTooLarge {
-                    rank: *rank,
-                    len: *len,
-                    max_len: *max_len,
-                })
-            }
-            PoisonCause::Abort {
-                rank,
-                class: AbortClass::Panic,
-                message,
-            } => ReplicatedError::RankPanicked {
-                rank: *rank,
-                message: message.clone(),
-            },
-            PoisonCause::Abort {
-                class: AbortClass::Checkpoint,
-                message,
-                ..
-            } => ReplicatedError::Checkpoint(message.clone()),
-        });
-        let mut ckpt = None;
-        let mut panic = None;
-        let mut comm = None;
-        let mut transport = None;
-        let mut rank0_ok = None;
-        for e in [rank0.map(|ok| rank0_ok = Some(ok)).err(), poison_err] {
-            match e {
-                Some(e @ ReplicatedError::Checkpoint(_)) => ckpt.get_or_insert(e),
-                Some(e @ ReplicatedError::RankPanicked { .. }) => panic.get_or_insert(e),
-                Some(e @ ReplicatedError::Comm(_)) => comm.get_or_insert(e),
-                Some(e) => transport.get_or_insert(e),
-                None => continue,
-            };
-        }
-        if let Some(e) = ckpt.or(panic).or(comm).or(transport) {
-            return Err(e);
-        }
-        let (result, kernel_stats, comm_stats, _wire0) =
-            rank0_ok.expect("no error implies rank 0 completed");
+        };
         let mut rank_likelihoods = Vec::with_capacity(hub.results.len());
         let mut wire = WireStats::default();
         for (r, report) in hub.results.iter().enumerate() {
-            match report {
-                Some(rep) => {
-                    rank_likelihoods.push(rep.final_ll);
-                    wire.merge(&rep.wire);
-                }
-                None => {
-                    return Err(ReplicatedError::Transport(format!(
-                        "rank {r} finished without reporting"
-                    )))
-                }
-            }
+            let report = report.ok_or_else(|| {
+                ReplicatedError::Transport(format!("rank {r} finished without reporting"))
+            })?;
+            rank_likelihoods.push(report.final_ll);
+            wire.merge(&report.wire);
         }
         Ok(ReplicatedOutcome {
-            result,
+            result: rank0.result,
             rank_likelihoods,
             // Child kernel stats stay in their processes; these are
             // rank 0's (documented on ReplicatedOutcome).
-            kernel_stats,
-            comm_stats,
-            transport: kind.name().to_string(),
+            kernel_stats: rank0.kernel_stats,
+            comm_stats: rank0.comm_stats,
+            transport: rank0.transport.to_string(),
             wire,
         })
     }
@@ -1691,10 +1522,8 @@ mod unix_impl {
     /// subcommand builds these from its pass-through flags; seeded
     /// determinism guarantees they equal the supervisor's).
     pub struct ChildRankArgs<'a> {
-        /// This process's rank in `1..ranks`.
+        /// This process's rank in `1..ft.num_ranks`.
         pub rank: usize,
-        /// Group size.
-        pub ranks: usize,
         /// Where the hub listens.
         pub endpoint: Endpoint,
         /// Starting tree (identical on every rank).
@@ -1706,81 +1535,29 @@ mod unix_impl {
         pub config: EngineConfig,
         /// The search (deterministic; keeps ranks in lockstep).
         pub search: MlSearch,
-        /// Checkpoint to resume from if it exists (children never
-        /// write it — rank 0 is the single writer).
-        pub checkpoint: Option<&'a Path>,
+        /// The attempt's group size (`num_ranks`), the checkpoint to
+        /// resume from if it exists (children never write it — rank 0
+        /// is the single writer) and the scripted faults for this
+        /// process (only passed on the first attempt; a respawned
+        /// child runs fault-free).
+        pub ft: &'a FtConfig,
         /// Socket tuning; must match the supervisor's.
         pub tcfg: TransportConfig,
-        /// Scripted faults for this process (only passed on the first
-        /// attempt; a respawned child runs fault-free).
-        pub fault_plan: Option<Arc<FaultPlan>>,
     }
 
     /// Body of a child rank process: connect, resume, search in
-    /// lockstep, report, exit. Errors are returned for the CLI to
+    /// lockstep, report, exit. The error is returned for the CLI to
     /// print; the *classification* travels through the hub (Abort
     /// frames / EOF), not the exit code.
-    pub fn run_rank(a: ChildRankArgs<'_>) -> Result<(), String> {
-        let ChildRankArgs {
-            rank,
-            ranks,
-            endpoint,
-            tree,
-            aln,
-            config,
-            search,
-            checkpoint,
-            tcfg,
-            fault_plan,
-        } = a;
-        let comm = SocketComm::connect(&endpoint, rank, ranks, &tcfg, fault_plan)
-            .map_err(|e| format!("rank {rank} connect to {endpoint}: {e}"))?;
-        let mut aborter = comm
-            .abort_sender()
-            .map_err(|e| format!("rank {rank} abort channel: {e}"))?;
-        let resume = match checkpoint {
-            Some(p) if p.exists() => match Checkpoint::load(p) {
-                Ok(cp) => Some(cp),
-                Err(e) => {
-                    let msg = format!("rank {rank} loading {}: {e}", p.display());
-                    aborter.abort(AbortClass::Checkpoint, &msg);
-                    return Err(msg);
-                }
-            },
-            _ => None,
+    pub fn run_rank(a: ChildRankArgs<'_>) -> Result<(), ReplicatedError> {
+        let inputs = RankInputs {
+            tree: a.tree,
+            aln: a.aln,
+            config: a.config,
+            search: a.search,
+            ft: a.ft,
         };
-        let range = crate::forkjoin::split_ranges(aln.num_patterns(), ranks)[rank].clone();
-        let caught = catch_unwind(AssertUnwindSafe(move || -> Result<(), String> {
-            let mut local_tree = tree.clone();
-            let engine = LikelihoodEngine::with_range(&local_tree, aln, config, range);
-            let mut eval = ReplicatedEvaluator::new(engine, comm);
-            search
-                .run_resumable(&mut eval, &mut local_tree, resume.as_ref(), |_| Ok(()))
-                .map_err(|e| format!("rank {rank} search: {e}"))?;
-            let final_ll = eval.log_likelihood(&local_tree, 0);
-            let (_engine, mut comm) = eval.into_parts();
-            comm.send_result(final_ll)
-                .map_err(|e| format!("rank {rank} result: {e}"))
-        }));
-        match caught {
-            Ok(r) => r,
-            Err(payload) => {
-                if let Some(ce) = payload.downcast_ref::<CommError>() {
-                    // Expected lockstep failure path: the hub already
-                    // knows (it poisoned us, or sees our EOF).
-                    return Err(format!("rank {rank} collective failed: {ce}"));
-                }
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
-                aborter.abort(AbortClass::Panic, &message);
-                Err(format!("rank {rank} panicked: {message}"))
-            }
-        }
+        run_socket_rank(inputs, a.rank, a.ft.num_ranks, &a.endpoint, &a.tcfg).map(|_| ())
     }
 }
 
@@ -1930,6 +1707,26 @@ mod tests {
             let mut bad = PoisonCause::Peer { rank: 0 }.encode();
             bad[0] = 99;
             assert_eq!(PoisonCause::decode(&bad), None, "unknown tag");
+        }
+
+        #[test]
+        fn an_abandoning_rank_names_a_cause_only_it_knows() {
+            use crate::replicated::ReplicatedError;
+            // A checkpoint failure or a panic travels in the frame: what
+            // the rank sends and what the supervisor reads are inverses.
+            let panicked = ReplicatedError::RankPanicked {
+                rank: 2,
+                message: "boom".into(),
+            };
+            for error in [ReplicatedError::Checkpoint("disk full".into()), panicked] {
+                assert_eq!(PoisonCause::of_abandoning(2, &error).as_error(), error);
+            }
+            // Any other failure is the rank being gone.
+            let timeout = ReplicatedError::Comm(CommError::Timeout { rank: 2, millis: 9 });
+            for error in [timeout, ReplicatedError::Transport("result".into())] {
+                let cause = PoisonCause::of_abandoning(2, &error);
+                assert_eq!(cause, PoisonCause::Peer { rank: 2 });
+            }
         }
 
         #[test]

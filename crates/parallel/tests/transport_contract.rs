@@ -1,15 +1,16 @@
 //! Cross-transport payload-contract parity.
 //!
-//! Every communicator — the trivial [`SelfComm`], the in-process
-//! [`ThreadCommGroup`], and the socket-backed [`SocketComm`] — must
-//! enforce the *same* AllReduce payload bound and fail the same way:
+//! Both communicators — the in-process [`ThreadCommGroup`] (which at
+//! one rank is the trivial communicator) and the socket-backed
+//! [`SocketComm`] — must enforce the *same* AllReduce payload bound and
+//! fail the same way:
 //! `PayloadTooLarge` naming the offending rank at `DEFAULT_MAX_LEN + 1`
 //! doubles, success at exactly `DEFAULT_MAX_LEN`, and a latched
 //! (`PeerFailed`) group afterwards. If the transports ever drift, the
 //! choice of `--transport` would change error behavior, which the
 //! replicated search treats as impossible.
 
-use phylo_parallel::comm::{Comm, CommError, SelfComm, ThreadCommGroup, DEFAULT_MAX_LEN};
+use phylo_parallel::comm::{Comm, CommError, ThreadCommGroup, DEFAULT_MAX_LEN};
 
 /// Drives one communicator through the shared contract script:
 /// a full-width AllReduce succeeds, one double more fails with
@@ -42,11 +43,6 @@ fn assert_contract<C: Comm>(comm: &mut C, transport: &str) {
         comm.try_allreduce_sum(&mut after).is_err(),
         "{transport}: collective succeeded after a contract violation"
     );
-}
-
-#[test]
-fn self_comm_honors_the_shared_contract() {
-    assert_contract(&mut SelfComm::new(), "self");
 }
 
 #[test]

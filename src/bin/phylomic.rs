@@ -14,7 +14,9 @@
 
 use phylomic::bio::{fasta, phylip, Alignment, CompressedAlignment};
 use phylomic::models::{DiscreteGamma, Gtr, GtrParams};
-use phylomic::parallel::{run_replicated_ft, FaultPlan, ForkJoinEvaluator, FtConfig};
+use phylomic::parallel::{
+    run_replicated_ft, FaultPlan, ForkJoinEvaluator, FtConfig, TransportKind,
+};
 use phylomic::plf::trace::{
     events_from_metrics, events_from_spans, events_from_stats, write_jsonl, TraceEvent,
     TRACE_VERSION,
@@ -207,7 +209,9 @@ and all ranks resume from the same snapshot.
 schemes: replicated runs N ranks; forkjoin splits the patterns into N
 slices, the master computes slice 0 inside every region and N - 1
 spawned workers the rest (--threads 1 is the serial engine behind the
-region protocol).
+region protocol). An option the chosen scheme would not read is
+refused: --threads 2+ under serial, --transport or --degrade outside
+replicated, --inject-fault under serial.
 --inject-fault scripts deterministic failures into a replicated or
 fork-join run, e.g. 'rank=2,allreduce=40' (rank 2 dies at its 40th
 AllReduce), 'rank=1,region=3' (the fork-join job panics on pattern
@@ -654,17 +658,12 @@ fn fault_plan_of(opts: &Opts) -> Result<Option<std::sync::Arc<FaultPlan>>, Strin
     }
 }
 
-/// Child-rank process body (hidden `_rank` subcommand): rebuild the
-/// supervisor's inputs from the pass-through flags, connect to the
-/// hub, run the lockstep search over this rank's slice, report, exit.
-#[cfg(unix)]
-fn cmd_rank(opts: &Opts) -> Result<(), String> {
-    use phylomic::parallel::{ChildRankArgs, Endpoint, TransportConfig};
-    span::set_thread_label("rank");
-    // A peer's death reaches this process as a CommError panic payload
-    // that run_rank catches and reports through the hub; keep the
-    // default hook's backtrace spam off the shared stderr for that
-    // expected path (genuine panics still print).
+/// A rank failure unwinds via a `CommError` panic payload that the
+/// rank body catches and reports structurally (to the supervisor's
+/// caller, or through the hub); keeps the default hook's per-thread
+/// backtrace spam off stderr for that expected path. Genuine panics
+/// still print.
+fn silence_comm_error_panics() {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         if info
@@ -675,6 +674,16 @@ fn cmd_rank(opts: &Opts) -> Result<(), String> {
             prev_hook(info);
         }
     }));
+}
+
+/// Child-rank process body (hidden `_rank` subcommand): rebuild the
+/// supervisor's inputs from the pass-through flags, connect to the
+/// hub, run the lockstep search over this rank's slice, report, exit.
+#[cfg(unix)]
+fn cmd_rank(opts: &Opts) -> Result<(), String> {
+    use phylomic::parallel::{ChildRankArgs, Endpoint, TransportConfig};
+    span::set_thread_label("rank");
+    silence_comm_error_panics();
     let inputs = search_inputs(opts)?;
     let rank: usize = require(opts, "rank-id")?
         .parse()
@@ -685,25 +694,56 @@ fn cmd_rank(opts: &Opts) -> Result<(), String> {
     let endpoint: Endpoint = require(opts, "endpoint")?
         .parse()
         .map_err(|e: String| format!("--endpoint: {e}"))?;
-    let ckpt = opts.get("checkpoint").map(std::path::PathBuf::from);
+    let ft = FtConfig {
+        checkpoint: opts.get("checkpoint").map(std::path::PathBuf::from),
+        fault_plan: fault_plan_of(opts)?,
+        ..FtConfig::new(ranks)
+    };
     phylomic::parallel::run_rank(ChildRankArgs {
         rank,
-        ranks,
         endpoint,
         tree: &inputs.tree,
         aln: &inputs.compressed,
         config: inputs.config,
         search: inputs.search,
-        checkpoint: ckpt.as_deref(),
+        ft: &ft,
         tcfg: TransportConfig::from_env(),
-        fault_plan: fault_plan_of(opts)?,
     })
+    .map_err(|e| format!("rank {rank}: {e}"))
+}
+
+/// Refuses an option the chosen scheme never reads (and a scheme that
+/// does not exist): a run that ignores `--threads 4` or `--degrade`
+/// must not look like one that honoured it.
+fn check_scheme_options(opts: &Opts, scheme: &str, threads: usize) -> Result<(), String> {
+    let (parallel, replicated) = match scheme {
+        "serial" => (false, false),
+        "forkjoin" => (true, false),
+        "replicated" => (true, true),
+        other => return Err(format!("unknown --scheme {other:?}")),
+    };
+    for (option, read, needs) in [
+        ("transport", replicated, "replicated"),
+        ("degrade", replicated, "replicated"),
+        ("inject-fault", parallel, "replicated or forkjoin"),
+    ] {
+        if opts.contains_key(option) && !read {
+            return Err(format!("--{option} needs --scheme {needs}"));
+        }
+    }
+    if threads >= 2 && !parallel {
+        return Err(format!(
+            "--threads {threads} needs --scheme forkjoin or replicated"
+        ));
+    }
+    Ok(())
 }
 
 fn cmd_search(opts: &Opts) -> Result<(), String> {
     span::set_thread_label("serial");
     let threads: usize = get(opts, "threads", 1)?;
     let scheme = opts.get("scheme").map(String::as_str).unwrap_or("serial");
+    check_scheme_options(opts, scheme, threads)?;
     let SearchInputs {
         aln: _aln,
         compressed,
@@ -718,9 +758,6 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
     let mut trace_wire = phylomic::parallel::WireStats::default();
     let result = match scheme {
         "serial" => {
-            if fault_plan.is_some() {
-                return Err("--inject-fault needs --scheme replicated or forkjoin".into());
-            }
             let mut engine = LikelihoodEngine::new(&tree, &compressed, config);
             let result = match opts.get("checkpoint") {
                 Some(path) => {
@@ -755,11 +792,7 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
             let result = match run {
                 Ok(r) => r?,
                 Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .map(|s| s.as_str())
-                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                        .unwrap_or("worker panicked");
+                    let msg = phylomic::parallel::panic_message(&*payload);
                     return Err(format!("fork-join region failed: {msg}"));
                 }
             };
@@ -767,35 +800,18 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
             result
         }
         "replicated" => {
-            let transport: phylomic::parallel::TransportKind =
-                match opts.get("transport").map(String::as_str) {
-                    None => phylomic::parallel::TransportKind::Threads,
-                    Some(v) => v.parse().map_err(|e| format!("--transport: {e}"))?,
-                };
+            let transport = get(opts, "transport", TransportKind::Threads)?;
             let ft = FtConfig {
                 degrade: opts.contains_key("degrade"),
                 checkpoint: opts.get("checkpoint").map(std::path::PathBuf::from),
                 fault_plan,
                 ..FtConfig::new(threads.max(1))
             };
-            // Rank failure unwinds via a CommError panic payload that
-            // the supervisor catches and reports structurally; keep
-            // the default hook's per-thread backtrace spam off stderr
-            // for that expected path (anything else still prints).
-            let prev_hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if info
-                    .payload()
-                    .downcast_ref::<phylomic::parallel::CommError>()
-                    .is_none()
-                {
-                    prev_hook(info);
-                }
-            }));
+            silence_comm_error_panics();
             let out = if transport.is_socket() {
                 #[cfg(unix)]
                 {
-                    run_sharded(opts, &tree, &compressed, config, search, &ft, transport)?
+                    run_sharded(opts, &tree, &compressed, config, search, &ft)?
                 }
                 #[cfg(not(unix))]
                 {
@@ -810,7 +826,7 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
             trace_wire = out.wire;
             out.result
         }
-        other => return Err(format!("unknown --scheme {other:?}")),
+        _ => unreachable!("check_scheme_options refused it"),
     };
     let elapsed = start.elapsed().as_secs_f64();
     println!(
@@ -857,7 +873,6 @@ fn run_sharded(
     config: EngineConfig,
     search: MlSearch,
     ft: &FtConfig,
-    transport: phylomic::parallel::TransportKind,
 ) -> Result<phylomic::parallel::ReplicatedOutcome, String> {
     use phylomic::parallel::{run_sharded_ft, RankSpec, TransportConfig};
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
@@ -897,9 +912,7 @@ fn run_sharded(
         config,
         search,
         ft,
-        transport,
         &TransportConfig::from_env(),
-        &std::env::temp_dir(),
         &mut spawn,
     )
     .map_err(|e| e.to_string())

@@ -602,6 +602,65 @@ fn unknown_options_are_refused_per_subcommand() {
     assert_eq!(code, Some(0), "{err}");
 }
 
+/// `search --rounds 0` on a 6-taxon alignment with `extra` appended:
+/// exit code and stderr.
+fn search_with(extra: &[&str]) -> (Option<i32>, String) {
+    let dir = TestDir::new("cli-scheme-options");
+    let phy = dir.join("s.phy");
+    let out = bin()
+        .args(["simulate", "--taxa", "6", "--sites", "200", "--seed", "9"])
+        .args(["--out", phy.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = bin()
+        .args(["search", "--alignment", phy.to_str().unwrap()])
+        .args(["--rounds", "0", "--no-model-opt"])
+        .args(extra)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), stderr)
+}
+
+#[test]
+fn transport_is_refused_outside_the_replicated_scheme() {
+    let refusal = (Some(1), "error: --transport needs --scheme replicated\n");
+    for scheme in ["serial", "forkjoin"] {
+        let (code, err) = search_with(&["--scheme", scheme, "--transport", "uds"]);
+        assert_eq!((code, err.as_str()), refusal, "{scheme}");
+    }
+    let (code, err) = search_with(&["--scheme", "replicated", "--transport", "threads"]);
+    assert_eq!(code, Some(0), "{err}");
+}
+
+#[test]
+fn degrade_is_refused_outside_the_replicated_scheme() {
+    let refusal = (Some(1), "error: --degrade needs --scheme replicated\n");
+    for args in [&["--degrade", "--scheme", "forkjoin"][..], &["--degrade"]] {
+        let (code, err) = search_with(args);
+        assert_eq!((code, err.as_str()), refusal, "{args:?}");
+    }
+    let (code, err) = search_with(&["--scheme", "replicated", "--degrade"]);
+    assert_eq!(code, Some(0), "{err}");
+}
+
+#[test]
+fn threads_are_refused_under_the_serial_scheme() {
+    let (code, err) = search_with(&["--scheme", "serial", "--threads", "4"]);
+    let refusal = "error: --threads 4 needs --scheme forkjoin or replicated\n";
+    assert_eq!((code, err.as_str()), (Some(1), refusal));
+    // One thread is what the serial scheme runs; a scheme that does
+    // not exist is still the first thing wrong with a command line.
+    let (code, err) = search_with(&["--threads", "1"]);
+    assert_eq!(code, Some(0), "{err}");
+    let (code, err) = search_with(&["--scheme", "mpi", "--threads", "4"]);
+    assert_eq!(
+        (code, err.as_str()),
+        (Some(1), "error: unknown --scheme \"mpi\"\n")
+    );
+}
+
 #[test]
 fn kernels_flag_accepts_every_backend_and_refuses_retired_names() {
     let dir = TestDir::new("cli-kernels");

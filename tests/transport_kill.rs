@@ -7,7 +7,9 @@
 //! Everything here drives the real `phylomic` binary over real Unix
 //! sockets — the kill is a genuine `SIGKILL`, delivered by the dying
 //! rank to itself at the scripted AllReduce, so the hub sees the same
-//! raw EOF a scheduler OOM-kill would produce.
+//! raw EOF a scheduler OOM-kill would produce. The last test is the
+//! fault matrix over *both* transports: what holds the thread
+//! supervisor and the socket supervisor to one verdict per fault.
 #![cfg(unix)]
 
 mod common;
@@ -236,4 +238,90 @@ fn sigkill_without_degrade_fails_structured_not_hanging() {
         stderr.contains("rank 1"),
         "error must name the dead rank: {stderr}"
     );
+}
+
+/// What one `search --scheme replicated --threads RANKS` run came to:
+/// for a success the `logL` line without its wall-clock field and the
+/// tree, for a failure the exit code and the last `error:` line of
+/// stderr (a `_rank` child's own lines come before the supervisor's,
+/// which reaps the children first; a degraded run that succeeds still
+/// carries the dead attempt's).
+fn verdict(dir: &Path, phy: &Path, transport: &str, ranks: usize, extra: &[&str]) -> String {
+    let (tree_out, ckpt) = (dir.join("matrix.nwk"), dir.join("matrix.ckp"));
+    let mut cmd = bin();
+    cmd.args(["search", "--alignment", phy.to_str().unwrap()])
+        .args(["--rounds", "2", "--seed", "5", "--no-model-opt"])
+        .args(["--scheme", "replicated", "--threads", &ranks.to_string()])
+        .args([
+            "--transport",
+            transport,
+            "--out",
+            tree_out.to_str().unwrap(),
+        ])
+        .args(extra);
+    if extra.iter().any(|arg| arg.starts_with("ckpt-write")) {
+        cmd.args(["--checkpoint", ckpt.to_str().unwrap()]);
+    }
+    let out = cmd.output().unwrap();
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    if out.status.success() {
+        let logl = stdout.lines().find(|l| l.starts_with("logL ")).unwrap();
+        let logl = logl.split("  time ").next().unwrap();
+        format!("{logl}\n{}", std::fs::read_to_string(&tree_out).unwrap())
+    } else {
+        let error = stderr.lines().rfind(|l| l.starts_with("error: "));
+        let error = error.unwrap_or("no error line");
+        format!(
+            "exit {:?}: {}",
+            out.status.code(),
+            error.replace(ckpt.to_str().unwrap(), "CKPT")
+        )
+    }
+}
+
+/// One fault matrix over both transports: the thread supervisor and the
+/// socket supervisor must give the same verdict for the same scripted
+/// fault — the same exit code and final `error:` line without
+/// `--degrade`, and with it the tree and `logL` line of a clean run on
+/// one rank fewer (a checkpoint failure is not a rank failure: it stays
+/// an error either way).
+#[test]
+fn fault_matrix_gives_the_same_verdict_on_both_transports() {
+    const PEER_1: &str = "error: collective failed: peer rank 1 failed mid-collective";
+    const PEER_0: &str = "error: collective failed: peer rank 0 failed mid-collective";
+    const CKPT: &str = "error: checkpoint error: checkpoint write to CKPT failed: \
+                        injected checkpoint write failure (attempt 5)";
+    // (--inject-fault, final error line, --degrade recovers)
+    const MATRIX: [(&str, &str, bool); 4] = [
+        ("rank=1,allreduce=5", PEER_1, true),
+        ("rank=1,kill9=5", PEER_1, true),
+        ("rank=0,allreduce=5", PEER_0, true),
+        ("ckpt-write=1,count=99", CKPT, false),
+    ];
+    let dir = TestDir::new("fault-matrix");
+    let phy = simulate(&dir);
+    let run = |transport: &'static str, ranks: usize, extra: Vec<&'static str>| {
+        let (dir, phy) = (dir.to_path_buf(), phy.clone());
+        within_deadline(240, move || verdict(&dir, &phy, transport, ranks, &extra))
+    };
+    let clean = run("threads", 2, vec![]);
+    assert!(clean.starts_with("logL "), "{clean}");
+    assert_eq!(run("uds", 2, vec![]), clean, "clean 2-rank runs differ");
+    for (fault, error_line, recovers) in MATRIX {
+        for transport in ["threads", "uds"] {
+            for degrade in [false, true] {
+                let mut extra = vec!["--inject-fault", fault];
+                extra.extend(degrade.then_some("--degrade"));
+                let want = match degrade && recovers {
+                    true => clean.clone(),
+                    false => format!("exit Some(1): {error_line}"),
+                };
+                let got = run(transport, 3, extra);
+                assert_eq!(got, want, "{fault} on {transport}, degrade {degrade}");
+            }
+        }
+    }
 }
