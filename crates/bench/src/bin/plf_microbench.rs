@@ -54,7 +54,7 @@
 //!
 //! A third section holds the non-kernel cells — same-run, interleaved:
 //!  10. `update_partials` on a 64-taxon tree, pruned walk against the
-//!      never-pruning path (`with_pool` at one slot per inner node):
+//!      never-pruning reference (`LikelihoodEngine::without_pruning`):
 //!      with nothing stale — the walk alone, which is what the pruning
 //!      changes — at least `WALK_MIN_SPEEDUP` ×, and after a re-root to
 //!      an adjacent edge — the same walk plus the one `newview` (two
@@ -673,7 +673,7 @@ fn pruned_walk_cells() -> [RatioCell; 2] {
         CompressedAlignment::from_parts(tree.tip_names().to_vec(), rows, vec![1; 16]).unwrap();
     let cfg = EngineConfig::default();
     let mut pruning = LikelihoodEngine::new(&tree, &aln, cfg);
-    let mut full = LikelihoodEngine::with_pool(&tree, &aln, cfg, tree.num_inner());
+    let mut full = LikelihoodEngine::without_pruning(&tree, &aln, cfg);
     // An internal edge and one next to it: each call crosses one node.
     let e0 = tree.internal_edges().next().expect("internal edge");
     let (a, _) = tree.endpoints(e0);

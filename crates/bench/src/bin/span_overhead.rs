@@ -1,52 +1,50 @@
 //! Span-instrumentation overhead probe for the CI regression gate.
 //!
-//! Prints the nanoseconds per full-tree likelihood evaluation in a
-//! machine-greppable `ns_per_eval <N>` line. CI runs this binary twice
-//! — once from the default (`span-trace`) build and once from a
+//! Prints the nanoseconds per one-round fork-join search in a
+//! machine-greppable `ns_per_search <N>` line. CI runs this binary
+//! twice — once from the default (`span-trace`) build and once from a
 //! `--no-default-features` build — and fails if the instrumented
 //! number exceeds the uninstrumented one by more than 5%: the
 //! "compiles to a no-op when disabled" guarantee is only honest if the
-//! *enabled* path stays near-free on real kernels too.
+//! *enabled* path stays near-free on a real search too.
 //!
-//! The workload is the span hot path at its worst: every evaluation
-//! crosses the `evaluate` span plus one `newview` span per invalidated
-//! inner node, with sites small enough that span cost is not drowned
-//! by arithmetic. Best-of-5 timing suppresses scheduler noise.
+//! The workload is the hottest span sites there are: a fork-join
+//! search opens `fork.wait`, `join.wait` and a `job.*` span on the
+//! master plus `idle` and `job.*` on the worker for every region, and
+//! `branch_opt` for every optimised branch (a kernel call opens none),
+//! with few enough sites that span cost is not drowned by arithmetic.
+//! Best-of-20 timing suppresses scheduler noise.
 //!
 //! Run: `cargo run --release -p phylo-bench --bin span_overhead`
 //! (append `--no-default-features` to measure the uninstrumented build)
 
 use phylo_bench::paper_dataset;
-use plf_core::{EngineConfig, LikelihoodEngine};
+use phylo_parallel::ForkJoinEvaluator;
+use phylo_search::{MlSearch, SearchConfig};
+use plf_core::EngineConfig;
 use std::time::Instant;
 
-/// Evaluations per timing repetition.
-const EVALS: usize = 400;
 /// Timing repetitions; the minimum is reported.
-const REPS: usize = 5;
+const REPS: usize = 20;
 
 fn main() {
-    let (tree, aln) = paper_dataset(12, 1_000, 3);
-    let mut engine = LikelihoodEngine::new(&tree, &aln, EngineConfig::default());
-    let num_edges = tree.num_edges();
+    let (start, aln) = paper_dataset(12, 4_000, 3);
+    let search = MlSearch::new(SearchConfig {
+        max_rounds: 1,
+        optimize_model: false,
+        ..SearchConfig::default()
+    });
+    // Master plus one worker; every repetition searches from `start`.
+    let mut team = ForkJoinEvaluator::new(&start, &aln, EngineConfig::default(), 1);
 
-    // Warm-up: touch every virtual root once so buffers are allocated
-    // and caches primed before timing starts.
     let mut checksum = 0.0f64;
-    for e in 0..num_edges {
-        checksum += engine.log_likelihood(&tree, e);
-    }
-
     let mut best_ns = f64::INFINITY;
-    for _ in 0..REPS {
+    // One more than REPS: the first run also warms buffers and caches.
+    for _ in 0..=REPS {
+        let mut tree = start.clone();
         let t0 = Instant::now();
-        for i in 0..EVALS {
-            // Cycling the virtual root invalidates partials and forces
-            // real newview work (and its spans) each evaluation.
-            checksum += engine.log_likelihood(&tree, i % num_edges);
-        }
-        let ns = t0.elapsed().as_nanos() as f64 / EVALS as f64;
-        best_ns = best_ns.min(ns);
+        checksum += search.run(&mut team, &mut tree).log_likelihood;
+        best_ns = best_ns.min(t0.elapsed().as_nanos() as f64);
     }
 
     let instrumented = if cfg!(feature = "span-trace") {
@@ -54,6 +52,6 @@ fn main() {
     } else {
         "uninstrumented"
     };
-    println!("build {instrumented}  evals {EVALS}  checksum {checksum:.3}");
-    println!("ns_per_eval {best_ns:.0}");
+    println!("build {instrumented}  searches {REPS}  checksum {checksum:.3}");
+    println!("ns_per_search {best_ns:.0}");
 }

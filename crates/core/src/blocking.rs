@@ -17,7 +17,7 @@
 //! exactly the bytes the full-range call writes there. The 128-byte
 //! site stride keeps every block base 64-byte aligned, preserving the
 //! explicit-SIMD buffer contract, and the underflow-scaling rule is
-//! per-site. The blocking×backend×pool proptest matrix pins this.
+//! per-site. The blocking×backend proptest matrix pins this.
 //!
 //! The mode is gated per [`crate::EngineConfig`] and overridable
 //! process-wide through `PHYLOMIC_BLOCKING` (mirroring
@@ -161,7 +161,7 @@ pub fn block_sites() -> usize {
 /// constant across the site range (per-branch tables, child
 /// addressing), computed once at plan time whether the node then runs
 /// whole-range or block by block. `child_*`
-/// are CLA pool slots; `tip_*` are tree tip ids.
+/// are inner-node indices; `tip_*` are tree tip ids.
 // Tt carries two inline 2 KiB LUTs while Ii carries only indices;
 // boxing them would add a pointer chase per executed block for an
 // O(inner nodes)-sized batch.
@@ -186,18 +186,18 @@ pub(crate) enum BlockJob {
         tip_l: usize,
         /// Right child's fused P matrix.
         p_r: FusedPmat,
-        /// Right child's CLA slot.
+        /// Right child's inner-node index.
         child_r: usize,
     },
     /// Two inner children.
     Ii {
         /// Left child's fused P matrix.
         p_l: FusedPmat,
-        /// Left child's CLA slot.
+        /// Left child's inner-node index.
         child_l: usize,
         /// Right child's fused P matrix.
         p_r: FusedPmat,
-        /// Right child's CLA slot.
+        /// Right child's inner-node index.
         child_r: usize,
     },
 }

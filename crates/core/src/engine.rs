@@ -16,21 +16,16 @@
 //! workers a partial traversal descriptor, computed on the receiving
 //! side.
 //!
-//! Every stale node takes one path: it is *planned* (slot, stamp,
-//! cache key, per-branch tables — in schedule order) and the plan is
+//! Every stale node takes one path: it is *planned* (stamp, cache
+//! key, per-branch tables — in schedule order) and the plan is
 //! *executed* over a site range: the whole range on the straight-line
 //! traversal, one cache-sized block at a time on the blocked one
 //! ([`crate::blocking`]).
 //!
-//! The CLAs live in a pool of slots. [`LikelihoodEngine::new`] sizes
-//! the pool at one slot per inner node, and nothing is ever evicted.
-//! [`LikelihoodEngine::with_pool`] caps it — the memory-saving
-//! recomputation §V-A lists as unsupported in the paper's MIC port,
-//! whose 8 GB card is the binding constraint at 4000K sites
-//! (§VI-B2): a CLA is pinned from its computation until its parent
-//! has consumed it, unpinned residents are evicted on demand, and an
-//! evicted node is recomputed the next time a traversal schedules
-//! it, trading `newview` calls for memory.
+//! Every inner node owns one CLA for the life of the engine, indexed
+//! by the node, as in the paper's MIC port (§V-A: memory-saving
+//! recomputation "not supported yet"); DESIGN.md §8 says why there is
+//! no pool underneath.
 //!
 //! An engine may cover a sub-range of the alignment's patterns; worker
 //! threads in `phylo-parallel` each own an engine over their slice and
@@ -45,7 +40,7 @@ use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
 use crate::{AlignedVec, NUM_RATES, SITE_STRIDE};
 use phylo_bio::CompressedAlignment;
 use phylo_models::{DiscreteGamma, Eigensystem, Gtr, GtrParams, ProbMatrix};
-use phylo_tree::traverse::{children, full_schedule, Directed, ScheduleBuf};
+use phylo_tree::traverse::{children, Directed, ScheduleBuf};
 use phylo_tree::{EdgeId, NodeId, Tree};
 use std::sync::Arc;
 
@@ -139,17 +134,14 @@ struct CacheKey {
     model_version: u64,
 }
 
-/// One stale `newview`, planned: all bookkeeping (slot, stamp, cache
-/// key) is done at plan time in schedule order, so only the kernel
-/// work itself may be deferred and re-ordered into site blocks.
+/// One stale `newview`, planned: all bookkeeping (stamp, cache key) is
+/// done at plan time in schedule order, so only the kernel work itself
+/// may be deferred and re-ordered into site blocks.
 struct PlannedNewview {
-    /// Pool slot the CLA is written to.
-    slot: usize,
+    /// Inner-node index of the CLA written.
+    idx: usize,
     job: BlockJob,
 }
-
-/// Marks a free pool slot / a non-resident inner node.
-const FREE: usize = usize::MAX;
 
 /// One edge as the pruned walk remembers it: endpoints and the bits of
 /// its length.
@@ -157,14 +149,14 @@ type EdgeRecord = (NodeId, NodeId, u64);
 
 /// What the last traversal left behind, for the next one to prune its
 /// walk against. Invariant while `trusted`: every inner node's CLA is
-/// resident and valid for the tree in `edges`, oriented toward
-/// `toward[node]` — its parent under the rooting of that traversal.
+/// valid for the tree in `edges`, oriented toward `toward[node]` — its
+/// parent under the rooting of that traversal.
 #[derive(Default)]
 struct LastWalk {
-    /// `false` until a traversal has completed on an all-resident
-    /// pool, and again after anything that invalidates CLAs behind the
-    /// tree's back (`invalidate_all`, a model change, a tip
-    /// re-binding): the next walk is then the full one.
+    /// `false` until a traversal has completed, and again after
+    /// anything that invalidates CLAs behind the tree's back
+    /// (`invalidate_all`, a model change, a tip re-binding): the next
+    /// walk is then the full one.
     trusted: bool,
     /// The edge records of the tree last traversed, by edge id.
     edges: Vec<EdgeRecord>,
@@ -172,33 +164,6 @@ struct LastWalk {
     toward: Vec<NodeId>,
     /// Per inner node, scratch of the walk in progress: may be stale.
     marked: Vec<bool>,
-}
-
-/// The smallest CLA pool that can evaluate `tree` at `root_edge`: the
-/// maximum number of simultaneously pinned CLAs in the post-order
-/// traversal (computed-but-unconsumed nodes, the two root-adjacent
-/// ones to the end). Bounded by the tree height plus a constant.
-pub fn min_pool_slots(tree: &Tree, root_edge: EdgeId) -> usize {
-    let mut live = 0usize;
-    let mut peak = 0usize;
-    for d in full_schedule(tree, root_edge) {
-        live += 1;
-        peak = peak.max(live);
-        live -= children(tree, d.node, d.toward_edge)
-            .iter()
-            .filter(|&&(_, c)| !tree.is_tip(c))
-            .count();
-    }
-    peak.max(3)
-}
-
-/// The smallest pool that works for *any* virtual-root placement on
-/// this tree.
-pub fn min_pool_slots_any_root(tree: &Tree) -> usize {
-    tree.edge_ids()
-        .map(|e| min_pool_slots(tree, e))
-        .max()
-        .unwrap_or(3)
 }
 
 /// A PLF evaluator bound to one alignment slice and one model.
@@ -228,21 +193,9 @@ pub struct LikelihoodEngine {
     weights: Vec<u32>,
     num_patterns: usize,
     num_taxa: usize,
-    /// The CLA pool: one slot per inner node unless capped by
-    /// [`LikelihoodEngine::with_pool`].
+    /// The CLA of each inner node, by inner-node index.
     slots: Vec<Cla>,
-    /// Inner-node index occupying each slot ([`FREE`] = none yet).
-    slot_owner: Vec<usize>,
-    /// Inner-node index → slot ([`FREE`] = never computed or evicted).
-    resident: Vec<usize>,
-    /// Pin state of the traversal in progress: a node is pinned from
-    /// its visit until its parent has consumed it, the root-adjacent
-    /// nodes to the end.
-    pinned: Vec<bool>,
-    /// The state each CLA was last computed in. An evicted node keeps
-    /// its key and stamp: recomputed under an equal key it holds the
-    /// same bytes (the kernels are deterministic), so its resident
-    /// ancestors stay valid.
+    /// The state each CLA was last computed in.
     valid: Vec<Option<CacheKey>>,
     stamps: Vec<u64>,
     next_stamp: u64,
@@ -261,10 +214,9 @@ pub struct LikelihoodEngine {
     /// The post-order schedule of the traversal in progress, refilled
     /// by every `update_partials`.
     schedule: ScheduleBuf,
-    /// Whether the pool was capped by [`LikelihoodEngine::with_pool`]:
-    /// such an engine always walks the full schedule (evictions make
-    /// any node stale, and the full walk's eviction order is pinned).
-    capped: bool,
+    /// Set by [`LikelihoodEngine::without_pruning`] only: every walk
+    /// is the full schedule.
+    never_prune: bool,
     last_walk: LastWalk,
 }
 
@@ -275,6 +227,16 @@ impl LikelihoodEngine {
         Self::with_range(tree, aln, config, 0..aln.num_patterns())
     }
 
+    /// [`LikelihoodEngine::new`], except that no walk is ever pruned:
+    /// the reference the tests and the microbench of the pruned walk
+    /// compare against, which nothing else may construct.
+    #[doc(hidden)]
+    pub fn without_pruning(tree: &Tree, aln: &CompressedAlignment, config: EngineConfig) -> Self {
+        let mut engine = Self::new(tree, aln, config);
+        engine.never_prune = true;
+        engine
+    }
+
     /// Builds an engine over the pattern sub-range `range` (the unit of
     /// data parallelism: each worker owns one slice).
     pub fn with_range(
@@ -283,42 +245,6 @@ impl LikelihoodEngine {
         config: EngineConfig,
         range: std::ops::Range<usize>,
     ) -> Self {
-        Self::build(tree, aln, config, range, None)
-    }
-
-    /// Builds an engine over the full pattern range whose CLA memory
-    /// is capped at `pool_slots` arrays ([`LikelihoodEngine::new`]
-    /// holds `tree.num_inner()`). Evicted CLAs are recomputed on
-    /// demand; results are those of the uncapped engine.
-    ///
-    /// An engine built here never prunes its walk, whatever
-    /// `pool_slots` is: at `tree.num_inner()` slots it is the
-    /// all-resident engine minus the pruning, which is what the tests
-    /// of the pruning compare against.
-    ///
-    /// # Panics
-    /// Panics when `pool_slots < 3` — a post-order step needs two
-    /// resident children plus the node being computed — and, during a
-    /// traversal, when the pool is smaller than [`min_pool_slots`] of
-    /// the tree and root edge at hand.
-    pub fn with_pool(
-        tree: &Tree,
-        aln: &CompressedAlignment,
-        config: EngineConfig,
-        pool_slots: usize,
-    ) -> Self {
-        assert!(pool_slots >= 3, "pool needs at least 3 slots");
-        Self::build(tree, aln, config, 0..aln.num_patterns(), Some(pool_slots))
-    }
-
-    fn build(
-        tree: &Tree,
-        aln: &CompressedAlignment,
-        config: EngineConfig,
-        range: std::ops::Range<usize>,
-        pool_cap: Option<usize>,
-    ) -> Self {
-        let pool = pool_cap.map_or(tree.num_inner(), |cap| cap.min(tree.num_inner()));
         assert!(range.end <= aln.num_patterns(), "range outside alignment");
         assert_eq!(
             tree.num_taxa(),
@@ -366,10 +292,9 @@ impl LikelihoodEngine {
             weights,
             num_patterns,
             num_taxa,
-            slots: (0..pool).map(|_| Cla::new(num_patterns)).collect(),
-            slot_owner: vec![FREE; pool],
-            resident: vec![FREE; tree.num_inner()],
-            pinned: vec![false; tree.num_inner()],
+            slots: (0..tree.num_inner())
+                .map(|_| Cla::new(num_patterns))
+                .collect(),
             valid: vec![None; tree.num_inner()],
             stamps: vec![0; tree.num_inner()],
             next_stamp: 1,
@@ -381,7 +306,7 @@ impl LikelihoodEngine {
             batch: Vec::new(),
             batch_ns: Vec::new(),
             schedule: ScheduleBuf::default(),
-            capped: pool_cap.is_some(),
+            never_prune: false,
             last_walk: LastWalk::default(),
         };
         engine.rebuild_model_tables();
@@ -490,12 +415,12 @@ impl LikelihoodEngine {
     }
 
     /// Per-pattern scaling counters of inner node `inner` (0-based
-    /// inner-node index); `None` while its CLA is not resident.
+    /// inner-node index); `None` past the last one.
     /// Diagnostic/test accessor: the cross-backend and blocking
     /// equivalence suites compare these arrays bit-for-bit.
     #[doc(hidden)]
     pub fn cla_scale(&self, inner: usize) -> Option<&[u32]> {
-        self.slots.get(self.resident[inner]).map(Cla::scale)
+        self.slots.get(inner).map(Cla::scale)
     }
 
     /// Content stamp of inner node `inner`'s CLA (0 = never computed).
@@ -508,15 +433,10 @@ impl LikelihoodEngine {
 
     /// Number of inner nodes of the tree shape this engine serves.
     pub fn num_inner(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// Number of CLA slots (the memory bound).
-    pub fn pool_slots(&self) -> usize {
         self.slots.len()
     }
 
-    /// CLA value memory in bytes (the quantity the pool caps).
+    /// CLA value memory in bytes.
     pub fn cla_bytes(&self) -> usize {
         self.slots.len() * self.num_patterns * SITE_STRIDE * 8
     }
@@ -589,41 +509,14 @@ impl LikelihoodEngine {
         FusedPmat::from_prob(&ProbMatrix::new(&self.eigen, self.gamma.rates(), t))
     }
 
-    /// The CLA of inner node `node`, which the traversal just run left
-    /// resident (pinned until consumed).
+    /// The CLA of inner node `node`.
     #[inline]
     fn cla(&self, node: NodeId) -> &Cla {
-        let slot = self.resident[self.inner_idx(node)];
-        debug_assert_ne!(slot, FREE, "CLA of node {node} is not resident");
-        &self.slots[slot]
+        &self.slots[self.inner_idx(node)]
     }
 
-    /// Finds a slot for inner node `idx`: a free one, else that of the
-    /// first unpinned resident, which is evicted (and keeps its cache
-    /// key and stamp).
-    fn acquire_slot(&mut self, idx: usize) -> usize {
-        let slot = self
-            .slot_owner
-            .iter()
-            .position(|&o| o == FREE)
-            .or_else(|| self.slot_owner.iter().position(|&o| !self.pinned[o]))
-            .unwrap_or_else(|| {
-                panic!(
-                    "CLA pool of {} slots too small for this traversal",
-                    self.slots.len()
-                )
-            });
-        let victim = std::mem::replace(&mut self.slot_owner[slot], idx);
-        if victim != FREE {
-            self.resident[victim] = FREE;
-        }
-        self.resident[idx] = slot;
-        slot
-    }
-
-    /// Ensures every CLA needed to evaluate at `root_edge` is resident
-    /// and valid, running `newview` for stale or evicted nodes only.
-    /// Returns with the root-adjacent inner CLAs resident.
+    /// Ensures every CLA needed to evaluate at `root_edge` is valid,
+    /// running `newview` for stale nodes only.
     ///
     /// Each such node is planned in schedule order — all cache
     /// bookkeeping happens then, so stamps, keys and call counts do
@@ -631,9 +524,7 @@ impl LikelihoodEngine {
     /// the whole site range, unless traversal blocking is on
     /// ([`crate::blocking`]): then consecutive nodes are queued and
     /// executed per site block, so a child's freshly written CLA
-    /// columns are still cache-resident when its parent reads them. An
-    /// eviction reassigns a slot that queued jobs may address: the
-    /// queue is run before one.
+    /// columns are still cache-resident when its parent reads them.
     ///
     /// # The pruned walk
     ///
@@ -652,16 +543,14 @@ impl LikelihoodEngine {
     /// reached, and the nodes visited come in the full schedule's
     /// relative order, so stamps, keys, counts and blocked batches are
     /// the full walk's. Debug builds check exactly that after every
-    /// pruned walk. Nothing is pruned on an engine's first traversal,
-    /// after `invalidate_all` / `set_model` / `set_alpha` / a tip
-    /// re-binding, or under a capped pool — the same loop, over the
-    /// full schedule.
+    /// pruned walk. Nothing is pruned on an engine's first traversal
+    /// or after `invalidate_all` / `set_model` / `set_alpha` / a tip
+    /// re-binding — the same loop, over the full schedule.
     pub fn update_partials(&mut self, tree: &Tree, root_edge: EdgeId) {
         debug_assert_eq!(tree.num_inner(), self.num_inner(), "tree shape changed");
         self.ensure_tip_binding(tree);
         let n = self.num_patterns;
         let block = self.block_sites;
-        self.pinned.fill(false);
         let mut batch = std::mem::take(&mut self.batch);
         let mut schedule = std::mem::take(&mut self.schedule);
         // Taken, so that a traversal cut short by a panic leaves an
@@ -677,29 +566,11 @@ impl LikelihoodEngine {
             let key = self.cache_key(tree, ch);
             let idx = self.inner_idx(d.node);
             walk.toward[idx] = tree.other_end(d.toward_edge, d.node);
-            let evicted = self.resident[idx] == FREE;
-            let changed = self.valid[idx].as_ref() != Some(&key);
-            if evicted || changed {
-                // Taking a slot may evict one a queued job addresses.
-                if evicted && !batch.is_empty() && !self.slot_owner.contains(&FREE) {
-                    self.execute(&batch, block.unwrap_or(n));
-                    batch.clear();
-                }
-                let planned = self.plan_newview(tree, d.node, ch, changed.then_some(key));
+            if self.valid[idx].as_ref() != Some(&key) {
+                let planned = self.plan_newview(tree, idx, ch, key);
                 match block {
                     Some(_) => batch.push(planned),
                     None => self.execute(std::slice::from_ref(&planned), n),
-                }
-            }
-            // This node is live until its parent consumes it, as its
-            // children were until now. (Unpinning them while their
-            // consumer is still queued is safe: the queue is run
-            // before any eviction.)
-            self.pinned[idx] = true;
-            for (_, c) in ch {
-                if !tree.is_tip(c) {
-                    let child = self.inner_idx(c);
-                    self.pinned[child] = false;
                 }
             }
         }
@@ -709,7 +580,7 @@ impl LikelihoodEngine {
         if pruned {
             self.assert_left_out_nodes_are_valid(tree, root_edge, order);
         }
-        walk.trusted = !self.capped;
+        walk.trusted = !self.never_prune;
         self.last_walk = walk;
         self.batch = batch;
         self.schedule = schedule;
@@ -728,8 +599,7 @@ impl LikelihoodEngine {
 
     /// The oracle of the pruned walk: sweeps the full schedule and
     /// holds every node the walk left out to what the full walk would
-    /// have checked — resident, and its fresh keys equal to the stored
-    /// ones.
+    /// have checked: its fresh key equal to the stored one.
     #[cfg(debug_assertions)]
     fn assert_left_out_nodes_are_valid(
         &self,
@@ -741,17 +611,12 @@ impl LikelihoodEngine {
         for d in visited {
             seen[self.inner_idx(d.node)] = true;
         }
-        for d in full_schedule(tree, root_edge) {
+        for d in phylo_tree::traverse::full_schedule(tree, root_edge) {
             let idx = self.inner_idx(d.node);
             if seen[idx] {
                 continue;
             }
             let ch = canonical_children(tree, d);
-            assert_ne!(
-                self.resident[idx], FREE,
-                "pruned node {} is not resident",
-                d.node
-            );
             assert_eq!(
                 self.valid[idx].as_ref(),
                 Some(&self.cache_key(tree, ch)),
@@ -761,29 +626,22 @@ impl LikelihoodEngine {
         }
     }
 
-    /// Plans one `newview`: takes the node's slot and does all of its
-    /// bookkeeping (stamp and cache key when `new_key` says the inputs
-    /// changed), and precomputes the per-branch tables, once per node
-    /// whatever the execution.
+    /// Plans one `newview` of inner node `idx`: does all of its
+    /// bookkeeping (a fresh stamp, `key` as its cache key) and
+    /// precomputes the per-branch tables, once per node whatever the
+    /// execution.
     fn plan_newview(
         &mut self,
         tree: &Tree,
-        node: NodeId,
+        idx: usize,
         ch: [(EdgeId, NodeId); 2],
-        new_key: Option<CacheKey>,
+        key: CacheKey,
     ) -> PlannedNewview {
-        let idx = self.inner_idx(node);
-        let slot = match self.resident[idx] {
-            FREE => self.acquire_slot(idx),
-            slot => slot,
-        };
-        if new_key.is_some() {
-            self.stamps[idx] = self.next_stamp;
-            self.next_stamp += 1;
-            self.valid[idx] = new_key;
-        }
+        self.stamps[idx] = self.next_stamp;
+        self.next_stamp += 1;
+        self.valid[idx] = Some(key);
         PlannedNewview {
-            slot,
+            idx,
             job: self.newview_job(tree, ch),
         }
     }
@@ -797,7 +655,6 @@ impl LikelihoodEngine {
     fn newview_job(&self, tree: &Tree, ch: [(EdgeId, NodeId); 2]) -> BlockJob {
         let [(e_l, n_l), (e_r, n_r)] = ch;
         let (t_l, t_r) = (tree.length(e_l), tree.length(e_r));
-        let slot_of = |n: NodeId| self.resident[self.inner_idx(n)];
         match (tree.is_tip(n_l), tree.is_tip(n_r)) {
             (true, true) => BlockJob::Tt {
                 lut_l: Lut16x16::tip_prob(&self.fused_pmat(t_l)),
@@ -809,13 +666,13 @@ impl LikelihoodEngine {
                 lut_l: Lut16x16::tip_prob(&self.fused_pmat(t_l)),
                 tip_l: n_l,
                 p_r: self.fused_pmat(t_r),
-                child_r: slot_of(n_r),
+                child_r: self.inner_idx(n_r),
             },
             (false, false) => BlockJob::Ii {
                 p_l: self.fused_pmat(t_l),
-                child_l: slot_of(n_l),
+                child_l: self.inner_idx(n_l),
                 p_r: self.fused_pmat(t_r),
-                child_r: slot_of(n_r),
+                child_r: self.inner_idx(n_r),
             },
             (false, true) => unreachable!("children are canonicalized tip-first"),
         }
@@ -836,18 +693,15 @@ impl LikelihoodEngine {
         let mut ns = std::mem::take(&mut self.batch_ns);
         ns.clear();
         ns.resize(batch.len(), 0);
-        {
-            let _span = crate::span::enter("newview");
-            let mut b0 = 0;
-            while b0 < n {
-                let b1 = (b0 + step).min(n);
-                for (planned, ns) in batch.iter().zip(&mut ns) {
-                    let t0 = std::time::Instant::now();
-                    self.run_job(planned, b0, b1);
-                    *ns = ns.saturating_add(elapsed_ns(t0));
-                }
-                b0 = b1;
+        let mut b0 = 0;
+        while b0 < n {
+            let b1 = (b0 + step).min(n);
+            for (planned, ns) in batch.iter().zip(&mut ns) {
+                let t0 = std::time::Instant::now();
+                self.run_job(planned, b0, b1);
+                *ns = ns.saturating_add(elapsed_ns(t0));
             }
+            b0 = b1;
         }
         for (planned, &ns) in batch.iter().zip(&ns) {
             self.stats.record_op_timed(planned.job.op(), n, ns);
@@ -863,7 +717,7 @@ impl LikelihoodEngine {
     /// call writes exactly the bytes the full-range call would write
     /// there.
     fn run_job(&mut self, planned: &PlannedNewview, b0: usize, b1: usize) {
-        let mut out = std::mem::replace(&mut self.slots[planned.slot], Cla::new(0));
+        let mut out = std::mem::replace(&mut self.slots[planned.idx], Cla::new(0));
         let (out_v, out_s) = out.buffers_mut();
         let (vals, sites) = (b0 * SITE_STRIDE..b1 * SITE_STRIDE, b0..b1);
         let (out_v, out_s) = (&mut out_v[vals.clone()], &mut out_s[sites.clone()]);
@@ -904,7 +758,7 @@ impl LikelihoodEngine {
                     .newview_ii(p_l, v_l, s_l, p_r, v_r, s_r, out_v, out_s);
             }
         }
-        self.slots[planned.slot] = out;
+        self.slots[planned.idx] = out;
     }
 
     fn stamp_of(&self, tree: &Tree, node: NodeId) -> u64 {
@@ -927,7 +781,6 @@ impl LikelihoodEngine {
         let (a, b) = tree.endpoints(root_edge);
         // Canonicalize: tip on the q (left) side.
         let (q, r) = if tree.is_tip(a) { (a, b) } else { (b, a) };
-        let _span = crate::span::enter("evaluate");
         patterns_evaluated().add(self.num_patterns as u64);
         let t0 = std::time::Instant::now();
         let t = tree.length(root_edge);
@@ -975,7 +828,6 @@ impl LikelihoodEngine {
         self.update_partials(tree, edge);
         let (a, b) = tree.endpoints(edge);
         let (q, r) = if tree.is_tip(a) { (a, b) } else { (b, a) };
-        let _span = crate::span::enter("derivativeSum");
         let t0 = std::time::Instant::now();
         // Re-borrow pieces to satisfy the borrow checker: the sumtable
         // is disjoint from the CLAs.
@@ -1016,7 +868,6 @@ impl LikelihoodEngine {
         if self.num_patterns == 0 {
             return (0.0, 0.0);
         }
-        let _span = crate::span::enter("derivativeCore");
         let t0 = std::time::Instant::now();
         let out =
             self.kernel
@@ -1312,7 +1163,7 @@ mod tests {
 
     #[test]
     fn depth_first_smoothing_tour_costs_under_two_newviews_per_branch() {
-        let (mut tree, aln) = pool_dataset(64, 31);
+        let (mut tree, aln) = random_dataset(64, 31);
         let mut engine = LikelihoodEngine::new(&tree, &aln, EngineConfig::default());
         engine.log_likelihood(&tree, 0);
         let before = engine.stats().get(KernelId::Newview).calls;
@@ -1343,7 +1194,7 @@ mod tests {
     #[test]
     fn adjacent_regraft_targets_cost_at_most_three_newviews() {
         use phylo_tree::moves::{spr, spr_undo};
-        let (mut tree, aln) = pool_dataset(64, 37);
+        let (mut tree, aln) = random_dataset(64, 37);
         let cfg = EngineConfig::default();
         let mut engine = LikelihoodEngine::new(&tree, &aln, cfg);
         let mut pairs = 0;
@@ -1590,9 +1441,9 @@ mod tests {
         assert!(ll < 0.0);
     }
 
-    // ---- The bounded CLA pool (`with_pool`) ----
+    // ---- Random fixtures of the re-rooting cost tests ----
 
-    use phylo_tree::build::{balanced, caterpillar, default_names, random_tree};
+    use phylo_tree::build::{default_names, random_tree};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -1609,208 +1460,10 @@ mod tests {
         CompressedAlignment::from_parts(tree.tip_names().to_vec(), rows, vec![1; patterns]).unwrap()
     }
 
-    fn pool_dataset(taxa: usize, seed: u64) -> (Tree, CompressedAlignment) {
+    fn random_dataset(taxa: usize, seed: u64) -> (Tree, CompressedAlignment) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let tree = random_tree(&default_names(taxa), 0.15, &mut rng).unwrap();
         let aln = random_columns(&tree, 120, &mut rng);
         (tree, aln)
-    }
-
-    #[test]
-    fn pool_matches_all_resident_at_every_viable_size() {
-        let (tree, aln) = pool_dataset(12, 5);
-        let cfg = EngineConfig::default();
-        let mut full = LikelihoodEngine::new(&tree, &aln, cfg);
-        assert_eq!(full.pool_slots(), tree.num_inner());
-        for root in [0usize, 5, 11] {
-            let expect = full.log_likelihood(&tree, root);
-            let min = min_pool_slots(&tree, root);
-            assert!(min < tree.num_inner(), "memory saving must be possible");
-            for pool in min..=tree.num_inner() {
-                let mut capped = LikelihoodEngine::with_pool(&tree, &aln, cfg, pool);
-                let got = capped.log_likelihood(&tree, root);
-                assert_eq!(
-                    got.to_bits(),
-                    expect.to_bits(),
-                    "pool {pool} root {root}: {got} vs {expect}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pool_bounds_cla_memory() {
-        let (tree, aln) = pool_dataset(20, 6);
-        let cfg = EngineConfig::default();
-        let full = LikelihoodEngine::new(&tree, &aln, cfg);
-        assert_eq!(
-            full.cla_bytes(),
-            tree.num_inner() * aln.num_patterns() * SITE_STRIDE * 8
-        );
-        let capped = LikelihoodEngine::with_pool(&tree, &aln, cfg, 4);
-        assert_eq!(capped.pool_slots(), 4);
-        assert!(capped.cla_bytes() < full.cla_bytes() / 4);
-        // A pool larger than the tree is clamped to all-resident.
-        let wide = LikelihoodEngine::with_pool(&tree, &aln, cfg, 1000);
-        assert_eq!(wide.pool_slots(), tree.num_inner());
-    }
-
-    #[test]
-    fn small_pool_costs_more_newview_calls() {
-        let (tree, aln) = pool_dataset(14, 7);
-        let cfg = EngineConfig::default();
-        // All-resident: repeated evaluation at alternating roots only
-        // re-orients the path between them.
-        let mut big = LikelihoodEngine::new(&tree, &aln, cfg);
-        let mut small =
-            LikelihoodEngine::with_pool(&tree, &aln, cfg, min_pool_slots_any_root(&tree));
-        for _ in 0..4 {
-            for root in [0usize, 10] {
-                assert_eq!(
-                    big.log_likelihood(&tree, root).to_bits(),
-                    small.log_likelihood(&tree, root).to_bits()
-                );
-            }
-        }
-        let big_calls = big.stats().get(KernelId::Newview).calls;
-        let small_calls = small.stats().get(KernelId::Newview).calls;
-        assert!(
-            small_calls > big_calls,
-            "expected recomputation overhead: {small_calls} vs {big_calls}"
-        );
-    }
-
-    #[test]
-    fn evicted_node_keeps_its_stamp_so_resident_ancestors_stay_valid() {
-        let (tree, aln) = pool_dataset(14, 7);
-        let cfg = EngineConfig::default();
-        // One slot short: the first traversal's last node evicts
-        // another, which the second traversal (same root, nothing
-        // changed) must recompute. Were that node given a fresh stamp,
-        // its ancestors up to the root would go stale with it.
-        let mut capped = LikelihoodEngine::with_pool(&tree, &aln, cfg, tree.num_inner() - 1);
-        let first = capped.log_likelihood(&tree, 0);
-        let cold = capped.stats().get(KernelId::Newview).calls;
-        assert_eq!(cold as usize, tree.num_inner());
-        let stamps = capped.stamps.clone();
-        let again = capped.log_likelihood(&tree, 0);
-        let warm = capped.stats().get(KernelId::Newview).calls - cold;
-        assert_eq!(first.to_bits(), again.to_bits());
-        assert!(warm > 0, "nothing was evicted");
-        assert_eq!(capped.stamps, stamps, "equal keys must reuse their stamps");
-        assert!(warm < cold / 2, "resident ancestors went stale: {warm}");
-    }
-
-    #[test]
-    fn caterpillar_needs_only_constant_pool() {
-        // A pectinate tree is the deep-traversal worst case for naive
-        // strategies, but post-order pinning keeps the live set tiny.
-        let tree = caterpillar(&default_names(24), 0.1).unwrap();
-        let aln = random_columns(&tree, 60, &mut SmallRng::seed_from_u64(9));
-        let cfg = EngineConfig::default();
-        let expect = LikelihoodEngine::new(&tree, &aln, cfg).log_likelihood(&tree, 0);
-        let min = min_pool_slots(&tree, 0);
-        assert!(min <= 5, "caterpillar live set stays small, got {min}");
-        let got = LikelihoodEngine::with_pool(&tree, &aln, cfg, min).log_likelihood(&tree, 0);
-        assert_eq!(got.to_bits(), expect.to_bits(), "{got} vs {expect}");
-    }
-
-    #[test]
-    fn balanced_tree_with_minimal_pool() {
-        let tree = balanced(&default_names(16), 0.1).unwrap();
-        let aln = random_columns(&tree, 40, &mut SmallRng::seed_from_u64(10));
-        let cfg = EngineConfig::default();
-        let expect = LikelihoodEngine::new(&tree, &aln, cfg).log_likelihood(&tree, 0);
-        // Balanced 16-taxon tree: live set grows with depth (~log n).
-        let min = min_pool_slots(&tree, 0);
-        assert!(min <= 8, "balanced live set is logarithmic, got {min}");
-        let got = LikelihoodEngine::with_pool(&tree, &aln, cfg, min).log_likelihood(&tree, 0);
-        assert_eq!(got.to_bits(), expect.to_bits(), "{got} vs {expect}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 3 slots")]
-    fn tiny_pool_rejected() {
-        let (tree, aln) = pool_dataset(8, 11);
-        LikelihoodEngine::with_pool(&tree, &aln, EngineConfig::default(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "too small for this traversal")]
-    fn pool_below_the_live_set_panics_instead_of_corrupting() {
-        let tree = balanced(&default_names(16), 0.1).unwrap();
-        let aln = random_columns(&tree, 8, &mut SmallRng::seed_from_u64(3));
-        let min = min_pool_slots(&tree, 0);
-        assert!(min > 3);
-        LikelihoodEngine::with_pool(&tree, &aln, EngineConfig::default(), min - 1)
-            .log_likelihood(&tree, 0);
-    }
-
-    #[test]
-    fn blocked_traversal_is_bit_identical_under_memory_cap() {
-        // A minimal pool forces the queue to run whenever acquiring a
-        // slot would evict — the interaction this test pins.
-        let mut rng = SmallRng::seed_from_u64(17);
-        let tree = random_tree(&default_names(12), 0.12, &mut rng).unwrap();
-        let sites = (crate::blocking::block_sites() + 40).min(4096);
-        let aln = random_columns(&tree, sites, &mut rng);
-        let cfg_of = |blocking| EngineConfig {
-            blocking,
-            ..EngineConfig::default()
-        };
-        let pool = min_pool_slots_any_root(&tree);
-        let mut off = LikelihoodEngine::with_pool(&tree, &aln, cfg_of(Blocking::Off), pool);
-        let mut on = LikelihoodEngine::with_pool(&tree, &aln, cfg_of(Blocking::On), pool);
-        // The second and third roots evict CLAs the first left behind.
-        for root in [0usize, 7, 0] {
-            let a = off.log_likelihood(&tree, root);
-            let b = on.log_likelihood(&tree, root);
-            assert_eq!(a.to_bits(), b.to_bits(), "root {root}: {a} vs {b}");
-            assert_eq!(
-                off.stats().get(KernelId::Newview).calls,
-                on.stats().get(KernelId::Newview).calls,
-                "root {root}: blocking changed the newview call count"
-            );
-        }
-    }
-
-    #[test]
-    fn branch_derivatives_under_minimal_pool_match_all_resident() {
-        let (tree, aln) = pool_dataset(12, 19);
-        let cfg = EngineConfig::default();
-        let mut full = LikelihoodEngine::new(&tree, &aln, cfg);
-        let mut capped =
-            LikelihoodEngine::with_pool(&tree, &aln, cfg, min_pool_slots_any_root(&tree));
-        for edge in tree.edge_ids() {
-            full.prepare_branch(&tree, edge);
-            capped.prepare_branch(&tree, edge);
-            for t in [tree.length(edge), 0.5 * tree.length(edge) + 0.01] {
-                let (d1f, d2f) = full.branch_derivatives(t);
-                let (d1c, d2c) = capped.branch_derivatives(t);
-                assert_eq!(d1f.to_bits(), d1c.to_bits(), "edge {edge} t={t}: d1");
-                assert_eq!(d2f.to_bits(), d2c.to_bits(), "edge {edge} t={t}: d2");
-            }
-        }
-    }
-
-    #[test]
-    fn branch_change_needs_no_invalidate_all_under_minimal_pool() {
-        // Validity is the cache key, pooled or not: a changed length
-        // (and a changed model) is seen without any explicit call.
-        let (mut tree, aln) = pool_dataset(12, 23);
-        let cfg = EngineConfig::default();
-        let mut capped =
-            LikelihoodEngine::with_pool(&tree, &aln, cfg, min_pool_slots_any_root(&tree));
-        let before = capped.log_likelihood(&tree, 3);
-        tree.set_length(8, 0.9).unwrap();
-        capped.set_alpha(0.4);
-        let mut fresh = LikelihoodEngine::new(&tree, &aln, cfg);
-        fresh.set_alpha(0.4);
-        for root in [3usize, 0, 14] {
-            let got = capped.log_likelihood(&tree, root);
-            let expect = fresh.log_likelihood(&tree, root);
-            assert_eq!(got.to_bits(), expect.to_bits(), "root {root}");
-            assert!((got - before).abs() > 1e-6, "the change must move logL");
-        }
     }
 }

@@ -31,10 +31,9 @@
 //! | `derivativeCore` | [`kernels::Kernels::derivative_core`]  |
 //!
 //! [`engine::LikelihoodEngine`] ties the kernels to a tree: it owns the
-//! conditional likelihood arrays (CLAs) — one per inner node, or a
-//! bounded pool of them — tracks which are valid for the current
-//! virtual-root orientation (RAxML's traversal descriptor), and
-//! exposes `log_likelihood` / `branch_derivatives` to the search layer.
+//! conditional likelihood arrays (CLAs), one per inner node, tracks
+//! which are valid for the current virtual-root orientation (RAxML's
+//! traversal descriptor), and exposes `log_likelihood` / `branch_derivatives` to the search layer.
 //!
 //! [`naive`] contains an independent brute-force likelihood
 //! implementation (sum over all internal state assignments) used as the

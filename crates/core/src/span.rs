@@ -15,17 +15,17 @@
 //! is a well-formed bracket sequence (modulo a possibly-truncated
 //! prefix lost to overflow), which [`pair_spans`] and the Chrome
 //! trace-event exporter ([`chrome_trace_json`]) exploit to reconstruct
-//! the hierarchy: search → SPR round → branch-opt → Newton iteration →
-//! kernel call.
+//! the hierarchy: search → round → SPR round → branch-opt, and under
+//! fork-join each region's waits and jobs. A kernel call opens no span:
+//! `KernelStats::record_op_timed` is its one record, and a span per
+//! call would evict the structure above it from the ring.
 //!
 //! ## Zero cost when off
 //!
 //! The whole recording path is gated behind the `span-trace` cargo
 //! feature (on by default). With the feature disabled, [`enter`]
 //! returns an inert guard and the compiler removes the call entirely —
-//! no thread-local access, no atomics, no clock read. At runtime,
-//! [`set_enabled`]`(false)` reduces [`enter`] to a single relaxed
-//! atomic load.
+//! no thread-local access, no atomics, no clock read.
 //!
 //! Timestamps are nanoseconds since a process-wide epoch
 //! ([`epoch_ns`]), so events from different threads share one timeline.
@@ -54,7 +54,7 @@ pub enum SpanPhase {
 /// pointer and length, so the hot path never allocates or copies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Static span name (e.g. `"newview"`, `"spr_round"`).
+    /// Static span name (e.g. `"spr_round"`, `"fork.wait"`).
     pub name: &'static str,
     /// Begin or end.
     pub phase: SpanPhase,
@@ -265,7 +265,6 @@ pub fn epoch_ns() -> u64 {
 #[cfg(feature = "span-trace")]
 mod recorder {
     use super::*;
-    use std::sync::atomic::AtomicBool;
     use std::sync::{Arc, Mutex};
 
     /// One thread's registered ring plus its human-readable label.
@@ -273,8 +272,6 @@ mod recorder {
         label: Mutex<String>,
         ring: SpanRing,
     }
-
-    static ENABLED: AtomicBool = AtomicBool::new(true);
 
     fn registry() -> &'static Mutex<Vec<Arc<Track>>> {
         static REGISTRY: OnceLock<Mutex<Vec<Arc<Track>>>> = OnceLock::new();
@@ -297,14 +294,6 @@ mod recorder {
         });
         reg.push(Arc::clone(&track));
         track
-    }
-
-    pub(super) fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    pub(super) fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
     }
 
     pub(super) fn set_thread_label(label: &str) {
@@ -330,66 +319,38 @@ mod recorder {
 }
 
 /// RAII guard returned by [`enter`]; records the span's `End` event on
-/// drop. With the `span-trace` feature off (or tracing disabled at
-/// runtime) the guard is inert and compiles away.
+/// drop. With the `span-trace` feature off the guard is inert and
+/// compiles away.
 #[must_use = "a span guard measures until it is dropped"]
 pub struct SpanGuard {
     #[cfg(feature = "span-trace")]
     name: &'static str,
-    #[cfg(feature = "span-trace")]
-    live: bool,
 }
 
 #[cfg(feature = "span-trace")]
 impl Drop for SpanGuard {
     #[inline]
     fn drop(&mut self) {
-        if self.live {
-            recorder::record(self.name, SpanPhase::End);
-        }
+        recorder::record(self.name, SpanPhase::End);
     }
 }
 
 /// Opens a hierarchical span; the returned guard closes it on drop.
 ///
-/// Hot-path cost with tracing enabled: one thread-local access, one
-/// clock read, and six release-ordered atomic stores into the calling
-/// thread's own ring. No locks, no allocation.
+/// Hot-path cost with the feature compiled in: one thread-local
+/// access, one clock read, and six release-ordered atomic stores into
+/// the calling thread's own ring. No locks, no allocation.
 #[inline]
 pub fn enter(name: &'static str) -> SpanGuard {
     #[cfg(feature = "span-trace")]
     {
-        let live = recorder::enabled();
-        if live {
-            recorder::record(name, SpanPhase::Begin);
-        }
-        SpanGuard { name, live }
+        recorder::record(name, SpanPhase::Begin);
+        SpanGuard { name }
     }
     #[cfg(not(feature = "span-trace"))]
     {
         let _ = name;
         SpanGuard {}
-    }
-}
-
-/// Runtime switch for span recording (the `span-trace` feature must be
-/// compiled in for this to have any effect). Defaults to enabled.
-pub fn set_enabled(on: bool) {
-    #[cfg(feature = "span-trace")]
-    recorder::set_enabled(on);
-    #[cfg(not(feature = "span-trace"))]
-    let _ = on;
-}
-
-/// Whether span recording is compiled in and currently enabled.
-pub fn is_enabled() -> bool {
-    #[cfg(feature = "span-trace")]
-    {
-        recorder::enabled()
-    }
-    #[cfg(not(feature = "span-trace"))]
-    {
-        false
     }
 }
 
@@ -553,15 +514,10 @@ pub fn chrome_trace_json(tracks: &[TrackSnapshot]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     fn ev(name: &'static str, phase: SpanPhase, t_ns: u64) -> SpanEvent {
         SpanEvent { name, phase, t_ns }
     }
-
-    // Tests that read or toggle the global enable flag must not
-    // interleave with each other under the parallel test runner.
-    static ENABLE_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn ring_keeps_events_in_order() {
@@ -679,9 +635,8 @@ mod tests {
 
     #[test]
     fn guard_records_begin_end_through_thread_local() {
-        let _lock = ENABLE_LOCK.lock().unwrap();
-        if !is_enabled() {
-            return; // feature off: nothing to observe
+        if !cfg!(feature = "span-trace") {
+            return; // nothing to observe
         }
         set_thread_label("span-unit-test");
         {
@@ -810,28 +765,5 @@ mod tests {
                 prop_assert!(spans.len() <= begins);
             }
         }
-    }
-
-    #[test]
-    fn disabled_recording_emits_nothing() {
-        let _lock = ENABLE_LOCK.lock().unwrap();
-        if !is_enabled() {
-            return;
-        }
-        set_thread_label("span-disable-test");
-        set_enabled(false);
-        {
-            let _g = enter("should_not_appear");
-        }
-        set_enabled(true);
-        let tracks = snapshot_all();
-        let mine = tracks
-            .iter()
-            .find(|t| t.label == "span-disable-test")
-            .expect("track exists");
-        assert!(
-            mine.events.iter().all(|e| e.name != "should_not_appear"),
-            "no events while disabled"
-        );
     }
 }

@@ -158,7 +158,7 @@ pub enum TraceEvent {
     Span {
         /// Track label (e.g. `"master"`, `"worker2"`).
         source: String,
-        /// Span name (e.g. `"spr_round"`, `"newview"`).
+        /// Span name (e.g. `"spr_round"`, `"branch_opt"`).
         name: String,
         /// Begin timestamp, ns since the process trace epoch.
         start_ns: u64,

@@ -3,18 +3,12 @@
 //! `plf-prof` — host performance profiling support for the PLF
 //! workspace.
 //!
-//! Two concerns live here, both std-only:
-//!
-//! * [`roofline`] — machine calibration: a STREAM-triad bandwidth
-//!   probe and an FMA peak-FLOP probe (single core, matching the
-//!   single-threaded microbench cells), cached to
-//!   [`roofline::CACHE_FILE`] with host provenance so `trace-report`
-//!   and `plf-microbench` can place each kernel on the roofline
-//!   without re-measuring.
-//! * [`perf`] — optional Linux `perf_event_open` hardware counters
-//!   (cycles, instructions, LLC misses) behind the `perf-counters`
-//!   cargo feature, degrading to `None` wherever the syscall is
-//!   unavailable.
+//! [`roofline`] is machine calibration, std-only: a STREAM-triad
+//! bandwidth probe and an FMA peak-FLOP probe (single core, matching
+//! the single-threaded microbench cells), cached to
+//! [`roofline::CACHE_FILE`] with host provenance so `trace-report`
+//! and `plf-microbench` can place each kernel on the roofline without
+//! re-measuring.
 //!
 //! [`json`] is the minimal recursive JSON reader of nested documents
 //! (the workspace has no serde): [`roofline`] reads its cache file
@@ -24,7 +18,6 @@
 
 pub mod host;
 pub mod json;
-pub mod perf;
 pub mod roofline;
 
 pub use roofline::HostRoofline;

@@ -44,7 +44,6 @@ pub fn optimize_branch<E: Evaluator + ?Sized>(
 
     for _ in 0..MAX_ITER {
         iterations += 1;
-        let _iter_span = plf_core::span::enter("newton_iter");
         let (d1, d2) = evaluator.branch_derivatives(t);
         if !d1.is_finite() || !d2.is_finite() {
             break;

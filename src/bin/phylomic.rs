@@ -388,36 +388,6 @@ fn cmd_calibrate(opts: &Opts) -> Result<(), String> {
             ""
         }
     );
-    match plf_prof::perf::PerfGroup::open() {
-        Some(mut g) => {
-            // Sample the counters over one triad-sized spin so the
-            // user sees the perf path working end to end.
-            g.reset_and_enable();
-            let mut x = 0u64;
-            for i in 0..1_000_000u64 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
-            }
-            std::hint::black_box(x);
-            match g.disable_and_read() {
-                Some(c) => println!(
-                    "perf counters: cycles {} instructions {} llc-misses {} (ipc {:.2})",
-                    c.cycles,
-                    c.instructions,
-                    c.llc_misses,
-                    c.ipc()
-                ),
-                None => println!("perf counters: opened but unreadable; ignoring"),
-            }
-        }
-        None => println!(
-            "perf counters: unavailable ({})",
-            if plf_prof::perf::compiled_in() {
-                "kernel refused perf_event_open; try lowering perf_event_paranoid"
-            } else {
-                "build without --features perf-counters"
-            }
-        ),
-    }
     Ok(())
 }
 

@@ -76,13 +76,7 @@ fn traced_search_roundtrips_and_reports() {
             _ => None,
         })
         .collect();
-    for expected in [
-        "search",
-        "spr_round",
-        "branch_opt",
-        "newton_iter",
-        "fork.wait",
-    ] {
+    for expected in ["search", "spr_round", "branch_opt", "fork.wait"] {
         assert!(
             span_names.contains(&expected),
             "span {expected:?} missing; saw {:?}",

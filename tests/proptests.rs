@@ -352,14 +352,12 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Traversal blocking and the CLA pool re-order and repeat kernel work
-// only: every (blocking, pool) cell must be bit-identical to the
-// unblocked all-resident engine — same log-likelihood bits, same
-// derivative bits, same per-site scaling counters at every inner node
-// — for any alignment and any backend.
+// Traversal blocking re-orders kernel work only: the blocked engine
+// must be bit-identical to the unblocked one — same log-likelihood
+// bits, same derivative bits, same per-site scaling counters at every
+// inner node — for any alignment and any backend.
 // ---------------------------------------------------------------------------
 
-use phylomic::plf::engine::{min_pool_slots, min_pool_slots_any_root};
 use phylomic::plf::{Blocking, KernelId};
 use phylomic::tree::moves::{spr, spr_undo, SprUndo};
 use phylomic::tree::traverse::edges_within;
@@ -403,12 +401,11 @@ fn apply_first_spr(tree: &mut Tree) -> Option<(EdgeId, SprUndo)> {
     None
 }
 
-/// Builds one engine per (blocking, pool) cell — the baseline is
-/// unblocked and all-resident — and checks log-likelihood bits,
-/// branch-derivative bits, and every inner node's per-site scale array
-/// are identical at each of the given virtual roots; and that a fresh
-/// engine of each cell runs one `newview` per inner node. Then every
-/// engine follows the tree through an SPR apply/undo pair, which
+/// Builds an unblocked and a blocked engine and checks log-likelihood
+/// bits, branch-derivative bits, and every inner node's per-site scale
+/// array are identical at each of the given virtual roots; and that a
+/// fresh engine of each mode runs one `newview` per inner node. Then
+/// both engines follow the tree through an SPR apply/undo pair, which
 /// re-wires nodes and hands the halves of the split edges other ids:
 /// no cached CLA may be reused for other content than it holds, so
 /// each engine must still agree with a fresh one.
@@ -419,104 +416,71 @@ fn assert_on_off_identical(
     alpha: f64,
     roots: &[usize],
 ) {
-    let mk = |blocking, pool| {
+    let mk = |blocking| {
         let config = EngineConfig {
             kernel,
             alpha,
             blocking,
             ..EngineConfig::default()
         };
-        // The all-resident cells through `new`: that engine prunes its
-        // walk, a pooled one never does.
-        if pool == tree.num_inner() {
-            LikelihoodEngine::new(tree, aln, config)
-        } else {
-            LikelihoodEngine::with_pool(tree, aln, config, pool)
-        }
+        LikelihoodEngine::new(tree, aln, config)
     };
-    // Every cell all-resident and under the smallest CLA pool that
-    // serves every root: eviction and recomputation change no bit.
-    let all_resident = tree.num_inner();
     let mut moved = tree.clone();
     let spr_move = apply_first_spr(&mut moved);
     assert!(spr_move.is_some() || tree.num_taxa() < 5, "no SPR move");
-    let min_pool = spr_move.map_or(3, |(prune_edge, _)| min_pool_slots(&moved, prune_edge));
-    let pools = [all_resident, min_pool_slots_any_root(tree).max(min_pool)];
-    let variants: Vec<_> = [Blocking::Off, Blocking::On]
-        .iter()
-        .flat_map(|&bl| pools.map(|pool| (bl, pool)))
-        .skip(1) // the baseline itself
-        .collect();
-    let mut base = mk(Blocking::Off, all_resident);
-    let mut others: Vec<_> = variants.iter().map(|&(bl, pool)| mk(bl, pool)).collect();
+    let mut off = mk(Blocking::Off);
+    let mut on = mk(Blocking::On);
     for &root in roots {
-        let a = base.log_likelihood(tree, root);
-        base.prepare_branch(tree, root);
-        let (ad1, ad2) = base.branch_derivatives(0.37);
-        for (&(bl, pool), e) in variants.iter().zip(others.iter_mut()) {
-            let b = e.log_likelihood(tree, root);
+        let a = off.log_likelihood(tree, root);
+        let b = on.log_likelihood(tree, root);
+        prop_assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{:?} root {}: logL {} vs blocked {}",
+            kernel,
+            root,
+            a,
+            b
+        );
+        for inner in 0..off.num_inner() {
             prop_assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{:?} blocking={:?} pool {} root {}: logL {} vs {}",
+                off.cla_scale(inner),
+                on.cla_scale(inner),
+                "{:?} root {} inner {}: scale arrays differ",
                 kernel,
-                bl,
-                pool,
                 root,
-                a,
-                b
+                inner
             );
-            for inner in 0..base.num_inner() {
-                // A capped pool holds only some of the arrays.
-                let scale = e.cla_scale(inner);
-                if pool == all_resident || scale.is_some() {
-                    prop_assert_eq!(
-                        base.cla_scale(inner),
-                        scale,
-                        "{:?} blocking={:?} pool {} root {} inner {}: scale arrays differ",
-                        kernel,
-                        bl,
-                        pool,
-                        root,
-                        inner
-                    );
-                }
-            }
-            e.prepare_branch(tree, root);
-            let (bd1, bd2) = e.branch_derivatives(0.37);
-            prop_assert_eq!(
-                (ad1.to_bits(), ad2.to_bits()),
-                (bd1.to_bits(), bd2.to_bits()),
-                "{:?} blocking={:?} pool {} root {}: derivatives ({}, {}) vs ({}, {})",
-                kernel,
-                bl,
-                pool,
-                root,
-                ad1,
-                ad2,
-                bd1,
-                bd2
-            );
-            let mut fresh = mk(bl, pool);
+        }
+        off.prepare_branch(tree, root);
+        on.prepare_branch(tree, root);
+        let (ad1, ad2) = off.branch_derivatives(0.37);
+        let (bd1, bd2) = on.branch_derivatives(0.37);
+        prop_assert_eq!(
+            (ad1.to_bits(), ad2.to_bits()),
+            (bd1.to_bits(), bd2.to_bits()),
+            "{:?} root {}: derivatives ({}, {}) vs blocked ({}, {})",
+            kernel,
+            root,
+            ad1,
+            ad2,
+            bd1,
+            bd2
+        );
+        for blocking in [Blocking::Off, Blocking::On] {
+            let mut fresh = mk(blocking);
             fresh.log_likelihood(tree, root);
             prop_assert_eq!(
                 fresh.stats().get(KernelId::Newview).calls,
                 tree.num_inner() as u64,
-                "{:?} blocking={:?} pool {} root {}: newviews of a first traversal",
+                "{:?} blocking={:?} root {}: newviews of a first traversal",
                 kernel,
-                bl,
-                pool,
+                blocking,
                 root
             );
         }
     }
     if let Some((prune_edge, undo)) = spr_move {
-        let names = variants
-            .iter()
-            .map(|v| format!("{v:?}"))
-            .chain(["baseline".to_string()]);
-        let mut engines: Vec<_> = others.iter_mut().chain([&mut base]).zip(names).collect();
-        let fresh = |t: &Tree, root| mk(Blocking::Off, all_resident).log_likelihood(t, root);
         // On the moved tree, then — the undo applied — on the tree
         // the engines first saw.
         let mut undo = Some(undo);
@@ -524,8 +488,8 @@ fn assert_on_off_identical(
             ("on the moved tree", prune_edge),
             ("after the undo", roots[0]),
         ] {
-            let expect = fresh(&moved, root);
-            for (e, name) in &mut engines {
+            let expect = mk(Blocking::Off).log_likelihood(&moved, root);
+            for (e, name) in [(&mut off, "unblocked"), (&mut on, "blocked")] {
                 let got = e.log_likelihood(&moved, root);
                 prop_assert_eq!(
                     got.to_bits(),
@@ -543,24 +507,16 @@ fn assert_on_off_identical(
             }
         }
     }
-    // Blocking re-orders kernel work only: over the whole sequence of
-    // roots, the engines of one pool size ran the same `newview`s.
+    // Over the whole sequence of roots, both ran the same `newview`s.
     let calls = |e: &LikelihoodEngine| e.stats().get(KernelId::Newview).calls;
-    for (&(_, pool), e) in variants.iter().zip(&others) {
-        let unblocked = if pool == all_resident {
-            &base
-        } else {
-            &others[0]
-        };
-        prop_assert_eq!(calls(e), calls(unblocked), "pool {}", pool);
-    }
+    prop_assert_eq!(calls(&on), calls(&off));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn blocking_and_pool_cells_bit_identical(
+    fn blocking_cells_bit_identical_across_spr(
         seed in 0u64..500,
         protos in 1usize..24,
         width in 1usize..48,
@@ -607,9 +563,8 @@ proptest! {
             ..EngineConfig::default()
         };
         let mut pruning = LikelihoodEngine::new(&tree, &aln, config(alpha));
-        // `with_pool` never prunes, at any size: at one slot per inner
-        // node it is the same engine minus the pruning.
-        let mut full = LikelihoodEngine::with_pool(&tree, &aln, config(alpha), tree.num_inner());
+        // The same engine minus the pruning.
+        let mut full = LikelihoodEngine::without_pruning(&tree, &aln, config(alpha));
         let mut root = 0;
         let mut pending_undo: Option<SprUndo> = None;
         for step in 0..steps {
@@ -710,8 +665,8 @@ proptest! {
 fn remainder_tails_every_backend() {
     // Widths around the 8-site kernel block and single-site edge, with
     // one column repeated, mixed columns, and all-distinct ones, on
-    // every backend including the Auto dispatcher. Each cell runs the
-    // blocking × pool grid against the unblocked all-resident baseline.
+    // every backend including the Auto dispatcher. Each cell runs
+    // blocked against unblocked.
     use rand::SeedableRng;
     let mut rng = rand::rngs::SmallRng::seed_from_u64(77);
     let names = default_names(6);
@@ -754,7 +709,7 @@ fn blocking_identical_under_forced_scaling() {
     );
     e.log_likelihood(&tree, 0);
     let scaled: u32 = (0..e.num_inner())
-        .map(|i| e.cla_scale(i).expect("all-resident").iter().sum::<u32>())
+        .map(|i| e.cla_scale(i).expect("inner index").iter().sum::<u32>())
         .sum();
     assert!(scaled > 0, "dataset failed to trigger rescaling");
 }
