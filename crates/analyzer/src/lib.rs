@@ -7,9 +7,10 @@
 //! call graph) → [`rules`] (purity, fpdet, safety, inventory; and,
 //! beside the Rust sources, the CI workflow's YAML).
 //!
-//! Deliberately dependency-free: no rustc, no syn — the environment
-//! is offline. The analyzer parses Rust exactly far enough for its
-//! rules. `cargo xtask lint` is the driver.
+//! No rustc, no syn — the environment is offline; its one dependency
+//! is the workspace's std-only `plf-prof` (for the JSON escaper). The
+//! analyzer parses Rust exactly far enough for its rules. `cargo xtask
+//! lint` is the driver.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod graph;

@@ -1,5 +1,6 @@
 //! Findings and their text/JSON renderings.
 
+use plf_prof::json::escape;
 use std::fmt;
 
 /// One analyzer finding. `key` is the stable audit handle — the
@@ -43,23 +44,6 @@ pub fn sort(findings: &mut [Finding]) {
     });
 }
 
-/// Escapes a string for JSON embedding.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders findings as a JSON array (one object per line, stable
 /// order) — the CI artifact format.
 pub fn render_json(findings: &[Finding]) -> String {
@@ -67,11 +51,11 @@ pub fn render_json(findings: &[Finding]) -> String {
     for (i, f) in findings.iter().enumerate() {
         out.push_str(&format!(
             "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"key\":\"{}\",\"message\":\"{}\"}}{}\n",
-            json_escape(f.rule),
-            json_escape(&f.file),
+            escape(f.rule),
+            escape(&f.file),
             f.line,
-            json_escape(&f.key),
-            json_escape(&f.message),
+            escape(&f.key),
+            escape(&f.message),
             if i + 1 == findings.len() { "" } else { "," }
         ));
     }

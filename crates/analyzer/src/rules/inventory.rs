@@ -9,7 +9,8 @@
 //! never trip the gate — only genuinely new/removed/moved unsafe.
 
 use crate::item::FileItems;
-use crate::report::{json_escape, Finding};
+use crate::report::Finding;
+use plf_prof::json::escape;
 use std::collections::BTreeMap;
 
 /// Renders the canonical inventory JSON: one entry per line, sorted
@@ -28,8 +29,8 @@ pub fn render(files: &[FileItems]) -> String {
     for (i, ((file, container, kind), count)) in counts.iter().enumerate() {
         out.push_str(&format!(
             "{{\"file\":\"{}\",\"container\":\"{}\",\"kind\":\"{}\",\"count\":{}}}{}\n",
-            json_escape(file),
-            json_escape(container),
+            escape(file),
+            escape(container),
             kind,
             count,
             if i + 1 == total { "" } else { "," }

@@ -55,16 +55,20 @@ fn main() {
         all_events.extend(events_from_stats(&format!("master{threads}"), &master));
 
         let r = master.regions();
+        let per_region = |total_ns: u64| total_ns as f64 / r.count.max(1) as f64;
         let eval_ns: f64 = per_slice
             .iter()
-            .map(|s| s.timing(KernelId::Evaluate).mean_ns())
+            .map(|s| {
+                let eval = s.get(KernelId::Evaluate);
+                eval.total_ns as f64 / eval.calls.max(1) as f64
+            })
             .sum::<f64>()
             / threads as f64;
         println!(
             "{:>8} {:>12.0} {:>12.0} {:>14.0} {:>14}",
             threads,
-            r.fork.mean_ns(),
-            r.join.mean_ns(),
+            per_region(r.fork.total_ns()),
+            per_region(r.join.total_ns()),
             eval_ns,
             aln.num_patterns() / threads
         );

@@ -93,6 +93,7 @@ use plf_core::{
     AlignedVec, Blocking, EngineConfig, KernelKind, KernelOp, Kernels, LikelihoodEngine,
     SITE_STRIDE,
 };
+use plf_prof::json::escape;
 use plf_prof::{host, roofline, HostRoofline};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -1139,7 +1140,6 @@ fn render_json(
     roof: &Option<HostRoofline>,
     blocking: (usize, f64, f64),
 ) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema\": \"plf-microbench/5\",");
@@ -1148,10 +1148,10 @@ fn render_json(
         s,
         "  \"provenance\": {{\"git_rev\": \"{}\", \"cpu_model\": \"{}\", \
          \"cores\": {}, \"simd_flags\": \"{}\"}},",
-        esc(&host::git_rev()),
-        esc(&host::cpu_model()),
+        escape(&host::git_rev()),
+        escape(&host::cpu_model()),
         host::cores(),
-        esc(&host::simd_flags()),
+        escape(&host::simd_flags()),
     );
     match roof {
         Some(r) => {

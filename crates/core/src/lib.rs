@@ -58,7 +58,7 @@ pub use aligned::AlignedVec;
 pub use blocking::Blocking;
 pub use cost::{KernelCost, KernelOp, ProfitCalibration};
 pub use engine::{EngineConfig, LikelihoodEngine, RepeatStats, SiteRepeats};
-pub use instrument::{KernelId, KernelStats, LatencyHistogram, OpCost, RegionStats};
+pub use instrument::{KernelId, KernelStats, OpCost, RegionStats};
 pub use kernels::{KernelKind, Kernels};
 pub use span::{SpanGuard, TrackSnapshot};
 pub use trace::{TraceEvent, TRACE_VERSION};

@@ -3,15 +3,13 @@
 //! A trace is a flat JSON-lines file: one event per line, each a small
 //! flat object. Event kinds (schema version [`TRACE_VERSION`]):
 //!
-//! * `meta` — schema version marker, written first.
-//! * `kernel` — one source's (a worker thread's or the serial
-//!   engine's) accumulated invocations of one kernel: call count,
-//!   total pattern-sites, total/min/max wall time, and p50/p95/p99
-//!   latency estimates in nanoseconds.
-//! * `op` — one source's accumulated invocations of one concrete
-//!   kernel entry point ([`crate::cost::KernelOp`]) with its modeled
-//!   roofline cost: calls, sites, wall time, flops, bytes read and
-//!   written. Achieved GFLOP/s and GB/s are ratios of these fields.
+//! * `meta` — schema version marker and the run's resolved
+//!   configuration, written first.
+//! * `op` — one source's (a team member's or the serial engine's)
+//!   accumulated invocations of one concrete kernel entry point
+//!   ([`crate::cost::KernelOp`]) with its modeled roofline cost: calls,
+//!   sites, wall time, flops, bytes read and written. A paper kernel's
+//!   calls, sites and time are the sums of its ops' events.
 //! * `region` — one source's parallel-region synchronization totals:
 //!   region count plus total/max fork- and join-barrier latencies.
 //! * `span` — one closed hierarchical span ([`crate::span`]) with its
@@ -22,16 +20,16 @@
 //! The format is deliberately trivial — flat objects, string and
 //! integer values only — so it round-trips through the hand-rolled
 //! writer/parser below without a serde dependency, and any external
-//! tool (`jq`, pandas) reads it directly. Parsing is
-//! forward-compatible: unknown keys are ignored and unknown event
-//! types (or kernel names) parse to [`TraceEvent::Unknown`], which
-//! [`parse_jsonl`] silently drops — a v1 reader of a v3 file keeps
-//! every event it understands. `micsim::calibration` loads these
-//! events to fit measured per-call and per-site kernel costs,
-//! replacing its hardware-derived defaults with numbers observed on
-//! the actual host (`phylomic --trace-out` writes them).
+//! tool (`jq`, pandas) reads it directly. The reader reads this
+//! writer's version only: a `meta` event of any other version, an
+//! unknown event type or op, and a missing field are each a
+//! [`TraceError`]; keys it does not know are skipped.
+//! `micsim::calibration` loads these events to fit measured per-call
+//! and per-site kernel costs, replacing its hardware-derived defaults
+//! with numbers observed on the actual host (`phylomic --trace-out`
+//! writes them).
 
-use crate::instrument::{KernelId, KernelStats};
+use crate::instrument::KernelStats;
 use crate::metrics::{MetricSample, MetricValue};
 use crate::span::TrackSnapshot;
 use std::fmt::Write as _;
@@ -39,21 +37,15 @@ use std::fmt::Write as _;
 /// Current trace schema version, recorded in the leading `meta` event.
 ///
 /// Version history: 1 = kernel + region events; 2 = meta/span/metric
-/// events, kernel quantile fields; 3 = meta carries the resolved kernel
-/// backend so reports attribute timings to an ISA; 4 = meta carries the
-/// resolved site-repeat compression mode (a `site_repeats` key, no
-/// longer written and ignored when read); 5 = `op` events with modeled
-/// roofline cost, and meta carries `spans_dropped` plus the host
-/// roofline (`roofline_mflops` / `roofline_mbps`, 0 = uncalibrated);
-/// 6 = meta carries the resolved replicated-search transport and its
-/// measured per-collective wire time (`transport`, `wire_ops`,
-/// `wire_ns`), so `trace-report` can place the measured AllReduce
-/// latency next to micsim's modeled interconnect cost; 7 = meta
-/// carries the resolved traversal cache-blocking mode (`blocking`), so
-/// reports attribute `newview` timings to the blocked or straight-line
-/// walk; 8 = meta carries the vector width of the resolved backend
-/// (`simd_width_bits`), so per-op timings name the bodies that ran.
-pub const TRACE_VERSION: u64 = 8;
+/// events, kernel quantile fields; 3 = meta `backend`; 4 = meta
+/// `site_repeats` (since dropped); 5 = `op` events with modeled
+/// roofline cost, meta `spans_dropped` and the host roofline
+/// (`roofline_mflops` / `roofline_mbps`, 0 = uncalibrated); 6 = meta
+/// `transport`, `wire_ops`, `wire_ns` (measured collectives); 7 = meta
+/// `blocking`; 8 = meta `simd_width_bits`; 9 = no `kernel` events (they
+/// repeated the sums of the `op` events), and the reader refuses every
+/// other version.
+pub const TRACE_VERSION: u64 = 9;
 
 /// One line of a trace file.
 #[derive(Clone, Debug, PartialEq)]
@@ -63,64 +55,38 @@ pub enum TraceEvent {
         /// Schema version the writer produced.
         version: u64,
         /// The resolved kernel backend the run used (`"scalar"` or
-        /// `"simd"`; older traces may say `"vector"`); empty when read
-        /// from a pre-v3 trace.
+        /// `"simd"`).
         backend: String,
         /// Vector width in bits the backend ran its matrix kernels with
         /// ([`crate::KernelKind::simd_width_bits`]: 512, 256, or 0 for
-        /// the scalar loops); 0 when read from a pre-v8 trace.
+        /// the scalar loops).
         simd_width_bits: u64,
         /// The resolved traversal cache-blocking mode (`"on"` or
         /// `"off"` — `auto` resolves against the pattern count before
-        /// the meta is written); empty when read from a pre-v7 trace.
+        /// the meta is written).
         blocking: String,
         /// Span events lost to per-thread ring overflow before export
-        /// (summed over tracks); 0 when nothing was dropped or when
-        /// read from a pre-v5 trace.
+        /// (summed over tracks).
         spans_dropped: u64,
         /// Calibrated host peak in MFLOP/s (`plf-prof` FMA probe);
-        /// 0 when the host was not calibrated or pre-v5. Integer
-        /// milli-G units keep the flat integer trace grammar.
+        /// 0 when the host was not calibrated. Integer milli-G units
+        /// keep the flat integer trace grammar.
         roofline_mflops: u64,
         /// Calibrated host STREAM-triad bandwidth in MB/s; 0 when
-        /// uncalibrated or pre-v5.
+        /// uncalibrated.
         roofline_mbps: u64,
         /// The replicated-search transport that ran the collectives
-        /// (`"threads"`, `"uds"`, `"tcp"`); empty for non-replicated
-        /// runs or pre-v6 traces.
+        /// (`"threads"`, `"uds"`); empty for non-replicated runs.
         transport: String,
         /// Collectives measured at the communicator call boundary,
-        /// summed over ranks; 0 for non-replicated runs or pre-v6.
+        /// summed over ranks; 0 for non-replicated runs.
         wire_ops: u64,
         /// Total wall time those collectives spent "on the wire",
         /// nanoseconds summed over ranks; 0 when `wire_ops` is 0.
         wire_ns: u64,
     },
-    /// Accumulated timing of one kernel at one source.
-    Kernel {
-        /// Where the stats came from (e.g. `"serial"`, `"worker3"`).
-        source: String,
-        /// Which kernel.
-        kernel: KernelId,
-        /// Invocation count.
-        calls: u64,
-        /// Total pattern-sites across the invocations.
-        sites: u64,
-        /// Summed wall time of the invocations, nanoseconds.
-        total_ns: u64,
-        /// Fastest single invocation, nanoseconds.
-        min_ns: u64,
-        /// Slowest single invocation, nanoseconds.
-        max_ns: u64,
-        /// Median invocation latency estimate, ns (0 if unknown).
-        p50_ns: u64,
-        /// 95th-percentile latency estimate, ns (0 if unknown).
-        p95_ns: u64,
-        /// 99th-percentile latency estimate, ns (0 if unknown).
-        p99_ns: u64,
-    },
     /// Accumulated cost-model roofline numbers of one concrete kernel
-    /// entry point at one source (schema v5).
+    /// entry point at one source.
     Op {
         /// Where the stats came from (e.g. `"serial"`, `"worker3"`).
         source: String,
@@ -178,14 +144,6 @@ pub enum TraceEvent {
         /// Value at snapshot time.
         value: u64,
     },
-    /// An event this reader does not understand (future schema
-    /// version). Preserved by [`TraceEvent::from_json`] so callers can
-    /// count them; dropped by [`parse_jsonl`].
-    Unknown {
-        /// The unrecognized `type` field (or `"kernel"` for a kernel
-        /// event naming an unknown kernel).
-        event_type: String,
-    },
 }
 
 impl TraceEvent {
@@ -211,33 +169,6 @@ impl TraceEvent {
                     escape(backend),
                     escape(blocking),
                     escape(transport)
-                );
-            }
-            TraceEvent::Kernel {
-                source,
-                kernel,
-                calls,
-                sites,
-                total_ns,
-                min_ns,
-                max_ns,
-                p50_ns,
-                p95_ns,
-                p99_ns,
-            } => {
-                let _ = write!(
-                    s,
-                    r#"{{"type":"kernel","source":"{}","kernel":"{}","calls":{},"sites":{},"total_ns":{},"min_ns":{},"max_ns":{},"p50_ns":{},"p95_ns":{},"p99_ns":{}}}"#,
-                    escape(source),
-                    kernel.paper_name(),
-                    calls,
-                    sites,
-                    total_ns,
-                    min_ns,
-                    max_ns,
-                    p50_ns,
-                    p95_ns,
-                    p99_ns
                 );
             }
             TraceEvent::Op {
@@ -314,9 +245,6 @@ impl TraceEvent {
                     value
                 );
             }
-            TraceEvent::Unknown { event_type } => {
-                let _ = write!(s, r#"{{"type":"{}"}}"#, escape(event_type));
-            }
         }
         s
     }
@@ -343,85 +271,41 @@ impl TraceEvent {
                 JsonValue::Int(_) => Err(TraceError(format!("field {k:?} must be a string"))),
             }
         };
-        // Absent numeric fields default to 0 so a reader of this
-        // version accepts events written before the field existed
-        // (e.g. v1 kernel events without quantiles).
-        let get_u64_or_0 = |k: &str| -> Result<u64, TraceError> {
-            match fields.iter().find(|(key, _)| key == k) {
-                None => Ok(0),
-                Some((_, JsonValue::Int(n))) => Ok(*n),
-                Some((_, JsonValue::Str(_))) => {
-                    Err(TraceError(format!("field {k:?} must be an integer")))
-                }
-            }
-        };
-        // Absent string fields default to empty so meta events from
-        // older schema versions still parse (backend is pre-v3).
-        let get_str_or_empty = |k: &str| -> Result<String, TraceError> {
-            match fields.iter().find(|(key, _)| key == k) {
-                Some((_, JsonValue::Str(s))) => Ok(s.clone()),
-                Some((_, JsonValue::Int(_))) => {
-                    Err(TraceError(format!("field {k:?} must be a string")))
-                }
-                None => Ok(String::new()),
-            }
-        };
         match get_str("type")? {
-            "meta" => Ok(TraceEvent::Meta {
-                version: get_u64("version")?,
-                backend: get_str_or_empty("backend")?,
-                // Pre-v8: no width field.
-                simd_width_bits: get_u64_or_0("simd_width_bits")?,
-                // Pre-v7: no blocking field.
-                blocking: get_str_or_empty("blocking")?,
-                // Pre-v5 metas carry none of these; default to 0.
-                spans_dropped: get_u64_or_0("spans_dropped")?,
-                roofline_mflops: get_u64_or_0("roofline_mflops")?,
-                roofline_mbps: get_u64_or_0("roofline_mbps")?,
-                // Pre-v6: no transport/wire fields.
-                transport: get_str_or_empty("transport")?,
-                wire_ops: get_u64_or_0("wire_ops")?,
-                wire_ns: get_u64_or_0("wire_ns")?,
-            }),
-            "kernel" => {
-                let name = get_str("kernel")?;
-                let Some(kernel) = KernelId::ALL.into_iter().find(|k| k.paper_name() == name)
-                else {
-                    // A kernel this reader predates: skippable, not fatal.
-                    return Ok(TraceEvent::Unknown {
-                        event_type: format!("kernel:{name}"),
-                    });
-                };
-                Ok(TraceEvent::Kernel {
-                    source: get_str("source")?.to_string(),
-                    kernel,
-                    calls: get_u64("calls")?,
-                    sites: get_u64("sites")?,
-                    total_ns: get_u64("total_ns")?,
-                    min_ns: get_u64("min_ns")?,
-                    max_ns: get_u64("max_ns")?,
-                    p50_ns: get_u64_or_0("p50_ns")?,
-                    p95_ns: get_u64_or_0("p95_ns")?,
-                    p99_ns: get_u64_or_0("p99_ns")?,
+            "meta" => {
+                let version = get_u64("version")?;
+                if version != TRACE_VERSION {
+                    return Err(TraceError(format!(
+                        "trace schema v{version} is not readable: this reader reads \
+                         v{TRACE_VERSION} only (re-record the trace)"
+                    )));
+                }
+                Ok(TraceEvent::Meta {
+                    version,
+                    backend: get_str("backend")?.to_string(),
+                    simd_width_bits: get_u64("simd_width_bits")?,
+                    blocking: get_str("blocking")?.to_string(),
+                    spans_dropped: get_u64("spans_dropped")?,
+                    roofline_mflops: get_u64("roofline_mflops")?,
+                    roofline_mbps: get_u64("roofline_mbps")?,
+                    transport: get_str("transport")?.to_string(),
+                    wire_ops: get_u64("wire_ops")?,
+                    wire_ns: get_u64("wire_ns")?,
                 })
             }
             "op" => {
                 let name = get_str("op")?;
-                let Some(op) = crate::cost::KernelOp::from_name(name) else {
-                    // An entry point this reader predates.
-                    return Ok(TraceEvent::Unknown {
-                        event_type: format!("op:{name}"),
-                    });
-                };
+                let op = crate::cost::KernelOp::from_name(name)
+                    .ok_or_else(|| TraceError(format!("unknown op {name:?} in {line:?}")))?;
                 Ok(TraceEvent::Op {
                     source: get_str("source")?.to_string(),
                     op,
                     calls: get_u64("calls")?,
                     sites: get_u64("sites")?,
                     total_ns: get_u64("total_ns")?,
-                    flops: get_u64_or_0("flops")?,
-                    bytes_read: get_u64_or_0("bytes_read")?,
-                    bytes_written: get_u64_or_0("bytes_written")?,
+                    flops: get_u64("flops")?,
+                    bytes_read: get_u64("bytes_read")?,
+                    bytes_written: get_u64("bytes_written")?,
                 })
             }
             "region" => Ok(TraceEvent::Region {
@@ -437,7 +321,7 @@ impl TraceEvent {
                 name: get_str("name")?.to_string(),
                 start_ns: get_u64("start_ns")?,
                 dur_ns: get_u64("dur_ns")?,
-                depth: get_u64_or_0("depth")?,
+                depth: get_u64("depth")?,
             }),
             "metric" => Ok(TraceEvent::Metric {
                 source: get_str("source")?.to_string(),
@@ -445,9 +329,9 @@ impl TraceEvent {
                 kind: get_str("kind")?.to_string(),
                 value: get_u64("value")?,
             }),
-            other => Ok(TraceEvent::Unknown {
-                event_type: other.to_string(),
-            }),
+            other => Err(TraceError(format!(
+                "unknown event type {other:?} in {line:?}"
+            ))),
         }
     }
 }
@@ -464,32 +348,12 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// Converts one source's [`KernelStats`] into trace events: one
-/// `kernel` event per kernel with at least one call, one `op` event
-/// per concrete entry point with at least one call (carrying the
-/// modeled roofline cost), plus one `region` event if any parallel
-/// regions were recorded.
+/// Converts one source's [`KernelStats`] into trace events: one `op`
+/// event per concrete entry point with at least one call (carrying the
+/// modeled roofline cost), in [`crate::cost::KernelOp::ALL`] order,
+/// plus one `region` event if any parallel regions were recorded.
 pub fn events_from_stats(source: &str, stats: &KernelStats) -> Vec<TraceEvent> {
     let mut out = Vec::new();
-    for kernel in KernelId::ALL {
-        let c = stats.get(kernel);
-        if c.calls == 0 {
-            continue;
-        }
-        let h = stats.timing(kernel);
-        out.push(TraceEvent::Kernel {
-            source: source.to_string(),
-            kernel,
-            calls: c.calls,
-            sites: c.sites,
-            total_ns: h.total_ns(),
-            min_ns: h.min_ns().unwrap_or(0),
-            max_ns: h.max_ns().unwrap_or(0),
-            p50_ns: h.p50_ns().unwrap_or(0),
-            p95_ns: h.p95_ns().unwrap_or(0),
-            p99_ns: h.p99_ns().unwrap_or(0),
-        });
-    }
     for op in crate::cost::KernelOp::ALL {
         let o = stats.op(op);
         if o.calls == 0 {
@@ -512,9 +376,9 @@ pub fn events_from_stats(source: &str, stats: &KernelStats) -> Vec<TraceEvent> {
             source: source.to_string(),
             count: r.count,
             fork_total_ns: r.fork.total_ns(),
-            fork_max_ns: r.fork.max_ns().unwrap_or(0),
+            fork_max_ns: r.fork.max_ns(),
             join_total_ns: r.join.total_ns(),
-            join_max_ns: r.join.max_ns().unwrap_or(0),
+            join_max_ns: r.join.max_ns(),
         });
     }
     out
@@ -572,22 +436,24 @@ pub fn write_jsonl(events: &[TraceEvent]) -> String {
     s
 }
 
-/// Parses a JSONL document; blank lines are skipped, and events of
-/// unknown type (a newer schema version) are dropped rather than
-/// rejected. Malformed lines still error.
+/// Parses a JSONL document; blank lines are skipped, and the first
+/// line [`TraceEvent::from_json`] refuses fails the document.
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, TraceError> {
-    let parsed: Result<Vec<TraceEvent>, TraceError> = text
-        .lines()
+    text.lines()
         .filter(|l| !l.trim().is_empty())
         .map(TraceEvent::from_json)
-        .collect();
-    Ok(parsed?
-        .into_iter()
-        .filter(|e| !matches!(e, TraceEvent::Unknown { .. }))
-        .collect())
+        .collect()
 }
 
-pub(crate) fn escape(s: &str) -> String {
+/// Escapes `s` for a JSON string literal: `"` and `\`, and every
+/// control character (as `\n`, `\t`, `\r` or `\u00XX`).
+///
+/// One of the workspace's two escapers, with `plf_prof::json::escape`.
+/// They stay two because neither crate may depend on the other:
+/// `plf_e2e/Cargo.lock` is committed with the benchmark and pins the
+/// dependency edges of `plf-core` and `plf-prof`, so a new edge between
+/// them would rewrite it.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -724,42 +590,40 @@ fn parse_string(bytes: &[u8], i: usize) -> Result<(String, usize), &'static str>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::KernelOp;
 
-    #[test]
-    fn kernel_event_roundtrips() {
-        let e = TraceEvent::Kernel {
-            source: "worker3".into(),
-            kernel: KernelId::Newview,
-            calls: 42,
-            sites: 7000,
-            total_ns: 123_456,
-            min_ns: 800,
-            max_ns: 9_000,
-            p50_ns: 2_000,
-            p95_ns: 8_000,
-            p99_ns: 8_900,
-        };
-        let line = e.to_json();
-        assert!(line.starts_with(r#"{"type":"kernel""#), "{line}");
-        assert!(line.contains(r#""p95_ns":8000"#), "{line}");
-        assert_eq!(TraceEvent::from_json(&line).unwrap(), e);
+    fn meta() -> TraceEvent {
+        TraceEvent::Meta {
+            version: TRACE_VERSION,
+            backend: "simd".into(),
+            simd_width_bits: 512,
+            blocking: "on".into(),
+            spans_dropped: 3,
+            roofline_mflops: 12_400,
+            roofline_mbps: 21_000,
+            transport: "uds".into(),
+            wire_ops: 42,
+            wire_ns: 9_000_000,
+        }
+    }
+
+    fn op_event(source: &str) -> TraceEvent {
+        TraceEvent::Op {
+            source: source.into(),
+            op: KernelOp::NewviewIi,
+            calls: 12,
+            sites: 12_000,
+            total_ns: 3_264_000,
+            flops: 3_264_000,
+            bytes_read: 3_168_000,
+            bytes_written: 1_584_000,
+        }
     }
 
     #[test]
     fn meta_span_and_metric_events_roundtrip() {
         let events = vec![
-            TraceEvent::Meta {
-                version: TRACE_VERSION,
-                backend: "simd".into(),
-                simd_width_bits: 512,
-                blocking: "on".into(),
-                spans_dropped: 3,
-                roofline_mflops: 12_400,
-                roofline_mbps: 21_000,
-                transport: "uds".into(),
-                wire_ops: 42,
-                wire_ns: 9_000_000,
-            },
+            meta(),
             TraceEvent::Span {
                 source: "worker1".into(),
                 name: "spr_round".into(),
@@ -794,18 +658,7 @@ mod tests {
     #[test]
     fn jsonl_roundtrips_and_skips_blanks() {
         let events = vec![
-            TraceEvent::Kernel {
-                source: "serial".into(),
-                kernel: KernelId::Evaluate,
-                calls: 1,
-                sites: 10,
-                total_ns: 99,
-                min_ns: 99,
-                max_ns: 99,
-                p50_ns: 99,
-                p95_ns: 99,
-                p99_ns: 99,
-            },
+            op_event("serial"),
             TraceEvent::Region {
                 source: "master".into(),
                 count: 2,
@@ -823,51 +676,46 @@ mod tests {
     #[test]
     fn stats_export_covers_active_kernels_and_regions() {
         let mut s = KernelStats::new();
-        s.record_timed(KernelId::Newview, 100, 5_000);
-        s.record_timed(KernelId::Newview, 100, 7_000);
-        s.record_timed(KernelId::Evaluate, 100, 1_000);
+        s.record_op_timed(KernelOp::NewviewIi, 100, 5_000);
+        s.record_op_timed(KernelOp::NewviewIi, 100, 7_000);
+        s.record_op_timed(KernelOp::EvaluateIi, 100, 1_000);
         s.record_region(50, 2_000);
         let events = events_from_stats("w0", &s);
-        assert_eq!(events.len(), 3); // 2 kernels + 1 region block
+        assert_eq!(events.len(), 3); // 2 ops + 1 region block
         match &events[0] {
-            TraceEvent::Kernel {
-                kernel,
+            TraceEvent::Op {
+                op,
                 calls,
                 sites,
                 total_ns,
-                min_ns,
-                max_ns,
+                flops,
                 ..
             } => {
-                assert_eq!(*kernel, KernelId::Newview);
-                assert_eq!((*calls, *sites), (2, 200));
-                assert_eq!((*total_ns, *min_ns, *max_ns), (12_000, 5_000, 7_000));
+                assert_eq!(*op, KernelOp::NewviewIi);
+                assert_eq!((*calls, *sites, *total_ns), (2, 200, 12_000));
+                assert_eq!(*flops, KernelOp::NewviewIi.cost(200).flops);
             }
-            other => panic!("expected kernel event, got {other:?}"),
+            other => panic!("expected op event, got {other:?}"),
         }
         assert!(matches!(
             events.last().unwrap(),
-            TraceEvent::Region { count: 1, .. }
+            TraceEvent::Region {
+                count: 1,
+                fork_max_ns: 50,
+                join_max_ns: 2_000,
+                ..
+            }
         ));
-        // Idle kernels produce no events.
-        assert!(!write_jsonl(&events).contains("derivativeSum"));
+        // Idle ops produce no events.
+        assert!(!write_jsonl(&events).contains("derivative"));
     }
 
     #[test]
     fn escaped_sources_roundtrip() {
-        let e = TraceEvent::Kernel {
-            source: "od\"d\\na\tme\u{1}".into(),
-            kernel: KernelId::DerivativeCore,
-            calls: 1,
-            sites: 1,
-            total_ns: 1,
-            min_ns: 1,
-            max_ns: 1,
-            p50_ns: 1,
-            p95_ns: 1,
-            p99_ns: 1,
-        };
-        assert_eq!(TraceEvent::from_json(&e.to_json()).unwrap(), e);
+        let e = op_event("od\"d\\na\tme\u{1}");
+        let line = e.to_json();
+        assert!(!line.bytes().any(|b| b < 0x20), "{line:?}");
+        assert_eq!(TraceEvent::from_json(&line).unwrap(), e);
     }
 
     #[test]
@@ -876,139 +724,77 @@ mod tests {
             "",
             "not json",
             "{}",
-            r#"{"type":"kernel"}"#,
-            r#"{"type":"kernel","source":"s","kernel":"newview","calls":"one","sites":1,"total_ns":1,"min_ns":1,"max_ns":1}"#,
+            r#"{"type":"op"}"#,
+            r#"{"type":"op","source":"s","op":"newview_ii","calls":"one","sites":1,"total_ns":1,"flops":1,"bytes_read":1,"bytes_written":1}"#,
         ] {
             assert!(TraceEvent::from_json(bad).is_err(), "accepted {bad:?}");
         }
     }
 
     #[test]
-    fn forward_compat_skips_unknown_types_keys_and_kernels() {
-        // A "future" document: higher version, an event type we've
-        // never heard of, an extra key on a known event, and a kernel
-        // name this build doesn't implement.
-        let doc = concat!(
-            r#"{"type":"meta","version":99}"#,
-            "\n",
-            r#"{"type":"gpu_kernel","source":"cuda0","warp_ns":123}"#,
-            "\n",
-            r#"{"type":"kernel","source":"s","kernel":"newview","calls":1,"sites":10,"total_ns":50,"min_ns":50,"max_ns":50,"p50_ns":50,"p95_ns":50,"p99_ns":50,"future_field":7}"#,
-            "\n",
-            r#"{"type":"kernel","source":"s","kernel":"hyperview","calls":1,"sites":1,"total_ns":1,"min_ns":1,"max_ns":1}"#,
-            "\n",
-        );
-        let events = parse_jsonl(doc).unwrap();
-        // The unknown event type and unknown kernel were dropped; the
-        // recognizable events survived, extra key ignored.
-        assert_eq!(events.len(), 2);
-        // Pre-v3 meta without a backend parses with empty strings.
-        assert_eq!(
-            events[0],
-            TraceEvent::Meta {
-                version: 99,
-                backend: String::new(),
-                simd_width_bits: 0,
-                blocking: String::new(),
-                spans_dropped: 0,
-                roofline_mflops: 0,
-                roofline_mbps: 0,
-                transport: String::new(),
-                wire_ops: 0,
-                wire_ns: 0,
-            }
-        );
-        assert!(
-            matches!(&events[1], TraceEvent::Kernel { kernel, calls: 1, .. }
-                if *kernel == KernelId::Newview)
-        );
-        // from_json exposes the skipped ones as Unknown.
-        assert_eq!(
-            TraceEvent::from_json(r#"{"type":"gpu_kernel","source":"x"}"#).unwrap(),
-            TraceEvent::Unknown {
-                event_type: "gpu_kernel".into()
-            }
-        );
-        // So does a type this reader once knew: no writer has emitted
-        // `metric_hist` since the histogram metric kind was removed.
-        let hist = r#"{"type":"metric_hist","source":"process","name":"barrier.wait_ns","count":12,"total_ns":9000}"#;
-        assert_eq!(
-            TraceEvent::from_json(hist).unwrap(),
-            TraceEvent::Unknown {
-                event_type: "metric_hist".into()
-            }
-        );
-        assert_eq!(parse_jsonl(&format!("{hist}\n")).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn op_event_roundtrips_and_unknown_op_degrades() {
-        let e = TraceEvent::Op {
-            source: "worker0".into(),
-            op: crate::cost::KernelOp::NewviewIi,
-            calls: 12,
-            sites: 12_000,
-            total_ns: 3_264_000,
-            flops: 3_264_000,
-            bytes_read: 3_168_000,
-            bytes_written: 1_584_000,
-        };
+    fn op_event_roundtrips_and_unknown_op_is_refused() {
+        let e = op_event("worker0");
         let line = e.to_json();
         assert!(line.contains(r#""op":"newview_ii""#), "{line}");
         assert_eq!(TraceEvent::from_json(&line).unwrap(), e);
-        // An op name from a future schema degrades to Unknown instead
-        // of failing the whole file.
-        assert_eq!(
-            TraceEvent::from_json(
-                r#"{"type":"op","source":"s","op":"newview_quantum","calls":1,"sites":1,"total_ns":1,"flops":1,"bytes_read":1,"bytes_written":1}"#
-            )
-            .unwrap(),
-            TraceEvent::Unknown {
-                event_type: "op:newview_quantum".into()
-            }
-        );
+        let err = TraceEvent::from_json(
+            r#"{"type":"op","source":"s","op":"newview_quantum","calls":1,"sites":1,"total_ns":1,"flops":1,"bytes_read":1,"bytes_written":1}"#,
+        )
+        .unwrap_err();
+        assert!(err.0.contains("unknown op \"newview_quantum\""), "{err}");
     }
 
     #[test]
-    fn v4_meta_lines_parse_under_v7_reader() {
-        // Exactly what a v4 writer produced: no spans_dropped, no
-        // roofline fields, no transport/wire/blocking fields — and
-        // the `site_repeats` key every writer up to PR 19 emitted,
-        // which this reader skips like any key it does not know.
-        let line = r#"{"type":"meta","version":4,"backend":"vector","site_repeats":"off"}"#;
-        assert_eq!(
-            TraceEvent::from_json(line).unwrap(),
-            TraceEvent::Meta {
-                version: 4,
-                backend: "vector".into(),
-                simd_width_bits: 0,
-                blocking: String::new(),
-                spans_dropped: 0,
-                roofline_mflops: 0,
-                roofline_mbps: 0,
-                transport: String::new(),
-                wire_ops: 0,
-                wire_ns: 0,
+    fn other_versions_unknown_types_and_missing_fields_are_refused() {
+        // Every field of every event is required: drop any one key of
+        // a written line and the line is refused, naming it.
+        for e in [
+            meta(),
+            op_event("s"),
+            TraceEvent::Region {
+                source: "master".into(),
+                count: 1,
+                fork_total_ns: 1,
+                fork_max_ns: 1,
+                join_total_ns: 1,
+                join_max_ns: 1,
+            },
+        ] {
+            let line = e.to_json();
+            let body = &line[1..line.len() - 1];
+            for field in body.split(',').skip(1) {
+                let key = field.split(':').next().unwrap();
+                let cut = line.replace(&format!(",{field}"), "");
+                let err = TraceEvent::from_json(&cut).unwrap_err();
+                assert!(err.0.contains(&format!("missing field {key}")), "{err}");
             }
-        );
-    }
-
-    #[test]
-    fn v1_kernel_lines_without_quantiles_still_parse() {
-        let line = r#"{"type":"kernel","source":"s","kernel":"evaluate","calls":3,"sites":30,"total_ns":300,"min_ns":90,"max_ns":110}"#;
-        match TraceEvent::from_json(line).unwrap() {
-            TraceEvent::Kernel {
-                p50_ns,
-                p95_ns,
-                p99_ns,
-                calls,
-                ..
-            } => {
-                assert_eq!((p50_ns, p95_ns, p99_ns), (0, 0, 0));
-                assert_eq!(calls, 3);
-            }
-            other => panic!("expected kernel, got {other:?}"),
         }
+        // A meta of any other version fails the whole document, naming
+        // the version; so does an event type this reader does not
+        // write — `kernel` (v1–v8) among them.
+        for version in [1, 8, 10] {
+            let doc = meta().to_json().replace(
+                &format!(r#""version":{TRACE_VERSION}"#),
+                &format!(r#""version":{version}"#),
+            );
+            let err = parse_jsonl(&doc).unwrap_err();
+            assert!(
+                err.0.contains(&format!("v{version} is not readable")),
+                "{err}"
+            );
+        }
+        for line in [
+            r#"{"type":"kernel","source":"s","kernel":"newview","calls":1,"sites":10,"total_ns":50,"min_ns":50,"max_ns":50}"#,
+            r#"{"type":"gpu_kernel","source":"cuda0","warp_ns":123}"#,
+        ] {
+            let err = parse_jsonl(&format!("{}\n{line}\n", meta().to_json())).unwrap_err();
+            assert!(err.0.contains("unknown event type"), "{err}");
+        }
+        // Keys the reader does not know are skipped.
+        let extra = op_event("s")
+            .to_json()
+            .replace('}', r#","future_field":7}"#);
+        assert_eq!(TraceEvent::from_json(&extra).unwrap(), op_event("s"));
     }
 
     #[test]

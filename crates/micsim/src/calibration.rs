@@ -105,16 +105,17 @@ pub const SERIAL_OVERHEAD_S: f64 = 0.05;
 // The constants above are derived from hardware datasheets and the
 // paper's reported numbers. Since the kernel-timing trace work, the
 // model can also be anchored to *measured* host timings: `phylomic
-// --trace-out run.jsonl` dumps per-source kernel aggregates, and
+// --trace-out run.jsonl` dumps per-source op aggregates, and
 // [`MeasuredHostCosts`] fits each kernel's linear cost model
-// `total_ns ≈ per_call_ns · calls + per_site_ns · sites` from those
-// events by least squares. The per-site slope replaces the roofline
-// `site_time` for the host platform, and the per-call intercept plus
-// region fork/join latencies calibrate the synchronization constants.
+// `total_ns ≈ per_call_ns · calls + per_site_ns · sites` from their
+// per-source kernel sums by least squares. The per-site slope
+// replaces the roofline `site_time` for the host platform, and the
+// per-call intercept plus region fork/join latencies calibrate the
+// synchronization constants.
 // ---------------------------------------------------------------------
 
 use plf_core::trace::{parse_jsonl, TraceEvent};
-use plf_core::KernelId;
+use plf_core::{KernelId, KernelStats};
 
 /// The linear cost model of one kernel, fit from measured timings.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -166,31 +167,36 @@ impl std::fmt::Display for CalibrationError {
 impl std::error::Error for CalibrationError {}
 
 impl MeasuredHostCosts {
-    /// Fits per-kernel costs from trace events. Each `kernel` event is
-    /// one sample `(calls, sites, total_ns)`; sources with different
-    /// slice widths (fork-join workers) give the fit the spread in
-    /// sites-per-call it needs to separate the per-call intercept from
-    /// the per-site slope. Requires at least one kernel sample with
-    /// nonzero calls.
+    /// Fits per-kernel costs from trace events. A run of consecutive
+    /// `op` events of one source is that source's stats (what
+    /// `events_from_stats` writes for it), and [`KernelStats::get`] of
+    /// it for one kernel is one sample `(calls, sites, total_ns)`;
+    /// sources with different slice widths (fork-join workers) give
+    /// the fit the spread in sites-per-call it needs to separate the
+    /// per-call intercept from the per-site slope. Requires at least
+    /// one kernel sample with nonzero calls.
     pub fn from_events(events: &[TraceEvent]) -> Result<MeasuredHostCosts, CalibrationError> {
-        let mut samples: [Vec<(f64, f64, f64)>; 4] = Default::default();
+        let mut sources: Vec<KernelStats> = Vec::new();
+        let mut open = None;
         let mut region_count = 0u64;
         let mut fork_total = 0u64;
         let mut join_total = 0u64;
         for e in events {
             match e {
-                TraceEvent::Kernel {
-                    kernel,
+                TraceEvent::Op {
+                    source,
+                    op,
                     calls,
                     sites,
                     total_ns,
                     ..
-                } if *calls > 0 => {
-                    samples[kernel_index(*kernel)].push((
-                        *calls as f64,
-                        *sites as f64,
-                        *total_ns as f64,
-                    ));
+                } => {
+                    if open != Some(source) {
+                        sources.push(KernelStats::new());
+                        open = Some(source);
+                    }
+                    let stats = sources.last_mut().expect("pushed for this source");
+                    stats.add(*op, *calls, *sites, *total_ns);
                 }
                 TraceEvent::Region {
                     count,
@@ -201,8 +207,18 @@ impl MeasuredHostCosts {
                     region_count += count;
                     fork_total += fork_total_ns;
                     join_total += join_total_ns;
+                    open = None;
                 }
-                _ => {}
+                _ => open = None,
+            }
+        }
+        let mut samples: [Vec<(f64, f64, f64)>; 4] = Default::default();
+        for stats in &sources {
+            for (i, kernel) in KernelId::ALL.into_iter().enumerate() {
+                let c = stats.get(kernel);
+                if c.calls > 0 {
+                    samples[i].push((c.calls as f64, c.sites as f64, c.total_ns as f64));
+                }
             }
         }
         if samples.iter().all(|s| s.is_empty()) {
@@ -326,6 +342,7 @@ fn fit_linear(samples: &[(f64, f64, f64)]) -> KernelCostFit {
 mod tests {
     use super::*;
     use crate::platform::PlatformKind::*;
+    use plf_core::KernelOp;
 
     #[test]
     fn efficiencies_are_fractions() {
@@ -359,6 +376,19 @@ mod tests {
         assert!((2.7..2.9).contains(&ratio), "ratio {ratio}");
     }
 
+    fn op_event(source: &str, op: KernelOp, calls: u64, sites: u64, total_ns: u64) -> TraceEvent {
+        TraceEvent::Op {
+            source: source.into(),
+            op,
+            calls,
+            sites,
+            total_ns,
+            flops: 0,
+            bytes_read: 0,
+            bytes_written: 0,
+        }
+    }
+
     /// Synthesizes worker trace events from a known ground-truth cost
     /// model `t = a·calls + b·sites`.
     fn synth_events(a: f64, b: f64, widths: &[u64]) -> Vec<TraceEvent> {
@@ -369,18 +399,13 @@ mod tests {
                 let calls = 40u64;
                 let sites = calls * sites_per_call;
                 let total = (a * calls as f64 + b * sites as f64).round() as u64;
-                TraceEvent::Kernel {
-                    source: format!("worker{i}"),
-                    kernel: KernelId::Newview,
+                op_event(
+                    &format!("worker{i}"),
+                    KernelOp::NewviewIi,
                     calls,
                     sites,
-                    total_ns: total,
-                    min_ns: 0,
-                    max_ns: total,
-                    p50_ns: 0,
-                    p95_ns: 0,
-                    p99_ns: 0,
-                }
+                    total,
+                )
             })
             .collect()
     }
@@ -423,30 +448,8 @@ mod tests {
     fn fit_coefficients_never_negative() {
         // Adversarial noise: decreasing totals with increasing sites.
         let events = vec![
-            TraceEvent::Kernel {
-                source: "w0".into(),
-                kernel: KernelId::Evaluate,
-                calls: 10,
-                sites: 100,
-                total_ns: 10_000,
-                min_ns: 0,
-                max_ns: 0,
-                p50_ns: 0,
-                p95_ns: 0,
-                p99_ns: 0,
-            },
-            TraceEvent::Kernel {
-                source: "w1".into(),
-                kernel: KernelId::Evaluate,
-                calls: 10,
-                sites: 10_000,
-                total_ns: 9_000,
-                min_ns: 0,
-                max_ns: 0,
-                p50_ns: 0,
-                p95_ns: 0,
-                p99_ns: 0,
-            },
+            op_event("w0", KernelOp::EvaluateIi, 10, 100, 10_000),
+            op_event("w1", KernelOp::EvaluateIi, 10, 10_000, 9_000),
         ];
         let costs = MeasuredHostCosts::from_events(&events).unwrap();
         let fit = costs.fit(KernelId::Evaluate);
@@ -484,6 +487,55 @@ mod tests {
             fit.per_call_ns
         );
         assert!((fit.per_site_ns - 20.0).abs() < 0.01, "{}", fit.per_site_ns);
+    }
+
+    #[test]
+    fn fit_from_op_events_is_bit_equal_to_per_source_kernel_sums() {
+        // Three sources of different slice widths, each calling every
+        // op, the kernels with two or three ops among them. The fit
+        // from their `op` events must be, bit for bit, the fit of the
+        // samples `get(kernel)` gives per source — the triples a v8
+        // `kernel` event carried.
+        let mut events = Vec::new();
+        let mut expect: [Vec<(f64, f64, f64)>; 4] = Default::default();
+        for (i, width) in [300u64, 700, 1100].into_iter().enumerate() {
+            let mut stats = KernelStats::new();
+            for (j, op) in KernelOp::ALL.into_iter().enumerate() {
+                for call in 0..(3 + j as u64) {
+                    let ns = 1_000 + 37 * width + 911 * call + 101 * j as u64 + i as u64;
+                    stats.record_op_timed(op, (width - call) as usize, ns);
+                }
+            }
+            stats.record_region(40, 900);
+            events.extend(plf_core::trace::events_from_stats(
+                &format!("worker{i}"),
+                &stats,
+            ));
+            for kernel in KernelId::ALL {
+                let c = stats.get(kernel);
+                expect[kernel_index(kernel)].push((
+                    c.calls as f64,
+                    c.sites as f64,
+                    c.total_ns as f64,
+                ));
+            }
+        }
+        let costs = MeasuredHostCosts::from_events(&events).unwrap();
+        for kernel in KernelId::ALL {
+            let (got, want) = (costs.fit(kernel), fit_linear(&expect[kernel_index(kernel)]));
+            assert_eq!(got.samples, 3, "{kernel:?}");
+            assert_eq!(got.samples, want.samples, "{kernel:?}");
+            assert_eq!(
+                got.per_call_ns.to_bits(),
+                want.per_call_ns.to_bits(),
+                "{kernel:?}"
+            );
+            assert_eq!(
+                got.per_site_ns.to_bits(),
+                want.per_site_ns.to_bits(),
+                "{kernel:?}"
+            );
+        }
     }
 
     #[test]

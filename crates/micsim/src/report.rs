@@ -7,11 +7,13 @@
 //! per-slice load imbalance over the computing master and its workers
 //! (the Fig. 4 efficiency ceiling), and the
 //! measured per-call/per-site kernel cost table that feeds
-//! [`crate::calibration::MeasuredHostCosts`].
+//! [`crate::calibration::MeasuredHostCosts`]. Every kernel number is a
+//! sum of `op` events: per kernel for the shares, per source for the
+//! load rows.
 
 use crate::calibration::MeasuredHostCosts;
-use plf_core::trace::{parse_jsonl, TraceEvent};
-use plf_core::{KernelId, KernelOp};
+use plf_core::trace::{escape, parse_jsonl, TraceEvent};
+use plf_core::{KernelId, KernelOp, OpCost};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -28,62 +30,6 @@ pub struct KernelRow {
     pub total_ns: u64,
     /// Fraction of the summed kernel time spent in this kernel.
     pub share: f64,
-    /// Call-weighted mean of the sources' median latencies, ns.
-    pub p50_ns: u64,
-    /// Call-weighted mean of the sources' p95 latencies, ns.
-    pub p95_ns: u64,
-    /// Call-weighted mean of the sources' p99 latencies, ns.
-    pub p99_ns: u64,
-}
-
-/// One concrete kernel entry point's aggregate across every source,
-/// with the modeled roofline cost carried by v5 `op` events.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OpRow {
-    /// Which entry point.
-    pub op: KernelOp,
-    /// Invocations summed over sources.
-    pub calls: u64,
-    /// Pattern-sites summed over sources.
-    pub sites: u64,
-    /// Wall time summed over sources, nanoseconds.
-    pub total_ns: u64,
-    /// Modeled floating-point operations.
-    pub flops: u64,
-    /// Modeled bytes read from the site-major arrays.
-    pub bytes_read: u64,
-    /// Modeled bytes written.
-    pub bytes_written: u64,
-}
-
-impl OpRow {
-    /// Achieved GFLOP/s (`flops / total_ns`); 0 with no timing.
-    pub fn gflops(&self) -> f64 {
-        if self.total_ns == 0 {
-            0.0
-        } else {
-            self.flops as f64 / self.total_ns as f64
-        }
-    }
-
-    /// Achieved GB/s over read+write traffic; 0 with no timing.
-    pub fn gbps(&self) -> f64 {
-        if self.total_ns == 0 {
-            0.0
-        } else {
-            (self.bytes_read + self.bytes_written) as f64 / self.total_ns as f64
-        }
-    }
-
-    /// Arithmetic intensity, flops per byte of traffic.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let bytes = self.bytes_read + self.bytes_written;
-        if bytes == 0 {
-            0.0
-        } else {
-            self.flops as f64 / bytes as f64
-        }
-    }
 }
 
 /// Calibrated machine peaks from the `meta` event, used to place each
@@ -122,7 +68,7 @@ impl Roofline {
 
     /// Fraction of the attainable roof an op achieves; `None` when the
     /// roofline is uncalibrated or the op has no timing.
-    pub fn fraction_of_roof(&self, row: &OpRow) -> Option<f64> {
+    pub fn fraction_of_roof(&self, row: &OpCost) -> Option<f64> {
         if !self.is_calibrated() || row.total_ns == 0 {
             return None;
         }
@@ -180,36 +126,32 @@ pub struct TraceReport {
     /// Schema version from the `meta` event, if present.
     pub version: Option<u64>,
     /// Resolved kernel backend from the `meta` event (`"simd"`,
-    /// `"scalar"`, …); `None` for pre-v3 traces, which did not record
-    /// it.
+    /// `"scalar"`); `None` without a meta event.
     pub backend: Option<String>,
     /// Vector width in bits the backend ran its matrix kernels with
-    /// (512 / 256, 0 for the scalar loops), from the v8 `meta` event;
-    /// `None` for older traces, which did not record it.
+    /// (512 / 256, 0 for the scalar loops), from the `meta` event.
     pub simd_width_bits: Option<u64>,
     /// Resolved traversal cache-blocking mode from the `meta` event
-    /// (`"on"` / `"off"`); `None` for pre-v7 traces.
+    /// (`"on"` / `"off"`).
     pub blocking: Option<String>,
-    /// Spans lost to ring-buffer overflow, from the v5 `meta` event
-    /// (0 for older traces).
+    /// Spans lost to ring-buffer overflow, from the `meta` event.
     pub spans_dropped: u64,
-    /// Calibrated host peaks from the v5 `meta` event; uncalibrated
-    /// (all-zero) for older traces or hosts without `HOST_ROOFLINE.json`.
+    /// Calibrated host peaks from the `meta` event; uncalibrated
+    /// (all-zero) for hosts without `HOST_ROOFLINE.json`.
     pub roofline: Roofline,
-    /// The replicated-search transport from the v6 `meta` event
-    /// (`"threads"`, `"uds"`); `None` for non-replicated runs and
-    /// pre-v6 traces.
+    /// The replicated-search transport from the `meta` event
+    /// (`"threads"`, `"uds"`); `None` for non-replicated runs.
     pub transport: Option<String>,
-    /// Measured collectives from the v6 `meta` event (summed over
-    /// ranks); 0 for non-replicated runs and pre-v6 traces.
+    /// Measured collectives from the `meta` event (summed over
+    /// ranks); 0 for non-replicated runs.
     pub wire_ops: u64,
     /// Total measured in-collective wall time, ns (summed over ranks).
     pub wire_ns: u64,
     /// Per-kernel aggregates, descending by total time.
     pub kernels: Vec<KernelRow>,
     /// Per-entry-point aggregates with modeled costs, descending by
-    /// total time; empty for pre-v5 traces.
-    pub ops: Vec<OpRow>,
+    /// total time.
+    pub ops: Vec<(KernelOp, OpCost)>,
     /// Summed kernel time across all sources, ns.
     pub total_kernel_ns: u64,
     /// Fork/join summary; `None` for serial traces.
@@ -225,7 +167,7 @@ pub struct TraceReport {
     pub spans: Vec<SpanRow>,
     /// Counter/gauge readings (`name`, `kind`, `value`), sorted.
     pub metrics: Vec<(String, String, u64)>,
-    /// Measured kernel cost fits; `None` if no kernel events.
+    /// Measured kernel cost fits; `None` if no `op` events.
     pub costs: Option<MeasuredHostCosts>,
 }
 
@@ -241,11 +183,9 @@ impl TraceReport {
         let mut transport = None;
         let mut wire_ops = 0u64;
         let mut wire_ns = 0u64;
-        // kernel -> (calls, sites, total, Σcalls·p50, Σcalls·p95, Σcalls·p99)
-        let mut per_kernel: BTreeMap<&'static str, (KernelId, [u64; 3], [u128; 3])> =
-            BTreeMap::new();
-        let mut per_op: BTreeMap<usize, OpRow> = BTreeMap::new();
-        let mut per_worker: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+        let mut per_kernel: BTreeMap<&'static str, KernelRow> = BTreeMap::new();
+        let mut per_op: BTreeMap<usize, (KernelOp, OpCost)> = BTreeMap::new();
+        let mut per_worker: BTreeMap<String, WorkerRow> = BTreeMap::new();
         let mut region_count = 0u64;
         let mut fork_total = 0u64;
         let mut join_total = 0u64;
@@ -267,15 +207,9 @@ impl TraceReport {
                     wire_ns: wn,
                 } => {
                     version = Some(*v);
-                    if !b.is_empty() {
-                        backend = Some(b.clone());
-                    }
-                    if *v >= 8 {
-                        simd_width_bits = Some(*width);
-                    }
-                    if !bl.is_empty() {
-                        blocking = Some(bl.clone());
-                    }
+                    backend = Some(b.clone());
+                    simd_width_bits = Some(*width);
+                    blocking = Some(bl.clone());
                     spans_dropped += sd;
                     if *roofline_mflops > 0 {
                         roofline.peak_mflops = *roofline_mflops;
@@ -290,6 +224,7 @@ impl TraceReport {
                     wire_ns += wn;
                 }
                 TraceEvent::Op {
+                    source,
                     op,
                     calls,
                     sites,
@@ -297,48 +232,38 @@ impl TraceReport {
                     flops,
                     bytes_read,
                     bytes_written,
-                    ..
                 } => {
-                    let row = per_op.entry(op.index()).or_insert(OpRow {
-                        op: *op,
+                    per_op
+                        .entry(op.index())
+                        .or_insert((*op, OpCost::default()))
+                        .1
+                        .merge(&OpCost {
+                            calls: *calls,
+                            sites: *sites,
+                            total_ns: *total_ns,
+                            flops: *flops,
+                            bytes_read: *bytes_read,
+                            bytes_written: *bytes_written,
+                        });
+                    let kernel = op.kernel_id();
+                    let k = per_kernel.entry(kernel.paper_name()).or_insert(KernelRow {
+                        kernel,
                         calls: 0,
                         sites: 0,
                         total_ns: 0,
-                        flops: 0,
-                        bytes_read: 0,
-                        bytes_written: 0,
+                        share: 0.0,
                     });
-                    row.calls += calls;
-                    row.sites += sites;
-                    row.total_ns += total_ns;
-                    row.flops += flops;
-                    row.bytes_read += bytes_read;
-                    row.bytes_written += bytes_written;
-                }
-                TraceEvent::Kernel {
-                    source,
-                    kernel,
-                    calls,
-                    sites,
-                    total_ns,
-                    p50_ns,
-                    p95_ns,
-                    p99_ns,
-                    ..
-                } => {
-                    let entry = per_kernel
-                        .entry(kernel.paper_name())
-                        .or_insert((*kernel, [0; 3], [0; 3]));
-                    entry.1[0] += calls;
-                    entry.1[1] += sites;
-                    entry.1[2] += total_ns;
-                    entry.2[0] += *calls as u128 * *p50_ns as u128;
-                    entry.2[1] += *calls as u128 * *p95_ns as u128;
-                    entry.2[2] += *calls as u128 * *p99_ns as u128;
+                    k.calls += calls;
+                    k.sites += sites;
+                    k.total_ns += total_ns;
                     if source == "master" || source.starts_with("worker") {
-                        let w = per_worker.entry(source.clone()).or_insert((0, 0));
-                        w.0 += total_ns;
-                        w.1 += sites;
+                        let w = per_worker.entry(source.clone()).or_insert(WorkerRow {
+                            source: source.clone(),
+                            busy_ns: 0,
+                            sites: 0,
+                        });
+                        w.busy_ns += total_ns;
+                        w.sites += sites;
                     }
                 }
                 TraceEvent::Region {
@@ -359,49 +284,21 @@ impl TraceReport {
                 TraceEvent::Metric {
                     name, kind, value, ..
                 } => metrics.push((name.clone(), kind.clone(), *value)),
-                TraceEvent::Unknown { .. } => {}
             }
         }
 
-        let total_kernel_ns: u64 = per_kernel.values().map(|(_, agg, _)| agg[2]).sum();
-        let mut kernels: Vec<KernelRow> = per_kernel
-            .into_values()
-            .map(|(kernel, [calls, sites, total_ns], q)| {
-                let weighted = |sum: u128| {
-                    if calls == 0 {
-                        0
-                    } else {
-                        (sum / calls as u128) as u64
-                    }
-                };
-                KernelRow {
-                    kernel,
-                    calls,
-                    sites,
-                    total_ns,
-                    share: if total_kernel_ns == 0 {
-                        0.0
-                    } else {
-                        total_ns as f64 / total_kernel_ns as f64
-                    },
-                    p50_ns: weighted(q[0]),
-                    p95_ns: weighted(q[1]),
-                    p99_ns: weighted(q[2]),
-                }
-            })
-            .collect();
+        let total_kernel_ns: u64 = per_kernel.values().map(|k| k.total_ns).sum();
+        let mut kernels: Vec<KernelRow> = per_kernel.into_values().collect();
+        for k in &mut kernels {
+            if total_kernel_ns > 0 {
+                k.share = k.total_ns as f64 / total_kernel_ns as f64;
+            }
+        }
         kernels.sort_by_key(|k| std::cmp::Reverse(k.total_ns));
-        let mut ops: Vec<OpRow> = per_op.into_values().collect();
-        ops.sort_by_key(|o| std::cmp::Reverse(o.total_ns));
+        let mut ops: Vec<(KernelOp, OpCost)> = per_op.into_values().collect();
+        ops.sort_by_key(|(_, o)| std::cmp::Reverse(o.total_ns));
 
-        let workers: Vec<WorkerRow> = per_worker
-            .into_iter()
-            .map(|(source, (busy_ns, sites))| WorkerRow {
-                source,
-                busy_ns,
-                sites,
-            })
-            .collect();
+        let workers: Vec<WorkerRow> = per_worker.into_values().collect();
 
         let imbalance = if workers.len() >= 2 {
             let max = workers.iter().map(|w| w.busy_ns).max().unwrap_or(0) as f64;
@@ -513,21 +410,18 @@ impl TraceReport {
         let _ = writeln!(s, "\n== kernel time shares ==");
         let _ = writeln!(
             s,
-            "{:<16} {:>10} {:>12} {:>11} {:>7} {:>9} {:>9} {:>9}",
-            "kernel", "calls", "sites", "total ms", "share", "p50 ns", "p95 ns", "p99 ns"
+            "{:<16} {:>10} {:>12} {:>11} {:>7}",
+            "kernel", "calls", "sites", "total ms", "share"
         );
         for k in &self.kernels {
             let _ = writeln!(
                 s,
-                "{:<16} {:>10} {:>12} {:>11.3} {:>6.1}% {:>9} {:>9} {:>9}",
+                "{:<16} {:>10} {:>12} {:>11.3} {:>6.1}%",
                 k.kernel.paper_name(),
                 k.calls,
                 k.sites,
                 ms(k.total_ns),
-                k.share * 100.0,
-                k.p50_ns,
-                k.p95_ns,
-                k.p99_ns
+                k.share * 100.0
             );
         }
         let _ = writeln!(s, "total kernel time {:.3} ms", ms(self.total_kernel_ns));
@@ -553,7 +447,7 @@ impl TraceReport {
                 "{:<20} {:>10} {:>9} {:>9} {:>7} {:>7} {:>8}",
                 "op", "calls", "GFLOP/s", "GB/s", "AI", "% roof", "bound"
             );
-            for o in &self.ops {
+            for (op, o) in &self.ops {
                 let (pct, bound) = match self.roofline.fraction_of_roof(o) {
                     Some(f) => (
                         format!("{:.1}", f * 100.0),
@@ -568,7 +462,7 @@ impl TraceReport {
                 let _ = writeln!(
                     s,
                     "{:<20} {:>10} {:>9.3} {:>9.3} {:>7.3} {:>7} {:>8}",
-                    o.op.name(),
+                    op.name(),
                     o.calls,
                     o.gflops(),
                     o.gbps(),
@@ -703,26 +597,9 @@ impl TraceReport {
     /// (`phylomic trace-report --format json`), for downstream tooling
     /// that would otherwise scrape the text tables.
     pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         fn opt_str(v: &Option<String>) -> String {
             match v {
-                Some(s) => format!("\"{}\"", esc(s)),
+                Some(s) => format!("\"{}\"", escape(s)),
                 None => "null".into(),
             }
         }
@@ -761,19 +638,16 @@ impl TraceReport {
             }
             let _ = write!(
                 s,
-                "{{\"kernel\":\"{}\",\"calls\":{},\"sites\":{},\"total_ns\":{},\"share\":{:.6},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
+                "{{\"kernel\":\"{}\",\"calls\":{},\"sites\":{},\"total_ns\":{},\"share\":{:.6}}}",
                 k.kernel.paper_name(),
                 k.calls,
                 k.sites,
                 k.total_ns,
-                k.share,
-                k.p50_ns,
-                k.p95_ns,
-                k.p99_ns
+                k.share
             );
         }
         s.push_str("],\"ops\":[");
-        for (i, o) in self.ops.iter().enumerate() {
+        for (i, (op, o)) in self.ops.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -784,7 +658,7 @@ impl TraceReport {
             let _ = write!(
                 s,
                 "{{\"op\":\"{}\",\"calls\":{},\"sites\":{},\"total_ns\":{},\"flops\":{},\"bytes_read\":{},\"bytes_written\":{},\"gflops\":{:.6},\"gbps\":{:.6},\"arithmetic_intensity\":{:.6},\"fraction_of_roof\":{}}}",
-                o.op.name(),
+                op.name(),
                 o.calls,
                 o.sites,
                 o.total_ns,
@@ -816,7 +690,7 @@ impl TraceReport {
             let _ = write!(
                 s,
                 "{{\"source\":\"{}\",\"busy_ns\":{},\"sites\":{}}}",
-                esc(&w.source),
+                escape(&w.source),
                 w.busy_ns,
                 w.sites
             );
@@ -836,7 +710,7 @@ impl TraceReport {
             let _ = write!(
                 s,
                 "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{}}}",
-                esc(&sp.name),
+                escape(&sp.name),
                 sp.count,
                 sp.total_ns
             );
@@ -849,8 +723,8 @@ impl TraceReport {
             let _ = write!(
                 s,
                 "{{\"name\":\"{}\",\"kind\":\"{}\",\"value\":{}}}",
-                esc(name),
-                esc(kind),
+                escape(name),
+                escape(kind),
                 value
             );
         }
@@ -864,31 +738,24 @@ impl TraceReport {
 mod tests {
     use super::*;
 
-    fn kernel_event(
-        source: &str,
-        kernel: KernelId,
-        calls: u64,
-        sites: u64,
-        total: u64,
-    ) -> TraceEvent {
-        TraceEvent::Kernel {
+    fn op_event(source: &str, op: KernelOp, calls: u64, sites: u64, total: u64) -> TraceEvent {
+        let cost = op.cost(sites);
+        TraceEvent::Op {
             source: source.into(),
-            kernel,
+            op,
             calls,
             sites,
             total_ns: total,
-            min_ns: total / calls.max(1),
-            max_ns: total / calls.max(1),
-            p50_ns: total / calls.max(1),
-            p95_ns: total / calls.max(1),
-            p99_ns: total / calls.max(1),
+            flops: cost.flops,
+            bytes_read: cost.bytes_read,
+            bytes_written: cost.bytes_written,
         }
     }
 
     fn forkjoin_events() -> Vec<TraceEvent> {
         vec![
             TraceEvent::Meta {
-                version: 8,
+                version: 9,
                 backend: "simd".into(),
                 simd_width_bits: 512,
                 blocking: "on".into(),
@@ -899,30 +766,10 @@ mod tests {
                 wire_ops: 40,
                 wire_ns: 400_000,
             },
-            kernel_event("master", KernelId::Newview, 10, 1000, 6_000_000),
-            kernel_event("worker0", KernelId::Newview, 10, 500, 3_000_000),
-            kernel_event("master", KernelId::Evaluate, 5, 500, 1_000_000),
-            kernel_event("worker0", KernelId::Evaluate, 5, 250, 500_000),
-            TraceEvent::Op {
-                source: "master".into(),
-                op: KernelOp::NewviewIi,
-                calls: 10,
-                sites: 1000,
-                total_ns: 6_000_000,
-                flops: 272_000,
-                bytes_read: 264_000,
-                bytes_written: 132_000,
-            },
-            TraceEvent::Op {
-                source: "worker0".into(),
-                op: KernelOp::NewviewIi,
-                calls: 10,
-                sites: 500,
-                total_ns: 3_000_000,
-                flops: 136_000,
-                bytes_read: 132_000,
-                bytes_written: 66_000,
-            },
+            op_event("master", KernelOp::NewviewIi, 10, 1000, 6_000_000),
+            op_event("master", KernelOp::EvaluateIi, 5, 500, 1_000_000),
+            op_event("worker0", KernelOp::NewviewIi, 10, 500, 3_000_000),
+            op_event("worker0", KernelOp::EvaluateIi, 5, 250, 500_000),
             TraceEvent::Region {
                 source: "master".into(),
                 count: 15,
@@ -950,7 +797,7 @@ mod tests {
     #[test]
     fn report_computes_shares_imbalance_and_overhead() {
         let r = TraceReport::from_events(&forkjoin_events());
-        assert_eq!(r.version, Some(8));
+        assert_eq!(r.version, Some(9));
         assert_eq!(r.backend.as_deref(), Some("simd"));
         assert_eq!(r.simd_width_bits, Some(512));
         assert_eq!(r.blocking.as_deref(), Some("on"));
@@ -985,9 +832,9 @@ mod tests {
                 peak_mbps: 20_000,
             }
         );
-        assert_eq!(r.ops.len(), 1);
-        let o = &r.ops[0];
-        assert_eq!(o.op, KernelOp::NewviewIi);
+        assert_eq!(r.ops.len(), 2);
+        let (op, o) = &r.ops[0];
+        assert_eq!(*op, KernelOp::NewviewIi);
         assert_eq!((o.calls, o.sites, o.total_ns), (20, 1500, 9_000_000));
         assert_eq!(o.flops, 408_000);
         assert_eq!(o.bytes_read + o.bytes_written, 594_000);
@@ -1008,19 +855,10 @@ mod tests {
 
     #[test]
     fn uncalibrated_roofline_renders_placeholders() {
-        let events = vec![TraceEvent::Op {
-            source: "serial".into(),
-            op: KernelOp::EvaluateIi,
-            calls: 1,
-            sites: 100,
-            total_ns: 10_000,
-            flops: 18_100,
-            bytes_read: 26_800,
-            bytes_written: 0,
-        }];
+        let events = vec![op_event("serial", KernelOp::EvaluateIi, 1, 100, 10_000)];
         let r = TraceReport::from_events(&events);
         assert!(!r.roofline.is_calibrated());
-        assert!(r.roofline.fraction_of_roof(&r.ops[0]).is_none());
+        assert!(r.roofline.fraction_of_roof(&r.ops[0].1).is_none());
         let text = r.render();
         assert!(text.contains("uncalibrated"), "{text}");
         assert!(!text.contains("spans dropped"), "{text}");
@@ -1028,42 +866,59 @@ mod tests {
 
     #[test]
     fn render_json_roundtrips_key_fields() {
-        let r = TraceReport::from_events(&forkjoin_events());
-        let json = r.render_json();
-        // Structural smoke checks: scraping tools key on these fields.
-        for needle in [
-            r#""version":8"#,
-            r#""backend":"simd""#,
-            r#""simd_width_bits":512"#,
-            r#""blocking":"on""#,
-            r#""spans_dropped":2"#,
-            r#""peak_mflops":10000"#,
-            r#""kernel":"newview""#,
-            r#""op":"newview_ii""#,
-            r#""flops":408000"#,
-            r#""imbalance":"#,
-            r#""overhead_fraction":"#,
-        ] {
-            assert!(json.contains(needle), "missing {needle} in:\n{json}");
+        use plf_prof::json::Json;
+        // A worker label the escaper must carry through: a quote and a
+        // newline, as a raw byte each would break the document.
+        let mut events = forkjoin_events();
+        events.push(op_event(
+            "worker\"1\n",
+            KernelOp::DerivativeCore,
+            10,
+            500,
+            2_000_000,
+        ));
+        let r = TraceReport::from_events(&events);
+        let json = Json::parse(&r.render_json()).unwrap();
+        let field = |v: &Json, k: &str| v.get(k).unwrap_or_else(|| panic!("no {k}")).clone();
+        assert_eq!(field(&json, "version").as_u64(), Some(9));
+        assert_eq!(field(&json, "backend").as_str(), Some("simd"));
+        assert_eq!(field(&json, "simd_width_bits").as_u64(), Some(512));
+        assert_eq!(field(&json, "blocking").as_str(), Some("on"));
+        assert_eq!(field(&json, "spans_dropped").as_u64(), Some(2));
+        let roofline = field(&json, "roofline");
+        assert_eq!(field(&roofline, "peak_mflops").as_u64(), Some(10_000));
+        let ops = field(&json, "ops");
+        let ops = ops.as_arr().unwrap();
+        assert_eq!(field(&ops[0], "op").as_str(), Some("newview_ii"));
+        assert_eq!(field(&ops[0], "flops").as_u64(), Some(408_000));
+        // The kernel rows are the op rows summed: same total time and
+        // calls, over the same events.
+        let kernels = field(&json, "kernels");
+        let sum = |rows: &[Json], k: &str| -> u64 {
+            rows.iter().map(|row| field(row, k).as_u64().unwrap()).sum()
+        };
+        for k in ["total_ns", "calls", "sites"] {
+            assert_eq!(sum(kernels.as_arr().unwrap(), k), sum(ops, k), "{k}");
         }
-        // Balanced braces/brackets outside strings → parseable shape.
-        let (mut depth, mut in_str, mut esc_next) = (0i64, false, false);
-        for c in json.chars() {
-            if esc_next {
-                esc_next = false;
-                continue;
-            }
-            match c {
-                '\\' if in_str => esc_next = true,
-                '"' => in_str = !in_str,
-                '{' | '[' if !in_str => depth += 1,
-                '}' | ']' if !in_str => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0);
-        }
-        assert_eq!(depth, 0);
-        assert!(!in_str);
+        assert_eq!(
+            sum(ops, "total_ns"),
+            field(&json, "total_kernel_ns").as_u64().unwrap()
+        );
+        assert_eq!(
+            field(&kernels.as_arr().unwrap()[0], "kernel").as_str(),
+            Some("newview")
+        );
+        assert!(field(&json, "imbalance").as_f64().is_some());
+        let overhead = field(&field(&json, "regions"), "overhead_fraction");
+        assert!(overhead.as_f64().is_some());
+        let workers = field(&json, "workers");
+        let labels: Vec<&str> = workers
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|w| w.get("source").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(labels, ["master", "worker\"1\n", "worker0"]);
     }
 
     #[test]
@@ -1086,7 +941,7 @@ mod tests {
 
     #[test]
     fn serial_trace_reports_without_regions_or_workers() {
-        let events = vec![kernel_event("serial", KernelId::Newview, 4, 400, 2_000_000)];
+        let events = vec![op_event("serial", KernelOp::NewviewTi, 4, 400, 2_000_000)];
         let r = TraceReport::from_events(&events);
         assert!(r.regions.is_none());
         assert!(r.workers.is_empty());

@@ -1,7 +1,7 @@
 //! Workload traces: what a real search run did, scaled across sizes.
 
 use plf_core::trace::TraceEvent;
-use plf_core::{KernelId, KernelStats};
+use plf_core::{KernelId, KernelOp, KernelStats};
 
 /// The workload description consumed by the performance model:
 /// per-kernel invocation/site counts plus the AllReduce count, for one
@@ -28,28 +28,21 @@ impl WorkloadTrace {
     }
 
     /// Reconstructs a workload from JSONL trace events (as written by
-    /// `phylomic --trace-out`): kernel events from every source are
-    /// merged; each event's sites are distributed evenly over its
-    /// calls so the per-kernel totals match the recorded run exactly.
+    /// `phylomic --trace-out`): the `op` events of every source are
+    /// added up, so the per-op and per-kernel totals match the
+    /// recorded run exactly.
     pub fn from_trace_events(events: &[TraceEvent], allreduces: u64, patterns: u64) -> Self {
         let mut stats = KernelStats::new();
         for e in events {
-            if let TraceEvent::Kernel {
-                kernel,
+            if let TraceEvent::Op {
+                op,
                 calls,
                 sites,
+                total_ns,
                 ..
             } = e
             {
-                if *calls == 0 {
-                    continue;
-                }
-                let base = sites / calls;
-                let rem = sites % calls;
-                for i in 0..*calls {
-                    let extra = u64::from(i < rem);
-                    stats.record(*kernel, (base + extra) as usize);
-                }
+                stats.add(*op, *calls, *sites, *total_ns);
             }
         }
         Self::from_run(stats, allreduces, patterns)
@@ -88,16 +81,14 @@ impl WorkloadTrace {
     /// `derivativeCore` ends in an AllReduce.
     pub fn synthetic_search(patterns: u64) -> WorkloadTrace {
         let mut stats = KernelStats::new();
-        let mix: [(KernelId, u64); 4] = [
-            (KernelId::Newview, 2600),
-            (KernelId::Evaluate, 1400),
-            (KernelId::DerivativeSum, 700),
-            (KernelId::DerivativeCore, 2900),
+        let mix: [(KernelOp, u64); 4] = [
+            (KernelOp::NewviewIi, 2600),
+            (KernelOp::EvaluateIi, 1400),
+            (KernelOp::DerivativeSumIi, 700),
+            (KernelOp::DerivativeCore, 2900),
         ];
-        for (k, calls) in mix {
-            for _ in 0..calls {
-                stats.record(k, patterns as usize);
-            }
+        for (op, calls) in mix {
+            stats.add(op, calls, calls * patterns, 0);
         }
         let allreduces = 1400 + 2900;
         WorkloadTrace {
@@ -138,31 +129,20 @@ mod tests {
 
     #[test]
     fn trace_events_reconstruct_exact_totals() {
+        let event = |source: &str, op, calls, sites, total_ns| TraceEvent::Op {
+            source: String::from(source),
+            op,
+            calls,
+            sites,
+            total_ns,
+            flops: 0,
+            bytes_read: 0,
+            bytes_written: 0,
+        };
         let events = vec![
-            TraceEvent::Kernel {
-                source: "worker0".into(),
-                kernel: KernelId::Newview,
-                calls: 3,
-                sites: 10, // 4 + 3 + 3 after distribution
-                total_ns: 100,
-                min_ns: 10,
-                max_ns: 50,
-                p50_ns: 0,
-                p95_ns: 0,
-                p99_ns: 0,
-            },
-            TraceEvent::Kernel {
-                source: "worker1".into(),
-                kernel: KernelId::Newview,
-                calls: 3,
-                sites: 8,
-                total_ns: 90,
-                min_ns: 10,
-                max_ns: 50,
-                p50_ns: 0,
-                p95_ns: 0,
-                p99_ns: 0,
-            },
+            event("worker0", KernelOp::NewviewIi, 2, 7, 60),
+            event("worker0", KernelOp::NewviewTi, 1, 3, 40),
+            event("worker1", KernelOp::NewviewIi, 3, 8, 90),
             TraceEvent::Region {
                 source: "master".into(),
                 count: 3,
@@ -175,6 +155,8 @@ mod tests {
         let t = WorkloadTrace::from_trace_events(&events, 5, 18);
         assert_eq!(t.stats.get(KernelId::Newview).calls, 6);
         assert_eq!(t.stats.get(KernelId::Newview).sites, 18);
+        assert_eq!(t.stats.get(KernelId::Newview).total_ns, 190);
+        assert_eq!(t.stats.op(KernelOp::NewviewIi).sites, 15);
         assert_eq!(t.allreduces, 5);
         assert_eq!(t.patterns, 18);
     }

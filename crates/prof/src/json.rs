@@ -8,7 +8,9 @@
 //! parser. It accepts exactly the JSON this workspace writes: objects,
 //! arrays, strings with the common escapes, `f64` numbers, booleans
 //! and `null`, nested at most [`MAX_DEPTH`] deep. Object key order is
-//! preserved.
+//! preserved. [`escape`] is the matching writer half for strings.
+
+use std::fmt::Write as _;
 
 /// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
 /// parser recurses once per level, and the documents it is handed come
@@ -17,6 +19,33 @@
 /// returning an error. Every document this workspace writes nests
 /// fewer than ten levels.
 pub const MAX_DEPTH: usize = 128;
+
+/// Escapes `s` for a JSON string literal: `"` and `\`, and every
+/// control character (as `\n`, `\t`, `\r` or `\u00XX`), so
+/// [`Json::parse`] — and any other JSON reader — reads `s` back.
+///
+/// One of the workspace's two escapers, with `plf_core::trace::escape`.
+/// They stay two because neither crate may depend on the other:
+/// `plf_e2e/Cargo.lock` is committed with the benchmark and pins the
+/// dependency edges of `plf-core` and `plf-prof`, so a new edge between
+/// them would rewrite it.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]

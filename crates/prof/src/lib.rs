@@ -13,8 +13,9 @@
 //! [`json`] is the minimal recursive JSON reader of nested documents
 //! (the workspace has no serde): [`roofline`] reads its cache file
 //! with it, `plf_e2e` and `cargo xtask pair` the benchmark's contract
-//! and result objects. [`host`] is the provenance every such artifact
-//! carries.
+//! and result objects. Its string escaper is what `roofline`,
+//! `plf-microbench` and the analyzer write JSON with. [`host`] is the
+//! provenance every such artifact carries.
 
 pub mod host;
 pub mod json;

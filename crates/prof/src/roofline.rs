@@ -21,7 +21,7 @@
 //! provenance so repeated reports skip the multi-second measurement.
 
 use crate::host;
-use crate::json::Json;
+use crate::json::{escape, Json};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::path::Path;
@@ -84,18 +84,15 @@ impl HostRoofline {
 
     /// Serializes to the cache-file JSON.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut s = String::new();
         s.push_str("{\n");
         let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
         let _ = writeln!(s, "  \"peak_mflops\": {},", self.peak_mflops);
         let _ = writeln!(s, "  \"peak_mbps\": {},", self.peak_mbps);
-        let _ = writeln!(s, "  \"cpu_model\": \"{}\",", esc(&self.cpu_model));
+        let _ = writeln!(s, "  \"cpu_model\": \"{}\",", escape(&self.cpu_model));
         let _ = writeln!(s, "  \"cores\": {},", self.cores);
-        let _ = writeln!(s, "  \"git_rev\": \"{}\",", esc(&self.git_rev));
-        let _ = writeln!(s, "  \"simd\": \"{}\",", esc(&self.simd));
+        let _ = writeln!(s, "  \"git_rev\": \"{}\",", escape(&self.git_rev));
+        let _ = writeln!(s, "  \"simd\": \"{}\",", escape(&self.simd));
         let _ = writeln!(s, "  \"copy_mbps\": {},", self.copy_mbps);
         let _ = writeln!(s, "  \"cache_bytes\": {}", self.cache_bytes);
         s.push_str("}\n");
@@ -374,6 +371,34 @@ mod tests {
         assert_eq!(load_cached(&path), None);
         let _ = std::fs::remove_file(&path);
         assert_eq!(load_cached(&path), None);
+    }
+
+    #[test]
+    fn control_characters_in_provenance_roundtrip_as_json() {
+        // A tab and a U+0001 in the CPU model string: written raw, each
+        // is a control byte inside a JSON string, which a strict reader
+        // (CI's `json.load`) refuses.
+        let r = HostRoofline {
+            peak_mflops: 1,
+            peak_mbps: 2,
+            cpu_model: "Odd\tCPU\u{1} \"x\" \\".into(),
+            cores: 2,
+            git_rev: "r\n".into(),
+            simd: "avx\r".into(),
+            copy_mbps: 3,
+            cache_bytes: 4,
+        };
+        let path = tmp_path("ctrl-cache.json");
+        r.save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for line in text.lines() {
+            assert!(
+                !line.bytes().any(|b| b < 0x20),
+                "raw control byte in {line:?}"
+            );
+        }
+        assert_eq!(load_cached(&path), Some(r));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -192,10 +192,11 @@ metrics as JSONL, in the format micsim's measured-cost calibration
 trace-event JSON, loadable in Perfetto / chrome://tracing, one track
 per worker thread.
 trace-report prints per-kernel time shares, fork/join overhead, worker
-load imbalance, the calibration cost table, and — for v5 traces — the
-modeled per-op roofline placement (GFLOP/s, GB/s, arithmetic intensity,
-% of the calibrated roof). --format json emits the same report as one
-JSON object for tooling.
+load imbalance, the calibration cost table, and the modeled per-op
+roofline placement (GFLOP/s, GB/s, arithmetic intensity, % of the
+calibrated roof). --format json emits the same report as one JSON
+object for tooling. It reads the trace schema this build writes (v9)
+and refuses any other.
 calibrate measures single-core peak bandwidth (STREAM triad), peak
 FLOP/s (FMA chains), streamed copy throughput and the per-core cache
 size, and caches them with host provenance in HOST_ROOFLINE.json

@@ -129,8 +129,8 @@ fn simulate_evaluate_search_roundtrip() {
     );
 }
 
-/// A traced search must keep the spans that say what the `kernel` /
-/// `op` events do not — the search's own structure. A span per kernel
+/// A traced search must keep the spans that say what the `op` events
+/// do not — the search's own structure. A span per kernel
 /// call re-times what those events already total and, at 64 taxa,
 /// laps the ring over `search`, `round` and `spr_round`.
 #[test]
@@ -322,6 +322,48 @@ fn traced_search_trace_report_and_chrome_export() {
         line.split_whitespace().nth(3).unwrap().parse().unwrap()
     };
     assert!(per_newview <= 2.0, "{per_newview} visits per newview");
+}
+
+/// `trace-report` reads the schema this build writes and no other: an
+/// older trace and an event type it does not know each end in a
+/// structured `error:` naming what was refused, not a panic and not a
+/// report that silently leaves events out. (The second document's meta
+/// line is read: the error names the line after it.)
+#[test]
+fn trace_report_refuses_other_versions_and_unknown_events() {
+    use phylomic::plf::trace::TRACE_VERSION;
+    let dir = TestDir::new("cli-trace-refused");
+    let meta = format!(
+        r#"{{"type":"meta","version":{TRACE_VERSION},"backend":"simd","simd_width_bits":512,"blocking":"off","spans_dropped":0,"roofline_mflops":0,"roofline_mbps":0,"transport":"","wire_ops":0,"wire_ns":0}}"#
+    );
+    for (name, doc, names) in [
+        (
+            "v8.jsonl",
+            r#"{"type":"meta","version":8}"#.to_string(),
+            "v8",
+        ),
+        (
+            "kernel.jsonl",
+            format!(
+                "{meta}\n{}",
+                r#"{"type":"kernel","source":"serial","kernel":"newview","calls":1,"sites":1,"total_ns":1,"min_ns":1,"max_ns":1}"#
+            ),
+            "unknown event type \"kernel\"",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, format!("{doc}\n")).unwrap();
+        let out = bin()
+            .args(["trace-report", "--trace", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(err.starts_with("error: "), "{name}: {err}");
+        assert!(err.contains(names), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+        assert!(out.stdout.is_empty(), "{name}");
+    }
 }
 
 #[test]

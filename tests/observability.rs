@@ -22,7 +22,7 @@ use rand::SeedableRng;
 /// Spawned workers; the team is one larger (the master computes).
 const WORKERS: usize = 2;
 
-/// One small fork-join search, returning the full v2 event stream the
+/// One small fork-join search, returning the full event stream the
 /// CLI would write with `--trace-out`.
 fn traced_forkjoin_search() -> Vec<TraceEvent> {
     let mut rng = SmallRng::seed_from_u64(2024);
@@ -123,7 +123,7 @@ fn traced_search_roundtrips_and_reports() {
     let rendered = report.render();
     assert!(rendered.contains("kernel time shares"), "{rendered}");
 
-    // v5 op events carry modeled roofline costs into the report.
+    // Op events carry modeled roofline costs into the report.
     assert!(events
         .iter()
         .any(|e| matches!(e, TraceEvent::Op { flops, .. } if *flops > 0)));

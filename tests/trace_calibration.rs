@@ -1,5 +1,5 @@
 //! End-to-end measured-timing loop: an instrumented fork-join run →
-//! per-slice kernel events and the master's region events → JSONL
+//! per-slice op events and the master's region events → JSONL
 //! (the `--trace-out` format) → `micsim` measured-cost calibration
 //! fit. This is the full pipeline the `phylomic search --trace-out`
 //! flag enables.
@@ -30,7 +30,7 @@ fn dataset() -> (Tree, phylomic::bio::CompressedAlignment) {
 }
 
 /// Runs an instrumented fork-join workload and exports it exactly the
-/// way `phylomic search --trace-out` does: one kernel-event block per
+/// way `phylomic search --trace-out` does: one op-event block per
 /// team member (the computing master's slice 0 first) plus the
 /// master's region block.
 fn record_forkjoin_trace(workers: usize) -> Vec<TraceEvent> {
@@ -47,13 +47,13 @@ fn record_forkjoin_trace(workers: usize) -> Vec<TraceEvent> {
 #[test]
 fn forkjoin_trace_roundtrips_through_jsonl() {
     let events = record_forkjoin_trace(2);
-    // Every team member contributed kernel events, the master among
+    // Every team member contributed op events, the master among
     // them; the master also contributed a region block with one
     // region per dispatched job.
     let kernel_sources: std::collections::BTreeSet<_> = events
         .iter()
         .filter_map(|e| match e {
-            TraceEvent::Kernel { source, .. } => Some(source.clone()),
+            TraceEvent::Op { source, .. } => Some(source.clone()),
             _ => None,
         })
         .collect();
@@ -89,6 +89,10 @@ fn measured_calibration_fits_real_forkjoin_timings() {
     let doc = write_jsonl(&events);
 
     let costs = MeasuredHostCosts::from_jsonl(&doc).expect("trace must calibrate");
+    // The same events reconstruct a WorkloadTrace for the analytical
+    // model path; its per-kernel view is the observed workload.
+    let trace = WorkloadTrace::from_trace_events(&events, 0, 1200);
+    assert!(costs.predict_run_s(&trace) > 0.0);
     for k in [KernelId::Newview, KernelId::Evaluate] {
         let fit = costs.fit(k);
         assert!(fit.samples >= 3, "{k:?}: {} samples", fit.samples);
@@ -103,37 +107,16 @@ fn measured_calibration_fits_real_forkjoin_timings() {
         // Sanity: predicted time of the observed workload is within
         // 100x of the observed total (the fit interpolates noisy
         // samples; it must stay on the right order of magnitude).
-        let (mut calls, mut sites, mut observed) = (0u64, 0u64, 0u64);
-        for e in &events {
-            if let TraceEvent::Kernel {
-                kernel,
-                calls: c,
-                sites: s,
-                total_ns,
-                ..
-            } = e
-            {
-                if *kernel == k {
-                    calls += c;
-                    sites += s;
-                    observed += total_ns;
-                }
-            }
-        }
-        let predicted = fit.predict_ns(calls, sites);
+        let observed = trace.stats.get(k);
+        let predicted = fit.predict_ns(observed.calls, observed.sites);
+        let observed = observed.total_ns as f64;
         assert!(
-            predicted > observed as f64 / 100.0 && predicted < observed as f64 * 100.0,
+            predicted > observed / 100.0 && predicted < observed * 100.0,
             "{k:?}: predicted {predicted} vs observed {observed}"
         );
     }
     // Region latencies fed the synchronization-cost side.
     assert!(costs.region_overhead_s() > 0.0);
-
-    // And the same events reconstruct a WorkloadTrace for the
-    // analytical model path.
-    let trace = WorkloadTrace::from_trace_events(&events, 0, 1200);
-    assert!(trace.stats.total_calls() > 0);
-    assert!(costs.predict_run_s(&trace) > 0.0);
 }
 
 #[test]
@@ -151,7 +134,7 @@ fn region_waits_do_not_contain_the_kernels() {
     for e in &events {
         match e {
             TraceEvent::Region { count, .. } => regions += count,
-            TraceEvent::Kernel { total_ns, .. } => kernel_ns += total_ns,
+            TraceEvent::Op { total_ns, .. } => kernel_ns += total_ns,
             _ => {}
         }
     }
