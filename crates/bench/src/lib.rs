@@ -1,13 +1,19 @@
 #![warn(missing_docs)]
-//! Shared harness code for the table/figure generator binaries.
+//! Shared harness code for the paper's tables and figures.
 //!
 //! The central object is [`record_trace`]: it runs a *real*,
 //! instrumented ML tree search (the ExaML-style replicated scheme from
 //! `phylo-parallel`) on a simulated 15-taxon alignment — the paper's
 //! dataset shape — and packages the measured kernel invocation counts
 //! and AllReduce counts as a [`WorkloadTrace`]. The `micsim` model then
-//! extrapolates that trace across the Table III alignment sizes.
+//! extrapolates that trace across the Table III alignment sizes, and
+//! [`paper_results`] renders every model-output file of `results/`
+//! from it.
 #![deny(unsafe_op_in_unsafe_fn)]
+
+mod results;
+
+pub use results::{paper_results, rank_thread_sweep};
 
 use micsim::WorkloadTrace;
 use phylo_bio::CompressedAlignment;
@@ -53,9 +59,8 @@ pub fn trace_search_config() -> SearchConfig {
 /// Runs one instrumented replicated-scheme search and returns the
 /// measured workload trace.
 ///
-/// `patterns` trades recording time against extrapolation distance;
-/// 2 000–10 000 keeps the binaries interactive while the call counts —
-/// the quantities that matter — are identical to a larger run's.
+/// `patterns` trades recording time against extrapolation distance:
+/// `micsim` rescales the recorded counts to every Table III size.
 pub fn record_trace(patterns: usize, ranks: usize, seed: u64) -> WorkloadTrace {
     let (true_tree, aln) = paper_dataset(PAPER_TAXA, patterns, seed);
     // Start from a different random topology so the search does real
@@ -71,19 +76,15 @@ pub fn record_trace(patterns: usize, ranks: usize, seed: u64) -> WorkloadTrace {
     WorkloadTrace::from_run(out.kernel_stats, out.comm_stats.allreduces, patterns as u64)
 }
 
-/// The default trace used by all generator binaries (overridable via
-/// the `PHYLOMIC_TRACE_PATTERNS` environment variable).
+/// The one trace `results/` is rendered from: 4 000 patterns, two
+/// ranks, seed 20140314.
 pub fn standard_trace() -> WorkloadTrace {
-    let patterns = std::env::var("PHYLOMIC_TRACE_PATTERNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4000);
-    record_trace(patterns, 2, 20140314)
+    record_trace(4000, 2, 20140314)
 }
 
 /// Renders seconds in the paper's Table III style (one decimal below
 /// 100 s, integral above).
-pub fn fmt_time(s: f64) -> String {
+pub(crate) fn fmt_time(s: f64) -> String {
     if s < 100.0 {
         format!("{s:.1}")
     } else {
@@ -92,7 +93,7 @@ pub fn fmt_time(s: f64) -> String {
 }
 
 /// Renders a pattern count as the paper writes it (10K … 4000K).
-pub fn fmt_size(patterns: u64) -> String {
+pub(crate) fn fmt_size(patterns: u64) -> String {
     format!("{}K", patterns / 1000)
 }
 

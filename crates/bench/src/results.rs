@@ -1,0 +1,350 @@
+//! The model-output files of `results/`: Tables I–III, Figures 3–5 and
+//! the §V-C, §V-D and §V-A ablations, all rendered from one recorded
+//! [`WorkloadTrace`].
+//!
+//! `cargo run --release -p phylo-bench --bin reproduce` writes them, and
+//! `tests/model_shape.rs` compares the committed files with a fresh
+//! render, so a change to the search's call mix has to regenerate them.
+
+use crate::{fmt_size, fmt_time};
+use micsim::energy::fig5_energy_savings;
+use micsim::model::{kernel_speedup, predict_time, ExecMode, Interconnect, MachineConfig};
+use micsim::platform::{TABLE1, XEON_E5_2680_2S, XEON_PHI_5110P_1S};
+use micsim::systems::{
+    crossover_patterns, fig4_dual_mic_scaling, table3, SystemId, Table3Cell, TABLE3_SIZES,
+};
+use micsim::WorkloadTrace;
+use phylo_parallel::balance::{
+    block_per_partition, imbalance, scatter_partitions, whole_partitions, Assignment,
+};
+use plf_core::KernelId;
+
+/// One `(file name, text)` pair per model-output file of `results/`.
+pub fn paper_results(trace: &WorkloadTrace) -> Vec<(&'static str, String)> {
+    vec![
+        ("table1_platforms.txt", table1_platforms()),
+        ("fig3_kernel_speedups.txt", fig3_kernel_speedups()),
+        ("table3_examl.txt", table3_examl(trace)),
+        ("fig4_scaling.txt", fig4_scaling(trace)),
+        ("fig5_energy.txt", fig5_energy(trace)),
+        ("ablation_offload.txt", ablation_offload(trace)),
+        ("ablation_hybrid.txt", ablation_hybrid(trace)),
+        ("ablation_partitions.txt", ablation_partitions(trace)),
+    ]
+}
+
+/// §V-D: predicted seconds of a 100K-pattern run on one Xeon Phi for
+/// each `(ranks, threads)` split of its hardware threads that the paper
+/// compares, from pure MPI (120 × 1) to pure threads (1 × 236).
+pub fn rank_thread_sweep(trace: &WorkloadTrace) -> Vec<(u32, u32, f64)> {
+    let scaled = trace.scaled_to(100_000);
+    [(120, 1), (60, 2), (8, 29), (4, 59), (2, 118), (1, 236)]
+        .into_iter()
+        .map(|(ranks, threads)| {
+            let cfg = MachineConfig {
+                platform: XEON_PHI_5110P_1S,
+                ranks_per_device: ranks,
+                threads_per_rank: threads,
+                mode: ExecMode::Native,
+                interconnect: Interconnect::SharedMemory,
+            };
+            (ranks, threads, predict_time(&cfg, &scaled).total())
+        })
+        .collect()
+}
+
+/// Table I (platform specifications) and the Table II software
+/// configuration the paper lists.
+fn table1_platforms() -> String {
+    let mut o = String::new();
+    o += "Table I: Specifications of CPUs and accelerators used for performance evaluation\n\n";
+    o += &format!(
+        "{:<20} {:>14} {:>8} {:>10} {:>8} {:>12} {:>8} {:>13}\n",
+        "(Co-)processor",
+        "Peak DP GFLOPS",
+        "Cores",
+        "Clock",
+        "Memory",
+        "Memory BW",
+        "Max TDP",
+        "Approx. price"
+    );
+    for p in TABLE1 {
+        o += &format!(
+            "{:<20} {:>14} {:>8} {:>7.3} GHz {:>5} GB {:>9.1} GB/s {:>6} W {:>12}\n",
+            p.name,
+            p.peak_dp_gflops,
+            p.cores,
+            p.clock_ghz,
+            p.memory_gb,
+            p.memory_bw_gbs,
+            p.max_tdp_w,
+            format!("$ {}", p.price_usd),
+        );
+    }
+    o += "
+1S = single slot, 2S = dual slot; NVIDIA K20 listed for reference only
+
+Table II: Software configuration of the paper's test systems (informational —
+this reproduction replaces the toolchain with stable Rust and the MPI layer
+with the in-process communicator of phylo-parallel):
+  Xeon E5-2630:  Linux 2.6.32, gcc 4.7.0, Intel MPI 4.1.2.040
+  Xeon E5-2680:  Linux 3.0.93, gcc 4.7.3, Intel MPI 4.1.1.036
+  Xeon Phi:      Linux 2.6.32, icc 13.1.3, Intel MPI 4.1.2.040
+";
+    o
+}
+
+/// Figure 3: the `micsim` roofline prediction of each PLF kernel's
+/// speedup on the Xeon Phi over the 2S E5-2680 baseline. (The host's
+/// own simd-vs-scalar kernel ratios are `plf-microbench`'s cells.)
+fn fig3_kernel_speedups() -> String {
+    let mut o = String::from(
+        "Figure 3: per-kernel speedups, Xeon Phi 5110P vs 2S Xeon E5-2680
+(micsim roofline prediction; paper reports 1.9x–2.8x)
+
+",
+    );
+    for k in KernelId::ALL {
+        let s = kernel_speedup(&XEON_PHI_5110P_1S, &XEON_E5_2680_2S, k);
+        let bar = "#".repeat((s * 10.0).round() as usize);
+        o += &format!("  {:<16} {:>5.2}x  {}\n", k.paper_name(), s, bar);
+    }
+    o
+}
+
+/// The paper's Table III speedups, one row per `SystemId::ALL` entry.
+const PAPER_SPEEDUPS: [[f64; 8]; 4] = [
+    [0.73, 0.74, 0.72, 0.81, 0.84, 0.84, 0.84, 0.84],
+    [1.00, 1.00, 1.00, 1.00, 1.00, 1.00, 1.00, 1.00],
+    [0.32, 0.81, 1.02, 1.47, 1.77, 1.93, 2.00, 2.03],
+    [0.22, 0.75, 1.23, 2.06, 2.56, 3.12, 3.49, 3.74],
+];
+
+/// Table III: ExaML execution times and speedups on the four systems
+/// across the eight alignment sizes, with the paper's speedups.
+fn table3_examl(trace: &WorkloadTrace) -> String {
+    let mut o = String::from(
+        "
+Table III: ExaML execution times and speedups on CPUs and MIC
+(model-predicted seconds and speedup vs 2S E5-2680; paper speedups in parens)
+
+",
+    );
+    let grid = table3(trace);
+    let cell = |row: &[(SystemId, Table3Cell)], sys| row.iter().find(|(s, _)| *s == sys).unwrap().1;
+    o += &format!("{:<20}", "System");
+    for (size, _) in &grid {
+        o += &format!(" {:>16}", fmt_size(*size));
+    }
+    o += "\n";
+    for (&sys, paper_row) in SystemId::ALL.iter().zip(PAPER_SPEEDUPS) {
+        o += &format!("{:<20}", sys.paper_name());
+        for ((_, row), paper) in grid.iter().zip(paper_row) {
+            let c = cell(row, sys);
+            o += &format!(" {:>7} {:>4.2}({paper:.2})", fmt_time(c.time_s), c.speedup);
+        }
+        o += "\n";
+    }
+
+    let last = &grid[grid.len() - 1].1;
+    let (phi1, phi2) = (cell(last, SystemId::Phi1), cell(last, SystemId::Phi2));
+    o += "\nShape checks (paper bands):\n";
+    o += &format!(
+        "  1-MIC plateau   {:.2} (paper 2.03, band 1.8-2.2)\n",
+        phi1.speedup
+    );
+    o += &format!(
+        "  2-MIC plateau   {:.2} (paper 3.74, band 3.3-4.1)\n",
+        phi2.speedup
+    );
+    o += &match crossover_patterns(trace, SystemId::Phi1) {
+        Some(x) => format!("  crossover       {x:.0} patterns (paper ~100K)\n"),
+        None => "  crossover       not reached (MODEL SHAPE VIOLATION)\n".to_string(),
+    };
+    o
+}
+
+/// Approximate paper values read off Figure 4.
+const PAPER_FIG4: [f64; 8] = [0.69, 0.93, 1.21, 1.40, 1.44, 1.62, 1.75, 1.84];
+
+/// Figure 4: relative speedup of 2 MICs vs 1 MIC by alignment size.
+fn fig4_scaling(trace: &WorkloadTrace) -> String {
+    let mut o = String::from("Figure 4: relative speedup of 2 MICs vs 1 MIC by alignment size\n\n");
+    o += &format!("{:>8} {:>8} {:>8}  \n", "size", "model", "paper");
+    for (i, (size, ratio)) in fig4_dual_mic_scaling(trace).into_iter().enumerate() {
+        o += &format!(
+            "{:>8} {:>8.2} {:>8.2}  {}\n",
+            fmt_size(size),
+            ratio,
+            PAPER_FIG4[i],
+            "#".repeat((ratio * 20.0).round() as usize)
+        );
+    }
+    o += "\nExpected shape: monotone growth, below 1 at 10K, 1.7-2.0 at 4000K.\n";
+    o
+}
+
+/// Figure 5: relative energy savings against the CPU baseline, using
+/// the paper's `E = MaxTDP × RunTime / 3600` estimate.
+fn fig5_energy(trace: &WorkloadTrace) -> String {
+    let mut o = String::from(
+        "Figure 5: relative energy savings vs 2S E5-2680 baseline
+(E_baseline / E_system; >1 means more energy-efficient)
+
+",
+    );
+    o += &format!("{:>8}", "size");
+    for s in SystemId::ALL {
+        o += &format!(" {:>18}", s.paper_name());
+    }
+    o += "\n";
+    for (size, row) in fig5_energy_savings(trace) {
+        o += &format!("{:>8}", fmt_size(size));
+        for sys in SystemId::ALL {
+            let v = row.iter().find(|(s, _)| *s == sys).unwrap().1;
+            o += &format!(" {v:>18.2}");
+        }
+        o += "\n";
+    }
+    o += "
+Expected shape (paper): single MIC overtakes at ~100K and reaches ~2.3x;
+the second card reduces energy efficiency everywhere, but the dual-MIC
+system still beats both CPUs for alignments over 500K sites.
+";
+    o
+}
+
+/// §V-C: offload vs native execution. Every kernel invocation pays the
+/// offload runtime + PCIe latency, and ML inference performs thousands
+/// of invocations per second, so the paper's offloading prototype was
+/// more than 2× slower than the native port.
+fn ablation_offload(trace: &WorkloadTrace) -> String {
+    let mut o = String::from("Offload vs native execution on one Xeon Phi 5110P (§V-C)\n\n");
+    o += &format!(
+        "{:>8} {:>10} {:>10} {:>14}\n",
+        "size", "native", "offload", "native speedup"
+    );
+    for &size in &TABLE3_SIZES {
+        let scaled = trace.scaled_to(size);
+        let native = predict_time(&SystemId::Phi1.config(), &scaled).total();
+        let mut cfg = SystemId::Phi1.config();
+        cfg.mode = ExecMode::Offload;
+        let offload = predict_time(&cfg, &scaled).total();
+        o += &format!(
+            "{:>8} {:>9}s {:>9}s {:>13.2}x\n",
+            fmt_size(size),
+            fmt_time(native),
+            fmt_time(offload),
+            offload / native
+        );
+    }
+    o += &format!(
+        "\nTotal kernel invocations in the trace: {} (each pays ~300 us in offload mode)\n",
+        trace.stats.total_calls()
+    );
+    o += "Paper: native \"speedup exceeding a factor of two compared to the
+initial offloading-based version\" on the small RAxML-Light test runs.
+";
+    o
+}
+
+/// §V-D: hybrid MPI-OpenMP vs pure MPI on the MIC, and the §VI-B3
+/// interconnect-latency sweep for the dual-card configuration.
+fn ablation_hybrid(trace: &WorkloadTrace) -> String {
+    let mut o = String::from("Rank/thread decomposition on one Xeon Phi (100K patterns, §V-D)\n\n");
+    o += &format!("{:>8} {:>9} {:>12}\n", "ranks", "threads", "time");
+    for (ranks, threads, t) in rank_thread_sweep(trace) {
+        o += &format!("{:>8} {:>9} {:>11}s\n", ranks, threads, fmt_time(t));
+    }
+    o += "
+Paper: 120 pure-MPI ranks gave a \"substantial slowdown\"; 2 ranks x 118
+threads was best for almost all datasets.
+
+Dual-MIC AllReduce latency sweep (§VI-B3): 20 us PCIe (Intel MPI 4.1.2),
+35 us PCIe (old 4.0.3), 5 us InfiniBand-class
+
+";
+    o += &format!("{:>8}", "size");
+    for name in ["PCIe 20us", "old MPI 35us", "IB 5us"] {
+        o += &format!(" {name:>14}");
+    }
+    o += "\n";
+    for &size in &[100_000u64, 1_000_000, 4_000_000] {
+        let scaled = trace.scaled_to(size);
+        o += &format!("{:>8}", fmt_size(size));
+        for ic in [
+            Interconnect::PciePeerToPeer,
+            Interconnect::PcieOldMpi,
+            Interconnect::InfiniBand,
+        ] {
+            let mut cfg = SystemId::Phi2.config();
+            cfg.interconnect = ic;
+            let t = predict_time(&cfg, &scaled).total();
+            o += &format!(" {:>13}s", fmt_time(t));
+        }
+        o += "\n";
+    }
+    o
+}
+
+/// Skewed partition sizes mimicking a multi-gene dataset: a few large
+/// ribosomal genes plus many short ones.
+fn skewed_sizes(partitions: usize, total: usize) -> Vec<usize> {
+    // Geometric-ish decay with a floor of 1.
+    let mut sizes: Vec<f64> = (0..partitions).map(|i| 0.7f64.powi(i as i32)).collect();
+    let s: f64 = sizes.iter().sum();
+    let mut out: Vec<usize> = sizes
+        .iter_mut()
+        .map(|v| ((*v / s) * total as f64).round().max(1.0) as usize)
+        .collect();
+    let diff = total as i64 - out.iter().sum::<usize>() as i64;
+    out[0] = (out[0] as i64 + diff).max(1) as usize;
+    out
+}
+
+/// §V-A / §VII: partitioned alignments and load balancing. The paper
+/// warns that "for a large number of partitions, performance will
+/// degrade due to decreasing parallel block size": the parallel compute
+/// phase stretches by the worker-load imbalance factor of the chosen
+/// distribution strategy.
+fn ablation_partitions(trace: &WorkloadTrace) -> String {
+    let size = 1_000_000u64;
+    let scaled = trace.scaled_to(size);
+    let cfg = SystemId::Phi1.config();
+    let base = predict_time(&cfg, &scaled);
+    let workers = cfg.workers_per_device() as usize;
+
+    let mut o = String::from("Partitioned 1000K-pattern run on one Xeon Phi (236 workers)\n");
+    o += &format!(
+        "predicted time = imbalance x compute + sync/comm (unpartitioned: {:.1}s)\n\n",
+        base.total()
+    );
+    o += &format!(
+        "{:>11} {:>22} {:>22} {:>22}\n",
+        "partitions", "scatter", "block", "whole-partition"
+    );
+    for partitions in [1usize, 4, 16, 64, 256] {
+        let sizes = skewed_sizes(partitions, size as usize);
+        let render = |a: &Assignment| -> String {
+            let f = imbalance(a);
+            let touched: usize = (0..workers).map(|w| a.partitions_touched(w)).max().unwrap();
+            let t = base.compute_s * f + base.sync_s + base.comm_s + base.serial_s;
+            format!("{t:>7.1}s (x{f:>5.2},{touched:>4}p)")
+        };
+        o += &format!(
+            "{:>11} {:>22} {:>22} {:>22}\n",
+            partitions,
+            render(&scatter_partitions(&sizes, workers)),
+            render(&block_per_partition(&sizes, workers)),
+            render(&whole_partitions(&sizes, workers)),
+        );
+    }
+    o += "
+x = worker load imbalance factor; p = max partitions touched per worker
+(scatter balances load but every worker touches every partition — the
+shrinking parallel block size of §V-A; whole-partition keeps blocks large
+but collapses under size skew)
+";
+    o
+}

@@ -88,20 +88,6 @@ impl Alignment {
         let total: f64 = counts.iter().sum();
         counts.map(|c| c / total)
     }
-
-    /// Extracts the contiguous site range `[from, to)` as a new
-    /// alignment (used for partitioned analyses).
-    pub fn slice_sites(&self, from: usize, to: usize) -> Result<Alignment, BioError> {
-        if from >= to || to > self.width {
-            return Err(BioError::EmptyAlignment);
-        }
-        let sequences = self
-            .sequences
-            .iter()
-            .map(|s| Sequence::new(s.name(), s.codes()[from..to].to_vec()))
-            .collect();
-        Alignment::new(sequences)
-    }
 }
 
 #[cfg(test)]
@@ -178,16 +164,6 @@ mod tests {
         .unwrap();
         let f = a.empirical_frequencies();
         assert!(f.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn slicing() {
-        let a = toy();
-        let s = a.slice_sites(1, 3).unwrap();
-        assert_eq!(s.num_sites(), 2);
-        assert_eq!(s.sequence(0).to_iupac_string(), "CG");
-        assert!(a.slice_sites(3, 3).is_err());
-        assert!(a.slice_sites(0, 9).is_err());
     }
 
     #[test]

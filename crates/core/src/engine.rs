@@ -1270,6 +1270,14 @@ mod tests {
         let total = full.log_likelihood(&tree, e);
         let sum = lo.log_likelihood(&tree, e) + hi.log_likelihood(&tree, e);
         assert!((total - sum).abs() < 1e-9, "{total} vs {sum}");
+        let t = tree.length(e);
+        let derivatives = |eng: &mut LikelihoodEngine| {
+            eng.prepare_branch(&tree, e);
+            eng.branch_derivatives(t)
+        };
+        let (d1, d2) = derivatives(&mut full);
+        let ((l1, l2), (h1, h2)) = (derivatives(&mut lo), derivatives(&mut hi));
+        assert!((d1 - (l1 + h1)).abs() < 1e-8 && (d2 - (l2 + h2)).abs() < 1e-8);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   partitions multiply.
 //!
 //! [`imbalance`] quantifies the resulting wall-clock penalty as
-//! `max_load / mean_load`; the `ablation_partitions` bench binary
-//! sweeps both strategies through the `micsim` model.
+//! `max_load / mean_load`; `results/ablation_partitions.txt` (written
+//! by `phylo-bench`'s `reproduce`) sweeps the strategies through the
+//! `micsim` model.
 
 /// Per-worker share of one partition: `(partition index, sites)`.
 pub type WorkerShare = Vec<(usize, usize)>;

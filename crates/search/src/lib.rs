@@ -18,12 +18,10 @@
 pub mod bootstrap;
 pub mod branch_opt;
 pub mod checkpoint;
-pub mod mcmc;
 pub mod model_opt;
 pub mod newton;
 pub mod nni;
 pub mod parsimony;
-pub mod partitioned;
 pub mod search;
 pub mod spr;
 #[cfg(test)]

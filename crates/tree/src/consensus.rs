@@ -1,54 +1,10 @@
-//! Majority-rule consensus from split frequencies.
+//! Split frequencies over a tree sample.
 //!
-//! Bayesian samplers and bootstrap analyses summarize a tree set by
-//! the splits appearing in more than half the trees; those splits are
-//! always mutually compatible and define a (possibly multifurcating)
-//! consensus. This module computes the majority split set and reports
-//! it with support values — the summary downstream users expect next
-//! to an MCMC run.
+//! A bootstrap analysis summarizes its replicate trees by how often
+//! each split appears among them; `phylo_search::bootstrap` reads the
+//! supports of the best tree's splits off this table.
 
 use std::collections::BTreeMap;
-
-/// One consensus split with its support.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SupportedSplit {
-    /// Canonical side of the bipartition (sorted tip names, smaller
-    /// side).
-    pub split: Vec<String>,
-    /// Fraction of input trees containing the split.
-    pub support: f64,
-}
-
-/// Computes the majority-rule consensus splits (support > `threshold`,
-/// which must be ≥ 0.5 for the result to be guaranteed compatible).
-///
-/// Input: split frequencies as produced by
-/// `phylo_search::mcmc::McmcResult::split_frequencies` or by counting
-/// `Tree::splits()` over a tree sample.
-pub fn majority_splits(
-    frequencies: &BTreeMap<Vec<String>, f64>,
-    threshold: f64,
-) -> Vec<SupportedSplit> {
-    assert!(
-        (0.5..=1.0).contains(&threshold),
-        "majority threshold must be in [0.5, 1]"
-    );
-    let mut out: Vec<SupportedSplit> = frequencies
-        .iter()
-        .filter(|(_, &f)| f > threshold)
-        .map(|(s, &f)| SupportedSplit {
-            split: s.clone(),
-            support: f,
-        })
-        .collect();
-    out.sort_by(|a, b| {
-        b.support
-            .partial_cmp(&a.support)
-            .unwrap()
-            .then_with(|| a.split.cmp(&b.split))
-    });
-    out
-}
 
 /// Counts split frequencies across a sample of trees (all over the
 /// same taxa).
@@ -63,37 +19,6 @@ pub fn split_frequencies(trees: &[crate::Tree]) -> BTreeMap<Vec<String>, f64> {
     counts.into_iter().map(|(k, v)| (k, v as f64 / n)).collect()
 }
 
-/// Checks pairwise compatibility of a split set over `taxa` (every
-/// pair must be nested or disjoint on the same side). Majority-rule
-/// splits always pass; useful as a sanity check on hand-built sets.
-pub fn splits_compatible(splits: &[Vec<String>], taxa: &[String]) -> bool {
-    let side_set = |s: &[String]| -> Vec<bool> { taxa.iter().map(|t| s.contains(t)).collect() };
-    let sets: Vec<Vec<bool>> = splits.iter().map(|s| side_set(s)).collect();
-    for i in 0..sets.len() {
-        for j in (i + 1)..sets.len() {
-            let (a, b) = (&sets[i], &sets[j]);
-            // Compatible iff one of the four intersections
-            // (A∩B, A∩B̄, Ā∩B, Ā∩B̄) is empty.
-            let mut ab = false;
-            let mut a_nb = false;
-            let mut na_b = false;
-            let mut na_nb = false;
-            for k in 0..taxa.len() {
-                match (a[k], b[k]) {
-                    (true, true) => ab = true,
-                    (true, false) => a_nb = true,
-                    (false, true) => na_b = true,
-                    (false, false) => na_nb = true,
-                }
-            }
-            if ab && a_nb && na_b && na_nb {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,69 +29,30 @@ mod tests {
     }
 
     #[test]
-    fn unanimous_sample_keeps_all_splits() {
-        let trees = vec![
-            t("((a:1,b:1):1,c:1,(d:1,e:1):1);"),
-            t("((a:1,b:1):1,c:1,(d:1,e:1):1);"),
-            t("((a:1,b:1):1,c:1,(d:1,e:1):1);"),
-        ];
-        let freqs = split_frequencies(&trees);
-        let maj = majority_splits(&freqs, 0.5);
-        assert_eq!(maj.len(), 2);
-        assert!(maj.iter().all(|s| (s.support - 1.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn conflicting_split_drops_out() {
-        // ab|cde twice, ac|bde once: ab survives (2/3), ac does not.
+    fn split_frequencies_are_fractions_of_the_sample() {
+        // ab|cde twice, ac|bde once.
         let trees = vec![
             t("((a:1,b:1):1,c:1,(d:1,e:1):1);"),
             t("((a:1,b:1):1,d:1,(c:1,e:1):1);"),
             t("((a:1,c:1):1,b:1,(d:1,e:1):1);"),
         ];
         let freqs = split_frequencies(&trees);
-        let maj = majority_splits(&freqs, 0.5);
-        let has = |names: &[&str]| {
-            maj.iter()
-                .any(|s| s.split == names.iter().map(|x| x.to_string()).collect::<Vec<_>>())
+        let freq = |names: &[&str]| {
+            let split: Vec<String> = names.iter().map(|x| x.to_string()).collect();
+            freqs.get(&split).copied().unwrap_or(0.0)
         };
-        assert!(has(&["a", "b"]), "{maj:?}");
-        assert!(!has(&["a", "c"]));
+        let third = 1.0 / 3.0;
         // The de|abc split canonicalizes to its lexicographically
-        // smaller side, ["a","b","c"]; it appears in 2 of 3 trees.
-        assert!(has(&["a", "b", "c"]), "{maj:?}");
-    }
-
-    #[test]
-    fn majority_splits_are_compatible() {
-        let trees = vec![
-            t("((a:1,b:1):1,c:1,((d:1,e:1):1,f:1):1);"),
-            t("((a:1,b:1):1,d:1,((c:1,e:1):1,f:1):1);"),
-            t("((a:1,b:1):1,e:1,((d:1,c:1):1,f:1):1);"),
-        ];
-        let taxa: Vec<String> = ["a", "b", "c", "d", "e", "f"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let freqs = split_frequencies(&trees);
-        let maj = majority_splits(&freqs, 0.5);
-        let splits: Vec<Vec<String>> = maj.into_iter().map(|s| s.split).collect();
-        assert!(splits_compatible(&splits, &taxa));
-    }
-
-    #[test]
-    fn incompatible_splits_detected() {
-        let taxa: Vec<String> = ["a", "b", "c", "d"].iter().map(|s| s.to_string()).collect();
-        let ab = vec!["a".to_string(), "b".to_string()];
-        let ac = vec!["a".to_string(), "c".to_string()];
-        assert!(!splits_compatible(&[ab.clone(), ac], &taxa));
-        let cd = vec!["c".to_string(), "d".to_string()];
-        assert!(splits_compatible(&[ab, cd], &taxa));
-    }
-
-    #[test]
-    #[should_panic]
-    fn sub_half_threshold_rejected() {
-        majority_splits(&BTreeMap::new(), 0.3);
+        // smaller side, ["a","b","c"]; ce|abd to ["a","b","d"].
+        for (split, expected) in [
+            (&["a", "b"][..], 2.0 * third),
+            (&["a", "b", "c"], 2.0 * third),
+            (&["a", "c"], third),
+            (&["a", "b", "d"], third),
+        ] {
+            let f = freq(split);
+            assert!((f - expected).abs() < 1e-12, "{split:?}: {f} in {freqs:?}");
+        }
+        assert_eq!(freqs.len(), 4, "{freqs:?}");
     }
 }

@@ -1,17 +1,70 @@
 //! Acceptance tests for the paper's evaluation shapes, driven by a
-//! REAL instrumented run (not the synthetic trace): the full
-//! reproduction pipeline exactly as the benchmark binaries execute it,
-//! at a reduced recording size for test speed.
+//! REAL instrumented run (not the synthetic trace): the one trace
+//! `results/` is rendered from, and the committed `results/` files
+//! themselves, which must equal a fresh render.
 
 use micsim::energy::fig5_energy_savings;
 use micsim::model::{predict_time, ExecMode};
 use micsim::systems::{crossover_patterns, fig4_dual_mic_scaling, table3, SystemId};
 use micsim::WorkloadTrace;
+use std::path::Path;
 use std::sync::OnceLock;
 
 fn real_trace() -> &'static WorkloadTrace {
     static TRACE: OnceLock<WorkloadTrace> = OnceLock::new();
-    TRACE.get_or_init(|| phylo_bench::record_trace(1_500, 2, 7_777))
+    TRACE.get_or_init(phylo_bench::standard_trace)
+}
+
+const REPRODUCE: &str = "cargo run --release -p phylo-bench --bin reproduce";
+
+/// Dated captures of three examples' output; `reproduce` writes every
+/// other `results/*.txt`.
+const EXAMPLE_CAPTURES: [&str; 3] = [
+    "epa_placement.txt",
+    "ml_search.txt",
+    "simulate_alignment.txt",
+];
+
+#[test]
+fn committed_results_are_what_the_trace_renders() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let rendered = phylo_bench::paper_results(real_trace());
+    for (name, text) in &rendered {
+        let committed = std::fs::read_to_string(dir.join(name))
+            .unwrap_or_else(|e| panic!("results/{name}: {e}; regenerate with `{REPRODUCE}`"));
+        if let Some(line) = first_difference(&committed, text) {
+            panic!(
+                "results/{name} is stale (line {line} differs from a fresh render); \
+                 regenerate with `{REPRODUCE}`"
+            );
+        }
+    }
+    let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".txt"))
+        .collect();
+    on_disk.sort();
+    let mut expected: Vec<String> = rendered
+        .iter()
+        .map(|(name, _)| name.to_string())
+        .chain(EXAMPLE_CAPTURES.iter().map(|name| name.to_string()))
+        .collect();
+    expected.sort();
+    assert_eq!(
+        on_disk, expected,
+        "results/*.txt must be what `{REPRODUCE}` writes plus the example captures \
+         {EXAMPLE_CAPTURES:?}"
+    );
+}
+
+/// 1-based number of the first line where `a` and `b` differ.
+fn first_difference(a: &str, b: &str) -> Option<usize> {
+    if a == b {
+        return None;
+    }
+    let same = a.lines().zip(b.lines()).take_while(|(x, y)| x == y).count();
+    Some(same + 1)
 }
 
 fn speedup_of(row: &[(SystemId, micsim::systems::Table3Cell)], sys: SystemId) -> f64 {
@@ -120,4 +173,24 @@ fn per_kernel_speedups_hold() {
     ] {
         assert!((1.7..2.2).contains(&s(k)), "{k:?}: {}", s(k));
     }
+}
+
+#[test]
+fn pure_mpi_is_slowest_on_real_trace() {
+    // §V-D: 120 pure-MPI ranks per card gave a "substantial slowdown"
+    // against the hybrid 2 ranks x 118 threads.
+    let sweep = phylo_bench::rank_thread_sweep(real_trace());
+    let time = |r, t| sweep.iter().find(|s| (s.0, s.1) == (r, t)).unwrap().2;
+    let pure_mpi = time(120, 1);
+    for &(ranks, threads, t) in &sweep {
+        assert!(
+            t <= pure_mpi,
+            "{ranks}x{threads} at {t} s is slower than 120x1 at {pure_mpi} s"
+        );
+    }
+    let hybrid = time(2, 118);
+    assert!(
+        pure_mpi >= 2.0 * hybrid,
+        "120x1 {pure_mpi} s vs 2x118 {hybrid} s"
+    );
 }
