@@ -40,17 +40,21 @@
 //!   8. `newview_ii` with the underflow threshold tested on the
 //!      accumulators at least `FINISH_MIN_SPEEDUP` × faster than the
 //!      same 256-bit loop finishing every site the old way (store,
-//!      then `scale_site` reads it back lane by lane).
+//!      then `scale_site` reads it back lane by lane);
+//!  13. with AVX-512F present, the fused 512-bit `derivative_core` at
+//!      least `DERIVCORE_MIN_SPEEDUP` × faster than the 256-bit phase 1
+//!      plus the provided scalar tail, with bit-equal results.
 //!
 //! (Gates 1 and 2 guarded the `vector` backend and the `auto`
 //! dispatcher, gates 4, 5 and 9 site-repeat compression, and went with
 //! them; the numbers stay so EXPERIMENTS.md and DESIGN.md keep pointing
 //! at the right gate.)
 //!
-//! Gates 7 and 8 are ratio cells: both arms run in the same process,
+//! Gates 7, 8 and 13 are ratio cells: both arms run in the same process,
 //! interleaved round by round, at the call sizes of the `plf_e2e`
 //! workloads (390 sites = `narrow64`, 3 716 / 7 307 = `wide15` /
-//! `modelopt15`).
+//! `modelopt15`; the `newview_ii` cells of gates 7 and 8 below
+//! `NEWVIEW_CELL_MAX_SITES` only).
 //!
 //! A third section holds the non-kernel cells — same-run, interleaved:
 //!  10. `update_partials` on a 64-taxon tree, pruned walk against the
@@ -138,6 +142,17 @@ const BLOCKING_MAX_RATIO: f64 = 1.05;
 /// Gate 7: minimum speedup of the 512-bit `newview_ii` body over the
 /// 256-bit one (measured 1.2–1.3× on the development host).
 const WIDTH_MIN_SPEEDUP: f64 = 1.10;
+/// Gates 7 and 8 hold `newview_ii` bodies against each other only at
+/// call sizes below this. A larger `newview` call happens only under
+/// `--blocking off` (engines block at 2 048 sites), and at 7 307 sites
+/// its three 935 KB CLAs outgrow the development host's 2 MiB L2, so
+/// both arms wait on memory: the width cell read 0.93–1.04 × there,
+/// and 1.10–1.21 × while that output still streamed.
+const NEWVIEW_CELL_MAX_SITES: usize = 4096;
+/// Gate 13: minimum speedup of the fused 512-bit `derivative_core` over
+/// the two-phase 256-bit one (1.18–1.52 × on the development host, at
+/// 390 to 7 307 sites).
+const DERIVCORE_MIN_SPEEDUP: f64 = 1.10;
 /// Gate 8: minimum speedup of the in-register threshold test over the
 /// store-then-`scale_site` finish, both 256 bits wide.
 const FINISH_MIN_SPEEDUP: f64 = 1.25;
@@ -556,8 +571,8 @@ fn stored_finish_avx2(fx: &Fixture, out: &mut Cla) {
     }
 }
 
-/// The two ratio cells (gates 7 and 8) at each of `sites`; an arm this
-/// host cannot run leaves its cell out, with a message.
+/// The three ratio cells (gates 7, 8 and 13) at each of `sites`; an arm
+/// this host cannot run leaves its cell out, with a message.
 fn width_cells(sites: &[usize]) -> Vec<RatioCell> {
     let mut cells = Vec::new();
     let (Some(w256), w512) = (SimdKernels::at_width(256), SimdKernels::at_width(512)) else {
@@ -565,7 +580,7 @@ fn width_cells(sites: &[usize]) -> Vec<RatioCell> {
         return cells;
     };
     if w512.is_none() {
-        println!("gate 7 skipped: no AVX-512F on this host, only the 256-bit bodies run");
+        println!("gates 7 and 13 skipped: no AVX-512F on this host, only the 256-bit bodies run");
     }
     for &n in sites {
         let mut fx = fixture(n);
@@ -584,30 +599,59 @@ fn width_cells(sites: &[usize]) -> Vec<RatioCell> {
                 s,
             );
         };
+        let newview_cells = n < NEWVIEW_CELL_MAX_SITES;
         if let Some(w512) = w512 {
-            let (base_ns, new_ns, ratio) = interleaved(
-                n,
-                || run(w256, &fx, &mut out_a),
-                || run(w512, &fx, &mut out_b),
+            if newview_cells {
+                let (base_ns, new_ns, ratio) = interleaved(
+                    n,
+                    || run(w256, &fx, &mut out_a),
+                    || run(w512, &fx, &mut out_b),
+                );
+                assert!(
+                    out_a.values() == out_b.values(),
+                    "the two widths wrote different CLAs"
+                );
+                cells.push(RatioCell {
+                    cell: "width",
+                    sites: n,
+                    base: "newview_ii, 256-bit body",
+                    new: "newview_ii, 512-bit body",
+                    base_ns,
+                    new_ns,
+                    ratio,
+                    gate: WIDTH_MIN_SPEEDUP,
+                });
+            }
+            // Gate 13 reads a real table: `derivative_sum_ii` of the
+            // fixture's two CLAs.
+            w256.derivative_sum_ii(
+                &fx.basis,
+                fx.v_l.values(),
+                fx.v_r.values(),
+                &mut fx.sumtable,
             );
+            let (mut d_a, mut d_b) = ((0.0, 0.0), (0.0, 0.0));
+            let core = |k: &dyn Kernels| {
+                black_box(k.derivative_core(&fx.sumtable, &fx.basis.lambda_rate, 0.2, &fx.weights))
+            };
+            let (base_ns, new_ns, ratio) = interleaved(n, || d_a = core(w256), || d_b = core(w512));
             assert!(
-                out_a.values() == out_b.values(),
-                "the two widths wrote different CLAs"
+                d_a.0.to_bits() == d_b.0.to_bits() && d_a.1.to_bits() == d_b.1.to_bits(),
+                "the two widths computed different derivatives"
             );
             cells.push(RatioCell {
-                cell: "width",
+                cell: "derivcore",
                 sites: n,
-                base: "newview_ii, 256-bit body",
-                new: "newview_ii, 512-bit body",
+                base: "derivative_core, 256-bit phase 1 + scalar tail",
+                new: "derivative_core, fused 512-bit body",
                 base_ns,
                 new_ns,
                 ratio,
-                gate: WIDTH_MIN_SPEEDUP,
+                gate: DERIVCORE_MIN_SPEEDUP,
             });
         }
         #[cfg(target_arch = "x86_64")]
-        if n < 4096 {
-            // Below the streaming size only: the control does not stream.
+        if newview_cells {
             let (base_ns, new_ns, ratio) = interleaved(
                 n,
                 || newview_ii_stored_finish(&fx, &mut out_a),
@@ -1031,7 +1075,7 @@ fn main() {
     );
     println!();
 
-    // Width section: the two same-run ratio cells.
+    // Width section: the three same-run ratio cells.
     let ratio_cells = width_cells(&[390, 3_716, 7_307]);
     for c in &ratio_cells {
         println!(
@@ -1108,7 +1152,7 @@ fn main() {
         println!("gate: blocked traversal {blocking_ratio:.3}x of unblocked on all-distinct — ok");
     }
 
-    // Gates 7, 8, 10, 11 and 12: every ratio cell this host could run.
+    // Gates 7, 8, 10–13: every ratio cell this host could run.
     for c in ratio_cells.iter().chain(&nonkernel_cells) {
         if c.ratio < c.gate {
             failures.push(format!(

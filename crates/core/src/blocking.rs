@@ -142,18 +142,24 @@ const WORKING_COLUMNS: usize = 4;
 /// overhead (P-matrix pointer chasing, slice setup) dominates.
 const MIN_BLOCK_SITES: usize = 8 * SITE_BLOCK;
 
-/// Sites per block, derived from the calibrated per-core cache size
+/// The per-core cache in bytes: the calibrated size
 /// ([`crate::cost::calibration`], measured once by `phylomic
-/// calibrate`) so that [`WORKING_COLUMNS`] CLA columns of one block
-/// fit: `cache / (128 B · 4)`, floored to a [`SITE_BLOCK`] multiple.
-/// Uncalibrated hosts assume [`DEFAULT_CACHE_BYTES`] (→ 2048 sites).
-pub fn block_sites() -> usize {
-    let cache = crate::cost::calibration()
+/// calibrate`), else [`DEFAULT_CACHE_BYTES`]. Blocks are sized from it,
+/// and a `newview` output larger than it streams past it.
+pub(crate) fn cache_bytes() -> u64 {
+    crate::cost::calibration()
         .map(|c| c.cache_bytes)
         .filter(|&b| b > 0)
-        .unwrap_or(DEFAULT_CACHE_BYTES);
+        .unwrap_or(DEFAULT_CACHE_BYTES)
+}
+
+/// Sites per block, derived from [`cache_bytes`] so that
+/// [`WORKING_COLUMNS`] CLA columns of one block fit:
+/// `cache / (128 B · 4)`, floored to a [`SITE_BLOCK`] multiple.
+/// Uncalibrated hosts assume [`DEFAULT_CACHE_BYTES`] (→ 2048 sites).
+pub fn block_sites() -> usize {
     let per_site = (SITE_STRIDE * 8 * WORKING_COLUMNS) as u64;
-    let sites = (cache / per_site) as usize;
+    let sites = (cache_bytes() / per_site) as usize;
     (sites / SITE_BLOCK * SITE_BLOCK).max(MIN_BLOCK_SITES)
 }
 

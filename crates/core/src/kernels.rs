@@ -179,7 +179,11 @@ impl std::fmt::Display for KernelKind {
 /// (`evaluate_classes_ti/ii`, `derivative_core_classes`); the scalar
 /// tail "on the whole block" and the weighted sum are the provided
 /// [`Kernels::evaluate_ti`], [`Kernels::evaluate_ii`] and
-/// [`Kernels::derivative_core`], written once for every backend.
+/// [`Kernels::derivative_core`], written once for every backend. The
+/// one override is the explicit-SIMD set at 512 bits, whose
+/// `derivative_core` runs reduction and tail fused, 8 sites a step,
+/// and leaves the last `n mod 8` sites to the two-phase body — the
+/// same bits at every width.
 pub trait Kernels: Send + Sync {
     /// `newview`, both children tips.
     fn newview_tt(
@@ -337,26 +341,41 @@ pub trait Kernels: Send + Sync {
         t: f64,
         weights: &[u32],
     ) -> (f64, f64) {
-        debug_assert_eq!(sumtable.len(), weights.len() * SITE_STRIDE);
-        let mut block = [0.0; 3 * ROOT_CHUNK];
-        let (mut dlnl, mut d2lnl) = (0.0, 0.0);
-        for (i, w) in weights.chunks(ROOT_CHUNK).enumerate() {
-            let at = i * ROOT_CHUNK;
-            let block = &mut block[..3 * w.len()];
-            self.derivative_core_classes(
-                site_columns(sumtable, &(at..at + w.len())),
-                lambda_rate,
-                t,
-                block,
-            );
-            for (l, &w) in block.chunks_exact(3).zip(w) {
-                let (ratio1, ratio2) = derivative_ratios(l[0], l[1], l[2]);
-                dlnl += w as f64 * ratio1;
-                d2lnl += w as f64 * ratio2;
-            }
-        }
-        (dlnl, d2lnl)
+        derivative_core_two_phase(self, sumtable, lambda_rate, t, weights, (0.0, 0.0))
     }
+}
+
+/// The provided `derivativeCore` body: per chunk, `k`'s phase-1
+/// reduction, then the ratio/weight tail folded into `(dlnl, d2lnl)`
+/// in site order. A backend with a fused body of its own hands this
+/// the sites it left over and its running sums, and gets the bits the
+/// two-phase body would have written for the whole call.
+pub(crate) fn derivative_core_two_phase<K: Kernels + ?Sized>(
+    k: &K,
+    sumtable: &[f64],
+    lambda_rate: &[f64; SITE_STRIDE],
+    t: f64,
+    weights: &[u32],
+    (mut dlnl, mut d2lnl): (f64, f64),
+) -> (f64, f64) {
+    debug_assert_eq!(sumtable.len(), weights.len() * SITE_STRIDE);
+    let mut block = [0.0; 3 * ROOT_CHUNK];
+    for (i, w) in weights.chunks(ROOT_CHUNK).enumerate() {
+        let at = i * ROOT_CHUNK;
+        let block = &mut block[..3 * w.len()];
+        k.derivative_core_classes(
+            site_columns(sumtable, &(at..at + w.len())),
+            lambda_rate,
+            t,
+            block,
+        );
+        for (l, &w) in block.chunks_exact(3).zip(w) {
+            let (ratio1, ratio2) = derivative_ratios(l[0], l[1], l[2]);
+            dlnl += w as f64 * ratio1;
+            d2lnl += w as f64 * ratio2;
+        }
+    }
+    (dlnl, d2lnl)
 }
 
 /// Sites per phase-1 call of the provided full-width root kernels
@@ -507,13 +526,29 @@ mod tests {
         for (m, w) in pi_w.iter_mut().enumerate() {
             *w = 0.25 * gtr.freqs()[m % 4];
         }
-        for n in [1, 7, ROOT_CHUNK - 1, ROOT_CHUNK, ROOT_CHUNK + 1, 1000] {
+        // 8, 9, 15 and 16 sit around the 8-site step of the fused
+        // 512-bit `derivative_core`.
+        for n in [
+            1,
+            7,
+            8,
+            9,
+            15,
+            16,
+            ROOT_CHUNK - 1,
+            ROOT_CHUNK,
+            ROOT_CHUNK + 1,
+            1000,
+        ] {
             let mut v_q = AlignedVec::zeroed(n * SITE_STRIDE);
             let mut v_r = AlignedVec::zeroed(n * SITE_STRIDE);
             let mut sumtable = AlignedVec::zeroed(n * SITE_STRIDE);
             fill(&mut v_q, 17);
             fill(&mut v_r, 19);
             fill(&mut sumtable, 23);
+            // One all-zero column: ℓ = 0 meets the `positive` guard.
+            let zero = n / 2;
+            sumtable[zero * SITE_STRIDE..(zero + 1) * SITE_STRIDE].fill(0.0);
             // Every fifth site looks like one that was rescaled on the
             // way up: tiny values, nonzero counters.
             for i in (0..n).step_by(5) {
@@ -534,7 +569,8 @@ mod tests {
             };
             // The scalar loops and every explicit-SIMD width this host
             // runs (the π-weighted tail and `derivative_core_classes`
-            // are shared by the widths; the matrix phase is not).
+            // are shared by the widths; the matrix phase and, at 512
+            // bits, `derivative_core` are not).
             let mut sets: Vec<(String, &dyn Kernels)> =
                 vec![("scalar".into(), KernelKind::Scalar.kernels())];
             for set in simd::tests::widths_under_test() {

@@ -20,15 +20,20 @@
 //!   64-byte aligned and whole-site padded (debug-asserted at every
 //!   kernel entry; see [`crate::layout`] for the invariant), so every
 //!   site loads full vectors with no scalar remainder;
-//! * §V-B4 *site blocking* — `evaluate`/`derivativeCore` are only the
-//!   vector phase here (`evaluate_classes_*`, `derivative_core_classes`);
-//!   the scalar log/division tail runs over whole blocks in the
-//!   provided methods of [`super::Kernels`];
-//! * §V-B5 *streaming stores* — `newview` CLAs and `derivativeSum`
-//!   tables are written exactly once and never read back in-kernel, so
-//!   large ones leave through non-temporal stores, followed by one
-//!   `sfence` at kernel exit that makes the weakly-ordered writes
-//!   globally visible before any reader runs;
+//! * §V-B4 *site blocking* — `evaluate` is only the vector phase here
+//!   (`evaluate_classes_*`); the scalar log tail runs over whole blocks
+//!   in the provided methods of [`super::Kernels`]. `derivativeCore`
+//!   is the vector phase too (`derivative_core_classes`) at 256 bits;
+//!   at 512 bits it is one fused loop, 8 sites a step, with the
+//!   division tail in vector registers;
+//! * §V-B5 *streaming stores* — a `newview` CLA is written once and
+//!   not read again until its parent's call, so one from an unblocked
+//!   walk that is larger than the per-core cache leaves through
+//!   non-temporal stores, followed by one `sfence` at kernel exit that
+//!   makes the weakly-ordered writes globally visible before any
+//!   reader runs. A `derivativeSum` table is written through the
+//!   cache: `derivativeCore` reads it straight back, several times per
+//!   branch;
 //! * prefetching — each site iteration prefetches the input CLA(s) a
 //!   few sites ahead into L1, the §V-B MIC prefetch scheme.
 //!
@@ -43,13 +48,16 @@
 //! bit-identical across backends and widths (rescaling multiplies by an
 //! exact power of two).
 //!
-//! Three ops have one body whatever the host: `newview_tt` is a pure
+//! Two ops have one body whatever the host: `newview_tt` is a pure
 //! 16-wide LUT product with no matrix work for the FMA chains to win
 //! anything on and runs the scalar backend's loop, which LLVM
-//! vectorizes as it stands; `derivative_core_classes` and the
-//! π-weighted tail of `evaluate_classes_*` sum over `k` *inside* a
-//! lane, so putting two rate categories side by side would change the
-//! order of that sum — they stay 256 bits wide.
+//! vectorizes as it stands; the π-weighted tail of `evaluate_classes_*`
+//! sums over `k` *inside* a lane, so putting two rate categories side
+//! by side would change the order of that sum — it stays 256 bits
+//! wide. `derivativeCore` sums over `k` inside a lane as well; its
+//! 512-bit body keeps that order by putting two *sites* side by side
+//! instead, one per 256-bit half, and reduces each half as `hsum`
+//! does.
 //!
 //! On non-x86-64 targets, and on x86-64 hosts without AVX2+FMA, every
 //! method delegates to [`super::scalar::ScalarKernels`];
@@ -57,7 +65,7 @@
 //! so the delegation is defense in depth for direct callers.
 
 use super::scalar::ScalarKernels;
-use super::Kernels;
+use super::{derivative_core_two_phase, Kernels};
 use crate::aligned::debug_assert_site_buffer as assert_buf;
 use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
 use crate::SITE_STRIDE;
@@ -125,9 +133,9 @@ impl SimdKernels {
     }
 
     /// The width of this set's vectors in bits (0: scalar fallback).
-    /// `newview_tt`, `derivative_core_classes` and the π-weighted tail
-    /// of `evaluate_classes_*` have one body at every width (see the
-    /// module doc); all matrix work runs this wide.
+    /// `newview_tt` and the π-weighted tail of `evaluate_classes_*`
+    /// have one body at every width (see the module doc); all matrix
+    /// work and `derivative_core` run this wide.
     pub fn width_bits(&self) -> u32 {
         self.width_bits
     }
@@ -306,6 +314,27 @@ impl Kernels for SimdKernels {
         }
         ScalarKernels.derivative_core_classes(sumtable, lambda_rate, t, out)
     }
+
+    fn derivative_core(
+        &self,
+        sumtable: &[f64],
+        lambda_rate: &[f64; SITE_STRIDE],
+        t: f64,
+        weights: &[u32],
+    ) -> (f64, f64) {
+        #[cfg(target_arch = "x86_64")]
+        if self.width_bits == 512 {
+            assert_buf(sumtable, weights.len(), "derivative_core sumtable");
+            // SAFETY: `at_width` hands out 512 only with AVX2, FMA and
+            // AVX-512F detected.
+            let (done, sums) =
+                unsafe { x86::w512::derivative_core(sumtable, lambda_rate, t, weights) };
+            // The last `n mod 8` sites, continuing the sums in site order.
+            let rest = &sumtable[done * SITE_STRIDE..];
+            return derivative_core_two_phase(self, rest, lambda_rate, t, &weights[done..], sums);
+        }
+        derivative_core_two_phase(self, sumtable, lambda_rate, t, weights, (0.0, 0.0))
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -375,25 +404,42 @@ mod x86 {
         unsafe { _mm256_stream_pd(s.as_mut_ptr(), v) }
     }
 
-    /// Minimum number of sites before non-temporal stores pay off. NT
-    /// stores bypass the cache entirely, so for outputs that still fit
-    /// in L2 (and will be re-read by the parent `newview`/`evaluate`
-    /// within a few kernel calls) they trade a cache hit on the reader
-    /// for nothing — BENCH_5 measured the Simd backend *losing* to
-    /// scalar at 1k patterns on exactly the streamed kernels. 4096
-    /// sites × 128 B = 512 KiB, about where outputs stop fitting in a
-    /// per-core L2 and the reader was going to miss anyway.
-    pub(super) const NT_MIN_SITES: usize = 4096;
+    /// Bytes of one CLA site.
+    const SITE_BYTES: u64 = (SITE_STRIDE * 8) as u64;
 
-    /// Whether `out` should take streaming stores of `vector_bytes`
-    /// each: every site offset must be aligned to the vector
-    /// (engine-owned buffers are 64-byte aligned and always qualify;
-    /// the 128-byte site stride preserves alignment), and the output
-    /// must be large enough ([`NT_MIN_SITES`]) that bypassing the
-    /// cache wins.
+    /// Whether an `n_sites`-long `newview` output streams, on a host
+    /// with `cache_bytes` of per-core cache cut into `block_sites`-long
+    /// traversal blocks ([`crate::blocking`]): when it is longer than a
+    /// block, so that a blocked walk — whose parent reads a block's
+    /// columns while they are still cached — never does, and larger
+    /// than the cache.
+    ///
+    /// NT stores bypass the cache entirely: an output its parent could
+    /// re-read from cache only loses by them. Measured on a 2-vCPU Xeon
+    /// with 2 MiB of L2 per core and 105 MiB of L3, 15-taxon `search
+    /// --rounds 0 --blocking off`, streaming against no streaming store
+    /// at all: 20 % slower at 5 266 patterns (0.7 MB per CLA), even at
+    /// 10 181 (1.3 MB), 8–15 % faster from 18 745 (2.4 MB) to 87 620
+    /// (11 MB) — also where all 13 CLAs still fit the L3. The output
+    /// against the per-core cache decides. With that host's 2 MiB
+    /// calibrated into 4 096-site blocks, streaming each full block
+    /// took a 15 × 12 000 `--blocking on` search from 0.145–0.179 s to
+    /// 0.224–0.246 s.
     #[inline]
-    fn stream_ok(out: &[f64], n_sites: usize, vector_bytes: usize) -> bool {
-        (out.as_ptr() as usize).is_multiple_of(vector_bytes) && n_sites >= NT_MIN_SITES
+    pub(super) fn streams(n_sites: usize, cache_bytes: u64, block_sites: usize) -> bool {
+        n_sites > block_sites && n_sites as u64 * SITE_BYTES > cache_bytes
+    }
+
+    /// Whether `out` takes streaming stores of `vector_bytes` each:
+    /// every site offset must be aligned to the vector (engine-owned
+    /// buffers are 64-byte aligned and always qualify; the 128-byte
+    /// site stride preserves alignment), and the call must be one that
+    /// [`streams`].
+    #[inline]
+    pub(super) fn stream_ok(out: &[f64], n_sites: usize, vector_bytes: usize) -> bool {
+        use crate::blocking::{block_sites, cache_bytes};
+        (out.as_ptr() as usize).is_multiple_of(vector_bytes)
+            && streams(n_sites, cache_bytes(), block_sites())
     }
 
     /// §V-B5 epilogue: `sfence` after non-temporal stores. NT stores
@@ -605,7 +651,6 @@ mod x86 {
         v_r: &[f64],
         out: &mut [f64],
     ) {
-        let nt = stream_ok(out, out.len() / SITE_STRIDE, 32);
         let sites = out
             .chunks_exact_mut(SITE_STRIDE)
             .zip(v_r.chunks_exact(SITE_STRIDE));
@@ -617,15 +662,14 @@ mod x86 {
                 *a = _mm256_mul_pd(load4(le, 4 * k), *a);
             }
             // No scaling rule here: sumtables are branch-invariant
-            // intermediates, not CLAs.
-            write_site(acc, site, nt);
+            // intermediates, not CLAs. Never streamed: `derivativeCore`
+            // reads the table straight back.
+            write_site(acc, site, false);
         }
-        drain_streams(nt);
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) fn derivative_sum_ii(basis: &EigenBasis, v_q: &[f64], v_r: &[f64], out: &mut [f64]) {
-        let nt = stream_ok(out, out.len() / SITE_STRIDE, 32);
         let inputs = v_q
             .chunks_exact(SITE_STRIDE)
             .zip(v_r.chunks_exact(SITE_STRIDE));
@@ -637,9 +681,8 @@ mod x86 {
             for (k, a) in acc.iter_mut().enumerate() {
                 *a = _mm256_mul_pd(le[k], *a);
             }
-            write_site(acc, site, nt);
+            write_site(acc, site, false);
         }
-        drain_streams(nt);
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -716,16 +759,19 @@ mod x86 {
         //! is eight registers, loaded once per call.
 
         use super::{
-            drain_streams, prefetch_site, rescale_site, root_weights, stream_ok, weighted_sum,
-            SiteBuf, PREFETCH_SITES,
+            derivative_exp_tables, drain_streams, prefetch_site, rescale_site, root_weights,
+            stream_ok, weighted_sum, SiteBuf, PREFETCH_SITES,
         };
         use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
         use crate::scaling::SCALE_THRESHOLD;
         use crate::{NUM_RATES, NUM_STATES, SITE_STRIDE};
         use core::arch::x86_64::{
-            __m256d, __m512d, _mm512_castpd512_pd256, _mm512_cmp_pd_mask, _mm512_extractf64x4_pd,
-            _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_mul_pd, _mm512_permutex_pd, _mm512_set1_pd,
-            _mm512_setzero_pd, _mm512_storeu_pd, _mm512_stream_pd, _CMP_GE_OQ,
+            __m256d, __m512d, _mm256_loadu_si256, _mm512_add_pd, _mm512_broadcast_f64x4,
+            _mm512_castpd256_pd512, _mm512_castpd512_pd256, _mm512_cmp_pd_mask, _mm512_cvtepu32_pd,
+            _mm512_div_pd, _mm512_extractf64x4_pd, _mm512_fmadd_pd, _mm512_insertf64x4,
+            _mm512_loadu_pd, _mm512_max_pd, _mm512_mul_pd, _mm512_permutex_pd, _mm512_set1_pd,
+            _mm512_setzero_pd, _mm512_shuffle_f64x2, _mm512_storeu_pd, _mm512_stream_pd,
+            _mm512_sub_pd, _mm512_unpackhi_pd, _mm512_unpacklo_pd, _CMP_GE_OQ, _CMP_NGE_UQ,
         };
 
         /// One site: `[rates 0-1, rates 2-3]`.
@@ -907,7 +953,6 @@ mod x86 {
             v_r: &[f64],
             out: &mut [f64],
         ) {
-            let nt = stream_ok(out, out.len() / SITE_STRIDE, 64);
             let uinv = load_matrix(&basis.uinv);
             let sites = out
                 .chunks_exact_mut(SITE_STRIDE)
@@ -915,9 +960,8 @@ mod x86 {
             for (i, (site, vr)) in sites.enumerate() {
                 prefetch_site(v_r, i + PREFETCH_SITES);
                 let le = load_site(&basis.tip_left.rows[codes_q[i] as usize]);
-                write_site(mul(le, matvec(&uinv, load_site(vr))), site, nt);
+                write_site(mul(le, matvec(&uinv, load_site(vr))), site, false);
             }
-            drain_streams(nt);
         }
 
         #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
@@ -927,7 +971,6 @@ mod x86 {
             v_r: &[f64],
             out: &mut [f64],
         ) {
-            let nt = stream_ok(out, out.len() / SITE_STRIDE, 64);
             let (piu, uinv) = (load_matrix(&basis.piu), load_matrix(&basis.uinv));
             let inputs = v_q
                 .chunks_exact(SITE_STRIDE)
@@ -936,9 +979,8 @@ mod x86 {
                 prefetch_site(v_q, i + PREFETCH_SITES);
                 prefetch_site(v_r, i + PREFETCH_SITES);
                 let acc = mul(matvec(&piu, load_site(vq)), matvec(&uinv, load_site(vr)));
-                write_site(acc, site, nt);
+                write_site(acc, site, false);
             }
-            drain_streams(nt);
         }
 
         #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
@@ -977,6 +1019,139 @@ mod x86 {
                 prefetch_site(v_r, i + PREFETCH_SITES);
                 *slot = weighted_sum(root_weights(pi_w, vq), blocks(matvec(&p, load_site(vr))));
             }
+        }
+
+        /// The three exponential tables of `derivativeCore` (`e`, `d1`,
+        /// `d2`), rate category `k` of each in both 256-bit halves.
+        type Tables = [[__m512d; NUM_RATES]; 3];
+
+        /// One value per quantity (`ℓ`, `ℓ'`, `ℓ''`) for sites side by side.
+        type Triple = [__m512d; 3];
+
+        /// [`derivative_exp_tables`] at `t`, as [`Tables`].
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn tables(lambda_rate: &[f64; SITE_STRIDE], t: f64) -> Tables {
+            let mut out = [[_mm512_setzero_pd(); NUM_RATES]; 3];
+            let (e, d1, d2) = derivative_exp_tables(lambda_rate, t);
+            for (tab, row) in out.iter_mut().zip([e, d1, d2]) {
+                for (k, v) in tab.iter_mut().enumerate() {
+                    *v = _mm512_broadcast_f64x4(super::load4(&row, 4 * k));
+                }
+            }
+            out
+        }
+
+        /// Phase 1 of `derivativeCore` for columns `a` (low half) and
+        /// `b` (high half) of `cols`: per lane the 256-bit body's three
+        /// FMA chains over `k = 0..3` from zero, not yet reduced.
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn chains(cols: &[f64], a: usize, b: usize, tables: &Tables) -> Triple {
+            let mut acc = [_mm512_setzero_pd(); 3];
+            for k in 0..NUM_RATES {
+                let lo = super::load4(cols, a * SITE_STRIDE + 4 * k);
+                let hi = super::load4(cols, b * SITE_STRIDE + 4 * k);
+                let x = _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(lo), hi);
+                for (acc, tab) in acc.iter_mut().zip(tables) {
+                    *acc = _mm512_fmadd_pd(x, tab[k], *acc);
+                }
+            }
+            acc
+        }
+
+        /// The first step of `hsum` on the four sites of `p` and `q`:
+        /// lanes `(x0 + x2, x1 + x3)` of each, in the order p's low
+        /// half, p's high half, q's low half, q's high half.
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn fold(p: Triple, q: Triple) -> Triple {
+            let mut out = p;
+            for (o, (a, b)) in out.iter_mut().zip(p.into_iter().zip(q)) {
+                // 128-bit chunks 0, 2 of `a`, then of `b`; and 1, 3.
+                let x01 = _mm512_shuffle_f64x2::<0b10_00_10_00>(a, b);
+                let x23 = _mm512_shuffle_f64x2::<0b11_01_11_01>(a, b);
+                *o = _mm512_add_pd(x01, x23);
+            }
+            out
+        }
+
+        /// The second step of `hsum`, `(x0 + x2) + (x1 + x3)`, on the
+        /// folds of sites 0, 2, 4, 6 (`even`) and 1, 3, 5, 7 (`odd`):
+        /// one value per site, lane `j` = site `j`.
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn sites_in_order(even: Triple, odd: Triple) -> Triple {
+            let mut out = even;
+            for (o, (ev, od)) in out.iter_mut().zip(even.into_iter().zip(odd)) {
+                *o = _mm512_add_pd(_mm512_unpacklo_pd(ev, od), _mm512_unpackhi_pd(ev, od));
+            }
+            out
+        }
+
+        /// Eight pattern weights as doubles (every `u32` is one exactly).
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn weights8(w: &[u32]) -> __m512d {
+            let w = &w[..8];
+            // SAFETY: the slice bounds-check above proves 8 readable
+            // u32s, the 32 bytes of an unaligned 256-bit load.
+            _mm512_cvtepu32_pd(unsafe { _mm256_loadu_si256(w.as_ptr().cast()) })
+        }
+
+        /// `derivativeCore`, fused: phase 1 and the ratio/weight tail of
+        /// 8 sites a step in vector registers. Returns how many sites it
+        /// finished (every whole step) and `(dlnl, d2lnl)` over them,
+        /// from which the two-phase body continues with the rest.
+        ///
+        /// Lane for lane it computes what the 256-bit phase 1 and the
+        /// provided tail compute: three FMA chains over `k = 0..3` from
+        /// zero, each site's four lanes reduced as `(x0 + x2) + (x1 +
+        /// x3)` (`hsum`'s order), then `ℓ = max(ℓ, MIN_POSITIVE)`,
+        /// `r1 = ℓ'/ℓ` and `r2 = ℓ''/ℓ − r1·r1` (no FMA), each times the
+        /// weight, added to the sums in site order — the same bits.
+        /// A register holds sites `c` and `c + 2`, so that the two
+        /// reduction steps leave the 8 sites in order with no gather.
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        pub(in super::super) fn derivative_core(
+            sumtable: &[f64],
+            lambda_rate: &[f64; SITE_STRIDE],
+            t: f64,
+            weights: &[u32],
+        ) -> (usize, (f64, f64)) {
+            let tables = tables(lambda_rate, t);
+            let floor = _mm512_set1_pd(f64::MIN_POSITIVE);
+            let (mut dlnl, mut d2lnl) = (0.0, 0.0);
+            let mut done = 0;
+            let steps = sumtable
+                .chunks_exact(8 * SITE_STRIDE)
+                .zip(weights.chunks_exact(8));
+            for (cols, w) in steps {
+                for c in done..done + 8 {
+                    prefetch_site(sumtable, c + PREFETCH_SITES);
+                }
+                let even = fold(chains(cols, 0, 2, &tables), chains(cols, 4, 6, &tables));
+                let odd = fold(chains(cols, 1, 3, &tables), chains(cols, 5, 7, &tables));
+                let [l, l1, l2] = sites_in_order(even, odd);
+                debug_assert_eq!(
+                    _mm512_cmp_pd_mask::<_CMP_NGE_UQ>(l, _mm512_setzero_pd()),
+                    0,
+                    "negative site likelihood"
+                );
+                let l = _mm512_max_pd(l, floor);
+                let ratio1 = _mm512_div_pd(l1, l);
+                let ratio2 = _mm512_sub_pd(_mm512_div_pd(l2, l), _mm512_mul_pd(ratio1, ratio1));
+                let w = weights8(w);
+                let (mut d1, mut d2) = ([0.0; 8], [0.0; 8]);
+                store8(&mut d1, 0, _mm512_mul_pd(w, ratio1));
+                store8(&mut d2, 0, _mm512_mul_pd(w, ratio2));
+                for (a, b) in d1.into_iter().zip(d2) {
+                    dlnl += a;
+                    d2lnl += b;
+                }
+                done += 8;
+            }
+            (done, (dlnl, d2lnl))
         }
     }
 }
@@ -1064,7 +1239,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// What the six ops with a body per width write for one input.
+    /// What the seven ops with a body per width write for one input.
     struct Outputs {
         newview_ti: (AlignedVec, Vec<u32>),
         newview_ii: (AlignedVec, Vec<u32>),
@@ -1072,11 +1247,13 @@ pub(crate) mod tests {
         sum_ii: AlignedVec,
         eval_ti: Vec<f64>,
         eval_ii: Vec<f64>,
+        /// `(dlnl, d2lnl)` over `sum_ii`.
+        core: [f64; 2],
     }
 
     impl Outputs {
         /// `(op, values, scaling counters)` for comparisons.
-        fn parts(&self) -> [(&'static str, &[f64], &[u32]); 6] {
+        fn parts(&self) -> [(&'static str, &[f64], &[u32]); 7] {
             [
                 ("newview_ti", &self.newview_ti.0, &self.newview_ti.1),
                 ("newview_ii", &self.newview_ii.0, &self.newview_ii.1),
@@ -1084,13 +1261,15 @@ pub(crate) mod tests {
                 ("derivative_sum_ii", &self.sum_ii, &[]),
                 ("evaluate_classes_ti", &self.eval_ti, &[]),
                 ("evaluate_classes_ii", &self.eval_ii, &[]),
+                ("derivative_core", &self.core, &[]),
             ]
         }
     }
 
-    /// Runs the six ops over `n` sites of a fixed pseudo-random input
+    /// Runs the seven ops over `n` sites of a fixed pseudo-random input
     /// in which every third site sits below the scaling threshold, with
-    /// P matrices of branch lengths `tl` and `tr` under Γ shape `alpha`.
+    /// P matrices of branch lengths `tl` and `tr` under Γ shape `alpha`;
+    /// `derivative_core` reads the `derivative_sum_ii` table at `tl`.
     fn run_ops(k: &dyn Kernels, n: usize, alpha: f64, (tl, tr): (f64, f64)) -> Outputs {
         let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
         let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
@@ -1120,6 +1299,7 @@ pub(crate) mod tests {
             sum_ii: site_buf(),
             eval_ti: vec![0.0; n],
             eval_ii: vec![0.0; n],
+            core: [0.0; 2],
         };
         let (out, sc) = &mut o.newview_ti;
         k.newview_ti(&lut, &codes, &pr, &vr, &scale, out, sc);
@@ -1129,6 +1309,9 @@ pub(crate) mod tests {
         k.derivative_sum_ii(&basis, &vl, &vr, &mut o.sum_ii);
         k.evaluate_classes_ti(&pi_tip, &codes, &pr, &vr, &mut o.eval_ti);
         k.evaluate_classes_ii(&pi_w, &vl, &pr, &vr, &mut o.eval_ii);
+        let weights: Vec<u32> = (0..n).map(|i| 1 + (i % 4) as u32).collect();
+        let (d1, d2) = k.derivative_core(&o.sum_ii, &basis.lambda_rate, tl, &weights);
+        o.core = [d1, d2];
         o
     }
 
@@ -1136,8 +1319,9 @@ pub(crate) mod tests {
     fn both_widths_write_the_same_bits_and_agree_with_scalar() {
         use phylo_models::DiscreteGamma;
         let widths = widths_under_test();
-        // 511/512/513 straddle the root chunk, 4099 streams.
-        let sizes = [1usize, 7, 511, 512, 513, 1000, x86_nt_min_sites() + 3];
+        // 1 and 7 are all tail for the 8-site `derivative_core` step,
+        // 511/512/513 straddle the root chunk, the last size streams.
+        let sizes = [1usize, 7, 511, 512, 513, 1000, streamed_sites() + 3];
         let mut inputs: Vec<_> = sizes.iter().map(|&n| (n, 0.7, (0.23, 0.11))).collect();
         // The corners of the branch-length × α box an engine accepts
         // (`Tree`'s `BL_MIN`/`BL_MAX`): P ≈ I and P = the stationary rows.
@@ -1181,24 +1365,49 @@ pub(crate) mod tests {
         }
     }
 
-    /// `NT_MIN_SITES` where the explicit bodies exist, a stand-in
-    /// elsewhere (no width is under test there).
-    fn x86_nt_min_sites() -> usize {
-        #[cfg(target_arch = "x86_64")]
-        {
-            x86::NT_MIN_SITES
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            4096
-        }
+    /// The shortest `newview` call that streams on this host: longer
+    /// than a traversal block and larger than the per-core cache. A
+    /// stand-in where the explicit bodies do not exist (no width is
+    /// under test there).
+    fn streamed_sites() -> usize {
+        let cache_sites = crate::blocking::cache_bytes() as usize / (SITE_STRIDE * 8);
+        cache_sites.max(crate::blocking::block_sites()) + 1
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn only_outputs_larger_than_the_cache_and_a_block_stream() {
+        use x86::streams;
+        const MIB: u64 = 1 << 20;
+        // Uncalibrated (1 MiB, 2 048-site blocks): 8 192 sites are the
+        // cache; one more site streams.
+        assert!(!streams(4096, MIB, 2048));
+        assert!(!streams(8192, MIB, 2048));
+        assert!(streams(8193, MIB, 2048));
+        // A calibrated 2 MiB L2 gives 4 096-site blocks: a full block
+        // is read back by its parent from cache and never streams, nor
+        // does anything up to the cache's 16 384 sites.
+        assert!(!streams(4096, 2 * MIB, 4096));
+        assert!(!streams(16_384, 2 * MIB, 4096));
+        assert!(streams(16_385, 2 * MIB, 4096));
+        // Whatever the cache, a call no longer than a block never does.
+        assert!(!streams(64, 4096, 64));
+        assert!(streams(65, 4096, 64));
+        // The gate itself: this host's cache and blocks, and the vector
+        // alignment.
+        let n = streamed_sites();
+        let out = AlignedVec::zeroed(SITE_STRIDE);
+        assert!(x86::stream_ok(&out, n, 64));
+        assert!(!x86::stream_ok(&out, n - 1, 64));
+        assert!(!x86::stream_ok(&out[4..], n, 64));
+        assert!(x86::stream_ok(&out[4..], n, 32));
     }
 
     #[test]
     fn streamed_cla_is_readable_immediately_after_the_kernel_returns() {
         // Pins the §V-B5 fence: the kernel streams the CLA and fences,
         // so a plain read-back right here must observe every value.
-        let n = 33;
+        let n = streamed_sites() + 1;
         let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
         let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
         fill(&mut vl, 3, 1e-3, 1.0);
@@ -1231,7 +1440,7 @@ pub(crate) mod tests {
             // Debug builds assert the alignment contract instead.
             return;
         }
-        let n = x86_nt_min_sites() + 1;
+        let n = streamed_sites() + 1;
         let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
         let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
         fill(&mut vl, 7, 1e-3, 1.0);
@@ -1281,11 +1490,11 @@ pub(crate) mod tests {
 
     #[test]
     fn staged_and_in_place_finish_write_identical_bits() {
-        // One aligned call of ≥ NT_MIN_SITES sites streams; the same
-        // input in shorter slices never does. Every third site is small
-        // enough to go through the rescale on both paths.
-        let n = x86_nt_min_sites() + 5;
-        let slice = x86_nt_min_sites() - 1;
+        // One aligned call of `streamed_sites()` or more streams; the
+        // same input in shorter slices never does. Every third site is
+        // small enough to go through the rescale on both paths.
+        let n = streamed_sites() + 5;
+        let slice = streamed_sites() - 1;
         let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
         let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
         fill(&mut vl, 21, 1e-3, 1.0);
@@ -1364,7 +1573,7 @@ pub(crate) mod tests {
 
     /// Drives one crafted site through `finish_site` of both `newview`
     /// shapes — cached (the site alone) and streamed (the site in the
-    /// middle of `NT_MIN_SITES` ordinary ones) — and returns what was
+    /// middle of `streamed_sites()` ordinary ones) — and returns what was
     /// written for it with its scaling bump. Lane `m` of the site is
     /// `factor[m] · value[m]`, exactly: the factors ride in the tip row
     /// (`ti`) or on the diagonal of the left matrix (`ii`), where a NaN
@@ -1375,7 +1584,7 @@ pub(crate) mod tests {
         factor: [f64; SITE_STRIDE],
     ) -> Vec<([f64; SITE_STRIDE], u32)> {
         let mut written = Vec::new();
-        for n in [1, x86_nt_min_sites()] {
+        for n in [1, streamed_sites()] {
             let at = n / 2;
             let mut v = AlignedVec::zeroed(n * SITE_STRIDE);
             fill(&mut v, 31, 0.1, 1.0);

@@ -1,8 +1,8 @@
 //! Streaming-store publication tests for the explicit-SIMD backend
 //! (§V-B5).
 //!
-//! `newview` and `derivativeSum` write their outputs with non-temporal
-//! stores, which are weakly ordered: they can linger in
+//! A large `newview` of an unblocked walk writes its CLA with
+//! non-temporal stores, which are weakly ordered: they can linger in
 //! write-combining buffers *past* ordinary release/acquire
 //! synchronization edges. The backend's contract is that every kernel
 //! that streamed executes `sfence` before returning, so a reader on
@@ -38,9 +38,10 @@ fn fill(buf: &mut [f64], seed: u64) {
 
 #[test]
 fn cla_streamed_on_another_thread_is_visible_after_join() {
-    // Past the backend's streaming threshold (4096 sites), and not a
-    // block multiple.
-    let n = 4099;
+    // Streams without a calibration: larger than the assumed 1 MiB
+    // cache (8 192 sites) and than a 2 048-site traversal block; not a
+    // site-block multiple.
+    let n = 8195;
     let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
     let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
     fill(&mut vl, 41);
@@ -90,7 +91,7 @@ fn evaluate_reads_a_just_streamed_cla_correctly() {
     // SIMD newview just streamed. The kernel-exit fence (plus x86
     // same-address ordering) makes this safe without any fence in
     // evaluate itself — exactly the engine's newview→evaluate pattern.
-    let n = 4099; // past the streaming threshold
+    let n = 8195; // streams, as above
     let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
     let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
     fill(&mut vl, 7);
