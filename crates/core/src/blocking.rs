@@ -17,13 +17,12 @@
 //! exactly the bytes the full-range call writes there. The 128-byte
 //! site stride keeps every block base 64-byte aligned, preserving the
 //! explicit-SIMD buffer contract, and the underflow-scaling rule is
-//! per-site. The blocking×backend proptest matrix pins this.
+//! per-site. `tests/config_matrix.rs` pins this in every backend ×
+//! scheme cell.
 //!
-//! The mode is gated per [`crate::EngineConfig`] and overridable
-//! process-wide through `PHYLOMIC_BLOCKING` (mirroring
-//! `PHYLOMIC_KERNELS`); `auto` engages blocking only when the
-//! engine's pattern slice actually exceeds one block, so small
-//! workloads keep the straight-line traversal.
+//! The mode is set per [`crate::EngineConfig`]; `auto` engages
+//! blocking only when the engine's pattern slice actually exceeds one
+//! block, so small workloads keep the straight-line traversal.
 
 use crate::cost::KernelOp;
 use crate::layout::{FusedPmat, Lut16x16};
@@ -45,40 +44,13 @@ impl Blocking {
     /// Every variant, in parse/display order.
     pub const ALL: [Blocking; 3] = [Blocking::Off, Blocking::On, Blocking::Auto];
 
-    /// The `PHYLOMIC_BLOCKING` environment override, parsed once per
-    /// process. Returns `None` when the variable is unset or empty.
-    ///
-    /// # Panics
-    /// Panics on an unparseable value: a mistyped mode must not
-    /// silently fall back to the default.
-    pub fn env_override() -> Option<Blocking> {
-        static OVERRIDE: std::sync::OnceLock<Option<Blocking>> = std::sync::OnceLock::new();
-        *OVERRIDE.get_or_init(|| {
-            let v = std::env::var("PHYLOMIC_BLOCKING").ok()?;
-            let v = v.trim();
-            if v.is_empty() {
-                return None;
-            }
-            Some(
-                v.parse()
-                    .unwrap_or_else(|e: BlockingParseError| panic!("PHYLOMIC_BLOCKING: {e}")),
-            )
-        })
-    }
-
-    /// The mode an engine configured with `self` actually runs:
-    /// `PHYLOMIC_BLOCKING` (when set) wins.
-    pub fn effective(self) -> Blocking {
-        Self::env_override().unwrap_or(self)
-    }
-
-    /// Resolves the effective mode to a concrete block size for an
-    /// engine covering `num_patterns` sites: `Some(sites_per_block)`
+    /// Resolves the mode to a concrete block size for an engine
+    /// covering `num_patterns` sites: `Some(sites_per_block)`
     /// when blocked traversal engages, `None` for the straight-line
     /// path. `Auto` declines when the whole slice fits in one block
     /// (blocking would only add loop overhead).
     pub fn resolve(self, num_patterns: usize) -> Option<usize> {
-        match self.effective() {
+        match self {
             Blocking::Off => None,
             Blocking::On => Some(block_sites()),
             Blocking::Auto => {
@@ -250,11 +222,6 @@ mod tests {
 
     #[test]
     fn off_never_blocks_and_on_always_does() {
-        // `resolve` honors PHYLOMIC_BLOCKING, so under an override this
-        // would test the override instead of the configured modes.
-        if Blocking::env_override().is_some() {
-            return;
-        }
         assert_eq!(Blocking::Off.resolve(1 << 20), None);
         assert!(Blocking::On.resolve(1).is_some());
     }
@@ -262,11 +229,6 @@ mod tests {
     #[test]
     fn auto_engages_only_past_one_block() {
         let b = block_sites();
-        // Under a PHYLOMIC_BLOCKING override these asserts would test
-        // the override, not Auto; skip then.
-        if Blocking::env_override().is_some() {
-            return;
-        }
         assert_eq!(Blocking::Auto.resolve(b), None, "fits in one block");
         assert_eq!(Blocking::Auto.resolve(b + 1), Some(b));
     }

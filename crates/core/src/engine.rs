@@ -48,21 +48,17 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Which kernel implementation to run. Resolved through
-    /// [`KernelKind::effective`] at construction: the
-    /// `PHYLOMIC_KERNELS` environment variable (when set) overrides
-    /// this field, and `Auto`/unavailable-`Simd` resolve to a concrete
-    /// backend for the host.
+    /// [`KernelKind::resolve`] at construction: `Auto` and an
+    /// unavailable `Simd` become a concrete backend for the host.
     pub kernel: KernelKind,
     /// Γ shape parameter α.
     pub alpha: f64,
     /// Frozen at its one value (see [`SiteRepeats`]).
     pub site_repeats: SiteRepeats,
     /// Traversal-level cache blocking mode. Resolved through
-    /// [`Blocking::effective`] at construction: the
-    /// `PHYLOMIC_BLOCKING` environment variable (when set) overrides
-    /// this field, then `Auto` resolves against the engine's pattern
-    /// count. Results are bit-identical either way (see
-    /// [`crate::blocking`]).
+    /// [`Blocking::resolve`] at construction: `Auto` resolves against
+    /// the engine's pattern count. Results are bit-identical either
+    /// way (see [`crate::blocking`]).
     pub blocking: Blocking,
 }
 
@@ -272,7 +268,7 @@ impl LikelihoodEngine {
             rates: [1.0; 6],
             freqs: aln.empirical_frequencies(),
         };
-        let kind = config.kernel.effective();
+        let kind = config.kernel.resolve();
         let mut engine = LikelihoodEngine {
             kind,
             kernel: kind.kernels(),
@@ -1320,9 +1316,6 @@ mod tests {
 
     #[test]
     fn blocking_resolution_is_reported() {
-        if Blocking::env_override().is_some() {
-            return; // the override forces one mode for every config
-        }
         let (tree, aln) = five_taxon();
         let mk = |blocking| {
             LikelihoodEngine::new(

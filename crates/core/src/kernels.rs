@@ -75,34 +75,6 @@ impl KernelKind {
         }
     }
 
-    /// The `PHYLOMIC_KERNELS` environment override, parsed once per
-    /// process. Returns `None` when the variable is unset or empty.
-    ///
-    /// # Panics
-    /// Panics on an unparseable value: a mistyped backend name must
-    /// not silently fall back to the default.
-    pub fn env_override() -> Option<KernelKind> {
-        static OVERRIDE: std::sync::OnceLock<Option<KernelKind>> = std::sync::OnceLock::new();
-        *OVERRIDE.get_or_init(|| {
-            let v = std::env::var("PHYLOMIC_KERNELS").ok()?;
-            let v = v.trim();
-            if v.is_empty() {
-                return None;
-            }
-            Some(
-                v.parse()
-                    .unwrap_or_else(|e: KernelKindParseError| panic!("PHYLOMIC_KERNELS: {e}")),
-            )
-        })
-    }
-
-    /// The backend an engine configured with `self` actually runs:
-    /// `PHYLOMIC_KERNELS` (when set) overrides the configured kind,
-    /// then [`Self::resolve`] picks the concrete backend.
-    pub fn effective(self) -> KernelKind {
-        Self::env_override().unwrap_or(self).resolve()
-    }
-
     /// The vector width, in bits, that [`Self::kernels`] of this kind
     /// runs its matrix kernels with on this host: 512 or 256 for
     /// `Simd`/`Auto` (0 without AVX2+FMA), 0 for `Scalar`. Reported

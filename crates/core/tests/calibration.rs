@@ -59,14 +59,10 @@ fn calibration_drives_block_size() {
     // 512 KiB / (128 B * 4 columns) = 1024 sites, already a SITE_BLOCK
     // multiple.
     assert_eq!(block_sites(), 1024);
-    // `resolve` honors PHYLOMIC_BLOCKING, so the mode-specific pins
-    // only hold when no override is active.
-    if Blocking::env_override().is_none() {
-        assert_eq!(Blocking::On.resolve(10), Some(1024));
-        assert_eq!(Blocking::Auto.resolve(1024), None, "fits in one block");
-        assert_eq!(Blocking::Auto.resolve(1025), Some(1024));
-        assert_eq!(Blocking::Off.resolve(usize::MAX), None);
-    }
+    assert_eq!(Blocking::On.resolve(10), Some(1024));
+    assert_eq!(Blocking::Auto.resolve(1024), None, "fits in one block");
+    assert_eq!(Blocking::Auto.resolve(1025), Some(1024));
+    assert_eq!(Blocking::Off.resolve(usize::MAX), None);
 
     // --- End-to-end -------------------------------------------------
     // An Auto engine must bit-match Off on the blocked traversal.
@@ -90,11 +86,9 @@ fn calibration_drives_block_size() {
         let b = auto.log_likelihood(&tree, edge);
         assert_eq!(a.to_bits(), b.to_bits(), "auto edge {edge}: {a} vs {b}");
     }
-    if Blocking::env_override().is_none() {
-        assert_eq!(
-            auto.blocking(),
-            Blocking::On,
-            "1100 sites > one 1024-site block"
-        );
-    }
+    assert_eq!(
+        auto.blocking(),
+        Blocking::On,
+        "1100 sites > one 1024-site block"
+    );
 }

@@ -173,7 +173,8 @@ impl Default for TransportConfig {
 impl TransportConfig {
     /// The default configuration with the `PHYLOMIC_WIRE_TIMEOUT_MS`
     /// environment override applied to the read/write timeouts (the
-    /// kill-matrix tests shrink them so dead-peer detection is fast).
+    /// kill-matrix tests raise them, so that a slow live peer on a
+    /// loaded host is not taken for a dead one).
     pub fn from_env() -> Self {
         let mut cfg = TransportConfig::default();
         if let Ok(v) = std::env::var("PHYLOMIC_WIRE_TIMEOUT_MS") {

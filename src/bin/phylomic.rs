@@ -172,19 +172,17 @@ Alignments: PHYLIP when the path ends in .phy, FASTA otherwise.
 --kernels picks the PLF kernel backend (default auto: explicit SIMD when
 the CPU supports it — 512-bit vectors with AVX-512F, 256-bit with
 AVX2+FMA alone, same results bit for bit — and the scalar reference
-loops otherwise). The PHYLOMIC_KERNELS environment variable overrides
-the flag. evaluate and search print the resolved backend and its vector
-width (`kernel backend: simd  simd_width_bits 512`; 0 = scalar loops),
-and both are recorded in the JSONL trace meta event.
+loops otherwise). evaluate and search print the resolved backend and
+its vector width (`kernel backend: simd  simd_width_bits 512`; 0 =
+scalar loops), and both are recorded in the JSONL trace meta event.
 --blocking controls traversal-level cache blocking: 'on' walks the
 stale part of every traversal in cache-sized site blocks (children's
 freshly written columns stay cache-resident for their parents), 'off'
 runs one full-width newview per node, 'auto' (default) blocks only
 when the pattern count exceeds one block. Results are bit-identical
-either way. The PHYLOMIC_BLOCKING environment variable overrides the
-flag; the resolved mode is recorded in the trace meta event. Block
-size comes from the calibrated per-core cache (phylomic calibrate),
-falling back to a 1 MiB budget.
+either way. The resolved mode is recorded in the trace meta event.
+Block size comes from the calibrated per-core cache (phylomic
+calibrate), falling back to a 1 MiB budget.
 --trace-out dumps kernel timings, fork-join region latencies, spans and
 metrics as JSONL, in the format micsim's measured-cost calibration
 (`MeasuredHostCosts::from_jsonl`) and `trace-report` consume.
@@ -300,7 +298,7 @@ fn full_trace(
     } else {
         Blocking::Off
     };
-    let backend = config.kernel.effective();
+    let backend = config.kernel.resolve();
     let mut out = vec![TraceEvent::Meta {
         version: TRACE_VERSION,
         backend: backend.to_string(),
@@ -322,7 +320,7 @@ fn full_trace(
 /// Says which kernel bodies a run measures: the resolved backend and
 /// the vector width it runs on this host (0 = the scalar loops).
 fn print_backend(config: EngineConfig) {
-    let backend = config.kernel.effective();
+    let backend = config.kernel.resolve();
     println!(
         "kernel backend: {backend}  simd_width_bits {}",
         backend.simd_width_bits()
@@ -454,18 +452,14 @@ fn retired_hint(name: &str) -> Option<String> {
 
 /// Parses `--kernels`. Defaults to `auto` — the fastest backend the
 /// host can run. All name handling goes through `KernelKind`'s
-/// `FromStr`, the single source of truth for backend names; the
-/// `PHYLOMIC_KERNELS` environment variable still overrides whatever is
-/// chosen here (applied at engine construction).
+/// `FromStr`, the single source of truth for backend names.
 fn kernel_of(opts: &Opts) -> Result<KernelKind, String> {
     get(opts, "kernels", KernelKind::Auto)
 }
 
 /// Parses `--blocking`. Defaults to `auto` — block the traversal only
 /// when the pattern slice exceeds one cache-sized block. All name
-/// handling goes through `Blocking`'s `FromStr`; the
-/// `PHYLOMIC_BLOCKING` environment variable still overrides whatever
-/// is chosen here (applied at engine construction).
+/// handling goes through `Blocking`'s `FromStr`.
 fn blocking_of(opts: &Opts) -> Result<Blocking, String> {
     match opts.get("blocking") {
         None => Ok(Blocking::Auto),

@@ -9,17 +9,6 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_phylomic"))
 }
 
-/// The binary for a test of what a flag (or its default) does: the
-/// suite itself may run under `PHYLOMIC_*` overrides, which a child
-/// would inherit and which beat every flag.
-fn bin_without_overrides() -> Command {
-    let mut cmd = bin();
-    for var in ["PHYLOMIC_KERNELS", "PHYLOMIC_BLOCKING"] {
-        cmd.env_remove(var);
-    }
-    cmd
-}
-
 #[test]
 fn simulate_evaluate_search_roundtrip() {
     let dir = TestDir::new("cli-roundtrip");
@@ -209,7 +198,7 @@ fn traced_search_trace_report_and_chrome_export() {
     // default configuration.
     let trace = dir.join("run.jsonl");
     let chrome = dir.join("run.chrome.json");
-    let out = bin_without_overrides()
+    let out = bin()
         .args([
             "search",
             "--alignment",
@@ -771,19 +760,14 @@ fn kernels_flag_accepts_every_backend_and_refuses_retired_names() {
     assert!(out.status.success());
     let tree = format!("{}.tree", phy.display());
 
-    // `extra` is appended to a plain `evaluate`; `env` sets (or, when
-    // None, clears — the suite itself may run under an override)
-    // PHYLOMIC_KERNELS for the child.
-    let eval = |extra: &[&str], env: Option<&str>| -> (bool, String, String) {
-        let mut cmd = bin();
-        cmd.args(["evaluate", "--alignment", phy.to_str().unwrap()])
+    // `extra` is appended to a plain `evaluate`.
+    let eval = |extra: &[&str]| -> (bool, String, String) {
+        let out = bin()
+            .args(["evaluate", "--alignment", phy.to_str().unwrap()])
             .args(["--tree", &tree])
             .args(extra)
-            .env_remove("PHYLOMIC_KERNELS");
-        if let Some(v) = env {
-            cmd.env("PHYLOMIC_KERNELS", v);
-        }
-        let out = cmd.output().unwrap();
+            .output()
+            .unwrap();
         (
             out.status.success(),
             String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -795,11 +779,11 @@ fn kernels_flag_accepts_every_backend_and_refuses_retired_names() {
         words.nth(1).expect("logL value").parse().expect("a number")
     };
 
-    let (ok, scalar, err) = eval(&["--kernels", "scalar"], None);
+    let (ok, scalar, err) = eval(&["--kernels", "scalar"]);
     assert!(ok, "{err}");
-    let (ok, simd, err) = eval(&["--kernels", "simd"], None);
+    let (ok, simd, err) = eval(&["--kernels", "simd"]);
     assert!(ok, "{err}");
-    let (ok, auto, err) = eval(&["--kernels", "auto"], None);
+    let (ok, auto, err) = eval(&["--kernels", "auto"]);
     assert!(ok, "{err}");
     let (a, b) = (logl(&scalar), logl(&simd));
     assert!((a - b).abs() <= 1e-9 * a.abs(), "scalar {a} vs simd {b}");
@@ -817,10 +801,7 @@ fn kernels_flag_accepts_every_backend_and_refuses_retired_names() {
     let line = format!("kernel backend: {resolved}  simd_width_bits {width}\n");
     assert!(simd.contains(&line), "{simd}");
     let trace = dir.join("k.jsonl");
-    let (ok, _, err) = eval(
-        &["--kernels", "simd", "--trace-out", trace.to_str().unwrap()],
-        None,
-    );
+    let (ok, _, err) = eval(&["--kernels", "simd", "--trace-out", trace.to_str().unwrap()]);
     assert!(ok, "{err}");
     let meta = std::fs::read_to_string(&trace).unwrap();
     let meta = meta.lines().next().unwrap();
@@ -837,22 +818,84 @@ fn kernels_flag_accepts_every_backend_and_refuses_retired_names() {
     // The retired backend and the retired flag spelling are usage
     // errors that say what to type instead.
     for extra in [["--kernels", "vector"], ["--kernel", "scalar"]] {
-        let (ok, _, err) = eval(&extra, None);
+        let (ok, _, err) = eval(&extra);
         assert!(!ok, "{extra:?} was accepted");
         assert!(err.starts_with("error: "), "{extra:?}: {err}");
         assert!(err.contains("scalar, simd, auto"), "{extra:?}: {err}");
     }
+}
 
-    // The environment override fails as loudly as the flag: a
-    // mistyped backend never falls back silently.
-    let (ok, _, err) = eval(&[], Some("vector"));
-    assert!(!ok, "PHYLOMIC_KERNELS=vector was accepted");
-    assert!(err.contains("PHYLOMIC_KERNELS"), "{err}");
-    assert!(err.contains("scalar, simd, auto"), "{err}");
-    // ...and a valid one wins over the flag.
-    let (ok, forced, err) = eval(&["--kernels", "simd"], Some("scalar"));
-    assert!(ok, "{err}");
-    assert_eq!(forced, scalar);
+/// `--kernels scalar --blocking on` reaches every scheme's engines —
+/// the uds children's through the flags the supervisor passes on — and
+/// changes nothing but the backend line.
+#[test]
+fn scalar_blocked_search_finds_the_default_tree_under_every_scheme() {
+    let dir = TestDir::new("cli-scalar-blocked");
+    let phy = dir.join("s.phy");
+    let out = bin()
+        .args(["simulate", "--taxa", "8", "--sites", "400", "--seed", "5"])
+        .args(["--out", phy.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let search = |name: &str, extra: &[&str]| -> (String, String) {
+        let tree = dir.join(format!("{name}.nwk"));
+        let out = bin()
+            .args(["search", "--alignment", phy.to_str().unwrap()])
+            .args(["--rounds", "1", "--seed", "3", "--no-model-opt"])
+            .args(["--out", tree.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{name}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (stdout, std::fs::read_to_string(tree).unwrap())
+    };
+    let logl = |stdout: &str| -> f64 {
+        let mut words = stdout.split_whitespace().skip_while(|w| *w != "logL");
+        words.nth(1).expect("logL value").parse().expect("a number")
+    };
+    let (default_out, default_tree) = search("default", &[]);
+    let schemes: [&[&str]; 4] = [
+        &["--scheme", "serial"],
+        &["--scheme", "forkjoin", "--threads", "2"],
+        &[
+            "--scheme",
+            "replicated",
+            "--threads",
+            "2",
+            "--transport",
+            "threads",
+        ],
+        &[
+            "--scheme",
+            "replicated",
+            "--threads",
+            "2",
+            "--transport",
+            "uds",
+        ],
+    ];
+    for (i, scheme) in schemes.into_iter().enumerate() {
+        let flags = [scheme, &["--kernels", "scalar", "--blocking", "on"]].concat();
+        let (stdout, tree) = search(&format!("run{i}"), &flags);
+        let backend = "kernel backend: scalar  simd_width_bits 0\n";
+        assert!(stdout.contains(backend), "{scheme:?}: {stdout}");
+        // FMA contraction moves the last digits of a simd run's branch
+        // lengths, never its topology.
+        let parse = |t: &str| phylomic::tree::newick::parse(t).unwrap();
+        let rf = parse(&tree).rf_distance(&parse(&default_tree));
+        assert_eq!(
+            rf, 0,
+            "{scheme:?}: {tree} is not the default run's {default_tree}"
+        );
+        let (got, expect) = (logl(&stdout), logl(&default_out));
+        assert!(
+            (got - expect).abs() <= 1e-6,
+            "{scheme:?}: logL {got} vs {expect}"
+        );
+    }
 }
 
 #[test]

@@ -143,12 +143,7 @@ fn write_inputs(w: &Workload, dir: &Path) {
 /// its wall time, and the tree.
 fn search(w: &Workload, dir: &Path, scheme: &str, threads: usize) -> String {
     let out_file = dir.join(format!("{scheme}{threads}.nwk"));
-    // The record was made with the default backend; a `PHYLOMIC_*`
-    // override the suite runs under would reach the child.
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_phylomic"));
-    for var in ["PHYLOMIC_KERNELS", "PHYLOMIC_BLOCKING"] {
-        cmd.env_remove(var);
-    }
     let alpha = if w.model_opt { "1" } else { "0.85" };
     cmd.arg("search")
         .args(["--alignment", dir.join("aln.phy").to_str().unwrap()])

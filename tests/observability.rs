@@ -44,9 +44,9 @@ fn traced_forkjoin_search() -> Vec<TraceEvent> {
 
     let mut events = vec![TraceEvent::Meta {
         version: TRACE_VERSION,
-        backend: KernelKind::Auto.effective().to_string(),
-        simd_width_bits: KernelKind::Auto.effective().simd_width_bits().into(),
-        blocking: phylomic::plf::Blocking::Auto.effective().to_string(),
+        backend: KernelKind::Auto.resolve().to_string(),
+        simd_width_bits: KernelKind::Auto.resolve().simd_width_bits().into(),
+        blocking: phylomic::plf::Blocking::Auto.to_string(),
         spans_dropped: span::snapshot_all().iter().map(|t| t.dropped).sum(),
         roofline_mflops: 0,
         roofline_mbps: 0,

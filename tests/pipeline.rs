@@ -1,14 +1,14 @@
-//! End-to-end integration: simulate → compress → search → verify,
-//! across kernels and parallel schemes.
+//! End-to-end integration: simulate → compress → search → verify.
+//! Kernels × blocking × schemes are `tests/config_matrix.rs`.
 
 use phylomic::bio::CompressedAlignment;
 use phylomic::models::{DiscreteGamma, Gtr, GtrParams};
-use phylomic::parallel::{run_replicated, ForkJoinEvaluator};
+use phylomic::parallel::ForkJoinEvaluator;
 use phylomic::plf::{EngineConfig, KernelKind, LikelihoodEngine};
 use phylomic::search::{Evaluator, MlSearch, SearchConfig};
 use phylomic::seqgen::simulate_alignment;
 use phylomic::tree::build::{default_names, random_tree};
-use phylomic::tree::{newick, Tree};
+use phylomic::tree::Tree;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -54,59 +54,6 @@ fn full_pipeline_recovers_true_tree() {
         result.log_likelihood,
         r_true.log_likelihood
     );
-}
-
-#[test]
-fn kernels_and_schemes_agree_end_to_end() {
-    let (true_tree, aln) = simulated(2002, 9, 1_200);
-    let names = true_tree.tip_names().to_vec();
-    let start = random_tree(&names, 0.1, &mut SmallRng::seed_from_u64(8)).unwrap();
-    let search = MlSearch::new(SearchConfig {
-        max_rounds: 3,
-        optimize_model: false,
-        ..Default::default()
-    });
-
-    let mut results = Vec::new();
-    for kernel in [KernelKind::Scalar, KernelKind::Simd] {
-        let cfg = EngineConfig {
-            kernel,
-            alpha: 1.0,
-            ..EngineConfig::default()
-        };
-        // Serial.
-        let mut t = start.clone();
-        let mut e = LikelihoodEngine::new(&t, &aln, cfg);
-        let r = search.run(&mut e, &mut t);
-        results.push((format!("serial/{kernel:?}"), r.log_likelihood, t));
-        // Fork-join.
-        let mut t = start.clone();
-        // Three computing threads, like the replicated run below: the
-        // master's slice plus two workers.
-        let mut fj = ForkJoinEvaluator::new(&t, &aln, cfg, 2);
-        let r = search.run(&mut fj, &mut t);
-        results.push((format!("forkjoin/{kernel:?}"), r.log_likelihood, t));
-        // Replicated.
-        let out = run_replicated(&start, &aln, cfg, search, 3);
-        let t = newick::parse(&out.result.newick).unwrap();
-        results.push((
-            format!("replicated/{kernel:?}"),
-            out.result.log_likelihood,
-            t,
-        ));
-    }
-    let (ref_name, ref_ll, ref_tree) = &results[0];
-    for (name, ll, tree) in &results[1..] {
-        assert!(
-            (ll - ref_ll).abs() < 1e-6,
-            "{name} logL {ll} != {ref_name} {ref_ll}"
-        );
-        assert_eq!(
-            tree.rf_distance(ref_tree),
-            0,
-            "{name} topology differs from {ref_name}"
-        );
-    }
 }
 
 #[test]

@@ -682,39 +682,6 @@ fn remainder_tails_every_backend() {
 }
 
 #[test]
-fn blocking_identical_under_forced_scaling() {
-    // A deep caterpillar with long branches drives sites below the
-    // rescale threshold; every cell must reproduce the exact per-site
-    // scaling counters, not just the final likelihood.
-    use phylomic::tree::build::caterpillar;
-    // Conditional likelihoods decay roughly 4× per caterpillar level;
-    // 2⁻²⁵⁶ needs ~130 levels.
-    let names = default_names(170);
-    let tree = caterpillar(&names, 2.0).unwrap();
-    // 5 prototype columns over 40 patterns.
-    let aln = proto_alignment(&tree, 5, 40, 13);
-    for kernel in MATRIX_BACKENDS {
-        assert_on_off_identical(&tree, &aln, kernel, 0.5, &[0]);
-    }
-    // Sanity: scaling actually fired on this dataset.
-    let mut e = LikelihoodEngine::new(
-        &tree,
-        &aln,
-        EngineConfig {
-            kernel: KernelKind::Scalar,
-            alpha: 0.5,
-            blocking: Blocking::Off,
-            ..EngineConfig::default()
-        },
-    );
-    e.log_likelihood(&tree, 0);
-    let scaled: u32 = (0..e.num_inner())
-        .map(|i| e.cla_scale(i).expect("inner index").iter().sum::<u32>())
-        .sum();
-    assert!(scaled > 0, "dataset failed to trigger rescaling");
-}
-
-#[test]
 fn forkjoin_matches_serial_blocked_or_not() {
     use phylomic::parallel::ForkJoinEvaluator;
     use phylomic::search::Evaluator as _;

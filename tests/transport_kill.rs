@@ -26,8 +26,11 @@ const KILL_MATRIX: [(usize, usize, u64); 4] = [(2, 1, 1), (3, 2, 2), (3, 1, 7), 
 
 fn bin() -> Command {
     let mut c = Command::new(env!("CARGO_BIN_EXE_phylomic"));
-    // Shrink dead-peer detection so a hung collective fails the test
-    // by deadline, not by CI timeout.
+    // Wire timeouts of 30 s, 3x the 10 s default: a killed peer is seen
+    // at once (its socket closes), so the timeout only decides when a
+    // slow live peer counts as dead. On a loaded test host that must
+    // not happen early, and a hung collective must still end in a
+    // structured timeout well inside the 240 s `within_deadline`.
     c.env("PHYLOMIC_WIRE_TIMEOUT_MS", "30000");
     c.env("PHYLOMIC_TRANSPORT_VERBOSE", "1");
     c
