@@ -46,7 +46,7 @@ pub use replicated::{
 };
 pub use slot::RegionProtocol;
 #[cfg(unix)]
-pub use transport::{run_rank, run_sharded_ft, ChildRankArgs, Endpoint, RankSpec, SocketComm};
+pub use transport::{run_rank, run_sharded_ft, ChildRankArgs, RankSpec, SocketComm};
 pub use transport::{CommTransport, TransportConfig, TransportKind, WireStats};
 
 /// The message of a caught panic payload, if it was a string — the one

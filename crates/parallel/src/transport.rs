@@ -115,11 +115,6 @@ impl TransportKind {
             TransportKind::Uds => "uds",
         }
     }
-
-    /// True when ranks are OS processes joined by sockets.
-    pub fn is_socket(&self) -> bool {
-        !matches!(self, TransportKind::Threads)
-    }
 }
 
 impl std::fmt::Display for TransportKind {
@@ -176,13 +171,17 @@ impl TransportConfig {
     /// kill-matrix tests raise them, so that a slow live peer on a
     /// loaded host is not taken for a dead one).
     pub fn from_env() -> Self {
+        Self::with_wire_timeout(std::env::var("PHYLOMIC_WIRE_TIMEOUT_MS").ok().as_deref())
+    }
+
+    /// The default configuration with a `PHYLOMIC_WIRE_TIMEOUT_MS`
+    /// value (milliseconds, at least 1) applied to the read/write
+    /// timeouts; an absent or unparsable value changes nothing.
+    fn with_wire_timeout(value: Option<&str>) -> Self {
         let mut cfg = TransportConfig::default();
-        if let Ok(v) = std::env::var("PHYLOMIC_WIRE_TIMEOUT_MS") {
-            if let Ok(ms) = v.trim().parse::<u64>() {
-                let ms = ms.max(1);
-                cfg.read_timeout = Duration::from_millis(ms);
-                cfg.write_timeout = Duration::from_millis(ms);
-            }
+        if let Some(ms) = value.and_then(|v| v.trim().parse::<u64>().ok()) {
+            cfg.read_timeout = Duration::from_millis(ms.max(1));
+            cfg.write_timeout = cfg.read_timeout;
         }
         cfg
     }
@@ -373,12 +372,11 @@ mod unix_impl {
     use phylo_search::MlSearch;
     use phylo_tree::Tree;
     use plf_core::EngineConfig;
-    use std::collections::BTreeMap;
     use std::io;
     use std::net::Shutdown;
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::{Path, PathBuf};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     /// Why a socket group died. Carried in `Poison` and `Abort` frames
@@ -594,37 +592,9 @@ mod unix_impl {
         }
     }
 
-    /// Where the hub listens, in a form that survives `exec` into a
-    /// child process (`uds:/path`).
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub enum Endpoint {
-        /// A Unix-domain socket path.
-        Uds(PathBuf),
-    }
-
-    impl std::fmt::Display for Endpoint {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            let Endpoint::Uds(p) = self;
-            write!(f, "uds:{}", p.display())
-        }
-    }
-
-    impl std::str::FromStr for Endpoint {
-        type Err = String;
-        fn from_str(s: &str) -> Result<Self, Self::Err> {
-            match s.strip_prefix("uds:") {
-                Some(p) => Ok(Endpoint::Uds(PathBuf::from(p))),
-                None => Err(format!(
-                    "bad endpoint {s:?} (expected uds:PATH; the transports are threads and uds)"
-                )),
-            }
-        }
-    }
-
-    /// Connects to `ep`, retrying while the hub is not yet listening,
-    /// until `deadline` elapses.
-    fn connect_stream(ep: &Endpoint, deadline: Duration) -> io::Result<UnixStream> {
-        let Endpoint::Uds(path) = ep;
+    /// Connects to the hub's socket at `path`, retrying while the hub
+    /// is not yet listening, until `deadline` elapses.
+    fn connect_stream(path: &Path, deadline: Duration) -> io::Result<UnixStream> {
         let until = Instant::now() + deadline;
         loop {
             match UnixStream::connect(path) {
@@ -650,11 +620,11 @@ mod unix_impl {
     /// Binds a fresh hub endpoint for one attempt: a pid- and
     /// tag-unique socket path under `dir`, so degraded reruns never
     /// race a stale socket file.
-    pub(crate) fn bind_endpoint(dir: &Path, tag: &str) -> io::Result<(UnixListener, Endpoint)> {
+    pub(crate) fn bind_endpoint(dir: &Path, tag: &str) -> io::Result<(UnixListener, PathBuf)> {
         let path = dir.join(format!("phylomic-{}-{tag}.sock", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let l = UnixListener::bind(&path)?;
-        Ok((l, Endpoint::Uds(path)))
+        Ok((l, path))
     }
 
     /// Kills the calling process with `SIGKILL`: no unwinding, no
@@ -707,17 +677,17 @@ mod unix_impl {
     }
 
     impl SocketComm {
-        /// Connects to the hub at `ep`, claims `rank`, and completes
-        /// the handshake (validating the hub's group size and payload
-        /// contract against this rank's expectation).
+        /// Connects to the hub's socket at `endpoint`, claims `rank`,
+        /// and completes the handshake (validating the hub's group size
+        /// and payload contract against this rank's expectation).
         pub fn connect(
-            ep: &Endpoint,
+            endpoint: &Path,
             rank: usize,
             ranks: usize,
             tcfg: &TransportConfig,
             fault_plan: Option<Arc<FaultPlan>>,
         ) -> io::Result<SocketComm> {
-            let mut stream = connect_stream(ep, tcfg.accept_deadline)?;
+            let mut stream = connect_stream(endpoint, tcfg.accept_deadline)?;
             set_timeouts(&stream, tcfg.read_timeout, tcfg.write_timeout)?;
             frame::write_frame(&mut stream, &Frame::control(Kind::Hello, rank as u32, 0))?;
             let ack = frame::read_frame(&mut stream)?;
@@ -910,397 +880,203 @@ mod unix_impl {
         pub poison: Option<PoisonCause>,
     }
 
-    /// One in-flight collective being assembled by the hub.
-    struct Assembly {
-        kind: CollectiveKind,
-        contrib: Vec<Option<Vec<f64>>>,
-        done: usize,
-    }
-
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    enum CollectiveKind {
-        AllReduce(usize),
-        Barrier,
-    }
-
-    struct HubState {
-        poison: Option<PoisonCause>,
-        pending: BTreeMap<u64, Assembly>,
-        last_seq: Vec<u64>,
-        results: Vec<Option<RankReport>>,
-        eof: Vec<bool>,
-        /// Bumped on every deposit/report so the dispatcher's idle
-        /// watchdog can tell progress from a wedged group.
-        progress: u64,
-    }
-
-    impl HubState {
-        fn set_poison(&mut self, cause: PoisonCause) {
-            // First poisoner wins, like the sense barrier.
-            if self.poison.is_none() {
-                self.poison = Some(cause);
-            }
-            self.progress += 1;
-        }
-    }
-
-    struct HubShared {
-        state: Mutex<HubState>,
-        cv: Condvar,
-    }
-
-    /// Per-connection reader: validates frames from one rank and
-    /// deposits them into the shared state. Exits on poison, clean
-    /// EOF-after-result, or any connection failure (which poisons).
-    fn hub_reader(rank: usize, mut stream: UnixStream, shared: Arc<HubShared>, max_len: usize) {
-        loop {
-            match frame::read_frame(&mut stream) {
-                Ok(f) => {
-                    let mut st = shared.state.lock().unwrap();
-                    if st.poison.is_some() {
-                        return;
-                    }
-                    if f.rank as usize != rank {
-                        st.set_poison(PoisonCause::Peer { rank });
-                        shared.cv.notify_all();
-                        return;
-                    }
-                    match f.kind {
-                        Kind::AllReduce | Kind::Barrier => {
-                            if f.seq != st.last_seq[rank] + 1 {
-                                // Lockstep violation: gap or replay.
-                                st.set_poison(PoisonCause::Peer { rank });
-                                shared.cv.notify_all();
-                                return;
-                            }
-                            st.last_seq[rank] = f.seq;
-                            let (ckind, vals) = if f.kind == Kind::AllReduce {
-                                match frame::bytes_to_doubles(&f.payload) {
-                                    Ok(v) if v.len() <= max_len => {
-                                        (CollectiveKind::AllReduce(v.len()), v)
-                                    }
-                                    _ => {
-                                        st.set_poison(PoisonCause::Misuse {
-                                            rank,
-                                            len: f.payload.len() / 8,
-                                            max_len,
-                                        });
-                                        shared.cv.notify_all();
-                                        return;
-                                    }
-                                }
-                            } else {
-                                (CollectiveKind::Barrier, Vec::new())
-                            };
-                            let ranks = st.eof.len();
-                            let entry = st.pending.entry(f.seq).or_insert_with(|| Assembly {
-                                kind: ckind,
-                                contrib: vec![None; ranks],
-                                done: 0,
-                            });
-                            if entry.kind != ckind || entry.contrib[rank].is_some() {
-                                st.set_poison(PoisonCause::Peer { rank });
-                                shared.cv.notify_all();
-                                return;
-                            }
-                            entry.contrib[rank] = Some(vals);
-                            entry.done += 1;
-                            st.progress += 1;
-                            shared.cv.notify_all();
-                        }
-                        Kind::Misuse => {
-                            let len = f
-                                .payload
-                                .get(0..8)
-                                .map(|b| u64::from_le_bytes(b.try_into().unwrap()) as usize)
-                                .unwrap_or(0);
-                            st.set_poison(PoisonCause::Misuse { rank, len, max_len });
-                            shared.cv.notify_all();
-                            return;
-                        }
-                        Kind::Abort => {
-                            let cause = PoisonCause::decode(&f.payload)
-                                .unwrap_or(PoisonCause::Peer { rank });
-                            st.set_poison(cause);
-                            shared.cv.notify_all();
-                            return;
-                        }
-                        Kind::Result => {
-                            match RankReport::decode(&f.payload) {
-                                Some(r) => st.results[rank] = Some(r),
-                                None => {
-                                    st.set_poison(PoisonCause::Peer { rank });
-                                    shared.cv.notify_all();
-                                    return;
-                                }
-                            }
-                            st.progress += 1;
-                            shared.cv.notify_all();
-                        }
-                        // Hub-originated kinds arriving *at* the hub
-                        // are a protocol violation.
-                        Kind::Hello
-                        | Kind::HelloAck
-                        | Kind::Sum
-                        | Kind::BarrierOk
-                        | Kind::Poison => {
-                            st.set_poison(PoisonCause::Peer { rank });
-                            shared.cv.notify_all();
-                            return;
-                        }
-                    }
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                    ) =>
-                {
-                    // Poll tick: keep reading unless the group died.
-                    let st = shared.state.lock().unwrap();
-                    if st.poison.is_some() || st.eof.iter().all(|&b| b) {
-                        return;
-                    }
-                }
-                Err(e) => {
-                    let mut st = shared.state.lock().unwrap();
-                    let clean =
-                        e.kind() == io::ErrorKind::UnexpectedEof && st.results[rank].is_some();
-                    if clean {
-                        st.eof[rank] = true;
-                        st.progress += 1;
-                    } else if st.poison.is_none() {
-                        // A raw EOF before the report IS rank death —
-                        // this is where a real `kill -9` lands.
-                        st.set_poison(PoisonCause::Peer { rank });
-                    }
-                    shared.cv.notify_all();
-                    return;
-                }
-            }
-        }
-    }
-
-    enum HubAction {
-        Complete(u64, Assembly),
-        Poisoned(PoisonCause),
-        Done,
-    }
-
-    /// Reply loop: waits for complete collectives, sums them in rank
-    /// order (bit-identical to [`crate::comm::ThreadComm`]'s
-    /// reduction), and broadcasts replies. Exits by broadcasting
-    /// `Poison` or after every rank reported and disconnected. An idle
-    /// watchdog poisons a silently wedged group so the hub itself can
-    /// never hang.
-    fn hub_dispatch(
-        shared: &HubShared,
-        writers: &mut [UnixStream],
-        tcfg: &TransportConfig,
-    ) -> HubOutcome {
-        let ranks = writers.len();
-        let idle_limit = tcfg.read_timeout + Duration::from_secs(5);
-        let mut seen_progress = 0u64;
-        let mut last_change = Instant::now();
-        loop {
-            let action = {
-                let mut st = shared.state.lock().unwrap();
-                loop {
-                    if let Some(c) = st.poison.clone() {
-                        break HubAction::Poisoned(c);
-                    }
-                    let complete = st
-                        .pending
-                        .iter()
-                        .next()
-                        .filter(|(_, a)| a.done == ranks)
-                        .map(|(&s, _)| s);
-                    if let Some(seq) = complete {
-                        let a = st.pending.remove(&seq).unwrap();
-                        break HubAction::Complete(seq, a);
-                    }
-                    if st.results.iter().all(Option::is_some) && st.eof.iter().all(|&b| b) {
-                        break HubAction::Done;
-                    }
-                    if st.progress != seen_progress {
-                        seen_progress = st.progress;
-                        last_change = Instant::now();
-                    } else if last_change.elapsed() > idle_limit {
-                        let missing = st
-                            .results
-                            .iter()
-                            .position(Option::is_none)
-                            .unwrap_or_default();
-                        st.set_poison(PoisonCause::Peer { rank: missing });
-                        continue;
-                    }
-                    let (guard, _) = shared
-                        .cv
-                        .wait_timeout(st, Duration::from_millis(100))
-                        .unwrap();
-                    st = guard;
-                }
-            };
-            match action {
-                HubAction::Complete(seq, a) => {
-                    let reply = match a.kind {
-                        CollectiveKind::AllReduce(len) => {
-                            let mut sum = vec![0.0f64; len];
-                            // Rank order: the determinism contract.
-                            for r in 0..ranks {
-                                let c = a.contrib[r].as_ref().expect("complete assembly");
-                                for (o, &v) in sum.iter_mut().zip(c) {
-                                    *o += v;
-                                }
-                            }
-                            Frame {
-                                kind: Kind::Sum,
-                                rank: 0,
-                                seq,
-                                payload: frame::doubles_to_bytes(&sum),
-                            }
-                        }
-                        CollectiveKind::Barrier => Frame::control(Kind::BarrierOk, 0, seq),
-                    };
-                    for (r, w) in writers.iter_mut().enumerate() {
-                        if frame::write_frame(w, &reply).is_err() {
-                            let mut st = shared.state.lock().unwrap();
-                            st.set_poison(PoisonCause::Peer { rank: r });
-                            shared.cv.notify_all();
-                            break;
-                        }
-                    }
-                }
-                HubAction::Poisoned(cause) => {
-                    let mut f = Frame::control(Kind::Poison, cause.failed_rank() as u32, 0);
-                    f.payload = cause.encode();
-                    for w in writers.iter_mut() {
-                        // Best-effort: already-dead connections are
-                        // exactly the ones that do not need telling.
-                        let _ = frame::write_frame(w, &f);
-                        let _ = w.shutdown(Shutdown::Both);
-                    }
-                    let st = shared.state.lock().unwrap();
-                    return HubOutcome {
-                        results: st.results.clone(),
-                        poison: Some(cause),
-                    };
-                }
-                HubAction::Done => {
-                    for w in writers.iter_mut() {
-                        let _ = w.shutdown(Shutdown::Both);
-                    }
-                    let st = shared.state.lock().unwrap();
-                    return HubOutcome {
-                        results: st.results.clone(),
-                        poison: None,
-                    };
-                }
-            }
-        }
-    }
-
-    /// Runs the hub to completion: accepts `ranks` handshakes, spawns
-    /// one reader per connection, dispatches replies, joins readers.
+    /// Runs the hub to completion on the calling thread: accepts
+    /// `ranks` handshakes, then serves the lockstep collectives one
+    /// `seq` at a time, reading every rank in rank order ([`serve`]).
+    /// Exits after every rank reported and hung up, or by sending
+    /// `Poison` to every connection on the first failure.
     pub(crate) fn run_hub(
         listener: UnixListener,
         ranks: usize,
         tcfg: &TransportConfig,
     ) -> HubOutcome {
-        let empty = |cause: Option<PoisonCause>| HubOutcome {
-            results: vec![None; ranks],
-            poison: cause,
+        let mut results = vec![None; ranks];
+        let poison = match accept_ranks(&listener, ranks, tcfg) {
+            Ok(mut conns) => {
+                let served = serve(&mut conns, &mut results, tcfg.max_len);
+                close_all(&mut conns, served.as_ref().err());
+                served.err()
+            }
+            Err((mut conns, cause)) => {
+                close_all(&mut conns, Some(&cause));
+                Some(cause)
+            }
         };
-        // Accept phase: nonblocking accept polled against the deadline
-        // so a rank that dies before connecting cannot park the hub.
-        if listener.set_nonblocking(true).is_err() {
-            return empty(Some(PoisonCause::Peer { rank: 0 }));
-        }
-        let deadline = Instant::now() + tcfg.accept_deadline;
+        HubOutcome { results, poison }
+    }
+
+    /// Accept phase: nonblocking accept polled against the deadline so
+    /// a rank that dies before connecting cannot park the hub. Returns
+    /// the connections in rank order, or the ones made so far and the
+    /// first rank that never said `Hello`. Every connection reads with
+    /// the hub's idle watchdog, `read_timeout` + 5 s: a live rank's
+    /// own collective times out first and sends `Abort`.
+    fn accept_ranks(
+        listener: &UnixListener,
+        ranks: usize,
+        tcfg: &TransportConfig,
+    ) -> Result<Vec<UnixStream>, (Vec<UnixStream>, PoisonCause)> {
+        let idle_limit = tcfg.read_timeout + Duration::from_secs(5);
         let mut conns: Vec<Option<UnixStream>> = (0..ranks).map(|_| None).collect();
         let mut connected = 0usize;
-        while connected < ranks && Instant::now() < deadline {
-            match listener.accept() {
-                Ok((mut s, _)) => {
-                    if set_timeouts(&s, tcfg.read_timeout, tcfg.write_timeout).is_err() {
-                        continue;
-                    }
-                    match frame::read_frame(&mut s) {
-                        Ok(f)
-                            if f.kind == Kind::Hello
-                                && (f.rank as usize) < ranks
-                                && conns[f.rank as usize].is_none() =>
-                        {
-                            let mut ack = Frame::control(Kind::HelloAck, 0, 0);
-                            ack.payload.extend_from_slice(&(ranks as u32).to_le_bytes());
-                            ack.payload
-                                .extend_from_slice(&(tcfg.max_len as u32).to_le_bytes());
-                            if frame::write_frame(&mut s, &ack).is_ok() {
-                                conns[f.rank as usize] = Some(s);
-                                connected += 1;
-                            }
+        if listener.set_nonblocking(true).is_ok() {
+            let deadline = Instant::now() + tcfg.accept_deadline;
+            while connected < ranks && Instant::now() < deadline {
+                match listener.accept() {
+                    Ok((mut s, _)) => {
+                        if set_timeouts(&s, idle_limit, tcfg.write_timeout).is_err() {
+                            continue;
                         }
-                        _ => {} // bad handshake: drop the connection
+                        match frame::read_frame(&mut s) {
+                            Ok(f)
+                                if f.kind == Kind::Hello
+                                    && (f.rank as usize) < ranks
+                                    && conns[f.rank as usize].is_none() =>
+                            {
+                                let mut ack = Frame::control(Kind::HelloAck, 0, 0);
+                                ack.payload.extend_from_slice(&(ranks as u32).to_le_bytes());
+                                ack.payload
+                                    .extend_from_slice(&(tcfg.max_len as u32).to_le_bytes());
+                                if frame::write_frame(&mut s, &ack).is_ok() {
+                                    conns[f.rank as usize] = Some(s);
+                                    connected += 1;
+                                }
+                            }
+                            _ => {} // bad handshake: drop the connection
+                        }
                     }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    Err(_) => break,
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => break,
             }
         }
-        if connected < ranks {
-            let missing = conns.iter().position(Option::is_none).unwrap_or_default();
-            let cause = PoisonCause::Peer { rank: missing };
-            let mut f = Frame::control(Kind::Poison, missing as u32, 0);
-            f.payload = cause.encode();
-            for s in conns.iter_mut().flatten() {
-                let _ = frame::write_frame(s, &f);
-                let _ = s.shutdown(Shutdown::Both);
-            }
-            return empty(Some(cause));
+        match conns.iter().position(Option::is_none) {
+            None => Ok(conns.into_iter().flatten().collect()),
+            Some(rank) => Err((
+                conns.into_iter().flatten().collect(),
+                PoisonCause::Peer { rank },
+            )),
         }
-        let shared = Arc::new(HubShared {
-            state: Mutex::new(HubState {
-                poison: None,
-                pending: BTreeMap::new(),
-                last_seq: vec![0; ranks],
-                results: vec![None; ranks],
-                eof: vec![false; ranks],
-                progress: 0,
-            }),
-            cv: Condvar::new(),
-        });
-        let mut writers = Vec::with_capacity(ranks);
-        let mut readers = Vec::with_capacity(ranks);
-        for (r, slot) in conns.into_iter().enumerate() {
-            let stream = slot.expect("all ranks connected");
-            let writer = match stream.try_clone() {
-                Ok(w) => w,
-                Err(_) => {
-                    shared
-                        .state
-                        .lock()
-                        .unwrap()
-                        .set_poison(PoisonCause::Peer { rank: r });
-                    break;
+    }
+
+    /// The serving loop. Every rank has at most one frame in flight —
+    /// it sends one collective and blocks on the reply, and its other
+    /// frames (`Misuse`, `Abort`, `Result`) are its last — so for each
+    /// `seq` the hub reads the next frame of rank 0, 1, …, R−1, sums
+    /// the AllReduce payloads in that order from `+0.0` (the bits of
+    /// [`crate::comm::ThreadComm`]'s reduction) and writes the reply
+    /// to every rank. Waiting on a straggler in rank order delays no
+    /// live rank: all of them wait for the straggler anyway. Returns
+    /// after every rank sent `Result` and hung up, or with the first
+    /// failure.
+    fn serve(
+        conns: &mut [UnixStream],
+        results: &mut [Option<RankReport>],
+        max_len: usize,
+    ) -> Result<(), PoisonCause> {
+        let mut seq = 0u64;
+        loop {
+            seq += 1;
+            // Kind and payload length of rank 0's frame: every other
+            // rank must send the same collective.
+            let mut agreed: Option<(Kind, usize)> = None;
+            let mut sum = Vec::new();
+            for (rank, s) in conns.iter_mut().enumerate() {
+                let peer = PoisonCause::Peer { rank };
+                // EOF, timeout and garbage alike: the rank is gone.
+                let f = frame::read_frame(s).map_err(|_| peer.clone())?;
+                if f.rank as usize != rank {
+                    return Err(peer);
                 }
+                let vals = match f.kind {
+                    // Lockstep violation: gap or replay.
+                    Kind::AllReduce | Kind::Barrier if f.seq != seq => return Err(peer),
+                    Kind::AllReduce => match frame::bytes_to_doubles(&f.payload) {
+                        Ok(v) if v.len() <= max_len => v,
+                        _ => {
+                            let len = f.payload.len() / 8;
+                            return Err(PoisonCause::Misuse { rank, len, max_len });
+                        }
+                    },
+                    Kind::Barrier => Vec::new(),
+                    Kind::Result => {
+                        results[rank] =
+                            Some(RankReport::decode(&f.payload).ok_or_else(|| peer.clone())?);
+                        Vec::new()
+                    }
+                    Kind::Misuse => {
+                        let len = f
+                            .payload
+                            .get(0..8)
+                            .map(|b| u64::from_le_bytes(b.try_into().unwrap()) as usize)
+                            .unwrap_or(0);
+                        return Err(PoisonCause::Misuse { rank, len, max_len });
+                    }
+                    Kind::Abort => return Err(PoisonCause::decode(&f.payload).unwrap_or(peer)),
+                    // Hub-originated kinds arriving *at* the hub are a
+                    // protocol violation.
+                    Kind::Hello | Kind::HelloAck | Kind::Sum | Kind::BarrierOk | Kind::Poison => {
+                        return Err(peer)
+                    }
+                };
+                match agreed {
+                    None => {
+                        agreed = Some((f.kind, vals.len()));
+                        sum = vec![0.0f64; vals.len()];
+                    }
+                    Some(first) if first != (f.kind, vals.len()) => return Err(peer),
+                    Some(_) => {}
+                }
+                for (o, v) in sum.iter_mut().zip(&vals) {
+                    *o += v;
+                }
+            }
+            let reply = match agreed.map(|(kind, _)| kind) {
+                Some(Kind::AllReduce) => Frame {
+                    kind: Kind::Sum,
+                    rank: 0,
+                    seq,
+                    payload: frame::doubles_to_bytes(&sum),
+                },
+                Some(Kind::Barrier) => Frame::control(Kind::BarrierOk, 0, seq),
+                // Every rank reported: the run ends when each hangs up.
+                _ => return hang_ups(conns),
             };
-            // Readers poll on a short timeout so they notice poison
-            // promptly even when their rank goes silent.
-            let _ = set_timeouts(&stream, Duration::from_millis(100), tcfg.write_timeout);
-            writers.push(writer);
-            let shared = Arc::clone(&shared);
-            let max_len = tcfg.max_len;
-            readers.push(std::thread::spawn(move || {
-                hub_reader(r, stream, shared, max_len)
-            }));
+            for (rank, s) in conns.iter_mut().enumerate() {
+                frame::write_frame(s, &reply).map_err(|_| PoisonCause::Peer { rank })?;
+            }
         }
-        let out = hub_dispatch(&shared, &mut writers, tcfg);
-        for h in readers {
-            let _ = h.join();
+    }
+
+    /// End of a run: a rank that reported must hang up next. A raw EOF
+    /// is the clean exit; a frame after `Result` is a protocol
+    /// violation, silence or any other error the rank being gone.
+    fn hang_ups(conns: &mut [UnixStream]) -> Result<(), PoisonCause> {
+        for (rank, s) in conns.iter_mut().enumerate() {
+            match frame::read_frame(s) {
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {}
+                _ => return Err(PoisonCause::Peer { rank }),
+            }
         }
-        out
+        Ok(())
+    }
+
+    /// Sends `Poison` naming `cause` (if any) to every connection, then
+    /// shuts every connection down. Best-effort: already-dead
+    /// connections are exactly the ones that do not need telling.
+    fn close_all(conns: &mut [UnixStream], cause: Option<&PoisonCause>) {
+        if let Some(cause) = cause {
+            let mut f = Frame::control(Kind::Poison, cause.failed_rank() as u32, 0);
+            f.payload = cause.encode();
+            for s in conns.iter_mut() {
+                let _ = frame::write_frame(s, &f);
+            }
+        }
+        for s in conns.iter() {
+            let _ = s.shutdown(Shutdown::Both);
+        }
     }
 
     /// Kill-on-drop ownership of the spawned rank processes: whatever
@@ -1376,8 +1152,8 @@ mod unix_impl {
         /// the spawner can withhold one-shot fault injection from
         /// reruns (a fresh process has fresh fault latches).
         pub attempt: u32,
-        /// Where the hub listens.
-        pub endpoint: Endpoint,
+        /// The hub's socket path.
+        pub endpoint: PathBuf,
     }
 
     /// Fault-tolerant replicated search over OS processes.
@@ -1459,8 +1235,7 @@ mod unix_impl {
         // already failing on a dead socket; give them a moment to exit
         // voluntarily, then enforce kill-on-drop semantics.
         children.reap(Duration::from_secs(5));
-        let Endpoint::Uds(socket_path) = &endpoint;
-        let _ = std::fs::remove_file(socket_path);
+        let _ = std::fs::remove_file(&endpoint);
         classify_sharded(rank0, hub_out)
     }
 
@@ -1472,13 +1247,16 @@ mod unix_impl {
         inputs: RankInputs<'_>,
         rank: usize,
         ranks: usize,
-        endpoint: &Endpoint,
+        endpoint: &Path,
         tcfg: &TransportConfig,
     ) -> Result<RankDone, ReplicatedError> {
         let mut comm =
             SocketComm::connect(endpoint, rank, ranks, tcfg, inputs.ft.fault_plan.clone())
                 .map_err(|e| {
-                    ReplicatedError::Transport(format!("rank {rank} connect to {endpoint}: {e}"))
+                    ReplicatedError::Transport(format!(
+                        "rank {rank} connect to {}: {e}",
+                        endpoint.display()
+                    ))
                 })?;
         let resume = load_resume(inputs.ft).inspect_err(|e| comm.poison(e))?;
         run_rank_body(comm, inputs, resume.as_ref())
@@ -1525,8 +1303,8 @@ mod unix_impl {
     pub struct ChildRankArgs<'a> {
         /// This process's rank in `1..ft.num_ranks`.
         pub rank: usize,
-        /// Where the hub listens.
-        pub endpoint: Endpoint,
+        /// The hub's socket path.
+        pub endpoint: PathBuf,
         /// Starting tree (identical on every rank).
         pub tree: &'a Tree,
         /// The full alignment; this rank evaluates its
@@ -1592,8 +1370,6 @@ mod tests {
             Ok(TransportKind::Threads)
         );
         assert_eq!("uds".parse::<TransportKind>(), Ok(TransportKind::Uds));
-        assert!(!TransportKind::Threads.is_socket());
-        assert!(TransportKind::Uds.is_socket());
         assert_eq!(TransportKind::Uds.to_string(), "uds");
         // The retired TCP fallback is an unknown name like any other,
         // answered with the menu of transports that exist.
@@ -1604,25 +1380,98 @@ mod tests {
 
     #[test]
     fn transport_config_env_override_applies_to_timeouts() {
-        // Set + clear around the call; tests in this module run
-        // single-threaded per process most of the time but keep the
-        // window tiny regardless.
-        std::env::set_var("PHYLOMIC_WIRE_TIMEOUT_MS", "250");
-        let cfg = TransportConfig::from_env();
-        std::env::remove_var("PHYLOMIC_WIRE_TIMEOUT_MS");
+        // The parse of the variable's value, without touching the
+        // process environment (sibling tests read it concurrently).
+        let cfg = TransportConfig::with_wire_timeout(Some(" 250 "));
         assert_eq!(cfg.read_timeout, Duration::from_millis(250));
         assert_eq!(cfg.write_timeout, Duration::from_millis(250));
+        let default = TransportConfig::default();
+        assert_eq!(cfg.accept_deadline, default.accept_deadline);
         assert_eq!(
-            cfg.accept_deadline,
-            TransportConfig::default().accept_deadline
+            TransportConfig::with_wire_timeout(Some("0")).read_timeout,
+            Duration::from_millis(1)
         );
+        for unset in [None, Some("soon"), Some("")] {
+            let cfg = TransportConfig::with_wire_timeout(unset);
+            assert_eq!(cfg.read_timeout, default.read_timeout, "{unset:?}");
+            assert_eq!(cfg.write_timeout, default.write_timeout, "{unset:?}");
+        }
+    }
+
+    use crate::comm::{Comm, CommError, ThreadCommGroup, DEFAULT_MAX_LEN};
+
+    /// Cross-transport payload-contract parity: both communicators
+    /// enforce the same AllReduce payload bound and fail the same way,
+    /// or the choice of `--transport` would change error behaviour. The
+    /// script: a full-width AllReduce succeeds, one double more fails
+    /// with `PayloadTooLarge { len, max_len }` naming this rank, and the
+    /// communicator is dead (latched or poisoned) afterwards.
+    fn assert_contract<C: Comm>(comm: &mut C, transport: &str) {
+        let mut ok = vec![1.0; DEFAULT_MAX_LEN];
+        comm.try_allreduce_sum(&mut ok)
+            .unwrap_or_else(|e| panic!("{transport}: full-width payload rejected: {e}"));
+        assert_eq!(
+            ok,
+            vec![comm.size() as f64; DEFAULT_MAX_LEN],
+            "{transport}: wrong sum"
+        );
+
+        let mut big = vec![1.0; DEFAULT_MAX_LEN + 1];
+        match comm.try_allreduce_sum(&mut big) {
+            Err(CommError::PayloadTooLarge { rank, len, max_len }) => {
+                assert_eq!(rank, comm.rank(), "{transport}: wrong culprit rank");
+                assert_eq!(len, DEFAULT_MAX_LEN + 1, "{transport}: wrong len");
+                assert_eq!(max_len, DEFAULT_MAX_LEN, "{transport}: wrong bound");
+            }
+            other => panic!("{transport}: expected PayloadTooLarge, got {other:?}"),
+        }
+
+        // Misuse latches the group dead: the next collective must fail
+        // too, not silently resume lockstep.
+        let mut after = vec![0.0; 1];
+        assert!(
+            comm.try_allreduce_sum(&mut after).is_err(),
+            "{transport}: collective succeeded after a contract violation"
+        );
+    }
+
+    /// The innocent peer of [`assert_contract`]'s rank 0: its first
+    /// AllReduce matches the offender's successful one, its second
+    /// fails naming the offender.
+    fn innocent_peer<C: Comm>(mut comm: C) {
+        let mut buf = vec![1.0; DEFAULT_MAX_LEN];
+        comm.try_allreduce_sum(&mut buf).unwrap();
+        let err = comm.try_allreduce_sum(&mut buf).unwrap_err();
+        assert_eq!(err, CommError::PeerFailed { rank: 0 });
+    }
+
+    #[test]
+    fn thread_comm_honors_the_shared_contract() {
+        // Single-rank group: the oversize check fires before any
+        // barrier, so the script runs without peers...
+        let mut group = ThreadCommGroup::new(1, DEFAULT_MAX_LEN);
+        assert_contract(&mut group.take(), "threads(1)");
+
+        // ...and with a peer present the errors are identical, while
+        // the innocent rank sees the culprit named in its own failure.
+        let mut group = ThreadCommGroup::new(2, DEFAULT_MAX_LEN);
+        let mut offender = group.take();
+        let innocent = group.take();
+        let peer = std::thread::spawn(move || innocent_peer(innocent));
+        assert_contract(&mut offender, "threads(2)");
+        peer.join().unwrap();
     }
 
     #[cfg(unix)]
     mod wire {
         use super::super::frame::{self, Frame, Kind};
         use super::super::*;
-        use crate::comm::{CommError, CommStats};
+        use super::{assert_contract, innocent_peer};
+        use crate::comm::{CommError, CommStats, ThreadCommGroup, DEFAULT_MAX_LEN};
+        use std::io::Write;
+        use std::os::unix::net::UnixStream;
+        use std::path::{Path, PathBuf};
+        use std::time::Instant;
 
         #[test]
         fn frame_roundtrips_through_a_buffer() {
@@ -1767,17 +1616,6 @@ mod tests {
         }
 
         #[test]
-        fn endpoint_roundtrips_through_display() {
-            let ep = Endpoint::Uds(std::path::PathBuf::from("/tmp/phylomic-1.sock"));
-            let s = ep.to_string();
-            assert_eq!(s, "uds:/tmp/phylomic-1.sock");
-            assert_eq!(s.parse::<Endpoint>(), Ok(ep));
-            assert!("bogus:/x".parse::<Endpoint>().is_err());
-            let err = "tcp:127.0.0.1:9".parse::<Endpoint>().unwrap_err();
-            assert!(err.contains("threads") && err.contains("uds"), "{err}");
-        }
-
-        #[test]
         fn poison_queued_before_a_broken_pipe_still_names_the_dead_rank() {
             // The hub poisons the group and closes this rank's
             // connection while the rank is still computing: its next
@@ -1805,8 +1643,7 @@ mod tests {
             };
             let mut comm = SocketComm::connect(&ep, 2, 3, &tcfg, None).expect("connect");
             hub.join().unwrap();
-            let Endpoint::Uds(path) = &ep;
-            let _ = std::fs::remove_file(path);
+            let _ = std::fs::remove_file(&ep);
             let err = comm.try_allreduce_sum(&mut [1.0]).unwrap_err();
             assert_eq!(err, CommError::PeerFailed { rank: 1 });
         }
@@ -1835,6 +1672,357 @@ mod tests {
             set.push(1, child);
             assert!(set.reap(Duration::from_secs(5)), "true exits promptly");
             assert!(set.pids().is_empty());
+        }
+
+        /// Binds a fresh socket and runs the real hub for `ranks` on its
+        /// own thread.
+        fn spawn_hub(
+            tag: &str,
+            ranks: usize,
+            tcfg: &TransportConfig,
+        ) -> (PathBuf, std::thread::JoinHandle<HubOutcome>) {
+            let (listener, path) = bind_endpoint(&std::env::temp_dir(), tag).expect("bind");
+            let tcfg = tcfg.clone();
+            let hub = std::thread::spawn(move || run_hub(listener, ranks, &tcfg));
+            (path, hub)
+        }
+
+        #[test]
+        fn socket_comm_honors_the_shared_contract() {
+            let tcfg = TransportConfig {
+                read_timeout: Duration::from_secs(2),
+                write_timeout: Duration::from_secs(2),
+                ..TransportConfig::default()
+            };
+            let misuse = Some(PoisonCause::Misuse {
+                rank: 0,
+                len: DEFAULT_MAX_LEN + 1,
+                max_len: DEFAULT_MAX_LEN,
+            });
+            // One rank against the real hub...
+            let (path, hub) = spawn_hub("contract-1", 1, &tcfg);
+            let mut comm = SocketComm::connect(&path, 0, 1, &tcfg, None).expect("connect");
+            assert_contract(&mut comm, "uds(1)");
+            drop(comm);
+            assert_eq!(hub.join().unwrap().poison, misuse);
+            let _ = std::fs::remove_file(&path);
+
+            // ...and two, where the innocent rank sees the culprit
+            // named, exactly as over threads.
+            let (path, hub) = spawn_hub("contract-2", 2, &tcfg);
+            let peer = {
+                let (path, tcfg) = (path.clone(), tcfg.clone());
+                std::thread::spawn(move || {
+                    innocent_peer(SocketComm::connect(&path, 1, 2, &tcfg, None).expect("connect"))
+                })
+            };
+            let mut offender = SocketComm::connect(&path, 0, 2, &tcfg, None).expect("connect");
+            assert_contract(&mut offender, "uds(2)");
+            peer.join().unwrap();
+            drop(offender);
+            assert_eq!(hub.join().unwrap().poison, misuse);
+            let _ = std::fs::remove_file(&path);
+        }
+
+        /// One step of a scripted raw-frame client.
+        enum Step {
+            /// Write these bytes (the hub may already have hung up).
+            Send(Vec<u8>),
+            /// Read one reply frame.
+            Recv,
+            /// Read frames until the hub closes the connection.
+            Linger,
+        }
+
+        /// A verdict-table row: name, the scripts of ranks 0 and 1, and
+        /// the hub's expected poison cause.
+        type Row = (&'static str, [Vec<Step>; 2], Option<PoisonCause>);
+
+        fn raw(kind: Kind, rank: u32, seq: u64, payload: Vec<u8>) -> Vec<u8> {
+            let mut out = Vec::new();
+            let f = Frame {
+                kind,
+                rank,
+                seq,
+                payload,
+            };
+            frame::write_frame(&mut out, &f).unwrap();
+            out
+        }
+
+        fn allreduce(rank: u32, seq: u64, vals: &[f64]) -> Step {
+            Step::Send(raw(
+                Kind::AllReduce,
+                rank,
+                seq,
+                frame::doubles_to_bytes(vals),
+            ))
+        }
+
+        fn control(kind: Kind, rank: u32, seq: u64, payload: Vec<u8>) -> Step {
+            Step::Send(raw(kind, rank, seq, payload))
+        }
+
+        fn report(rank: u32) -> Vec<u8> {
+            let r = RankReport {
+                final_ll: -(rank as f64) - 0.5,
+                comm: CommStats::default(),
+                wire: WireStats::default(),
+            };
+            r.encode()
+        }
+
+        /// Says `Hello` as `rank`, then runs `script`; returns every
+        /// frame the hub sent, the `HelloAck` first. Dropping the
+        /// stream at the end hangs up.
+        fn run_client(path: &Path, rank: u32, script: Vec<Step>) -> Vec<Frame> {
+            let mut s = UnixStream::connect(path).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            frame::write_frame(&mut s, &Frame::control(Kind::Hello, rank, 0)).unwrap();
+            let mut got = vec![frame::read_frame(&mut s).expect("ack")];
+            for step in script {
+                match step {
+                    Step::Send(bytes) => {
+                        let _ = s.write_all(&bytes);
+                    }
+                    Step::Recv => got.extend(frame::read_frame(&mut s).ok()),
+                    Step::Linger => {
+                        got.extend(std::iter::from_fn(|| frame::read_frame(&mut s).ok()))
+                    }
+                }
+            }
+            got
+        }
+
+        /// The hub's verdict on every kind of hostile frame, at 2 ranks
+        /// against scripted raw-frame clients: rank 1 misbehaves (rank 0
+        /// sends its first AllReduce and waits), each row must end in
+        /// its `PoisonCause` — sent as `Poison` to every rank still
+        /// listening — within the idle watchdog `read_timeout` + 5 s,
+        /// and the clean row must end with both reports and the
+        /// in-thread sum's bits.
+        #[test]
+        fn hub_answers_every_hostile_frame_with_its_verdict() {
+            let tcfg = TransportConfig {
+                read_timeout: Duration::from_millis(200),
+                write_timeout: Duration::from_secs(2),
+                ..TransportConfig::default()
+            };
+            let idle_limit = tcfg.read_timeout + Duration::from_secs(5);
+            let peer = Some(PoisonCause::Peer { rank: 1 });
+            let misuse = |len| {
+                Some(PoisonCause::Misuse {
+                    rank: 1,
+                    len,
+                    max_len: DEFAULT_MAX_LEN,
+                })
+            };
+            let panic = PoisonCause::Abort {
+                rank: 1,
+                class: AbortClass::Panic,
+                message: "boom".into(),
+            };
+            let mut bad_magic = raw(Kind::AllReduce, 1, 1, frame::doubles_to_bytes(&[1.0]));
+            bad_magic[0] ^= 0xFF;
+            // -0.0 from both ranks sums to +0.0 only from a +0.0 start.
+            let vals = [[-0.0, 0.1, 1e16], [-0.0, 0.2, -1e16]];
+            let expected_sum = {
+                let mut group = ThreadCommGroup::new(2, DEFAULT_MAX_LEN);
+                let mut one = group.take();
+                let other = std::thread::spawn({
+                    let (mut comm, mut buf) = (group.take(), vals[1]);
+                    move || comm.try_allreduce_sum(&mut buf).map(|()| buf)
+                });
+                let mut buf = vals[0];
+                one.try_allreduce_sum(&mut buf).unwrap();
+                assert_eq!(
+                    other.join().unwrap().unwrap().map(f64::to_bits),
+                    buf.map(f64::to_bits)
+                );
+                buf
+            };
+            let waits = || vec![allreduce(0, 1, &[1.0]), Step::Linger];
+            let clean = |r: u32| {
+                vec![
+                    allreduce(r, 1, &vals[r as usize]),
+                    Step::Recv,
+                    control(Kind::Barrier, r, 2, vec![]),
+                    Step::Recv,
+                    control(Kind::Result, r, 0, report(r)),
+                ]
+            };
+            // Rank 0 sends its first AllReduce and waits; rank 1 sends
+            // `step` and waits.
+            let hostile = |step: Step| [waits(), vec![step, Step::Linger]];
+            let rows: Vec<Row> = vec![
+                ("seq gap", hostile(allreduce(1, 2, &[1.0])), peer.clone()),
+                (
+                    "replay",
+                    [
+                        vec![
+                            allreduce(0, 1, &[1.0]),
+                            Step::Recv,
+                            allreduce(0, 2, &[1.0]),
+                            Step::Linger,
+                        ],
+                        vec![
+                            allreduce(1, 1, &[1.0]),
+                            Step::Recv,
+                            allreduce(1, 1, &[1.0]),
+                            Step::Linger,
+                        ],
+                    ],
+                    peer.clone(),
+                ),
+                (
+                    "header rank not its own",
+                    hostile(allreduce(0, 1, &[1.0])),
+                    peer.clone(),
+                ),
+                (
+                    "hub-only Sum",
+                    hostile(control(Kind::Sum, 1, 1, vec![])),
+                    peer.clone(),
+                ),
+                (
+                    "hub-only HelloAck",
+                    hostile(control(Kind::HelloAck, 1, 0, vec![0; 8])),
+                    peer.clone(),
+                ),
+                (
+                    "hub-only Poison",
+                    hostile(control(
+                        Kind::Poison,
+                        1,
+                        0,
+                        PoisonCause::Peer { rank: 0 }.encode(),
+                    )),
+                    peer.clone(),
+                ),
+                ("bad magic", hostile(Step::Send(bad_magic)), peer.clone()),
+                (
+                    "ragged f64 payload",
+                    hostile(control(Kind::AllReduce, 1, 1, vec![0; 9])),
+                    misuse(1),
+                ),
+                ("9 doubles", hostile(allreduce(1, 1, &[1.0; 9])), misuse(9)),
+                (
+                    "lengths disagree",
+                    hostile(allreduce(1, 1, &[1.0, 2.0])),
+                    peer.clone(),
+                ),
+                (
+                    "AllReduce against Barrier",
+                    hostile(control(Kind::Barrier, 1, 1, vec![])),
+                    peer.clone(),
+                ),
+                (
+                    "55-byte Result",
+                    [
+                        vec![control(Kind::Result, 0, 0, report(0)), Step::Linger],
+                        vec![
+                            control(Kind::Result, 1, 0, report(1)[..55].to_vec()),
+                            Step::Linger,
+                        ],
+                    ],
+                    peer.clone(),
+                ),
+                ("EOF before Result", [waits(), vec![]], peer.clone()),
+                (
+                    "frame after Result",
+                    [
+                        vec![control(Kind::Result, 0, 0, report(0))],
+                        vec![
+                            control(Kind::Result, 1, 0, report(1)),
+                            control(Kind::Barrier, 1, 1, vec![]),
+                            Step::Linger,
+                        ],
+                    ],
+                    peer.clone(),
+                ),
+                (
+                    "undecodable Abort",
+                    hostile(control(Kind::Abort, 1, 0, vec![1, 2, 3])),
+                    peer.clone(),
+                ),
+                (
+                    "Abort with a panic",
+                    hostile(control(Kind::Abort, 1, 0, panic.encode())),
+                    Some(panic.clone()),
+                ),
+                (
+                    "silence after Hello",
+                    [waits(), vec![Step::Linger]],
+                    peer.clone(),
+                ),
+                ("clean run", [clean(0), clean(1)], None),
+            ];
+            let mut failures = Vec::new();
+            for (i, (name, scripts, verdict)) in rows.into_iter().enumerate() {
+                let lingers: Vec<bool> = scripts
+                    .iter()
+                    .map(|s| matches!(s.last(), Some(Step::Linger)))
+                    .collect();
+                let (tx, rx) = std::sync::mpsc::channel();
+                let tcfg = tcfg.clone();
+                std::thread::spawn(move || {
+                    let (listener, path) =
+                        bind_endpoint(&std::env::temp_dir(), &format!("verdict-{i}"))
+                            .expect("bind");
+                    let t0 = Instant::now();
+                    let clients: Vec<_> = scripts
+                        .into_iter()
+                        .enumerate()
+                        .map(|(r, script)| {
+                            let path = path.clone();
+                            std::thread::spawn(move || run_client(&path, r as u32, script))
+                        })
+                        .collect();
+                    let out = run_hub(listener, 2, &tcfg);
+                    let elapsed = t0.elapsed();
+                    let got: Vec<Vec<Frame>> =
+                        clients.into_iter().map(|c| c.join().unwrap()).collect();
+                    let _ = std::fs::remove_file(&path);
+                    let _ = tx.send((out, got, elapsed));
+                });
+                // The watchdog: a hub that never answers fails its row.
+                let Ok((out, got, elapsed)) = rx.recv_timeout(idle_limit * 3) else {
+                    failures.push(format!("{name}: hangs"));
+                    continue;
+                };
+                if out.poison != verdict {
+                    failures.push(format!(
+                        "{name}: verdict {:?}, want {verdict:?}",
+                        out.poison
+                    ));
+                }
+                if elapsed > idle_limit + Duration::from_secs(2) {
+                    failures.push(format!("{name}: verdict after {elapsed:?}"));
+                }
+                for (rank, frames) in got.iter().enumerate() {
+                    let last = frames.last().filter(|f| f.kind == Kind::Poison);
+                    let told = last.and_then(|f| PoisonCause::decode(&f.payload));
+                    if verdict.is_some() && lingers[rank] && told != verdict {
+                        failures.push(format!("{name}: rank {rank} was told {told:?}"));
+                    }
+                }
+                if verdict.is_none() {
+                    let reports: Vec<_> = (0..2).map(|r| RankReport::decode(&report(r))).collect();
+                    if out.results != reports {
+                        failures.push(format!("{name}: results {:?}", out.results));
+                    }
+                    for (rank, frames) in got.iter().enumerate() {
+                        let sum = frames
+                            .get(1)
+                            .map(|f| frame::bytes_to_doubles(&f.payload).unwrap());
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        if sum.as_deref().map(bits) != Some(bits(&expected_sum)) {
+                            failures.push(format!("{name}: rank {rank} got sum {sum:?}"));
+                        }
+                    }
+                }
+            }
+            assert!(failures.is_empty(), "{failures:#?}");
         }
     }
 }

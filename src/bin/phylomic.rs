@@ -646,7 +646,7 @@ fn silence_comm_error_panics() {
 /// hub, run the lockstep search over this rank's slice, report, exit.
 #[cfg(unix)]
 fn cmd_rank(opts: &Opts) -> Result<(), String> {
-    use phylomic::parallel::{ChildRankArgs, Endpoint, TransportConfig};
+    use phylomic::parallel::{ChildRankArgs, TransportConfig};
     span::set_thread_label("rank");
     silence_comm_error_panics();
     let inputs = search_inputs(opts)?;
@@ -656,9 +656,7 @@ fn cmd_rank(opts: &Opts) -> Result<(), String> {
     let ranks: usize = require(opts, "ranks")?
         .parse()
         .map_err(|e| format!("--ranks: {e}"))?;
-    let endpoint: Endpoint = require(opts, "endpoint")?
-        .parse()
-        .map_err(|e: String| format!("--endpoint: {e}"))?;
+    let endpoint = std::path::PathBuf::from(require(opts, "endpoint")?);
     let ft = FtConfig {
         checkpoint: opts.get("checkpoint").map(std::path::PathBuf::from),
         fault_plan: fault_plan_of(opts)?,
@@ -773,7 +771,7 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
                 ..FtConfig::new(threads.max(1))
             };
             silence_comm_error_panics();
-            let out = if transport.is_socket() {
+            let out = if transport == TransportKind::Uds {
                 #[cfg(unix)]
                 {
                     run_sharded(opts, &tree, &compressed, config, search, &ft)?
@@ -849,7 +847,7 @@ fn run_sharded(
             .arg("--ranks")
             .arg(spec.ranks.to_string())
             .arg("--endpoint")
-            .arg(spec.endpoint.to_string())
+            .arg(&spec.endpoint)
             // The supervisor owns the console; children stay quiet.
             .stdout(std::process::Stdio::null());
         // What a child needs to rebuild the supervisor's exact inputs.
