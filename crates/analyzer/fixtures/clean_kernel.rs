@@ -2,7 +2,6 @@
 //! the purity rule demands — iterator traversal (no bounds-checked
 //! indexing), no allocation, no panicking calls, FMA behind the
 //! gated helper. Must produce ZERO findings under every rule family.
-#![deny(unsafe_op_in_unsafe_fn)]
 
 pub fn newview_tt(left: &[f64], right: &[f64], out: &mut [f64]) -> f64 {
     let mut acc = 0.0;

@@ -1,12 +1,12 @@
-// Safety-rule fixture (analyzed as a crate root, `src/lib.rs`).
-// Seeds all four PR 3 rules: an unjustified unsafe block, a mutating
-// Relaxed atomic op spanning multiple lines (the shape the old line
-// scanner could not see), an unregistered marker impl (which also
-// lacks a justification comment, so rules 1 and 3 both fire on it),
-// and a crate root with no deny(unsafe_op_in_unsafe_fn) inner attr.
-// One compliant site shows rule 1 accepts audited code. NOTE: the
-// word the rule greps for is deliberately kept out of every comment
-// in this file except the compliant one.
+// Safety-rule fixture. Seeds the three source-level rules: an
+// unjustified unsafe block, a mutating Relaxed atomic op spanning
+// multiple lines (the shape the old line scanner could not see), and
+// an unregistered marker impl that also lacks a justification comment
+// (so rules 1 and 3 both fire on it). Rule 4 reads manifests; its
+// fixtures are in crates/xtask/fixtures/manifests/. One compliant
+// site shows rule 1 accepts audited code. NOTE: the word the rule
+// greps for is deliberately kept out of every comment in this file
+// except the compliant one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

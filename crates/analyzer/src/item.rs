@@ -11,19 +11,9 @@
 //! the PR 3 line scanner scoped by "first `#[cfg(test)]` line".
 
 use crate::lex::{lex, Delim, Lexed, Tok};
-use crate::tree::{build, render, Group, Tt};
+use crate::tree::{build, Group, Tt};
 
-/// One parsed attribute (`#[…]` or `#![…]`).
-#[derive(Clone, Debug)]
-pub struct Attr {
-    pub line: u32,
-    /// Rendered attribute contents, e.g. `cfg(feature="x")`,
-    /// `deny(unsafe_op_in_unsafe_fn)`. Literal contents are kept.
-    pub text: String,
-    pub kind: AttrKind,
-}
-
-/// What the analyzer understands about an attribute.
+/// What the analyzer understands about an outer attribute (`#[…]`).
 #[derive(Clone, Debug, PartialEq)]
 pub enum AttrKind {
     /// `#[cfg(test)]`
@@ -56,7 +46,7 @@ pub struct FnItem {
     /// Base identifier of the implemented trait, when inside a trait
     /// impl.
     pub impl_trait: Option<String>,
-    pub attrs: Vec<Attr>,
+    pub attrs: Vec<AttrKind>,
     /// The `{…}` body; `None` for trait-method declarations.
     pub body: Option<Group>,
 }
@@ -72,9 +62,7 @@ impl FnItem {
 
     /// Whether any attribute is `#[target_feature(enable = …)]`.
     pub fn has_target_feature(&self) -> bool {
-        self.attrs
-            .iter()
-            .any(|a| a.kind == AttrKind::TargetFeatureEnable)
+        self.attrs.contains(&AttrKind::TargetFeatureEnable)
     }
 }
 
@@ -127,8 +115,6 @@ pub struct FileItems {
     pub fns: Vec<FnItem>,
     pub impls: Vec<ImplItem>,
     pub unsafe_sites: Vec<UnsafeSite>,
-    /// File-level inner attributes (`#![…]`).
-    pub inner_attrs: Vec<Attr>,
     /// Items skipped because their `cfg(feature)` was not enabled.
     pub skipped_cfg_items: usize,
 }
@@ -159,7 +145,7 @@ pub fn extract(file: &str, src: &str, enabled_features: &[String]) -> FileItems 
         in_test: path_test_ctx,
         ..Ctx::default()
     };
-    walk_items(&tts, &ctx, enabled_features, true, &mut out);
+    walk_items(&tts, &ctx, enabled_features, &mut out);
     out
 }
 
@@ -199,17 +185,17 @@ pub(crate) fn attr_kind(items: &[Tt]) -> AttrKind {
 
 /// Whether pending attributes make this item invisible under the
 /// enabled feature set.
-fn cfg_skips(attrs: &[Attr], enabled: &[String]) -> bool {
-    attrs.iter().any(|a| match &a.kind {
+fn cfg_skips(attrs: &[AttrKind], enabled: &[String]) -> bool {
+    attrs.iter().any(|a| match a {
         AttrKind::CfgFeature(f) => !enabled.iter().any(|e| e == f),
         _ => false,
     })
 }
 
-fn cfg_test(attrs: &[Attr]) -> bool {
+fn cfg_test(attrs: &[AttrKind]) -> bool {
     attrs
         .iter()
-        .any(|a| matches!(a.kind, AttrKind::CfgTest | AttrKind::Test))
+        .any(|a| matches!(a, AttrKind::CfgTest | AttrKind::Test))
 }
 
 /// Base identifier of a type token run: first identifier that isn't a
@@ -243,31 +229,19 @@ fn skip_generics(tts: &[Tt], mut i: usize) -> usize {
 
 /// Walks one item-level token run (file top level, `mod` body, `impl`
 /// body, `trait` body).
-fn walk_items(tts: &[Tt], ctx: &Ctx, enabled: &[String], file_level: bool, out: &mut FileItems) {
-    let mut pending_attrs: Vec<Attr> = Vec::new();
+fn walk_items(tts: &[Tt], ctx: &Ctx, enabled: &[String], out: &mut FileItems) {
+    let mut pending_attrs: Vec<AttrKind> = Vec::new();
     let mut pending_unsafe: Option<u32> = None;
     let mut i = 0;
     while i < tts.len() {
         let tt = &tts[i];
-        // Attributes: `#[…]` (outer) and `#![…]` (inner).
+        // Attributes: `#[…]` (outer) and `#![…]` (inner, skipped).
         if tt.is_punct('#') {
-            let (bang, group_at) = if tts.get(i + 1).is_some_and(|t| t.is_punct('!')) {
-                (true, i + 2)
-            } else {
-                (false, i + 1)
-            };
+            let bang = tts.get(i + 1).is_some_and(|t| t.is_punct('!'));
+            let group_at = i + 1 + usize::from(bang);
             if let Some(g) = tts.get(group_at).and_then(|t| t.group(Delim::Bracket)) {
-                let attr = Attr {
-                    line: tt.line(),
-                    text: render(&g.items),
-                    kind: attr_kind(&g.items),
-                };
-                if bang {
-                    if file_level {
-                        out.inner_attrs.push(attr);
-                    }
-                } else {
-                    pending_attrs.push(attr);
+                if !bang {
+                    pending_attrs.push(attr_kind(&g.items));
                 }
                 i = group_at + 1;
                 continue;
@@ -363,7 +337,7 @@ fn walk_items(tts: &[Tt], ctx: &Ctx, enabled: &[String], file_level: bool, out: 
                         impl_type: None,
                         impl_trait: None,
                     };
-                    walk_items(&g.items, &sub, enabled, false, out);
+                    walk_items(&g.items, &sub, enabled, out);
                 }
                 i = j + 1;
             }
@@ -421,7 +395,7 @@ fn walk_items(tts: &[Tt], ctx: &Ctx, enabled: &[String], file_level: bool, out: 
                         impl_type: self_type,
                         impl_trait: trait_name,
                     };
-                    walk_items(&g.items, &sub, enabled, false, out);
+                    walk_items(&g.items, &sub, enabled, out);
                 }
                 i = j + 1;
             }
@@ -448,7 +422,7 @@ fn walk_items(tts: &[Tt], ctx: &Ctx, enabled: &[String], file_level: bool, out: 
                         impl_type: None,
                         impl_trait: trait_name,
                     };
-                    walk_items(&g.items, &sub, enabled, false, out);
+                    walk_items(&g.items, &sub, enabled, out);
                 }
                 i = j + 1;
             }
@@ -619,21 +593,11 @@ mod tests {
     }
 
     #[test]
-    fn inner_attrs_are_file_level_only() {
-        let src = "#![deny(unsafe_op_in_unsafe_fn)]\nfn f() {}\n";
-        let items = ex(src);
-        assert_eq!(items.inner_attrs.len(), 1);
-        assert!(items.inner_attrs[0].text.contains("deny"));
-        assert!(items.inner_attrs[0].text.contains("unsafe_op_in_unsafe_fn"));
-    }
-
-    #[test]
     fn attr_kinds_parse() {
         let src = "#[cfg(test)]\n#[cfg(feature = \"fast\")]\n#[cfg(target_feature = \"fma\")]\n#[target_feature(enable = \"avx2,fma\")]\n#[inline]\nunsafe fn f() {}\n";
         let items = extract("f.rs", src, &["fast".to_string()]);
-        let kinds: Vec<_> = items.fns[0].attrs.iter().map(|a| a.kind.clone()).collect();
         assert_eq!(
-            kinds,
+            items.fns[0].attrs,
             [
                 AttrKind::CfgTest,
                 AttrKind::CfgFeature("fast".into()),

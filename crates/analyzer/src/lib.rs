@@ -5,13 +5,13 @@
 //! shape) → [`item`] (fns, impls, unsafe sites, attrs — cfg-aware) →
 //! [`graph`] (per-body facts and a name-resolved-enough workspace
 //! call graph) → [`rules`] (purity, fpdet, safety, inventory; and,
-//! beside the Rust sources, the CI workflow's YAML).
+//! beside the Rust sources, the member manifests and the CI workflow's
+//! YAML).
 //!
 //! No rustc, no syn — the environment is offline; its one dependency
 //! is the workspace's std-only `plf-prof` (for the JSON escaper). The
 //! analyzer parses Rust exactly far enough for its rules. `cargo xtask
 //! lint` is the driver.
-#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod graph;
 pub mod item;
@@ -123,6 +123,7 @@ pub fn analyze_workspace(cfg: &Config) -> std::io::Result<Analysis> {
     findings.extend(rules::purity::run(&ws.fns, &graph, &allow.purity));
     findings.extend(rules::fpdet::run(&ws.fns, &graph, &allow.fpdet));
     findings.extend(rules::safety::run(&ws.files, &ws.fns, &graph, &allow));
+    findings.extend(rules::safety::manifests(&cfg.root));
     findings.extend(allow.stale(&cfg.features));
     findings.extend(rules::workflow::run(&cfg.root));
     let inventory = rules::inventory::render(&ws.files);

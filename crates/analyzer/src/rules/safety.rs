@@ -11,15 +11,18 @@
 //!    group, not on "the same line".
 //! 3. **Audited `unsafe impl Send/Sync`** — every such impl must be
 //!    registered in `unsafe_impl_registry.txt`.
-//! 4. **`#![deny(unsafe_op_in_unsafe_fn)]`** — required in *every*
-//!    workspace crate root (not just crates that currently contain
-//!    unsafe code: the attribute is a tripwire for unsafe code that
-//!    arrives later).
+//! 4. **`unsafe_op_in_unsafe_fn = "deny"`** — set once in the root
+//!    manifest's `[workspace.lints.rust]` table and inherited by
+//!    *every* member manifest through `[lints] workspace = true` (not
+//!    just crates that currently contain unsafe code: the lint is a
+//!    tripwire for unsafe code that arrives later). rustc enforces it
+//!    on every target; the rule checks the manifests that switch it on.
 
 use crate::graph::{CallGraph, CallKind};
 use crate::item::{FileItems, FnItem};
 use crate::report::Finding;
 use crate::rules::Allowlists;
+use std::path::Path;
 
 /// How many lines above an unsafe site a `SAFETY` comment may sit
 /// (same window as the PR 3 scanner).
@@ -40,7 +43,7 @@ const MUTATING_OPS: &[&str] = &[
     "compare_exchange_weak",
 ];
 
-/// Runs rules 1–3 per file plus rule 2 over fn bodies.
+/// Runs rules 1 and 3 per file plus rule 2 over fn bodies.
 pub fn run(
     files: &[FileItems],
     fns: &[FnItem],
@@ -94,25 +97,6 @@ pub fn run(
                 ),
             });
         }
-        // Rule 4: deny(unsafe_op_in_unsafe_fn) in every crate root.
-        let is_crate_root = file.file.ends_with("src/lib.rs") || file.file.ends_with("src/main.rs");
-        if is_crate_root {
-            let has = file
-                .inner_attrs
-                .iter()
-                .any(|a| a.text.contains("deny") && a.text.contains("unsafe_op_in_unsafe_fn"));
-            if !has {
-                findings.push(Finding {
-                    rule: "safety",
-                    file: file.file.clone(),
-                    line: 1,
-                    key: "unsafe_op_in_unsafe_fn".into(),
-                    message: "crate root is missing #![deny(unsafe_op_in_unsafe_fn)] — required \
-                              workspace-wide so unsafe fns never get implicit unsafe bodies"
-                        .into(),
-                });
-            }
-        }
     }
     // Rule 2: relaxed mutating atomic ops, from fn bodies.
     for (i, f) in fns.iter().enumerate() {
@@ -145,6 +129,59 @@ pub fn run(
         }
     }
     findings
+}
+
+/// Rule 4 over the root manifest and every member manifest
+/// (`crates/*`, `shims/*`).
+pub fn manifests(root: &Path) -> Vec<Finding> {
+    let mut files = vec!["Cargo.toml".to_string()];
+    for top in ["crates", "shims"] {
+        let dirs = std::fs::read_dir(root.join(top)).into_iter().flatten();
+        let names = dirs
+            .flatten()
+            .map(|d| d.file_name().to_string_lossy().into_owned());
+        files.extend(names.map(|name| format!("{top}/{name}/Cargo.toml")));
+    }
+    files
+        .iter()
+        .filter_map(|f| Some((f, std::fs::read_to_string(root.join(f)).ok()?)))
+        .flat_map(|(f, text)| check_manifest(f, &text, f == "Cargo.toml"))
+        .collect()
+}
+
+/// Rule 4 on one manifest's text: a member must inherit the workspace
+/// lints, and the workspace root must also deny the lint in the table
+/// they inherit. Keys compare in dotted form, so `[lints]` +
+/// `workspace = true` and a top-level `lints.workspace = true` both count.
+pub fn check_manifest(file: &str, text: &str, workspace_root: bool) -> Vec<Finding> {
+    let mut table = String::new();
+    let mut entries = Vec::new();
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('[') {
+            table = format!("{}.", line.trim_matches(['[', ']']));
+        } else if let Some((key, value)) = line.split_once('=') {
+            entries.push((format!("{table}{}", key.trim()), value.trim()));
+        }
+    }
+    let mut required = vec![("lints.workspace", "true")];
+    if workspace_root {
+        required.push(("workspace.lints.rust.unsafe_op_in_unsafe_fn", "\"deny\""));
+    }
+    required
+        .into_iter()
+        .filter(|&req| !entries.iter().any(|(k, v)| (k.as_str(), *v) == req))
+        .map(|(key, value)| Finding {
+            rule: "safety",
+            file: file.to_string(),
+            line: 1,
+            key: key.into(),
+            message: format!(
+                "manifest lacks `{key} = {value}` — every member inherits \
+                 `unsafe_op_in_unsafe_fn = \"deny\"` from `[workspace.lints.rust]`, so unsafe fns \
+                 never get implicit unsafe bodies"
+            ),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -198,13 +235,21 @@ mod tests {
     }
 
     #[test]
-    fn crate_roots_need_the_deny_attr() {
-        let findings = run_on("crates/x/src/lib.rs", "pub fn f() {}\n", "", "");
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].key, "unsafe_op_in_unsafe_fn");
-        let ok = "#![deny(unsafe_op_in_unsafe_fn)]\npub fn f() {}\n";
-        assert!(run_on("crates/x/src/lib.rs", ok, "", "").is_empty());
-        // Non-root files are exempt.
-        assert!(run_on("crates/x/src/other.rs", "pub fn f() {}\n", "", "").is_empty());
+    fn manifests_must_inherit_the_workspace_lints() {
+        // The member shapes are pinned by crates/xtask/fixtures/manifests/;
+        // here, the dotted form and the root's own table.
+        let keys = |text: &str, root: bool| -> Vec<String> {
+            check_manifest("Cargo.toml", text, root)
+                .into_iter()
+                .map(|f| f.key)
+                .collect()
+        };
+        let member = "lints.workspace = true\n[package]\n";
+        assert!(keys(member, false).is_empty());
+        let deny = "workspace.lints.rust.unsafe_op_in_unsafe_fn";
+        assert_eq!(keys(member, true), [deny]);
+        let root = format!("{member}[workspace.lints.rust]\nunsafe_op_in_unsafe_fn = \"deny\"\n");
+        assert!(keys(&root, true).is_empty());
+        assert_eq!(keys(&root.replace("deny", "warn"), true), [deny]);
     }
 }

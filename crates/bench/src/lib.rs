@@ -9,7 +9,6 @@
 //! extrapolates that trace across the Table III alignment sizes, and
 //! [`paper_results`] renders every model-output file of `results/`
 //! from it.
-#![deny(unsafe_op_in_unsafe_fn)]
 
 mod results;
 

@@ -1,5 +1,5 @@
 //! The model-output files of `results/`: Tables I–III, Figures 3–5 and
-//! the §V-C, §V-D and §V-A ablations, all rendered from one recorded
+//! the §V-C and §V-D ablations, all rendered from one recorded
 //! [`WorkloadTrace`].
 //!
 //! `cargo run --release -p phylo-bench --bin reproduce` writes them, and
@@ -14,9 +14,6 @@ use micsim::systems::{
     crossover_patterns, fig4_dual_mic_scaling, table3, SystemId, Table3Cell, TABLE3_SIZES,
 };
 use micsim::WorkloadTrace;
-use phylo_parallel::balance::{
-    block_per_partition, imbalance, scatter_partitions, whole_partitions, Assignment,
-};
 use plf_core::KernelId;
 
 /// One `(file name, text)` pair per model-output file of `results/`.
@@ -29,7 +26,6 @@ pub fn paper_results(trace: &WorkloadTrace) -> Vec<(&'static str, String)> {
         ("fig5_energy.txt", fig5_energy(trace)),
         ("ablation_offload.txt", ablation_offload(trace)),
         ("ablation_hybrid.txt", ablation_hybrid(trace)),
-        ("ablation_partitions.txt", ablation_partitions(trace)),
     ]
 }
 
@@ -285,66 +281,5 @@ Dual-MIC AllReduce latency sweep (§VI-B3): 20 us PCIe (Intel MPI 4.1.2),
         }
         o += "\n";
     }
-    o
-}
-
-/// Skewed partition sizes mimicking a multi-gene dataset: a few large
-/// ribosomal genes plus many short ones.
-fn skewed_sizes(partitions: usize, total: usize) -> Vec<usize> {
-    // Geometric-ish decay with a floor of 1.
-    let mut sizes: Vec<f64> = (0..partitions).map(|i| 0.7f64.powi(i as i32)).collect();
-    let s: f64 = sizes.iter().sum();
-    let mut out: Vec<usize> = sizes
-        .iter_mut()
-        .map(|v| ((*v / s) * total as f64).round().max(1.0) as usize)
-        .collect();
-    let diff = total as i64 - out.iter().sum::<usize>() as i64;
-    out[0] = (out[0] as i64 + diff).max(1) as usize;
-    out
-}
-
-/// §V-A / §VII: partitioned alignments and load balancing. The paper
-/// warns that "for a large number of partitions, performance will
-/// degrade due to decreasing parallel block size": the parallel compute
-/// phase stretches by the worker-load imbalance factor of the chosen
-/// distribution strategy.
-fn ablation_partitions(trace: &WorkloadTrace) -> String {
-    let size = 1_000_000u64;
-    let scaled = trace.scaled_to(size);
-    let cfg = SystemId::Phi1.config();
-    let base = predict_time(&cfg, &scaled);
-    let workers = cfg.workers_per_device() as usize;
-
-    let mut o = String::from("Partitioned 1000K-pattern run on one Xeon Phi (236 workers)\n");
-    o += &format!(
-        "predicted time = imbalance x compute + sync/comm (unpartitioned: {:.1}s)\n\n",
-        base.total()
-    );
-    o += &format!(
-        "{:>11} {:>22} {:>22} {:>22}\n",
-        "partitions", "scatter", "block", "whole-partition"
-    );
-    for partitions in [1usize, 4, 16, 64, 256] {
-        let sizes = skewed_sizes(partitions, size as usize);
-        let render = |a: &Assignment| -> String {
-            let f = imbalance(a);
-            let touched: usize = (0..workers).map(|w| a.partitions_touched(w)).max().unwrap();
-            let t = base.compute_s * f + base.sync_s + base.comm_s + base.serial_s;
-            format!("{t:>7.1}s (x{f:>5.2},{touched:>4}p)")
-        };
-        o += &format!(
-            "{:>11} {:>22} {:>22} {:>22}\n",
-            partitions,
-            render(&scatter_partitions(&sizes, workers)),
-            render(&block_per_partition(&sizes, workers)),
-            render(&whole_partitions(&sizes, workers)),
-        );
-    }
-    o += "
-x = worker load imbalance factor; p = max partitions touched per worker
-(scatter balances load but every worker touches every partition — the
-shrinking parallel block size of §V-A; whole-partition keeps blocks large
-but collapses under size skew)
-";
     o
 }

@@ -96,12 +96,6 @@ impl DnaCode {
         self.0.count_ones() == 1
     }
 
-    /// Whether the code is the fully undetermined character.
-    #[inline]
-    pub fn is_gap(self) -> bool {
-        self.0 == 0b1111
-    }
-
     /// State index for an unambiguous code, `None` otherwise.
     #[inline]
     pub fn state(self) -> Option<usize> {
@@ -170,7 +164,7 @@ mod tests {
     #[test]
     fn gap_aliases() {
         for c in ['N', '?', '-', 'X', 'o', 'n', '.'] {
-            assert!(DnaCode::from_char(c).unwrap().is_gap(), "char {c}");
+            assert_eq!(DnaCode::from_char(c).unwrap(), GAP, "char {c}");
         }
         assert_eq!(GAP.to_char(), 'N');
     }

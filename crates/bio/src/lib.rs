@@ -20,7 +20,6 @@
 //! of bits and the fully-undetermined state (`-`, `?`, `N`) is `0b1111`.
 //! This makes tip-state likelihood lookup a table index, which is what
 //! the tip-handling fast paths in `plf-core` rely on.
-#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod alignment;
 pub mod alphabet;

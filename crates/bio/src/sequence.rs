@@ -64,15 +64,6 @@ impl Sequence {
     pub fn to_iupac_string(&self) -> String {
         self.codes.iter().map(|c| c.to_char()).collect()
     }
-
-    /// Fraction of fully undetermined characters (gaps / `N`).
-    pub fn gap_fraction(&self) -> f64 {
-        if self.codes.is_empty() {
-            return 0.0;
-        }
-        let gaps = self.codes.iter().filter(|c| c.is_gap()).count();
-        gaps as f64 / self.codes.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -99,16 +90,8 @@ mod tests {
     }
 
     #[test]
-    fn gap_fraction_counts_only_full_gaps() {
-        let s = Sequence::from_str_named("t", "A-N?R").unwrap();
-        // '-', 'N', '?' are gaps; 'R' is partial ambiguity, not a gap.
-        assert!((s.gap_fraction() - 3.0 / 5.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_sequence() {
         let s = Sequence::from_str_named("t", "").unwrap();
         assert!(s.is_empty());
-        assert_eq!(s.gap_fraction(), 0.0);
     }
 }

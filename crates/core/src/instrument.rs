@@ -274,11 +274,6 @@ impl KernelStats {
         self.ops.iter().map(|o| o.calls).sum()
     }
 
-    /// Total pattern-sites across all kernels.
-    pub fn total_sites(&self) -> u64 {
-        self.ops.iter().map(|o| o.sites).sum()
-    }
-
     /// Returns a copy with every `sites` count scaled by `factor`,
     /// keeping `calls` unchanged. This is how a trace measured on a
     /// small alignment is extrapolated to a larger one (same search,
@@ -313,7 +308,6 @@ mod tests {
         assert_eq!(s.get(KernelId::Evaluate).sites, 10);
         assert_eq!(s.get(KernelId::DerivativeSum).calls, 0);
         assert_eq!(s.total_calls(), 3);
-        assert_eq!(s.total_sites(), 160);
     }
 
     #[test]

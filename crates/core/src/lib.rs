@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 #![allow(clippy::needless_range_loop)] // index loops mirror the paper's kernel notation; reference constants keep full printed precision
 //! `plf-core` — the Phylogenetic Likelihood Function kernels.
 //!

@@ -45,8 +45,6 @@
 //! See `DESIGN.md` (§ interleave) for the scheduler and the
 //! memory-model approximation, including known deviations from C11.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-
 pub mod cell;
 mod exec;
 pub mod fixtures;

@@ -70,14 +70,6 @@ pub fn allreduce_latency_s(ic: crate::model::Interconnect) -> f64 {
     }
 }
 
-/// Mean *measured* collective latency from a v6 trace meta's wire
-/// fields, seconds — the empirical counterpart the modeled
-/// [`allreduce_latency_s`] is validated against (`trace-report` prints
-/// both side by side). `None` when the run recorded no collectives.
-pub fn measured_allreduce_latency_s(wire_ops: u64, wire_ns: u64) -> Option<f64> {
-    (wire_ops > 0).then(|| wire_ns as f64 / wire_ops as f64 / 1e9)
-}
-
 /// Offload-mode invocation latency, seconds: the full per-invocation
 /// round trip of the offload runtime — runtime call, PCIe doorbell,
 /// argument/result marshalling for P-matrices and reduced values, and
@@ -257,13 +249,6 @@ impl MeasuredHostCosts {
         &self.fits[kernel_index(kernel)]
     }
 
-    /// Measured marginal cost per pattern-site of `kernel`, seconds —
-    /// the measured counterpart of [`crate::model::site_time`] for the
-    /// host the trace was recorded on.
-    pub fn site_time_s(&self, kernel: KernelId) -> f64 {
-        self.fit(kernel).per_site_ns * 1e-9
-    }
-
     /// Mean fork+join synchronization cost per parallel region,
     /// seconds (two pure barrier waits) — the measured counterpart of
     /// the [`OMP_REGION_OVERHEAD_PER_THREAD_S`]-based charge.
@@ -429,8 +414,6 @@ mod tests {
             "per_site {}",
             fit.per_site_ns
         );
-        // site_time_s converts to seconds.
-        assert!((costs.site_time_s(KernelId::Newview) - 35.0e-9).abs() < 1e-12);
         // Kernels absent from the trace have an empty fit.
         assert_eq!(costs.fit(KernelId::Evaluate).samples, 0);
     }

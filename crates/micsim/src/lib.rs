@@ -30,7 +30,6 @@
 //! search ([`workload::WorkloadTrace`]), scaled across alignment sizes
 //! exactly as the paper scales its INDELible datasets. The calibrated
 //! constants are centralized and documented in [`calibration`].
-#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod calibration;
 pub mod energy;
@@ -44,5 +43,5 @@ pub mod workload;
 pub use model::{predict_time, ExecMode, Interconnect, MachineConfig, TimeBreakdown};
 pub use platform::{Platform, PlatformKind};
 pub use report::TraceReport;
-pub use systems::{table3_systems, SystemId};
+pub use systems::SystemId;
 pub use workload::WorkloadTrace;

@@ -70,11 +70,6 @@ impl SystemId {
     }
 }
 
-/// The Table III system set with their configurations.
-pub fn table3_systems() -> Vec<(SystemId, MachineConfig)> {
-    SystemId::ALL.iter().map(|&s| (s, s.config())).collect()
-}
-
 /// The alignment sizes (in patterns) of Table III.
 pub const TABLE3_SIZES: [u64; 8] = [
     10_000, 50_000, 100_000, 250_000, 500_000, 1_000_000, 2_000_000, 4_000_000,

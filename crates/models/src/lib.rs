@@ -16,7 +16,6 @@
 //!   ([`math::gammafn`], [`rates`]),
 //! * Brent's 1-D minimizer used for model-parameter optimization
 //!   ([`math::brent`]).
-#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod gtr;
 pub mod math;

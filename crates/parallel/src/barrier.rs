@@ -97,11 +97,6 @@ impl SenseBarrier {
         }
     }
 
-    /// Number of participating threads.
-    pub fn participants(&self) -> usize {
-        self.total
-    }
-
     /// Marks the group as dead on behalf of failed participant
     /// `rank`. Idempotent; the first poisoner wins. Every blocked and
     /// future [`Self::wait`] returns `Err(Poisoned)` promptly.

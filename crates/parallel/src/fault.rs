@@ -120,12 +120,6 @@ impl FaultPlan {
         Self::new().with(FaultKind::CheckpointWrite { attempt, count })
     }
 
-    /// Convenience: rank `rank`'s process is SIGKILLed at its
-    /// `allreduce`-th AllReduce.
-    pub fn rank_kill9(rank: usize, allreduce: u64) -> Self {
-        Self::new().with(FaultKind::RankKill9 { rank, allreduce })
-    }
-
     /// Number of scripted faults (fired or not).
     pub fn len(&self) -> usize {
         self.faults.len()

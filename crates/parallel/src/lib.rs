@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 //! Parallelization schemes for the PLF.
 //!
 //! The paper contrasts two schemes (§V-C/§V-D):
@@ -26,7 +25,6 @@
 //! measured latencies (20 µs MIC–MIC over PCIe, 5 µs InfiniBand,
 //! §VI-B3).
 
-pub mod balance;
 pub mod barrier;
 pub mod comm;
 pub mod fault;

@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 //! `plf-prof` — host performance profiling support for the PLF
 //! workspace.
 //!

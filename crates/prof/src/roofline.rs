@@ -148,20 +148,6 @@ pub fn measure_with(triad_len: usize, fma_iters: usize, rounds: usize) -> HostRo
     }
 }
 
-/// Cached calibration if present and measured by the same CPU model,
-/// else a fresh measurement saved back to `path` (best effort — a
-/// read-only directory only costs the cache).
-pub fn load_or_measure(path: &Path) -> HostRoofline {
-    if let Some(cached) = load_cached(path) {
-        if cached.cpu_model == host::cpu_model() {
-            return cached;
-        }
-    }
-    let fresh = measure();
-    let _ = fresh.save(path);
-    fresh
-}
-
 /// Best-round STREAM triad bandwidth, bytes/second.
 fn triad_bandwidth(len: usize, rounds: usize) -> f64 {
     let b = vec![1.000_1f64; len];

@@ -13,7 +13,6 @@
 //! single-threaded, under the fork-join worker scheme, or under the
 //! ExaML replicated scheme (where every rank executes this code in
 //! lockstep and reductions hide inside `Evaluator::log_likelihood`).
-#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod bootstrap;
 pub mod branch_opt;

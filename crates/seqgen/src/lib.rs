@@ -13,7 +13,6 @@
 //! arbitrary root node from the stationary distribution π, then walk
 //! the tree, sampling each child state from the transition distribution
 //! `P(t·r)` of its branch.
-#![deny(unsafe_op_in_unsafe_fn)]
 
 use phylo_bio::{Alignment, CompressedAlignment, DnaCode, Sequence};
 use phylo_models::{DiscreteGamma, Eigensystem, NUM_RATES, NUM_STATES};

@@ -1,4 +1,4 @@
-//! Tree constructors: random, caterpillar, and balanced topologies.
+//! Tree constructors: random and caterpillar topologies.
 
 use crate::error::TreeError;
 use crate::tree::{EdgeId, NodeId, Tree};
@@ -119,37 +119,6 @@ pub fn caterpillar(names: &[String], branch_length: f64) -> Result<Tree, TreeErr
     b.finish()
 }
 
-/// An (approximately) balanced topology built by recursive bisection,
-/// rendered via Newick and re-parsed. Best case for traversal depth.
-pub fn balanced(names: &[String], branch_length: f64) -> Result<Tree, TreeError> {
-    if names.len() < 3 {
-        return Err(TreeError::TooFewTaxa(names.len()));
-    }
-    // Render a recursively bisected rooted topology (no trailing
-    // branch length; the caller appends one) and let the Newick parser
-    // suppress the degree-2 root.
-    fn rec(names: &[String], l: f64) -> String {
-        match names {
-            [single] => single.clone(),
-            _ => {
-                let mid = names.len() / 2;
-                format!(
-                    "({}:{l},{}:{l})",
-                    rec(&names[..mid], l),
-                    rec(&names[mid..], l)
-                )
-            }
-        }
-    }
-    let mid = names.len() / 2;
-    let newick = format!(
-        "({}:{branch_length},{}:{branch_length});",
-        rec(&names[..mid], branch_length),
-        rec(&names[mid..], branch_length)
-    );
-    crate::newick::parse(&newick)
-}
-
 /// Generates `n` taxon names `t0, t1, …` (test/bench convenience).
 pub fn default_names(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("t{i}")).collect()
@@ -203,13 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn balanced_has_small_depth() {
-        let t = balanced(&default_names(16), 0.05).unwrap();
-        t.validate().unwrap();
-        assert_eq!(t.num_taxa(), 16);
-    }
-
-    #[test]
     fn builder_rejects_overattachment() {
         let names = default_names(3);
         let mut b = StepwiseBuilder::new(&names, 0.1).unwrap();
@@ -253,6 +215,5 @@ mod tests {
     #[test]
     fn too_few_names() {
         assert!(StepwiseBuilder::new(&default_names(2), 0.1).is_err());
-        assert!(balanced(&default_names(2), 0.1).is_err());
     }
 }

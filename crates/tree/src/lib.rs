@@ -10,12 +10,11 @@
 //! Modules:
 //! * [`tree`] — the arena type, node/edge accessors, invariants;
 //! * [`newick`] — Newick parsing and printing;
-//! * [`build`] — random, caterpillar, and balanced tree constructors;
+//! * [`build`] — random and caterpillar tree constructors;
 //! * [`traverse`] — directed post-order traversals used to schedule
 //!   `newview` calls;
 //! * [`moves`] — NNI and SPR topology moves for tree search;
 //! * [`error`] — error type.
-#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod build;
 pub mod consensus;

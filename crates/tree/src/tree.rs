@@ -363,14 +363,6 @@ impl Tree {
         })
     }
 
-    /// The edge connecting `a` and `b`, if any.
-    pub fn edge_between(&self, a: NodeId, b: NodeId) -> Option<EdgeId> {
-        self.incident(a)
-            .iter()
-            .copied()
-            .find(|&e| self.other_end(e, a) == b)
-    }
-
     /// Sum of all branch lengths.
     pub fn total_length(&self) -> f64 {
         self.edges.iter().map(|e| e.length).sum()
@@ -612,13 +604,6 @@ mod tests {
         assert_eq!(t.length(0), BL_MAX);
         assert!(t.set_length(0, f64::NAN).is_err());
         assert!(t.set_length(0, -1.0).is_err());
-    }
-
-    #[test]
-    fn edge_between() {
-        let t = Tree::triplet(["a", "b", "c"], [0.1, 0.1, 0.1]).unwrap();
-        assert!(t.edge_between(0, 3).is_some());
-        assert!(t.edge_between(0, 1).is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Lint fixture: deliberately violates every file-level rule. Never
 //! compiled — `fixtures/` is skipped by the workspace walk and linted
-//! explicitly by tests/lint_fixtures.rs, which pins the line numbers.
+//! explicitly by tests/lint_workspace.rs, which pins the line numbers.
 use std::sync::atomic::{AtomicBool, Ordering};
 
 pub struct Racy(std::cell::UnsafeCell<u64>);

@@ -1,5 +1,4 @@
 //! `cargo xtask` — workspace automation entry point.
-#![deny(unsafe_op_in_unsafe_fn)]
 
 mod pair;
 

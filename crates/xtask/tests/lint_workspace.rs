@@ -4,7 +4,9 @@
 //! * the real workspace must lint clean (allowlists and the unsafe
 //!   inventory are current);
 //! * the committed fixture crate (`crates/xtask/fixtures/`) must trip
-//!   the safety rules at the pinned sites;
+//!   the safety rules at the pinned sites, and each of its fixture
+//!   manifests that does not inherit the workspace lints must trip
+//!   rule 4 once;
 //! * enabling `seed-hotpath-bug` must surface the seeded kernel
 //!   violations — the tripwire CI relies on.
 
@@ -77,8 +79,6 @@ fn lint_fixture(name: &str) -> Vec<plf_analyzer::report::Finding> {
     let root = workspace_root();
     let rel = format!("crates/xtask/fixtures/src/{name}");
     let src = std::fs::read_to_string(root.join(&rel)).expect("fixture");
-    // Analyze under a crate-root-shaped synthetic path so rule 4
-    // applies to lib.rs-like fixtures.
     let as_path = format!("crates/fixture/src/{name}");
     let mut items = extract(&as_path, &src, &[]);
     let fns = std::mem::take(&mut items.fns);
@@ -107,8 +107,17 @@ fn committed_bad_fixture_trips_safety_rules_at_pinned_lines() {
 }
 
 #[test]
-fn committed_lib_fixture_trips_only_the_missing_deny_attr() {
-    let findings = lint_fixture("lib.rs");
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].key, "unsafe_op_in_unsafe_fn");
+fn committed_manifest_fixtures_trip_only_the_missing_lints_table() {
+    let dir = workspace_root().join("crates/xtask/fixtures/manifests");
+    for (name, want) in [
+        ("no_lints.toml", 1),
+        ("lints_not_inherited.toml", 1),
+        ("workspace_table.toml", 1),
+        ("compliant.toml", 0),
+    ] {
+        let text = std::fs::read_to_string(dir.join(name)).expect("fixture");
+        let findings = safety::check_manifest(name, &text, false);
+        let found: Vec<_> = findings.iter().map(|f| (f.line, f.key.as_str())).collect();
+        assert_eq!(found, vec![(1, "lints.workspace"); want], "{name}");
+    }
 }

@@ -8,7 +8,6 @@
 //! panics directly with the assertion message.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
 use std::ops::Range;
 

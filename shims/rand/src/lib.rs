@@ -7,7 +7,6 @@
 //! deterministic per seed, statistically solid for test workloads.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
 use std::ops::{Range, RangeInclusive};
 

@@ -14,6 +14,7 @@
 
 use phylomic::bio::{fasta, phylip, Alignment, CompressedAlignment};
 use phylomic::models::{DiscreteGamma, Gtr, GtrParams};
+use phylomic::parallel::forkjoin::split_ranges;
 use phylomic::parallel::{
     run_replicated_ft, FaultPlan, ForkJoinEvaluator, FtConfig, TransportKind,
 };
@@ -278,7 +279,7 @@ fn write_trace(path: &str, events: &[TraceEvent]) -> Result<(), String> {
 /// every thread track, then a process-wide metrics snapshot.
 fn full_trace(
     config: EngineConfig,
-    num_patterns: usize,
+    slice_patterns: usize,
     transport: &str,
     wire: phylomic::parallel::WireStats,
     kernel_events: Vec<TraceEvent>,
@@ -291,9 +292,9 @@ fn full_trace(
         plf_prof::roofline::load_cached(std::path::Path::new(plf_prof::roofline::CACHE_FILE))
             .map(|r| (r.peak_mflops, r.peak_mbps))
             .unwrap_or((0, 0));
-    // `auto` blocking resolves against the engine's pattern count; the
-    // meta records the mode the run actually used.
-    let blocking = if config.blocking.resolve(num_patterns).is_some() {
+    // `auto` blocking resolves against each engine's own pattern slice;
+    // the meta records the mode the run's largest slice actually used.
+    let blocking = if config.blocking.resolve(slice_patterns).is_some() {
         Blocking::On
     } else {
         Blocking::Off
@@ -807,11 +808,14 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
         None => println!("{}", result.newick),
     }
     if let Some(path) = opts.get("trace-out") {
+        // Each of the run's `threads` engines holds one `split_ranges` slice.
+        let slices = split_ranges(compressed.num_patterns(), threads.max(1));
+        let largest_slice = slices.iter().map(|r| r.len()).max().unwrap_or(0);
         write_trace(
             path,
             &full_trace(
                 config,
-                compressed.num_patterns(),
+                largest_slice,
                 &trace_transport,
                 trace_wire,
                 trace_events,

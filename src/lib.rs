@@ -52,7 +52,6 @@
 //! assert!(result.log_likelihood.is_finite());
 //! assert!(tree.rf_distance(&truth) <= 2);
 //! ```
-#![deny(unsafe_op_in_unsafe_fn)]
 
 pub use micsim;
 pub use phylo_bio as bio;

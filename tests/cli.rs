@@ -174,6 +174,48 @@ fn traced_search_keeps_its_structure_spans() {
     }
 }
 
+/// Each engine resolves `auto` blocking against its own slice: 2 784
+/// patterns exceed one uncalibrated 2 048-site block (the test directory
+/// holds no `HOST_ROOFLINE.json`), but each half of a two-way split does
+/// not, and the trace meta must say what the engines did.
+#[test]
+fn trace_meta_reports_the_blocking_the_engines_used() {
+    use phylomic::plf::trace::TraceEvent;
+    let dir = TestDir::new("cli-trace-blocking");
+    let out = bin()
+        .current_dir(&dir)
+        .args(["simulate", "--taxa", "24", "--sites", "4000", "--seed", "3"])
+        .args(["--out", "d.phy"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    for (scheme, threads, want) in [
+        ("serial", "1", "on"),
+        ("forkjoin", "2", "off"),
+        ("replicated", "2", "off"),
+    ] {
+        let out = bin()
+            .current_dir(&dir)
+            .args(["search", "--alignment", "d.phy", "--scheme", scheme])
+            .args(["--threads", threads, "--rounds", "0", "--no-model-opt"])
+            .args(["--trace-out", "t.jsonl", "--out", "best.nwk"])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{scheme}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let doc = std::fs::read_to_string(dir.join("t.jsonl")).unwrap();
+        let events = phylomic::plf::trace::parse_jsonl(&doc).unwrap();
+        let blocking = events.iter().find_map(|e| match e {
+            TraceEvent::Meta { blocking, .. } => Some(blocking.as_str()),
+            _ => None,
+        });
+        assert_eq!(blocking, Some(want), "{scheme} --threads {threads}");
+    }
+}
+
 #[test]
 fn traced_search_trace_report_and_chrome_export() {
     let dir = TestDir::new("cli-trace");
