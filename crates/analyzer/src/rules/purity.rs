@@ -17,6 +17,10 @@
 //!   `panic`, `alloc`. (Indexing is not checked here: the whole
 //!   engine is worker-reachable and slice indexing is its idiom; the
 //!   kernel tier is where bounds checks cost real throughput.)
+//! * **Parser tier** — `parse` and `parse_str` in `bio/src/phylip.rs`
+//!   and `bio/src/fasta.rs`, the readers every alignment from outside
+//!   goes through: any bytes must end in a structured error, never a
+//!   panic. Checked category: `panic` (parsers allocate by design).
 //!
 //! Findings aggregate per `(fn, category)` with the audit key
 //! `<fn>:<category>`, so one allowlist line covers a function's
@@ -43,6 +47,12 @@ pub const KERNEL_ENTRY_POINTS: &[&str] = &[
     "derivative_core",
     "derivative_core_classes",
 ];
+
+/// The parser tier: these readers, in each of [`PARSER_FILES`].
+pub const PARSER_ENTRY_POINTS: &[&str] = &["parse", "parse_str"];
+
+/// See [`PARSER_ENTRY_POINTS`].
+pub const PARSER_FILES: &[&str] = &["bio/src/phylip.rs", "bio/src/fasta.rs"];
 
 /// Panic-raising macros (`debug_assert*` is excluded: compiled out
 /// in release builds, where kernel throughput is measured).
@@ -146,6 +156,10 @@ pub fn run(fns: &[FnItem], graph: &CallGraph, allow: &Allowlist) -> Vec<Finding>
     let mut findings = Vec::new();
     let kernel_entries = entries(fns, KERNEL_ENTRY_POINTS, "/src/kernels");
     let worker_entries = entries(fns, &["worker_loop"], "parallel/src/forkjoin.rs");
+    let parser_entries: Vec<usize> = PARSER_FILES
+        .iter()
+        .flat_map(|file| entries(fns, PARSER_ENTRY_POINTS, file))
+        .collect();
     // Misconfiguration guard: if the code moves out from under the
     // rule, fail loudly instead of silently checking nothing.
     if kernel_entries.is_empty() {
@@ -170,9 +184,25 @@ pub fn run(fns: &[FnItem], graph: &CallGraph, allow: &Allowlist) -> Vec<Finding>
                 .into(),
         });
     }
-    let tiers: [(&[usize], &[&str]); 2] = [
+    let parsers_expected = PARSER_ENTRY_POINTS.len() * PARSER_FILES.len();
+    if parser_entries.len() != parsers_expected {
+        findings.push(Finding {
+            rule: "purity",
+            file: "crates/bio/src/phylip.rs".into(),
+            line: 1,
+            key: "entry:parsers".into(),
+            message: format!(
+                "{} of the {} parser entry points found in bio/src/{{phylip,fasta}}.rs — purity \
+                 parser tier is checking less than it should; update PARSER_ENTRY_POINTS",
+                parser_entries.len(),
+                parsers_expected
+            ),
+        });
+    }
+    let tiers: [(&[usize], &[&str]); 3] = [
         (&kernel_entries, &["panic", "alloc", "index"]),
         (&worker_entries, &["panic", "alloc"]),
+        (&parser_entries, &["panic"]),
     ];
     // (fn, category) → finding, so overlapping tiers don't duplicate.
     let mut seen: BTreeMap<(usize, &str), ()> = BTreeMap::new();

@@ -78,6 +78,25 @@ fn purity_worker_fixture_checks_panic_alloc_but_not_indexing() {
 }
 
 #[test]
+fn purity_parser_fixture_checks_panics_but_not_allocation() {
+    let (findings, _, _) = analyze("purity_parser.rs", "crates/bio/src/phylip.rs");
+    let k = keys(&findings);
+    let planted = findings
+        .iter()
+        .find(|f| f.key == "decode_first:panic")
+        .unwrap_or_else(|| panic!("planted unwrap not reported: {k:?}"));
+    assert!(
+        planted.message.contains("parse_text → decode_first"),
+        "{}",
+        planted.message
+    );
+    // Parsers allocate by design.
+    assert!(!k.iter().any(|key| key.ends_with(":alloc")), "{k:?}");
+    // fasta.rs is not in this single-file run: the entry guard fires.
+    assert!(k.contains(&"entry:parsers"), "{k:?}");
+}
+
+#[test]
 fn fpdet_fixture_flags_raw_mul_add_but_not_gated_ones() {
     let (findings, _, _) = analyze("fpdet.rs", "crates/fake/src/numerics.rs");
     let fp: Vec<&Finding> = findings.iter().filter(|f| f.rule == "fpdet").collect();
@@ -140,11 +159,12 @@ fn safety_fixture_relaxed_finding_is_suppressed_by_allowlist_entry() {
 #[test]
 fn clean_kernel_fixture_produces_zero_findings() {
     let (findings, _, _) = analyze("clean_kernel.rs", "crates/fake/src/kernels/clean.rs");
-    // The worker-tier entry guard is expected (this synthetic
-    // workspace has no forkjoin.rs); nothing else may fire.
+    // The worker- and parser-tier entry guards are expected (this
+    // synthetic workspace has no forkjoin.rs and no bio readers);
+    // nothing else may fire.
     let real: Vec<&Finding> = findings
         .iter()
-        .filter(|f| f.key != "entry:worker_loop")
+        .filter(|f| f.key != "entry:worker_loop" && f.key != "entry:parsers")
         .collect();
     assert!(real.is_empty(), "{real:?}");
 }

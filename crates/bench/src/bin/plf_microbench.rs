@@ -74,7 +74,13 @@
 //!      slots) against a bench-local control that allocates per region
 //!      (a fresh `Arc<Tree>` snapshot, the replies collected into a
 //!      `Vec`), at least `REGION_MIN_SPEEDUP` × in the median of nine
-//!      series, each on a fresh protocol and worker.
+//!      series, each on a fresh protocol and worker;
+//!  14. set-up: `phylip::parse_str` + `CompressedAlignment::from_alignment`
+//!      on a generated 32 × 40 000 low-divergence PHYLIP text (the shape
+//!      of `plf_e2e`'s `lowdiv32`) against the line-based readers and
+//!      the `HashMap` compression of `phylo_bio::naive`, both arms
+//!      asserted to give equal `CompressedAlignment`s, at least
+//!      `SETUP_MIN_SPEEDUP` ×.
 //!
 //! Run: `cargo run --release -p phylo-bench --bin plf-microbench`
 //! Flags: `--quick` (10 000 patterns only); `--out PATH` also writes
@@ -83,7 +89,7 @@
 //! `PATH.widths.json` and the non-kernel cells to
 //! `PATH.nonkernel.json`. Without it nothing is written.
 
-use phylo_bio::{CompressedAlignment, DnaCode};
+use phylo_bio::{naive, phylip, CompressedAlignment, DnaCode};
 use phylo_models::{DiscreteGamma, Gtr, GtrParams, ProbMatrix};
 use phylo_parallel::barrier::BarrierToken;
 use phylo_parallel::RegionProtocol;
@@ -172,6 +178,9 @@ const CLONE_MIN_SPEEDUP: f64 = 10.0;
 /// one — the in-place arm loses 80 ns there, the control nothing — and
 /// 1.0 once a region allocates again, which is what the gate is for.
 const REGION_MIN_SPEEDUP: f64 = 1.15;
+/// Gate 14: minimum speedup of the byte-level reader and packed-key
+/// compression over `phylo_bio::naive` on the low-divergence text.
+const SETUP_MIN_SPEEDUP: f64 = 1.5;
 struct Fixture {
     patterns: usize,
     p_l: FusedPmat,
@@ -818,6 +827,40 @@ fn tree_clone_cell() -> RatioCell {
     }
 }
 
+/// Gate 14: parse and compress a 32 × 40 000 PHYLIP text simulated at
+/// mean branch 0.002, where most columns collapse; ns per column.
+fn setup_cell() -> RatioCell {
+    const TAXA: usize = 32;
+    const SITES: usize = 40_000;
+    let mut rng = SmallRng::seed_from_u64(41);
+    let tree = random_tree(&default_names(TAXA), 0.002, &mut rng).unwrap();
+    let gtr = Gtr::new(GtrParams {
+        rates: [1.1, 2.6, 0.8, 1.2, 3.4, 1.0],
+        freqs: [0.29, 0.21, 0.22, 0.28],
+    });
+    let gamma = DiscreteGamma::new(0.85);
+    let aln = phylo_seqgen::simulate_alignment(&tree, gtr.eigen(), &gamma, SITES, &mut rng);
+    let text = phylip::to_string(&aln);
+    let naive_arm = || naive::compress(&naive::phylip::parse_str(&text).unwrap());
+    let new_arm = || CompressedAlignment::from_alignment(&phylip::parse_str(&text).unwrap());
+    assert_eq!(naive_arm(), new_arm(), "the set-up arms disagree");
+    let (base_ns, new_ns, ratio) = interleaved(
+        SITES,
+        || drop(black_box(naive_arm())),
+        || drop(black_box(new_arm())),
+    );
+    RatioCell {
+        cell: "setup",
+        sites: SITES,
+        base: "naive PHYLIP reader + HashMap compression (32 x 40 000, low divergence)",
+        new: "byte-level reader + packed-key compression",
+        base_ns,
+        new_ns,
+        ratio,
+        gate: SETUP_MIN_SPEEDUP,
+    }
+}
+
 /// Gate 12's job slot: what the control publishes (a fresh snapshot
 /// behind an `Arc`, as `ForkJoinEvaluator` did while its workers
 /// received the tree by shared pointer) next to what the region path
@@ -1085,12 +1128,20 @@ fn main() {
     }
     println!();
 
-    // Non-kernel section: the walk, the clone, the region round trip.
+    // Non-kernel section: the walk, the clone, the region round trip,
+    // the set-up.
     let [walk, reroot] = pruned_walk_cells();
-    let nonkernel_cells = [walk, reroot, tree_clone_cell(), region_round_trip_cell()];
+    let nonkernel_cells = [
+        walk,
+        reroot,
+        tree_clone_cell(),
+        region_round_trip_cell(),
+        setup_cell(),
+    ];
     for c in &nonkernel_cells {
+        let per = if c.sites > 1 { "/site" } else { "" };
         println!(
-            "{:<6} {} {:.0} ns, {} {:.0} ns ({:.1}x)",
+            "{:<6} {} {:.0} ns{per}, {} {:.0} ns{per} ({:.1}x)",
             c.cell, c.base, c.base_ns, c.new, c.new_ns, c.ratio
         );
     }
@@ -1152,7 +1203,7 @@ fn main() {
         println!("gate: blocked traversal {blocking_ratio:.3}x of unblocked on all-distinct — ok");
     }
 
-    // Gates 7, 8, 10–13: every ratio cell this host could run.
+    // Gates 7, 8, 10–14: every ratio cell this host could run.
     for c in ratio_cells.iter().chain(&nonkernel_cells) {
         if c.ratio < c.gate {
             failures.push(format!(

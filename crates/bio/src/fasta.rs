@@ -2,6 +2,7 @@
 
 use crate::alignment::Alignment;
 use crate::error::BioError;
+use crate::reader::{self, Decoder, Record};
 use crate::sequence::Sequence;
 use std::io::{BufRead, Write};
 
@@ -10,59 +11,72 @@ use std::io::{BufRead, Write};
 /// Header lines start with `>`; the taxon name is the first whitespace
 /// separated token after it. Sequence data may span multiple lines.
 pub fn parse<R: BufRead>(reader: R) -> Result<Alignment, BioError> {
+    let (text, unreadable) = reader::read_text(reader)?;
+    parse_text(&text, unreadable)
+}
+
+/// Parses FASTA from a string.
+pub fn parse_str(s: &str) -> Result<Alignment, BioError> {
+    parse_text(s, None)
+}
+
+/// The reader behind [`parse`] and [`parse_str`]; `unreadable` is the
+/// error that stands where `text` ends (see [`reader::read_text`]).
+fn parse_text(text: &str, unreadable: Option<BioError>) -> Result<Alignment, BioError> {
+    let decoder = Decoder::new();
     let mut sequences = Vec::new();
-    let mut name: Option<String> = None;
-    let mut data = String::new();
-
-    let mut flush = |name: &mut Option<String>, data: &mut String, line: usize| {
-        if let Some(n) = name.take() {
-            if data.is_empty() {
-                return Err(BioError::Parse {
-                    line,
-                    msg: format!("record {n:?} has no sequence data"),
-                });
-            }
-            sequences.push(Sequence::from_str_named(n, data)?);
-            data.clear();
-        }
-        Ok(())
-    };
-
-    let mut lineno = 0usize;
-    for line in reader.lines() {
-        lineno += 1;
-        let line = line?;
+    let mut current: Option<Record> = None;
+    let mut last_line = 0;
+    for (line, lineno) in text.lines().zip(1..) {
+        last_line = lineno;
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
         }
         if let Some(rest) = trimmed.strip_prefix('>') {
-            flush(&mut name, &mut data, lineno)?;
-            let n = rest.split_whitespace().next().unwrap_or("").to_string();
-            if n.is_empty() {
+            end_record(current.take(), &mut sequences, lineno)?;
+            let name = rest.split_whitespace().next().unwrap_or("");
+            if name.is_empty() {
                 return Err(BioError::Parse {
                     line: lineno,
                     msg: "empty FASTA header".into(),
                 });
             }
-            name = Some(n);
+            current = Some(Record::start(name, 0));
         } else {
-            if name.is_none() {
+            let Some(record) = current.as_mut() else {
                 return Err(BioError::Parse {
                     line: lineno,
                     msg: "sequence data before first header".into(),
                 });
-            }
-            data.push_str(trimmed);
+            };
+            decoder.decode(trimmed, record);
         }
     }
-    flush(&mut name, &mut data, lineno)?;
+    if let Some(e) = unreadable {
+        return Err(e);
+    }
+    end_record(current, &mut sequences, last_line)?;
     Alignment::new(sequences)
 }
 
-/// Parses FASTA from a string.
-pub fn parse_str(s: &str) -> Result<Alignment, BioError> {
-    parse(std::io::Cursor::new(s))
+/// Ends `record` (if any) at the header or end of input on `line`.
+fn end_record(
+    record: Option<Record>,
+    sequences: &mut Vec<Sequence>,
+    line: usize,
+) -> Result<(), BioError> {
+    if let Some(record) = record {
+        // A data line is never blank, so it leaves at least one place.
+        if record.row.is_empty() {
+            return Err(BioError::Parse {
+                line,
+                msg: format!("record {:?} has no sequence data", record.name),
+            });
+        }
+        sequences.push(record.into_sequence()?);
+    }
+    Ok(())
 }
 
 /// Writes an alignment as FASTA, wrapping sequence lines at `width`

@@ -25,8 +25,11 @@ pub mod alignment;
 pub mod alphabet;
 pub mod error;
 pub mod fasta;
+#[doc(hidden)]
+pub mod naive;
 pub mod patterns;
 pub mod phylip;
+mod reader;
 pub mod sequence;
 
 pub use alignment::Alignment;

@@ -9,7 +9,7 @@
 use crate::alignment::Alignment;
 use crate::alphabet::DnaCode;
 use crate::error::BioError;
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
 /// One unique alignment column together with its multiplicity.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -27,13 +27,13 @@ pub struct SitePattern {
 /// which is the access order of `newview` tip cases.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompressedAlignment {
-    names: Vec<String>,
+    pub(crate) names: Vec<String>,
     /// `rows[t][p]` = code of taxon `t` at pattern `p`.
-    rows: Vec<Vec<DnaCode>>,
-    weights: Vec<u32>,
-    original_sites: usize,
+    pub(crate) rows: Vec<Vec<DnaCode>>,
+    pub(crate) weights: Vec<u32>,
+    pub(crate) original_sites: usize,
     /// Map pattern index -> first original site exhibiting it.
-    representative_site: Vec<usize>,
+    pub(crate) representative_site: Vec<usize>,
 }
 
 impl CompressedAlignment {
@@ -41,34 +41,63 @@ impl CompressedAlignment {
     ///
     /// Pattern order is order of first appearance, which makes the
     /// compression deterministic and the mapping back to sites stable.
+    ///
+    /// Each column is keyed by its codes packed 4 bits per taxon into
+    /// ⌈n/16⌉ `u64` words ([`PatternTable`]). The keys of a block of
+    /// [`KEY_BLOCK`] columns are built row by row, eight taxa at a time
+    /// in `u32` lanes, so every taxon's codes are read in order.
     pub fn from_alignment(aln: &Alignment) -> Self {
-        let n = aln.num_taxa();
         let m = aln.num_sites();
-        let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-        let mut rows: Vec<Vec<DnaCode>> = vec![Vec::new(); n];
+        let words = aln.num_taxa().div_ceil(16);
+        let mut table = PatternTable::new(words);
         let mut weights: Vec<u32> = Vec::new();
         let mut representative_site = Vec::new();
-
-        let mut key = Vec::with_capacity(n);
-        for site in 0..m {
-            key.clear();
-            for t in 0..n {
-                key.push(aln.sequence(t).get(site).bits());
-            }
-            match index.get(&key) {
-                Some(&p) => weights[p] += 1,
-                None => {
-                    let p = weights.len();
-                    index.insert(key.clone(), p);
-                    weights.push(1);
-                    representative_site.push(site);
-                    for t in 0..n {
-                        rows[t].push(aln.sequence(t).get(site));
+        // `keys[w * KEY_BLOCK + i]`: word `w` of the block's column `i`.
+        let mut keys = vec![0u64; words * KEY_BLOCK];
+        let mut lanes = [0u32; KEY_BLOCK];
+        let mut key = vec![0u64; words];
+        for start in (0..m).step_by(KEY_BLOCK) {
+            let len = KEY_BLOCK.min(m - start);
+            // Taxon `t` lands in word `t / 16` at bit `4 * (t % 16)`.
+            for (eighth, taxa) in aln.sequences().chunks(8).enumerate() {
+                let lanes = &mut lanes[..len];
+                lanes.fill(0);
+                for (j, seq) in taxa.iter().enumerate() {
+                    for (lane, code) in lanes.iter_mut().zip(&seq.codes()[start..start + len]) {
+                        *lane |= u32::from(code.bits()) << (4 * j);
                     }
-                    debug_assert_eq!(rows[0].len(), p + 1);
+                }
+                // A word's first eight taxa set it, its second eight
+                // add theirs.
+                let block = &mut keys[eighth / 2 * KEY_BLOCK..][..len];
+                if eighth % 2 == 0 {
+                    for (k, &lane) in block.iter_mut().zip(lanes.iter()) {
+                        *k = u64::from(lane);
+                    }
+                } else {
+                    for (k, &lane) in block.iter_mut().zip(lanes.iter()) {
+                        *k |= u64::from(lane) << 32;
+                    }
+                }
+            }
+            for i in 0..len {
+                for (w, k) in key.iter_mut().enumerate() {
+                    *k = keys[w * KEY_BLOCK + i];
+                }
+                match table.find_or_insert(&key) {
+                    Some(p) => weights[p] += 1,
+                    None => {
+                        weights.push(1);
+                        representative_site.push(start + i);
+                    }
                 }
             }
         }
+        let rows = aln
+            .sequences()
+            .iter()
+            .map(|seq| representative_site.iter().map(|&s| seq.get(s)).collect())
+            .collect();
 
         CompressedAlignment {
             names: aln.names().map(str::to_string).collect(),
@@ -184,6 +213,94 @@ impl CompressedAlignment {
         }
         let total: f64 = counts.iter().sum();
         counts.map(|c| c / total)
+    }
+}
+
+/// Columns whose keys [`CompressedAlignment::from_alignment`] builds at
+/// a time: 4 KiB of keys per key word.
+const KEY_BLOCK: usize = 512;
+
+/// An open-addressed (linear probing) set of packed column keys that
+/// hands out pattern indices in order of first insertion.
+///
+/// The keys come from input files, so the slot hash starts from a
+/// seed drawn per table (`RandomState`, as `HashMap` does): columns
+/// cannot be chosen to pile up in one probe run. Slots never decide
+/// pattern order, so the result does not depend on the seed.
+struct PatternTable {
+    seed: u64,
+    words: usize,
+    /// Key of pattern `p`: `keys[p * words..][..words]`.
+    keys: Vec<u64>,
+    /// Pattern index per slot, [`EMPTY`] if none; a power of two long
+    /// and at most half full.
+    slots: Vec<usize>,
+}
+
+const EMPTY: usize = usize::MAX;
+
+impl PatternTable {
+    fn new(words: usize) -> Self {
+        PatternTable {
+            seed: RandomState::new().hash_one(words),
+            words,
+            keys: Vec::new(),
+            slots: vec![EMPTY; 256],
+        }
+    }
+
+    fn patterns(&self) -> usize {
+        self.keys.len() / self.words
+    }
+
+    /// Multiply-rotate over the seed and the words, then the high bits:
+    /// a pattern's slot depends on every taxon's code.
+    fn home(&self, key: &[u64]) -> usize {
+        let mut h = self.seed;
+        for &w in key {
+            h = (h.rotate_left(23) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+        h ^= h >> 29;
+        let bits = self.slots.len().trailing_zeros();
+        (h.wrapping_mul(0xbf58_476d_1ce4_e5b9) >> (64 - bits)) as usize
+    }
+
+    /// The index of the pattern whose key equals `key`, or `None` after
+    /// adding it as the next pattern. Every hash hit compares the full
+    /// key.
+    fn find_or_insert(&mut self, key: &[u64]) -> Option<usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(key);
+        loop {
+            let p = self.slots[slot];
+            if p == EMPTY {
+                break;
+            }
+            let stored = &self.keys[p * self.words..][..self.words];
+            if stored.iter().zip(key).all(|(a, b)| a == b) {
+                return Some(p);
+            }
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = self.patterns();
+        self.keys.extend_from_slice(key);
+        if 2 * self.patterns() > self.slots.len() {
+            self.grow();
+        }
+        None
+    }
+
+    /// Doubles the slots and re-seats every pattern.
+    fn grow(&mut self) {
+        self.slots = vec![EMPTY; 2 * self.slots.len()];
+        let mask = self.slots.len() - 1;
+        for p in 0..self.patterns() {
+            let mut slot = self.home(&self.keys[p * self.words..][..self.words]);
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = p;
+        }
     }
 }
 

@@ -7,28 +7,36 @@
 
 use crate::alignment::Alignment;
 use crate::error::BioError;
-use crate::sequence::Sequence;
+use crate::reader::{self, Decoder, Record};
 use std::io::{BufRead, Write};
 
 /// Parses relaxed sequential PHYLIP text.
 pub fn parse<R: BufRead>(reader: R) -> Result<Alignment, BioError> {
-    let mut lines = reader.lines().enumerate();
+    let (text, unreadable) = reader::read_text(reader)?;
+    parse_text(&text, unreadable)
+}
+
+/// Parses PHYLIP from a string.
+pub fn parse_str(s: &str) -> Result<Alignment, BioError> {
+    parse_text(s, None)
+}
+
+/// The reader behind [`parse`] and [`parse_str`]; `unreadable` is the
+/// error that stands where `text` ends (see [`reader::read_text`]).
+fn parse_text(text: &str, unreadable: Option<BioError>) -> Result<Alignment, BioError> {
+    let mut lines = text.lines().zip(1..);
 
     // Header: two whitespace-separated integers.
     let (header_line, header) = loop {
         match lines.next() {
             None => {
-                return Err(BioError::Parse {
+                return Err(unreadable.unwrap_or_else(|| BioError::Parse {
                     line: 0,
                     msg: "empty PHYLIP input".into(),
-                })
+                }))
             }
-            Some((i, line)) => {
-                let line = line?;
-                if !line.trim().is_empty() {
-                    break (i + 1, line);
-                }
-            }
+            Some((line, lineno)) if !line.trim().is_empty() => break (lineno, line),
+            Some(_) => {}
         }
     };
     let mut it = header.split_whitespace();
@@ -49,55 +57,59 @@ pub fn parse<R: BufRead>(reader: R) -> Result<Alignment, BioError> {
         return Err(BioError::EmptyAlignment);
     }
 
-    let mut sequences = Vec::with_capacity(ntaxa);
-    let mut current: Option<(String, String)> = None;
+    // Nothing is sized from the header beyond what the text can fill:
+    // no row holds more characters than the text has bytes, and the
+    // taxa are counted as they come.
+    let row_capacity = nsites.min(text.len());
+    let decoder = Decoder::new();
+    let mut sequences = Vec::new();
+    let mut current: Option<Record> = None;
 
-    for (i, line) in lines {
-        let lineno = i + 1;
-        let line = line?;
+    for (line, lineno) in lines {
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
         }
-        match current.as_mut() {
+        let record = match current.as_mut() {
+            Some(record) => {
+                decoder.decode(trimmed, record);
+                record
+            }
             None => {
-                let mut toks = trimmed.splitn(2, char::is_whitespace);
-                let name = toks.next().unwrap().to_string();
-                let data: String = toks
-                    .next()
-                    .unwrap_or("")
-                    .chars()
-                    .filter(|c| !c.is_whitespace())
-                    .collect();
-                current = Some((name, data));
+                let (name, data) = trimmed
+                    .split_once(char::is_whitespace)
+                    .unwrap_or((trimmed, ""));
+                let record = current.insert(Record::start(name, row_capacity));
+                decoder.decode(data, record);
+                record
             }
-            Some((_, data)) => {
-                data.extend(trimmed.chars().filter(|c| !c.is_whitespace()));
-            }
+        };
+        // The row holds one place per byte of the record's characters.
+        let len = record.row.len();
+        if len > nsites {
+            return Err(BioError::Parse {
+                line: lineno,
+                msg: format!(
+                    "sequence {:?} longer ({len}) than declared width {nsites}",
+                    record.name
+                ),
+            });
         }
-        if let Some((name, data)) = current.as_ref() {
-            if data.len() > nsites {
-                return Err(BioError::Parse {
-                    line: lineno,
-                    msg: format!(
-                        "sequence {name:?} longer ({}) than declared width {nsites}",
-                        data.len()
-                    ),
-                });
-            }
-            if data.len() == nsites {
-                let (name, data) = current.take().unwrap();
-                sequences.push(Sequence::from_str_named(name, &data)?);
-            }
+        if let Some(record) = current.take_if(|_| len == nsites) {
+            sequences.push(record.into_sequence()?);
         }
     }
 
-    if let Some((name, data)) = current {
+    if let Some(e) = unreadable {
+        return Err(e);
+    }
+    if let Some(record) = current {
         return Err(BioError::Parse {
             line: 0,
             msg: format!(
-                "sequence {name:?} truncated: {} of {nsites} characters",
-                data.len()
+                "sequence {:?} truncated: {} of {nsites} characters",
+                record.name,
+                record.row.len()
             ),
         });
     }
@@ -108,11 +120,6 @@ pub fn parse<R: BufRead>(reader: R) -> Result<Alignment, BioError> {
         });
     }
     Alignment::new(sequences)
-}
-
-/// Parses PHYLIP from a string.
-pub fn parse_str(s: &str) -> Result<Alignment, BioError> {
-    parse(std::io::Cursor::new(s))
 }
 
 /// Writes an alignment in relaxed sequential PHYLIP format.

@@ -637,6 +637,31 @@ fn bad_usage_fails_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
 }
 
+/// A PHYLIP header may declare more taxa or sites than the file holds
+/// by any amount: `evaluate` still exits 1 with a parse error (no
+/// allocation is sized from the header), never aborts.
+#[test]
+fn huge_phylip_header_counts_are_parse_errors() {
+    let dir = TestDir::new("cli-huge-header");
+    let tree = dir.join("t.nwk");
+    std::fs::write(&tree, "(a:0.1,b:0.1,c:0.1,d:0.1);\n").unwrap();
+    for (tag, text) in [
+        ("taxa", "99999999999999 4\na ACGT\n"),
+        ("sites", "4 99999999999999\na ACGT\n"),
+    ] {
+        let phy = dir.join(format!("{tag}.phy"));
+        std::fs::write(&phy, text).unwrap();
+        let out = bin()
+            .args(["evaluate", "--alignment", phy.to_str().unwrap()])
+            .args(["--tree", tree.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "huge {tag}: {err}");
+        assert!(err.contains("parse error"), "huge {tag}: {err}");
+    }
+}
+
 #[test]
 fn bootstrap_produces_annotated_tree() {
     let dir = TestDir::new("cli-bootstrap");
