@@ -26,7 +26,6 @@
 use crate::barrier::{BarrierToken, Poisoned, SenseBarrier};
 use crate::fault::FaultPlan;
 use crate::replicated::ReplicatedError;
-use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::cell;
 use crate::transport::{CommTransport, WireStats};
 use std::sync::Arc;
@@ -39,7 +38,10 @@ pub struct CommStats {
     pub allreduces: u64,
     /// Total payload bytes reduced (per rank).
     pub bytes: u64,
-    /// Number of bare barriers.
+    /// Always 0: no scheme sends a bare barrier, and `Comm` has no
+    /// such collective. Kept only because the end-to-end benchmark
+    /// (`plf_e2e/src/{schemes,layers}.rs`) reads it as
+    /// `replicated.barriers`.
     pub barriers: u64,
 }
 
@@ -60,10 +62,8 @@ pub enum CommError {
     PayloadTooLarge {
         /// The misusing rank (the caller).
         rank: usize,
-        /// Payload length passed.
+        /// Payload length passed, more than [`MAX_LEN`].
         len: usize,
-        /// Configured per-group maximum.
-        max_len: usize,
     },
     /// A collective reply did not arrive within the configured read
     /// timeout (socket transports only; the in-thread transports
@@ -94,9 +94,9 @@ impl std::fmt::Display for CommError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CommError::PeerFailed { rank } => write!(f, "peer rank {rank} failed mid-collective"),
-            CommError::PayloadTooLarge { rank, len, max_len } => write!(
+            CommError::PayloadTooLarge { rank, len } => write!(
                 f,
-                "rank {rank} allreduce payload of {len} doubles exceeds group max_len {max_len}"
+                "rank {rank} allreduce payload of {len} doubles exceeds group max_len {MAX_LEN}"
             ),
             CommError::Timeout { rank, millis } => write!(
                 f,
@@ -117,9 +117,6 @@ pub trait Comm {
     /// In-place sum-AllReduce over `buf`; all ranks receive identical
     /// results, or all ranks receive an error (never a hang).
     fn try_allreduce_sum(&mut self, buf: &mut [f64]) -> Result<(), CommError>;
-    /// Synchronization barrier; fails group-wide like
-    /// [`Self::try_allreduce_sum`].
-    fn try_barrier(&mut self) -> Result<(), CommError>;
     /// Statistics accumulated by this participant.
     fn stats(&self) -> CommStats;
 
@@ -131,20 +128,13 @@ pub trait Comm {
             std::panic::panic_any(e);
         }
     }
-
-    /// Infallible barrier; panics with the [`CommError`] payload.
-    fn barrier(&mut self) {
-        if let Err(e) = self.try_barrier() {
-            std::panic::panic_any(e);
-        }
-    }
 }
 
-/// Default AllReduce payload contract, in doubles. Every transport
-/// (Thread/Socket) enforces the same bound so the choice of
+/// The AllReduce payload cap, in doubles. Every transport
+/// (Thread/Socket) enforces this one bound so the choice of
 /// `--transport` or rank count can never change error behavior: the
 /// ExaML-style reductions carry 1–2 doubles, so 8 is generous.
-pub const DEFAULT_MAX_LEN: usize = 8;
+pub const MAX_LEN: usize = 8;
 
 /// A borrowed communicator is a communicator: the rank body lends its
 /// own to the evaluator, so it still holds it when the search unwinds.
@@ -158,9 +148,6 @@ impl<C: Comm + ?Sized> Comm for &mut C {
     fn try_allreduce_sum(&mut self, buf: &mut [f64]) -> Result<(), CommError> {
         (**self).try_allreduce_sum(buf)
     }
-    fn try_barrier(&mut self) -> Result<(), CommError> {
-        (**self).try_barrier()
-    }
     fn stats(&self) -> CommStats {
         (**self).stats()
     }
@@ -173,7 +160,6 @@ struct Shared {
     /// owner between the deposit and read barriers, so the UnsafeCell
     /// access pattern is race-free.
     slots: Vec<SlotCell>,
-    total_allreduces: AtomicU64,
 }
 
 /// A cache-line padded, interior-mutable deposit slot.
@@ -193,27 +179,24 @@ pub struct ThreadCommGroup {
     shared: Arc<Shared>,
     next_rank: usize,
     size: usize,
-    max_len: usize,
     fault_plan: Option<Arc<FaultPlan>>,
 }
 
 impl ThreadCommGroup {
     /// Creates a group for `n` ranks with reduce payloads up to
-    /// `max_len` doubles.
-    pub fn new(n: usize, max_len: usize) -> Self {
+    /// [`MAX_LEN`] doubles.
+    pub fn new(n: usize) -> Self {
         assert!(n >= 1);
         let shared = Arc::new(Shared {
             barrier: SenseBarrier::new(n),
             slots: (0..n)
-                .map(|_| SlotCell(cell::UnsafeCell::new(vec![0.0; max_len])))
+                .map(|_| SlotCell(cell::UnsafeCell::new(vec![0.0; MAX_LEN])))
                 .collect(),
-            total_allreduces: AtomicU64::new(0),
         });
         ThreadCommGroup {
             shared,
             next_rank: 0,
             size: n,
-            max_len,
             fault_plan: None,
         }
     }
@@ -235,17 +218,11 @@ impl ThreadCommGroup {
             shared: Arc::clone(&self.shared),
             rank,
             size: self.size,
-            max_len: self.max_len,
             token: BarrierToken::new(),
             stats: CommStats::default(),
             wire: WireStats::default(),
             fault_plan: self.fault_plan.clone(),
         }
-    }
-
-    /// Total AllReduce operations across the group's lifetime.
-    pub fn total_allreduces(&self) -> u64 {
-        self.shared.total_allreduces.load(Ordering::Relaxed)
     }
 }
 
@@ -254,7 +231,6 @@ pub struct ThreadComm {
     shared: Arc<Shared>,
     rank: usize,
     size: usize,
-    max_len: usize,
     token: BarrierToken,
     stats: CommStats,
     wire: WireStats,
@@ -269,11 +245,6 @@ impl ThreadComm {
     /// siblings fail fast instead of deadlocking.
     pub fn abort(&self) {
         self.shared.barrier.poison(self.rank);
-    }
-
-    /// The rank that poisoned this group, if any.
-    pub fn poisoned(&self) -> Option<usize> {
-        self.shared.barrier.poisoned()
     }
 
     fn wait(&mut self) -> Result<(), CommError> {
@@ -307,16 +278,13 @@ impl Comm for ThreadComm {
                 return Err(CommError::PeerFailed { rank: self.rank });
             }
         }
-        if len > self.max_len {
+        if len > MAX_LEN {
             // Misuse fails group-wide: poisoning first means the
             // peers already blocked at the barrier error out instead
             // of waiting for a deposit that will never come.
             self.shared.barrier.poison(self.rank);
-            return Err(CommError::PayloadTooLarge {
-                rank: self.rank,
-                len,
-                max_len: self.max_len,
-            });
+            let rank = self.rank;
+            return Err(CommError::PayloadTooLarge { rank, len });
         }
         let t0 = std::time::Instant::now();
         // Deposit into our slot.
@@ -344,17 +312,6 @@ impl Comm for ThreadComm {
         self.wire.record(t0.elapsed().as_nanos() as u64);
         self.stats.allreduces += 1;
         self.stats.bytes += (len * 8) as u64;
-        if self.rank == 0 {
-            self.shared.total_allreduces.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    fn try_barrier(&mut self) -> Result<(), CommError> {
-        let t0 = std::time::Instant::now();
-        self.wait()?;
-        self.wire.record(t0.elapsed().as_nanos() as u64);
-        self.stats.barriers += 1;
         Ok(())
     }
 
@@ -388,7 +345,7 @@ mod tests {
     #[test]
     fn allreduce_sums_across_ranks() {
         const N: usize = 6;
-        let mut group = ThreadCommGroup::new(N, 4);
+        let mut group = ThreadCommGroup::new(N);
         let handles: Vec<_> = (0..N)
             .map(|_| group.take())
             .map(|mut comm| {
@@ -407,14 +364,13 @@ mod tests {
             assert_eq!(buf[1], 2.0 * expect_r);
             assert_eq!(buf[2], N as f64);
         }
-        assert_eq!(group.total_allreduces(), 1);
     }
 
     #[test]
     fn repeated_allreduces_stay_consistent() {
         const N: usize = 4;
         const ROUNDS: usize = 500;
-        let mut group = ThreadCommGroup::new(N, 1);
+        let mut group = ThreadCommGroup::new(N);
         let handles: Vec<_> = (0..N)
             .map(|_| group.take())
             .map(|mut comm| {
@@ -433,21 +389,19 @@ mod tests {
         for w in results.windows(2) {
             assert_eq!(w[0], w[1], "ranks disagree");
         }
-        assert_eq!(group.total_allreduces(), ROUNDS as u64);
     }
 
     #[test]
     fn stats_track_bytes() {
-        let mut group = ThreadCommGroup::new(1, 8);
+        let mut group = ThreadCommGroup::new(1);
         let mut c = group.take();
         let mut buf = [0.0; 5];
         c.allreduce_sum(&mut buf);
         c.allreduce_sum(&mut buf);
-        c.barrier();
         let s = c.stats();
         assert_eq!(s.allreduces, 2);
         assert_eq!(s.bytes, 80);
-        assert_eq!(s.barriers, 1);
+        assert_eq!(s.barriers, 0);
     }
 
     /// Regression: an oversized payload on one rank used to trip a
@@ -456,21 +410,20 @@ mod tests {
     /// every rank within bounded time.
     #[test]
     fn oversized_payload_fails_group_wide_not_deadlocks() {
-        let mut group = ThreadCommGroup::new(2, 2);
+        let mut group = ThreadCommGroup::new(2);
         let mut big = group.take();
         let mut ok = group.take();
         let peer = std::thread::spawn(move || {
             let mut buf = [1.0];
             ok.try_allreduce_sum(&mut buf)
         });
-        let mut oversized = [0.0; 5];
+        let mut oversized = [0.0; MAX_LEN + 1];
         let local = big.try_allreduce_sum(&mut oversized);
         assert_eq!(
             local,
             Err(CommError::PayloadTooLarge {
                 rank: 0,
-                len: 5,
-                max_len: 2
+                len: MAX_LEN + 1,
             })
         );
         // The well-behaved peer unblocks with a structured error
@@ -487,7 +440,7 @@ mod tests {
     #[test]
     fn scripted_rank_death_propagates_peer_failed() {
         let plan = Arc::new(FaultPlan::rank_death(1, 3));
-        let mut group = ThreadCommGroup::new(2, 1).with_fault_plan(Some(Arc::clone(&plan)));
+        let mut group = ThreadCommGroup::new(2).with_fault_plan(Some(Arc::clone(&plan)));
         let mut c0 = group.take();
         let mut c1 = group.take();
         let dying = std::thread::spawn(move || {
@@ -515,7 +468,7 @@ mod tests {
 
     #[test]
     fn abort_poisons_the_group() {
-        let mut group = ThreadCommGroup::new(2, 1);
+        let mut group = ThreadCommGroup::new(2);
         let mut c0 = group.take();
         let c1 = group.take();
         let waiter = std::thread::spawn(move || {
@@ -528,13 +481,12 @@ mod tests {
             waiter.join().unwrap(),
             Err(CommError::PeerFailed { rank: 1 })
         );
-        assert_eq!(c1.poisoned(), Some(1));
     }
 
     #[test]
     #[should_panic(expected = "all ranks already taken")]
     fn overtaking_rejected() {
-        let mut group = ThreadCommGroup::new(1, 1);
+        let mut group = ThreadCommGroup::new(1);
         let _a = group.take();
         let _b = group.take();
     }

@@ -9,7 +9,7 @@
 //! reductions are deterministic, all ranks take bit-identical search
 //! decisions and stay in lockstep without any coordination messages.
 
-use crate::comm::{Comm, CommError, CommStats, ThreadCommGroup, DEFAULT_MAX_LEN};
+use crate::comm::{Comm, CommError, CommStats, ThreadCommGroup};
 use crate::fault::FaultPlan;
 use crate::transport::{CommTransport, WireStats};
 use phylo_bio::CompressedAlignment;
@@ -399,8 +399,7 @@ fn attempt_replicated(
     num_ranks: usize,
 ) -> Result<ReplicatedOutcome, ReplicatedError> {
     let resume = load_resume(inputs.ft)?;
-    let mut group = ThreadCommGroup::new(num_ranks, DEFAULT_MAX_LEN)
-        .with_fault_plan(inputs.ft.fault_plan.clone());
+    let mut group = ThreadCommGroup::new(num_ranks).with_fault_plan(inputs.ft.fault_plan.clone());
     let rank_results: Vec<Result<RankDone, ReplicatedError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..num_ranks)
             .map(|_| {

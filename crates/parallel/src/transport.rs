@@ -136,14 +136,11 @@ impl std::str::FromStr for TransportKind {
     }
 }
 
-/// Socket-transport tuning: payload contract and the timeouts that
-/// turn silent peers into structured errors.
+/// Socket-transport tuning: the timeouts that turn silent peers into
+/// structured errors. The payload cap is [`crate::comm::MAX_LEN`],
+/// which both the client and the hub check.
 #[derive(Clone, Debug)]
 pub struct TransportConfig {
-    /// Maximum AllReduce payload in doubles (the same contract
-    /// [`crate::comm::ThreadCommGroup::new`] enforces; both the client
-    /// and the hub check it).
-    pub max_len: usize,
     /// How long a rank waits for a collective reply before giving up
     /// with [`CommError::Timeout`].
     pub read_timeout: Duration,
@@ -157,7 +154,6 @@ pub struct TransportConfig {
 impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
-            max_len: crate::comm::DEFAULT_MAX_LEN,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             accept_deadline: Duration::from_secs(10),
@@ -191,9 +187,9 @@ impl TransportConfig {
 ///
 /// Every frame is a fixed 21-byte little-endian header —
 /// `magic:u32 | kind:u8 | rank:u32 | seq:u64 | len:u32` — followed by
-/// `len` payload bytes. `seq` is the sender's per-rank collective
-/// ordinal (1-based, shared between AllReduce and Barrier); the hub
-/// rejects any gap or replay as a lockstep violation.
+/// `len` payload bytes. `seq` is the sender's per-rank AllReduce
+/// ordinal (1-based); the hub rejects any gap or replay as a lockstep
+/// violation.
 #[cfg(unix)]
 pub mod frame {
     use std::io::{self, Read, Write};
@@ -203,8 +199,8 @@ pub mod frame {
     /// Header size in bytes.
     pub const HEADER_LEN: usize = 21;
     /// Upper bound on a frame payload; anything larger is a protocol
-    /// violation (collective payloads are ≤ `max_len * 8` bytes,
-    /// abort messages are truncated).
+    /// violation (collective payloads are ≤ `comm::MAX_LEN * 8`
+    /// bytes, abort messages are truncated).
     pub const MAX_PAYLOAD: u32 = 1 << 20;
 
     /// Frame discriminator.
@@ -213,16 +209,12 @@ pub mod frame {
     pub enum Kind {
         /// Client → hub: claim a rank (header `rank`), no payload.
         Hello = 1,
-        /// Hub → client: handshake ack, payload `size:u32 max_len:u32`.
+        /// Hub → client: handshake ack, payload `size:u32`.
         HelloAck = 2,
         /// Client → hub: AllReduce contribution, payload f64-LE array.
         AllReduce = 3,
         /// Hub → client: the rank-order sum for `seq`.
         Sum = 4,
-        /// Client → hub: barrier arrival, no payload.
-        Barrier = 5,
-        /// Hub → client: barrier release for `seq`.
-        BarrierOk = 6,
         /// Hub → client: the group is dead; payload encodes the
         /// [`super::PoisonCause`].
         Poison = 7,
@@ -246,8 +238,7 @@ pub mod frame {
                 2 => Kind::HelloAck,
                 3 => Kind::AllReduce,
                 4 => Kind::Sum,
-                5 => Kind::Barrier,
-                6 => Kind::BarrierOk,
+                // 5 and 6 were the barrier's frames, retired with it.
                 7 => Kind::Poison,
                 8 => Kind::Misuse,
                 9 => Kind::Abort,
@@ -264,7 +255,7 @@ pub mod frame {
         pub kind: Kind,
         /// Sending rank (0 for hub-originated frames).
         pub rank: u32,
-        /// Per-rank collective ordinal (0 for non-collective frames).
+        /// Per-rank AllReduce ordinal (0 for non-collective frames).
         pub seq: u64,
         /// Payload bytes, already length-validated.
         pub payload: Vec<u8>,
@@ -362,7 +353,7 @@ pub use unix_impl::*;
 mod unix_impl {
     use super::frame::{self, Frame, Kind};
     use super::{CommTransport, TransportConfig, WireStats};
-    use crate::comm::{Comm, CommError, CommStats};
+    use crate::comm::{Comm, CommError, CommStats, MAX_LEN};
     use crate::fault::FaultPlan;
     use crate::replicated::{
         load_resume, most_causal, run_degrading, run_rank_body, FtConfig, RankDone, RankInputs,
@@ -393,10 +384,9 @@ mod unix_impl {
         Misuse {
             /// The misusing rank.
             rank: usize,
-            /// Payload length it passed (doubles).
+            /// Payload length it passed (doubles), more than
+            /// [`MAX_LEN`].
             len: usize,
-            /// The group contract it violated.
-            max_len: usize,
         },
         /// A rank abandoned the run deliberately and said why.
         Abort {
@@ -443,8 +433,8 @@ mod unix_impl {
         pub(crate) fn as_error(&self) -> ReplicatedError {
             match self.clone() {
                 PoisonCause::Peer { rank } => ReplicatedError::Comm(CommError::PeerFailed { rank }),
-                PoisonCause::Misuse { rank, len, max_len } => {
-                    ReplicatedError::Comm(CommError::PayloadTooLarge { rank, len, max_len })
+                PoisonCause::Misuse { rank, len } => {
+                    ReplicatedError::Comm(CommError::PayloadTooLarge { rank, len })
                 }
                 PoisonCause::Abort {
                     rank,
@@ -477,29 +467,26 @@ mod unix_impl {
             }
         }
 
-        /// Wire encoding: `tag:u8 rank:u64 a:u64 b:u64 msg...`.
+        /// Wire encoding: `tag:u8 rank:u64 len:u64 msg...`.
         pub fn encode(&self) -> Vec<u8> {
-            let (tag, rank, a, b, msg): (u8, usize, u64, u64, &str) = match self {
-                PoisonCause::Peer { rank } => (1, *rank, 0, 0, ""),
-                PoisonCause::Misuse { rank, len, max_len } => {
-                    (2, *rank, *len as u64, *max_len as u64, "")
-                }
+            let (tag, rank, len, msg): (u8, usize, usize, &str) = match self {
+                PoisonCause::Peer { rank } => (1, *rank, 0, ""),
+                PoisonCause::Misuse { rank, len } => (2, *rank, *len, ""),
                 PoisonCause::Abort {
                     rank,
                     class: AbortClass::Panic,
                     message,
-                } => (3, *rank, 0, 0, message.as_str()),
+                } => (3, *rank, 0, message.as_str()),
                 PoisonCause::Abort {
                     rank,
                     class: AbortClass::Checkpoint,
                     message,
-                } => (4, *rank, 0, 0, message.as_str()),
+                } => (4, *rank, 0, message.as_str()),
             };
-            let mut out = Vec::with_capacity(25 + msg.len());
+            let mut out = Vec::with_capacity(17 + msg.len());
             out.push(tag);
             out.extend_from_slice(&(rank as u64).to_le_bytes());
-            out.extend_from_slice(&a.to_le_bytes());
-            out.extend_from_slice(&b.to_le_bytes());
+            out.extend_from_slice(&(len as u64).to_le_bytes());
             // Bound the message so the frame respects MAX_PAYLOAD.
             let msg = &msg.as_bytes()[..msg.len().min(4096)];
             out.extend_from_slice(msg);
@@ -508,21 +495,16 @@ mod unix_impl {
 
         /// Decodes [`Self::encode`]'s format.
         pub fn decode(b: &[u8]) -> Option<PoisonCause> {
-            if b.len() < 25 {
+            if b.len() < 17 {
                 return None;
             }
             let tag = b[0];
             let rank = u64::from_le_bytes(b[1..9].try_into().ok()?) as usize;
-            let a = u64::from_le_bytes(b[9..17].try_into().ok()?);
-            let bb = u64::from_le_bytes(b[17..25].try_into().ok()?);
-            let message = String::from_utf8_lossy(&b[25..]).into_owned();
+            let len = u64::from_le_bytes(b[9..17].try_into().ok()?) as usize;
+            let message = String::from_utf8_lossy(&b[17..]).into_owned();
             Some(match tag {
                 1 => PoisonCause::Peer { rank },
-                2 => PoisonCause::Misuse {
-                    rank,
-                    len: a as usize,
-                    max_len: bb as usize,
-                },
+                2 => PoisonCause::Misuse { rank, len },
                 3 => PoisonCause::Abort {
                     rank,
                     class: AbortClass::Panic,
@@ -553,14 +535,14 @@ mod unix_impl {
     }
 
     impl RankReport {
-        /// Wire encoding: 7 little-endian u64-sized fields.
+        /// Wire encoding: 6 little-endian u64-sized fields. The
+        /// always-0 [`CommStats::barriers`] does not travel.
         pub fn encode(&self) -> Vec<u8> {
-            let mut out = Vec::with_capacity(56);
+            let mut out = Vec::with_capacity(48);
             out.extend_from_slice(&self.final_ll.to_le_bytes());
             for v in [
                 self.comm.allreduces,
                 self.comm.bytes,
-                self.comm.barriers,
                 self.wire.ops,
                 self.wire.total_ns,
                 self.wire.max_ns,
@@ -572,7 +554,7 @@ mod unix_impl {
 
         /// Decodes [`Self::encode`]'s format.
         pub fn decode(b: &[u8]) -> Option<RankReport> {
-            if b.len() != 56 {
+            if b.len() != 48 {
                 return None;
             }
             let u = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().unwrap());
@@ -581,12 +563,12 @@ mod unix_impl {
                 comm: CommStats {
                     allreduces: u(8),
                     bytes: u(16),
-                    barriers: u(24),
+                    barriers: 0,
                 },
                 wire: WireStats {
-                    ops: u(32),
-                    total_ns: u(40),
-                    max_ns: u(48),
+                    ops: u(24),
+                    total_ns: u(32),
+                    max_ns: u(40),
                 },
             })
         }
@@ -665,7 +647,6 @@ mod unix_impl {
         stream: UnixStream,
         rank: usize,
         size: usize,
-        max_len: usize,
         seq: u64,
         stats: CommStats,
         wire: WireStats,
@@ -679,7 +660,7 @@ mod unix_impl {
     impl SocketComm {
         /// Connects to the hub's socket at `endpoint`, claims `rank`,
         /// and completes the handshake (validating the hub's group size
-        /// and payload contract against this rank's expectation).
+        /// against this rank's expectation).
         pub fn connect(
             endpoint: &Path,
             rank: usize,
@@ -691,14 +672,13 @@ mod unix_impl {
             set_timeouts(&stream, tcfg.read_timeout, tcfg.write_timeout)?;
             frame::write_frame(&mut stream, &Frame::control(Kind::Hello, rank as u32, 0))?;
             let ack = frame::read_frame(&mut stream)?;
-            if ack.kind != Kind::HelloAck || ack.payload.len() != 8 {
+            if ack.kind != Kind::HelloAck || ack.payload.len() != 4 {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("handshake rejected (got {:?})", ack.kind),
                 ));
             }
             let size = u32::from_le_bytes(ack.payload[0..4].try_into().unwrap()) as usize;
-            let max_len = u32::from_le_bytes(ack.payload[4..8].try_into().unwrap()) as usize;
             if size != ranks {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -709,7 +689,6 @@ mod unix_impl {
                 stream,
                 rank,
                 size,
-                max_len,
                 seq: 0,
                 stats: CommStats::default(),
                 wire: WireStats::default(),
@@ -788,15 +767,15 @@ mod unix_impl {
                 }
             }
             let len = buf.len();
-            if len > self.max_len {
+            if len > MAX_LEN {
                 // Tell the hub (so peers fail promptly with a named
                 // culprit), then report the contract violation
                 // locally — identical split to ThreadComm.
                 let mut f = Frame::control(Kind::Misuse, self.rank as u32, self.seq + 1);
                 f.payload = (len as u64).to_le_bytes().to_vec();
                 let _ = frame::write_frame(&mut self.stream, &f);
-                let (rank, max_len) = (self.rank, self.max_len);
-                return Err(self.fail(CommError::PayloadTooLarge { rank, len, max_len }));
+                let rank = self.rank;
+                return Err(self.fail(CommError::PayloadTooLarge { rank, len }));
             }
             self.seq += 1;
             let t0 = Instant::now();
@@ -817,21 +796,6 @@ mod unix_impl {
             self.wire.record(t0.elapsed().as_nanos() as u64);
             self.stats.allreduces += 1;
             self.stats.bytes += (len * 8) as u64;
-            Ok(())
-        }
-
-        fn try_barrier(&mut self) -> Result<(), CommError> {
-            if let Some(e) = &self.dead {
-                return Err(e.clone());
-            }
-            self.seq += 1;
-            let t0 = Instant::now();
-            self.roundtrip(
-                Frame::control(Kind::Barrier, self.rank as u32, self.seq),
-                Kind::BarrierOk,
-            )?;
-            self.wire.record(t0.elapsed().as_nanos() as u64);
-            self.stats.barriers += 1;
             Ok(())
         }
 
@@ -893,7 +857,7 @@ mod unix_impl {
         let mut results = vec![None; ranks];
         let poison = match accept_ranks(&listener, ranks, tcfg) {
             Ok(mut conns) => {
-                let served = serve(&mut conns, &mut results, tcfg.max_len);
+                let served = serve(&mut conns, &mut results);
                 close_all(&mut conns, served.as_ref().err());
                 served.err()
             }
@@ -935,8 +899,6 @@ mod unix_impl {
                             {
                                 let mut ack = Frame::control(Kind::HelloAck, 0, 0);
                                 ack.payload.extend_from_slice(&(ranks as u32).to_le_bytes());
-                                ack.payload
-                                    .extend_from_slice(&(tcfg.max_len as u32).to_le_bytes());
                                 if frame::write_frame(&mut s, &ack).is_ok() {
                                     conns[f.rank as usize] = Some(s);
                                     connected += 1;
@@ -974,7 +936,6 @@ mod unix_impl {
     fn serve(
         conns: &mut [UnixStream],
         results: &mut [Option<RankReport>],
-        max_len: usize,
     ) -> Result<(), PoisonCause> {
         let mut seq = 0u64;
         loop {
@@ -992,15 +953,14 @@ mod unix_impl {
                 }
                 let vals = match f.kind {
                     // Lockstep violation: gap or replay.
-                    Kind::AllReduce | Kind::Barrier if f.seq != seq => return Err(peer),
+                    Kind::AllReduce if f.seq != seq => return Err(peer),
                     Kind::AllReduce => match frame::bytes_to_doubles(&f.payload) {
-                        Ok(v) if v.len() <= max_len => v,
+                        Ok(v) if v.len() <= MAX_LEN => v,
                         _ => {
                             let len = f.payload.len() / 8;
-                            return Err(PoisonCause::Misuse { rank, len, max_len });
+                            return Err(PoisonCause::Misuse { rank, len });
                         }
                     },
-                    Kind::Barrier => Vec::new(),
                     Kind::Result => {
                         results[rank] =
                             Some(RankReport::decode(&f.payload).ok_or_else(|| peer.clone())?);
@@ -1012,14 +972,12 @@ mod unix_impl {
                             .get(0..8)
                             .map(|b| u64::from_le_bytes(b.try_into().unwrap()) as usize)
                             .unwrap_or(0);
-                        return Err(PoisonCause::Misuse { rank, len, max_len });
+                        return Err(PoisonCause::Misuse { rank, len });
                     }
                     Kind::Abort => return Err(PoisonCause::decode(&f.payload).unwrap_or(peer)),
                     // Hub-originated kinds arriving *at* the hub are a
                     // protocol violation.
-                    Kind::Hello | Kind::HelloAck | Kind::Sum | Kind::BarrierOk | Kind::Poison => {
-                        return Err(peer)
-                    }
+                    Kind::Hello | Kind::HelloAck | Kind::Sum | Kind::Poison => return Err(peer),
                 };
                 match agreed {
                     None => {
@@ -1033,16 +991,15 @@ mod unix_impl {
                     *o += v;
                 }
             }
-            let reply = match agreed.map(|(kind, _)| kind) {
-                Some(Kind::AllReduce) => Frame {
-                    kind: Kind::Sum,
-                    rank: 0,
-                    seq,
-                    payload: frame::doubles_to_bytes(&sum),
-                },
-                Some(Kind::Barrier) => Frame::control(Kind::BarrierOk, 0, seq),
+            if !matches!(agreed, Some((Kind::AllReduce, _))) {
                 // Every rank reported: the run ends when each hangs up.
-                _ => return hang_ups(conns),
+                return hang_ups(conns);
+            }
+            let reply = Frame {
+                kind: Kind::Sum,
+                rank: 0,
+                seq,
+                payload: frame::doubles_to_bytes(&sum),
             };
             for (rank, s) in conns.iter_mut().enumerate() {
                 frame::write_frame(s, &reply).map_err(|_| PoisonCause::Peer { rank })?;
@@ -1398,30 +1355,29 @@ mod tests {
         }
     }
 
-    use crate::comm::{Comm, CommError, ThreadCommGroup, DEFAULT_MAX_LEN};
+    use crate::comm::{Comm, CommError, ThreadCommGroup, MAX_LEN};
 
     /// Cross-transport payload-contract parity: both communicators
     /// enforce the same AllReduce payload bound and fail the same way,
     /// or the choice of `--transport` would change error behaviour. The
     /// script: a full-width AllReduce succeeds, one double more fails
-    /// with `PayloadTooLarge { len, max_len }` naming this rank, and the
+    /// with `PayloadTooLarge { len }` naming this rank, and the
     /// communicator is dead (latched or poisoned) afterwards.
     fn assert_contract<C: Comm>(comm: &mut C, transport: &str) {
-        let mut ok = vec![1.0; DEFAULT_MAX_LEN];
+        let mut ok = vec![1.0; MAX_LEN];
         comm.try_allreduce_sum(&mut ok)
             .unwrap_or_else(|e| panic!("{transport}: full-width payload rejected: {e}"));
         assert_eq!(
             ok,
-            vec![comm.size() as f64; DEFAULT_MAX_LEN],
+            vec![comm.size() as f64; MAX_LEN],
             "{transport}: wrong sum"
         );
 
-        let mut big = vec![1.0; DEFAULT_MAX_LEN + 1];
+        let mut big = vec![1.0; MAX_LEN + 1];
         match comm.try_allreduce_sum(&mut big) {
-            Err(CommError::PayloadTooLarge { rank, len, max_len }) => {
+            Err(CommError::PayloadTooLarge { rank, len }) => {
                 assert_eq!(rank, comm.rank(), "{transport}: wrong culprit rank");
-                assert_eq!(len, DEFAULT_MAX_LEN + 1, "{transport}: wrong len");
-                assert_eq!(max_len, DEFAULT_MAX_LEN, "{transport}: wrong bound");
+                assert_eq!(len, MAX_LEN + 1, "{transport}: wrong len");
             }
             other => panic!("{transport}: expected PayloadTooLarge, got {other:?}"),
         }
@@ -1439,7 +1395,7 @@ mod tests {
     /// AllReduce matches the offender's successful one, its second
     /// fails naming the offender.
     fn innocent_peer<C: Comm>(mut comm: C) {
-        let mut buf = vec![1.0; DEFAULT_MAX_LEN];
+        let mut buf = vec![1.0; MAX_LEN];
         comm.try_allreduce_sum(&mut buf).unwrap();
         let err = comm.try_allreduce_sum(&mut buf).unwrap_err();
         assert_eq!(err, CommError::PeerFailed { rank: 0 });
@@ -1449,12 +1405,12 @@ mod tests {
     fn thread_comm_honors_the_shared_contract() {
         // Single-rank group: the oversize check fires before any
         // barrier, so the script runs without peers...
-        let mut group = ThreadCommGroup::new(1, DEFAULT_MAX_LEN);
+        let mut group = ThreadCommGroup::new(1);
         assert_contract(&mut group.take(), "threads(1)");
 
         // ...and with a peer present the errors are identical, while
         // the innocent rank sees the culprit named in its own failure.
-        let mut group = ThreadCommGroup::new(2, DEFAULT_MAX_LEN);
+        let mut group = ThreadCommGroup::new(2);
         let mut offender = group.take();
         let innocent = group.take();
         let peer = std::thread::spawn(move || innocent_peer(innocent));
@@ -1467,8 +1423,10 @@ mod tests {
         use super::super::frame::{self, Frame, Kind};
         use super::super::*;
         use super::{assert_contract, innocent_peer};
-        use crate::comm::{CommError, CommStats, ThreadCommGroup, DEFAULT_MAX_LEN};
-        use std::io::Write;
+        use crate::comm::{CommError, CommStats, ThreadCommGroup, MAX_LEN};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::io::{self, Write};
         use std::os::unix::net::UnixStream;
         use std::path::{Path, PathBuf};
         use std::time::Instant;
@@ -1497,16 +1455,26 @@ mod tests {
         #[test]
         fn frame_reader_rejects_garbage() {
             // Bad magic.
-            let mut buf = Vec::new();
-            frame::write_frame(&mut buf, &Frame::control(Kind::Barrier, 0, 1)).unwrap();
+            let mut buf = raw(Kind::Hello, 0, 1, vec![]);
             buf[0] ^= 0xFF;
             assert!(frame::read_frame(&mut buf.as_slice()).is_err());
 
-            // Unknown kind.
-            let mut buf = Vec::new();
-            frame::write_frame(&mut buf, &Frame::control(Kind::Barrier, 0, 1)).unwrap();
-            buf[4] = 0xEE;
-            assert!(frame::read_frame(&mut buf.as_slice()).is_err());
+            // Unknown kinds, the retired barrier kinds 5 and 6 among
+            // them.
+            for kind in [0, 5, 6, 11, 0xEE] {
+                let mut buf = raw(Kind::Hello, 0, 1, vec![]);
+                buf[4] = kind;
+                let err = frame::read_frame(&mut buf.as_slice()).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "kind {kind}");
+            }
+
+            // Every client frame, cut short at every length.
+            for bytes in client_frames() {
+                for cut in 0..bytes.len() {
+                    let err = frame::read_frame(&mut &bytes[..cut]).unwrap_err();
+                    assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
+                }
+            }
 
             // Truncated payload.
             let f = Frame {
@@ -1528,11 +1496,7 @@ mod tests {
         fn poison_cause_roundtrips_all_variants() {
             for cause in [
                 PoisonCause::Peer { rank: 2 },
-                PoisonCause::Misuse {
-                    rank: 1,
-                    len: 99,
-                    max_len: 8,
-                },
+                PoisonCause::Misuse { rank: 1, len: 99 },
                 PoisonCause::Abort {
                     rank: 0,
                     class: AbortClass::Panic,
@@ -1587,7 +1551,7 @@ mod tests {
                 message: "x".repeat(1 << 16),
             };
             let bytes = cause.encode();
-            assert!(bytes.len() <= 25 + 4096);
+            assert!(bytes.len() <= 17 + 4096);
             match PoisonCause::decode(&bytes).unwrap() {
                 PoisonCause::Abort { message, .. } => assert_eq!(message.len(), 4096),
                 other => panic!("wrong variant: {other:?}"),
@@ -1601,7 +1565,7 @@ mod tests {
                 comm: CommStats {
                     allreduces: 7,
                     bytes: 56,
-                    barriers: 2,
+                    barriers: 0,
                 },
                 wire: WireStats {
                     ops: 9,
@@ -1610,9 +1574,115 @@ mod tests {
                 },
             };
             let bytes = r.encode();
-            assert_eq!(bytes.len(), 56);
+            assert_eq!(bytes.len(), 48);
             assert_eq!(RankReport::decode(&bytes), Some(r));
-            assert_eq!(RankReport::decode(&bytes[..55]), None);
+            assert_eq!(RankReport::decode(&bytes[..47]), None);
+        }
+
+        /// One encoded frame of every kind a client sends: `Hello`,
+        /// `AllReduce` of 1 to `MAX_LEN` doubles, `Misuse`, `Abort` of
+        /// both classes and `Result`.
+        fn client_frames() -> Vec<Vec<u8>> {
+            let mut frames = vec![raw(Kind::Hello, 1, 0, vec![])];
+            for n in 1..=MAX_LEN {
+                let vals: Vec<f64> = (0..n).map(|i| i as f64 - 0.5).collect();
+                frames.push(raw(
+                    Kind::AllReduce,
+                    1,
+                    n as u64,
+                    frame::doubles_to_bytes(&vals),
+                ));
+            }
+            let oversize = (MAX_LEN as u64 + 1).to_le_bytes().to_vec();
+            frames.push(raw(Kind::Misuse, 1, 3, oversize));
+            for class in [AbortClass::Panic, AbortClass::Checkpoint] {
+                let cause = PoisonCause::Abort {
+                    rank: 1,
+                    class,
+                    message: "disk full 😀".into(),
+                };
+                frames.push(raw(Kind::Abort, 1, 0, cause.encode()));
+            }
+            frames.push(raw(Kind::Result, 1, 0, report(1)));
+            frames
+        }
+
+        /// One to three hostile edits of an encoded frame: a flipped
+        /// bit, a cut, an overwritten length field, or an overwritten
+        /// kind byte (the retired 5 and 6 half the time).
+        fn mutate(bytes: &mut Vec<u8>, rng: &mut SmallRng) {
+            for _ in 0..rng.random_range(1..=3) {
+                match rng.random_range(0..4) {
+                    0 if !bytes.is_empty() => {
+                        let at = rng.random_range(0..bytes.len());
+                        bytes[at] ^= 1u8 << rng.random_range(0..8);
+                    }
+                    1 => bytes.truncate(rng.random_range(0..=bytes.len())),
+                    2 if bytes.len() >= frame::HEADER_LEN => {
+                        let len: u32 = match rng.random_range(0..3) {
+                            0 => rng.random_range(0..64),
+                            1 => frame::MAX_PAYLOAD + rng.random_range(0..2u32),
+                            _ => rng.random(),
+                        };
+                        bytes[17..frame::HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+                    }
+                    3 if bytes.len() > 4 => {
+                        bytes[4] = if rng.random() {
+                            rng.random_range(5..=6)
+                        } else {
+                            rng.random()
+                        };
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        /// Reads `bytes` as the hub reads a frame and runs the payload
+        /// of a frame that reads through every decoder.
+        fn read_and_decode(bytes: &[u8]) -> io::Result<Frame> {
+            let f = frame::read_frame(&mut &bytes[..])?;
+            let _ = frame::bytes_to_doubles(&f.payload);
+            let _ = PoisonCause::decode(&f.payload);
+            let _ = RankReport::decode(&f.payload);
+            Ok(f)
+        }
+
+        proptest::proptest! {
+            #![proptest_config(proptest::ProptestConfig::with_cases(10_000))]
+
+            /// Hostile frame bytes end in a frame or a structured error,
+            /// and each decoder in a value or an error / `None`, never a
+            /// panic. A frame that reads re-encodes to the bytes it was
+            /// read from; a whole header of kind 5 or 6 is `InvalidData`.
+            #[test]
+            fn mutated_frames_read_as_a_frame_or_a_structured_error(seed in 0u64..u64::MAX) {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let frames = client_frames();
+                let mut bytes = frames[rng.random_range(0..frames.len())].clone();
+                mutate(&mut bytes, &mut rng);
+                let whole_header = bytes.len() >= frame::HEADER_LEN
+                    && bytes[..4] == frame::MAGIC.to_le_bytes();
+                let retired = whole_header && matches!(bytes[4], 5 | 6);
+                match read_and_decode(&bytes) {
+                    Ok(f) => {
+                        proptest::prop_assert!(!retired);
+                        let mut again = Vec::new();
+                        frame::write_frame(&mut again, &f).unwrap();
+                        proptest::prop_assert_eq!(&again[..], &bytes[..again.len()]);
+                    }
+                    Err(e) if retired => {
+                        proptest::prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData)
+                    }
+                    Err(e) => proptest::prop_assert!(
+                        matches!(
+                            e.kind(),
+                            io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                        ),
+                        "{e}"
+                    ),
+                }
+            }
         }
 
         #[test]
@@ -1628,7 +1698,6 @@ mod tests {
                 assert_eq!(frame::read_frame(&mut s).expect("hello").kind, Kind::Hello);
                 let mut ack = Frame::control(Kind::HelloAck, 0, 0);
                 ack.payload.extend_from_slice(&3u32.to_le_bytes());
-                ack.payload.extend_from_slice(&8u32.to_le_bytes());
                 frame::write_frame(&mut s, &ack).expect("ack");
                 let cause = PoisonCause::Peer { rank: 1 };
                 let mut poison = Frame::control(Kind::Poison, 1, 0);
@@ -1696,8 +1765,7 @@ mod tests {
             };
             let misuse = Some(PoisonCause::Misuse {
                 rank: 0,
-                len: DEFAULT_MAX_LEN + 1,
-                max_len: DEFAULT_MAX_LEN,
+                len: MAX_LEN + 1,
             });
             // One rank against the real hub...
             let (path, hub) = spawn_hub("contract-1", 1, &tcfg);
@@ -1810,13 +1878,7 @@ mod tests {
             };
             let idle_limit = tcfg.read_timeout + Duration::from_secs(5);
             let peer = Some(PoisonCause::Peer { rank: 1 });
-            let misuse = |len| {
-                Some(PoisonCause::Misuse {
-                    rank: 1,
-                    len,
-                    max_len: DEFAULT_MAX_LEN,
-                })
-            };
+            let misuse = |len| Some(PoisonCause::Misuse { rank: 1, len });
             let panic = PoisonCause::Abort {
                 rank: 1,
                 class: AbortClass::Panic,
@@ -1824,10 +1886,12 @@ mod tests {
             };
             let mut bad_magic = raw(Kind::AllReduce, 1, 1, frame::doubles_to_bytes(&[1.0]));
             bad_magic[0] ^= 0xFF;
+            let mut retired_barrier = raw(Kind::Hello, 1, 1, vec![]);
+            retired_barrier[4] = 5;
             // -0.0 from both ranks sums to +0.0 only from a +0.0 start.
             let vals = [[-0.0, 0.1, 1e16], [-0.0, 0.2, -1e16]];
             let expected_sum = {
-                let mut group = ThreadCommGroup::new(2, DEFAULT_MAX_LEN);
+                let mut group = ThreadCommGroup::new(2);
                 let mut one = group.take();
                 let other = std::thread::spawn({
                     let (mut comm, mut buf) = (group.take(), vals[1]);
@@ -1845,8 +1909,6 @@ mod tests {
             let clean = |r: u32| {
                 vec![
                     allreduce(r, 1, &vals[r as usize]),
-                    Step::Recv,
-                    control(Kind::Barrier, r, 2, vec![]),
                     Step::Recv,
                     control(Kind::Result, r, 0, report(r)),
                 ]
@@ -1901,6 +1963,11 @@ mod tests {
                 ),
                 ("bad magic", hostile(Step::Send(bad_magic)), peer.clone()),
                 (
+                    "retired kind 5 (Barrier)",
+                    hostile(Step::Send(retired_barrier)),
+                    peer.clone(),
+                ),
+                (
                     "ragged f64 payload",
                     hostile(control(Kind::AllReduce, 1, 1, vec![0; 9])),
                     misuse(1),
@@ -1912,16 +1979,16 @@ mod tests {
                     peer.clone(),
                 ),
                 (
-                    "AllReduce against Barrier",
-                    hostile(control(Kind::Barrier, 1, 1, vec![])),
+                    "AllReduce against Result",
+                    hostile(control(Kind::Result, 1, 0, report(1))),
                     peer.clone(),
                 ),
                 (
-                    "55-byte Result",
+                    "47-byte Result",
                     [
                         vec![control(Kind::Result, 0, 0, report(0)), Step::Linger],
                         vec![
-                            control(Kind::Result, 1, 0, report(1)[..55].to_vec()),
+                            control(Kind::Result, 1, 0, report(1)[..47].to_vec()),
                             Step::Linger,
                         ],
                     ],
@@ -1934,7 +2001,7 @@ mod tests {
                         vec![control(Kind::Result, 0, 0, report(0))],
                         vec![
                             control(Kind::Result, 1, 0, report(1)),
-                            control(Kind::Barrier, 1, 1, vec![]),
+                            allreduce(1, 1, &[1.0]),
                             Step::Linger,
                         ],
                     ],

@@ -326,7 +326,7 @@ fn barrier_death_after_release_does_not_fail_the_completed_wait() {
 fn comm_allreduce_slot_exchange() {
     use phylo_parallel::{Comm, ThreadCommGroup};
     let report = Checker::new().check(|| {
-        let mut group = ThreadCommGroup::new(2, 1);
+        let mut group = ThreadCommGroup::new(2);
         let mut c0 = group.take();
         let mut c1 = group.take();
         let t = interleave::thread::spawn(move || {
