@@ -585,6 +585,10 @@ const AMBIENT_NAMES: &[&str] = &[
     "replace",
     "set",
     "index",
+    // Closure-scoped access: `LocalKey::with` on a thread-local, and
+    // the sync facade's `UnsafeCell::with`, whose closure body is the
+    // caller's own code (scanned there).
+    "with",
     // Iterator adapters / folds.
     "map",
     "filter",

@@ -14,7 +14,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line of the (first) offending site.
     pub line: u32,
-    /// Audit key, e.g. `scale_site:index` or `SpanRing` — what an
+    /// Audit key, e.g. `scale_site:index` or `RegionProtocol` — what an
     /// allowlist entry's second column must be a substring of.
     pub key: String,
     /// Human explanation, including the call chain for reachability

@@ -9,10 +9,12 @@
 //! *enabled* path stays near-free on a real search too.
 //!
 //! The workload is the hottest span sites there are: a fork-join
-//! search opens `fork.wait`, `join.wait` and a `job.*` span on the
-//! master plus `idle` and `job.*` on the worker for every region, and
+//! search opens `idle` and `job.*` on the worker for every region (the
+//! master opens none; its region stats time both barrier waits) and
 //! `branch_opt` for every optimised branch (a kernel call opens none),
 //! with few enough sites that span cost is not drowned by arithmetic.
+//! Each span pushes two events into its thread's ring under that
+//! ring's uncontended lock.
 //! Best-of-20 timing suppresses scheduler noise.
 //!
 //! Run: `cargo run --release -p phylo-bench --bin span_overhead`

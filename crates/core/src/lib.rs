@@ -50,7 +50,6 @@ pub mod metrics;
 pub mod naive;
 pub mod scaling;
 pub mod span;
-pub(crate) mod sync;
 pub mod trace;
 
 pub use aligned::AlignedVec;

@@ -1,11 +1,11 @@
-//! Hierarchical span tracing into lock-free per-worker ring buffers.
+//! Hierarchical span tracing into fixed-capacity per-thread rings.
 //!
-//! Every thread that records a span owns a fixed-capacity [`SpanRing`]:
-//! a single-producer ring of begin/end events protected by per-slot
-//! sequence counters (a seqlock). The owning thread pushes with a
-//! handful of release-ordered stores and **zero allocation**; any other
-//! thread may take a consistent [`snapshot`](SpanRing::snapshot) at any
-//! time without stopping the writer. When the ring wraps, the *oldest*
+//! Every thread that records a span owns a ring of begin/end events,
+//! kept with its label behind the thread's own `Mutex`: only the owner
+//! pushes, so the lock is uncontended except while
+//! [`snapshot_all`] copies the rings out, once, at the end of a run.
+//! Recording never allocates after the thread's first span: the ring
+//! reserves its capacity up front. When the ring wraps, the *oldest*
 //! events are overwritten — a long run keeps the most recent window,
 //! and the drop count stays exact.
 //!
@@ -15,29 +15,31 @@
 //! is a well-formed bracket sequence (modulo a possibly-truncated
 //! prefix lost to overflow), which [`pair_spans`] and the Chrome
 //! trace-event exporter ([`chrome_trace_json`]) exploit to reconstruct
-//! the hierarchy: search → round → SPR round → branch-opt, and under
-//! fork-join each region's waits and jobs. A kernel call opens no span:
-//! `KernelStats::record_op_timed` is its one record, and a span per
-//! call would evict the structure above it from the ring.
+//! the hierarchy: search → round → SPR round → branch-opt on the
+//! searching thread, and each fork-join worker's `idle` / `job.*`
+//! spans. A kernel call opens no span: `KernelStats::record_op_timed`
+//! is its one record, and a span per call would evict the structure
+//! above it from the ring; a fork-join region opens none on the master
+//! either, whose `RegionStats` already time both of its barrier waits.
 //!
 //! ## Zero cost when off
 //!
 //! The whole recording path is gated behind the `span-trace` cargo
 //! feature (on by default). With the feature disabled, [`enter`]
 //! returns an inert guard and the compiler removes the call entirely —
-//! no thread-local access, no atomics, no clock read.
+//! no thread-local access, no lock, no clock read.
 //!
 //! Timestamps are nanoseconds since a process-wide epoch
 //! ([`epoch_ns`]), so events from different threads share one timeline.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Default per-thread ring capacity (events). At ~40 bytes per slot
-/// this is ≈1.3 MiB per recording thread; the window comfortably holds
-/// the most recent SPR round of a large search.
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 15;
+/// Per-thread ring capacity (events). At 32 bytes per event this is
+/// 1 MiB per recording thread; the window comfortably holds the most
+/// recent SPR round of a large search.
+#[cfg(any(feature = "span-trace", test))]
+const RING_CAPACITY: usize = 1 << 15;
 
 /// Whether an event opens or closes a span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,11 +52,11 @@ pub enum SpanPhase {
 
 /// One recorded begin/end event.
 ///
-/// `name` is `&'static str` by design: recording stores only the
-/// pointer and length, so the hot path never allocates or copies.
+/// `name` is `&'static str` by design: recording copies a pointer and
+/// a length, so the hot path never allocates or copies the name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Static span name (e.g. `"spr_round"`, `"fork.wait"`).
+    /// Static span name (e.g. `"spr_round"`, `"job.eval"`).
     pub name: &'static str,
     /// Begin or end.
     pub phase: SpanPhase,
@@ -62,166 +64,53 @@ pub struct SpanEvent {
     pub t_ns: u64,
 }
 
-/// A slot stores the event as four plain atomic words guarded by a
-/// sequence counter, so readers never observe a torn event: `seq` is
-/// odd while the writer is mid-update and encodes the event index when
-/// even, letting a reader detect both in-progress writes and laps.
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; 4], // name ptr, name len, t_ns, phase
+/// Fixed-capacity ring of [`SpanEvent`]s. Once full, each push
+/// overwrites the oldest event; `recorded` counts every push ever
+/// made, so `recorded - capacity` (when positive) were dropped.
+#[cfg(any(feature = "span-trace", test))]
+struct SpanRing {
+    events: Vec<SpanEvent>,
+    capacity: usize,
+    /// Where the next push lands once the ring is full: the oldest
+    /// event. Stays 0 until then.
+    next: usize,
+    recorded: u64,
 }
 
-/// Fixed-capacity single-producer ring buffer of [`SpanEvent`]s.
-///
-/// The *owning thread* is the only writer ([`push`](Self::push));
-/// any thread may read ([`snapshot`](Self::snapshot)). Overflow
-/// silently overwrites the oldest events; [`recorded`](Self::recorded)
-/// counts every push ever made so `recorded - len(snapshot)` is the
-/// number dropped.
-pub struct SpanRing {
-    slots: Box<[Slot]>,
-    mask: u64,
-    head: AtomicU64,
-}
-
-// SAFETY: all shared state is atomics; the single-writer discipline is
-// upheld by construction (each ring is written only via its owning
-// thread's thread-local handle) and torn reads are rejected via `seq`.
-unsafe impl Sync for SpanRing {}
-
+#[cfg(any(feature = "span-trace", test))]
 impl SpanRing {
-    /// Creates a ring holding `capacity` events (rounded up to a power
-    /// of two, minimum 2).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.next_power_of_two().max(2);
-        let slots: Vec<Slot> = (0..cap)
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                words: [
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                    AtomicU64::new(0),
-                ],
-            })
-            .collect();
+    /// A ring holding at most `capacity` (≥ 1) events, all reserved
+    /// now so that no push allocates.
+    fn with_capacity(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         SpanRing {
-            slots: slots.into_boxed_slice(),
-            mask: (cap - 1) as u64,
-            head: AtomicU64::new(0),
+            events: Vec::with_capacity(capacity),
+            capacity,
+            next: 0,
+            recorded: 0,
         }
-    }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total events ever pushed (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
     }
 
     /// Events overwritten by ring wrap-around so far.
-    pub fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.slots.len() as u64)
+    fn dropped(&self) -> u64 {
+        self.recorded.saturating_sub(self.capacity as u64)
     }
 
-    /// Appends an event. Must only be called from the owning thread;
-    /// lock-free and allocation-free.
-    pub fn push(&self, ev: SpanEvent) {
-        let i = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(i & self.mask) as usize];
-        // Mark the slot as mid-write (odd), publish the words, then
-        // stamp it with the even sequence that names event `i`.
-        //
-        // The word stores are Release (and the snapshot loads Acquire)
-        // rather than Relaxed: with relaxed words, a reader lapped
-        // mid-read can pair a later-lap word with an earlier-lap seq
-        // validation — under C11 nothing orders a relaxed word store
-        // against the *preceding* odd seq store, so the reader's
-        // re-check can still see the stale even value and accept a
-        // torn event. The interleave model test pins this down
-        // (tests/interleave_span.rs: the relaxed variant is caught,
-        // this one explores clean). On x86 both compile to plain MOVs.
-        slot.seq.store(2 * i + 1, Ordering::Release);
-        slot.words[0].store(ev.name.as_ptr() as u64, Ordering::Release);
-        slot.words[1].store(ev.name.len() as u64, Ordering::Release);
-        slot.words[2].store(ev.t_ns, Ordering::Release);
-        slot.words[3].store(matches!(ev.phase, SpanPhase::End) as u64, Ordering::Release);
-        slot.seq.store(2 * i + 2, Ordering::Release);
-        self.head.store(i + 1, Ordering::Release);
+    /// Appends an event, overwriting the oldest once the ring is full.
+    fn push(&mut self, ev: SpanEvent) {
+        if self.events.len() < self.capacity {
+            self.events.push(ev);
+        } else {
+            self.events[self.next] = ev;
+            self.next = (self.next + 1) % self.capacity;
+        }
+        self.recorded += 1;
     }
 
-    /// Takes a consistent snapshot of the surviving events in record
-    /// order, without blocking the writer. Events the writer is
-    /// concurrently overwriting are skipped (they are being dropped
-    /// anyway).
-    pub fn snapshot(&self) -> Vec<SpanEvent> {
-        let head = self.head.load(Ordering::Acquire);
-        let start = head.saturating_sub(self.slots.len() as u64);
-        let mut out = Vec::with_capacity((head - start) as usize);
-        for i in start..head {
-            let slot = &self.slots[(i & self.mask) as usize];
-            if slot.seq.load(Ordering::Acquire) != 2 * i + 2 {
-                continue; // mid-write or already lapped
-            }
-            // Acquire pairs with the Release word stores in `push`:
-            // reading any fresh word drags the writer's seq advance
-            // into view, so the re-check below rejects the tear.
-            let w0 = slot.words[0].load(Ordering::Acquire);
-            let w1 = slot.words[1].load(Ordering::Acquire);
-            let w2 = slot.words[2].load(Ordering::Acquire);
-            let w3 = slot.words[3].load(Ordering::Acquire);
-            if slot.seq.load(Ordering::Acquire) != 2 * i + 2 {
-                continue; // lapped while reading
-            }
-            // SAFETY: the seq check proved these words were published
-            // as a unit by `push`, and every name pushed comes from a
-            // live `&'static str`.
-            let name: &'static str = unsafe {
-                std::str::from_utf8_unchecked(std::slice::from_raw_parts(
-                    w0 as *const u8,
-                    w1 as usize,
-                ))
-            };
-            out.push(SpanEvent {
-                name,
-                phase: if w3 == 0 {
-                    SpanPhase::Begin
-                } else {
-                    SpanPhase::End
-                },
-                t_ns: w2,
-            });
-        }
-        out
-    }
-
-    /// Runs the seqlock reader protocol on the slot for event index
-    /// `i` and returns the raw words if validation succeeds.
-    ///
-    /// Model-test access point: the interleave tests assert
-    /// cross-word consistency on the raw values, because a *torn*
-    /// reconstruction through [`Self::snapshot`] would build an
-    /// invalid `&str` from mismatched pointer/length words — the
-    /// exact UB the seqlock exists to prevent.
-    #[cfg(feature = "interleave")]
-    pub fn probe_slot(&self, i: u64) -> Option<[u64; 4]> {
-        let slot = &self.slots[(i & self.mask) as usize];
-        if slot.seq.load(Ordering::Acquire) != 2 * i + 2 {
-            return None;
-        }
-        let words = [
-            slot.words[0].load(Ordering::Acquire),
-            slot.words[1].load(Ordering::Acquire),
-            slot.words[2].load(Ordering::Acquire),
-            slot.words[3].load(Ordering::Acquire),
-        ];
-        if slot.seq.load(Ordering::Acquire) != 2 * i + 2 {
-            return None;
-        }
-        Some(words)
+    /// The surviving events, oldest first.
+    fn snapshot(&self) -> Vec<SpanEvent> {
+        let (newer, older) = self.events.split_at(self.next);
+        older.iter().chain(newer).copied().collect()
     }
 }
 
@@ -265,54 +154,65 @@ pub fn epoch_ns() -> u64 {
 #[cfg(feature = "span-trace")]
 mod recorder {
     use super::*;
-    use std::sync::{Arc, Mutex};
+    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-    /// One thread's registered ring plus its human-readable label.
+    /// One thread's ring plus its human-readable label.
     pub(super) struct Track {
-        label: Mutex<String>,
+        label: String,
         ring: SpanRing,
     }
 
-    fn registry() -> &'static Mutex<Vec<Arc<Track>>> {
-        static REGISTRY: OnceLock<Mutex<Vec<Arc<Track>>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+    /// Every track ever registered, in registration order.
+    fn tracks() -> &'static Mutex<Vec<Arc<Mutex<Track>>>> {
+        static TRACKS: OnceLock<Mutex<Vec<Arc<Mutex<Track>>>>> = OnceLock::new();
+        TRACKS.get_or_init(|| Mutex::new(Vec::new()))
+    }
+
+    /// A panic elsewhere cannot leave a track or the track list torn
+    /// (neither lock is held across anything that panics), so a
+    /// poisoned lock is taken as is: tracing never adds a panic.
+    fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+        m.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     thread_local! {
-        static CURRENT: Arc<Track> = register_current();
+        static CURRENT: Arc<Mutex<Track>> = register_current();
     }
 
-    fn register_current() -> Arc<Track> {
-        let mut reg = registry().lock().unwrap();
+    fn register_current() -> Arc<Mutex<Track>> {
+        let mut all = lock(tracks());
         let label = std::thread::current()
             .name()
             .map(str::to_string)
-            .unwrap_or_else(|| format!("thread{}", reg.len()));
-        let track = Arc::new(Track {
-            label: Mutex::new(label),
-            ring: SpanRing::with_capacity(DEFAULT_RING_CAPACITY),
-        });
-        reg.push(Arc::clone(&track));
+            .unwrap_or_else(|| format!("thread{}", all.len()));
+        let track = Arc::new(Mutex::new(Track {
+            label,
+            ring: SpanRing::with_capacity(RING_CAPACITY),
+        }));
+        all.push(Arc::clone(&track));
         track
     }
 
     pub(super) fn set_thread_label(label: &str) {
-        CURRENT.with(|t| *t.label.lock().unwrap() = label.to_string());
+        CURRENT.with(|t| lock(t).label = label.to_string());
     }
 
     pub(super) fn record(name: &'static str, phase: SpanPhase) {
         let t_ns = super::epoch_ns();
-        CURRENT.with(|t| t.ring.push(SpanEvent { name, phase, t_ns }));
+        CURRENT.with(|t| lock(t).ring.push(SpanEvent { name, phase, t_ns }));
     }
 
     pub(super) fn snapshot_all() -> Vec<TrackSnapshot> {
-        let reg = registry().lock().unwrap();
-        reg.iter()
-            .map(|t| TrackSnapshot {
-                label: t.label.lock().unwrap().clone(),
-                events: t.ring.snapshot(),
-                recorded: t.ring.recorded(),
-                dropped: t.ring.dropped(),
+        lock(tracks())
+            .iter()
+            .map(|t| {
+                let t = lock(t);
+                TrackSnapshot {
+                    label: t.label.clone(),
+                    events: t.ring.snapshot(),
+                    recorded: t.ring.recorded,
+                    dropped: t.ring.dropped(),
+                }
             })
             .collect()
     }
@@ -338,8 +238,9 @@ impl Drop for SpanGuard {
 /// Opens a hierarchical span; the returned guard closes it on drop.
 ///
 /// Hot-path cost with the feature compiled in: one thread-local
-/// access, one clock read, and six release-ordered atomic stores into
-/// the calling thread's own ring. No locks, no allocation.
+/// access, one clock read, and a push into the calling thread's own
+/// ring under its uncontended lock. No allocation after the thread's
+/// first span.
 #[inline]
 pub fn enter(name: &'static str) -> SpanGuard {
     #[cfg(feature = "span-trace")]
@@ -420,72 +321,12 @@ pub fn pair_spans(events: &[SpanEvent]) -> Vec<CompletedSpan> {
     out
 }
 
-/// One event of the Chrome trace-event JSON export.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChromeEvent {
-    /// Span name.
-    pub name: &'static str,
-    /// `'B'` (begin) or `'E'` (end).
-    pub ph: char,
-    /// Timestamp, ns since epoch (serialized as µs).
-    pub ts_ns: u64,
-    /// Track index (one per recording thread).
-    pub tid: usize,
-}
-
-/// Flattens track snapshots into balanced Chrome begin/end events.
-///
-/// Per track, orphan `End`s (Begin lost to overflow) are dropped and
-/// spans still open at the end are auto-closed, so every `'B'` has a
-/// matching `'E'` on the same `tid` — a guarantee the proptests pin
-/// down.
-pub fn chrome_events(tracks: &[TrackSnapshot]) -> Vec<ChromeEvent> {
-    let mut out = Vec::new();
-    for (tid, track) in tracks.iter().enumerate() {
-        let mut stack: Vec<&'static str> = Vec::new();
-        let mut last_t = track.events.first().map_or(0, |e| e.t_ns);
-        for ev in &track.events {
-            last_t = last_t.max(ev.t_ns);
-            match ev.phase {
-                SpanPhase::Begin => {
-                    stack.push(ev.name);
-                    out.push(ChromeEvent {
-                        name: ev.name,
-                        ph: 'B',
-                        ts_ns: ev.t_ns,
-                        tid,
-                    });
-                }
-                SpanPhase::End => {
-                    if stack.last() == Some(&ev.name) {
-                        stack.pop();
-                        out.push(ChromeEvent {
-                            name: ev.name,
-                            ph: 'E',
-                            ts_ns: ev.t_ns,
-                            tid,
-                        });
-                    }
-                }
-            }
-        }
-        while let Some(name) = stack.pop() {
-            out.push(ChromeEvent {
-                name,
-                ph: 'E',
-                ts_ns: last_t,
-                tid,
-            });
-        }
-    }
-    out
-}
-
 /// Serializes track snapshots as Chrome trace-event JSON (the
 /// `{"traceEvents":[...]}` document Perfetto and `chrome://tracing`
 /// open directly). Each thread becomes one track: a `thread_name`
-/// metadata record plus its balanced begin/end events, timestamps in
-/// microseconds.
+/// metadata record plus one complete (`"ph":"X"`) event per span
+/// [`pair_spans`] reconstructs, timestamps and durations in
+/// microseconds — so the export is balanced by construction.
 pub fn chrome_trace_json(tracks: &[TrackSnapshot]) -> String {
     let mut parts: Vec<String> = Vec::new();
     for (tid, track) in tracks.iter().enumerate() {
@@ -494,16 +335,15 @@ pub fn chrome_trace_json(tracks: &[TrackSnapshot]) -> String {
              \"args\":{{\"name\":\"{}\"}}}}",
             crate::trace::escape(&track.label)
         ));
-    }
-    for ev in chrome_events(tracks) {
-        parts.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"plf\",\"ph\":\"{}\",\"pid\":1,\
-             \"tid\":{},\"ts\":{:.3}}}",
-            crate::trace::escape(ev.name),
-            ev.ph,
-            ev.tid,
-            ev.ts_ns as f64 / 1000.0
-        ));
+        for s in pair_spans(&track.events) {
+            parts.push(format!(
+                "{{\"name\":\"{}\",\"cat\":\"plf\",\"ph\":\"X\",\"pid\":1,\
+                 \"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3}}}",
+                crate::trace::escape(s.name),
+                s.start_ns as f64 / 1000.0,
+                s.dur_ns as f64 / 1000.0
+            ));
+        }
     }
     format!(
         "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
@@ -521,7 +361,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_events_in_order() {
-        let ring = SpanRing::with_capacity(8);
+        let mut ring = SpanRing::with_capacity(8);
         ring.push(ev("a", SpanPhase::Begin, 1));
         ring.push(ev("b", SpanPhase::Begin, 2));
         ring.push(ev("b", SpanPhase::End, 3));
@@ -529,14 +369,13 @@ mod tests {
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[0], ev("a", SpanPhase::Begin, 1));
         assert_eq!(snap[2], ev("b", SpanPhase::End, 3));
-        assert_eq!(ring.recorded(), 3);
+        assert_eq!(ring.recorded, 3);
         assert_eq!(ring.dropped(), 0);
     }
 
     #[test]
     fn ring_overflow_drops_oldest_and_counts_stay_consistent() {
-        let ring = SpanRing::with_capacity(4);
-        assert_eq!(ring.capacity(), 4);
+        let mut ring = SpanRing::with_capacity(4);
         for i in 0..10u64 {
             ring.push(ev("x", SpanPhase::Begin, i));
         }
@@ -546,10 +385,10 @@ mod tests {
             snap.iter().map(|e| e.t_ns).collect::<Vec<_>>(),
             vec![6, 7, 8, 9]
         );
-        assert_eq!(ring.recorded(), 10);
+        assert_eq!(ring.recorded, 10);
         assert_eq!(ring.dropped(), 6);
         assert_eq!(
-            ring.recorded(),
+            ring.recorded,
             ring.dropped() + snap.len() as u64,
             "recorded = dropped + surviving"
         );
@@ -557,35 +396,38 @@ mod tests {
 
     #[test]
     fn snapshot_while_writing_from_another_thread_is_consistent() {
-        let ring = std::sync::Arc::new(SpanRing::with_capacity(64));
-        let writer = {
-            let ring = std::sync::Arc::clone(&ring);
-            std::thread::spawn(move || {
-                for i in 0..50_000u64 {
-                    let phase = if i % 2 == 0 {
-                        SpanPhase::Begin
-                    } else {
-                        SpanPhase::End
-                    };
-                    ring.push(ev("w", phase, i));
+        if !cfg!(feature = "span-trace") {
+            return; // nothing to observe
+        }
+        const SPANS: u64 = 50_000;
+        const LABEL: &str = "span-writer-test";
+        let writer = std::thread::Builder::new()
+            .name(LABEL.into())
+            .spawn(|| {
+                for _ in 0..SPANS {
+                    let _w = enter("unit_w");
                 }
             })
-        };
+            .unwrap();
+        let writer_track = || snapshot_all().into_iter().find(|t| t.label == LABEL);
+        // Whatever the writer is doing, a snapshot is a bracket
+        // sequence: its events alternate Begin / End.
         for _ in 0..200 {
-            for e in ring.snapshot() {
-                assert_eq!(e.name, "w");
-                assert_eq!(
-                    matches!(e.phase, SpanPhase::End),
-                    e.t_ns % 2 == 1,
-                    "torn event: {e:?}"
+            if let Some(t) = writer_track() {
+                assert!(t.events.iter().all(|e| e.name == "unit_w"));
+                assert!(
+                    t.events.windows(2).all(|w| w[0].phase != w[1].phase),
+                    "torn stream"
                 );
+                assert_eq!(t.recorded, t.dropped + t.events.len() as u64);
             }
         }
         writer.join().unwrap();
-        assert_eq!(ring.recorded(), 50_000);
-        let final_snap = ring.snapshot();
-        assert_eq!(final_snap.len(), 64);
-        assert_eq!(final_snap.last().unwrap().t_ns, 49_999);
+        let t = writer_track().expect("writer track registered");
+        assert_eq!(t.recorded, 2 * SPANS);
+        assert_eq!(t.events.len(), RING_CAPACITY);
+        assert_eq!(t.dropped, 2 * SPANS - RING_CAPACITY as u64);
+        assert_eq!(t.events.last().map(|e| e.phase), Some(SpanPhase::End));
     }
 
     #[test]
@@ -671,22 +513,29 @@ mod tests {
             label: "worker0".into(),
             events: vec![
                 ev("lost", SpanPhase::End, 1),
-                ev("a", SpanPhase::Begin, 2),
-                ev("b", SpanPhase::Begin, 3),
-                ev("b", SpanPhase::End, 4),
+                ev("a", SpanPhase::Begin, 2000),
+                ev("b", SpanPhase::Begin, 3000),
+                ev("b", SpanPhase::End, 4500),
                 // "a" left open → auto-closed
             ],
             recorded: 5,
             dropped: 1,
         };
-        let evs = chrome_events(std::slice::from_ref(&track));
-        let b = evs.iter().filter(|e| e.ph == 'B').count();
-        let e = evs.iter().filter(|e| e.ph == 'E').count();
-        assert_eq!(b, e, "begin/end balanced");
         let json = chrome_trace_json(&[track]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"thread_name\""));
         assert!(json.contains("\"worker0\""));
+        // One complete event per paired span, the orphan End dropped.
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
+        assert!(!json.contains("\"lost\""));
+        let span = |name: &str, ts: &str, dur: &str| {
+            format!(
+                "{{\"name\":\"{name}\",\"cat\":\"plf\",\"ph\":\"X\",\"pid\":1,\
+                 \"tid\":0,\"ts\":{ts},\"dur\":{dur}}}"
+            )
+        };
+        assert!(json.contains(&span("a", "2.000", "2.500")), "{json}");
+        assert!(json.contains(&span("b", "3.000", "1.500")), "{json}");
     }
 
     mod prop {
@@ -698,16 +547,16 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            // Satellite guarantee: ANY sequence of open/close events —
-            // including orphan closes, unclosed opens, and streams
-            // truncated by ring overflow — exports to Chrome events
-            // that are strictly stack-balanced per track.
+            // ANY sequence of open/close events — including orphan
+            // closes, unclosed opens, and streams truncated by ring
+            // overflow — pairs into properly nested spans, one Chrome
+            // complete event each.
             #[test]
             fn chrome_export_balances_arbitrary_streams(
                 ops in proptest::collection::vec((0u8..2, 0usize..3), 0..120),
                 cap in 2usize..33,
             ) {
-                let ring = SpanRing::with_capacity(cap);
+                let mut ring = SpanRing::with_capacity(cap);
                 for (t, (kind, name_idx)) in ops.iter().enumerate() {
                     ring.push(SpanEvent {
                         name: NAMES[*name_idx],
@@ -720,49 +569,45 @@ mod tests {
                     });
                 }
                 // Overflow bookkeeping stays consistent.
-                prop_assert_eq!(ring.recorded(), ops.len() as u64);
+                prop_assert_eq!(ring.recorded, ops.len() as u64);
                 let events = ring.snapshot();
                 prop_assert_eq!(
                     ring.dropped(),
-                    (ops.len() as u64).saturating_sub(ring.capacity() as u64)
+                    (ops.len() as u64).saturating_sub(cap as u64)
                 );
-                prop_assert_eq!(
-                    events.len() as u64,
-                    ring.recorded() - ring.dropped()
-                );
+                prop_assert_eq!(events.len() as u64, ring.recorded - ring.dropped());
                 // Oldest events were the ones dropped: the survivors
                 // are exactly the stream's suffix.
                 for (i, e) in events.iter().enumerate() {
                     prop_assert_eq!(e.t_ns, ring.dropped() + i as u64);
                 }
 
-                let track = TrackSnapshot {
-                    label: "prop".into(),
-                    events: events.clone(),
-                    recorded: ring.recorded(),
-                    dropped: ring.dropped(),
-                };
-                let chrome = chrome_events(std::slice::from_ref(&track));
-                let mut stack: Vec<&str> = Vec::new();
-                let mut last_ts = 0u64;
-                for ev in &chrome {
-                    prop_assert!(ev.ts_ns >= last_ts, "timestamps regress");
-                    last_ts = ev.ts_ns;
-                    match ev.ph {
-                        'B' => stack.push(ev.name),
-                        'E' => prop_assert_eq!(stack.pop(), Some(ev.name)),
-                        other => prop_assert!(false, "bad phase {}", other),
-                    }
-                }
-                prop_assert!(stack.is_empty(), "unbalanced export");
-
-                // pair_spans agrees: it never invents spans.
+                // pair_spans never invents spans, and each span lies
+                // inside the enclosing one it was opened under.
                 let spans = pair_spans(&events);
                 let begins = events
                     .iter()
                     .filter(|e| e.phase == SpanPhase::Begin)
                     .count();
                 prop_assert!(spans.len() <= begins);
+                let mut open: Vec<(u64, u64)> = Vec::new();
+                for s in &spans {
+                    open.truncate(s.depth);
+                    prop_assert_eq!(open.len(), s.depth, "span without a parent");
+                    if let Some(&(start, end)) = open.last() {
+                        prop_assert!(start <= s.start_ns && s.start_ns + s.dur_ns <= end);
+                    }
+                    open.push((s.start_ns, s.start_ns + s.dur_ns));
+                }
+
+                let track = TrackSnapshot {
+                    label: "prop".into(),
+                    events,
+                    recorded: ring.recorded,
+                    dropped: ring.dropped(),
+                };
+                let json = chrome_trace_json(std::slice::from_ref(&track));
+                prop_assert_eq!(json.matches("\"ph\":\"X\"").count(), spans.len());
             }
         }
     }

@@ -1,10 +1,10 @@
 //! `interleave` — an in-tree, loom-style concurrency model checker.
 //!
 //! The workspace's lock-free runtime (sense-reversing barriers, the
-//! fork-join job slot, the comm slot exchange, the span-ring seqlock)
-//! is exactly the kind of code where "the tests pass" proves nothing:
-//! the bug lives in an interleaving the test machine never schedules,
-//! or in a memory-ordering reordering x86 never performs. This crate
+//! fork-join job slot, the comm slot exchange) is exactly the kind of
+//! code where "the tests pass" proves nothing: the bug lives in an
+//! interleaving the test machine never schedules, or in a
+//! memory-ordering reordering x86 never performs. This crate
 //! runs a closure under a model scheduler that *exhaustively* explores
 //! bounded thread interleavings and weak-memory outcomes, failing the
 //! run on data races, torn reads, lost wakeups, deadlocks, and any
@@ -18,7 +18,7 @@
 //!
 //! Write the code under test against the shimmed types —
 //! [`sync::atomic`], [`cell::UnsafeCell`], [`thread`], [`hint`] —
-//! (production crates re-export either these or `std` behind their
+//! (`phylo-parallel` re-exports either these or `std` behind its
 //! `interleave` cargo feature), then:
 //!
 //! ```

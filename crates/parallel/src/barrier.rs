@@ -129,8 +129,6 @@ impl SenseBarrier {
     /// thread's local sense must alternate between calls; callers use
     /// [`BarrierToken`] to track it.
     pub fn wait(&self, token: &mut BarrierToken) -> Result<(), Poisoned> {
-        #[cfg(feature = "span-trace")]
-        waits_counter().inc();
         if let Some(rank) = self.poisoned() {
             return Err(Poisoned { rank });
         }
@@ -179,15 +177,6 @@ impl SenseBarrier {
             }
         }
     }
-}
-
-/// Cached handle for the `barrier.waits` counter. Compiled out with the
-/// `span-trace` feature so the uninstrumented barrier stays a pure
-/// spin — `wait` is the hottest synchronization point in the scheme.
-#[cfg(feature = "span-trace")]
-fn waits_counter() -> &'static plf_core::metrics::Counter {
-    static C: std::sync::OnceLock<plf_core::metrics::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| plf_core::metrics::counter("barrier.waits"))
 }
 
 /// Per-thread sense state for a [`SenseBarrier`].

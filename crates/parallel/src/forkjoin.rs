@@ -68,7 +68,9 @@ enum Op {
 }
 
 impl Op {
-    /// Span name a team member records while executing this job.
+    /// Span name a worker records while executing this job (the
+    /// master opens no span per region: its `RegionStats` time both
+    /// barrier waits).
     fn span_name(self) -> &'static str {
         match self {
             Op::Eval(_) => "job.eval",
@@ -248,11 +250,8 @@ impl ForkJoinEvaluator {
             }
         });
         let t0 = Instant::now();
-        {
-            let _fork = plf_core::span::enter("fork.wait");
-            if let Err(p) = self.shared.fork(&mut self.token) {
-                panic!("fork-join worker {} died; pool is poisoned", p.rank);
-            }
+        if let Err(p) = self.shared.fork(&mut self.token) {
+            panic!("fork-join worker {} died; pool is poisoned", p.rank);
         }
         let t1 = Instant::now();
         let reply = self.shared.read_job(|job| {
@@ -266,11 +265,8 @@ impl ForkJoinEvaluator {
         });
         self.shared.write_reply(0, reply);
         let t2 = Instant::now();
-        {
-            let _join = plf_core::span::enter("join.wait");
-            if let Err(p) = self.shared.join(&mut self.token) {
-                panic!("fork-join worker {} died; pool is poisoned", p.rank);
-            }
+        if let Err(p) = self.shared.join(&mut self.token) {
+            panic!("fork-join worker {} died; pool is poisoned", p.rank);
         }
         let t3 = Instant::now();
         self.local
@@ -370,7 +366,6 @@ fn run_job(
     region: u64,
     fault_plan: Option<&FaultPlan>,
 ) -> Reply {
-    let _job_span = plf_core::span::enter(job.op.span_name());
     catch_unwind(AssertUnwindSafe(|| {
         if let Some(plan) = fault_plan {
             if plan.job_panics(slice, region) {
@@ -406,12 +401,12 @@ fn run_job(
     .unwrap_or_else(|p| Reply::Panicked(crate::panic_message(&*p)))
 }
 
-/// The worker side of the protocol: wait at the fork barrier, run the
-/// broadcast job against the worker's engine slice ([`run_job`]),
-/// publish the partial result, wait at the join barrier. A panicking
-/// job leaves the worker in the loop so neither barrier ever
-/// deadlocks. A poisoned barrier pass (a sibling died) makes the
-/// worker exit cleanly.
+/// The worker side of the protocol: wait at the fork barrier (an
+/// `idle` span), run the broadcast job against the worker's engine
+/// slice ([`run_job`], a `job.*` span), publish the partial result,
+/// wait at the join barrier. A panicking job leaves the worker in the
+/// loop so neither barrier ever deadlocks. A poisoned barrier pass (a
+/// sibling died) makes the worker exit cleanly.
 fn worker_loop(
     proto: &RegionProtocol<Job, Reply>,
     idx: usize,
@@ -433,8 +428,10 @@ fn worker_loop(
         // `None` means Shutdown: exit before the join barrier (the
         // master skips it too).
         let reply = proto.read_job(|job| {
-            (!matches!(job.op, Op::Shutdown))
-                .then(|| run_job(&mut engine, job, slice, region, fault_plan))
+            (!matches!(job.op, Op::Shutdown)).then(|| {
+                let _job = plf_core::span::enter(job.op.span_name());
+                run_job(&mut engine, job, slice, region, fault_plan)
+            })
         });
         let Some(reply) = reply else {
             return;

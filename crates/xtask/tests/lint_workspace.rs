@@ -23,30 +23,35 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// Clean both without features and as the default build compiles
+/// (`span-trace` on: the span recorder is behind it).
 #[test]
 fn workspace_lints_clean() {
-    let cfg = plf_analyzer::Config {
-        root: workspace_root(),
-        features: Vec::new(),
-    };
-    let analysis = plf_analyzer::analyze_workspace(&cfg).expect("analyze");
-    assert!(
-        analysis.findings.is_empty(),
-        "workspace must lint clean; run `cargo xtask lint` to see and audit:\n{}",
-        analysis
-            .findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    // Sanity: the walk really covered the workspace.
-    assert!(
-        analysis.files > 100,
-        "only {} files analyzed",
-        analysis.files
-    );
-    assert!(analysis.fns > 1000, "only {} fns extracted", analysis.fns);
+    for features in [vec![], vec!["span-trace".to_string()]] {
+        let cfg = plf_analyzer::Config {
+            root: workspace_root(),
+            features: features.clone(),
+        };
+        let analysis = plf_analyzer::analyze_workspace(&cfg).expect("analyze");
+        assert!(
+            analysis.findings.is_empty(),
+            "workspace must lint clean with {features:?}; run `cargo xtask lint` \
+             to see and audit:\n{}",
+            analysis
+                .findings
+                .iter()
+                .map(|f| f.to_string())
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
+        // Sanity: the walk really covered the workspace.
+        assert!(
+            analysis.files > 100,
+            "only {} files analyzed",
+            analysis.files
+        );
+        assert!(analysis.fns > 1000, "only {} fns extracted", analysis.fns);
+    }
 }
 
 #[test]

@@ -119,9 +119,10 @@ fn simulate_evaluate_search_roundtrip() {
 }
 
 /// A traced search must keep the spans that say what the `op` events
-/// do not — the search's own structure. A span per kernel
-/// call re-times what those events already total and, at 64 taxa,
-/// laps the ring over `search`, `round` and `spr_round`.
+/// do not — the search's own structure. A span per kernel call re-times
+/// what those events already total and, at 64 taxa, laps the ring over
+/// `search`, `round` and `spr_round`; so did the fork-join master's
+/// three spans per region, which its `region` event already times.
 #[test]
 fn traced_search_keeps_its_structure_spans() {
     use phylomic::plf::trace::TraceEvent;
@@ -133,44 +134,57 @@ fn traced_search_keeps_its_structure_spans() {
         .output()
         .unwrap();
     assert!(out.status.success());
-    let trace = dir.join("run.jsonl");
-    let out = bin()
-        .args(["search", "--alignment", phy.to_str().unwrap()])
-        .args(["--scheme", "serial", "--rounds", "1", "--no-model-opt"])
-        .args(["--trace-out", trace.to_str().unwrap()])
-        .args(["--out", dir.join("best.nwk").to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let doc = std::fs::read_to_string(&trace).unwrap();
-    let events = phylomic::plf::trace::parse_jsonl(&doc).unwrap();
-    let dropped = events.iter().find_map(|e| match e {
-        TraceEvent::Meta { spans_dropped, .. } => Some(*spans_dropped),
-        _ => None,
-    });
-    assert_eq!(dropped, Some(0), "the ring lapped");
-    let spans: std::collections::BTreeSet<&str> = events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Span { name, .. } => Some(name.as_str()),
-            _ => None,
-        })
-        .collect();
-    for expected in ["search", "round", "spr_round"] {
-        assert!(spans.contains(expected), "{expected:?} not in {spans:?}");
-    }
-    for kernel in [
-        "newview",
-        "evaluate",
-        "derivativeSum",
-        "derivativeCore",
-        "newton_iter",
-    ] {
-        assert!(!spans.contains(kernel), "a span per {kernel} call");
+    for (scheme, threads) in [("serial", "1"), ("forkjoin", "2")] {
+        let trace = dir.join(format!("{scheme}.jsonl"));
+        let out = bin()
+            .args(["search", "--alignment", phy.to_str().unwrap()])
+            .args(["--scheme", scheme, "--threads", threads])
+            .args(["--rounds", "1", "--no-model-opt"])
+            .args(["--trace-out", trace.to_str().unwrap()])
+            .args(["--out", dir.join("best.nwk").to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{scheme}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let doc = std::fs::read_to_string(&trace).unwrap();
+        let events = phylomic::plf::trace::parse_jsonl(&doc).unwrap();
+        // A fork-join worker's `idle` / `job.*` ring may still wrap;
+        // the serial run's one ring must not.
+        if scheme == "serial" {
+            let dropped = events.iter().find_map(|e| match e {
+                TraceEvent::Meta { spans_dropped, .. } => Some(*spans_dropped),
+                _ => None,
+            });
+            assert_eq!(dropped, Some(0), "the ring lapped");
+        }
+        let spans: std::collections::BTreeSet<&str> = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Span { name, .. } => Some(name.as_str()),
+                _ => None,
+            })
+            .collect();
+        for expected in ["search", "round", "spr_round"] {
+            assert!(
+                spans.contains(expected),
+                "{scheme}: {expected:?} not in {spans:?}"
+            );
+        }
+        for kernel in [
+            "newview",
+            "evaluate",
+            "derivativeSum",
+            "derivativeCore",
+            "newton_iter",
+        ] {
+            assert!(
+                !spans.contains(kernel),
+                "{scheme}: a span per {kernel} call"
+            );
+        }
     }
 }
 
