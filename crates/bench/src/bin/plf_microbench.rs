@@ -150,7 +150,7 @@ const BLOCKING_MAX_RATIO: f64 = 1.05;
 const WIDTH_MIN_SPEEDUP: f64 = 1.10;
 /// Gates 7 and 8 hold `newview_ii` bodies against each other only at
 /// call sizes below this. A larger `newview` call happens only under
-/// `--blocking off` (engines block at 2 048 sites), and at 7 307 sites
+/// `Blocking::Off` (engines block at 2 048 sites), and at 7 307 sites
 /// its three 935 KB CLAs outgrow the development host's 2 MiB L2, so
 /// both arms wait on memory: the width cell read 0.93–1.04 × there,
 /// and 1.10–1.21 × while that output still streamed.

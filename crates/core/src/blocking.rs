@@ -41,7 +41,7 @@ pub enum Blocking {
 }
 
 impl Blocking {
-    /// Every variant, in parse/display order.
+    /// Every variant, in display order.
     pub const ALL: [Blocking; 3] = [Blocking::Off, Blocking::On, Blocking::Auto];
 
     /// Resolves the mode to a concrete block size for an engine
@@ -57,34 +57,6 @@ impl Blocking {
                 let b = block_sites();
                 (num_patterns > b).then_some(b)
             }
-        }
-    }
-}
-
-/// An unrecognized blocking mode.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BlockingParseError(String);
-
-impl std::fmt::Display for BlockingParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown blocking mode {:?} (expected off, on or auto)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for BlockingParseError {}
-
-impl std::str::FromStr for Blocking {
-    type Err = BlockingParseError;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(Blocking::Off),
-            "on" => Ok(Blocking::On),
-            "auto" => Ok(Blocking::Auto),
-            other => Err(BlockingParseError(other.to_string())),
         }
     }
 }
@@ -196,24 +168,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_display_parse_round_trips_all_variants() {
-        for mode in Blocking::ALL {
-            let name = mode.to_string();
-            let back: Blocking = name.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(back, mode, "{name} did not round-trip");
-        }
-    }
-
-    #[test]
-    fn unknown_mode_names_are_rejected_with_the_full_menu() {
-        let err = "sometimes".parse::<Blocking>().unwrap_err();
-        let msg = err.to_string();
-        for mode in Blocking::ALL {
-            assert!(msg.contains(&mode.to_string()), "{msg} missing {mode}");
-        }
-    }
-
-    #[test]
     fn block_size_is_a_site_block_multiple_and_bounded() {
         let b = block_sites();
         assert!(b >= MIN_BLOCK_SITES);
@@ -224,6 +178,7 @@ mod tests {
     fn off_never_blocks_and_on_always_does() {
         assert_eq!(Blocking::Off.resolve(1 << 20), None);
         assert!(Blocking::On.resolve(1).is_some());
+        assert_eq!(Blocking::ALL.map(|m| m.to_string()), ["off", "on", "auto"]);
     }
 
     #[test]

@@ -24,13 +24,10 @@ use crate::{SITE_BLOCK, SITE_STRIDE};
 
 /// Which kernel implementation an engine uses.
 ///
-/// `Scalar` and `Simd` name concrete backends; `Auto` (the engine
-/// default) is a name for "the fastest backend this host can run",
-/// resolved exactly once, by [`KernelKind::resolve`]. All parsing and
-/// rendering of kernel names goes through the single
-/// [`std::str::FromStr`]/[`std::fmt::Display`] pair below — `match`
-/// sites over user-facing names must not be duplicated elsewhere, so
-/// adding a variant cannot silently miss a site.
+/// `Simd` (the engine default) is "the fastest backend this host can
+/// run", resolved exactly once, by [`KernelKind::resolve`]; `Scalar` is
+/// the reference it is checked against. [`std::fmt::Display`] is the
+/// one rendering of a backend name (trace meta, `kernel backend:`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// Straightforward nested-loop reference implementation; also the
@@ -42,14 +39,11 @@ pub enum KernelKind {
     /// [`KernelKind::simd_width_bits`]. Resolves to `Scalar` on hosts
     /// without AVX2+FMA (and on non-x86 targets).
     Simd,
-    /// `Simd` where the host supports it, else `Scalar`.
-    Auto,
 }
 
 impl KernelKind {
-    /// Every variant, in parse/display order (for round-trip tests and
-    /// CLI help).
-    pub const ALL: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Simd, KernelKind::Auto];
+    /// Every variant, in display order (for tests that sweep backends).
+    pub const ALL: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Simd];
 
     /// Whether the explicit-SIMD backend can run on this host (x86-64
     /// with AVX2 and FMA detected at runtime).
@@ -57,73 +51,38 @@ impl KernelKind {
         simd::simd_available()
     }
 
-    /// The one place `Auto` (and a `Simd` request the host cannot
-    /// honour) becomes a concrete backend: `Simd` on AVX2+FMA hosts,
-    /// `Scalar` everywhere else. Engines dispatch through the resolved
-    /// kind and record it in trace metadata, so the backend a trace
-    /// reports is the backend that ran every op.
+    /// The one place a `Simd` request becomes a concrete backend:
+    /// `Simd` on AVX2+FMA hosts, `Scalar` everywhere else. Engines
+    /// dispatch through the resolved kind and record it in trace
+    /// metadata, so the backend a trace reports is the backend that ran
+    /// every op.
     pub fn resolve(self) -> KernelKind {
         match self {
-            KernelKind::Scalar => self,
-            KernelKind::Simd | KernelKind::Auto => {
-                if Self::simd_available() {
-                    KernelKind::Simd
-                } else {
-                    KernelKind::Scalar
-                }
-            }
+            KernelKind::Simd if !Self::simd_available() => KernelKind::Scalar,
+            kind => kind,
         }
     }
 
     /// The vector width, in bits, that [`Self::kernels`] of this kind
     /// runs its matrix kernels with on this host: 512 or 256 for
-    /// `Simd`/`Auto` (0 without AVX2+FMA), 0 for `Scalar`. Reported
-    /// next to the resolved backend so a run says which bodies it
-    /// measured.
+    /// `Simd` (0 without AVX2+FMA), 0 for `Scalar`. Reported next to
+    /// the resolved backend so a run says which bodies it measured.
     pub fn simd_width_bits(self) -> u32 {
         match self {
             KernelKind::Scalar => 0,
-            KernelKind::Simd | KernelKind::Auto => simd::simd_width_bits(),
+            KernelKind::Simd => simd::simd_width_bits(),
         }
     }
 
     /// The implementation a kind names — a plain name-to-backend map
     /// with no size test of its own. Engines call it on a resolved
-    /// kind; `Simd` (and `Auto`) name the widest [`simd::SimdKernels`]
-    /// set of this host, which without AVX2+FMA is the one whose every
-    /// method falls back to the scalar backend.
+    /// kind; `Simd` names the widest [`simd::SimdKernels`] set of this
+    /// host, which without AVX2+FMA is the one whose every method falls
+    /// back to the scalar backend.
     pub fn kernels(self) -> &'static dyn Kernels {
         match self {
             KernelKind::Scalar => &scalar::ScalarKernels,
-            KernelKind::Simd | KernelKind::Auto => simd::SimdKernels::for_host(),
-        }
-    }
-}
-
-/// An unrecognized kernel-backend name.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KernelKindParseError(String);
-
-impl std::fmt::Display for KernelKindParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown kernel backend {:?} (expected one of: scalar, simd, auto)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for KernelKindParseError {}
-
-impl std::str::FromStr for KernelKind {
-    type Err = KernelKindParseError;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(KernelKind::Scalar),
-            "simd" => Ok(KernelKind::Simd),
-            "auto" => Ok(KernelKind::Auto),
-            other => Err(KernelKindParseError(other.to_string())),
+            KernelKind::Simd => simd::SimdKernels::for_host(),
         }
     }
 }
@@ -133,7 +92,6 @@ impl std::fmt::Display for KernelKind {
         f.write_str(match self {
             KernelKind::Scalar => "scalar",
             KernelKind::Simd => "simd",
-            KernelKind::Auto => "auto",
         })
     }
 }
@@ -418,31 +376,14 @@ mod tests {
     use crate::AlignedVec;
 
     #[test]
-    fn kernel_kind_display_parse_round_trips_all_variants() {
-        for kind in KernelKind::ALL {
-            let name = kind.to_string();
-            let back: KernelKind = name.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(back, kind, "{name} did not round-trip");
-        }
-    }
-
-    #[test]
-    fn unknown_names_are_rejected_with_the_full_menu() {
-        for gone in ["avx512", "vector"] {
-            let msg = gone.parse::<KernelKind>().unwrap_err().to_string();
-            assert!(msg.contains("scalar, simd, auto"), "{msg}");
-        }
-    }
-
-    #[test]
     fn resolve_returns_concrete_backends_only() {
         for kind in KernelKind::ALL {
             let r = kind.resolve();
-            assert_ne!(r, KernelKind::Auto, "{kind} resolved to Auto");
             assert_eq!(r, r.resolve(), "resolve must be idempotent");
         }
         // Scalar is never redirected.
         assert_eq!(KernelKind::Scalar.resolve(), KernelKind::Scalar);
+        assert_eq!(KernelKind::ALL.map(|k| k.to_string()), ["scalar", "simd"]);
     }
 
     #[test]
@@ -452,7 +393,6 @@ mod tests {
         } else {
             KernelKind::Scalar
         };
-        assert_eq!(KernelKind::Auto.resolve(), expect);
         assert_eq!(KernelKind::Simd.resolve(), expect);
     }
 

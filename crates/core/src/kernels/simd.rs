@@ -417,13 +417,13 @@ mod x86 {
     /// NT stores bypass the cache entirely: an output its parent could
     /// re-read from cache only loses by them. Measured on a 2-vCPU Xeon
     /// with 2 MiB of L2 per core and 105 MiB of L3, 15-taxon `search
-    /// --rounds 0 --blocking off`, streaming against no streaming store
-    /// at all: 20 % slower at 5 266 patterns (0.7 MB per CLA), even at
+    /// --rounds 0` under `Blocking::Off`, streaming against no
+    /// streaming store at all: 20 % slower at 5 266 patterns (0.7 MB per CLA), even at
     /// 10 181 (1.3 MB), 8–15 % faster from 18 745 (2.4 MB) to 87 620
     /// (11 MB) — also where all 13 CLAs still fit the L3. The output
     /// against the per-core cache decides. With that host's 2 MiB
     /// calibrated into 4 096-site blocks, streaming each full block
-    /// took a 15 × 12 000 `--blocking on` search from 0.145–0.179 s to
+    /// took a 15 × 12 000 `Blocking::On` search from 0.145–0.179 s to
     /// 0.224–0.246 s.
     #[inline]
     pub(super) fn streams(n_sites: usize, cache_bytes: u64, block_sites: usize) -> bool {

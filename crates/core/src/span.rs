@@ -16,11 +16,12 @@
 //! prefix lost to overflow), which [`pair_spans`] and the Chrome
 //! trace-event exporter ([`chrome_trace_json`]) exploit to reconstruct
 //! the hierarchy: search → round → SPR round → branch-opt on the
-//! searching thread, and each fork-join worker's `idle` / `job.*`
-//! spans. A kernel call opens no span: `KernelStats::record_op_timed`
-//! is its one record, and a span per call would evict the structure
-//! above it from the ring; a fork-join region opens none on the master
-//! either, whose `RegionStats` already time both of its barrier waits.
+//! searching thread. A kernel call opens no span:
+//! `KernelStats::record_op_timed` is its one record, and a span per
+//! call would evict the structure above it from the ring; a fork-join
+//! region opens none either, on the master, whose `RegionStats` already
+//! time both of its barrier waits, or on a worker, whose `op` events
+//! hold its kernel time.
 //!
 //! ## Zero cost when off
 //!
@@ -56,7 +57,7 @@ pub enum SpanPhase {
 /// a length, so the hot path never allocates or copies the name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Static span name (e.g. `"spr_round"`, `"job.eval"`).
+    /// Static span name (e.g. `"spr_round"`, `"branch_opt"`).
     pub name: &'static str,
     /// Begin or end.
     pub phase: SpanPhase,

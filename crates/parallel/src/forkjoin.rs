@@ -67,23 +67,6 @@ enum Op {
     Shutdown,
 }
 
-impl Op {
-    /// Span name a worker records while executing this job (the
-    /// master opens no span per region: its `RegionStats` time both
-    /// barrier waits).
-    fn span_name(self) -> &'static str {
-        match self {
-            Op::Eval(_) => "job.eval",
-            Op::Prepare(_) => "job.prepare",
-            Op::Derivatives(_) => "job.derivatives",
-            Op::SetAlpha(_) => "job.set_alpha",
-            Op::SetModel(_) => "job.set_model",
-            Op::TakeStats => "job.take_stats",
-            Op::Idle | Op::Shutdown => "job.control",
-        }
-    }
-}
-
 /// The broadcast work item. The master edits it in place before the
 /// fork barrier; every team member reads it by reference between fork
 /// and join.
@@ -401,10 +384,11 @@ fn run_job(
     .unwrap_or_else(|p| Reply::Panicked(crate::panic_message(&*p)))
 }
 
-/// The worker side of the protocol: wait at the fork barrier (an
-/// `idle` span), run the broadcast job against the worker's engine
-/// slice ([`run_job`], a `job.*` span), publish the partial result,
-/// wait at the join barrier. A panicking job leaves the worker in the
+/// The worker side of the protocol: wait at the fork barrier, run the
+/// broadcast job against the worker's engine slice ([`run_job`]),
+/// publish the partial result, wait at the join barrier. It opens no
+/// span per region: its kernel time is in its `op` events, its region
+/// time in the master's `region` event. A panicking job leaves the worker in the
 /// loop so neither barrier ever deadlocks. A poisoned barrier pass (a
 /// sibling died) makes the worker exit cleanly.
 fn worker_loop(
@@ -418,20 +402,15 @@ fn worker_loop(
     let mut token = BarrierToken::new();
     let mut region: u64 = 0;
     loop {
-        {
-            let _idle = plf_core::span::enter("idle");
-            if proto.fork(&mut token).is_err() {
-                return;
-            }
+        if proto.fork(&mut token).is_err() {
+            return;
         }
         region += 1;
         // `None` means Shutdown: exit before the join barrier (the
         // master skips it too).
         let reply = proto.read_job(|job| {
-            (!matches!(job.op, Op::Shutdown)).then(|| {
-                let _job = plf_core::span::enter(job.op.span_name());
-                run_job(&mut engine, job, slice, region, fault_plan)
-            })
+            (!matches!(job.op, Op::Shutdown))
+                .then(|| run_job(&mut engine, job, slice, region, fault_plan))
         });
         let Some(reply) = reply else {
             return;

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! phylomic simulate --taxa 15 --sites 10000 --out data.phy [--alpha 0.85] [--seed 42]
-//! phylomic evaluate --alignment data.phy --tree tree.nwk [--alpha 0.85] [--kernels simd]
+//! phylomic evaluate --alignment data.phy --tree tree.nwk [--alpha 0.85]
 //! phylomic search   --alignment data.phy [--tree start.nwk] [--scheme serial|forkjoin|replicated]
 //!                   [--threads 4] [--rounds 20] [--checkpoint run.ckp] [--out best.nwk]
 //! ```
@@ -22,8 +22,8 @@ use phylomic::plf::trace::{
     events_from_metrics, events_from_spans, events_from_stats, write_jsonl, TraceEvent,
     TRACE_VERSION,
 };
-use phylomic::plf::{metrics, span, Blocking, EngineConfig, KernelKind, LikelihoodEngine};
-use phylomic::search::{MlSearch, SearchConfig};
+use phylomic::plf::{metrics, span, Blocking, EngineConfig, LikelihoodEngine};
+use phylomic::search::{Evaluator, MlSearch, SearchConfig, SearchResult};
 use phylomic::tree::build::{default_names, random_tree};
 use phylomic::tree::{newick, Tree};
 use rand::rngs::SmallRng;
@@ -67,16 +67,7 @@ type Command = fn(&Opts) -> Result<(), String>;
 /// What `search` and a `_rank` child it spawns both read — the valued
 /// options of `search_inputs`, which `run_sharded` passes through, and
 /// the three it handles one by one.
-const SEARCH_INPUT_OPTS: &[&str] = &[
-    "alignment",
-    "tree",
-    "start",
-    "seed",
-    "alpha",
-    "rounds",
-    "kernels",
-    "blocking",
-];
+const SEARCH_INPUT_OPTS: &[&str] = &["alignment", "tree", "start", "seed", "alpha", "rounds"];
 const RANK_OPTS: &[&str] = &["no-model-opt", "checkpoint", "inject-fault"];
 
 /// Every subcommand: its name, the options it reads, in groups (every
@@ -92,15 +83,7 @@ const COMMANDS: &[(&str, &[&[&str]], Command)] = &[
     ),
     (
         "evaluate",
-        &[&[
-            "alignment",
-            "tree",
-            "alpha",
-            "kernels",
-            "blocking",
-            "trace-out",
-            "chrome-out",
-        ]],
+        &[&["alignment", "tree", "alpha", "trace-out", "chrome-out"]],
         cmd_evaluate,
     ),
     (
@@ -122,16 +105,7 @@ const COMMANDS: &[(&str, &[&[&str]], Command)] = &[
     ),
     (
         "bootstrap",
-        &[&[
-            "alignment",
-            "seed",
-            "replicates",
-            "rounds",
-            "alpha",
-            "kernels",
-            "blocking",
-            "out",
-        ]],
+        &[&["alignment", "seed", "replicates", "rounds", "alpha", "out"]],
         cmd_bootstrap,
     ),
     ("trace-report", &[&["trace", "format"]], cmd_trace_report),
@@ -156,12 +130,10 @@ const USAGE: &str = "phylomic — phylogenetic likelihood toolkit (PLF-on-MIC re
 USAGE:
   phylomic simulate --taxa N --sites M --out FILE [--alpha A] [--seed S]
   phylomic evaluate --alignment FILE --tree FILE [--alpha A]
-                    [--kernels scalar|simd|auto] [--blocking on|off|auto]
                     [--trace-out FILE] [--chrome-out FILE]
   phylomic search   --alignment FILE [--tree FILE | --start random|parsimony]
                     [--scheme serial|forkjoin|replicated] [--threads N] [--rounds R]
-                    [--alpha A] [--kernels K] [--blocking B]
-                    [--checkpoint FILE] [--out FILE]
+                    [--alpha A] [--checkpoint FILE] [--out FILE]
                     [--seed S] [--no-model-opt] [--trace-out FILE] [--chrome-out FILE]
                     [--inject-fault SPEC] [--degrade] [--transport threads|uds]
   phylomic bootstrap --alignment FILE [--replicates N] [--rounds R] [--seed S]
@@ -170,20 +142,16 @@ USAGE:
   phylomic calibrate [--out FILE] [--force]
 
 Alignments: PHYLIP when the path ends in .phy, FASTA otherwise.
---kernels picks the PLF kernel backend (default auto: explicit SIMD when
-the CPU supports it — 512-bit vectors with AVX-512F, 256-bit with
-AVX2+FMA alone, same results bit for bit — and the scalar reference
-loops otherwise). evaluate and search print the resolved backend and
-its vector width (`kernel backend: simd  simd_width_bits 512`; 0 =
-scalar loops), and both are recorded in the JSONL trace meta event.
---blocking controls traversal-level cache blocking: 'on' walks the
-stale part of every traversal in cache-sized site blocks (children's
-freshly written columns stay cache-resident for their parents), 'off'
-runs one full-width newview per node, 'auto' (default) blocks only
-when the pattern count exceeds one block. Results are bit-identical
-either way. The resolved mode is recorded in the trace meta event.
-Block size comes from the calibrated per-core cache (phylomic
-calibrate), falling back to a 1 MiB budget.
+The PLF kernel backend is chosen from the host: explicit SIMD when the
+CPU supports it (512-bit vectors with AVX-512F, 256-bit with AVX2+FMA
+alone, same results bit for bit), the scalar reference loops otherwise.
+evaluate and search print it and its vector width (`kernel backend:
+simd  simd_width_bits 512`; 0 = scalar loops), and both are recorded in
+the JSONL trace meta event. The traversal is walked in cache-sized site
+blocks when an engine's pattern slice exceeds one block (bit-identical
+results; the mode is recorded in the trace meta event). Block size
+comes from the calibrated per-core cache (phylomic calibrate), falling
+back to a 1 MiB budget.
 --trace-out dumps kernel timings, fork-join region latencies, spans and
 metrics as JSONL, in the format micsim's measured-cost calibration
 (`MeasuredHostCosts::from_jsonl`) and `trace-report` consume.
@@ -440,31 +408,15 @@ fn require<'a>(opts: &'a Opts, key: &str) -> Result<&'a str, String> {
 /// What to type instead of an option that used to exist.
 fn retired_hint(name: &str) -> Option<String> {
     match name {
-        "kernel" => {
-            let menu = KernelKind::ALL.map(|k| k.to_string()).join(", ");
-            Some(format!("use --kernels: {menu}"))
-        }
+        "kernels" | "blocking" | "kernel" => Some(
+            "removed: the kernel backend and blocking are chosen from the host, \
+             and printed on the `kernel backend:` line and in the trace meta"
+                .to_string(),
+        ),
         "site-repeats" => {
             Some("removed: the search is bit-identical without it, see DESIGN.md §13".to_string())
         }
         _ => None,
-    }
-}
-
-/// Parses `--kernels`. Defaults to `auto` — the fastest backend the
-/// host can run. All name handling goes through `KernelKind`'s
-/// `FromStr`, the single source of truth for backend names.
-fn kernel_of(opts: &Opts) -> Result<KernelKind, String> {
-    get(opts, "kernels", KernelKind::Auto)
-}
-
-/// Parses `--blocking`. Defaults to `auto` — block the traversal only
-/// when the pattern slice exceeds one cache-sized block. All name
-/// handling goes through `Blocking`'s `FromStr`.
-fn blocking_of(opts: &Opts) -> Result<Blocking, String> {
-    match opts.get("blocking") {
-        None => Ok(Blocking::Auto),
-        Some(v) => v.parse().map_err(|e| format!("--blocking: {e}")),
     }
 }
 
@@ -525,9 +477,7 @@ fn cmd_evaluate(opts: &Opts) -> Result<(), String> {
     let alpha: f64 = get(opts, "alpha", 1.0)?;
     let compressed = CompressedAlignment::from_alignment(&aln);
     let config = EngineConfig {
-        kernel: kernel_of(opts)?,
         alpha,
-        blocking: blocking_of(opts)?,
         ..EngineConfig::default()
     };
     let mut engine = LikelihoodEngine::new(&tree, &compressed, config);
@@ -596,9 +546,7 @@ fn search_inputs(opts: &Opts) -> Result<SearchInputs, String> {
         },
     };
     let config = EngineConfig {
-        kernel: kernel_of(opts)?,
         alpha,
-        blocking: blocking_of(opts)?,
         ..EngineConfig::default()
     };
     let search = MlSearch::new(SearchConfig {
@@ -720,15 +668,17 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
     let trace_events: Vec<TraceEvent>;
     let mut trace_transport = String::new();
     let mut trace_wire = phylomic::parallel::WireStats::default();
+    // The serial and fork-join arms share one checkpoint branch.
+    let run = |evaluator: &mut dyn Evaluator, tree: &mut Tree| -> Result<SearchResult, String> {
+        match opts.get("checkpoint") {
+            Some(path) => search.run_checkpointed(evaluator, tree, std::path::Path::new(path)),
+            None => Ok(search.run(evaluator, tree)),
+        }
+    };
     let result = match scheme {
         "serial" => {
             let mut engine = LikelihoodEngine::new(&tree, &compressed, config);
-            let result = match opts.get("checkpoint") {
-                Some(path) => {
-                    search.run_checkpointed(&mut engine, &mut tree, std::path::Path::new(path))?
-                }
-                None => search.run(&mut engine, &mut tree),
-            };
+            let result = run(&mut engine, &mut tree)?;
             trace_events = events_from_stats("serial", engine.stats());
             result
         }
@@ -745,15 +695,9 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
             // A job panic on any slice (injected via rank=R,region=N
             // or real) is re-raised by the master; turn it into a
             // structured exit instead of an abort trace.
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                match opts.get("checkpoint") {
-                    Some(path) => {
-                        search.run_checkpointed(&mut fj, &mut tree, std::path::Path::new(path))
-                    }
-                    None => Ok(search.run(&mut fj, &mut tree)),
-                }
-            }));
-            let result = match run {
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut fj, &mut tree)));
+            let result = match outcome {
                 Ok(r) => r?,
                 Err(payload) => {
                     let msg = phylomic::parallel::panic_message(&*payload);
@@ -901,9 +845,7 @@ fn cmd_bootstrap(opts: &Opts) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let config = EngineConfig {
-        kernel: kernel_of(opts)?,
         alpha: get(opts, "alpha", 1.0)?,
-        blocking: blocking_of(opts)?,
         ..EngineConfig::default()
     };
     let search = MlSearch::new(SearchConfig {

@@ -122,7 +122,8 @@ fn simulate_evaluate_search_roundtrip() {
 /// do not — the search's own structure. A span per kernel call re-times
 /// what those events already total and, at 64 taxa, laps the ring over
 /// `search`, `round` and `spr_round`; so did the fork-join master's
-/// three spans per region, which its `region` event already times.
+/// three spans per region, which its `region` event already times, and
+/// a worker's two, which lapped the worker's own ring.
 #[test]
 fn traced_search_keeps_its_structure_spans() {
     use phylomic::plf::trace::TraceEvent;
@@ -151,15 +152,11 @@ fn traced_search_keeps_its_structure_spans() {
         );
         let doc = std::fs::read_to_string(&trace).unwrap();
         let events = phylomic::plf::trace::parse_jsonl(&doc).unwrap();
-        // A fork-join worker's `idle` / `job.*` ring may still wrap;
-        // the serial run's one ring must not.
-        if scheme == "serial" {
-            let dropped = events.iter().find_map(|e| match e {
-                TraceEvent::Meta { spans_dropped, .. } => Some(*spans_dropped),
-                _ => None,
-            });
-            assert_eq!(dropped, Some(0), "the ring lapped");
-        }
+        let dropped = events.iter().find_map(|e| match e {
+            TraceEvent::Meta { spans_dropped, .. } => Some(*spans_dropped),
+            _ => None,
+        });
+        assert_eq!(dropped, Some(0), "{scheme}: a ring lapped");
         let spans: std::collections::BTreeSet<&str> = events
             .iter()
             .filter_map(|e| match e {
@@ -761,11 +758,23 @@ fn unknown_options_are_refused_per_subcommand() {
             "{cmd}: {err}"
         );
         assert!(err.contains("DESIGN.md §13"), "{cmd}: {err}");
+        // The engine picks its own backend and blocking.
+        for (flag, value) in [
+            ("kernels", "simd"),
+            ("blocking", "on"),
+            ("kernel", "scalar"),
+        ] {
+            let (code, err) = run(cmd, &[&format!("--{flag}"), value]);
+            assert_eq!(code, Some(1), "{cmd} --{flag}: {err}");
+            let hint = format!("error: unknown option --{flag} (removed: the kernel backend");
+            assert!(err.starts_with(&hint), "{cmd} --{flag}: {err}");
+            assert!(err.contains("`kernel backend:` line"), "{cmd}: {err}");
+        }
     }
     // Every option a subcommand does read still gets through.
     let (code, err) = run(
         "search",
-        &["--rounds", "0", "--no-model-opt", "--blocking", "on"],
+        &["--rounds", "0", "--no-model-opt", "--alpha", "0.5"],
     );
     assert_eq!(code, Some(0), "{err}");
 }
@@ -829,8 +838,11 @@ fn threads_are_refused_under_the_serial_scheme() {
     );
 }
 
+/// Every run says which kernel bodies it measured: the backend the host
+/// resolved and its vector width, on stdout, in the trace meta and in
+/// the report.
 #[test]
-fn kernels_flag_accepts_every_backend_and_refuses_retired_names() {
+fn evaluate_reports_the_resolved_backend() {
     let dir = TestDir::new("cli-kernels");
     let phy = dir.join("k.phy");
     let out = bin()
@@ -840,50 +852,23 @@ fn kernels_flag_accepts_every_backend_and_refuses_retired_names() {
         .unwrap();
     assert!(out.status.success());
     let tree = format!("{}.tree", phy.display());
+    let trace = dir.join("k.jsonl");
+    let out = bin()
+        .args(["evaluate", "--alignment", phy.to_str().unwrap()])
+        .args(["--tree", &tree, "--trace-out", trace.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
-    // `extra` is appended to a plain `evaluate`.
-    let eval = |extra: &[&str]| -> (bool, String, String) {
-        let out = bin()
-            .args(["evaluate", "--alignment", phy.to_str().unwrap()])
-            .args(["--tree", &tree])
-            .args(extra)
-            .output()
-            .unwrap();
-        (
-            out.status.success(),
-            String::from_utf8_lossy(&out.stdout).into_owned(),
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-        )
-    };
-    let logl = |stdout: &str| -> f64 {
-        let mut words = stdout.split_whitespace().skip_while(|w| *w != "logL");
-        words.nth(1).expect("logL value").parse().expect("a number")
-    };
-
-    let (ok, scalar, err) = eval(&["--kernels", "scalar"]);
-    assert!(ok, "{err}");
-    let (ok, simd, err) = eval(&["--kernels", "simd"]);
-    assert!(ok, "{err}");
-    let (ok, auto, err) = eval(&["--kernels", "auto"]);
-    assert!(ok, "{err}");
-    let (a, b) = (logl(&scalar), logl(&simd));
-    assert!((a - b).abs() <= 1e-9 * a.abs(), "scalar {a} vs simd {b}");
-    // `auto` is a name for one backend, not a third code path.
-    assert_eq!(auto, simd, "auto must print what simd prints");
-
-    // Every run says which bodies it measured: the resolved backend and
-    // its vector width, on stdout, in the trace meta and in the report.
     let resolved = phylomic::plf::KernelKind::Simd.resolve();
     let width = resolved.simd_width_bits();
-    assert!(
-        scalar.contains("kernel backend: scalar  simd_width_bits 0\n"),
-        "{scalar}"
-    );
     let line = format!("kernel backend: {resolved}  simd_width_bits {width}\n");
-    assert!(simd.contains(&line), "{simd}");
-    let trace = dir.join("k.jsonl");
-    let (ok, _, err) = eval(&["--kernels", "simd", "--trace-out", trace.to_str().unwrap()]);
-    assert!(ok, "{err}");
+    assert!(stdout.contains(&line), "{stdout}");
     let meta = std::fs::read_to_string(&trace).unwrap();
     let meta = meta.lines().next().unwrap();
     let field = format!(r#""backend":"{resolved}","simd_width_bits":{width},"#);
@@ -895,23 +880,13 @@ fn kernels_flag_accepts_every_backend_and_refuses_retired_names() {
     let report = String::from_utf8_lossy(&out.stdout);
     let lines = format!("kernel backend: {resolved}\nsimd_width_bits: {width}\n");
     assert!(report.contains(&lines), "{report}");
-
-    // The retired backend and the retired flag spelling are usage
-    // errors that say what to type instead.
-    for extra in [["--kernels", "vector"], ["--kernel", "scalar"]] {
-        let (ok, _, err) = eval(&extra);
-        assert!(!ok, "{extra:?} was accepted");
-        assert!(err.starts_with("error: "), "{extra:?}: {err}");
-        assert!(err.contains("scalar, simd, auto"), "{extra:?}: {err}");
-    }
 }
 
-/// `--kernels scalar --blocking on` reaches every scheme's engines —
-/// the uds children's through the flags the supervisor passes on — and
-/// changes nothing but the backend line.
+/// Every scheme's engines — the uds children's too, rebuilt from the
+/// flags the supervisor passes on — find the serial run's tree.
 #[test]
-fn scalar_blocked_search_finds_the_default_tree_under_every_scheme() {
-    let dir = TestDir::new("cli-scalar-blocked");
+fn every_scheme_finds_the_serial_tree() {
+    let dir = TestDir::new("cli-every-scheme");
     let phy = dir.join("s.phy");
     let out = bin()
         .args(["simulate", "--taxa", "8", "--sites", "400", "--seed", "5"])
@@ -937,9 +912,8 @@ fn scalar_blocked_search_finds_the_default_tree_under_every_scheme() {
         let mut words = stdout.split_whitespace().skip_while(|w| *w != "logL");
         words.nth(1).expect("logL value").parse().expect("a number")
     };
-    let (default_out, default_tree) = search("default", &[]);
-    let schemes: [&[&str]; 4] = [
-        &["--scheme", "serial"],
+    let (serial_out, serial_tree) = search("serial", &["--scheme", "serial"]);
+    let schemes: [&[&str]; 3] = [
         &["--scheme", "forkjoin", "--threads", "2"],
         &[
             "--scheme",
@@ -959,19 +933,16 @@ fn scalar_blocked_search_finds_the_default_tree_under_every_scheme() {
         ],
     ];
     for (i, scheme) in schemes.into_iter().enumerate() {
-        let flags = [scheme, &["--kernels", "scalar", "--blocking", "on"]].concat();
-        let (stdout, tree) = search(&format!("run{i}"), &flags);
-        let backend = "kernel backend: scalar  simd_width_bits 0\n";
-        assert!(stdout.contains(backend), "{scheme:?}: {stdout}");
-        // FMA contraction moves the last digits of a simd run's branch
-        // lengths, never its topology.
+        let (stdout, tree) = search(&format!("run{i}"), scheme);
+        // Pattern slices move the last digits of the branch lengths,
+        // never the topology.
         let parse = |t: &str| phylomic::tree::newick::parse(t).unwrap();
-        let rf = parse(&tree).rf_distance(&parse(&default_tree));
+        let rf = parse(&tree).rf_distance(&parse(&serial_tree));
         assert_eq!(
             rf, 0,
-            "{scheme:?}: {tree} is not the default run's {default_tree}"
+            "{scheme:?}: {tree} is not the serial run's {serial_tree}"
         );
-        let (got, expect) = (logl(&stdout), logl(&default_out));
+        let (got, expect) = (logl(&stdout), logl(&serial_out));
         assert!(
             (got - expect).abs() <= 1e-6,
             "{scheme:?}: logL {got} vs {expect}"

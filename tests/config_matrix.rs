@@ -172,7 +172,7 @@ fn run(cell: Cell, row: &Row) -> Run {
 
 /// `naive::log_likelihood` under the model an engine derives from `aln`.
 fn brute_force(tree: &Tree, aln: &CompressedAlignment, alpha: f64) -> f64 {
-    let e = LikelihoodEngine::new(tree, aln, config(KernelKind::Auto, Blocking::Auto, alpha));
+    let e = LikelihoodEngine::new(tree, aln, config(KernelKind::Simd, Blocking::Auto, alpha));
     let tip = |t| {
         aln.row(aln.taxon_index(tree.tip_name(t)).unwrap())
             .iter()
@@ -305,6 +305,34 @@ fn random_rows_and_their_metamorphs_in_every_cell() {
                         _ => assert_eq!(a.0[i].0, b.0[i].0, "{what}"),
                     }
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn backends_agree_at_every_root_edge() {
+    // The same rows as above, unpermuted: one of them blocks under `auto`.
+    let rows = [
+        (5, 1, 6),
+        (6, 7, 1),
+        (7, 9, 2),
+        (8, 16, 3),
+        (5, block_sites() + 9, 4),
+    ];
+    for (taxa, patterns, seed) in rows {
+        let row = random_row(taxa, patterns, seed, Plain);
+        for (blocking, workers) in Blocking::ALL
+            .into_iter()
+            .flat_map(|b| SCHEMES.map(|w| (b, w)))
+        {
+            let scalar = run(Cell(KernelKind::Scalar, blocking, workers), &row);
+            let simd = Cell(KernelKind::Simd, blocking, workers);
+            let got = run(simd, &row);
+            for (i, root) in row.roots.iter().enumerate() {
+                let (x, y) = (scalar.values(i)[0], got.values(i)[0]);
+                let what = format!("{} {simd} root {root}", row.name);
+                assert!((x - y).abs() <= 1e-10, "{what}: logL {y} vs scalar {x}");
             }
         }
     }

@@ -13,7 +13,7 @@ use phylomic::parallel::ForkJoinEvaluator;
 use phylomic::plf::trace::{
     events_from_metrics, events_from_spans, parse_jsonl, write_jsonl, TraceEvent, TRACE_VERSION,
 };
-use phylomic::plf::{metrics, span, EngineConfig, KernelKind};
+use phylomic::plf::{metrics, span, EngineConfig, KernelId, KernelKind};
 use phylomic::search::{MlSearch, SearchConfig};
 use phylomic::tree::build::{default_names, random_tree};
 use rand::rngs::SmallRng;
@@ -44,8 +44,8 @@ fn traced_forkjoin_search() -> Vec<TraceEvent> {
 
     let mut events = vec![TraceEvent::Meta {
         version: TRACE_VERSION,
-        backend: KernelKind::Auto.resolve().to_string(),
-        simd_width_bits: KernelKind::Auto.resolve().simd_width_bits().into(),
+        backend: KernelKind::Simd.resolve().to_string(),
+        simd_width_bits: KernelKind::Simd.resolve().simd_width_bits().into(),
         blocking: phylomic::plf::Blocking::Auto.to_string(),
         spans_dropped: span::snapshot_all().iter().map(|t| t.dropped).sum(),
         roofline_mflops: 0,
@@ -68,7 +68,7 @@ fn traced_search_roundtrips_and_reports() {
     let doc = write_jsonl(&events);
     assert_eq!(parse_jsonl(&doc).unwrap(), events);
 
-    // Search-layer and fork-join-layer spans made it into the stream.
+    // Search-layer spans made it into the stream.
     let span_names: Vec<&str> = events
         .iter()
         .filter_map(|e| match e {
@@ -76,7 +76,7 @@ fn traced_search_roundtrips_and_reports() {
             _ => None,
         })
         .collect();
-    for expected in ["search", "spr_round", "branch_opt", "job.eval"] {
+    for expected in ["search", "spr_round", "branch_opt"] {
         assert!(
             span_names.contains(&expected),
             "span {expected:?} missing; saw {:?}",
@@ -86,6 +86,18 @@ fn traced_search_roundtrips_and_reports() {
                 u.dedup();
                 u
             }
+        );
+    }
+
+    // A worker opens no span per region; its evaluate work is in its
+    // own `op` events.
+    for i in 0..WORKERS {
+        let source = format!("worker{i}");
+        assert!(
+            events.iter().any(|e| matches!(e,
+                TraceEvent::Op { source: s, op, calls, .. }
+                    if *s == source && op.kernel_id() == KernelId::Evaluate && *calls > 0)),
+            "{source} has no evaluate op event"
         );
     }
 

@@ -363,10 +363,6 @@ use phylomic::tree::moves::{spr, spr_undo, SprUndo};
 use phylomic::tree::traverse::edges_within;
 use phylomic::tree::EdgeId;
 
-/// Backend axis of the blocking matrix: every concrete backend plus the
-/// `Auto` name (which must resolve to one of them, bits and all).
-const MATRIX_BACKENDS: [KernelKind; 3] = [KernelKind::Scalar, KernelKind::Simd, KernelKind::Auto];
-
 /// An alignment whose patterns cycle through `protos` prototype
 /// columns: `protos == 1` is one column repeated, `protos >= width`
 /// all-distinct columns.
@@ -674,7 +670,7 @@ fn remainder_tails_every_backend() {
     for width in [1usize, 7, 8, 9, 31] {
         for protos in [1usize, width.div_ceil(2), width] {
             let aln = proto_alignment(&tree, protos, width, 7 + width as u64);
-            for kernel in MATRIX_BACKENDS {
+            for kernel in KernelKind::ALL {
                 assert_on_off_identical(&tree, &aln, kernel, 0.8, &[0, 2]);
             }
         }
