@@ -37,23 +37,25 @@
 //!   7. with AVX-512F present, the 512-bit `newview_ii` body at least
 //!      `WIDTH_MIN_SPEEDUP` × faster than the 256-bit body of the same
 //!      backend (skipped with a message elsewhere);
-//!   8. `newview_ii` with the underflow threshold tested on the
-//!      accumulators at least `FINISH_MIN_SPEEDUP` × faster than the
-//!      same 256-bit loop finishing every site the old way (store,
-//!      then `scale_site` reads it back lane by lane);
 //!  13. with AVX-512F present, the fused 512-bit `derivative_core` at
 //!      least `DERIVCORE_MIN_SPEEDUP` × faster than the 256-bit phase 1
 //!      plus the provided scalar tail, with bit-equal results.
 //!
 //! (Gates 1 and 2 guarded the `vector` backend and the `auto`
 //! dispatcher, gates 4, 5 and 9 site-repeat compression, and went with
-//! them; the numbers stay so EXPERIMENTS.md and DESIGN.md keep pointing
-//! at the right gate.)
+//! them. Gates 8, 11 and 12 timed live code against bench-local copies
+//! of the designs it replaced — a store-then-scan `newview_ii` finish,
+//! a `Vec`-per-node tree, a region that allocates — and went once
+//! deterministic tests held what they stood for: the simd kernel tests'
+//! rescale counters against scalar, and `phylo-parallel`'s
+//! `alloc_free_region` counts of `Tree::clone`, `Tree::clone_from` and
+//! a warm region. The numbers stay so EXPERIMENTS.md and DESIGN.md keep
+//! pointing at the right gate.)
 //!
-//! Gates 7, 8 and 13 are ratio cells: both arms run in the same process,
+//! Gates 7 and 13 are ratio cells: both arms run in the same process,
 //! interleaved round by round, at the call sizes of the `plf_e2e`
 //! workloads (390 sites = `narrow64`, 3 716 / 7 307 = `wide15` /
-//! `modelopt15`; the `newview_ii` cells of gates 7 and 8 below
+//! `modelopt15`; the `newview_ii` cells of gate 7 below
 //! `NEWVIEW_CELL_MAX_SITES` only).
 //!
 //! A third section holds the non-kernel cells — same-run, interleaved:
@@ -64,17 +66,6 @@
 //!      an adjacent edge — the same walk plus the one `newview` (two
 //!      P matrices, a 16-site kernel call) both arms then run — at
 //!      least `REROOT_MIN_SPEEDUP` ×;
-//!  11. `Tree::clone` at 64 taxa against a bench-local control laid out
-//!      like the tree it replaced (a `Vec` per node, a `String` per
-//!      tip), at least `CLONE_MIN_SPEEDUP` ×;
-//!  12. one fork-join region round trip with a no-op job — master plus
-//!      one worker on the production `RegionProtocol`, a 64-taxon tree
-//!      published per region — the way `ForkJoinEvaluator` runs it
-//!      (snapshot refreshed in place, replies taken out of their
-//!      slots) against a bench-local control that allocates per region
-//!      (a fresh `Arc<Tree>` snapshot, the replies collected into a
-//!      `Vec`), at least `REGION_MIN_SPEEDUP` × in the median of nine
-//!      series, each on a fresh protocol and worker;
 //!  14. set-up: `phylip::parse_str` + `CompressedAlignment::from_alignment`
 //!      on a generated 32 × 40 000 low-divergence PHYLIP text (the shape
 //!      of `plf_e2e`'s `lowdiv32`) against the line-based readers and
@@ -91,14 +82,10 @@
 
 use phylo_bio::{naive, phylip, CompressedAlignment, DnaCode};
 use phylo_models::{DiscreteGamma, Gtr, GtrParams, ProbMatrix};
-use phylo_parallel::barrier::BarrierToken;
-use phylo_parallel::RegionProtocol;
 use phylo_tree::build::{default_names, random_tree};
-use phylo_tree::Tree;
 use plf_core::cla::Cla;
 use plf_core::kernels::simd::SimdKernels;
 use plf_core::layout::{EigenBasis, FusedPmat, Lut16x16};
-use plf_core::scaling::{scale_site, SCALE_THRESHOLD};
 use plf_core::{
     AlignedVec, Blocking, EngineConfig, KernelKind, KernelOp, Kernels, LikelihoodEngine,
     SITE_STRIDE,
@@ -109,7 +96,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Table III varies alignment width over roughly three decades; these
@@ -148,7 +134,7 @@ const BLOCKING_MAX_RATIO: f64 = 1.05;
 /// Gate 7: minimum speedup of the 512-bit `newview_ii` body over the
 /// 256-bit one (measured 1.2–1.3× on the development host).
 const WIDTH_MIN_SPEEDUP: f64 = 1.10;
-/// Gates 7 and 8 hold `newview_ii` bodies against each other only at
+/// Gate 7 holds the two `newview_ii` bodies against each other only at
 /// call sizes below this. A larger `newview` call happens only under
 /// `Blocking::Off` (engines block at 2 048 sites), and at 7 307 sites
 /// its three 935 KB CLAs outgrow the development host's 2 MiB L2, so
@@ -159,25 +145,12 @@ const NEWVIEW_CELL_MAX_SITES: usize = 4096;
 /// the two-phase 256-bit one (1.18–1.52 × on the development host, at
 /// 390 to 7 307 sites).
 const DERIVCORE_MIN_SPEEDUP: f64 = 1.10;
-/// Gate 8: minimum speedup of the in-register threshold test over the
-/// store-then-`scale_site` finish, both 256 bits wide.
-const FINISH_MIN_SPEEDUP: f64 = 1.25;
 /// Gate 10: minimum speedup of the pruned walk over the full one on a
 /// 64-taxon tree with nothing stale.
 const WALK_MIN_SPEEDUP: f64 = 5.0;
 /// Gate 10, in context: the same after a re-root across one node,
 /// where both arms also plan and run that node's `newview`.
 const REROOT_MIN_SPEEDUP: f64 = 2.0;
-/// Gate 11: minimum speedup of `Tree::clone` over the per-node-`Vec`,
-/// per-tip-`String` control.
-const CLONE_MIN_SPEEDUP: f64 = 10.0;
-/// Gate 12: minimum speedup of the allocation-free region round trip
-/// over the control that allocates a snapshot and a reply `Vec` per
-/// region. The cell reads 1.30–1.59 (median 1.42) while the
-/// development host is in its fast state and 1.20–1.25 in its slow
-/// one — the in-place arm loses 80 ns there, the control nothing — and
-/// 1.0 once a region allocates again, which is what the gate is for.
-const REGION_MIN_SPEEDUP: f64 = 1.15;
 /// Gate 14: minimum speedup of the byte-level reader and packed-key
 /// compression over `phylo_bio::naive` on the low-divergence text.
 const SETUP_MIN_SPEEDUP: f64 = 1.5;
@@ -513,84 +486,15 @@ fn interleaved(sites: usize, mut base: impl FnMut(), mut new: impl FnMut()) -> (
     )
 }
 
-/// Gate 8's control arm: the 256-bit `newview_ii` loop as it was before
-/// the threshold moved into registers — same prefetch, same FMA chains,
-/// but every site is stored and then scanned lane by lane for its
-/// maximum, as `scale_site` used to begin. Kept here, not in
-/// `plf-core`, because nothing but this measurement runs it.
-#[cfg(target_arch = "x86_64")]
-fn newview_ii_stored_finish(fx: &Fixture, out: &mut Cla) {
-    assert!(KernelKind::simd_available(), "the control needs AVX2+FMA");
-    // SAFETY: AVX2 and FMA were detected just above.
-    unsafe { stored_finish_avx2(fx, out) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-fn stored_finish_avx2(fx: &Fixture, out: &mut Cla) {
-    use core::arch::x86_64::{
-        _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd, _mm_prefetch, _MM_HINT_T0,
-    };
-    let (v_l, v_r) = (fx.v_l.values(), fx.v_r.values());
-    let (scale_l, scale_r) = (fx.v_l.scale(), fx.v_r.scale());
-    let (values, scale_out) = out.buffers_mut();
-    for (i, site) in values.chunks_exact_mut(SITE_STRIDE).enumerate() {
-        for v in [v_l, v_r] {
-            let ahead = v.as_ptr().wrapping_add((i + 8) * SITE_STRIDE);
-            _mm_prefetch::<_MM_HINT_T0>(ahead as *const i8);
-            _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(8) as *const i8);
-        }
-        let vl = &v_l[i * SITE_STRIDE..(i + 1) * SITE_STRIDE];
-        let vr = &v_r[i * SITE_STRIDE..(i + 1) * SITE_STRIDE];
-        let mut l = [_mm256_setzero_pd(); 4];
-        let mut r = [_mm256_setzero_pd(); 4];
-        for b in 0..4 {
-            for k in 0..4 {
-                let (cl, cr) = (
-                    &fx.p_l.cols[b][4 * k..4 * k + 4],
-                    &fx.p_r.cols[b][4 * k..4 * k + 4],
-                );
-                // SAFETY: both slices were bounds-checked to 4 doubles.
-                let (cl, cr) =
-                    unsafe { (_mm256_loadu_pd(cl.as_ptr()), _mm256_loadu_pd(cr.as_ptr())) };
-                l[k] = _mm256_fmadd_pd(cl, _mm256_set1_pd(vl[4 * k + b]), l[k]);
-                r[k] = _mm256_fmadd_pd(cr, _mm256_set1_pd(vr[4 * k + b]), r[k]);
-            }
-        }
-        for k in 0..4 {
-            let lanes = &mut site[4 * k..4 * k + 4];
-            // SAFETY: the slice was bounds-checked to 4 doubles.
-            unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), _mm256_mul_pd(l[k], r[k])) };
-        }
-        // The old first step of `scale_site`: a scalar running maximum
-        // over the site just stored.
-        let mut max = 0.0f64;
-        for &v in site.iter() {
-            if v > max {
-                max = v;
-            }
-        }
-        let bump = if max < SCALE_THRESHOLD {
-            scale_site(site)
-        } else {
-            0
-        };
-        scale_out[i] = scale_l[i] + scale_r[i] + bump;
-    }
-}
-
-/// The three ratio cells (gates 7, 8 and 13) at each of `sites`; an arm
-/// this host cannot run leaves its cell out, with a message.
+/// The two ratio cells (gates 7 and 13) at each of `sites`; a host
+/// without AVX-512F has only one width and runs neither, with a
+/// message.
 fn width_cells(sites: &[usize]) -> Vec<RatioCell> {
     let mut cells = Vec::new();
-    let (Some(w256), w512) = (SimdKernels::at_width(256), SimdKernels::at_width(512)) else {
-        println!("width cells skipped: no AVX2+FMA on this host");
+    let (Some(w256), Some(w512)) = (SimdKernels::at_width(256), SimdKernels::at_width(512)) else {
+        println!("gates 7 and 13 skipped: no AVX-512F on this host");
         return cells;
     };
-    if w512.is_none() {
-        println!("gates 7 and 13 skipped: no AVX-512F on this host, only the 256-bit bodies run");
-    }
     for &n in sites {
         let mut fx = fixture(n);
         let (mut out_a, mut out_b) = (Cla::new(n), Cla::new(n));
@@ -608,101 +512,64 @@ fn width_cells(sites: &[usize]) -> Vec<RatioCell> {
                 s,
             );
         };
-        let newview_cells = n < NEWVIEW_CELL_MAX_SITES;
-        if let Some(w512) = w512 {
-            if newview_cells {
-                let (base_ns, new_ns, ratio) = interleaved(
-                    n,
-                    || run(w256, &fx, &mut out_a),
-                    || run(w512, &fx, &mut out_b),
-                );
-                assert!(
-                    out_a.values() == out_b.values(),
-                    "the two widths wrote different CLAs"
-                );
-                cells.push(RatioCell {
-                    cell: "width",
-                    sites: n,
-                    base: "newview_ii, 256-bit body",
-                    new: "newview_ii, 512-bit body",
-                    base_ns,
-                    new_ns,
-                    ratio,
-                    gate: WIDTH_MIN_SPEEDUP,
-                });
-            }
-            // Gate 13 reads a real table: `derivative_sum_ii` of the
-            // fixture's two CLAs.
-            w256.derivative_sum_ii(
-                &fx.basis,
-                fx.v_l.values(),
-                fx.v_r.values(),
-                &mut fx.sumtable,
-            );
-            let (mut d_a, mut d_b) = ((0.0, 0.0), (0.0, 0.0));
-            let core = |k: &dyn Kernels| {
-                black_box(k.derivative_core(&fx.sumtable, &fx.basis.lambda_rate, 0.2, &fx.weights))
-            };
-            let (base_ns, new_ns, ratio) = interleaved(n, || d_a = core(w256), || d_b = core(w512));
-            assert!(
-                d_a.0.to_bits() == d_b.0.to_bits() && d_a.1.to_bits() == d_b.1.to_bits(),
-                "the two widths computed different derivatives"
-            );
-            cells.push(RatioCell {
-                cell: "derivcore",
-                sites: n,
-                base: "derivative_core, 256-bit phase 1 + scalar tail",
-                new: "derivative_core, fused 512-bit body",
-                base_ns,
-                new_ns,
-                ratio,
-                gate: DERIVCORE_MIN_SPEEDUP,
-            });
-        }
-        #[cfg(target_arch = "x86_64")]
-        if newview_cells {
+        if n < NEWVIEW_CELL_MAX_SITES {
             let (base_ns, new_ns, ratio) = interleaved(
                 n,
-                || newview_ii_stored_finish(&fx, &mut out_a),
-                || run(w256, &fx, &mut out_b),
+                || run(w256, &fx, &mut out_a),
+                || run(w512, &fx, &mut out_b),
             );
             assert!(
                 out_a.values() == out_b.values(),
-                "the control wrote a different CLA"
-            );
-            assert!(
-                out_a.scale() == out_b.scale(),
-                "the control counted other rescales"
+                "the two widths wrote different CLAs"
             );
             cells.push(RatioCell {
-                cell: "finish",
+                cell: "width",
                 sites: n,
-                base: "newview_ii at 256 bits, stored then scanned",
-                new: "newview_ii at 256 bits, threshold tested in registers",
+                base: "newview_ii, 256-bit body",
+                new: "newview_ii, 512-bit body",
                 base_ns,
                 new_ns,
                 ratio,
-                gate: FINISH_MIN_SPEEDUP,
+                gate: WIDTH_MIN_SPEEDUP,
             });
         }
+        // Gate 13 reads a real table: `derivative_sum_ii` of the
+        // fixture's two CLAs.
+        w256.derivative_sum_ii(
+            &fx.basis,
+            fx.v_l.values(),
+            fx.v_r.values(),
+            &mut fx.sumtable,
+        );
+        let (mut d_a, mut d_b) = ((0.0, 0.0), (0.0, 0.0));
+        let core = |k: &dyn Kernels| {
+            black_box(k.derivative_core(&fx.sumtable, &fx.basis.lambda_rate, 0.2, &fx.weights))
+        };
+        let (base_ns, new_ns, ratio) = interleaved(n, || d_a = core(w256), || d_b = core(w512));
+        assert!(
+            d_a.0.to_bits() == d_b.0.to_bits() && d_a.1.to_bits() == d_b.1.to_bits(),
+            "the two widths computed different derivatives"
+        );
+        cells.push(RatioCell {
+            cell: "derivcore",
+            sites: n,
+            base: "derivative_core, 256-bit phase 1 + scalar tail",
+            new: "derivative_core, fused 512-bit body",
+            base_ns,
+            new_ns,
+            ratio,
+            gate: DERIVCORE_MIN_SPEEDUP,
+        });
         // One site in a hundred below the threshold, as in a search:
-        // the arms must still agree bit for bit when the cold path runs.
+        // the widths must still agree bit for bit when the cold path runs.
         for i in (0..n).step_by(100) {
             for v in &mut fx.v_r.values_mut()[i * SITE_STRIDE..(i + 1) * SITE_STRIDE] {
                 *v *= 1e-80;
             }
         }
         run(w256, &fx, &mut out_a);
-        if let Some(w512) = w512 {
-            run(w512, &fx, &mut out_b);
-            assert!(out_a.values() == out_b.values() && out_a.scale() == out_b.scale());
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            newview_ii_stored_finish(&fx, &mut out_b);
-            assert!(out_a.values() == out_b.values() && out_a.scale() == out_b.scale());
-            assert!(out_a.scale().iter().any(|&s| s > 0), "no site was rescaled");
-        }
+        run(w512, &fx, &mut out_b);
+        assert!(out_a.values() == out_b.values() && out_a.scale() == out_b.scale());
     }
     cells
 }
@@ -781,52 +648,6 @@ fn pruned_walk_cells() -> [RatioCell; 2] {
     ]
 }
 
-/// Gate 11's control: a tree laid out as `phylo_tree::Tree` was before
-/// its incident lists went inline and its names behind an `Arc` — one
-/// heap `Vec` per node, one `String` per tip. Kept here because nothing
-/// but this measurement needs it.
-#[derive(Clone)]
-struct PerNodeVecTree {
-    _names: Vec<String>,
-    _adj: Vec<Vec<usize>>,
-    _edges: Vec<(usize, usize, f64)>,
-}
-
-/// Gate 11: what a fork-join region pays to snapshot the tree; per-call
-/// ns.
-fn tree_clone_cell() -> RatioCell {
-    const TAXA: usize = 64;
-    let tree = random_tree(&default_names(TAXA), 0.1, &mut SmallRng::seed_from_u64(37)).unwrap();
-    let control = PerNodeVecTree {
-        _names: tree.tip_names().to_vec(),
-        _adj: (0..tree.num_nodes())
-            .map(|n| tree.incident(n).to_vec())
-            .collect(),
-        _edges: tree
-            .edge_ids()
-            .map(|e| {
-                let (a, b) = tree.endpoints(e);
-                (a, b, tree.length(e))
-            })
-            .collect(),
-    };
-    let (base_ns, new_ns, ratio) = interleaved(
-        1,
-        || drop(black_box(black_box(&control).clone())),
-        || drop(black_box(black_box(&tree).clone())),
-    );
-    RatioCell {
-        cell: "clone",
-        sites: 1,
-        base: "clone of a Vec-per-node, String-per-tip tree (64 taxa)",
-        new: "Tree::clone",
-        base_ns,
-        new_ns,
-        ratio,
-        gate: CLONE_MIN_SPEEDUP,
-    }
-}
-
 /// Gate 14: parse and compress a 32 × 40 000 PHYLIP text simulated at
 /// mean branch 0.002, where most columns collapse; ns per column.
 fn setup_cell() -> RatioCell {
@@ -858,108 +679,6 @@ fn setup_cell() -> RatioCell {
         new_ns,
         ratio,
         gate: SETUP_MIN_SPEEDUP,
-    }
-}
-
-/// Gate 12's job slot: what the control publishes (a fresh snapshot
-/// behind an `Arc`, as `ForkJoinEvaluator` did while its workers
-/// received the tree by shared pointer) next to what the region path
-/// publishes now (a buffer refreshed in place).
-struct RegionJob {
-    snapshot: Option<Arc<Tree>>,
-    buffer: Tree,
-    shutdown: bool,
-}
-
-/// One series of gate 12 on a fresh protocol and worker: median ns per
-/// region of the control and of the region path, and the median
-/// per-round ratio. One worker serves both arms, so the arm at rest
-/// leaves no second thread spinning on this host's two cores.
-fn region_round_trip_series(tree: &Tree) -> (f64, f64, f64) {
-    // A region is about a thousand sites' worth of time, which is what
-    // sizes a round to its ~100 µs.
-    const SITE_EQUIVALENTS: usize = 1000;
-    let proto = Arc::new(RegionProtocol::<RegionJob, u64>::new(
-        1,
-        RegionJob {
-            snapshot: None,
-            buffer: tree.clone(),
-            shutdown: false,
-        },
-    ));
-    let worker = {
-        let proto = Arc::clone(&proto);
-        std::thread::spawn(move || {
-            let mut token = BarrierToken::new();
-            loop {
-                proto.fork(&mut token).expect("nobody poisons this pool");
-                // The no-op job: look at what was published, reply.
-                if proto.read_job(|job| black_box(job).shutdown) {
-                    return;
-                }
-                proto.write_reply(1, 1);
-                proto.join(&mut token).expect("nobody poisons this pool");
-            }
-        })
-    };
-    let token = std::cell::RefCell::new(BarrierToken::new());
-    // Fork, the master's own no-op share, join: common to both arms.
-    let round_trip = || {
-        let mut token = token.borrow_mut();
-        proto.fork(&mut token).expect("nobody poisons this pool");
-        proto.read_job(|job| {
-            black_box(job);
-        });
-        proto.write_reply(0, 1);
-        proto.join(&mut token).expect("nobody poisons this pool");
-    };
-    let (base_ns, new_ns, ratio) = interleaved(
-        SITE_EQUIVALENTS,
-        || {
-            proto.publish_job(|job| job.snapshot = Some(Arc::new(black_box(tree).clone())));
-            round_trip();
-            let replies: Vec<u64> = (0..proto.slices()).map(|s| proto.take_reply(s)).collect();
-            assert_eq!(black_box(replies).len(), 2);
-        },
-        || {
-            proto.publish_job(|job| job.buffer.clone_from(black_box(tree)));
-            round_trip();
-            let replies = (0..proto.slices()).fold(0, |sum, s| sum + proto.take_reply(s));
-            assert_eq!(black_box(replies), 2);
-        },
-    );
-    proto.publish_job(|job| job.shutdown = true);
-    proto
-        .fork(&mut token.borrow_mut())
-        .expect("nobody poisons this pool");
-    worker.join().expect("the worker only runs the loop above");
-    let per_region = SITE_EQUIVALENTS as f64;
-    (base_ns * per_region, new_ns * per_region, ratio)
-}
-
-/// Gate 12: what a region costs around the kernels — publish, fork,
-/// join, collect — with and without its two per-region allocations;
-/// per-region ns. A series lasts 35 ms and its ratio depends on where
-/// its protocol, snapshot buffer and worker landed, so nine are run,
-/// each on a fresh protocol, and the median one is reported.
-fn region_round_trip_cell() -> RatioCell {
-    const TAXA: usize = 64;
-    const SERIES: usize = 9;
-    let tree = random_tree(&default_names(TAXA), 0.1, &mut SmallRng::seed_from_u64(41)).unwrap();
-    let mut series: Vec<_> = (0..SERIES)
-        .map(|_| region_round_trip_series(&tree))
-        .collect();
-    series.sort_by(|a, b| a.2.partial_cmp(&b.2).expect("ratios are finite"));
-    let (base_ns, new_ns, ratio) = series[SERIES / 2];
-    RatioCell {
-        cell: "region",
-        sites: 1,
-        base: "region round trip, Arc<Tree> snapshot + reply Vec per region (1 worker, 64 taxa)",
-        new: "region round trip, snapshot refreshed in place, replies taken in place",
-        base_ns,
-        new_ns,
-        ratio,
-        gate: REGION_MIN_SPEEDUP,
     }
 }
 
@@ -1118,7 +837,7 @@ fn main() {
     );
     println!();
 
-    // Width section: the three same-run ratio cells.
+    // Width section: the two same-run ratio cells.
     let ratio_cells = width_cells(&[390, 3_716, 7_307]);
     for c in &ratio_cells {
         println!(
@@ -1128,16 +847,9 @@ fn main() {
     }
     println!();
 
-    // Non-kernel section: the walk, the clone, the region round trip,
-    // the set-up.
+    // Non-kernel section: the walk and the set-up.
     let [walk, reroot] = pruned_walk_cells();
-    let nonkernel_cells = [
-        walk,
-        reroot,
-        tree_clone_cell(),
-        region_round_trip_cell(),
-        setup_cell(),
-    ];
+    let nonkernel_cells = [walk, reroot, setup_cell()];
     for c in &nonkernel_cells {
         let per = if c.sites > 1 { "/site" } else { "" };
         println!(
@@ -1203,7 +915,7 @@ fn main() {
         println!("gate: blocked traversal {blocking_ratio:.3}x of unblocked on all-distinct — ok");
     }
 
-    // Gates 7, 8, 10–14: every ratio cell this host could run.
+    // Gates 7, 10, 13 and 14: every ratio cell this host could run.
     for c in ratio_cells.iter().chain(&nonkernel_cells) {
         if c.ratio < c.gate {
             failures.push(format!(

@@ -118,7 +118,7 @@ impl SpanRing {
 /// A read-only copy of one thread's span timeline.
 #[derive(Clone, Debug)]
 pub struct TrackSnapshot {
-    /// Thread label (e.g. `"master"`, `"worker0"`).
+    /// Thread label (e.g. `"master"`, `"serial"`).
     pub label: String,
     /// Surviving events in record order.
     pub events: Vec<SpanEvent>,
@@ -256,8 +256,10 @@ pub fn enter(name: &'static str) -> SpanGuard {
     }
 }
 
-/// Labels the calling thread's track (e.g. `"master"`, `"worker3"`).
+/// Labels the calling thread's track (e.g. `"master"`, `"serial"`).
 /// The label appears in exported traces and `trace-report` timelines.
+/// A thread without a track registers one here, ring and all, so a
+/// thread that records no span has nothing to label.
 pub fn set_thread_label(label: &str) {
     #[cfg(feature = "span-trace")]
     recorder::set_thread_label(label);

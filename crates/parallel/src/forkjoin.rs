@@ -386,9 +386,9 @@ fn run_job(
 
 /// The worker side of the protocol: wait at the fork barrier, run the
 /// broadcast job against the worker's engine slice ([`run_job`]),
-/// publish the partial result, wait at the join barrier. It opens no
-/// span per region: its kernel time is in its `op` events, its region
-/// time in the master's `region` event. A panicking job leaves the worker in the
+/// publish the partial result, wait at the join barrier. It records no
+/// span and so registers no span track: its kernel time is in its `op`
+/// events, its region time in the master's `region` event. A panicking job leaves the worker in the
 /// loop so neither barrier ever deadlocks. A poisoned barrier pass (a
 /// sibling died) makes the worker exit cleanly.
 fn worker_loop(
@@ -397,7 +397,6 @@ fn worker_loop(
     mut engine: LikelihoodEngine,
     fault_plan: Option<&FaultPlan>,
 ) {
-    plf_core::span::set_thread_label(&format!("worker{idx}"));
     let slice = idx + 1;
     let mut token = BarrierToken::new();
     let mut region: u64 = 0;

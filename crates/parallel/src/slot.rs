@@ -250,4 +250,32 @@ mod tests {
         }
         assert_eq!((proto.workers(), proto.slices()), (0, 1));
     }
+
+    #[test]
+    fn the_job_slot_shares_no_cache_line_with_the_barrier() {
+        // A job edited in place is stored to several times per region;
+        // on the barrier word's line each store takes it from the
+        // spinning workers (DESIGN.md §3, what a region costs).
+        const LINE: usize = 128;
+        assert!(std::mem::align_of::<CachePadded<u64>>() >= LINE);
+        // Protocols side by side in one allocation: an unpadded layout
+        // cannot pass on a lucky address for all of them.
+        let protos: Vec<RegionProtocol<u64, u64>> =
+            (0..4).map(|_| RegionProtocol::new(1, 0)).collect();
+        let lines = |start: usize, len: usize| (start / LINE, (start + len - 1) / LINE);
+        for (i, p) in protos.iter().enumerate() {
+            let barrier = lines(
+                std::ptr::addr_of!(p.barrier) as usize,
+                std::mem::size_of_val(&p.barrier),
+            );
+            let job = lines(
+                std::ptr::addr_of!(p.job) as usize,
+                std::mem::size_of_val(&p.job),
+            );
+            assert!(
+                barrier.1 < job.0 || job.1 < barrier.0,
+                "protocol {i}: barrier on lines {barrier:?}, job on {job:?}"
+            );
+        }
+    }
 }

@@ -10,6 +10,11 @@
 //! own debug oracle (`assert_left_out_nodes_are_valid`) in one with
 //! them. Only the calling thread is counted: the workers' allocations
 //! (none are expected either) would not delay the master.
+//!
+//! The same allocator counts what the job's tree snapshot costs:
+//! `Tree::clone` allocates its two arrays and shares the names, and
+//! `Tree::clone_from` — how a region refreshes the snapshot — refills
+//! a tree of the same shape without allocating at all.
 
 use phylo_bio::CompressedAlignment;
 use phylo_models::{DiscreteGamma, Gtr, GtrParams};
@@ -17,12 +22,15 @@ use phylo_parallel::forkjoin::split_ranges;
 use phylo_parallel::ForkJoinEvaluator;
 use phylo_search::Evaluator;
 use phylo_tree::build::{default_names, random_tree};
+use phylo_tree::newick::to_newick;
 use phylo_tree::Tree;
 use plf_core::{EngineConfig, LikelihoodEngine};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
+use std::sync::Arc;
 
 thread_local! {
     /// Heap allocations made by this thread (a reallocation is one:
@@ -115,4 +123,26 @@ fn steady_state_regions_do_not_allocate_on_the_master() {
             in_regions.abs_diff(engine_alone)
         );
     }
+}
+
+#[test]
+fn tree_snapshots_allocate_two_arrays_or_nothing() {
+    let names = default_names(64);
+    let tree = random_tree(&names, 0.1, &mut SmallRng::seed_from_u64(37)).unwrap();
+    let other = random_tree(&names, 0.2, &mut SmallRng::seed_from_u64(41)).unwrap();
+
+    let before = allocations();
+    let mut snapshot = black_box(&tree).clone();
+    let cloned = allocations() - before;
+    assert_eq!(cloned, 2, "Tree::clone allocates `adj` and `edges` only");
+    assert!(Arc::ptr_eq(
+        snapshot.shared_tip_names(),
+        tree.shared_tip_names()
+    ));
+
+    let before = allocations();
+    snapshot.clone_from(black_box(&other));
+    let refilled = allocations() - before;
+    assert_eq!(refilled, 0, "Tree::clone_from into a tree of its shape");
+    assert_eq!(to_newick(&snapshot), to_newick(&other));
 }

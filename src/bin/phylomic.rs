@@ -157,7 +157,8 @@ metrics as JSONL, in the format micsim's measured-cost calibration
 (`MeasuredHostCosts::from_jsonl`) and `trace-report` consume.
 --chrome-out (evaluate/search) writes the span timeline as Chrome
 trace-event JSON, loadable in Perfetto / chrome://tracing, one track
-per worker thread.
+per thread that records spans: the searching thread (a fork-join
+worker records none; its kernel time is in the --trace-out op events).
 trace-report prints per-kernel time shares, fork/join overhead, worker
 load imbalance, the calibration cost table, and the modeled per-op
 roofline placement (GFLOP/s, GB/s, arithmetic intensity, % of the

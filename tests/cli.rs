@@ -297,17 +297,19 @@ fn traced_search_trace_report_and_chrome_export() {
             if name == "forkjoin.regions")
     ));
 
-    // The Chrome export names one track per computing thread:
-    // --threads 3 is the master and two spawned workers.
+    // The Chrome export has one track per thread that records spans:
+    // under --threads 3 that is the master alone. Its two workers
+    // record none, so they register no track.
     let chrome_doc = std::fs::read_to_string(&chrome).unwrap();
     assert!(chrome_doc.starts_with(r#"{"traceEvents":["#));
-    for label in ["master", "worker0", "worker1"] {
+    assert!(chrome_doc.contains(r#""name":"master""#));
+    assert_eq!(chrome_doc.matches(r#""ph":"M""#).count(), 1, "one track");
+    for label in ["worker0", "worker1"] {
         assert!(
-            chrome_doc.contains(&format!(r#""name":"{label}""#)),
-            "{label}"
+            !chrome_doc.contains(&format!(r#""name":"{label}""#)),
+            "{label} has an empty track"
         );
     }
-    assert!(!chrome_doc.contains(r#""name":"worker2""#));
 
     // trace-report digests the file.
     let out = bin()

@@ -151,17 +151,20 @@ fn traced_search_roundtrips_and_reports() {
 }
 
 #[test]
-fn chrome_export_has_one_track_per_worker() {
-    // Run a search first so worker tracks exist (tests share the
-    // process-global recorder; ours only need to be present).
+fn chrome_export_has_no_track_for_a_worker() {
+    // A worker records no span, so it registers no track: after a
+    // fork-join search the export carries the master's track and none
+    // named after a worker (tests share the process-global recorder,
+    // and no test here labels a thread `worker…`).
     let _ = traced_forkjoin_search();
     let tracks = span::snapshot_all();
     let json = span::chrome_trace_json(&tracks);
     assert!(json.starts_with(r#"{"traceEvents":["#));
+    assert!(json.contains(r#""name":"master""#), "master track missing");
     for i in 0..WORKERS {
         assert!(
-            json.contains(&format!(r#""name":"worker{i}""#)),
-            "worker{i} track missing"
+            !json.contains(&format!(r#""name":"worker{i}""#)),
+            "worker{i} has a track"
         );
     }
     // Every span is one complete event (the exporter pairs begin and
@@ -169,5 +172,5 @@ fn chrome_export_has_one_track_per_worker() {
     let count = |ph: &str| json.matches(&format!(r#""ph":"{ph}""#)).count();
     assert_eq!(count("B") + count("E"), 0);
     assert!(count("X") > 0);
-    assert!(count("M") >= WORKERS);
+    assert_eq!(count("M"), tracks.len());
 }
