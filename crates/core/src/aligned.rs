@@ -6,54 +6,50 @@
 //! buffers use this type instead. Alignment also matters on the host:
 //! AVX loads are fastest when they never straddle a cache line.
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
 
 /// Cache-line alignment in bytes (one MIC/AVX-512 vector register).
 pub const ALIGNMENT: usize = 64;
 
+/// Doubles per [`ALIGNMENT`] bytes.
+const LINE: usize = ALIGNMENT / std::mem::size_of::<f64>();
+
+/// One cache line of doubles. Its alignment is what makes every
+/// `Vec<Line>` 64-byte aligned; `repr(C)` and a size equal to the
+/// alignment make a slice of lines a gapless run of doubles.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Line([f64; LINE]);
+
 /// A heap buffer of `f64` whose base address is 64-byte aligned.
 ///
 /// The length is fixed at construction (CLAs never grow); contents are
 /// zero-initialized. Dereferences to `[f64]`.
+///
+/// The allocation is a `Vec` of whole cache lines, which owns it, frees
+/// it and makes the type `Send + Sync`; the buffer is its first `len`
+/// doubles (`len ≤ LINE · lines.len()` by construction).
+#[derive(Clone)]
 pub struct AlignedVec {
-    ptr: std::ptr::NonNull<f64>,
+    lines: Vec<Line>,
     len: usize,
 }
-
-// SAFETY: AlignedVec owns its allocation exclusively, like Vec<f64>.
-unsafe impl Send for AlignedVec {}
-unsafe impl Sync for AlignedVec {}
 
 impl AlignedVec {
     /// Allocates a zeroed, 64-byte aligned buffer of `len` doubles.
     ///
     /// A `len` of zero is allowed and performs no allocation.
     pub fn zeroed(len: usize) -> Self {
-        if len == 0 {
-            return AlignedVec {
-                ptr: std::ptr::NonNull::dangling(),
-                len: 0,
-            };
-        }
-        let layout = Self::layout(len);
-        // SAFETY: layout has non-zero size (len > 0 checked above).
-        let raw = unsafe { alloc_zeroed(layout) };
-        let Some(ptr) = std::ptr::NonNull::new(raw as *mut f64) else {
-            handle_alloc_error(layout);
-        };
-        AlignedVec { ptr, len }
-    }
-
-    fn layout(len: usize) -> Layout {
         // The multiply must be checked: in release builds a wrapping
-        // `len * 8` would silently produce a tiny layout and the
-        // subsequent writes would run off the allocation. Drop calls
-        // this again with the same len, so alloc/dealloc layouts agree.
+        // `len * 8` would silently produce a tiny buffer.
         let bytes = len
             .checked_mul(std::mem::size_of::<f64>())
+            .filter(|&b| b <= isize::MAX as usize - ALIGNMENT)
             .expect("allocation size overflow");
-        Layout::from_size_align(bytes, ALIGNMENT).expect("allocation size overflow")
+        AlignedVec {
+            lines: vec![Line([0.0; LINE]); bytes.div_ceil(ALIGNMENT)],
+            len,
+        }
     }
 
     /// Number of doubles.
@@ -68,7 +64,7 @@ impl AlignedVec {
 
     /// The raw base address (for alignment assertions in tests).
     pub fn as_ptr(&self) -> *const f64 {
-        self.ptr.as_ptr()
+        self.lines.as_ptr().cast()
     }
 
     /// Overwrites every element with `value`.
@@ -103,33 +99,17 @@ pub fn debug_assert_site_buffer(buf: &[f64], sites: usize, what: &str) {
 impl Deref for AlignedVec {
     type Target = [f64];
     fn deref(&self) -> &[f64] {
-        // SAFETY: ptr/len describe our exclusive allocation (or a
-        // dangling ptr with len 0, for which from_raw_parts is fine).
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+        // SAFETY: `lines` is `lines.len() · LINE` initialized doubles
+        // without gaps (`Line` is `repr(C)`, its size its alignment),
+        // and `len` does not exceed that count.
+        unsafe { std::slice::from_raw_parts(self.as_ptr(), self.len) }
     }
 }
 
 impl DerefMut for AlignedVec {
     fn deref_mut(&mut self) -> &mut [f64] {
-        // SAFETY: as above, and &mut self guarantees uniqueness.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-    }
-}
-
-impl Drop for AlignedVec {
-    fn drop(&mut self) {
-        if self.len > 0 {
-            // SAFETY: allocated with the identical layout in `zeroed`.
-            unsafe { dealloc(self.ptr.as_ptr() as *mut u8, Self::layout(self.len)) };
-        }
-    }
-}
-
-impl Clone for AlignedVec {
-    fn clone(&self) -> Self {
-        let mut out = AlignedVec::zeroed(self.len);
-        out.copy_from_slice(self);
-        out
+        // SAFETY: as above, and `&mut self` guarantees uniqueness.
+        unsafe { std::slice::from_raw_parts_mut(self.lines.as_mut_ptr().cast(), self.len) }
     }
 }
 

@@ -1050,6 +1050,50 @@ mod tests {
         }
     }
 
+    /// §V-B2's 64-byte alignment of every kernel buffer, held in every
+    /// profile: release builds compile `debug_assert_site_buffer` out,
+    /// and the SIMD backend falls back to plain stores on a misaligned
+    /// buffer without a word.
+    #[test]
+    fn every_kernel_buffer_is_64_byte_aligned() {
+        fn assert_aligned(engine: &LikelihoodEngine, when: &str) {
+            let values = engine.slots.iter().map(|c| c.values().as_ptr());
+            for (i, base) in values.enumerate() {
+                let offset = base as usize % crate::aligned::ALIGNMENT;
+                assert_eq!(offset, 0, "{when}: CLA {i} base is {offset} bytes off");
+            }
+            let offset = engine.sumtable.as_ptr() as usize % crate::aligned::ALIGNMENT;
+            assert_eq!(offset, 0, "{when}: sumtable base is {offset} bytes off");
+        }
+        // Column `j` spells `j` in base 4 down the five taxa, so all
+        // 300 columns are distinct patterns.
+        let rows: Vec<(&str, String)> = ["a", "b", "c", "d", "e"]
+            .iter()
+            .enumerate()
+            .map(|(t, name)| {
+                let seq = (0..300usize)
+                    .map(|j| b"ACGT"[(j >> (2 * t)) % 4] as char)
+                    .collect();
+                (*name, seq)
+            })
+            .collect();
+        let rows: Vec<(&str, &str)> = rows.iter().map(|(n, s)| (*n, s.as_str())).collect();
+        let aln = aln(&rows);
+        let (tree, _) = five_taxon();
+        let n = aln.num_patterns();
+        assert_eq!(n, 300);
+        let e = tree.edge_ids().next().unwrap();
+        // The full engine, then slice engines of assorted sizes.
+        for range in [0..n, 0..1, 1..8, 8..67, 67..n] {
+            let mut engine =
+                LikelihoodEngine::with_range(&tree, &aln, EngineConfig::default(), range.clone());
+            assert_aligned(&engine, &format!("{range:?} constructed"));
+            engine.log_likelihood(&tree, e);
+            engine.prepare_branch(&tree, e);
+            assert_aligned(&engine, &format!("{range:?} after a traversal"));
+        }
+    }
+
     #[test]
     fn caching_avoids_recomputation() {
         let (tree, aln) = five_taxon();

@@ -12,6 +12,14 @@
 //! property ExaML relies on to keep its replicated searches in
 //! lockstep).
 //!
+//! A slot is [`MAX_LEN`] atomics holding `f64` bits. Rank `r` alone
+//! stores to slot `r` before the first barrier pass of a collective,
+//! and every rank loads every slot between the two passes. The passes
+//! order those accesses; the stores are `Release` and the loads
+//! `Acquire` all the same, because they publish data (on x86 that
+//! costs nothing). The interleave model `comm_allreduce_slot_exchange`
+//! drives them under all bounded interleavings.
+//!
 //! # Error model
 //!
 //! Collectives are fallible: when a rank dies it poisons the shared
@@ -26,7 +34,7 @@
 use crate::barrier::{BarrierToken, Poisoned, SenseBarrier};
 use crate::fault::FaultPlan;
 use crate::replicated::ReplicatedError;
-use crate::sync::cell;
+use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::transport::{CommTransport, WireStats};
 use std::sync::Arc;
 
@@ -156,23 +164,16 @@ impl<C: Comm + ?Sized> Comm for &mut C {
 /// Shared state of a thread communicator group.
 struct Shared {
     barrier: SenseBarrier,
-    /// One deposit slot per rank. Each slot is only written by its
-    /// owner between the deposit and read barriers, so the UnsafeCell
-    /// access pattern is race-free.
-    slots: Vec<SlotCell>,
+    /// One deposit slot per rank, written only by its owner before
+    /// the first barrier pass. A poisoned pass returns an error
+    /// *without* entering the read window, so failed collectives
+    /// never read peer slots.
+    slots: Vec<Slot>,
 }
 
-/// A cache-line padded, interior-mutable deposit slot.
+/// One rank's deposit: `f64` bits, on a cache line of its own.
 #[repr(align(64))]
-struct SlotCell(cell::UnsafeCell<Vec<f64>>);
-
-// SAFETY: slot i is written only by rank i, and reads happen strictly
-// between the two barriers that bracket every write window; every
-// access is closure-scoped through with/with_mut, which the interleave
-// model test verifies race-free under all bounded interleavings. A
-// poisoned barrier pass returns an error *without* entering the read
-// window, so failed collectives never touch peer slots.
-unsafe impl Sync for SlotCell {}
+struct Slot([AtomicU64; MAX_LEN]);
 
 /// Factory for a group of `n` thread-backed communicator handles.
 pub struct ThreadCommGroup {
@@ -190,7 +191,7 @@ impl ThreadCommGroup {
         let shared = Arc::new(Shared {
             barrier: SenseBarrier::new(n),
             slots: (0..n)
-                .map(|_| SlotCell(cell::UnsafeCell::new(vec![0.0; MAX_LEN])))
+                .map(|_| Slot(std::array::from_fn(|_| AtomicU64::new(0))))
                 .collect(),
         });
         ThreadCommGroup {
@@ -288,25 +289,17 @@ impl Comm for ThreadComm {
         }
         let t0 = std::time::Instant::now();
         // Deposit into our slot.
-        self.shared.slots[self.rank].0.with_mut(|p| {
-            // SAFETY: only rank `self.rank` writes slot `self.rank`,
-            // and no rank reads it until after the barrier below.
-            let slot = unsafe { &mut *p };
-            slot[..len].copy_from_slice(buf);
-        });
+        for (s, &v) in self.shared.slots[self.rank].0.iter().zip(buf.iter()) {
+            s.store(v.to_bits(), Ordering::Release);
+        }
         self.wait()?;
         // Every rank sums the slots in rank order: deterministic and
         // identical everywhere.
         buf.fill(0.0);
-        for r in 0..self.size {
-            self.shared.slots[r].0.with(|p| {
-                // SAFETY: between the two barriers all slots are
-                // read-only.
-                let slot = unsafe { &*p };
-                for (o, &v) in buf.iter_mut().zip(&slot[..len]) {
-                    *o += v;
-                }
-            });
+        for slot in &self.shared.slots {
+            for (o, s) in buf.iter_mut().zip(&slot.0) {
+                *o += f64::from_bits(s.load(Ordering::Acquire));
+            }
         }
         self.wait()?;
         self.wire.record(t0.elapsed().as_nanos() as u64);

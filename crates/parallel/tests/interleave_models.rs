@@ -319,8 +319,10 @@ fn barrier_death_after_release_does_not_fail_the_completed_wait() {
 }
 
 /// The comm slot exchange: two ranks allreduce one double each; both
-/// must compute the exact rank-ordered sum. Exercises SlotCell's
-/// with/with_mut windows under all bounded interleavings.
+/// must compute the exact rank-ordered sum. Exercises the slots'
+/// Release stores and Acquire loads, ordered by the barrier passes
+/// around them, under all bounded interleavings: a load that could
+/// read a stale deposit fails the sum.
 #[cfg(not(feature = "seed-ordering-bug"))]
 #[test]
 fn comm_allreduce_slot_exchange() {

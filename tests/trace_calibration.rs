@@ -3,46 +3,18 @@
 //! (the `--trace-out` format) → `micsim` measured-cost calibration
 //! fit. This is the full pipeline the `phylomic search --trace-out`
 //! flag enables.
+//!
+//! `region_waits_do_not_contain_the_kernels` lives in
+//! `tests/region_waits.rs`: its wall-clock bound must not share the
+//! CPUs with the fork-join teams these tests run.
 
+mod forkjoin_trace;
+
+use forkjoin_trace::record_forkjoin_trace;
 use phylomic::micsim::calibration::MeasuredHostCosts;
 use phylomic::micsim::WorkloadTrace;
-use phylomic::models::{DiscreteGamma, Gtr, GtrParams};
-use phylomic::parallel::ForkJoinEvaluator;
 use phylomic::plf::trace::{parse_jsonl, write_jsonl, TraceEvent};
-use phylomic::plf::{EngineConfig, KernelId};
-use phylomic::search::Evaluator;
-use phylomic::tree::build::{default_names, random_tree};
-use phylomic::tree::Tree;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
-fn dataset() -> (Tree, phylomic::bio::CompressedAlignment) {
-    let mut rng = SmallRng::seed_from_u64(77);
-    let names = default_names(8);
-    let tree = random_tree(&names, 0.15, &mut rng).unwrap();
-    let g = Gtr::new(GtrParams::jc69());
-    let gamma = DiscreteGamma::new(0.9);
-    let aln = phylomic::seqgen::simulate_alignment(&tree, g.eigen(), &gamma, 1200, &mut rng);
-    (
-        tree,
-        phylomic::bio::CompressedAlignment::from_alignment(&aln),
-    )
-}
-
-/// Runs an instrumented fork-join workload and exports it exactly the
-/// way `phylomic search --trace-out` does: one op-event block per
-/// team member (the computing master's slice 0 first) plus the
-/// master's region block.
-fn record_forkjoin_trace(workers: usize) -> Vec<TraceEvent> {
-    let (tree, aln) = dataset();
-    let mut fj = ForkJoinEvaluator::new(&tree, &aln, EngineConfig::default(), workers);
-    for e in 0..tree.num_edges().min(6) {
-        fj.log_likelihood(&tree, e);
-    }
-    fj.prepare_branch(&tree, 1);
-    fj.branch_derivatives(tree.length(1));
-    fj.take_trace_events()
-}
+use phylomic::plf::KernelId;
 
 #[test]
 fn forkjoin_trace_roundtrips_through_jsonl() {
@@ -117,32 +89,4 @@ fn measured_calibration_fits_real_forkjoin_timings() {
     }
     // Region latencies fed the synchronization-cost side.
     assert!(costs.region_overhead_s() > 0.0);
-}
-
-#[test]
-fn region_waits_do_not_contain_the_kernels() {
-    // The join wait is a pure wait: the master's own share of the job
-    // runs between the two barrier passes and is timed with its
-    // kernels, not with the barrier — `micsim` charges the region
-    // waits as synchronization *on top of* the kernel fits, so kernel
-    // time booked as "join" would be charged twice. On a team of one
-    // nobody is ever waited for: both waits are a few clock reads
-    // while every region runs kernels over 1200 columns.
-    let events = record_forkjoin_trace(0);
-    let costs = MeasuredHostCosts::from_events(&events).unwrap();
-    let (mut regions, mut kernel_ns) = (0u64, 0u64);
-    for e in &events {
-        match e {
-            TraceEvent::Region { count, .. } => regions += count,
-            TraceEvent::Op { total_ns, .. } => kernel_ns += total_ns,
-            _ => {}
-        }
-    }
-    let kernel_per_region = kernel_ns as f64 / regions as f64;
-    assert!(
-        costs.region_fork_ns + costs.region_join_ns < kernel_per_region / 4.0,
-        "fork {} + join {} ns per region against {kernel_per_region} ns of kernels",
-        costs.region_fork_ns,
-        costs.region_join_ns
-    );
 }
