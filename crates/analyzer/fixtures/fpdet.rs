@@ -5,7 +5,10 @@
 //     without hardware FMA those lower to libm `fma()` at ~10× the
 //     cost, and results diverge from the mul+add path);
 //   * a float `==` against a computed value;
-//   * a HashMap iteration feeding an accumulation.
+//   * a HashMap iteration feeding an accumulation;
+//   * a kernel timed on its own `Instant` instead of the one clock,
+//     and an epoch anchored by passing `Instant::now` as a fn.
+// Nor must a `now` of any other type be reported.
 // The two *gated* mul_add shapes must NOT be reported.
 
 pub fn raw_fma_regression(a: f64, b: f64, c: f64) -> f64 {
@@ -46,4 +49,19 @@ pub fn hash_order_bug(keys: &[String]) -> f64 {
         total += w; // seeded: accumulation order follows hash order
     }
     total
+}
+
+pub fn timed_off_the_one_clock(xs: &[f64]) -> (f64, u64) {
+    let t0 = std::time::Instant::now(); // seeded: not plf_core::clock::now_ns
+    let s = xs.iter().sum();
+    (s, t0.elapsed().as_nanos() as u64)
+}
+
+pub fn epoch_off_the_one_clock() -> std::time::Instant {
+    static EPOCH: std::sync::OnceLock<std::time::Instant> = std::sync::OnceLock::new();
+    *EPOCH.get_or_init(std::time::Instant::now) // seeded: passed, not called
+}
+
+pub fn other_now() -> u64 {
+    Tick::now()
 }

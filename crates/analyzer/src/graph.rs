@@ -4,8 +4,8 @@
 //! the rules consume: call sites (plain, method, qualified-path and
 //! macro calls), slice/array indexing sites, float `==`/`!=`
 //! comparisons against float literals, `mul_add` calls and whether
-//! they sit under an FMA gate, and `HashMap`/`HashSet` iterations
-//! that feed order-sensitive accumulations.
+//! they sit under an FMA gate, `HashMap`/`HashSet` iterations that
+//! feed order-sensitive accumulations, and direct clock reads.
 //!
 //! The graph is *name-resolved-enough*: a call `foo(…)` resolves to
 //! every workspace function named `foo` (qualified calls `T::foo`
@@ -77,6 +77,9 @@ pub struct BodyFacts {
     pub float_cmps: Vec<u32>,
     pub mul_adds: Vec<MulAdd>,
     pub hash_iters: Vec<HashIter>,
+    /// Lines naming `Instant::now` / `SystemTime::now`, called or
+    /// passed as a fn.
+    pub clock_reads: Vec<u32>,
 }
 
 /// Keywords that look like calls when followed by `(`.
@@ -340,6 +343,14 @@ fn walk_leaf(
                     check_for_loop(tts, i, hash_idents, facts);
                 }
                 return;
+            }
+            if name == "now"
+                && i >= 3
+                && tts[i - 1].is_punct(':')
+                && tts[i - 2].is_punct(':')
+                && matches!(tts[i - 3].tok(), Some(Tok::Ident(q)) if q == "Instant" || q == "SystemTime")
+            {
+                facts.clock_reads.push(tt.line());
             }
             let next = tts.get(i + 1);
             // Macro call `name!(…)` / `name!{…}` / `name![…]`.

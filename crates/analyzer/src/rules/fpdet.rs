@@ -1,7 +1,7 @@
 //! FP-determinism: keep the likelihood bit-reproducible across
 //! builds and runs.
 //!
-//! Three checks over every non-test fn:
+//! Four checks over every non-test fn:
 //!
 //! * **`mul_add` outside an FMA gate** — a raw `mul_add` call
 //!   contracts to one rounding on FMA hardware and falls back to a
@@ -16,9 +16,14 @@
 //! * **HashMap/HashSet iteration feeding an accumulation** — hash
 //!   iteration order varies run to run, so any `+=`-style reduction
 //!   or order-sensitive `collect` over it is nondeterministic.
+//! * **a clock read off the one clock** — `Instant::now` or
+//!   `SystemTime::now`: a measurement goes through
+//!   `plf_core::clock::now_ns`, whose counting mode makes measured
+//!   durations reproducible in tests. Deadlines and the tools' own
+//!   timers are audited.
 //!
-//! Audit keys are `<fn>:mul_add`, `<fn>:float_cmp`, `<fn>:hash_iter`
-//! in `crates/xtask/fpdet_allowlist.txt`.
+//! Audit keys are `<fn>:mul_add`, `<fn>:float_cmp`, `<fn>:hash_iter`,
+//! `<fn>:clock` in `crates/xtask/fpdet_allowlist.txt`.
 
 use crate::graph::CallGraph;
 use crate::item::FnItem;
@@ -94,6 +99,24 @@ pub fn run(fns: &[FnItem], graph: &CallGraph, allow: &Allowlist) -> Vec<Finding>
                 ),
             });
             break;
+        }
+        if let Some(&line) = facts.clock_reads.first() {
+            let key = format!("{}:clock", f.name);
+            if !allow.covers(&f.file, &key) {
+                findings.push(Finding {
+                    rule: "fpdet",
+                    file: f.file.clone(),
+                    line,
+                    key,
+                    message: format!(
+                        "`{}` reads `Instant::now`/`SystemTime::now` directly: a measurement \
+                         reads plf_core::clock::now_ns, the one clock tests can make count; \
+                         audit a deadline or a tool's own timer in \
+                         crates/xtask/fpdet_allowlist.txt",
+                        f.qualified()
+                    ),
+                });
+            }
         }
     }
     findings

@@ -115,6 +115,9 @@ fn fpdet_fixture_flags_raw_mul_add_but_not_gated_ones() {
     );
     assert!(k.contains(&"float_eq_bug:float_cmp"), "{k:?}");
     assert!(k.contains(&"hash_order_bug:hash_iter"), "{k:?}");
+    assert!(k.contains(&"timed_off_the_one_clock:clock"), "{k:?}");
+    assert!(k.contains(&"epoch_off_the_one_clock:clock"), "{k:?}");
+    assert!(!k.contains(&"other_now:clock"), "{k:?}");
 }
 
 #[test]

@@ -149,22 +149,7 @@ mod tests {
         let v = AlignedVec::zeroed(0);
         assert!(v.is_empty());
         assert_eq!(&v[..], &[] as &[f64]);
-        let _ = v.clone();
-    }
-
-    #[test]
-    fn zero_length_drop_does_not_dealloc_dangling() {
-        // A len-0 buffer holds NonNull::dangling() with no allocation;
-        // Drop must not pass that pointer to dealloc. Running many
-        // create/clone/drop cycles makes a bad free fail loudly under
-        // Miri and the allocator's debug assertions.
-        for _ in 0..64 {
-            let v = AlignedVec::zeroed(0);
-            let w = v.clone();
-            assert!(w.is_empty());
-            drop(v);
-            drop(w);
-        }
+        assert!(v.clone().is_empty());
     }
 
     #[test]

@@ -33,6 +33,7 @@
 
 use crate::blocking::{BlockJob, Blocking};
 use crate::cla::Cla;
+use crate::clock;
 use crate::cost::KernelOp;
 use crate::instrument::{KernelId, KernelStats};
 use crate::kernels::{KernelKind, Kernels};
@@ -692,9 +693,9 @@ impl LikelihoodEngine {
         while b0 < n {
             let b1 = (b0 + step).min(n);
             for (planned, ns) in batch.iter().zip(&mut ns) {
-                let t0 = std::time::Instant::now();
+                let t0 = clock::now_ns();
                 self.run_job(planned, b0, b1);
-                *ns = ns.saturating_add(elapsed_ns(t0));
+                *ns = ns.saturating_add(clock::now_ns() - t0);
             }
             b0 = b1;
         }
@@ -777,7 +778,7 @@ impl LikelihoodEngine {
         // Canonicalize: tip on the q (left) side.
         let (q, r) = if tree.is_tip(a) { (a, b) } else { (b, a) };
         patterns_evaluated().add(self.num_patterns as u64);
-        let t0 = std::time::Instant::now();
+        let t0 = clock::now_ns();
         let t = tree.length(root_edge);
         let p = self.fused_pmat(t);
         let (ll, op) = if tree.is_tip(q) {
@@ -806,7 +807,7 @@ impl LikelihoodEngine {
             (ll, KernelOp::EvaluateIi)
         };
         self.stats
-            .record_op_timed(op, self.num_patterns, elapsed_ns(t0));
+            .record_op_timed(op, self.num_patterns, clock::now_ns() - t0);
         ll
     }
 
@@ -823,7 +824,7 @@ impl LikelihoodEngine {
         self.update_partials(tree, edge);
         let (a, b) = tree.endpoints(edge);
         let (q, r) = if tree.is_tip(a) { (a, b) } else { (b, a) };
-        let t0 = std::time::Instant::now();
+        let t0 = clock::now_ns();
         // Re-borrow pieces to satisfy the borrow checker: the sumtable
         // is disjoint from the CLAs.
         let mut sumtable = std::mem::replace(&mut self.sumtable, AlignedVec::zeroed(0));
@@ -846,7 +847,7 @@ impl LikelihoodEngine {
         self.sumtable = sumtable;
         self.sum_edge = Some((edge, self.model_version));
         self.stats
-            .record_op_timed(op, self.num_patterns, elapsed_ns(t0));
+            .record_op_timed(op, self.num_patterns, clock::now_ns() - t0);
     }
 
     /// First and second derivative of the (partial) log-likelihood with
@@ -863,12 +864,15 @@ impl LikelihoodEngine {
         if self.num_patterns == 0 {
             return (0.0, 0.0);
         }
-        let t0 = std::time::Instant::now();
+        let t0 = clock::now_ns();
         let out =
             self.kernel
                 .derivative_core(&self.sumtable, &self.basis.lambda_rate, t, &self.weights);
-        self.stats
-            .record_op_timed(KernelOp::DerivativeCore, self.num_patterns, elapsed_ns(t0));
+        self.stats.record_op_timed(
+            KernelOp::DerivativeCore,
+            self.num_patterns,
+            clock::now_ns() - t0,
+        );
         out
     }
 }
@@ -940,12 +944,6 @@ impl LastWalk {
         let idx = d.node - tree.num_taxa();
         !self.marked[idx] && self.toward[idx] == tree.other_end(d.toward_edge, d.node)
     }
-}
-
-/// Nanoseconds elapsed since `t0`, saturated into `u64`.
-#[inline]
-fn elapsed_ns(t0: std::time::Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Cached handle for the `core.patterns.evaluated` counter (registry

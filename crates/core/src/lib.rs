@@ -41,6 +41,7 @@
 pub mod aligned;
 pub mod blocking;
 pub mod cla;
+pub mod clock;
 pub mod cost;
 pub mod engine;
 pub mod instrument;

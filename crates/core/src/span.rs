@@ -30,11 +30,8 @@
 //! returns an inert guard and the compiler removes the call entirely —
 //! no thread-local access, no lock, no clock read.
 //!
-//! Timestamps are nanoseconds since a process-wide epoch
-//! ([`epoch_ns`]), so events from different threads share one timeline.
-
-use std::sync::OnceLock;
-use std::time::Instant;
+//! Timestamps are [`crate::clock::now_ns`] readings, so events from
+//! different threads share one timeline.
 
 /// Per-thread ring capacity (events). At 32 bytes per event this is
 /// 1 MiB per recording thread; the window comfortably holds the most
@@ -141,21 +138,10 @@ pub struct CompletedSpan {
     pub depth: usize,
 }
 
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Nanoseconds elapsed since the process-wide trace epoch. The first
-/// caller anchors the epoch; all threads share it.
-pub fn epoch_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
-}
-
 #[cfg(feature = "span-trace")]
 mod recorder {
     use super::*;
-    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+    use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
     /// One thread's ring plus its human-readable label.
     pub(super) struct Track {
@@ -199,7 +185,7 @@ mod recorder {
     }
 
     pub(super) fn record(name: &'static str, phase: SpanPhase) {
-        let t_ns = super::epoch_ns();
+        let t_ns = crate::clock::now_ns();
         CURRENT.with(|t| lock(t).ring.push(SpanEvent { name, phase, t_ns }));
     }
 

@@ -36,6 +36,7 @@ use crate::fault::FaultPlan;
 use crate::replicated::ReplicatedError;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::transport::{CommTransport, WireStats};
+use plf_core::clock;
 use std::sync::Arc;
 
 /// Communication statistics, the input to `micsim`'s interconnect
@@ -287,7 +288,7 @@ impl Comm for ThreadComm {
             let rank = self.rank;
             return Err(CommError::PayloadTooLarge { rank, len });
         }
-        let t0 = std::time::Instant::now();
+        let t0 = clock::now_ns();
         // Deposit into our slot.
         for (s, &v) in self.shared.slots[self.rank].0.iter().zip(buf.iter()) {
             s.store(v.to_bits(), Ordering::Release);
@@ -302,7 +303,7 @@ impl Comm for ThreadComm {
             }
         }
         self.wait()?;
-        self.wire.record(t0.elapsed().as_nanos() as u64);
+        self.wire.record(clock::now_ns() - t0);
         self.stats.allreduces += 1;
         self.stats.bytes += (len * 8) as u64;
         Ok(())

@@ -39,10 +39,9 @@ use phylo_models::GtrParams;
 use phylo_search::Evaluator;
 use phylo_tree::{EdgeId, Tree};
 use plf_core::trace::{events_from_stats, TraceEvent};
-use plf_core::{EngineConfig, KernelStats, LikelihoodEngine};
+use plf_core::{clock, EngineConfig, KernelStats, LikelihoodEngine};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Splits `n` items into `k` contiguous, balanced ranges. When
 /// `k > n`, some ranges are empty — team members holding them
@@ -232,11 +231,11 @@ impl ForkJoinEvaluator {
                 job.tree.clone_from(tree);
             }
         });
-        let t0 = Instant::now();
+        let t0 = clock::now_ns();
         if let Err(p) = self.shared.fork(&mut self.token) {
             panic!("fork-join worker {} died; pool is poisoned", p.rank);
         }
-        let t1 = Instant::now();
+        let t1 = clock::now_ns();
         let reply = self.shared.read_job(|job| {
             run_job(
                 &mut self.engine,
@@ -247,13 +246,12 @@ impl ForkJoinEvaluator {
             )
         });
         self.shared.write_reply(0, reply);
-        let t2 = Instant::now();
+        let t2 = clock::now_ns();
         if let Err(p) = self.shared.join(&mut self.token) {
             panic!("fork-join worker {} died; pool is poisoned", p.rank);
         }
-        let t3 = Instant::now();
-        self.local
-            .record_region(saturating_ns(t1 - t0), saturating_ns(t3 - t2));
+        let t3 = clock::now_ns();
+        self.local.record_region(t1 - t0, t3 - t2);
         let mut panicked = None;
         for slice in 0..self.shared.slices() {
             match self.shared.take_reply(slice) {
@@ -309,11 +307,6 @@ impl ForkJoinEvaluator {
         }
         events
     }
-}
-
-/// `Duration` → `u64` nanoseconds, saturating.
-fn saturating_ns(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Cached handle for the `forkjoin.regions` counter.

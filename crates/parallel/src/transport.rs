@@ -362,7 +362,7 @@ mod unix_impl {
     use phylo_bio::CompressedAlignment;
     use phylo_search::MlSearch;
     use phylo_tree::Tree;
-    use plf_core::EngineConfig;
+    use plf_core::{clock, EngineConfig};
     use std::io;
     use std::net::Shutdown;
     use std::os::unix::net::{UnixListener, UnixStream};
@@ -778,7 +778,7 @@ mod unix_impl {
                 return Err(self.fail(CommError::PayloadTooLarge { rank, len }));
             }
             self.seq += 1;
-            let t0 = Instant::now();
+            let t0 = clock::now_ns();
             let reply = self.roundtrip(
                 Frame {
                     kind: Kind::AllReduce,
@@ -793,7 +793,7 @@ mod unix_impl {
                 _ => return Err(self.fail(CommError::PeerFailed { rank: 0 })),
             };
             buf.copy_from_slice(&sum);
-            self.wire.record(t0.elapsed().as_nanos() as u64);
+            self.wire.record(clock::now_ns() - t0);
             self.stats.allreduces += 1;
             self.stats.bytes += (len * 8) as u64;
             Ok(())

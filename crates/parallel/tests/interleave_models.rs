@@ -21,7 +21,9 @@
 use interleave::sync::atomic::{AtomicU64, Ordering};
 use interleave::Checker;
 use phylo_parallel::barrier::BarrierToken;
-use phylo_parallel::{RegionProtocol, SenseBarrier};
+#[cfg(not(feature = "seed-ordering-bug"))]
+use phylo_parallel::RegionProtocol;
+use phylo_parallel::SenseBarrier;
 use std::sync::Arc;
 
 /// The barrier phase-counter protocol: every participant increments a

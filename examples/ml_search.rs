@@ -7,14 +7,18 @@
 
 use phylomic::models::{DiscreteGamma, Gtr, GtrParams};
 use phylomic::parallel::{run_replicated, ForkJoinEvaluator};
-use phylomic::plf::{EngineConfig, LikelihoodEngine};
+use phylomic::plf::{clock, EngineConfig, LikelihoodEngine};
 use phylomic::search::{MlSearch, SearchConfig};
 use phylomic::seqgen;
 use phylomic::tree::build::{default_names, random_tree};
 use phylomic::tree::newick;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::time::Instant;
+
+/// Seconds since the [`clock::now_ns`] reading `t0`.
+fn seconds_since(t0: u64) -> f64 {
+    (clock::now_ns() - t0) as f64 * 1e-9
+}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -51,13 +55,13 @@ fn main() {
     // 1. Single-threaded.
     let mut t1 = start_tree.clone();
     let mut engine = LikelihoodEngine::new(&t1, &aln, config);
-    let t = Instant::now();
+    let t = clock::now_ns();
     let r1 = search.run(&mut engine, &mut t1);
     println!(
         "serial:     logL {:.3}  RF-to-truth {}  ({:.2}s, {} SPR candidates)",
         r1.log_likelihood,
         t1.rf_distance(&true_tree),
-        t.elapsed().as_secs_f64(),
+        seconds_since(t),
         r1.spr_evaluated
     );
 
@@ -66,26 +70,26 @@ fn main() {
     // As many computing threads as the replicated run has ranks: the
     // master computes one slice, so it spawns one worker fewer.
     let mut fj = ForkJoinEvaluator::new(&t2, &aln, config, ranks.max(1) - 1);
-    let t = Instant::now();
+    let t = clock::now_ns();
     let r2 = search.run(&mut fj, &mut t2);
     println!(
         "fork-join:  logL {:.3}  RF-to-truth {}  ({:.2}s, master + {} workers, {} regions)",
         r2.log_likelihood,
         t2.rf_distance(&true_tree),
-        t.elapsed().as_secs_f64(),
+        seconds_since(t),
         fj.num_workers(),
         fj.regions()
     );
 
     // 3. Replicated scheme (ExaML style).
-    let t = Instant::now();
+    let t = clock::now_ns();
     let out = run_replicated(&start_tree, &aln, config, search, ranks);
     let t3 = newick::parse(&out.result.newick).unwrap();
     println!(
         "replicated: logL {:.3}  RF-to-truth {}  ({:.2}s, {} ranks, {} AllReduces of {} B avg)",
         out.result.log_likelihood,
         t3.rf_distance(&true_tree),
-        t.elapsed().as_secs_f64(),
+        seconds_since(t),
         ranks,
         out.comm_stats.allreduces,
         out.comm_stats

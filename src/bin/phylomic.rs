@@ -22,7 +22,7 @@ use phylomic::plf::trace::{
     events_from_metrics, events_from_spans, events_from_stats, write_jsonl, TraceEvent,
     TRACE_VERSION,
 };
-use phylomic::plf::{metrics, span, Blocking, EngineConfig, LikelihoodEngine};
+use phylomic::plf::{clock, metrics, span, Blocking, EngineConfig, LikelihoodEngine};
 use phylomic::search::{Evaluator, MlSearch, SearchConfig, SearchResult};
 use phylomic::tree::build::{default_names, random_tree};
 use phylomic::tree::{newick, Tree};
@@ -665,7 +665,7 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
         search,
     } = search_inputs(opts)?;
     let fault_plan = fault_plan_of(opts)?;
-    let start = std::time::Instant::now();
+    let start = clock::now_ns();
     let trace_events: Vec<TraceEvent>;
     let mut trace_transport = String::new();
     let mut trace_wire = phylomic::parallel::WireStats::default();
@@ -737,7 +737,7 @@ fn cmd_search(opts: &Opts) -> Result<(), String> {
         }
         _ => unreachable!("check_scheme_options refused it"),
     };
-    let elapsed = start.elapsed().as_secs_f64();
+    let elapsed = (clock::now_ns() - start) as f64 * 1e-9;
     println!(
         "logL {:.6}  rounds {}  moves {}/{}  time {elapsed:.2}s",
         result.log_likelihood, result.rounds, result.spr_accepted, result.spr_evaluated

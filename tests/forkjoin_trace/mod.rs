@@ -11,7 +11,8 @@ use phylomic::tree::Tree;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn dataset() -> (Tree, phylomic::bio::CompressedAlignment) {
+/// 8 taxa on a random tree, 1200 simulated columns, fixed seed.
+pub fn dataset() -> (Tree, phylomic::bio::CompressedAlignment) {
     let mut rng = SmallRng::seed_from_u64(77);
     let names = default_names(8);
     let tree = random_tree(&names, 0.15, &mut rng).unwrap();

@@ -5,8 +5,8 @@
 //! flag enables.
 //!
 //! `region_waits_do_not_contain_the_kernels` lives in
-//! `tests/region_waits.rs`: its wall-clock bound must not share the
-//! CPUs with the fork-join teams these tests run.
+//! `tests/region_waits.rs`: it switches the process to the counting
+//! clock, and these tests read real time.
 
 mod forkjoin_trace;
 
