@@ -137,10 +137,11 @@ pub fn extract(file: &str, src: &str, enabled_features: &[String]) -> FileItems 
         lexed,
         ..FileItems::default()
     };
-    let path_test_ctx = file.contains("/tests/")
-        || file.contains("/benches/")
-        || file.contains("/examples/")
-        || file.ends_with("build.rs");
+    // Workspace-relative paths: the root package's `tests/` has no
+    // leading slash, a member's `crates/x/tests/` has one.
+    let under = |dir: &str| file.starts_with(dir) || file.contains(&format!("/{dir}"));
+    let path_test_ctx =
+        ["tests/", "benches/", "examples/"].into_iter().any(under) || file.ends_with("build.rs");
     let ctx = Ctx {
         in_test: path_test_ctx,
         ..Ctx::default()

@@ -121,6 +121,31 @@ fn fpdet_fixture_flags_raw_mul_add_but_not_gated_ones() {
 }
 
 #[test]
+fn root_tests_examples_and_benches_are_test_context() {
+    // Paths are workspace-relative: the root package's `tests/` has no
+    // leading slash, a member's has one. The fixture above flags as
+    // library code; in any of these directories it is a test.
+    for path in [
+        "tests/numerics.rs",
+        "examples/numerics.rs",
+        "benches/numerics.rs",
+        "crates/fake/tests/numerics.rs",
+    ] {
+        let (findings, _, fns) = analyze("fpdet.rs", path);
+        assert!(fns.iter().all(|f| f.is_test_ctx), "{path}");
+        let fp: Vec<&str> = findings
+            .iter()
+            .filter(|f| f.rule == "fpdet")
+            .map(|f| f.key.as_str())
+            .collect();
+        assert!(fp.is_empty(), "{path}: {fp:?}");
+    }
+    // A name that only ends in one of them is no such directory.
+    let (findings, _, _) = analyze("fpdet.rs", "crates/contests/src/numerics.rs");
+    assert!(keys(&findings).contains(&"float_eq_bug:float_cmp"));
+}
+
+#[test]
 fn safety_fixture_flags_the_three_source_rules() {
     let (findings, _, _) = analyze("safety.rs", "crates/fake/src/lib.rs");
     let sf: Vec<&Finding> = findings.iter().filter(|f| f.rule == "safety").collect();

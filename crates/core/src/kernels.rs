@@ -13,8 +13,11 @@
 //! (`evaluate_classes_ti/ii`, `derivative_core_classes`). The scalar
 //! phase-2 tails — `ln` minus the scaling correction, the `ℓ'/ℓ`
 //! ratios, the weighted sum in site order — are written once, here,
-//! in the provided methods.
+//! in the provided methods. The `ln` is the repository's own
+//! (`ln.rs`, `+ − × ÷` only), so a logL has the same bits on every
+//! IEEE host whatever its libm.
 
+mod ln;
 pub mod scalar;
 pub mod simd;
 
@@ -110,10 +113,9 @@ impl std::fmt::Display for KernelKind {
 /// tail "on the whole block" and the weighted sum are the provided
 /// [`Kernels::evaluate_ti`], [`Kernels::evaluate_ii`] and
 /// [`Kernels::derivative_core`], written once for every backend. The
-/// one override is the explicit-SIMD set at 512 bits, whose
-/// `derivative_core` runs reduction and tail fused, 8 sites a step,
-/// and leaves the last `n mod 8` sites to the two-phase body — the
-/// same bits at every width.
+/// overrides are the explicit-SIMD set's at 512 bits: `derivative_core`
+/// runs reduction and tail fused, 8 sites a step, and [`Kernels::ln_block`]
+/// takes the logs of 8 sites at a time — the same bits at every width.
 pub trait Kernels: Send + Sync {
     /// `newview`, both children tips.
     fn newview_tt(
@@ -199,6 +201,16 @@ pub trait Kernels: Send + Sync {
         out: &mut [f64],
     );
 
+    /// Replaces every entry of `l` with its natural log: the `ln` of
+    /// this crate, bit for bit (within 1 ulp of a correctly rounded
+    /// log; `ln 0 = −∞`, a negative entry or a NaN gives NaN). The
+    /// `evaluate` tail runs it over each block of raw site likelihoods.
+    fn ln_block(&self, l: &mut [f64]) {
+        for x in l {
+            *x = ln::ln(*x);
+        }
+    }
+
     /// `evaluate` with a tip at the virtual root's left end. Returns
     /// the log-likelihood over all patterns.
     fn evaluate_ti(
@@ -215,15 +227,17 @@ pub trait Kernels: Send + Sync {
         for (i, w) in weights.chunks(ROOT_CHUNK).enumerate() {
             let at = i * ROOT_CHUNK;
             let sites = at..at + w.len();
+            let block = &mut block[..w.len()];
             self.evaluate_classes_ti(
                 pi_tip,
                 &codes_q[sites.clone()],
                 p,
                 site_columns(v_r, &sites),
-                &mut block[..w.len()],
+                block,
             );
-            for ((&l, &sc), &w) in block.iter().zip(&scale_r[sites]).zip(w) {
-                log_l += w as f64 * site_log_likelihood(l, sc);
+            self.ln_block(floored(block));
+            for ((&ln_l, &sc), &w) in block.iter().zip(&scale_r[sites]).zip(w) {
+                log_l += w as f64 * (ln_l - sc as f64 * LN_SCALE);
             }
         }
         log_l
@@ -246,16 +260,18 @@ pub trait Kernels: Send + Sync {
         for (i, w) in weights.chunks(ROOT_CHUNK).enumerate() {
             let at = i * ROOT_CHUNK;
             let sites = at..at + w.len();
+            let block = &mut block[..w.len()];
             self.evaluate_classes_ii(
                 pi_w,
                 site_columns(v_q, &sites),
                 p,
                 site_columns(v_r, &sites),
-                &mut block[..w.len()],
+                block,
             );
+            self.ln_block(floored(block));
             let scales = scale_q[sites.clone()].iter().zip(&scale_r[sites]);
-            for ((&l, (&sq, &sr)), &w) in block.iter().zip(scales).zip(w) {
-                log_l += w as f64 * site_log_likelihood(l, sq + sr);
+            for ((&ln_l, (&sq, &sr)), &w) in block.iter().zip(scales).zip(w) {
+                log_l += w as f64 * (ln_l - (sq + sr) as f64 * LN_SCALE);
             }
         }
         log_l
@@ -324,11 +340,15 @@ fn site_columns<'a>(buf: &'a [f64], sites: &std::ops::Range<usize>) -> &'a [f64]
     &buf[sites.start * SITE_STRIDE..sites.end * SITE_STRIDE]
 }
 
-/// The `evaluate` tail at one site: the log of the raw site likelihood
-/// `l`, corrected for `scale` underflow-scaling events.
+/// The raw site likelihoods of an `evaluate` block, each raised to
+/// [`positive`]'s floor so that its log is finite; the tail then adds
+/// `w · (ln ℓ − scale · LN_SCALE)` in site order.
 #[inline]
-fn site_log_likelihood(l: f64, scale: u32) -> f64 {
-    positive(l).ln() - scale as f64 * LN_SCALE
+fn floored(block: &mut [f64]) -> &mut [f64] {
+    for l in block.iter_mut() {
+        *l = positive(*l);
+    }
+    block
 }
 
 /// The `derivativeCore` tail at one site: the site's contributions
@@ -495,10 +515,10 @@ mod tests {
                     let w = weights[i] as f64;
                     let mut l = [0.0];
                     k.evaluate_classes_ti(&pi_tip, &codes[i..=i], &p, &r, &mut l);
-                    ti += w * (l[0].max(f64::MIN_POSITIVE).ln() - scale_r[i] as f64 * LN_SCALE);
+                    ti += w * (ln::ln(l[0].max(f64::MIN_POSITIVE)) - scale_r[i] as f64 * LN_SCALE);
                     k.evaluate_classes_ii(&pi_w, &q, &p, &r, &mut l);
                     let sc = (scale_q[i] + scale_r[i]) as f64;
-                    ii += w * (l[0].max(f64::MIN_POSITIVE).ln() - sc * LN_SCALE);
+                    ii += w * (ln::ln(l[0].max(f64::MIN_POSITIVE)) - sc * LN_SCALE);
                     let mut l = [0.0; 3];
                     k.derivative_core_classes(&s, &basis.lambda_rate, 0.31, &mut l);
                     let l0 = l[0].max(f64::MIN_POSITIVE);

@@ -20,12 +20,14 @@
 //!   64-byte aligned and whole-site padded (debug-asserted at every
 //!   kernel entry; see [`crate::layout`] for the invariant), so every
 //!   site loads full vectors with no scalar remainder;
-//! * §V-B4 *site blocking* — `evaluate` is only the vector phase here
-//!   (`evaluate_classes_*`); the scalar log tail runs over whole blocks
-//!   in the provided methods of [`super::Kernels`]. `derivativeCore`
-//!   is the vector phase too (`derivative_core_classes`) at 256 bits;
-//!   at 512 bits it is one fused loop, 8 sites a step, with the
-//!   division tail in vector registers;
+//! * §V-B4 *site blocking* — `evaluate` is the vector phase here
+//!   (`evaluate_classes_*`); the provided methods of [`super::Kernels`]
+//!   take the logs of a whole block with `ln_block` — 8 lanes at a time
+//!   at 512 bits, the crate's own `ln` in vector form — and add them in
+//!   site order. `derivativeCore` is the vector phase too
+//!   (`derivative_core_classes`) at 256 bits; at 512 bits it is one
+//!   fused loop, 8 sites a step, with the division tail in vector
+//!   registers;
 //! * §V-B5 *streaming stores* — a `newview` CLA is written once and
 //!   not read again until its parent's call, so one from an unblocked
 //!   walk that is larger than the per-core cache leaves through
@@ -48,13 +50,14 @@
 //! bit-identical across backends and widths (rescaling multiplies by an
 //! exact power of two).
 //!
-//! Two ops have one body whatever the host: `newview_tt` is a pure
+//! Two steps have one body whatever the host: `newview_tt` is a pure
 //! 16-wide LUT product with no matrix work for the FMA chains to win
 //! anything on and runs the scalar backend's loop, which LLVM
-//! vectorizes as it stands; the π-weighted tail of `evaluate_classes_*`
-//! sums over `k` *inside* a lane, so putting two rate categories side
-//! by side would change the order of that sum — it stays 256 bits
-//! wide. `derivativeCore` sums over `k` inside a lane as well; its
+//! vectorizes as it stands; the π-weighted sum that ends
+//! `evaluate_classes_*` runs over `k` *inside* a lane, so putting two
+//! rate categories side by side would change the order of that sum —
+//! it stays 256 bits wide, and only the logs after it are taken 8 at a
+//! time. `derivativeCore` sums over `k` inside a lane as well; its
 //! 512-bit body keeps that order by putting two *sites* side by side
 //! instead, one per 256-bit half, and reduces each half as `hsum`
 //! does.
@@ -133,9 +136,10 @@ impl SimdKernels {
     }
 
     /// The width of this set's vectors in bits (0: scalar fallback).
-    /// `newview_tt` and the π-weighted tail of `evaluate_classes_*`
+    /// `newview_tt` and the π-weighted sum of `evaluate_classes_*`
     /// have one body at every width (see the module doc); all matrix
-    /// work and `derivative_core` run this wide.
+    /// work, `derivative_core` and, at 512 bits, `ln_block` run this
+    /// wide.
     pub fn width_bits(&self) -> u32 {
         self.width_bits
     }
@@ -327,13 +331,19 @@ impl Kernels for SimdKernels {
             assert_buf(sumtable, weights.len(), "derivative_core sumtable");
             // SAFETY: `at_width` hands out 512 only with AVX2, FMA and
             // AVX-512F detected.
-            let (done, sums) =
-                unsafe { x86::w512::derivative_core(sumtable, lambda_rate, t, weights) };
-            // The last `n mod 8` sites, continuing the sums in site order.
-            let rest = &sumtable[done * SITE_STRIDE..];
-            return derivative_core_two_phase(self, rest, lambda_rate, t, &weights[done..], sums);
+            return unsafe { x86::w512::derivative_core(sumtable, lambda_rate, t, weights) };
         }
         derivative_core_two_phase(self, sumtable, lambda_rate, t, weights, (0.0, 0.0))
+    }
+
+    fn ln_block(&self, l: &mut [f64]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.width_bits == 512 {
+            // SAFETY: `at_width` hands out 512 only with AVX2, FMA and
+            // AVX-512F detected.
+            return unsafe { x86::w512::ln_block(l) };
+        }
+        ScalarKernels.ln_block(l)
     }
 }
 
@@ -762,16 +772,19 @@ mod x86 {
             derivative_exp_tables, drain_streams, prefetch_site, rescale_site, root_weights,
             stream_ok, weighted_sum, SiteBuf, PREFETCH_SITES,
         };
+        use crate::kernels::ln::{ln, LG1, LG2, LG3, LG4, LG5, LG6, LG7, LN2_HI, LN2_LO, SQRT_2};
         use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
         use crate::scaling::SCALE_THRESHOLD;
         use crate::{NUM_RATES, NUM_STATES, SITE_STRIDE};
         use core::arch::x86_64::{
             __m256d, __m512d, _mm256_loadu_si256, _mm512_add_pd, _mm512_broadcast_f64x4,
             _mm512_castpd256_pd512, _mm512_castpd512_pd256, _mm512_cmp_pd_mask, _mm512_cvtepu32_pd,
-            _mm512_div_pd, _mm512_extractf64x4_pd, _mm512_fmadd_pd, _mm512_insertf64x4,
-            _mm512_loadu_pd, _mm512_max_pd, _mm512_mul_pd, _mm512_permutex_pd, _mm512_set1_pd,
+            _mm512_div_pd, _mm512_extractf64x4_pd, _mm512_fmadd_pd, _mm512_getexp_pd,
+            _mm512_getmant_pd, _mm512_insertf64x4, _mm512_loadu_pd, _mm512_mask_add_pd,
+            _mm512_mask_mul_pd, _mm512_max_pd, _mm512_mul_pd, _mm512_permutex_pd, _mm512_set1_pd,
             _mm512_setzero_pd, _mm512_shuffle_f64x2, _mm512_storeu_pd, _mm512_stream_pd,
-            _mm512_sub_pd, _mm512_unpackhi_pd, _mm512_unpacklo_pd, _CMP_GE_OQ, _CMP_NGE_UQ,
+            _mm512_sub_pd, _mm512_unpackhi_pd, _mm512_unpacklo_pd, _CMP_GE_OQ, _CMP_LE_OQ,
+            _CMP_NGE_UQ, _MM_MANT_NORM_1_2, _MM_MANT_SIGN_ZERO,
         };
 
         /// One site: `[rates 0-1, rates 2-3]`.
@@ -1100,9 +1113,10 @@ mod x86 {
         }
 
         /// `derivativeCore`, fused: phase 1 and the ratio/weight tail of
-        /// 8 sites a step in vector registers. Returns how many sites it
-        /// finished (every whole step) and `(dlnl, d2lnl)` over them,
-        /// from which the two-phase body continues with the rest.
+        /// 8 sites a step in vector registers, `(dlnl, d2lnl)` summed in
+        /// site order. The last `n mod 8` sites take one more step from
+        /// an 8-site copy padded with zero columns, whose padding lanes
+        /// are left out of the sums.
         ///
         /// Lane for lane it computes what the 256-bit phase 1 and the
         /// provided tail compute: three FMA chains over `k = 0..3` from
@@ -1118,40 +1132,104 @@ mod x86 {
             lambda_rate: &[f64; SITE_STRIDE],
             t: f64,
             weights: &[u32],
-        ) -> (usize, (f64, f64)) {
+        ) -> (f64, f64) {
             let tables = tables(lambda_rate, t);
-            let floor = _mm512_set1_pd(f64::MIN_POSITIVE);
-            let (mut dlnl, mut d2lnl) = (0.0, 0.0);
-            let mut done = 0;
-            let steps = sumtable
-                .chunks_exact(8 * SITE_STRIDE)
-                .zip(weights.chunks_exact(8));
-            for (cols, w) in steps {
-                for c in done..done + 8 {
-                    prefetch_site(sumtable, c + PREFETCH_SITES);
+            let mut sums = (0.0, 0.0);
+            let mut steps = sumtable.chunks_exact(8 * SITE_STRIDE);
+            let mut step_weights = weights.chunks_exact(8);
+            for (i, (cols, w)) in (&mut steps).zip(&mut step_weights).enumerate() {
+                for site in 8 * i..8 * i + 8 {
+                    prefetch_site(sumtable, site + PREFETCH_SITES);
                 }
-                let even = fold(chains(cols, 0, 2, &tables), chains(cols, 4, 6, &tables));
-                let odd = fold(chains(cols, 1, 3, &tables), chains(cols, 5, 7, &tables));
-                let [l, l1, l2] = sites_in_order(even, odd);
-                debug_assert_eq!(
-                    _mm512_cmp_pd_mask::<_CMP_NGE_UQ>(l, _mm512_setzero_pd()),
-                    0,
-                    "negative site likelihood"
-                );
-                let l = _mm512_max_pd(l, floor);
-                let ratio1 = _mm512_div_pd(l1, l);
-                let ratio2 = _mm512_sub_pd(_mm512_div_pd(l2, l), _mm512_mul_pd(ratio1, ratio1));
-                let w = weights8(w);
-                let (mut d1, mut d2) = ([0.0; 8], [0.0; 8]);
-                store8(&mut d1, 0, _mm512_mul_pd(w, ratio1));
-                store8(&mut d2, 0, _mm512_mul_pd(w, ratio2));
-                for (a, b) in d1.into_iter().zip(d2) {
-                    dlnl += a;
-                    d2lnl += b;
-                }
-                done += 8;
+                derivative_step(cols, w, &tables, 8, &mut sums);
             }
-            (done, (dlnl, d2lnl))
+            let rest = step_weights.remainder();
+            if !rest.is_empty() {
+                let mut cols = [0.0; 8 * SITE_STRIDE];
+                let mut w = [0; 8];
+                cols[..steps.remainder().len()].copy_from_slice(steps.remainder());
+                w[..rest.len()].copy_from_slice(rest);
+                derivative_step(&cols, &w, &tables, rest.len(), &mut sums);
+            }
+            sums
+        }
+
+        /// One step of [`derivative_core`] over the 8 columns of `cols`:
+        /// adds the weighted ratios of the first `used` sites to `sums`.
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn derivative_step(
+            cols: &[f64],
+            w: &[u32],
+            tables: &Tables,
+            used: usize,
+            (dlnl, d2lnl): &mut (f64, f64),
+        ) {
+            let even = fold(chains(cols, 0, 2, tables), chains(cols, 4, 6, tables));
+            let odd = fold(chains(cols, 1, 3, tables), chains(cols, 5, 7, tables));
+            let [l, l1, l2] = sites_in_order(even, odd);
+            debug_assert_eq!(
+                _mm512_cmp_pd_mask::<_CMP_NGE_UQ>(l, _mm512_setzero_pd()),
+                0,
+                "negative site likelihood"
+            );
+            let l = _mm512_max_pd(l, _mm512_set1_pd(f64::MIN_POSITIVE));
+            let ratio1 = _mm512_div_pd(l1, l);
+            let ratio2 = _mm512_sub_pd(_mm512_div_pd(l2, l), _mm512_mul_pd(ratio1, ratio1));
+            let w = weights8(w);
+            let (mut d1, mut d2) = ([0.0; 8], [0.0; 8]);
+            store8(&mut d1, 0, _mm512_mul_pd(w, ratio1));
+            store8(&mut d2, 0, _mm512_mul_pd(w, ratio2));
+            for (a, b) in d1.into_iter().zip(d2).take(used) {
+                *dlnl += a;
+                *d2lnl += b;
+            }
+        }
+
+        /// [`super::super::Kernels::ln_block`], 8 lanes at a time: the
+        /// scalar `ln`'s operations in its order, with `getmant` and
+        /// `getexp` (both exact) splitting `x = 2^e · m`. A group with
+        /// an entry outside the normal positive range, and the last
+        /// `n mod 8` entries, take the scalar `ln` itself.
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        pub(in super::super) fn ln_block(l: &mut [f64]) {
+            let (lo, hi) = (_mm512_set1_pd(f64::MIN_POSITIVE), _mm512_set1_pd(f64::MAX));
+            let mut groups = l.chunks_exact_mut(8);
+            for group in &mut groups {
+                let x = load8(group, 0);
+                let normal = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(x, lo)
+                    & _mm512_cmp_pd_mask::<_CMP_LE_OQ>(x, hi);
+                if normal == 0xFF {
+                    store8(group, 0, ln8(x));
+                } else {
+                    group.iter_mut().for_each(|v| *v = ln(*v));
+                }
+            }
+            groups.into_remainder().iter_mut().for_each(|v| *v = ln(*v));
+        }
+
+        /// `ln` of 8 normal positive doubles.
+        #[inline]
+        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
+        fn ln8(x: __m512d) -> __m512d {
+            let c = _mm512_set1_pd;
+            let (add, sub, mul) = (_mm512_add_pd, _mm512_sub_pd, _mm512_mul_pd);
+            let m = _mm512_getmant_pd::<_MM_MANT_NORM_1_2, _MM_MANT_SIGN_ZERO>(x);
+            let e = _mm512_getexp_pd(x);
+            let halve = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(m, c(SQRT_2));
+            let m = _mm512_mask_mul_pd(m, halve, m, c(0.5));
+            let e = _mm512_mask_add_pd(e, halve, e, c(1.0));
+            let f = sub(m, c(1.0));
+            let s = _mm512_div_pd(f, add(c(2.0), f));
+            let z = mul(s, s);
+            let w = mul(z, z);
+            let t1 = mul(w, add(c(LG2), mul(w, add(c(LG4), mul(w, c(LG6))))));
+            let t2 = add(c(LG5), mul(w, c(LG7)));
+            let t2 = mul(z, add(c(LG1), mul(w, add(c(LG3), mul(w, t2)))));
+            let r = add(t2, t1);
+            let hfsq = mul(mul(c(0.5), f), f);
+            let inner = sub(hfsq, add(mul(s, add(hfsq, r)), mul(e, c(LN2_LO))));
+            sub(mul(e, c(LN2_HI)), sub(inner, f))
         }
     }
 }
@@ -1239,7 +1317,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// What the seven ops with a body per width write for one input.
+    /// What the ops with a body per width write for one input.
     struct Outputs {
         newview_ti: (AlignedVec, Vec<u32>),
         newview_ii: (AlignedVec, Vec<u32>),
@@ -1247,13 +1325,16 @@ pub(crate) mod tests {
         sum_ii: AlignedVec,
         eval_ti: Vec<f64>,
         eval_ii: Vec<f64>,
+        /// The logL of `evaluate_ti` and `evaluate_ii`, whose tail runs
+        /// `ln_block`.
+        evaluate: [f64; 2],
         /// `(dlnl, d2lnl)` over `sum_ii`.
         core: [f64; 2],
     }
 
     impl Outputs {
         /// `(op, values, scaling counters)` for comparisons.
-        fn parts(&self) -> [(&'static str, &[f64], &[u32]); 7] {
+        fn parts(&self) -> [(&'static str, &[f64], &[u32]); 8] {
             [
                 ("newview_ti", &self.newview_ti.0, &self.newview_ti.1),
                 ("newview_ii", &self.newview_ii.0, &self.newview_ii.1),
@@ -1261,12 +1342,13 @@ pub(crate) mod tests {
                 ("derivative_sum_ii", &self.sum_ii, &[]),
                 ("evaluate_classes_ti", &self.eval_ti, &[]),
                 ("evaluate_classes_ii", &self.eval_ii, &[]),
+                ("evaluate", &self.evaluate, &[]),
                 ("derivative_core", &self.core, &[]),
             ]
         }
     }
 
-    /// Runs the seven ops over `n` sites of a fixed pseudo-random input
+    /// Runs the ops over `n` sites of a fixed pseudo-random input
     /// in which every third site sits below the scaling threshold, with
     /// P matrices of branch lengths `tl` and `tr` under Γ shape `alpha`;
     /// `derivative_core` reads the `derivative_sum_ii` table at `tl`.
@@ -1299,6 +1381,7 @@ pub(crate) mod tests {
             sum_ii: site_buf(),
             eval_ti: vec![0.0; n],
             eval_ii: vec![0.0; n],
+            evaluate: [0.0; 2],
             core: [0.0; 2],
         };
         let (out, sc) = &mut o.newview_ti;
@@ -1310,6 +1393,10 @@ pub(crate) mod tests {
         k.evaluate_classes_ti(&pi_tip, &codes, &pr, &vr, &mut o.eval_ti);
         k.evaluate_classes_ii(&pi_w, &vl, &pr, &vr, &mut o.eval_ii);
         let weights: Vec<u32> = (0..n).map(|i| 1 + (i % 4) as u32).collect();
+        o.evaluate = [
+            k.evaluate_ti(&pi_tip, &codes, &pr, &vr, &scale, &weights),
+            k.evaluate_ii(&pi_w, &vl, &scale, &pr, &vr, &scale, &weights),
+        ];
         let (d1, d2) = k.derivative_core(&o.sum_ii, &basis.lambda_rate, tl, &weights);
         o.core = [d1, d2];
         o
@@ -1361,6 +1448,37 @@ pub(crate) mod tests {
                     rescaled.clone().any(|(i, &s)| s > 2 * (i % 4) as u32),
                     "{at}: no site was rescaled"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn ln_block_writes_the_scalar_ln_bit_for_bit_at_every_width() {
+        use super::super::ln::ln;
+        for n in [0usize, 1, 7, 8, 9, 15, 16, 511, 512, 513] {
+            // Log-uniform over [2⁻¹⁰⁰⁰, 2¹⁰⁰⁰], and every ulp around 1.
+            let mut x = vec![0.0; n];
+            fill(&mut x, 41 + n as u64, -1000.0, 1000.0);
+            for (i, v) in x.iter_mut().enumerate() {
+                *v = if i % 5 == 4 {
+                    f64::from_bits(1f64.to_bits() - 2 + i as u64 % 5)
+                } else {
+                    v.exp2()
+                };
+            }
+            // One group of 8 holding what is not a normal positive double.
+            if n >= 16 {
+                let odd = [0.0, f64::MIN_POSITIVE / 3.0, f64::INFINITY, f64::NAN, -1.0];
+                x[8..8 + odd.len()].copy_from_slice(&odd);
+            }
+            let want: Vec<u64> = x.iter().map(|&v| ln(v).to_bits()).collect();
+            let mut sets: Vec<&dyn Kernels> = vec![KernelKind::Scalar.kernels()];
+            sets.extend(widths_under_test().into_iter().map(|k| k as &dyn Kernels));
+            for k in sets {
+                let mut got = x.clone();
+                k.ln_block(&mut got);
+                let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "n={n}");
             }
         }
     }

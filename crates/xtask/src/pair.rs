@@ -1,8 +1,11 @@
-//! `cargo xtask pair <base-rev> [<workload> <metric>]` — the one way
+//! `cargo xtask pair <base-rev> [<workload> [<metric>]]` — the one way
 //! this repository compares two of its states: alternating
 //! parent/change pairs of the end-to-end benchmark, judged by the
 //! standing rules of ROADMAP.md and `plf_e2e/README.md` ("Claim
-//! protocol"). What to run and how to judge it — `command`,
+//! protocol"). With no workload it runs every workload and claims
+//! nothing; with a workload alone it reruns that one, with as many
+//! pairs as a claim gets, and still claims nothing; with a metric too
+//! it claims a gain on it. What to run and how to judge it — `command`,
 //! `run_seconds`, the workloads, the end-to-end metrics with `better`
 //! and `bound` — is read from `BENCHMARK.json`; the seed and the pair
 //! counts are the constants below. Every run is kept, in the order run,
@@ -14,13 +17,65 @@ use std::io::Write as _;
 use std::path::Path;
 use std::process::{Command, ExitCode, Stdio};
 
-pub const USAGE: &str = "cargo xtask pair <base-rev> [<workload> <metric>]";
+pub const USAGE: &str = "cargo xtask pair <base-rev> [<workload> [<metric>]]";
 
 /// A seed no change is developed on (development runs on 20140314).
 const SEED: &str = "7";
-/// Pairs on the workload of a claim, and on every other workload.
+/// Pairs on the workload of a claim or a rerun, and on every workload
+/// of a comparison that names none.
 const CLAIM_PAIRS: usize = 10;
 const OTHER_PAIRS: usize = 6;
+
+/// What a comparison runs and claims.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Mode<'a> {
+    /// Every workload, no claim.
+    All,
+    /// One workload only, no claim: a second look at a cell.
+    Rerun(&'a str),
+    /// Every workload, a gain claimed on one metric of one of them.
+    Claim(&'a str, &'a str),
+}
+
+impl<'a> Mode<'a> {
+    fn parse(args: &'a [String]) -> Option<(&'a str, Mode<'a>)> {
+        match args {
+            [rev] => Some((rev, Mode::All)),
+            [rev, w] => Some((rev, Mode::Rerun(w))),
+            [rev, w, m] => Some((rev, Mode::Claim(w, m))),
+            _ => None,
+        }
+    }
+
+    fn claim(self) -> Option<(&'a str, &'a str)> {
+        match self {
+            Mode::Claim(w, m) => Some((w, m)),
+            _ => None,
+        }
+    }
+
+    /// How many pairs workload `w` runs: none outside a rerun's one.
+    fn pairs(self, w: &str) -> usize {
+        match self {
+            Mode::All => OTHER_PAIRS,
+            Mode::Rerun(only) if only == w => CLAIM_PAIRS,
+            Mode::Rerun(_) => 0,
+            Mode::Claim(claimed, _) if claimed == w => CLAIM_PAIRS,
+            Mode::Claim(..) => OTHER_PAIRS,
+        }
+    }
+
+    /// The first line of the report, after the parent and the seed.
+    fn describe(self) -> String {
+        match self {
+            Mode::All => format!("{OTHER_PAIRS} pairs per workload, no gain claimed"),
+            Mode::Rerun(w) => format!("{CLAIM_PAIRS} pairs on `{w}` only, no gain claimed"),
+            Mode::Claim(w, m) => format!(
+                "{OTHER_PAIRS} pairs per workload ({CLAIM_PAIRS} on `{w}`, whose `{m}` is the claim)"
+            ),
+        }
+    }
+}
 
 /// `$1` = commit, `$2` = `target/pair`, cwd = the repository. Freezes
 /// both sides, so that an edit made while the series runs changes
@@ -280,7 +335,8 @@ fn stdout_of(cmd: &mut Command) -> Result<String, String> {
 
 /// Freezes, refuses or builds, measures, prints the report. `Ok` is
 /// whether the comparison passed, `Err` why there is none.
-fn compare(root: &Path, rev: &str, claim: Option<(&str, &str)>) -> Result<bool, String> {
+fn compare(root: &Path, rev: &str, mode: Mode) -> Result<bool, String> {
+    let claim = mode.claim();
     if let Some((name, _)) = std::env::vars().find(|(name, _)| name.starts_with("PHYLOMIC_")) {
         return Err(format!("{name} is set: both sides run their defaults"));
     }
@@ -301,11 +357,14 @@ fn compare(root: &Path, rev: &str, claim: Option<(&str, &str)>) -> Result<bool, 
     let contract = std::fs::read_to_string(pair_dir.join("change/BENCHMARK.json"));
     let spec = Spec::parse(&contract.map_err(|e| e.to_string())?)
         .map_err(|e| format!("BENCHMARK.json: {e}"))?;
-    if let Some((w, m)) = claim {
-        if !spec.workloads.iter().any(|x| x == w) || !spec.metrics.iter().any(|x| x.name == m) {
-            return Err(format!(
-                "BENCHMARK.json has no workload {w:?} or no end-to-end {m:?}"
-            ));
+    if let Mode::Rerun(w) | Mode::Claim(w, _) = mode {
+        if !spec.workloads.iter().any(|x| x == w) {
+            return Err(format!("BENCHMARK.json has no workload {w:?}"));
+        }
+    }
+    if let Some((_, m)) = claim {
+        if !spec.metrics.iter().any(|x| x.name == m) {
+            return Err(format!("BENCHMARK.json has no end-to-end {m:?}"));
         }
     }
     let benchmark = |side: usize, args: &[&str]| {
@@ -328,11 +387,7 @@ fn compare(root: &Path, rev: &str, claim: Option<(&str, &str)>) -> Result<bool, 
     let mut log = std::fs::File::create(pair_dir.join("runs.jsonl")).map_err(|e| e.to_string())?;
     let mut runs: Vec<Run> = Vec::new();
     for w in &spec.workloads {
-        let pairs = if claim.is_some_and(|(claimed, _)| claimed == w) {
-            CLAIM_PAIRS
-        } else {
-            OTHER_PAIRS
-        };
+        let pairs = mode.pairs(w);
         for pair in 1..=pairs {
             // The parent runs first in the odd pairs, second in the even.
             for side in [(pair + 1) % 2, pair % 2] {
@@ -379,22 +434,20 @@ fn compare(root: &Path, rev: &str, claim: Option<(&str, &str)>) -> Result<bool, 
         }
     }
     let (text, passed) = report(&spec, claim, &runs);
-    let claimed = |(w, m)| format!(" ({CLAIM_PAIRS} on `{w}`, whose `{m}` is the claim)");
     println!(
         "`cargo xtask pair {rev}`: parent {}, change = the working tree, seed {SEED}, {} s \
-         per run, {OTHER_PAIRS} pairs per workload{}.\n\n{text}",
+         per run, {}.\n\n{text}",
         &sha[..12.min(sha.len())],
         spec.run_seconds,
-        claim.map_or(String::new(), claimed)
+        mode.describe()
     );
     Ok(passed)
 }
 
 pub fn run(root: &Path, args: &[String]) -> ExitCode {
-    let outcome = match args {
-        [rev] => compare(root, rev, None),
-        [rev, workload, metric] => compare(root, rev, Some((workload, metric))),
-        _ => Err(format!("usage: {USAGE}")),
+    let outcome = match Mode::parse(args) {
+        Some((rev, mode)) => compare(root, rev, mode),
+        None => Err(format!("usage: {USAGE}")),
     };
     match outcome {
         Ok(true) => ExitCode::SUCCESS,
@@ -465,6 +518,46 @@ mod tests {
         let (columns, verdict, met) = judge(forkjoin, &FORKJOIN_A, &change);
         assert!(columns.contains("| 8/10 |") && !met, "{columns}");
         assert_eq!(verdict, OUTSIDE_BETTER);
+    }
+
+    #[test]
+    fn a_rerun_runs_one_workload_judges_every_metric_and_claims_nothing() {
+        let spec = spec();
+        let args: Vec<String> = ["HEAD~1", "narrow64"].map(String::from).into();
+        let (rev, mode) = Mode::parse(&args).expect("a rev and a workload");
+        assert_eq!(
+            (rev, mode, mode.claim()),
+            ("HEAD~1", Mode::Rerun("narrow64"), None)
+        );
+        let pairs: Vec<usize> = spec.workloads.iter().map(|w| mode.pairs(w)).collect();
+        assert_eq!(pairs, [0, CLAIM_PAIRS, 0, 0]);
+        assert_eq!(
+            Mode::Claim("wide15", "setup_s").pairs("narrow64"),
+            OTHER_PAIRS
+        );
+        assert_eq!(Mode::parse(&args[..0]), None);
+        // Every metric of the one workload gets a row and a verdict; a
+        // clear gain passes without being claimed, a regression fails.
+        let run = |side, serial| Run {
+            workload: "narrow64".to_string(),
+            side,
+            host_noisy: false,
+            attempted: 40,
+            failed: 0,
+            values: vec![0.0014, serial, 0.0505],
+        };
+        let runs = |change: f64| -> Vec<Run> {
+            (0..CLAIM_PAIRS)
+                .flat_map(|_| [run(0, 0.0959), run(1, change)])
+                .collect()
+        };
+        let (text, passed) = report(&spec, mode.claim(), &runs(0.0859));
+        assert!(passed, "{text}");
+        assert_eq!(text.matches("\n| `narrow64` |").count(), 3, "{text}");
+        assert!(!text.contains("`wide15`"), "{text}");
+        assert!(text.contains("Verdict: nothing regressed; no gain claimed."));
+        let (text, passed) = report(&spec, mode.claim(), &runs(0.1259));
+        assert!(!passed && text.contains("REGRESSED"), "{text}");
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! `N ≥ 2` must print what that commit printed, byte for byte
 //! (`tests/data/forkjoin_parent_seed7.txt`, recorded from its binary),
 //! and `N = 1` is the serial engine behind the region protocol: what
-//! `--scheme serial` prints.
+//! `--scheme serial` prints. One tree of the record, `modelopt15 3`,
+//! was re-recorded when `evaluate` took its `ln` from `plf-core`
+//! instead of libm: model optimisation reads logL bits, and its 27
+//! branch lengths moved by at most 9e-13 relative (same topology, same
+//! logL line; every other run kept its bytes).
 
 mod common;
 
