@@ -596,9 +596,8 @@ const AMBIENT_NAMES: &[&str] = &[
     "replace",
     "set",
     "index",
-    // Closure-scoped access: `LocalKey::with` on a thread-local, and
-    // the sync facade's `UnsafeCell::with`, whose closure body is the
-    // caller's own code (scanned there).
+    // Closure-scoped access: `LocalKey::with` on a thread-local, whose
+    // closure body is the caller's own code (scanned there).
     "with",
     // Iterator adapters / folds.
     "map",
@@ -744,9 +743,9 @@ impl<'a> CallGraph<'a> {
     ///   cross-crate candidates defined inside a **trait impl** — the
     ///   dyn-dispatch approximation (`worker_loop` calling
     ///   `.log_likelihood(` must reach every `impl LikelihoodEngine`)
-    ///   without aliasing inherent methods across crates (parallel's
-    ///   `UnsafeCell::with` facade must not drag in the model
-    ///   checker's same-named inherent method).
+    ///   without aliasing inherent methods across crates (a std type
+    ///   the sync facade re-exports must not drag in the model
+    ///   checker's same-named inherent shim method).
     /// * Plain calls prefer same-crate candidates, falling back to
     ///   every candidate (cross-crate free-fn calls usually arrive
     ///   qualified).

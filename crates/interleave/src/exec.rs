@@ -34,11 +34,6 @@
 //! * `SeqCst` loads read the newest store (approximating the single
 //!   total order; weaker than C11 but sound for bug *finding*).
 //!
-//! `UnsafeCell` accesses are checked causally: two accesses, at least
-//! one a write, that are not happens-before ordered are reported as a
-//! data race — regardless of how the interleaving happened to time
-//! them.
-//!
 //! # Liveness
 //!
 //! A thread announcing a spin (`hint::spin_loop`) is descheduled until
@@ -96,13 +91,6 @@ struct Location {
     seen: Vec<usize>,
 }
 
-/// Per-`UnsafeCell` access history for causal race detection.
-struct CellState {
-    last_write: Option<(usize, VClock)>,
-    /// Reads since the last write.
-    reads: Vec<(usize, VClock)>,
-}
-
 pub(crate) struct ExecInner {
     // --- exploration state ---
     /// Choices forced by the DFS driver (replayed verbatim).
@@ -120,7 +108,6 @@ pub(crate) struct ExecInner {
     allspin_rounds: usize,
     // --- memory model ---
     locations: Vec<Location>,
-    cells: Vec<CellState>,
     clocks: Vec<VClock>,
     // --- outcome ---
     failure: Option<String>,
@@ -181,7 +168,6 @@ impl Exec {
                 force_fresh: vec![false],
                 allspin_rounds: 0,
                 locations: Vec::new(),
-                cells: Vec::new(),
                 clocks: vec![clock0],
                 failure: None,
                 steps: 0,
@@ -650,72 +636,6 @@ impl Exec {
                 g.threads[t] = ThreadState::Runnable;
             }
         }
-    }
-
-    // ---------------------------------------------------------------
-    // UnsafeCell causality tracking
-    // ---------------------------------------------------------------
-
-    /// Registers a cell. Creation counts as the first write, stamped
-    /// with the creator's clock: accessing a cell without
-    /// synchronizing with its creation is itself a race.
-    pub(crate) fn new_cell(&self, me: usize) -> usize {
-        let mut g = self.gate(me);
-        let id = g.cells.len();
-        let clock = g.clocks[me].clone();
-        g.cells.push(CellState {
-            last_write: Some((me, clock)),
-            reads: Vec::new(),
-        });
-        self.end_op(g, me);
-        id
-    }
-
-    /// Begins a cell access: gates, checks for a causal race, records
-    /// the access, and returns with the token *retained* (the guard is
-    /// dropped but no other thread is scheduled). The caller runs the
-    /// access closure serialized, then calls [`Self::cell_access_end`]
-    /// — this is what keeps racing closures from physically
-    /// overlapping even though the race is detected logically.
-    pub(crate) fn cell_access_start(&self, me: usize, cell_id: usize, write: bool) {
-        let mut g = self.gate(me);
-        let clock_me = g.clocks[me].clone();
-        if let Some((wtid, wclock)) = &g.cells[cell_id].last_write {
-            if *wtid != me && !wclock.ordered_before(*wtid, &clock_me) {
-                let kind = if write { "write" } else { "read" };
-                let msg = format!(
-                    "data race on UnsafeCell #{cell_id}: {kind} by t{me} concurrent \
-                     with write by t{wtid} (no happens-before edge)"
-                );
-                self.fail(g, msg);
-            }
-        }
-        if write {
-            let racing_read = g.cells[cell_id]
-                .reads
-                .iter()
-                .find(|(rtid, rclock)| *rtid != me && !rclock.ordered_before(*rtid, &clock_me))
-                .map(|(rtid, _)| *rtid);
-            if let Some(rtid) = racing_read {
-                let msg = format!(
-                    "data race on UnsafeCell #{cell_id}: write by t{me} concurrent \
-                     with read by t{rtid} (no happens-before edge)"
-                );
-                self.fail(g, msg);
-            }
-            g.cells[cell_id].reads.clear();
-            g.cells[cell_id].last_write = Some((me, clock_me));
-        } else {
-            g.cells[cell_id].reads.push((me, clock_me));
-        }
-        // Guard dropped, token kept: `active` is still `me`, so no
-        // other model thread passes its gate until `cell_access_end`.
-    }
-
-    /// Ends a cell access begun with [`Self::cell_access_start`].
-    pub(crate) fn cell_access_end(&self, me: usize) {
-        let g = self.inner.lock().unwrap();
-        self.end_op(g, me);
     }
 
     // ---------------------------------------------------------------

@@ -5,11 +5,11 @@
 //! directions: the weak variant is *caught*, the strengthened variant
 //! *passes exhaustively*. They double as living documentation of the
 //! exact failure shapes the checker detects — stale publication,
-//! seqlock torn reads, lost wakeups, causal `UnsafeCell` races.
+//! seqlock torn reads, lost wakeups, lost updates without a lock.
 
-use crate::cell;
 use crate::hint;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::sync::{Mutex, RwLock};
 use crate::thread;
 use std::sync::Arc;
 
@@ -80,48 +80,59 @@ pub fn lost_wakeup() {
     t.join().unwrap();
 }
 
-/// Shared-cell harness for the race fixtures.
-///
-/// SAFETY: Sync is sound here because every access goes through
-/// `cell::UnsafeCell::with/with_mut`, which the model checker
-/// serializes and race-checks; the fixtures exist precisely to prove
-/// unsynchronized access is reported before any overlapping access
-/// runs.
-struct SharedCell(cell::UnsafeCell<u64>);
-// SAFETY: see the struct-level invariant above — all access is
-// closure-scoped through the checked with/with_mut API.
-unsafe impl Sync for SharedCell {}
-// SAFETY: u64 is Send; the wrapper adds no thread affinity.
-unsafe impl Send for SharedCell {}
-
-/// Two threads touch an `UnsafeCell` — `synced: false` writes from
-/// both with no ordering (a causal data race, caught before the
-/// closures can overlap); `synced: true` hands the cell over through a
-/// release/acquire flag, which passes exhaustively.
-pub fn cell_race(synced: bool) {
-    let cell = Arc::new(SharedCell(cell::UnsafeCell::new(0)));
-    let flag = Arc::new(AtomicBool::new(false));
-    let (c2, f2) = (Arc::clone(&cell), Arc::clone(&flag));
-    let t = thread::spawn(move || {
-        // SAFETY: exclusive access is claimed through with_mut; the
-        // checker verifies no concurrent access exists.
-        c2.0.with_mut(|p| unsafe { *p = 7 });
-        f2.store(true, Ordering::Release);
-    });
-    if synced {
-        while !flag.load(Ordering::Acquire) {
-            hint::spin_loop();
+/// Two threads each read a relaxed counter and store it plus one —
+/// under a shared [`Mutex`] when `locked`, bare otherwise. Bare, one
+/// thread can read before the other stores and an update is lost;
+/// locked, the second critical section starts after the first one's
+/// release, so its load reads the first one's store.
+pub fn read_then_write(locked: bool) {
+    let lock = Arc::new(Mutex::new(()));
+    let counter = Arc::new(AtomicU64::new(0));
+    let bump = {
+        let (lock, counter) = (Arc::clone(&lock), Arc::clone(&counter));
+        move || {
+            let _held = locked.then(|| lock.lock().unwrap());
+            let v = counter.load(Ordering::Relaxed);
+            counter.store(v + 1, Ordering::Relaxed);
         }
-    }
-    // SAFETY: same with_mut discipline as above; when `synced` the
-    // acquire loop established happens-before with the other writer.
-    cell.0.with_mut(|p| unsafe { *p += 1 });
+    };
+    let t = thread::spawn(bump.clone());
+    bump();
     t.join().unwrap();
-    let v = cell.0.with(|p| {
-        // SAFETY: both threads are joined; no concurrent access.
-        unsafe { *p }
-    });
-    assert_eq!(v, 8, "handoff lost a write");
+    assert_eq!(counter.load(Ordering::SeqCst), 2, "lost update");
+}
+
+/// One writer and two readers of an [`RwLock`], each announcing itself
+/// on a counter while it holds the lock (a writer counts as
+/// `WRITER`). Counter RMWs read the newest store, so a writer that
+/// finds a reader inside, or a reader that finds the writer, is an
+/// overlap in real time.
+pub fn rwlock_excludes_the_writer() {
+    const WRITER: u64 = 1 << 32;
+    let lock = Arc::new(RwLock::new(0u64));
+    let inside = Arc::new(AtomicU64::new(0));
+    let read = {
+        let (lock, inside) = (Arc::clone(&lock), Arc::clone(&inside));
+        move || {
+            let value = lock.read().unwrap();
+            let before = inside.fetch_add(1, Ordering::AcqRel);
+            assert!(before < WRITER, "a reader overlaps the writer");
+            inside.fetch_sub(1, Ordering::AcqRel);
+            *value
+        }
+    };
+    let readers = [thread::spawn(read.clone()), thread::spawn(read)];
+    {
+        let mut value = lock.write().unwrap();
+        let before = inside.fetch_add(WRITER, Ordering::AcqRel);
+        assert_eq!(before, 0, "the writer overlaps a reader");
+        *value = 7;
+        inside.fetch_sub(WRITER, Ordering::AcqRel);
+    }
+    for r in readers {
+        let seen = r.join().unwrap();
+        assert!(seen == 0 || seen == 7, "torn value {seen}");
+    }
 }
 
 /// Two concurrent `fetch_add`s: RMWs always read the newest store, so

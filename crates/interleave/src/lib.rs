@@ -1,13 +1,13 @@
 //! `interleave` — an in-tree, loom-style concurrency model checker.
 //!
-//! The workspace's lock-free runtime (sense-reversing barriers, the
-//! fork-join job slot, the comm slot exchange) is exactly the kind of
+//! The workspace's synchronization (sense-reversing barriers, the
+//! fork-join job and reply locks, the comm slot exchange) is exactly the kind of
 //! code where "the tests pass" proves nothing: the bug lives in an
 //! interleaving the test machine never schedules, or in a
 //! memory-ordering reordering x86 never performs. This crate
 //! runs a closure under a model scheduler that *exhaustively* explores
 //! bounded thread interleavings and weak-memory outcomes, failing the
-//! run on data races, torn reads, lost wakeups, deadlocks, and any
+//! run on stale or torn reads, lost wakeups, deadlocks, and any
 //! assertion the closure itself makes.
 //!
 //! Offline build note: crates.io is unreachable in this environment,
@@ -17,9 +17,9 @@
 //! # Usage
 //!
 //! Write the code under test against the shimmed types —
-//! [`sync::atomic`], [`cell::UnsafeCell`], [`thread`], [`hint`] —
-//! (`phylo-parallel` re-exports either these or `std` behind its
-//! `interleave` cargo feature), then:
+//! [`sync::atomic`], [`sync::Mutex`], [`sync::RwLock`], [`thread`],
+//! [`hint`] — (`phylo-parallel` re-exports either these or `std`
+//! behind its `interleave` cargo feature), then:
 //!
 //! ```
 //! use interleave::sync::atomic::{AtomicU64, Ordering};
@@ -45,7 +45,6 @@
 //! See `DESIGN.md` (§ interleave) for the scheduler and the
 //! memory-model approximation, including known deviations from C11.
 
-pub mod cell;
 mod exec;
 pub mod fixtures;
 pub mod hint;
@@ -71,7 +70,7 @@ pub struct Report {
 /// A concrete failing execution.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// What went wrong (race/torn read/lost wakeup/deadlock/panic).
+    /// What went wrong (stale or torn read/lost wakeup/deadlock/panic).
     pub message: String,
     /// The choice sequence reproducing the failure (branch taken at
     /// every recorded choice point, in order).

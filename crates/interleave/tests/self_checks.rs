@@ -4,6 +4,7 @@
 
 use interleave::fixtures;
 use interleave::sync::atomic::{AtomicU64, Ordering};
+use interleave::sync::{Mutex, RwLock};
 use interleave::Checker;
 
 #[test]
@@ -52,20 +53,25 @@ fn lost_wakeup_is_detected() {
 }
 
 #[test]
-fn unsafecell_race_is_caught_causally() {
-    let v = Checker::new()
-        .find_violation(|| fixtures::cell_race(false))
-        .expect("unsynchronized cell writes must race");
-    assert!(
-        v.message.contains("data race on UnsafeCell"),
-        "unexpected: {v}"
-    );
+fn mutex_read_then_write_loses_no_update() {
+    let report = Checker::new().check(|| fixtures::read_then_write(true));
+    assert!(!report.truncated, "lock model must be fully explored");
+    assert!(report.iterations > 1, "exploration should branch");
 }
 
 #[test]
-fn unsafecell_handoff_passes_exhaustively() {
-    let report = Checker::new().check(|| fixtures::cell_race(true));
-    assert!(!report.truncated);
+fn read_then_write_without_the_lock_loses_an_update() {
+    let v = Checker::new()
+        .find_violation(|| fixtures::read_then_write(false))
+        .expect("two bare read-then-writes must be able to lose one");
+    assert!(v.message.contains("lost update"), "unexpected: {v}");
+}
+
+#[test]
+fn rwlock_writer_never_overlaps_a_reader() {
+    let report = Checker::new().check(fixtures::rwlock_excludes_the_writer);
+    assert!(!report.truncated, "lock model must be fully explored");
+    assert!(report.iterations > 1, "exploration should branch");
 }
 
 #[test]
@@ -124,8 +130,9 @@ fn exploration_is_deterministic_despite_thread_epilogue_timing() {
 
 #[test]
 fn shims_pass_through_outside_a_model() {
-    // No model run on this thread: the shimmed atomic must behave
-    // exactly like std's, including from a plainly-spawned thread.
+    // No model run on this thread: the shimmed atomic and locks must
+    // behave exactly like std's, including from a plainly-spawned
+    // thread.
     let a = std::sync::Arc::new(AtomicU64::new(5));
     let a2 = std::sync::Arc::clone(&a);
     let t = interleave::thread::spawn(move || a2.fetch_add(10, Ordering::SeqCst));
@@ -137,11 +144,23 @@ fn shims_pass_through_outside_a_model() {
         Ok(1)
     );
 
-    let cell = interleave::cell::UnsafeCell::new(3u32);
-    // SAFETY: single-threaded access to a locally-owned cell.
-    cell.with_mut(|p| unsafe { *p += 1 });
-    // SAFETY: single-threaded access to a locally-owned cell.
-    assert_eq!(cell.with(|p| unsafe { *p }), 4);
+    // The locks are std's: a guard from another thread, a poisoned
+    // lock that still hands its data out, readers side by side.
+    let m = std::sync::Arc::new(Mutex::new(3u32));
+    let m2 = std::sync::Arc::clone(&m);
+    std::thread::spawn(move || {
+        let mut held = m2.lock().unwrap();
+        *held += 1;
+        panic!("poisons the mutex");
+    })
+    .join()
+    .unwrap_err();
+    let poisoned = m.lock().map(|g| *g);
+    assert_eq!(*poisoned.unwrap_err().into_inner(), 4, "a holder panicked");
+    let rw = RwLock::new(5u32);
+    *rw.write().unwrap() += 1;
+    let (r1, r2) = (rw.read().unwrap(), rw.read().unwrap());
+    assert_eq!((*r1, *r2), (6, 6));
     interleave::hint::spin_loop();
     interleave::thread::yield_now();
 }

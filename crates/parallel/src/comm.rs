@@ -117,6 +117,36 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
+/// Where every sum of partials starts: the identity of IEEE addition
+/// (`-0.0 + x` is `x` bit for bit), so a lone partial comes back
+/// unchanged and a team of one is the serial engine.
+pub(crate) const SUM_IDENTITY: f64 = -0.0;
+
+/// The crate's one slice-sum rule: `out` becomes the element-wise sum
+/// of `partials`, started at [`SUM_IDENTITY`] and added in the order
+/// given — rank order for an AllReduce, slice order for a fork-join
+/// region. [`ThreadComm`] and the socket hub sum here; the fork-join
+/// fold, which receives its partials one at a time, starts at
+/// [`SUM_IDENTITY`] and takes the same [`add_partial`] step, so all
+/// three agree on the bits.
+pub(crate) fn sum_in_order<P: IntoIterator<Item = f64>>(
+    out: &mut [f64],
+    partials: impl IntoIterator<Item = P>,
+) {
+    out.fill(SUM_IDENTITY);
+    for partial in partials {
+        add_partial(out, partial);
+    }
+}
+
+/// One step of [`sum_in_order`]: adds `partial` into `out` element by
+/// element. Elements of `partial` past `out.len()` are not read.
+pub(crate) fn add_partial(out: &mut [f64], partial: impl IntoIterator<Item = f64>) {
+    for (o, v) in out.iter_mut().zip(partial) {
+        *o += v;
+    }
+}
+
 /// Minimal MPI-flavored collective interface.
 pub trait Comm {
     /// This participant's rank in `0..size()`.
@@ -296,12 +326,11 @@ impl Comm for ThreadComm {
         self.wait()?;
         // Every rank sums the slots in rank order: deterministic and
         // identical everywhere.
-        buf.fill(0.0);
-        for slot in &self.shared.slots {
-            for (o, s) in buf.iter_mut().zip(&slot.0) {
-                *o += f64::from_bits(s.load(Ordering::Acquire));
-            }
-        }
+        let deposits = self.shared.slots.iter().map(|slot| {
+            let words = slot.0.iter();
+            words.map(|s| f64::from_bits(s.load(Ordering::Acquire)))
+        });
+        sum_in_order(buf, deposits);
         self.wait()?;
         self.wire.record(clock::now_ns() - t0);
         self.stats.allreduces += 1;
@@ -335,6 +364,30 @@ impl CommTransport for ThreadComm {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slices_sum_in_order_from_negative_zero() {
+        let sum = |partials: &[&[f64]]| {
+            let mut out = [f64::NAN; 2];
+            sum_in_order(&mut out, partials.iter().map(|p| p.iter().copied()));
+            out.map(f64::to_bits)
+        };
+        let bits = |x: [f64; 2]| x.map(f64::to_bits);
+        // Nothing to add, or only −0.0: the identity itself.
+        assert_eq!(sum(&[]), bits([-0.0, -0.0]));
+        assert_eq!(sum(&[&[-0.0, -0.0], &[-0.0, -0.0]]), bits([-0.0, -0.0]));
+        // A lone partial comes back unchanged, +0.0 included.
+        assert_eq!(sum(&[&[0.0, -1.5]]), bits([0.0, -1.5]));
+        assert_eq!(sum(&[&[-0.0, 0.0], &[-0.0, -0.0]]), bits([-0.0, 0.0]));
+        // The order is the order given: each column adds the same four
+        // values, and 1e16 + 1 rounds the 1 away where 1 + 1 does not.
+        let partials: [&[f64]; 4] = [&[1e16, 1.0], &[1.0, 1.0], &[1.0, 1e16], &[-1e16, -1e16]];
+        assert_eq!(sum(&partials), bits([0.0, 2.0]));
+        // A partial longer than `out` is cut to it.
+        let mut out = [7.0];
+        sum_in_order(&mut out, [vec![1.0, 99.0], vec![2.0]]);
+        assert_eq!(out, [3.0]);
+    }
 
     #[test]
     fn allreduce_sums_across_ranks() {

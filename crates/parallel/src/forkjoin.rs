@@ -10,18 +10,19 @@
 //! own slice like every worker ([`run_job`]), each member writes its
 //! partial result into its own slot of a shared reply array, and a
 //! second barrier pass (*join*) hands the array back to the master,
-//! which reduces it in slice order — "master and worker processes
+//! which reduces it in slice order from `comm::SUM_IDENTITY` by
+//! `comm::add_partial`, the steps of the crate's one slice-sum rule
+//! (`comm::sum_in_order`) — "master and worker processes
 //! have to communicate at least twice per parallel region/kernel"
 //! (§V-D), which is exactly the synchronization cost `micsim` charges
 //! this scheme. The master computes because RAxML-Light's thread 0
 //! and an OpenMP master do: a core that only spins at the join barrier
 //! is a core the paper's many-core argument cannot afford.
 //!
-//! There are no channels, no locks and no allocations on the fast
-//! path: the barrier's acquire/release pairs are the only
-//! synchronization, and the job and reply slots are plain memory whose
-//! ownership alternates between master and workers in
-//! barrier-separated windows — the [`RegionProtocol`] extracted into
+//! There are no channels and no allocations on the fast path, and no
+//! member ever waits on a lock: the job slot is an `RwLock` and each reply
+//! slot a `Mutex`, handed between master and workers in the windows
+//! the barrier passes separate — the [`RegionProtocol`] extracted into
 //! [`crate::slot`], where the interleave model tests exercise it
 //! directly. The tree a job refers to is a buffer inside the job slot
 //! that the master refreshes in place; replies are reduced straight
@@ -31,6 +32,7 @@
 //! [`KernelStats`] next to the kernel timings.
 
 use crate::barrier::BarrierToken;
+use crate::comm::{add_partial, SUM_IDENTITY};
 use crate::fault::FaultPlan;
 use crate::slot::RegionProtocol;
 use crate::sync::thread::{self, JoinHandle};
@@ -414,19 +416,14 @@ fn worker_loop(
     }
 }
 
-/// The identity of IEEE addition (`-0.0 + x` is `x` bit for bit, for
-/// every `x`): a reduction that starts here hands a lone slice's
-/// partial back unchanged, so a team of one is the serial engine.
-const SUM_IDENTITY: f64 = -0.0;
-
 impl Evaluator for ForkJoinEvaluator {
     fn log_likelihood(&mut self, tree: &Tree, root_edge: EdgeId) -> f64 {
-        let mut logl = SUM_IDENTITY;
+        let mut logl = [SUM_IDENTITY];
         self.region(Op::Eval(root_edge), Some(tree), |r| match r {
-            Reply::Scalar(x) => logl += x,
+            Reply::Scalar(x) => add_partial(&mut logl, [x]),
             _ => unreachable!("eval returns scalar"),
         });
-        logl
+        logl[0]
     }
 
     fn prepare_branch(&mut self, tree: &Tree, edge: EdgeId) {
@@ -434,15 +431,12 @@ impl Evaluator for ForkJoinEvaluator {
     }
 
     fn branch_derivatives(&mut self, t: f64) -> (f64, f64) {
-        let (mut d1, mut d2) = (SUM_IDENTITY, SUM_IDENTITY);
+        let mut d = [SUM_IDENTITY; 2];
         self.region(Op::Derivatives(t), None, |r| match r {
-            Reply::Pair(a, b) => {
-                d1 += a;
-                d2 += b;
-            }
+            Reply::Pair(a, b) => add_partial(&mut d, [a, b]),
             _ => unreachable!("derivatives return a pair"),
         });
-        (d1, d2)
+        (d[0], d[1])
     }
 
     fn set_alpha(&mut self, alpha: f64) {

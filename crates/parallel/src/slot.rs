@@ -6,11 +6,11 @@
 //! cache-line-padded reply slot per *slice* — slot 0 is the master's,
 //! slot `i + 1` worker `i`'s, because the master is a computing member
 //! of the team — and the sense-reversing barrier whose passes delimit
-//! the exclusive-access windows. It is generic over the job and reply
-//! types, which is what lets the interleave model tests drive the
-//! *exact production protocol* with small payloads (`u64`s instead of
-//! trees and engines) — the synchronization under test is this struct,
-//! not the kernels.
+//! the windows below. It is generic over the job and reply types,
+//! which is what lets the interleave model tests drive the *exact
+//! production protocol* with small payloads (`u64`s instead of trees
+//! and engines) — the synchronization under test is this struct, not
+//! the kernels.
 //!
 //! # Protocol windows
 //!
@@ -28,18 +28,33 @@
 //! return at once and the three windows follow each other on the
 //! master's thread alone.
 //!
-//! Every access goes through the closure-scoped
-//! [`UnsafeCell`](crate::sync::cell::UnsafeCell) facade, so compiling
-//! with `--features interleave` turns each window violation into a
-//! model-checker data-race report instead of silent UB.
+//! The job slot is an `RwLock` — every member runs the whole job under
+//! a shared read lock, which a `Mutex` would serialise — and each reply
+//! slot a `Mutex`. The windows keep the job's writer apart from its
+//! readers and give each reply slot one user at a time, so no member
+//! ever waits on a lock. With one worker — the only team measured
+//! (EXPERIMENTS.md) — a lock costs one uncontended atomic
+//! read-modify-write to take and one to give back; with more, the
+//! readers' updates of the job lock's count share its cache line, at
+//! a cost not measured. A member that breaks a window gets a wrong
+//! reply, never undefined behaviour, and the interleave models catch
+//! it through the replies.
+//! A poisoned lock is used as it is, because no panic can leave a
+//! slot half-updated for a reader: a reply is moved in and out whole,
+//! a job runs under a read lock, which never poisons (its panic is
+//! caught inside the job and surfaced as a reply), and a job left
+//! half-edited by a panicking `publish_job` is edited again by the
+//! next one before any member reads it. A dead member poisons the
+//! barrier instead, so the worker tier has no panic of its own.
 
 use crate::barrier::{BarrierToken, Poisoned, SenseBarrier};
-use crate::sync::cell;
+use crate::sync::{Mutex, RwLock};
+use std::sync::PoisonError;
 
 /// Pads a slot to its own cache line so team members completing at
 /// the same time don't false-share.
 #[repr(align(128))]
-pub(crate) struct CachePadded<T>(pub(crate) cell::UnsafeCell<T>);
+struct CachePadded<T>(T);
 
 /// Shared state of a fork-join region scheme for one computing master
 /// plus `workers` workers: broadcast job slot, one reply slot per
@@ -50,34 +65,9 @@ pub struct RegionProtocol<J, R> {
     /// several times per region, and next to the barrier word every
     /// one of those stores would take the line away from the workers
     /// spinning on it.
-    job: CachePadded<J>,
-    replies: Vec<CachePadded<R>>,
+    job: CachePadded<RwLock<J>>,
+    replies: Vec<CachePadded<Mutex<R>>>,
 }
-
-// SAFETY: `job` and `replies` hold `UnsafeCell`s accessed without
-// locks. Races are excluded by the barrier protocol, which alternates
-// exclusive-access windows:
-//
-// 1. The master writes `job` (`publish_job`) only while every worker
-//    is blocked at the fork barrier — the steady-state invariant
-//    between regions.
-// 2. Between fork and join, the master and every worker read `job`
-//    (shared, `read_job`) and the owner of slice `s` — the master for
-//    `s = 0`, worker `s − 1` otherwise — writes only `replies[s]`
-//    (`write_reply`, exclusive by index). The master does nothing
-//    else in this window: it neither writes `job` nor touches a
-//    worker's reply slot before its own join pass returns.
-// 3. After the join barrier the master takes the replies
-//    (`take_reply`); workers are already blocked at the next fork.
-//
-// The barrier's AcqRel/Acquire/Release orderings make every write
-// before a barrier pass visible to every thread after it; the
-// interleave model tests exercise exactly these windows, the master's
-// window-2 accesses and the one-participant (zero-worker) case
-// included. SAFETY of the bounds: `J: Send + Sync` because the master
-// writes jobs and every team member reads them by reference;
-// `R: Send` because replies move from workers to master.
-unsafe impl<J: Send + Sync, R: Send> Sync for RegionProtocol<J, R> {}
 
 impl<J, R: Default> RegionProtocol<J, R> {
     /// Creates the shared state for the master plus `workers` workers
@@ -86,9 +76,9 @@ impl<J, R: Default> RegionProtocol<J, R> {
     pub fn new(workers: usize, initial_job: J) -> Self {
         RegionProtocol {
             barrier: SenseBarrier::new(workers + 1),
-            job: CachePadded(cell::UnsafeCell::new(initial_job)),
+            job: CachePadded(RwLock::new(initial_job)),
             replies: (0..=workers)
-                .map(|_| CachePadded(cell::UnsafeCell::new(R::default())))
+                .map(|_| CachePadded(Mutex::new(R::default())))
                 .collect(),
         }
     }
@@ -107,15 +97,10 @@ impl<J, R> RegionProtocol<J, R> {
     }
 
     /// Master-side: broadcasts the next job by editing the slot in
-    /// place (so a job that owns buffers can reuse them). Must only be
-    /// called in window 1 (every worker blocked at the fork barrier).
+    /// place (so a job that owns buffers can reuse them). Belongs in
+    /// window 1 (every worker blocked at the fork barrier).
     pub fn publish_job(&self, write: impl FnOnce(&mut J)) {
-        self.job.0.with_mut(|p| {
-            // SAFETY: window 1 — workers are blocked at the fork
-            // barrier, so the master holds exclusive access to the
-            // job slot.
-            write(unsafe { &mut *p })
-        });
+        write(&mut self.job.0.write().unwrap_or_else(PoisonError::into_inner));
     }
 
     /// A fork-barrier pass (master releases the workers into the
@@ -143,47 +128,36 @@ impl<J, R> RegionProtocol<J, R> {
         self.barrier.poison(rank);
     }
 
-    /// The poisoner's rank, if the protocol is dead.
-    pub fn poisoned(&self) -> Option<usize> {
-        self.barrier.poisoned()
-    }
-
-    /// Reads the broadcast job — the master and every worker alike.
-    /// Must only be called in window 2 (between fork and join).
+    /// Reads the broadcast job — the master and every worker alike,
+    /// all at once under shared read locks. Belongs in window 2
+    /// (between fork and join).
     pub fn read_job<T>(&self, f: impl FnOnce(&J) -> T) -> T {
-        self.job.0.with(|p| {
-            // SAFETY: window 2 — between fork and join nobody writes
-            // the job slot; master and workers only read it.
-            f(unsafe { &*p })
-        })
+        f(&self.job.0.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Deposits the reply of slice `slice`. Must only be called in
-    /// window 2, by the slice's owner (the master for 0, worker
-    /// `slice − 1` otherwise).
+    /// Deposits the reply of slice `slice`. Belongs in window 2, by
+    /// the slice's owner (the master for 0, worker `slice − 1`
+    /// otherwise).
     pub fn write_reply(&self, slice: usize, reply: R) {
-        self.replies[slice].0.with_mut(|p| {
-            // SAFETY: window 2 — the owner of `slice` is the sole
-            // writer of its slot between fork and join, and nobody
-            // reads it before the join barrier.
-            unsafe { *p = reply }
-        });
+        *self.replies[slice]
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = reply;
     }
 
     /// Master-side: takes the reply of slice `slice`, leaving
-    /// `R::default()` behind. Must only be called in window 3 (after
-    /// the join barrier).
+    /// `R::default()` behind. Belongs in window 3 (after the join
+    /// barrier).
     pub fn take_reply(&self, slice: usize) -> R
     where
         R: Default,
     {
-        self.replies[slice].0.with_mut(|p| {
-            // SAFETY: window 3 — the join barrier completed, so every
-            // team member has written its reply and the workers moved
-            // on to the next fork wait; the master owns the reply
-            // array.
-            unsafe { std::mem::take(&mut *p) }
-        })
+        std::mem::take(
+            &mut self.replies[slice]
+                .0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        )
     }
 }
 

@@ -3,16 +3,20 @@
 //!
 //! Everything the barrier / fork-join / comm protocols use for
 //! cross-thread synchronization goes through this module, so one
-//! cargo feature swaps the entire lock-free layer onto the model
-//! checker's tracked types. In production the facade is zero-cost:
-//! the `atomic`/`hint`/`thread` modules are straight re-exports and
-//! the [`cell::UnsafeCell`] wrapper's closure calls inline away.
+//! cargo feature swaps the whole layer onto the model checker's
+//! tracked types: the atomics, the fork-join region's `Mutex` and
+//! `RwLock`, `hint` and `thread`. In production every name is a
+//! straight re-export of `std`.
 
 #[cfg(feature = "interleave")]
-pub(crate) use interleave::{cell, hint, sync::atomic, thread};
+pub(crate) use interleave::{
+    hint,
+    sync::{atomic, Mutex, RwLock},
+    thread,
+};
 
 #[cfg(not(feature = "interleave"))]
-pub(crate) use std::sync::atomic;
+pub(crate) use std::sync::{atomic, Mutex, RwLock};
 
 #[cfg(not(feature = "interleave"))]
 pub(crate) mod hint {
@@ -22,33 +26,4 @@ pub(crate) mod hint {
 #[cfg(not(feature = "interleave"))]
 pub(crate) mod thread {
     pub use std::thread::{spawn, yield_now, JoinHandle};
-}
-
-#[cfg(not(feature = "interleave"))]
-pub(crate) mod cell {
-    /// Closure-scoped `UnsafeCell`, API-compatible with
-    /// `interleave::cell::UnsafeCell`. The closures make every access
-    /// a visible, auditable region; in this (std) mode they compile
-    /// down to a plain pointer dereference.
-    #[derive(Default)]
-    pub struct UnsafeCell<T>(std::cell::UnsafeCell<T>);
-
-    impl<T> UnsafeCell<T> {
-        /// Wraps a value.
-        pub fn new(value: T) -> Self {
-            Self(std::cell::UnsafeCell::new(value))
-        }
-
-        /// Runs `f` with a shared raw pointer to the contents.
-        #[inline]
-        pub fn with<R>(&self, f: impl FnOnce(*const T) -> R) -> R {
-            f(self.0.get() as *const T)
-        }
-
-        /// Runs `f` with an exclusive raw pointer to the contents.
-        #[inline]
-        pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
-            f(self.0.get())
-        }
-    }
 }

@@ -353,7 +353,7 @@ pub use unix_impl::*;
 mod unix_impl {
     use super::frame::{self, Frame, Kind};
     use super::{CommTransport, TransportConfig, WireStats};
-    use crate::comm::{Comm, CommError, CommStats, MAX_LEN};
+    use crate::comm::{sum_in_order, Comm, CommError, CommStats, MAX_LEN};
     use crate::fault::FaultPlan;
     use crate::replicated::{
         load_resume, most_causal, run_degrading, run_rank_body, FtConfig, RankDone, RankInputs,
@@ -927,7 +927,8 @@ mod unix_impl {
     /// it sends one collective and blocks on the reply, and its other
     /// frames (`Misuse`, `Abort`, `Result`) are its last — so for each
     /// `seq` the hub reads the next frame of rank 0, 1, …, R−1, sums
-    /// the AllReduce payloads in that order from `+0.0` (the bits of
+    /// the AllReduce payloads in that order with
+    /// [`crate::comm::sum_in_order`] (the bits of
     /// [`crate::comm::ThreadComm`]'s reduction) and writes the reply
     /// to every rank. Waiting on a straggler in rank order delays no
     /// live rank: all of them wait for the straggler anyway. Returns
@@ -943,7 +944,7 @@ mod unix_impl {
             // Kind and payload length of rank 0's frame: every other
             // rank must send the same collective.
             let mut agreed: Option<(Kind, usize)> = None;
-            let mut sum = Vec::new();
+            let mut partials = Vec::with_capacity(conns.len());
             for (rank, s) in conns.iter_mut().enumerate() {
                 let peer = PoisonCause::Peer { rank };
                 // EOF, timeout and garbage alike: the rank is gone.
@@ -980,21 +981,18 @@ mod unix_impl {
                     Kind::Hello | Kind::HelloAck | Kind::Sum | Kind::Poison => return Err(peer),
                 };
                 match agreed {
-                    None => {
-                        agreed = Some((f.kind, vals.len()));
-                        sum = vec![0.0f64; vals.len()];
-                    }
+                    None => agreed = Some((f.kind, vals.len())),
                     Some(first) if first != (f.kind, vals.len()) => return Err(peer),
                     Some(_) => {}
                 }
-                for (o, v) in sum.iter_mut().zip(&vals) {
-                    *o += v;
-                }
+                partials.push(vals);
             }
-            if !matches!(agreed, Some((Kind::AllReduce, _))) {
+            let Some((Kind::AllReduce, len)) = agreed else {
                 // Every rank reported: the run ends when each hangs up.
                 return hang_ups(conns);
-            }
+            };
+            let mut sum = vec![0.0; len];
+            sum_in_order(&mut sum, partials);
             let reply = Frame {
                 kind: Kind::Sum,
                 rank: 0,

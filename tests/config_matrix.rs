@@ -339,6 +339,32 @@ fn backends_agree_at_every_root_edge() {
 }
 
 #[test]
+fn forkjoin_matches_serial_blocked_or_not() {
+    // 97 patterns: no team of 2, 3 or 4 divides them, so the slices
+    // have uneven widths. A team of 4 (W = 3) is past `SCHEMES`.
+    let row = random_row(9, 97, 19, Plain);
+    for kernel in BACKENDS {
+        let serial = run(Cell(kernel, Blocking::Off, None), &row);
+        for workers in 1..=3 {
+            let [off, on] =
+                [Blocking::Off, Blocking::On].map(|b| run(Cell(kernel, b, Some(workers)), &row));
+            for (i, root) in row.roots.iter().enumerate() {
+                let at = format!("{} {kernel} team of {} root {root}", row.name, workers + 1);
+                // Blocking splits each slice's walk into site-blocks;
+                // (logL, d1, d2) must not move a bit.
+                let (x, y) = (off.values(i), on.values(i));
+                assert_eq!(
+                    off.0[i].0, on.0[i].0,
+                    "{at}: blocked {y:?} vs unblocked {x:?}"
+                );
+                let s = serial.values(i);
+                assert!(close(s, x), "{at}: (logL, d1, d2) {x:?} vs serial {s:?}");
+            }
+        }
+    }
+}
+
+#[test]
 fn forced_scaling_caterpillar_in_every_cell() {
     // Conditional likelihoods decay roughly 4× per caterpillar level;
     // 2⁻²⁵⁶ needs ~130 levels.

@@ -676,57 +676,3 @@ fn remainder_tails_every_backend() {
         }
     }
 }
-
-#[test]
-fn forkjoin_matches_serial_blocked_or_not() {
-    use phylomic::parallel::ForkJoinEvaluator;
-    use phylomic::search::Evaluator as _;
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(91);
-    let names = default_names(9);
-    let tree: Tree = random_tree(&names, 0.18, &mut rng).unwrap();
-    // 97 patterns: indivisible by any team size (the master's slice
-    // plus one per worker), so slices have uneven widths.
-    let aln = proto_alignment(&tree, 11, 97, 19);
-    let cfg = |blocking| EngineConfig {
-        kernel: KernelKind::Scalar,
-        alpha: 0.9,
-        blocking,
-        ..EngineConfig::default()
-    };
-    let mut serial = LikelihoodEngine::new(&tree, &aln, cfg(Blocking::Off));
-    for workers in [1usize, 2, 3] {
-        let mut fj_off = ForkJoinEvaluator::new(&tree, &aln, cfg(Blocking::Off), workers);
-        // Blocking slices each team member's traversal into site-blocks;
-        // the per-slice results must still be bit-identical to unblocked.
-        let mut fj_blk = ForkJoinEvaluator::new(&tree, &aln, cfg(Blocking::On), workers);
-        for root in [0usize, 4, 8] {
-            let s = serial.log_likelihood(&tree, root);
-            let a = fj_off.log_likelihood(&tree, root);
-            let c = fj_blk.log_likelihood(&tree, root);
-            assert_eq!(
-                a.to_bits(),
-                c.to_bits(),
-                "blocked: workers {workers} root {root}"
-            );
-            // Fork-join vs serial: partial sums associate differently.
-            assert!(
-                (a - s).abs() < 1e-10,
-                "workers {workers} root {root}: {a} vs {s}"
-            );
-            // Derivatives cross the fork-join boundary too: per-slice
-            // partial (d1, d2) pairs reduce in slice order, so the
-            // blocked pool must produce the same bits as the unblocked
-            // one.
-            fj_off.prepare_branch(&tree, root);
-            fj_blk.prepare_branch(&tree, root);
-            let (a1, a2) = fj_off.branch_derivatives(0.21);
-            let (c1, c2) = fj_blk.branch_derivatives(0.21);
-            assert_eq!(
-                (a1.to_bits(), a2.to_bits()),
-                (c1.to_bits(), c2.to_bits()),
-                "derivatives: workers {workers} root {root}"
-            );
-        }
-    }
-}
