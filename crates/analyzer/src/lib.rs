@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! plf-analyzer: token-tree static analysis for the PLF workspace.
 //!
 //! Pipeline: [`lex`] (flat tokens + per-line comments) → [`tree`]

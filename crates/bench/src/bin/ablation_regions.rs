@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Parallel-region overhead ablation: measures the real fork/join
 //! barrier cost of the PThreads-style scheme on this host, across
 //! team sizes, and fits the measured per-kernel cost model the

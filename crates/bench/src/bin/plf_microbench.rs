@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `plf-microbench`: per-kernel, per-backend wall-time measurement
 //! (the host-side analogue of the paper's Figure 3 / Table III sweep).
 //!
@@ -138,8 +139,9 @@ const WIDTH_MIN_SPEEDUP: f64 = 1.10;
 /// call sizes below this. A larger `newview` call happens only under
 /// `Blocking::Off` (engines block at 2 048 sites), and at 7 307 sites
 /// its three 935 KB CLAs outgrow the development host's 2 MiB L2, so
-/// both arms wait on memory: the width cell read 0.93–1.04 × there,
-/// and 1.10–1.21 × while that output still streamed.
+/// both arms wait on memory: the width cell read 0.93–1.04 × there
+/// (1.10–1.21 × when outputs that size took streaming stores, which
+/// no kernel does any more).
 const NEWVIEW_CELL_MAX_SITES: usize = 4096;
 /// Gate 13: minimum speedup of the fused 512-bit `derivative_core` over
 /// the two-phase 256-bit one (1.18–1.52 × on the development host, at

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Regenerates every model-output file of `results/` — Tables I–III,
 //! Figures 3–5 and the offload, hybrid and partition ablations — from
 //! one recorded workload trace.

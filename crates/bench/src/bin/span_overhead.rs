@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Span-instrumentation overhead probe for the CI regression gate.
 //!
 //! Prints the nanoseconds per one-round fork-join search in a

@@ -79,8 +79,8 @@ impl AlignedVec {
 /// aligned — both guaranteed by [`AlignedVec`] for engine-owned CLAs
 /// and sumtables. The explicit-SIMD backend calls this at every kernel
 /// entry so a mis-padded or under-aligned buffer fails loudly in debug
-/// builds instead of silently degrading (unaligned loads) or faulting a
-/// streaming store.
+/// builds instead of silently degrading (sites split across three
+/// cache lines).
 #[inline]
 pub fn debug_assert_site_buffer(buf: &[f64], sites: usize, what: &str) {
     debug_assert_eq!(

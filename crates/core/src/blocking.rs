@@ -88,9 +88,8 @@ const MIN_BLOCK_SITES: usize = 8 * SITE_BLOCK;
 
 /// The per-core cache in bytes: the calibrated size
 /// ([`crate::cost::calibration`], measured once by `phylomic
-/// calibrate`), else [`DEFAULT_CACHE_BYTES`]. Blocks are sized from it,
-/// and a `newview` output larger than it streams past it.
-pub(crate) fn cache_bytes() -> u64 {
+/// calibrate`), else [`DEFAULT_CACHE_BYTES`]. Blocks are sized from it.
+fn cache_bytes() -> u64 {
     crate::cost::calibration()
         .map(|c| c.cache_bytes)
         .filter(|&b| b > 0)

@@ -29,8 +29,10 @@
 //! * O(1)-per-call operands (the fused P matrix, tip LUTs, eigenbasis,
 //!   the derivative exp tables) are excluded: they stay cache-resident
 //!   across the site loop and contribute no per-site traffic;
-//! * write-allocate traffic on output buffers is not modeled (the
-//!   simd backend streams stores past large outputs anyway).
+//! * write-allocate traffic on output buffers is not modeled: the
+//!   roofline's bandwidth is the calibration triad's, counted at 24
+//!   bytes an element with no write-allocate read, so a kernel's
+//!   output counts once, as the triad's `a[i]` does.
 //!
 //! The derived per-site costs are pinned by unit tests against
 //! hand-computed values, so any change to a kernel's loop structure

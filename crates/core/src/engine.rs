@@ -1363,79 +1363,6 @@ mod tests {
         assert_eq!(mk(Blocking::Auto).blocking(), Blocking::Off);
     }
 
-    /// An alignment of all-distinct columns wide enough that a blocked
-    /// engine really runs multiple site blocks.
-    fn blocking_fixture() -> (Tree, CompressedAlignment) {
-        let tree =
-            newick::parse("((a:0.1,b:0.12):0.1,c:0.15,(d:0.1,(e:0.11,f:0.1):0.13):0.1);").unwrap();
-        let sites = (crate::blocking::block_sites() + 50).min(4096);
-        let names = ["a", "b", "c", "d", "e", "f"];
-        let mut seqs = vec![String::new(); names.len()];
-        for i in 0..sites {
-            let mut v = i;
-            for s in seqs.iter_mut() {
-                s.push(['A', 'C', 'G', 'T'][v % 4]);
-                v /= 4;
-            }
-        }
-        let rows: Vec<(&str, &str)> = names
-            .iter()
-            .zip(&seqs)
-            .map(|(n, s)| (*n, s.as_str()))
-            .collect();
-        (tree, aln(&rows))
-    }
-
-    #[test]
-    fn blocked_traversal_is_bit_identical_with_identical_call_counts() {
-        let (tree, aln) = blocking_fixture();
-        for kernel in [KernelKind::Scalar, KernelKind::Simd] {
-            let mk = |blocking| {
-                LikelihoodEngine::new(
-                    &tree,
-                    &aln,
-                    EngineConfig {
-                        kernel,
-                        blocking,
-                        ..EngineConfig::default()
-                    },
-                )
-            };
-            let mut off = mk(Blocking::Off);
-            let mut on = mk(Blocking::On);
-            let root = tree.incident(tree.tip_by_name("a").unwrap())[0];
-            assert_eq!(
-                off.log_likelihood(&tree, root).to_bits(),
-                on.log_likelihood(&tree, root).to_bits(),
-                "{kernel:?}: blocked logL drifted"
-            );
-            for i in 0..off.num_inner() {
-                assert_eq!(off.cla_scale(i), on.cla_scale(i), "{kernel:?} inner {i}");
-            }
-            // Perturb one pendant branch: only part of the traversal
-            // goes stale, so the batch covers a strict subset.
-            let mut tree2 = tree.clone();
-            let pend = tree2.incident(tree2.tip_by_name("d").unwrap())[0];
-            tree2.set_length(pend, 0.7).unwrap();
-            assert_eq!(
-                off.log_likelihood(&tree2, root).to_bits(),
-                on.log_likelihood(&tree2, root).to_bits(),
-                "{kernel:?}: blocked logL drifted after perturbation"
-            );
-            assert_eq!(
-                off.stats().get(KernelId::Newview).calls,
-                on.stats().get(KernelId::Newview).calls,
-                "{kernel:?}: blocking changed the newview call count"
-            );
-            off.prepare_branch(&tree2, root);
-            on.prepare_branch(&tree2, root);
-            let (d1o, d2o) = off.branch_derivatives(0.13);
-            let (d1b, d2b) = on.branch_derivatives(0.13);
-            assert_eq!(d1o.to_bits(), d1b.to_bits(), "{kernel:?}: d1 drifted");
-            assert_eq!(d2o.to_bits(), d2b.to_bits(), "{kernel:?}: d2 drifted");
-        }
-    }
-
     #[test]
     #[should_panic(expected = "prepare_branch")]
     fn derivatives_require_preparation() {

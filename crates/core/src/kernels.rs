@@ -36,9 +36,9 @@ pub enum KernelKind {
     /// Straightforward nested-loop reference implementation; also the
     /// fallback on hosts without AVX2+FMA.
     Scalar,
-    /// Explicit x86 intrinsics with streaming stores and prefetching
-    /// (§V-B1–B5 on commodity x86): 512 bits wide where the host has
-    /// AVX-512F, 256 with AVX2+FMA alone — one backend, the width is
+    /// Explicit x86 intrinsics with prefetching (§V-B1–B4 on commodity
+    /// x86): 512 bits wide where the host has AVX-512F, 256 with
+    /// AVX2+FMA alone — one backend, the width is
     /// [`KernelKind::simd_width_bits`]. Resolves to `Scalar` on hosts
     /// without AVX2+FMA (and on non-x86 targets).
     Simd,

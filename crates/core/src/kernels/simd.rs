@@ -28,16 +28,12 @@
 //!   (`derivative_core_classes`) at 256 bits; at 512 bits it is one
 //!   fused loop, 8 sites a step, with the division tail in vector
 //!   registers;
-//! * §V-B5 *streaming stores* — a `newview` CLA is written once and
-//!   not read again until its parent's call, so one from an unblocked
-//!   walk that is larger than the per-core cache leaves through
-//!   non-temporal stores, followed by one `sfence` at kernel exit that
-//!   makes the weakly-ordered writes globally visible before any
-//!   reader runs. A `derivativeSum` table is written through the
-//!   cache: `derivativeCore` reads it straight back, several times per
-//!   branch;
 //! * prefetching — each site iteration prefetches the input CLA(s) a
 //!   few sites ahead into L1, the §V-B MIC prefetch scheme.
+//!
+//! The paper's §V-B5 streaming stores are not here: they pay only for
+//! an output larger than the per-core cache, and a blocked walk writes
+//! none (DESIGN.md §12). Every kernel writes through `store4` / `store8`.
 //!
 //! The underflow-scaling decision is taken on the accumulators, before
 //! anything is stored: one ordered `>= 2⁻²⁵⁶` compare per vector, OR-ed
@@ -362,8 +358,8 @@ mod x86 {
     use core::arch::x86_64::{
         __m256d, _mm256_castpd256_pd128, _mm256_cmp_pd, _mm256_extractf128_pd, _mm256_fmadd_pd,
         _mm256_loadu_pd, _mm256_movemask_pd, _mm256_mul_pd, _mm256_or_pd, _mm256_set1_pd,
-        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_stream_pd, _mm_add_pd, _mm_add_sd,
-        _mm_cvtsd_f64, _mm_prefetch, _mm_sfence, _mm_unpackhi_pd, _CMP_GE_OQ, _MM_HINT_T0,
+        _mm256_setzero_pd, _mm256_storeu_pd, _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_prefetch,
+        _mm_unpackhi_pd, _CMP_GE_OQ, _MM_HINT_T0,
     };
 
     /// How many sites ahead the input CLA prefetches run. One site is
@@ -394,76 +390,6 @@ mod x86 {
         let s = &mut row[at..at + 4];
         // SAFETY: the slice bounds-check above proves 4 writable f64s.
         unsafe { _mm256_storeu_pd(s.as_mut_ptr(), v) }
-    }
-
-    /// Non-temporal store of `v` to lanes `[at, at + 4)` (§V-B5):
-    /// bypasses the cache since output CLAs are never read back by the
-    /// writing kernel. Callers must only pass `at` offsets that keep
-    /// the destination 32-byte aligned (guaranteed by the
-    /// `stream_ok` gate: aligned base + 128-byte site stride).
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn stream4(row: &mut [f64], at: usize, v: __m256d) {
-        let s = &mut row[at..at + 4];
-        debug_assert_eq!(s.as_ptr() as usize % 32, 0, "streaming store misaligned");
-        // SAFETY: the slice bounds-check proves 4 writable f64s; the
-        // 32-byte alignment `_mm256_stream_pd` requires holds because
-        // the caller's `stream_ok` gate checked the buffer base and
-        // every site offset is a multiple of 128 bytes (debug-asserted
-        // above).
-        unsafe { _mm256_stream_pd(s.as_mut_ptr(), v) }
-    }
-
-    /// Bytes of one CLA site.
-    const SITE_BYTES: u64 = (SITE_STRIDE * 8) as u64;
-
-    /// Whether an `n_sites`-long `newview` output streams, on a host
-    /// with `cache_bytes` of per-core cache cut into `block_sites`-long
-    /// traversal blocks ([`crate::blocking`]): when it is longer than a
-    /// block, so that a blocked walk — whose parent reads a block's
-    /// columns while they are still cached — never does, and larger
-    /// than the cache.
-    ///
-    /// NT stores bypass the cache entirely: an output its parent could
-    /// re-read from cache only loses by them. Measured on a 2-vCPU Xeon
-    /// with 2 MiB of L2 per core and 105 MiB of L3, 15-taxon `search
-    /// --rounds 0` under `Blocking::Off`, streaming against no
-    /// streaming store at all: 20 % slower at 5 266 patterns (0.7 MB per CLA), even at
-    /// 10 181 (1.3 MB), 8–15 % faster from 18 745 (2.4 MB) to 87 620
-    /// (11 MB) — also where all 13 CLAs still fit the L3. The output
-    /// against the per-core cache decides. With that host's 2 MiB
-    /// calibrated into 4 096-site blocks, streaming each full block
-    /// took a 15 × 12 000 `Blocking::On` search from 0.145–0.179 s to
-    /// 0.224–0.246 s.
-    #[inline]
-    pub(super) fn streams(n_sites: usize, cache_bytes: u64, block_sites: usize) -> bool {
-        n_sites > block_sites && n_sites as u64 * SITE_BYTES > cache_bytes
-    }
-
-    /// Whether `out` takes streaming stores of `vector_bytes` each:
-    /// every site offset must be aligned to the vector (engine-owned
-    /// buffers are 64-byte aligned and always qualify; the 128-byte
-    /// site stride preserves alignment), and the call must be one that
-    /// [`streams`].
-    #[inline]
-    pub(super) fn stream_ok(out: &[f64], n_sites: usize, vector_bytes: usize) -> bool {
-        use crate::blocking::{block_sites, cache_bytes};
-        (out.as_ptr() as usize).is_multiple_of(vector_bytes)
-            && streams(n_sites, cache_bytes(), block_sites())
-    }
-
-    /// §V-B5 epilogue: `sfence` after non-temporal stores. NT stores
-    /// are weakly ordered — without the fence a reader synchronized
-    /// through an ordinary release/acquire edge (e.g. a fork-join
-    /// barrier) could observe stale CLA contents. Every kernel that
-    /// streamed calls this exactly once before returning, so
-    /// `evaluate` may assume CLAs are visible without fencing itself.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn drain_streams(nt: bool) {
-        if nt {
-            _mm_sfence();
-        }
     }
 
     /// Prefetches site `site` of `buf` (both of its cache lines) into
@@ -520,17 +446,12 @@ mod x86 {
         acc
     }
 
-    /// Writes one site's four blocks to `site`, through non-temporal
-    /// stores when `nt`.
+    /// Writes one site's four blocks to `site`.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    fn write_site(acc: [__m256d; NUM_RATES], site: &mut [f64], nt: bool) {
+    fn write_site(acc: [__m256d; NUM_RATES], site: &mut [f64]) {
         for (k, &a) in acc.iter().enumerate() {
-            if nt {
-                stream4(site, 4 * k, a);
-            } else {
-                store4(site, 4 * k, a);
-            }
+            store4(site, 4 * k, a);
         }
     }
 
@@ -541,34 +462,34 @@ mod x86 {
     /// NaN lane is not "above"), and a yes writes the site untouched.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    fn finish_site(acc: [__m256d; NUM_RATES], out: &mut [f64], nt: bool) -> u32 {
+    fn finish_site(acc: [__m256d; NUM_RATES], out: &mut [f64]) -> u32 {
         let threshold = _mm256_set1_pd(SCALE_THRESHOLD);
         let mut above = _mm256_cmp_pd::<_CMP_GE_OQ>(acc[0], threshold);
         for &a in &acc[1..] {
             above = _mm256_or_pd(above, _mm256_cmp_pd::<_CMP_GE_OQ>(a, threshold));
         }
         if _mm256_movemask_pd(above) != 0 {
-            write_site(acc, out, nt);
+            write_site(acc, out);
             return 0;
         }
         let mut site = SiteBuf([0.0; SITE_STRIDE]);
         for (k, &a) in acc.iter().enumerate() {
             store4(&mut site.0, 4 * k, a);
         }
-        rescale_site(&mut site, out, nt)
+        rescale_site(&mut site, out)
     }
 
     /// The cold finish of both widths: a site with no entry at or
     /// above the threshold goes through the shared scaling rule —
     /// which rescales it, leaves an all-zero site alone, or refuses
     /// corrupted data — on the stack, and is then written like any
-    /// other (a streamed output cannot be scaled where it lies).
+    /// other.
     #[cold]
     #[inline(never)]
     #[target_feature(enable = "avx2", enable = "fma")]
-    fn rescale_site(site: &mut SiteBuf, out: &mut [f64], nt: bool) -> u32 {
+    fn rescale_site(site: &mut SiteBuf, out: &mut [f64]) -> u32 {
         let bumps = scale_site(&mut site.0);
-        write_site(load_site(&site.0), out, nt);
+        write_site(load_site(&site.0), out);
         bumps
     }
 
@@ -609,7 +530,6 @@ mod x86 {
         out: &mut [f64],
         scale_out: &mut [u32],
     ) {
-        let nt = stream_ok(out, scale_out.len(), 32);
         let sites = out
             .chunks_exact_mut(SITE_STRIDE)
             .zip(v_r.chunks_exact(SITE_STRIDE));
@@ -620,9 +540,8 @@ mod x86 {
             for (k, a) in acc.iter_mut().enumerate() {
                 *a = _mm256_mul_pd(load4(l, 4 * k), *a);
             }
-            scale_out[i] = scale_r[i] + finish_site(acc, site, nt);
+            scale_out[i] = scale_r[i] + finish_site(acc, site);
         }
-        drain_streams(nt);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -637,7 +556,6 @@ mod x86 {
         out: &mut [f64],
         scale_out: &mut [u32],
     ) {
-        let nt = stream_ok(out, scale_out.len(), 32);
         let inputs = v_l
             .chunks_exact(SITE_STRIDE)
             .zip(v_r.chunks_exact(SITE_STRIDE));
@@ -649,9 +567,8 @@ mod x86 {
             for (k, a) in acc.iter_mut().enumerate() {
                 *a = _mm256_mul_pd(l[k], *a);
             }
-            scale_out[i] = scale_l[i] + scale_r[i] + finish_site(acc, site, nt);
+            scale_out[i] = scale_l[i] + scale_r[i] + finish_site(acc, site);
         }
-        drain_streams(nt);
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -672,9 +589,8 @@ mod x86 {
                 *a = _mm256_mul_pd(load4(le, 4 * k), *a);
             }
             // No scaling rule here: sumtables are branch-invariant
-            // intermediates, not CLAs. Never streamed: `derivativeCore`
-            // reads the table straight back.
-            write_site(acc, site, false);
+            // intermediates, not CLAs.
+            write_site(acc, site);
         }
     }
 
@@ -691,7 +607,7 @@ mod x86 {
             for (k, a) in acc.iter_mut().enumerate() {
                 *a = _mm256_mul_pd(le[k], *a);
             }
-            write_site(acc, site, false);
+            write_site(acc, site);
         }
     }
 
@@ -769,8 +685,8 @@ mod x86 {
         //! is eight registers, loaded once per call.
 
         use super::{
-            derivative_exp_tables, drain_streams, prefetch_site, rescale_site, root_weights,
-            stream_ok, weighted_sum, SiteBuf, PREFETCH_SITES,
+            derivative_exp_tables, prefetch_site, rescale_site, root_weights, weighted_sum,
+            SiteBuf, PREFETCH_SITES,
         };
         use crate::kernels::ln::{ln, LG1, LG2, LG3, LG4, LG5, LG6, LG7, LN2_HI, LN2_LO, SQRT_2};
         use crate::layout::{EigenBasis, FusedPmat, Lut16x16};
@@ -782,9 +698,9 @@ mod x86 {
             _mm512_div_pd, _mm512_extractf64x4_pd, _mm512_fmadd_pd, _mm512_getexp_pd,
             _mm512_getmant_pd, _mm512_insertf64x4, _mm512_loadu_pd, _mm512_mask_add_pd,
             _mm512_mask_mul_pd, _mm512_max_pd, _mm512_mul_pd, _mm512_permutex_pd, _mm512_set1_pd,
-            _mm512_setzero_pd, _mm512_shuffle_f64x2, _mm512_storeu_pd, _mm512_stream_pd,
-            _mm512_sub_pd, _mm512_unpackhi_pd, _mm512_unpacklo_pd, _CMP_GE_OQ, _CMP_LE_OQ,
-            _CMP_NGE_UQ, _MM_MANT_NORM_1_2, _MM_MANT_SIGN_ZERO,
+            _mm512_setzero_pd, _mm512_shuffle_f64x2, _mm512_storeu_pd, _mm512_sub_pd,
+            _mm512_unpackhi_pd, _mm512_unpacklo_pd, _CMP_GE_OQ, _CMP_LE_OQ, _CMP_NGE_UQ,
+            _MM_MANT_NORM_1_2, _MM_MANT_SIGN_ZERO,
         };
 
         /// One site: `[rates 0-1, rates 2-3]`.
@@ -809,22 +725,6 @@ mod x86 {
             let s = &mut row[at..at + 8];
             // SAFETY: the slice bounds-check above proves 8 writable f64s.
             unsafe { _mm512_storeu_pd(s.as_mut_ptr(), v) }
-        }
-
-        /// Non-temporal store of `v` to lanes `[at, at + 8)`; `at` must
-        /// keep the destination 64-byte aligned (the `stream_ok(…, 64)`
-        /// gate: aligned base + 128-byte site stride).
-        #[inline]
-        #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
-        fn stream8(row: &mut [f64], at: usize, v: __m512d) {
-            let s = &mut row[at..at + 8];
-            debug_assert_eq!(s.as_ptr() as usize % 64, 0, "streaming store misaligned");
-            // SAFETY: the slice bounds-check proves 8 writable f64s; the
-            // 64-byte alignment `_mm512_stream_pd` requires holds because
-            // the caller's `stream_ok` gate checked the buffer base and
-            // every half-site offset is a multiple of 64 bytes
-            // (debug-asserted above).
-            unsafe { _mm512_stream_pd(s.as_mut_ptr(), v) }
         }
 
         #[inline]
@@ -881,13 +781,9 @@ mod x86 {
 
         #[inline]
         #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
-        fn write_site(acc: Site, site: &mut [f64], nt: bool) {
+        fn write_site(acc: Site, site: &mut [f64]) {
             for (h, &a) in acc.iter().enumerate() {
-                if nt {
-                    stream8(site, 8 * h, a);
-                } else {
-                    store8(site, 8 * h, a);
-                }
+                store8(site, 8 * h, a);
             }
         }
 
@@ -895,18 +791,18 @@ mod x86 {
         /// two mask compares, the cold path is the shared one.
         #[inline]
         #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
-        fn finish_site(acc: Site, out: &mut [f64], nt: bool) -> u32 {
+        fn finish_site(acc: Site, out: &mut [f64]) -> u32 {
             let threshold = _mm512_set1_pd(SCALE_THRESHOLD);
             let above = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(acc[0], threshold)
                 | _mm512_cmp_pd_mask::<_CMP_GE_OQ>(acc[1], threshold);
             if above != 0 {
-                write_site(acc, out, nt);
+                write_site(acc, out);
                 return 0;
             }
             let mut site = SiteBuf([0.0; SITE_STRIDE]);
             store8(&mut site.0, 0, acc[0]);
             store8(&mut site.0, 8, acc[1]);
-            rescale_site(&mut site, out, nt)
+            rescale_site(&mut site, out)
         }
 
         #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
@@ -919,7 +815,6 @@ mod x86 {
             out: &mut [f64],
             scale_out: &mut [u32],
         ) {
-            let nt = stream_ok(out, scale_out.len(), 64);
             let p_r = load_matrix(&p_r.cols);
             let sites = out
                 .chunks_exact_mut(SITE_STRIDE)
@@ -928,9 +823,8 @@ mod x86 {
                 prefetch_site(v_r, i + PREFETCH_SITES);
                 let l = load_site(&lut_l.rows[codes_l[i] as usize]);
                 let acc = mul(l, matvec(&p_r, load_site(vr)));
-                scale_out[i] = scale_r[i] + finish_site(acc, site, nt);
+                scale_out[i] = scale_r[i] + finish_site(acc, site);
             }
-            drain_streams(nt);
         }
 
         #[allow(clippy::too_many_arguments)]
@@ -945,7 +839,6 @@ mod x86 {
             out: &mut [f64],
             scale_out: &mut [u32],
         ) {
-            let nt = stream_ok(out, scale_out.len(), 64);
             let (p_l, p_r) = (load_matrix(&p_l.cols), load_matrix(&p_r.cols));
             let inputs = v_l
                 .chunks_exact(SITE_STRIDE)
@@ -954,9 +847,8 @@ mod x86 {
                 prefetch_site(v_l, i + PREFETCH_SITES);
                 prefetch_site(v_r, i + PREFETCH_SITES);
                 let acc = mul(matvec(&p_l, load_site(vl)), matvec(&p_r, load_site(vr)));
-                scale_out[i] = scale_l[i] + scale_r[i] + finish_site(acc, site, nt);
+                scale_out[i] = scale_l[i] + scale_r[i] + finish_site(acc, site);
             }
-            drain_streams(nt);
         }
 
         #[target_feature(enable = "avx2", enable = "fma", enable = "avx512f")]
@@ -973,7 +865,7 @@ mod x86 {
             for (i, (site, vr)) in sites.enumerate() {
                 prefetch_site(v_r, i + PREFETCH_SITES);
                 let le = load_site(&basis.tip_left.rows[codes_q[i] as usize]);
-                write_site(mul(le, matvec(&uinv, load_site(vr))), site, false);
+                write_site(mul(le, matvec(&uinv, load_site(vr))), site);
             }
         }
 
@@ -992,7 +884,7 @@ mod x86 {
                 prefetch_site(v_q, i + PREFETCH_SITES);
                 prefetch_site(v_r, i + PREFETCH_SITES);
                 let acc = mul(matvec(&piu, load_site(vq)), matvec(&uinv, load_site(vr)));
-                write_site(acc, site, false);
+                write_site(acc, site);
             }
         }
 
@@ -1407,8 +1299,10 @@ pub(crate) mod tests {
         use phylo_models::DiscreteGamma;
         let widths = widths_under_test();
         // 1 and 7 are all tail for the 8-site `derivative_core` step,
-        // 511/512/513 straddle the root chunk, the last size streams.
-        let sizes = [1usize, 7, 511, 512, 513, 1000, streamed_sites() + 3];
+        // 511/512/513 straddle the root chunk, and 8 195 sites (1 MiB
+        // and 384 bytes per CLA) are more than the default per-core
+        // cache holds.
+        let sizes = [1usize, 7, 511, 512, 513, 1000, 8195];
         let mut inputs: Vec<_> = sizes.iter().map(|&n| (n, 0.7, (0.23, 0.11))).collect();
         // The corners of the branch-length × α box an engine accepts
         // (`Tree`'s `BL_MIN`/`BL_MAX`): P ≈ I and P = the stationary rows.
@@ -1483,108 +1377,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// The shortest `newview` call that streams on this host: longer
-    /// than a traversal block and larger than the per-core cache. A
-    /// stand-in where the explicit bodies do not exist (no width is
-    /// under test there).
-    fn streamed_sites() -> usize {
-        let cache_sites = crate::blocking::cache_bytes() as usize / (SITE_STRIDE * 8);
-        cache_sites.max(crate::blocking::block_sites()) + 1
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn only_outputs_larger_than_the_cache_and_a_block_stream() {
-        use x86::streams;
-        const MIB: u64 = 1 << 20;
-        // Uncalibrated (1 MiB, 2 048-site blocks): 8 192 sites are the
-        // cache; one more site streams.
-        assert!(!streams(4096, MIB, 2048));
-        assert!(!streams(8192, MIB, 2048));
-        assert!(streams(8193, MIB, 2048));
-        // A calibrated 2 MiB L2 gives 4 096-site blocks: a full block
-        // is read back by its parent from cache and never streams, nor
-        // does anything up to the cache's 16 384 sites.
-        assert!(!streams(4096, 2 * MIB, 4096));
-        assert!(!streams(16_384, 2 * MIB, 4096));
-        assert!(streams(16_385, 2 * MIB, 4096));
-        // Whatever the cache, a call no longer than a block never does.
-        assert!(!streams(64, 4096, 64));
-        assert!(streams(65, 4096, 64));
-        // The gate itself: this host's cache and blocks, and the vector
-        // alignment.
-        let n = streamed_sites();
-        let out = AlignedVec::zeroed(SITE_STRIDE);
-        assert!(x86::stream_ok(&out, n, 64));
-        assert!(!x86::stream_ok(&out, n - 1, 64));
-        assert!(!x86::stream_ok(&out[4..], n, 64));
-        assert!(x86::stream_ok(&out[4..], n, 32));
-    }
-
-    #[test]
-    fn streamed_cla_is_readable_immediately_after_the_kernel_returns() {
-        // Pins the §V-B5 fence: the kernel streams the CLA and fences,
-        // so a plain read-back right here must observe every value.
-        let n = streamed_sites() + 1;
-        let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
-        let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
-        fill(&mut vl, 3, 1e-3, 1.0);
-        fill(&mut vr, 5, 1e-3, 1.0);
-        let scale = vec![0u32; n];
-        let (pl, pr) = (pmat(0.4), pmat(0.9));
-        let mut out = AlignedVec::zeroed(n * SITE_STRIDE);
-        let mut sc = vec![0u32; n];
-        KernelKind::Simd
-            .kernels()
-            .newview_ii(&pl, &vl, &scale, &pr, &vr, &scale, &mut out, &mut sc);
-        assert!(out.iter().all(|v| v.is_finite() && *v > 0.0));
-        // And the values are the right ones, not just nonzero.
-        let mut out_v = AlignedVec::zeroed(n * SITE_STRIDE);
-        let mut sc_v = vec![0u32; n];
-        KernelKind::Scalar
-            .kernels()
-            .newview_ii(&pl, &vl, &scale, &pr, &vr, &scale, &mut out_v, &mut sc_v);
-        for (a, b) in out.iter().zip(out_v.iter()) {
-            assert!((a - b).abs() <= 1e-12 * (1.0 + a.abs()));
-        }
-    }
-
-    #[test]
-    fn unaligned_output_falls_back_to_regular_stores() {
-        // A deliberately 8-byte-misaligned output view must still be
-        // written correctly (release builds take the storeu path; this
-        // guards the `stream_ok` gate).
-        if cfg!(debug_assertions) {
-            // Debug builds assert the alignment contract instead.
-            return;
-        }
-        let n = streamed_sites() + 1;
-        let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
-        let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
-        fill(&mut vl, 7, 1e-3, 1.0);
-        fill(&mut vr, 9, 1e-3, 1.0);
-        let scale = vec![0u32; n];
-        let (pl, pr) = (pmat(0.2), pmat(0.3));
-        let mut out_v = AlignedVec::zeroed(n * SITE_STRIDE);
-        let mut sc_v = vec![0u32; n];
-        KernelKind::Scalar
-            .kernels()
-            .newview_ii(&pl, &vl, &scale, &pr, &vr, &scale, &mut out_v, &mut sc_v);
-        // Off by one double: aligned for nothing. Off by four: enough
-        // for 256-bit streams, not for 512-bit ones.
-        for set in widths_under_test() {
-            for skew in [1, 4] {
-                let mut raw = AlignedVec::zeroed(n * SITE_STRIDE + skew);
-                let mut sc = vec![0u32; n];
-                let out = &mut raw[skew..];
-                set.newview_ii(&pl, &vl, &scale, &pr, &vr, &scale, out, &mut sc);
-                for (a, b) in raw[skew..].iter().zip(out_v.iter()) {
-                    assert!((a - b).abs() <= 1e-12 * (1.0 + a.abs()));
-                }
-            }
-        }
-    }
-
     #[test]
     fn availability_is_consistent_with_dispatch() {
         if simd_available() {
@@ -1608,11 +1400,11 @@ pub(crate) mod tests {
 
     #[test]
     fn staged_and_in_place_finish_write_identical_bits() {
-        // One aligned call of `streamed_sites()` or more streams; the
-        // same input in shorter slices never does. Every third site is
-        // small enough to go through the rescale on both paths.
-        let n = streamed_sites() + 5;
-        let slice = streamed_sites() - 1;
+        // One whole-range call against the same input in 255-site
+        // slices, the last one shorter. Every third site is small
+        // enough to go through the rescale.
+        let n = 1029;
+        let slice = 255;
         let mut vl = AlignedVec::zeroed(n * SITE_STRIDE);
         let mut vr = AlignedVec::zeroed(n * SITE_STRIDE);
         fill(&mut vl, 21, 1e-3, 1.0);
@@ -1657,12 +1449,12 @@ pub(crate) mod tests {
                 }
                 (ti, ii)
             };
-            let (ti_streamed, ii_streamed) = run(n);
-            let (ti_cached, ii_cached) = run(slice);
-            // (name, streamed, cached, input counters summed per site)
+            let (ti_whole, ii_whole) = run(n);
+            let (ti_sliced, ii_sliced) = run(slice);
+            // (name, whole, sliced, input counters summed per site)
             for (what, a, b, inputs) in [
-                ("newview_ti", &ti_streamed, &ti_cached, 1),
-                ("newview_ii", &ii_streamed, &ii_cached, 2),
+                ("newview_ti", &ti_whole, &ti_sliced, 1),
+                ("newview_ii", &ii_whole, &ii_sliced, 2),
             ] {
                 assert_eq!(a.1, b.1, "{what} at {bits} bits: scale counters");
                 let rescaled = a.1.iter().zip(&scale).any(|(o, i)| *o > inputs * i);
@@ -1671,10 +1463,7 @@ pub(crate) mod tests {
                     a.0.iter()
                         .zip(b.0.iter())
                         .all(|(x, y)| x.to_bits() == y.to_bits());
-                assert!(
-                    same,
-                    "{what} at {bits} bits: streamed and cached CLAs differ"
-                );
+                assert!(same, "{what} at {bits} bits: whole and sliced CLAs differ");
             }
         }
     }
@@ -1690,19 +1479,19 @@ pub(crate) mod tests {
     }
 
     /// Drives one crafted site through `finish_site` of both `newview`
-    /// shapes — cached (the site alone) and streamed (the site in the
-    /// middle of `streamed_sites()` ordinary ones) — and returns what was
-    /// written for it with its scaling bump. Lane `m` of the site is
-    /// `factor[m] · value[m]`, exactly: the factors ride in the tip row
-    /// (`ti`) or on the diagonal of the left matrix (`ii`), where a NaN
-    /// or an infinity stays in its own lane.
+    /// shapes — alone, and (`newview_ti` only) in the middle of 1 029
+    /// ordinary sites — and returns what was written for it with its
+    /// scaling bump. Lane `m` of the site is `factor[m] · value[m]`,
+    /// exactly: the factors ride in the tip row (`ti`) or on the
+    /// diagonal of the left matrix (`ii`), where a NaN or an infinity
+    /// stays in its own lane.
     fn finish(
         k: &SimdKernels,
         value: [f64; SITE_STRIDE],
         factor: [f64; SITE_STRIDE],
     ) -> Vec<([f64; SITE_STRIDE], u32)> {
         let mut written = Vec::new();
-        for n in [1, streamed_sites()] {
+        for n in [1, 1029] {
             let at = n / 2;
             let mut v = AlignedVec::zeroed(n * SITE_STRIDE);
             fill(&mut v, 31, 0.1, 1.0);

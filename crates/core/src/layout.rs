@@ -18,13 +18,12 @@
 //! whole 128-byte site blocks with a 64-byte-aligned base.
 //! [`crate::AlignedVec`] guarantees both for engine-owned buffers, and
 //! [`crate::aligned::debug_assert_site_buffer`] re-checks the contract
-//! at every explicit-SIMD kernel entry. The SIMD backend depends on it
-//! twice over: each site is processed as four full 4×f64 vectors with
-//! no scalar remainder tail (so a short final block would read past
-//! the allocation), and the 128-byte site stride keeps every site
-//! offset 32-byte aligned, which `_mm256_stream_pd` requires. The
-//! lookup tables below carry `#[repr(align(64))]` for the same reason:
-//! their 16-wide rows are loaded four lanes at a time.
+//! at every explicit-SIMD kernel entry. The SIMD backend processes
+//! each site as full vectors with no scalar remainder tail (so a short
+//! final block would read past the allocation), and the 128-byte site
+//! stride keeps every site on its own two cache lines. The lookup
+//! tables below carry `#[repr(align(64))]` for the same reason: their
+//! 16-wide rows are loaded four or eight lanes at a time.
 
 use crate::{NUM_RATES, NUM_STATES, SITE_STRIDE};
 use phylo_models::{Eigensystem, ProbMatrix};

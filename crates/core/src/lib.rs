@@ -13,8 +13,8 @@
 //!   `-mmic`" port would run (§V-B);
 //! * **simd** — the paper's MIC optimizations in explicit AVX2+FMA
 //!   intrinsics: the fused 16-wide `(rate, state)` loop (§V-B3) as
-//!   four FMA chains, prefetching and streaming stores (§V-B5),
-//!   chosen at runtime where the CPU supports it.
+//!   four FMA chains and prefetching, chosen at runtime where the CPU
+//!   supports it.
 //!
 //! `evaluate` and `derivativeCore` are site-blocked as in §V-B4: a
 //! backend writes the vector reduction per site, and the scalar

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `interleave` — an in-tree, loom-style concurrency model checker.
 //!
 //! The workspace's synchronization (sense-reversing barriers, the

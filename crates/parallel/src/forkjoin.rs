@@ -649,10 +649,9 @@ mod tests {
 
     #[test]
     fn simd_backend_under_forkjoin_matches_scalar_serial() {
-        // Team members stream their newview CLAs with non-temporal
-        // stores; the kernel-exit sfence must publish them before the
-        // barrier hands control back to the master, or this
-        // cross-thread comparison could read stale CLA contents.
+        // Team members write their newview CLAs on their own threads;
+        // the join must publish them before the master reads them, or
+        // this cross-thread comparison could read stale CLA contents.
         use plf_core::KernelKind;
         let (tree, aln) = dataset();
         let mut scalar = LikelihoodEngine::new(

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Maximum-likelihood tree search — the RAxML-Light workload.
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `cargo xtask` — workspace automation entry point.
 
 mod pair;

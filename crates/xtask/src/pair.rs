@@ -323,12 +323,14 @@ fn report(spec: &Spec, claim: Option<(&str, &str)>, runs: &[Run]) -> (String, bo
     )
 }
 
+/// The command's stdout, or an `Err` that ends with what it wrote to
+/// stderr (unless the caller left stderr inherited: then it is above).
 fn stdout_of(cmd: &mut Command) -> Result<String, String> {
     let name = cmd.get_program().to_string_lossy().into_owned();
-    let out = cmd.stderr(Stdio::inherit()).output();
-    let out = out.map_err(|e| format!("{name}: {e}"))?;
+    let out = cmd.output().map_err(|e| format!("{name}: {e}"))?;
     if !out.status.success() {
-        return Err(format!("{name}: {} (its own message is above)", out.status));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        return Err(format!("{name}: {}\n{}", out.status, stderr.trim_end()));
     }
     Ok(String::from_utf8_lossy(&out.stdout).into_owned())
 }
@@ -636,7 +638,8 @@ mod tests {
         assert!(!repo.join("target/pair/change/gone.rs").exists());
         assert!(repo.join("target/pair/change/new.rs").exists());
         std::fs::write(repo.join("plf_e2e/src/spec.rs"), "touched").unwrap();
-        assert!(bash(FREEZE).is_err());
+        let refusal = bash(FREEZE).expect_err("a differing ruler");
+        assert!(refusal.contains("plf_e2e/src/spec.rs"), "{refusal}");
         std::fs::remove_dir_all(&repo).unwrap();
     }
 }

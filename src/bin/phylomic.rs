@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `phylomic` — command-line interface to the library.
 //!
 //! Subcommands:

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! **phylomic** — a Rust reproduction of *"Efficient Computation of
 //! the Phylogenetic Likelihood Function on the Intel MIC Architecture"*

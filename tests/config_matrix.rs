@@ -364,6 +364,70 @@ fn forkjoin_matches_serial_blocked_or_not() {
     }
 }
 
+/// Six taxa over all-distinct columns, 50 more than one block (at most
+/// 4 096): a blocked engine runs two site blocks, the second a partial one.
+fn blocking_fixture() -> (Tree, CompressedAlignment) {
+    let tree =
+        newick::parse("((a:0.1,b:0.12):0.1,c:0.15,(d:0.1,(e:0.11,f:0.1):0.13):0.1);").unwrap();
+    let sites = (block_sites() + 50).min(4096);
+    let names = ["a", "b", "c", "d", "e", "f"];
+    let mut seqs = vec![String::new(); names.len()];
+    for i in 0..sites {
+        let mut v = i;
+        for s in seqs.iter_mut() {
+            s.push(['A', 'C', 'G', 'T'][v % 4]);
+            v /= 4;
+        }
+    }
+    let seqs = names.iter().zip(&seqs);
+    let seqs = seqs.map(|(n, s)| Sequence::from_str_named(*n, s).unwrap());
+    let aln = Alignment::new(seqs.collect()).unwrap();
+    (tree, CompressedAlignment::from_alignment(&aln))
+}
+
+#[test]
+fn blocked_traversal_is_bit_identical_with_identical_call_counts() {
+    let (tree, aln) = blocking_fixture();
+    for kernel in BACKENDS {
+        let mk = |blocking| LikelihoodEngine::new(&tree, &aln, config(kernel, blocking, 1.0));
+        let (mut off, mut on) = (mk(Blocking::Off), mk(Blocking::On));
+        let root = tree.incident(tree.tip_by_name("a").unwrap())[0];
+        let (x, y) = (
+            off.log_likelihood(&tree, root),
+            on.log_likelihood(&tree, root),
+        );
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{kernel}: blocked logL {y} vs {x}"
+        );
+        for i in 0..off.num_inner() {
+            assert_eq!(off.cla_scale(i), on.cla_scale(i), "{kernel} inner {i}");
+        }
+        // One pendant length changes: only part of the walk goes stale,
+        // so the blocked batch covers a strict subset of the nodes.
+        let mut tree2 = tree.clone();
+        let pendant = tree2.incident(tree2.tip_by_name("d").unwrap())[0];
+        tree2.set_length(pendant, 0.7).unwrap();
+        let (x, y) = (
+            off.log_likelihood(&tree2, root),
+            on.log_likelihood(&tree2, root),
+        );
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{kernel}: after the change, {y} vs {x}"
+        );
+        let [a, b] = [&off, &on].map(|e| e.stats().get(KernelId::Newview).calls);
+        assert_eq!(a, b, "{kernel}: blocking changed the newview call count");
+        off.prepare_branch(&tree2, root);
+        on.prepare_branch(&tree2, root);
+        let (x, y) = (off.branch_derivatives(0.13), on.branch_derivatives(0.13));
+        assert_eq!(x.0.to_bits(), y.0.to_bits(), "{kernel}: d1 {y:?} vs {x:?}");
+        assert_eq!(x.1.to_bits(), y.1.to_bits(), "{kernel}: d2 {y:?} vs {x:?}");
+    }
+}
+
 #[test]
 fn forced_scaling_caterpillar_in_every_cell() {
     // Conditional likelihoods decay roughly 4× per caterpillar level;
